@@ -27,7 +27,7 @@
 use crate::system::Lambdas;
 use decomp::traits::BatchDecomposer;
 use tskit::error::{check_finite, Result, TsError};
-use tskit::linalg::SymBanded;
+use tskit::linalg::{BandedLdlt, SymBanded};
 use tskit::series::Decomposition;
 use tskit::stats::mean;
 
@@ -130,17 +130,18 @@ fn apply(
     }
 }
 
-/// Diagonal of the Eq. 6 operator (Jacobi preconditioner).
+/// Diagonal of the Eq. 6 operator (Jacobi preconditioner), into `d`.
 fn diagonal(
+    d: &mut [f64],
     y_len: usize,
     period: usize,
     lambdas: Lambdas,
     pw: &[f64],
     qw: &[f64],
     ridge: f64,
-) -> Vec<f64> {
+) {
     let n = y_len;
-    let mut d = vec![ridge; 2 * n];
+    d.fill(ridge);
     for j in 0..n {
         d[2 * j] += 1.0;
         d[2 * j + 1] += 1.0;
@@ -160,7 +161,43 @@ fn diagonal(
         d[2 * (j - 1)] += 4.0 * w;
         d[2 * (j - 2)] += w;
     }
-    d
+}
+
+/// Per-decomposition solver workspace, allocated once and reused by every
+/// IRLS iteration.
+enum Workspace {
+    /// The banded Eq. 6 matrix and its LDLᵀ factorization.
+    Banded { a: SymBanded, fac: BandedLdlt },
+    /// Conjugate gradients (large `T`).
+    Cg(CgWork),
+}
+
+/// The CG work vectors: Jacobi diagonal, `A·p`, residual, preconditioned
+/// residual, search direction.
+struct CgWork {
+    diag: Vec<f64>,
+    ax: Vec<f64>,
+    r: Vec<f64>,
+    z: Vec<f64>,
+    p: Vec<f64>,
+}
+
+impl Workspace {
+    fn banded(y_len: usize, period: usize) -> Self {
+        let a = SymBanded::zeros(2 * y_len, (2 * period).max(4));
+        Workspace::Banded { fac: BandedLdlt { l: a.clone(), d: vec![0.0; 2 * y_len] }, a }
+    }
+
+    fn cg(y_len: usize) -> Self {
+        let v = vec![0.0; 2 * y_len];
+        Workspace::Cg(CgWork {
+            diag: v.clone(),
+            ax: v.clone(),
+            r: v.clone(),
+            z: v.clone(),
+            p: v,
+        })
+    }
 }
 
 /// Jacobi-preconditioned conjugate gradients with warm start.
@@ -175,24 +212,29 @@ fn solve_cg(
     qw: &[f64],
     ridge: f64,
     tol: f64,
+    work: &mut CgWork,
 ) {
     let n = b.len();
-    let diag = diagonal(y_len, period, lambdas, pw, qw, ridge);
-    let mut ax = vec![0.0; n];
-    apply(x0, &mut ax, y_len, period, lambdas, pw, qw, ridge);
-    let mut r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
+    let CgWork { diag, ax, r, z, p } = work;
+    diagonal(diag, y_len, period, lambdas, pw, qw, ridge);
+    apply(x0, ax, y_len, period, lambdas, pw, qw, ridge);
+    for ((ri, bi), ai) in r.iter_mut().zip(b).zip(ax.iter()) {
+        *ri = bi - ai;
+    }
     let bnorm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
-    let mut z: Vec<f64> = r.iter().zip(&diag).map(|(ri, di)| ri / di).collect();
-    let mut p = z.clone();
-    let mut rz: f64 = r.iter().zip(&z).map(|(a, c)| a * c).sum();
+    for ((zi, ri), di) in z.iter_mut().zip(r.iter()).zip(diag.iter()) {
+        *zi = ri / di;
+    }
+    p.copy_from_slice(z);
+    let mut rz: f64 = r.iter().zip(z.iter()).map(|(a, c)| a * c).sum();
     let max_iter = 20 * n;
     for _ in 0..max_iter {
         let rnorm = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         if rnorm / bnorm < tol {
             break;
         }
-        apply(&p, &mut ax, y_len, period, lambdas, pw, qw, ridge);
-        let pap: f64 = p.iter().zip(&ax).map(|(a, c)| a * c).sum();
+        apply(p, ax, y_len, period, lambdas, pw, qw, ridge);
+        let pap: f64 = p.iter().zip(ax.iter()).map(|(a, c)| a * c).sum();
         if pap <= 0.0 {
             break; // numerical loss of definiteness; accept current iterate
         }
@@ -204,7 +246,7 @@ fn solve_cg(
         for i in 0..n {
             z[i] = r[i] / diag[i];
         }
-        let rz_new: f64 = r.iter().zip(&z).map(|(a, c)| a * c).sum();
+        let rz_new: f64 = r.iter().zip(z.iter()).map(|(a, c)| a * c).sum();
         let beta = rz_new / rz;
         rz = rz_new;
         for i in 0..n {
@@ -213,18 +255,22 @@ fn solve_cg(
     }
 }
 
+/// Assembles the Eq. 6 system into `a` and solves it directly into `x`.
+#[allow(clippy::too_many_arguments)]
 fn solve_banded(
     b: &[f64],
+    x: &mut [f64],
+    a: &mut SymBanded,
+    fac: &mut BandedLdlt,
     y_len: usize,
     period: usize,
     lambdas: Lambdas,
     pw: &[f64],
     qw: &[f64],
     ridge: f64,
-) -> Result<Vec<f64>> {
+) -> Result<()> {
     let n = y_len;
-    let w = (2 * period).max(4);
-    let mut a = SymBanded::zeros(2 * n, w);
+    a.clear();
     for j in 0..n {
         a.add(2 * j, 2 * j, 1.0);
         a.add(2 * j + 1, 2 * j + 1, 1.0);
@@ -251,7 +297,9 @@ fn solve_banded(
         a.add(2 * (j - 2), 2 * j, wgt);
     }
     a.add_ridge(ridge);
-    a.solve(b)
+    fac.refactor(a)?;
+    fac.solve_into(b, x);
+    Ok(())
 }
 
 impl BatchDecomposer for JointStl {
@@ -284,18 +332,35 @@ impl BatchDecomposer for JointStl {
         let mut pw = vec![1.0; n];
         let mut qw = vec![1.0; n];
         let mut x = vec![0.0; 2 * n];
-        // warm start: trend = moving average, seasonal = remainder mean
-        let ma = tskit::smooth::centered_moving_average(y, period);
-        for j in 0..n {
-            x[2 * j] = ma[j];
-            x[2 * j + 1] = y[j] - ma[j];
-        }
-        let use_banded = 2 * period <= cfg.banded_bandwidth_limit;
+        let mut ws = if 2 * period <= cfg.banded_bandwidth_limit {
+            // the direct solve overwrites x outright: no warm start
+            Workspace::banded(n, period)
+        } else {
+            // CG warm start: trend = moving average, seasonal = remainder
+            let ma = tskit::smooth::centered_moving_average(y, period);
+            for j in 0..n {
+                x[2 * j] = ma[j];
+                x[2 * j + 1] = y[j] - ma[j];
+            }
+            Workspace::cg(n)
+        };
         for _ in 0..cfg.iters.max(1) {
-            if use_banded {
-                x = solve_banded(&b, n, period, cfg.lambdas, &pw, &qw, ridge)?;
-            } else {
-                solve_cg(&b, &mut x, n, period, cfg.lambdas, &pw, &qw, ridge, cfg.cg_tol);
+            match &mut ws {
+                Workspace::Banded { a, fac } => {
+                    solve_banded(&b, &mut x, a, fac, n, period, cfg.lambdas, &pw, &qw, ridge)?
+                }
+                Workspace::Cg(work) => solve_cg(
+                    &b,
+                    &mut x,
+                    n,
+                    period,
+                    cfg.lambdas,
+                    &pw,
+                    &qw,
+                    ridge,
+                    cfg.cg_tol,
+                    work,
+                ),
             }
             for j in 1..n {
                 pw[j] = irls_weight(x[2 * j] - x[2 * (j - 1)], cfg.eps);

@@ -13,9 +13,9 @@
 
 use crate::traits::BatchDecomposer;
 use tskit::error::{check_finite, Result, TsError};
-use tskit::loess::{loess, loess_extended, LoessConfig};
+use tskit::loess::{loess_extended_into, loess_into, LoessConfig};
 use tskit::series::Decomposition;
-use tskit::smooth::valid_moving_average;
+use tskit::smooth::valid_moving_average_into;
 use tskit::stats::median;
 
 /// Seasonal smoother setting.
@@ -144,71 +144,85 @@ impl BatchDecomposer for Stl {
         }));
         let n_l = next_odd(cfg.lowpass_span.unwrap_or(period));
 
+        let scfg = LoessConfig::new(n_s).degree(1);
+        let lcfg = LoessConfig::new(n_l).degree(1).jump(cfg.jump);
+        let tcfg = LoessConfig::new(n_t).degree(1).jump(cfg.jump);
+
         let mut seasonal = vec![0.0; n];
         let mut trend = vec![0.0; n];
         let mut rho: Option<Vec<f64>> = None;
+        // work buffers, reused by every inner and outer pass
+        let mut detrended = vec![0.0; n];
+        let mut deseasonalized = vec![0.0; n];
+        let mut lowpass = vec![0.0; n];
+        // C: the smoothed cycle-subseries at global times -T..n+T, at index
+        // time + T. Every pass rewrites every entry.
+        let mut c = vec![0.0; n + 2 * period];
+        let (mut ma1, mut ma2, mut ma3) = (Vec::new(), Vec::new(), Vec::new());
+        // Span smoothing only: one cycle-subseries, its robustness weights
+        // and its smoothed ±1 extension
+        let (mut sub, mut sub_rho, mut smoothed) = (Vec::new(), Vec::new(), Vec::new());
 
         for outer in 0..=cfg.outer_iters {
             for _inner in 0..cfg.inner_iters.max(1) {
                 // 1. detrend
-                let detrended: Vec<f64> = y.iter().zip(&trend).map(|(v, t)| v - t).collect();
-                // 2. cycle-subseries smoothing with ±1 cycle extension
-                let mut c = vec![0.0; n + 2 * period];
+                for ((d, v), t) in detrended.iter_mut().zip(y).zip(&trend) {
+                    *d = v - t;
+                }
+                // 2. cycle-subseries smoothing with ±1 cycle extension; the
+                // subseries of `phase` (positions -1..=len) lands on the C
+                // indices phase, phase + T, ...
                 for phase in 0..period {
-                    let sub: Vec<f64> =
-                        (phase..n).step_by(period).map(|i| detrended[i]).collect();
-                    if sub.is_empty() {
-                        continue;
-                    }
-                    let sub_rho: Option<Vec<f64>> = rho
-                        .as_ref()
-                        .map(|r| (phase..n).step_by(period).map(|i| r[i]).collect());
-                    let smoothed: Vec<f64> = match cfg.seasonal {
+                    let c_phase = c[phase..].iter_mut().step_by(period);
+                    match cfg.seasonal {
                         SeasonalSpan::Periodic => {
                             // weighted mean, replicated over len + 2
                             let (mut num, mut den) = (0.0, 0.0);
-                            for (k, &v) in sub.iter().enumerate() {
-                                let w = sub_rho.as_ref().map_or(1.0, |r| r[k]);
-                                num += w * v;
+                            for i in (phase..n).step_by(period) {
+                                let w = rho.as_ref().map_or(1.0, |r| r[i]);
+                                num += w * detrended[i];
                                 den += w;
                             }
                             let m = if den > 0.0 {
                                 num / den
                             } else {
-                                sub.iter().sum::<f64>() / sub.len() as f64
+                                let sub = (phase..n).step_by(period);
+                                let len = sub.len() as f64;
+                                sub.map(|i| detrended[i]).sum::<f64>() / len
                             };
-                            vec![m; sub.len() + 2]
+                            c_phase.for_each(|v| *v = m);
                         }
                         SeasonalSpan::Span(_) => {
-                            let lcfg = LoessConfig::new(n_s).degree(1);
-                            loess_extended(&sub, &lcfg, sub_rho.as_deref())
-                        }
-                    };
-                    // place smoothed subseries (positions -1..=len) into C
-                    for (k, &v) in smoothed.iter().enumerate() {
-                        // global time = phase + (k-1)*period; C index = global + period
-                        let idx = phase + k * period;
-                        if idx < c.len() {
-                            c[idx] = v;
+                            sub.clear();
+                            sub.extend((phase..n).step_by(period).map(|i| detrended[i]));
+                            let sub_w = rho.as_ref().map(|r| {
+                                sub_rho.clear();
+                                sub_rho.extend((phase..n).step_by(period).map(|i| r[i]));
+                                &sub_rho[..]
+                            });
+                            smoothed.resize(sub.len() + 2, 0.0);
+                            loess_extended_into(&sub, &scfg, sub_w, &mut smoothed);
+                            for (v, &s) in c_phase.zip(&smoothed) {
+                                *v = s;
+                            }
                         }
                     }
                 }
                 // 3. low-pass: MA(T) twice, MA(3), then LOESS(n_l, degree 1)
-                let ma1 = valid_moving_average(&c, period); // len n + period + 1
-                let ma2 = valid_moving_average(&ma1, period); // len n + 2
-                let ma3 = valid_moving_average(&ma2, 3); // len n
+                valid_moving_average_into(&c, period, &mut ma1); // len n + period + 1
+                valid_moving_average_into(&ma1, period, &mut ma2); // len n + 2
+                valid_moving_average_into(&ma2, 3, &mut ma3); // len n
                 debug_assert_eq!(ma3.len(), n);
-                let lcfg = LoessConfig::new(n_l).degree(1).jump(cfg.jump);
-                let lowpass = loess(&ma3, &lcfg, None);
+                loess_into(&ma3, &lcfg, None, &mut lowpass);
                 // 4. seasonal
                 for i in 0..n {
                     seasonal[i] = c[i + period] - lowpass[i];
                 }
                 // 5.–6. deseasonalize, smooth trend
-                let deseasonalized: Vec<f64> =
-                    y.iter().zip(&seasonal).map(|(v, s)| v - s).collect();
-                let tcfg = LoessConfig::new(n_t).degree(1).jump(cfg.jump);
-                trend = loess(&deseasonalized, &tcfg, rho.as_deref());
+                for ((d, v), s) in deseasonalized.iter_mut().zip(y).zip(&seasonal) {
+                    *d = v - s;
+                }
+                loess_into(&deseasonalized, &tcfg, rho.as_deref(), &mut trend);
             }
             // outer loop: robustness weights from the remainder
             if outer < cfg.outer_iters {

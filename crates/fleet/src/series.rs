@@ -221,13 +221,12 @@ impl Warmup {
 
     /// An empty warm-up buffer with per-series overrides attached. An
     /// override period takes precedence over the engine period policy
-    /// (declared or detecting).
+    /// (declared or detecting). With the period known up front, the buffer
+    /// is sized for admission at once (one allocation, no growth).
     pub fn with_overrides(config: &FleetConfig, overrides: AdmitOptions) -> Self {
-        let period = overrides.period.or(match &config.period {
-            PeriodPolicy::Fixed(t) => Some(*t),
-            PeriodPolicy::Detect { .. } => None,
-        });
-        Warmup { values: Vec::new(), period, last_attempt: 0, overrides }
+        let period = declared_period(config, overrides);
+        let values = period.map_or_else(Vec::new, |t| Vec::with_capacity(config.init_len(t)));
+        Warmup { values, period, last_attempt: 0, overrides }
     }
 
     /// Replaces the pending override set, recomputing the period
@@ -239,10 +238,7 @@ impl Warmup {
     /// under different periods.
     pub fn replace_overrides(&mut self, config: &FleetConfig, opts: AdmitOptions) {
         self.overrides = opts;
-        self.period = opts.period.or(match &config.period {
-            PeriodPolicy::Fixed(t) => Some(*t),
-            PeriodPolicy::Detect { .. } => self.period,
-        });
+        self.period = declared_period(config, opts).or(self.period);
     }
 
     /// Rebuilds a warm-up buffer from snapshot data. Detection bookkeeping
@@ -255,15 +251,10 @@ impl Warmup {
         last_attempt: usize,
         overrides: AdmitOptions,
     ) -> Self {
-        let mut w = Warmup::with_overrides(config, overrides);
-        w.values = values;
         // an override period, then a declared (Fixed) one, wins over a
         // snapshotted detection result
-        if w.period.is_none() {
-            w.period = period;
-        }
-        w.last_attempt = last_attempt;
-        w
+        let period = declared_period(config, overrides).or(period);
+        Warmup { values, period, last_attempt, overrides }
     }
 
     /// Points needed for admission, when the period is known.
@@ -301,6 +292,16 @@ impl Warmup {
         self.last_attempt = n;
         self.period = detect_period(&self.values, *min_period, *max_period, *min_acf);
     }
+}
+
+/// The period a warm-up starts from: the override period, else the
+/// engine's declared ([`PeriodPolicy::Fixed`]) one; `None` under
+/// [`PeriodPolicy::Detect`] without an override.
+fn declared_period(config: &FleetConfig, overrides: AdmitOptions) -> Option<usize> {
+    overrides.period.or(match &config.period {
+        PeriodPolicy::Fixed(t) => Some(*t),
+        PeriodPolicy::Detect { .. } => None,
+    })
 }
 
 impl SeriesState {
@@ -667,6 +668,9 @@ mod tests {
                     assert_eq!(buffered, i + 1);
                     assert_eq!(needed, Some(need));
                     assert!(i + 1 < need);
+                    // sized for admission up front: the buffer never grows
+                    let SeriesState::Warming(w) = &s else { unreachable!() };
+                    assert_eq!(w.values.capacity(), need);
                 }
                 StepOutcome::Promoted(_) => assert_eq!(i + 1, need),
                 StepOutcome::Output(PointOutput::Scored { .. }) => assert!(i + 1 > need),

@@ -1,8 +1,10 @@
 //! Small dense linear algebra: Gaussian elimination and least squares.
 //!
-//! Used by LOESS (weighted polynomial fits), AR model fitting, and the
-//! N-BEATS basis projections. These systems are tiny (a handful of unknowns)
-//! so a straightforward partial-pivoting implementation is appropriate.
+//! Used by AR model fitting and the N-BEATS basis projections. These systems
+//! are tiny (a handful of unknowns) so a straightforward partial-pivoting
+//! implementation is appropriate. LOESS solves its own ≤ 3×3 fits on the
+//! stack with the same operations (see [`crate::loess`]); its tests use this
+//! module as the reference.
 
 use crate::error::{Result, TsError};
 

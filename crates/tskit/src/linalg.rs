@@ -80,6 +80,11 @@ impl SymBanded {
         self.data[k] += v;
     }
 
+    /// Resets every entry to zero, keeping the storage.
+    pub fn clear(&mut self) {
+        self.data.fill(0.0);
+    }
+
     /// Adds `ridge` to the whole diagonal (numerical regularization).
     pub fn add_ridge(&mut self, ridge: f64) {
         for i in 0..self.n {
@@ -117,35 +122,9 @@ impl SymBanded {
     /// Fails with [`TsError::Singular`] if a pivot falls below `1e-300`
     /// in absolute value.
     pub fn ldlt(&self) -> Result<BandedLdlt> {
-        let n = self.n;
-        let w = self.w;
-        let mut l = SymBanded::zeros(n, w);
-        let mut d = vec![0.0; n];
-        for k in 0..n {
-            let lo = k.saturating_sub(w);
-            let mut dk = self.data[self.idx(k, 0)];
-            for i in lo..k {
-                let lki = l.data[l.idx(k, k - i)];
-                dk -= d[i] * lki * lki;
-            }
-            if dk.abs() < 1e-300 {
-                return Err(TsError::Singular { pivot: k });
-            }
-            d[k] = dk;
-            let li = l.idx(k, 0);
-            l.data[li] = 1.0;
-            let hi = (k + w).min(n - 1);
-            for j in k + 1..=hi {
-                let jlo = j.saturating_sub(w);
-                let mut s = self.get(j, k);
-                for i in jlo.max(lo)..k {
-                    s -= l.data[l.idx(j, j - i)] * d[i] * l.data[l.idx(k, k - i)];
-                }
-                let idx = l.idx(j, j - k);
-                l.data[idx] = s / dk;
-            }
-        }
-        Ok(BandedLdlt { l, d })
+        let mut f = BandedLdlt { l: self.clone(), d: vec![0.0; self.n] };
+        f.factor_in_place()?;
+        Ok(f)
     }
 
     /// Solves `A x = b` via LDLᵀ.
@@ -164,12 +143,61 @@ pub struct BandedLdlt {
 }
 
 impl BandedLdlt {
+    /// Re-factors `a` into this factorization's storage (no allocation):
+    /// the same result as [`SymBanded::ldlt`], for an `a` of the same
+    /// dimension and bandwidth.
+    ///
+    /// # Panics
+    /// Panics if `a`'s shape differs from this factorization's.
+    pub fn refactor(&mut self, a: &SymBanded) -> Result<()> {
+        assert!(a.n == self.l.n && a.w == self.l.w, "refactor: shape mismatch");
+        self.l.data.copy_from_slice(&a.data);
+        self.factor_in_place()
+    }
+
+    /// Overwrites `l`, which holds `A` on entry, with the unit lower factor
+    /// `L`, and fills `d`. Column `k` reads `A`'s entries of column `k` just
+    /// before overwriting them, and only `L` entries of earlier columns.
+    fn factor_in_place(&mut self) -> Result<()> {
+        let (n, w) = (self.l.n, self.l.w);
+        let (l, d) = (&mut self.l, &mut self.d);
+        for k in 0..n {
+            let lo = k.saturating_sub(w);
+            let mut dk = l.data[l.idx(k, 0)];
+            for i in lo..k {
+                let lki = l.data[l.idx(k, k - i)];
+                dk -= d[i] * lki * lki;
+            }
+            if dk.abs() < 1e-300 {
+                return Err(TsError::Singular { pivot: k });
+            }
+            d[k] = dk;
+            let li = l.idx(k, 0);
+            l.data[li] = 1.0;
+            let hi = (k + w).min(n - 1);
+            for j in k + 1..=hi {
+                let jlo = j.saturating_sub(w);
+                let idx = l.idx(j, j - k);
+                let mut s = l.data[idx];
+                for i in jlo.max(lo)..k {
+                    s -= l.data[l.idx(j, j - i)] * d[i] * l.data[l.idx(k, k - i)];
+                }
+                l.data[idx] = s / dk;
+            }
+        }
+        Ok(())
+    }
+
     /// Forward substitution `L z = b`.
     pub fn forward(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.l.n;
-        let w = self.l.w;
-        assert_eq!(b.len(), n, "forward: dimension mismatch");
+        assert_eq!(b.len(), self.l.n, "forward: dimension mismatch");
         let mut z = b.to_vec();
+        self.forward_in_place(&mut z);
+        z
+    }
+
+    fn forward_in_place(&self, z: &mut [f64]) {
+        let (n, w) = (self.l.n, self.l.w);
         for k in 0..n {
             let lo = k.saturating_sub(w);
             let mut s = z[k];
@@ -178,15 +206,18 @@ impl BandedLdlt {
             }
             z[k] = s;
         }
-        z
     }
 
     /// Backward substitution `Lᵀ x = y`.
     pub fn backward(&self, y: &[f64]) -> Vec<f64> {
-        let n = self.l.n;
-        let w = self.l.w;
-        assert_eq!(y.len(), n, "backward: dimension mismatch");
+        assert_eq!(y.len(), self.l.n, "backward: dimension mismatch");
         let mut x = y.to_vec();
+        self.backward_in_place(&mut x);
+        x
+    }
+
+    fn backward_in_place(&self, x: &mut [f64]) {
+        let (n, w) = (self.l.n, self.l.w);
         for k in (0..n).rev() {
             let hi = (k + w).min(n - 1);
             let mut s = x[k];
@@ -195,16 +226,27 @@ impl BandedLdlt {
             }
             x[k] = s;
         }
-        x
     }
 
     /// Full solve `A x = b` (forward, diagonal scale, backward).
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut z = self.forward(b);
-        for (zi, di) in z.iter_mut().zip(&self.d) {
-            *zi /= di;
+        let mut x = vec![0.0; b.len()];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// [`Self::solve`] into a caller-provided buffer.
+    ///
+    /// # Panics
+    /// Panics if `b` or `x` does not have the matrix dimension.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
+        assert_eq!(b.len(), self.l.n, "solve: dimension mismatch");
+        x.copy_from_slice(b);
+        self.forward_in_place(x);
+        for (xi, di) in x.iter_mut().zip(&self.d) {
+            *xi /= di;
         }
-        self.backward(&z)
+        self.backward_in_place(x);
     }
 }
 

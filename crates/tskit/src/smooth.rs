@@ -50,21 +50,22 @@ pub fn stl_lowpass(x: &[f64], t: usize) -> Vec<f64> {
     centered_moving_average(&b, 3)
 }
 
-/// Exact moving average of odd window `w` that returns only the valid
-/// (fully covered) region: output length `n - w + 1`.
-pub fn valid_moving_average(x: &[f64], w: usize) -> Vec<f64> {
+/// Exact moving average of odd window `w` over only the valid (fully
+/// covered) region, into `out`: `n - w + 1` values (none when `w > n`).
+/// `out` is cleared first and only reallocates when it must grow.
+pub fn valid_moving_average_into(x: &[f64], w: usize, out: &mut Vec<f64>) {
+    out.clear();
     let n = x.len();
     if w == 0 || w > n {
-        return Vec::new();
+        return;
     }
-    let mut out = Vec::with_capacity(n - w + 1);
+    out.reserve(n - w + 1);
     let mut sum: f64 = x[..w].iter().sum();
     out.push(sum / w as f64);
     for i in w..n {
         sum += x[i] - x[i - w];
         out.push(sum / w as f64);
     }
-    out
 }
 
 /// Hanning-window weighted smoother of odd length `w` (used by some online
@@ -163,11 +164,13 @@ mod tests {
     #[test]
     fn valid_ma_length_and_values() {
         let x = [1.0, 2.0, 3.0, 4.0];
-        let s = valid_moving_average(&x, 3);
+        let mut s = vec![9.0; 7];
+        valid_moving_average_into(&x, 3, &mut s);
         assert_eq!(s.len(), 2);
         assert!((s[0] - 2.0).abs() < 1e-12);
         assert!((s[1] - 3.0).abs() < 1e-12);
-        assert!(valid_moving_average(&x, 5).is_empty());
+        valid_moving_average_into(&x, 5, &mut s);
+        assert!(s.is_empty());
     }
 
     #[test]
