@@ -22,9 +22,7 @@
 //! target to a seconds-long CI gate; the full run admits 1M series.
 
 use benchkit::{fmt_duration, Experiment};
-use fleet::{
-    codec, FleetConfig, FleetEngine, PeriodPolicy, Record, SeriesKey, StateCompression,
-};
+use fleet::{FleetConfig, FleetEngine, PeriodPolicy, Record, SeriesKey};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -84,13 +82,6 @@ fn rss_mib() -> f64 {
         .and_then(|l| l.split_whitespace().next())
         .and_then(|kb| kb.parse::<f64>().ok())
         .map_or(0.0, |kb| kb / 1024.0)
-}
-
-/// Encoded snapshot size under `mode`, in bytes.
-fn encoded_len(engine: &mut FleetEngine, mode: StateCompression) -> usize {
-    let mut snap = engine.snapshot().expect("snapshot");
-    snap.config.compression = mode;
-    codec::encode(&snap).len()
 }
 
 fn main() {
@@ -174,11 +165,9 @@ fn main() {
         rows.push(row);
     }
 
-    // per-series snapshot footprint of the hot set, exact vs. compact codec
+    // per-series snapshot footprint of the hot set
     let live = engine.stats().expect("stats").live;
-    let bytes_exact = encoded_len(&mut engine, StateCompression::Exact) as f64 / live as f64;
-    let bytes_compact =
-        encoded_len(&mut engine, StateCompression::Compact) as f64 / live as f64;
+    let bytes_exact = engine.snapshot_bytes().expect("snapshot").len() as f64 / live as f64;
 
     // touch the wave-0 probe: it spilled long ago and must rehydrate
     // through the normal shard path, scoring bit-identically to the twin
@@ -199,7 +188,7 @@ fn main() {
     assert!(restore_s < 1.0, "hot-set restore took {restore_s:.2}s (must be < 1s)");
     eprintln!(
         "[fleet_scale] {} series in {} — final hot {}, cold {}, rss {:.0} MiB, \
-         {bytes_exact:.0} B/series exact ({bytes_compact:.0} compact)",
+         {bytes_exact:.0} B/series exact",
         last.admitted,
         fmt_duration(t_total.elapsed()),
         post.live,
@@ -220,7 +209,6 @@ fn main() {
     let _ = writeln!(scale, "    \"spills\": {},", post.spills);
     let _ = writeln!(scale, "    \"rehydrations\": {},", post.rehydrations);
     let _ = writeln!(scale, "    \"bytes_per_series_exact\": {bytes_exact:.1},");
-    let _ = writeln!(scale, "    \"bytes_per_series_compact\": {bytes_compact:.1},");
     let _ = writeln!(
         scale,
         "    \"final\": {{\"hot\": {}, \"cold_resident\": {}, \"rss_mib\": {:.1}, \
@@ -286,7 +274,7 @@ fn main() {
     );
     report.para(&format!(
         "{target} series admitted; hot-set snapshot {snap_mib:.1} MiB restored in \
-         {restore_s:.2}s; {bytes_exact:.0} B/series exact, {bytes_compact:.0} compact; \
+         {restore_s:.2}s; {bytes_exact:.0} B/series exact; \
          probe rehydration bit-identical to an always-hot twin"
     ));
     report.finish();

@@ -29,8 +29,8 @@
 //! The streaming contract is the [`DetectorBackend`] trait:
 //! `observe(&DecompPoint) -> BackendScore`, zero heap allocations in
 //! steady state (pinned by `crates/fleet/tests/zero_alloc.rs`), and
-//! plain-data snapshots that restore **bit-identically** (codec v7,
-//! including WAL crash recovery). [`SeriesBackend`] is the closed enum
+//! plain-data snapshots that restore **bit-identically** (including WAL
+//! crash recovery). [`SeriesBackend`] is the closed enum
 //! the fleet actually dispatches and serializes; the ensemble lives
 //! there rather than behind the trait because its fusion needs the
 //! fused scorer's verdict for the same point, which only the series
@@ -348,9 +348,9 @@ pub struct DampBackendState {
 // ───────────────────────── series dispatch ────────────────────────────
 
 /// The concrete backend a live series runs: the closed set the shard
-/// dispatches (statically) and the codec serializes (v7). `None` at the
+/// dispatches (statically) and the codec serializes. `None` at the
 /// [`crate::series`] layer means [`BackendSelect::Fused`] — no extra
-/// state, no extra work, and what every pre-v7 snapshot decodes to.
+/// state, no extra work.
 #[derive(Debug, Clone)]
 pub enum SeriesBackend {
     /// Windowed streaming DAMP over the residual channel.

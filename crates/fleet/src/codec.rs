@@ -8,68 +8,25 @@
 //! are encoded with each series, so a snapshot survives engine-level
 //! config changes between writer and reader.
 //!
-//! A delta (v3) additionally carries the batch seq of the image it chains
+//! A delta additionally carries the batch seq of the image it chains
 //! onto (`prev_batches`) and a tombstone list of keys removed since then;
 //! folding it onto that image ([`FleetDelta::fold_into`]) reproduces the
 //! full snapshot bit-exactly.
 //!
-//! v4 adds the §3.4 shift-search pipeline configuration to every encoded
-//! detector config, and pending per-series [`AdmitOptions`] to every
-//! warming-phase series. v3 images still decode (read-compat): their
-//! detector configs get [`oneshotstl::ShiftPrune::Off`] — the exhaustive
-//! search every v3 writer actually ran, so a restored v3 stream continues
-//! bit-identically — and their warming series carry no overrides.
-//!
-//! v5 adds the persistence-aware residual scoring layer
-//! ([`oneshotstl::score`]): the engine-wide [`ScoreConfig`], a full
-//! [`ResidualScorerState`] (config + CUSUM accumulators + peak-hold) per
-//! live series where v4 stored only the plain NSigma statistics, and an
-//! optional per-series `score` override in [`AdmitOptions`]. v3/v4 images
-//! still decode: their live series get a scorer with
-//! [`oneshotstl::Fusion::Off`] wrapped around the decoded NSigma
-//! statistics — bit-identical to the plain-NSigma scoring every v3/v4
-//! writer ran — and their configs/overrides carry
-//! [`ScoreConfig::off`]/no override.
-//!
-//! v6 adds the forecasting layer: the engine-wide
-//! [`crate::ForecastOptions`], an optional per-series `forecast` override
-//! in [`AdmitOptions`], and an optional forecast-head state (pending
-//! one-step prediction + rolling error tracker rings) per live series.
-//! v3–v5 images still decode: they get forecasting disabled — what every
-//! pre-v6 writer actually ran — and their live series carry no head, so a
-//! restored stream continues bit-identically.
-//!
-//! v7 adds the detection-backend layer ([`crate::backend`]): the
-//! engine-wide [`BackendSelect`], an optional per-series `backend`
-//! override in [`AdmitOptions`], and an optional backend state (streaming
-//! DAMP window + distance normalizer, trend-innovation CUSUM, or the
-//! ensemble of both) per live series. v3–v6 images still decode: they get
-//! [`BackendSelect::Fused`] — the plain fused-scorer pipeline every
-//! pre-v7 writer ran — and their live series carry no backend state, so a
-//! restored stream continues bit-identically.
-//!
-//! v8 adds the robustness layer: three health counters in
-//! [`CarriedTotals`] (WAL re-arm attempts, shard restarts, un-durable
-//! batches) and the `Quarantined` series phase (cause + dropped count).
-//! v3–v7 images still decode: their counters start at 0 and no pre-v8
-//! writer ever quarantined a series.
-//!
-//! v9 adds the tiered-state layer: the engine-wide
-//! [`StateCompression`] selection and `spill_after` cold-tier threshold
-//! in the config, and a tag byte in front of every decomposer/solver
-//! state vector — tag 0 is the exact `f64` layout, tag 1 the compact
-//! delta-encoded form (first element as `f64` bits, every later element
-//! as the `f32` delta from its reconstructed predecessor). Compact is
-//! lossy at `f32`-delta precision but stable under re-encode, so
-//! repeated snapshot cycles do not drift. v3–v8 images still decode:
-//! their vectors are untagged plain `f64`s, compression comes back
-//! [`StateCompression::Exact`], and no pre-v9 writer spilled.
+//! Version policy: writers emit the current version, readers accept the
+//! current and the previous one, and anything else is
+//! [`CodecError::UnsupportedVersion`]. A previous-version image is
+//! rewritten as the current version by its next snapshot. v10 drops two
+//! tag bytes v9 carried: the config's state-compression byte and the
+//! layout tag in front of every decomposer/solver state vector. A v9
+//! image decodes only when both hold the exact `f64` layout (0); v9's
+//! lossy compact layout is rejected as invalid.
 
 use crate::backend::{
     BackendSelect, BackendSnapshot, DampBackendState, DampOptions, EnsembleFusion,
     EnsembleOptions, SeriesBackend,
 };
-use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy, StateCompression};
+use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy};
 use crate::engine::{CarriedTotals, FleetDelta, FleetSnapshot};
 use crate::error::CodecError;
 use crate::series::{ForecastSnapshot, PhaseSnapshot, QuarantineCause};
@@ -84,28 +41,12 @@ use oneshotstl::{
 };
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
-// v2: FleetConfig gained queue_capacity + queue_policy (backpressure)
-// v3: kind byte after the version; kind 1 = incremental delta snapshots
-// v4: detector configs gained the shift-search pipeline config; warming
-//     series gained pending per-series AdmitOptions
-// v5: FleetConfig gained the residual ScoreConfig; live series store a
-//     full ResidualScorerState (was: plain NSigma stats); AdmitOptions
-//     gained an optional score override
-// v6: FleetConfig gained ForecastOptions; AdmitOptions gained an optional
-//     forecast override; live series gained an optional forecast-head
-//     state (pending prediction + rolling error tracker)
-// v7: FleetConfig gained the detection-backend selection; AdmitOptions
-//     gained an optional backend override; live series gained an optional
-//     backend state (streaming DAMP + normalizer, trend CUSUM, ensemble)
-// v8: CarriedTotals gained the health counters (wal_retries,
-//     shard_restarts, undurable_batches); series gained the Quarantined
-//     phase (tag 3: cause + dropped count)
-// v9: FleetConfig gained the StateCompression selection and the
-//     spill_after cold-tier threshold; decomposer/solver state vectors
-//     gained a layout tag (0 = exact f64, 1 = delta-encoded f32)
-pub(crate) const VERSION: u16 = 9;
-/// Oldest version this build still decodes.
-const MIN_VERSION: u16 = 3;
+// v10: v9 minus the config's state-compression byte and the layout tag in
+//      front of each decomposer/solver state vector.
+pub(crate) const VERSION: u16 = 10;
+/// The previous version, still read: it differs from [`VERSION`] only by
+/// the tag bytes v10 dropped.
+const V9: u16 = VERSION - 1;
 const KIND_FULL: u8 = 0;
 const KIND_DELTA: u8 = 1;
 
@@ -121,7 +62,7 @@ pub fn encode(snapshot: &FleetSnapshot) -> Vec<u8> {
     encode_totals(&mut w, &snapshot.totals);
     w.u64(snapshot.series.len() as u64);
     for s in &snapshot.series {
-        encode_series(&mut w, s, snapshot.config.compression);
+        encode_series(&mut w, s);
     }
     w.buf
 }
@@ -139,7 +80,7 @@ pub fn encode_delta(delta: &FleetDelta) -> Vec<u8> {
     encode_totals(&mut w, &delta.totals);
     w.u64(delta.series.len() as u64);
     for s in &delta.series {
-        encode_series(&mut w, s, delta.config.compression);
+        encode_series(&mut w, s);
     }
     w.u64(delta.tombstones.len() as u64);
     for key in &delta.tombstones {
@@ -148,16 +89,23 @@ pub fn encode_delta(delta: &FleetDelta) -> Vec<u8> {
     w.buf
 }
 
+/// Reads the `u16` version and accepts only the current and the previous
+/// one.
+fn decode_version(r: &mut Reader<'_>) -> Result<u16, CodecError> {
+    let version = r.u16()?;
+    if !(V9..=VERSION).contains(&version) {
+        return Err(CodecError::UnsupportedVersion(version));
+    }
+    Ok(version)
+}
+
 /// Checks magic, version, and kind; leaves the reader after the kind byte
 /// and returns the (read-compatible) version found.
 fn decode_header(r: &mut Reader<'_>, want_kind: u8) -> Result<u16, CodecError> {
     if r.take(8)? != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = r.u16()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    let version = decode_version(r)?;
     let kind = r.u8()?;
     if kind != want_kind {
         return Err(CodecError::Invalid("snapshot kind (full vs delta)"));
@@ -165,14 +113,14 @@ fn decode_header(r: &mut Reader<'_>, want_kind: u8) -> Result<u16, CodecError> {
     Ok(version)
 }
 
-/// Deserializes [`encode`] output (v4, or v3 for read-compat).
+/// Deserializes [`encode`] output (current or previous version).
 pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
     let v = decode_header(&mut r, KIND_FULL)?;
     let config = decode_config(&mut r, v)?;
     let clock = r.u64()?;
     let batches = r.u64()?;
-    let totals = decode_totals(&mut r, v)?;
+    let totals = decode_totals(&mut r)?;
     let n = r.u64()? as usize;
     let mut series = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
@@ -184,7 +132,7 @@ pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
     Ok(FleetSnapshot { config, clock, batches, totals, series })
 }
 
-/// Deserializes [`encode_delta`] output (v4, or v3 for read-compat).
+/// Deserializes [`encode_delta`] output (current or previous version).
 pub fn decode_delta(bytes: &[u8]) -> Result<FleetDelta, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
     let v = decode_header(&mut r, KIND_DELTA)?;
@@ -192,7 +140,7 @@ pub fn decode_delta(bytes: &[u8]) -> Result<FleetDelta, CodecError> {
     let prev_batches = r.u64()?;
     let clock = r.u64()?;
     let batches = r.u64()?;
-    let totals = decode_totals(&mut r, v)?;
+    let totals = decode_totals(&mut r)?;
     let n = r.u64()? as usize;
     let mut series = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
@@ -210,24 +158,19 @@ pub fn decode_delta(bytes: &[u8]) -> Result<FleetDelta, CodecError> {
 }
 
 /// Serializes one series for the cold tier: `u16` codec version, then the
-/// standard series encoding — always in the exact `f64` layout, because a
-/// rehydrated series must continue **bit-identically** regardless of the
-/// engine's [`StateCompression`] selection.
+/// standard series encoding.
 pub(crate) fn encode_series_blob(s: &SeriesSnapshot) -> Vec<u8> {
     let mut w = Writer::default();
     w.u16(VERSION);
-    encode_series(&mut w, s, StateCompression::Exact);
+    encode_series(&mut w, s);
     w.buf
 }
 
-/// Deserializes [`encode_series_blob`] output (any read-compatible
-/// version, so a cold store written by an older build stays readable).
+/// Deserializes [`encode_series_blob`] output (current or previous
+/// version, so a cold store written by the previous build stays readable).
 pub(crate) fn decode_series_blob(bytes: &[u8]) -> Result<SeriesSnapshot, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
-    let version = r.u16()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    let version = decode_version(&mut r)?;
     let s = decode_series(&mut r, version)?;
     if r.pos != r.data.len() {
         return Err(CodecError::Invalid("trailing bytes after series blob"));
@@ -259,16 +202,15 @@ fn encode_totals(w: &mut Writer, t: &CarriedTotals) {
     w.u64(t.undurable_batches);
 }
 
-fn decode_totals(r: &mut Reader<'_>, version: u16) -> Result<CarriedTotals, CodecError> {
+fn decode_totals(r: &mut Reader<'_>) -> Result<CarriedTotals, CodecError> {
     Ok(CarriedTotals {
         evicted: r.u64()?,
         admitted: r.u64()?,
         points: r.u64()?,
         anomalies: r.u64()?,
-        // pre-v8 writers had no health counters: they start at 0
-        wal_retries: if version >= 8 { r.u64()? } else { 0 },
-        shard_restarts: if version >= 8 { r.u64()? } else { 0 },
-        undurable_batches: if version >= 8 { r.u64()? } else { 0 },
+        wal_retries: r.u64()?,
+        shard_restarts: r.u64()?,
+        undurable_batches: r.u64()?,
     })
 }
 
@@ -301,10 +243,6 @@ fn encode_config(w: &mut Writer, c: &FleetConfig) {
     encode_score_config(w, &c.score);
     encode_forecast_options(w, &c.forecast);
     encode_backend_select(w, &c.backend);
-    w.u8(match c.compression {
-        StateCompression::Exact => 0,
-        StateCompression::Compact => 1,
-    });
     w.opt_u64(c.spill_after);
 }
 
@@ -331,25 +269,16 @@ fn decode_config(r: &mut Reader<'_>, version: u16) -> Result<FleetConfig, CodecE
         1 => QueuePolicy::Reject,
         _ => return Err(CodecError::Invalid("queue policy tag")),
     };
-    let detector = decode_detector_config(r, version)?;
-    // a v3/v4 writer scored with the plain instantaneous z-score
-    let score = if version >= 5 { decode_score_config(r)? } else { ScoreConfig::off() };
-    // and no pre-v6 writer forecasted
-    let forecast =
-        if version >= 6 { decode_forecast_options(r)? } else { ForecastOptions::default() };
-    // nor did any pre-v7 writer run a backend beyond the fused scorer
-    let backend = if version >= 7 { decode_backend_select(r)? } else { BackendSelect::Fused };
-    // and no pre-v9 writer compressed state or spilled to a cold tier
-    let compression = if version >= 9 {
-        match r.u8()? {
-            0 => StateCompression::Exact,
-            1 => StateCompression::Compact,
-            _ => return Err(CodecError::Invalid("state compression tag")),
-        }
-    } else {
-        StateCompression::Exact
-    };
-    let spill_after = if version >= 9 { r.opt_u64()? } else { None };
+    let detector = decode_detector_config(r)?;
+    let score = decode_score_config(r)?;
+    let forecast = decode_forecast_options(r)?;
+    let backend = decode_backend_select(r)?;
+    // v9 wrote the state-compression selection here; only its exact
+    // layout (0) restores bit-identically, so compact images are refused
+    if version == V9 && r.u8()? != 0 {
+        return Err(CodecError::Invalid("v9 state compression"));
+    }
+    let spill_after = r.opt_u64()?;
     // same smuggling stance as every other config field: no writer can
     // produce the degenerate thresholds the API boundary rejects
     if spill_after == Some(0) {
@@ -374,12 +303,11 @@ fn decode_config(r: &mut Reader<'_>, version: u16) -> Result<FleetConfig, CodecE
         score,
         forecast,
         backend,
-        compression,
         spill_after,
     })
 }
 
-/// v7: `u8` variant tag, then the variant's options.
+/// `u8` variant tag, then the variant's options.
 fn encode_backend_select(w: &mut Writer, b: &BackendSelect) {
     match b {
         BackendSelect::Fused => w.u8(0),
@@ -450,7 +378,7 @@ fn decode_ensemble_fusion(r: &mut Reader<'_>) -> Result<EnsembleFusion, CodecErr
     })
 }
 
-/// v5: `u8` fusion tag, then `f64` k / h / hold-decay.
+/// `u8` fusion tag, then `f64` k / h / hold-decay.
 fn encode_score_config(w: &mut Writer, s: &ScoreConfig) {
     w.u8(match s.fusion {
         Fusion::Off => 0,
@@ -480,7 +408,7 @@ fn decode_score_config(r: &mut Reader<'_>) -> Result<ScoreConfig, CodecError> {
     Ok(config)
 }
 
-/// v6: `u8` enabled, `f64` damping, `u32` error window, `u8` fusion flag,
+/// `u8` enabled, `f64` damping, `u32` error window, `u8` fusion flag,
 /// `f64` sMAPE alarm bar.
 fn encode_forecast_options(w: &mut Writer, f: &ForecastOptions) {
     w.u8(f.enabled as u8);
@@ -514,7 +442,7 @@ fn decode_forecast_options(r: &mut Reader<'_>) -> Result<ForecastOptions, CodecE
     Ok(options)
 }
 
-/// v6: the forecast-head state of a live series — its options, the
+/// The forecast-head state of a live series — its options, the
 /// pending one-step prediction awaiting its truth, and the rolling error
 /// tracker rings.
 fn encode_forecast_state(w: &mut Writer, f: &ForecastSnapshot) {
@@ -558,7 +486,7 @@ fn decode_forecast_state(r: &mut Reader<'_>) -> Result<ForecastSnapshot, CodecEr
     Ok(ForecastSnapshot { options, pending, has_pending, tracker })
 }
 
-/// v7: the backend state of a live series — `u8` variant tag, then the
+/// The backend state of a live series — `u8` variant tag, then the
 /// variant's members.
 fn encode_backend_state(w: &mut Writer, s: &BackendSnapshot) {
     match s {
@@ -582,16 +510,13 @@ fn encode_backend_state(w: &mut Writer, s: &BackendSnapshot) {
     }
 }
 
-fn decode_backend_state(
-    r: &mut Reader<'_>,
-    version: u16,
-) -> Result<BackendSnapshot, CodecError> {
+fn decode_backend_state(r: &mut Reader<'_>) -> Result<BackendSnapshot, CodecError> {
     let snap = match r.u8()? {
         0 => BackendSnapshot::Damp(decode_damp_backend_state(r)?),
-        1 => BackendSnapshot::TrendCusum(decode_trend_cusum_state(r, version)?),
+        1 => BackendSnapshot::TrendCusum(decode_trend_cusum_state(r)?),
         2 => {
             let damp = decode_damp_backend_state(r)?;
-            let trend = decode_trend_cusum_state(r, version)?;
+            let trend = decode_trend_cusum_state(r)?;
             let fusion = decode_ensemble_fusion(r)?;
             let weights = [r.f64()?, r.f64()?, r.f64()?];
             BackendSnapshot::Ensemble { damp, trend, fusion, weights }
@@ -636,9 +561,8 @@ fn encode_trend_cusum_state(w: &mut Writer, s: &oneshotstl::TrendCusumState) {
 
 fn decode_trend_cusum_state(
     r: &mut Reader<'_>,
-    version: u16,
 ) -> Result<oneshotstl::TrendCusumState, CodecError> {
-    let scorer = decode_scorer(r, version)?;
+    let scorer = decode_scorer(r)?;
     let prev = r.f64()?;
     let has_prev = match r.u8()? {
         0 => false,
@@ -668,7 +592,7 @@ fn encode_detector_config(w: &mut Writer, c: &OneShotStlConfig) {
     encode_shift_search(w, &c.shift_search);
 }
 
-/// v4: `u8` tag (0 = Off, 1 = TopK) then the `u32` k for TopK.
+/// `u8` tag (0 = Off, 1 = TopK) then the `u32` k for TopK.
 fn encode_shift_search(w: &mut Writer, s: &ShiftSearchConfig) {
     match s.prune {
         ShiftPrune::Off => w.u8(0),
@@ -698,10 +622,7 @@ fn decode_shift_search(r: &mut Reader<'_>) -> Result<ShiftSearchConfig, CodecErr
     })
 }
 
-fn decode_detector_config(
-    r: &mut Reader<'_>,
-    version: u16,
-) -> Result<OneShotStlConfig, CodecError> {
+fn decode_detector_config(r: &mut Reader<'_>) -> Result<OneShotStlConfig, CodecError> {
     let lambdas = Lambdas { lambda1: r.f64()?, lambda2: r.f64()?, anchor: r.f64()? };
     let iters = r.u32()? as usize;
     let shift_window = r.u32()? as usize;
@@ -718,10 +639,7 @@ fn decode_detector_config(
         _ => return Err(CodecError::Invalid("init method tag")),
     };
     let eps = r.f64()?;
-    // a v3 writer ran the exhaustive search; restoring it as such keeps
-    // the restored stream bit-identical to the writer's continuation
-    let shift_search =
-        if version >= 4 { decode_shift_search(r)? } else { ShiftSearchConfig::exhaustive() };
+    let shift_search = decode_shift_search(r)?;
     Ok(OneShotStlConfig {
         lambdas,
         iters,
@@ -735,9 +653,8 @@ fn decode_detector_config(
     })
 }
 
-/// v4: pending per-series admission overrides of a warming series.
-/// v5 appends the optional residual-score override; v6 the optional
-/// forecast override; v7 the optional backend override.
+/// Pending per-series admission overrides of a warming series — also the
+/// payload of the network protocol's admit-options request.
 pub(crate) fn encode_admit_options(w: &mut Writer, o: &AdmitOptions) {
     w.opt_f64(o.lambda);
     w.opt_f64(o.nsigma);
@@ -772,10 +689,7 @@ pub(crate) fn encode_admit_options(w: &mut Writer, o: &AdmitOptions) {
     }
 }
 
-pub(crate) fn decode_admit_options(
-    r: &mut Reader<'_>,
-    version: u16,
-) -> Result<AdmitOptions, CodecError> {
+pub(crate) fn decode_admit_options(r: &mut Reader<'_>) -> Result<AdmitOptions, CodecError> {
     let lambda = r.opt_f64()?;
     let nsigma = r.opt_f64()?;
     let period = r.opt_u32()?.map(|v| v as usize);
@@ -784,32 +698,20 @@ pub(crate) fn decode_admit_options(
         1 => Some(decode_shift_search(r)?),
         _ => return Err(CodecError::Invalid("option tag")),
     };
-    let score = if version >= 5 {
-        match r.u8()? {
-            0 => None,
-            1 => Some(decode_score_config(r)?),
-            _ => return Err(CodecError::Invalid("option tag")),
-        }
-    } else {
-        None
+    let score = match r.u8()? {
+        0 => None,
+        1 => Some(decode_score_config(r)?),
+        _ => return Err(CodecError::Invalid("option tag")),
     };
-    let forecast = if version >= 6 {
-        match r.u8()? {
-            0 => None,
-            1 => Some(decode_forecast_options(r)?),
-            _ => return Err(CodecError::Invalid("option tag")),
-        }
-    } else {
-        None
+    let forecast = match r.u8()? {
+        0 => None,
+        1 => Some(decode_forecast_options(r)?),
+        _ => return Err(CodecError::Invalid("option tag")),
     };
-    let backend = if version >= 7 {
-        match r.u8()? {
-            0 => None,
-            1 => Some(decode_backend_select(r)?),
-            _ => return Err(CodecError::Invalid("option tag")),
-        }
-    } else {
-        None
+    let backend = match r.u8()? {
+        0 => None,
+        1 => Some(decode_backend_select(r)?),
+        _ => return Err(CodecError::Invalid("option tag")),
     };
     let opts = AdmitOptions { lambda, nsigma, period, shift_search, score, forecast, backend };
     // a corrupted or externally-produced image must not smuggle in the
@@ -821,7 +723,7 @@ pub(crate) fn decode_admit_options(
     Ok(opts)
 }
 
-fn encode_series(w: &mut Writer, s: &SeriesSnapshot, mode: StateCompression) {
+fn encode_series(w: &mut Writer, s: &SeriesSnapshot) {
     w.string(s.key.as_str());
     w.u64(s.last_seen);
     match &s.phase {
@@ -834,7 +736,7 @@ fn encode_series(w: &mut Writer, s: &SeriesSnapshot, mode: StateCompression) {
         }
         PhaseSnapshot::Live { decomposer, scorer, forecast, backend } => {
             w.u8(1);
-            encode_decomposer(w, decomposer, mode);
+            encode_decomposer(w, decomposer);
             encode_scorer(w, scorer);
             match forecast {
                 None => w.u8(0),
@@ -871,41 +773,24 @@ fn decode_series(r: &mut Reader<'_>, version: u16) -> Result<SeriesSnapshot, Cod
             values: r.vec_f64()?,
             period: r.opt_u32()?.map(|v| v as usize),
             last_attempt: r.u64()? as usize,
-            overrides: if version >= 4 {
-                decode_admit_options(r, version)?
-            } else {
-                AdmitOptions::default()
-            },
+            overrides: decode_admit_options(r)?,
         },
         1 => PhaseSnapshot::Live {
             decomposer: decode_decomposer(r, version)?,
-            scorer: decode_scorer(r, version)?,
-            // no pre-v6 writer forecasted, so pre-v6 live series carry no
-            // head — scoring continues bit-identically with forecasts off
-            forecast: if version >= 6 {
-                match r.u8()? {
-                    0 => None,
-                    1 => Some(decode_forecast_state(r)?),
-                    _ => return Err(CodecError::Invalid("forecast state tag")),
-                }
-            } else {
-                None
+            scorer: decode_scorer(r)?,
+            forecast: match r.u8()? {
+                0 => None,
+                1 => Some(decode_forecast_state(r)?),
+                _ => return Err(CodecError::Invalid("forecast state tag")),
             },
-            // no pre-v7 writer ran a backend, so pre-v7 live series carry
-            // none — scoring continues bit-identically on the fused path
-            backend: if version >= 7 {
-                match r.u8()? {
-                    0 => None,
-                    1 => Some(decode_backend_state(r, version)?),
-                    _ => return Err(CodecError::Invalid("backend presence tag")),
-                }
-            } else {
-                None
+            backend: match r.u8()? {
+                0 => None,
+                1 => Some(decode_backend_state(r)?),
+                _ => return Err(CodecError::Invalid("backend presence tag")),
             },
         },
         2 => PhaseSnapshot::Rejected,
-        // no pre-v8 writer quarantined, so the tag is invalid there
-        3 if version >= 8 => PhaseSnapshot::Quarantined {
+        3 => PhaseSnapshot::Quarantined {
             cause: match r.u8()? {
                 0 => QuarantineCause::NonFinite,
                 1 => QuarantineCause::Panic,
@@ -918,18 +803,18 @@ fn decode_series(r: &mut Reader<'_>, version: u16) -> Result<SeriesSnapshot, Cod
     Ok(SeriesSnapshot { key, last_seen, phase })
 }
 
-fn encode_decomposer(w: &mut Writer, s: &OneShotStlState, mode: StateCompression) {
+fn encode_decomposer(w: &mut Writer, s: &OneShotStlState) {
     encode_detector_config(w, &s.config);
     w.u64(s.period);
     w.u64(s.t);
     w.u64(s.m);
     w.i64(s.shift);
-    packed_vec_f64(w, &s.v, mode);
+    w.vec_f64(&s.v);
     w.f64_pair(s.y_hist);
     w.f64_pair(s.u_hist);
     w.u32(s.iters.len() as u32);
     for it in &s.iters {
-        encode_solver(w, &it.solver, mode);
+        encode_solver(w, &it.solver);
         w.f64_pair(it.pw_hist);
         w.f64_pair(it.qw_hist);
         w.f64_pair(it.tau_hist);
@@ -939,12 +824,12 @@ fn encode_decomposer(w: &mut Writer, s: &OneShotStlState, mode: StateCompression
 }
 
 fn decode_decomposer(r: &mut Reader<'_>, version: u16) -> Result<OneShotStlState, CodecError> {
-    let config = decode_detector_config(r, version)?;
+    let config = decode_detector_config(r)?;
     let period = r.u64()?;
     let t = r.u64()?;
     let m = r.u64()?;
     let shift = r.i64()?;
-    let v = decode_packed_vec(r, version)?;
+    let v = state_vec(r, version)?;
     let y_hist = r.f64_pair()?;
     let u_hist = r.f64_pair()?;
     let n_iters = r.u32()? as usize;
@@ -979,21 +864,21 @@ fn decode_decomposer(r: &mut Reader<'_>, version: u16) -> Result<OneShotStlState
     })
 }
 
-fn encode_solver(w: &mut Writer, s: &SolverState, mode: StateCompression) {
+fn encode_solver(w: &mut Writer, s: &SolverState) {
     match s {
         SolverState::Warmup { y, u, pw, qw } => {
             w.u8(0);
-            packed_vec_f64(w, y, mode);
-            packed_vec_f64(w, u, mode);
-            packed_vec_f64(w, pw, mode);
-            packed_vec_f64(w, qw, mode);
+            w.vec_f64(y);
+            w.vec_f64(u);
+            w.vec_f64(pw);
+            w.vec_f64(qw);
         }
         SolverState::Steady { m, lo, dd, zo } => {
             w.u8(1);
             w.u64(*m);
-            packed_vec_f64(w, lo, mode);
-            packed_vec_f64(w, dd, mode);
-            packed_vec_f64(w, zo, mode);
+            w.vec_f64(lo);
+            w.vec_f64(dd);
+            w.vec_f64(zo);
         }
     }
 }
@@ -1001,87 +886,29 @@ fn encode_solver(w: &mut Writer, s: &SolverState, mode: StateCompression) {
 fn decode_solver(r: &mut Reader<'_>, version: u16) -> Result<SolverState, CodecError> {
     match r.u8()? {
         0 => Ok(SolverState::Warmup {
-            y: decode_packed_vec(r, version)?,
-            u: decode_packed_vec(r, version)?,
-            pw: decode_packed_vec(r, version)?,
-            qw: decode_packed_vec(r, version)?,
+            y: state_vec(r, version)?,
+            u: state_vec(r, version)?,
+            pw: state_vec(r, version)?,
+            qw: state_vec(r, version)?,
         }),
         1 => Ok(SolverState::Steady {
             m: r.u64()?,
-            lo: decode_packed_vec(r, version)?,
-            dd: decode_packed_vec(r, version)?,
-            zo: decode_packed_vec(r, version)?,
+            lo: state_vec(r, version)?,
+            dd: state_vec(r, version)?,
+            zo: state_vec(r, version)?,
         }),
         _ => Err(CodecError::Invalid("solver state tag")),
     }
 }
 
-/// v9: `u8` layout tag, then the vector. Tag 0 is the exact `f64` layout
-/// (`u64` length + bit-pattern elements); tag 1 is the compact form —
-/// `u64` length, the first element as `f64` bits, then each later
-/// element as the `f32` delta from its *reconstructed* predecessor.
-/// Encoding against the reconstruction (not the original neighbor) keeps
-/// the drift bounded at one `f32` rounding per element and makes the
-/// encoding idempotent: re-encoding a decoded compact image reproduces
-/// the exact same bytes, so repeated snapshot cycles are stable.
-fn packed_vec_f64(w: &mut Writer, v: &[f64], mode: StateCompression) {
-    match mode {
-        StateCompression::Exact => {
-            w.u8(0);
-            w.vec_f64(v);
-        }
-        StateCompression::Compact => {
-            w.u8(1);
-            w.u64(v.len() as u64);
-            if let Some((&first, rest)) = v.split_first() {
-                w.f64(first);
-                let mut prev = first;
-                for &x in rest {
-                    let d = (x - prev) as f32;
-                    w.u32(d.to_bits());
-                    prev += d as f64;
-                }
-            }
-        }
+/// A decomposer/solver state vector. v9 wrote a layout tag in front of
+/// each; only its exact layout (0) restores bit-identically, so its
+/// compact layout (1) and any other tag are refused.
+fn state_vec(r: &mut Reader<'_>, version: u16) -> Result<Vec<f64>, CodecError> {
+    if version == V9 && r.u8()? != 0 {
+        return Err(CodecError::Invalid("v9 state vector layout"));
     }
-}
-
-fn unpacked_vec_f64(r: &mut Reader<'_>) -> Result<Vec<f64>, CodecError> {
-    match r.u8()? {
-        0 => r.vec_f64(),
-        1 => {
-            let n = r.u64()? as usize;
-            if n == 0 {
-                return Ok(Vec::new());
-            }
-            // sanity-check the declared count against the bytes present
-            // before allocating for it: 8 for the first, 4 per delta
-            let need = 8usize
-                .checked_add((n - 1).checked_mul(4).ok_or(CodecError::Truncated)?)
-                .ok_or(CodecError::Truncated)?;
-            if r.remaining() < need {
-                return Err(CodecError::Truncated);
-            }
-            let mut out = Vec::with_capacity(n);
-            let mut prev = r.f64()?;
-            out.push(prev);
-            for _ in 1..n {
-                prev += f32::from_bits(r.u32()?) as f64;
-                out.push(prev);
-            }
-            Ok(out)
-        }
-        _ => Err(CodecError::Invalid("packed vector tag")),
-    }
-}
-
-/// Pre-v9 images carry untagged plain-`f64` vectors.
-fn decode_packed_vec(r: &mut Reader<'_>, version: u16) -> Result<Vec<f64>, CodecError> {
-    if version >= 9 {
-        unpacked_vec_f64(r)
-    } else {
-        r.vec_f64()
-    }
+    r.vec_f64()
 }
 
 fn encode_nsigma(w: &mut Writer, s: &NSigmaState) {
@@ -1095,7 +922,7 @@ fn decode_nsigma(r: &mut Reader<'_>) -> Result<NSigmaState, CodecError> {
     Ok(NSigmaState { n: r.f64()?, count: r.u64()?, sum: r.f64()?, sum_sq: r.f64()? })
 }
 
-/// v5: the full task-level residual scorer of a live series.
+/// The full task-level residual scorer of a live series.
 fn encode_scorer(w: &mut Writer, s: &ResidualScorerState) {
     encode_score_config(w, &s.config);
     encode_nsigma(w, &s.nsigma);
@@ -1104,39 +931,26 @@ fn encode_scorer(w: &mut Writer, s: &ResidualScorerState) {
     w.f64(s.hold);
 }
 
-/// v3/v4 live series stored only the NSigma statistics; wrapping them in
-/// a `Fusion::Off` scorer reproduces the plain-NSigma scoring those
-/// writers ran, bit-identically.
-fn decode_scorer(r: &mut Reader<'_>, version: u16) -> Result<ResidualScorerState, CodecError> {
-    if version >= 5 {
-        let config = decode_score_config(r)?;
-        let nsigma = decode_nsigma(r)?;
-        let s_pos = r.f64()?;
-        let s_neg = r.f64()?;
-        let hold = r.f64()?;
-        // mirror the config-level smuggling checks for the dynamic state:
-        // a NaN accumulator would silently disable one CUSUM side forever
-        // (f64::max(NaN, x) returns x), and no writer can produce values
-        // outside the update loop's clamp ranges
-        let bar = 2.0 * config.cusum_h;
-        for s in [s_pos, s_neg] {
-            if !(s.is_finite() && (0.0..=bar).contains(&s)) {
-                return Err(CodecError::Invalid("scorer accumulator"));
-            }
+fn decode_scorer(r: &mut Reader<'_>) -> Result<ResidualScorerState, CodecError> {
+    let config = decode_score_config(r)?;
+    let nsigma = decode_nsigma(r)?;
+    let s_pos = r.f64()?;
+    let s_neg = r.f64()?;
+    let hold = r.f64()?;
+    // mirror the config-level smuggling checks for the dynamic state:
+    // a NaN accumulator would silently disable one CUSUM side forever
+    // (f64::max(NaN, x) returns x), and no writer can produce values
+    // outside the update loop's clamp ranges
+    let bar = 2.0 * config.cusum_h;
+    for s in [s_pos, s_neg] {
+        if !(s.is_finite() && (0.0..=bar).contains(&s)) {
+            return Err(CodecError::Invalid("scorer accumulator"));
         }
-        if !(hold.is_finite() && hold >= 0.0) {
-            return Err(CodecError::Invalid("scorer hold"));
-        }
-        Ok(ResidualScorerState { config, nsigma, s_pos, s_neg, hold })
-    } else {
-        Ok(ResidualScorerState {
-            config: ScoreConfig::off(),
-            nsigma: decode_nsigma(r)?,
-            s_pos: 0.0,
-            s_neg: 0.0,
-            hold: 0.0,
-        })
     }
+    if !(hold.is_finite() && hold >= 0.0) {
+        return Err(CodecError::Invalid("scorer hold"));
+    }
+    Ok(ResidualScorerState { config, nsigma, s_pos, s_neg, hold })
 }
 
 /// Little-endian byte sink. Shared with the WAL record format
@@ -1226,11 +1040,10 @@ impl<'a> Reader<'a> {
         self.data.len().saturating_sub(self.pos)
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.pos + n > self.data.len() {
-            return Err(CodecError::Truncated);
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
+        // a crafted length can push `pos + n` past usize::MAX
+        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
+        let out = self.data.get(self.pos..end).ok_or(CodecError::Truncated)?;
+        self.pos = end;
         Ok(out)
     }
     pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
@@ -1366,80 +1179,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    /// The pre-v9 byte layouts, kept verbatim for the hand-encoded
-    /// version fixtures below: the v8 config ends after the backend
-    /// selection (no compression/spill fields) and v8 state vectors are
-    /// untagged plain `f64`s.
-    fn encode_config_v8(w: &mut Writer, c: &FleetConfig) {
-        w.u32(c.shards as u32);
-        w.u32(c.init_cycles as u32);
-        match &c.period {
-            PeriodPolicy::Fixed(t) => {
-                w.u8(0);
-                w.u32(*t as u32);
-            }
-            PeriodPolicy::Detect { min_period, max_period, min_acf, fallback } => {
-                w.u8(1);
-                w.u32(*min_period as u32);
-                w.u32(*max_period as u32);
-                w.f64(*min_acf);
-                w.opt_u32(fallback.map(|v| v as u32));
-            }
-        }
-        w.opt_u32(c.max_warmup.map(|v| v as u32));
-        w.f64(c.nsigma);
-        w.opt_u64(c.ttl);
-        w.opt_u64(c.max_clock_step);
-        w.opt_u64(c.queue_capacity.map(|v| v as u64));
-        w.u8(match c.queue_policy {
-            QueuePolicy::Block => 0,
-            QueuePolicy::Reject => 1,
-        });
-        encode_detector_config(w, &c.detector);
-        encode_score_config(w, &c.score);
-        encode_forecast_options(w, &c.forecast);
-        encode_backend_select(w, &c.backend);
-    }
-
-    fn encode_solver_v8(w: &mut Writer, s: &SolverState) {
-        match s {
-            SolverState::Warmup { y, u, pw, qw } => {
-                w.u8(0);
-                w.vec_f64(y);
-                w.vec_f64(u);
-                w.vec_f64(pw);
-                w.vec_f64(qw);
-            }
-            SolverState::Steady { m, lo, dd, zo } => {
-                w.u8(1);
-                w.u64(*m);
-                w.vec_f64(lo);
-                w.vec_f64(dd);
-                w.vec_f64(zo);
-            }
-        }
-    }
-
-    fn encode_decomposer_v8(w: &mut Writer, s: &OneShotStlState) {
-        encode_detector_config(w, &s.config);
-        w.u64(s.period);
-        w.u64(s.t);
-        w.u64(s.m);
-        w.i64(s.shift);
-        w.vec_f64(&s.v);
-        w.f64_pair(s.y_hist);
-        w.f64_pair(s.u_hist);
-        w.u32(s.iters.len() as u32);
-        for it in &s.iters {
-            encode_solver_v8(w, &it.solver);
-            w.f64_pair(it.pw_hist);
-            w.f64_pair(it.qw_hist);
-            w.f64_pair(it.tau_hist);
-        }
-        encode_nsigma(w, &s.nsigma);
-        w.u8(s.initialized as u8);
     }
 
     #[test]
@@ -1604,720 +1343,13 @@ mod tests {
         assert_eq!(decode(&encode(&snap)), Err(CodecError::Invalid("admit options")));
     }
 
-    /// Hand-encodes the v3 layout of [`sample_snapshot`] (no shift-search
-    /// field in detector configs, no per-series overrides) and checks the
-    /// v4 reader still restores it — with the exhaustive search the v3
-    /// writer actually ran, and no overrides.
-    #[test]
-    fn v3_snapshots_still_decode() {
-        let snap = sample_snapshot();
-        let mut w = Writer::default();
-        w.bytes(MAGIC);
-        w.u16(3);
-        w.u8(KIND_FULL);
-        // config, v3 layout: everything but the detector's shift_search
-        let c = &snap.config;
-        w.u32(c.shards as u32);
-        w.u32(c.init_cycles as u32);
-        match &c.period {
-            PeriodPolicy::Fixed(t) => {
-                w.u8(0);
-                w.u32(*t as u32);
-            }
-            PeriodPolicy::Detect { .. } => unreachable!("sample uses a fixed period"),
-        }
-        w.opt_u32(c.max_warmup.map(|v| v as u32));
-        w.f64(c.nsigma);
-        w.opt_u64(c.ttl);
-        w.opt_u64(c.max_clock_step);
-        w.opt_u64(c.queue_capacity.map(|v| v as u64));
-        w.u8(1); // QueuePolicy::Reject
-        let d = &c.detector;
-        w.f64(d.lambdas.lambda1);
-        w.f64(d.lambdas.lambda2);
-        w.f64(d.lambdas.anchor);
-        w.u32(d.iters as u32);
-        w.u32(d.shift_window as u32);
-        w.f64(d.nsigma);
-        w.u8(0); // ShiftPolicy::Cumulative
-        w.f64(d.shift_accept_ratio);
-        w.u8(0); // InitMethod::Stl
-        w.f64(d.eps);
-        w.u64(snap.clock);
-        w.u64(snap.batches);
-        w.u64(snap.totals.evicted);
-        w.u64(snap.totals.admitted);
-        w.u64(snap.totals.points);
-        w.u64(snap.totals.anomalies);
-        // series, v3 layout: warming has no overrides
-        w.u64(2);
-        let PhaseSnapshot::Warming { values, period, last_attempt, .. } = &snap.series[0].phase
-        else {
-            unreachable!("sample series 0 is warming");
-        };
-        w.string("warm");
-        w.u64(snap.series[0].last_seen);
-        w.u8(0);
-        w.vec_f64(values);
-        w.opt_u32(period.map(|v| v as u32));
-        w.u64(*last_attempt as u64);
-        w.string("dead");
-        w.u64(snap.series[1].last_seen);
-        w.u8(2);
-        let back = decode(&w.buf).expect("v3 must stay readable");
-        assert_eq!(back.config.detector.shift_search, ShiftSearchConfig::exhaustive());
-        assert_eq!(back.config.score, ScoreConfig::off(), "v3 writers scored z-only");
-        match &back.series[0].phase {
-            PhaseSnapshot::Warming { overrides, values: v, period: p, .. } => {
-                assert!(overrides.is_default(), "v3 series carry no overrides");
-                assert_eq!(v.len(), values.len());
-                assert_eq!(p, period);
-            }
-            _ => panic!("phase mismatch"),
-        }
-        assert_eq!(back.clock, snap.clock);
-        assert_eq!(back.batches, snap.batches);
-        // ...and a v3 image re-encodes as v9 (upgrade-on-rewrite)
-        let re = encode(&back);
-        assert_eq!(re[8], 9, "re-encoded version");
-        decode(&re).expect("upgraded image decodes");
-    }
-
-    /// Hand-encodes the v4 layout (shift-search in detector configs and
-    /// per-series overrides, but **no** score configs and plain NSigma
-    /// stats for live series) and checks the v5 reader restores it: the
-    /// engine config and every live series get `Fusion::Off` — the plain
-    /// z-scoring every v4 writer actually ran — so a restored v4 stream
-    /// continues bit-identically.
-    #[test]
-    fn v4_snapshots_still_decode() {
-        // a live series with real (initialized) decomposer + NSigma state
+    /// A live series with real state in every optional layer: a period-12
+    /// sine through initialization and four periods of scored updates, a
+    /// forecast head, and a trend-CUSUM backend.
+    fn sample_live_series() -> SeriesSnapshot {
         let t = 12usize;
         let y: Vec<f64> = (0..8 * t)
             .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
-            .collect();
-        let mut det = oneshotstl::StdAnomalyDetector::with_score(
-            oneshotstl::OneShotStl::new(OneShotStlConfig::default()),
-            5.0,
-            ScoreConfig::off(),
-        );
-        det.init(&y[..4 * t], t).unwrap();
-        for &v in &y[4 * t..] {
-            det.update(v);
-        }
-        let live_dec = det.decomposer.to_state();
-        let live_ns = det.scorer().to_state().nsigma;
-
-        let config = FleetConfig {
-            score: ScoreConfig::off(), // what a v4 writer effectively ran
-            ..FleetConfig::fixed_period(t)
-        };
-        let warm_overrides = AdmitOptions {
-            lambda: Some(2.0),
-            nsigma: None,
-            period: Some(t),
-            shift_search: Some(ShiftSearchConfig::top_k(3)),
-            score: None,    // v4 has no score override
-            forecast: None, // nor a forecast one
-            backend: None,  // nor a backend one
-        };
-
-        let mut w = Writer::default();
-        w.bytes(MAGIC);
-        w.u16(4);
-        w.u8(KIND_FULL);
-        // config, v4 layout: detector config ends after shift_search (no
-        // engine score config)
-        let c = &config;
-        w.u32(c.shards as u32);
-        w.u32(c.init_cycles as u32);
-        match &c.period {
-            PeriodPolicy::Fixed(p) => {
-                w.u8(0);
-                w.u32(*p as u32);
-            }
-            PeriodPolicy::Detect { .. } => unreachable!("fixture uses a fixed period"),
-        }
-        w.opt_u32(c.max_warmup.map(|v| v as u32));
-        w.f64(c.nsigma);
-        w.opt_u64(c.ttl);
-        w.opt_u64(c.max_clock_step);
-        w.opt_u64(c.queue_capacity.map(|v| v as u64));
-        w.u8(0); // QueuePolicy::Block
-        encode_detector_config(&mut w, &c.detector);
-        w.u64(7); // clock
-        w.u64(3); // batches
-        w.u64(0); // totals
-        w.u64(1);
-        w.u64(200);
-        w.u64(2);
-        w.u64(2); // series count
-                  // series 0: warming with v4 overrides (no score field)
-        w.string("warm");
-        w.u64(5);
-        w.u8(0);
-        w.vec_f64(&[1.0, 2.0, 3.0]);
-        w.opt_u32(Some(t as u32));
-        w.u64(3);
-        w.opt_f64(warm_overrides.lambda);
-        w.opt_f64(warm_overrides.nsigma);
-        w.opt_u32(warm_overrides.period.map(|v| v as u32));
-        w.u8(1);
-        encode_shift_search(&mut w, &warm_overrides.shift_search.unwrap());
-        // series 1: live with v4 layout (decomposer + plain NSigma stats)
-        w.string("live");
-        w.u64(7);
-        w.u8(1);
-        encode_decomposer_v8(&mut w, &live_dec);
-        encode_nsigma(&mut w, &live_ns);
-
-        let back = decode(&w.buf).expect("v4 must stay readable");
-        assert_eq!(back.config, config);
-        assert_eq!(back.clock, 7);
-        match &back.series[0].phase {
-            PhaseSnapshot::Warming { overrides, .. } => {
-                assert_eq!(overrides, &warm_overrides, "v4 overrides decode, score None");
-            }
-            _ => panic!("series 0 must be warming"),
-        }
-        match &back.series[1].phase {
-            PhaseSnapshot::Live { decomposer, scorer, forecast, backend } => {
-                assert!(forecast.is_none(), "v4 live series carry no forecast head");
-                assert!(backend.is_none(), "v4 live series carry no backend state");
-                assert_eq!(decomposer, &live_dec, "decomposer state bit-identical");
-                assert_eq!(
-                    scorer,
-                    &ResidualScorerState {
-                        config: ScoreConfig::off(),
-                        nsigma: live_ns.clone(),
-                        s_pos: 0.0,
-                        s_neg: 0.0,
-                        hold: 0.0,
-                    },
-                    "v4 NSigma stats decode as a Fusion::Off scorer"
-                );
-            }
-            _ => panic!("series 1 must be live"),
-        }
-        // the restored detector continues bit-identically to the v4
-        // writer's uninterrupted continuation (plain NSigma scoring)
-        let PhaseSnapshot::Live { decomposer, scorer, .. } = back.series[1].phase.clone()
-        else {
-            unreachable!();
-        };
-        let mut restored = oneshotstl::StdAnomalyDetector::from_parts(
-            oneshotstl::OneShotStl::from_state(decomposer).unwrap(),
-            oneshotstl::ResidualScorer::from_state(scorer),
-        );
-        for i in 0..3 * t {
-            let x = 1.5
-                + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()
-                + if i == t { 4.0 } else { 0.0 };
-            let (pa, va) = det.update_scored(x);
-            let (pb, vb) = restored.update_scored(x);
-            assert_eq!(pa.residual.to_bits(), pb.residual.to_bits());
-            assert_eq!(va.score.to_bits(), vb.score.to_bits());
-            assert_eq!(va.is_anomaly, vb.is_anomaly);
-        }
-        // ...and a v4 image re-encodes as v9 (upgrade-on-rewrite)
-        let re = encode(&back);
-        assert_eq!(re[8], 9, "re-encoded version");
-        assert_eq!(decode(&re).unwrap(), back);
-    }
-
-    /// Hand-encodes the v5 layout (score configs and full scorer states,
-    /// but **no** forecast fields anywhere) and checks the v6 reader
-    /// restores it: forecasting comes back disabled — what every v5
-    /// writer actually ran — no live series carries a head, and the
-    /// restored detector stream continues bit-identically.
-    #[test]
-    fn v5_snapshots_still_decode() {
-        let t = 12usize;
-        let y: Vec<f64> = (0..8 * t)
-            .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
-            .collect();
-        let score = ScoreConfig {
-            cusum_k: 0.5,
-            cusum_h: 6.0,
-            hold_decay: 0.8,
-            ..ScoreConfig::default()
-        };
-        let mut det = oneshotstl::StdAnomalyDetector::with_score(
-            oneshotstl::OneShotStl::new(OneShotStlConfig::default()),
-            5.0,
-            score,
-        );
-        det.init(&y[..4 * t], t).unwrap();
-        for &v in &y[4 * t..] {
-            det.update_scored(v);
-        }
-        let live_dec = det.decomposer.to_state();
-        let live_scorer = det.scorer().to_state();
-
-        let config = FleetConfig { score, ..FleetConfig::fixed_period(t) };
-        let warm_overrides = AdmitOptions {
-            lambda: Some(2.0),
-            nsigma: Some(4.0),
-            period: Some(t),
-            shift_search: Some(ShiftSearchConfig::top_k(3)),
-            score: Some(score),
-            forecast: None, // v5 has no forecast override
-            backend: None,  // nor a backend one
-        };
-
-        let mut w = Writer::default();
-        w.bytes(MAGIC);
-        w.u16(5);
-        w.u8(KIND_FULL);
-        // config, v5 layout: ends after the score config (no forecast)
-        let c = &config;
-        w.u32(c.shards as u32);
-        w.u32(c.init_cycles as u32);
-        match &c.period {
-            PeriodPolicy::Fixed(p) => {
-                w.u8(0);
-                w.u32(*p as u32);
-            }
-            PeriodPolicy::Detect { .. } => unreachable!("fixture uses a fixed period"),
-        }
-        w.opt_u32(c.max_warmup.map(|v| v as u32));
-        w.f64(c.nsigma);
-        w.opt_u64(c.ttl);
-        w.opt_u64(c.max_clock_step);
-        w.opt_u64(c.queue_capacity.map(|v| v as u64));
-        w.u8(0); // QueuePolicy::Block
-        encode_detector_config(&mut w, &c.detector);
-        encode_score_config(&mut w, &c.score);
-        w.u64(7); // clock
-        w.u64(3); // batches
-        w.u64(0); // totals
-        w.u64(1);
-        w.u64(200);
-        w.u64(2);
-        w.u64(2); // series count
-                  // series 0: warming with v5 overrides (no forecast tag)
-        w.string("warm");
-        w.u64(5);
-        w.u8(0);
-        w.vec_f64(&[1.0, 2.0, 3.0]);
-        w.opt_u32(Some(t as u32));
-        w.u64(3);
-        w.opt_f64(warm_overrides.lambda);
-        w.opt_f64(warm_overrides.nsigma);
-        w.opt_u32(warm_overrides.period.map(|v| v as u32));
-        w.u8(1);
-        encode_shift_search(&mut w, warm_overrides.shift_search.as_ref().unwrap());
-        w.u8(1);
-        encode_score_config(&mut w, warm_overrides.score.as_ref().unwrap());
-        // series 1: live with v5 layout (decomposer + scorer, no forecast)
-        w.string("live");
-        w.u64(7);
-        w.u8(1);
-        encode_decomposer_v8(&mut w, &live_dec);
-        encode_scorer(&mut w, &live_scorer);
-
-        let back = decode(&w.buf).expect("v5 must stay readable");
-        assert_eq!(back.config, config, "forecast comes back disabled");
-        assert_eq!(back.config.forecast, ForecastOptions::default());
-        match &back.series[0].phase {
-            PhaseSnapshot::Warming { overrides, .. } => {
-                assert_eq!(overrides, &warm_overrides, "v5 overrides decode, forecast None");
-            }
-            _ => panic!("series 0 must be warming"),
-        }
-        match &back.series[1].phase {
-            PhaseSnapshot::Live { decomposer, scorer, forecast, backend } => {
-                assert_eq!(decomposer, &live_dec, "decomposer state bit-identical");
-                assert_eq!(scorer, &live_scorer, "full v5 scorer state bit-identical");
-                assert!(forecast.is_none(), "v5 live series carry no forecast head");
-                assert!(backend.is_none(), "v5 live series carry no backend state");
-            }
-            _ => panic!("series 1 must be live"),
-        }
-        // the restored detector continues bit-identically to the v5
-        // writer's uninterrupted continuation
-        let PhaseSnapshot::Live { decomposer, scorer, .. } = back.series[1].phase.clone()
-        else {
-            unreachable!();
-        };
-        let mut restored = oneshotstl::StdAnomalyDetector::from_parts(
-            oneshotstl::OneShotStl::from_state(decomposer).unwrap(),
-            oneshotstl::ResidualScorer::from_state(scorer),
-        );
-        for i in 0..3 * t {
-            let x = 1.5
-                + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()
-                + if i == t { 4.0 } else { 0.0 };
-            let (pa, va) = det.update_scored(x);
-            let (pb, vb) = restored.update_scored(x);
-            assert_eq!(pa.residual.to_bits(), pb.residual.to_bits());
-            assert_eq!(va.score.to_bits(), vb.score.to_bits());
-            assert_eq!(va.is_anomaly, vb.is_anomaly);
-        }
-        // ...and a v5 image re-encodes as v9 (upgrade-on-rewrite)
-        let re = encode(&back);
-        assert_eq!(re[8], 9, "re-encoded version");
-        assert_eq!(decode(&re).unwrap(), back);
-    }
-
-    /// Hand-encodes the v6 layout (forecast options/overrides/state, but
-    /// **no** backend fields anywhere) and checks the v7 reader restores
-    /// it: the backend selection comes back [`BackendSelect::Fused`] —
-    /// the plain fused-scorer pipeline every v6 writer actually ran — no
-    /// live series carries backend state, and the restored detector
-    /// stream continues bit-identically.
-    #[test]
-    fn v6_snapshots_still_decode() {
-        let t = 12usize;
-        let y: Vec<f64> = (0..8 * t)
-            .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
-            .collect();
-        let score = ScoreConfig {
-            cusum_k: 0.5,
-            cusum_h: 6.0,
-            hold_decay: 0.8,
-            ..ScoreConfig::default()
-        };
-        let mut det = oneshotstl::StdAnomalyDetector::with_score(
-            oneshotstl::OneShotStl::new(OneShotStlConfig::default()),
-            5.0,
-            score,
-        );
-        det.init(&y[..4 * t], t).unwrap();
-        for &v in &y[4 * t..] {
-            det.update_scored(v);
-        }
-        let live_dec = det.decomposer.to_state();
-        let live_scorer = det.scorer().to_state();
-        let mut tracker = forecast::RollingError::new(8);
-        tracker.record(1.5, 1.4);
-        tracker.record(1.6, 1.7);
-        let live_forecast = ForecastSnapshot {
-            options: ForecastOptions { damping: 0.9, ..ForecastOptions::on() },
-            pending: 1.55,
-            has_pending: true,
-            tracker: tracker.to_state(),
-        };
-
-        let config = FleetConfig {
-            score,
-            forecast: ForecastOptions { error_window: 32, ..ForecastOptions::on() },
-            ..FleetConfig::fixed_period(t)
-        };
-        let warm_overrides = AdmitOptions {
-            lambda: Some(2.0),
-            nsigma: Some(4.0),
-            period: Some(t),
-            shift_search: Some(ShiftSearchConfig::top_k(3)),
-            score: Some(score),
-            forecast: Some(ForecastOptions::on()),
-            backend: None, // v6 has no backend override
-        };
-
-        let mut w = Writer::default();
-        w.bytes(MAGIC);
-        w.u16(6);
-        w.u8(KIND_FULL);
-        // config, v6 layout: ends after the forecast options (no backend)
-        let c = &config;
-        w.u32(c.shards as u32);
-        w.u32(c.init_cycles as u32);
-        match &c.period {
-            PeriodPolicy::Fixed(p) => {
-                w.u8(0);
-                w.u32(*p as u32);
-            }
-            PeriodPolicy::Detect { .. } => unreachable!("fixture uses a fixed period"),
-        }
-        w.opt_u32(c.max_warmup.map(|v| v as u32));
-        w.f64(c.nsigma);
-        w.opt_u64(c.ttl);
-        w.opt_u64(c.max_clock_step);
-        w.opt_u64(c.queue_capacity.map(|v| v as u64));
-        w.u8(0); // QueuePolicy::Block
-        encode_detector_config(&mut w, &c.detector);
-        encode_score_config(&mut w, &c.score);
-        encode_forecast_options(&mut w, &c.forecast);
-        w.u64(7); // clock
-        w.u64(3); // batches
-        w.u64(0); // totals
-        w.u64(1);
-        w.u64(200);
-        w.u64(2);
-        w.u64(2); // series count
-                  // series 0: warming with v6 overrides (no backend tag)
-        w.string("warm");
-        w.u64(5);
-        w.u8(0);
-        w.vec_f64(&[1.0, 2.0, 3.0]);
-        w.opt_u32(Some(t as u32));
-        w.u64(3);
-        w.opt_f64(warm_overrides.lambda);
-        w.opt_f64(warm_overrides.nsigma);
-        w.opt_u32(warm_overrides.period.map(|v| v as u32));
-        w.u8(1);
-        encode_shift_search(&mut w, warm_overrides.shift_search.as_ref().unwrap());
-        w.u8(1);
-        encode_score_config(&mut w, warm_overrides.score.as_ref().unwrap());
-        w.u8(1);
-        encode_forecast_options(&mut w, warm_overrides.forecast.as_ref().unwrap());
-        // series 1: live with v6 layout (decomposer + scorer + forecast,
-        // no backend presence tag)
-        w.string("live");
-        w.u64(7);
-        w.u8(1);
-        encode_decomposer_v8(&mut w, &live_dec);
-        encode_scorer(&mut w, &live_scorer);
-        w.u8(1);
-        encode_forecast_state(&mut w, &live_forecast);
-
-        let back = decode(&w.buf).expect("v6 must stay readable");
-        assert_eq!(back.config, config, "backend comes back Fused");
-        assert_eq!(back.config.backend, BackendSelect::Fused);
-        match &back.series[0].phase {
-            PhaseSnapshot::Warming { overrides, .. } => {
-                assert_eq!(overrides, &warm_overrides, "v6 overrides decode, backend None");
-            }
-            _ => panic!("series 0 must be warming"),
-        }
-        match &back.series[1].phase {
-            PhaseSnapshot::Live { decomposer, scorer, forecast, backend } => {
-                assert_eq!(decomposer, &live_dec, "decomposer state bit-identical");
-                assert_eq!(scorer, &live_scorer, "scorer state bit-identical");
-                assert_eq!(forecast.as_ref(), Some(&live_forecast), "forecast decodes");
-                assert!(backend.is_none(), "v6 live series carry no backend state");
-            }
-            _ => panic!("series 1 must be live"),
-        }
-        // the restored detector continues bit-identically to the v6
-        // writer's uninterrupted continuation
-        let PhaseSnapshot::Live { decomposer, scorer, .. } = back.series[1].phase.clone()
-        else {
-            unreachable!();
-        };
-        let mut restored = oneshotstl::StdAnomalyDetector::from_parts(
-            oneshotstl::OneShotStl::from_state(decomposer).unwrap(),
-            oneshotstl::ResidualScorer::from_state(scorer),
-        );
-        for i in 0..3 * t {
-            let x = 1.5
-                + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()
-                + if i == t { 4.0 } else { 0.0 };
-            let (pa, va) = det.update_scored(x);
-            let (pb, vb) = restored.update_scored(x);
-            assert_eq!(pa.residual.to_bits(), pb.residual.to_bits());
-            assert_eq!(va.score.to_bits(), vb.score.to_bits());
-            assert_eq!(va.is_anomaly, vb.is_anomaly);
-        }
-        // ...and a v6 image re-encodes as v9 (upgrade-on-rewrite)
-        let re = encode(&back);
-        assert_eq!(re[8], 9, "re-encoded version");
-        assert_eq!(decode(&re).unwrap(), back);
-    }
-
-    /// A v8 reader must keep decoding hand-encoded v7 images: the health
-    /// counters come back zero (no pre-v8 writer tracked them), the
-    /// `Quarantined` phase tag is rejected as invalid in a v7 image (no
-    /// pre-v8 writer emitted it), and re-encoding upgrades to v8.
-    #[test]
-    fn v7_snapshots_still_decode() {
-        let t = 12usize;
-        let config = FleetConfig {
-            backend: BackendSelect::Damp(DampOptions { window: 64, subseq: 8 }),
-            ..FleetConfig::fixed_period(t)
-        };
-        let warm_overrides = AdmitOptions {
-            backend: Some(BackendSelect::TrendCusum(ScoreConfig::default())),
-            ..AdmitOptions::default()
-        };
-
-        let mut w = Writer::default();
-        w.bytes(MAGIC);
-        w.u16(7);
-        w.u8(KIND_FULL);
-        encode_config_v8(&mut w, &config); // v7 config layout == v8 (backend incl.)
-        w.u64(7); // clock
-        w.u64(3); // batches
-        w.u64(0); // totals, v7 layout: four counters, no health counters
-        w.u64(1);
-        w.u64(200);
-        w.u64(2);
-        w.u64(1); // series count
-        w.string("warm");
-        w.u64(5);
-        w.u8(0);
-        w.vec_f64(&[1.0, 2.0, 3.0]);
-        w.opt_u32(Some(t as u32));
-        w.u64(3);
-        encode_admit_options(&mut w, &warm_overrides); // v7 overrides incl. backend
-
-        let back = decode(&w.buf).expect("v7 must stay readable");
-        assert_eq!(back.config, config, "v7 config decodes with its backend");
-        assert_eq!(
-            back.totals,
-            CarriedTotals {
-                evicted: 0,
-                admitted: 1,
-                points: 200,
-                anomalies: 2,
-                ..Default::default()
-            },
-            "pre-v8 health counters start at 0"
-        );
-        match &back.series[0].phase {
-            PhaseSnapshot::Warming { overrides, .. } => {
-                assert_eq!(overrides, &warm_overrides, "v7 backend override decodes");
-            }
-            _ => panic!("series 0 must be warming"),
-        }
-
-        // a v7 image smuggling the v8-only Quarantined tag is rejected
-        let mut bad = Writer::default();
-        bad.bytes(MAGIC);
-        bad.u16(7);
-        bad.u8(KIND_FULL);
-        encode_config_v8(&mut bad, &config);
-        bad.u64(7);
-        bad.u64(3);
-        bad.u64(0);
-        bad.u64(1);
-        bad.u64(200);
-        bad.u64(2);
-        bad.u64(1);
-        bad.string("q");
-        bad.u64(5);
-        bad.u8(3); // Quarantined phase tag: v8-only
-        bad.u8(0);
-        bad.u64(4);
-        assert!(
-            matches!(decode(&bad.buf), Err(CodecError::Invalid("series phase tag"))),
-            "quarantine tag must not decode from a pre-v8 image"
-        );
-
-        // ...and a v7 image re-encodes as v9 (upgrade-on-rewrite)
-        let re = encode(&back);
-        assert_eq!(re[8], 9, "re-encoded version");
-        assert_eq!(decode(&re).unwrap(), back);
-    }
-
-    /// A v9 reader must keep decoding hand-encoded v8 images: the config
-    /// ends after the backend selection (compression comes back `Exact`,
-    /// `spill_after` `None` — what every v8 writer ran), the state
-    /// vectors are untagged plain `f64`s, the Quarantined phase decodes,
-    /// and re-encoding upgrades to v9.
-    #[test]
-    fn v8_snapshots_still_decode() {
-        let t = 12usize;
-        let y: Vec<f64> = (0..8 * t)
-            .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
-            .collect();
-        let mut det = oneshotstl::StdAnomalyDetector::with_score(
-            oneshotstl::OneShotStl::new(OneShotStlConfig::default()),
-            5.0,
-            ScoreConfig::default(),
-        );
-        det.init(&y[..4 * t], t).unwrap();
-        for &v in &y[4 * t..] {
-            det.update_scored(v);
-        }
-        let live_dec = det.decomposer.to_state();
-        let live_scorer = det.scorer().to_state();
-        let config = FleetConfig::fixed_period(t);
-
-        let mut w = Writer::default();
-        w.bytes(MAGIC);
-        w.u16(8);
-        w.u8(KIND_FULL);
-        encode_config_v8(&mut w, &config);
-        w.u64(7); // clock
-        w.u64(3); // batches
-        w.u64(1); // totals, v8 layout: all seven counters
-        w.u64(2);
-        w.u64(300);
-        w.u64(4);
-        w.u64(5);
-        w.u64(6);
-        w.u64(7);
-        w.u64(2); // series count
-                  // series 0: live with v8 layout (untagged f64 vectors)
-        w.string("live");
-        w.u64(9);
-        w.u8(1);
-        encode_decomposer_v8(&mut w, &live_dec);
-        encode_scorer(&mut w, &live_scorer);
-        w.u8(0); // no forecast head
-        w.u8(0); // no backend state
-                 // series 1: quarantined (the v8 phase tag)
-        w.string("q");
-        w.u64(5);
-        w.u8(3);
-        w.u8(1); // QuarantineCause::Panic
-        w.u64(11);
-
-        let back = decode(&w.buf).expect("v8 must stay readable");
-        assert_eq!(back.config.compression, StateCompression::Exact);
-        assert_eq!(back.config.spill_after, None);
-        assert_eq!(back.config, config);
-        assert_eq!(
-            back.totals,
-            CarriedTotals {
-                evicted: 1,
-                admitted: 2,
-                points: 300,
-                anomalies: 4,
-                wal_retries: 5,
-                shard_restarts: 6,
-                undurable_batches: 7,
-            },
-            "v8 health counters decode"
-        );
-        match &back.series[0].phase {
-            PhaseSnapshot::Live { decomposer, scorer, forecast, backend } => {
-                assert_eq!(decomposer, &live_dec, "decomposer state bit-identical");
-                assert_eq!(scorer, &live_scorer, "scorer state bit-identical");
-                assert!(forecast.is_none() && backend.is_none());
-            }
-            _ => panic!("series 0 must be live"),
-        }
-        assert_eq!(
-            back.series[1].phase,
-            PhaseSnapshot::Quarantined { cause: QuarantineCause::Panic, dropped: 11 }
-        );
-        // the restored detector continues bit-identically to the v8
-        // writer's uninterrupted continuation
-        let PhaseSnapshot::Live { decomposer, scorer, .. } = back.series[0].phase.clone()
-        else {
-            unreachable!();
-        };
-        let mut restored = oneshotstl::StdAnomalyDetector::from_parts(
-            oneshotstl::OneShotStl::from_state(decomposer).unwrap(),
-            oneshotstl::ResidualScorer::from_state(scorer),
-        );
-        for i in 0..3 * t {
-            let x = 1.5
-                + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()
-                + if i == t { 4.0 } else { 0.0 };
-            let (pa, va) = det.update_scored(x);
-            let (pb, vb) = restored.update_scored(x);
-            assert_eq!(pa.residual.to_bits(), pb.residual.to_bits());
-            assert_eq!(va.score.to_bits(), vb.score.to_bits());
-            assert_eq!(va.is_anomaly, vb.is_anomaly);
-        }
-        // ...and a v8 image re-encodes as v9 (upgrade-on-rewrite)
-        let re = encode(&back);
-        assert_eq!(re[8], 9, "re-encoded version");
-        assert_eq!(decode(&re).unwrap(), back);
-    }
-
-    /// Compact mode: state vectors land delta-encoded at `f32` precision
-    /// — materially smaller, reconstructed within `f32`-delta tolerance,
-    /// still restorable into a running detector, and **byte-stable under
-    /// re-encode** so repeated snapshot cycles do not drift.
-    #[test]
-    fn compact_compression_shrinks_and_reencodes_stably() {
-        let t = 24usize;
-        let y: Vec<f64> = (0..10 * t)
-            .map(|i| 50.0 + 8.0 * (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
             .collect();
         let mut det = oneshotstl::StdAnomalyDetector::new(
             oneshotstl::OneShotStl::new(OneShotStlConfig::default()),
@@ -2325,64 +1357,168 @@ mod tests {
         );
         det.init(&y[..4 * t], t).unwrap();
         for &v in &y[4 * t..] {
-            det.update(v);
+            det.update_scored(v);
         }
-        let live = SeriesSnapshot {
+        let mut tracker = forecast::RollingError::new(4);
+        tracker.record(1.5, 1.4);
+        tracker.record(1.6, 1.7);
+        let backend =
+            SeriesBackend::build(BackendSelect::TrendCusum(ScoreConfig::default()), 5.0, t)
+                .unwrap();
+        SeriesSnapshot {
             key: SeriesKey::new("live"),
             last_seen: 60,
             phase: PhaseSnapshot::Live {
                 decomposer: det.decomposer.to_state(),
                 scorer: det.scorer().to_state(),
-                forecast: None,
-                backend: None,
+                forecast: Some(ForecastSnapshot {
+                    options: ForecastOptions::on(),
+                    pending: 1.55,
+                    has_pending: true,
+                    tracker: tracker.to_state(),
+                }),
+                backend: Some(backend.to_snapshot()),
             },
-        };
-        let mut snap = FleetSnapshot {
-            config: FleetConfig {
-                compression: StateCompression::Compact,
-                ..FleetConfig::fixed_period(t)
-            },
-            clock: 99,
-            batches: 7,
-            totals: CarriedTotals::default(),
-            series: vec![live],
-        };
-        let compact = encode(&snap);
-        snap.config.compression = StateCompression::Exact;
-        let exact = encode(&snap);
-        assert!(
-            compact.len() < exact.len() * 3 / 4,
-            "compact must be materially smaller: {} vs {} bytes",
-            compact.len(),
-            exact.len()
-        );
-        let back = decode(&compact).expect("compact image decodes");
-        assert_eq!(back.config.compression, StateCompression::Compact);
-        let PhaseSnapshot::Live { decomposer, .. } = &back.series[0].phase else {
-            unreachable!();
-        };
-        let orig = det.decomposer.to_state();
-        assert_eq!(decomposer.v.len(), orig.v.len());
-        for (a, b) in decomposer.v.iter().zip(&orig.v) {
-            assert!(
-                (a - b).abs() <= 1e-3 * b.abs().max(1.0),
-                "f32-delta tolerance: {a} vs {b}"
-            );
         }
-        // the reconstruction restores into a working detector
-        oneshotstl::OneShotStl::from_state(decomposer.clone())
-            .expect("compact-restored state is structurally valid");
-        // re-encode is byte-identical: encode∘decode is the identity on
-        // compact images, so repeated snapshot cycles are stable
-        assert_eq!(encode(&back), compact, "compact re-encode must not drift");
     }
 
-    /// Cold-tier series blobs round-trip bit-identically — even when the
-    /// engine snapshots compact, the cold store stays exact — and
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// [`encode`] of [`sample_snapshot`] by the v9 writer.
+    const V9_SAMPLE_HEX: &str = concat!(
+        "4f5353544c464c54090000040000000300000000180000000000000000000014400000011000",
+        "0000000000000100000000000059400000000000005940000000000000f03f08000000140000",
+        "00000000000000144000000000000000e03f00bbbdd7d9df7cdb3d0104000000020000000000",
+        "00e03f0000000000001840ae47e17a14aeef3f01cdccccccccccec3f20000000010000000000",
+        "00f43f03400000000800000002000000000000e03f0000000000001840ae47e17a14aeef3f01",
+        "0000000000000040000000000000f03f000000000000e03f0000630000000000000007000000",
+        "00000000010000000000000002000000000000002c0100000000000004000000000000000600",
+        "000000000000010000000000000002000000000000000200000000000000040000007761726d",
+        "2a00000000000000000300000000000000000000000000f03f00000000000004c07d12e4252c",
+        "1c823c0118000000030000000000000001000000000000d03f01000000000000104001180000",
+        "000101070000000101000000000000e83f0000000000002240000000000000e03f0101000000",
+        "000000e03f10000000009a9999999999e93f0101800000000000000004000000646561640700",
+        "00000000000002",
+    );
+
+    /// [`encode_series_blob`] of [`sample_live_series`] by the v9 writer:
+    /// what a v9 build left in its cold tier.
+    const V9_LIVE_BLOB_HEX: &str = concat!(
+        "0900040000006c6976653c000000000000000100000000000059400000000000005940000000",
+        "000000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb",
+        "3d01040000000c00000000000000600000000000000030000000000000000000000000000000",
+        "000c00000000000000a975fb3e06eef53e41479d892a00e03f0909deaea4b6eb3f067ee5fa1c",
+        "00f03f41770e65b0b6eb3f88c9ce213400e03f24df0c193890f93e8c2dad719bffdfbf65b7d6",
+        "6349b6ebbfdde4cc58d0ffefbf47dee14c4cb6ebbf773bc8b7a4ffdfbf52b3a7178549e43f08",
+        "0000000000f03ff50758ed4cb6ebbf2d85ce27a7ffdfbf080000000130000000000000000020",
+        "00000000000000000000000000f03f0000000000000000000000000000000000000000000000",
+        "0063d55714ca2b6d3f000000000000f03f00000000000000000000000000000000cb2b1abd38",
+        "fff4bfb2ff491fcf08e53f000000000000f03f00000000000000000000000000000000000000",
+        "00000000001c5704e7872b6d3f000000000000f03fb59ee4df35cad63f831f5ad69dd4c6bf6c",
+        "f6380017fff4bfcb52373dad08e53f0000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000e647b2c02cad63f0377aff369",
+        "d4c6bf0000000000000000000000000000000000000000000000000000000000000000000400",
+        "0000000000005ded42b6388d714015d4f51a6af1ff3f4441e087608d7140d47d0c3c6af1ff3f",
+        "0004000000000000004c870b8190933140f6fb642df6dad2bf117a4eff91733140c0a80840df",
+        "fce1bf000000000000f03f000000000000f03f000000000000f03f000000000000f03fdc4aa6",
+        "8fe8fff73fea9d15a5e8fff73f013000000000000000002000000000000000000000000000f0",
+        "3f000000000000000000000000000000000000000000000000cd0b2ae93398fd3d0000000000",
+        "00f03f00000000000000000000000000000000177144c68518f5bfa7f357c68518e53f000000",
+        "000000f03f0000000000000000000000000000000000000000000000001bcbbaf99adcf53d00",
+        "0000000000f03f016d4c2e1762d43fd9465f2e1762c4bf6b3b682f2533f5bf22b7762f2533e5",
+        "3f00000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000f6d698ca94ccd43f9b0ca7ca94ccc4bf0000000000000000000000",
+        "000000000000000000000000000000000000000000000400000000000000d9d984bcec4ce141",
+        "cc67e2ffffffff3f382a544a7f6be7416523eaffffffff3f000400000000000000af41e01a4b",
+        "ff50405788c47a08b3cdbf043504c554f84b409b6be624a0ffdfbfd646486b77db6e410766ce",
+        "04e6e257412ed8766e0a365c41e487167a0c7c6341737a3c5f3dfff73fa7dae70541fff73f01",
+        "3000000000000000002000000000000000000000000000f03f00000000000000000000000000",
+        "0000000000000000000000a75c5bd49a3b2b3e000000000000f03f0000000000000000000000",
+        "000000000064425440715bfcbf2f521541715bec3f000000000000f03f000000000000000000",
+        "000000000000000000000000000000f9b341c0073e133e000000000000f03fd2be225de3b6e8",
+        "3f9701cb5de3b6d8bf31ef1262cbc0febf88e75c62cbc0ee3f00000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000b7134",
+        "0e9781ed3f9a697b0e9781ddbf00000000000000000000000000000000000000000000000000",
+        "00000000000000000400000000000000d607089a03cdb241292326ffffffff3f3b621b5ea89b",
+        "ca41e107b3ffffffff3f000400000000000000f3cc58f1ed2d68402e53d6600db3cdbfd90224",
+        "556ff766406492c1eea0ffdfbf8bcc0c118a3a01413ba9442079870141e905b3100896424119",
+        "00acca72675f41c7a5bbe2e6fff73fc7fb5ef5e6fff73f013000000000000000002000000000",
+        "000000000000000000f03f0000000000000000000000000000000000000000000000005c576e",
+        "fb4ead023e000000000000f03f000000000000000000000000000000009936f30f0ca5f7bf64",
+        "d00e100ca5e73f000000000000f03f0000000000000000000000000000000000000000000000",
+        "007f4a78c0f58ff43d000000000000f03f92823e503094de3f833462503094cebfb4ee0a9ae7",
+        "b2f6bfa384199ae7b2e63f000000000000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000a51bf8739ecbda3f745309749ecbcabf00",
+        "0000000000000000000000000000000000000000000000000000000000000000040000000000",
+        "0000bfa6f4a2d569db4162a5daffffffff3f6effdee35ee6e8410a70ebffffffff3f00040000",
+        "0000000000ed8aa81296b2444027eb356c08b3cdbf3f9162fdac0a4b40bef42a23a0ffdfbfed",
+        "9aec36f64c6c4120b117a580785b41e58e2ca9f2c36041c3cb6b2726b06a41cc7af0c30100f8",
+        "3f9f04572c0100f83f013000000000000000002000000000000000000000000000f03f000000",
+        "00000000000000000000000000000000000000000037ab238bba2e313e000000000000f03f00",
+        "000000000000000000000000000000135a90fb7d1df7bfd4f056fc7d1de73f000000000000f0",
+        "3f000000000000000000000000000000000000000000000000434e8ce206ff223e0000000000",
+        "00f03fa3036099f875dc3f5d87549af875ccbf9e7c10bdda03f9bfd84887bdda03e93f000000",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "000000000000005005ccaab507e23f8ca521abb507d2bf000000000000000000000000000000",
+        "00000000000000000000000000000000000004000000000000002d39c41936ccad415714edfe",
+        "ffffff3f5f2b811fe8f3ba41c90768ffffffff3f00040000000000000011113087af714d4057",
+        "41d0350ab3cdbf03131494863e4e40ea446ca1a0ffdfbfb30b66df19b4344126cca7bdc0042b",
+        "41a0be658b1af6304103ccc7a33e704341aa567b010e00f83fc609bc440d00f83f0130000000",
+        "00000000002000000000000000000000000000f03f0000000000000000000000000000000000",
+        "00000000000000a9e3c148abd7133e000000000000f03f000000000000000000000000000000",
+        "00b0063e91cab2fcbffc348591cab2ec3f000000000000f03f00000000000000000000000000",
+        "00000000000000000000003f479b50ab4d0c3e000000000000f03ff19ba74f9565e93fdd99e6",
+        "4f9565d9bf87c3e3e77f41fdbf2b8417e87f41ed3f0000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000136d90f3ff82ea",
+        "3f0653bff3ff82dabf0000000000000000000000000000000000000000000000000000000000",
+        "000000000400000000000000fa5e002aa2cdc94153a1b0ffffffff3f369eb6bdf616d241a964",
+        "c7ffffffff3f0004000000000000001b7b0c72c6195b403ef8c24809b3cdbff57958f600185e",
+        "4016d0427ca0ffdfbfc6dd98469b4424412b54a33173b325411b3b22087b365a411caaaa06fe",
+        "2e63414c833690f9fff73f7bfd3142f9fff73f01300000000000000000200000000000000000",
+        "0000000000f03f000000000000000000000000000000000000000000000000fdd42a03f202ef",
+        "3d000000000000f03f000000000000000000000000000000008b4dcb2fd270febf970dda2fd2",
+        "70ee3f000000000000f03f000000000000000000000000000000000000000000000000ea98a1",
+        "116787103e000000000000f03f02bc366aa4e1ec3fa2ba446aa4e1dcbf6db006a74f02f8bf67",
+        "4b38a74f02e83f00000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000004845d9829f04e03fa35dfa829f04d0bf0000000000",
+        "000000000000000000000000000000000000000000000000000000000400000000000000871c",
+        "b7758f82f041877ef0ffffffff3f61fcee42dcf9ce4164e2bdffffffff3f0004000000000000",
+        "00ccbcd4f97a5660409dd7387b08b3cdbfe4142fa1340a63405d4c25afa0ffdfbf1baadf1737",
+        "ba3341d98d27721e403a4154a9a304c31283419c15ebbed6d85341729b8736eafff73f9cf8eb",
+        "27eafff73f013000000000000000002000000000000000000000000000f03f00000000000000",
+        "00000000000000000000000000000000006cc4e19d977ffe3d000000000000f03f0000000000",
+        "0000000000000000000000ebd0b69ced95fbbf781bd19ced95eb3f000000000000f03f000000",
+        "000000000000000000000000000000000000000000a437e4d73ea3f23d000000000000f03f65",
+        "da2a42db2be73fe7ef4042db2bd7bfdc4d9413c51cfbbf5b18a413c51ceb3f00000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000006c0f652e8a39e63f2b01722e8a39d6bf00000000000000000000000000000000000000",
+        "00000000000000000000000000000400000000000000197615c4aac9e0416880e1ffffffff3f",
+        "9737bcc6a278eb41c15cedffffffff3f0004000000000000009deb8e9228134b40ed8b7f6f08",
+        "b3cdbfa13dbf70c9625240785a3527a0ffdfbf3b0fceac63cb5941d4a08ebb52866141b64f61",
+        "889b1e6f41b2170774f26b7841f5b30962e8fff73f787cf091e8fff73f000000000000144060",
+        "00000000000000c96f060a9b34323f50914fcd8172443e0102000000000000e03f0000000000",
+        "001840ae47e17a14aeef3f00000000000014406000000000000000c96f060a9b34323f50914f",
+        "cd8172443e00000000000000000000000000000000785c17c257b439400101000000000000f0",
+        "3f4000000000000000000000f83fcdccccccccccf83f010400000000000000a09999999999b9",
+        "3f909999999999b93f0000000000000000000000000000000004000000000000009b7b1a61b9",
+        "a7b13ffd1e7cf0c107af3f000000000000000000000000000000000200000002000000989999",
+        "999999c93f8d45ac2ccd95c03f010102000000000000e03f0000000000001840ae47e17a14ae",
+        "ef3f000000000000144000000000000000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000000000010000000",
+    );
+
+    /// Cold-tier series blobs round-trip bit-identically, a blob spilled
+    /// by the previous (v9) build rehydrates to the same series, and
     /// corrupted blobs are rejected with typed errors.
     #[test]
     fn series_blob_roundtrips_exactly() {
-        let snap = sample_snapshot();
+        let mut snap = sample_snapshot();
+        snap.series.push(sample_live_series());
         for s in &snap.series {
             let blob = encode_series_blob(s);
             assert_eq!(&decode_series_blob(&blob).unwrap(), s);
@@ -2397,6 +1533,51 @@ mod tests {
             decode_series_blob(&bad_version),
             Err(CodecError::UnsupportedVersion(_))
         ));
+
+        let v9 = unhex(V9_LIVE_BLOB_HEX);
+        assert_eq!(u16::from_le_bytes([v9[0], v9[1]]), 9);
+        assert_eq!(decode_series_blob(&v9).unwrap(), sample_live_series());
+        // the first state vector (the seasonal buffer) sits after the
+        // version, key, last_seen, phase tag, detector config, and the
+        // period/t/m/shift words; v9's compact layout tag there is refused
+        let PhaseSnapshot::Live { decomposer, .. } = &snap.series[2].phase else {
+            unreachable!("sample_live_series is live");
+        };
+        let mut config = Writer::default();
+        encode_detector_config(&mut config, &decomposer.config);
+        let tag = 2 + (4 + 4) + 8 + 1 + config.buf.len() + 4 * 8;
+        assert_eq!(v9[tag], 0, "exact layout tag");
+        let mut compact = v9.clone();
+        compact[tag] = 1;
+        assert_eq!(
+            decode_series_blob(&compact),
+            Err(CodecError::Invalid("v9 state vector layout"))
+        );
+    }
+
+    /// A v9 image decodes to what its writer held, rewrites as v10 one
+    /// byte shorter (the dropped compression byte; the sample carries no
+    /// state vectors), and a v9 image selecting the lossy compact layout
+    /// is refused.
+    #[test]
+    fn v9_snapshots_decode_and_rewrite_as_v10() {
+        let v9 = unhex(V9_SAMPLE_HEX);
+        let back = decode(&v9).expect("the previous version stays readable");
+        assert_eq!(back, sample_snapshot());
+        let v10 = encode(&back);
+        assert_eq!(u16::from_le_bytes([v10[8], v10[9]]), VERSION);
+        assert_eq!(v10.len(), v9.len() - 1);
+        assert_eq!(decode(&v10).unwrap(), back);
+
+        // the compression byte closes the v9 config, just before the
+        // one-byte `spill_after: None`
+        let mut config = Writer::default();
+        encode_config(&mut config, &back.config);
+        let at = 8 + 2 + 1 + config.buf.len() - 1;
+        assert_eq!(v9[at], 0, "exact layout selected");
+        let mut compact = v9.clone();
+        compact[at] = 1;
+        assert_eq!(decode(&compact), Err(CodecError::Invalid("v9 state compression")));
     }
 
     /// The delta chain-header parser reads `(prev_batches, batches)`
@@ -2587,6 +1768,17 @@ mod tests {
         let mut wrong_version = bytes.clone();
         wrong_version[8] = 0xEE;
         assert!(matches!(decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
+        // only the current and the previous version are read
+        let mut v8 = bytes.clone();
+        v8[8..10].copy_from_slice(&8u16.to_le_bytes());
+        assert_eq!(decode(&v8), Err(CodecError::UnsupportedVersion(8)));
+        // a crafted vector length whose byte count fits in usize but whose
+        // end offset overflows it: the warming series' `values` length
+        // follows its key, last_seen, and phase tag
+        let mut huge = bytes.clone();
+        let at = huge.windows(4).position(|w| w == b"warm").unwrap() + 4 + 8 + 1;
+        huge[at..at + 8].copy_from_slice(&0x1FFF_FFFF_FFFF_FFFFu64.to_le_bytes());
+        assert_eq!(decode(&huge), Err(CodecError::Truncated));
         // every truncation point fails cleanly
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} should not decode");

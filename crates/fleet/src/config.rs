@@ -235,27 +235,6 @@ fn validate_shift_search(ss: &ShiftSearchConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// How per-series numeric state is laid out in snapshot bytes (codec v9).
-///
-/// The per-series footprint is dominated by the seasonal buffer and the
-/// solver vectors — `O(T)` `f64`s each. [`StateCompression::Compact`]
-/// stores them delta-encoded with `f32` deltas (first element exact, each
-/// subsequent element reconstructed as `prev + f32(x − prev)`), roughly
-/// halving snapshot bytes per series. The encoding is **lossy** at `f32`
-/// delta precision, so it trades the bit-identical-restore guarantee for
-/// footprint — the right trade for a million-series archive tier, the
-/// wrong one for the hot path. The default keeps today's exact `f64`
-/// layout; the cold tier (`crate::cold_tier`) always spills exact bytes
-/// regardless of this setting, because rehydration must be bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StateCompression {
-    /// Exact `f64` bit patterns (bit-identical restore; the default).
-    #[default]
-    Exact,
-    /// Delta-encoded `f32` seasonal/solver vectors (lossy, ~2× smaller).
-    Compact,
-}
-
 /// What a full bounded shard queue does to a new batch submission.
 ///
 /// Only meaningful with [`FleetConfig::queue_capacity`] set; with
@@ -328,10 +307,6 @@ pub struct FleetConfig {
     /// state). Series admitted under another selection carry their
     /// backend state through snapshots (codec v7) and crash recovery.
     pub backend: BackendSelect,
-    /// Snapshot state layout (codec v9): exact `f64` (default,
-    /// bit-identical restore) or delta-encoded `f32` vectors (lossy,
-    /// roughly half the bytes per live series). See [`StateCompression`].
-    pub compression: StateCompression,
     /// Spill series idle for more than this many clock ticks to the
     /// on-disk cold tier (when one is attached; see
     /// [`crate::FleetEngine::attach_cold_dir`]). Distinct from [`ttl`]:
@@ -360,7 +335,6 @@ impl Default for FleetConfig {
             score: ScoreConfig::default(),
             forecast: ForecastOptions::default(),
             backend: BackendSelect::default(),
-            compression: StateCompression::default(),
             spill_after: None,
         }
     }

@@ -42,12 +42,11 @@ pub struct CarriedTotals {
     pub points: u64,
     /// Anomalies flagged before the snapshot.
     pub anomalies: u64,
-    /// WAL re-arm attempts before the snapshot (codec v8; decoded as 0
-    /// from older snapshots).
+    /// WAL re-arm attempts before the snapshot.
     pub wal_retries: u64,
-    /// Shard workers respawned before the snapshot (codec v8).
+    /// Shard workers respawned before the snapshot.
     pub shard_restarts: u64,
-    /// Batches accepted un-durably before the snapshot (codec v8).
+    /// Batches accepted un-durably before the snapshot.
     pub undurable_batches: u64,
 }
 
@@ -664,8 +663,8 @@ impl FleetEngine {
     /// contract, not a live-reconfiguration path.
     ///
     /// The overrides are baked into the series' detector at promotion and
-    /// persist through snapshot/restore (codec v4 stores pending overrides
-    /// with the warm-up state; a live detector's config already embeds
+    /// persist through snapshot/restore (the codec stores pending
+    /// overrides with the warm-up state; a live detector's config already embeds
     /// them). **Durability note:** override registration is not
     /// WAL-logged — on a [`crate::DurableFleet`], use
     /// [`crate::DurableFleet::set_admit_options`], which checkpoints so

@@ -106,7 +106,8 @@ pub enum CodecError {
     Truncated,
     /// The input does not start with the snapshot magic.
     BadMagic,
-    /// The format version is newer than this build understands.
+    /// The format version is neither the current one nor the previous
+    /// one — the only two this build reads.
     UnsupportedVersion(u16),
     /// A field held a value outside its domain.
     Invalid(&'static str),

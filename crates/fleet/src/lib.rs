@@ -45,8 +45,8 @@
 //!   ([`BackendSelect`]; engine-wide via [`FleetConfig::backend`] or per
 //!   series via [`AdmitOptions::backend`]). Backends implement the
 //!   [`DetectorBackend`] trait (streaming, allocation-free observe over
-//!   the decomposed point) and their state snapshots with the series
-//!   (codec v7), restoring bit-identically.
+//!   the decomposed point) and their state snapshots with the series,
+//!   restoring bit-identically.
 //! - **Forecasting.** With [`ForecastOptions`] enabled (engine-wide via
 //!   [`FleetConfig::forecast`] or per series), a live series answers
 //!   [`FleetEngine::forecast`] with the paper's §5 damped-trend
@@ -144,9 +144,7 @@ pub use backend::{
 };
 pub use batch::ShardBatch;
 pub use cold_tier::ColdStore;
-pub use config::{
-    AdmitOptions, FleetConfig, ForecastOptions, PeriodPolicy, QueuePolicy, StateCompression,
-};
+pub use config::{AdmitOptions, FleetConfig, ForecastOptions, PeriodPolicy, QueuePolicy};
 pub use engine::{CarriedTotals, FleetDelta, FleetEngine, FleetSnapshot};
 pub use error::{CodecError, FleetError};
 pub use net::{NetClient, NetError, NetMessage, NetServer};

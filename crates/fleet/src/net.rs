@@ -58,9 +58,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crate::codec::{
-    decode_admit_options, encode_admit_options, Reader, Writer, VERSION as CODEC_VERSION,
-};
+use crate::codec::{decode_admit_options, encode_admit_options, Reader, Writer};
 use crate::config::AdmitOptions;
 use crate::engine::FleetEngine;
 use crate::error::{CodecError, FleetError};
@@ -352,7 +350,7 @@ fn decode_body(r: &mut Reader<'_>) -> Result<NetMessage, CodecError> {
         T_STATS => Ok(NetMessage::Stats),
         T_ADMIT => {
             let key = SeriesKey::new(r.string()?);
-            let opts = decode_admit_options(r, CODEC_VERSION)?;
+            let opts = decode_admit_options(r)?;
             Ok(NetMessage::SetAdmitOptions { key, opts })
         }
         T_SCORED => {

@@ -191,7 +191,7 @@ impl ForecastState {
     }
 }
 
-/// Plain-data snapshot of one series' forecast state (codec v6).
+/// Plain-data snapshot of one series' forecast state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForecastSnapshot {
     /// The options the series admitted under.
@@ -475,29 +475,25 @@ pub enum PhaseSnapshot {
         period: Option<usize>,
         /// Buffer length at the last detection attempt.
         last_attempt: usize,
-        /// Pending per-series overrides (codec v4; v3 snapshots decode
-        /// with no overrides).
+        /// Pending per-series overrides.
         overrides: AdmitOptions,
     },
     /// Live detector state.
     Live {
         /// The OneShotSTL decomposer state.
         decomposer: OneShotStlState,
-        /// The task-level residual scorer state (codec v5; v3/v4
-        /// snapshots decode their plain NSigma statistics as a scorer
-        /// with `Fusion::Off` — exactly what those writers ran).
+        /// The task-level residual scorer state.
         scorer: ResidualScorerState,
-        /// Forecast head + error tracker state (codec v6; older snapshots
-        /// decode with `None` — those writers never forecast).
+        /// Forecast head + error tracker state (`None` when the series
+        /// was admitted with forecasting off).
         forecast: Option<ForecastSnapshot>,
-        /// Detection-backend state (codec v7; older snapshots decode
-        /// with `None` — those writers only ran the fused scorer).
+        /// Detection-backend state (`None` for the fused scorer).
         backend: Option<BackendSnapshot>,
     },
     /// Tombstone.
     Rejected,
-    /// Quarantine marker (codec v8; the detector state is gone by
-    /// definition, so only the cause and drop count persist).
+    /// Quarantine marker (the detector state is gone by definition, so
+    /// only the cause and drop count persist).
     Quarantined {
         /// What put the series in quarantine.
         cause: QuarantineCause,

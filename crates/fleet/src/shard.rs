@@ -855,8 +855,7 @@ impl ShardState {
     /// `None` when the series is unknown, warming, or rejected. A series
     /// with a forecast head uses its damped-trend rule
     /// (`forecast_into` — the zero-allocation fill); one without (head
-    /// disabled, or restored from a pre-v6 snapshot) keeps the plain
-    /// seasonal carry-forward those engines always served.
+    /// disabled) keeps the plain seasonal carry-forward.
     pub fn forecast_series(&self, key: &SeriesKey, horizon: usize) -> Option<Vec<f64>> {
         let entry = self.registry.get(key)?;
         match &entry.state {
