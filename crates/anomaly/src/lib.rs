@@ -9,9 +9,6 @@
 //!   incremental, online variant).
 //! - [`damp`]: DAMP (Lu et al., KDD 2022) — online left-discord discovery
 //!   with backward doubling search and forward pruning.
-//! - [`streaming`]: a windowed, zero-allocation streaming DAMP adapter
-//!   (point-at-a-time `observe`, bounded history, snapshotable) — the
-//!   form the fleet's pluggable detection backends consume.
 //! - [`cluster`]: k-means with k-means++ seeding (shared by NormA/SAND).
 //! - [`norma`]: NormA (Boniol et al.) — batch scoring against a weighted
 //!   set of recurrent "normal" patterns.
@@ -30,7 +27,6 @@ pub mod norma;
 pub mod pipeline;
 pub mod sand;
 pub mod stomp;
-pub mod streaming;
 pub mod traits;
 pub mod znorm;
 
@@ -39,5 +35,4 @@ pub use norma::NormA;
 pub use pipeline::{NSigmaDetector, PrefilterDamp, StdNSigma};
 pub use sand::Sand;
 pub use stomp::{matrix_profile, Stompi};
-pub use streaming::{StreamingDamp, StreamingDampState};
 pub use traits::TsadMethod;

@@ -35,11 +35,13 @@
 //! **fails the process** when the shipped [`ScoreConfig::default`] scores
 //! below 0.70 VUS-ROC on the wandering-trend family or regresses the ECG
 //! family by more than 1% against the pre-CUSUM (`Fusion::Off`) baseline
-//! under the same protocol.
+//! under the same protocol, and when the ensemble backend
+//! (`max(fused, trend)`) scores below 0.75 on the wandering-trend family
+//! or loses more than 1% to the fused scorer on IOPS or ECG.
 
 use benchkit::{Cli, Experiment};
 use decomp::traits::OnlineDecomposer;
-use fleet::{BackendSelect, DampOptions, EnsembleOptions, SeriesBackend};
+use fleet::{BackendSelect, SeriesBackend};
 use oneshotstl::system::Lambdas;
 use oneshotstl::{Fusion, OneShotStl, OneShotStlConfig, ResidualScorer, ScoreConfig};
 use std::fmt::Write as _;
@@ -145,8 +147,7 @@ fn backend_family_vus(fam: &PreparedFamily, select: BackendSelect) -> f64 {
     for s in &fam.series {
         let mut scorer = ResidualScorer::new(5.0, ScoreConfig::default());
         scorer.seed(&s.init_residuals);
-        let mut backend =
-            SeriesBackend::build(select, 5.0, s.period).expect("non-fused backend arm");
+        let mut backend = SeriesBackend::build(select, 5.0).expect("non-fused backend arm");
         let scores: Vec<f64> = s
             .test_residuals
             .iter()
@@ -154,7 +155,7 @@ fn backend_family_vus(fam: &PreparedFamily, select: BackendSelect) -> f64 {
             .map(|(&r, &trend)| {
                 let fused = scorer.update(r);
                 let point = DecompPoint { trend, seasonal: 0.0, residual: r };
-                backend.observe(&point, &fused).score
+                backend.observe(&point, &fused).0
             })
             .collect();
         total += vus_roc(&scores, &s.labels, s.period.max(10), 8);
@@ -230,12 +231,11 @@ fn main() {
 
     // ── detection-backend arms (fleet dispatch semantics) ───────────────
     // evaluated on every run (the smoke gate pins the ensemble arm); the
-    // fused default above is the "Fused" backend, so the arms are the
-    // three non-trivial selections
+    // fused default above is the "Fused" backend, so the arms are the two
+    // non-trivial selections
     let backend_arms: Vec<(&str, BackendSelect)> = vec![
-        ("damp", BackendSelect::Damp(DampOptions::default())),
         ("trend_cusum", BackendSelect::TrendCusum(ScoreConfig::default())),
-        ("ensemble", BackendSelect::Ensemble(EnsembleOptions::default())),
+        ("ensemble", BackendSelect::Ensemble(ScoreConfig::default())),
     ];
     let mut backend_rows: Vec<(&str, Vec<f64>)> = Vec::new();
     for (name, select) in &backend_arms {
@@ -296,8 +296,8 @@ fn main() {
         ));
     }
 
-    // ── the ensemble gate: the shipped EnsembleOptions::default() must
-    //    not trade away the fused scorer's quality ───────────────────────
+    // ── the ensemble gate: max(fused, trend) must not trade away the
+    //    fused scorer's quality ──────────────────────────────────────────
     let ens = &backend_rows.iter().find(|(n, _)| *n == "ensemble").unwrap().1;
     let (ens_iops, ens_ecg) = (ens[iops], ens[ecg]);
     if ens_iops.is_nan() || ens_iops < 0.75 {

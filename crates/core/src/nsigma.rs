@@ -84,11 +84,17 @@ impl NSigma {
         NSigmaVerdict { score, is_anomaly: score > self.n }
     }
 
-    /// Absorbs `x` into the running statistics.
+    /// Absorbs `x` into the running statistics. A value that would
+    /// overflow the running sums is skipped: a non-finite sum leaves σ
+    /// infinite or NaN, so the detector could never alarm again (and a
+    /// snapshot of that state is refused on restore).
     pub fn absorb(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.sum_sq += x * x;
+        let (sum, sum_sq) = (self.sum + x, self.sum_sq + x * x);
+        if sum.is_finite() && sum_sq.is_finite() {
+            self.count += 1;
+            self.sum = sum;
+            self.sum_sq = sum_sq;
+        }
     }
 
     /// Algorithm 6: score first, then absorb.
@@ -177,6 +183,18 @@ mod tests {
         let diff = d.score_only(2.5);
         assert!(diff.is_anomaly);
         assert!(diff.score.is_finite());
+    }
+
+    #[test]
+    fn overflowing_values_are_not_absorbed() {
+        let mut d = NSigma::new(3.0);
+        d.seed(&[0.0, 0.1, -0.1]);
+        let before = d.to_state();
+        for x in [1e160, -1e300, f64::MAX, f64::INFINITY, f64::NAN] {
+            d.absorb(x);
+        }
+        assert_eq!(d.to_state(), before);
+        assert!(d.update(1.0).is_anomaly, "the detector can still alarm");
     }
 
     #[test]

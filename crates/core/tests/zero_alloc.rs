@@ -213,7 +213,7 @@ fn fused_scoring_update_performs_zero_heap_allocations() {
 /// trend first-differences plus two scalars — its steady-state `update`
 /// (including warm-up absorption, alarms with reset, and the non-finite
 /// guard) performs zero heap allocations. This is the backend contract
-/// the fleet's `DetectorBackend` dispatch relies on.
+/// the fleet's `SeriesBackend` dispatch relies on.
 #[test]
 fn trend_cusum_update_performs_zero_heap_allocations() {
     use oneshotstl::{ScoreConfig, TrendCusum};

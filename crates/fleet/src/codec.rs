@@ -16,16 +16,14 @@
 //! Version policy: writers emit the current version, readers accept the
 //! current and the previous one, and anything else is
 //! [`CodecError::UnsupportedVersion`]. A previous-version image is
-//! rewritten as the current version by its next snapshot. v10 drops two
-//! tag bytes v9 carried: the config's state-compression byte and the
-//! layout tag in front of every decomposer/solver state vector. A v9
-//! image decodes only when both hold the exact `f64` layout (0); v9's
-//! lossy compact layout is rejected as invalid.
+//! rewritten as the current version by its next snapshot. One decoder
+//! reads both: a new version never reuses a tag, so the only
+//! version-dependent code is the version-window check. v11 retired the
+//! DAMP and three-channel ensemble backends: their tags (backend select
+//! `1`/`3`, backend state `0`/`2`) are refused as invalid, and the
+//! two-channel ensemble took the fresh tags select `4` / state `3`.
 
-use crate::backend::{
-    BackendSelect, BackendSnapshot, DampBackendState, DampOptions, EnsembleFusion,
-    EnsembleOptions, SeriesBackend,
-};
+use crate::backend::{BackendSelect, BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy};
 use crate::engine::{CarriedTotals, FleetDelta, FleetSnapshot};
 use crate::error::CodecError;
@@ -41,12 +39,9 @@ use oneshotstl::{
 };
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
-// v10: v9 minus the config's state-compression byte and the layout tag in
-//      front of each decomposer/solver state vector.
-pub(crate) const VERSION: u16 = 10;
-/// The previous version, still read: it differs from [`VERSION`] only by
-/// the tag bytes v10 dropped.
-const V9: u16 = VERSION - 1;
+// v11: v10 minus the DAMP and three-channel ensemble backend tags, plus
+//      the two-channel ensemble under fresh tags.
+pub(crate) const VERSION: u16 = 11;
 const KIND_FULL: u8 = 0;
 const KIND_DELTA: u8 = 1;
 
@@ -91,40 +86,39 @@ pub fn encode_delta(delta: &FleetDelta) -> Vec<u8> {
 
 /// Reads the `u16` version and accepts only the current and the previous
 /// one.
-fn decode_version(r: &mut Reader<'_>) -> Result<u16, CodecError> {
+fn decode_version(r: &mut Reader<'_>) -> Result<(), CodecError> {
     let version = r.u16()?;
-    if !(V9..=VERSION).contains(&version) {
+    if !(VERSION - 1..=VERSION).contains(&version) {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    Ok(version)
+    Ok(())
 }
 
-/// Checks magic, version, and kind; leaves the reader after the kind byte
-/// and returns the (read-compatible) version found.
-fn decode_header(r: &mut Reader<'_>, want_kind: u8) -> Result<u16, CodecError> {
+/// Checks magic, version, and kind; leaves the reader after the kind byte.
+fn decode_header(r: &mut Reader<'_>, want_kind: u8) -> Result<(), CodecError> {
     if r.take(8)? != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = decode_version(r)?;
+    decode_version(r)?;
     let kind = r.u8()?;
     if kind != want_kind {
         return Err(CodecError::Invalid("snapshot kind (full vs delta)"));
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Deserializes [`encode`] output (current or previous version).
 pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
-    let v = decode_header(&mut r, KIND_FULL)?;
-    let config = decode_config(&mut r, v)?;
+    decode_header(&mut r, KIND_FULL)?;
+    let config = decode_config(&mut r)?;
     let clock = r.u64()?;
     let batches = r.u64()?;
     let totals = decode_totals(&mut r)?;
     let n = r.u64()? as usize;
     let mut series = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        series.push(decode_series(&mut r, v)?);
+        series.push(decode_series(&mut r)?);
     }
     if r.pos != r.data.len() {
         return Err(CodecError::Invalid("trailing bytes after snapshot"));
@@ -135,8 +129,8 @@ pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
 /// Deserializes [`encode_delta`] output (current or previous version).
 pub fn decode_delta(bytes: &[u8]) -> Result<FleetDelta, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
-    let v = decode_header(&mut r, KIND_DELTA)?;
-    let config = decode_config(&mut r, v)?;
+    decode_header(&mut r, KIND_DELTA)?;
+    let config = decode_config(&mut r)?;
     let prev_batches = r.u64()?;
     let clock = r.u64()?;
     let batches = r.u64()?;
@@ -144,7 +138,7 @@ pub fn decode_delta(bytes: &[u8]) -> Result<FleetDelta, CodecError> {
     let n = r.u64()? as usize;
     let mut series = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        series.push(decode_series(&mut r, v)?);
+        series.push(decode_series(&mut r)?);
     }
     let n_dead = r.u64()? as usize;
     let mut tombstones = Vec::with_capacity(n_dead.min(1 << 20));
@@ -170,8 +164,8 @@ pub(crate) fn encode_series_blob(s: &SeriesSnapshot) -> Vec<u8> {
 /// version, so a cold store written by the previous build stays readable).
 pub(crate) fn decode_series_blob(bytes: &[u8]) -> Result<SeriesSnapshot, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
-    let version = decode_version(&mut r)?;
-    let s = decode_series(&mut r, version)?;
+    decode_version(&mut r)?;
+    let s = decode_series(&mut r)?;
     if r.pos != r.data.len() {
         return Err(CodecError::Invalid("trailing bytes after series blob"));
     }
@@ -184,8 +178,8 @@ pub(crate) fn decode_series_blob(bytes: &[u8]) -> Result<SeriesSnapshot, CodecEr
 /// for each retained base snapshot.
 pub(crate) fn decode_delta_chain(bytes: &[u8]) -> Result<(u64, u64), CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
-    let v = decode_header(&mut r, KIND_DELTA)?;
-    let _config = decode_config(&mut r, v)?;
+    decode_header(&mut r, KIND_DELTA)?;
+    let _config = decode_config(&mut r)?;
     let prev_batches = r.u64()?;
     let _clock = r.u64()?;
     let batches = r.u64()?;
@@ -246,7 +240,7 @@ fn encode_config(w: &mut Writer, c: &FleetConfig) {
     w.opt_u64(c.spill_after);
 }
 
-fn decode_config(r: &mut Reader<'_>, version: u16) -> Result<FleetConfig, CodecError> {
+fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, CodecError> {
     let shards = r.u32()? as usize;
     let init_cycles = r.u32()? as usize;
     let period = match r.u8()? {
@@ -273,11 +267,6 @@ fn decode_config(r: &mut Reader<'_>, version: u16) -> Result<FleetConfig, CodecE
     let score = decode_score_config(r)?;
     let forecast = decode_forecast_options(r)?;
     let backend = decode_backend_select(r)?;
-    // v9 wrote the state-compression selection here; only its exact
-    // layout (0) restores bit-identically, so compact images are refused
-    if version == V9 && r.u8()? != 0 {
-        return Err(CodecError::Invalid("v9 state compression"));
-    }
     let spill_after = r.opt_u64()?;
     // same smuggling stance as every other config field: no writer can
     // produce the degenerate thresholds the API boundary rejects
@@ -307,74 +296,31 @@ fn decode_config(r: &mut Reader<'_>, version: u16) -> Result<FleetConfig, CodecE
     })
 }
 
-/// `u8` variant tag, then the variant's options.
+/// `u8` variant tag, then the variant's score config. Tags `1` and `3`
+/// (the DAMP and three-channel ensemble selections before v11) are
+/// retired, never reused.
 fn encode_backend_select(w: &mut Writer, b: &BackendSelect) {
     match b {
         BackendSelect::Fused => w.u8(0),
-        BackendSelect::Damp(d) => {
-            w.u8(1);
-            encode_damp_options(w, d);
-        }
         BackendSelect::TrendCusum(s) => {
             w.u8(2);
             encode_score_config(w, s);
         }
-        BackendSelect::Ensemble(e) => {
-            w.u8(3);
-            encode_damp_options(w, &e.damp);
-            encode_score_config(w, &e.trend);
-            encode_ensemble_fusion(w, e.fusion);
-            for &wt in &e.weights {
-                w.f64(wt);
-            }
+        BackendSelect::Ensemble(s) => {
+            w.u8(4);
+            encode_score_config(w, s);
         }
     }
 }
 
 fn decode_backend_select(r: &mut Reader<'_>) -> Result<BackendSelect, CodecError> {
-    let select = match r.u8()? {
-        0 => BackendSelect::Fused,
-        1 => BackendSelect::Damp(decode_damp_options(r)?),
-        2 => BackendSelect::TrendCusum(decode_score_config(r)?),
-        3 => {
-            let damp = decode_damp_options(r)?;
-            let trend = decode_score_config(r)?;
-            let fusion = decode_ensemble_fusion(r)?;
-            let weights = [r.f64()?, r.f64()?, r.f64()?];
-            BackendSelect::Ensemble(EnsembleOptions { damp, trend, fusion, weights })
-        }
-        _ => return Err(CodecError::Invalid("backend select tag")),
-    };
-    // same smuggling stance as every other config: a crafted image must
-    // not restore a selection the API boundary rejects (a DAMP window too
-    // small for its subsequence, all-zero ensemble weights, ...)
-    if select.validate().is_err() {
-        return Err(CodecError::Invalid("backend selection"));
-    }
-    Ok(select)
-}
-
-fn encode_damp_options(w: &mut Writer, d: &DampOptions) {
-    w.u32(d.window);
-    w.u32(d.subseq);
-}
-
-fn decode_damp_options(r: &mut Reader<'_>) -> Result<DampOptions, CodecError> {
-    Ok(DampOptions { window: r.u32()?, subseq: r.u32()? })
-}
-
-fn encode_ensemble_fusion(w: &mut Writer, f: EnsembleFusion) {
-    w.u8(match f {
-        EnsembleFusion::Max => 0,
-        EnsembleFusion::WeightedRank => 1,
-    });
-}
-
-fn decode_ensemble_fusion(r: &mut Reader<'_>) -> Result<EnsembleFusion, CodecError> {
+    // the score config decoder refuses what the API boundary rejects, so
+    // a decoded selection is always valid
     Ok(match r.u8()? {
-        0 => EnsembleFusion::Max,
-        1 => EnsembleFusion::WeightedRank,
-        _ => return Err(CodecError::Invalid("ensemble fusion tag")),
+        0 => BackendSelect::Fused,
+        2 => BackendSelect::TrendCusum(decode_score_config(r)?),
+        4 => BackendSelect::Ensemble(decode_score_config(r)?),
+        _ => return Err(CodecError::Invalid("backend select tag")),
     })
 }
 
@@ -487,69 +433,30 @@ fn decode_forecast_state(r: &mut Reader<'_>) -> Result<ForecastSnapshot, CodecEr
 }
 
 /// The backend state of a live series — `u8` variant tag, then the
-/// variant's members.
+/// trend-CUSUM state. Tags `0` and `2` (the DAMP and three-channel
+/// ensemble states before v11) are retired, never reused.
 fn encode_backend_state(w: &mut Writer, s: &BackendSnapshot) {
-    match s {
-        BackendSnapshot::Damp(d) => {
-            w.u8(0);
-            encode_damp_backend_state(w, d);
-        }
-        BackendSnapshot::TrendCusum(t) => {
-            w.u8(1);
-            encode_trend_cusum_state(w, t);
-        }
-        BackendSnapshot::Ensemble { damp, trend, fusion, weights } => {
-            w.u8(2);
-            encode_damp_backend_state(w, damp);
-            encode_trend_cusum_state(w, trend);
-            encode_ensemble_fusion(w, *fusion);
-            for &wt in weights {
-                w.f64(wt);
-            }
-        }
-    }
+    let (tag, trend) = match s {
+        BackendSnapshot::TrendCusum(t) => (1, t),
+        BackendSnapshot::Ensemble(t) => (3, t),
+    };
+    w.u8(tag);
+    encode_trend_cusum_state(w, trend);
 }
 
 fn decode_backend_state(r: &mut Reader<'_>) -> Result<BackendSnapshot, CodecError> {
     let snap = match r.u8()? {
-        0 => BackendSnapshot::Damp(decode_damp_backend_state(r)?),
         1 => BackendSnapshot::TrendCusum(decode_trend_cusum_state(r)?),
-        2 => {
-            let damp = decode_damp_backend_state(r)?;
-            let trend = decode_trend_cusum_state(r)?;
-            let fusion = decode_ensemble_fusion(r)?;
-            let weights = [r.f64()?, r.f64()?, r.f64()?];
-            BackendSnapshot::Ensemble { damp, trend, fusion, weights }
-        }
+        3 => BackendSnapshot::Ensemble(decode_trend_cusum_state(r)?),
         _ => return Err(CodecError::Invalid("backend state tag")),
     };
     // the restore path's own validation is the single home of the range
-    // checks (finite retained values, bsf >= 0, weights, ...) — running
-    // it here keeps a crafted image from smuggling state the API
-    // boundary rejects, without duplicating the rules
+    // checks — running it here keeps a crafted image from smuggling state
+    // the API boundary rejects, without duplicating the rules
     if SeriesBackend::from_snapshot(snap.clone()).is_err() {
         return Err(CodecError::Invalid("backend state"));
     }
     Ok(snap)
-}
-
-fn encode_damp_backend_state(w: &mut Writer, s: &DampBackendState) {
-    w.u64(s.damp.window as u64);
-    w.u64(s.damp.m as u64);
-    w.vec_f64(&s.damp.buf);
-    w.f64(s.damp.bsf);
-    encode_nsigma(w, &s.norm);
-    w.u32(s.warmup_left);
-}
-
-fn decode_damp_backend_state(r: &mut Reader<'_>) -> Result<DampBackendState, CodecError> {
-    let damp = anomaly::StreamingDampState {
-        window: r.u64()? as usize,
-        m: r.u64()? as usize,
-        buf: r.vec_f64()?,
-        bsf: r.f64()?,
-    };
-    Ok(DampBackendState { damp, norm: decode_nsigma(r)?, warmup_left: r.u32()? })
 }
 
 fn encode_trend_cusum_state(w: &mut Writer, s: &oneshotstl::TrendCusumState) {
@@ -765,7 +672,7 @@ fn encode_series(w: &mut Writer, s: &SeriesSnapshot) {
     }
 }
 
-fn decode_series(r: &mut Reader<'_>, version: u16) -> Result<SeriesSnapshot, CodecError> {
+fn decode_series(r: &mut Reader<'_>) -> Result<SeriesSnapshot, CodecError> {
     let key = SeriesKey::new(r.string()?);
     let last_seen = r.u64()?;
     let phase = match r.u8()? {
@@ -776,7 +683,7 @@ fn decode_series(r: &mut Reader<'_>, version: u16) -> Result<SeriesSnapshot, Cod
             overrides: decode_admit_options(r)?,
         },
         1 => PhaseSnapshot::Live {
-            decomposer: decode_decomposer(r, version)?,
+            decomposer: decode_decomposer(r)?,
             scorer: decode_scorer(r)?,
             forecast: match r.u8()? {
                 0 => None,
@@ -823,19 +730,19 @@ fn encode_decomposer(w: &mut Writer, s: &OneShotStlState) {
     w.u8(s.initialized as u8);
 }
 
-fn decode_decomposer(r: &mut Reader<'_>, version: u16) -> Result<OneShotStlState, CodecError> {
+fn decode_decomposer(r: &mut Reader<'_>) -> Result<OneShotStlState, CodecError> {
     let config = decode_detector_config(r)?;
     let period = r.u64()?;
     let t = r.u64()?;
     let m = r.u64()?;
     let shift = r.i64()?;
-    let v = state_vec(r, version)?;
+    let v = r.vec_f64()?;
     let y_hist = r.f64_pair()?;
     let u_hist = r.f64_pair()?;
     let n_iters = r.u32()? as usize;
     let mut iters = Vec::with_capacity(n_iters.min(1 << 10));
     for _ in 0..n_iters {
-        let solver = decode_solver(r, version)?;
+        let solver = decode_solver(r)?;
         iters.push(IterSnapshot {
             solver,
             pw_hist: r.f64_pair()?,
@@ -883,32 +790,22 @@ fn encode_solver(w: &mut Writer, s: &SolverState) {
     }
 }
 
-fn decode_solver(r: &mut Reader<'_>, version: u16) -> Result<SolverState, CodecError> {
+fn decode_solver(r: &mut Reader<'_>) -> Result<SolverState, CodecError> {
     match r.u8()? {
         0 => Ok(SolverState::Warmup {
-            y: state_vec(r, version)?,
-            u: state_vec(r, version)?,
-            pw: state_vec(r, version)?,
-            qw: state_vec(r, version)?,
+            y: r.vec_f64()?,
+            u: r.vec_f64()?,
+            pw: r.vec_f64()?,
+            qw: r.vec_f64()?,
         }),
         1 => Ok(SolverState::Steady {
             m: r.u64()?,
-            lo: state_vec(r, version)?,
-            dd: state_vec(r, version)?,
-            zo: state_vec(r, version)?,
+            lo: r.vec_f64()?,
+            dd: r.vec_f64()?,
+            zo: r.vec_f64()?,
         }),
         _ => Err(CodecError::Invalid("solver state tag")),
     }
-}
-
-/// A decomposer/solver state vector. v9 wrote a layout tag in front of
-/// each; only its exact layout (0) restores bit-identically, so its
-/// compact layout (1) and any other tag are refused.
-fn state_vec(r: &mut Reader<'_>, version: u16) -> Result<Vec<f64>, CodecError> {
-    if version == V9 && r.u8()? != 0 {
-        return Err(CodecError::Invalid("v9 state vector layout"));
-    }
-    r.vec_f64()
 }
 
 fn encode_nsigma(w: &mut Writer, s: &NSigmaState) {
@@ -918,8 +815,18 @@ fn encode_nsigma(w: &mut Writer, s: &NSigmaState) {
     w.f64(s.sum_sq);
 }
 
+/// Shared by the decomposer, the residual scorer, and the trend CUSUM.
 fn decode_nsigma(r: &mut Reader<'_>) -> Result<NSigmaState, CodecError> {
-    Ok(NSigmaState { n: r.f64()?, count: r.u64()?, sum: r.f64()?, sum_sq: r.f64()? })
+    let s = NSigmaState { n: r.f64()?, count: r.u64()?, sum: r.f64()?, sum_sq: r.f64()? };
+    // a NaN bar never alarms (`z > NaN` is false), and a non-finite sum
+    // poisons every later z-score: the series would silently go quiet
+    if !(s.n.is_finite() && s.n > 0.0) {
+        return Err(CodecError::Invalid("nsigma bar"));
+    }
+    if !(s.sum.is_finite() && s.sum_sq.is_finite()) {
+        return Err(CodecError::Invalid("nsigma sums"));
+    }
+    Ok(s)
 }
 
 /// The full task-level residual scorer of a live series.
@@ -1120,11 +1027,11 @@ mod tests {
                     error_fusion: true,
                     smape_alarm: 1.25,
                 },
-                backend: BackendSelect::Ensemble(EnsembleOptions {
-                    damp: DampOptions { window: 64, subseq: 8 },
-                    fusion: EnsembleFusion::WeightedRank,
-                    weights: [2.0, 1.0, 0.5],
-                    ..Default::default()
+                backend: BackendSelect::TrendCusum(ScoreConfig {
+                    cusum_k: 0.5,
+                    cusum_h: 6.0,
+                    hold_decay: 0.25,
+                    fusion: Fusion::Max,
                 }),
                 ..FleetConfig::fixed_period(24)
             },
@@ -1165,10 +1072,7 @@ mod tests {
                                 error_fusion: false,
                                 smape_alarm: 0.8,
                             }),
-                            backend: Some(BackendSelect::Damp(DampOptions {
-                                window: 128,
-                                subseq: 0,
-                            })),
+                            backend: Some(BackendSelect::TrendCusum(ScoreConfig::default())),
                         },
                     },
                 },
@@ -1273,9 +1177,10 @@ mod tests {
         }
     }
 
-    /// A crafted v5 image smuggling degenerate scorer *dynamic state*
-    /// (NaN accumulators would silently disable one CUSUM side forever:
-    /// `f64::max(NaN, x)` returns `x`) must fail to decode.
+    /// A crafted image smuggling degenerate scorer *dynamic state* must
+    /// fail to decode: NaN accumulators would silently disable one CUSUM
+    /// side forever (`f64::max(NaN, x)` returns `x`), and a NaN bar or
+    /// non-finite statistics would stop the series from ever alarming.
     #[test]
     fn degenerate_decoded_scorer_state_is_rejected() {
         let t = 12usize;
@@ -1287,12 +1192,10 @@ mod tests {
             5.0,
         );
         det.init(&y[..4 * t], t).unwrap();
-        let make = |s_pos: f64, s_neg: f64, hold: f64| {
+        let make = |mutate: &dyn Fn(&mut ResidualScorerState)| {
             let mut snap = sample_snapshot();
             let mut scorer = det.scorer().to_state();
-            scorer.s_pos = s_pos;
-            scorer.s_neg = s_neg;
-            scorer.hold = hold;
+            mutate(&mut scorer);
             snap.series.push(SeriesSnapshot {
                 key: SeriesKey::new("live"),
                 last_seen: 50,
@@ -1306,7 +1209,11 @@ mod tests {
             encode(&snap)
         };
         // in-range state decodes…
-        decode(&make(1.0, 0.0, 3.0)).expect("valid scorer state decodes");
+        decode(&make(&|s| {
+            s.s_pos = 1.0;
+            s.hold = 3.0;
+        }))
+        .expect("valid scorer state decodes");
         // …NaN, negative, or beyond-clamp accumulators and NaN hold do not
         for (sp, sn, hold) in [
             (f64::NAN, 0.0, 0.0),
@@ -1316,11 +1223,23 @@ mod tests {
             (0.0, 0.0, f64::NAN),
             (0.0, 0.0, -2.0),
         ] {
+            let bad = make(&|s| {
+                (s.s_pos, s.s_neg, s.hold) = (sp, sn, hold);
+            });
             assert!(
-                decode(&make(sp, sn, hold)).is_err(),
+                decode(&bad).is_err(),
                 "scorer state ({sp}, {sn}, {hold}) must be rejected"
             );
         }
+        // …nor do a NaN or negative bar and non-finite statistics
+        for n in [f64::NAN, -1.0] {
+            let bad = make(&|s| s.nsigma.n = n);
+            assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma bar")), "n = {n}");
+        }
+        let bad = make(&|s| s.nsigma.sum = f64::NAN);
+        assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "NaN sum");
+        let bad = make(&|s| s.nsigma.sum_sq = f64::INFINITY);
+        assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "infinite sum_sq");
     }
 
     /// A crafted image carrying override values the API boundary rejects
@@ -1363,7 +1282,7 @@ mod tests {
         tracker.record(1.5, 1.4);
         tracker.record(1.6, 1.7);
         let backend =
-            SeriesBackend::build(BackendSelect::TrendCusum(ScoreConfig::default()), 5.0, t)
+            SeriesBackend::build(BackendSelect::TrendCusum(ScoreConfig::default()), 5.0)
                 .unwrap();
         SeriesSnapshot {
             key: SeriesKey::new("live"),
@@ -1389,131 +1308,130 @@ mod tests {
             .collect()
     }
 
-    /// [`encode`] of [`sample_snapshot`] by the v9 writer.
-    const V9_SAMPLE_HEX: &str = concat!(
-        "4f5353544c464c54090000040000000300000000180000000000000000000014400000011000",
+    /// [`encode`] of [`sample_snapshot`] by the v10 writer.
+    const V10_SAMPLE_HEX: &str = concat!(
+        "4f5353544c464c540a0000040000000300000000180000000000000000000014400000011000",
         "0000000000000100000000000059400000000000005940000000000000f03f08000000140000",
         "00000000000000144000000000000000e03f00bbbdd7d9df7cdb3d0104000000020000000000",
         "00e03f0000000000001840ae47e17a14aeef3f01cdccccccccccec3f20000000010000000000",
-        "00f43f03400000000800000002000000000000e03f0000000000001840ae47e17a14aeef3f01",
-        "0000000000000040000000000000f03f000000000000e03f0000630000000000000007000000",
-        "00000000010000000000000002000000000000002c0100000000000004000000000000000600",
-        "000000000000010000000000000002000000000000000200000000000000040000007761726d",
-        "2a00000000000000000300000000000000000000000000f03f00000000000004c07d12e4252c",
-        "1c823c0118000000030000000000000001000000000000d03f01000000000000104001180000",
-        "000101070000000101000000000000e83f0000000000002240000000000000e03f0101000000",
-        "000000e03f10000000009a9999999999e93f0101800000000000000004000000646561640700",
-        "00000000000002",
+        "00f43f0202000000000000e03f0000000000001840000000000000d03f006300000000000000",
+        "0700000000000000010000000000000002000000000000002c01000000000000040000000000",
+        "0000060000000000000001000000000000000200000000000000020000000000000004000000",
+        "7761726d2a00000000000000000300000000000000000000000000f03f00000000000004c07d",
+        "12e4252c1c823c0118000000030000000000000001000000000000d03f010000000000001040",
+        "01180000000101070000000101000000000000e83f0000000000002240000000000000e03f01",
+        "01000000000000e03f10000000009a9999999999e93f010202000000000000e03f0000000000",
+        "001840ae47e17a14aeef3f0400000064656164070000000000000002",
     );
 
-    /// [`encode_series_blob`] of [`sample_live_series`] by the v9 writer:
-    /// what a v9 build left in its cold tier.
-    const V9_LIVE_BLOB_HEX: &str = concat!(
-        "0900040000006c6976653c000000000000000100000000000059400000000000005940000000",
+    /// [`encode_series_blob`] of [`sample_live_series`] by the v10 writer:
+    /// what a v10 build left in its cold tier.
+    const V10_LIVE_BLOB_HEX: &str = concat!(
+        "0a00040000006c6976653c000000000000000100000000000059400000000000005940000000",
         "000000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb",
         "3d01040000000c00000000000000600000000000000030000000000000000000000000000000",
-        "000c00000000000000a975fb3e06eef53e41479d892a00e03f0909deaea4b6eb3f067ee5fa1c",
-        "00f03f41770e65b0b6eb3f88c9ce213400e03f24df0c193890f93e8c2dad719bffdfbf65b7d6",
-        "6349b6ebbfdde4cc58d0ffefbf47dee14c4cb6ebbf773bc8b7a4ffdfbf52b3a7178549e43f08",
-        "0000000000f03ff50758ed4cb6ebbf2d85ce27a7ffdfbf080000000130000000000000000020",
-        "00000000000000000000000000f03f0000000000000000000000000000000000000000000000",
-        "0063d55714ca2b6d3f000000000000f03f00000000000000000000000000000000cb2b1abd38",
-        "fff4bfb2ff491fcf08e53f000000000000f03f00000000000000000000000000000000000000",
-        "00000000001c5704e7872b6d3f000000000000f03fb59ee4df35cad63f831f5ad69dd4c6bf6c",
-        "f6380017fff4bfcb52373dad08e53f0000000000000000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000000000000e647b2c02cad63f0377aff369",
-        "d4c6bf0000000000000000000000000000000000000000000000000000000000000000000400",
-        "0000000000005ded42b6388d714015d4f51a6af1ff3f4441e087608d7140d47d0c3c6af1ff3f",
-        "0004000000000000004c870b8190933140f6fb642df6dad2bf117a4eff91733140c0a80840df",
-        "fce1bf000000000000f03f000000000000f03f000000000000f03f000000000000f03fdc4aa6",
-        "8fe8fff73fea9d15a5e8fff73f013000000000000000002000000000000000000000000000f0",
-        "3f000000000000000000000000000000000000000000000000cd0b2ae93398fd3d0000000000",
-        "00f03f00000000000000000000000000000000177144c68518f5bfa7f357c68518e53f000000",
-        "000000f03f0000000000000000000000000000000000000000000000001bcbbaf99adcf53d00",
-        "0000000000f03f016d4c2e1762d43fd9465f2e1762c4bf6b3b682f2533f5bf22b7762f2533e5",
-        "3f00000000000000000000000000000000000000000000000000000000000000000000000000",
-        "0000000000000000000000f6d698ca94ccd43f9b0ca7ca94ccc4bf0000000000000000000000",
-        "000000000000000000000000000000000000000000000400000000000000d9d984bcec4ce141",
-        "cc67e2ffffffff3f382a544a7f6be7416523eaffffffff3f000400000000000000af41e01a4b",
-        "ff50405788c47a08b3cdbf043504c554f84b409b6be624a0ffdfbfd646486b77db6e410766ce",
-        "04e6e257412ed8766e0a365c41e487167a0c7c6341737a3c5f3dfff73fa7dae70541fff73f01",
-        "3000000000000000002000000000000000000000000000f03f00000000000000000000000000",
-        "0000000000000000000000a75c5bd49a3b2b3e000000000000f03f0000000000000000000000",
-        "000000000064425440715bfcbf2f521541715bec3f000000000000f03f000000000000000000",
-        "000000000000000000000000000000f9b341c0073e133e000000000000f03fd2be225de3b6e8",
-        "3f9701cb5de3b6d8bf31ef1262cbc0febf88e75c62cbc0ee3f00000000000000000000000000",
-        "00000000000000000000000000000000000000000000000000000000000000000000000b7134",
-        "0e9781ed3f9a697b0e9781ddbf00000000000000000000000000000000000000000000000000",
-        "00000000000000000400000000000000d607089a03cdb241292326ffffffff3f3b621b5ea89b",
-        "ca41e107b3ffffffff3f000400000000000000f3cc58f1ed2d68402e53d6600db3cdbfd90224",
-        "556ff766406492c1eea0ffdfbf8bcc0c118a3a01413ba9442079870141e905b3100896424119",
-        "00acca72675f41c7a5bbe2e6fff73fc7fb5ef5e6fff73f013000000000000000002000000000",
-        "000000000000000000f03f0000000000000000000000000000000000000000000000005c576e",
-        "fb4ead023e000000000000f03f000000000000000000000000000000009936f30f0ca5f7bf64",
-        "d00e100ca5e73f000000000000f03f0000000000000000000000000000000000000000000000",
-        "007f4a78c0f58ff43d000000000000f03f92823e503094de3f833462503094cebfb4ee0a9ae7",
-        "b2f6bfa384199ae7b2e63f000000000000000000000000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000a51bf8739ecbda3f745309749ecbcabf00",
-        "0000000000000000000000000000000000000000000000000000000000000000040000000000",
-        "0000bfa6f4a2d569db4162a5daffffffff3f6effdee35ee6e8410a70ebffffffff3f00040000",
-        "0000000000ed8aa81296b2444027eb356c08b3cdbf3f9162fdac0a4b40bef42a23a0ffdfbfed",
-        "9aec36f64c6c4120b117a580785b41e58e2ca9f2c36041c3cb6b2726b06a41cc7af0c30100f8",
-        "3f9f04572c0100f83f013000000000000000002000000000000000000000000000f03f000000",
-        "00000000000000000000000000000000000000000037ab238bba2e313e000000000000f03f00",
-        "000000000000000000000000000000135a90fb7d1df7bfd4f056fc7d1de73f000000000000f0",
-        "3f000000000000000000000000000000000000000000000000434e8ce206ff223e0000000000",
-        "00f03fa3036099f875dc3f5d87549af875ccbf9e7c10bdda03f9bfd84887bdda03e93f000000",
+        "0c00000000000000a975fb3e06eef53e41479d892a00e03f0909deaea4b6eb3f067ee5fa1c00",
+        "f03f41770e65b0b6eb3f88c9ce213400e03f24df0c193890f93e8c2dad719bffdfbf65b7d663",
+        "49b6ebbfdde4cc58d0ffefbf47dee14c4cb6ebbf773bc8b7a4ffdfbf52b3a7178549e43f0800",
+        "00000000f03ff50758ed4cb6ebbf2d85ce27a7ffdfbf08000000013000000000000000200000",
+        "0000000000000000000000f03f00000000000000000000000000000000000000000000000063",
+        "d55714ca2b6d3f000000000000f03f00000000000000000000000000000000cb2b1abd38fff4",
+        "bfb2ff491fcf08e53f000000000000f03f000000000000000000000000000000000000000000",
+        "0000001c5704e7872b6d3f000000000000f03fb59ee4df35cad63f831f5ad69dd4c6bf6cf638",
+        "0017fff4bfcb52373dad08e53f00000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000e647b2c02cad63f0377aff369d4c6",
+        "bf00000000000000000000000000000000000000000000000000000000000000000400000000",
+        "0000005ded42b6388d714015d4f51a6af1ff3f4441e087608d7140d47d0c3c6af1ff3f040000",
+        "00000000004c870b8190933140f6fb642df6dad2bf117a4eff91733140c0a80840dffce1bf00",
+        "0000000000f03f000000000000f03f000000000000f03f000000000000f03fdc4aa68fe8fff7",
+        "3fea9d15a5e8fff73f0130000000000000002000000000000000000000000000f03f00000000",
+        "0000000000000000000000000000000000000000cd0b2ae93398fd3d000000000000f03f0000",
+        "0000000000000000000000000000177144c68518f5bfa7f357c68518e53f000000000000f03f",
+        "0000000000000000000000000000000000000000000000001bcbbaf99adcf53d000000000000",
+        "f03f016d4c2e1762d43fd9465f2e1762c4bf6b3b682f2533f5bf22b7762f2533e53f00000000",
         "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "000000000000005005ccaab507e23f8ca521abb507d2bf000000000000000000000000000000",
-        "00000000000000000000000000000000000004000000000000002d39c41936ccad415714edfe",
-        "ffffff3f5f2b811fe8f3ba41c90768ffffffff3f00040000000000000011113087af714d4057",
-        "41d0350ab3cdbf03131494863e4e40ea446ca1a0ffdfbfb30b66df19b4344126cca7bdc0042b",
-        "41a0be658b1af6304103ccc7a33e704341aa567b010e00f83fc609bc440d00f83f0130000000",
+        "000000000000f6d698ca94ccd43f9b0ca7ca94ccc4bf00000000000000000000000000000000",
+        "000000000000000000000000000000000400000000000000d9d984bcec4ce141cc67e2ffffff",
+        "ff3f382a544a7f6be7416523eaffffffff3f0400000000000000af41e01a4bff50405788c47a",
+        "08b3cdbf043504c554f84b409b6be624a0ffdfbfd646486b77db6e410766ce04e6e257412ed8",
+        "766e0a365c41e487167a0c7c6341737a3c5f3dfff73fa7dae70541fff73f0130000000000000",
+        "002000000000000000000000000000f03f000000000000000000000000000000000000000000",
+        "000000a75c5bd49a3b2b3e000000000000f03f00000000000000000000000000000000644254",
+        "40715bfcbf2f521541715bec3f000000000000f03f0000000000000000000000000000000000",
+        "00000000000000f9b341c0073e133e000000000000f03fd2be225de3b6e83f9701cb5de3b6d8",
+        "bf31ef1262cbc0febf88e75c62cbc0ee3f000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000b71340e9781ed3f9a697b",
+        "0e9781ddbf000000000000000000000000000000000000000000000000000000000000000004",
+        "00000000000000d607089a03cdb241292326ffffffff3f3b621b5ea89bca41e107b3ffffffff",
+        "3f0400000000000000f3cc58f1ed2d68402e53d6600db3cdbfd90224556ff766406492c1eea0",
+        "ffdfbf8bcc0c118a3a01413ba9442079870141e905b310089642411900acca72675f41c7a5bb",
+        "e2e6fff73fc7fb5ef5e6fff73f0130000000000000002000000000000000000000000000f03f",
+        "0000000000000000000000000000000000000000000000005c576efb4ead023e000000000000",
+        "f03f000000000000000000000000000000009936f30f0ca5f7bf64d00e100ca5e73f00000000",
+        "0000f03f0000000000000000000000000000000000000000000000007f4a78c0f58ff43d0000",
+        "00000000f03f92823e503094de3f833462503094cebfb4ee0a9ae7b2f6bfa384199ae7b2e63f",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000a51bf8739ecbda3f745309749ecbcabf000000000000000000000000",
+        "00000000000000000000000000000000000000000400000000000000bfa6f4a2d569db4162a5",
+        "daffffffff3f6effdee35ee6e8410a70ebffffffff3f0400000000000000ed8aa81296b24440",
+        "27eb356c08b3cdbf3f9162fdac0a4b40bef42a23a0ffdfbfed9aec36f64c6c4120b117a58078",
+        "5b41e58e2ca9f2c36041c3cb6b2726b06a41cc7af0c30100f83f9f04572c0100f83f01300000",
         "00000000002000000000000000000000000000f03f0000000000000000000000000000000000",
-        "00000000000000a9e3c148abd7133e000000000000f03f000000000000000000000000000000",
-        "00b0063e91cab2fcbffc348591cab2ec3f000000000000f03f00000000000000000000000000",
-        "00000000000000000000003f479b50ab4d0c3e000000000000f03ff19ba74f9565e93fdd99e6",
-        "4f9565d9bf87c3e3e77f41fdbf2b8417e87f41ed3f0000000000000000000000000000000000",
-        "00000000000000000000000000000000000000000000000000000000000000136d90f3ff82ea",
-        "3f0653bff3ff82dabf0000000000000000000000000000000000000000000000000000000000",
-        "000000000400000000000000fa5e002aa2cdc94153a1b0ffffffff3f369eb6bdf616d241a964",
-        "c7ffffffff3f0004000000000000001b7b0c72c6195b403ef8c24809b3cdbff57958f600185e",
-        "4016d0427ca0ffdfbfc6dd98469b4424412b54a33173b325411b3b22087b365a411caaaa06fe",
-        "2e63414c833690f9fff73f7bfd3142f9fff73f01300000000000000000200000000000000000",
-        "0000000000f03f000000000000000000000000000000000000000000000000fdd42a03f202ef",
-        "3d000000000000f03f000000000000000000000000000000008b4dcb2fd270febf970dda2fd2",
-        "70ee3f000000000000f03f000000000000000000000000000000000000000000000000ea98a1",
-        "116787103e000000000000f03f02bc366aa4e1ec3fa2ba446aa4e1dcbf6db006a74f02f8bf67",
-        "4b38a74f02e83f00000000000000000000000000000000000000000000000000000000000000",
-        "00000000000000000000000000000000004845d9829f04e03fa35dfa829f04d0bf0000000000",
-        "000000000000000000000000000000000000000000000000000000000400000000000000871c",
-        "b7758f82f041877ef0ffffffff3f61fcee42dcf9ce4164e2bdffffffff3f0004000000000000",
-        "00ccbcd4f97a5660409dd7387b08b3cdbfe4142fa1340a63405d4c25afa0ffdfbf1baadf1737",
-        "ba3341d98d27721e403a4154a9a304c31283419c15ebbed6d85341729b8736eafff73f9cf8eb",
-        "27eafff73f013000000000000000002000000000000000000000000000f03f00000000000000",
-        "00000000000000000000000000000000006cc4e19d977ffe3d000000000000f03f0000000000",
-        "0000000000000000000000ebd0b69ced95fbbf781bd19ced95eb3f000000000000f03f000000",
-        "000000000000000000000000000000000000000000a437e4d73ea3f23d000000000000f03f65",
-        "da2a42db2be73fe7ef4042db2bd7bfdc4d9413c51cfbbf5b18a413c51ceb3f00000000000000",
+        "0000000000000037ab238bba2e313e000000000000f03f000000000000000000000000000000",
+        "00135a90fb7d1df7bfd4f056fc7d1de73f000000000000f03f00000000000000000000000000",
+        "0000000000000000000000434e8ce206ff223e000000000000f03fa3036099f875dc3f5d8754",
+        "9af875ccbf9e7c10bdda03f9bfd84887bdda03e93f0000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000000000000005005ccaab507e2",
+        "3f8ca521abb507d2bf0000000000000000000000000000000000000000000000000000000000",
+        "00000004000000000000002d39c41936ccad415714edfeffffff3f5f2b811fe8f3ba41c90768",
+        "ffffffff3f040000000000000011113087af714d405741d0350ab3cdbf03131494863e4e40ea",
+        "446ca1a0ffdfbfb30b66df19b4344126cca7bdc0042b41a0be658b1af6304103ccc7a33e7043",
+        "41aa567b010e00f83fc609bc440d00f83f013000000000000000200000000000000000000000",
+        "0000f03f000000000000000000000000000000000000000000000000a9e3c148abd7133e0000",
+        "00000000f03f00000000000000000000000000000000b0063e91cab2fcbffc348591cab2ec3f",
+        "000000000000f03f0000000000000000000000000000000000000000000000003f479b50ab4d",
+        "0c3e000000000000f03ff19ba74f9565e93fdd99e64f9565d9bf87c3e3e77f41fdbf2b8417e8",
+        "7f41ed3f00000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000136d90f3ff82ea3f0653bff3ff82dabf0000000000000000",
+        "0000000000000000000000000000000000000000000000000400000000000000fa5e002aa2cd",
+        "c94153a1b0ffffffff3f369eb6bdf616d241a964c7ffffffff3f04000000000000001b7b0c72",
+        "c6195b403ef8c24809b3cdbff57958f600185e4016d0427ca0ffdfbfc6dd98469b4424412b54",
+        "a33173b325411b3b22087b365a411caaaa06fe2e63414c833690f9fff73f7bfd3142f9fff73f",
+        "0130000000000000002000000000000000000000000000f03f00000000000000000000000000",
+        "0000000000000000000000fdd42a03f202ef3d000000000000f03f0000000000000000000000",
+        "00000000008b4dcb2fd270febf970dda2fd270ee3f000000000000f03f000000000000000000",
+        "000000000000000000000000000000ea98a1116787103e000000000000f03f02bc366aa4e1ec",
+        "3fa2ba446aa4e1dcbf6db006a74f02f8bf674b38a74f02e83f00000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000004845d9",
+        "829f04e03fa35dfa829f04d0bf00000000000000000000000000000000000000000000000000",
+        "000000000000000400000000000000871cb7758f82f041877ef0ffffffff3f61fcee42dcf9ce",
+        "4164e2bdffffffff3f0400000000000000ccbcd4f97a5660409dd7387b08b3cdbfe4142fa134",
+        "0a63405d4c25afa0ffdfbf1baadf1737ba3341d98d27721e403a4154a9a304c31283419c15eb",
+        "bed6d85341729b8736eafff73f9cf8eb27eafff73f0130000000000000002000000000000000",
+        "000000000000f03f0000000000000000000000000000000000000000000000006cc4e19d977f",
+        "fe3d000000000000f03f00000000000000000000000000000000ebd0b69ced95fbbf781bd19c",
+        "ed95eb3f000000000000f03f000000000000000000000000000000000000000000000000a437",
+        "e4d73ea3f23d000000000000f03f65da2a42db2be73fe7ef4042db2bd7bfdc4d9413c51cfbbf",
+        "5b18a413c51ceb3f000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000006c0f652e8a39e63f2b01722e8a39d6bf00000000",
+        "0000000000000000000000000000000000000000000000000000000004000000000000001976",
+        "15c4aac9e0416880e1ffffffff3f9737bcc6a278eb41c15cedffffffff3f0400000000000000",
+        "9deb8e9228134b40ed8b7f6f08b3cdbfa13dbf70c9625240785a3527a0ffdfbf3b0fceac63cb",
+        "5941d4a08ebb52866141b64f61889b1e6f41b2170774f26b7841f5b30962e8fff73f787cf091",
+        "e8fff73f00000000000014406000000000000000c96f060a9b34323f50914fcd8172443e0102",
+        "000000000000e03f0000000000001840ae47e17a14aeef3f0000000000001440600000000000",
+        "0000c96f060a9b34323f50914fcd8172443e00000000000000000000000000000000785c17c2",
+        "57b439400101000000000000f03f4000000000000000000000f83fcdccccccccccf83f010400",
+        "000000000000a09999999999b93f909999999999b93f00000000000000000000000000000000",
+        "04000000000000009b7b1a61b9a7b13ffd1e7cf0c107af3f0000000000000000000000000000",
+        "00000200000002000000989999999999c93f8d45ac2ccd95c03f010102000000000000e03f00",
+        "00000000001840ae47e17a14aeef3f0000000000001440000000000000000000000000000000",
         "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "0000006c0f652e8a39e63f2b01722e8a39d6bf00000000000000000000000000000000000000",
-        "00000000000000000000000000000400000000000000197615c4aac9e0416880e1ffffffff3f",
-        "9737bcc6a278eb41c15cedffffffff3f0004000000000000009deb8e9228134b40ed8b7f6f08",
-        "b3cdbfa13dbf70c9625240785a3527a0ffdfbf3b0fceac63cb5941d4a08ebb52866141b64f61",
-        "889b1e6f41b2170774f26b7841f5b30962e8fff73f787cf091e8fff73f000000000000144060",
-        "00000000000000c96f060a9b34323f50914fcd8172443e0102000000000000e03f0000000000",
-        "001840ae47e17a14aeef3f00000000000014406000000000000000c96f060a9b34323f50914f",
-        "cd8172443e00000000000000000000000000000000785c17c257b439400101000000000000f0",
-        "3f4000000000000000000000f83fcdccccccccccf83f010400000000000000a09999999999b9",
-        "3f909999999999b93f0000000000000000000000000000000004000000000000009b7b1a61b9",
-        "a7b13ffd1e7cf0c107af3f000000000000000000000000000000000200000002000000989999",
-        "999999c93f8d45ac2ccd95c03f010102000000000000e03f0000000000001840ae47e17a14ae",
-        "ef3f000000000000144000000000000000000000000000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000000000000000000010000000",
+        "0000000010000000",
     );
 
     /// Cold-tier series blobs round-trip bit-identically, a blob spilled
-    /// by the previous (v9) build rehydrates to the same series, and
+    /// by the previous (v10) build rehydrates to the same series, and
     /// corrupted blobs are rejected with typed errors.
     #[test]
     fn series_blob_roundtrips_exactly() {
@@ -1534,50 +1452,24 @@ mod tests {
             Err(CodecError::UnsupportedVersion(_))
         ));
 
-        let v9 = unhex(V9_LIVE_BLOB_HEX);
-        assert_eq!(u16::from_le_bytes([v9[0], v9[1]]), 9);
-        assert_eq!(decode_series_blob(&v9).unwrap(), sample_live_series());
-        // the first state vector (the seasonal buffer) sits after the
-        // version, key, last_seen, phase tag, detector config, and the
-        // period/t/m/shift words; v9's compact layout tag there is refused
-        let PhaseSnapshot::Live { decomposer, .. } = &snap.series[2].phase else {
-            unreachable!("sample_live_series is live");
-        };
-        let mut config = Writer::default();
-        encode_detector_config(&mut config, &decomposer.config);
-        let tag = 2 + (4 + 4) + 8 + 1 + config.buf.len() + 4 * 8;
-        assert_eq!(v9[tag], 0, "exact layout tag");
-        let mut compact = v9.clone();
-        compact[tag] = 1;
-        assert_eq!(
-            decode_series_blob(&compact),
-            Err(CodecError::Invalid("v9 state vector layout"))
-        );
+        let v10 = unhex(V10_LIVE_BLOB_HEX);
+        assert_eq!(u16::from_le_bytes([v10[0], v10[1]]), 10);
+        assert_eq!(decode_series_blob(&v10).unwrap(), sample_live_series());
     }
 
-    /// A v9 image decodes to what its writer held, rewrites as v10 one
-    /// byte shorter (the dropped compression byte; the sample carries no
-    /// state vectors), and a v9 image selecting the lossy compact layout
-    /// is refused.
+    /// A v10 image decodes to what its writer held and rewrites as v11
+    /// byte for byte apart from the version: the sample's trend-CUSUM
+    /// selections kept their v10 tags.
     #[test]
-    fn v9_snapshots_decode_and_rewrite_as_v10() {
-        let v9 = unhex(V9_SAMPLE_HEX);
-        let back = decode(&v9).expect("the previous version stays readable");
+    fn v10_snapshots_decode_and_rewrite_as_v11() {
+        let v10 = unhex(V10_SAMPLE_HEX);
+        assert_eq!(u16::from_le_bytes([v10[8], v10[9]]), 10);
+        let back = decode(&v10).expect("the previous version stays readable");
         assert_eq!(back, sample_snapshot());
-        let v10 = encode(&back);
-        assert_eq!(u16::from_le_bytes([v10[8], v10[9]]), VERSION);
-        assert_eq!(v10.len(), v9.len() - 1);
-        assert_eq!(decode(&v10).unwrap(), back);
-
-        // the compression byte closes the v9 config, just before the
-        // one-byte `spill_after: None`
-        let mut config = Writer::default();
-        encode_config(&mut config, &back.config);
-        let at = 8 + 2 + 1 + config.buf.len() - 1;
-        assert_eq!(v9[at], 0, "exact layout selected");
-        let mut compact = v9.clone();
-        compact[at] = 1;
-        assert_eq!(decode(&compact), Err(CodecError::Invalid("v9 state compression")));
+        let v11 = encode(&back);
+        assert_eq!(u16::from_le_bytes([v11[8], v11[9]]), VERSION);
+        assert_eq!((&v11[..8], &v11[10..]), (&v10[..8], &v10[10..]));
+        assert_eq!(decode(&v11).unwrap(), back);
     }
 
     /// The delta chain-header parser reads `(prev_batches, batches)`
@@ -1597,13 +1489,12 @@ mod tests {
         assert!(decode_delta_chain(&encode(&sample_snapshot())).is_err());
     }
 
-    /// Live backend state — every variant — round-trips through the v7
-    /// codec bit-identically, and a crafted image smuggling degenerate
-    /// backend state (NaN bsf, non-finite retained values, all-NaN
-    /// ensemble weights) fails to decode with a typed error.
+    /// Live backend state — every variant — round-trips bit-identically,
+    /// and a crafted image smuggling degenerate backend state (a
+    /// non-finite trend prev, a retired state tag) fails to decode with a
+    /// typed error.
     #[test]
     fn backend_state_roundtrips_and_degenerate_state_is_rejected() {
-        use crate::backend::BackendScore;
         let t = 12usize;
         let y: Vec<f64> = (0..8 * t)
             .map(|i| 1.0 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
@@ -1613,53 +1504,6 @@ mod tests {
             5.0,
         );
         det.init(&y[..4 * t], t).unwrap();
-        // run real state into each backend variant
-        let selects = [
-            BackendSelect::Damp(DampOptions { window: 64, subseq: 8 }),
-            BackendSelect::TrendCusum(ScoreConfig::default()),
-            BackendSelect::Ensemble(EnsembleOptions::default()),
-        ];
-        let fused =
-            oneshotstl::ScoreVerdict { score: 0.1, z: 0.1, cusum: 0.0, is_anomaly: false };
-        for select in selects {
-            let mut b = SeriesBackend::build(select, 5.0, t).unwrap();
-            for i in 0..150 {
-                let p = tskit::series::DecompPoint {
-                    trend: 1.0 + 0.01 * i as f64,
-                    seasonal: 0.0,
-                    residual: 0.2 * (i as f64 / 3.0).sin(),
-                };
-                let _: BackendScore = b.observe(&p, &fused);
-            }
-            let mut snap = sample_snapshot();
-            snap.series.push(SeriesSnapshot {
-                key: SeriesKey::new("live"),
-                last_seen: 60,
-                phase: PhaseSnapshot::Live {
-                    decomposer: det.decomposer.to_state(),
-                    scorer: det.scorer().to_state(),
-                    forecast: None,
-                    backend: Some(b.to_snapshot()),
-                },
-            });
-            let back = decode(&encode(&snap)).expect("backend-bearing image decodes");
-            assert_eq!(back, snap, "{select:?} round-trips bit-identically");
-        }
-        // degenerate state must be rejected, never restored
-        let mut b =
-            SeriesBackend::build(BackendSelect::Ensemble(EnsembleOptions::default()), 5.0, t)
-                .unwrap();
-        for i in 0..120 {
-            let p = tskit::series::DecompPoint {
-                trend: 1.0,
-                seasonal: 0.0,
-                residual: 0.2 * (i as f64 / 3.0).sin(),
-            };
-            b.observe(&p, &fused);
-        }
-        let BackendSnapshot::Ensemble { damp, trend, fusion, weights } = b.to_snapshot() else {
-            unreachable!()
-        };
         let make = |bs: BackendSnapshot| {
             let mut snap = sample_snapshot();
             snap.series.push(SeriesSnapshot {
@@ -1672,34 +1516,50 @@ mod tests {
                     backend: Some(bs),
                 },
             });
-            encode(&snap)
+            (snap.clone(), encode(&snap))
         };
-        let mut bad_damp = damp.clone();
-        bad_damp.damp.bsf = f64::NAN;
-        assert_eq!(
-            decode(&make(BackendSnapshot::Damp(bad_damp))),
-            Err(CodecError::Invalid("backend state")),
-            "NaN bsf"
-        );
-        let mut bad_buf = damp.clone();
-        if let Some(v) = bad_buf.damp.buf.first_mut() {
-            *v = f64::INFINITY;
+        // run real state into each backend variant
+        let fused =
+            oneshotstl::ScoreVerdict { score: 0.1, z: 0.1, cusum: 0.0, is_anomaly: false };
+        for select in [
+            BackendSelect::TrendCusum(ScoreConfig::default()),
+            BackendSelect::Ensemble(ScoreConfig::default()),
+        ] {
+            let mut b = SeriesBackend::build(select, 5.0).unwrap();
+            for i in 0..150 {
+                let p = tskit::series::DecompPoint {
+                    trend: 1.0 + 0.01 * i as f64 + 0.1 * (i as f64 / 3.0).sin(),
+                    seasonal: 0.0,
+                    residual: 0.0,
+                };
+                b.observe(&p, &fused);
+            }
+            let good = b.to_snapshot();
+            let (snap, bytes) = make(good.clone());
+            assert_eq!(decode(&bytes).expect("backend-bearing image decodes"), snap);
+
+            // degenerate state must be rejected, never restored
+            let (BackendSnapshot::TrendCusum(trend) | BackendSnapshot::Ensemble(trend)) = &good;
+            let mut bad = trend.clone();
+            bad.prev = f64::NAN;
+            let bad = match good {
+                BackendSnapshot::TrendCusum(_) => BackendSnapshot::TrendCusum(bad),
+                BackendSnapshot::Ensemble(_) => BackendSnapshot::Ensemble(bad),
+            };
+            assert_eq!(decode(&make(bad).1), Err(CodecError::Invalid("backend state")));
+
+            // the state tag sits just before the trend state, which closes
+            // the image; the retired DAMP (0) and three-channel ensemble
+            // (2) tags are refused
+            let mut w = Writer::default();
+            encode_trend_cusum_state(&mut w, trend);
+            let at = bytes.len() - w.buf.len() - 1;
+            for retired in [0, 2] {
+                let mut old = bytes.clone();
+                old[at] = retired;
+                assert_eq!(decode(&old), Err(CodecError::Invalid("backend state tag")));
+            }
         }
-        assert!(decode(&make(BackendSnapshot::Damp(bad_buf))).is_err(), "non-finite value");
-        let mut bad_trend = trend.clone();
-        bad_trend.prev = f64::NAN;
-        assert!(
-            decode(&make(BackendSnapshot::TrendCusum(bad_trend))).is_err(),
-            "NaN trend prev"
-        );
-        let bad_weights = BackendSnapshot::Ensemble {
-            damp: damp.clone(),
-            trend: trend.clone(),
-            fusion,
-            weights: [f64::NAN; 3],
-        };
-        assert!(decode(&make(bad_weights)).is_err(), "NaN ensemble weights");
-        let _ = weights;
     }
 
     /// A crafted v6 image smuggling degenerate forecast state — a NaN
@@ -1769,9 +1629,23 @@ mod tests {
         wrong_version[8] = 0xEE;
         assert!(matches!(decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
         // only the current and the previous version are read
-        let mut v8 = bytes.clone();
-        v8[8..10].copy_from_slice(&8u16.to_le_bytes());
-        assert_eq!(decode(&v8), Err(CodecError::UnsupportedVersion(8)));
+        for old in [8u16, 9] {
+            let mut image = bytes.clone();
+            image[8..10].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(decode(&image), Err(CodecError::UnsupportedVersion(old)));
+        }
+        // the engine's backend selection closes the config, before its
+        // score config and the one-byte `spill_after: None`; the retired
+        // DAMP (1) and three-channel ensemble (3) tags are refused
+        let mut config = Writer::default();
+        encode_config(&mut config, &snap.config);
+        let at = 8 + 2 + 1 + config.buf.len() - 1 - (1 + 3 * 8) - 1;
+        assert_eq!(bytes[at], 2, "trend-CUSUM select tag");
+        for retired in [1, 3] {
+            let mut old = bytes.clone();
+            old[at] = retired;
+            assert_eq!(decode(&old), Err(CodecError::Invalid("backend select tag")));
+        }
         // a crafted vector length whose byte count fits in usize but whose
         // end offset overflows it: the warming series' `values` length
         // follows its key, last_seen, and phase tag

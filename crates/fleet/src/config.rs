@@ -136,9 +136,9 @@ pub struct AdmitOptions {
     /// Forecasting override: enable/disable or re-tune the forecast head
     /// and error tracker for this series (see [`ForecastOptions`]).
     pub forecast: Option<ForecastOptions>,
-    /// Detection-backend override: run DAMP, the trend-innovation CUSUM,
-    /// or an ensemble instead of (or on top of) the fused residual
-    /// scorer for this series (see [`BackendSelect`]).
+    /// Detection-backend override: run the trend-innovation CUSUM alone
+    /// or as an ensemble with the fused residual scorer for this series
+    /// (see [`BackendSelect`]).
     pub backend: Option<BackendSelect>,
 }
 
@@ -517,28 +517,21 @@ mod tests {
 
     #[test]
     fn degenerate_backend_selections_are_rejected() {
-        use crate::backend::{DampOptions, EnsembleOptions};
+        let bad = ScoreConfig { cusum_h: f64::NAN, ..Default::default() };
         // engine-wide backend config…
-        let mut cfg = FleetConfig {
-            backend: BackendSelect::Damp(DampOptions { window: 8, subseq: 0 }),
-            ..Default::default()
-        };
+        let mut cfg =
+            FleetConfig { backend: BackendSelect::TrendCusum(bad), ..Default::default() };
         assert!(cfg.validate().is_err());
-        cfg.backend = BackendSelect::Ensemble(EnsembleOptions {
-            weights: [0.0; 3],
-            ..Default::default()
-        });
+        cfg.backend = BackendSelect::Ensemble(bad);
         assert!(cfg.validate().is_err());
-        cfg.backend = BackendSelect::Ensemble(EnsembleOptions::default());
+        cfg.backend = BackendSelect::Ensemble(ScoreConfig::default());
         assert_eq!(cfg.validate(), Ok(()));
         // …and per-series overrides
-        let opts = AdmitOptions {
-            backend: Some(BackendSelect::Damp(DampOptions { window: 16, subseq: 12 })),
-            ..Default::default()
-        };
+        let opts =
+            AdmitOptions { backend: Some(BackendSelect::Ensemble(bad)), ..Default::default() };
         assert!(opts.validate().is_err());
         let ok = AdmitOptions {
-            backend: Some(BackendSelect::Damp(DampOptions::default())),
+            backend: Some(BackendSelect::TrendCusum(ScoreConfig::default())),
             ..Default::default()
         };
         assert_eq!(ok.validate(), Ok(()));

@@ -39,14 +39,11 @@
 //!   overrides bake into the detector at promotion and survive
 //!   snapshot/restore and crash recovery.
 //! - **Detection backends.** Beyond the default fused scorer, a series
-//!   can run a windowed streaming DAMP discord detector over its
-//!   decomposed residual, a trend-innovation CUSUM over its trend
-//!   component, or an ensemble fusing all three verdicts
+//!   can run a trend-innovation CUSUM over its decomposed trend, alone or
+//!   as an ensemble with the fused scorer (`max` score, OR verdict)
 //!   ([`BackendSelect`]; engine-wide via [`FleetConfig::backend`] or per
-//!   series via [`AdmitOptions::backend`]). Backends implement the
-//!   [`DetectorBackend`] trait (streaming, allocation-free observe over
-//!   the decomposed point) and their state snapshots with the series,
-//!   restoring bit-identically.
+//!   series via [`AdmitOptions::backend`]). The backend's allocation-free
+//!   state snapshots with the series and restores bit-identically.
 //! - **Forecasting.** With [`ForecastOptions`] enabled (engine-wide via
 //!   [`FleetConfig::forecast`] or per series), a live series answers
 //!   [`FleetEngine::forecast`] with the paper's §5 damped-trend
@@ -138,10 +135,7 @@ pub mod shard;
 pub mod types;
 pub mod wal;
 
-pub use backend::{
-    BackendScore, BackendSelect, BackendSnapshot, DampBackend, DampBackendState, DampOptions,
-    DetectorBackend, EnsembleFusion, EnsembleOptions, SeriesBackend,
-};
+pub use backend::{BackendSelect, BackendSnapshot, SeriesBackend};
 pub use batch::ShardBatch;
 pub use cold_tier::ColdStore;
 pub use config::{AdmitOptions, FleetConfig, ForecastOptions, PeriodPolicy, QueuePolicy};

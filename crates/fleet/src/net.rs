@@ -71,7 +71,7 @@ use tskit::series::DecompPoint;
 pub const NET_MAGIC: [u8; 8] = *b"OSTLFNET";
 
 /// Wire protocol version, bumped on any frame-format change.
-pub const NET_VERSION: u16 = 1;
+pub const NET_VERSION: u16 = 2;
 
 /// Upper bound on a frame's payload length (64 MiB). A length prefix
 /// beyond this is rejected before any allocation happens — the first
@@ -460,7 +460,6 @@ fn encode_stats(w: &mut Writer, s: &FleetStats) {
     w.u64(s.z_alarms);
     w.u64(s.cusum_alarms);
     w.u64(s.forecast_alarms);
-    w.u64(s.damp_alarms);
     w.u64(s.trend_alarms);
     w.u64(s.wal_retries);
     w.u64(s.shard_restarts);
@@ -486,7 +485,6 @@ fn encode_stats(w: &mut Writer, s: &FleetStats) {
         w.u64(sh.z_alarms);
         w.u64(sh.cusum_alarms);
         w.u64(sh.forecast_alarms);
-        w.u64(sh.damp_alarms);
         w.u64(sh.trend_alarms);
         w.u64(sh.cold_resident as u64);
         w.u64(sh.spills);
@@ -510,7 +508,6 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<FleetStats, CodecError> {
         z_alarms: r.u64()?,
         cusum_alarms: r.u64()?,
         forecast_alarms: r.u64()?,
-        damp_alarms: r.u64()?,
         trend_alarms: r.u64()?,
         wal_retries: r.u64()?,
         shard_restarts: r.u64()?,
@@ -521,8 +518,8 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<FleetStats, CodecError> {
         cold_errors: r.u64()?,
         shards: Vec::new(),
     };
-    // u32 shard + 20 × u64
-    let n = checked_count(r, 164)?;
+    // u32 shard + 19 × u64
+    let n = checked_count(r, 156)?;
     s.shards.reserve(n);
     for _ in 0..n {
         s.shards.push(ShardStats {
@@ -541,7 +538,6 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<FleetStats, CodecError> {
             z_alarms: r.u64()?,
             cusum_alarms: r.u64()?,
             forecast_alarms: r.u64()?,
-            damp_alarms: r.u64()?,
             trend_alarms: r.u64()?,
             cold_resident: r.u64()? as usize,
             spills: r.u64()?,

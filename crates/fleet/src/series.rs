@@ -346,15 +346,13 @@ impl SeriesState {
                     };
                     return StepOutcome::Output(PointOutput::Quarantined);
                 }
-                let (mut score, mut is_anomaly) = (verdict.score, verdict.is_anomaly);
                 // backend dispatch: the selected backend's verdict
                 // *replaces* the fused scorer's (an Ensemble backend
-                // folds the fused verdict back in as one of its members)
-                if let Some(b) = &mut live.backend {
-                    let bv = b.observe(&point, &verdict);
-                    score = bv.score;
-                    is_anomaly = bv.is_anomaly;
-                }
+                // folds the fused verdict back in as one of its channels)
+                let (score, mut is_anomaly) = match &mut live.backend {
+                    Some(b) => b.observe(&point, &verdict),
+                    None => (verdict.score, verdict.is_anomaly),
+                };
                 // forecast head: score the realized value against the
                 // pending one-step forecast, issue the next one, and
                 // (optionally) fuse a model-drift alarm into the verdict
@@ -449,7 +447,6 @@ impl SeriesState {
                 let backend = SeriesBackend::build(
                     w.overrides.task_backend(config),
                     w.overrides.task_nsigma(config),
-                    period,
                 );
                 *self = SeriesState::Live(LiveSeries { detector, forecast, backend });
                 StepOutcome::Promoted(PointOutput::Warming { buffered, needed: Some(buffered) })

@@ -908,9 +908,7 @@ impl ShardState {
                         s.forecast_alarms += f.alarms();
                     }
                     if let Some(b) = &live.backend {
-                        let (damp, trend) = b.alarm_counts();
-                        s.damp_alarms += damp;
-                        s.trend_alarms += trend;
+                        s.trend_alarms += b.trend_alarms();
                     }
                 }
                 SeriesState::Warming(_) => s.warming += 1,

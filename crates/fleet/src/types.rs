@@ -169,9 +169,6 @@ pub struct FleetStats {
     /// Forecast error-fusion (model-drift) alarms across live series
     /// (same caveat; 0 without forecasting).
     pub forecast_alarms: u64,
-    /// DAMP-backend alarms across live series (same caveat; 0 without a
-    /// DAMP or ensemble backend).
-    pub damp_alarms: u64,
     /// Trend-innovation-CUSUM-backend alarms (z + CUSUM channels) across
     /// live series (same caveat; 0 without a trend or ensemble backend).
     pub trend_alarms: u64,
@@ -234,8 +231,6 @@ pub struct ShardStats {
     pub cusum_alarms: u64,
     /// Forecast error-fusion alarms across this shard's live series.
     pub forecast_alarms: u64,
-    /// DAMP-backend alarms across this shard's live series.
-    pub damp_alarms: u64,
     /// Trend-CUSUM-backend alarms across this shard's live series.
     pub trend_alarms: u64,
     /// Series resident in this shard's cold tier.

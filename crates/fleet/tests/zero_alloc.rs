@@ -1,9 +1,8 @@
 //! Pins the zero-allocation guarantee of the fleet's detection-backend
-//! hot path: after construction and warm-up, [`DampBackend::observe`]
-//! and the full ensemble [`SeriesBackend::observe`] dispatch perform
-//! **zero heap allocations** per point — including alarming points,
-//! discord bursts (DAMP's compact-then-push ring stays within its
-//! pre-allocated `2 × window` capacity), and non-finite input.
+//! hot path: after construction and warm-up, [`SeriesBackend::observe`]
+//! performs **zero heap allocations** per point for both backends (the
+//! trend CUSUM alone and its ensemble with the fused verdict) —
+//! including alarming points and non-finite input.
 //!
 //! Same counting-allocator technique as `core/tests/zero_alloc.rs`; the
 //! counter is thread-local so libtest's background threads cannot fail
@@ -11,11 +10,8 @@
 //! (`--test zero_alloc` in the fleet package), so deleting or renaming
 //! it fails the build — the regression guard cannot be skipped silently.
 
-use fleet::{
-    BackendSelect, DampBackend, DampOptions, DetectorBackend, EnsembleFusion, EnsembleOptions,
-    SeriesBackend,
-};
-use oneshotstl::ScoreVerdict;
+use fleet::{BackendSelect, SeriesBackend};
+use oneshotstl::{ScoreConfig, ScoreVerdict};
 use std::alloc::{GlobalAlloc, Layout, System};
 use tskit::series::DecompPoint;
 
@@ -53,7 +49,7 @@ fn allocs() -> u64 {
 }
 
 /// Deterministic noise in [-1, 1) (same LCG as the core test), so the
-/// residual stream has non-trivial discord distances without an RNG dep.
+/// trend innovations are non-trivial without an RNG dep.
 fn noise_stream(n: usize, scale: f64) -> Vec<f64> {
     let mut state = 0x5eed_u64;
     (0..n)
@@ -64,94 +60,38 @@ fn noise_stream(n: usize, scale: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Everything the streams need, allocated up front: residuals with an
-/// oscillation-burst discord at `burst_at`, plus a slowly wandering trend.
-fn points(n: usize, burst_at: usize) -> Vec<DecompPoint> {
-    let residuals = noise_stream(n, 0.2);
+/// Everything the streams need, allocated up front: a noisy, slowly
+/// wandering trend with a level shift at `shift_at`.
+fn points(n: usize, shift_at: usize) -> Vec<DecompPoint> {
+    let noise = noise_stream(n, 0.01);
     (0..n)
-        .map(|i| {
-            let mut r = residuals[i];
-            if (burst_at..burst_at + 8).contains(&i) {
-                r += if i % 2 == 0 { 3.0 } else { -3.0 };
-            }
-            DecompPoint {
-                trend: 10.0 + 0.05 * (2.0 * std::f64::consts::PI * i as f64 / 200.0).sin(),
-                seasonal: 0.0,
-                residual: r,
-            }
+        .map(|i| DecompPoint {
+            trend: 10.0
+                + 0.05 * (2.0 * std::f64::consts::PI * i as f64 / 200.0).sin()
+                + noise[i]
+                + if i >= shift_at { 5.0 } else { 0.0 },
+            seasonal: 0.0,
+            residual: 0.0,
         })
         .collect()
 }
 
-/// [`DampBackend::observe`] in steady state: plain points, a discord
-/// burst, an alarming stretch (the bar sits at 0.5σ so the compressed
-/// discord-distance z range actually crosses it), and non-finite input —
+/// Both [`SeriesBackend`] variants in steady state: plain points, a
+/// trend level shift under an alarming fused verdict (every verdict
+/// input fires at once), non-finite input, and the stream after it —
 /// all allocation-free after warm-up.
 #[test]
-fn damp_backend_observe_performs_zero_heap_allocations() {
-    let pts = points(2_200, 1_100);
-    let mut b = DampBackend::new(DampOptions { window: 64, subseq: 8 }, 0.5, 48);
-
-    // warm-up: fill the 2m DAMP history and absorb the normalizer's
-    // 16-distance warm-up
-    for p in &pts[..300] {
-        std::hint::black_box(b.observe(p));
-    }
-
-    // 1) plain steady-state points
-    let before = allocs();
-    for p in &pts[300..1_100] {
-        std::hint::black_box(b.observe(p));
-    }
-    assert_eq!(allocs() - before, 0, "steady-state DAMP observe allocated");
-
-    // 2) the discord burst (ring compaction + full nearest-neighbor
-    //    searches + bsf ratchet) and the tail after it
-    let before = allocs();
-    for p in &pts[1_100..2_100] {
-        std::hint::black_box(b.observe(p));
-    }
-    assert_eq!(allocs() - before, 0, "discord-burst DAMP observe allocated");
-    assert!(b.alarms() > 0, "the low bar must have produced DAMP alarms");
-
-    // 3) non-finite input: the guarded path
-    let before = allocs();
-    std::hint::black_box(b.observe(&DecompPoint {
-        trend: 10.0,
-        seasonal: 0.0,
-        residual: f64::NAN,
-    }));
-    assert_eq!(allocs() - before, 0, "non-finite DAMP observe allocated");
-
-    // 4) and the stream continues allocation-free
-    let before = allocs();
-    for p in &pts[2_100..] {
-        std::hint::black_box(b.observe(p));
-    }
-    assert_eq!(allocs() - before, 0, "post-excursion DAMP observe allocated");
-}
-
-/// The full ensemble dispatch — DAMP + trend-CUSUM + the fused member,
-/// under both fusion rules — is allocation-free in steady state,
-/// including alarming fused verdicts (the OR / weighted-vote paths) and
-/// non-finite input.
-#[test]
-fn ensemble_observe_performs_zero_heap_allocations() {
-    for (fusion, label) in
-        [(EnsembleFusion::Max, "Max"), (EnsembleFusion::WeightedRank, "WeightedRank")]
-    {
+fn backend_observe_performs_zero_heap_allocations() {
+    for select in [
+        BackendSelect::TrendCusum(ScoreConfig::default()),
+        BackendSelect::Ensemble(ScoreConfig::default()),
+    ] {
         let pts = points(2_200, 1_100);
-        let select = BackendSelect::Ensemble(EnsembleOptions {
-            damp: DampOptions { window: 64, subseq: 8 },
-            fusion,
-            weights: [1.0, 2.0, 0.5],
-            ..Default::default()
-        });
-        let mut b = SeriesBackend::build(select, 0.5, 48).expect("ensemble always builds");
+        let mut b = SeriesBackend::build(select, 0.5).expect("non-fused backends build");
         let quiet = ScoreVerdict { score: 0.1, z: 0.1, cusum: 0.0, is_anomaly: false };
         let loud = ScoreVerdict { score: 6.0, z: 6.0, cusum: 2.0, is_anomaly: true };
 
-        // warm-up: DAMP history + normalizer, trend-CUSUM innovation seed
+        // warm-up: the trend-CUSUM innovation statistics
         for p in &pts[..300] {
             std::hint::black_box(b.observe(p, &quiet));
         }
@@ -161,17 +101,15 @@ fn ensemble_observe_performs_zero_heap_allocations() {
         for p in &pts[300..1_100] {
             std::hint::black_box(b.observe(p, &quiet));
         }
-        assert_eq!(allocs() - before, 0, "[{label}] steady-state ensemble observe allocated");
+        assert_eq!(allocs() - before, 0, "[{select:?}] steady-state observe allocated");
 
-        // 2) the discord burst with an alarming fused member: every
-        //    fusion input fires at once
+        // 2) the level shift with an alarming fused verdict
         let before = allocs();
         for p in &pts[1_100..2_100] {
             std::hint::black_box(b.observe(p, &loud));
         }
-        assert_eq!(allocs() - before, 0, "[{label}] alarming ensemble observe allocated");
-        let (damp_alarms, _) = b.alarm_counts();
-        assert!(damp_alarms > 0, "[{label}] the burst must trip the DAMP member");
+        assert_eq!(allocs() - before, 0, "[{select:?}] alarming observe allocated");
+        assert!(b.trend_alarms() > 0, "[{select:?}] the shift must trip the trend channel");
 
         // 3) non-finite input through the full dispatch
         let before = allocs();
@@ -179,13 +117,13 @@ fn ensemble_observe_performs_zero_heap_allocations() {
             &DecompPoint { trend: f64::NAN, seasonal: 0.0, residual: f64::NAN },
             &quiet,
         ));
-        assert_eq!(allocs() - before, 0, "[{label}] non-finite ensemble observe allocated");
+        assert_eq!(allocs() - before, 0, "[{select:?}] non-finite observe allocated");
 
         // 4) and the stream continues allocation-free
         let before = allocs();
         for p in &pts[2_100..] {
             std::hint::black_box(b.observe(p, &quiet));
         }
-        assert_eq!(allocs() - before, 0, "[{label}] post-excursion ensemble observe allocated");
+        assert_eq!(allocs() - before, 0, "[{select:?}] post-excursion observe allocated");
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! 1. **Round-trip bit-identity.** Arbitrary fleet states — varying shard
 //!    counts, series mixes, stream lengths (warming and live phases), and
-//!    per-series detection backends (fused / DAMP / trend-CUSUM / ensemble)
+//!    per-series detection backends (fused / trend-CUSUM / ensemble)
 //!    — encode to bytes that decode and re-encode to the *same* bytes, and
 //!    a restored engine re-snapshots to those bytes too.
 //! 2. **Truncation fails closed.** Every proper prefix of a valid snapshot
@@ -18,8 +18,8 @@ use std::sync::OnceLock;
 
 use oneshotstl_suite::core::ScoreConfig;
 use oneshotstl_suite::fleet::{
-    codec, AdmitOptions, BackendSelect, CodecError, DampOptions, EnsembleFusion,
-    EnsembleOptions, FleetConfig, FleetEngine, PeriodPolicy, Record,
+    codec, AdmitOptions, BackendSelect, CodecError, FleetConfig, FleetEngine, PeriodPolicy,
+    Record,
 };
 use proptest::prelude::*;
 
@@ -33,14 +33,9 @@ fn backend_menu() -> Vec<Option<BackendSelect>> {
     vec![
         None,
         Some(BackendSelect::Fused),
-        Some(BackendSelect::Damp(DampOptions { window: 32, subseq: 4 })),
         Some(BackendSelect::TrendCusum(ScoreConfig::default())),
-        Some(BackendSelect::Ensemble(EnsembleOptions::default())),
-        Some(BackendSelect::Ensemble(EnsembleOptions {
-            fusion: EnsembleFusion::WeightedRank,
-            weights: [1.0, 2.0, 0.5],
-            ..Default::default()
-        })),
+        Some(BackendSelect::Ensemble(ScoreConfig::default())),
+        Some(BackendSelect::Ensemble(ScoreConfig::off())),
     ]
 }
 

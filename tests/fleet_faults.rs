@@ -7,9 +7,8 @@
 
 use oneshotstl_suite::fleet::fault::{self, FaultOp};
 use oneshotstl_suite::fleet::{
-    AdmitOptions, BackendSelect, DampOptions, DurabilityConfig, DurabilityPolicy, DurableFleet,
-    EnsembleOptions, FleetConfig, FleetEngine, FleetError, ForecastOptions, PeriodPolicy,
-    PointOutput, Record, ScoredPoint,
+    AdmitOptions, BackendSelect, DurabilityConfig, DurabilityPolicy, DurableFleet, FleetConfig,
+    FleetEngine, FleetError, ForecastOptions, PeriodPolicy, PointOutput, Record, ScoredPoint,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -446,18 +445,15 @@ fn non_finite_storms_never_panic_across_backends() {
     let opts: [AdmitOptions; 4] = [
         AdmitOptions::default(), // fused scorer
         AdmitOptions {
-            backend: Some(BackendSelect::Damp(DampOptions { window: 48, subseq: 6 })),
-            ..Default::default()
-        },
-        AdmitOptions {
             backend: Some(BackendSelect::TrendCusum(Default::default())),
             ..Default::default()
         },
         AdmitOptions {
-            backend: Some(BackendSelect::Ensemble(EnsembleOptions {
-                damp: DampOptions { window: 48, subseq: 6 },
-                ..Default::default()
-            })),
+            backend: Some(BackendSelect::Ensemble(Default::default())),
+            ..Default::default()
+        },
+        AdmitOptions {
+            backend: Some(BackendSelect::Ensemble(Default::default())),
             forecast: Some(ForecastOptions::on()),
             ..Default::default()
         },

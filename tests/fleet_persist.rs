@@ -535,9 +535,7 @@ fn group_commit_fsyncs_once_per_acked_batch() {
 #[test]
 fn admit_options_survive_crash_recovery_bit_identically() {
     use oneshotstl_suite::core::{Fusion, ScoreConfig, ShiftSearchConfig};
-    use oneshotstl_suite::fleet::{
-        AdmitOptions, BackendSelect, EnsembleOptions, ForecastOptions,
-    };
+    use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect, ForecastOptions};
 
     let total = 140u64;
     let crash_at = 50u64; // past the overridden series' admission at 36
@@ -569,9 +567,9 @@ fn admit_options_survive_crash_recovery_bit_identically() {
             ..ForecastOptions::on()
         }),
         // and a detection-backend override (codec v7): the ensemble's
-        // DAMP window, distance normalizer and trend CUSUM must all come
-        // back bit-identically through checkpoint + WAL replay
-        backend: Some(BackendSelect::Ensemble(EnsembleOptions::default())),
+        // trend CUSUM must come back bit-identically through checkpoint +
+        // WAL replay
+        backend: Some(BackendSelect::Ensemble(ScoreConfig::default())),
     };
 
     // reference: uninterrupted, no durability
@@ -825,7 +823,7 @@ fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
 /// The stats-counter crash-recovery contract, mirroring
 /// `fleet_snapshot::stats_counters_obey_the_snapshot_contract`. Lifetime
 /// counters carry across recovery; the diagnostic counters (shift search,
-/// z/CUSUM, forecast, and the per-backend DAMP/trend alarm counts) are
+/// z/CUSUM, forecast, and the backend's trend alarm counts) are
 /// not serialized — recovery restores the checkpoint (counters reset),
 /// then WAL replay re-runs every batch after it, so the recovered
 /// engine's diagnostics count exactly the alarms fired *since the last
@@ -833,7 +831,7 @@ fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
 /// same span.
 #[test]
 fn stats_counters_obey_the_crash_recovery_contract() {
-    use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect, DampOptions, EnsembleOptions};
+    use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect};
 
     let n_series = 6;
     let mid = 120u64; // explicit checkpoint: the deterministic replay anchor
@@ -841,7 +839,7 @@ fn stats_counters_obey_the_crash_recovery_contract() {
     let total = 260u64;
     let mut streams = build_streams(n_series);
     // irregular spikes on both sides of the checkpoint (spacing/sign/size
-    // varied so DAMP sees discords, not a repeating motif)
+    // varied, so no two alarms repeat one motif)
     for y in streams.iter_mut() {
         for (at, delta) in
             [(100usize, 3.5), (135, -4.5), (180, 5.0), (205, -6.0), (230, 4.0), (245, 7.0)]
@@ -849,21 +847,16 @@ fn stats_counters_obey_the_crash_recovery_contract() {
             y[at] += delta;
         }
     }
-    // same backend mix as the snapshot-side test: DAMP / ensemble /
-    // trend-CUSUM, with the DAMP z bar under its compressed (~1.2σ max)
-    // discord-distance range so the channel actually fires
+    // same backend mix as the snapshot-side test: a low-bar ensemble, a
+    // default ensemble, and a trend CUSUM
     let opts: [AdmitOptions; 3] = [
         AdmitOptions {
             nsigma: Some(0.9),
-            backend: Some(BackendSelect::Damp(DampOptions { window: 128, subseq: 8 })),
+            backend: Some(BackendSelect::Ensemble(Default::default())),
             ..Default::default()
         },
         AdmitOptions {
-            nsigma: Some(0.9),
-            backend: Some(BackendSelect::Ensemble(EnsembleOptions {
-                damp: DampOptions { window: 128, subseq: 8 },
-                ..Default::default()
-            })),
+            backend: Some(BackendSelect::Ensemble(Default::default())),
             ..Default::default()
         },
         AdmitOptions {
@@ -888,7 +881,7 @@ fn stats_counters_obey_the_crash_recovery_contract() {
     let ref_mid = ref_mid.unwrap();
     let ref_end = reference.stats().unwrap();
     assert!(ref_mid.z_alarms > 0, "pre-checkpoint z alarms: {ref_mid:?}");
-    assert!(ref_mid.damp_alarms > 0, "pre-checkpoint DAMP alarms: {ref_mid:?}");
+    assert!(ref_mid.trend_alarms > 0, "pre-checkpoint trend alarms: {ref_mid:?}");
 
     // durable run: cadence off (snapshot_every huge) so the explicit
     // checkpoint at `mid` is the only replay anchor; then crash
@@ -931,9 +924,7 @@ fn stats_counters_obey_the_crash_recovery_contract() {
     assert_eq!(got.z_alarms, ref_end.z_alarms - ref_mid.z_alarms);
     assert_eq!(got.cusum_alarms, ref_end.cusum_alarms - ref_mid.cusum_alarms);
     assert_eq!(got.forecast_alarms, ref_end.forecast_alarms - ref_mid.forecast_alarms);
-    assert_eq!(got.damp_alarms, ref_end.damp_alarms - ref_mid.damp_alarms);
     assert_eq!(got.trend_alarms, ref_end.trend_alarms - ref_mid.trend_alarms);
-    assert!(got.damp_alarms > 0, "no post-checkpoint DAMP alarms to track: {got:?}");
     assert!(got.trend_alarms > 0, "no post-checkpoint trend alarms to track: {got:?}");
 
     // v8 health counters are lifetime counters: carried across recovery

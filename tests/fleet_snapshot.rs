@@ -339,7 +339,7 @@ fn detect_admission_and_noise_rejection() {
 #[test]
 fn admit_options_survive_snapshot_and_shape_admission() {
     use oneshotstl_suite::core::{Fusion, ScoreConfig, ShiftSearchConfig};
-    use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect, DampOptions, ForecastOptions};
+    use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect, ForecastOptions};
 
     let n_ticks = 160u64;
     // two streams: "std" follows the engine's fixed period 24, "vip" is a
@@ -365,7 +365,7 @@ fn admit_options_survive_snapshot_and_shape_admission() {
         // a forecast-head override rides the same snapshot path (codec v6)
         forecast: Some(ForecastOptions { error_window: 32, ..ForecastOptions::on() }),
         // and so does a detection-backend override (codec v7)
-        backend: Some(BackendSelect::Damp(DampOptions { window: 64, subseq: 0 })),
+        backend: Some(BackendSelect::Ensemble(ScoreConfig::default())),
     };
 
     // uninterrupted reference
@@ -532,26 +532,23 @@ fn forecast_state_survives_snapshot_bit_identically() {
 /// The stats-counter snapshot contract. Lifetime counters (`points`,
 /// `anomalies`, `admitted`, `evicted`) carry across a snapshot/restore;
 /// the diagnostic counters (`shift_searches`, `shift_trials`, `z_alarms`,
-/// `cusum_alarms`, `forecast_alarms`, and the per-backend `damp_alarms` /
-/// `trend_alarms`) are documented as *not serialized* — they reset on
+/// `cusum_alarms`, `forecast_alarms`, and the backend's `trend_alarms`)
+/// are documented as *not serialized* — they reset on
 /// restore and then accumulate in lockstep with the reference: because
 /// the continuation is bit-identical, the restored engine's diagnostic
 /// counts at the end must equal exactly the alarms the reference fired
 /// *after* the snapshot point.
 #[test]
 fn stats_counters_obey_the_snapshot_contract() {
-    use oneshotstl_suite::fleet::{
-        AdmitOptions, BackendSelect, DampOptions, EnsembleOptions, ForecastOptions,
-    };
+    use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect, ForecastOptions};
 
     let n_series = 6;
     let mid = 170u64;
     let total = 340u64;
     let mut streams = build_streams(n_series);
     // spikes on both sides of the snapshot so every alarm channel has
-    // counts to lose at restore and counts to re-accumulate afterwards;
-    // irregular spacing/sign/size so DAMP sees genuine discords rather
-    // than a repeating (self-matching) spike motif
+    // counts to lose at restore and counts to re-accumulate afterwards,
+    // at irregular spacing/sign/size
     for y in streams.iter_mut() {
         for (at, delta) in
             [(141usize, 3.5), (157, -4.5), (216, 5.0), (233, -6.0), (262, 4.0), (301, 7.0)]
@@ -561,24 +558,16 @@ fn stats_counters_obey_the_snapshot_contract() {
     }
 
     let opts: [AdmitOptions; 4] = [
-        // series-0: DAMP backend (damp_alarms). The z bar sits *below*
-        // DAMP's steady discord-distance range (~0.9-1.2σ here): the
-        // bsf prune caps how far distances stray from their mean, so a
-        // conventional 3σ bar would never trip on this workload — the
-        // test needs alarms on both sides of the snapshot, not a tuned
-        // detector
+        // series-0: ensemble under a low bar — the test needs alarms on
+        // both sides of the snapshot, not a tuned detector
         AdmitOptions {
             nsigma: Some(0.9),
-            backend: Some(BackendSelect::Damp(DampOptions { window: 128, subseq: 8 })),
+            backend: Some(BackendSelect::Ensemble(Default::default())),
             ..Default::default()
         },
-        // series-1: ensemble — moves damp_alarms *and* trend_alarms
+        // series-1: ensemble at the default bar
         AdmitOptions {
-            nsigma: Some(0.9),
-            backend: Some(BackendSelect::Ensemble(EnsembleOptions {
-                damp: DampOptions { window: 128, subseq: 8 },
-                ..Default::default()
-            })),
+            backend: Some(BackendSelect::Ensemble(Default::default())),
             ..Default::default()
         },
         // series-2: trend-innovation CUSUM (trend_alarms)
@@ -608,7 +597,6 @@ fn stats_counters_obey_the_snapshot_contract() {
 
     // the channels under test actually fired on both sides of `mid`
     assert!(ref_mid.z_alarms > 0, "pre-snapshot z alarms: {ref_mid:?}");
-    assert!(ref_end.damp_alarms > 0, "DAMP backend never alarmed: {ref_end:?}");
     assert!(ref_end.trend_alarms > 0, "trend backend never alarmed: {ref_end:?}");
 
     // interrupted run: snapshot at `mid`, restore, continue bit-identically
@@ -641,9 +629,7 @@ fn stats_counters_obey_the_snapshot_contract() {
     assert_eq!(got.z_alarms, ref_end.z_alarms - ref_mid.z_alarms);
     assert_eq!(got.cusum_alarms, ref_end.cusum_alarms - ref_mid.cusum_alarms);
     assert_eq!(got.forecast_alarms, ref_end.forecast_alarms - ref_mid.forecast_alarms);
-    assert_eq!(got.damp_alarms, ref_end.damp_alarms - ref_mid.damp_alarms);
     assert_eq!(got.trend_alarms, ref_end.trend_alarms - ref_mid.trend_alarms);
-    assert!(got.damp_alarms > 0, "no post-snapshot DAMP alarms to track: {got:?}");
     assert!(got.trend_alarms > 0, "no post-snapshot trend alarms to track: {got:?}");
 
     // the health counters are lifetime counters: carried across the
@@ -659,148 +645,174 @@ fn stats_counters_obey_the_snapshot_contract() {
     assert_eq!(reference.snapshot_bytes().unwrap(), restored.snapshot_bytes().unwrap());
 }
 
-/// Codec read-compatibility with the previous version, pinned at the
-/// *integration* level with a byte blob written by the v9 writer (not
-/// re-encoded by this build's writer): a v9 fleet snapshot — a live
-/// series whose state vectors carry v9's exact-layout tag, a quarantined
-/// tombstone, the seven lifetime counters, a config tail with v9's
-/// compression byte — must restore through the public API and continue
-/// scoring bit-identically to an uninterrupted detector fed the same
-/// stream. If the decoder's previous-version reads drift, this blob is
-/// the tripwire no unit-level round-trip can replace.
+/// A huge but finite value, whose square overflows `f64`, must not poison
+/// a live series' running statistics: the decoder refuses non-finite
+/// NSigma sums, so the scorers skip such a value instead of absorbing
+/// it, and the engine still snapshots to an image that restores and
+/// continues bit-identically.
 #[test]
-fn pinned_v9_snapshot_blob_restores_and_continues_bit_identically() {
+fn huge_finite_values_keep_the_snapshot_restorable() {
+    use oneshotstl_suite::fleet::BackendSelect;
+
+    let cfg = FleetConfig { backend: BackendSelect::Ensemble(Default::default()), ..config() };
+    let mut engine = FleetEngine::new(cfg).unwrap();
+    let streams = build_streams(2);
+    for t in 0..200u64 {
+        let mut recs = batch(&streams, t);
+        if t == 150 {
+            recs[0].value = 1e200;
+        }
+        engine.ingest(recs).unwrap();
+    }
+    let mut restored = FleetEngine::restore_bytes(&engine.snapshot_bytes().unwrap())
+        .expect("the spiked engine restores");
+    for t in 200..260u64 {
+        let (a, b) = (engine.ingest(batch(&streams, t)), restored.ingest(batch(&streams, t)));
+        assert_eq!(a.unwrap(), b.unwrap(), "restored stream diverged at t={t}");
+    }
+}
+
+/// Codec read-compatibility with the previous version, pinned at the
+/// *integration* level with a byte blob written by the v10 writer (not
+/// re-encoded by this build's writer): a v10 fleet snapshot — a live
+/// series, a quarantined tombstone, the seven lifetime counters — must
+/// restore through the public API and continue scoring bit-identically
+/// to an uninterrupted detector fed the same stream. If the decoder's
+/// previous-version reads drift, this blob is the tripwire no unit-level
+/// round-trip can replace.
+#[test]
+fn pinned_v10_snapshot_blob_restores_and_continues_bit_identically() {
     use oneshotstl_suite::core::{
         OneShotStl, OneShotStlConfig, ScoreConfig, StdAnomalyDetector,
     };
 
-    // generated by the v9 writer: config fixed_period(12), clock 95,
+    // generated by the v10 writer: config fixed_period(12), clock 95,
     // batches 96, totals {1,2,300,4,5,6,7}, series "live" (t=12 sine, 96
     // points through init+update) and "q" (quarantined, cause Panic, 11
     // dropped)
-    const V9_BLOB_HEX: &str = concat!(
-        "4f5353544c464c540900000400000003000000000c0000000000000000000014400000000000",
+    const V10_BLOB_HEX: &str = concat!(
+        "4f5353544c464c540a00000400000003000000000c0000000000000000000014400000000000",
         "000000000059400000000000005940000000000000f03f080000001400000000000000000014",
         "4000000000000000e03f00bbbdd7d9df7cdb3d010400000002000000000000e03f0000000000",
-        "001840ae47e17a14aeef3f00000000000000f03f4000000000000000000000f83f0000005f00",
-        "0000000000006000000000000000010000000000000002000000000000002c01000000000000",
-        "0400000000000000050000000000000006000000000000000700000000000000020000000000",
-        "0000040000006c6976655f000000000000000100000000000059400000000000005940000000",
-        "000000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb",
-        "3d01040000000c00000000000000600000000000000030000000000000000000000000000000",
-        "000c00000000000000a975fb3e06eef53e41479d892a00e03f0909deaea4b6eb3f067ee5fa1c",
-        "00f03f41770e65b0b6eb3f88c9ce213400e03f24df0c193890f93e8c2dad719bffdfbf65b7d6",
-        "6349b6ebbfdde4cc58d0ffefbf47dee14c4cb6ebbf773bc8b7a4ffdfbf52b3a7178549e43f08",
-        "0000000000f03ff50758ed4cb6ebbf2d85ce27a7ffdfbf080000000130000000000000000020",
-        "00000000000000000000000000f03f0000000000000000000000000000000000000000000000",
-        "0063d55714ca2b6d3f000000000000f03f00000000000000000000000000000000cb2b1abd38",
-        "fff4bfb2ff491fcf08e53f000000000000f03f00000000000000000000000000000000000000",
-        "00000000001c5704e7872b6d3f000000000000f03fb59ee4df35cad63f831f5ad69dd4c6bf6c",
-        "f6380017fff4bfcb52373dad08e53f0000000000000000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000000000000e647b2c02cad63f0377aff369",
-        "d4c6bf0000000000000000000000000000000000000000000000000000000000000000000400",
-        "0000000000005ded42b6388d714015d4f51a6af1ff3f4441e087608d7140d47d0c3c6af1ff3f",
-        "0004000000000000004c870b8190933140f6fb642df6dad2bf117a4eff91733140c0a80840df",
-        "fce1bf000000000000f03f000000000000f03f000000000000f03f000000000000f03fdc4aa6",
-        "8fe8fff73fea9d15a5e8fff73f013000000000000000002000000000000000000000000000f0",
-        "3f000000000000000000000000000000000000000000000000cd0b2ae93398fd3d0000000000",
-        "00f03f00000000000000000000000000000000177144c68518f5bfa7f357c68518e53f000000",
-        "000000f03f0000000000000000000000000000000000000000000000001bcbbaf99adcf53d00",
-        "0000000000f03f016d4c2e1762d43fd9465f2e1762c4bf6b3b682f2533f5bf22b7762f2533e5",
-        "3f00000000000000000000000000000000000000000000000000000000000000000000000000",
-        "0000000000000000000000f6d698ca94ccd43f9b0ca7ca94ccc4bf0000000000000000000000",
-        "000000000000000000000000000000000000000000000400000000000000d9d984bcec4ce141",
-        "cc67e2ffffffff3f382a544a7f6be7416523eaffffffff3f000400000000000000af41e01a4b",
-        "ff50405788c47a08b3cdbf043504c554f84b409b6be624a0ffdfbfd646486b77db6e410766ce",
-        "04e6e257412ed8766e0a365c41e487167a0c7c6341737a3c5f3dfff73fa7dae70541fff73f01",
-        "3000000000000000002000000000000000000000000000f03f00000000000000000000000000",
-        "0000000000000000000000a75c5bd49a3b2b3e000000000000f03f0000000000000000000000",
-        "000000000064425440715bfcbf2f521541715bec3f000000000000f03f000000000000000000",
-        "000000000000000000000000000000f9b341c0073e133e000000000000f03fd2be225de3b6e8",
-        "3f9701cb5de3b6d8bf31ef1262cbc0febf88e75c62cbc0ee3f00000000000000000000000000",
-        "00000000000000000000000000000000000000000000000000000000000000000000000b7134",
-        "0e9781ed3f9a697b0e9781ddbf00000000000000000000000000000000000000000000000000",
-        "00000000000000000400000000000000d607089a03cdb241292326ffffffff3f3b621b5ea89b",
-        "ca41e107b3ffffffff3f000400000000000000f3cc58f1ed2d68402e53d6600db3cdbfd90224",
-        "556ff766406492c1eea0ffdfbf8bcc0c118a3a01413ba9442079870141e905b3100896424119",
-        "00acca72675f41c7a5bbe2e6fff73fc7fb5ef5e6fff73f013000000000000000002000000000",
-        "000000000000000000f03f0000000000000000000000000000000000000000000000005c576e",
-        "fb4ead023e000000000000f03f000000000000000000000000000000009936f30f0ca5f7bf64",
-        "d00e100ca5e73f000000000000f03f0000000000000000000000000000000000000000000000",
-        "007f4a78c0f58ff43d000000000000f03f92823e503094de3f833462503094cebfb4ee0a9ae7",
-        "b2f6bfa384199ae7b2e63f000000000000000000000000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000a51bf8739ecbda3f745309749ecbcabf00",
+        "001840ae47e17a14aeef3f00000000000000f03f4000000000000000000000f83f00005f0000",
+        "00000000006000000000000000010000000000000002000000000000002c0100000000000004",
+        "0000000000000005000000000000000600000000000000070000000000000002000000000000",
+        "00040000006c6976655f00000000000000010000000000005940000000000000594000000000",
+        "0000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb3d",
+        "01040000000c000000000000006000000000000000300000000000000000000000000000000c",
+        "00000000000000a975fb3e06eef53e41479d892a00e03f0909deaea4b6eb3f067ee5fa1c00f0",
+        "3f41770e65b0b6eb3f88c9ce213400e03f24df0c193890f93e8c2dad719bffdfbf65b7d66349",
+        "b6ebbfdde4cc58d0ffefbf47dee14c4cb6ebbf773bc8b7a4ffdfbf52b3a7178549e43f080000",
+        "000000f03ff50758ed4cb6ebbf2d85ce27a7ffdfbf0800000001300000000000000020000000",
+        "00000000000000000000f03f00000000000000000000000000000000000000000000000063d5",
+        "5714ca2b6d3f000000000000f03f00000000000000000000000000000000cb2b1abd38fff4bf",
+        "b2ff491fcf08e53f000000000000f03f00000000000000000000000000000000000000000000",
+        "00001c5704e7872b6d3f000000000000f03fb59ee4df35cad63f831f5ad69dd4c6bf6cf63800",
+        "17fff4bfcb52373dad08e53f0000000000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000000e647b2c02cad63f0377aff369d4c6bf",
         "0000000000000000000000000000000000000000000000000000000000000000040000000000",
-        "0000bfa6f4a2d569db4162a5daffffffff3f6effdee35ee6e8410a70ebffffffff3f00040000",
-        "0000000000ed8aa81296b2444027eb356c08b3cdbf3f9162fdac0a4b40bef42a23a0ffdfbfed",
-        "9aec36f64c6c4120b117a580785b41e58e2ca9f2c36041c3cb6b2726b06a41cc7af0c30100f8",
-        "3f9f04572c0100f83f013000000000000000002000000000000000000000000000f03f000000",
-        "00000000000000000000000000000000000000000037ab238bba2e313e000000000000f03f00",
-        "000000000000000000000000000000135a90fb7d1df7bfd4f056fc7d1de73f000000000000f0",
-        "3f000000000000000000000000000000000000000000000000434e8ce206ff223e0000000000",
-        "00f03fa3036099f875dc3f5d87549af875ccbf9e7c10bdda03f9bfd84887bdda03e93f000000",
+        "00005ded42b6388d714015d4f51a6af1ff3f4441e087608d7140d47d0c3c6af1ff3f04000000",
+        "000000004c870b8190933140f6fb642df6dad2bf117a4eff91733140c0a80840dffce1bf0000",
+        "00000000f03f000000000000f03f000000000000f03f000000000000f03fdc4aa68fe8fff73f",
+        "ea9d15a5e8fff73f0130000000000000002000000000000000000000000000f03f0000000000",
+        "00000000000000000000000000000000000000cd0b2ae93398fd3d000000000000f03f000000",
+        "00000000000000000000000000177144c68518f5bfa7f357c68518e53f000000000000f03f00",
+        "00000000000000000000000000000000000000000000001bcbbaf99adcf53d000000000000f0",
+        "3f016d4c2e1762d43fd9465f2e1762c4bf6b3b682f2533f5bf22b7762f2533e53f0000000000",
         "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "000000000000005005ccaab507e23f8ca521abb507d2bf000000000000000000000000000000",
-        "00000000000000000000000000000000000004000000000000002d39c41936ccad415714edfe",
-        "ffffff3f5f2b811fe8f3ba41c90768ffffffff3f00040000000000000011113087af714d4057",
-        "41d0350ab3cdbf03131494863e4e40ea446ca1a0ffdfbfb30b66df19b4344126cca7bdc0042b",
-        "41a0be658b1af6304103ccc7a33e704341aa567b010e00f83fc609bc440d00f83f0130000000",
-        "00000000002000000000000000000000000000f03f0000000000000000000000000000000000",
-        "00000000000000a9e3c148abd7133e000000000000f03f000000000000000000000000000000",
-        "00b0063e91cab2fcbffc348591cab2ec3f000000000000f03f00000000000000000000000000",
-        "00000000000000000000003f479b50ab4d0c3e000000000000f03ff19ba74f9565e93fdd99e6",
-        "4f9565d9bf87c3e3e77f41fdbf2b8417e87f41ed3f0000000000000000000000000000000000",
-        "00000000000000000000000000000000000000000000000000000000000000136d90f3ff82ea",
-        "3f0653bff3ff82dabf0000000000000000000000000000000000000000000000000000000000",
-        "000000000400000000000000fa5e002aa2cdc94153a1b0ffffffff3f369eb6bdf616d241a964",
-        "c7ffffffff3f0004000000000000001b7b0c72c6195b403ef8c24809b3cdbff57958f600185e",
-        "4016d0427ca0ffdfbfc6dd98469b4424412b54a33173b325411b3b22087b365a411caaaa06fe",
-        "2e63414c833690f9fff73f7bfd3142f9fff73f01300000000000000000200000000000000000",
-        "0000000000f03f000000000000000000000000000000000000000000000000fdd42a03f202ef",
-        "3d000000000000f03f000000000000000000000000000000008b4dcb2fd270febf970dda2fd2",
-        "70ee3f000000000000f03f000000000000000000000000000000000000000000000000ea98a1",
-        "116787103e000000000000f03f02bc366aa4e1ec3fa2ba446aa4e1dcbf6db006a74f02f8bf67",
-        "4b38a74f02e83f00000000000000000000000000000000000000000000000000000000000000",
-        "00000000000000000000000000000000004845d9829f04e03fa35dfa829f04d0bf0000000000",
-        "000000000000000000000000000000000000000000000000000000000400000000000000871c",
-        "b7758f82f041877ef0ffffffff3f61fcee42dcf9ce4164e2bdffffffff3f0004000000000000",
-        "00ccbcd4f97a5660409dd7387b08b3cdbfe4142fa1340a63405d4c25afa0ffdfbf1baadf1737",
-        "ba3341d98d27721e403a4154a9a304c31283419c15ebbed6d85341729b8736eafff73f9cf8eb",
-        "27eafff73f013000000000000000002000000000000000000000000000f03f00000000000000",
-        "00000000000000000000000000000000006cc4e19d977ffe3d000000000000f03f0000000000",
-        "0000000000000000000000ebd0b69ced95fbbf781bd19ced95eb3f000000000000f03f000000",
-        "000000000000000000000000000000000000000000a437e4d73ea3f23d000000000000f03f65",
-        "da2a42db2be73fe7ef4042db2bd7bfdc4d9413c51cfbbf5b18a413c51ceb3f00000000000000",
+        "0000000000f6d698ca94ccd43f9b0ca7ca94ccc4bf0000000000000000000000000000000000",
+        "0000000000000000000000000000000400000000000000d9d984bcec4ce141cc67e2ffffffff",
+        "3f382a544a7f6be7416523eaffffffff3f0400000000000000af41e01a4bff50405788c47a08",
+        "b3cdbf043504c554f84b409b6be624a0ffdfbfd646486b77db6e410766ce04e6e257412ed876",
+        "6e0a365c41e487167a0c7c6341737a3c5f3dfff73fa7dae70541fff73f013000000000000000",
+        "2000000000000000000000000000f03f00000000000000000000000000000000000000000000",
+        "0000a75c5bd49a3b2b3e000000000000f03f0000000000000000000000000000000064425440",
+        "715bfcbf2f521541715bec3f000000000000f03f000000000000000000000000000000000000",
+        "000000000000f9b341c0073e133e000000000000f03fd2be225de3b6e83f9701cb5de3b6d8bf",
+        "31ef1262cbc0febf88e75c62cbc0ee3f00000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000b71340e9781ed3f9a697b0e",
+        "9781ddbf00000000000000000000000000000000000000000000000000000000000000000400",
+        "000000000000d607089a03cdb241292326ffffffff3f3b621b5ea89bca41e107b3ffffffff3f",
+        "0400000000000000f3cc58f1ed2d68402e53d6600db3cdbfd90224556ff766406492c1eea0ff",
+        "dfbf8bcc0c118a3a01413ba9442079870141e905b310089642411900acca72675f41c7a5bbe2",
+        "e6fff73fc7fb5ef5e6fff73f0130000000000000002000000000000000000000000000f03f00",
+        "00000000000000000000000000000000000000000000005c576efb4ead023e000000000000f0",
+        "3f000000000000000000000000000000009936f30f0ca5f7bf64d00e100ca5e73f0000000000",
+        "00f03f0000000000000000000000000000000000000000000000007f4a78c0f58ff43d000000",
+        "000000f03f92823e503094de3f833462503094cebfb4ee0a9ae7b2f6bfa384199ae7b2e63f00",
         "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "0000006c0f652e8a39e63f2b01722e8a39d6bf00000000000000000000000000000000000000",
-        "00000000000000000000000000000400000000000000197615c4aac9e0416880e1ffffffff3f",
-        "9737bcc6a278eb41c15cedffffffff3f0004000000000000009deb8e9228134b40ed8b7f6f08",
-        "b3cdbfa13dbf70c9625240785a3527a0ffdfbf3b0fceac63cb5941d4a08ebb52866141b64f61",
-        "889b1e6f41b2170774f26b7841f5b30962e8fff73f787cf091e8fff73f000000000000144060",
-        "00000000000000c96f060a9b34323f50914fcd8172443e0102000000000000e03f0000000000",
-        "001840ae47e17a14aeef3f00000000000014406000000000000000c96f060a9b34323f50914f",
-        "cd8172443e00000000000000000000000000000000785c17c257b43940000001000000710500",
-        "00000000000003010b00000000000000",
+        "000000000000000000a51bf8739ecbda3f745309749ecbcabf00000000000000000000000000",
+        "000000000000000000000000000000000000000400000000000000bfa6f4a2d569db4162a5da",
+        "ffffffff3f6effdee35ee6e8410a70ebffffffff3f0400000000000000ed8aa81296b2444027",
+        "eb356c08b3cdbf3f9162fdac0a4b40bef42a23a0ffdfbfed9aec36f64c6c4120b117a580785b",
+        "41e58e2ca9f2c36041c3cb6b2726b06a41cc7af0c30100f83f9f04572c0100f83f0130000000",
+        "000000002000000000000000000000000000f03f000000000000000000000000000000000000",
+        "00000000000037ab238bba2e313e000000000000f03f00000000000000000000000000000000",
+        "135a90fb7d1df7bfd4f056fc7d1de73f000000000000f03f0000000000000000000000000000",
+        "00000000000000000000434e8ce206ff223e000000000000f03fa3036099f875dc3f5d87549a",
+        "f875ccbf9e7c10bdda03f9bfd84887bdda03e93f000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000005005ccaab507e23f",
+        "8ca521abb507d2bf000000000000000000000000000000000000000000000000000000000000",
+        "000004000000000000002d39c41936ccad415714edfeffffff3f5f2b811fe8f3ba41c90768ff",
+        "ffffff3f040000000000000011113087af714d405741d0350ab3cdbf03131494863e4e40ea44",
+        "6ca1a0ffdfbfb30b66df19b4344126cca7bdc0042b41a0be658b1af6304103ccc7a33e704341",
+        "aa567b010e00f83fc609bc440d00f83f01300000000000000020000000000000000000000000",
+        "00f03f000000000000000000000000000000000000000000000000a9e3c148abd7133e000000",
+        "000000f03f00000000000000000000000000000000b0063e91cab2fcbffc348591cab2ec3f00",
+        "0000000000f03f0000000000000000000000000000000000000000000000003f479b50ab4d0c",
+        "3e000000000000f03ff19ba74f9565e93fdd99e64f9565d9bf87c3e3e77f41fdbf2b8417e87f",
+        "41ed3f0000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000136d90f3ff82ea3f0653bff3ff82dabf000000000000000000",
+        "00000000000000000000000000000000000000000000000400000000000000fa5e002aa2cdc9",
+        "4153a1b0ffffffff3f369eb6bdf616d241a964c7ffffffff3f04000000000000001b7b0c72c6",
+        "195b403ef8c24809b3cdbff57958f600185e4016d0427ca0ffdfbfc6dd98469b4424412b54a3",
+        "3173b325411b3b22087b365a411caaaa06fe2e63414c833690f9fff73f7bfd3142f9fff73f01",
+        "30000000000000002000000000000000000000000000f03f0000000000000000000000000000",
+        "00000000000000000000fdd42a03f202ef3d000000000000f03f000000000000000000000000",
+        "000000008b4dcb2fd270febf970dda2fd270ee3f000000000000f03f00000000000000000000",
+        "0000000000000000000000000000ea98a1116787103e000000000000f03f02bc366aa4e1ec3f",
+        "a2ba446aa4e1dcbf6db006a74f02f8bf674b38a74f02e83f0000000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000000000000000000004845d982",
+        "9f04e03fa35dfa829f04d0bf0000000000000000000000000000000000000000000000000000",
+        "0000000000000400000000000000871cb7758f82f041877ef0ffffffff3f61fcee42dcf9ce41",
+        "64e2bdffffffff3f0400000000000000ccbcd4f97a5660409dd7387b08b3cdbfe4142fa1340a",
+        "63405d4c25afa0ffdfbf1baadf1737ba3341d98d27721e403a4154a9a304c31283419c15ebbe",
+        "d6d85341729b8736eafff73f9cf8eb27eafff73f013000000000000000200000000000000000",
+        "0000000000f03f0000000000000000000000000000000000000000000000006cc4e19d977ffe",
+        "3d000000000000f03f00000000000000000000000000000000ebd0b69ced95fbbf781bd19ced",
+        "95eb3f000000000000f03f000000000000000000000000000000000000000000000000a437e4",
+        "d73ea3f23d000000000000f03f65da2a42db2be73fe7ef4042db2bd7bfdc4d9413c51cfbbf5b",
+        "18a413c51ceb3f00000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000006c0f652e8a39e63f2b01722e8a39d6bf0000000000",
+        "0000000000000000000000000000000000000000000000000000000400000000000000197615",
+        "c4aac9e0416880e1ffffffff3f9737bcc6a278eb41c15cedffffffff3f04000000000000009d",
+        "eb8e9228134b40ed8b7f6f08b3cdbfa13dbf70c9625240785a3527a0ffdfbf3b0fceac63cb59",
+        "41d4a08ebb52866141b64f61889b1e6f41b2170774f26b7841f5b30962e8fff73f787cf091e8",
+        "fff73f00000000000014406000000000000000c96f060a9b34323f50914fcd8172443e010200",
+        "0000000000e03f0000000000001840ae47e17a14aeef3f000000000000144060000000000000",
+        "00c96f060a9b34323f50914fcd8172443e00000000000000000000000000000000785c17c257",
+        "b4394000000100000071050000000000000003010b00000000000000",
     );
-    let bytes: Vec<u8> = (0..V9_BLOB_HEX.len())
+    let bytes: Vec<u8> = (0..V10_BLOB_HEX.len())
         .step_by(2)
-        .map(|i| u8::from_str_radix(&V9_BLOB_HEX[i..i + 2], 16).unwrap())
+        .map(|i| u8::from_str_radix(&V10_BLOB_HEX[i..i + 2], 16).unwrap())
         .collect();
+    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 10);
 
-    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v9 blob must decode");
+    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v10 blob must decode");
     let stats = restored.stats().unwrap();
     assert_eq!(stats.live, 1);
     assert_eq!(stats.quarantined, 1);
-    assert_eq!((stats.evicted, stats.admitted), (1, 2), "v9 lifetime counters carried");
+    assert_eq!((stats.evicted, stats.admitted), (1, 2), "v10 lifetime counters carried");
     assert_eq!((stats.points, stats.anomalies), (300, 4));
-    assert_eq!(stats.wal_retries, 5, "v9 health counters carried");
+    assert_eq!(stats.wal_retries, 5, "v10 health counters carried");
     assert_eq!(stats.shard_restarts, 6);
     assert_eq!(stats.undurable_batches, 7);
     assert_eq!(stats.cold_resident, 0, "the pinned image carries no cold state");
     assert_eq!((stats.spills, stats.rehydrations, stats.cold_errors), (0, 0, 0));
 
     // rebuild the blob's detector through the public API and continue the
-    // twin streams: the v9-restored engine must track it bit for bit
+    // twin streams: the v10-restored engine must track it bit for bit
     let t = 12usize;
     let y: Vec<f64> = (0..8 * t)
         .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
@@ -832,15 +844,15 @@ fn pinned_v9_snapshot_blob_restores_and_continues_bit_identically() {
         }
     }
 
-    // upgrade-on-rewrite: the v9 image re-snapshots as v10 and the copy
+    // upgrade-on-rewrite: the v10 image re-snapshots as v11 and the copy
     // continues in lockstep with the original
-    let v10_bytes = restored.snapshot_bytes().unwrap();
-    assert_eq!(u16::from_le_bytes([v10_bytes[8], v10_bytes[9]]), 10, "rewritten as v10");
-    let mut upgraded = FleetEngine::restore_bytes(&v10_bytes).unwrap();
+    let v11_bytes = restored.snapshot_bytes().unwrap();
+    assert_eq!(u16::from_le_bytes([v11_bytes[8], v11_bytes[9]]), 11, "rewritten as v11");
+    let mut upgraded = FleetEngine::restore_bytes(&v11_bytes).unwrap();
     for i in 0..t {
         let x = 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin();
         let a = restored.ingest_one("live", 200 + i as u64, x).unwrap();
         let b = upgraded.ingest_one("live", 200 + i as u64, x).unwrap();
-        assert_eq!(a.output, b.output, "v10 rewrite diverged at i={i}");
+        assert_eq!(a.output, b.output, "v11 rewrite diverged at i={i}");
     }
 }
