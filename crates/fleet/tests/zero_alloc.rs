@@ -76,54 +76,60 @@ fn points(n: usize, shift_at: usize) -> Vec<DecompPoint> {
         .collect()
 }
 
-/// Both [`SeriesBackend`] variants in steady state: plain points, a
-/// trend level shift under an alarming fused verdict (every verdict
-/// input fires at once), non-finite input, and the stream after it —
-/// all allocation-free after warm-up.
-#[test]
-fn backend_observe_performs_zero_heap_allocations() {
-    for select in [
-        BackendSelect::TrendCusum(ScoreConfig::default()),
-        BackendSelect::Ensemble(ScoreConfig::default()),
-    ] {
-        let pts = points(2_200, 1_100);
-        let mut b = SeriesBackend::build(select, 0.5).expect("non-fused backends build");
-        let quiet = ScoreVerdict { score: 0.1, z: 0.1, cusum: 0.0, is_anomaly: false };
-        let loud = ScoreVerdict { score: 6.0, z: 6.0, cusum: 2.0, is_anomaly: true };
+/// One [`SeriesBackend`] in steady state: plain points, a trend level
+/// shift under an alarming fused verdict (every verdict input fires at
+/// once), non-finite input, and the stream after it — all
+/// allocation-free after warm-up.
+fn assert_observe_allocation_free(select: BackendSelect) {
+    let pts = points(2_200, 1_100);
+    let mut b = SeriesBackend::build(select, 0.5).expect("non-fused backends build");
+    let quiet = ScoreVerdict { score: 0.1, z: 0.1, cusum: 0.0, is_anomaly: false };
+    let loud = ScoreVerdict { score: 6.0, z: 6.0, cusum: 2.0, is_anomaly: true };
 
-        // warm-up: the trend-CUSUM innovation statistics
-        for p in &pts[..300] {
-            std::hint::black_box(b.observe(p, &quiet));
-        }
-
-        // 1) plain steady-state points
-        let before = allocs();
-        for p in &pts[300..1_100] {
-            std::hint::black_box(b.observe(p, &quiet));
-        }
-        assert_eq!(allocs() - before, 0, "[{select:?}] steady-state observe allocated");
-
-        // 2) the level shift with an alarming fused verdict
-        let before = allocs();
-        for p in &pts[1_100..2_100] {
-            std::hint::black_box(b.observe(p, &loud));
-        }
-        assert_eq!(allocs() - before, 0, "[{select:?}] alarming observe allocated");
-        assert!(b.trend_alarms() > 0, "[{select:?}] the shift must trip the trend channel");
-
-        // 3) non-finite input through the full dispatch
-        let before = allocs();
-        std::hint::black_box(b.observe(
-            &DecompPoint { trend: f64::NAN, seasonal: 0.0, residual: f64::NAN },
-            &quiet,
-        ));
-        assert_eq!(allocs() - before, 0, "[{select:?}] non-finite observe allocated");
-
-        // 4) and the stream continues allocation-free
-        let before = allocs();
-        for p in &pts[2_100..] {
-            std::hint::black_box(b.observe(p, &quiet));
-        }
-        assert_eq!(allocs() - before, 0, "[{select:?}] post-excursion observe allocated");
+    // warm-up: the trend-CUSUM innovation statistics
+    for p in &pts[..300] {
+        std::hint::black_box(b.observe(p, &quiet));
     }
+
+    // 1) plain steady-state points
+    let before = allocs();
+    for p in &pts[300..1_100] {
+        std::hint::black_box(b.observe(p, &quiet));
+    }
+    assert_eq!(allocs() - before, 0, "[{select:?}] steady-state observe allocated");
+
+    // 2) the level shift with an alarming fused verdict
+    let before = allocs();
+    for p in &pts[1_100..2_100] {
+        std::hint::black_box(b.observe(p, &loud));
+    }
+    assert_eq!(allocs() - before, 0, "[{select:?}] alarming observe allocated");
+    assert!(b.trend_alarms() > 0, "[{select:?}] the shift must trip the trend channel");
+
+    // 3) non-finite input through the full dispatch
+    let before = allocs();
+    std::hint::black_box(
+        b.observe(&DecompPoint { trend: f64::NAN, seasonal: 0.0, residual: f64::NAN }, &quiet),
+    );
+    assert_eq!(allocs() - before, 0, "[{select:?}] non-finite observe allocated");
+
+    // 4) and the stream continues allocation-free
+    let before = allocs();
+    for p in &pts[2_100..] {
+        std::hint::black_box(b.observe(p, &quiet));
+    }
+    assert_eq!(allocs() - before, 0, "[{select:?}] post-excursion observe allocated");
+}
+
+/// The trend-CUSUM backend on its own.
+#[test]
+fn trend_cusum_backend_observe_performs_zero_heap_allocations() {
+    assert_observe_allocation_free(BackendSelect::TrendCusum(ScoreConfig::default()));
+}
+
+/// The ensemble dispatch: trend CUSUM plus the fused verdict, fused
+/// as score = max and verdict = OR.
+#[test]
+fn ensemble_observe_performs_zero_heap_allocations() {
+    assert_observe_allocation_free(BackendSelect::Ensemble(ScoreConfig::default()));
 }
