@@ -14,15 +14,17 @@
 use crate::batch::ShardBatch;
 use crate::config::{AdmitOptions, FleetConfig, QueuePolicy};
 use crate::error::FleetError;
+use crate::net::MAX_FRAME;
 use crate::series::SeriesState;
 use crate::shard::{
-    run_worker, BatchReply, SeriesEntry, SeriesSnapshot, ShardMsg, ShardState, WalMeta, WalOp,
+    run_worker, BatchReply, ReadMsg, SeriesEntry, SeriesSnapshot, ShardMsg, ShardState,
+    WalMeta, WalOp,
 };
 use crate::types::{FleetStats, Record, ScoredPoint, SeriesKey, ShardStats};
 use crate::wal::GroupWal;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -141,10 +143,37 @@ impl ShardSender {
             ShardSender::Bounded(tx) => tx.send(msg).map_err(|e| e.0),
         }
     }
+
+    /// Sends without waiting for queue room (an unbounded queue always has
+    /// room, so only a bounded one can answer `Full`).
+    #[allow(clippy::result_large_err)]
+    fn try_send(&self, msg: ShardMsg) -> Result<(), TrySendError<ShardMsg>> {
+        match self {
+            ShardSender::Unbounded(tx) => {
+                tx.send(msg).map_err(|e| TrySendError::Disconnected(e.0))
+            }
+            ShardSender::Bounded(tx) => tx.try_send(msg),
+        }
+    }
+}
+
+/// One shard worker as the engine sees it: its two inboxes, the depth
+/// gauge of the FIFO one, and the thread.
+struct Worker {
+    /// Ingest/control queue, handled in order.
+    queue: ShardSender,
+    /// Read lane: forecasts and stats, answered between sub-batches.
+    lane: Sender<ReadMsg>,
+    /// Messages sent on `queue` that the worker has not dequeued yet.
+    depth: Arc<AtomicUsize>,
+    /// The worker thread.
+    handle: JoinHandle<()>,
 }
 
 /// One submitted batch whose outputs have not been collected yet.
 struct PendingBatch {
+    /// The batch's engine seq.
+    seq: u64,
     /// Records in the batch (output slots to fill).
     n: usize,
     /// Shards this batch was sent to; replies are matched off this list
@@ -153,6 +182,10 @@ struct PendingBatch {
     /// Where those replies arrive.
     reply_rx: Receiver<BatchReply>,
 }
+
+/// One [`FleetEngine::forecast_as_of`] slot: the batch seq the answer is
+/// "as of", and the forecast (`None` for a series that is not live).
+pub type SeqForecast = (u64, Option<Vec<f64>>);
 
 /// Keeps a stalled shard worker parked until dropped. Test support — see
 /// [`FleetEngine::stall_shard`].
@@ -164,9 +197,7 @@ pub struct StallGuard {
 /// Sharded multi-series streaming engine. See the crate docs for a tour.
 pub struct FleetEngine {
     config: Arc<FleetConfig>,
-    senders: Vec<ShardSender>,
-    depths: Vec<Arc<AtomicUsize>>,
-    handles: Vec<JoinHandle<()>>,
+    workers: Vec<Worker>,
     clock: u64,
     batches: u64,
     carried: CarriedTotals,
@@ -283,29 +314,14 @@ impl FleetEngine {
         batches: u64,
         carried: CarriedTotals,
     ) -> Result<Self, FleetError> {
-        let mut senders = Vec::with_capacity(states.len());
-        let mut depths = Vec::with_capacity(states.len());
-        let mut handles = Vec::with_capacity(states.len());
         let (buf_tx, buf_rx) = channel::<ShardBatch>();
-        for state in states {
-            let (sender, rx) = Self::shard_channel(&config);
-            let depth = Arc::new(AtomicUsize::new(0));
-            let worker_depth = Arc::clone(&depth);
-            let worker_buf_tx = buf_tx.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("fleet-shard-{}", state.index))
-                    .spawn(move || run_worker(state, rx, worker_depth, worker_buf_tx))
-                    .map_err(|_| FleetError::Internal("spawning a shard worker thread"))?,
-            );
-            senders.push(sender);
-            depths.push(depth);
-        }
+        let workers = states
+            .into_iter()
+            .map(|state| Self::start_worker(&config, state, buf_tx.clone()))
+            .collect::<Result<_, _>>()?;
         Ok(FleetEngine {
             config,
-            senders,
-            depths,
-            handles,
+            workers,
             clock,
             batches,
             carried,
@@ -324,9 +340,14 @@ impl FleetEngine {
         })
     }
 
-    /// Builds one shard request channel of the configured flavor.
-    fn shard_channel(config: &FleetConfig) -> (ShardSender, Receiver<ShardMsg>) {
-        match config.queue_capacity {
+    /// Starts one worker thread on `state`, with a request queue of the
+    /// configured flavor and an unbounded read lane.
+    fn start_worker(
+        config: &FleetConfig,
+        state: ShardState,
+        buf_tx: Sender<ShardBatch>,
+    ) -> Result<Worker, FleetError> {
+        let (queue, rx) = match config.queue_capacity {
             None => {
                 let (tx, rx) = channel::<ShardMsg>();
                 (ShardSender::Unbounded(tx), rx)
@@ -335,7 +356,15 @@ impl FleetEngine {
                 let (tx, rx) = sync_channel::<ShardMsg>(cap);
                 (ShardSender::Bounded(tx), rx)
             }
-        }
+        };
+        let (lane, lane_rx) = channel::<ReadMsg>();
+        let depth = Arc::new(AtomicUsize::new(0));
+        let worker_depth = Arc::clone(&depth);
+        let handle = std::thread::Builder::new()
+            .name(format!("fleet-shard-{}", state.index))
+            .spawn(move || run_worker(state, rx, lane_rx, worker_depth, buf_tx))
+            .map_err(|_| FleetError::Internal("spawning a shard worker thread"))?;
+        Ok(Worker { queue, lane, depth, handle })
     }
 
     /// The engine configuration.
@@ -345,7 +374,7 @@ impl FleetEngine {
 
     /// Number of worker shards.
     pub fn shard_count(&self) -> usize {
-        self.senders.len()
+        self.workers.len()
     }
 
     /// Engine clock: the largest record `t` ingested so far.
@@ -367,8 +396,31 @@ impl FleetEngine {
     }
 
     fn send(&self, shard: usize, msg: ShardMsg) -> Result<(), FleetError> {
-        self.depths[shard].fetch_add(1, Ordering::Relaxed);
-        self.senders[shard].send(msg).map_err(|_| FleetError::ShardDown)
+        let w = &self.workers[shard];
+        w.depth.fetch_add(1, Ordering::Relaxed);
+        w.queue.send(msg).map_err(|_| FleetError::ShardDown)
+    }
+
+    /// Puts a read on shard `shard`'s lane, then nudges the worker with a
+    /// [`ShardMsg::Poll`] so an idle one wakes up to answer it. The nudge
+    /// never waits for queue room: a full bounded queue means the worker
+    /// still has messages to dequeue, and it drains the lane before it
+    /// handles the next one.
+    fn send_read(&self, shard: usize, read: ReadMsg) -> Result<(), FleetError> {
+        let w = &self.workers[shard];
+        w.lane.send(read).map_err(|_| FleetError::ShardDown)?;
+        // counted before the send: the worker decrements on dequeue.
+        // Release pairs with the Acquire load in `queue_depth_probe`: a
+        // probe that sees this count also sees the read in the lane.
+        w.depth.fetch_add(1, Ordering::Release);
+        let nudged = w.queue.try_send(ShardMsg::Poll);
+        if nudged.is_err() {
+            w.depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        match nudged {
+            Err(TrySendError::Disconnected(_)) => Err(FleetError::ShardDown),
+            _ => Ok(()),
+        }
     }
 
     /// [`FleetEngine::send`] with supervision: a dead worker is respawned
@@ -377,8 +429,9 @@ impl FleetEngine {
     /// still return [`FleetError::ShardDown`] until the next `&mut` call
     /// heals the shard.
     fn send_or_respawn(&mut self, shard: usize, msg: ShardMsg) -> Result<(), FleetError> {
-        self.depths[shard].fetch_add(1, Ordering::Relaxed);
-        let msg = match self.senders[shard].send(msg) {
+        let w = &self.workers[shard];
+        w.depth.fetch_add(1, Ordering::Relaxed);
+        let msg = match w.queue.send(msg) {
             Ok(()) => return Ok(()),
             Err(msg) => msg,
         };
@@ -386,8 +439,7 @@ impl FleetEngine {
             return Err(FleetError::ShardDown);
         }
         self.respawn_shard(shard)?;
-        self.depths[shard].fetch_add(1, Ordering::Relaxed);
-        self.senders[shard].send(msg).map_err(|_| FleetError::ShardDown)
+        self.send(shard, msg)
     }
 
     /// Replaces a dead shard worker: joins the old thread, spawns a fresh
@@ -426,21 +478,14 @@ impl FleetEngine {
             // hot-only (cold series re-warm) rather than failing the heal
             state.cold = crate::cold_tier::ColdStore::open(dir, shard).ok();
         }
-        let (sender, rx) = Self::shard_channel(&self.config);
-        let depth = Arc::new(AtomicUsize::new(0));
-        let worker_depth = Arc::clone(&depth);
-        let worker_buf_tx = self.buf_tx.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("fleet-shard-{shard}"))
-            .spawn(move || run_worker(state, rx, worker_depth, worker_buf_tx))
-            .map_err(|_| FleetError::Internal("spawning a shard worker thread"))?;
-        // replace the sender before joining: if the old worker is somehow
-        // still alive (a spurious respawn), dropping its sender lets it
-        // drain and exit instead of deadlocking the join
-        self.senders[shard] = sender;
-        self.depths[shard] = depth;
-        let old = std::mem::replace(&mut self.handles[shard], handle);
-        let _ = old.join();
+        let worker = Self::start_worker(&self.config, state, self.buf_tx.clone())?;
+        let Worker { queue, lane, handle, .. } =
+            std::mem::replace(&mut self.workers[shard], worker);
+        // drop the old inboxes before joining: if the old worker is somehow
+        // still alive (a spurious respawn), its closed queue lets it drain
+        // and exit instead of deadlocking the join
+        drop((queue, lane));
+        let _ = handle.join();
         self.carried.shard_restarts += 1;
         Ok(())
     }
@@ -520,7 +565,7 @@ impl FleetEngine {
             // `&mut self` method is the sole submitter), so a passing
             // check here guarantees the sends below never overflow
             for (shard, b) in routed.iter().enumerate() {
-                if is_target(shard, b) && self.depths[shard].load(Ordering::Relaxed) >= cap {
+                if is_target(shard, b) && self.queue_depth(shard) >= cap {
                     // reclaim every routed batch into the spare pool; the
                     // submission can be retried verbatim
                     for mut buf in routed {
@@ -556,7 +601,7 @@ impl FleetEngine {
         }
         self.clock = clock;
         self.batches = seq;
-        self.pending.push_back(PendingBatch { n, targets, reply_rx });
+        self.pending.push_back(PendingBatch { seq, n, targets, reply_rx });
         if (self.config.ttl.is_some() || self.config.spill_after.is_some())
             && self.batches.is_multiple_of(TTL_SWEEP_EVERY)
         {
@@ -763,11 +808,36 @@ impl FleetEngine {
     /// answers with the damped-trend recurrence (§5); any other live
     /// series answers with the plain carry-forward `predict`, so the call
     /// works fleet-wide regardless of per-series configuration.
+    ///
+    /// Reads do not queue behind ingest: each shard answers at its next
+    /// sub-batch boundary. A forecast therefore reflects every batch whose
+    /// [`FleetEngine::next_batch`] has returned, and possibly some later
+    /// submitted ones; [`FleetEngine::forecast_as_of`] says exactly which.
+    /// A zero `horizon`, or a request whose answer could not fit one wire
+    /// frame (`keys × horizon × 8` bytes over [`MAX_FRAME`]), fails with
+    /// [`FleetError::InvalidForecast`] before any shard is asked.
     pub fn forecast(
         &self,
         keys: &[SeriesKey],
         horizon: usize,
     ) -> Result<Vec<Option<Vec<f64>>>, FleetError> {
+        Ok(self.forecast_as_of(keys, horizon)?.into_iter().map(|(_, fc)| fc).collect())
+    }
+
+    /// [`FleetEngine::forecast`] with each slot stamped by the batch seq
+    /// `S` it is "as of": the answering shard's state is exactly the state
+    /// it would hold had the engine run batches `1..=S` one at a time and
+    /// no later one. `S` is the same for every key on one shard and lies
+    /// between the last collected batch and [`FleetEngine::batches`].
+    pub fn forecast_as_of(
+        &self,
+        keys: &[SeriesKey],
+        horizon: usize,
+    ) -> Result<Vec<SeqForecast>, FleetError> {
+        let reply_bytes = keys.len().checked_mul(horizon).and_then(|n| n.checked_mul(8));
+        if horizon == 0 || reply_bytes.is_none_or(|b| b > MAX_FRAME) {
+            return Err(FleetError::InvalidForecast { keys: keys.len(), horizon });
+        }
         let shards = self.shard_count();
         let mut routed: Vec<Vec<(usize, SeriesKey)>> = vec![Vec::new(); shards];
         for (idx, key) in keys.iter().enumerate() {
@@ -779,17 +849,30 @@ impl FleetEngine {
             if items.is_empty() {
                 continue;
             }
-            self.send(shard, ShardMsg::Forecast { items, horizon, reply: tx.clone() })?;
+            self.send_read(shard, ReadMsg::Forecast { items, horizon, reply: tx.clone() })?;
             in_flight += 1;
         }
         drop(tx);
-        let mut out: Vec<Option<Vec<f64>>> = vec![None; keys.len()];
+        let mut out = vec![(0, None); keys.len()];
         for _ in 0..in_flight {
-            for (idx, fc) in rx.recv().map_err(|_| FleetError::ShardDown)? {
-                out[idx] = fc;
+            let (shard, applied, slots) = rx.recv().map_err(|_| FleetError::ShardDown)?;
+            let seq = self.as_of(shard, applied);
+            for (idx, fc) in slots {
+                out[idx] = (seq, fc);
             }
         }
         Ok(out)
+    }
+
+    /// The latest batch seq whose state shard `shard` holds, given that
+    /// it has applied its sub-batches through seq `applied`. Batches that
+    /// routed it no rows leave its state unchanged, so the stamp runs up
+    /// to — not including — the first uncollected batch it still owes.
+    fn as_of(&self, shard: usize, applied: u64) -> u64 {
+        self.pending
+            .iter()
+            .find(|p| p.seq > applied && p.targets.contains(&shard))
+            .map_or(self.batches, |p| p.seq - 1)
     }
 
     /// Single-series [`FleetEngine::forecast`].
@@ -802,11 +885,15 @@ impl FleetEngine {
         out.pop().ok_or(FleetError::Internal("one key in, one slot out"))
     }
 
-    /// Aggregate + per-shard statistics.
+    /// Aggregate + per-shard statistics. Like [`FleetEngine::forecast`],
+    /// this read is answered at each shard's next sub-batch boundary: the
+    /// counters reflect every collected batch and possibly later submitted
+    /// ones, and [`ShardStats::queue_depth`] is the backlog still queued
+    /// when the shard answered.
     pub fn stats(&self) -> Result<FleetStats, FleetError> {
         let (tx, rx) = channel();
         for shard in 0..self.shard_count() {
-            self.send(shard, ShardMsg::Stats { reply: tx.clone() })?;
+            self.send_read(shard, ReadMsg::Stats { reply: tx.clone() })?;
         }
         drop(tx);
         let mut per_shard: Vec<ShardStats> = Vec::with_capacity(self.shard_count());
@@ -1038,17 +1125,29 @@ impl FleetEngine {
     /// round-trip — usable while the worker is stalled).
     #[doc(hidden)]
     pub fn queue_depth(&self, shard: usize) -> usize {
-        self.depths[shard].load(Ordering::Relaxed)
+        self.workers[shard].depth.load(Ordering::Relaxed)
+    }
+
+    /// Test support: [`FleetEngine::queue_depth`] of one shard as a
+    /// closure that outlives the borrow, so a test can watch a worker's
+    /// queue while another thread owns the engine and blocks in a read. A
+    /// read's wake-up nudge raises the count only after the read is on
+    /// the lane. The probe keeps reading the old gauge after the shard is
+    /// respawned.
+    #[doc(hidden)]
+    pub fn queue_depth_probe(&self, shard: usize) -> impl Fn() -> usize + Send + 'static {
+        let depth = Arc::clone(&self.workers[shard].depth);
+        move || depth.load(Ordering::Acquire)
     }
 }
 
 impl Drop for FleetEngine {
     fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::Shutdown);
+        for w in &self.workers {
+            let _ = w.queue.send(ShardMsg::Shutdown);
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        for w in self.workers.drain(..) {
+            let _ = w.handle.join();
         }
     }
 }

@@ -49,6 +49,15 @@ pub enum FleetError {
     /// Crash recovery could not produce an engine (no valid snapshot, or
     /// an unreadable durability directory).
     Recovery(String),
+    /// A forecast request was refused before any shard saw it: the
+    /// horizon was zero, or the answer (`keys × horizon` values of 8
+    /// bytes) could not fit one [`crate::net::MAX_FRAME`] wire frame.
+    InvalidForecast {
+        /// Keys requested.
+        keys: usize,
+        /// Steps ahead requested.
+        horizon: usize,
+    },
     /// An internal invariant was violated (a registry slot vanished, a
     /// shard returned the wrong number of outputs). The engine state
     /// should be treated as suspect: snapshot what can be snapshotted and
@@ -78,6 +87,12 @@ impl fmt::Display for FleetError {
             }
             FleetError::Io(msg) => write!(f, "durability i/o: {msg}"),
             FleetError::Recovery(msg) => write!(f, "crash recovery: {msg}"),
+            FleetError::InvalidForecast { keys, horizon } => write!(
+                f,
+                "forecast of {keys} keys at horizon {horizon} refused: the horizon must be \
+                 at least 1 and keys × horizon × 8 bytes at most {}",
+                crate::net::MAX_FRAME
+            ),
             FleetError::Internal(what) => {
                 write!(f, "internal invariant violated: {what}")
             }

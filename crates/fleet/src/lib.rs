@@ -139,7 +139,7 @@ pub use backend::{BackendSelect, BackendSnapshot, SeriesBackend};
 pub use batch::ShardBatch;
 pub use cold_tier::ColdStore;
 pub use config::{AdmitOptions, FleetConfig, ForecastOptions, PeriodPolicy, QueuePolicy};
-pub use engine::{CarriedTotals, FleetDelta, FleetEngine, FleetSnapshot};
+pub use engine::{CarriedTotals, FleetDelta, FleetEngine, FleetSnapshot, SeqForecast};
 pub use error::{CodecError, FleetError};
 pub use net::{NetClient, NetError, NetMessage, NetServer};
 pub use persist::{DurabilityConfig, DurabilityPolicy, DurableFleet};

@@ -4,6 +4,12 @@
 //! on, the worker also owns its shard's WAL segment and appends each
 //! sub-batch *before* applying it, so a reply implies the points are
 //! logged (write-ahead).
+//!
+//! Each worker has two inboxes: the FIFO ingest/control queue
+//! ([`ShardMsg`]) and an unbounded read lane ([`ReadMsg`]). The worker
+//! drains the lane before it handles each dequeued message, so a read is
+//! answered at the next sub-batch boundary instead of waiting behind every
+//! queued batch.
 
 use crate::batch::ShardBatch;
 use crate::cold_tier::ColdStore;
@@ -386,11 +392,6 @@ pub enum ShardMsg {
         /// empty for a full collection.
         reply: Sender<(Vec<SeriesSnapshot>, Vec<SeriesKey>, ShardStats)>,
     },
-    /// Report registry/queue statistics.
-    Stats {
-        /// Reply channel.
-        reply: Sender<ShardStats>,
-    },
     /// Run the idle sweep at clock `now`: evict series idle beyond `ttl`
     /// (hot and cold-resident) and spill series idle beyond `spill_after`
     /// to the cold tier. Reply with the evicted count.
@@ -413,17 +414,10 @@ pub enum ShardMsg {
         /// Reply channel.
         reply: Sender<Result<(), String>>,
     },
-    /// Forecast `1..=horizon` steps ahead for a batch of series on this
-    /// shard (see [`crate::FleetEngine::forecast`]).
-    Forecast {
-        /// `(position in the caller's key list, series)` pairs.
-        items: Vec<(usize, SeriesKey)>,
-        /// Steps ahead (`1..=horizon`).
-        horizon: usize,
-        /// Reply channel: one entry per item (`None` for a series that is
-        /// unknown or not live).
-        reply: Sender<Vec<(usize, Option<Vec<f64>>)>>,
-    },
+    /// Wake-up nudge for the read lane: carries nothing, and handling it
+    /// is a no-op — dequeuing it is what makes an idle worker drain its
+    /// [`ReadMsg`] lane.
+    Poll,
     /// Test support: panic the worker on dequeue — the deterministic
     /// stand-in for "a shard worker died" that the supervision tests (and
     /// chaos drills) use to exercise respawn.
@@ -431,6 +425,36 @@ pub enum ShardMsg {
     Crash,
     /// Terminate the worker.
     Shutdown,
+}
+
+/// One shard's answer to a [`ReadMsg::Forecast`]: its shard index, the
+/// seq of the last ingest sub-batch it had applied when it answered, and
+/// one `(position in the caller's key list, forecast)` entry per item
+/// (`None` for a series that is unknown or not live).
+pub type ForecastReply = (usize, u64, Vec<(usize, Option<Vec<f64>>)>);
+
+/// Read-only requests. They travel on the worker's read lane, never on its
+/// ingest/control queue: the worker drains the lane before it handles each
+/// dequeued [`ShardMsg`], so a read waits for at most the sub-batch in
+/// progress, not for the whole backlog. The engine follows each read with
+/// a [`ShardMsg::Poll`] so an idle worker wakes up to answer it.
+pub enum ReadMsg {
+    /// Forecast `1..=horizon` steps ahead for a batch of series on this
+    /// shard (see [`crate::FleetEngine::forecast_as_of`]).
+    Forecast {
+        /// `(position in the caller's key list, series)` pairs.
+        items: Vec<(usize, SeriesKey)>,
+        /// Steps ahead (`1..=horizon`).
+        horizon: usize,
+        /// Reply channel.
+        reply: Sender<ForecastReply>,
+    },
+    /// Report registry/queue statistics; `queue_depth` is the backlog
+    /// still queued when the read was answered.
+    Stats {
+        /// Reply channel.
+        reply: Sender<ShardStats>,
+    },
 }
 
 /// A shard's registry plus lifetime counters. Owned by the worker thread;
@@ -456,6 +480,10 @@ pub struct ShardState {
     order: Vec<(u32, u32)>,
     /// Batch seq of the last snapshot collection (dirty baseline).
     pub snapshot_seq: u64,
+    /// Seq of the last ingest sub-batch applied (or of the image a
+    /// restore loaded). Forecast replies carry it; the engine turns it
+    /// into their "as of" stamp.
+    pub applied_seq: u64,
     /// Keys evicted since the last snapshot collection (delta tombstones).
     /// Only tracked once a first collection happened, so an engine that
     /// never snapshots never accumulates them.
@@ -494,6 +522,7 @@ impl ShardState {
             scratch: UpdateScratch::default(),
             order: Vec::new(),
             snapshot_seq: 0,
+            applied_seq: 0,
             removed: Vec::new(),
             track_deltas: false,
             cold: None,
@@ -509,9 +538,11 @@ impl ShardState {
 
     /// Restore support: pretend a collection at `seq` already happened, so
     /// the first delta after a restore covers exactly what changed since
-    /// the restored image.
+    /// the restored image. The registry then holds the image at `seq`, so
+    /// reads answer as of `seq` until the next sub-batch lands.
     pub fn set_snapshot_baseline(&mut self, seq: u64) {
         self.snapshot_seq = seq;
+        self.applied_seq = seq;
         self.track_deltas = true;
     }
 
@@ -682,6 +713,7 @@ impl ShardState {
             batch.outputs[i] = self.step_slot(slot, batch.values[i], batch.live[i], seq);
         }
         self.order = order;
+        self.applied_seq = seq;
     }
 
     /// Registers or replaces per-series admission overrides. An unknown
@@ -939,18 +971,40 @@ impl Drop for PanicPoison {
     }
 }
 
-/// The worker loop: drains messages until `Shutdown` or channel close.
+/// Answers one read-lane request against the current registry.
+fn serve_read(state: &ShardState, read: ReadMsg, queue_depth: &AtomicUsize) {
+    match read {
+        ReadMsg::Forecast { items, horizon, reply } => {
+            let out = items
+                .into_iter()
+                .map(|(idx, key)| (idx, state.forecast_series(&key, horizon)))
+                .collect();
+            let _ = reply.send((state.index, state.applied_seq, out));
+        }
+        ReadMsg::Stats { reply } => {
+            let mut s = state.stats();
+            // the backlog still queued behind the message being handled
+            s.queue_depth = queue_depth.load(Ordering::Relaxed);
+            let _ = reply.send(s);
+        }
+    }
+}
+
+/// The worker loop: drains messages until `Shutdown` or channel close,
+/// answering every pending read-lane request before it handles each
+/// dequeued message — reads land between sub-batches, never inside one.
 ///
-/// `queue_depth` counts requests the engine has sent that this worker has
-/// not dequeued yet — i.e. channel occupancy, the same quantity a bounded
-/// queue caps. It is decremented on dequeue (not on completion) so that a
-/// synchronous caller who has already received a reply never observes a
-/// stale nonzero depth; the engine samples it for
+/// `queue_depth` counts requests the engine has sent on `rx` that this
+/// worker has not dequeued yet — i.e. channel occupancy, the same quantity
+/// a bounded queue caps. It is decremented on dequeue (not on completion)
+/// so that a synchronous caller who has already received a reply never
+/// observes a stale nonzero depth; the engine samples it for
 /// [`ShardStats::queue_depth`] and for the [`crate::QueuePolicy::Reject`]
 /// admission check.
 pub fn run_worker(
     mut state: ShardState,
     rx: Receiver<ShardMsg>,
+    lane: Receiver<ReadMsg>,
     queue_depth: Arc<AtomicUsize>,
     buf_return: Sender<ShardBatch>,
 ) {
@@ -963,6 +1017,9 @@ pub fn run_worker(
     let mut wal_buf: Vec<u8> = Vec::new();
     while let Ok(msg) = rx.recv() {
         queue_depth.fetch_sub(1, Ordering::Relaxed);
+        while let Ok(read) = lane.try_recv() {
+            serve_read(&state, read, &queue_depth);
+        }
         match msg {
             ShardMsg::Ingest { mut batch, seq, wal, reply } => {
                 // write-ahead: the frame must be on the log before any
@@ -1025,13 +1082,6 @@ pub fn run_worker(
                 let (series, tombstones) = state.snapshot(delta, upto);
                 let _ = reply.send((series, tombstones, state.stats()));
             }
-            ShardMsg::Stats { reply } => {
-                let mut s = state.stats();
-                // this request was dequeued already: the load is exactly
-                // the backlog queued behind it
-                s.queue_depth = queue_depth.load(Ordering::Relaxed);
-                let _ = reply.send(s);
-            }
             ShardMsg::EvictIdle { now, ttl, spill_after, reply } => {
                 let _ = reply.send(state.evict_idle(now, ttl, spill_after));
             }
@@ -1045,13 +1095,7 @@ pub fn run_worker(
                 };
                 let _ = reply.send(outcome);
             }
-            ShardMsg::Forecast { items, horizon, reply } => {
-                let out = items
-                    .into_iter()
-                    .map(|(idx, key)| (idx, state.forecast_series(&key, horizon)))
-                    .collect();
-                let _ = reply.send(out);
-            }
+            ShardMsg::Poll => {}
             ShardMsg::Crash => panic!("injected worker crash (test)"),
             ShardMsg::Shutdown => break,
         }

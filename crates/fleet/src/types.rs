@@ -210,7 +210,10 @@ pub struct ShardStats {
     pub rejected: usize,
     /// Quarantined series on this shard.
     pub quarantined: usize,
-    /// Requests currently queued on the shard channel (sampled).
+    /// Messages still queued on the shard's ingest/control channel when
+    /// this read was answered — the backlog behind the sub-batch boundary
+    /// the read landed on. It can include wake-up nudges of reads in
+    /// flight, this one's among them.
     pub queue_depth: usize,
     /// Series evicted by TTL (lifetime).
     pub evicted: u64,

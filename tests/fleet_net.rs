@@ -324,3 +324,30 @@ fn loopback_serves_sequential_connections() {
     assert_eq!(stats.points, 10, "state must survive across connections");
     server.shutdown();
 }
+
+/// A forecast request whose answer could never fit one frame — here
+/// `horizon = u32::MAX`, which would otherwise make the shard allocate
+/// 32 GiB per live key — is refused with a remote error before any shard
+/// sees it, and the connection keeps serving. A zero horizon is refused
+/// the same way.
+#[test]
+fn loopback_refuses_an_unanswerable_forecast_and_keeps_serving() {
+    let server = NetServer::serve("127.0.0.1:0", FleetEngine::new(test_config(2)).unwrap())
+        .expect("serve");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    for t in 0..48u64 {
+        client.ingest(stream_batch(t, 4)).unwrap();
+    }
+    let keys: Vec<SeriesKey> = (0..4).map(|s| SeriesKey::new(format!("series-{s}"))).collect();
+    for horizon in [u32::MAX, 0] {
+        match client.forecast(&keys, horizon) {
+            Err(NetError::Remote(msg)) => assert!(msg.contains("refused"), "{msg}"),
+            other => panic!("horizon {horizon}: expected a remote error, got {other:?}"),
+        }
+    }
+    // the same connection still answers a sane forecast and stats
+    let fc = client.forecast(&keys, PERIOD as u32).unwrap();
+    assert!(fc.iter().all(|slot| slot.as_ref().is_some_and(|f| f.len() == PERIOD)));
+    assert_eq!(client.stats().unwrap().live, 4);
+    server.shutdown();
+}
