@@ -17,12 +17,11 @@ use crate::error::FleetError;
 use crate::net::MAX_FRAME;
 use crate::series::SeriesState;
 use crate::shard::{
-    run_worker, BatchReply, ReadMsg, SeriesEntry, SeriesSnapshot, ShardMsg, ShardState,
-    WalMeta, WalOp,
+    run_worker, BatchReply, ReadMsg, SeriesEntry, SeriesSnapshot, ShardMsg, ShardState, WalMeta,
 };
 use crate::types::{FleetStats, Record, ScoredPoint, SeriesKey, ShardStats};
 use crate::wal::GroupWal;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -134,7 +133,7 @@ enum ShardSender {
 impl ShardSender {
     /// Sends, blocking on a full bounded queue. Errors only when the
     /// worker is gone — the message is handed back (by value, hence the
-    /// large `Err`) so a supervisor can retry it against a respawned
+    /// large `Err`) so a plain engine can retry it against a respawned
     /// worker without re-building the sub-batch.
     #[allow(clippy::result_large_err)]
     fn send(&self, msg: ShardMsg) -> Result<(), ShardMsg> {
@@ -166,8 +165,9 @@ struct Worker {
     lane: Sender<ReadMsg>,
     /// Messages sent on `queue` that the worker has not dequeued yet.
     depth: Arc<AtomicUsize>,
-    /// The worker thread.
-    handle: JoinHandle<()>,
+    /// The worker thread (`None` once joined by
+    /// [`FleetEngine::stop_workers`]).
+    handle: Option<JoinHandle<()>>,
 }
 
 /// One submitted batch whose outputs have not been collected yet.
@@ -200,11 +200,14 @@ pub struct FleetEngine {
     workers: Vec<Worker>,
     clock: u64,
     batches: u64,
-    carried: CarriedTotals,
+    /// Lifetime totals kept engine-side; [`crate::DurableFleet`] bumps
+    /// the durability ones.
+    pub(crate) carried: CarriedTotals,
     pending: VecDeque<PendingBatch>,
     /// Batch seq of the last snapshot collection (full or delta) — the
-    /// image the next [`FleetEngine::snapshot_delta`] chains onto.
-    last_collect: u64,
+    /// image the next [`FleetEngine::snapshot_delta`] chains onto; `None`
+    /// once a respawn emptied a shard of it.
+    last_collect: Option<u64>,
     /// The shared WAL and the engine-wide fsync interval, once attached;
     /// also the flag that turns on frame emission in
     /// [`FleetEngine::submit`].
@@ -226,22 +229,6 @@ pub struct FleetEngine {
     buf_tx: Sender<ShardBatch>,
     /// Reassembly buffer reused across [`FleetEngine::next_batch`] calls.
     assembly: Vec<Option<ScoredPoint>>,
-    /// Shard supervision: respawn a dead worker and rehydrate it from the
-    /// shadow image instead of returning [`FleetError::ShardDown`]
-    /// forever. On by default; turned off when a WAL attaches under
-    /// [`crate::DurabilityPolicy::CrashStop`], whose contract is that a
-    /// durability failure poisons the engine.
-    supervise: bool,
-    /// Degrade-mode durability flag, forwarded to respawned workers.
-    degrade: bool,
-    /// The supervision rehydration source: every series' state as of the
-    /// last snapshot collection (full or delta), keyed. Refreshed during
-    /// [`FleetEngine::collect`] while supervision is on; empty until a
-    /// first collection (or restore), so a never-snapshotted engine
-    /// respawns workers with an empty registry and series re-warm on next
-    /// contact. The memory cost is one plain-data copy of the fleet —
-    /// the price of being able to rebuild a shard without disk.
-    shadow: BTreeMap<SeriesKey, SeriesSnapshot>,
     /// Cold-tier directory, once attached — respawned workers reopen
     /// their shard's cold file from here.
     cold_dir: Option<std::path::PathBuf>,
@@ -278,29 +265,24 @@ impl FleetEngine {
         let config = Arc::new(snapshot.config);
         let mut states: Vec<ShardState> =
             (0..shards).map(|i| ShardState::new(i, Arc::clone(&config))).collect();
-        let mut shadow = BTreeMap::new();
         for s in snapshot.series {
             let shard = s.key.shard_of(shards);
-            let state = SeriesState::from_snapshot(s.phase.clone(), &config)?;
+            let state = SeriesState::from_snapshot(s.phase, &config)?;
             // series arrive sorted by key, so each shard's arena is
             // admitted — and its buffers allocated — in key order
             states[shard].registry.insert(SeriesEntry {
-                key: s.key.clone(),
+                key: s.key,
                 state,
                 last_seen: s.last_seen,
                 dirty_seq: 0,
             });
-            shadow.insert(s.key.clone(), s);
         }
         for state in &mut states {
             // the restored image is the dirty baseline: the first delta
             // after a restore covers exactly what changed since it
             state.set_snapshot_baseline(snapshot.batches);
         }
-        let mut engine =
-            Self::spawn(config, states, snapshot.clock, snapshot.batches, snapshot.totals)?;
-        engine.shadow = shadow;
-        Ok(engine)
+        Self::spawn(config, states, snapshot.clock, snapshot.batches, snapshot.totals)
     }
 
     /// Spawns the worker threads. A thread the OS refuses to create is a
@@ -326,16 +308,13 @@ impl FleetEngine {
             batches,
             carried,
             pending: VecDeque::new(),
-            last_collect: batches,
+            last_collect: Some(batches),
             wal: None,
             wal_unsynced: 0,
             spare_bufs: Vec::new(),
             buf_rx,
             buf_tx,
             assembly: Vec::new(),
-            supervise: true,
-            degrade: false,
-            shadow: BTreeMap::new(),
             cold_dir: None,
         })
     }
@@ -364,7 +343,7 @@ impl FleetEngine {
             .name(format!("fleet-shard-{}", state.index))
             .spawn(move || run_worker(state, rx, lane_rx, worker_depth, buf_tx))
             .map_err(|_| FleetError::Internal("spawning a shard worker thread"))?;
-        Ok(Worker { queue, lane, depth, handle })
+        Ok(Worker { queue, lane, depth, handle: Some(handle) })
     }
 
     /// The engine configuration.
@@ -423,11 +402,12 @@ impl FleetEngine {
         }
     }
 
-    /// [`FleetEngine::send`] with supervision: a dead worker is respawned
-    /// (rehydrated from the shadow image) and the message retried once.
-    /// `&self` paths ([`FleetEngine::stats`], [`FleetEngine::forecast`])
-    /// still return [`FleetError::ShardDown`] until the next `&mut` call
-    /// heals the shard.
+    /// [`FleetEngine::send`] that, on a plain engine, respawns a dead
+    /// worker and retries the message once. With a WAL attached a dead
+    /// worker stays down ([`FleetError::ShardDown`]): the repair is
+    /// recovery from disk ([`crate::DurableFleet`]). `&self` paths
+    /// ([`FleetEngine::stats`], [`FleetEngine::forecast`]) return
+    /// `ShardDown` until the next `&mut` call heals the shard.
     fn send_or_respawn(&mut self, shard: usize, msg: ShardMsg) -> Result<(), FleetError> {
         let w = &self.workers[shard];
         w.depth.fetch_add(1, Ordering::Relaxed);
@@ -435,44 +415,22 @@ impl FleetEngine {
             Ok(()) => return Ok(()),
             Err(msg) => msg,
         };
-        if !self.supervise {
+        if self.wal.is_some() {
             return Err(FleetError::ShardDown);
         }
         self.respawn_shard(shard)?;
         self.send(shard, msg)
     }
 
-    /// Replaces a dead shard worker: joins the old thread, spawns a fresh
-    /// one, and rehydrates its slice of the fleet from the shadow image
-    /// (the state as of the last snapshot collection — anything the dead
-    /// worker ingested after that is lost in memory; on a
-    /// [`crate::DurableFleet`] it is still in the WAL and survives a
-    /// process-level recovery).
+    /// Replaces a dead shard worker with a fresh one holding an empty
+    /// registry and the shard's reopened cold file: hot series re-warm,
+    /// spilled ones rehydrate. The shard's slice of the last collected
+    /// image is gone, so [`FleetEngine::snapshot_delta`] fails until a
+    /// full [`FleetEngine::snapshot`] starts a new chain.
     fn respawn_shard(&mut self, shard: usize) -> Result<(), FleetError> {
-        let shards = self.shard_count();
         let mut state = ShardState::new(shard, Arc::clone(&self.config));
-        for snap in self.shadow.values() {
-            if snap.key.shard_of(shards) != shard {
-                continue;
-            }
-            // a snapshot entry that fails validation is dropped (its
-            // series re-warms on next contact) — one bad series must not
-            // block the shard's resurrection
-            let Ok(s) = SeriesState::from_snapshot(snap.phase.clone(), &self.config) else {
-                continue;
-            };
-            state.registry.insert(SeriesEntry {
-                key: snap.key.clone(),
-                state: s,
-                last_seen: snap.last_seen,
-                dirty_seq: 0,
-            });
-        }
-        // the rehydrated registry equals the last collected image, so the
-        // next delta collection owes nothing for these entries
-        state.set_snapshot_baseline(self.last_collect);
-        state.wal = self.wal.as_ref().map(|(w, _)| Arc::clone(w));
-        state.degrade = self.degrade;
+        // the empty registry is the shard's state as of every batch so far
+        state.applied_seq = self.batches;
         if let Some(dir) = &self.cold_dir {
             // an unreadable cold file degrades the respawned shard to
             // hot-only (cold series re-warm) rather than failing the heal
@@ -485,14 +443,32 @@ impl FleetEngine {
         // still alive (a spurious respawn), its closed queue lets it drain
         // and exit instead of deadlocking the join
         drop((queue, lane));
-        let _ = handle.join();
+        if let Some(h) = handle {
+            let _ = h.join();
+        }
+        self.last_collect = None;
         self.carried.shard_restarts += 1;
         Ok(())
     }
 
+    /// Stops every worker after what is already queued and waits for it
+    /// to exit, so none is still writing when this returns. Then every
+    /// call that reaches a shard of a WAL-attached engine fails with
+    /// [`FleetError::ShardDown`].
+    pub(crate) fn stop_workers(&mut self) {
+        for w in &self.workers {
+            let _ = w.queue.send(ShardMsg::Shutdown);
+        }
+        for w in &mut self.workers {
+            if let Some(h) = w.handle.take() {
+                let _ = h.join();
+            }
+        }
+    }
+
     /// Test support: makes shard `shard`'s worker panic on its next
     /// dequeue — the deterministic "worker died" injection the
-    /// supervision tests use.
+    /// dead-shard tests use.
     #[doc(hidden)]
     pub fn crash_shard(&mut self, shard: usize) -> Result<(), FleetError> {
         self.send(shard, ShardMsg::Crash)
@@ -650,9 +626,9 @@ impl FleetEngine {
             }
         }
         if !waiting.is_empty() {
-            // this batch's outputs are gone with the dead worker(s); heal
-            // the engine for the batches that follow, but report honestly
-            if self.supervise {
+            // this batch's outputs are gone with the dead worker(s); a
+            // plain engine heals for the batches that follow
+            if self.wal.is_none() {
                 for shard in waiting {
                     self.respawn_shard(shard)?;
                 }
@@ -964,20 +940,6 @@ impl FleetEngine {
         }
         series.sort_by(|a, b| a.key.cmp(&b.key));
         tombstones.sort();
-        // refresh the supervision shadow: a full collection replaces the
-        // image, a delta folds into it (the same rule FleetDelta::fold_into
-        // applies to persisted images)
-        if self.supervise {
-            if !delta {
-                self.shadow.clear();
-            }
-            for key in &tombstones {
-                self.shadow.remove(key);
-            }
-            for s in &series {
-                self.shadow.insert(s.key.clone(), s.clone());
-            }
-        }
         Ok((series, tombstones, totals))
     }
 
@@ -989,7 +951,7 @@ impl FleetEngine {
     /// [`FleetEngine::snapshot_delta`] will chain onto this image.
     pub fn snapshot(&mut self) -> Result<FleetSnapshot, FleetError> {
         let (series, _, totals) = self.collect(false)?;
-        self.last_collect = self.batches;
+        self.last_collect = Some(self.batches);
         Ok(FleetSnapshot {
             config: (*self.config).clone(),
             clock: self.clock,
@@ -1002,11 +964,14 @@ impl FleetEngine {
     /// Serializes only what changed since the previous collection (full or
     /// delta): dirty series plus tombstones of evicted ones. With a mostly
     /// idle fleet this is a small fraction of a full snapshot — the basis
-    /// of [`crate::DurableFleet`]'s incremental snapshot files.
+    /// of [`crate::DurableFleet`]'s incremental snapshot files. Fails with
+    /// [`FleetError::Recovery`] after a respawn: no delta can chain onto
+    /// an image a shard lost.
     pub fn snapshot_delta(&mut self) -> Result<FleetDelta, FleetError> {
-        let prev = self.last_collect;
+        let respawned = || FleetError::Recovery("shard respawned: take a full snapshot".into());
+        let prev = self.last_collect.ok_or_else(respawned)?;
         let (series, tombstones, totals) = self.collect(true)?;
-        self.last_collect = self.batches;
+        self.last_collect = Some(self.batches);
         Ok(FleetDelta {
             config: (*self.config).clone(),
             prev_batches: prev,
@@ -1041,24 +1006,15 @@ impl FleetEngine {
     ) -> Result<(), FleetError> {
         let (tx, rx) = channel();
         for shard in 0..self.shard_count() {
-            self.send_or_respawn(
-                shard,
-                ShardMsg::WalCtl {
-                    op: WalOp::Attach { wal: Arc::clone(&wal), degrade },
-                    reply: tx.clone(),
-                },
-            )?;
+            let msg = ShardMsg::AttachWal { wal: Arc::clone(&wal), degrade, reply: tx.clone() };
+            self.send_or_respawn(shard, msg)?;
         }
         drop(tx);
         for _ in 0..self.shard_count() {
-            rx.recv().map_err(|_| FleetError::ShardDown)?.map_err(FleetError::Io)?;
+            rx.recv().map_err(|_| FleetError::ShardDown)?;
         }
         self.wal = Some((wal, fsync_every.max(1)));
         self.wal_unsynced = 0;
-        self.degrade = degrade;
-        // crash-stop's contract is that a durability failure poisons the
-        // engine — supervision must not resurrect what that policy killed
-        self.supervise = degrade;
         Ok(())
     }
 
@@ -1067,16 +1023,6 @@ impl FleetEngine {
     /// [`crate::DurableFleet`].
     pub(crate) fn wal_poisoned(&self) -> Option<String> {
         self.wal.as_ref().and_then(|(w, _)| w.poison_reason())
-    }
-
-    /// Bumps the lifetime WAL re-arm-attempt counter.
-    pub(crate) fn note_wal_retry(&mut self) {
-        self.carried.wal_retries += 1;
-    }
-
-    /// Bumps the lifetime un-durable-batch counter.
-    pub(crate) fn note_undurable_batch(&mut self) {
-        self.carried.undurable_batches += 1;
     }
 
     /// Rotates the shared WAL to a fresh segment starting after batch
@@ -1143,11 +1089,6 @@ impl FleetEngine {
 
 impl Drop for FleetEngine {
     fn drop(&mut self) {
-        for w in &self.workers {
-            let _ = w.queue.send(ShardMsg::Shutdown);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.handle.join();
-        }
+        self.stop_workers();
     }
 }

@@ -13,7 +13,9 @@ pub enum FleetError {
     Codec(CodecError),
     /// A per-series state failed validation during restore.
     State(TsError),
-    /// A shard worker is gone (channel closed) — the engine is poisoned.
+    /// A shard worker is gone (channel closed). A plain engine respawns it
+    /// on the next `&mut` call; with a WAL attached it stays down until
+    /// recovery from disk (see [`crate::DurableFleet`]).
     ShardDown,
     /// A bounded shard queue was full and the configured policy is
     /// [`crate::QueuePolicy::Reject`]. The batch was **not** applied (not

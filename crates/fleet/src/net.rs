@@ -761,9 +761,9 @@ fn accept_loop(listener: TcpListener, mut engine: FleetEngine, stop: &AtomicBool
         match listener.accept() {
             Ok((stream, _)) => {
                 if serve_conn(&mut engine, stream, stop).is_err() {
-                    // the engine is poisoned (a shard died unsupervised,
-                    // or durability crash-stopped it): stop serving
-                    // rather than answer every future request with errors
+                    // the engine is poisoned (a dead shard could not be
+                    // respawned): stop serving rather than answer every
+                    // future request with errors
                     break;
                 }
             }
@@ -927,9 +927,9 @@ fn conn_loop(
 }
 
 /// Answers the oldest in-flight batch with its `Scored` frame (or a
-/// per-batch `Error` if its shards failed — supervision heals what it
-/// can, the connection stays up, and a truly poisoned engine surfaces on
-/// the next submit).
+/// per-batch `Error` if its shards failed — the engine respawns a dead
+/// shard, whose series re-warm, the connection stays up, and a truly
+/// poisoned engine surfaces on the next submit).
 fn send_one_reply(engine: &mut FleetEngine, io: &mut FrameIo) {
     let reply = match engine.next_batch() {
         Ok(Some(points)) => NetMessage::Scored(points),

@@ -82,6 +82,16 @@
 //! again. Until the re-arm succeeds, a crash loses the window — that is
 //! the availability-over-durability trade the policy opts into.
 //!
+//! ## A dead shard worker
+//!
+//! Disk is the only recovery path. Under `CrashStop` a dead worker stays
+//! down ([`FleetError::ShardDown`]) until the operator runs
+//! [`DurableFleet::open`]. Under `Degrade` the first `&mut` call that sees
+//! `ShardDown` runs that `open` in place, then returns `ShardDown`; the
+//! caller resumes bit-identically from the recovered
+//! [`FleetEngine::batches`], and [`crate::FleetStats::shard_restarts`]
+//! counts the recovery. If `open` fails, the fleet stays poisoned.
+//!
 //! ## One process at a time
 //!
 //! A durability directory must be owned by exactly one live
@@ -442,7 +452,7 @@ impl DurableFleet {
         let writer = std::thread::Builder::new()
             .name("fleet-snapshot-writer".into())
             .spawn(move || run_writer(dir, job_rx, done_tx))
-            .expect("spawning the snapshot writer thread");
+            .map_err(|_| FleetError::Internal("spawning the snapshot writer thread"))?;
         Ok(DurableFleet {
             engine,
             dcfg,
@@ -484,15 +494,15 @@ impl DurableFleet {
     /// snapshot cadence.
     pub fn ingest(&mut self, batch: Vec<Record>) -> Result<Vec<ScoredPoint>, FleetError> {
         self.poll_writer()?;
-        self.heal()?;
-        let out = self.engine.ingest(batch)?;
-        self.detect_degraded();
-        if self.degraded.is_some() {
-            self.engine.note_undurable_batch();
-        } else {
+        let out = self.heal().and_then(|()| self.engine.ingest(batch)).and_then(|out| {
+            self.detect_degraded();
+            if self.degraded.is_some() {
+                self.engine.carried.undurable_batches += 1;
+            }
             self.maybe_snapshot()?;
-        }
-        Ok(out)
+            Ok(out)
+        });
+        self.recover_on_shard_down(out)
     }
 
     /// Convenience single-record durable ingest.
@@ -509,13 +519,11 @@ impl DurableFleet {
     /// Pipelined durable submission (see [`FleetEngine::submit`]).
     pub fn submit(&mut self, batch: Vec<Record>) -> Result<(), FleetError> {
         self.poll_writer()?;
-        self.heal()?;
-        self.engine.submit(batch)?;
-        self.detect_degraded();
-        if self.degraded.is_none() {
-            self.maybe_snapshot()?;
-        }
-        Ok(())
+        let submitted = self.heal().and_then(|()| self.engine.submit(batch)).and_then(|()| {
+            self.detect_degraded();
+            self.maybe_snapshot()
+        });
+        self.recover_on_shard_down(submitted)
     }
 
     /// Collects the oldest in-flight batch (see
@@ -523,10 +531,11 @@ impl DurableFleet {
     /// is degraded count as un-durable (conservatively: a batch applied
     /// just before the WAL poisoned may land in the unsynced tail).
     pub fn next_batch(&mut self) -> Result<Option<Vec<ScoredPoint>>, FleetError> {
-        let out = self.engine.next_batch()?;
+        let out = self.engine.next_batch();
+        let out = self.recover_on_shard_down(out)?;
         self.detect_degraded();
         if out.is_some() && self.degraded.is_some() {
-            self.engine.note_undurable_batch();
+            self.engine.carried.undurable_batches += 1;
         }
         Ok(out)
     }
@@ -550,16 +559,54 @@ impl DurableFleet {
         }
     }
 
+    /// Under [`DurabilityPolicy::Degrade`], recovers the fleet in place
+    /// when `outcome` is [`FleetError::ShardDown`] (see the module docs).
+    /// Public `&mut` methods route their outcome through here once.
+    fn recover_on_shard_down<T>(
+        &mut self,
+        outcome: Result<T, FleetError>,
+    ) -> Result<T, FleetError> {
+        // no writer: an earlier in-place recovery failed, and the fleet
+        // stays poisoned like a crash-stopped one
+        if matches!(outcome, Err(FleetError::ShardDown))
+            && self.dcfg.policy == DurabilityPolicy::Degrade
+            && self.writer.is_some()
+        {
+            self.recover_in_place();
+        }
+        outcome
+    }
+
+    /// Stops the engine's workers and drains the snapshot writer, so
+    /// nothing else writes to the directory, then replaces this fleet
+    /// whole with [`DurableFleet::open`]'s — or, if that fails, swaps
+    /// nothing.
+    fn recover_in_place(&mut self) {
+        self.engine.stop_workers();
+        self.job_tx = None;
+        if let Some(h) = self.writer.take() {
+            let _ = h.join();
+        }
+        if let Ok(mut recovered) = Self::open(self.dcfg.clone()) {
+            // the old count may be ahead of the recovered image's
+            recovered.engine.carried.shard_restarts = self.engine.carried.shard_restarts + 1;
+            *self = recovered;
+        }
+    }
+
     /// Attempts a re-arm when degraded and the backoff clock has expired.
+    /// A dead shard fails the attempt with [`FleetError::ShardDown`],
+    /// which is passed up for recovery instead of retried.
     fn heal(&mut self) -> Result<(), FleetError> {
         let Some(d) = &self.degraded else { return Ok(()) };
         if Instant::now() < d.next_retry {
             return Ok(());
         }
         let attempts = d.attempts;
-        self.engine.note_wal_retry();
+        self.engine.carried.wal_retries += 1;
         match self.rearm_once() {
             Ok(()) if self.degraded.is_none() => Ok(()),
+            Err(FleetError::ShardDown) => Err(FleetError::ShardDown),
             // the attempt failed (or the checkpoint inside it re-degraded):
             // stay degraded and back off exponentially, capped
             _ => {
@@ -580,7 +627,7 @@ impl DurableFleet {
         // checkpoint guard refuses while degraded) — a failed write below
         // re-enters via handle_ack
         self.degraded = None;
-        self.checkpoint()
+        self.write_checkpoint()
     }
 
     fn schedule_retry(&mut self, prior_attempts: u32) {
@@ -619,19 +666,22 @@ impl DurableFleet {
         key: impl Into<SeriesKey>,
         opts: crate::config::AdmitOptions,
     ) -> Result<(), FleetError> {
-        self.engine.set_admit_options(key, opts)?;
-        self.checkpoint()
+        let done =
+            self.engine.set_admit_options(key, opts).and_then(|()| self.write_checkpoint());
+        self.recover_on_shard_down(done)
     }
 
     /// Evicts idle series like [`FleetEngine::evict_idle`], then
     /// checkpoints: explicit evictions are not WAL-logged, so making them
     /// durable immediately keeps recovery deterministic.
     pub fn evict_idle(&mut self, now: u64) -> Result<usize, FleetError> {
-        let evicted = self.engine.evict_idle(now)?;
-        if evicted > 0 {
-            self.checkpoint()?;
-        }
-        Ok(evicted)
+        let evicted = self.engine.evict_idle(now).and_then(|evicted| {
+            if evicted > 0 {
+                self.write_checkpoint()?;
+            }
+            Ok(evicted)
+        });
+        self.recover_on_shard_down(evicted)
     }
 
     /// Takes a snapshot now and blocks until it is durable on disk, then
@@ -639,6 +689,13 @@ impl DurableFleet {
     /// state change without a new batch (an explicit eviction) is
     /// re-snapshotted under the same seq.
     pub fn checkpoint(&mut self) -> Result<(), FleetError> {
+        let done = self.write_checkpoint();
+        self.recover_on_shard_down(done)
+    }
+
+    /// [`DurableFleet::checkpoint`] without the dead-shard recovery, for
+    /// callers that route their own outcome through it.
+    fn write_checkpoint(&mut self) -> Result<(), FleetError> {
         if self.degraded.is_some() {
             return Err(FleetError::Io(
                 "durability degraded: WAL re-arm pending, checkpoint unavailable".into(),
@@ -668,11 +725,11 @@ impl DurableFleet {
         }
         // degraded: the checkpoint and sync would only fail again — close
         // what we can; the un-durable window is lost, as documented
-        // dropping the job sender ends the writer loop
+        // dropping the job sender ends the writer loop; a fleet whose
+        // in-place recovery failed has no writer left and stays poisoned
         self.job_tx = None;
-        if let Some(h) = self.writer.take() {
-            let _ = h.join();
-        }
+        let writer = self.writer.take().ok_or(FleetError::ShardDown)?;
+        let _ = writer.join();
         Ok(())
     }
 
@@ -681,8 +738,11 @@ impl DurableFleet {
         self.durable_snapshot
     }
 
+    /// Services the snapshot cadence (paused while degraded).
     fn maybe_snapshot(&mut self) -> Result<(), FleetError> {
-        if self.engine.batches() - self.last_snapshot >= self.dcfg.snapshot_every {
+        if self.degraded.is_none()
+            && self.engine.batches() - self.last_snapshot >= self.dcfg.snapshot_every
+        {
             self.trigger_snapshot(false)?;
         }
         Ok(())
@@ -722,11 +782,10 @@ impl DurableFleet {
         self.last_snapshot = seq;
         let id = self.next_job;
         self.next_job += 1;
-        self.job_tx
-            .as_ref()
-            .expect("writer alive while the fleet is open")
-            .send(SnapshotJob { id, seq, payload })
-            .map_err(|_| FleetError::Io("snapshot writer thread died".into()))?;
+        let job = SnapshotJob { id, seq, payload };
+        if self.job_tx.as_ref().is_none_or(|tx| tx.send(job).is_err()) {
+            return Err(FleetError::Io("snapshot writer thread stopped".into()));
+        }
         Ok(id)
     }
 

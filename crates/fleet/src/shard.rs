@@ -301,21 +301,6 @@ pub struct WalMeta {
     pub sync: bool,
 }
 
-/// WAL control operations carried by [`ShardMsg::WalCtl`]. Rotation and
-/// explicit syncs go straight to the shared [`GroupWal`] from the engine
-/// thread; the only per-worker operation left is adopting the handle.
-pub enum WalOp {
-    /// Adopt this shared WAL handle; subsequent ingests are logged to it.
-    Attach {
-        /// The shared WAL handle.
-        wal: Arc<GroupWal>,
-        /// [`crate::DurabilityPolicy::Degrade`]: a failed append no longer
-        /// crash-stops the worker — the batch is applied un-durably and
-        /// the engine re-arms durability out of band.
-        degrade: bool,
-    },
-}
-
 /// One shard's answer to a [`ShardMsg::Ingest`]: its shard index plus the
 /// same columnar batch with its `outputs` column filled, or the
 /// worker-side error string. Returning the batch itself is what closes
@@ -362,12 +347,18 @@ pub enum ShardMsg {
         /// Reply channel.
         reply: Sender<Result<(), FleetError>>,
     },
-    /// Perform a WAL control operation; reply with the outcome.
-    WalCtl {
-        /// The operation.
-        op: WalOp,
+    /// Adopt this shared WAL handle: subsequent ingests are logged to it.
+    /// (Rotation and syncs go straight to the [`GroupWal`] from the
+    /// engine thread.) Replies once adopted.
+    AttachWal {
+        /// The shared WAL handle.
+        wal: Arc<GroupWal>,
+        /// [`crate::DurabilityPolicy::Degrade`]: a failed append no longer
+        /// crash-stops the worker — the batch is applied un-durably and
+        /// the engine re-arms durability out of band.
+        degrade: bool,
         /// Reply channel.
-        reply: Sender<Result<(), String>>,
+        reply: Sender<()>,
     },
     /// Test support: hold the worker until the channel paired with
     /// `release` is dropped or signalled. Used to fill bounded queues
@@ -419,8 +410,8 @@ pub enum ShardMsg {
     /// [`ReadMsg`] lane.
     Poll,
     /// Test support: panic the worker on dequeue — the deterministic
-    /// stand-in for "a shard worker died" that the supervision tests (and
-    /// chaos drills) use to exercise respawn.
+    /// stand-in for "a shard worker died" that the dead-shard tests (and
+    /// chaos drills) use to exercise respawn and recovery.
     #[doc(hidden)]
     Crash,
     /// Terminate the worker.
@@ -466,11 +457,6 @@ pub struct ShardState {
     pub registry: Registry,
     /// Engine configuration (shared, immutable).
     pub config: Arc<FleetConfig>,
-    /// The fleet's shared WAL (`None` when durability is off).
-    pub wal: Option<Arc<GroupWal>>,
-    /// Degrade-mode durability: a failed WAL append applies the batch
-    /// un-durably instead of crash-stopping the worker.
-    pub degrade: bool,
     /// One trial scratch shared by every series on this shard: the hot
     /// buffers stay in cache across series and per-series scratch memory
     /// is zero (see `oneshotstl::UpdateScratch`).
@@ -517,8 +503,6 @@ impl ShardState {
             index,
             registry: Registry::default(),
             config,
-            wal: None,
-            degrade: false,
             scratch: UpdateScratch::default(),
             order: Vec::new(),
             snapshot_seq: 0,
@@ -952,11 +936,12 @@ impl ShardState {
     }
 }
 
-/// Unwind guard: a worker that panics after a group-commit append but
-/// before the batch's other appenders arrive would strand them on the
-/// flush condvar forever (its share of the fanout count never lands).
-/// Poisoning the shared WAL on unwind turns that hang into the normal
-/// crash-stop error every other shard already handles.
+/// The worker's handle on the shared WAL (`None` when durability is off),
+/// doubling as an unwind guard: a worker that panics after a group-commit
+/// append but before the batch's other appenders arrive would strand them
+/// on the flush condvar forever (its share of the fanout count never
+/// lands). Poisoning the shared WAL on unwind turns that hang into the
+/// normal crash-stop error every other shard already handles.
 struct PanicPoison {
     wal: Option<Arc<GroupWal>>,
 }
@@ -1008,9 +993,9 @@ pub fn run_worker(
     queue_depth: Arc<AtomicUsize>,
     buf_return: Sender<ShardBatch>,
 ) {
-    // a respawned worker arrives with the WAL already in its state, not
-    // via a WalCtl message — arm the unwind guard from either source
-    let mut poison_guard = PanicPoison { wal: state.wal.clone() };
+    // set by an AttachWal message; a worker starts without a WAL
+    let mut log = PanicPoison { wal: None };
+    let mut degrade = false;
     // reusable WAL record scratch: frames encode straight off the batch
     // columns into this buffer, so logging allocates nothing per batch
     // once primed
@@ -1028,7 +1013,7 @@ pub fn run_worker(
                 // half-applied batch. With group commit, a `sync` append
                 // blocks until the one fsync covering this batch — issued
                 // by whichever shard's append lands last — has completed.
-                let logged = match (&wal, state.wal.as_ref()) {
+                let logged = match (&wal, log.wal.as_ref()) {
                     (Some(meta), Some(w)) => {
                         encode_record_into(&mut wal_buf, meta.seq, meta.batch_n, &batch);
                         w.append_record(meta.seq, &wal_buf, meta.fanout, meta.sync)
@@ -1037,7 +1022,7 @@ pub fn run_worker(
                     _ => Ok(()),
                 };
                 if let Err(msg) = logged {
-                    if !state.degrade {
+                    if !degrade {
                         // crash-stop: a shard that cannot log must not
                         // apply this or any later batch — its state would
                         // diverge from the durable prefix, and a
@@ -1068,12 +1053,10 @@ pub fn run_worker(
             ShardMsg::Admit { key, opts, now, seq, reply } => {
                 let _ = reply.send(state.set_admit_options(&key, opts, now, seq));
             }
-            ShardMsg::WalCtl { op, reply } => {
-                let WalOp::Attach { wal, degrade } = op;
-                poison_guard.wal = Some(Arc::clone(&wal));
-                state.wal = Some(wal);
-                state.degrade = degrade;
-                let _ = reply.send(Ok(()));
+            ShardMsg::AttachWal { wal, degrade: on, reply } => {
+                log.wal = Some(wal);
+                degrade = on;
+                let _ = reply.send(());
             }
             ShardMsg::Stall { release } => {
                 let _ = release.recv();

@@ -175,7 +175,11 @@ pub struct FleetStats {
     /// WAL re-arm attempts made while durability was degraded (lifetime
     /// count; 0 under [`crate::DurabilityPolicy::CrashStop`]).
     pub wal_retries: u64,
-    /// Panicked shard workers respawned by supervision (lifetime count).
+    /// Dead shard workers healed (lifetime count): respawns on a plain
+    /// engine (the shard's series re-warm), plus in-place recoveries from
+    /// disk under [`crate::DurabilityPolicy::Degrade`]. Always 0 under
+    /// [`crate::DurabilityPolicy::CrashStop`], where a dead worker stays
+    /// down until [`crate::DurableFleet::open`].
     pub shard_restarts: u64,
     /// Batches accepted while the WAL was down under
     /// [`crate::DurabilityPolicy::Degrade`] — the un-durable window

@@ -1,8 +1,9 @@
 //! Fault-injected durability: every instrumented WAL/snapshot I/O
 //! failure must leave the fleet panic-free and the on-disk state a
 //! recoverable prefix; [`DurabilityPolicy::Degrade`] must keep serving
-//! through a WAL outage and re-arm; a killed shard worker must respawn
-//! with its series intact; a poisoned series update must quarantine the
+//! through a WAL outage and re-arm, and recover a killed shard worker
+//! from disk bit-identically; a plain engine must respawn one with its
+//! series re-warming; a poisoned series update must quarantine the
 //! series, not the shard.
 
 use oneshotstl_suite::fleet::fault::{self, FaultOp};
@@ -240,77 +241,111 @@ fn degrade_mode_survives_a_permanent_outage() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A panicked shard worker is detected and respawned; series rehydrate
-/// from the engine's last collected snapshot, so they stay live (a
-/// re-warming series would answer `Warming`).
+/// Under [`DurabilityPolicy::Degrade`] a killed shard worker is recovered
+/// from disk in place: the call that sees `ShardDown` returns it,
+/// `engine().batches()` is where feeding resumes, and every batch served
+/// after that — and a later `DurableFleet::open`'s continuation — is
+/// bit-identical to an uninterrupted twin. No shard is rebuilt from an
+/// older in-memory image.
 #[test]
-fn killed_shard_worker_is_respawned_with_its_series_intact() {
-    let n_series = 6;
-    let mut engine = FleetEngine::new(config(3)).unwrap();
-    for t in 0..60u64 {
-        engine.ingest(batch(n_series, t)).unwrap();
+fn degrade_recovers_a_killed_shard_from_disk_bit_identically() {
+    let (n_series, killed_at, reopened_at, total) = (6, 65u64, 80u64, 95u64);
+    let dir = test_dir("degrade-kill");
+    let dcfg = DurabilityConfig {
+        // the kill lands mid-interval: the newest image (seq 60) is stale
+        snapshot_every: 10,
+        policy: DurabilityPolicy::Degrade,
+        ..DurabilityConfig::new(&dir)
+    };
+    let mut twin = FleetEngine::new(config(3)).unwrap();
+    let expected: Vec<Vec<ScoredPoint>> =
+        (0..total).map(|t| twin.ingest(batch(n_series, t)).unwrap()).collect();
+
+    let mut durable = DurableFleet::create(config(3), dcfg.clone()).unwrap();
+    for t in 0..killed_at {
+        durable.ingest(batch(n_series, t)).unwrap();
     }
-    assert_eq!(engine.stats().unwrap().live, n_series, "all series live before the kill");
-    // collect once so the shadow registry holds every series
-    let snapshot = engine.snapshot_bytes().unwrap();
-    let mut twin = FleetEngine::restore_bytes(&snapshot).unwrap();
-
-    engine.crash_shard(1).unwrap();
-    std::thread::sleep(Duration::from_millis(300)); // let the panic land
-
-    // the next mutating call heals the shard; tolerate one ShardDown if
-    // the worker died mid-handoff
-    let mut healed = None;
-    for attempt in 0..10 {
-        match engine.ingest(batch(n_series, 60)) {
+    durable.engine_mut().crash_shard(0).unwrap();
+    let mut t = killed_at;
+    let mut resumes = Vec::new();
+    while t < reopened_at {
+        match durable.ingest(batch(n_series, t)) {
             Ok(out) => {
-                healed = Some((attempt, out));
-                break;
+                assert_bit_identical(&out, &expected[t as usize], &format!("served batch {t}"));
+                t += 1;
             }
-            Err(FleetError::ShardDown) => std::thread::sleep(Duration::from_millis(10)),
-            Err(e) => panic!("unexpected error while healing: {e}"),
+            Err(FleetError::ShardDown) => {
+                t = durable.engine().batches();
+                resumes.push(t);
+            }
+            Err(e) => panic!("unexpected error at batch {t}: {e}"),
         }
     }
-    let (attempt, out) = healed.expect("the shard never healed");
-    for p in &out {
-        assert!(
-            matches!(p.output, PointOutput::Scored { .. }),
-            "{} must stay live after the respawn, got {:?}",
-            p.key,
-            p.output
-        );
-    }
-    let stats = engine.stats().unwrap();
-    assert!(stats.shard_restarts >= 1, "restart not counted: {stats:?}");
-    assert_eq!(stats.live, n_series, "no series lost to the crash");
+    // one ShardDown, then a healthy recovered fleet; every acked batch
+    // was fsynced, so the resume point is the kill (or one batch past it
+    // when that batch did not touch the dead shard)
+    assert_eq!(resumes.len(), 1, "resume points {resumes:?}");
+    assert!((killed_at..=killed_at + 1).contains(&resumes[0]), "{resumes:?}");
+    assert!(!durable.degraded());
+    let stats = durable.engine().stats().unwrap();
+    assert_eq!(stats.shard_restarts, 1, "the recovery is counted: {stats:?}");
+    assert_eq!(stats.live, n_series);
 
-    // the respawned worker resumed from the collected snapshot, so when
-    // the kill happened right after it, the whole engine continues
-    // bit-identically to a twin restored from those same bytes
-    if attempt == 0 {
-        let twin_out = twin.ingest(batch(n_series, 60)).unwrap();
-        assert_bit_identical(&out, &twin_out, "respawn vs restore");
+    // crash the recovered fleet too: its directory must continue the
+    // same stream, restart count included
+    drop(durable);
+    let mut reopened = DurableFleet::open(dcfg).unwrap();
+    assert_eq!(reopened.engine().batches(), reopened_at);
+    assert_eq!(reopened.engine().stats().unwrap().shard_restarts, 1);
+    for t in reopened_at..total {
+        let out = reopened.ingest(batch(n_series, t)).unwrap();
+        assert_bit_identical(&out, &expected[t as usize], &format!("reopened batch {t}"));
     }
-
-    // ...and the restart counter rides snapshots like any lifetime total
-    let restored = FleetEngine::restore_bytes(&engine.snapshot_bytes().unwrap()).unwrap();
-    assert_eq!(
-        restored.stats().unwrap().shard_restarts,
-        stats.shard_restarts,
-        "shard_restarts carried across snapshot/restore"
-    );
+    let _ = fs::remove_dir_all(&dir);
 }
 
-/// A worker killed on a never-collected engine still respawns — with an
-/// empty registry, so its series re-warm instead of resuming. Documented
-/// best-effort, pinned here.
+/// A `Degrade` recovery whose `open` fails swaps nothing: the fleet stays
+/// poisoned, as a crash-stopped one would — every later call, `close`
+/// included, answers `ShardDown`.
 #[test]
-fn respawn_without_a_collected_snapshot_rewarms_series() {
+fn degrade_recovery_that_cannot_open_leaves_the_fleet_poisoned() {
+    let n_series = 4;
+    let dir = test_dir("degrade-kill-unrecoverable");
+    let dcfg =
+        DurabilityConfig { policy: DurabilityPolicy::Degrade, ..DurabilityConfig::new(&dir) };
+    let mut durable = DurableFleet::create(config(2), dcfg).unwrap();
+    for t in 0..20u64 {
+        durable.ingest(batch(n_series, t)).unwrap();
+    }
+    durable.engine_mut().crash_shard(0).unwrap();
+    // with every base snapshot gone, `open` fails
+    for entry in fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "fsnap") {
+            fs::remove_file(path).unwrap();
+        }
+    }
+    for t in 20..23u64 {
+        let out = durable.ingest(batch(n_series, t)).map(|_| ());
+        assert_eq!(out, Err(FleetError::ShardDown), "batch {t}");
+    }
+    assert!(matches!(durable.engine().stats(), Err(FleetError::ShardDown)));
+    assert_eq!(durable.close(), Err(FleetError::ShardDown));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A worker killed on a plain engine (no WAL) respawns with an empty
+/// registry, so its series re-warm instead of resuming — even when a
+/// snapshot was collected before the kill. The respawn breaks the delta
+/// chain: `snapshot_delta` refuses until a full snapshot starts a new one.
+#[test]
+fn respawn_rewarms_series_even_after_a_snapshot() {
     let n_series = 4;
     let mut engine = FleetEngine::new(config(2)).unwrap();
     for t in 0..40u64 {
         engine.ingest(batch(n_series, t)).unwrap();
     }
+    engine.snapshot().unwrap();
     engine.crash_shard(0).unwrap();
     std::thread::sleep(Duration::from_millis(300));
     let mut outputs = None;
@@ -327,18 +362,27 @@ fn respawn_without_a_collected_snapshot_rewarms_series() {
     let outputs = outputs.expect("the shard never healed");
     assert!(
         outputs.iter().any(|p| matches!(p.output, PointOutput::Warming { .. })),
-        "shard-0 series re-warm from scratch without a shadow snapshot"
+        "shard-0 series re-warm from scratch, snapshot or not"
     );
     assert!(
         outputs.iter().any(|p| matches!(p.output, PointOutput::Scored { .. })),
         "the surviving shard's series continue scoring"
     );
+    let stats = engine.stats().unwrap();
+    assert_eq!(stats.shard_restarts, 1, "{stats:?}");
+    assert!(
+        matches!(engine.snapshot_delta(), Err(FleetError::Recovery(_))),
+        "no delta can chain across a respawn"
+    );
+    // the restart counter rides snapshots like any lifetime total
+    let restored = FleetEngine::restore_bytes(&engine.snapshot_bytes().unwrap()).unwrap();
+    assert_eq!(restored.stats().unwrap().shard_restarts, 1);
+    assert!(engine.snapshot_delta().is_ok(), "a full snapshot starts a new chain");
 }
 
 /// Under the default crash-stop policy a dead worker stays dead: the
-/// engine keeps failing with `ShardDown` instead of respawning, exactly
-/// as before supervision existed (a respawned worker could diverge from
-/// the durable prefix).
+/// engine keeps failing with `ShardDown` until the operator recovers
+/// from disk with `DurableFleet::open`.
 #[test]
 fn crash_stop_keeps_a_killed_worker_down() {
     let n_series = 4;
@@ -355,7 +399,7 @@ fn crash_stop_keeps_a_killed_worker_down() {
             "crash-stop must not heal a dead shard"
         );
     }
-    // recovery — not supervision — is the crash-stop repair path
+    // recovery from disk is the crash-stop repair path
     drop(durable);
     let recovered = DurableFleet::open(DurabilityConfig::new(&dir)).unwrap();
     assert_eq!(recovered.engine().batches(), 20);
