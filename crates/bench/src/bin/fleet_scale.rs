@@ -16,8 +16,7 @@
 //! score **bit-identically** to a twin engine that kept the series hot
 //! the whole time — the cold tier is invisible to detector semantics.
 //!
-//! Results merge into `BENCH_fleet.json` as a `"scale"` section (the
-//! `"runs"` array written by `fleet_throughput` is preserved), plus a
+//! Results go to `BENCH_fleet.json` as a `"scale"` section, plus a
 //! markdown report under `target/experiments/`. `--smoke` shrinks the
 //! target to a seconds-long CI gate; the full run admits 1M series.
 
@@ -196,9 +195,7 @@ fn main() {
         last.rss_mib,
     );
 
-    // merge a "scale" section into BENCH_fleet.json, preserving the "runs"
-    // array fleet_throughput wrote (hand-rolled: the workspace is
-    // dependency-free)
+    // BENCH_fleet.json — hand-rolled (the workspace is dependency-free)
     let mut scale = String::new();
     let _ = writeln!(scale, "{{");
     let _ = writeln!(scale, "    \"series_total\": {target},");
@@ -231,28 +228,9 @@ fn main() {
     let _ = writeln!(scale, "    ]");
     let _ = write!(scale, "  }}");
 
-    let path = "BENCH_fleet.json";
-    let merged = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            // drop any prior scale section, then re-open the outer object
-            let base = match existing.find(",\n  \"scale\"") {
-                Some(i) => existing[..i].to_string(),
-                None => existing
-                    .trim_end()
-                    .strip_suffix('}')
-                    .map(|s| s.trim_end().to_string())
-                    .unwrap_or_default(),
-            };
-            if base.is_empty() {
-                format!("{{\n  \"scale\": {scale}\n}}\n")
-            } else {
-                format!("{base},\n  \"scale\": {scale}\n}}\n")
-            }
-        }
-        Err(_) => format!("{{\n  \"scale\": {scale}\n}}\n"),
-    };
-    std::fs::write(path, merged).expect("writing BENCH_fleet.json");
-    eprintln!("[fleet_scale] merged \"scale\" section into BENCH_fleet.json");
+    let json = format!("{{\n  \"scale\": {scale}\n}}\n");
+    std::fs::write("BENCH_fleet.json", json).expect("writing BENCH_fleet.json");
+    eprintln!("[fleet_scale] wrote BENCH_fleet.json");
 
     // markdown report
     let mut report = Experiment::new("fleet_scale", "Fleet scale via the cold tier");

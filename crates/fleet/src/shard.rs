@@ -17,7 +17,7 @@ use crate::config::{AdmitOptions, FleetConfig};
 use crate::error::FleetError;
 use crate::fault::{self, FaultOp};
 use crate::series::{PhaseSnapshot, QuarantineCause, SeriesState, StepOutcome};
-use crate::types::{PointOutput, Record, ScoredPoint, SeriesKey, ShardStats};
+use crate::types::{PointOutput, SeriesKey, ShardStats};
 use crate::wal::{encode_record_into, GroupWal};
 use oneshotstl::{IncrementalSolver, UpdateScratch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -530,14 +530,9 @@ impl ShardState {
         self.track_deltas = true;
     }
 
-    /// Resolves a record's registry slot, admitting an unknown key (the
-    /// only point where a key is cloned on the ingest path).
-    fn resolve_slot(&mut self, key: &SeriesKey, liveness_t: u64, seq: u64) -> u32 {
-        self.resolve_slot_hashed(key.stable_hash(), key, liveness_t, seq)
-    }
-
-    /// [`ShardState::resolve_slot`] with the key's stable hash already
-    /// computed — the batch path, which reuses the router's hash column.
+    /// Resolves a record's registry slot from the key's stable hash (the
+    /// router's hash column), admitting an unknown key (the only point
+    /// where a key is cloned on the ingest path).
     fn resolve_slot_hashed(
         &mut self,
         hash: u64,
@@ -641,16 +636,6 @@ impl ShardState {
             self.anomalies += 1;
         }
         output
-    }
-
-    /// Processes one record, creating the series on first contact.
-    /// `liveness_t` is the engine-clamped clock for this record; `seq` is
-    /// the engine batch seq (the incremental-snapshot dirty marker).
-    pub fn ingest_one(&mut self, record: Record, liveness_t: u64, seq: u64) -> ScoredPoint {
-        let Record { key, t, value } = record;
-        let slot = self.resolve_slot(&key, liveness_t, seq);
-        let output = self.step_slot(slot, value, liveness_t, seq);
-        ScoredPoint { key, t, value, output }
     }
 
     /// Processes one routed sub-batch in place: a single registry

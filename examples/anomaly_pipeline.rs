@@ -19,8 +19,8 @@ use rand::SeedableRng;
 fn main() {
     // Request-rate-like stream with a daily pattern and measurement
     // noise (a noise-free stream would collapse the residual σ and make
-    // every point look infinitely surprising — see the storm-tier note
-    // in docs/ARCHITECTURE.md).
+    // every point look infinitely surprising — see the anomaly-rate note
+    // under "Performance" in docs/ARCHITECTURE.md).
     let period = 144;
     let n = 10 * period;
     let mut rng = StdRng::seed_from_u64(7);

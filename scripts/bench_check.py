@@ -1,82 +1,155 @@
 #!/usr/bin/env python3
-"""CI bench-regression gate for the fleet engine.
+"""CI bench-regression gate: perfbench result lines against BENCH_perf.json.
 
-Parses a freshly generated ``BENCH_fleet.json`` (written by
-``fleet_throughput``, including in ``--quick`` mode, which always measures
-the two gate configurations) and fails when steady-state ingest throughput
-regresses more than the allowed fraction from the committed baseline.
+Gate mode reads perfbench's standard output for one workload (the result
+line is its last JSON line, ``--trace 0``) and fails when
 
-Baselines are the committed full-run numbers for this repo's seed host.
-They are deliberately hardcoded next to the tolerance: updating them is a
-reviewed change to this file, not an artifact side effect. CI hosts differ
-from the seed host, so the tolerance is wide (>20% regression fails, per
-the roadmap) — the gate catches algorithmic cliffs (an accidental O(n)
-in the hot loop, a codec blow-up), not single-digit jitter.
+- ``correct`` is false or ``failed > 0``;
+- a gated metric is missing or not finite;
+- a gated metric is worse than the committed baseline median by more than
+  its bound.
 
-Usage: python3 scripts/bench_check.py [path/to/BENCH_fleet.json]
+``better`` and ``bound`` come from BENCHMARK.json, so the tolerance has a
+single source. The baseline is the per-metric median over seeds 1-5 in
+BENCH_perf.json, measured on the host its provenance names: a different
+host is a different baseline, so re-record rather than widen a bound.
+
+Record mode writes BENCH_perf.json from a directory of perfbench outputs
+named ``<workload>-seed<n>-trace<0|1>.txt`` (seeds 1-5 untraced, seed 1
+traced, ``--seconds 10``).
+
+Usage:
+  python3 scripts/bench_check.py <workload> <perfbench-stdout-file>
+  python3 scripts/bench_check.py --record <dir>
 """
 
 import json
+import math
+import re
+import statistics
+import subprocess
 import sys
 
-# (workload, series, shards) -> committed points/sec baseline
-BASELINES = {
-    ("steady", 10_000, 1): 727_072.0,
-    ("steady", 100_000, 1): 611_691.0,
-}
+BENCHMARK = "BENCHMARK.json"
+BASELINE = "BENCH_perf.json"
+SEEDS = range(1, 6)
 
-MAX_REGRESSION = 0.20
+# recover_s is reported but not gated. It times one engine restore, and
+# its page-fault cost swings with glibc heap trimming after the previous
+# engine is dropped: the same commit read a 0.048 s and a 0.063 s median
+# on `steady` in two series of runs on one host (a 30% swing, beyond its
+# 25% bound), and the five baseline runs in BENCH_perf.json span
+# 0.084-0.161 s.
+UNGATED = {"recover_s"}
 
 
-def main() -> int:
-    path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_fleet.json"
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"[bench_check] FAIL: cannot parse {path}: {e}")
-        return 1
+def result_line(path):
+    """The last JSON object line of a perfbench stdout file."""
+    with open(path) as f:
+        lines = [l for l in f.read().splitlines() if l.startswith("{")]
+    if not lines:
+        raise ValueError(f"{path} has no perfbench result line")
+    return json.loads(lines[-1])
 
-    runs = doc.get("runs")
-    if not isinstance(runs, list):
-        print(f"[bench_check] FAIL: {path} has no 'runs' array")
-        return 1
 
-    failures = 0
-    for (workload, series, shards), baseline in sorted(BASELINES.items()):
-        rows = [
-            r
-            for r in runs
-            if r.get("workload") == workload
-            and r.get("series") == series
-            and r.get("shards") == shards
-        ]
-        if not rows:
-            print(
-                f"[bench_check] FAIL: no {workload} {series}@{shards} run in "
-                f"{path} — the gate configuration was not measured"
-            )
-            failures += 1
+def check(workload, path):
+    with open(BENCHMARK) as f:
+        metrics = json.load(f)["end_to_end"]
+    with open(BASELINE) as f:
+        base = json.load(f)["workloads"][workload]["median"]
+    res = result_line(path)
+    fails = []
+    if res.get("correct") is not True:
+        fails.append("correct is not true (an output check failed)")
+    if res.get("failed", 1) > 0:
+        fails.append(f"failed = {res.get('failed')} operation(s)")
+    for m in metrics:
+        name = m["name"]
+        if name in UNGATED:
             continue
-        # the fresh file holds one row per configuration; be robust to
-        # duplicates by gating on the best one (reruns only ever add noise
-        # downward)
-        pps = max(r.get("points_per_sec", 0.0) for r in rows)
-        floor = baseline * (1.0 - MAX_REGRESSION)
-        verdict = "ok" if pps >= floor else "REGRESSED"
+        value = res.get("metrics", {}).get(name, {}).get("value")
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            fails.append(f"{name} is missing or not finite ({value})")
+            continue
+        ref, bound = base[name], m["bound"]
+        if m["better"] == "higher":
+            limit, worse = ref * (1 - bound), value < ref * (1 - bound)
+        else:
+            limit, worse = ref * (1 + bound), value > ref * (1 + bound)
+        verdict = "REGRESSED" if worse else "ok"
         print(
-            f"[bench_check] {workload} {series}@{shards}: {pps:,.0f} pts/s "
-            f"(baseline {baseline:,.0f}, floor {floor:,.0f}) {verdict}"
+            f"[bench_check] {workload} {name}: {value:.6g} {m['unit']} "
+            f"(baseline {ref:.6g}, {m['better']} is better, limit {limit:.6g}) {verdict}"
         )
-        if pps < floor:
-            failures += 1
-
-    if failures:
-        print(f"[bench_check] FAIL: {failures} gate(s) regressed")
+        if worse:
+            fails.append(f"{name} {value:.6g} is worse than its limit {limit:.6g}")
+    for cause in fails:
+        print(f"[bench_check] FAIL: {workload}: {cause}")
+    if fails:
         return 1
-    print("[bench_check] OK")
+    print(f"[bench_check] {workload} OK")
     return 0
 
 
+def record(out_dir):
+    with open(BENCHMARK) as f:
+        bench = json.load(f)
+    doc = {"provenance": provenance(out_dir), "workloads": {}}
+    for w in bench["workloads"]:
+        name = w["name"]
+        runs = [result_line(f"{out_dir}/{name}-seed{s}-trace0.txt") for s in SEEDS]
+        if not all(r["correct"] and r["failed"] == 0 for r in runs):
+            raise SystemExit(f"[bench_check] {name}: a baseline run was not correct")
+        doc["workloads"][name] = {
+            "median": {
+                m["name"]: statistics.median(r["metrics"][m["name"]]["value"] for r in runs)
+                for m in bench["end_to_end"]
+            },
+            "traced_seed1": result_line(f"{out_dir}/{name}-seed1-trace1.txt"),
+        }
+    # one line per metric keeps the file short and diffable
+    text = re.sub(
+        r'\{\s+"value": ([^,]+),\s+"unit": ("[^"]*")\s+\}',
+        r'{"value": \1, "unit": \2}',
+        json.dumps(doc, indent=2),
+    )
+    with open(BASELINE, "w") as f:
+        f.write(text + "\n")
+    print(f"[bench_check] wrote {BASELINE}")
+    return 0
+
+
+def provenance(out_dir):
+    with open(f"{out_dir}/steady-seed1-trace0.txt") as f:
+        first = f.readline()
+    nproc = int(first.split("nproc=")[1].split()[0])
+    with open("/proc/cpuinfo") as f:
+        cpu = next((l.split(":", 1)[1].strip() for l in f if l.startswith("model name")), "")
+    commit = subprocess.run(
+        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    return {
+        "nproc": nproc,
+        "cpu": cpu,
+        "commit": commit,
+        "seeds": f"{SEEDS[0]}-{SEEDS[-1]}",
+        "seconds": 10,
+        "stat": "per-metric median of the --trace 0 result lines",
+    }
+
+
+def main(argv):
+    if len(argv) == 3 and argv[1] == "--record":
+        return record(argv[2])
+    if len(argv) == 3:
+        try:
+            return check(argv[1], argv[2])
+        except (OSError, ValueError, KeyError) as e:
+            print(f"[bench_check] FAIL: {e!r}")
+            return 1
+    print(__doc__)
+    return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
