@@ -1,25 +1,32 @@
 #!/usr/bin/env python3
 """CI bench-regression gate: perfbench result lines against BENCH_perf.json.
 
-Gate mode reads perfbench's standard output for one workload (the result
-line is its last JSON line, ``--trace 0``) and fails when
+Gate mode reads perfbench's standard output for one workload, one file per
+seed (``--trace 0``; the result line is the last JSON line). It compares
+like with like: the baseline is the per-metric median over seeds 1-5, so
+the gate takes exactly those five runs, at the baseline's ``--seconds``,
+and gates their per-metric median. It fails when
 
-- ``correct`` is false or ``failed > 0``;
-- a gated metric is missing or not finite;
-- a gated metric is worse than the committed baseline median by more than
-  its bound.
+- the runs are not seeds 1-5 of the workload at ``--trace 0`` and the
+  baseline's ``--seconds``;
+- any run has ``correct`` not true or ``failed > 0``;
+- a gated metric is missing or not finite in any run;
+- the median of a gated metric is worse than the committed baseline median
+  by more than its bound.
 
 ``better`` and ``bound`` come from BENCHMARK.json, so the tolerance has a
-single source. The baseline is the per-metric median over seeds 1-5 in
-BENCH_perf.json, measured on the host its provenance names: a different
-host is a different baseline, so re-record rather than widen a bound.
+single source. The baseline was measured on the host its provenance names:
+a different host is a different baseline, so re-record rather than widen a
+bound.
 
 Record mode writes BENCH_perf.json from a directory of perfbench outputs
 named ``<workload>-seed<n>-trace<0|1>.txt`` (seeds 1-5 untraced, seed 1
-traced, ``--seconds 10``).
+traced, ``--seconds 10``), the layout CI's bench-out/ artifact has. The
+provenance's CPU model comes from the directory's ``cpu.txt`` when there
+is one (CI writes it), else from this host.
 
 Usage:
-  python3 scripts/bench_check.py <workload> <perfbench-stdout-file>
+  python3 scripts/bench_check.py <workload> <seed-1 file> ... <seed-5 file>
   python3 scripts/bench_check.py --record <dir>
 """
 
@@ -33,6 +40,7 @@ import sys
 BENCHMARK = "BENCHMARK.json"
 BASELINE = "BENCH_perf.json"
 SEEDS = range(1, 6)
+SECONDS = 10
 
 # recover_s is reported but not gated. It times one engine restore, and
 # its page-fault cost swings with glibc heap trimming after the previous
@@ -52,37 +60,69 @@ def result_line(path):
     return json.loads(lines[-1])
 
 
-def check(workload, path):
+def run_provenance(path):
+    """The key=value fields of a perfbench stdout file's provenance line."""
+    with open(path) as f:
+        for line in f:
+            if line.startswith("# provenance:"):
+                return dict(kv.split("=", 1) for kv in line.split(":", 1)[1].split())
+    raise ValueError(f"{path} has no perfbench provenance line")
+
+
+def check(workload, paths):
     with open(BENCHMARK) as f:
         metrics = json.load(f)["end_to_end"]
     with open(BASELINE) as f:
         base = json.load(f)["workloads"][workload]["median"]
-    res = result_line(path)
-    fails = []
-    if res.get("correct") is not True:
-        fails.append("correct is not true (an output check failed)")
-    if res.get("failed", 1) > 0:
-        fails.append(f"failed = {res.get('failed')} operation(s)")
+    fails, runs = [], {}
+    for path in paths:
+        prov, res = run_provenance(path), result_line(path)
+        if (prov.get("workload"), prov.get("trace"), prov.get("seconds")) != (
+            workload,
+            "0",
+            str(SECONDS),
+        ):
+            fails.append(
+                f"{path} is workload={prov.get('workload')} trace={prov.get('trace')} "
+                f"seconds={prov.get('seconds')}, not {workload} at trace=0 seconds={SECONDS}"
+            )
+        seed = int(prov["seed"])
+        runs[seed] = res
+        if res.get("correct") is not True:
+            fails.append(f"seed {seed}: correct is not true (an output check failed)")
+        if res.get("failed", 1) > 0:
+            fails.append(f"seed {seed}: failed = {res.get('failed')} operation(s)")
+    if sorted(runs) != list(SEEDS) or len(paths) != len(SEEDS):
+        fails.append(
+            f"runs are seeds {sorted(runs)}, but the baseline is the median over "
+            f"seeds {list(SEEDS)}: pass exactly one run of each"
+        )
     for m in metrics:
         name = m["name"]
         if name in UNGATED:
             continue
-        value = res.get("metrics", {}).get(name, {}).get("value")
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            fails.append(f"{name} is missing or not finite ({value})")
+        values = [r.get("metrics", {}).get(name, {}).get("value") for r in runs.values()]
+        bad = [
+            (seed, v)
+            for seed, v in zip(runs, values)
+            if not isinstance(v, (int, float)) or not math.isfinite(v)
+        ]
+        if bad or not values:
+            fails += [f"seed {seed}: {name} is missing or not finite ({v})" for seed, v in bad]
             continue
-        ref, bound = base[name], m["bound"]
+        value, ref, bound = statistics.median(values), base[name], m["bound"]
         if m["better"] == "higher":
             limit, worse = ref * (1 - bound), value < ref * (1 - bound)
         else:
             limit, worse = ref * (1 + bound), value > ref * (1 + bound)
         verdict = "REGRESSED" if worse else "ok"
         print(
-            f"[bench_check] {workload} {name}: {value:.6g} {m['unit']} "
+            f"[bench_check] {workload} {name}: median {value:.6g} {m['unit']} over "
+            f"{len(values)} runs [{', '.join(f'{v:.4g}' for v in values)}] "
             f"(baseline {ref:.6g}, {m['better']} is better, limit {limit:.6g}) {verdict}"
         )
         if worse:
-            fails.append(f"{name} {value:.6g} is worse than its limit {limit:.6g}")
+            fails.append(f"{name} median {value:.6g} is worse than its limit {limit:.6g}")
     for cause in fails:
         print(f"[bench_check] FAIL: {workload}: {cause}")
     if fails:
@@ -120,11 +160,14 @@ def record(out_dir):
 
 
 def provenance(out_dir):
-    with open(f"{out_dir}/steady-seed1-trace0.txt") as f:
-        first = f.readline()
-    nproc = int(first.split("nproc=")[1].split()[0])
-    with open("/proc/cpuinfo") as f:
-        cpu = next((l.split(":", 1)[1].strip() for l in f if l.startswith("model name")), "")
+    nproc = int(run_provenance(f"{out_dir}/steady-seed1-trace0.txt")["nproc"])
+    # the host that made the runs: CI writes its CPU model beside them
+    try:
+        with open(f"{out_dir}/cpu.txt") as f:
+            cpu = f.read().strip()
+    except FileNotFoundError:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((l.split(":", 1)[1].strip() for l in f if l.startswith("model name")), "")
     commit = subprocess.run(
         ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=True
     ).stdout.strip()
@@ -133,7 +176,7 @@ def provenance(out_dir):
         "cpu": cpu,
         "commit": commit,
         "seeds": f"{SEEDS[0]}-{SEEDS[-1]}",
-        "seconds": 10,
+        "seconds": SECONDS,
         "stat": "per-metric median of the --trace 0 result lines",
     }
 
@@ -141,9 +184,9 @@ def provenance(out_dir):
 def main(argv):
     if len(argv) == 3 and argv[1] == "--record":
         return record(argv[2])
-    if len(argv) == 3:
+    if len(argv) >= 3 and not argv[1].startswith("-"):
         try:
-            return check(argv[1], argv[2])
+            return check(argv[1], argv[2:])
         except (OSError, ValueError, KeyError) as e:
             print(f"[bench_check] FAIL: {e!r}")
             return 1
