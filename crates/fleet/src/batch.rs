@@ -31,7 +31,7 @@ pub struct ShardBatch {
     /// (it already needs the hash to pick the shard) and reused by the
     /// worker's registry resolution instead of re-hashing the key bytes.
     pub hash: Vec<u64>,
-    /// Each row's raw event time (what the output and the WAL record).
+    /// Each row's raw event time (what the output reports).
     pub ts: Vec<u64>,
     /// Each row's engine-clamped liveness clock (see
     /// [`crate::config::FleetConfig::max_clock_step`]).

@@ -17,10 +17,10 @@ use crate::error::FleetError;
 use crate::net::MAX_FRAME;
 use crate::series::SeriesState;
 use crate::shard::{
-    run_worker, BatchReply, ReadMsg, SeriesEntry, SeriesSnapshot, ShardMsg, ShardState, WalMeta,
+    run_worker, BatchReply, ReadMsg, SeriesEntry, SeriesSnapshot, ShardMsg, ShardState,
 };
 use crate::types::{FleetStats, Record, ScoredPoint, SeriesKey, ShardStats};
-use crate::wal::GroupWal;
+use crate::wal::Wal;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -208,14 +208,12 @@ pub struct FleetEngine {
     /// image the next [`FleetEngine::snapshot_delta`] chains onto; `None`
     /// once a respawn emptied a shard of it.
     last_collect: Option<u64>,
-    /// The shared WAL and the engine-wide fsync interval, once attached;
-    /// also the flag that turns on frame emission in
-    /// [`FleetEngine::submit`].
-    wal: Option<(Arc<GroupWal>, u64)>,
-    /// Batches since the last group fsync (engine-wide: group commit
-    /// flushes whole batches, so the loss window is `fsync_every − 1`
-    /// batches total, not per shard).
-    wal_unsynced: u64,
+    /// The write-ahead log, once [`crate::DurableFleet`] attaches one;
+    /// [`FleetEngine::submit`] appends every batch to it.
+    wal: Option<Wal>,
+    /// [`crate::DurabilityPolicy::Degrade`]: a failed append applies the
+    /// batch un-durably instead of failing the call.
+    wal_degrades: bool,
     /// Recycled columnar routing batches, reused across
     /// [`FleetEngine::submit`] calls instead of reallocating per batch.
     /// Batches normally come back on the ingest reply itself
@@ -310,7 +308,7 @@ impl FleetEngine {
             pending: VecDeque::new(),
             last_collect: Some(batches),
             wal: None,
-            wal_unsynced: 0,
+            wal_degrades: false,
             spare_bufs: Vec::new(),
             buf_rx,
             buf_tx,
@@ -474,6 +472,19 @@ impl FleetEngine {
         self.send(shard, ShardMsg::Crash)
     }
 
+    /// Whether shard `shard`'s worker thread has exited (or was stopped).
+    fn worker_dead(&self, shard: usize) -> bool {
+        self.workers[shard].handle.as_ref().is_none_or(|h| h.is_finished())
+    }
+
+    /// Empties routed batches back into the spare pool.
+    fn reclaim(&mut self, routed: Vec<ShardBatch>) {
+        for mut buf in routed {
+            buf.clear();
+            self.spare_bufs.push(buf);
+        }
+    }
+
     /// Hands out a routing batch from the spare pool, first sweeping in
     /// any batches workers returned out of band (allocation-free once the
     /// pipeline is primed).
@@ -501,12 +512,23 @@ impl FleetEngine {
     /// briefly even under `Reject` — the sweep must stay at a
     /// deterministic batch boundary for WAL replay to reproduce it.
     ///
-    /// When a WAL is attached (see [`crate::DurableFleet`]), each shard
-    /// appends its slice of the batch to the shared group-commit log
-    /// before applying it.
+    /// When a WAL is attached (see [`crate::DurableFleet`]), the whole
+    /// batch is appended to it as one record before any shard sees it. A
+    /// failed append under [`crate::DurabilityPolicy::CrashStop`] fails
+    /// the call with [`FleetError::Io`], nothing dispatched, and the log
+    /// stays poisoned; under [`crate::DurabilityPolicy::Degrade`] the
+    /// batch is applied un-durably. A target shard whose worker is dead
+    /// fails the call with [`FleetError::ShardDown`] before anything is
+    /// logged.
     pub fn submit(&mut self, batch: Vec<Record>) -> Result<(), FleetError> {
         let n = batch.len();
         let shards = self.shard_count();
+        let seq = self.batches + 1;
+        if let Some(wal) = &mut self.wal {
+            // encoded before routing moves the records, written once the
+            // batch is past the backpressure check
+            wal.encode(seq, &batch);
+        }
         // route on a scratch clock: a rejected batch must leave no trace
         let mut clock = self.clock;
         let mut routed: Vec<ShardBatch> = (0..shards).map(|_| self.route_buf()).collect();
@@ -528,51 +550,56 @@ impl FleetEngine {
             let shard = (hash % shards.max(1) as u64) as usize;
             routed[shard].push(idx as u32, rec, hash, t);
         }
-        let wal_on = self.wal.is_some();
-        // shards that receive a message: those with rows — plus shard 0
-        // for an empty batch under WAL, because even an empty batch
-        // advances the sweep cadence and replay must reproduce it
-        let is_target =
-            |shard: usize, b: &ShardBatch| !b.is_empty() || (wal_on && n == 0 && shard == 0);
         if let (Some(cap), QueuePolicy::Reject) =
             (self.config.queue_capacity, self.config.queue_policy)
         {
             // depth can only shrink concurrently (workers drain, and this
             // `&mut self` method is the sole submitter), so a passing
             // check here guarantees the sends below never overflow
-            for (shard, b) in routed.iter().enumerate() {
-                if is_target(shard, b) && self.queue_depth(shard) >= cap {
-                    // reclaim every routed batch into the spare pool; the
-                    // submission can be retried verbatim
-                    for mut buf in routed {
-                        buf.clear();
-                        self.spare_bufs.push(buf);
-                    }
-                    return Err(FleetError::Backpressure { shard });
-                }
+            let full =
+                (0..shards).find(|&s| !routed[s].is_empty() && self.queue_depth(s) >= cap);
+            if let Some(shard) = full {
+                // the submission can be retried verbatim
+                self.reclaim(routed);
+                return Err(FleetError::Backpressure { shard });
             }
         }
-        let seq = self.batches + 1;
-        // group commit: the fsync cadence is engine-wide — one batch, one
-        // flush (issued by the last shard whose frame lands; see
-        // `wal::GroupWal`) — so the fanout rides along in the metadata
-        let fanout = routed.iter().enumerate().filter(|(s, b)| is_target(*s, b)).count();
-        let wal_meta = self.wal.as_ref().map(|(_, every)| {
-            let sync = self.wal_unsynced + 1 >= *every;
-            self.wal_unsynced = if sync { 0 } else { self.wal_unsynced + 1 };
-            WalMeta { seq, batch_n: n as u32, fanout: fanout as u32, sync }
-        });
+        if self.wal.is_some() {
+            // a dead target fails the call before anything is logged, so a
+            // retry cannot log a batch no shard will apply
+            if (0..shards).any(|s| !routed[s].is_empty() && self.worker_dead(s)) {
+                self.reclaim(routed);
+                return Err(FleetError::ShardDown);
+            }
+            let appended = self.wal.as_mut().map_or(Ok(()), Wal::append);
+            if let Err(e) = appended {
+                if !self.wal_degrades {
+                    self.reclaim(routed);
+                    return Err(FleetError::Io(e.to_string()));
+                }
+                // Degrade: apply the batch un-durably; the durability
+                // layer sees the poisoned log and re-arms a fresh one
+            }
+        }
         let (reply_tx, reply_rx) = channel();
         let mut targets = Vec::new();
         for (shard, b) in routed.into_iter().enumerate() {
-            if !is_target(shard, &b) {
+            if b.is_empty() {
                 self.spare_bufs.push(b); // stays empty, reuse next batch
                 continue;
             }
-            self.send_or_respawn(
+            let sent = self.send_or_respawn(
                 shard,
-                ShardMsg::Ingest { batch: b, seq, wal: wal_meta, reply: reply_tx.clone() },
-            )?;
+                ShardMsg::Ingest { batch: b, seq, reply: reply_tx.clone() },
+            );
+            if let Err(e) = sent {
+                if let Some(wal) = &mut self.wal {
+                    // the batch is logged but not applied: log nothing
+                    // more, or a retry would log its seq twice
+                    wal.poison("a shard worker died after its batch was logged");
+                }
+                return Err(e);
+            }
             targets.push(shard);
         }
         self.clock = clock;
@@ -598,18 +625,12 @@ impl FleetEngine {
         self.assembly.clear();
         self.assembly.resize_with(p.n, || None);
         let mut waiting = p.targets;
-        let mut failed = None;
         while !waiting.is_empty() {
             match p.reply_rx.recv() {
                 // every sender gone with replies still owed: the shards
                 // left in `waiting` died mid-batch
                 Err(_) => break,
-                // a WAL failure on one shard: drain the rest, then report
-                Ok((shard, Err(msg))) => {
-                    waiting.retain(|&s| s != shard);
-                    failed = Some(FleetError::Io(msg));
-                }
-                Ok((shard, Ok(mut b))) => {
+                Ok((shard, mut b)) => {
                     waiting.retain(|&s| s != shard);
                     // keys and outputs move straight from the columns into
                     // the assembled points (no clones); the emptied batch
@@ -634,9 +655,6 @@ impl FleetEngine {
                 }
             }
             return Err(FleetError::ShardDown);
-        }
-        if let Some(e) = failed {
-            return Err(e);
         }
         let mut out = Vec::with_capacity(p.n);
         for slot in self.assembly.drain(..) {
@@ -993,64 +1011,44 @@ impl FleetEngine {
         Self::restore(crate::codec::decode(bytes)?)
     }
 
-    /// Hands every shard worker the shared WAL handle and turns on
-    /// write-ahead logging for subsequent submissions, group-flushing
-    /// every `fsync_every` batches. Used by [`crate::DurableFleet`];
+    /// Turns on write-ahead logging for subsequent submissions (replacing
+    /// any log attached before); `degrade` selects what a failed append
+    /// does (see [`FleetEngine::submit`]). Used by [`crate::DurableFleet`];
     /// attach *after* any recovery replay so replayed batches are not
     /// re-logged.
-    pub(crate) fn attach_wal(
-        &mut self,
-        wal: Arc<GroupWal>,
-        fsync_every: u64,
-        degrade: bool,
-    ) -> Result<(), FleetError> {
-        let (tx, rx) = channel();
-        for shard in 0..self.shard_count() {
-            let msg = ShardMsg::AttachWal { wal: Arc::clone(&wal), degrade, reply: tx.clone() };
-            self.send_or_respawn(shard, msg)?;
-        }
-        drop(tx);
-        for _ in 0..self.shard_count() {
-            rx.recv().map_err(|_| FleetError::ShardDown)?;
-        }
-        self.wal = Some((wal, fsync_every.max(1)));
-        self.wal_unsynced = 0;
-        Ok(())
+    pub(crate) fn attach_wal(&mut self, wal: Wal, degrade: bool) {
+        self.wal = Some(wal);
+        self.wal_degrades = degrade;
     }
 
-    /// Why the shared WAL is poisoned, if it is (`None` without a WAL or
-    /// while it is healthy). Degrade-mode bookkeeping for
-    /// [`crate::DurableFleet`].
-    pub(crate) fn wal_poisoned(&self) -> Option<String> {
-        self.wal.as_ref().and_then(|(w, _)| w.poison_reason())
+    /// Whether the WAL is poisoned (`false` without a WAL). Degrade-mode
+    /// bookkeeping for [`crate::DurableFleet`].
+    pub(crate) fn wal_poisoned(&self) -> bool {
+        self.wal.as_ref().is_some_and(|w| w.poison_reason().is_some())
     }
 
-    /// Rotates the shared WAL to a fresh segment starting after batch
+    /// Rotates the WAL to a fresh segment starting after batch
     /// `start_seq` (called at snapshot time, so the old segment becomes
-    /// garbage once the snapshot is durable). No shard can be mid-append:
-    /// the preceding snapshot collection drained every shard queue.
+    /// garbage once the snapshot is durable).
     pub(crate) fn rotate_wal(&mut self, start_seq: u64) -> Result<(), FleetError> {
-        if let Some((wal, _)) = &self.wal {
-            wal.rotate(start_seq).map_err(|e| FleetError::Io(e.to_string()))?;
-            self.wal_unsynced = 0;
+        match &mut self.wal {
+            Some(wal) => wal.rotate(start_seq).map_err(|e| FleetError::Io(e.to_string())),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Forces an fsync of the shared WAL segment.
+    /// Forces an fsync of the WAL segment.
     pub(crate) fn sync_wal(&mut self) -> Result<(), FleetError> {
-        if let Some((wal, _)) = &self.wal {
-            wal.sync().map_err(|e| FleetError::Io(e.to_string()))?;
-            self.wal_unsynced = 0;
+        match &mut self.wal {
+            Some(wal) => wal.sync().map_err(|e| FleetError::Io(e.to_string())),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Lifetime count of `fsync`s issued on the WAL (0 without
-    /// durability). One acked batch costs at most one — the group-commit
-    /// guarantee.
+    /// durability). One acked batch costs at most one.
     pub fn wal_fsync_count(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |(w, _)| w.fsync_count())
+        self.wal.as_ref().map_or(0, Wal::fsync_count)
     }
 
     /// Test support: parks shard `shard`'s worker until the returned guard

@@ -39,14 +39,15 @@ pub enum FleetError {
     },
     /// A durability I/O operation (WAL append/fsync, snapshot write)
     /// failed. Durable state on disk is still a consistent prefix. Under
-    /// [`crate::DurabilityPolicy::CrashStop`] (the default) a failed WAL
-    /// append additionally crash-stops that shard's worker (nothing past
-    /// the failure is applied, and subsequent calls return
-    /// [`FleetError::ShardDown`]) — treat the engine as poisoned and
-    /// recover from disk. Under [`crate::DurabilityPolicy::Degrade`] the
-    /// engine keeps serving instead: batches are applied un-durably, the
-    /// WAL is retried with capped backoff, and
-    /// [`crate::FleetStats::undurable_batches`] surfaces the window.
+    /// [`crate::DurabilityPolicy::CrashStop`] (the default) the failing
+    /// call returns this error: a failed WAL append dispatches nothing to
+    /// the shard workers, which stay up, and the log stays poisoned, so
+    /// every later submission fails the same way — treat the engine as
+    /// poisoned and recover from disk. Under
+    /// [`crate::DurabilityPolicy::Degrade`] the engine keeps serving
+    /// instead: batches are applied un-durably, the WAL is retried with
+    /// capped backoff, and [`crate::FleetStats::undurable_batches`]
+    /// surfaces the window.
     Io(String),
     /// Crash recovery could not produce an engine (no valid snapshot, or
     /// an unreadable durability directory).

@@ -71,8 +71,8 @@
 //!   pipeline batches; with [`FleetConfig::queue_capacity`] set, shard
 //!   queues are bounded and a full shard either blocks the submitter or
 //!   rejects the batch with a typed error ([`QueuePolicy`]).
-//! - **Durability.** [`DurableFleet`] adds a per-shard write-ahead log of
-//!   raw points ([`wal`]) and periodic background snapshots to disk
+//! - **Durability.** [`DurableFleet`] adds a write-ahead log of raw
+//!   batches ([`wal`]), written by the engine thread, and periodic background snapshots to disk
 //!   ([`persist`]); after a crash, [`DurableFleet::open`] restores the
 //!   latest valid snapshot and replays the WAL tail — including torn-tail
 //!   truncation — back to a bit-identical engine.

@@ -9,12 +9,12 @@
 //!   delta-00000000000000004096.fdelta  dirty series since seq 0
 //!   delta-00000000000000008192.fdelta  dirty series since seq 4096
 //!   snap-00000000000000065536.fsnap    periodic full-base rewrite
-//!   wal-00000000000000065536-0000.flog shared log of batches 65537…
+//!   wal-00000000000000065536.flog      log of batches 65537…
 //!   cold/cold-0000.fcold               per-shard cold tier (spill_after)
 //! ```
 //!
-//! Every ingested batch is appended to the shared WAL *before* it is
-//! applied ([`crate::wal`], group-commit flushed). Every
+//! Every ingested batch is appended to the WAL as one record by the engine
+//! thread *before* any shard applies it ([`crate::wal`]). Every
 //! [`DurabilityConfig::snapshot_every`] batches the engine state is
 //! collected (fast, in-memory) and handed to a background writer thread
 //! that encodes it, writes a temp file, fsyncs, and atomically renames it
@@ -39,15 +39,14 @@
 //! folds the chain of deltas anchored at the chosen base (each delta
 //! names the image it chains onto; the walk stops at the first gap or
 //! corrupt link — the WAL covers whatever the chain cannot). The folded
-//! image restores an engine, then the original ingest batches are
-//! reassembled from the WAL segments and replayed through the normal
-//! ingest path. Replay stops at the first batch that is incomplete on
-//! disk (a torn tail or a frame lost to a crash); the on-disk logs are
-//! truncated to that point so the durable state is always a *prefix* of
-//! the ingest history. Because folding is exact and replay reuses the
-//! ingest path byte-for-byte, the recovered engine is **bit-identical**
-//! to an uninterrupted engine fed the same prefix — the disk-level
-//! extension of the in-memory guarantee pinned by
+//! image restores an engine, then the WAL records after it are replayed
+//! in seq order through the normal ingest path, up to the first missing
+//! seq (a torn or corrupt record ends what its segment holds); the
+//! on-disk logs are truncated to that point so the durable state is
+//! always a *prefix* of the ingest history. Because folding is exact and
+//! replay reuses the ingest path byte-for-byte, the recovered engine is
+//! **bit-identical** to an uninterrupted engine fed the same prefix — the
+//! disk-level extension of the in-memory guarantee pinned by
 //! `tests/fleet_snapshot.rs`.
 //!
 //! ## What survives a crash
@@ -57,10 +56,9 @@
 //!   hit the file before the reply, and the page cache survives the
 //!   process.
 //! - OS/power crash: everything up to the last `fsync` boundary — at most
-//!   [`DurabilityConfig::fsync_every`] − 1 un-fsynced appends per shard
-//!   (plus a possibly torn final record), and from the first lost frame
-//!   onward the prefix rule discards the rest of the tail. The default
-//!   `fsync_every = 1` makes every acknowledged batch durable.
+//!   [`DurabilityConfig::fsync_every`] − 1 un-fsynced batches (plus a
+//!   possibly torn final record). The default `fsync_every = 1` makes
+//!   every acknowledged batch durable.
 //! - Explicit [`FleetEngine::evict_idle`] calls between snapshots are
 //!   *not* logged; use [`DurableFleet::evict_idle`], which checkpoints
 //!   after evicting, or rely on the TTL sweep, which replay reproduces
@@ -70,7 +68,8 @@
 //!
 //! Under the default [`DurabilityPolicy::CrashStop`], the first WAL or
 //! snapshot I/O error poisons the fleet: the failing call returns
-//! [`FleetError::Io`] and the contract is "recover from disk". Under
+//! [`FleetError::Io`] (a failed WAL append dispatches nothing, and the
+//! log stays poisoned) and the contract is "recover from disk". Under
 //! [`DurabilityPolicy::Degrade`] the fleet keeps **serving** instead:
 //! batches are applied un-durably (counted in
 //! [`crate::FleetStats::undurable_batches`]), snapshot cadence pauses,
@@ -106,13 +105,12 @@ use crate::engine::{FleetDelta, FleetEngine, FleetSnapshot};
 use crate::error::FleetError;
 use crate::fault;
 use crate::types::{Record, ScoredPoint, SeriesKey};
-use crate::wal::{self, crc32, GroupWal, WalSegment};
+use crate::wal::{self, crc32, Wal, WalSegment};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Read as _;
+use std::io::{ErrorKind, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -137,13 +135,11 @@ pub enum DurabilityPolicy {
 pub struct DurabilityConfig {
     /// Directory holding the snapshots and WAL segments of one fleet.
     pub dir: PathBuf,
-    /// Group-flush the shared WAL every this many batches (1 = every
-    /// batch, the safest and the default; one flush covers the whole
-    /// batch no matter how many shards it touched). Larger intervals
-    /// trade fewer disk flushes for an OS-crash window: up to
-    /// `fsync_every − 1` un-fsynced batches, and — because recovery keeps
-    /// only the longest complete batch prefix — every batch from the
-    /// first lost frame onward.
+    /// Fsync the WAL every this many batches (1 = every batch, the safest
+    /// and the default; one flush covers the whole batch no matter how
+    /// many shards it touched). Larger intervals trade fewer disk flushes
+    /// for an OS-crash window of up to `fsync_every − 1` un-fsynced
+    /// batches.
     pub fsync_every: u64,
     /// Trigger a background snapshot every this many batches. Snapshots
     /// bound WAL growth and recovery time; between them, recovery cost is
@@ -350,59 +346,51 @@ impl DurableFleet {
         // prefix rule for series that crossed the hot/cold boundary
         attach_cold_tier(&mut engine, &dcfg)?;
 
-        // gather every frame from segments at or after the anchor base;
-        // stale pre-base segments are garbage a crash kept alive
+        // read every segment at or after the anchor base; stale pre-base
+        // segments are garbage a crash kept alive
         let mut read_segments: Vec<(PathBuf, WalSegment)> = Vec::new();
         for (start, files) in &listing.segments {
-            for (_, path) in files {
+            for path in files {
                 if *start < anchor_seq {
                     let _ = fs::remove_file(path);
                     continue;
                 }
-                // a segment with an unreadable header contributes nothing;
-                // completeness checks below stop replay at the first batch
-                // it should have covered
-                if let Ok(seg) = wal::read_segment(path) {
-                    read_segments.push((path.clone(), seg));
+                match wal::read_segment(path) {
+                    Ok(Some(seg)) => read_segments.push((path.clone(), seg)),
+                    // a header-only v1 segment: what a clean close of the
+                    // previous format leaves
+                    Ok(None) => {
+                        let _ = fs::remove_file(path);
+                    }
+                    // a v1 segment with records: refusing beats dropping
+                    // acknowledged batches silently
+                    Err(e) if e.kind() == ErrorKind::Unsupported => {
+                        return Err(FleetError::Recovery(format!("{}: {e}", path.display())));
+                    }
+                    // a torn or short header contributes nothing; replay
+                    // stops at the first batch it should have covered
+                    Err(_) => {}
                 }
-            }
-        }
-        let mut batches: BTreeMap<u64, (u32, Vec<crate::wal::WalItem>)> = BTreeMap::new();
-        for (_, seg) in &mut read_segments {
-            for frame in &mut seg.frames {
-                if frame.seq <= base_seq {
-                    continue;
-                }
-                let entry = batches.entry(frame.seq).or_insert((frame.batch_n, Vec::new()));
-                if entry.0 != frame.batch_n {
-                    // conflicting sizes: treat the batch as incomplete by
-                    // poisoning the count so replay stops there
-                    entry.0 = u32::MAX;
-                    continue;
-                }
-                // move, don't clone: the truncation pass below only needs
-                // each frame's seq and end offset, and taking the items
-                // keeps recovery's peak memory at ~1x the WAL tail
-                entry.1.append(&mut frame.items);
             }
         }
 
-        // replay the longest complete prefix through the normal ingest
-        // path (WAL not attached yet, so nothing is re-logged)
+        // replay records in seq order up to the first missing seq, through
+        // the normal ingest path (WAL not attached yet, so nothing is
+        // re-logged)
         let mut next = base_seq + 1;
-        while let Some((batch_n, items)) = batches.remove(&next) {
-            if items.len() as u32 != batch_n {
-                break; // a shard's frame is missing: torn tail
+        'replay: for (_, seg) in &mut read_segments {
+            for frame in &mut seg.frames {
+                if frame.seq < next {
+                    continue; // covered by the folded image
+                }
+                if frame.seq > next {
+                    break 'replay;
+                }
+                // move, don't clone: the truncation pass below only needs
+                // each frame's seq and end offset
+                engine.ingest(std::mem::take(&mut frame.records))?;
+                next += 1;
             }
-            let mut items = items;
-            items.sort_by_key(|it| it.idx);
-            if items.iter().enumerate().any(|(i, it)| it.idx as usize != i) {
-                break; // duplicate or gapped indices: corrupt tail
-            }
-            let batch: Vec<Record> =
-                items.into_iter().map(|it| Record::new(it.key, it.t, it.value)).collect();
-            engine.ingest(batch)?;
-            next += 1;
         }
         let recovered = engine.batches();
         debug_assert_eq!(recovered, next - 1);
@@ -427,7 +415,7 @@ impl DurableFleet {
             let len = file.metadata().map_err(io_err)?.len();
             if len > keep {
                 file.set_len(keep).map_err(io_err)?;
-                file.sync_data().map_err(io_err)?;
+                fault::sync_data(&file, path).map_err(io_err)?;
             }
         }
 
@@ -443,9 +431,8 @@ impl DurableFleet {
         snapshot_seq: u64,
         chain_len: usize,
     ) -> Result<Self, FleetError> {
-        let wal = Arc::new(GroupWal::create(&dcfg.dir, wal_start).map_err(io_err)?);
-        let degrade = dcfg.policy == DurabilityPolicy::Degrade;
-        engine.attach_wal(wal, dcfg.fsync_every, degrade)?;
+        let wal = Wal::create(&dcfg.dir, wal_start, dcfg.fsync_every).map_err(io_err)?;
+        engine.attach_wal(wal, dcfg.policy == DurabilityPolicy::Degrade);
         let (job_tx, job_rx) = channel::<SnapshotJob>();
         let (done_tx, done_rx) = channel();
         let dir = dcfg.dir.clone();
@@ -489,9 +476,8 @@ impl DurableFleet {
         self.degraded.is_some()
     }
 
-    /// Synchronous durable ingest: the batch is WAL-appended on every
-    /// shard it touches before any output is produced. Also services the
-    /// snapshot cadence.
+    /// Synchronous durable ingest: the batch is WAL-appended before any
+    /// shard applies it. Also services the snapshot cadence.
     pub fn ingest(&mut self, batch: Vec<Record>) -> Result<Vec<ScoredPoint>, FleetError> {
         self.poll_writer()?;
         let out = self.heal().and_then(|()| self.engine.ingest(batch)).and_then(|out| {
@@ -541,12 +527,12 @@ impl DurableFleet {
     }
 
     /// Under [`DurabilityPolicy::Degrade`], flips into degraded mode when
-    /// the shared WAL has poisoned — appends fail, so shard workers apply
-    /// batches un-durably instead of crash-stopping.
+    /// the WAL has poisoned — appends fail, so the engine applies batches
+    /// un-durably instead of failing them.
     fn detect_degraded(&mut self) {
         if self.dcfg.policy == DurabilityPolicy::Degrade
             && self.degraded.is_none()
-            && self.engine.wal_poisoned().is_some()
+            && self.engine.wal_poisoned()
         {
             self.enter_degraded();
         }
@@ -620,9 +606,9 @@ impl DurableFleet {
     /// seq, then an immediate full base snapshot so the un-durable window
     /// becomes recoverable again.
     fn rearm_once(&mut self) -> Result<(), FleetError> {
-        let wal =
-            Arc::new(GroupWal::create(&self.dcfg.dir, self.engine.batches()).map_err(io_err)?);
-        self.engine.attach_wal(wal, self.dcfg.fsync_every, true)?;
+        let wal = Wal::create(&self.dcfg.dir, self.engine.batches(), self.dcfg.fsync_every)
+            .map_err(io_err)?;
+        self.engine.attach_wal(wal, true);
         // appends work again; clear the flag before checkpointing (the
         // checkpoint guard refuses while degraded) — a failed write below
         // re-enters via handle_ack
@@ -841,10 +827,10 @@ impl DurableFleet {
                 let _ = fs::remove_file(path);
             }
         }
-        let mut kept_segments: Vec<(u64, &Vec<(usize, PathBuf)>)> = Vec::new();
+        let mut kept_segments: Vec<(u64, &Vec<PathBuf>)> = Vec::new();
         for (start, files) in &listing.segments {
             if *start < keep_from {
-                for (_, path) in files {
+                for path in files {
                     let _ = fs::remove_file(path);
                 }
             } else {
@@ -902,15 +888,15 @@ impl DurableFleet {
             if anchors.any(|b| reach(b) < next_start) {
                 continue; // some fallback anchor still needs this tail
             }
-            for (_, path) in files {
+            for path in files {
                 let _ = fs::remove_file(path);
             }
         }
         Ok(())
     }
 
-    /// Lifetime count of `fsync`s issued on the shared WAL — the
-    /// group-commit gauge: at most one per acked batch.
+    /// Lifetime count of `fsync`s issued on the WAL: at most one per
+    /// acked batch.
     pub fn wal_fsync_count(&self) -> u64 {
         self.engine.wal_fsync_count()
     }
@@ -1039,14 +1025,15 @@ struct DirListing {
     snapshots: Vec<(u64, PathBuf)>,
     /// `(seq, path)` per delta file, ascending.
     deltas: Vec<(u64, PathBuf)>,
-    /// `start_seq → [(shard, path)]` per WAL segment, ascending.
-    segments: BTreeMap<u64, Vec<(usize, PathBuf)>>,
+    /// `start_seq → paths` of the WAL segments, ascending (a v1 segment
+    /// and the current one may share a `start_seq`).
+    segments: BTreeMap<u64, Vec<PathBuf>>,
 }
 
 fn scan_dir(dir: &Path) -> Result<DirListing, FleetError> {
     let mut snapshots = Vec::new();
     let mut deltas = Vec::new();
-    let mut segments: BTreeMap<u64, Vec<(usize, PathBuf)>> = BTreeMap::new();
+    let mut segments: BTreeMap<u64, Vec<PathBuf>> = BTreeMap::new();
     for entry in fs::read_dir(dir).map_err(io_err)? {
         let entry = entry.map_err(io_err)?;
         let name = entry.file_name();
@@ -1056,8 +1043,8 @@ fn scan_dir(dir: &Path) -> Result<DirListing, FleetError> {
             snapshots.push((seq, path));
         } else if let Some(seq) = parse_delta_name(name) {
             deltas.push((seq, path));
-        } else if let Some((start, shard)) = wal::parse_segment_name(name) {
-            segments.entry(start).or_default().push((shard, path));
+        } else if let Some(start) = wal::parse_segment_name(name) {
+            segments.entry(start).or_default().push(path);
         }
     }
     snapshots.sort();

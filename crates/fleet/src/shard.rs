@@ -1,9 +1,8 @@
 //! Shard worker: owns a slice of the series registry and processes the
 //! messages the engine routes to it. One OS thread per shard, plain
-//! `std::sync::mpsc` channels — no external runtime. When durability is
-//! on, the worker also owns its shard's WAL segment and appends each
-//! sub-batch *before* applying it, so a reply implies the points are
-//! logged (write-ahead).
+//! `std::sync::mpsc` channels — no external runtime. Workers never see
+//! the write-ahead log: with durability on, the engine thread logs each
+//! whole batch before it routes a sub-batch here ([`crate::wal`]).
 //!
 //! Each worker has two inboxes: the FIFO ingest/control queue
 //! ([`ShardMsg`]) and an unbounded read lane ([`ReadMsg`]). The worker
@@ -18,7 +17,6 @@ use crate::error::FleetError;
 use crate::fault::{self, FaultOp};
 use crate::series::{PhaseSnapshot, QuarantineCause, SeriesState, StepOutcome};
 use crate::types::{PointOutput, SeriesKey, ShardStats};
-use crate::wal::{encode_record_into, GroupWal};
 use oneshotstl::{IncrementalSolver, UpdateScratch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -282,40 +280,17 @@ pub struct SeriesSnapshot {
     pub phase: PhaseSnapshot,
 }
 
-/// WAL metadata for one ingest sub-batch; present only when durability is
-/// attached.
-#[derive(Debug, Clone, Copy)]
-pub struct WalMeta {
-    /// Engine-wide batch sequence number.
-    pub seq: u64,
-    /// Total records in the engine-level batch (across all shards).
-    pub batch_n: u32,
-    /// How many shards append a frame for this batch — the group-commit
-    /// fanout: the last arriving appender performs the single `fsync`
-    /// covering the whole batch.
-    pub fanout: u32,
-    /// Whether this batch must be on stable storage before any shard
-    /// replies (the engine raises this every
-    /// [`crate::DurabilityConfig::fsync_every`] batches). With group
-    /// commit this costs **one** `fsync` per batch, not one per shard.
-    pub sync: bool,
-}
-
 /// One shard's answer to a [`ShardMsg::Ingest`]: its shard index plus the
-/// same columnar batch with its `outputs` column filled, or the
-/// worker-side error string. Returning the batch itself is what closes
-/// the buffer-recycling loop: the engine moves keys and outputs out and
-/// pushes the emptied buffers back into its spare pool.
-pub type BatchReply = (usize, Result<ShardBatch, String>);
+/// same columnar batch with its `outputs` column filled. Returning the
+/// batch itself is what closes the buffer-recycling loop: the engine moves
+/// keys and outputs out and pushes the emptied buffers back into its spare
+/// pool.
+pub type BatchReply = (usize, ShardBatch);
 
 /// Messages the engine sends to a shard worker.
 pub enum ShardMsg {
     /// Process a columnar sub-batch; reply with this shard's index plus
-    /// the batch (outputs filled), or an error if the WAL append failed
-    /// under crash-stop — in which case the sub-batch was **not** applied
-    /// and the worker terminates, so no later batch can be applied past
-    /// the durability failure either. (Under degrade mode a failed append
-    /// applies the batch un-durably and replies `Ok`.)
+    /// the batch (outputs filled).
     Ingest {
         /// The routed columns, batch order. The `live` column is each
         /// record's `t` clamped by the engine's bounded clock (see
@@ -323,11 +298,9 @@ pub enum ShardMsg {
         /// make its series immune to TTL eviction.
         batch: ShardBatch,
         /// Engine batch sequence number (dirty-marker for incremental
-        /// snapshots; also the WAL frame seq when durability is on).
+        /// snapshots).
         seq: u64,
-        /// WAL frame metadata (`None` when durability is off).
-        wal: Option<WalMeta>,
-        /// Reply channel (`shard index`, outcome) — the index lets the
+        /// Reply channel (`shard index`, batch) — the index lets the
         /// engine tell which shards answered when another one dies.
         reply: Sender<BatchReply>,
     },
@@ -346,19 +319,6 @@ pub enum ShardMsg {
         seq: u64,
         /// Reply channel.
         reply: Sender<Result<(), FleetError>>,
-    },
-    /// Adopt this shared WAL handle: subsequent ingests are logged to it.
-    /// (Rotation and syncs go straight to the [`GroupWal`] from the
-    /// engine thread.) Replies once adopted.
-    AttachWal {
-        /// The shared WAL handle.
-        wal: Arc<GroupWal>,
-        /// [`crate::DurabilityPolicy::Degrade`]: a failed append no longer
-        /// crash-stops the worker — the batch is applied un-durably and
-        /// the engine re-arms durability out of band.
-        degrade: bool,
-        /// Reply channel.
-        reply: Sender<()>,
     },
     /// Test support: hold the worker until the channel paired with
     /// `release` is dropped or signalled. Used to fill bounded queues
@@ -921,26 +881,6 @@ impl ShardState {
     }
 }
 
-/// The worker's handle on the shared WAL (`None` when durability is off),
-/// doubling as an unwind guard: a worker that panics after a group-commit
-/// append but before the batch's other appenders arrive would strand them
-/// on the flush condvar forever (its share of the fanout count never
-/// lands). Poisoning the shared WAL on unwind turns that hang into the
-/// normal crash-stop error every other shard already handles.
-struct PanicPoison {
-    wal: Option<Arc<GroupWal>>,
-}
-
-impl Drop for PanicPoison {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            if let Some(w) = &self.wal {
-                w.poison("shard worker panicked");
-            }
-        }
-    }
-}
-
 /// Answers one read-lane request against the current registry.
 fn serve_read(state: &ShardState, read: ReadMsg, queue_depth: &AtomicUsize) {
     match read {
@@ -978,58 +918,21 @@ pub fn run_worker(
     queue_depth: Arc<AtomicUsize>,
     buf_return: Sender<ShardBatch>,
 ) {
-    // set by an AttachWal message; a worker starts without a WAL
-    let mut log = PanicPoison { wal: None };
-    let mut degrade = false;
-    // reusable WAL record scratch: frames encode straight off the batch
-    // columns into this buffer, so logging allocates nothing per batch
-    // once primed
-    let mut wal_buf: Vec<u8> = Vec::new();
     while let Ok(msg) = rx.recv() {
         queue_depth.fetch_sub(1, Ordering::Relaxed);
         while let Ok(read) = lane.try_recv() {
             serve_read(&state, read, &queue_depth);
         }
         match msg {
-            ShardMsg::Ingest { mut batch, seq, wal, reply } => {
-                // write-ahead: the frame must be on the log before any
-                // series state changes, so a reply implies durability (up
-                // to the fsync interval) and recovery never replays a
-                // half-applied batch. With group commit, a `sync` append
-                // blocks until the one fsync covering this batch — issued
-                // by whichever shard's append lands last — has completed.
-                let logged = match (&wal, log.wal.as_ref()) {
-                    (Some(meta), Some(w)) => {
-                        encode_record_into(&mut wal_buf, meta.seq, meta.batch_n, &batch);
-                        w.append_record(meta.seq, &wal_buf, meta.fanout, meta.sync)
-                            .map_err(|e| format!("wal append on shard {}: {e}", state.index))
-                    }
-                    _ => Ok(()),
-                };
-                if let Err(msg) = logged {
-                    if !degrade {
-                        // crash-stop: a shard that cannot log must not
-                        // apply this or any later batch — its state would
-                        // diverge from the durable prefix, and a
-                        // background snapshot could persist the
-                        // divergence. Terminating makes every subsequent
-                        // engine call fail with ShardDown.
-                        let _ = reply.send((state.index, Err(msg)));
-                        break;
-                    }
-                    // degrade: apply the batch un-durably and keep
-                    // serving; the engine sees the poisoned WAL, counts
-                    // the un-durable window, and re-arms durability with
-                    // a fresh segment + full snapshot out of band
-                }
+            ShardMsg::Ingest { mut batch, seq, reply } => {
                 state.ingest_batch(&mut batch, seq);
                 // the filled batch rides back on the reply; the engine
                 // moves keys and outputs out and recycles the buffers. An
                 // abandoned batch (dropped receiver) is handed back
                 // through the return channel instead, so its buffers
                 // rejoin the pool rather than being dropped.
-                if let Err(std::sync::mpsc::SendError((_, Ok(mut b)))) =
-                    reply.send((state.index, Ok(batch)))
+                if let Err(std::sync::mpsc::SendError((_, mut b))) =
+                    reply.send((state.index, batch))
                 {
                     b.clear();
                     let _ = buf_return.send(b);
@@ -1037,11 +940,6 @@ pub fn run_worker(
             }
             ShardMsg::Admit { key, opts, now, seq, reply } => {
                 let _ = reply.send(state.set_admit_options(&key, opts, now, seq));
-            }
-            ShardMsg::AttachWal { wal, degrade: on, reply } => {
-                log.wal = Some(wal);
-                degrade = on;
-                let _ = reply.send(());
             }
             ShardMsg::Stall { release } => {
                 let _ = release.recv();

@@ -1,281 +1,227 @@
-//! Shared append-only write-ahead log of raw ingested points, with
-//! group-commit flushing.
+//! Append-only write-ahead log of raw ingested batches.
 //!
 //! Durability in the fleet is two-tier: periodic snapshots capture the
 //! engine state ([`crate::codec`] — full bases plus incremental deltas),
 //! and between snapshots every ingested batch is first appended to the
-//! WAL by each shard it routes to. Crash recovery ([`crate::persist`])
-//! loads the newest valid snapshot chain and replays the WAL tail through
-//! the normal ingest path, which makes the recovered state
-//! **bit-identical** to an uninterrupted run over the same durable prefix.
+//! WAL. Crash recovery ([`crate::persist`]) loads the newest valid
+//! snapshot chain and replays the WAL tail through the normal ingest path,
+//! which makes the recovered state **bit-identical** to an uninterrupted
+//! run over the same durable prefix.
 //!
-//! ## Group commit
+//! ## One writer
 //!
-//! All shard workers write to **one shared segment per generation**
-//! through [`GroupWal`], a mutex-guarded flush coordinator. Each batch
-//! carries its fanout (how many shards append a frame for it); the last
-//! arriving appender issues the **single** `fsync` covering the whole
-//! batch while earlier appenders wait on a condvar until the flush covers
-//! their bytes. A synced batch therefore costs exactly **1 fsync instead
-//! of `shards`** (pinned by a flush-counter test in `tests/fleet_persist`)
-//! while keeping the guarantee that a shard's reply implies its frame is
-//! on stable storage. A failed write or flush poisons the log: every
-//! subsequent append errors, and the shard workers crash-stop (under
-//! [`crate::DurabilityPolicy::CrashStop`]) or keep serving un-durably
-//! while the durability layer re-arms a fresh log (under
-//! [`crate::DurabilityPolicy::Degrade`]).
+//! The engine thread is the log's only writer: [`crate::FleetEngine::submit`]
+//! encodes the whole caller batch as one record and appends it before any
+//! shard worker sees the batch, so shard workers never touch the log. The
+//! log `fsync`s every [`crate::DurabilityConfig::fsync_every`] batches, and
+//! a synced batch therefore costs exactly **one** `fsync` however many
+//! shards it routes to (pinned by a flush-counter test in
+//! `tests/fleet_persist`). A failed write or `fsync` poisons the log:
+//! every later operation fails with the first error.
 //!
 //! ## On-disk format
 //!
-//! One file per generation, named `wal-<start_seq>-0000.flog` where
-//! `start_seq` is the engine batch sequence the segment starts *after*
-//! (segments rotate when a snapshot is triggered, so segment
-//! `start_seq = S` holds batches `S+1, S+2, …`; the trailing index is a
-//! legacy slot from the per-shard era and is always 0). Layout follows the
-//! snapshot codec conventions — little-endian integers, bit-pattern
-//! `f64`s, `u32`-length-prefixed strings:
+//! One file per generation, named `wal-<start_seq>.flog` where `start_seq`
+//! is the engine batch sequence the segment starts *after* (segments
+//! rotate when a snapshot is triggered, so segment `start_seq = S` holds
+//! batches `S+1, S+2, …`). Layout follows the snapshot codec conventions —
+//! little-endian integers, bit-pattern `f64`s, `u32`-length-prefixed
+//! strings:
 //!
 //! ```text
-//! header   magic b"OSTLWLOG" · u16 version · u32 shard · u64 start_seq
+//! header   magic b"OSTLWLOG" · u16 version · u64 start_seq
 //! record*  u32 payload_len · u32 crc32(payload) · payload
-//! payload  u64 seq · u32 batch_n · u32 count ·
-//!          count × { u32 idx · u64 t · f64 value · string key }
+//! payload  u64 seq · u32 count · count × { u64 t · f64 value · string key }
 //! ```
 //!
-//! `seq` is the engine-wide batch sequence number, `batch_n` the total
-//! record count of that batch across *all* shards, and `idx` each record's
-//! position in the caller's batch — together they let recovery reassemble
-//! the exact original batches from the interleaved per-shard frames and
-//! detect batches that were only partially appended when the process died.
-//! Frames of one batch may interleave with frames of neighbouring batches
-//! (shard workers append concurrently); recovery orders by `seq`, so the
-//! interleaving is irrelevant.
+//! `seq` is the engine-wide batch sequence number and the records are the
+//! caller's batch in order, each with its raw (unclamped) `t`: replay
+//! re-derives the engine clock exactly as the original run did. An empty
+//! batch is logged too, because it advances the sweep cadence.
+//!
+//! Version 1 segments (one frame per shard, a shard slot in the header and
+//! the name) are not decoded: [`read_segment`] reports a header-only one
+//! as empty and one holding records as [`std::io::ErrorKind::Unsupported`].
 //!
 //! ## Torn tails
 //!
 //! Appends are crash-atomic at record granularity: a record interrupted
 //! mid-write fails its length or CRC check, and [`read_segment`] stops at
-//! the first bad byte, reporting everything before it. The group `fsync`
-//! runs every [`crate::DurabilityConfig::fsync_every`] batches (and on
-//! rotation), so an OS crash can leave at most that many un-fsynced
-//! recent batches — and since recovery keeps only the longest complete
-//! batch prefix, the batches from the first lost frame onward are
-//! discarded. A process crash loses nothing that `append` returned `Ok`
-//! for.
+//! the first bad byte, reporting everything before it. An OS crash can
+//! lose at most the `fsync_every − 1` un-fsynced recent batches (plus a
+//! torn final record); recovery replays records in seq order up to the
+//! first missing seq. A process crash loses nothing that `append`
+//! returned `Ok` for.
 
 use crate::codec::{Reader, Writer};
 use crate::fault;
-use crate::types::SeriesKey;
-use std::collections::HashMap;
+use crate::types::{Record, SeriesKey};
 use std::fs::File;
-use std::io::Read as _;
+use std::io::{ErrorKind, Read as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 
 const WAL_MAGIC: &[u8; 8] = b"OSTLWLOG";
-const WAL_VERSION: u16 = 1;
-/// Header size in bytes: magic + version + shard + start_seq. Shared with
+const WAL_VERSION: u16 = 2;
+/// Header size in bytes: magic + version + start_seq. Shared with
 /// [`crate::persist`]'s torn-tail truncation, which must never cut into a
 /// header.
-pub(crate) const HEADER_LEN: u64 = 8 + 2 + 4 + 8;
+pub(crate) const HEADER_LEN: u64 = 8 + 2 + 8;
+/// Header size of a version 1 segment (magic + version + shard +
+/// start_seq).
+const V1_HEADER_LEN: usize = 8 + 2 + 4 + 8;
 /// Upper bound on a single record payload — anything larger is treated as
 /// corruption rather than an allocation request.
 const MAX_PAYLOAD: u32 = 1 << 30;
 
-/// One raw ingested record inside a WAL frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WalItem {
-    /// Position of the record in the caller's original batch.
-    pub idx: u32,
-    /// The record's raw event time (pre-clamping — replay re-derives the
-    /// engine clock exactly as the original run did).
-    pub t: u64,
-    /// The observed value.
-    pub value: f64,
-    /// The record's series.
-    pub key: SeriesKey,
-}
-
-/// One appended record: the slice of one engine batch that routed to this
-/// shard (possibly empty for the batch-marker frame on shard 0).
+/// One logged batch as read back from disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalFrame {
     /// Engine-wide batch sequence number (1-based, monotonically
     /// increasing across the engine's lifetime).
     pub seq: u64,
-    /// Total records in the original batch across all shards — recovery
-    /// declares the batch complete when the frames it gathered sum to
-    /// this.
-    pub batch_n: u32,
-    /// The records of that batch routed to this shard, in batch order.
-    pub items: Vec<WalItem>,
+    /// The caller's batch, in order, with raw event times.
+    pub records: Vec<Record>,
 }
 
 impl WalFrame {
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.u64(self.seq);
-        w.u32(self.batch_n);
-        w.u32(self.items.len() as u32);
-        for it in &self.items {
-            w.u32(it.idx);
-            w.u64(it.t);
-            w.f64(it.value);
-            w.string(it.key.as_str());
-        }
-        w.buf
-    }
-
     fn decode_payload(bytes: &[u8]) -> Option<WalFrame> {
         let mut r = Reader { data: bytes, pos: 0 };
         let seq = r.u64().ok()?;
-        let batch_n = r.u32().ok()?;
         let count = r.u32().ok()? as usize;
-        let mut items = Vec::with_capacity(count.min(1 << 16));
+        let mut records = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            items.push(WalItem {
-                idx: r.u32().ok()?,
-                t: r.u64().ok()?,
-                value: r.f64().ok()?,
-                key: SeriesKey::new(r.string().ok()?),
-            });
+            let t = r.u64().ok()?;
+            let value = r.f64().ok()?;
+            records.push(Record { key: SeriesKey::new(r.string().ok()?), t, value });
         }
         if r.pos != bytes.len() {
             return None;
         }
-        Some(WalFrame { seq, batch_n, items })
+        Some(WalFrame { seq, records })
     }
 }
 
-/// Encodes one frame as a complete record (`u32 len · u32 crc · payload`).
-fn encode_record(frame: &WalFrame) -> Vec<u8> {
-    let payload = frame.encode_payload();
-    let mut rec = Vec::with_capacity(8 + payload.len());
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-    rec.extend_from_slice(&payload);
-    rec
-}
-
-/// Encodes one shard's columnar sub-batch as a complete WAL record
-/// (`u32 len · u32 crc32 · payload`) into `buf`, reusing its capacity.
-/// The payload bytes are identical to [`WalFrame::encode_payload`] over
-/// the equivalent items, so recovery decodes both the same way — pinned by
-/// a round-trip test below.
-pub(crate) fn encode_record_into(
-    buf: &mut Vec<u8>,
-    seq: u64,
-    batch_n: u32,
-    batch: &crate::batch::ShardBatch,
-) {
-    let mut w = Writer { buf: std::mem::take(buf) };
-    w.buf.clear();
-    w.buf.extend_from_slice(&[0u8; 8]); // len + crc, backfilled below
-    w.u64(seq);
-    w.u32(batch_n);
-    w.u32(batch.len() as u32);
-    for i in 0..batch.len() {
-        w.u32(batch.idx[i]);
-        w.u64(batch.ts[i]);
-        w.f64(batch.values[i]);
-        w.string(batch.keys[i].as_str());
-    }
-    let payload_len = (w.buf.len() - 8) as u32;
-    let crc = crc32(&w.buf[8..]);
-    w.buf[..4].copy_from_slice(&payload_len.to_le_bytes());
-    w.buf[4..8].copy_from_slice(&crc.to_le_bytes());
-    *buf = w.buf;
-}
-
-/// An open, append-only WAL segment owned by one shard worker.
+/// The open, append-only WAL segment of the current generation, with its
+/// fsync cadence. Owned by the engine thread.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     dir: PathBuf,
     path: PathBuf,
-    shard: usize,
-    start_seq: u64,
+    /// Fsync every this many appended batches.
+    fsync_every: u64,
+    /// Batches appended since the last fsync.
+    unsynced: u64,
+    /// Lifetime fsyncs on the log (appends, rotations, explicit syncs).
+    fsyncs: u64,
+    /// First I/O error; once set, every operation fails with it (a
+    /// half-durable log must not accept more appends).
+    poisoned: Option<String>,
+    /// The record [`Wal::append`] writes, as laid out by [`Wal::encode`];
+    /// its capacity is reused across batches.
+    record: Vec<u8>,
 }
 
 impl Wal {
-    /// Creates (or truncates) the segment file for `shard` starting after
-    /// batch `start_seq`, writing the header. All file operations go
-    /// through the [`crate::fault`] seam (passthrough in production).
+    /// Creates (or truncates) the segment starting after batch
+    /// `start_seq`, writing the header, and fsyncs every `fsync_every`
+    /// appended batches from then on. All file operations go through the
+    /// [`crate::fault`] seam (passthrough in production).
     pub fn create(
         dir: impl Into<PathBuf>,
-        shard: usize,
         start_seq: u64,
+        fsync_every: u64,
     ) -> std::io::Result<Self> {
         let dir = dir.into();
-        let path = dir.join(segment_file_name(start_seq, shard));
-        let mut file = fault::create_file(&path)?;
-        let mut w = Writer::default();
-        w.buf.extend_from_slice(WAL_MAGIC);
-        w.buf.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        w.u32(shard as u32);
-        w.u64(start_seq);
-        fault::write_all(&mut file, &path, &w.buf)?;
-        // make the new directory entry durable too: per-append fsyncs
-        // protect the file's *contents*, but an OS crash could still drop
-        // the whole segment if its name never reached the disk
-        fault::sync_dir(&dir)?;
-        Ok(Wal { file, dir, path, shard, start_seq })
+        let (file, path) = create_segment(&dir, start_seq)?;
+        Ok(Wal {
+            file,
+            dir,
+            path,
+            fsync_every: fsync_every.max(1),
+            unsynced: 0,
+            fsyncs: 0,
+            poisoned: None,
+            record: Vec::new(),
+        })
     }
 
-    /// Appends one frame; `sync` additionally forces the segment to stable
-    /// storage (`fsync`) after the write.
-    pub fn append(&mut self, frame: &WalFrame, sync: bool) -> std::io::Result<()> {
-        self.append_record(&encode_record(frame), sync)
+    /// Lays out batch `seq` as one record (`u32 len · u32 crc · payload`)
+    /// for the next [`Wal::append`]. Separate from the write so the caller
+    /// can encode a batch before it gives the records away.
+    pub fn encode(&mut self, seq: u64, records: &[Record]) {
+        let mut w = Writer { buf: std::mem::take(&mut self.record) };
+        w.buf.clear();
+        w.buf.extend_from_slice(&[0u8; 8]); // len + crc, backfilled below
+        w.u64(seq);
+        w.u32(records.len() as u32);
+        for r in records {
+            w.u64(r.t);
+            w.f64(r.value);
+            w.string(r.key.as_str());
+        }
+        let payload_len = (w.buf.len() - 8) as u32;
+        let crc = crc32(&w.buf[8..]);
+        w.buf[..4].copy_from_slice(&payload_len.to_le_bytes());
+        w.buf[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.record = w.buf;
     }
 
-    /// Appends one pre-encoded record (`u32 len · u32 crc · payload`,
-    /// already laid out — see [`encode_record_into`]).
-    fn append_record(&mut self, rec: &[u8], sync: bool) -> std::io::Result<()> {
-        fault::write_all(&mut self.file, &self.path, rec)?;
-        if sync {
-            fault::sync_data(&self.file, &self.path)?;
+    /// Appends the record last laid out by [`Wal::encode`], fsyncing when
+    /// the cadence is due.
+    pub fn append(&mut self) -> std::io::Result<()> {
+        self.check()?;
+        let res = fault::write_all(&mut self.file, &self.path, &self.record);
+        self.poison_on(res)?;
+        self.unsynced += 1;
+        if self.unsynced >= self.fsync_every {
+            self.sync()?;
         }
         Ok(())
     }
 
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        fault::sync_data(&self.file, &self.path)
+        self.check()?;
+        self.fsyncs += 1;
+        let res = fault::sync_data(&self.file, &self.path);
+        self.poison_on(res)?;
+        self.unsynced = 0;
+        Ok(())
     }
 
     /// Rotates to a fresh segment starting after batch `start_seq`. The
     /// previous segment is synced and closed; deleting it once a covering
     /// snapshot is durable is the caller's job ([`crate::persist`]).
     pub fn rotate(&mut self, start_seq: u64) -> std::io::Result<()> {
-        self.file.sync_data()?;
-        let next = Wal::create(self.dir.clone(), self.shard, start_seq)?;
-        *self = next;
+        self.sync()?;
+        let res = create_segment(&self.dir, start_seq);
+        let (file, path) = self.poison_on(res)?;
+        (self.file, self.path) = (file, path);
         Ok(())
     }
 
-    /// The batch sequence this segment starts after.
-    pub fn start_seq(&self) -> u64 {
-        self.start_seq
+    /// Lifetime count of `fsync`s issued on the log (appends, rotations,
+    /// explicit syncs). The basis of the flush-counter test: an acked
+    /// batch costs at most one.
+    pub fn fsync_count(&self) -> u64 {
+        self.fsyncs
     }
-}
 
-/// Coordinator state behind the [`GroupWal`] mutex.
-struct GroupInner {
-    wal: Wal,
-    /// Records appended so far (monotone logical clock for coverage).
-    appended: u64,
-    /// `appended` value covered by the last completed `fsync`.
-    flushed: u64,
-    /// Outstanding appenders per synced batch seq (initialized to the
-    /// batch's fanout; the appender that drops it to 0 flushes).
-    pending: HashMap<u64, u32>,
-    /// First I/O error; once set, every subsequent operation fails with it
-    /// (a half-durable log must not accept more appends).
-    poisoned: Option<String>,
-}
+    /// The first error that poisoned this log, if any. A poisoned log
+    /// rejects every further operation; the durability layer uses this
+    /// probe to notice the outage and (under
+    /// [`crate::DurabilityPolicy::Degrade`]) re-arm a fresh generation.
+    pub fn poison_reason(&self) -> Option<&str> {
+        self.poisoned.as_deref()
+    }
 
-impl GroupInner {
+    /// Poisons the log from outside the append path (the first reason
+    /// sticks).
+    pub(crate) fn poison(&mut self, why: &str) {
+        self.poisoned.get_or_insert_with(|| why.to_string());
+    }
+
     fn check(&self) -> std::io::Result<()> {
         match &self.poisoned {
             None => Ok(()),
@@ -283,199 +229,48 @@ impl GroupInner {
         }
     }
 
-    fn poison(&mut self, e: &std::io::Error) {
-        if self.poisoned.is_none() {
-            self.poisoned = Some(e.to_string());
+    fn poison_on<T>(&mut self, res: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(e) = &res {
+            self.poison(&e.to_string());
         }
+        res
     }
 }
 
-/// The shared write-ahead log: one segment per generation, appended to by
-/// every shard worker, flushed by group commit (see the module docs).
-/// Rotation and explicit syncs are engine-thread operations; the protocol
-/// guarantees no appender is active then (the engine's `&mut` API means
-/// snapshot collection has drained every shard queue first).
-pub struct GroupWal {
-    inner: Mutex<GroupInner>,
-    flushed_cv: Condvar,
-    fsyncs: AtomicU64,
+/// Creates (or truncates) the segment file starting after batch
+/// `start_seq` and writes its header.
+fn create_segment(dir: &Path, start_seq: u64) -> std::io::Result<(File, PathBuf)> {
+    let path = dir.join(segment_file_name(start_seq));
+    let mut file = fault::create_file(&path)?;
+    let mut w = Writer::default();
+    w.buf.extend_from_slice(WAL_MAGIC);
+    w.u16(WAL_VERSION);
+    w.u64(start_seq);
+    fault::write_all(&mut file, &path, &w.buf)?;
+    // make the new directory entry durable too: per-append fsyncs protect
+    // the file's *contents*, but an OS crash could still drop the whole
+    // segment if its name never reached the disk
+    fault::sync_dir(dir)?;
+    Ok((file, path))
 }
 
-impl GroupWal {
-    /// Creates the shared segment for the generation starting after batch
-    /// `start_seq`.
-    pub fn create(dir: impl Into<PathBuf>, start_seq: u64) -> std::io::Result<Self> {
-        let wal = Wal::create(dir, 0, start_seq)?;
-        Ok(GroupWal {
-            inner: Mutex::new(GroupInner {
-                wal,
-                appended: 0,
-                flushed: 0,
-                pending: HashMap::new(),
-                poisoned: None,
-            }),
-            flushed_cv: Condvar::new(),
-            fsyncs: AtomicU64::new(0),
-        })
-    }
-
-    /// Poisons the log from outside the append path and wakes every
-    /// group-commit waiter. Called by a shard worker's unwind guard: a
-    /// worker that dies *between* appends would otherwise leave a batch's
-    /// fanout count unreachable and its co-appenders waiting forever —
-    /// poisoning turns the hang into the normal crash-stop error path.
-    /// (A panic *while holding* the mutex poisons the `std` mutex itself,
-    /// which the waiters' `expect` converts into worker death too.)
-    pub fn poison(&self, msg: &str) {
-        let mut g = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        if g.poisoned.is_none() {
-            g.poisoned = Some(msg.to_string());
-        }
-        self.flushed_cv.notify_all();
-    }
-
-    /// Appends one shard's frame of batch `frame.seq`. When `sync` is
-    /// true, returns only once an `fsync` covering the append has
-    /// completed: the appender that completes the batch (its arrival makes
-    /// `fanout` appends) issues the one flush; the others wait for it.
-    /// Coverage is monotone, so a later batch's flush releases earlier
-    /// waiters too.
-    pub fn append(&self, frame: &WalFrame, fanout: u32, sync: bool) -> std::io::Result<()> {
-        self.append_record(frame.seq, &encode_record(frame), fanout, sync)
-    }
-
-    /// [`GroupWal::append`] over a pre-encoded record of batch `seq` — the
-    /// allocation-free path the shard workers use, encoding straight off
-    /// their batch columns into a reusable buffer
-    /// ([`encode_record_into`]).
-    pub(crate) fn append_record(
-        &self,
-        seq: u64,
-        rec: &[u8],
-        fanout: u32,
-        sync: bool,
-    ) -> std::io::Result<()> {
-        let mut g = self.inner.lock().expect("group WAL mutex");
-        g.check()?;
-        if let Err(e) = g.wal.append_record(rec, false) {
-            g.poison(&e);
-            self.flushed_cv.notify_all();
-            return Err(e);
-        }
-        g.appended += 1;
-        if !sync {
-            return Ok(());
-        }
-        let my_mark = g.appended;
-        let remaining = g.pending.entry(seq).or_insert(fanout.max(1));
-        *remaining -= 1;
-        if *remaining == 0 {
-            g.pending.remove(&seq);
-            // group flush: covers every append made so far, including any
-            // frames of neighbouring batches that landed in between
-            let covered = g.appended;
-            let res = g.wal.sync();
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = res {
-                g.poison(&e);
-                self.flushed_cv.notify_all();
-                return Err(e);
-            }
-            g.flushed = g.flushed.max(covered);
-            self.flushed_cv.notify_all();
-            Ok(())
-        } else {
-            loop {
-                if g.flushed >= my_mark {
-                    return Ok(());
-                }
-                g.check()?;
-                g = self.flushed_cv.wait(g).expect("group WAL condvar");
-            }
-        }
-    }
-
-    /// Rotates to a fresh shared segment starting after batch `start_seq`
-    /// (the outgoing segment is flushed first). Engine-thread only.
-    pub fn rotate(&self, start_seq: u64) -> std::io::Result<()> {
-        let mut g = self.inner.lock().expect("group WAL mutex");
-        g.check()?;
-        debug_assert!(g.pending.is_empty(), "rotation with appenders in flight");
-        let res = g.wal.rotate(start_seq);
-        self.fsyncs.fetch_add(1, Ordering::Relaxed); // rotate flushes the old segment
-        if let Err(e) = res {
-            g.poison(&e);
-            return Err(e);
-        }
-        g.appended = 0;
-        g.flushed = 0;
-        g.pending.clear();
-        Ok(())
-    }
-
-    /// Forces everything appended so far to stable storage.
-    pub fn sync(&self) -> std::io::Result<()> {
-        let mut g = self.inner.lock().expect("group WAL mutex");
-        g.check()?;
-        let covered = g.appended;
-        let res = g.wal.sync();
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = res {
-            g.poison(&e);
-            self.flushed_cv.notify_all();
-            return Err(e);
-        }
-        g.flushed = g.flushed.max(covered);
-        self.flushed_cv.notify_all();
-        Ok(())
-    }
-
-    /// The batch sequence the current segment starts after.
-    pub fn start_seq(&self) -> u64 {
-        self.inner.lock().expect("group WAL mutex").wal.start_seq()
-    }
-
-    /// Lifetime count of `fsync`s issued on the log file (group flushes,
-    /// rotations, explicit syncs). The basis of the group-commit
-    /// regression test: an acked batch costs at most one.
-    pub fn fsync_count(&self) -> u64 {
-        self.fsyncs.load(Ordering::Relaxed)
-    }
-
-    /// The first I/O error that poisoned this log, if any. A poisoned log
-    /// rejects every further operation; the durability layer uses this
-    /// probe to notice the outage and (under
-    /// [`crate::DurabilityPolicy::Degrade`]) re-arm a fresh generation.
-    pub fn poison_reason(&self) -> Option<String> {
-        match self.inner.lock() {
-            Ok(g) => g.poisoned.clone(),
-            Err(p) => p.into_inner().poisoned.clone(),
-        }
-    }
+/// Segment file name for `start_seq` — zero-padded so lexical order
+/// equals numeric order.
+pub fn segment_file_name(start_seq: u64) -> String {
+    format!("wal-{start_seq:020}.flog")
 }
 
-/// Segment file name for (`start_seq`, `shard`) — zero-padded so lexical
-/// order equals numeric order.
-pub fn segment_file_name(start_seq: u64, shard: usize) -> String {
-    format!("wal-{start_seq:020}-{shard:04}.flog")
-}
-
-/// Parses a [`segment_file_name`] back into (`start_seq`, `shard`);
-/// `None` for non-WAL files.
-pub fn parse_segment_name(name: &str) -> Option<(u64, usize)> {
+/// Parses a [`segment_file_name`] back into its `start_seq`; `None` for
+/// non-WAL files. Version 1 names, which carry a trailing `-<shard>` slot,
+/// parse too, so recovery can find and judge them.
+pub fn parse_segment_name(name: &str) -> Option<u64> {
     let rest = name.strip_prefix("wal-")?.strip_suffix(".flog")?;
-    let (seq, shard) = rest.split_once('-')?;
-    Some((seq.parse().ok()?, shard.parse().ok()?))
+    rest.split_once('-').map_or(rest, |(seq, _shard)| seq).parse().ok()
 }
 
-/// One shard's segment as read back from disk, torn-tail tolerant.
+/// One segment as read back from disk, torn-tail tolerant.
 #[derive(Debug)]
 pub struct WalSegment {
-    /// The shard the segment belongs to (from the header).
-    pub shard: usize,
     /// The batch sequence the segment starts after (from the header).
     pub start_seq: u64,
     /// Every frame up to the first corruption, in append order.
@@ -489,21 +284,30 @@ pub struct WalSegment {
 }
 
 /// Reads a segment file, stopping cleanly at the first torn or corrupt
-/// record. Errors only for I/O failures or an unreadable header — a valid
-/// header with garbage after it is a `torn` segment with zero frames.
-pub fn read_segment(path: &Path) -> std::io::Result<WalSegment> {
+/// record. A valid header with garbage after it is a `torn` segment with
+/// zero frames. `Ok(None)` is a header-only version 1 segment (what a
+/// clean close of the previous format leaves). Errors for I/O failures,
+/// an unreadable header, and — with [`ErrorKind::Unsupported`] — a
+/// version 1 segment that holds records.
+pub fn read_segment(path: &Path) -> std::io::Result<Option<WalSegment>> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    let bad_header =
-        || std::io::Error::new(std::io::ErrorKind::InvalidData, "not a fleet WAL segment");
+    let bad_header = || std::io::Error::new(ErrorKind::InvalidData, "not a fleet WAL segment");
     if bytes.len() < HEADER_LEN as usize || &bytes[..8] != WAL_MAGIC {
         return Err(bad_header());
     }
-    if u16::from_le_bytes(bytes[8..10].try_into().unwrap()) != WAL_VERSION {
-        return Err(bad_header());
+    match u16::from_le_bytes(bytes[8..10].try_into().unwrap()) {
+        WAL_VERSION => {}
+        1 if bytes.len() == V1_HEADER_LEN => return Ok(None),
+        1 if bytes.len() > V1_HEADER_LEN => {
+            return Err(std::io::Error::new(
+                ErrorKind::Unsupported,
+                "version 1 WAL segment holds records this build does not replay",
+            ))
+        }
+        _ => return Err(bad_header()),
     }
-    let shard = u32::from_le_bytes(bytes[10..14].try_into().unwrap()) as usize;
-    let start_seq = u64::from_le_bytes(bytes[14..22].try_into().unwrap());
+    let start_seq = u64::from_le_bytes(bytes[10..18].try_into().unwrap());
     let mut frames = Vec::new();
     let mut frame_ends = Vec::new();
     let mut pos = HEADER_LEN as usize;
@@ -533,7 +337,7 @@ pub fn read_segment(path: &Path) -> std::io::Result<WalSegment> {
         frame_ends.push(end as u64);
         pos = end;
     }
-    Ok(WalSegment { shard, start_seq, frames, frame_ends, torn })
+    Ok(Some(WalSegment { start_seq, frames, frame_ends, torn }))
 }
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial) over `bytes`.
@@ -577,40 +381,22 @@ mod tests {
     fn frame(seq: u64, n: u32) -> WalFrame {
         WalFrame {
             seq,
-            batch_n: n,
-            items: (0..n)
-                .map(|i| WalItem {
-                    idx: i,
-                    t: 100 + u64::from(i),
-                    value: std::f64::consts::PI * f64::from(i + 1) * 1e-9,
-                    key: SeriesKey::new(format!("host-{i}/cpu")),
+            records: (0..n)
+                .map(|i| {
+                    let value = std::f64::consts::PI * f64::from(i + 1) * 1e-9;
+                    Record::new(format!("host-{i}/cpu"), 100 + u64::from(i), value)
                 })
                 .collect(),
         }
     }
 
-    #[test]
-    fn columnar_record_is_byte_identical_to_frame_encoding() {
-        // the workers log straight off their batch columns; the bytes must
-        // match the WalFrame encoding bit-for-bit or recovery would see a
-        // different durable history than the item-based writer produced
-        let f = frame(42, 4);
-        let mut batch = crate::batch::ShardBatch::default();
-        for it in &f.items {
-            batch.push(
-                it.idx,
-                crate::types::Record { key: it.key.clone(), t: it.t, value: it.value },
-                it.key.stable_hash(),
-                it.t,
-            );
-        }
-        let mut buf = vec![0xAA; 3]; // stale contents must not leak in
-        encode_record_into(&mut buf, f.seq, f.batch_n, &batch);
-        assert_eq!(buf, encode_record(&f));
-        // an empty sub-batch (the shard-0 marker frame) matches too
-        let empty = frame(43, 0);
-        encode_record_into(&mut buf, empty.seq, empty.batch_n, &Default::default());
-        assert_eq!(buf, encode_record(&empty));
+    fn append(wal: &mut Wal, f: &WalFrame) -> std::io::Result<()> {
+        wal.encode(f.seq, &f.records);
+        wal.append()
+    }
+
+    fn read(path: &Path) -> WalSegment {
+        read_segment(path).unwrap().expect("a current-version segment")
     }
 
     #[test]
@@ -622,32 +408,30 @@ mod tests {
 
     #[test]
     fn segment_names_roundtrip_and_sort() {
-        let name = segment_file_name(42, 3);
-        assert_eq!(parse_segment_name(&name), Some((42, 3)));
+        let name = segment_file_name(42);
+        assert_eq!(parse_segment_name(&name), Some(42));
+        assert_eq!(parse_segment_name("wal-00000000000000000042-0003.flog"), Some(42), "v1");
         assert_eq!(parse_segment_name("snap-0000.fsnap"), None);
-        assert!(segment_file_name(9, 0) < segment_file_name(10, 0), "lexical == numeric");
+        assert!(segment_file_name(9) < segment_file_name(10), "lexical == numeric");
     }
 
     #[test]
     fn append_read_roundtrip_bit_identical() {
         let dir = tmp_dir("roundtrip");
-        let mut wal = Wal::create(&dir, 2, 7).unwrap();
+        let mut wal = Wal::create(&dir, 7, 3).unwrap();
         let frames = vec![frame(8, 3), frame(9, 0), frame(10, 5)];
-        for (i, f) in frames.iter().enumerate() {
-            wal.append(f, i == 2).unwrap();
+        for f in &frames {
+            append(&mut wal, f).unwrap();
         }
-        let seg = read_segment(&dir.join(segment_file_name(7, 2))).unwrap();
-        assert_eq!(seg.shard, 2);
+        let seg = read(&dir.join(segment_file_name(7)));
         assert_eq!(seg.start_seq, 7);
         assert!(!seg.torn);
         assert_eq!(seg.frames.len(), 3);
         for (a, b) in seg.frames.iter().zip(&frames) {
             assert_eq!(a.seq, b.seq);
-            assert_eq!(a.batch_n, b.batch_n);
-            assert_eq!(a.items.len(), b.items.len());
-            for (x, y) in a.items.iter().zip(&b.items) {
-                assert_eq!(x.key, y.key);
-                assert_eq!((x.idx, x.t), (y.idx, y.t));
+            assert_eq!(a.records.len(), b.records.len());
+            for (x, y) in a.records.iter().zip(&b.records) {
+                assert_eq!((&x.key, x.t), (&y.key, y.t));
                 assert_eq!(x.value.to_bits(), y.value.to_bits(), "bit-identical floats");
             }
         }
@@ -657,19 +441,19 @@ mod tests {
     #[test]
     fn torn_tail_is_detected_at_every_cut() {
         let dir = tmp_dir("torn");
-        let path = dir.join(segment_file_name(0, 0));
-        let mut wal = Wal::create(&dir, 0, 0).unwrap();
-        wal.append(&frame(1, 2), false).unwrap();
-        wal.append(&frame(2, 2), true).unwrap();
+        let path = dir.join(segment_file_name(0));
+        let mut wal = Wal::create(&dir, 0, 1).unwrap();
+        append(&mut wal, &frame(1, 2)).unwrap();
+        append(&mut wal, &frame(2, 2)).unwrap();
         drop(wal);
         let full = fs::read(&path).unwrap();
-        let seg = read_segment(&path).unwrap();
+        let seg = read(&path);
         assert_eq!((seg.frames.len(), seg.torn), (2, false));
         let first_end = seg.frame_ends[0] as usize;
         // cut anywhere inside the second record: exactly the first survives
         for cut in (first_end + 1)..full.len() {
             fs::write(&path, &full[..cut]).unwrap();
-            let seg = read_segment(&path).unwrap();
+            let seg = read(&path);
             assert!(seg.torn, "cut at {cut} must read as torn");
             assert_eq!(seg.frames.len(), 1, "cut at {cut}");
             assert_eq!(seg.frames[0].seq, 1);
@@ -679,7 +463,7 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
         fs::write(&path, &flipped).unwrap();
-        let seg = read_segment(&path).unwrap();
+        let seg = read(&path);
         assert!(seg.torn);
         assert_eq!(seg.frames.len(), 1);
         let _ = fs::remove_dir_all(&dir);
@@ -688,9 +472,9 @@ mod tests {
     #[test]
     fn empty_and_invalid_segments() {
         let dir = tmp_dir("empty");
-        let path = dir.join(segment_file_name(5, 1));
-        drop(Wal::create(&dir, 1, 5).unwrap());
-        let seg = read_segment(&path).unwrap();
+        let path = dir.join(segment_file_name(5));
+        drop(Wal::create(&dir, 5, 1).unwrap());
+        let seg = read(&path);
         assert!(seg.frames.is_empty() && !seg.torn, "header-only segment is valid and empty");
         fs::write(&path, b"not a wal at all").unwrap();
         assert!(read_segment(&path).is_err(), "bad magic is an error, not a torn tail");
@@ -698,49 +482,45 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_one_fsync_covers_the_fanout() {
-        let dir = tmp_dir("group");
-        let wal = std::sync::Arc::new(GroupWal::create(&dir, 0).unwrap());
-        // two appenders of the same batch (fanout 2): the second arrival
-        // performs the single fsync; the first waits and is released
-        let w2 = std::sync::Arc::clone(&wal);
-        let waiter = std::thread::spawn(move || w2.append(&frame(1, 2), 2, true));
-        // give the waiter a moment to land its append and block
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        wal.append(&frame(1, 2), 2, true).unwrap();
-        waiter.join().unwrap().unwrap();
-        assert_eq!(wal.fsync_count(), 1, "one flush covered both appends");
+    fn fsync_every_paces_the_fsyncs() {
+        let dir = tmp_dir("cadence");
+        let mut wal = Wal::create(&dir, 0, 3).unwrap();
+        for seq in 1..=7 {
+            append(&mut wal, &frame(seq, 2)).unwrap();
+        }
+        assert_eq!(wal.fsync_count(), 2, "one fsync per 3 batches");
+        wal.sync().unwrap();
+        assert_eq!(wal.fsync_count(), 3, "an explicit sync counts");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn poison_releases_group_commit_waiters() {
+    fn failed_append_poisons_the_log() {
         let dir = tmp_dir("poison");
-        let wal = std::sync::Arc::new(GroupWal::create(&dir, 0).unwrap());
-        // an appender of a fanout-2 batch whose partner never arrives
-        // (worker death): poisoning must wake it with an error instead of
-        // leaving it blocked forever
-        let w2 = std::sync::Arc::clone(&wal);
-        let waiter = std::thread::spawn(move || w2.append(&frame(1, 3), 2, true));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        wal.poison("test: partner worker died");
-        let err = waiter.join().unwrap().unwrap_err();
-        assert!(err.to_string().contains("partner worker died"), "{err}");
-        // and the log stays unusable afterwards
-        assert!(wal.append(&frame(2, 1), 1, false).is_err());
+        let mut wal = Wal::create(&dir, 0, 1).unwrap();
+        append(&mut wal, &frame(1, 1)).unwrap();
+        {
+            let _g = fault::inject(&dir, fault::fail_nth(fault::FaultOp::Fsync, 0));
+            let err = append(&mut wal, &frame(2, 1)).unwrap_err();
+            assert!(err.to_string().contains("injected fault"), "{err}");
+        }
+        // the fault is gone, but the log stays unusable
+        assert!(wal.poison_reason().is_some_and(|r| r.contains("injected fault")));
+        assert!(append(&mut wal, &frame(3, 1)).is_err());
+        assert!(wal.sync().is_err() && wal.rotate(3).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rotation_starts_a_fresh_segment() {
         let dir = tmp_dir("rotate");
-        let mut wal = Wal::create(&dir, 0, 0).unwrap();
-        wal.append(&frame(1, 1), false).unwrap();
+        let mut wal = Wal::create(&dir, 0, 1).unwrap();
+        append(&mut wal, &frame(1, 1)).unwrap();
         wal.rotate(1).unwrap();
-        assert_eq!(wal.start_seq(), 1);
-        wal.append(&frame(2, 1), true).unwrap();
-        let old = read_segment(&dir.join(segment_file_name(0, 0))).unwrap();
-        let new = read_segment(&dir.join(segment_file_name(1, 0))).unwrap();
+        assert_eq!(wal.fsync_count(), 2, "rotation syncs the outgoing segment");
+        append(&mut wal, &frame(2, 1)).unwrap();
+        let old = read(&dir.join(segment_file_name(0)));
+        let new = read(&dir.join(segment_file_name(1)));
         assert_eq!(old.frames.len(), 1);
         assert_eq!(old.frames[0].seq, 1);
         assert_eq!(new.frames.len(), 1);

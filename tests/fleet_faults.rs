@@ -64,11 +64,14 @@ fn assert_bit_identical(a: &[ScoredPoint], b: &[ScoredPoint], ctx: &str) {
 
 /// The fault matrix: fail the Nth occurrence of every instrumented file
 /// operation, at several positions, under the default crash-stop policy.
-/// Whatever the failure hits — WAL segment creation, a record write, a
-/// group-commit fsync, a snapshot temp write, its rename, the directory
-/// fsync — the process must not panic, and recovery from the surviving
-/// files must restore a prefix of the acked history that then continues
-/// bit-identically to an uninterrupted engine.
+/// Whatever the failure hits — WAL segment creation, a record write, an
+/// append or rotation fsync, a snapshot temp write, its rename, the
+/// directory fsync — the process must not panic, and recovery from the
+/// surviving files must restore a prefix of the acked history that then
+/// continues bit-identically to an uninterrupted engine. Each case runs
+/// twice: synchronous `ingest`, and `submit`/`next_batch` with 4 batches
+/// in flight, where a failure surfaces from `submit` and every batch
+/// already dispatched still collects bit-identically.
 #[test]
 fn fault_matrix_recovers_a_bit_identical_prefix() {
     let n_series = 2;
@@ -86,14 +89,17 @@ fn fault_matrix_recovers_a_bit_identical_prefix() {
         (FaultOp::Write, 4),
         (FaultOp::Fsync, 0),
         (FaultOp::Fsync, 3),
+        // the base at seq 0 and batches 1..=8 take fsyncs 0..=8; the
+        // rotation at the first snapshot (seq 8) takes #9
+        (FaultOp::Fsync, 9),
         (FaultOp::Rename, 0),
         (FaultOp::Rename, 1),
         (FaultOp::DirSync, 0),
         (FaultOp::DirSync, 2),
     ];
-    for (op, nth) in cases {
-        let ctx = format!("{op:?} #{nth}");
-        let dir = test_dir(&format!("matrix-{op:?}-{nth}").to_lowercase());
+    for ((op, nth), pipelined) in cases.into_iter().flat_map(|c| [(c, false), (c, true)]) {
+        let ctx = format!("{op:?} #{nth} pipelined={pipelined}");
+        let dir = test_dir(&format!("matrix-{op:?}-{nth}-{pipelined}").to_lowercase());
         // a short snapshot cadence with full-base rewrites every 2 deltas
         // routes the fault through the snapshot path as well as the WAL
         let dcfg = DurabilityConfig {
@@ -109,6 +115,27 @@ fn fault_matrix_recovers_a_bit_identical_prefix() {
                 drop(guard);
                 let _ = fs::remove_dir_all(&dir);
                 continue;
+            }
+            Ok(mut durable) if pipelined => {
+                let mut acked = 0u64;
+                let mut collect = |durable: &mut DurableFleet| {
+                    let out = durable.next_batch().expect(&ctx)?;
+                    assert_bit_identical(&out, &ref_outputs[acked as usize], &ctx);
+                    acked += 1;
+                    Some(())
+                };
+                for t in 0..total {
+                    // crash-stop: the fleet is poisoned, stop submitting
+                    if durable.submit(batch(n_series, t)).is_err() {
+                        break;
+                    }
+                    if durable.engine().in_flight() == 4 {
+                        collect(&mut durable);
+                    }
+                }
+                while collect(&mut durable).is_some() {}
+                drop(durable); // crash, no clean shutdown
+                acked
             }
             Ok(mut durable) => {
                 let mut fed = 0u64;
@@ -130,7 +157,7 @@ fn fault_matrix_recovers_a_bit_identical_prefix() {
 
         // bootstrap succeeded, so a valid seq-0 base exists: recovery must
         // succeed and restore a prefix of the acked history (an un-acked
-        // final batch may survive: its frames can hit the page cache even
+        // final batch may survive: its record can hit the page cache even
         // when the covering fsync failed)
         let mut recovered = DurableFleet::open(dcfg).expect(&ctx);
         let resume = recovered.engine().batches();

@@ -105,9 +105,8 @@ fn crash_recovery_with_torn_wal_tail_is_bit_identical() {
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "flog"))
-        // > 100 bytes: past the 22-byte header, i.e. the segment has
-        // frames — and since every batch carries the same key set, its
-        // final frame belongs to the final batch
+        // > 100 bytes: past the 18-byte header, i.e. the segment has
+        // records — and its final record is the final batch
         .filter(|p| fs::metadata(p).unwrap().len() > 100)
         .max()
         .expect("a non-empty WAL segment exists");
@@ -478,9 +477,9 @@ fn delta_chain_crash_recovery_is_bit_identical() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Group commit: a durably acked batch costs exactly **one** WAL fsync no
-/// matter how many shards it touches (previously `shards` fsyncs), and
-/// `fsync_every = k` costs one fsync per k batches.
+/// A durably acked batch costs exactly **one** WAL fsync no matter how
+/// many shards it touches (the engine thread logs the whole batch as one
+/// record), and `fsync_every = k` costs one fsync per k batches.
 #[test]
 fn group_commit_fsyncs_once_per_acked_batch() {
     let n_series = 16; // spread over all 4 shards
@@ -524,6 +523,80 @@ fn group_commit_fsyncs_once_per_acked_batch() {
     let flushes = fleet.wal_fsync_count() - before;
     assert_eq!(flushes, batches / 4, "fsync_every=4 must flush once per 4 batches");
     drop(fleet);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Upgrading a directory written by WAL format v1 (one frame per shard):
+/// a header-only v1 segment — what a clean close leaves — is deleted and
+/// the fleet resumes bit-identically, while a v1 segment holding records
+/// fails recovery naming the file instead of silently dropping
+/// acknowledged batches.
+#[test]
+fn v1_wal_segments_upgrade_when_empty_and_refuse_when_holding_records() {
+    let streams = build_streams(4);
+    let dir = test_dir("v1-upgrade");
+    let dcfg = DurabilityConfig::new(&dir);
+    let mut reference = FleetEngine::new(config()).unwrap();
+    let mut durable = DurableFleet::create(config(), dcfg.clone()).unwrap();
+    for t in 0..30u64 {
+        reference.ingest(batch(&streams, t)).unwrap();
+        durable.ingest(batch(&streams, t)).unwrap();
+    }
+    durable.close().unwrap();
+
+    // a v1 header (magic · u16 version · u32 shard · u64 start_seq) at
+    // `start`, in place of the current-format segments
+    let write_v1 = |start: u64, record: &[u8]| {
+        for entry in fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|x| x == "flog") {
+                fs::remove_file(path).unwrap();
+            }
+        }
+        let mut bytes = b"OSTLWLOG".to_vec();
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&start.to_le_bytes());
+        assert_eq!(bytes.len(), 22);
+        bytes.extend_from_slice(record);
+        let path = dir.join(format!("wal-{start:020}-0000.flog"));
+        fs::write(&path, &bytes).unwrap();
+        path
+    };
+
+    let v1 = write_v1(30, &[]);
+    let mut reopened = DurableFleet::open(dcfg.clone()).unwrap();
+    assert_eq!(reopened.engine().batches(), 30);
+    assert!(!v1.exists(), "a header-only v1 segment is deleted on open");
+    for t in 30..35u64 {
+        let out = reopened.ingest(batch(&streams, t)).unwrap();
+        let expected = reference.ingest(batch(&streams, t)).unwrap();
+        assert_outputs_bit_identical(&out, &expected, "after the upgrade");
+    }
+    reopened.close().unwrap();
+
+    // one v1 record past the header: u32 len · u32 crc · payload (u64 seq
+    // · u32 batch size · u32 count · u32 idx · u64 t · f64 value · string key)
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&36u64.to_le_bytes());
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.extend_from_slice(&35u64.to_le_bytes());
+    payload.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+    payload.extend_from_slice(&8u32.to_le_bytes());
+    payload.extend_from_slice(b"series-0");
+    let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+    record.extend_from_slice(&oneshotstl_suite::fleet::wal::crc32(&payload).to_le_bytes());
+    record.extend_from_slice(&payload);
+    let v1 = write_v1(35, &record);
+    match DurableFleet::open(dcfg).err() {
+        Some(FleetError::Recovery(msg)) => {
+            assert!(msg.contains(v1.file_name().unwrap().to_str().unwrap()), "{msg}");
+        }
+        other => panic!("a v1 segment with records must fail recovery, got {other:?}"),
+    }
+    assert!(v1.exists(), "the refused segment is left for the operator");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -792,7 +865,6 @@ fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
         .filter_map(|e| e.ok())
         .filter_map(|e| {
             oneshotstl_suite::fleet::wal::parse_segment_name(e.file_name().to_str()?)
-                .map(|(start, _)| start)
         })
         .collect();
     starts.sort();
