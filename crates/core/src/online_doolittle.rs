@@ -25,11 +25,26 @@
 //! The first 4 steps ("warm-up") factorize the still-tiny full system
 //! directly; the window state is extracted at step 4. All work per step is
 //! bounded by fixed 10×10 loops either way: the update is `O(1)`.
+//!
+//! ## Lanes
+//!
+//! One steady step is a single serial chain: six divide-terminated
+//! columns, each reading the last. A host that steps many independent
+//! systems (the fleet shard, [`crate::oneshot::LANES`] series at a time)
+//! would leave the core waiting on that latency one system after the
+//! other, so the factorization is one kernel generic over a lane count
+//! `L`: it steps `L` windows in lockstep, with every cell of the working
+//! triangle held as `[f64; L]`. Each lane runs exactly the scalar
+//! sequence of adds, multiplies and divides, in the same order — no fused
+//! multiply-add, no reassociation, no reciprocal in place of a divide —
+//! so every lane is bit-identical to stepping its window alone.
+//! [`IncrementalSolver::step_from`] is the `L = 1` instance;
+//! [`IncrementalSolver::step_lanes`] is the lockstep entry.
 
 // index recurrences here mirror the published algorithms; iterator
 // rewrites obscure the maths
 #![allow(clippy::needless_range_loop)]
-use crate::system::{assemble_block, assemble_full, SystemData, TailBlock, TailData};
+use crate::system::{assemble_block_steady, assemble_full, LaneBlock, SystemData, TailData};
 use tskit::error::TsError;
 
 /// Plain-data snapshot of an [`IncrementalSolver`] (see `fleet::codec`).
@@ -95,27 +110,6 @@ pub struct Window {
     dd: [f64; 4],
     /// `z[2M−8 … 2M−5]` where `z = L⁻¹ b`.
     zo: [f64; 4],
-}
-
-/// Reusable factorization scratch for `Window::step`: the flat 10×10 `L`
-/// working triangle of one step, kept hot across updates instead of being
-/// stack-zeroed per IRLS iteration.
-///
-/// Sharing one scratch across solver instances (the 8 IRLS iterations, and
-/// every series on a fleet shard) is bit-exact because each step only reads
-/// entries it (a) copied in from the window, (b) explicitly zeroed, or
-/// (c) never writes at all — the structurally-zero sub-band cells below,
-/// which retain their `Default` zeros forever.
-#[derive(Debug, Clone)]
-pub struct SolverScratch {
-    /// Row-major flat `10×10` `L` working triangle (`l[10 * row + col]`).
-    l: [f64; 100],
-}
-
-impl Default for SolverScratch {
-    fn default() -> Self {
-        SolverScratch { l: [0.0; 100] }
-    }
 }
 
 impl Default for IncrementalSolver {
@@ -252,11 +246,10 @@ impl IncrementalSolver {
                 (tau, s)
             }
             IncrementalSolver::Steady(w) => {
-                let block = assemble_block(tail);
-                // cold path (warm-up refreshes and direct/test callers): a
-                // fresh zeroed scratch satisfies every invariant
-                let mut scratch = SolverScratch::default();
-                w.step(&block, &mut scratch)
+                let block = assemble_block_steady(std::array::from_ref(tail));
+                let prev = *w;
+                let [out] = Window::step_lanes([&prev], [w], &block);
+                out
             }
         }
     }
@@ -264,34 +257,14 @@ impl IncrementalSolver {
     /// [`IncrementalSolver::step`] without mutating `self`: the successor
     /// state is written into `dst` (whose prior contents are arbitrary
     /// scratch). In the steady state the window is plain-old-data, so this
-    /// is a stack copy + the `O(1)` factorization step over the caller's
-    /// reusable [`SolverScratch`] — **no heap allocation** — which is what
-    /// makes a rejected trial in the seasonality-shift search free to roll
-    /// back.
-    pub fn step_from(
-        &self,
-        tail: &TailData,
-        dst: &mut Self,
-        scratch: &mut SolverScratch,
-    ) -> (f64, f64) {
+    /// is the `O(1)` factorization step from one window into the other —
+    /// **no heap allocation** — which is what makes a rejected trial in the
+    /// seasonality-shift search free to roll back.
+    pub fn step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
         match self {
-            IncrementalSolver::Steady(w) => {
-                let block = assemble_block(tail);
-                // step the destination window in place when `dst` is
-                // already Steady (the common case); a stale Warmup variant
-                // is dropped here once
-                match dst {
-                    IncrementalSolver::Steady(dw) => {
-                        *dw = *w;
-                        dw.step(&block, scratch)
-                    }
-                    other => {
-                        let mut next = *w;
-                        let out = next.step(&block, scratch);
-                        *other = IncrementalSolver::Steady(next);
-                        out
-                    }
-                }
+            IncrementalSolver::Steady(_) => {
+                let [out] = Self::step_lanes([self], std::array::from_ref(tail), [dst]);
+                out
             }
             warm => {
                 // warm-up lasts 4 points per iteration; cloning the tiny
@@ -301,76 +274,170 @@ impl IncrementalSolver {
             }
         }
     }
+
+    /// Whether the solver has left its 4-point warm-up, so its next step
+    /// runs the window kernel (a precondition of
+    /// [`IncrementalSolver::step_lanes`]).
+    pub fn is_steady(&self) -> bool {
+        matches!(self, IncrementalSolver::Steady(_))
+    }
+
+    /// [`IncrementalSolver::step_from`] for `L` independent solvers in
+    /// lockstep (see the module docs on lanes): lane `q` steps `src[q]`
+    /// with `tails[q]` into `dst[q]`, bit-identical to
+    /// `src[q].step_from(&tails[q], dst[q])`. Every `src` must be past
+    /// its warm-up ([`IncrementalSolver::is_steady`]); a stale Warmup
+    /// variant in `dst` is replaced once. No heap allocation.
+    pub fn step_lanes<const L: usize>(
+        src: [&Self; L],
+        tails: &[TailData; L],
+        dst: [&mut Self; L],
+    ) -> [(f64, f64); L] {
+        let block = assemble_block_steady(tails);
+        let src = src.map(|s| match s {
+            IncrementalSolver::Steady(w) => w,
+            IncrementalSolver::Warmup { .. } => {
+                panic!("lockstep step needs solvers past warm-up")
+            }
+        });
+        let dst = dst.map(|d| {
+            // the kernel overwrites the whole window; a stale Warmup
+            // variant is dropped here once
+            if let IncrementalSolver::Warmup { .. } = d {
+                *d = IncrementalSolver::Steady(Window::EMPTY);
+            }
+            match d {
+                IncrementalSolver::Steady(w) => w,
+                IncrementalSolver::Warmup { .. } => unreachable!("replaced above"),
+            }
+        });
+        Window::step_lanes(src, dst, &block)
+    }
+}
+
+/// Expands `$body` once per listed value of `$i`: a loop the compiler
+/// cannot decline to unroll, so every index in the kernel is a constant.
+macro_rules! unroll {
+    ($i:ident in [$($v:expr),*] $body:block) => {
+        $({
+            let $i = $v;
+            $body
+        })*
+    };
 }
 
 impl Window {
-    /// One `O(1)` factorization + solve step (Algorithm 4). `block` is the
-    /// trailing 6×6 system block for the new step; `scratch` is the flat
-    /// reusable `L` working triangle.
-    fn step(&mut self, block: &TailBlock, scratch: &mut SolverScratch) -> (f64, f64) {
-        debug_assert_eq!(block.dim, 6, "steady state requires full 6x6 blocks");
+    /// A placeholder the step kernel overwrites whole.
+    const EMPTY: Window = Window { m: 0, lo: [[0.0; 4]; 8], dd: [0.0; 4], zo: [0.0; 4] };
+
+    /// One `O(1)` factorization + solve step (Algorithm 4) for `L` windows
+    /// in lockstep: lane `q` steps `src[q]` into `dst[q]`. `block` holds
+    /// each lane's trailing 6×6 system block for its new step. Every
+    /// `for q in 0..L` below performs one scalar operation per lane, in the
+    /// scalar order, so each lane's arithmetic is the `L = 1` instance's
+    /// exactly.
+    fn step_lanes<const L: usize>(
+        src: [&Window; L],
+        dst: [&mut Window; L],
+        block: &LaneBlock<L>,
+    ) -> [(f64, f64); L] {
         // local window covers global unknowns 2M-10 .. 2M-1 (M = new count);
-        // previous state occupies locals 0..8 (rows) x 0..4 (cols).
-        let l = &mut scratch.l;
-        for (r, row) in self.lo.iter().enumerate() {
-            l[10 * r..10 * r + 4].copy_from_slice(row);
+        // previous state occupies locals 0..8 (rows) x 0..4 (cols). Every
+        // index below is a constant (the loops are unrolled), so the
+        // working triangle lives in registers and on the stack: its
+        // structurally-zero cells fold away instead of being stored.
+        let mut l = [[0.0f64; L]; 100];
+        let mut d = [[0.0f64; L]; 10];
+        let mut z = [[0.0f64; L]; 10];
+        for q in 0..L {
+            let w = src[q];
+            unroll!(r in [0, 1, 2, 3, 4, 5, 6, 7] {
+                unroll!(c in [0, 1, 2, 3] {
+                    l[10 * r + c][q] = w.lo[r][c];
+                });
+            });
+            unroll!(i in [0, 1, 2, 3] {
+                d[i][q] = w.dd[i];
+                z[i][q] = w.zo[i];
+            });
         }
-        // stale-entry hygiene instead of a full 100-slot memset: every cell
-        // this step reads is either copied in above, written by the k-loop
-        // below before being read, or one of the six above-band cells the
-        // window slide reads — zeroed here. Rows 8..10 of cols 0..4 are
-        // structurally zero (no write ever targets them), so the `Default`
-        // zeros persist across reuses.
-        l[2 * 10 + 4] = 0.0;
-        l[3 * 10 + 4] = 0.0;
-        l[9 * 10 + 4] = 0.0;
-        l[2 * 10 + 5] = 0.0;
-        l[3 * 10 + 5] = 0.0;
-        l[4 * 10 + 5] = 0.0;
-        let mut d = [0.0f64; 10];
-        let mut z = [0.0f64; 10];
-        d[..4].copy_from_slice(&self.dd);
-        z[..4].copy_from_slice(&self.zo);
-        // recompute columns local 4..10 = global 2M-6 .. 2M-1
-        for k in 4..10 {
-            l[10 * k + k] = 1.0;
-            // D_kk = A*[k-4][k-4] - Σ_{i=k-4}^{k-1} D_i L_ki²
-            let mut dk = block.a[k - 4][k - 4];
-            for i in k - 4..k {
-                dk -= d[i] * l[10 * k + i] * l[10 * k + i];
+        // recompute columns local 4..10 = global 2M-6 .. 2M-1, one
+        // const-indexed column at a time so every loop below unrolls into
+        // straight-line code the core can interleave across lanes
+        column::<4, L>(&mut l, &mut d, &mut z, block);
+        column::<5, L>(&mut l, &mut d, &mut z, block);
+        column::<6, L>(&mut l, &mut d, &mut z, block);
+        column::<7, L>(&mut l, &mut d, &mut z, block);
+        column::<8, L>(&mut l, &mut d, &mut z, block);
+        column::<9, L>(&mut l, &mut d, &mut z, block);
+        let mut out = [(0.0, 0.0); L];
+        for (q, w) in dst.into_iter().enumerate() {
+            // exact first two backward-substitution steps: the newest τ, s
+            let x9 = z[9][q] / d[9][q];
+            let x8 = z[8][q] / d[8][q] - l[9 * 10 + 8][q] * x9;
+            // slide the window by one time point (two unknowns)
+            w.m = src[q].m + 1;
+            unroll!(r in [0, 1, 2, 3, 4, 5, 6, 7] {
+                unroll!(c in [0, 1, 2, 3] {
+                    w.lo[r][c] = l[10 * (r + 2) + c + 2][q];
+                });
+            });
+            for i in 0..4 {
+                w.dd[i] = d[i + 2][q];
+                w.zo[i] = z[i + 2][q];
             }
-            d[k] = dk;
-            // forward substitution for the recomputed index
-            let mut zk = block.b[k - 4];
-            for i in k - 4..k {
-                zk -= l[10 * k + i] * z[i];
-            }
-            z[k] = zk;
-            // column k of L below the diagonal (band: j ≤ k+4)
-            let hi = (k + 4).min(9);
-            for j in k + 1..=hi {
-                let mut s = if j >= 4 { block.a[j - 4][k - 4] } else { 0.0 };
-                let lo_i = j.saturating_sub(4).max(k.saturating_sub(4));
-                for i in lo_i..k {
-                    s -= l[10 * j + i] * d[i] * l[10 * k + i];
-                }
-                l[10 * j + k] = s / dk;
-            }
+            out[q] = (x8, x9);
         }
-        // exact first two backward-substitution steps: the newest τ, s
-        let x9 = z[9] / d[9];
-        let x8 = z[8] / d[8] - l[9 * 10 + 8] * x9;
-        // slide the window by one time point (two unknowns)
-        self.m += 1;
-        for (r, row) in self.lo.iter_mut().enumerate() {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = l[10 * (r + 2) + c + 2];
-            }
-        }
-        self.dd.copy_from_slice(&d[2..6]);
-        self.zo.copy_from_slice(&z[2..6]);
-        (x8, x9)
+        out
     }
+}
+
+/// Column `K` (local index) of the step kernel for `L` lanes: the pivot
+/// `D_KK`, the forward-substituted `z_K`, and `L`'s column below the
+/// diagonal. Each `for q in 0..L` performs one scalar operation per lane,
+/// in the scalar order.
+#[inline(always)]
+fn column<const K: usize, const L: usize>(
+    l: &mut [[f64; L]; 100],
+    d: &mut [[f64; L]; 10],
+    z: &mut [[f64; L]; 10],
+    block: &LaneBlock<L>,
+) {
+    let k = K;
+    l[10 * k + k] = [1.0; L];
+    // D_kk = A*[k-4][k-4] - Σ_{i=k-4}^{k-1} D_i L_ki²
+    let mut dk = block.a[k - 4][k - 4];
+    unroll!(i in [k - 4, k - 3, k - 2, k - 1] {
+        for q in 0..L {
+            dk[q] -= d[i][q] * l[10 * k + i][q] * l[10 * k + i][q];
+        }
+    });
+    d[k] = dk;
+    // forward substitution for the recomputed index
+    let mut zk = block.b[k - 4];
+    unroll!(i in [k - 4, k - 3, k - 2, k - 1] {
+        for q in 0..L {
+            zk[q] -= l[10 * k + i][q] * z[i][q];
+        }
+    });
+    z[k] = zk;
+    // column k of L below the diagonal (band: j ≤ k+4, so j ≤ 9 bounds
+    // the window); row j reaches back to column j-4
+    unroll!(j in [k + 1, k + 2, k + 3, k + 4] {
+        if j <= 9 {
+            let mut s = block.a[j - 4][k - 4];
+            unroll!(i in [j - 4, j - 3, j - 2, j - 1] {
+                if i < k {
+                    for q in 0..L {
+                        s[q] -= l[10 * j + i][q] * d[i][q] * l[10 * k + i][q];
+                    }
+                }
+            });
+            for q in 0..L {
+                l[10 * j + k][q] = s[q] / dk[q];
+            }
+        }
+    });
 }
 
 #[cfg(test)]

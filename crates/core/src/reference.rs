@@ -29,9 +29,6 @@ pub struct GrowingSolver {
 impl TailSolver for GrowingSolver {
     const NAME: &'static str = "ModifiedJointSTL(ref)";
 
-    // solves from scratch each step: nothing to carry between calls
-    type Scratch = ();
-
     fn step(&mut self, tail: &TailData) -> (f64, f64) {
         let m = tail.m;
         assert_eq!(m, self.y.len() + 1, "steps must be consecutive");

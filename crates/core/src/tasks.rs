@@ -93,6 +93,21 @@ impl<S: crate::oneshot::TailSolver> StdAnomalyDetector<crate::oneshot::OnlineJoi
         let v = self.scorer.update(p.residual);
         (p, v)
     }
+
+    /// [`Self::update_scored_with`] for the lane `lane` of a grouped
+    /// update begun by [`crate::OneShotStl::begin_lanes`]: commits the
+    /// decomposition ([`crate::oneshot::OnlineJointStl::finish_lane`]) and scores
+    /// its residual.
+    pub fn finish_lane_scored<const L: usize>(
+        &mut self,
+        trials: &crate::LaneTrials<L>,
+        lane: usize,
+        scratch: &mut crate::UpdateScratch<S>,
+    ) -> (DecompPoint, ScoreVerdict) {
+        let p = self.decomposer.finish_lane(trials, lane, scratch);
+        let v = self.scorer.update(p.residual);
+        (p, v)
+    }
 }
 
 /// §4 (2): STD → TSF. Buffers the latest trend and one period of seasonal

@@ -6,8 +6,9 @@
 //! fixed-size scratch, and the exhaustive `Off` policy that runs all
 //! `2H + 1` retry trials), and updates that impute non-finite input.
 //! A second test extends the guarantee to the fused residual-scoring
-//! path (CUSUM + peak-hold on top of the decomposition), and a third to
-//! the trend-innovation CUSUM backend (`TrendCusum`).
+//! path (CUSUM + peak-hold on top of the decomposition), a third to
+//! the trend-innovation CUSUM backend (`TrendCusum`), and a fourth to the
+//! grouped lockstep update (`OneShotStl::update_lanes`).
 //!
 //! The counting global allocator below makes the claim a hard test rather
 //! than a code-review property. CI runs this test file explicitly
@@ -15,7 +16,7 @@
 //! regression guard cannot be skipped silently.
 
 use decomp::traits::OnlineDecomposer;
-use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftSearchConfig};
+use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftSearchConfig, UpdateScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 
 /// Counts every allocation request routed to the system allocator,
@@ -251,4 +252,108 @@ fn trend_cusum_update_performs_zero_heap_allocations() {
         std::hint::black_box(t.update(v));
     }
     assert_eq!(allocs() - before, 0, "post-excursion trend update allocated");
+}
+
+/// Lanes of the grouped case: wider than the fleet's `LANES`, so several
+/// lanes step in lockstep whatever width the fleet uses.
+const GROUP: usize = 4;
+
+/// The grouped update (`OneShotStl::update_lanes`, the fleet shard's
+/// sweep) keeps the guarantee: after the first group sizes the shared
+/// scratch, lockstep groups allocate nothing — including a group in which
+/// one lane's *first* flag arrives long after warm-up (its §3.4 search
+/// runs on buffers pre-sized by plain groups), a group with flags on two
+/// lanes back to back, and a lane with non-finite input.
+#[test]
+fn grouped_update_performs_zero_heap_allocations() {
+    for (search, label) in [
+        (ShiftSearchConfig::default(), "pruned"),
+        (ShiftSearchConfig::exhaustive(), "exhaustive"),
+    ] {
+        let t = 48usize;
+        let mut state = 0x1a7e_u64;
+        let mut noise = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        // one noisy stream per lane, phase-offset so the lanes differ
+        let ys: Vec<Vec<f64>> = (0..GROUP)
+            .map(|q| {
+                (0..4 * t + 600)
+                    .map(|i| {
+                        2.0 + (2.0 * std::f64::consts::PI * (i + 5 * q) as f64 / t as f64).sin()
+                            + 0.1 * noise()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut models: Vec<OneShotStl> = ys
+            .iter()
+            .map(|y| {
+                let mut m = OneShotStl::new(OneShotStlConfig {
+                    shift_search: search,
+                    ..Default::default()
+                });
+                m.init(&y[..4 * t], t).unwrap();
+                m
+            })
+            .collect();
+        let mut scratch = UpdateScratch::default();
+        let mut group = |models: &mut Vec<OneShotStl>, at: usize, bump: [f64; GROUP]| {
+            let vals: [f64; GROUP] = std::array::from_fn(|q| ys[q][at] + bump[q]);
+            let lanes: &mut [OneShotStl; GROUP] = models.as_mut_slice().try_into().unwrap();
+            std::hint::black_box(OneShotStl::update_lanes(
+                lanes.each_mut(),
+                vals,
+                &mut scratch,
+            ));
+        };
+        // warm-up: the solvers leave their 4-point warm-up and the first
+        // groups size the shared scratch
+        for i in 0..16 {
+            group(&mut models, 4 * t + i, [0.0; GROUP]);
+        }
+
+        // 1) plain steady-state groups
+        let before = allocs();
+        for i in 16..500 {
+            group(&mut models, 4 * t + i, [0.0; GROUP]);
+        }
+        assert_eq!(allocs() - before, 0, "[{label}] steady-state group allocated");
+        let searches = |models: &[OneShotStl]| -> Vec<u64> {
+            models.iter().map(|m| m.shift_search_stats().0).collect()
+        };
+        assert_eq!(searches(&models), [0; GROUP], "[{label}] the noisy warm-up must stay calm");
+
+        // 2) a late first flag on one lane inside a group, then flags on
+        //    the first and last lanes of the next group (the post-swap
+        //    buffer state)
+        let before = allocs();
+        let mut spike = [0.0; GROUP];
+        spike[GROUP - 1] = 50.0;
+        group(&mut models, 4 * t + 500, spike);
+        spike = [0.0; GROUP];
+        spike[0] = 500.0;
+        spike[GROUP - 1] = 500.0;
+        group(&mut models, 4 * t + 501, spike);
+        assert_eq!(allocs() - before, 0, "[{label}] flagged group allocated");
+        let mut want = vec![0; GROUP];
+        want[0] = 1;
+        want[GROUP - 1] = 2;
+        assert_eq!(searches(&models), want, "[{label}] the spikes must have run the search");
+
+        // 3) non-finite input on one lane: the imputation path
+        let before = allocs();
+        let mut nan = [0.0; GROUP];
+        nan[0] = f64::NAN;
+        group(&mut models, 4 * t + 502, nan);
+        assert_eq!(allocs() - before, 0, "[{label}] imputing group allocated");
+
+        // 4) and the stream continues allocation-free
+        let before = allocs();
+        for i in 503..600 {
+            group(&mut models, 4 * t + i, [0.0; GROUP]);
+        }
+        assert_eq!(allocs() - before, 0, "[{label}] post-excursion group allocated");
+    }
 }

@@ -1430,6 +1430,32 @@ mod tests {
         "0000000010000000",
     );
 
+    /// A series blob whose decomposer carries the wrong number of IRLS
+    /// iteration states still decodes (the codec reads any count), but the
+    /// restore refuses it: with no states every point would decompose as
+    /// trend 0, seasonal 0, residual = y, and with 3 of 8 the model would
+    /// silently run fewer reweightings than its config says.
+    #[test]
+    fn wrong_irls_iteration_count_fails_the_restore() {
+        let config = FleetConfig::fixed_period(12);
+        let live = sample_live_series();
+        let intact = decode_series_blob(&encode_series_blob(&live)).unwrap();
+        assert!(crate::series::SeriesState::from_snapshot(intact.phase, &config).is_ok());
+        for keep in [0, 3] {
+            let mut doctored = live.clone();
+            let PhaseSnapshot::Live { decomposer, .. } = &mut doctored.phase else {
+                unreachable!("the sample series is live");
+            };
+            decomposer.iters.truncate(keep);
+            let back = decode_series_blob(&encode_series_blob(&doctored))
+                .expect("the codec reads any iteration count");
+            assert!(
+                crate::series::SeriesState::from_snapshot(back.phase, &config).is_err(),
+                "{keep} iteration states restored"
+            );
+        }
+    }
+
     /// Cold-tier series blobs round-trip bit-identically, a blob spilled
     /// by the previous (v10) build rehydrates to the same series, and
     /// corrupted blobs are rejected with typed errors.

@@ -9,6 +9,12 @@
 //! drains the lane before it handles each dequeued message, so a read is
 //! answered at the next sub-batch boundary instead of waiting behind every
 //! queued batch.
+//!
+//! The ingest sweep decomposes live series in groups of
+//! [`oneshotstl::LANES`] ([`ShardState::ingest_batch`]), stepped in
+//! lockstep when the width is above one; every record still gets its own
+//! `catch_unwind`, so a panicking or faulting series quarantines itself
+//! alone.
 
 use crate::batch::ShardBatch;
 use crate::cold_tier::ColdStore;
@@ -17,7 +23,7 @@ use crate::error::FleetError;
 use crate::fault::{self, FaultOp};
 use crate::series::{PhaseSnapshot, QuarantineCause, SeriesState, StepOutcome};
 use crate::types::{PointOutput, SeriesKey, ShardStats};
-use oneshotstl::{IncrementalSolver, UpdateScratch};
+use oneshotstl::{IncrementalSolver, OneShotStl, UpdateScratch, LANES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -549,41 +555,51 @@ impl ShardState {
         ))
     }
 
-    /// Processes one record against an already-resolved slot.
-    fn step_slot(&mut self, slot: u32, value: f64, liveness_t: u64, seq: u64) -> PointOutput {
+    /// Liveness bookkeeping for one record against its resolved slot:
+    /// counts the point and stamps the entry's TTL clock and dirty seq.
+    /// `None` when the slot vanished — an internal inconsistency; dropping
+    /// the point (counted as quarantined) beats panicking the worker.
+    fn touch(&mut self, slot: u32, liveness_t: u64, seq: u64) -> Option<&mut SeriesEntry> {
         self.points += 1;
-        let Some(entry) = self.registry.entry_mut(slot) else {
-            // a vanished slot is an internal inconsistency; dropping the
-            // point (counted as quarantined) beats panicking the worker
-            return PointOutput::Quarantined;
-        };
+        let entry = self.registry.entry_mut(slot)?;
         entry.last_seen = entry.last_seen.max(liveness_t);
         entry.dirty_seq = seq;
+        Some(entry)
+    }
+
+    /// Steps the series in `slot` on the scalar path. `check_fault`
+    /// consults the [`FaultOp::SeriesStep`] seam first; a grouped record
+    /// replayed here already passed it at collection.
+    fn step_entry(&mut self, slot: u32, value: f64, check_fault: bool) -> PointOutput {
+        let Some(entry) = self.registry.entry_mut(slot) else {
+            return PointOutput::Quarantined;
+        };
         // per-series blast radius: a panicking update quarantines this
         // series instead of unwinding the worker and sinking the shard
         let SeriesEntry { key, state, .. } = entry;
         let config = &self.config;
         let scratch = &mut self.scratch;
         let stepped = catch_unwind(AssertUnwindSafe(|| {
-            // the injectable stand-in for "this series' update went bad"
-            // (its sibling failure mode — a panic — is injected by a hook
-            // that panics instead of returning an error)
-            fault::check(FaultOp::SeriesStep, Path::new(key.as_str()))
-                .map_err(|_| QuarantineCause::NonFinite)?;
+            if check_fault {
+                series_fault(key)?;
+            }
             Ok(state.step(value, config, scratch))
         }));
+        self.settle(slot, stepped)
+    }
+
+    /// Turns one guarded series step into the record's output: a fault or
+    /// a panic quarantines the series, anything else is tallied
+    /// (promotions, anomalies).
+    fn settle(
+        &mut self,
+        slot: u32,
+        stepped: std::thread::Result<Result<StepOutcome, QuarantineCause>>,
+    ) -> PointOutput {
         let outcome = match stepped {
             Ok(Ok(outcome)) => outcome,
-            Ok(Err(cause)) => {
-                *state = SeriesState::Quarantined { cause, dropped: 1 };
-                return PointOutput::Quarantined;
-            }
-            Err(_) => {
-                *state = SeriesState::Quarantined { cause: QuarantineCause::Panic, dropped: 1 };
-                // the shared trial scratch may be torn mid-update
-                self.scratch = UpdateScratch::default();
-                return PointOutput::Quarantined;
-            }
+            Ok(Err(cause)) => return self.quarantine(slot, cause),
+            Err(_) => return self.quarantine_panicked(slot),
         };
         let output = match outcome {
             StepOutcome::Promoted(out) => {
@@ -598,6 +614,74 @@ impl ShardState {
         output
     }
 
+    /// Quarantines the series in `slot`.
+    fn quarantine(&mut self, slot: u32, cause: QuarantineCause) -> PointOutput {
+        if let Some(entry) = self.registry.entry_mut(slot) {
+            entry.state = SeriesState::Quarantined { cause, dropped: 1 };
+        }
+        PointOutput::Quarantined
+    }
+
+    /// Quarantines a series whose step panicked, and resets the shared
+    /// trial scratch, which may be torn mid-update.
+    fn quarantine_panicked(&mut self, slot: u32) -> PointOutput {
+        self.scratch = UpdateScratch::default();
+        self.quarantine(slot, QuarantineCause::Panic)
+    }
+
+    /// Steps a group of distinct live series that passed the fault seam.
+    /// A full group runs its Δt = 0 base trials in lockstep
+    /// ([`OneShotStl::begin_lanes`]), then finishes each record — commit,
+    /// non-finite quarantine, backend, forecast head — under its own
+    /// `catch_unwind`. The lockstep phase only reads committed state and
+    /// writes the scratch, so when it panics no series has moved: the
+    /// scratch is reset and the records replay one by one, as does a
+    /// partial group.
+    fn step_group(&mut self, group: &[(u32, usize)], batch: &mut ShardBatch) {
+        let Ok(group) = <&[(u32, usize); LANES]>::try_from(group) else {
+            for &(slot, i) in group {
+                batch.outputs[i] = self.step_entry(slot, batch.values[i], false);
+            }
+            return;
+        };
+        let values = group.map(|(_, i)| batch.values[i]);
+        let (registry, scratch) = (&self.registry, &mut self.scratch);
+        let begun = catch_unwind(AssertUnwindSafe(|| {
+            let models = group.map(|(slot, _)| match registry.entry(slot).map(|e| &e.state) {
+                Some(SeriesState::Live(live)) => &live.detector.decomposer,
+                _ => panic!("grouped series {slot} is not live"),
+            });
+            OneShotStl::begin_lanes(models, values, scratch)
+        }));
+        let Ok(trials) = begun else {
+            self.scratch = UpdateScratch::default();
+            for &(slot, i) in group {
+                batch.outputs[i] = self.step_entry(slot, batch.values[i], false);
+            }
+            return;
+        };
+        for (lane, &(slot, i)) in group.iter().enumerate() {
+            let Some(entry) = self.registry.entry_mut(slot) else {
+                batch.outputs[i] = PointOutput::Quarantined;
+                continue;
+            };
+            let state = &mut entry.state;
+            let scratch = &mut self.scratch;
+            let stepped = catch_unwind(AssertUnwindSafe(|| {
+                Ok(state.finish_lane(values[lane], &trials, lane, scratch))
+            }));
+            let panicked = stepped.is_err();
+            batch.outputs[i] = self.settle(slot, stepped);
+            if panicked {
+                // the reset scratch lost the later lanes' base trials
+                for &(slot, i) in &group[lane + 1..] {
+                    batch.outputs[i] = self.step_entry(slot, batch.values[i], false);
+                }
+                return;
+            }
+        }
+    }
+
     /// Processes one routed sub-batch in place: a single registry
     /// resolution pass over the key/hash columns (consecutive rows of the
     /// same series reuse the previous resolution — a run of points for one
@@ -608,6 +692,11 @@ impl ShardState {
     /// `idx` column, so reply order is free. Slot order is admission
     /// order, so the per-series state is walked monotonically through the
     /// heap — the cache/TLB win described on [`Registry`].
+    ///
+    /// The sweep gathers consecutive records of distinct live series into
+    /// groups of [`LANES`] whose decompositions step in lockstep
+    /// ([`OneShotStl::begin_lanes`]); every other record takes the scalar
+    /// path. Both are bit-identical.
     pub fn ingest_batch(&mut self, batch: &mut ShardBatch, seq: u64) {
         let n = batch.len();
         let mut order = std::mem::take(&mut self.order);
@@ -637,10 +726,41 @@ impl ShardState {
         batch.outputs.clear();
         // placeholder verdict; the sweep below writes every row exactly once
         batch.outputs.resize(n, PointOutput::Rejected);
+        let mut group = [(0u32, 0usize); LANES];
+        let mut grouped = 0;
         for &(slot, i) in &order {
             let i = i as usize;
-            batch.outputs[i] = self.step_slot(slot, batch.values[i], batch.live[i], seq);
+            // a series' next record waits for its grouped one (rows of one
+            // series are adjacent in slot order)
+            if grouped > 0 && group[grouped - 1].0 == slot {
+                self.step_group(&group[..grouped], batch);
+                grouped = 0;
+            }
+            let Some(entry) = self.touch(slot, batch.live[i], seq) else {
+                batch.outputs[i] = PointOutput::Quarantined;
+                continue;
+            };
+            if !matches!(entry.state, SeriesState::Live(_)) {
+                batch.outputs[i] = self.step_entry(slot, batch.values[i], true);
+                continue;
+            }
+            // the fault seam is consulted here, in record order, so a
+            // failing or panicking hook quarantines only its own series
+            let key = &entry.key;
+            match catch_unwind(AssertUnwindSafe(|| series_fault(key))) {
+                Ok(Ok(())) => {
+                    group[grouped] = (slot, i);
+                    grouped += 1;
+                    if grouped == LANES {
+                        self.step_group(&group, batch);
+                        grouped = 0;
+                    }
+                }
+                Ok(Err(cause)) => batch.outputs[i] = self.quarantine(slot, cause),
+                Err(_) => batch.outputs[i] = self.quarantine_panicked(slot),
+            }
         }
+        self.step_group(&group[..grouped], batch);
         self.order = order;
         self.applied_seq = seq;
     }
@@ -881,6 +1001,14 @@ impl ShardState {
     }
 }
 
+/// The injectable stand-in for "this series' update went bad" (its
+/// sibling failure mode — a panic — is injected by a hook that panics
+/// instead of returning an error).
+fn series_fault(key: &SeriesKey) -> Result<(), QuarantineCause> {
+    fault::check(FaultOp::SeriesStep, Path::new(key.as_str()))
+        .map_err(|_| QuarantineCause::NonFinite)
+}
+
 /// Answers one read-lane request against the current registry.
 fn serve_read(state: &ShardState, read: ReadMsg, queue_depth: &AtomicUsize) {
     match read {
@@ -964,6 +1092,147 @@ pub fn run_worker(
             ShardMsg::Poll => {}
             ShardMsg::Crash => panic!("injected worker crash (test)"),
             ShardMsg::Shutdown => break,
+        }
+    }
+}
+
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+    use crate::types::Record;
+    use std::sync::Arc as StdArc;
+
+    /// Three lane groups' worth of series.
+    const KEYS: usize = 3 * LANES;
+
+    /// The faulting series: the second of the sweep (the second lane of
+    /// the first group when groups are wider than one).
+    const VICTIM: usize = 1;
+
+    /// Key prefix of the fault test.
+    const BLAST: &str = "lane-blast";
+
+    /// Series `k` of a test; each test uses its own `prefix`, because
+    /// fault hooks are process-wide and scoped by key.
+    fn key(prefix: &str, k: usize) -> SeriesKey {
+        SeriesKey::new(format!("{prefix}/{k}"))
+    }
+
+    /// Feeds one point per series and returns the outputs by key.
+    fn ingest(shard: &mut ShardState, prefix: &str, step: u64) -> Vec<PointOutput> {
+        let mut batch = ShardBatch::default();
+        for k in 0..KEYS {
+            let phase = (step as usize + 3 * k) as f64 / 24.0;
+            let wobble = ((step * 7 + k as u64 * 13) % 11) as f64 / 50.0;
+            let value = 2.0 + (2.0 * std::f64::consts::PI * phase).sin() + wobble;
+            let key = key(prefix, k);
+            let hash = key.stable_hash();
+            batch.push(k as u32, Record { key, t: step, value }, hash, step);
+        }
+        shard.ingest_batch(&mut batch, step + 1);
+        batch.outputs
+    }
+
+    fn bits(out: &PointOutput) -> [u64; 4] {
+        let PointOutput::Scored { point, score, .. } = out else {
+            panic!("expected a scored point, got {out:?}");
+        };
+        [point.trend, point.seasonal, point.residual, *score].map(f64::to_bits)
+    }
+
+    /// A `SeriesStep` fault — an error or a panic — for one series inside
+    /// a lane group quarantines that series alone: the series grouped with
+    /// it, and every later group, keep scoring bit-identically to a shard
+    /// that saw no fault.
+    #[test]
+    fn a_faulting_lane_quarantines_only_its_series() {
+        let config = Arc::new(FleetConfig::fixed_period(24));
+        // past admission and the solvers' 4-point warm-up
+        let warm = config.init_len(24) as u64 + 8;
+        let fail: fault::FaultHook = StdArc::new(|op, _| {
+            (op == FaultOp::SeriesStep).then(|| std::io::Error::other("injected series fault"))
+        });
+        let panic: fault::FaultHook = StdArc::new(|op, _| {
+            assert!(op != FaultOp::SeriesStep, "injected series panic");
+            None
+        });
+        for (hook, cause) in
+            [(fail, QuarantineCause::NonFinite), (panic, QuarantineCause::Panic)]
+        {
+            let mut faulty = ShardState::new(0, Arc::clone(&config));
+            let mut clean = ShardState::new(0, Arc::clone(&config));
+            for step in 0..warm {
+                ingest(&mut faulty, BLAST, step);
+                ingest(&mut clean, BLAST, step);
+            }
+            assert_eq!(faulty.stats().live, KEYS);
+            let _guard = fault::inject(key(BLAST, VICTIM).as_str(), hook);
+            for step in warm..warm + 40 {
+                let got = ingest(&mut faulty, BLAST, step);
+                let want = ingest(&mut clean, BLAST, step);
+                for k in 0..KEYS {
+                    if k == VICTIM {
+                        assert_eq!(got[k], PointOutput::Quarantined, "step {step}");
+                    } else {
+                        assert_eq!(bits(&got[k]), bits(&want[k]), "series {k} step {step}");
+                    }
+                }
+            }
+            let stats = faulty.stats();
+            assert_eq!((stats.live, stats.quarantined), (KEYS - 1, 1));
+            let entry =
+                faulty.registry.get(&key(BLAST, VICTIM)).expect("the series stays registered");
+            assert!(
+                matches!(entry.state, SeriesState::Quarantined { cause: c, .. } if c == cause)
+            );
+        }
+    }
+
+    /// A panic in the lockstep phase moves no series: the scratch is reset
+    /// and the group replays record by record, bit-identically to a shard
+    /// that never grouped them. (A group holding a series that is not live
+    /// panics inside the lockstep phase.)
+    #[test]
+    fn a_lockstep_panic_replays_the_group_one_by_one() {
+        let config = Arc::new(FleetConfig::fixed_period(24));
+        let warm = config.init_len(24) as u64 + 8;
+        let mut shard = ShardState::new(0, Arc::clone(&config));
+        let mut clean = ShardState::new(0, Arc::clone(&config));
+        const REPLAY: &str = "lane-replay";
+        for step in 0..warm {
+            ingest(&mut shard, REPLAY, step);
+            ingest(&mut clean, REPLAY, step);
+        }
+        let newcomer = shard.registry.insert(SeriesEntry {
+            key: SeriesKey::new("lane-replay/new"),
+            state: SeriesState::new(&config),
+            last_seen: 0,
+            dirty_seq: 0,
+        });
+        // live lanes 0 .. LANES-1, and the warming newcomer in the last
+        let mut group = [(0u32, 0usize); LANES];
+        let mut batch = ShardBatch::default();
+        for (lane, g) in group.iter_mut().enumerate() {
+            let slot = if lane + 1 == LANES { newcomer } else { lane as u32 };
+            let record =
+                Record { key: key(REPLAY, lane), t: warm, value: 2.0 + 0.1 * lane as f64 };
+            batch.push(lane as u32, record, 0, warm);
+            *g = (slot, lane);
+        }
+        batch.outputs.resize(LANES, PointOutput::Rejected);
+        shard.step_group(&group, &mut batch);
+        for (lane, &(slot, _)) in group.iter().enumerate().filter(|(_, g)| g.0 != newcomer) {
+            let want = clean.step_entry(slot, batch.values[lane], false);
+            assert_eq!(bits(&batch.outputs[lane]), bits(&want), "lane {lane}");
+        }
+        assert!(matches!(batch.outputs[LANES - 1], PointOutput::Warming { .. }));
+        // and the replayed series go on in step with the clean shard
+        for step in warm + 1..warm + 20 {
+            let got = ingest(&mut shard, REPLAY, step);
+            let want = ingest(&mut clean, REPLAY, step);
+            for k in 0..KEYS {
+                assert_eq!(bits(&got[k]), bits(&want[k]), "series {k} step {step}");
+            }
         }
     }
 }
