@@ -58,8 +58,8 @@ pub use forecast::{damp_sum, ForecastHead, TrendHead};
 pub use jointstl::{JointStl, JointStlConfig};
 pub use nsigma::{NSigma, NSigmaState};
 pub use oneshot::{
-    IterSnapshot, LaneTrials, OneShotStl, OneShotStlConfig, OneShotStlState, ShiftPolicy,
-    ShiftPrune, ShiftSearchConfig, UpdateScratch, DEFAULT_SHIFT_TOP_K, LANES,
+    IterSnapshot, OneShotStl, OneShotStlConfig, OneShotStlState, ShiftPolicy, ShiftPrune,
+    ShiftSearchConfig, UpdateScratch, DEFAULT_SHIFT_TOP_K,
 };
 pub use online_doolittle::{IncrementalSolver, SolverState};
 pub use reference::ModifiedJointStlRef;

@@ -38,19 +38,6 @@
 //!
 //!    How an accepted offset persists is governed by [`ShiftPolicy`].
 //! 3. Write the seasonal buffer: `v[(t + Δ) mod T] = s_t`.
-//!
-//! ## Grouped updates
-//!
-//! One update is a serial chain: each IRLS iteration's solve waits on the
-//! previous iteration's weights, and each solve on its own divides. A host
-//! holding many independent series can instead step `L` of them together
-//! with [`OneShotStl::update_lanes`] (the fleet shard groups [`LANES`]):
-//! step 1's Δt = 0 base trials run in lockstep through the lane kernel of
-//! [`crate::online_doolittle`] ([`OneShotStl::begin_lanes`]), then each
-//! lane takes its NSigma verdict, runs any §3.4 search on the scalar
-//! path, and commits ([`OnlineJointStl::finish_lane`]). Every lane is
-//! bit-identical to a plain update of its series (property-tested below);
-//! only the instruction schedule changes.
 
 use crate::nsigma::NSigma;
 use crate::online_doolittle::IncrementalSolver;
@@ -89,6 +76,7 @@ impl TailSolver for IncrementalSolver {
         IncrementalSolver::step(self, tail)
     }
 
+    #[inline(always)]
     fn step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
         IncrementalSolver::step_from(self, tail, dst)
     }
@@ -230,35 +218,6 @@ struct IterState<S> {
     tau_hist: [f64; 2],
 }
 
-impl<S> IterState<S> {
-    /// Fills this iteration's weights into `tail`: its two history entries
-    /// plus the weights the previous iteration derived for the new point.
-    fn weights_into(&self, tail: &mut TailData, p_fresh: f64, q_fresh: f64) {
-        tail.p3 = [self.pw_hist[0], self.pw_hist[1], p_fresh];
-        tail.q3 = [self.qw_hist[0], self.qw_hist[1], q_fresh];
-    }
-
-    /// After this iteration solved trend `t_i` for the new point: writes
-    /// the successor's histories into `dst` and returns the next
-    /// iteration's fresh weights (Eq. 4–5, clamped at `eps`).
-    fn advance(
-        &self,
-        dst: &mut Self,
-        t_i: f64,
-        p_fresh: f64,
-        q_fresh: f64,
-        eps: f64,
-    ) -> (f64, f64) {
-        let next_p = 1.0 / (2.0 * (t_i - self.tau_hist[1]).abs().max(eps));
-        let next_q =
-            1.0 / (2.0 * (t_i - 2.0 * self.tau_hist[1] + self.tau_hist[0]).abs().max(eps));
-        dst.pw_hist = [self.pw_hist[1], p_fresh];
-        dst.qw_hist = [self.qw_hist[1], q_fresh];
-        dst.tau_hist = [self.tau_hist[1], t_i];
-        (next_p, next_q)
-    }
-}
-
 /// The outcome of running all IRLS iterations for one candidate shift.
 /// The successor iteration states live in the scratch buffer the trial ran
 /// in, not here — committing a trial is a buffer swap, not a move.
@@ -269,34 +228,18 @@ struct TrialOut {
     u_new: f64,
 }
 
-impl TrialOut {
-    /// The last IRLS iteration's `(τ, s)` for `y_new`.
-    fn new(y_new: f64, tau: f64, s: f64, u_new: f64) -> Self {
-        TrialOut {
-            point: DecompPoint { trend: tau, seasonal: s, residual: y_new - tau - s },
-            u_new,
-        }
-    }
-}
-
 /// Reusable trial buffers: `base` holds the Δt = 0 baseline trial's
 /// successor iteration states (kept intact through the whole search, so a
-/// rejected shift needs no recompute) and `search` the §3.4 search's
-/// buffers. Allocated once; the steady-state `update` path — including
-/// every §3.4 shift search, pruned or exhaustive — performs **zero heap
-/// allocations** (pinned by `tests/zero_alloc.rs`).
+/// rejected shift needs no recompute), `best` the winning candidate's,
+/// and `trial` is the scratch a candidate runs in before it is (maybe)
+/// swapped into `best`. `proxy` and `cand` are the stage-1 scoring and
+/// candidate-offset scratch of the pruned search. Allocated once; the
+/// steady-state `update` path — including every §3.4 shift search, pruned
+/// or exhaustive — performs **zero heap allocations** (pinned by
+/// `tests/zero_alloc.rs`).
 #[derive(Debug, Clone, Default)]
 struct TrialBufs<S: TailSolver> {
     base: Vec<IterState<S>>,
-    search: SearchBufs<S>,
-}
-
-/// The §3.4 search's buffers: `best` holds the winning candidate's
-/// successor states, and `trial` is the scratch a candidate runs in before
-/// it is (maybe) swapped into `best`. `proxy` and `cand` are the stage-1
-/// scoring and candidate-offset scratch of the pruned search.
-#[derive(Debug, Clone, Default)]
-struct SearchBufs<S: TailSolver> {
     best: Vec<IterState<S>>,
     trial: Vec<IterState<S>>,
     /// `(|r̂(Δt)|, Δt)` proxy scores, one per non-zero offset.
@@ -310,19 +253,7 @@ struct SearchBufs<S: TailSolver> {
     cand: Vec<i64>,
 }
 
-/// Lane count of the fleet shard's grouped sweep: how many series it
-/// steps through [`OneShotStl::begin_lanes`] at once. One, by
-/// measurement: two lanes overlap two divide-terminated dependency chains
-/// and ran faster on average, but only while the host core had issue
-/// slots to spare, so their throughput swung over three times as much
-/// from run to run as one lane's; four or eight lanes spill the kernel's
-/// working set out of the sixteen vector registers and measured slower
-/// than one (the sweep is in `docs/ARCHITECTURE.md`, "Performance"). The
-/// grouped entry points take any lane count.
-pub const LANES: usize = 1;
-
-/// Shareable trial scratch for [`OnlineJointStl::update_with_scratch`]
-/// and the grouped [`OneShotStl::update_lanes`].
+/// Shareable trial scratch for [`OnlineJointStl::update_with_scratch`].
 ///
 /// A model's plain [`OnlineDecomposer::update`] uses an internal scratch,
 /// which is ideal for a single hot stream. A host multiplexing *many*
@@ -332,21 +263,7 @@ pub const LANES: usize = 1;
 /// per-model scratch memory drops to zero. Buffers are sized lazily on
 /// first use and resized automatically if models disagree on `iters`.
 #[derive(Debug, Clone, Default)]
-pub struct UpdateScratch<S: TailSolver> {
-    bufs: TrialBufs<S>,
-    /// Each lane's Δt = 0 base-trial successor states (grouped update),
-    /// grown to the widest group on first use.
-    lane_base: Vec<Vec<IterState<S>>>,
-}
-
-/// The lockstep phase's result ([`OneShotStl::begin_lanes`]): each lane's
-/// imputed value and Δt = 0 base trial. The trials' successor states wait
-/// in the [`UpdateScratch`] the phase ran in; each lane is committed by
-/// [`OnlineJointStl::finish_lane`].
-#[derive(Debug, Clone, Copy)]
-pub struct LaneTrials<const L: usize = LANES> {
-    lanes: [(f64, TrialOut); L],
-}
+pub struct UpdateScratch<S: TailSolver>(TrialBufs<S>);
 
 /// The shared online-JointSTL shell (see module docs). Use the
 /// [`OneShotStl`] alias for the paper's `O(1)` algorithm.
@@ -695,11 +612,21 @@ impl<S: TailSolver> OnlineJointStl<S> {
         ((t as i64 + shift).rem_euclid(period)) as usize
     }
 
-    /// The new point's tail block inputs under a candidate shift — the
-    /// last three observations and seasonal anchors, this model's λ, and
-    /// weights still to be filled per iteration
-    /// ([`IterState::weights_into`]) — plus the newest anchor `u_new`.
-    fn trial_tail(&self, y_new: f64, shift: i64) -> (TailData, f64) {
+    /// Sizes a trial buffer to this model's iteration count: a no-op
+    /// except on the first trial after init/restore (or a poisoned buffer
+    /// after a panic); every later trial reuses it.
+    fn size_trial_buf(&self, out: &mut Vec<IterState<S>>) {
+        if out.len() != self.iters.len() {
+            out.clear();
+            out.extend(self.iters.iter().cloned());
+        }
+    }
+
+    /// Runs all IRLS iterations for the arriving value under a candidate
+    /// shift, without committing any state. The committed `self.iters` are
+    /// only read; the successor iteration states are written into `out`
+    /// (resized on first use, then reused — no allocation in steady state).
+    fn run_trial_into(&self, y_new: f64, shift: i64, out: &mut Vec<IterState<S>>) -> TrialOut {
         let m_new = self.m + 1;
         let k = m_new.min(3);
         let mut y3 = [0.0; 3];
@@ -719,45 +646,32 @@ impl<S: TailSolver> OnlineJointStl<S> {
                 u3[s] = self.u_hist[2 - (m_new - 1 - j)];
             }
         }
-        let tail = TailData {
-            m: m_new,
-            y3,
-            u3,
-            p3: [0.0; 3],
-            q3: [0.0; 3],
-            lambdas: self.config.lambdas,
-        };
-        (tail, u_new)
-    }
-
-    /// Sizes a trial buffer to this model's iteration count: a no-op
-    /// except on the first trial after init/restore (or a poisoned buffer
-    /// after a panic); every later trial reuses it.
-    fn size_trial_buf(&self, out: &mut Vec<IterState<S>>) {
-        if out.len() != self.iters.len() {
-            out.clear();
-            out.extend(self.iters.iter().cloned());
-        }
-    }
-
-    /// Runs all IRLS iterations for the arriving value under a candidate
-    /// shift, without committing any state. The committed `self.iters` are
-    /// only read; the successor iteration states are written into `out`
-    /// (resized on first use, then reused — no allocation in steady state).
-    fn run_trial_into(&self, y_new: f64, shift: i64, out: &mut Vec<IterState<S>>) -> TrialOut {
-        let (mut tail, u_new) = self.trial_tail(y_new, shift);
         self.size_trial_buf(out);
         let eps = self.config.eps;
-        let (mut p_fresh, mut q_fresh) = (1.0, 1.0);
-        let (mut tau, mut s_out) = (0.0, 0.0);
+        let mut p_fresh = 1.0;
+        let mut q_fresh = 1.0;
+        let mut tau = 0.0;
+        let mut s_out = 0.0;
         for (src, dst) in self.iters.iter().zip(out.iter_mut()) {
-            src.weights_into(&mut tail, p_fresh, q_fresh);
+            let p3 = [src.pw_hist[0], src.pw_hist[1], p_fresh];
+            let q3 = [src.qw_hist[0], src.qw_hist[1], q_fresh];
+            let tail = TailData { m: m_new, y3, u3, p3, q3, lambdas: self.config.lambdas };
             let (t_i, s_i) = src.solver.step_from(&tail, &mut dst.solver);
-            (p_fresh, q_fresh) = src.advance(dst, t_i, p_fresh, q_fresh, eps);
+            let next_p = 1.0 / (2.0 * (t_i - src.tau_hist[1]).abs().max(eps));
+            let next_q =
+                1.0 / (2.0 * (t_i - 2.0 * src.tau_hist[1] + src.tau_hist[0]).abs().max(eps));
+            dst.pw_hist = [src.pw_hist[1], p_fresh];
+            dst.qw_hist = [src.qw_hist[1], q_fresh];
+            dst.tau_hist = [src.tau_hist[1], t_i];
+            p_fresh = next_p;
+            q_fresh = next_q;
             tau = t_i;
             s_out = s_i;
         }
-        TrialOut::new(y_new, tau, s_out, u_new)
+        TrialOut {
+            point: DecompPoint { trend: tau, seasonal: s_out, residual: y_new - tau - s_out },
+            u_new,
+        }
     }
 
     /// Commits a trial whose successor iteration states live in `accepted`:
@@ -807,24 +721,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
     ) -> DecompPoint {
         assert!(self.initialized, "OneShotSTL::update called before init");
         let y = self.impute(y);
-        self.update_with(y, &mut scratch.bufs)
-    }
-
-    /// Commits lane `lane` of a grouped update begun by
-    /// [`OneShotStl::begin_lanes`]: the NSigma verdict on its base trial,
-    /// the §3.4 search on the scalar path when flagged, then the commit.
-    /// `self` must be the model passed as that lane, unchanged since, and
-    /// `scratch` the scratch the lockstep phase ran in; each lane is
-    /// finished once. The result is bit-identical to
-    /// [`Self::update_with_scratch`] on the lane's value.
-    pub fn finish_lane<const L: usize>(
-        &mut self,
-        trials: &LaneTrials<L>,
-        lane: usize,
-        scratch: &mut UpdateScratch<S>,
-    ) -> DecompPoint {
-        let (y, base) = trials.lanes[lane];
-        self.finish_update(y, base, &mut scratch.lane_base[lane], &mut scratch.bufs.search)
+        self.update_with(y, &mut scratch.0)
     }
 
     /// Stage 1 of the §3.4 search: fills `cand` with the offsets that get
@@ -890,20 +787,6 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// The body of [`OnlineDecomposer::update`], with the trial buffers
     /// moved out of `self` so trials can borrow the committed state.
     fn update_with(&mut self, y: f64, bufs: &mut TrialBufs<S>) -> DecompPoint {
-        let base = self.run_trial_into(y, self.shift, &mut bufs.base);
-        self.finish_update(y, base, &mut bufs.base, &mut bufs.search)
-    }
-
-    /// Everything after the Δt = 0 base trial (whose successor states are
-    /// in `base_buf`): the NSigma verdict, the §3.4 search when flagged,
-    /// and the commit.
-    fn finish_update(
-        &mut self,
-        y: f64,
-        base: TrialOut,
-        base_buf: &mut Vec<IterState<S>>,
-        bufs: &mut SearchBufs<S>,
-    ) -> DecompPoint {
         let h = self.config.shift_window as i64;
         if h > 0 {
             // pre-size every search buffer during plain updates, so a
@@ -926,9 +809,10 @@ impl<S: TailSolver> OnlineJointStl<S> {
             self.size_trial_buf(&mut bufs.best);
             self.size_trial_buf(&mut bufs.trial);
         }
+        let base = self.run_trial_into(y, self.shift, &mut bufs.base);
         let verdict = self.nsigma.score_only(base.point.residual);
         if !verdict.is_anomaly || h == 0 {
-            return self.commit(y, self.shift, base, base_buf);
+            return self.commit(y, self.shift, base, &mut bufs.base);
         }
         // §3.4, two stages: pick candidate offsets Δt from E = [−H, H]
         // (all of them, or the top-k by proxy residual), run a full trial
@@ -956,113 +840,13 @@ impl<S: TailSolver> OnlineJointStl<S> {
             && best.point.residual.abs() > self.config.shift_accept_ratio * base_resid
         {
             // not convincingly better than staying in phase: reject (the
-            // baseline's successor states are still intact in `base_buf`)
+            // baseline's successor states are still intact in `base`)
             best = base;
             best_shift = self.shift;
             best_is_base = true;
         }
-        let accepted = if best_is_base { base_buf } else { &mut bufs.best };
+        let accepted = if best_is_base { &mut bufs.base } else { &mut bufs.best };
         self.commit(y, best_shift, best, accepted)
-    }
-}
-
-impl OneShotStl {
-    /// [`Self::update_with_scratch`] for `L` models at once: lane `q`
-    /// decomposes `ys[q]` on `models[q]`, bit-identical to
-    /// `models[q].update_with_scratch(ys[q], scratch)`. The Δt = 0 base
-    /// trials run in lockstep ([`Self::begin_lanes`]); each lane is then
-    /// finished on its own ([`OnlineJointStl::finish_lane`]). Zero heap
-    /// allocations in steady state, like the scalar path.
-    pub fn update_lanes<const L: usize>(
-        mut models: [&mut Self; L],
-        ys: [f64; L],
-        scratch: &mut UpdateScratch<IncrementalSolver>,
-    ) -> [DecompPoint; L] {
-        let trials = Self::begin_lanes(models.each_ref().map(|m| &**m), ys, scratch);
-        std::array::from_fn(|lane| models[lane].finish_lane(&trials, lane, scratch))
-    }
-
-    /// The lockstep phase of [`Self::update_lanes`]: imputes each value
-    /// and runs the Δt = 0 base trials of all lanes, reading only the
-    /// models' committed state and writing only `scratch`. So a panic here
-    /// leaves every model as it was (reset the scratch and update the
-    /// lanes one by one). When a lane's solvers are still in their 4-point
-    /// warm-up, or the lanes' iteration counts differ, every lane runs the
-    /// scalar trial instead.
-    pub fn begin_lanes<const L: usize>(
-        models: [&Self; L],
-        ys: [f64; L],
-        scratch: &mut UpdateScratch<IncrementalSolver>,
-    ) -> LaneTrials<L> {
-        let ys: [f64; L] = std::array::from_fn(|q| {
-            assert!(models[q].initialized, "OneShotSTL::update called before init");
-            models[q].impute(ys[q])
-        });
-        let iters = models[0].iters.len();
-        let lockstep = models
-            .iter()
-            .all(|m| m.iters.len() == iters && m.iters.iter().all(|st| st.solver.is_steady()));
-        if scratch.lane_base.len() < L {
-            scratch.lane_base.resize_with(L, Vec::new);
-        }
-        let lane_base: &mut [_; L] =
-            (&mut scratch.lane_base[..L]).try_into().expect("sized to L lanes above");
-        let base = if lockstep {
-            Self::run_trials_lockstep(models, ys, lane_base)
-        } else {
-            std::array::from_fn(|q| {
-                models[q].run_trial_into(ys[q], models[q].shift, &mut lane_base[q])
-            })
-        };
-        LaneTrials { lanes: std::array::from_fn(|q| (ys[q], base[q])) }
-    }
-
-    /// [`Self::run_trial_into`] at Δt = 0 for every lane, with each IRLS
-    /// iteration's solves stepped in lockstep
-    /// ([`IncrementalSolver::step_lanes`]). Per lane, every operation is
-    /// the scalar trial's, in its order, with the lane's own λ and ε.
-    fn run_trials_lockstep<const L: usize>(
-        models: [&Self; L],
-        ys: [f64; L],
-        outs: &mut [Vec<IterState<IncrementalSolver>>; L],
-    ) -> [TrialOut; L] {
-        let mut u_new = [0.0; L];
-        let mut tails: [TailData; L] = std::array::from_fn(|q| {
-            let (tail, u) = models[q].trial_tail(ys[q], models[q].shift);
-            u_new[q] = u;
-            tail
-        });
-        for (m, out) in models.iter().zip(outs.iter_mut()) {
-            m.size_trial_buf(out);
-        }
-        let mut p_fresh = [1.0; L];
-        let mut q_fresh = [1.0; L];
-        let mut tau = [0.0; L];
-        let mut s_out = [0.0; L];
-        for i in 0..models[0].iters.len() {
-            for q in 0..L {
-                models[q].iters[i].weights_into(&mut tails[q], p_fresh[q], q_fresh[q]);
-            }
-            let solved = IncrementalSolver::step_lanes(
-                models.map(|m| &m.iters[i].solver),
-                &tails,
-                outs.each_mut().map(|out| &mut out[i].solver),
-            );
-            for q in 0..L {
-                let (t_i, s_i) = solved[q];
-                let src = &models[q].iters[i];
-                (p_fresh[q], q_fresh[q]) = src.advance(
-                    &mut outs[q][i],
-                    t_i,
-                    p_fresh[q],
-                    q_fresh[q],
-                    models[q].config.eps,
-                );
-                tau[q] = t_i;
-                s_out[q] = s_i;
-            }
-        }
-        std::array::from_fn(|q| TrialOut::new(ys[q], tau[q], s_out[q], u_new[q]))
     }
 }
 
@@ -1340,15 +1124,16 @@ mod tests {
         assert!(OneShotStl::from_state(fresh).is_ok());
     }
 
-    /// One lane's model and stream for the lane-equivalence property.
-    /// `rng` picks the lane's config from the menu the grouped path must
-    /// honour per lane: λ, pruned or exhaustive search, shift policy,
-    /// and a disabled search (only where `may_disable` allows it).
-    fn lane_case(rng: &mut StdRng, may_disable: bool) -> (OneShotStlConfig, usize, Vec<f64>) {
+    /// One model and its stream for the shared-scratch property. `rng`
+    /// picks the model's config from the menu a shard's series may mix:
+    /// λ, the IRLS iteration count, pruned or exhaustive search, shift
+    /// policy, and a disabled search (only where `may_disable` allows it).
+    fn series_case(rng: &mut StdRng, may_disable: bool) -> (OneShotStlConfig, usize, Vec<f64>) {
         let t = [7usize, 12, 24][rng.gen_range(0..3)];
         let lambda = [1.0, 10.0, 100.0, 1000.0][rng.gen_range(0..4)];
         let cfg = OneShotStlConfig {
             lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
+            iters: [4, 8][rng.gen_range(0..2)],
             shift_window: if may_disable && rng.gen_range(0..2) == 0 { 0 } else { 20 },
             shift_policy: if rng.gen_range(0..2) == 0 {
                 ShiftPolicy::Cumulative
@@ -1384,66 +1169,65 @@ mod tests {
         (cfg, t, y)
     }
 
-    /// Lanes of the lane-equivalence property: wider than [`LANES`], so
-    /// the lockstep kernel runs with several lanes whatever width the
-    /// fleet uses.
-    const GROUP: usize = 4;
+    /// Models sharing one scratch in the shared-scratch property.
+    const MODELS: usize = 4;
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-        /// The grouped update is the scalar update, bit for bit: over
-        /// random lanes, [`GROUP`] models stepped with
-        /// [`OneShotStl::update_lanes`] match twins stepped with
-        /// plain `update` in every output bit and in their full state
-        /// after every step. Lanes start their grouped stream at
-        /// different points, so lanes in solver warm-up mix with steady
+        /// A group of models stepped round-robin through **one**
+        /// [`UpdateScratch`] (the fleet shard's path) is the plain
+        /// update, bit for bit:
+        /// [`MODELS`] random models on `update_with_scratch` match twins
+        /// stepped with plain `update` in every output bit, in their full
+        /// state and in their search stats after every step. The models
+        /// differ in IRLS iteration count, so the shared trial buffers are
+        /// resized between them, and they start their shared stream at
+        /// different points, so models in solver warm-up mix with steady
         /// ones.
         #[test]
         fn prop_grouped_update_matches_scalar_bit_for_bit(seed in 0u64..100_000) {
             let mut rng = StdRng::seed_from_u64(seed);
-            // lane 0 always searches, so every case exercises the search
-            let cases: Vec<_> = (0..GROUP).map(|q| lane_case(&mut rng, q > 0)).collect();
-            let mut grouped: Vec<OneShotStl> = Vec::new();
-            let mut scalar: Vec<OneShotStl> = Vec::new();
-            let mut cursor = [0usize; GROUP];
+            // model 0 always searches, so every case exercises the search
+            let cases: Vec<_> = (0..MODELS).map(|q| series_case(&mut rng, q > 0)).collect();
+            let mut shared: Vec<OneShotStl> = Vec::new();
+            let mut plain: Vec<OneShotStl> = Vec::new();
+            let mut cursor = [0usize; MODELS];
             for (q, (cfg, t, y)) in cases.iter().enumerate() {
                 let mut m = OneShotStl::new(cfg.clone());
                 m.init(&y[..4 * t], *t).unwrap();
                 let mut twin = m.clone();
-                // lane q enters the groups q points after init
+                // model q enters the round-robin q points after init
                 cursor[q] = 4 * t + q;
                 for &v in &y[4 * t..cursor[q]] {
                     m.update(v);
                     twin.update(v);
                 }
-                grouped.push(m);
-                scalar.push(twin);
+                shared.push(m);
+                plain.push(twin);
             }
             let steps = cases.iter().zip(&cursor).map(|((_, _, y), c)| y.len() - c).min().unwrap();
             let mut scratch = UpdateScratch::default();
             for step in 0..steps {
-                let ys: [f64; GROUP] = std::array::from_fn(|q| cases[q].2[cursor[q] + step]);
-                let lanes: &mut [OneShotStl; GROUP] =
-                    grouped.as_mut_slice().try_into().unwrap();
-                let got = OneShotStl::update_lanes(lanes.each_mut(), ys, &mut scratch);
-                for q in 0..GROUP {
-                    let want = scalar[q].update(ys[q]);
+                for q in 0..MODELS {
+                    let y = cases[q].2[cursor[q] + step];
+                    let got = shared[q].update_with_scratch(y, &mut scratch);
+                    let want = plain[q].update(y);
                     for (g, w) in [
-                        (got[q].trend, want.trend),
-                        (got[q].seasonal, want.seasonal),
-                        (got[q].residual, want.residual),
+                        (got.trend, want.trend),
+                        (got.seasonal, want.seasonal),
+                        (got.residual, want.residual),
                     ] {
-                        proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "lane {} step {}", q, step);
+                        proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "model {} step {}", q, step);
                     }
-                    proptest::prop_assert!(grouped[q].to_state() == scalar[q].to_state());
+                    proptest::prop_assert!(shared[q].to_state() == plain[q].to_state());
                     proptest::prop_assert_eq!(
-                        grouped[q].shift_search_stats(),
-                        scalar[q].shift_search_stats()
+                        shared[q].shift_search_stats(),
+                        plain[q].shift_search_stats()
                     );
                 }
             }
-            // the spikes must have driven the §3.4 search on some lane
-            proptest::prop_assert!(grouped.iter().any(|m| m.shift_search_stats().0 > 0));
+            // the spikes must have driven the §3.4 search on some model
+            proptest::prop_assert!(shared.iter().any(|m| m.shift_search_stats().0 > 0));
         }
     }
 }

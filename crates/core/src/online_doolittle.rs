@@ -11,7 +11,9 @@
 //! `L`, `D` need (re)computation. The state carried between steps is:
 //!
 //! - `lo`: the `8×4` window `L[2M−8 … 2M−1, 2M−8 … 2M−5]` (rows × finalized
-//!   columns that the next step's recurrences reach into — half-bandwidth 4),
+//!   columns). The next step reads only 10 of its cells: rows 4–7 where
+//!   row > col and row − col ≤ 4 (half-bandwidth 4). Rows 0–3 are carried
+//!   for the snapshot codec only,
 //! - `dd`: `D[2M−8 … 2M−5]`,
 //! - `zo`: the forward-substituted rhs `z = L⁻¹ b` at the same 4 indices.
 //!
@@ -26,25 +28,15 @@
 //! directly; the window state is extracted at step 4. All work per step is
 //! bounded by fixed 10×10 loops either way: the update is `O(1)`.
 //!
-//! ## Lanes
-//!
-//! One steady step is a single serial chain: six divide-terminated
-//! columns, each reading the last. A host that steps many independent
-//! systems (the fleet shard, [`crate::oneshot::LANES`] series at a time)
-//! would leave the core waiting on that latency one system after the
-//! other, so the factorization is one kernel generic over a lane count
-//! `L`: it steps `L` windows in lockstep, with every cell of the working
-//! triangle held as `[f64; L]`. Each lane runs exactly the scalar
-//! sequence of adds, multiplies and divides, in the same order — no fused
-//! multiply-add, no reassociation, no reciprocal in place of a divide —
-//! so every lane is bit-identical to stepping its window alone.
-//! [`IncrementalSolver::step_from`] is the `L = 1` instance;
-//! [`IncrementalSolver::step_lanes`] is the lockstep entry.
+//! The steady step is one straight-line kernel (`Window::step`): every
+//! index in it is a constant, so its 10×10 working triangle lives in
+//! registers and on the stack, and it inlines into the IRLS loop of
+//! [`IncrementalSolver::step_from`].
 
 // index recurrences here mirror the published algorithms; iterator
 // rewrites obscure the maths
 #![allow(clippy::needless_range_loop)]
-use crate::system::{assemble_block_steady, assemble_full, LaneBlock, SystemData, TailData};
+use crate::system::{assemble_block_steady, assemble_full, SystemData, TailBlock, TailData};
 use tskit::error::TsError;
 
 /// Plain-data snapshot of an [`IncrementalSolver`] (see `fleet::codec`).
@@ -246,10 +238,8 @@ impl IncrementalSolver {
                 (tau, s)
             }
             IncrementalSolver::Steady(w) => {
-                let block = assemble_block_steady(std::array::from_ref(tail));
                 let prev = *w;
-                let [out] = Window::step_lanes([&prev], [w], &block);
-                out
+                prev.step(w, &assemble_block_steady(tail))
             }
         }
     }
@@ -259,59 +249,33 @@ impl IncrementalSolver {
     /// scratch). In the steady state the window is plain-old-data, so this
     /// is the `O(1)` factorization step from one window into the other —
     /// **no heap allocation** — which is what makes a rejected trial in the
-    /// seasonality-shift search free to roll back.
+    /// seasonality-shift search free to roll back. The steady arm inlines
+    /// into its caller's IRLS loop down through the kernel, so the block
+    /// and the window stay in registers instead of passing through memory.
+    #[inline(always)]
     pub fn step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
-        match self {
-            IncrementalSolver::Steady(_) => {
-                let [out] = Self::step_lanes([self], std::array::from_ref(tail), [dst]);
-                out
-            }
-            warm => {
-                // warm-up lasts 4 points per iteration; cloning the tiny
-                // histories there is fine
-                dst.clone_from(warm);
-                dst.step(tail)
-            }
+        let IncrementalSolver::Steady(w) = self else {
+            return self.warmup_step_from(tail, dst);
+        };
+        // the kernel overwrites the whole window; a stale Warmup variant
+        // is dropped here once
+        if let IncrementalSolver::Warmup { .. } = dst {
+            *dst = IncrementalSolver::Steady(Window::EMPTY);
         }
+        let IncrementalSolver::Steady(next) = dst else {
+            unreachable!("replaced above");
+        };
+        w.step(next, &assemble_block_steady(tail))
     }
 
-    /// Whether the solver has left its 4-point warm-up, so its next step
-    /// runs the window kernel (a precondition of
-    /// [`IncrementalSolver::step_lanes`]).
-    pub fn is_steady(&self) -> bool {
-        matches!(self, IncrementalSolver::Steady(_))
-    }
-
-    /// [`IncrementalSolver::step_from`] for `L` independent solvers in
-    /// lockstep (see the module docs on lanes): lane `q` steps `src[q]`
-    /// with `tails[q]` into `dst[q]`, bit-identical to
-    /// `src[q].step_from(&tails[q], dst[q])`. Every `src` must be past
-    /// its warm-up ([`IncrementalSolver::is_steady`]); a stale Warmup
-    /// variant in `dst` is replaced once. No heap allocation.
-    pub fn step_lanes<const L: usize>(
-        src: [&Self; L],
-        tails: &[TailData; L],
-        dst: [&mut Self; L],
-    ) -> [(f64, f64); L] {
-        let block = assemble_block_steady(tails);
-        let src = src.map(|s| match s {
-            IncrementalSolver::Steady(w) => w,
-            IncrementalSolver::Warmup { .. } => {
-                panic!("lockstep step needs solvers past warm-up")
-            }
-        });
-        let dst = dst.map(|d| {
-            // the kernel overwrites the whole window; a stale Warmup
-            // variant is dropped here once
-            if let IncrementalSolver::Warmup { .. } = d {
-                *d = IncrementalSolver::Steady(Window::EMPTY);
-            }
-            match d {
-                IncrementalSolver::Steady(w) => w,
-                IncrementalSolver::Warmup { .. } => unreachable!("replaced above"),
-            }
-        });
-        Window::step_lanes(src, dst, &block)
+    /// The warm-up arm of [`IncrementalSolver::step_from`], out of line:
+    /// warm-up lasts 4 points per iteration, so cloning the tiny histories
+    /// there is fine.
+    #[cold]
+    #[inline(never)]
+    fn warmup_step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
+        dst.clone_from(self);
+        dst.step(tail)
     }
 }
 
@@ -330,95 +294,77 @@ impl Window {
     /// A placeholder the step kernel overwrites whole.
     const EMPTY: Window = Window { m: 0, lo: [[0.0; 4]; 8], dd: [0.0; 4], zo: [0.0; 4] };
 
-    /// One `O(1)` factorization + solve step (Algorithm 4) for `L` windows
-    /// in lockstep: lane `q` steps `src[q]` into `dst[q]`. `block` holds
-    /// each lane's trailing 6×6 system block for its new step. Every
-    /// `for q in 0..L` below performs one scalar operation per lane, in the
-    /// scalar order, so each lane's arithmetic is the `L = 1` instance's
-    /// exactly.
-    fn step_lanes<const L: usize>(
-        src: [&Window; L],
-        dst: [&mut Window; L],
-        block: &LaneBlock<L>,
-    ) -> [(f64, f64); L] {
+    /// One `O(1)` factorization + solve step (Algorithm 4) from `self`
+    /// into `dst`. `block` is the trailing 6×6 system block for the new
+    /// step.
+    #[inline(always)]
+    fn step(&self, dst: &mut Window, block: &TailBlock) -> (f64, f64) {
+        debug_assert_eq!(block.dim, 6, "steady state requires full 6x6 blocks");
         // local window covers global unknowns 2M-10 .. 2M-1 (M = new count);
         // previous state occupies locals 0..8 (rows) x 0..4 (cols). Every
         // index below is a constant (the loops are unrolled), so the
         // working triangle lives in registers and on the stack: its
         // structurally-zero cells fold away instead of being stored.
-        let mut l = [[0.0f64; L]; 100];
-        let mut d = [[0.0f64; L]; 10];
-        let mut z = [[0.0f64; L]; 10];
-        for q in 0..L {
-            let w = src[q];
-            unroll!(r in [0, 1, 2, 3, 4, 5, 6, 7] {
-                unroll!(c in [0, 1, 2, 3] {
-                    l[10 * r + c][q] = w.lo[r][c];
-                });
+        let mut l = [0.0f64; 100];
+        let mut d = [0.0f64; 10];
+        let mut z = [0.0f64; 10];
+        unroll!(r in [0, 1, 2, 3, 4, 5, 6, 7] {
+            unroll!(c in [0, 1, 2, 3] {
+                l[10 * r + c] = self.lo[r][c];
             });
-            unroll!(i in [0, 1, 2, 3] {
-                d[i][q] = w.dd[i];
-                z[i][q] = w.zo[i];
-            });
-        }
+        });
+        unroll!(i in [0, 1, 2, 3] {
+            d[i] = self.dd[i];
+            z[i] = self.zo[i];
+        });
         // recompute columns local 4..10 = global 2M-6 .. 2M-1, one
         // const-indexed column at a time so every loop below unrolls into
-        // straight-line code the core can interleave across lanes
-        column::<4, L>(&mut l, &mut d, &mut z, block);
-        column::<5, L>(&mut l, &mut d, &mut z, block);
-        column::<6, L>(&mut l, &mut d, &mut z, block);
-        column::<7, L>(&mut l, &mut d, &mut z, block);
-        column::<8, L>(&mut l, &mut d, &mut z, block);
-        column::<9, L>(&mut l, &mut d, &mut z, block);
-        let mut out = [(0.0, 0.0); L];
-        for (q, w) in dst.into_iter().enumerate() {
-            // exact first two backward-substitution steps: the newest τ, s
-            let x9 = z[9][q] / d[9][q];
-            let x8 = z[8][q] / d[8][q] - l[9 * 10 + 8][q] * x9;
-            // slide the window by one time point (two unknowns)
-            w.m = src[q].m + 1;
-            unroll!(r in [0, 1, 2, 3, 4, 5, 6, 7] {
-                unroll!(c in [0, 1, 2, 3] {
-                    w.lo[r][c] = l[10 * (r + 2) + c + 2][q];
-                });
+        // straight-line code
+        column::<4>(&mut l, &mut d, &mut z, block);
+        column::<5>(&mut l, &mut d, &mut z, block);
+        column::<6>(&mut l, &mut d, &mut z, block);
+        column::<7>(&mut l, &mut d, &mut z, block);
+        column::<8>(&mut l, &mut d, &mut z, block);
+        column::<9>(&mut l, &mut d, &mut z, block);
+        // exact first two backward-substitution steps: the newest τ, s
+        let x9 = z[9] / d[9];
+        let x8 = z[8] / d[8] - l[9 * 10 + 8] * x9;
+        // slide the window by one time point (two unknowns)
+        dst.m = self.m + 1;
+        unroll!(r in [0, 1, 2, 3, 4, 5, 6, 7] {
+            unroll!(c in [0, 1, 2, 3] {
+                dst.lo[r][c] = l[10 * (r + 2) + c + 2];
             });
-            for i in 0..4 {
-                w.dd[i] = d[i + 2][q];
-                w.zo[i] = z[i + 2][q];
-            }
-            out[q] = (x8, x9);
-        }
-        out
+        });
+        unroll!(i in [0, 1, 2, 3] {
+            dst.dd[i] = d[i + 2];
+            dst.zo[i] = z[i + 2];
+        });
+        (x8, x9)
     }
 }
 
-/// Column `K` (local index) of the step kernel for `L` lanes: the pivot
-/// `D_KK`, the forward-substituted `z_K`, and `L`'s column below the
-/// diagonal. Each `for q in 0..L` performs one scalar operation per lane,
-/// in the scalar order.
+/// Column `K` (local index) of the step kernel: the pivot `D_KK`, the
+/// forward-substituted `z_K`, and `L`'s column below the diagonal.
 #[inline(always)]
-fn column<const K: usize, const L: usize>(
-    l: &mut [[f64; L]; 100],
-    d: &mut [[f64; L]; 10],
-    z: &mut [[f64; L]; 10],
-    block: &LaneBlock<L>,
+fn column<const K: usize>(
+    l: &mut [f64; 100],
+    d: &mut [f64; 10],
+    z: &mut [f64; 10],
+    block: &TailBlock,
 ) {
     let k = K;
-    l[10 * k + k] = [1.0; L];
+    l[10 * k + k] = 1.0;
     // D_kk = A*[k-4][k-4] - Σ_{i=k-4}^{k-1} D_i L_ki²
     let mut dk = block.a[k - 4][k - 4];
     unroll!(i in [k - 4, k - 3, k - 2, k - 1] {
-        for q in 0..L {
-            dk[q] -= d[i][q] * l[10 * k + i][q] * l[10 * k + i][q];
-        }
+        dk -= d[i] * l[10 * k + i] * l[10 * k + i];
     });
     d[k] = dk;
     // forward substitution for the recomputed index
     let mut zk = block.b[k - 4];
     unroll!(i in [k - 4, k - 3, k - 2, k - 1] {
-        for q in 0..L {
-            zk[q] -= l[10 * k + i][q] * z[i][q];
-        }
+        zk -= l[10 * k + i] * z[i];
     });
     z[k] = zk;
     // column k of L below the diagonal (band: j ≤ k+4, so j ≤ 9 bounds
@@ -428,14 +374,10 @@ fn column<const K: usize, const L: usize>(
             let mut s = block.a[j - 4][k - 4];
             unroll!(i in [j - 4, j - 3, j - 2, j - 1] {
                 if i < k {
-                    for q in 0..L {
-                        s[q] -= l[10 * j + i][q] * d[i][q] * l[10 * k + i][q];
-                    }
+                    s -= l[10 * j + i] * d[i] * l[10 * k + i];
                 }
             });
-            for q in 0..L {
-                l[10 * j + k][q] = s[q] / dk[q];
-            }
+            l[10 * j + k] = s / dk;
         }
     });
 }

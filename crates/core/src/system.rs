@@ -11,9 +11,8 @@
 //!   Algorithm-2 reference solver and by the warm-up steps of the `O(1)`
 //!   path), and
 //! - [`assemble_block`] builds only the trailing block `A*` / `b*` that
-//!   changes when a new point arrives (paper Fig. 2, red box). Its
-//!   steady-state case, assembled for several independent systems at
-//!   once in lane form, is the input of [`crate::online_doolittle`].
+//!   changes when a new point arrives (paper Fig. 2, red box) — the input
+//!   of [`crate::online_doolittle`].
 //!
 //! A unit test asserts that the block equals the corresponding sub-matrix
 //! of the full assembly for random weights, which is the structural claim
@@ -140,13 +139,10 @@ pub fn assemble_block(t: &TailData) -> TailBlock {
     let m = t.m;
     assert!(m >= 1, "assemble_block: need at least one point");
     if m >= 5 {
-        // the straight-line steady-state specialization, as one lane
-        let lane = assemble_block_steady(std::array::from_ref(t));
-        return TailBlock {
-            dim: 6,
-            a: lane.a.map(|row| row.map(|v| v[0])),
-            b: lane.b.map(|v| v[0]),
-        };
+        // every steady-state call (the `O(1)` path runs here from step 5
+        // on, once per IRLS iteration) takes the straight-line
+        // specialization
+        return assemble_block_steady(t);
     }
     let k = m.min(3); // time points in the block
     let t0 = m - k; // first (0-based) time index covered
@@ -205,85 +201,69 @@ pub fn assemble_block(t: &TailData) -> TailBlock {
     TailBlock { dim, a, b }
 }
 
-/// The steady-state trailing blocks of `L` independent systems in lane
-/// form: `a[i][j][q]` and `b[i][q]` belong to lane `q`. This is the input
-/// of the lockstep OnlineDoolittle kernel
-/// ([`crate::online_doolittle`]), whose scalar path is the `L = 1`
-/// instance.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneBlock<const L: usize> {
-    /// Dense symmetric `6×6` blocks.
-    pub a: [[[f64; L]; 6]; 6],
-    /// Right-hand sides.
-    pub b: [[f64; L]; 6],
-}
-
-/// [`assemble_block`] specialized to the steady state (`M ≥ 5`), for `L`
-/// lanes at once, each with its own λ and anchor: with the first covered
-/// time `t0 = M − 3 ≥ 2`, both difference loops span all three tail
-/// points, so the whole assembly is branch-free straight-line code. Every
-/// `+=` below replays the generic loops in their exact execution order —
-/// the accumulation into each entry is bit-identical to the loop path
-/// (pinned by `block_matches_full_submatrix` for `m = 5..12` and by the
-/// `GOLDEN_*` fixtures end-to-end).
+/// [`assemble_block`] specialized to the steady state (`M ≥ 5`): with the
+/// first covered time `t0 = M − 3 ≥ 2`, both difference loops span all
+/// three tail points, so the whole assembly is branch-free straight-line
+/// code. Every `+=` below replays the generic loops in their exact
+/// execution order — the accumulation into each entry is bit-identical to
+/// the loop path (pinned by `block_matches_full_submatrix` for `m = 5..12`
+/// and by the `GOLDEN_*` fixtures end-to-end).
 #[inline(always)]
-pub(crate) fn assemble_block_steady<const L: usize>(tails: &[TailData; L]) -> LaneBlock<L> {
-    let mut a = [[[0.0; L]; 6]; 6];
-    let mut b = [[0.0; L]; 6];
-    for (q, t) in tails.iter().enumerate() {
-        let anchor = t.lambdas.anchor;
-        // C1ᵀC1 + anchor·C2ᵀC2 per point (r = 0, 1, 2)
-        a[0][0][q] += 1.0;
-        a[1][1][q] += 1.0 + anchor;
-        a[0][1][q] += 1.0;
-        a[1][0][q] += 1.0;
-        b[0][q] = t.y3[0];
-        b[1][q] = t.y3[0] + anchor * t.u3[0];
-        a[2][2][q] += 1.0;
-        a[3][3][q] += 1.0 + anchor;
-        a[2][3][q] += 1.0;
-        a[3][2][q] += 1.0;
-        b[2][q] = t.y3[1];
-        b[3][q] = t.y3[1] + anchor * t.u3[1];
-        a[4][4][q] += 1.0;
-        a[5][5][q] += 1.0 + anchor;
-        a[4][5][q] += 1.0;
-        a[5][4][q] += 1.0;
-        b[4][q] = t.y3[2];
-        b[5][q] = t.y3[2] + anchor * t.u3[2];
-        // first differences, j = t0, t0+1, t0+2
-        let w0 = t.lambdas.lambda1 * t.p3[0];
-        let w1 = t.lambdas.lambda1 * t.p3[1];
-        let w2 = t.lambdas.lambda1 * t.p3[2];
-        a[0][0][q] += w0;
-        a[2][2][q] += w1;
-        a[0][0][q] += w1;
-        a[0][2][q] += -w1;
-        a[2][0][q] += -w1;
-        a[4][4][q] += w2;
-        a[2][2][q] += w2;
-        a[2][4][q] += -w2;
-        a[4][2][q] += -w2;
-        // second differences, j = t0, t0+1, t0+2
-        let q0 = t.lambdas.lambda2 * t.q3[0];
-        let q1 = t.lambdas.lambda2 * t.q3[1];
-        let q2 = t.lambdas.lambda2 * t.q3[2];
-        a[0][0][q] += q0;
-        a[2][2][q] += q1;
-        a[0][0][q] += 4.0 * q1;
-        a[0][2][q] += -2.0 * q1;
-        a[2][0][q] += -2.0 * q1;
-        a[4][4][q] += q2;
-        a[2][2][q] += 4.0 * q2;
-        a[2][4][q] += -2.0 * q2;
-        a[4][2][q] += -2.0 * q2;
-        a[0][0][q] += q2;
-        a[0][4][q] += q2;
-        a[4][0][q] += q2;
-        a[0][2][q] += -2.0 * q2;
-        a[2][0][q] += -2.0 * q2;
-    }
-    LaneBlock { a, b }
+pub(crate) fn assemble_block_steady(t: &TailData) -> TailBlock {
+    let mut a = [[0.0; 6]; 6];
+    let mut b = [0.0; 6];
+    let anchor = t.lambdas.anchor;
+    // C1ᵀC1 + anchor·C2ᵀC2 per point (r = 0, 1, 2)
+    a[0][0] += 1.0;
+    a[1][1] += 1.0 + anchor;
+    a[0][1] += 1.0;
+    a[1][0] += 1.0;
+    b[0] = t.y3[0];
+    b[1] = t.y3[0] + anchor * t.u3[0];
+    a[2][2] += 1.0;
+    a[3][3] += 1.0 + anchor;
+    a[2][3] += 1.0;
+    a[3][2] += 1.0;
+    b[2] = t.y3[1];
+    b[3] = t.y3[1] + anchor * t.u3[1];
+    a[4][4] += 1.0;
+    a[5][5] += 1.0 + anchor;
+    a[4][5] += 1.0;
+    a[5][4] += 1.0;
+    b[4] = t.y3[2];
+    b[5] = t.y3[2] + anchor * t.u3[2];
+    // first differences, j = t0, t0+1, t0+2
+    let w0 = t.lambdas.lambda1 * t.p3[0];
+    let w1 = t.lambdas.lambda1 * t.p3[1];
+    let w2 = t.lambdas.lambda1 * t.p3[2];
+    a[0][0] += w0;
+    a[2][2] += w1;
+    a[0][0] += w1;
+    a[0][2] += -w1;
+    a[2][0] += -w1;
+    a[4][4] += w2;
+    a[2][2] += w2;
+    a[2][4] += -w2;
+    a[4][2] += -w2;
+    // second differences, j = t0, t0+1, t0+2
+    let q0 = t.lambdas.lambda2 * t.q3[0];
+    let q1 = t.lambdas.lambda2 * t.q3[1];
+    let q2 = t.lambdas.lambda2 * t.q3[2];
+    a[0][0] += q0;
+    a[2][2] += q1;
+    a[0][0] += 4.0 * q1;
+    a[0][2] += -2.0 * q1;
+    a[2][0] += -2.0 * q1;
+    a[4][4] += q2;
+    a[2][2] += 4.0 * q2;
+    a[2][4] += -2.0 * q2;
+    a[4][2] += -2.0 * q2;
+    a[0][0] += q2;
+    a[0][4] += q2;
+    a[4][0] += q2;
+    a[0][2] += -2.0 * q2;
+    a[2][0] += -2.0 * q2;
+    TailBlock { dim: 6, a, b }
 }
 
 #[cfg(test)]

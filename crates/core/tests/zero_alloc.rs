@@ -7,8 +7,9 @@
 //! `2H + 1` retry trials), and updates that impute non-finite input.
 //! A second test extends the guarantee to the fused residual-scoring
 //! path (CUSUM + peak-hold on top of the decomposition), a third to
-//! the trend-innovation CUSUM backend (`TrendCusum`), and a fourth to the
-//! grouped lockstep update (`OneShotStl::update_lanes`).
+//! the trend-innovation CUSUM backend (`TrendCusum`), and a fourth to
+//! several models stepped through one shared `UpdateScratch`
+//! (`OneShotStl::update_with_scratch`, the fleet shard's path).
 //!
 //! The counting global allocator below makes the claim a hard test rather
 //! than a code-review property. CI runs this test file explicitly
@@ -254,16 +255,16 @@ fn trend_cusum_update_performs_zero_heap_allocations() {
     assert_eq!(allocs() - before, 0, "post-excursion trend update allocated");
 }
 
-/// Lanes of the grouped case: wider than the fleet's `LANES`, so several
-/// lanes step in lockstep whatever width the fleet uses.
-const GROUP: usize = 4;
+/// Models sharing the scratch in the shared-scratch case.
+const MODELS: usize = 4;
 
-/// The grouped update (`OneShotStl::update_lanes`, the fleet shard's
-/// sweep) keeps the guarantee: after the first group sizes the shared
-/// scratch, lockstep groups allocate nothing — including a group in which
-/// one lane's *first* flag arrives long after warm-up (its §3.4 search
-/// runs on buffers pre-sized by plain groups), a group with flags on two
-/// lanes back to back, and a lane with non-finite input.
+/// A group of models stepped round-robin through one `UpdateScratch`
+/// (`OneShotStl::update_with_scratch`, the fleet shard's sweep) keep the
+/// guarantee: after the first rounds size the shared scratch, nothing
+/// allocates — including a round in which one model's *first* flag
+/// arrives long after warm-up (its §3.4 search runs on buffers pre-sized
+/// by plain updates of other models), a round with flags on two models
+/// back to back, and a model with non-finite input.
 #[test]
 fn grouped_update_performs_zero_heap_allocations() {
     for (search, label) in [
@@ -276,8 +277,8 @@ fn grouped_update_performs_zero_heap_allocations() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         };
-        // one noisy stream per lane, phase-offset so the lanes differ
-        let ys: Vec<Vec<f64>> = (0..GROUP)
+        // one noisy stream per model, phase-offset so the models differ
+        let ys: Vec<Vec<f64>> = (0..MODELS)
             .map(|q| {
                 (0..4 * t + 600)
                     .map(|i| {
@@ -299,61 +300,62 @@ fn grouped_update_performs_zero_heap_allocations() {
             })
             .collect();
         let mut scratch = UpdateScratch::default();
-        let mut group = |models: &mut Vec<OneShotStl>, at: usize, bump: [f64; GROUP]| {
-            let vals: [f64; GROUP] = std::array::from_fn(|q| ys[q][at] + bump[q]);
-            let lanes: &mut [OneShotStl; GROUP] = models.as_mut_slice().try_into().unwrap();
-            std::hint::black_box(OneShotStl::update_lanes(
-                lanes.each_mut(),
-                vals,
-                &mut scratch,
-            ));
+        // one round: every model takes its point at `at`, plus its bump
+        let mut round = |models: &mut Vec<OneShotStl>, at: usize, bump: [f64; MODELS]| {
+            for (q, m) in models.iter_mut().enumerate() {
+                std::hint::black_box(m.update_with_scratch(ys[q][at] + bump[q], &mut scratch));
+            }
         };
         // warm-up: the solvers leave their 4-point warm-up and the first
-        // groups size the shared scratch
+        // rounds size the shared scratch
         for i in 0..16 {
-            group(&mut models, 4 * t + i, [0.0; GROUP]);
+            round(&mut models, 4 * t + i, [0.0; MODELS]);
         }
 
-        // 1) plain steady-state groups
+        // 1) plain steady-state rounds
         let before = allocs();
         for i in 16..500 {
-            group(&mut models, 4 * t + i, [0.0; GROUP]);
+            round(&mut models, 4 * t + i, [0.0; MODELS]);
         }
-        assert_eq!(allocs() - before, 0, "[{label}] steady-state group allocated");
+        assert_eq!(allocs() - before, 0, "[{label}] steady-state round allocated");
         let searches = |models: &[OneShotStl]| -> Vec<u64> {
             models.iter().map(|m| m.shift_search_stats().0).collect()
         };
-        assert_eq!(searches(&models), [0; GROUP], "[{label}] the noisy warm-up must stay calm");
+        assert_eq!(
+            searches(&models),
+            [0; MODELS],
+            "[{label}] the noisy warm-up must stay calm"
+        );
 
-        // 2) a late first flag on one lane inside a group, then flags on
-        //    the first and last lanes of the next group (the post-swap
-        //    buffer state)
+        // 2) a late first flag on the last model, then flags on the first
+        //    and last models of the next round (the post-swap buffer
+        //    state)
         let before = allocs();
-        let mut spike = [0.0; GROUP];
-        spike[GROUP - 1] = 50.0;
-        group(&mut models, 4 * t + 500, spike);
-        spike = [0.0; GROUP];
+        let mut spike = [0.0; MODELS];
+        spike[MODELS - 1] = 50.0;
+        round(&mut models, 4 * t + 500, spike);
+        spike = [0.0; MODELS];
         spike[0] = 500.0;
-        spike[GROUP - 1] = 500.0;
-        group(&mut models, 4 * t + 501, spike);
-        assert_eq!(allocs() - before, 0, "[{label}] flagged group allocated");
-        let mut want = vec![0; GROUP];
+        spike[MODELS - 1] = 500.0;
+        round(&mut models, 4 * t + 501, spike);
+        assert_eq!(allocs() - before, 0, "[{label}] flagged round allocated");
+        let mut want = vec![0; MODELS];
         want[0] = 1;
-        want[GROUP - 1] = 2;
+        want[MODELS - 1] = 2;
         assert_eq!(searches(&models), want, "[{label}] the spikes must have run the search");
 
-        // 3) non-finite input on one lane: the imputation path
+        // 3) non-finite input on one model: the imputation path
         let before = allocs();
-        let mut nan = [0.0; GROUP];
+        let mut nan = [0.0; MODELS];
         nan[0] = f64::NAN;
-        group(&mut models, 4 * t + 502, nan);
-        assert_eq!(allocs() - before, 0, "[{label}] imputing group allocated");
+        round(&mut models, 4 * t + 502, nan);
+        assert_eq!(allocs() - before, 0, "[{label}] imputing round allocated");
 
-        // 4) and the stream continues allocation-free
+        // 4) and the streams continue allocation-free
         let before = allocs();
         for i in 503..600 {
-            group(&mut models, 4 * t + i, [0.0; GROUP]);
+            round(&mut models, 4 * t + i, [0.0; MODELS]);
         }
-        assert_eq!(allocs() - before, 0, "[{label}] post-excursion group allocated");
+        assert_eq!(allocs() - before, 0, "[{label}] post-excursion round allocated");
     }
 }

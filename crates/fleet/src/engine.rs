@@ -263,6 +263,15 @@ impl FleetEngine {
         let config = Arc::new(snapshot.config);
         let mut states: Vec<ShardState> =
             (0..shards).map(|i| ShardState::new(i, Arc::clone(&config))).collect();
+        // size each shard's arena and index once, instead of growing them
+        // by doubling while thousands of series load
+        let mut counts = vec![0; shards];
+        for s in &snapshot.series {
+            counts[s.key.shard_of(shards)] += 1;
+        }
+        for (state, n) in states.iter_mut().zip(counts) {
+            state.registry.reserve(n);
+        }
         for s in snapshot.series {
             let shard = s.key.shard_of(shards);
             let state = SeriesState::from_snapshot(s.phase, &config)?;

@@ -13,11 +13,10 @@ use crate::config::{AdmitOptions, FleetConfig, ForecastOptions, PeriodPolicy};
 use crate::types::PointOutput;
 use forecast::{RollingError, RollingErrorState};
 use oneshotstl::{
-    IncrementalSolver, LaneTrials, OneShotStl, OneShotStlState, ResidualScorer,
-    ResidualScorerState, ScoreVerdict, StdAnomalyDetector, UpdateScratch,
+    IncrementalSolver, OneShotStl, OneShotStlState, ResidualScorer, ResidualScorerState,
+    StdAnomalyDetector, UpdateScratch,
 };
 use tskit::period::detect_period;
-use tskit::series::DecompPoint;
 
 /// The trial scratch every live series on a shard shares (see
 /// [`oneshotstl::UpdateScratch`]): one hot buffer per worker thread
@@ -333,7 +332,34 @@ impl SeriesState {
             SeriesState::Live(live) => {
                 // the detector's own NSigma owns the threshold rule
                 let (point, verdict) = live.detector.update_scored_with(value, scratch);
-                self.finish_live(value, point, verdict)
+                // a non-finite decomposition means the detector state is
+                // numerically wrecked (warm-up imputes non-finite inputs,
+                // so this is state corruption, not a bad input): quarantine
+                // the series instead of letting every later score be NaN
+                if !point.trend.is_finite()
+                    || !point.seasonal.is_finite()
+                    || !point.residual.is_finite()
+                {
+                    *self = SeriesState::Quarantined {
+                        cause: QuarantineCause::NonFinite,
+                        dropped: 1,
+                    };
+                    return StepOutcome::Output(PointOutput::Quarantined);
+                }
+                // backend dispatch: the selected backend's verdict
+                // *replaces* the fused scorer's (an Ensemble backend
+                // folds the fused verdict back in as one of its channels)
+                let (score, mut is_anomaly) = match &mut live.backend {
+                    Some(b) => b.observe(&point, &verdict),
+                    None => (verdict.score, verdict.is_anomaly),
+                };
+                // forecast head: score the realized value against the
+                // pending one-step forecast, issue the next one, and
+                // (optionally) fuse a model-drift alarm into the verdict
+                if let Some(f) = &mut live.forecast {
+                    is_anomaly |= f.observe(value, &live.detector.decomposer);
+                }
+                StepOutcome::Output(PointOutput::Scored { point, score, is_anomaly })
             }
             SeriesState::Warming(w) => {
                 // impute non-finite values with the last buffered one (or
@@ -397,61 +423,6 @@ impl SeriesState {
                 StepOutcome::Output(PointOutput::Warming { buffered, needed: w.needed(config) })
             }
         }
-    }
-
-    /// [`Self::step`] for a live series whose decomposition ran as lane
-    /// `lane` of a grouped update ([`oneshotstl::OneShotStl::begin_lanes`]
-    /// over `scratch`): commits the lane, then runs the same live tail.
-    pub fn finish_lane(
-        &mut self,
-        value: f64,
-        trials: &LaneTrials,
-        lane: usize,
-        scratch: &mut SharedScratch,
-    ) -> StepOutcome {
-        let SeriesState::Live(live) = self else {
-            panic!("finish_lane on a series that is not live");
-        };
-        let (point, verdict) = live.detector.finish_lane_scored(trials, lane, scratch);
-        self.finish_live(value, point, verdict)
-    }
-
-    /// The live tail of one scored point: non-finite quarantine, backend
-    /// dispatch, and the forecast head.
-    fn finish_live(
-        &mut self,
-        value: f64,
-        point: DecompPoint,
-        verdict: ScoreVerdict,
-    ) -> StepOutcome {
-        let SeriesState::Live(live) = self else {
-            unreachable!("finish_live called on a non-live series");
-        };
-        // a non-finite decomposition means the detector state is
-        // numerically wrecked (warm-up imputes non-finite inputs, so this
-        // is state corruption, not a bad input): quarantine the series
-        // instead of letting every later score be NaN
-        if !point.trend.is_finite()
-            || !point.seasonal.is_finite()
-            || !point.residual.is_finite()
-        {
-            *self = SeriesState::Quarantined { cause: QuarantineCause::NonFinite, dropped: 1 };
-            return StepOutcome::Output(PointOutput::Quarantined);
-        }
-        // backend dispatch: the selected backend's verdict *replaces* the
-        // fused scorer's (an Ensemble backend folds the fused verdict back
-        // in as one of its channels)
-        let (score, mut is_anomaly) = match &mut live.backend {
-            Some(b) => b.observe(&point, &verdict),
-            None => (verdict.score, verdict.is_anomaly),
-        };
-        // forecast head: score the realized value against the pending
-        // one-step forecast, issue the next one, and (optionally) fuse a
-        // model-drift alarm into the verdict
-        if let Some(f) = &mut live.forecast {
-            is_anomaly |= f.observe(value, &live.detector.decomposer);
-        }
-        StepOutcome::Output(PointOutput::Scored { point, score, is_anomaly })
     }
 
     /// Promotes a warming series: initializes a detector on the whole
