@@ -18,9 +18,10 @@
 //!
 //! Results go to `BENCH_fleet.json` as a `"scale"` section, plus a
 //! markdown report under `target/experiments/`. `--smoke` shrinks the
-//! target to a seconds-long CI gate; the full run admits 1M series.
+//! target to a seconds-long CI gate and writes its JSON under
+//! `target/experiments/`; the full run admits 1M series.
 
-use benchkit::{fmt_duration, Experiment};
+use benchkit::{fmt_duration, write_bench_json, Experiment};
 use fleet::{FleetConfig, FleetEngine, PeriodPolicy, Record, SeriesKey};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -229,8 +230,8 @@ fn main() {
     let _ = write!(scale, "  }}");
 
     let json = format!("{{\n  \"scale\": {scale}\n}}\n");
-    std::fs::write("BENCH_fleet.json", json).expect("writing BENCH_fleet.json");
-    eprintln!("[fleet_scale] wrote BENCH_fleet.json");
+    let path = write_bench_json("BENCH_fleet.json", &json, smoke);
+    eprintln!("[fleet_scale] wrote {}", path.display());
 
     // markdown report
     let mut report = Experiment::new("fleet_scale", "Fleet scale via the cold tier");

@@ -24,12 +24,13 @@
 //!    is warmed to fully-live with forecast heads enabled, then timed on
 //!    batched `forecast(keys, 24)` calls and single-key `forecast_one`.
 //!
-//! Emits `BENCH_forecast.json` in the working directory (every mode) and
-//! a markdown report under `target/experiments/`. `--smoke` is the CI
-//! quality gate: it **fails the process** when the undamped STL forecast
-//! loses to seasonal-naive on h = 1 sMAPE over the seasonal family.
+//! Emits `BENCH_forecast.json` in the working directory (under
+//! `target/experiments/` with `--smoke`) and a markdown report under
+//! `target/experiments/`. `--smoke` is the CI quality gate: it **fails
+//! the process** when the undamped STL forecast loses to seasonal-naive
+//! on h = 1 sMAPE over the seasonal family.
 
-use benchkit::{Cli, Experiment};
+use benchkit::{write_bench_json, Cli, Experiment};
 use fleet::{FleetConfig, FleetEngine, ForecastOptions, PeriodPolicy, Record, SeriesKey};
 use forecast::heads::StlForecaster;
 use forecast::naive::{Naive, SeasonalNaive};
@@ -327,8 +328,8 @@ fn main() {
         latency.single_call_us
     );
     let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_forecast.json", &json).expect("writing BENCH_forecast.json");
-    eprintln!("[forecast_bench] wrote BENCH_forecast.json");
+    let path = write_bench_json("BENCH_forecast.json", &json, smoke);
+    eprintln!("[forecast_bench] wrote {}", path.display());
 
     let mut report =
         Experiment::new("forecast_bench", "Multi-horizon forecast quality + fleet latency");

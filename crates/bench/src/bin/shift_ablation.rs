@@ -17,17 +17,14 @@
 //! question).
 //!
 //! Modes: the default run emits `BENCH_shift_ablation.json` plus a
-//! markdown report under `target/experiments/`; `--smoke` is the CI
-//! gate — a reduced sweep that **fails the process** when the default
-//! pruned policy regresses (MAE gap vs full search > 1%, or more than
-//! `k + 1` trials per flagged point).
+//! markdown report under `target/experiments/`; `--smoke` writes its JSON
+//! there too and is the CI gate — a reduced sweep that **fails the
+//! process** when the default pruned policy regresses (MAE gap vs full
+//! search > 1%, or more than `k + 1` trials per flagged point).
 
-use benchkit::{Cli, Experiment};
+use benchkit::{write_bench_json, Cli, Experiment};
 use decomp::traits::OnlineDecomposer;
-use oneshotstl::{
-    OneShotStl, OneShotStlConfig, OneShotStlState, ShiftSearchConfig, SolverState,
-    DEFAULT_SHIFT_TOP_K,
-};
+use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftSearchConfig, DEFAULT_SHIFT_TOP_K};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -79,7 +76,8 @@ struct RunOut {
     trials: u64,
     /// Nanoseconds per online update.
     ns_per_update: f64,
-    /// Per-series state footprint (serialized f64/u64 payload words × 8).
+    /// Per-series state footprint: the encoded snapshot size
+    /// ([`OneShotStl::state_bytes`]).
     state_bytes: usize,
 }
 
@@ -107,22 +105,8 @@ fn run(values: &[f64], clean: &[f64], cfg: OneShotStlConfig) -> RunOut {
         searches,
         trials,
         ns_per_update: elapsed / (values.len() - init) as f64,
-        state_bytes: state_bytes(&m.to_state()),
+        state_bytes: m.state_bytes(),
     }
-}
-
-/// Serialized size of the per-series numeric state (the footprint the
-/// `iters` ablation trades against accuracy): 8 bytes per f64/u64 word.
-fn state_bytes(st: &OneShotStlState) -> usize {
-    let mut words = st.v.len() + 2 + 2; // v, y_hist, u_hist
-    for it in &st.iters {
-        words += 6; // pw/qw/tau histories
-        words += match &it.solver {
-            SolverState::Warmup { y, u, pw, qw } => y.len() + u.len() + pw.len() + qw.len(),
-            SolverState::Steady { lo, dd, zo, .. } => 1 + lo.len() + dd.len() + zo.len(),
-        };
-    }
-    (words + 4) * 8 // + NSigma running stats
 }
 
 struct PolicyRow {
@@ -282,9 +266,8 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_shift_ablation.json", &json)
-        .expect("writing BENCH_shift_ablation.json");
-    eprintln!("[shift_ablation] wrote BENCH_shift_ablation.json");
+    let path = write_bench_json("BENCH_shift_ablation.json", &json, smoke);
+    eprintln!("[shift_ablation] wrote {}", path.display());
 
     let mut report = Experiment::new("shift_ablation", "Two-stage shift search ablation");
     report.table(

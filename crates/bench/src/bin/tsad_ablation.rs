@@ -31,15 +31,16 @@
 //! that configuration.
 //!
 //! Modes: the default run emits `BENCH_tsad.json` plus a markdown report
-//! under `target/experiments/`; `--smoke` is the CI quality gate — it
-//! **fails the process** when the shipped [`ScoreConfig::default`] scores
-//! below 0.70 VUS-ROC on the wandering-trend family or regresses the ECG
-//! family by more than 1% against the pre-CUSUM (`Fusion::Off`) baseline
-//! under the same protocol, and when the ensemble backend
-//! (`max(fused, trend)`) scores below 0.75 on the wandering-trend family
-//! or loses more than 1% to the fused scorer on IOPS or ECG.
+//! under `target/experiments/`; `--smoke` writes its JSON there too and
+//! is the CI quality gate — it **fails the process** when the shipped
+//! [`ScoreConfig::default`] scores below 0.70 VUS-ROC on the
+//! wandering-trend family or regresses the ECG family by more than 1%
+//! against the pre-CUSUM (`Fusion::Off`) baseline under the same
+//! protocol, and when the ensemble backend (`max(fused, trend)`) scores
+//! below 0.75 on the wandering-trend family or loses more than 1% to the
+//! fused scorer on IOPS or ECG.
 
-use benchkit::{Cli, Experiment};
+use benchkit::{write_bench_json, Cli, Experiment};
 use decomp::traits::OnlineDecomposer;
 use fleet::{BackendSelect, SeriesBackend};
 use oneshotstl::system::Lambdas;
@@ -375,8 +376,8 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_tsad.json", &json).expect("writing BENCH_tsad.json");
-    eprintln!("[tsad_ablation] wrote BENCH_tsad.json");
+    let path = write_bench_json("BENCH_tsad.json", &json, smoke);
+    eprintln!("[tsad_ablation] wrote {}", path.display());
 
     let mut report =
         Experiment::new("tsad_ablation", "Persistence-aware residual scoring ablation");

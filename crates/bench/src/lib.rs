@@ -24,7 +24,7 @@ pub mod methods;
 pub mod paper;
 pub mod report;
 
-pub use report::{fmt3, fmt_duration, Experiment};
+pub use report::{fmt3, fmt_duration, write_bench_json, Experiment};
 
 /// Parses the common CLI flags shared by all experiment binaries.
 #[derive(Debug, Clone, Copy)]

@@ -28,6 +28,19 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// Writes the `BENCH_*.json` record `file` and returns its path: into the
+/// working directory for a full run, under [`Experiment::dir`] for a
+/// `--smoke` run, so a quick gate run never overwrites a committed
+/// full-run record.
+pub fn write_bench_json(file: &str, json: &str, smoke: bool) -> PathBuf {
+    let path = if smoke { Experiment::dir().join(file) } else { PathBuf::from(file) };
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    path
+}
+
 /// A named experiment report that accumulates sections and tables.
 pub struct Experiment {
     name: String,

@@ -413,20 +413,24 @@ impl OneShotStl {
         })
     }
 
-    /// Estimated serialized footprint of [`OneShotStl::to_state`] in bytes
-    /// under the exact-precision (plain `f64`) snapshot layout. Computed
-    /// from the seasonal-buffer length and solver phase without
-    /// materialising the state, so the cost is constant per call (the
-    /// IRLS iteration count is a small config constant). Capacity planning
-    /// for per-node fleets keys off this number; compressed codecs shrink
-    /// the vector payloads but keep the same structure.
+    /// Encoded size in bytes of [`OneShotStl::to_state`] under the fleet
+    /// snapshot codec (`fleet::codec` pins the two equal). Computed from
+    /// the seasonal-buffer length, shift-search policy and solver phase
+    /// without materialising the state, so the cost is constant per call
+    /// (the IRLS iteration count is a small config constant). Capacity
+    /// planning for per-node fleets keys off this number.
     pub fn state_bytes(&self) -> usize {
+        // shift search: tag, plus a u32 k for TopK
+        let search = match self.config.shift_search.prune {
+            ShiftPrune::Off => 1,
+            ShiftPrune::TopK(_) => 5,
+        };
         // config block: 6 × f64 + 2 × u32 + policy/init tags + shift search
-        let config = 6 * 8 + 2 * 4 + 2 + 5;
+        let config = 6 * 8 + 2 * 4 + 2 + search;
         // period, t, m, shift
         let scalars = 4 * 8;
-        // length-prefixed (tag + u32) f64 vector
-        let vec_f64 = |n: usize| 5 + 8 * n;
+        // u64-length-prefixed f64 vector
+        let vec_f64 = |n: usize| 8 + 8 * n;
         let seasonal = vec_f64(self.v.len());
         let hists = 2 * 16;
         let iters: usize = self
@@ -434,8 +438,8 @@ impl OneShotStl {
             .iter()
             .map(|st| {
                 let solver = match &st.solver {
-                    // steady: tag + step count + 8×4 L window + D + z
-                    IncrementalSolver::Steady(_) => 9 + vec_f64(32) + 2 * vec_f64(4),
+                    // steady: tag + step count + 10 L band cells + D + z
+                    IncrementalSolver::Steady(_) => 9 + vec_f64(10) + 2 * vec_f64(4),
                     // warmup: tag + four vectors of one value per step
                     IncrementalSolver::Warmup { .. } => 1 + 4 * vec_f64(st.solver.len()),
                 };

@@ -10,10 +10,9 @@
 //! from `A[k.., k]` and the columns left of `k`, only the last 6 columns of
 //! `L`, `D` need (re)computation. The state carried between steps is:
 //!
-//! - `lo`: the `8×4` window `L[2M−8 … 2M−1, 2M−8 … 2M−5]` (rows × finalized
-//!   columns). The next step reads only 10 of its cells: rows 4–7 where
-//!   row > col and row − col ≤ 4 (half-bandwidth 4). Rows 0–3 are carried
-//!   for the snapshot codec only,
+//! - `lo`: the 10 cells of the `8×4` window `L[2M−8 … 2M−1, 2M−8 … 2M−5]`
+//!   (rows × finalized columns) that the next step reads: rows 4–7 where
+//!   row > col and row − col ≤ 4 (half-bandwidth 4), listed in [`BAND`],
 //! - `dd`: `D[2M−8 … 2M−5]`,
 //! - `zo`: the forward-substituted rhs `z = L⁻¹ b` at the same 4 indices.
 //!
@@ -39,6 +38,13 @@
 use crate::system::{assemble_block_steady, assemble_full, SystemData, TailBlock, TailData};
 use tskit::error::TsError;
 
+/// The `(row, col)` cells of the `8×4` `L` window that the next step
+/// reads, in the order [`SolverState::Steady`] stores them: rows 4–7 with
+/// row > col and row − col ≤ 4. The other 22 cells are either unit
+/// diagonal, structurally zero, or never read again.
+pub const BAND: [(usize, usize); 10] =
+    [(4, 0), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3)];
+
 /// Plain-data snapshot of an [`IncrementalSolver`] (see `fleet::codec`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolverState {
@@ -57,12 +63,12 @@ pub enum SolverState {
     Steady {
         /// Points processed so far.
         m: u64,
-        /// `L` window, row-major `8×4` (32 values).
-        lo: Vec<f64>,
-        /// `D` window (4 values).
-        dd: Vec<f64>,
-        /// `z` window (4 values).
-        zo: Vec<f64>,
+        /// The [`BAND`] cells of the `L` window.
+        lo: [f64; 10],
+        /// `D` window.
+        dd: [f64; 4],
+        /// `z` window.
+        zo: [f64; 4],
     },
 }
 
@@ -70,10 +76,6 @@ pub enum SolverState {
 ///
 /// Feed one [`TailData`] per online point via [`IncrementalSolver::step`];
 /// it returns the exact `(τ_t, s_t)` of the growing system's solution.
-// the Steady window (41 f64s, Copy) intentionally dwarfs the transient
-// Warmup variant: boxing it would put the O(1) per-update state behind a
-// pointer on the hot path
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum IncrementalSolver {
     /// Steps `M ≤ 4`: keep full (tiny) histories and solve directly.
@@ -96,8 +98,8 @@ pub enum IncrementalSolver {
 pub struct Window {
     /// Number of online points processed.
     m: usize,
-    /// `L[2M−8 … 2M−1, 2M−8 … 2M−5]`, row-major.
-    lo: [[f64; 4]; 8],
+    /// The [`BAND`] cells of `L[2M−8 … 2M−1, 2M−8 … 2M−5]`.
+    lo: [f64; 10],
     /// `D[2M−8 … 2M−5]`.
     dd: [f64; 4],
     /// `z[2M−8 … 2M−5]` where `z = L⁻¹ b`.
@@ -144,12 +146,9 @@ impl IncrementalSolver {
                 pw: pw.clone(),
                 qw: qw.clone(),
             },
-            IncrementalSolver::Steady(w) => SolverState::Steady {
-                m: w.m as u64,
-                lo: w.lo.iter().flatten().copied().collect(),
-                dd: w.dd.to_vec(),
-                zo: w.zo.to_vec(),
-            },
+            IncrementalSolver::Steady(w) => {
+                SolverState::Steady { m: w.m as u64, lo: w.lo, dd: w.dd, zo: w.zo }
+            }
         }
     }
 
@@ -173,20 +172,13 @@ impl IncrementalSolver {
                 Ok(IncrementalSolver::Warmup { y, u, pw, qw })
             }
             SolverState::Steady { m, lo, dd, zo } => {
-                if lo.len() != 32 || dd.len() != 4 || zo.len() != 4 || m < 4 {
+                if m < 4 {
                     return Err(TsError::InvalidParam {
                         name: "SolverState::Steady",
-                        msg: "malformed window state".into(),
+                        msg: "window state before step 4".into(),
                     });
                 }
-                let mut w =
-                    Window { m: m as usize, lo: [[0.0; 4]; 8], dd: [0.0; 4], zo: [0.0; 4] };
-                for (r, row) in w.lo.iter_mut().enumerate() {
-                    row.copy_from_slice(&lo[4 * r..4 * r + 4]);
-                }
-                w.dd.copy_from_slice(&dd);
-                w.zo.copy_from_slice(&zo);
-                Ok(IncrementalSolver::Steady(w))
+                Ok(IncrementalSolver::Steady(Window { m: m as usize, lo, dd, zo }))
             }
         }
     }
@@ -219,16 +211,10 @@ impl IncrementalSolver {
                 let x = f.solve(&b);
                 let (tau, s) = (x[2 * m - 2], x[2 * m - 1]);
                 if m == 4 {
-                    // extract the window state: rows 0..8, cols 0..4 of L
+                    // extract the window state: the band cells of rows
+                    // 0..8, cols 0..4 of L
                     let z = f.forward(&b);
-                    let mut lo = [[0.0; 4]; 8];
-                    for (r, row) in lo.iter_mut().enumerate() {
-                        for (c, v) in row.iter_mut().enumerate() {
-                            if r >= c {
-                                *v = f.l.get(r, c);
-                            }
-                        }
-                    }
+                    let lo = BAND.map(|(r, c)| f.l.get(r, c));
                     let mut dd = [0.0; 4];
                     let mut zo = [0.0; 4];
                     dd.copy_from_slice(&f.d[0..4]);
@@ -292,7 +278,7 @@ macro_rules! unroll {
 
 impl Window {
     /// A placeholder the step kernel overwrites whole.
-    const EMPTY: Window = Window { m: 0, lo: [[0.0; 4]; 8], dd: [0.0; 4], zo: [0.0; 4] };
+    const EMPTY: Window = Window { m: 0, lo: [0.0; 10], dd: [0.0; 4], zo: [0.0; 4] };
 
     /// One `O(1)` factorization + solve step (Algorithm 4) from `self`
     /// into `dst`. `block` is the trailing 6×6 system block for the new
@@ -301,17 +287,17 @@ impl Window {
     fn step(&self, dst: &mut Window, block: &TailBlock) -> (f64, f64) {
         debug_assert_eq!(block.dim, 6, "steady state requires full 6x6 blocks");
         // local window covers global unknowns 2M-10 .. 2M-1 (M = new count);
-        // previous state occupies locals 0..8 (rows) x 0..4 (cols). Every
-        // index below is a constant (the loops are unrolled), so the
-        // working triangle lives in registers and on the stack: its
-        // structurally-zero cells fold away instead of being stored.
+        // the previous state's band lies in locals 4..8 (rows) x 0..4
+        // (cols). Every index below is a constant (the loops are
+        // unrolled), so the working triangle lives in registers and on the
+        // stack: its structurally-zero cells fold away instead of being
+        // stored.
         let mut l = [0.0f64; 100];
         let mut d = [0.0f64; 10];
         let mut z = [0.0f64; 10];
-        unroll!(r in [0, 1, 2, 3, 4, 5, 6, 7] {
-            unroll!(c in [0, 1, 2, 3] {
-                l[10 * r + c] = self.lo[r][c];
-            });
+        unroll!(i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
+            let (r, c) = BAND[i];
+            l[10 * r + c] = self.lo[i];
         });
         unroll!(i in [0, 1, 2, 3] {
             d[i] = self.dd[i];
@@ -331,10 +317,9 @@ impl Window {
         let x8 = z[8] / d[8] - l[9 * 10 + 8] * x9;
         // slide the window by one time point (two unknowns)
         dst.m = self.m + 1;
-        unroll!(r in [0, 1, 2, 3, 4, 5, 6, 7] {
-            unroll!(c in [0, 1, 2, 3] {
-                dst.lo[r][c] = l[10 * (r + 2) + c + 2];
-            });
+        unroll!(i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
+            let (r, c) = BAND[i];
+            dst.lo[i] = l[10 * (r + 2) + c + 2];
         });
         unroll!(i in [0, 1, 2, 3] {
             dst.dd[i] = d[i + 2];
@@ -534,7 +519,8 @@ mod tests {
     #[test]
     fn state_size_is_constant() {
         // the steady-state struct is Copy with fixed arrays — compile-time
-        // guarantee of O(1) memory; this test just pins the size.
-        assert!(std::mem::size_of::<Window>() <= (8 * 4 + 4 + 4 + 2) * 8 + 16);
+        // guarantee of O(1) memory; this test pins the size: the step
+        // count plus 10 band cells, D and z
+        assert_eq!(std::mem::size_of::<Window>(), 19 * 8);
     }
 }

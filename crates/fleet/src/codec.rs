@@ -17,11 +17,14 @@
 //! current and the previous one, and anything else is
 //! [`CodecError::UnsupportedVersion`]. A previous-version image is
 //! rewritten as the current version by its next snapshot. One decoder
-//! reads both: a new version never reuses a tag, so the only
-//! version-dependent code is the version-window check. v11 retired the
-//! DAMP and three-channel ensemble backends: their tags (backend select
-//! `1`/`3`, backend state `0`/`2`) are refused as invalid, and the
-//! two-channel ensemble took the fresh tags select `4` / state `3`.
+//! reads both: a new version never reuses a tag or a length, so the only
+//! version-dependent code is the version-window check. v12 stores the 10
+//! band cells of each steady solver's `L` window where v11 stored all 32;
+//! the `u64` length prefix tells the two apart, and a v11 window gives up
+//! its band cells ([`BAND`]). v11 retired the DAMP and three-channel
+//! ensemble backends: their tags (backend select `1`/`3`, backend state
+//! `0`/`2`) are refused as invalid, and the two-channel ensemble took the
+//! fresh tags select `4` / state `3`.
 
 use crate::backend::{BackendSelect, BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy};
@@ -32,6 +35,7 @@ use crate::shard::SeriesSnapshot;
 use crate::types::SeriesKey;
 use crate::{FleetConfig, PeriodPolicy};
 use oneshotstl::oneshot::InitMethod;
+use oneshotstl::online_doolittle::BAND;
 use oneshotstl::system::Lambdas;
 use oneshotstl::{
     Fusion, IterSnapshot, NSigmaState, OneShotStlConfig, OneShotStlState, ResidualScorerState,
@@ -39,9 +43,8 @@ use oneshotstl::{
 };
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
-// v11: v10 minus the DAMP and three-channel ensemble backend tags, plus
-//      the two-channel ensemble under fresh tags.
-pub(crate) const VERSION: u16 = 11;
+// v12: v11 with 10 band cells, not 32, in each steady solver's `L` window.
+pub(crate) const VERSION: u16 = 12;
 const KIND_FULL: u8 = 0;
 const KIND_DELTA: u8 = 1;
 
@@ -798,14 +801,29 @@ fn decode_solver(r: &mut Reader<'_>) -> Result<SolverState, CodecError> {
             pw: r.vec_f64()?,
             qw: r.vec_f64()?,
         }),
-        1 => Ok(SolverState::Steady {
-            m: r.u64()?,
-            lo: r.vec_f64()?,
-            dd: r.vec_f64()?,
-            zo: r.vec_f64()?,
-        }),
+        1 => {
+            let m = r.u64()?;
+            let lo = match r.u64()? {
+                10 => r.f64_array()?,
+                // v11 carried the whole row-major 8×4 window
+                32 => {
+                    let full: [f64; 32] = r.f64_array()?;
+                    BAND.map(|(row, col)| full[4 * row + col])
+                }
+                _ => return Err(CodecError::Invalid("solver L window length")),
+            };
+            Ok(SolverState::Steady { m, lo, dd: solver_window(r)?, zo: solver_window(r)? })
+        }
         _ => Err(CodecError::Invalid("solver state tag")),
     }
+}
+
+/// A length-prefixed `D` or `z` window of a steady solver: exactly 4 values.
+fn solver_window(r: &mut Reader<'_>) -> Result<[f64; 4], CodecError> {
+    if r.u64()? != 4 {
+        return Err(CodecError::Invalid("solver window length"));
+    }
+    r.f64_array()
 }
 
 fn encode_nsigma(w: &mut Writer, s: &NSigmaState) {
@@ -999,6 +1017,14 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::Invalid("utf-8 string"))
     }
+    /// `N` bare `f64`s (the caller has read and checked any length).
+    fn f64_array<const N: usize>(&mut self) -> Result<[f64; N], CodecError> {
+        let mut out = [0.0; N];
+        for v in &mut out {
+            *v = self.f64()?;
+        }
+        Ok(out)
+    }
     fn vec_f64(&mut self) -> Result<Vec<f64>, CodecError> {
         let n = self.u64()? as usize;
         let raw = self.take(n.checked_mul(8).ok_or(CodecError::Truncated)?)?;
@@ -1012,6 +1038,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decomp::traits::OnlineDecomposer;
 
     fn sample_snapshot() -> FleetSnapshot {
         // a value with a messy bit pattern to catch any lossy encode
@@ -1308,9 +1335,9 @@ mod tests {
             .collect()
     }
 
-    /// [`encode`] of [`sample_snapshot`] by the v10 writer.
-    const V10_SAMPLE_HEX: &str = concat!(
-        "4f5353544c464c540a0000040000000300000000180000000000000000000014400000011000",
+    /// [`encode`] of [`sample_snapshot`] by the v11 writer.
+    const V11_SAMPLE_HEX: &str = concat!(
+        "4f5353544c464c540b0000040000000300000000180000000000000000000014400000011000",
         "0000000000000100000000000059400000000000005940000000000000f03f08000000140000",
         "00000000000000144000000000000000e03f00bbbdd7d9df7cdb3d0104000000020000000000",
         "00e03f0000000000001840ae47e17a14aeef3f01cdccccccccccec3f20000000010000000000",
@@ -1324,10 +1351,11 @@ mod tests {
         "001840ae47e17a14aeef3f0400000064656164070000000000000002",
     );
 
-    /// [`encode_series_blob`] of [`sample_live_series`] by the v10 writer:
-    /// what a v10 build left in its cold tier.
-    const V10_LIVE_BLOB_HEX: &str = concat!(
-        "0a00040000006c6976653c000000000000000100000000000059400000000000005940000000",
+    /// [`encode_series_blob`] of [`sample_live_series`] by the v11 writer:
+    /// what a v11 build left in its cold tier. Its steady solvers carry
+    /// the whole 32-cell `L` window.
+    const V11_LIVE_BLOB_HEX: &str = concat!(
+        "0b00040000006c6976653c000000000000000100000000000059400000000000005940000000",
         "000000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb",
         "3d01040000000c00000000000000600000000000000030000000000000000000000000000000",
         "0c00000000000000a975fb3e06eef53e41479d892a00e03f0909deaea4b6eb3f067ee5fa1c00",
@@ -1457,8 +1485,9 @@ mod tests {
     }
 
     /// Cold-tier series blobs round-trip bit-identically, a blob spilled
-    /// by the previous (v10) build rehydrates to the same series, and
-    /// corrupted blobs are rejected with typed errors.
+    /// by the previous (v11) build rehydrates to the same series and
+    /// rewrites as this build's encoding of it, and corrupted blobs are
+    /// rejected with typed errors.
     #[test]
     fn series_blob_roundtrips_exactly() {
         let mut snap = sample_snapshot();
@@ -1478,24 +1507,130 @@ mod tests {
             Err(CodecError::UnsupportedVersion(_))
         ));
 
-        let v10 = unhex(V10_LIVE_BLOB_HEX);
-        assert_eq!(u16::from_le_bytes([v10[0], v10[1]]), 10);
-        assert_eq!(decode_series_blob(&v10).unwrap(), sample_live_series());
+        let v11 = unhex(V11_LIVE_BLOB_HEX);
+        assert_eq!(u16::from_le_bytes([v11[0], v11[1]]), 11);
+        let back = decode_series_blob(&v11).unwrap();
+        assert_eq!(back, sample_live_series());
+        let v12 = encode_series_blob(&back);
+        assert_eq!(v12, encode_series_blob(&sample_live_series()));
+        // 8 steady solvers, each 22 L cells smaller
+        assert_eq!(v11.len() - v12.len(), 8 * 22 * 8);
     }
 
-    /// A v10 image decodes to what its writer held and rewrites as v11
-    /// byte for byte apart from the version: the sample's trend-CUSUM
-    /// selections kept their v10 tags.
+    /// A v11 image decodes to what its writer held and rewrites as this
+    /// build's encoding of the same state.
     #[test]
-    fn v10_snapshots_decode_and_rewrite_as_v11() {
-        let v10 = unhex(V10_SAMPLE_HEX);
-        assert_eq!(u16::from_le_bytes([v10[8], v10[9]]), 10);
-        let back = decode(&v10).expect("the previous version stays readable");
+    fn v11_snapshots_decode_and_rewrite_as_v12() {
+        let v11 = unhex(V11_SAMPLE_HEX);
+        assert_eq!(u16::from_le_bytes([v11[8], v11[9]]), 11);
+        let back = decode(&v11).expect("the previous version stays readable");
         assert_eq!(back, sample_snapshot());
-        let v11 = encode(&back);
-        assert_eq!(u16::from_le_bytes([v11[8], v11[9]]), VERSION);
-        assert_eq!((&v11[..8], &v11[10..]), (&v10[..8], &v10[10..]));
-        assert_eq!(decode(&v11).unwrap(), back);
+        let v12 = encode(&back);
+        assert_eq!(u16::from_le_bytes([v12[8], v12[9]]), VERSION);
+        assert_eq!(v12, encode(&sample_snapshot()));
+        assert_eq!(decode(&v12).unwrap(), back);
+    }
+
+    /// The 22 cells of a v11 steady solver's `L` window outside [`BAND`]
+    /// are never read: overwritten with garbage, the blob decodes to the
+    /// same state and the restored model continues bit-identically.
+    #[test]
+    fn v11_dead_window_cells_are_ignored() {
+        let v11 = unhex(V11_LIVE_BLOB_HEX);
+        let intact = decode_series_blob(&v11).unwrap();
+        let PhaseSnapshot::Live { decomposer, .. } = &intact.phase else {
+            unreachable!("the sample series is live");
+        };
+        // each steady solver: tag 1, its step count m, a 32-cell window
+        let mut head = vec![1u8];
+        head.extend_from_slice(&decomposer.m.to_le_bytes());
+        head.extend_from_slice(&32u64.to_le_bytes());
+        let mut doctored = v11.clone();
+        let mut found = 0;
+        for at in 0..v11.len() - head.len() {
+            if v11[at..at + head.len()] != head[..] {
+                continue;
+            }
+            found += 1;
+            let cells = at + head.len();
+            for cell in (0..32).filter(|&i| !BAND.contains(&(i / 4, i % 4))) {
+                let garbage = f64::from_bits(0x7FF4_0000_DEAD_0000 + cell as u64);
+                doctored[cells + 8 * cell..cells + 8 * cell + 8]
+                    .copy_from_slice(&garbage.to_le_bytes());
+            }
+        }
+        assert_eq!(found, decomposer.iters.len(), "one window per IRLS iteration");
+        assert_ne!(doctored, v11);
+        let back = decode_series_blob(&doctored).unwrap();
+        assert_eq!(back, intact);
+
+        let PhaseSnapshot::Live { decomposer: garbled, .. } = back.phase else {
+            unreachable!("the sample series is live");
+        };
+        let mut a = oneshotstl::OneShotStl::from_state(decomposer.clone()).unwrap();
+        let mut b = oneshotstl::OneShotStl::from_state(garbled).unwrap();
+        for i in 0..48 {
+            let y = 1.5 + (i as f64 * 0.5).sin() + if i == 20 { 3.0 } else { 0.0 };
+            let (pa, pb) = (a.update(y), b.update(y));
+            assert_eq!(pa.trend.to_bits(), pb.trend.to_bits(), "i={i}");
+            assert_eq!(pa.seasonal.to_bits(), pb.seasonal.to_bits(), "i={i}");
+            assert_eq!(pa.residual.to_bits(), pb.residual.to_bits(), "i={i}");
+        }
+    }
+
+    /// A steady solver's `L` window is 10 cells (v12) or 32 (v11), and its
+    /// `D` and `z` windows 4 each; any other length is invalid.
+    #[test]
+    fn malformed_solver_windows_are_rejected() {
+        let image = |lo: usize, dd: usize| {
+            let mut w = Writer::default();
+            w.u8(1);
+            w.u64(9);
+            w.vec_f64(&vec![0.5; lo]);
+            w.vec_f64(&vec![1.0; dd]);
+            w.vec_f64(&[0.25; 4]);
+            w.buf
+        };
+        let read = |bytes: &[u8]| decode_solver(&mut Reader { data: bytes, pos: 0 });
+        assert!(matches!(read(&image(10, 4)), Ok(SolverState::Steady { m: 9, .. })));
+        assert!(read(&image(32, 4)).is_ok());
+        for lo in [0, 9, 11, 31, 33] {
+            assert_eq!(read(&image(lo, 4)), Err(CodecError::Invalid("solver L window length")));
+        }
+        for dd in [3, 5] {
+            assert_eq!(read(&image(10, dd)), Err(CodecError::Invalid("solver window length")));
+        }
+    }
+
+    /// [`OneShotStl::state_bytes`] is the exact encoded size of the
+    /// decomposer state: in warm-up, and in the steady phase under either
+    /// shift-search policy.
+    #[test]
+    fn state_bytes_matches_the_encoded_decomposer() {
+        let t = 24usize;
+        let y: Vec<f64> = (0..8 * t)
+            .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
+            .collect();
+        let encoded = |m: &oneshotstl::OneShotStl| {
+            let mut w = Writer::default();
+            encode_decomposer(&mut w, &m.to_state());
+            w.buf.len()
+        };
+        for (search, points) in [
+            (ShiftSearchConfig::default(), 2),
+            (ShiftSearchConfig::default(), 4 * t),
+            (ShiftSearchConfig::exhaustive(), 4 * t),
+        ] {
+            let cfg = OneShotStlConfig { shift_search: search, ..OneShotStlConfig::default() };
+            let mut m = oneshotstl::OneShotStl::new(cfg);
+            m.init(&y[..4 * t], t).unwrap();
+            for &v in &y[4 * t..4 * t + points] {
+                m.update(v);
+            }
+            let steady = matches!(m.to_state().iters[0].solver, SolverState::Steady { .. });
+            assert_eq!(steady, points > 3, "{search:?} after {points} points");
+            assert_eq!(m.state_bytes(), encoded(&m), "{search:?} after {points} points");
+        }
     }
 
     /// The delta chain-header parser reads `(prev_batches, batches)`
@@ -1655,7 +1790,7 @@ mod tests {
         wrong_version[8] = 0xEE;
         assert!(matches!(decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
         // only the current and the previous version are read
-        for old in [8u16, 9] {
+        for old in [9u16, 10] {
             let mut image = bytes.clone();
             image[8..10].copy_from_slice(&old.to_le_bytes());
             assert_eq!(decode(&image), Err(CodecError::UnsupportedVersion(old)));

@@ -673,25 +673,25 @@ fn huge_finite_values_keep_the_snapshot_restorable() {
 }
 
 /// Codec read-compatibility with the previous version, pinned at the
-/// *integration* level with a byte blob written by the v10 writer (not
-/// re-encoded by this build's writer): a v10 fleet snapshot — a live
+/// *integration* level with a byte blob written by the v11 writer (not
+/// re-encoded by this build's writer): a v11 fleet snapshot — a live
 /// series, a quarantined tombstone, the seven lifetime counters — must
 /// restore through the public API and continue scoring bit-identically
 /// to an uninterrupted detector fed the same stream. If the decoder's
 /// previous-version reads drift, this blob is the tripwire no unit-level
 /// round-trip can replace.
 #[test]
-fn pinned_v10_snapshot_blob_restores_and_continues_bit_identically() {
+fn pinned_v11_snapshot_blob_restores_and_continues_bit_identically() {
     use oneshotstl_suite::core::{
         OneShotStl, OneShotStlConfig, ScoreConfig, StdAnomalyDetector,
     };
 
-    // generated by the v10 writer: config fixed_period(12), clock 95,
+    // generated by the v11 writer: config fixed_period(12), clock 95,
     // batches 96, totals {1,2,300,4,5,6,7}, series "live" (t=12 sine, 96
     // points through init+update) and "q" (quarantined, cause Panic, 11
     // dropped)
-    const V10_BLOB_HEX: &str = concat!(
-        "4f5353544c464c540a00000400000003000000000c0000000000000000000014400000000000",
+    const V11_BLOB_HEX: &str = concat!(
+        "4f5353544c464c540b00000400000003000000000c0000000000000000000014400000000000",
         "000000000059400000000000005940000000000000f03f080000001400000000000000000014",
         "4000000000000000e03f00bbbdd7d9df7cdb3d010400000002000000000000e03f0000000000",
         "001840ae47e17a14aeef3f00000000000000f03f4000000000000000000000f83f00005f0000",
@@ -793,26 +793,33 @@ fn pinned_v10_snapshot_blob_restores_and_continues_bit_identically() {
         "00c96f060a9b34323f50914fcd8172443e00000000000000000000000000000000785c17c257",
         "b4394000000100000071050000000000000003010b00000000000000",
     );
-    let bytes: Vec<u8> = (0..V10_BLOB_HEX.len())
+    let bytes: Vec<u8> = (0..V11_BLOB_HEX.len())
         .step_by(2)
-        .map(|i| u8::from_str_radix(&V10_BLOB_HEX[i..i + 2], 16).unwrap())
+        .map(|i| u8::from_str_radix(&V11_BLOB_HEX[i..i + 2], 16).unwrap())
         .collect();
-    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 10);
+    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 11);
 
-    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v10 blob must decode");
+    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v11 blob must decode");
+    // upgrade-on-rewrite: re-snapshotted at once, the image is this
+    // build's encoding of the decoded state, 22 L-window cells smaller in
+    // each of the live series' 8 steady solvers
+    let rewritten = restored.snapshot_bytes().unwrap();
+    let decoded = oneshotstl_suite::fleet::codec::decode(&bytes).unwrap();
+    assert_eq!(rewritten, oneshotstl_suite::fleet::codec::encode(&decoded));
+    assert_eq!(bytes.len() - rewritten.len(), 8 * 22 * 8);
     let stats = restored.stats().unwrap();
     assert_eq!(stats.live, 1);
     assert_eq!(stats.quarantined, 1);
-    assert_eq!((stats.evicted, stats.admitted), (1, 2), "v10 lifetime counters carried");
+    assert_eq!((stats.evicted, stats.admitted), (1, 2), "v11 lifetime counters carried");
     assert_eq!((stats.points, stats.anomalies), (300, 4));
-    assert_eq!(stats.wal_retries, 5, "v10 health counters carried");
+    assert_eq!(stats.wal_retries, 5, "v11 health counters carried");
     assert_eq!(stats.shard_restarts, 6);
     assert_eq!(stats.undurable_batches, 7);
     assert_eq!(stats.cold_resident, 0, "the pinned image carries no cold state");
     assert_eq!((stats.spills, stats.rehydrations, stats.cold_errors), (0, 0, 0));
 
     // rebuild the blob's detector through the public API and continue the
-    // twin streams: the v10-restored engine must track it bit for bit
+    // twin streams: the v11-restored engine must track it bit for bit
     let t = 12usize;
     let y: Vec<f64> = (0..8 * t)
         .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
@@ -844,15 +851,15 @@ fn pinned_v10_snapshot_blob_restores_and_continues_bit_identically() {
         }
     }
 
-    // upgrade-on-rewrite: the v10 image re-snapshots as v11 and the copy
-    // continues in lockstep with the original
-    let v11_bytes = restored.snapshot_bytes().unwrap();
-    assert_eq!(u16::from_le_bytes([v11_bytes[8], v11_bytes[9]]), 11, "rewritten as v11");
-    let mut upgraded = FleetEngine::restore_bytes(&v11_bytes).unwrap();
+    // the v11-restored engine re-snapshots as v12 and the copy continues
+    // in lockstep with the original
+    let v12_bytes = restored.snapshot_bytes().unwrap();
+    assert_eq!(u16::from_le_bytes([v12_bytes[8], v12_bytes[9]]), 12, "rewritten as v12");
+    let mut upgraded = FleetEngine::restore_bytes(&v12_bytes).unwrap();
     for i in 0..t {
         let x = 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin();
         let a = restored.ingest_one("live", 200 + i as u64, x).unwrap();
         let b = upgraded.ingest_one("live", 200 + i as u64, x).unwrap();
-        assert_eq!(a.output, b.output, "v11 rewrite diverged at i={i}");
+        assert_eq!(a.output, b.output, "v12 rewrite diverged at i={i}");
     }
 }
