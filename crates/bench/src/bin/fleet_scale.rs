@@ -17,12 +17,14 @@
 //! the whole time — the cold tier is invisible to detector semantics.
 //!
 //! Results go to `BENCH_fleet.json` as a `"scale"` section, plus a
-//! markdown report under `target/experiments/`. `--smoke` shrinks the
+//! markdown report under `target/experiments/`. `--smoke` (or `--quick`) shrinks the
 //! target to a seconds-long CI gate and writes its JSON under
 //! `target/experiments/`; the full run admits 1M series.
 
-use benchkit::{fmt_duration, write_bench_json, Experiment};
+use benchkit::{fmt_duration, write_bench_json, Cli, Experiment};
+use fleet::series::PhaseSnapshot;
 use fleet::{FleetConfig, FleetEngine, PeriodPolicy, Record, SeriesKey};
+use oneshotstl::online_doolittle::SolverState;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -85,9 +87,9 @@ fn rss_mib() -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let quick = Cli::parse().quick;
     let (wave_series, waves, measure_every) =
-        if smoke { (6_000usize, 4u64, 1u64) } else { (25_000usize, 40u64, 8u64) };
+        if quick { (6_000usize, 4u64, 1u64) } else { (25_000usize, 40u64, 8u64) };
     let target = wave_series * waves as usize;
 
     let config = FleetConfig {
@@ -96,9 +98,10 @@ fn main() {
         spill_after: Some(SPILL_AFTER),
         ..Default::default()
     };
-    // a wave must be live (init_len points) and then observed idle past the
-    // spill threshold by the *next* wave's sweep
-    let wave_rounds = (config.init_len(PERIOD) + 2) as u64;
+    // a wave must be live (init_len points) with every IRLS solver past
+    // its warm-up (the 4th live update makes a solver steady), and then
+    // observed idle past the spill threshold by the *next* wave's sweep
+    let wave_rounds = (config.init_len(PERIOD) + 4) as u64;
     assert!(wave_rounds > SPILL_AFTER, "waves must outlast the spill threshold");
 
     let cold_dir =
@@ -165,9 +168,23 @@ fn main() {
         rows.push(row);
     }
 
-    // per-series snapshot footprint of the hot set
+    // per-series snapshot footprint of the hot set, priced on steady-state
+    // series: every hot solver must hold its constant-size window
     let live = engine.stats().expect("stats").live;
-    let bytes_exact = engine.snapshot_bytes().expect("snapshot").len() as f64 / live as f64;
+    let bytes = engine.snapshot_bytes().expect("snapshot");
+    let bytes_exact = bytes.len() as f64 / live as f64;
+    let steady = fleet::codec::decode(&bytes)
+        .expect("decode the final snapshot")
+        .series
+        .iter()
+        .filter(|s| match &s.phase {
+            PhaseSnapshot::Live { decomposer, .. } => {
+                decomposer.iters.iter().all(|i| matches!(i.solver, SolverState::Steady { .. }))
+            }
+            _ => false,
+        })
+        .count();
+    assert_eq!(steady, live, "every hot series' solvers are steady when priced");
 
     // touch the wave-0 probe: it spilled long ago and must rehydrate
     // through the normal shard path, scoring bit-identically to the twin
@@ -203,7 +220,7 @@ fn main() {
     let _ = writeln!(scale, "    \"waves\": {waves},");
     let _ = writeln!(scale, "    \"wave_series\": {wave_series},");
     let _ = writeln!(scale, "    \"shards\": {},", engine.shard_count());
-    let _ = writeln!(scale, "    \"smoke\": {smoke},");
+    let _ = writeln!(scale, "    \"quick\": {quick},");
     let _ = writeln!(scale, "    \"spills\": {},", post.spills);
     let _ = writeln!(scale, "    \"rehydrations\": {},", post.rehydrations);
     let _ = writeln!(scale, "    \"bytes_per_series_exact\": {bytes_exact:.1},");
@@ -230,7 +247,7 @@ fn main() {
     let _ = write!(scale, "  }}");
 
     let json = format!("{{\n  \"scale\": {scale}\n}}\n");
-    let path = write_bench_json("BENCH_fleet.json", &json, smoke);
+    let path = write_bench_json("BENCH_fleet.json", &json, quick);
     eprintln!("[fleet_scale] wrote {}", path.display());
 
     // markdown report

@@ -25,7 +25,7 @@
 //!    batched `forecast(keys, 24)` calls and single-key `forecast_one`.
 //!
 //! Emits `BENCH_forecast.json` in the working directory (under
-//! `target/experiments/` with `--smoke`) and a markdown report under
+//! `target/experiments/` with `--quick`/`--smoke`) and a markdown report under
 //! `target/experiments/`. `--smoke` is the CI quality gate: it **fails
 //! the process** when the undamped STL forecast loses to seasonal-naive
 //! on h = 1 sMAPE over the seasonal family.
@@ -237,8 +237,7 @@ fn fleet_latency(n_series: usize, shards: usize) -> LatencyStats {
 
 fn main() {
     let cli = Cli::parse();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let quick = cli.quick || smoke;
+    let quick = cli.quick;
 
     let (n_series, len) = if quick { (4, 12 * PERIOD) } else { (12, 24 * PERIOD) };
     let train_len = 6 * PERIOD;
@@ -328,7 +327,7 @@ fn main() {
         latency.single_call_us
     );
     let _ = writeln!(json, "}}");
-    let path = write_bench_json("BENCH_forecast.json", &json, smoke);
+    let path = write_bench_json("BENCH_forecast.json", &json, quick);
     eprintln!("[forecast_bench] wrote {}", path.display());
 
     let mut report =

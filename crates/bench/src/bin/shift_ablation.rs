@@ -17,8 +17,8 @@
 //! question).
 //!
 //! Modes: the default run emits `BENCH_shift_ablation.json` plus a
-//! markdown report under `target/experiments/`; `--smoke` writes its JSON
-//! there too and is the CI gate — a reduced sweep that **fails the
+//! markdown report under `target/experiments/`; `--quick`/`--smoke` writes
+//! its JSON there too and is the CI gate — a reduced sweep that **fails the
 //! process** when the default pruned policy regresses (MAE gap vs full
 //! search > 1%, or more than `k + 1` trials per flagged point).
 
@@ -120,8 +120,7 @@ struct PolicyRow {
 
 fn main() {
     let cli = Cli::parse();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let quick = cli.quick || smoke;
+    let quick = cli.quick;
     let n: usize = if quick { 1_800 } else { 6_000 };
     let fixtures: Vec<(u64, f64)> = if quick {
         vec![(1, 0.02), (2, 0.1)]
@@ -266,7 +265,7 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-    let path = write_bench_json("BENCH_shift_ablation.json", &json, smoke);
+    let path = write_bench_json("BENCH_shift_ablation.json", &json, quick);
     eprintln!("[shift_ablation] wrote {}", path.display());
 
     let mut report = Experiment::new("shift_ablation", "Two-stage shift search ablation");

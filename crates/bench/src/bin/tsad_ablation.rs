@@ -31,8 +31,8 @@
 //! that configuration.
 //!
 //! Modes: the default run emits `BENCH_tsad.json` plus a markdown report
-//! under `target/experiments/`; `--smoke` writes its JSON there too and
-//! is the CI quality gate — it **fails the process** when the shipped
+//! under `target/experiments/`; `--quick`/`--smoke` writes its JSON there
+//! too and is the CI quality gate — it **fails the process** when the shipped
 //! [`ScoreConfig::default`] scores below 0.70 VUS-ROC on the
 //! wandering-trend family or regresses the ECG family by more than 1%
 //! against the pre-CUSUM (`Fusion::Off`) baseline under the same
@@ -188,8 +188,7 @@ struct Row {
 
 fn main() {
     let cli = Cli::parse();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let quick = cli.quick || smoke;
+    let quick = cli.quick;
 
     // the wandering-trend target family is ALWAYS (IOPS, seeds 7 & 11):
     // that exact average is what the integration test and the CI gate pin
@@ -376,7 +375,7 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-    let path = write_bench_json("BENCH_tsad.json", &json, smoke);
+    let path = write_bench_json("BENCH_tsad.json", &json, quick);
     eprintln!("[tsad_ablation] wrote {}", path.display());
 
     let mut report =

@@ -26,32 +26,48 @@ pub mod report;
 
 pub use report::{fmt3, fmt_duration, write_bench_json, Experiment};
 
-/// Parses the common CLI flags shared by all experiment binaries.
-#[derive(Debug, Clone, Copy)]
+/// The common CLI flags shared by all experiment binaries.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cli {
-    /// Reduced workload for smoke testing.
+    /// Reduced workload (`--quick`, or `--smoke`, the CI gates' spelling).
+    /// A reduced run writes its JSON under `target/experiments/`, never
+    /// over a committed full-run `BENCH_*.json` ([`write_bench_json`]).
     pub quick: bool,
-    /// RNG seed for the synthetic workloads.
+    /// RNG seed for the synthetic workloads (`--seed N`).
     pub seed: u64,
 }
 
+/// What [`Cli::parse`] prints when it refuses the arguments.
+const USAGE: &str = "usage: <binary> [--quick] [--smoke] [--seed N]";
+
 impl Cli {
-    /// Reads flags from `std::env::args`.
+    /// Reads flags from `std::env::args`. An unknown flag or a bad
+    /// `--seed` exits with status 2 and a usage line, so a typo cannot
+    /// start a full run that rewrites a committed record.
     pub fn parse() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_args(&args).unwrap_or_else(|e| {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses an argument list (without the program name).
+    pub fn from_args(args: &[impl AsRef<str>]) -> Result<Self, String> {
         let mut cli = Cli { quick: false, seed: 42 };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.iter().map(AsRef::as_ref);
         while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => cli.quick = true,
+            match a {
+                "--quick" | "--smoke" => cli.quick = true,
                 "--seed" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        cli.seed = v;
-                    }
+                    let v = args.next().unwrap_or_default();
+                    cli.seed =
+                        v.parse().map_err(|_| format!("--seed needs an integer, got {v:?}"))?;
                 }
-                _ => {}
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        cli
+        Ok(cli)
     }
 }
 
@@ -61,8 +77,24 @@ mod tests {
 
     #[test]
     fn cli_defaults() {
-        let cli = Cli { quick: false, seed: 42 };
-        assert!(!cli.quick);
-        assert_eq!(cli.seed, 42);
+        let cli = Cli::from_args(&[] as &[&str]).unwrap();
+        assert_eq!(cli, Cli { quick: false, seed: 42 });
+    }
+
+    #[test]
+    fn cli_accepts_the_shared_flags() {
+        assert!(Cli::from_args(&["--quick"]).unwrap().quick);
+        assert!(
+            Cli::from_args(&["--smoke"]).unwrap().quick,
+            "--smoke runs the reduced workload"
+        );
+        assert_eq!(Cli::from_args(&["--seed", "7", "--quick"]).unwrap().seed, 7);
+    }
+
+    #[test]
+    fn cli_rejects_unknown_flags_and_bad_seeds() {
+        assert!(Cli::from_args(&["--smok"]).is_err());
+        assert!(Cli::from_args(&["--seed", "x"]).is_err());
+        assert!(Cli::from_args(&["--seed"]).is_err());
     }
 }

@@ -30,10 +30,10 @@ pub fn fmt_duration(d: Duration) -> String {
 
 /// Writes the `BENCH_*.json` record `file` and returns its path: into the
 /// working directory for a full run, under [`Experiment::dir`] for a
-/// `--smoke` run, so a quick gate run never overwrites a committed
-/// full-run record.
-pub fn write_bench_json(file: &str, json: &str, smoke: bool) -> PathBuf {
-    let path = if smoke { Experiment::dir().join(file) } else { PathBuf::from(file) };
+/// reduced (`--quick` or `--smoke`) run, so only a full run replaces a
+/// committed record.
+pub fn write_bench_json(file: &str, json: &str, reduced: bool) -> PathBuf {
+    let path = if reduced { Experiment::dir().join(file) } else { PathBuf::from(file) };
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }

@@ -15,12 +15,12 @@ use crate::batch::ShardBatch;
 use crate::config::{AdmitOptions, FleetConfig, QueuePolicy};
 use crate::error::FleetError;
 use crate::net::MAX_FRAME;
+use crate::persist::Durability;
 use crate::series::SeriesState;
 use crate::shard::{
     run_worker, BatchReply, ReadMsg, SeriesEntry, SeriesSnapshot, ShardMsg, ShardState,
 };
 use crate::types::{FleetStats, Record, ScoredPoint, SeriesKey, ShardStats};
-use crate::wal::Wal;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -73,7 +73,7 @@ pub struct FleetSnapshot {
 /// Folding it onto that previous image ([`FleetDelta::fold_into`]) yields
 /// exactly the [`FleetSnapshot`] a full collection at `batches` would have
 /// produced. Produced by [`FleetEngine::snapshot_delta`]; persisted and
-/// chained by [`crate::DurableFleet`].
+/// chained by a durable engine ([`crate::persist`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetDelta {
     /// Engine configuration at collection time.
@@ -200,20 +200,17 @@ pub struct FleetEngine {
     workers: Vec<Worker>,
     clock: u64,
     batches: u64,
-    /// Lifetime totals kept engine-side; [`crate::DurableFleet`] bumps
-    /// the durability ones.
+    /// Lifetime totals kept engine-side; durability bumps its own.
     pub(crate) carried: CarriedTotals,
     pending: VecDeque<PendingBatch>,
     /// Batch seq of the last snapshot collection (full or delta) — the
     /// image the next [`FleetEngine::snapshot_delta`] chains onto; `None`
     /// once a respawn emptied a shard of it.
     last_collect: Option<u64>,
-    /// The write-ahead log, once [`crate::DurableFleet`] attaches one;
-    /// [`FleetEngine::submit`] appends every batch to it.
-    wal: Option<Wal>,
-    /// [`crate::DurabilityPolicy::Degrade`]: a failed append applies the
-    /// batch un-durably instead of failing the call.
-    wal_degrades: bool,
+    /// The WAL, snapshot writer and degrade policy of an engine built by
+    /// [`FleetEngine::create`]/[`FleetEngine::open`]; `None` on a plain
+    /// one. [`FleetEngine::submit`] appends every batch to its WAL.
+    pub(crate) durability: Option<Box<Durability>>,
     /// Recycled columnar routing batches, reused across
     /// [`FleetEngine::submit`] calls instead of reallocating per batch.
     /// Batches normally come back on the ingest reply itself
@@ -316,8 +313,7 @@ impl FleetEngine {
             carried,
             pending: VecDeque::new(),
             last_collect: Some(batches),
-            wal: None,
-            wal_degrades: false,
+            durability: None,
             spare_bufs: Vec::new(),
             buf_rx,
             buf_tx,
@@ -370,7 +366,7 @@ impl FleetEngine {
 
     /// Ingest batches processed so far. This is the sequence number WAL
     /// frames and snapshots are stamped with, so it is also the durable
-    /// recovery point ([`crate::DurableFleet`]).
+    /// recovery point ([`FleetEngine::open`]).
     pub fn batches(&self) -> u64 {
         self.batches
     }
@@ -410,9 +406,9 @@ impl FleetEngine {
     }
 
     /// [`FleetEngine::send`] that, on a plain engine, respawns a dead
-    /// worker and retries the message once. With a WAL attached a dead
+    /// worker and retries the message once. On a durable engine a dead
     /// worker stays down ([`FleetError::ShardDown`]): the repair is
-    /// recovery from disk ([`crate::DurableFleet`]). `&self` paths
+    /// recovery from disk ([`crate::persist`]). `&self` paths
     /// ([`FleetEngine::stats`], [`FleetEngine::forecast`]) return
     /// `ShardDown` until the next `&mut` call heals the shard.
     fn send_or_respawn(&mut self, shard: usize, msg: ShardMsg) -> Result<(), FleetError> {
@@ -422,7 +418,7 @@ impl FleetEngine {
             Ok(()) => return Ok(()),
             Err(msg) => msg,
         };
-        if self.wal.is_some() {
+        if self.durability.is_some() {
             return Err(FleetError::ShardDown);
         }
         self.respawn_shard(shard)?;
@@ -460,7 +456,7 @@ impl FleetEngine {
 
     /// Stops every worker after what is already queued and waits for it
     /// to exit, so none is still writing when this returns. Then every
-    /// call that reaches a shard of a WAL-attached engine fails with
+    /// call that reaches a shard of a durable engine fails with
     /// [`FleetError::ShardDown`].
     pub(crate) fn stop_workers(&mut self) {
         for w in &self.workers {
@@ -521,22 +517,32 @@ impl FleetEngine {
     /// briefly even under `Reject` — the sweep must stay at a
     /// deterministic batch boundary for WAL replay to reproduce it.
     ///
-    /// When a WAL is attached (see [`crate::DurableFleet`]), the whole
-    /// batch is appended to it as one record before any shard sees it. A
-    /// failed append under [`crate::DurabilityPolicy::CrashStop`] fails
-    /// the call with [`FleetError::Io`], nothing dispatched, and the log
-    /// stays poisoned; under [`crate::DurabilityPolicy::Degrade`] the
-    /// batch is applied un-durably. A target shard whose worker is dead
-    /// fails the call with [`FleetError::ShardDown`] before anything is
-    /// logged.
+    /// On a durable engine ([`FleetEngine::create`]/[`FleetEngine::open`])
+    /// the whole batch is appended to the WAL as one record before any
+    /// shard sees it, and the call also runs the snapshot cadence and the
+    /// degrade policy ([`crate::persist`]). A failed append under
+    /// [`crate::DurabilityPolicy::CrashStop`] fails the call with
+    /// [`FleetError::Io`], nothing dispatched, and the log stays poisoned;
+    /// under [`crate::DurabilityPolicy::Degrade`] the batch is applied
+    /// un-durably. A target shard whose worker is dead fails the call with
+    /// [`FleetError::ShardDown`] before anything is logged.
     pub fn submit(&mut self, batch: Vec<Record>) -> Result<(), FleetError> {
+        if self.durability.is_some() {
+            return self.submit_durably(batch);
+        }
+        self.dispatch(batch)
+    }
+
+    /// Routes, logs (on a durable engine) and sends one batch: the part of
+    /// [`FleetEngine::submit`] a plain and a durable engine share.
+    pub(crate) fn dispatch(&mut self, batch: Vec<Record>) -> Result<(), FleetError> {
         let n = batch.len();
         let shards = self.shard_count();
         let seq = self.batches + 1;
-        if let Some(wal) = &mut self.wal {
+        if let Some(d) = &mut self.durability {
             // encoded before routing moves the records, written once the
             // batch is past the backpressure check
-            wal.encode(seq, &batch);
+            d.wal.encode(seq, &batch);
         }
         // route on a scratch clock: a rejected batch must leave no trace
         let mut clock = self.clock;
@@ -573,21 +579,17 @@ impl FleetEngine {
                 return Err(FleetError::Backpressure { shard });
             }
         }
-        if self.wal.is_some() {
+        if self.durability.is_some() {
             // a dead target fails the call before anything is logged, so a
             // retry cannot log a batch no shard will apply
-            if (0..shards).any(|s| !routed[s].is_empty() && self.worker_dead(s)) {
+            let logged = if (0..shards).any(|s| !routed[s].is_empty() && self.worker_dead(s)) {
+                Err(FleetError::ShardDown)
+            } else {
+                self.durability.as_deref_mut().map_or(Ok(()), Durability::append)
+            };
+            if let Err(e) = logged {
                 self.reclaim(routed);
-                return Err(FleetError::ShardDown);
-            }
-            let appended = self.wal.as_mut().map_or(Ok(()), Wal::append);
-            if let Err(e) = appended {
-                if !self.wal_degrades {
-                    self.reclaim(routed);
-                    return Err(FleetError::Io(e.to_string()));
-                }
-                // Degrade: apply the batch un-durably; the durability
-                // layer sees the poisoned log and re-arms a fresh one
+                return Err(e);
             }
         }
         let (reply_tx, reply_rx) = channel();
@@ -602,10 +604,10 @@ impl FleetEngine {
                 ShardMsg::Ingest { batch: b, seq, reply: reply_tx.clone() },
             );
             if let Err(e) = sent {
-                if let Some(wal) = &mut self.wal {
+                if let Some(d) = &mut self.durability {
                     // the batch is logged but not applied: log nothing
                     // more, or a retry would log its seq twice
-                    wal.poison("a shard worker died after its batch was logged");
+                    d.wal.poison("a shard worker died after its batch was logged");
                 }
                 return Err(e);
             }
@@ -617,7 +619,8 @@ impl FleetEngine {
         if (self.config.ttl.is_some() || self.config.spill_after.is_some())
             && self.batches.is_multiple_of(TTL_SWEEP_EVERY)
         {
-            self.evict_idle(self.clock)?;
+            // never a checkpoint here: replay reproduces the sweep
+            self.sweep_idle(self.clock)?;
         }
         Ok(())
     }
@@ -626,6 +629,14 @@ impl FleetEngine {
     /// order), blocking until its shards reply; `Ok(None)` when nothing is
     /// in flight. Returns one [`ScoredPoint`] per record, in batch order.
     pub fn next_batch(&mut self) -> Result<Option<Vec<ScoredPoint>>, FleetError> {
+        let out = self.collect_next();
+        if self.durability.is_some() {
+            return self.collected_durably(out);
+        }
+        out
+    }
+
+    fn collect_next(&mut self) -> Result<Option<Vec<ScoredPoint>>, FleetError> {
         let Some(p) = self.pending.pop_front() else {
             return Ok(None);
         };
@@ -658,7 +669,7 @@ impl FleetEngine {
         if !waiting.is_empty() {
             // this batch's outputs are gone with the dead worker(s); a
             // plain engine heals for the batches that follow
-            if self.wal.is_none() {
+            if self.durability.is_none() {
                 for shard in waiting {
                     self.respawn_shard(shard)?;
                 }
@@ -712,11 +723,10 @@ impl FleetEngine {
     ///
     /// The overrides are baked into the series' detector at promotion and
     /// persist through snapshot/restore (the codec stores pending
-    /// overrides with the warm-up state; a live detector's config already embeds
-    /// them). **Durability note:** override registration is not
-    /// WAL-logged — on a [`crate::DurableFleet`], use
-    /// [`crate::DurableFleet::set_admit_options`], which checkpoints so
-    /// recovery replays admissions bit-identically.
+    /// overrides with the warm-up state; a live detector's config already
+    /// embeds them). They are not WAL-logged, so a durable engine
+    /// checkpoints (a synchronous full base) after registering them; on
+    /// `Err` it may hold the registration un-durably: recover from disk.
     pub fn set_admit_options(
         &mut self,
         key: impl Into<SeriesKey>,
@@ -728,11 +738,13 @@ impl FleetEngine {
         let (tx, rx) = channel();
         // `batches + 1` marks the entry dirty for the *next* delta even if
         // a snapshot collection already ran at the current seq
-        self.send_or_respawn(
-            shard,
-            ShardMsg::Admit { key, opts, now: self.clock, seq: self.batches + 1, reply: tx },
-        )?;
-        rx.recv().map_err(|_| FleetError::ShardDown)?
+        let msg =
+            ShardMsg::Admit { key, opts, now: self.clock, seq: self.batches + 1, reply: tx };
+        let admitted = self.send_or_respawn(shard, msg).and_then(|()| {
+            rx.recv().unwrap_or(Err(FleetError::ShardDown))?;
+            self.write_checkpoint()
+        });
+        self.recover_on_shard_down(admitted)
     }
 
     /// Runs the idle sweep at clock `now`: evicts series whose `last_seen`
@@ -742,13 +754,26 @@ impl FleetEngine {
     /// beyond that threshold to disk. Returns how many series were
     /// evicted (spills preserve state and are counted in
     /// [`crate::FleetStats::spills`] instead). No-op with neither a TTL
-    /// nor a spill threshold configured.
+    /// nor a spill threshold configured. A durable engine that evicted
+    /// something checkpoints, as [`FleetEngine::set_admit_options`] does.
     ///
     /// Liveness clocks live in the engine's (possibly step-bounded) clock
     /// domain, so `now` is clamped the same way records are: with
     /// `max_clock_step` configured, a wall-clock `now` far ahead of the
     /// engine clock cannot evict the whole fleet in one call.
     pub fn evict_idle(&mut self, now: u64) -> Result<usize, FleetError> {
+        let evicted = self.sweep_idle(now).and_then(|evicted| {
+            if evicted > 0 {
+                self.write_checkpoint()?;
+            }
+            Ok(evicted)
+        });
+        self.recover_on_shard_down(evicted)
+    }
+
+    /// [`FleetEngine::evict_idle`] without the checkpoint: the TTL sweep
+    /// inside [`FleetEngine::submit`], which WAL replay reproduces.
+    fn sweep_idle(&mut self, now: u64) -> Result<usize, FleetError> {
         let (ttl, spill_after) = (self.config.ttl, self.config.spill_after);
         if ttl.is_none() && spill_after.is_none() {
             return Ok(0);
@@ -775,8 +800,8 @@ impl FleetEngine {
     /// Installs the cold tier: every shard opens (or reopens) its cold
     /// file under `dir`, and subsequent idle sweeps spill series idle
     /// beyond [`FleetConfig::spill_after`] there. Respawned workers reopen
-    /// the same files. [`crate::DurableFleet`] attaches this
-    /// automatically (under `<dir>/cold`) when `spill_after` is set;
+    /// the same files. A durable engine attaches this automatically
+    /// (under `<dir>/cold`) when `spill_after` is set;
     /// attach it before the first ingest so recovery replay observes the
     /// same cold state the original run did.
     pub fn attach_cold_dir(
@@ -991,7 +1016,7 @@ impl FleetEngine {
     /// Serializes only what changed since the previous collection (full or
     /// delta): dirty series plus tombstones of evicted ones. With a mostly
     /// idle fleet this is a small fraction of a full snapshot — the basis
-    /// of [`crate::DurableFleet`]'s incremental snapshot files. Fails with
+    /// of a durable engine's incremental snapshot files. Fails with
     /// [`FleetError::Recovery`] after a respawn: no delta can chain onto
     /// an image a shard lost.
     pub fn snapshot_delta(&mut self) -> Result<FleetDelta, FleetError> {
@@ -1018,46 +1043,6 @@ impl FleetEngine {
     /// Restores an engine from [`FleetEngine::snapshot_bytes`] output.
     pub fn restore_bytes(bytes: &[u8]) -> Result<Self, FleetError> {
         Self::restore(crate::codec::decode(bytes)?)
-    }
-
-    /// Turns on write-ahead logging for subsequent submissions (replacing
-    /// any log attached before); `degrade` selects what a failed append
-    /// does (see [`FleetEngine::submit`]). Used by [`crate::DurableFleet`];
-    /// attach *after* any recovery replay so replayed batches are not
-    /// re-logged.
-    pub(crate) fn attach_wal(&mut self, wal: Wal, degrade: bool) {
-        self.wal = Some(wal);
-        self.wal_degrades = degrade;
-    }
-
-    /// Whether the WAL is poisoned (`false` without a WAL). Degrade-mode
-    /// bookkeeping for [`crate::DurableFleet`].
-    pub(crate) fn wal_poisoned(&self) -> bool {
-        self.wal.as_ref().is_some_and(|w| w.poison_reason().is_some())
-    }
-
-    /// Rotates the WAL to a fresh segment starting after batch
-    /// `start_seq` (called at snapshot time, so the old segment becomes
-    /// garbage once the snapshot is durable).
-    pub(crate) fn rotate_wal(&mut self, start_seq: u64) -> Result<(), FleetError> {
-        match &mut self.wal {
-            Some(wal) => wal.rotate(start_seq).map_err(|e| FleetError::Io(e.to_string())),
-            None => Ok(()),
-        }
-    }
-
-    /// Forces an fsync of the WAL segment.
-    pub(crate) fn sync_wal(&mut self) -> Result<(), FleetError> {
-        match &mut self.wal {
-            Some(wal) => wal.sync().map_err(|e| FleetError::Io(e.to_string())),
-            None => Ok(()),
-        }
-    }
-
-    /// Lifetime count of `fsync`s issued on the WAL (0 without
-    /// durability). One acked batch costs at most one.
-    pub fn wal_fsync_count(&self) -> u64 {
-        self.wal.as_ref().map_or(0, Wal::fsync_count)
     }
 
     /// Test support: parks shard `shard`'s worker until the returned guard

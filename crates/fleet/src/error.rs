@@ -14,8 +14,8 @@ pub enum FleetError {
     /// A per-series state failed validation during restore.
     State(TsError),
     /// A shard worker is gone (channel closed). A plain engine respawns it
-    /// on the next `&mut` call; with a WAL attached it stays down until
-    /// recovery from disk (see [`crate::DurableFleet`]).
+    /// on the next `&mut` call; a durable one stays down until recovery
+    /// from disk (see [`crate::persist`]).
     ShardDown,
     /// A bounded shard queue was full and the configured policy is
     /// [`crate::QueuePolicy::Reject`]. The batch was **not** applied (not

@@ -16,7 +16,7 @@
 //! let dir = std::env::temp_dir().join(format!("fault-doc-{}", std::process::id()));
 //! // fail the first fsync under `dir`; everything else passes through
 //! let _guard = fault::inject(&dir, fault::fail_nth(FaultOp::Fsync, 0));
-//! // ... run a DurableFleet rooted at `dir` and watch it degrade ...
+//! // ... run a durable engine rooted at `dir` and watch it degrade ...
 //! ```
 //!
 //! Hooks are **scoped by path prefix**: a hook installed for directory

@@ -71,11 +71,13 @@
 //!   pipeline batches; with [`FleetConfig::queue_capacity`] set, shard
 //!   queues are bounded and a full shard either blocks the submitter or
 //!   rejects the batch with a typed error ([`QueuePolicy`]).
-//! - **Durability.** [`DurableFleet`] adds a write-ahead log of raw
-//!   batches ([`wal`]), written by the engine thread, and periodic background snapshots to disk
-//!   ([`persist`]); after a crash, [`DurableFleet::open`] restores the
-//!   latest valid snapshot and replays the WAL tail — including torn-tail
-//!   truncation — back to a bit-identical engine.
+//! - **Durability.** An engine built by [`FleetEngine::create`] keeps a
+//!   write-ahead log of raw batches ([`wal`]), written by the engine
+//!   thread, and periodic background snapshots to disk ([`persist`]);
+//!   after a crash, [`FleetEngine::open`] restores the latest valid
+//!   snapshot and replays the WAL tail — including torn-tail truncation —
+//!   back to a bit-identical engine. Durability is a setting of the one
+//!   engine type, so every surface gets it, [`NetServer`] included.
 //!
 //! ## Quick start
 //!
@@ -98,23 +100,23 @@
 //!
 //! ## Durability
 //!
-//! Wrap the same configuration in a [`DurableFleet`] and the engine
-//! survives crashes:
+//! Build the same configuration with [`FleetEngine::create`] and the
+//! engine survives crashes:
 //!
 //! ```
-//! use fleet::{DurabilityConfig, DurableFleet, FleetConfig};
+//! use fleet::{DurabilityConfig, FleetConfig, FleetEngine};
 //!
 //! let dir = std::env::temp_dir().join(format!("fleet-doc-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
 //! let mut durable =
-//!     DurableFleet::create(FleetConfig::fixed_period(24), DurabilityConfig::new(&dir))
+//!     FleetEngine::create(FleetConfig::fixed_period(24), DurabilityConfig::new(&dir))
 //!         .unwrap();
 //! for t in 0..80 {
 //!     durable.ingest_one("host-1/cpu", t, (t as f64 / 3.8).sin()).unwrap();
 //! }
 //! drop(durable); // crash: no clean shutdown, no explicit snapshot
-//! let recovered = DurableFleet::open(DurabilityConfig::new(&dir)).unwrap();
-//! assert_eq!(recovered.engine().batches(), 80); // WAL replay caught up
+//! let recovered = FleetEngine::open(DurabilityConfig::new(&dir)).unwrap();
+//! assert_eq!(recovered.batches(), 80); // WAL replay caught up
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
 

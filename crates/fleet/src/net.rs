@@ -702,7 +702,10 @@ impl FrameIo {
 /// at a time (the engine itself fans work out across its shard threads —
 /// a second listener thread would only contend on it). Dropping the
 /// handle (or calling [`NetServer::shutdown`]) stops the listener,
-/// drains in-flight batches, and joins the thread.
+/// drains in-flight batches, [closes](FleetEngine::close) the engine —
+/// a durable one checkpoints — and joins the thread. A durable engine
+/// ([`FleetEngine::create`]/[`FleetEngine::open`]) logs every batch it
+/// serves, like any other caller's.
 pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -776,6 +779,7 @@ fn accept_loop(listener: TcpListener, mut engine: FleetEngine, stop: &AtomicBool
             Err(_) => thread::sleep(Duration::from_millis(20)),
         }
     }
+    let _ = engine.close();
 }
 
 /// Serves one connection. `Err` means the *engine* is unusable (fatal);

@@ -1,7 +1,11 @@
 //! Durable persistence: snapshot-to-disk (full bases + incremental
 //! deltas), WAL lifecycle, crash recovery.
 //!
-//! [`DurableFleet`] wraps a [`FleetEngine`] and a directory:
+//! Durability is a setting of the engine, not a wrapper around it: an
+//! engine built by [`FleetEngine::create`] or [`FleetEngine::open`] owns a
+//! directory, and every surface that drives it — `ingest`, `submit`,
+//! [`crate::NetServer`] — gets the WAL, the snapshots and the degraded
+//! mode below. [`FleetEngine::new`] and `restore*` build a plain engine.
 //!
 //! ```text
 //! dir/
@@ -23,7 +27,7 @@
 //! previous image, plus tombstones of evicted ones — so a mostly idle
 //! fleet writes a small fraction of its state per interval; every
 //! [`DurabilityConfig::max_delta_chain`] deltas (and on every forced
-//! [`DurableFleet::checkpoint`]) a full base is rewritten, bounding both
+//! [`FleetEngine::checkpoint`]) a full base is rewritten, bounding both
 //! chain length and recovery fan-in. When an image is confirmed durable,
 //! WAL segments it covers and bases/deltas beyond
 //! [`DurabilityConfig::keep_snapshots`] are deleted — and a kept segment
@@ -34,7 +38,7 @@
 //!
 //! ## Recovery
 //!
-//! [`DurableFleet::open`] walks the directory newest-base-first, skipping
+//! [`FleetEngine::open`] walks the directory newest-base-first, skipping
 //! bases that fail CRC/decode (torn writes, version mismatches), then
 //! folds the chain of deltas anchored at the chosen base (each delta
 //! names the image it chains onto; the walk stops at the first gap or
@@ -52,16 +56,17 @@
 //! ## What survives a crash
 //!
 //! - Process crash (panic, `kill -9`): every batch whose `ingest`/
-//!   [`DurableFleet::next_batch`] call returned, minus nothing — appends
+//!   [`FleetEngine::next_batch`] call returned, minus nothing — appends
 //!   hit the file before the reply, and the page cache survives the
 //!   process.
 //! - OS/power crash: everything up to the last `fsync` boundary — at most
 //!   [`DurabilityConfig::fsync_every`] − 1 un-fsynced batches (plus a
 //!   possibly torn final record). The default `fsync_every = 1` makes
 //!   every acknowledged batch durable.
-//! - Explicit [`FleetEngine::evict_idle`] calls between snapshots are
-//!   *not* logged; use [`DurableFleet::evict_idle`], which checkpoints
-//!   after evicting, or rely on the TTL sweep, which replay reproduces
+//! - Explicit [`FleetEngine::evict_idle`] and
+//!   [`FleetEngine::set_admit_options`] calls are *not* logged; on a
+//!   durable engine each checkpoints (a synchronous full base) instead.
+//!   The TTL sweep never checkpoints: replay reproduces it
 //!   deterministically.
 //!
 //! ## Degraded mode
@@ -85,7 +90,7 @@
 //!
 //! Disk is the only recovery path. Under `CrashStop` a dead worker stays
 //! down ([`FleetError::ShardDown`]) until the operator runs
-//! [`DurableFleet::open`]. Under `Degrade` the first `&mut` call that sees
+//! [`FleetEngine::open`]. Under `Degrade` the first `&mut` call that sees
 //! `ShardDown` runs that `open` in place, then returns `ShardDown`; the
 //! caller resumes bit-identically from the recovered
 //! [`FleetEngine::batches`], and [`crate::FleetStats::shard_restarts`]
@@ -93,8 +98,8 @@
 //!
 //! ## One process at a time
 //!
-//! A durability directory must be owned by exactly one live
-//! [`DurableFleet`]: there is no lock file (a stale lock would block the
+//! A durability directory must be owned by exactly one live durable
+//! engine: there is no lock file (a stale lock would block the
 //! crash recovery this module exists for), so a second concurrent
 //! `open`/`create` on the same directory would truncate the first one's
 //! live WAL segments. Orchestrate exclusivity externally.
@@ -104,7 +109,7 @@ use crate::config::FleetConfig;
 use crate::engine::{FleetDelta, FleetEngine, FleetSnapshot};
 use crate::error::FleetError;
 use crate::fault;
-use crate::types::{Record, ScoredPoint, SeriesKey};
+use crate::types::{Record, ScoredPoint};
 use crate::wal::{self, crc32, Wal, WalSegment};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -114,7 +119,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What a WAL or snapshot I/O failure does to a [`DurableFleet`].
+/// What a WAL or snapshot I/O failure does to a durable engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DurabilityPolicy {
     /// Fail fast (the default): the first I/O error poisons the fleet,
@@ -126,7 +131,7 @@ pub enum DurabilityPolicy {
     /// with capped exponential backoff; on success durability re-arms
     /// (fresh WAL generation + immediate full snapshot). The un-durable
     /// window is surfaced via [`crate::FleetStats::undurable_batches`]
-    /// and [`DurableFleet::degraded`].
+    /// and [`FleetEngine::degraded`].
     Degrade,
 }
 
@@ -220,12 +225,16 @@ struct SnapshotJob {
     payload: SnapshotPayload,
 }
 
-/// A [`FleetEngine`] with durable persistence: WAL on ingest, periodic
-/// background snapshots, crash recovery via [`DurableFleet::open`]. See
-/// the module docs for the lifecycle.
-pub struct DurableFleet {
-    engine: FleetEngine,
+/// The durability of an engine built by [`FleetEngine::create`] or
+/// [`FleetEngine::open`]: the WAL, the background snapshot writer, the
+/// snapshot cadence and chain bookkeeping, and the degrade state. The
+/// engine holds it as `FleetEngine::durability`; see the module docs for
+/// the lifecycle.
+pub(crate) struct Durability {
     dcfg: DurabilityConfig,
+    /// Every submitted batch is encoded and appended here (by
+    /// [`FleetEngine::submit`]) before any shard sees it.
+    pub(crate) wal: Wal,
     job_tx: Option<Sender<SnapshotJob>>,
     done_rx: Receiver<(u64, u64, Result<(), String>)>,
     writer: Option<JoinHandle<()>>,
@@ -241,7 +250,7 @@ pub struct DurableFleet {
     /// Highest job id acknowledged by the writer.
     acked_job: u64,
     /// `Some` while durability is degraded ([`DurabilityPolicy::Degrade`]
-    /// only): the fleet serves un-durably and re-arms on the retry clock.
+    /// only): the engine serves un-durably and re-arms on the retry clock.
     degraded: Option<Degraded>,
 }
 
@@ -253,186 +262,16 @@ struct Degraded {
     next_retry: Instant,
 }
 
-impl DurableFleet {
-    /// Starts a fresh durable fleet in `dcfg.dir` (created if missing,
-    /// must not already contain fleet files). Writes a base snapshot at
-    /// seq 0 synchronously, so the directory is recoverable from the very
-    /// first batch.
-    pub fn create(config: FleetConfig, dcfg: DurabilityConfig) -> Result<Self, FleetError> {
-        dcfg.validate()?;
-        fs::create_dir_all(&dcfg.dir).map_err(io_err)?;
-        remove_stale_tmp(&dcfg.dir)?;
-        let existing = scan_dir(&dcfg.dir)?;
-        if !existing.snapshots.is_empty()
-            || !existing.deltas.is_empty()
-            || !existing.segments.is_empty()
-        {
-            // deltas count too: a stale delta from a previous fleet life
-            // could chain onto the new fleet's base (prev_batches can
-            // collide across lives) and corrupt a later recovery silently
-            return Err(FleetError::Recovery(format!(
-                "{} already contains fleet files; use DurableFleet::open",
-                dcfg.dir.display()
-            )));
-        }
-        let mut engine = FleetEngine::new(config)?;
-        attach_cold_tier(&mut engine, &dcfg)?;
-        let base = engine.snapshot()?;
-        write_snapshot_file(&dcfg.dir, 0, &base).map_err(io_err)?;
-        Self::attach(engine, dcfg, 0, 0, 0)
-    }
-
-    /// Recovers a durable fleet from `dcfg.dir`: newest valid base
-    /// snapshot + delta-chain folding + WAL tail replay + torn-tail
-    /// truncation. The recovered engine's [`FleetEngine::batches`] is the
-    /// number of batches that survived.
-    pub fn open(dcfg: DurabilityConfig) -> Result<Self, FleetError> {
-        dcfg.validate()?;
-        // writes a previous life's crash interrupted before their rename
-        remove_stale_tmp(&dcfg.dir)?;
-        let listing = scan_dir(&dcfg.dir)?;
-        // newest base that actually decodes wins; torn writes and version
-        // mismatches are skipped, falling back to an older image
-        let mut base: Option<FleetSnapshot> = None;
-        for (seq, path) in listing.snapshots.iter().rev() {
-            match load_snapshot_file(path) {
-                Ok(snap) if snap.batches == *seq => {
-                    base = Some(snap);
-                    break;
-                }
-                _ => continue,
-            }
-        }
-        let Some(mut base) = base else {
-            return Err(FleetError::Recovery(format!(
-                "no valid snapshot in {}",
-                dcfg.dir.display()
-            )));
-        };
-        // the chosen base anchors garbage collection: segments before it
-        // serve no possible recovery, but segments *between* it and the
-        // folded chain tip stay — they are the fallback if a delta file
-        // ever goes bad
-        let anchor_seq = base.batches;
-        // fold the delta chain anchored at the chosen base: each delta
-        // names its predecessor image; walk forward until the chain gaps
-        // (a missing/corrupt/unchained delta — the WAL replay below covers
-        // whatever the chain cannot)
-        let mut by_prev: BTreeMap<u64, FleetDelta> = BTreeMap::new();
-        for (seq, path) in &listing.deltas {
-            if *seq <= base.batches {
-                continue; // superseded by the base itself
-            }
-            if let Ok(delta) = load_delta_file(path) {
-                if delta.batches == *seq && delta.prev_batches < delta.batches {
-                    // on a (corruption-induced) prev collision the higher
-                    // seq wins: ascending iteration makes that the last
-                    // insert, and a wrong pick only shortens the chain —
-                    // WAL replay restores the difference
-                    by_prev.insert(delta.prev_batches, delta);
-                }
-            }
-        }
-        let mut chain_len = 0usize;
-        while let Some(delta) = by_prev.remove(&base.batches) {
-            delta.fold_into(&mut base)?;
-            chain_len += 1;
-        }
-        let base_seq = base.batches;
-        let mut engine = FleetEngine::restore(base)?;
-        // re-attach the cold tier *before* WAL replay: replayed batches
-        // must spill and rehydrate through the same on-disk store the
-        // uninterrupted engine used, or recovery would diverge from the
-        // prefix rule for series that crossed the hot/cold boundary
-        attach_cold_tier(&mut engine, &dcfg)?;
-
-        // read every segment at or after the anchor base; stale pre-base
-        // segments are garbage a crash kept alive
-        let mut read_segments: Vec<(PathBuf, WalSegment)> = Vec::new();
-        for (start, files) in &listing.segments {
-            for path in files {
-                if *start < anchor_seq {
-                    let _ = fs::remove_file(path);
-                    continue;
-                }
-                match wal::read_segment(path) {
-                    Ok(Some(seg)) => read_segments.push((path.clone(), seg)),
-                    // a header-only v1 segment: what a clean close of the
-                    // previous format leaves
-                    Ok(None) => {
-                        let _ = fs::remove_file(path);
-                    }
-                    // a v1 segment with records: refusing beats dropping
-                    // acknowledged batches silently
-                    Err(e) if e.kind() == ErrorKind::Unsupported => {
-                        return Err(FleetError::Recovery(format!("{}: {e}", path.display())));
-                    }
-                    // a torn or short header contributes nothing; replay
-                    // stops at the first batch it should have covered
-                    Err(_) => {}
-                }
-            }
-        }
-
-        // replay records in seq order up to the first missing seq, through
-        // the normal ingest path (WAL not attached yet, so nothing is
-        // re-logged)
-        let mut next = base_seq + 1;
-        'replay: for (_, seg) in &mut read_segments {
-            for frame in &mut seg.frames {
-                if frame.seq < next {
-                    continue; // covered by the folded image
-                }
-                if frame.seq > next {
-                    break 'replay;
-                }
-                // move, don't clone: the truncation pass below only needs
-                // each frame's seq and end offset
-                engine.ingest(std::mem::take(&mut frame.records))?;
-                next += 1;
-            }
-        }
-        let recovered = engine.batches();
-        debug_assert_eq!(recovered, next - 1);
-
-        // truncate every surviving segment to its last frame ≤ recovered
-        // and drop segments wholly beyond it, so a future recovery can
-        // never resurrect (or double-apply) the discarded tail
-        for (path, seg) in &read_segments {
-            if seg.start_seq > recovered {
-                let _ = fs::remove_file(path);
-                continue;
-            }
-            let keep = seg
-                .frames
-                .iter()
-                .zip(&seg.frame_ends)
-                .filter(|(f, _)| f.seq <= recovered)
-                .map(|(_, end)| *end)
-                .next_back()
-                .unwrap_or(wal::HEADER_LEN);
-            let file = OpenOptions::new().write(true).open(path).map_err(io_err)?;
-            let len = file.metadata().map_err(io_err)?.len();
-            if len > keep {
-                file.set_len(keep).map_err(io_err)?;
-                fault::sync_data(&file, path).map_err(io_err)?;
-            }
-        }
-
-        Self::attach(engine, dcfg, recovered, base_seq, chain_len)
-    }
-
-    /// Shared tail of `create`/`open`: fresh WAL generation at `wal_start`,
-    /// background writer thread, bookkeeping.
-    fn attach(
-        mut engine: FleetEngine,
+impl Durability {
+    /// A fresh WAL generation at `wal_start` and the snapshot writer
+    /// thread, with `snapshot_seq` the newest image on disk.
+    fn start(
         dcfg: DurabilityConfig,
         wal_start: u64,
         snapshot_seq: u64,
         chain_len: usize,
-    ) -> Result<Self, FleetError> {
+    ) -> Result<Box<Self>, FleetError> {
         let wal = Wal::create(&dcfg.dir, wal_start, dcfg.fsync_every).map_err(io_err)?;
-        engine.attach_wal(wal, dcfg.policy == DurabilityPolicy::Degrade);
         let (job_tx, job_rx) = channel::<SnapshotJob>();
         let (done_tx, done_rx) = channel();
         let dir = dcfg.dir.clone();
@@ -440,9 +279,9 @@ impl DurableFleet {
             .name("fleet-snapshot-writer".into())
             .spawn(move || run_writer(dir, job_rx, done_tx))
             .map_err(|_| FleetError::Internal("spawning the snapshot writer thread"))?;
-        Ok(DurableFleet {
-            engine,
+        Ok(Box::new(Durability {
             dcfg,
+            wal,
             job_tx: Some(job_tx),
             done_rx,
             writer: Some(writer),
@@ -452,168 +291,32 @@ impl DurableFleet {
             next_job: 1,
             acked_job: 0,
             degraded: None,
-        })
+        }))
     }
 
-    /// The wrapped engine, for reads: [`FleetEngine::stats`],
-    /// [`FleetEngine::forecast`], [`FleetEngine::clock`], …
-    pub fn engine(&self) -> &FleetEngine {
-        &self.engine
-    }
-
-    /// The wrapped engine, mutably — test/chaos-drill support (e.g.
-    /// [`FleetEngine::crash_shard`]). Mutating engine state behind the
-    /// durability layer's back voids the recovery guarantees.
-    #[doc(hidden)]
-    pub fn engine_mut(&mut self) -> &mut FleetEngine {
-        &mut self.engine
-    }
-
-    /// `true` while durability is degraded: batches apply un-durably and
-    /// the fleet is waiting out the re-arm backoff. Always `false` under
-    /// [`DurabilityPolicy::CrashStop`].
-    pub fn degraded(&self) -> bool {
-        self.degraded.is_some()
-    }
-
-    /// Synchronous durable ingest: the batch is WAL-appended before any
-    /// shard applies it. Also services the snapshot cadence.
-    pub fn ingest(&mut self, batch: Vec<Record>) -> Result<Vec<ScoredPoint>, FleetError> {
-        self.poll_writer()?;
-        let out = self.heal().and_then(|()| self.engine.ingest(batch)).and_then(|out| {
-            self.detect_degraded();
-            if self.degraded.is_some() {
-                self.engine.carried.undurable_batches += 1;
-            }
-            self.maybe_snapshot()?;
-            Ok(out)
-        });
-        self.recover_on_shard_down(out)
-    }
-
-    /// Convenience single-record durable ingest.
-    pub fn ingest_one(
-        &mut self,
-        key: impl Into<SeriesKey>,
-        t: u64,
-        value: f64,
-    ) -> Result<ScoredPoint, FleetError> {
-        let mut out = self.ingest(vec![Record::new(key, t, value)])?;
-        out.pop().ok_or(FleetError::Internal("one record in, one point out"))
-    }
-
-    /// Pipelined durable submission (see [`FleetEngine::submit`]).
-    pub fn submit(&mut self, batch: Vec<Record>) -> Result<(), FleetError> {
-        self.poll_writer()?;
-        let submitted = self.heal().and_then(|()| self.engine.submit(batch)).and_then(|()| {
-            self.detect_degraded();
-            self.maybe_snapshot()
-        });
-        self.recover_on_shard_down(submitted)
-    }
-
-    /// Collects the oldest in-flight batch (see
-    /// [`FleetEngine::next_batch`]). Batches collected while durability
-    /// is degraded count as un-durable (conservatively: a batch applied
-    /// just before the WAL poisoned may land in the unsynced tail).
-    pub fn next_batch(&mut self) -> Result<Option<Vec<ScoredPoint>>, FleetError> {
-        let out = self.engine.next_batch();
-        let out = self.recover_on_shard_down(out)?;
-        self.detect_degraded();
-        if out.is_some() && self.degraded.is_some() {
-            self.engine.carried.undurable_batches += 1;
+    /// Appends the encoded batch. A failure fails the call under
+    /// [`DurabilityPolicy::CrashStop`] (the log stays poisoned); under
+    /// [`DurabilityPolicy::Degrade`] the batch applies un-durably and the
+    /// engine notices the poisoned log after the call.
+    pub(crate) fn append(&mut self) -> Result<(), FleetError> {
+        match self.wal.append() {
+            Err(e) if self.dcfg.policy == DurabilityPolicy::CrashStop => Err(io_err(e)),
+            _ => Ok(()),
         }
-        Ok(out)
     }
 
     /// Under [`DurabilityPolicy::Degrade`], flips into degraded mode when
-    /// the WAL has poisoned — appends fail, so the engine applies batches
-    /// un-durably instead of failing them.
+    /// the WAL has poisoned — appends fail, so batches apply un-durably.
     fn detect_degraded(&mut self) {
-        if self.dcfg.policy == DurabilityPolicy::Degrade
-            && self.degraded.is_none()
-            && self.engine.wal_poisoned()
-        {
+        if self.dcfg.policy == DurabilityPolicy::Degrade && self.wal.poison_reason().is_some() {
             self.enter_degraded();
         }
     }
 
     fn enter_degraded(&mut self) {
-        if self.degraded.is_none() {
-            // next_retry = now: the very next ingest attempts a re-arm
-            self.degraded = Some(Degraded { attempts: 0, next_retry: Instant::now() });
-        }
-    }
-
-    /// Under [`DurabilityPolicy::Degrade`], recovers the fleet in place
-    /// when `outcome` is [`FleetError::ShardDown`] (see the module docs).
-    /// Public `&mut` methods route their outcome through here once.
-    fn recover_on_shard_down<T>(
-        &mut self,
-        outcome: Result<T, FleetError>,
-    ) -> Result<T, FleetError> {
-        // no writer: an earlier in-place recovery failed, and the fleet
-        // stays poisoned like a crash-stopped one
-        if matches!(outcome, Err(FleetError::ShardDown))
-            && self.dcfg.policy == DurabilityPolicy::Degrade
-            && self.writer.is_some()
-        {
-            self.recover_in_place();
-        }
-        outcome
-    }
-
-    /// Stops the engine's workers and drains the snapshot writer, so
-    /// nothing else writes to the directory, then replaces this fleet
-    /// whole with [`DurableFleet::open`]'s — or, if that fails, swaps
-    /// nothing.
-    fn recover_in_place(&mut self) {
-        self.engine.stop_workers();
-        self.job_tx = None;
-        if let Some(h) = self.writer.take() {
-            let _ = h.join();
-        }
-        if let Ok(mut recovered) = Self::open(self.dcfg.clone()) {
-            // the old count may be ahead of the recovered image's
-            recovered.engine.carried.shard_restarts = self.engine.carried.shard_restarts + 1;
-            *self = recovered;
-        }
-    }
-
-    /// Attempts a re-arm when degraded and the backoff clock has expired.
-    /// A dead shard fails the attempt with [`FleetError::ShardDown`],
-    /// which is passed up for recovery instead of retried.
-    fn heal(&mut self) -> Result<(), FleetError> {
-        let Some(d) = &self.degraded else { return Ok(()) };
-        if Instant::now() < d.next_retry {
-            return Ok(());
-        }
-        let attempts = d.attempts;
-        self.engine.carried.wal_retries += 1;
-        match self.rearm_once() {
-            Ok(()) if self.degraded.is_none() => Ok(()),
-            Err(FleetError::ShardDown) => Err(FleetError::ShardDown),
-            // the attempt failed (or the checkpoint inside it re-degraded):
-            // stay degraded and back off exponentially, capped
-            _ => {
-                self.schedule_retry(attempts);
-                Ok(())
-            }
-        }
-    }
-
-    /// One re-arm attempt: a fresh WAL generation at the current batch
-    /// seq, then an immediate full base snapshot so the un-durable window
-    /// becomes recoverable again.
-    fn rearm_once(&mut self) -> Result<(), FleetError> {
-        let wal = Wal::create(&self.dcfg.dir, self.engine.batches(), self.dcfg.fsync_every)
-            .map_err(io_err)?;
-        self.engine.attach_wal(wal, true);
-        // appends work again; clear the flag before checkpointing (the
-        // checkpoint guard refuses while degraded) — a failed write below
-        // re-enters via handle_ack
-        self.degraded = None;
-        self.write_checkpoint()
+        // next_retry = now: the very next submission attempts a re-arm
+        self.degraded
+            .get_or_insert_with(|| Degraded { attempts: 0, next_retry: Instant::now() });
     }
 
     fn schedule_retry(&mut self, prior_attempts: u32) {
@@ -626,153 +329,6 @@ impl DurableFleet {
             attempts: prior_attempts.saturating_add(1),
             next_retry: Instant::now() + delay,
         });
-    }
-
-    /// Registers per-series admission overrides like
-    /// [`FleetEngine::set_admit_options`], then checkpoints: override
-    /// registration is not WAL-logged (the WAL carries raw points only),
-    /// so making it durable immediately keeps recovery deterministic —
-    /// the checkpointed image carries the pending overrides (codec v4)
-    /// and the replayed WAL tail admits the series with the same tuning
-    /// the uninterrupted engine used.
-    ///
-    /// Cost note: a forced checkpoint writes a **full** base snapshot
-    /// synchronously, so registering many series one call at a time on a
-    /// large live fleet is `O(calls × fleet size)` I/O. Register overrides
-    /// up front (fleet still small) when possible.
-    ///
-    /// Error note: on `Err` the registration may have been applied
-    /// in-memory without becoming durable. As with any
-    /// [`FleetError::Io`], treat the fleet as poisoned and recover from
-    /// disk — continuing to ingest would let pre-crash outputs diverge
-    /// from what recovery (which discards the non-durable registration)
-    /// reproduces. The same contract covers [`DurableFleet::evict_idle`].
-    pub fn set_admit_options(
-        &mut self,
-        key: impl Into<SeriesKey>,
-        opts: crate::config::AdmitOptions,
-    ) -> Result<(), FleetError> {
-        let done =
-            self.engine.set_admit_options(key, opts).and_then(|()| self.write_checkpoint());
-        self.recover_on_shard_down(done)
-    }
-
-    /// Evicts idle series like [`FleetEngine::evict_idle`], then
-    /// checkpoints: explicit evictions are not WAL-logged, so making them
-    /// durable immediately keeps recovery deterministic.
-    pub fn evict_idle(&mut self, now: u64) -> Result<usize, FleetError> {
-        let evicted = self.engine.evict_idle(now).and_then(|evicted| {
-            if evicted > 0 {
-                self.write_checkpoint()?;
-            }
-            Ok(evicted)
-        });
-        self.recover_on_shard_down(evicted)
-    }
-
-    /// Takes a snapshot now and blocks until it is durable on disk, then
-    /// prunes superseded WAL segments and old snapshots. Forced: even a
-    /// state change without a new batch (an explicit eviction) is
-    /// re-snapshotted under the same seq.
-    pub fn checkpoint(&mut self) -> Result<(), FleetError> {
-        let done = self.write_checkpoint();
-        self.recover_on_shard_down(done)
-    }
-
-    /// [`DurableFleet::checkpoint`] without the dead-shard recovery, for
-    /// callers that route their own outcome through it.
-    fn write_checkpoint(&mut self) -> Result<(), FleetError> {
-        if self.degraded.is_some() {
-            return Err(FleetError::Io(
-                "durability degraded: WAL re-arm pending, checkpoint unavailable".into(),
-            ));
-        }
-        let job = self.trigger_snapshot(true)?;
-        while self.acked_job < job {
-            match self.done_rx.recv() {
-                Err(_) => {
-                    return Err(FleetError::Io("snapshot writer thread died".into()));
-                }
-                Ok(ack) => self.handle_ack(ack)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Clean shutdown: collect any in-flight batches (their outputs are
-    /// discarded — collect them with [`DurableFleet::next_batch`] first if
-    /// they matter), checkpoint, and stop the writer thread. After `close`
-    /// returns, recovery needs zero WAL replay.
-    pub fn close(mut self) -> Result<(), FleetError> {
-        while self.next_batch()?.is_some() {}
-        if self.degraded.is_none() {
-            self.checkpoint()?;
-            self.engine.sync_wal()?;
-        }
-        // degraded: the checkpoint and sync would only fail again — close
-        // what we can; the un-durable window is lost, as documented
-        // dropping the job sender ends the writer loop; a fleet whose
-        // in-place recovery failed has no writer left and stays poisoned
-        self.job_tx = None;
-        let writer = self.writer.take().ok_or(FleetError::ShardDown)?;
-        let _ = writer.join();
-        Ok(())
-    }
-
-    /// Batch seq of the newest snapshot confirmed durable on disk.
-    pub fn durable_snapshot(&self) -> u64 {
-        self.durable_snapshot
-    }
-
-    /// Services the snapshot cadence (paused while degraded).
-    fn maybe_snapshot(&mut self) -> Result<(), FleetError> {
-        if self.degraded.is_none()
-            && self.engine.batches() - self.last_snapshot >= self.dcfg.snapshot_every
-        {
-            self.trigger_snapshot(false)?;
-        }
-        Ok(())
-    }
-
-    /// Collects the engine state (in-memory, fast), rotates the WAL, and
-    /// queues the disk write on the background thread. Returns the id of
-    /// the job that will write it (or of the last job, when not `force`
-    /// and no batch arrived since the previous trigger).
-    ///
-    /// The cadence normally collects an incremental delta (dirty series
-    /// only, chained onto the previous image); a forced checkpoint, or a
-    /// chain reaching [`DurabilityConfig::max_delta_chain`], collects a
-    /// full base instead.
-    fn trigger_snapshot(&mut self, force: bool) -> Result<u64, FleetError> {
-        let seq = self.engine.batches();
-        if seq == self.last_snapshot && !force {
-            return Ok(self.next_job - 1); // nothing new since the last trigger
-        }
-        let full = force
-            || self.dcfg.max_delta_chain == 0
-            || self.chain_len >= self.dcfg.max_delta_chain;
-        let payload = if full {
-            let snapshot = self.engine.snapshot()?;
-            self.chain_len = 0;
-            SnapshotPayload::Full(snapshot)
-        } else {
-            let delta = self.engine.snapshot_delta()?;
-            debug_assert_eq!(delta.prev_batches, self.last_snapshot, "delta chain anchor");
-            self.chain_len += 1;
-            SnapshotPayload::Delta(delta)
-        };
-        // rotate after collecting: batches ingested while the image is
-        // being written land in segments the image does not cover (a no-op
-        // re-rotation when forced at an unchanged seq)
-        self.engine.rotate_wal(seq)?;
-        self.last_snapshot = seq;
-        let id = self.next_job;
-        self.next_job += 1;
-        let job = SnapshotJob { id, seq, payload };
-        if self.job_tx.as_ref().is_none_or(|tx| tx.send(job).is_err()) {
-            return Err(FleetError::Io("snapshot writer thread stopped".into()));
-        }
-        Ok(id)
     }
 
     /// Drains writer acknowledgements without blocking.
@@ -791,7 +347,7 @@ impl DurableFleet {
         if let Err(e) = result {
             if self.dcfg.policy == DurabilityPolicy::Degrade {
                 // a failed snapshot write degrades durability instead of
-                // poisoning the fleet; the re-arm path re-snapshots
+                // poisoning the engine; the re-arm path re-snapshots
                 self.enter_degraded();
                 return Ok(());
             }
@@ -799,6 +355,13 @@ impl DurableFleet {
         }
         self.durable_snapshot = self.durable_snapshot.max(seq);
         self.prune()
+    }
+
+    /// Ends the writer loop once the jobs already queued are written;
+    /// `false` when no writer was running.
+    fn stop_writer(&mut self) -> bool {
+        self.job_tx = None;
+        self.writer.take().map(JoinHandle::join).is_some()
     }
 
     /// Deletes full bases beyond `keep_snapshots`, the deltas chained at
@@ -894,23 +457,460 @@ impl DurableFleet {
         }
         Ok(())
     }
+}
 
-    /// Lifetime count of `fsync`s issued on the WAL: at most one per
-    /// acked batch.
-    pub fn wal_fsync_count(&self) -> u64 {
-        self.engine.wal_fsync_count()
+impl Drop for Durability {
+    fn drop(&mut self) {
+        // no checkpoint and no fsync here on purpose: dropping an engine
+        // without close() is the crash path (tests rely on it), and
+        // already-queued snapshot jobs still complete
+        self.stop_writer();
     }
 }
 
-impl Drop for DurableFleet {
-    fn drop(&mut self) {
-        // no checkpoint and no fsync here on purpose: dropping without
-        // close() is the crash path (tests rely on it), and already-queued
-        // snapshot jobs still complete below
-        self.job_tx = None;
-        if let Some(h) = self.writer.take() {
-            let _ = h.join();
+impl FleetEngine {
+    /// Starts a fresh durable engine in `dcfg.dir` (created if missing,
+    /// must not already contain fleet files). Writes a base snapshot at
+    /// seq 0 synchronously, so the directory is recoverable from the very
+    /// first batch. See the [`crate::persist`] docs for what the engine
+    /// then does on every call.
+    pub fn create(config: FleetConfig, dcfg: DurabilityConfig) -> Result<Self, FleetError> {
+        dcfg.validate()?;
+        fs::create_dir_all(&dcfg.dir).map_err(io_err)?;
+        remove_stale_tmp(&dcfg.dir)?;
+        let existing = scan_dir(&dcfg.dir)?;
+        if !existing.snapshots.is_empty()
+            || !existing.deltas.is_empty()
+            || !existing.segments.is_empty()
+        {
+            // deltas count too: a stale delta from a previous fleet life
+            // could chain onto the new fleet's base (prev_batches can
+            // collide across lives) and corrupt a later recovery silently
+            return Err(FleetError::Recovery(format!(
+                "{} already contains fleet files; use FleetEngine::open",
+                dcfg.dir.display()
+            )));
         }
+        let mut engine = FleetEngine::new(config)?;
+        attach_cold_tier(&mut engine, &dcfg)?;
+        let base = engine.snapshot()?;
+        write_snapshot_file(&dcfg.dir, 0, &base).map_err(io_err)?;
+        engine.durability = Some(Durability::start(dcfg, 0, 0, 0)?);
+        Ok(engine)
+    }
+
+    /// Recovers a durable engine from `dcfg.dir`: newest valid base
+    /// snapshot + delta-chain folding + WAL tail replay + torn-tail
+    /// truncation. The recovered engine's [`FleetEngine::batches`] is the
+    /// number of batches that survived.
+    pub fn open(dcfg: DurabilityConfig) -> Result<Self, FleetError> {
+        dcfg.validate()?;
+        // writes a previous life's crash interrupted before their rename
+        remove_stale_tmp(&dcfg.dir)?;
+        let listing = scan_dir(&dcfg.dir)?;
+        // newest base that actually decodes wins; torn writes and version
+        // mismatches are skipped, falling back to an older image
+        let mut base: Option<FleetSnapshot> = None;
+        for (seq, path) in listing.snapshots.iter().rev() {
+            match load_snapshot_file(path) {
+                Ok(snap) if snap.batches == *seq => {
+                    base = Some(snap);
+                    break;
+                }
+                _ => continue,
+            }
+        }
+        let Some(mut base) = base else {
+            return Err(FleetError::Recovery(format!(
+                "no valid snapshot in {}",
+                dcfg.dir.display()
+            )));
+        };
+        // the chosen base anchors garbage collection: segments before it
+        // serve no possible recovery, but segments *between* it and the
+        // folded chain tip stay — they are the fallback if a delta file
+        // ever goes bad
+        let anchor_seq = base.batches;
+        // fold the delta chain anchored at the chosen base: each delta
+        // names its predecessor image; walk forward until the chain gaps
+        // (a missing/corrupt/unchained delta — the WAL replay below covers
+        // whatever the chain cannot)
+        let mut by_prev: BTreeMap<u64, FleetDelta> = BTreeMap::new();
+        for (seq, path) in &listing.deltas {
+            if *seq <= base.batches {
+                continue; // superseded by the base itself
+            }
+            if let Ok(delta) = load_delta_file(path) {
+                if delta.batches == *seq && delta.prev_batches < delta.batches {
+                    // on a (corruption-induced) prev collision the higher
+                    // seq wins: ascending iteration makes that the last
+                    // insert, and a wrong pick only shortens the chain —
+                    // WAL replay restores the difference
+                    by_prev.insert(delta.prev_batches, delta);
+                }
+            }
+        }
+        let mut chain_len = 0usize;
+        while let Some(delta) = by_prev.remove(&base.batches) {
+            delta.fold_into(&mut base)?;
+            chain_len += 1;
+        }
+        let base_seq = base.batches;
+        let mut engine = FleetEngine::restore(base)?;
+        // re-attach the cold tier *before* WAL replay: replayed batches
+        // must spill and rehydrate through the same on-disk store the
+        // uninterrupted engine used, or recovery would diverge from the
+        // prefix rule for series that crossed the hot/cold boundary
+        attach_cold_tier(&mut engine, &dcfg)?;
+
+        // read every segment at or after the anchor base; stale pre-base
+        // segments are garbage a crash kept alive
+        let mut read_segments: Vec<(PathBuf, WalSegment)> = Vec::new();
+        for (start, files) in &listing.segments {
+            for path in files {
+                if *start < anchor_seq {
+                    let _ = fs::remove_file(path);
+                    continue;
+                }
+                match wal::read_segment(path) {
+                    Ok(Some(seg)) => read_segments.push((path.clone(), seg)),
+                    // a header-only v1 segment: what a clean close of the
+                    // previous format leaves
+                    Ok(None) => {
+                        let _ = fs::remove_file(path);
+                    }
+                    // a v1 segment with records: refusing beats dropping
+                    // acknowledged batches silently
+                    Err(e) if e.kind() == ErrorKind::Unsupported => {
+                        return Err(FleetError::Recovery(format!("{}: {e}", path.display())));
+                    }
+                    // a torn or short header contributes nothing; replay
+                    // stops at the first batch it should have covered
+                    Err(_) => {}
+                }
+            }
+        }
+
+        // replay records in seq order up to the first missing seq, through
+        // the normal ingest path (durability not started yet, so nothing
+        // is re-logged)
+        let mut next = base_seq + 1;
+        'replay: for (_, seg) in &mut read_segments {
+            for frame in &mut seg.frames {
+                if frame.seq < next {
+                    continue; // covered by the folded image
+                }
+                if frame.seq > next {
+                    break 'replay;
+                }
+                // move, don't clone: the truncation pass below only needs
+                // each frame's seq and end offset
+                engine.ingest(std::mem::take(&mut frame.records))?;
+                next += 1;
+            }
+        }
+        let recovered = engine.batches();
+        debug_assert_eq!(recovered, next - 1);
+
+        // truncate every surviving segment to its last frame ≤ recovered
+        // and drop segments wholly beyond it, so a future recovery can
+        // never resurrect (or double-apply) the discarded tail
+        for (path, seg) in &read_segments {
+            if seg.start_seq > recovered {
+                let _ = fs::remove_file(path);
+                continue;
+            }
+            let keep = seg
+                .frames
+                .iter()
+                .zip(&seg.frame_ends)
+                .filter(|(f, _)| f.seq <= recovered)
+                .map(|(_, end)| *end)
+                .next_back()
+                .unwrap_or(wal::HEADER_LEN);
+            let file = OpenOptions::new().write(true).open(path).map_err(io_err)?;
+            let len = file.metadata().map_err(io_err)?.len();
+            if len > keep {
+                file.set_len(keep).map_err(io_err)?;
+                fault::sync_data(&file, path).map_err(io_err)?;
+            }
+        }
+
+        engine.durability = Some(Durability::start(dcfg, recovered, base_seq, chain_len)?);
+        Ok(engine)
+    }
+
+    /// `true` while durability is degraded: batches apply un-durably and
+    /// the engine is waiting out the re-arm backoff. Always `false` under
+    /// [`DurabilityPolicy::CrashStop`] and on a plain engine.
+    pub fn degraded(&self) -> bool {
+        self.durability.as_ref().is_some_and(|d| d.degraded.is_some())
+    }
+
+    /// Batch seq of the newest snapshot confirmed durable on disk (0 on a
+    /// plain engine).
+    pub fn durable_snapshot(&self) -> u64 {
+        self.durability.as_ref().map_or(0, |d| d.durable_snapshot)
+    }
+
+    /// Lifetime count of `fsync`s issued on the WAL: at most one per
+    /// acked batch (0 on a plain engine).
+    pub fn wal_fsync_count(&self) -> u64 {
+        self.durability.as_ref().map_or(0, |d| d.wal.fsync_count())
+    }
+
+    /// Takes a snapshot now and blocks until it is durable on disk, then
+    /// prunes superseded WAL segments and old snapshots. Forced: even a
+    /// state change without a new batch (an explicit eviction) is
+    /// re-snapshotted under the same seq. Fails with
+    /// [`FleetError::Config`] on a plain engine.
+    pub fn checkpoint(&mut self) -> Result<(), FleetError> {
+        self.durable()?;
+        let done = self.write_checkpoint();
+        self.recover_on_shard_down(done)
+    }
+
+    /// Clean shutdown: collect any in-flight batches (their outputs are
+    /// discarded — collect them with [`FleetEngine::next_batch`] first if
+    /// they matter), then, on a durable engine, checkpoint and stop the
+    /// writer thread. After `close` returns, recovery needs zero WAL
+    /// replay. Dropping the engine instead is the crash path.
+    pub fn close(mut self) -> Result<(), FleetError> {
+        while self.next_batch()?.is_some() {}
+        if self.durability.is_none() {
+            return Ok(());
+        }
+        // degraded: the checkpoint and sync would only fail again — close
+        // what we can; the un-durable window is lost, as documented
+        if !self.degraded() {
+            self.checkpoint()?;
+            self.durable()?.wal.sync().map_err(io_err)?;
+        }
+        // an engine whose in-place recovery failed has no writer left and
+        // stays poisoned
+        if self.durable()?.stop_writer() {
+            Ok(())
+        } else {
+            Err(FleetError::ShardDown)
+        }
+    }
+
+    /// The durable half of [`FleetEngine::submit`]: drain writer acks,
+    /// re-arm when the retry clock allows, dispatch (which logs the
+    /// batch), notice a poisoned log, run the snapshot cadence, and
+    /// recover in place on [`FleetError::ShardDown`].
+    pub(crate) fn submit_durably(&mut self, batch: Vec<Record>) -> Result<(), FleetError> {
+        let submitted = self.heal().and_then(|()| self.dispatch(batch)).and_then(|()| {
+            self.durable()?.detect_degraded();
+            self.maybe_snapshot()
+        });
+        self.recover_on_shard_down(submitted)
+    }
+
+    /// The durable half of [`FleetEngine::next_batch`]. Batches collected
+    /// while durability is degraded count as un-durable (conservatively: a
+    /// batch applied just before the WAL poisoned may land in the unsynced
+    /// tail).
+    pub(crate) fn collected_durably(
+        &mut self,
+        out: Result<Option<Vec<ScoredPoint>>, FleetError>,
+    ) -> Result<Option<Vec<ScoredPoint>>, FleetError> {
+        let out = self.recover_on_shard_down(out)?;
+        if let Some(d) = self.durability.as_deref_mut() {
+            d.detect_degraded();
+            if out.is_some() && d.degraded.is_some() {
+                self.carried.undurable_batches += 1;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Under [`DurabilityPolicy::Degrade`], recovers the engine in place
+    /// when `outcome` is [`FleetError::ShardDown`] (see the module docs).
+    /// Public `&mut` methods route their outcome through here once; a
+    /// no-op on a plain engine.
+    pub(crate) fn recover_on_shard_down<T>(
+        &mut self,
+        outcome: Result<T, FleetError>,
+    ) -> Result<T, FleetError> {
+        // no writer: an earlier in-place recovery failed, and the engine
+        // stays poisoned like a crash-stopped one
+        let recovers = self
+            .durability
+            .as_ref()
+            .is_some_and(|d| d.dcfg.policy == DurabilityPolicy::Degrade && d.writer.is_some());
+        if recovers && matches!(outcome, Err(FleetError::ShardDown)) {
+            self.recover_in_place();
+        }
+        outcome
+    }
+
+    /// Stops the workers and drains the snapshot writer, so nothing else
+    /// writes to the directory, then replaces this engine whole with
+    /// [`FleetEngine::open`]'s — or, if that fails, swaps nothing.
+    fn recover_in_place(&mut self) {
+        self.stop_workers();
+        let Some(d) = self.durability.as_deref_mut() else { return };
+        d.stop_writer();
+        if let Ok(mut recovered) = Self::open(d.dcfg.clone()) {
+            // the old count may be ahead of the recovered image's
+            recovered.carried.shard_restarts = self.carried.shard_restarts + 1;
+            *self = recovered;
+        }
+    }
+
+    /// Drains writer acks, then attempts a re-arm when degraded and the
+    /// backoff clock has expired. A dead shard fails the attempt with
+    /// [`FleetError::ShardDown`], which is passed up for recovery instead
+    /// of retried.
+    fn heal(&mut self) -> Result<(), FleetError> {
+        let Some(d) = self.durability.as_deref_mut() else { return Ok(()) };
+        d.poll_writer()?;
+        let Some(retry) = &d.degraded else { return Ok(()) };
+        if Instant::now() < retry.next_retry {
+            return Ok(());
+        }
+        let attempts = retry.attempts;
+        self.carried.wal_retries += 1;
+        match self.rearm_once() {
+            Ok(()) if !self.degraded() => Ok(()),
+            Err(FleetError::ShardDown) => Err(FleetError::ShardDown),
+            // the attempt failed (or the checkpoint inside it re-degraded):
+            // stay degraded and back off exponentially, capped
+            _ => {
+                self.durable()?.schedule_retry(attempts);
+                Ok(())
+            }
+        }
+    }
+
+    /// One re-arm attempt: a fresh WAL generation at the current batch
+    /// seq, then an immediate full base snapshot so the un-durable window
+    /// becomes recoverable again.
+    fn rearm_once(&mut self) -> Result<(), FleetError> {
+        let seq = self.batches();
+        let d = self.durable()?;
+        d.wal = Wal::create(&d.dcfg.dir, seq, d.dcfg.fsync_every).map_err(io_err)?;
+        // appends work again; clear the flag before checkpointing (the
+        // checkpoint guard refuses while degraded) — a failed write below
+        // re-enters via handle_ack
+        d.degraded = None;
+        self.write_checkpoint()
+    }
+
+    /// [`FleetEngine::checkpoint`] without the dead-shard recovery, for
+    /// callers that route their own outcome through it; a no-op on a
+    /// plain engine.
+    pub(crate) fn write_checkpoint(&mut self) -> Result<(), FleetError> {
+        if self.durability.is_none() {
+            return Ok(());
+        }
+        if self.degraded() {
+            return Err(FleetError::Io(
+                "durability degraded: WAL re-arm pending, checkpoint unavailable".into(),
+            ));
+        }
+        let job = self.trigger_snapshot(true)?;
+        let d = self.durable()?;
+        while d.acked_job < job {
+            let ack = d
+                .done_rx
+                .recv()
+                .map_err(|_| FleetError::Io("snapshot writer thread died".into()))?;
+            d.handle_ack(ack)?;
+        }
+        Ok(())
+    }
+
+    /// Services the snapshot cadence (paused while degraded).
+    fn maybe_snapshot(&mut self) -> Result<(), FleetError> {
+        let due = self.durability.as_ref().is_some_and(|d| {
+            d.degraded.is_none() && self.batches() - d.last_snapshot >= d.dcfg.snapshot_every
+        });
+        if due {
+            self.trigger_snapshot(false)?;
+        }
+        Ok(())
+    }
+
+    /// Collects the engine state (in-memory, fast), rotates the WAL, and
+    /// queues the disk write on the background thread. Returns the id of
+    /// the job that will write it (or of the last job, when not `force`
+    /// and no batch arrived since the previous trigger).
+    ///
+    /// The cadence normally collects an incremental delta (dirty series
+    /// only, chained onto the previous image); a forced checkpoint, or a
+    /// chain reaching [`DurabilityConfig::max_delta_chain`], collects a
+    /// full base instead.
+    fn trigger_snapshot(&mut self, force: bool) -> Result<u64, FleetError> {
+        let seq = self.batches();
+        let d = self.durable()?;
+        if seq == d.last_snapshot && !force {
+            return Ok(d.next_job - 1); // nothing new since the last trigger
+        }
+        let (max_chain, anchor) = (d.dcfg.max_delta_chain, d.last_snapshot);
+        let full = force || max_chain == 0 || d.chain_len >= max_chain;
+        let payload = if full {
+            SnapshotPayload::Full(self.snapshot()?)
+        } else {
+            let delta = self.snapshot_delta()?;
+            debug_assert_eq!(delta.prev_batches, anchor, "delta chain anchor");
+            SnapshotPayload::Delta(delta)
+        };
+        let d = self.durable()?;
+        d.chain_len = if full { 0 } else { d.chain_len + 1 };
+        // rotate after collecting: batches ingested while the image is
+        // being written land in segments the image does not cover (a no-op
+        // re-rotation when forced at an unchanged seq)
+        d.wal.rotate(seq).map_err(io_err)?;
+        d.last_snapshot = seq;
+        let id = d.next_job;
+        d.next_job += 1;
+        let job = SnapshotJob { id, seq, payload };
+        if d.job_tx.as_ref().is_none_or(|tx| tx.send(job).is_err()) {
+            return Err(FleetError::Io("snapshot writer thread stopped".into()));
+        }
+        Ok(id)
+    }
+
+    /// The durable state; [`FleetError::Config`] on a plain engine.
+    fn durable(&mut self) -> Result<&mut Durability, FleetError> {
+        self.durability.as_deref_mut().ok_or_else(|| {
+            FleetError::Config("not a durable engine: use FleetEngine::create or open".into())
+        })
+    }
+}
+
+/// The durable engine under its earlier name, kept for the benchmark
+/// harness: each method forwards to [`FleetEngine`].
+#[doc(hidden)]
+pub struct DurableFleet(FleetEngine);
+
+#[doc(hidden)]
+impl DurableFleet {
+    pub fn create(config: FleetConfig, dcfg: DurabilityConfig) -> Result<Self, FleetError> {
+        FleetEngine::create(config, dcfg).map(DurableFleet)
+    }
+    pub fn open(dcfg: DurabilityConfig) -> Result<Self, FleetError> {
+        FleetEngine::open(dcfg).map(DurableFleet)
+    }
+    pub fn submit(&mut self, batch: Vec<Record>) -> Result<(), FleetError> {
+        self.0.submit(batch)
+    }
+    pub fn next_batch(&mut self) -> Result<Option<Vec<ScoredPoint>>, FleetError> {
+        self.0.next_batch()
+    }
+    pub fn engine(&self) -> &FleetEngine {
+        &self.0
+    }
+    pub fn wal_fsync_count(&self) -> u64 {
+        self.0.wal_fsync_count()
+    }
+    pub fn durable_snapshot(&self) -> u64 {
+        self.0.durable_snapshot()
+    }
+    pub fn close(self) -> Result<(), FleetError> {
+        self.0.close()
     }
 }
 
@@ -1055,7 +1055,7 @@ fn scan_dir(dir: &Path) -> Result<DirListing, FleetError> {
 /// Deletes snapshot temp files a crash left behind. Only safe while no
 /// writer thread is running — once one is, a `.tmp` may be mid-write, and
 /// unlinking it would fail the writer's rename (so [`scan_dir`], which
-/// also serves [`DurableFleet::prune`], must never do this).
+/// also serves [`Durability::prune`], must never do this).
 fn remove_stale_tmp(dir: &Path) -> Result<(), FleetError> {
     for entry in fs::read_dir(dir).map_err(io_err)? {
         let entry = entry.map_err(io_err)?;

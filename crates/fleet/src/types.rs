@@ -179,7 +179,7 @@ pub struct FleetStats {
     /// engine (the shard's series re-warm), plus in-place recoveries from
     /// disk under [`crate::DurabilityPolicy::Degrade`]. Always 0 under
     /// [`crate::DurabilityPolicy::CrashStop`], where a dead worker stays
-    /// down until [`crate::DurableFleet::open`].
+    /// down until [`crate::FleetEngine::open`].
     pub shard_restarts: u64,
     /// Batches accepted while the WAL was down under
     /// [`crate::DurabilityPolicy::Degrade`] — the un-durable window

@@ -8,7 +8,7 @@
 
 use oneshotstl_suite::fleet::fault::{self, FaultOp};
 use oneshotstl_suite::fleet::{
-    DurabilityConfig, DurabilityPolicy, DurableFleet, FleetConfig, PeriodPolicy, Record,
+    DurabilityConfig, DurabilityPolicy, FleetConfig, FleetEngine, PeriodPolicy, Record,
 };
 use std::time::Duration;
 
@@ -38,7 +38,7 @@ fn main() {
         ..DurabilityConfig::new(&dir)
     };
 
-    let mut fleet = DurableFleet::create(config, dcfg.clone()).expect("create");
+    let mut fleet = FleetEngine::create(config, dcfg.clone()).expect("create");
     for t in 0..100u64 {
         fleet.ingest(batch(n_series, t)).expect("ingest");
     }
@@ -73,11 +73,11 @@ fn main() {
     fleet.close().expect("close");
 
     // ── recovery resumes from the re-arm snapshot + fresh WAL ──────────
-    let mut recovered = DurableFleet::open(dcfg).expect("open");
+    let mut recovered = FleetEngine::open(dcfg).expect("open");
     println!("recovered    : {}", line(&recovered));
     // replaying the recovered engine over the same step reproduces the
     // pre-close outputs bit-for-bit — durability is fully live again
-    let recovered_batches = recovered.engine().batches();
+    let recovered_batches = recovered.batches();
     assert_eq!(recovered_batches, t + 1, "every post-re-arm batch was durable");
     let replay = recovered.ingest(batch(n_series, t + 1)).expect("ingest");
     assert_eq!(replay.len(), reference.len());
@@ -86,11 +86,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn line(fleet: &DurableFleet) -> String {
-    let s = fleet.engine().stats().expect("stats");
+fn line(fleet: &FleetEngine) -> String {
+    let s = fleet.stats().expect("stats");
     format!(
         "batches={} live={} undurable={} wal_retries={} degraded={}",
-        fleet.engine().batches(),
+        fleet.batches(),
         s.live,
         s.undurable_batches,
         s.wal_retries,

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example fleet_recover`
 
 use oneshotstl_suite::fleet::{
-    AdmitOptions, DurabilityConfig, DurableFleet, FleetConfig, PeriodPolicy, Record,
+    AdmitOptions, DurabilityConfig, FleetConfig, FleetEngine, PeriodPolicy, Record,
 };
 
 fn value(series: usize, t: u64) -> f64 {
@@ -31,9 +31,9 @@ fn main() {
     let dcfg = DurabilityConfig { snapshot_every: 50, ..DurabilityConfig::new(&dir) };
 
     // ── first life: ingest 130 batches, then "crash" ────────────────────
-    let mut fleet = DurableFleet::create(config, dcfg.clone()).expect("create");
-    // per-series tuning survives recovery: the durable registration path
-    // checkpoints (overrides are not WAL-logged), so the declared period
+    let mut fleet = FleetEngine::create(config, dcfg.clone()).expect("create");
+    // per-series tuning survives recovery: a durable engine checkpoints
+    // on registration (overrides are not WAL-logged), so the declared period
     // and tighter threshold are back in force after a crash
     fleet
         .set_admit_options(
@@ -44,7 +44,7 @@ fn main() {
     for t in 0..130u64 {
         fleet.ingest(batch(n_series, t)).expect("ingest");
     }
-    let stats = fleet.stats_line();
+    let stats = stats_line(&fleet);
     println!("before crash : {stats}");
     drop(fleet); // kill -9: no checkpoint, no clean shutdown
 
@@ -56,35 +56,29 @@ fn main() {
 
     // ── second life: recover and keep scoring ───────────────────────────
     // snapshot at batch 100 + WAL replay of batches 101..130
-    let mut fleet = DurableFleet::open(dcfg.clone()).expect("recover");
-    println!("recovered    : {}", fleet.stats_line());
-    assert_eq!(fleet.engine().batches(), 130, "nothing was lost");
+    let mut fleet = FleetEngine::open(dcfg.clone()).expect("recover");
+    println!("recovered    : {}", stats_line(&fleet));
+    assert_eq!(fleet.batches(), 130, "nothing was lost");
     for t in 130..200u64 {
         fleet.ingest(batch(n_series, t)).expect("ingest");
     }
-    println!("after resume : {}", fleet.stats_line());
+    println!("after resume : {}", stats_line(&fleet));
 
     // ── clean shutdown: checkpoint, so the next open replays nothing ────
     fleet.close().expect("close");
-    let fleet = DurableFleet::open(dcfg).expect("reopen");
-    println!("after close  : {}", fleet.stats_line());
+    let fleet = FleetEngine::open(dcfg).expect("reopen");
+    println!("after close  : {}", stats_line(&fleet));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Tiny display helper on top of the public stats API.
-trait StatsLine {
-    fn stats_line(&self) -> String;
-}
-
-impl StatsLine for DurableFleet {
-    fn stats_line(&self) -> String {
-        let s = self.engine().stats().expect("stats");
-        format!(
-            "{} batches, {} live series, {} points scored, durable snapshot at batch {}",
-            self.engine().batches(),
-            s.live,
-            s.points,
-            self.durable_snapshot()
-        )
-    }
+fn stats_line(fleet: &FleetEngine) -> String {
+    let s = fleet.stats().expect("stats");
+    format!(
+        "{} batches, {} live series, {} points scored, durable snapshot at batch {}",
+        fleet.batches(),
+        s.live,
+        s.points,
+        fleet.durable_snapshot()
+    )
 }

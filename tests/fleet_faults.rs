@@ -8,8 +8,8 @@
 
 use oneshotstl_suite::fleet::fault::{self, FaultOp};
 use oneshotstl_suite::fleet::{
-    AdmitOptions, BackendSelect, DurabilityConfig, DurabilityPolicy, DurableFleet, FleetConfig,
-    FleetEngine, FleetError, ForecastOptions, PeriodPolicy, PointOutput, Record, ScoredPoint,
+    AdmitOptions, BackendSelect, DurabilityConfig, DurabilityPolicy, FleetConfig, FleetEngine,
+    FleetError, ForecastOptions, PeriodPolicy, PointOutput, Record, ScoredPoint,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -108,7 +108,7 @@ fn fault_matrix_recovers_a_bit_identical_prefix() {
             ..DurabilityConfig::new(&dir)
         };
         let guard = fault::inject(&dir, fault::fail_nth(op, nth));
-        let fed = match DurableFleet::create(config(2), dcfg.clone()) {
+        let fed = match FleetEngine::create(config(2), dcfg.clone()) {
             // the fault killed bootstrap before anything durable existed:
             // no panic is the whole contract for this case
             Err(_) => {
@@ -118,7 +118,7 @@ fn fault_matrix_recovers_a_bit_identical_prefix() {
             }
             Ok(mut durable) if pipelined => {
                 let mut acked = 0u64;
-                let mut collect = |durable: &mut DurableFleet| {
+                let mut collect = |durable: &mut FleetEngine| {
                     let out = durable.next_batch().expect(&ctx)?;
                     assert_bit_identical(&out, &ref_outputs[acked as usize], &ctx);
                     acked += 1;
@@ -129,7 +129,7 @@ fn fault_matrix_recovers_a_bit_identical_prefix() {
                     if durable.submit(batch(n_series, t)).is_err() {
                         break;
                     }
-                    if durable.engine().in_flight() == 4 {
+                    if durable.in_flight() == 4 {
                         collect(&mut durable);
                     }
                 }
@@ -159,8 +159,8 @@ fn fault_matrix_recovers_a_bit_identical_prefix() {
         // succeed and restore a prefix of the acked history (an un-acked
         // final batch may survive: its record can hit the page cache even
         // when the covering fsync failed)
-        let mut recovered = DurableFleet::open(dcfg).expect(&ctx);
-        let resume = recovered.engine().batches();
+        let mut recovered = FleetEngine::open(dcfg).expect(&ctx);
+        let resume = recovered.batches();
         assert!(
             resume >= fed && resume <= fed + 1,
             "{ctx}: acked {fed} batches, recovered {resume}"
@@ -190,7 +190,7 @@ fn degrade_mode_serves_through_a_wal_outage_and_rearms() {
     };
 
     let mut reference = FleetEngine::new(config(2)).unwrap();
-    let mut durable = DurableFleet::create(config(2), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(config(2), dcfg.clone()).unwrap();
 
     // fail fsyncs 2..5 (counted after create): a transient outage that
     // poisons the WAL mid-stream, then fails the first re-arm attempts
@@ -211,16 +211,16 @@ fn degrade_mode_serves_through_a_wal_outage_and_rearms() {
     assert!(was_degraded, "the outage never degraded durability");
     assert!(!durable.degraded(), "the fleet never re-armed");
 
-    let stats = durable.engine().stats().unwrap();
+    let stats = durable.stats().unwrap();
     assert!(stats.undurable_batches >= 1, "un-durable window not counted: {stats:?}");
     assert!(stats.wal_retries >= 1, "re-arm attempts not counted: {stats:?}");
 
     // after re-arming, durability is fully live again: clean close, then
     // recovery resumes at the end of the stream with the counters carried
     durable.close().unwrap();
-    let mut recovered = DurableFleet::open(dcfg).unwrap();
-    assert_eq!(recovered.engine().batches(), 120, "post-re-arm batches all durable");
-    let got = recovered.engine().stats().unwrap();
+    let mut recovered = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(recovered.batches(), 120, "post-re-arm batches all durable");
+    let got = recovered.stats().unwrap();
     assert_eq!(got.undurable_batches, stats.undurable_batches, "carried across recovery");
     assert_eq!(got.wal_retries, stats.wal_retries, "carried across recovery");
     for t in 120..140u64 {
@@ -233,7 +233,7 @@ fn degrade_mode_serves_through_a_wal_outage_and_rearms() {
 
 /// A permanent outage (ENOSPC on every fsync) keeps the fleet serving
 /// under Degrade — degraded the whole time, every batch counted — and
-/// [`DurableFleet::checkpoint`] refuses rather than pretending.
+/// [`FleetEngine::checkpoint`] refuses rather than pretending.
 #[test]
 fn degrade_mode_survives_a_permanent_outage() {
     let n_series = 2;
@@ -245,7 +245,7 @@ fn degrade_mode_survives_a_permanent_outage() {
         wal_retry_cap: Duration::from_millis(5),
         ..DurabilityConfig::new(&dir)
     };
-    let mut durable = DurableFleet::create(config(2), dcfg).unwrap();
+    let mut durable = FleetEngine::create(config(2), dcfg).unwrap();
     for t in 0..3u64 {
         durable.ingest(batch(n_series, t)).unwrap();
     }
@@ -256,7 +256,7 @@ fn degrade_mode_survives_a_permanent_outage() {
         if durable.degraded() {
             std::thread::sleep(Duration::from_millis(1));
         }
-        undurable_seen = durable.engine().stats().unwrap().undurable_batches;
+        undurable_seen = durable.stats().unwrap().undurable_batches;
     }
     assert!(durable.degraded(), "ENOSPC on every fsync cannot re-arm");
     assert!(undurable_seen >= 30, "most batches were un-durable: {undurable_seen}");
@@ -271,7 +271,7 @@ fn degrade_mode_survives_a_permanent_outage() {
 /// Under [`DurabilityPolicy::Degrade`] a killed shard worker is recovered
 /// from disk in place: the call that sees `ShardDown` returns it,
 /// `engine().batches()` is where feeding resumes, and every batch served
-/// after that — and a later `DurableFleet::open`'s continuation — is
+/// after that — and a later `FleetEngine::open`'s continuation — is
 /// bit-identical to an uninterrupted twin. No shard is rebuilt from an
 /// older in-memory image.
 #[test]
@@ -288,11 +288,11 @@ fn degrade_recovers_a_killed_shard_from_disk_bit_identically() {
     let expected: Vec<Vec<ScoredPoint>> =
         (0..total).map(|t| twin.ingest(batch(n_series, t)).unwrap()).collect();
 
-    let mut durable = DurableFleet::create(config(3), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(config(3), dcfg.clone()).unwrap();
     for t in 0..killed_at {
         durable.ingest(batch(n_series, t)).unwrap();
     }
-    durable.engine_mut().crash_shard(0).unwrap();
+    durable.crash_shard(0).unwrap();
     let mut t = killed_at;
     let mut resumes = Vec::new();
     while t < reopened_at {
@@ -302,7 +302,7 @@ fn degrade_recovers_a_killed_shard_from_disk_bit_identically() {
                 t += 1;
             }
             Err(FleetError::ShardDown) => {
-                t = durable.engine().batches();
+                t = durable.batches();
                 resumes.push(t);
             }
             Err(e) => panic!("unexpected error at batch {t}: {e}"),
@@ -314,16 +314,16 @@ fn degrade_recovers_a_killed_shard_from_disk_bit_identically() {
     assert_eq!(resumes.len(), 1, "resume points {resumes:?}");
     assert!((killed_at..=killed_at + 1).contains(&resumes[0]), "{resumes:?}");
     assert!(!durable.degraded());
-    let stats = durable.engine().stats().unwrap();
+    let stats = durable.stats().unwrap();
     assert_eq!(stats.shard_restarts, 1, "the recovery is counted: {stats:?}");
     assert_eq!(stats.live, n_series);
 
     // crash the recovered fleet too: its directory must continue the
     // same stream, restart count included
     drop(durable);
-    let mut reopened = DurableFleet::open(dcfg).unwrap();
-    assert_eq!(reopened.engine().batches(), reopened_at);
-    assert_eq!(reopened.engine().stats().unwrap().shard_restarts, 1);
+    let mut reopened = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(reopened.batches(), reopened_at);
+    assert_eq!(reopened.stats().unwrap().shard_restarts, 1);
     for t in reopened_at..total {
         let out = reopened.ingest(batch(n_series, t)).unwrap();
         assert_bit_identical(&out, &expected[t as usize], &format!("reopened batch {t}"));
@@ -340,11 +340,11 @@ fn degrade_recovery_that_cannot_open_leaves_the_fleet_poisoned() {
     let dir = test_dir("degrade-kill-unrecoverable");
     let dcfg =
         DurabilityConfig { policy: DurabilityPolicy::Degrade, ..DurabilityConfig::new(&dir) };
-    let mut durable = DurableFleet::create(config(2), dcfg).unwrap();
+    let mut durable = FleetEngine::create(config(2), dcfg).unwrap();
     for t in 0..20u64 {
         durable.ingest(batch(n_series, t)).unwrap();
     }
-    durable.engine_mut().crash_shard(0).unwrap();
+    durable.crash_shard(0).unwrap();
     // with every base snapshot gone, `open` fails
     for entry in fs::read_dir(&dir).unwrap() {
         let path = entry.unwrap().path();
@@ -356,7 +356,7 @@ fn degrade_recovery_that_cannot_open_leaves_the_fleet_poisoned() {
         let out = durable.ingest(batch(n_series, t)).map(|_| ());
         assert_eq!(out, Err(FleetError::ShardDown), "batch {t}");
     }
-    assert!(matches!(durable.engine().stats(), Err(FleetError::ShardDown)));
+    assert!(matches!(durable.stats(), Err(FleetError::ShardDown)));
     assert_eq!(durable.close(), Err(FleetError::ShardDown));
     let _ = fs::remove_dir_all(&dir);
 }
@@ -409,16 +409,16 @@ fn respawn_rewarms_series_even_after_a_snapshot() {
 
 /// Under the default crash-stop policy a dead worker stays dead: the
 /// engine keeps failing with `ShardDown` until the operator recovers
-/// from disk with `DurableFleet::open`.
+/// from disk with `FleetEngine::open`.
 #[test]
 fn crash_stop_keeps_a_killed_worker_down() {
     let n_series = 4;
     let dir = test_dir("crash-stop-down");
-    let mut durable = DurableFleet::create(config(2), DurabilityConfig::new(&dir)).unwrap();
+    let mut durable = FleetEngine::create(config(2), DurabilityConfig::new(&dir)).unwrap();
     for t in 0..20u64 {
         durable.ingest(batch(n_series, t)).unwrap();
     }
-    durable.engine_mut().crash_shard(0).unwrap();
+    durable.crash_shard(0).unwrap();
     std::thread::sleep(Duration::from_millis(300));
     for _ in 0..3 {
         assert!(
@@ -428,9 +428,9 @@ fn crash_stop_keeps_a_killed_worker_down() {
     }
     // recovery from disk is the crash-stop repair path
     drop(durable);
-    let recovered = DurableFleet::open(DurabilityConfig::new(&dir)).unwrap();
-    assert_eq!(recovered.engine().batches(), 20);
-    assert_eq!(recovered.engine().stats().unwrap().shard_restarts, 0);
+    let recovered = FleetEngine::open(DurabilityConfig::new(&dir)).unwrap();
+    assert_eq!(recovered.batches(), 20);
+    assert_eq!(recovered.stats().unwrap().shard_restarts, 0);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -588,7 +588,7 @@ fn non_finite_storms_never_panic_across_backends() {
 fn stale_tmp_snapshot_files_are_cleaned_on_open() {
     let n_series = 2;
     let dir = test_dir("tmp-cleanup");
-    let mut durable = DurableFleet::create(config(2), DurabilityConfig::new(&dir)).unwrap();
+    let mut durable = FleetEngine::create(config(2), DurabilityConfig::new(&dir)).unwrap();
     for t in 0..15u64 {
         durable.ingest(batch(n_series, t)).unwrap();
     }
@@ -598,8 +598,8 @@ fn stale_tmp_snapshot_files_are_cleaned_on_open() {
     for junk in [".snap-00000000000000000099.tmp", ".snap-00000000000000000007d.tmp"] {
         fs::write(dir.join(junk), b"half-written garbage").unwrap();
     }
-    let recovered = DurableFleet::open(DurabilityConfig::new(&dir)).unwrap();
-    assert_eq!(recovered.engine().batches(), 15, "junk did not shadow the real image");
+    let recovered = FleetEngine::open(DurabilityConfig::new(&dir)).unwrap();
+    assert_eq!(recovered.batches(), 15, "junk did not shadow the real image");
     let leftovers: Vec<String> = fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
@@ -613,7 +613,7 @@ fn stale_tmp_snapshot_files_are_cleaned_on_open() {
     let dir2 = test_dir("tmp-cleanup-create");
     fs::create_dir_all(&dir2).unwrap();
     fs::write(dir2.join(".snap-00000000000000000001.tmp"), b"junk").unwrap();
-    let fresh = DurableFleet::create(config(2), DurabilityConfig::new(&dir2)).unwrap();
+    let fresh = FleetEngine::create(config(2), DurabilityConfig::new(&dir2)).unwrap();
     drop(fresh);
     let leftovers = fs::read_dir(&dir2)
         .unwrap()

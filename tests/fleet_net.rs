@@ -16,14 +16,16 @@
 //!    arbitrary garbage and garbage after a valid hello magic are
 //!    rejected with typed errors.
 
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
 
 use oneshotstl_suite::fleet::net::{
     check_hello, decode_frame, decode_frame_exact, encode_frame, hello_bytes, MAX_FRAME,
 };
 use oneshotstl_suite::fleet::{
-    AdmitOptions, CodecError, FleetConfig, FleetEngine, NetClient, NetError, NetMessage,
-    NetServer, PeriodPolicy, Record, ScoredPoint, SeriesKey,
+    AdmitOptions, CodecError, DurabilityConfig, FleetConfig, FleetEngine, NetClient, NetError,
+    NetMessage, NetServer, PeriodPolicy, Record, ScoredPoint, SeriesKey,
 };
 use oneshotstl_suite::tskit::DecompPoint;
 use proptest::prelude::*;
@@ -350,4 +352,101 @@ fn loopback_refuses_an_unanswerable_forecast_and_keeps_serving() {
     assert!(fc.iter().all(|slot| slot.as_ref().is_some_and(|f| f.len() == PERIOD)));
     assert_eq!(client.stats().unwrap().live, 4);
     server.shutdown();
+}
+
+/// Set in the child process of [`wire_sigkill_recovers_a_bit_identical_score_stream`]:
+/// the durability directory the child serves from.
+const CRASH_CHILD_DIR: &str = "FLEET_NET_CRASH_CHILD_DIR";
+
+fn crash_dcfg(dir: &std::path::Path) -> DurabilityConfig {
+    // a short cadence, so the kill lands with deltas and a WAL tail on disk
+    DurabilityConfig { snapshot_every: 16, max_delta_chain: 2, ..DurabilityConfig::new(dir) }
+}
+
+/// Kills and reaps the child on every exit path of the parent.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A durable engine served over TCP survives a real `SIGKILL`. The test
+/// binary re-runs itself as one child process that serves
+/// `FleetEngine::create` through a `NetServer`; the parent streams
+/// pipelined batches, kills the child with batches still in flight,
+/// reopens the directory with `FleetEngine::open`, serves it again, and
+/// resumes from the recovered `batches()`. Every acked score before the
+/// kill and every score after the reopen is bit-identical to an
+/// uninterrupted in-process engine.
+#[test]
+fn wire_sigkill_recovers_a_bit_identical_score_stream() {
+    if let Some(dir) = std::env::var_os(CRASH_CHILD_DIR) {
+        let engine = FleetEngine::create(test_config(2), crash_dcfg(dir.as_ref())).unwrap();
+        let server = NetServer::serve("127.0.0.1:0", engine).expect("serve");
+        println!("crash-child-port {}", server.local_addr().port());
+        // serve until killed; a closed stdin means the parent is gone
+        let _ = std::io::stdin().read_to_end(&mut Vec::new());
+        std::process::exit(0);
+    }
+    let (n_series, total, kill_after) = (6, 120u64, 50);
+    let dir = std::env::temp_dir().join(format!("fleet-net-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut local = FleetEngine::new(test_config(2)).unwrap();
+    let want: Vec<Vec<ScoredPoint>> =
+        (0..total).map(|t| local.ingest(stream_batch(t, n_series)).unwrap()).collect();
+
+    let exe = std::env::current_exe().unwrap();
+    let mut child = KillOnDrop(
+        Command::new(exe)
+            .args(["--exact", "wire_sigkill_recovers_a_bit_identical_score_stream"])
+            .arg("--nocapture")
+            .env(CRASH_CHILD_DIR, &dir)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn the serving child"),
+    );
+    let stdout = BufReader::new(child.0.stdout.take().unwrap());
+    let port: u16 = stdout
+        .lines()
+        .map_while(Result::ok)
+        .find_map(|l| l.strip_prefix("crash-child-port ").map(|p| p.parse().unwrap()))
+        .expect("the child prints its port");
+
+    let mut client = NetClient::connect(("127.0.0.1", port)).expect("connect");
+    let mut acked: Vec<Vec<ScoredPoint>> = Vec::new();
+    let mut sent = 0u64;
+    while acked.len() < kill_after {
+        acked.extend(client.submit(stream_batch(sent, n_series)).unwrap());
+        sent += 1;
+    }
+    // SIGKILL with the client window's batches submitted but unacked
+    child.0.kill().unwrap();
+    child.0.wait().unwrap();
+    drop(client);
+    for (t, got) in acked.iter().enumerate() {
+        assert_eq!(got, &want[t], "acked batch {t} diverged before the kill");
+    }
+
+    let engine = FleetEngine::open(crash_dcfg(&dir)).expect("recover");
+    let resume = engine.batches();
+    assert!((kill_after as u64..=sent).contains(&resume), "resume {resume}, sent {sent}");
+    let server = NetServer::serve("127.0.0.1:0", engine).expect("serve the recovered engine");
+    let mut client = NetClient::connect(server.local_addr()).expect("reconnect");
+    for t in resume..total {
+        let got = client.ingest(stream_batch(t, n_series)).unwrap();
+        assert_eq!(got, want[t as usize], "batch {t} diverged after recovery");
+    }
+    assert!(want[resume as usize..].iter().flatten().any(ScoredPoint::is_anomaly));
+    drop(client);
+    // shutting the server down closes the engine: nothing left to replay
+    server.shutdown();
+    let reopened = FleetEngine::open(crash_dcfg(&dir)).unwrap();
+    assert_eq!((reopened.batches(), reopened.durable_snapshot()), (total, total));
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }

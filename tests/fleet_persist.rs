@@ -5,8 +5,8 @@
 //! backpressure policy.
 
 use oneshotstl_suite::fleet::{
-    DurabilityConfig, DurableFleet, FleetConfig, FleetEngine, FleetError, PeriodPolicy,
-    PointOutput, QueuePolicy, Record, ScoredPoint, SeriesKey,
+    DurabilityConfig, FleetConfig, FleetEngine, FleetError, PeriodPolicy, PointOutput,
+    QueuePolicy, Record, ScoredPoint, SeriesKey,
 };
 use oneshotstl_suite::tskit::synth::{gaussian_noise, SeasonTemplate};
 use rand::rngs::StdRng;
@@ -92,7 +92,7 @@ fn crash_recovery_with_torn_wal_tail_is_bit_identical() {
 
     // durable run: snapshots every 40 batches, WAL fsync every batch
     let dcfg = DurabilityConfig { snapshot_every: 40, ..DurabilityConfig::new(&dir) };
-    let mut durable = DurableFleet::create(config(), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
     for t in 0..crash_at {
         let out = durable.ingest(batch(&streams, t)).unwrap();
         assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "pre-crash");
@@ -115,8 +115,8 @@ fn crash_recovery_with_torn_wal_tail_is_bit_identical() {
     fs::write(&torn, &bytes[..bytes.len() - 3]).unwrap();
 
     // recover: latest snapshot + WAL replay, minus the torn final batch
-    let mut recovered = DurableFleet::open(dcfg.clone()).unwrap();
-    let resume = recovered.engine().batches();
+    let mut recovered = FleetEngine::open(dcfg.clone()).unwrap();
+    let resume = recovered.batches();
     assert_eq!(resume, crash_at - 1, "exactly the torn final batch is lost");
 
     // re-feed from the recovery point; every output matches the reference
@@ -124,7 +124,7 @@ fn crash_recovery_with_torn_wal_tail_is_bit_identical() {
         let out = recovered.ingest(batch(&streams, t)).unwrap();
         assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "post-recovery");
     }
-    let stats = recovered.engine().stats().unwrap();
+    let stats = recovered.stats().unwrap();
     let ref_stats = reference.stats().unwrap();
     assert_eq!(stats.live, n_series);
     assert_eq!(stats.points, ref_stats.points);
@@ -132,8 +132,8 @@ fn crash_recovery_with_torn_wal_tail_is_bit_identical() {
 
     // clean shutdown → reopen needs zero WAL replay and keeps scoring
     recovered.close().unwrap();
-    let mut reopened = DurableFleet::open(dcfg).unwrap();
-    assert_eq!(reopened.engine().batches(), total);
+    let mut reopened = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(reopened.batches(), total);
     let out = reopened.ingest(batch(&streams, total)).unwrap();
     let expected = reference.ingest(batch(&streams, total)).unwrap();
     assert_outputs_bit_identical(&out, &expected, "after reopen");
@@ -157,7 +157,7 @@ fn recovery_replays_ttl_evictions() {
     let dcfg = DurabilityConfig { snapshot_every: 10_000, ..DurabilityConfig::new(&dir) };
 
     let mut reference = FleetEngine::new(cfg.clone()).unwrap();
-    let mut durable = DurableFleet::create(cfg, dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(cfg, dcfg.clone()).unwrap();
     // both series live, then series-1 goes silent long enough for the
     // amortized sweep (every 64 batches) to evict it
     for t in 0..40u64 {
@@ -173,8 +173,8 @@ fn recovery_replays_ttl_evictions() {
     assert_eq!(reference.stats().unwrap().evicted, 1, "sweep evicted the idle series");
     drop(durable); // crash
 
-    let mut recovered = DurableFleet::open(dcfg).unwrap();
-    let stats = recovered.engine().stats().unwrap();
+    let mut recovered = FleetEngine::open(dcfg).unwrap();
+    let stats = recovered.stats().unwrap();
     let ref_stats = reference.stats().unwrap();
     assert_eq!(stats.evicted, ref_stats.evicted, "replay reproduces the eviction");
     assert_eq!(stats.live, ref_stats.live);
@@ -196,15 +196,15 @@ fn recovery_replays_ttl_evictions() {
 fn empty_wal_recovers_to_base_snapshot() {
     let dir = test_dir("empty-wal");
     let dcfg = DurabilityConfig::new(&dir);
-    drop(DurableFleet::create(config(), dcfg.clone()).unwrap());
-    let mut recovered = DurableFleet::open(dcfg).unwrap();
-    assert_eq!(recovered.engine().batches(), 0);
-    assert_eq!(recovered.engine().stats().unwrap().live, 0);
+    drop(FleetEngine::create(config(), dcfg.clone()).unwrap());
+    let mut recovered = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(recovered.batches(), 0);
+    assert_eq!(recovered.stats().unwrap().live, 0);
     let streams = build_streams(3);
     for t in 0..80u64 {
         recovered.ingest(batch(&streams, t)).unwrap();
     }
-    assert_eq!(recovered.engine().stats().unwrap().live, 3);
+    assert_eq!(recovered.stats().unwrap().live, 3);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -216,7 +216,7 @@ fn snapshot_version_mismatch_falls_back_to_older_snapshot() {
     let streams = build_streams(6);
     let dir = test_dir("version-mismatch");
     let dcfg = DurabilityConfig { snapshot_every: 10_000, ..DurabilityConfig::new(&dir) };
-    let mut durable = DurableFleet::create(config(), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
     for t in 0..90u64 {
         durable.ingest(batch(&streams, t)).unwrap();
     }
@@ -241,16 +241,16 @@ fn snapshot_version_mismatch_falls_back_to_older_snapshot() {
     bytes[8..12].copy_from_slice(&crc.to_le_bytes());
     fs::write(&newest, &bytes).unwrap();
 
-    let recovered = DurableFleet::open(dcfg).unwrap();
+    let recovered = FleetEngine::open(dcfg).unwrap();
     // fell back to the base snapshot (seq 0) and replayed the whole WAL
-    assert_eq!(recovered.engine().batches(), 130);
-    assert_eq!(recovered.engine().stats().unwrap().live, 6);
+    assert_eq!(recovered.batches(), 130);
+    assert_eq!(recovered.stats().unwrap().live, 6);
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// An explicit eviction right after the snapshot cadence fired mutates
 /// state without advancing the batch seq; the checkpoint inside
-/// `DurableFleet::evict_idle` must still force a re-snapshot, or the
+/// `FleetEngine::evict_idle` must still force a re-snapshot, or the
 /// eviction would silently vanish on crash.
 #[test]
 fn explicit_eviction_at_snapshot_boundary_survives_crash() {
@@ -264,7 +264,7 @@ fn explicit_eviction_at_snapshot_boundary_survives_crash() {
     let dir = test_dir("evict-boundary");
     // snapshot_every = 30: the cadence triggers exactly on the last batch
     let dcfg = DurabilityConfig { snapshot_every: 30, ..DurabilityConfig::new(&dir) };
-    let mut durable = DurableFleet::create(cfg, dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(cfg, dcfg.clone()).unwrap();
     for t in 0..30u64 {
         durable.ingest(batch(&streams, t)).unwrap();
     }
@@ -272,10 +272,44 @@ fn explicit_eviction_at_snapshot_boundary_survives_crash() {
     assert_eq!(durable.evict_idle(1000).unwrap(), 2);
     drop(durable); // crash right after the eviction's checkpoint returned
 
-    let recovered = DurableFleet::open(dcfg).unwrap();
-    let stats = recovered.engine().stats().unwrap();
+    let recovered = FleetEngine::open(dcfg).unwrap();
+    let stats = recovered.stats().unwrap();
     assert_eq!(stats.evicted, 2, "explicit eviction must survive the crash");
     assert_eq!(stats.live + stats.warming, 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The TTL sweep that `submit` runs every 64 batches never checkpoints
+/// (WAL replay reproduces it), while a durable engine's public
+/// `evict_idle` checkpoints when it evicted something. A plain engine has
+/// no checkpoint to take.
+#[test]
+fn ttl_sweep_never_checkpoints_but_explicit_eviction_does() {
+    let streams = build_streams(2);
+    let cfg = FleetConfig {
+        shards: 2,
+        period: PeriodPolicy::Fixed(8),
+        ttl: Some(20),
+        ..Default::default()
+    };
+    let dir = test_dir("sweep-no-checkpoint");
+    let dcfg = DurabilityConfig { snapshot_every: 1000, ..DurabilityConfig::new(&dir) };
+    let mut durable = FleetEngine::create(cfg.clone(), dcfg).unwrap();
+    // series-1 goes quiet after t = 9, so the sweep at batch 64 evicts it
+    for t in 0..64u64 {
+        let mut b = batch(&streams, t);
+        b.truncate(if t < 10 { 2 } else { 1 });
+        durable.ingest(b).unwrap();
+    }
+    assert_eq!(durable.stats().unwrap().evicted, 1, "the sweep evicted the idle series");
+    assert_eq!(durable.durable_snapshot(), 0, "the sweep took no checkpoint");
+    assert_eq!(durable.evict_idle(1000).unwrap(), 1);
+    assert_eq!(durable.durable_snapshot(), 64, "an explicit eviction checkpoints");
+    durable.close().unwrap();
+
+    let mut plain = FleetEngine::new(cfg).unwrap();
+    assert!(matches!(plain.checkpoint(), Err(FleetError::Config(_))));
+    plain.close().unwrap();
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -356,12 +390,12 @@ fn incremental_snapshots_shrink_writes_10x_with_1pct_dirty() {
         ..DurabilityConfig::new(&dir)
     };
     let cfg = FleetConfig { shards: 3, period: PeriodPolicy::Fixed(24), ..Default::default() };
-    let mut fleet = DurableFleet::create(cfg, dcfg).unwrap();
+    let mut fleet = FleetEngine::create(cfg, dcfg).unwrap();
     // warm the whole fleet live
     for t in 0..80u64 {
         fleet.ingest(batch(&streams, t)).unwrap();
     }
-    assert_eq!(fleet.engine().stats().unwrap().live, n_series);
+    assert_eq!(fleet.stats().unwrap().live, n_series);
     // full base at the current seq (forced checkpoint → full snapshot)
     fleet.checkpoint().unwrap();
     let base_seq = fleet.durable_snapshot();
@@ -400,14 +434,14 @@ fn incremental_snapshots_shrink_writes_10x_with_1pct_dirty() {
     );
 
     // and recovery through base + delta is intact
-    let recovered = DurableFleet::open(DurabilityConfig {
+    let recovered = FleetEngine::open(DurabilityConfig {
         snapshot_every: 10,
         max_delta_chain: 1_000,
         ..DurabilityConfig::new(&dir)
     })
     .unwrap();
-    assert_eq!(recovered.engine().batches(), 90);
-    assert_eq!(recovered.engine().stats().unwrap().live, n_series);
+    assert_eq!(recovered.batches(), 90);
+    assert_eq!(recovered.stats().unwrap().live, n_series);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -434,7 +468,7 @@ fn delta_chain_crash_recovery_is_bit_identical() {
         ref_outputs.push(reference.ingest(batch(&streams, t)).unwrap());
     }
 
-    let mut durable = DurableFleet::create(config(), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
     for t in 0..crash_at {
         let out = durable.ingest(batch(&streams, t)).unwrap();
         assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "pre-crash");
@@ -448,8 +482,8 @@ fn delta_chain_crash_recovery_is_bit_identical() {
         .count();
     assert!(n_deltas >= 2, "expected a delta chain on disk, found {n_deltas}");
 
-    let mut recovered = DurableFleet::open(dcfg.clone()).unwrap();
-    assert_eq!(recovered.engine().batches(), crash_at, "nothing acked may be lost");
+    let mut recovered = FleetEngine::open(dcfg.clone()).unwrap();
+    assert_eq!(recovered.batches(), crash_at, "nothing acked may be lost");
     for t in crash_at..total {
         let out = recovered.ingest(batch(&streams, t)).unwrap();
         assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "post-recovery");
@@ -468,8 +502,8 @@ fn delta_chain_crash_recovery_is_bit_identical() {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        let mut recovered2 = DurableFleet::open(dcfg).unwrap();
-        assert_eq!(recovered2.engine().batches(), total);
+        let mut recovered2 = FleetEngine::open(dcfg).unwrap();
+        assert_eq!(recovered2.batches(), total);
         let out = recovered2.ingest(batch(&streams, total)).unwrap();
         let expected = reference.ingest(batch(&streams, total)).unwrap();
         assert_outputs_bit_identical(&out, &expected, "after corrupt-delta fallback");
@@ -490,7 +524,7 @@ fn group_commit_fsyncs_once_per_acked_batch() {
         snapshot_every: 10_000, // no cadence rotation during the measurement
         ..DurabilityConfig::new(&dir)
     };
-    let mut fleet = DurableFleet::create(cfg.clone(), dcfg).unwrap();
+    let mut fleet = FleetEngine::create(cfg.clone(), dcfg).unwrap();
     // sanity: with 16 keys, every batch routes to all 4 shards
     let shards_hit: std::collections::HashSet<usize> =
         (0..n_series).map(|s| SeriesKey::new(format!("series-{s}")).shard_of(4)).collect();
@@ -515,7 +549,7 @@ fn group_commit_fsyncs_once_per_acked_batch() {
         fsync_every: 4,
         ..DurabilityConfig::new(&dir)
     };
-    let mut fleet = DurableFleet::create(cfg, dcfg).unwrap();
+    let mut fleet = FleetEngine::create(cfg, dcfg).unwrap();
     let before = fleet.wal_fsync_count();
     for t in 0..batches {
         fleet.ingest(batch(&streams, t)).unwrap();
@@ -537,7 +571,7 @@ fn v1_wal_segments_upgrade_when_empty_and_refuse_when_holding_records() {
     let dir = test_dir("v1-upgrade");
     let dcfg = DurabilityConfig::new(&dir);
     let mut reference = FleetEngine::new(config()).unwrap();
-    let mut durable = DurableFleet::create(config(), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
     for t in 0..30u64 {
         reference.ingest(batch(&streams, t)).unwrap();
         durable.ingest(batch(&streams, t)).unwrap();
@@ -565,8 +599,8 @@ fn v1_wal_segments_upgrade_when_empty_and_refuse_when_holding_records() {
     };
 
     let v1 = write_v1(30, &[]);
-    let mut reopened = DurableFleet::open(dcfg.clone()).unwrap();
-    assert_eq!(reopened.engine().batches(), 30);
+    let mut reopened = FleetEngine::open(dcfg.clone()).unwrap();
+    assert_eq!(reopened.batches(), 30);
     assert!(!v1.exists(), "a header-only v1 segment is deleted on open");
     for t in 30..35u64 {
         let out = reopened.ingest(batch(&streams, t)).unwrap();
@@ -590,7 +624,7 @@ fn v1_wal_segments_upgrade_when_empty_and_refuse_when_holding_records() {
     record.extend_from_slice(&oneshotstl_suite::fleet::wal::crc32(&payload).to_le_bytes());
     record.extend_from_slice(&payload);
     let v1 = write_v1(35, &record);
-    match DurableFleet::open(dcfg).err() {
+    match FleetEngine::open(dcfg).err() {
         Some(FleetError::Recovery(msg)) => {
             assert!(msg.contains(v1.file_name().unwrap().to_str().unwrap()), "{msg}");
         }
@@ -600,7 +634,7 @@ fn v1_wal_segments_upgrade_when_empty_and_refuse_when_holding_records() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Per-series `AdmitOptions` are not WAL-logged; `DurableFleet`'s
+/// Per-series `AdmitOptions` are not WAL-logged; a durable engine's
 /// registration path checkpoints instead, so a crash after registration —
 /// before *or* after the series admits — recovers bit-identically: the
 /// snapshot carries the pending overrides (codec v4) and WAL replay
@@ -656,7 +690,7 @@ fn admit_options_survive_crash_recovery_bit_identically() {
     // durable run: register the overrides (checkpoints), ingest past the
     // overridden admission, crash without a clean shutdown
     let dcfg = DurabilityConfig { snapshot_every: 1_000, ..DurabilityConfig::new(&dir) };
-    let mut durable = DurableFleet::create(config(), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
     durable.set_admit_options("vip", opts).unwrap();
     for t in 0..crash_at {
         let out = durable.ingest(tick(t)).unwrap();
@@ -667,13 +701,13 @@ fn admit_options_survive_crash_recovery_bit_identically() {
     // recovery folds the post-registration checkpoint and replays the WAL
     // through the same admission path — the overridden period, λ, NSigma
     // threshold and shift-search policy are all back in force
-    let mut recovered = DurableFleet::open(dcfg).unwrap();
-    assert_eq!(recovered.engine().batches(), crash_at, "nothing durable was lost");
+    let mut recovered = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(recovered.batches(), crash_at, "nothing durable was lost");
     for t in crash_at..total {
         let out = recovered.ingest(tick(t)).unwrap();
         assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "post-recovery");
     }
-    assert_eq!(recovered.engine().stats().unwrap().live, 2);
+    assert_eq!(recovered.stats().unwrap().live, 2);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -712,7 +746,7 @@ fn forecast_state_survives_crash_recovery_bit_identically() {
     // durable run: ingest past admission, crash without a clean shutdown
     // (snapshot_every far out, so recovery must replay a long WAL tail)
     let dcfg = DurabilityConfig { snapshot_every: 1_000, ..DurabilityConfig::new(&dir) };
-    let mut durable = DurableFleet::create(cfg(), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(cfg(), dcfg.clone()).unwrap();
     for t in 0..crash_at {
         let expected = reference.ingest(batch(&streams, t)).unwrap();
         let out = durable.ingest(batch(&streams, t)).unwrap();
@@ -720,12 +754,12 @@ fn forecast_state_survives_crash_recovery_bit_identically() {
     }
     drop(durable); // crash
 
-    let mut recovered = DurableFleet::open(dcfg).unwrap();
-    assert_eq!(recovered.engine().batches(), crash_at, "nothing durable was lost");
+    let mut recovered = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(recovered.batches(), crash_at, "nothing durable was lost");
     // the pending one-step prediction was rebuilt by replay: forecasts
     // agree bit-for-bit before any post-recovery point
     let fa = reference.forecast(&keys, 48).unwrap();
-    let fb = recovered.engine().forecast(&keys, 48).unwrap();
+    let fb = recovered.forecast(&keys, 48).unwrap();
     for (s, (a, b)) in fa.iter().zip(&fb).enumerate() {
         let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         for (x, y) in a.iter().zip(b) {
@@ -740,7 +774,7 @@ fn forecast_state_survives_crash_recovery_bit_identically() {
         if t % 16 == 0 {
             assert_eq!(
                 reference.forecast(&keys, 24).unwrap(),
-                recovered.engine().forecast(&keys, 24).unwrap(),
+                recovered.forecast(&keys, 24).unwrap(),
                 "forecast streams diverged at t={t}"
             );
         }
@@ -785,18 +819,18 @@ fn cold_tier_crash_recovery_is_bit_identical() {
     assert_eq!(reference.stats().unwrap().spills, 0, "no cold store on the twin");
 
     let dcfg = DurabilityConfig { snapshot_every: 60, ..DurabilityConfig::new(&dir) };
-    let mut durable = DurableFleet::create(cfg, dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(cfg, dcfg.clone()).unwrap();
     for t in 0..crash_at {
         let out = durable.ingest(tick(t)).unwrap();
         assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "pre-crash");
         if t == 199 {
-            let s = durable.engine().stats().unwrap();
+            let s = durable.stats().unwrap();
             assert_eq!(s.cold_resident, 3, "idle series are cold before they return");
             assert_eq!(s.spills, 3);
             assert_eq!(s.live, 3, "spilled series left the hot registry");
         }
     }
-    let s = durable.engine().stats().unwrap();
+    let s = durable.stats().unwrap();
     assert_eq!(s.rehydrations, 3, "returning points pulled the series back");
     assert_eq!(s.cold_resident, 0);
     assert_eq!(s.live, n_series);
@@ -811,13 +845,13 @@ fn cold_tier_crash_recovery_is_bit_identical() {
 
     // recovery reattaches the cold tier before WAL replay, so the replay
     // re-spills and re-rehydrates against the same on-disk bytes
-    let mut recovered = DurableFleet::open(dcfg).unwrap();
-    assert_eq!(recovered.engine().batches(), crash_at, "nothing durable was lost");
+    let mut recovered = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(recovered.batches(), crash_at, "nothing durable was lost");
     for t in crash_at..total {
         let out = recovered.ingest(tick(t)).unwrap();
         assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "post-recovery");
     }
-    let got = recovered.engine().stats().unwrap();
+    let got = recovered.stats().unwrap();
     let want = reference.stats().unwrap();
     assert_eq!(got.live, want.live);
     assert_eq!(got.points, want.points);
@@ -849,7 +883,7 @@ fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
         ref_outputs.push(reference.ingest(batch(&streams, t)).unwrap());
     }
 
-    let mut durable = DurableFleet::create(config(), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
     for t in 0..90u64 {
         durable.ingest(batch(&streams, t)).unwrap();
     }
@@ -882,8 +916,8 @@ fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
     assert!(newest.to_str().unwrap().contains("0090"), "checkpoint base is newest");
     fs::remove_file(&newest).unwrap();
 
-    let mut recovered = DurableFleet::open(dcfg).unwrap();
-    assert_eq!(recovered.engine().batches(), 90, "chain + kept tail reach the end");
+    let mut recovered = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(recovered.batches(), 90, "chain + kept tail reach the end");
     for t in 90..110u64 {
         let out = recovered.ingest(batch(&streams, t)).unwrap();
         let expected = reference.ingest(batch(&streams, t)).unwrap();
@@ -959,7 +993,7 @@ fn stats_counters_obey_the_crash_recovery_contract() {
     // checkpoint at `mid` is the only replay anchor; then crash
     let dir = test_dir("stats-counters");
     let dcfg = DurabilityConfig { snapshot_every: 1_000_000, ..DurabilityConfig::new(&dir) };
-    let mut durable = DurableFleet::create(config(), dcfg.clone()).unwrap();
+    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
     for (s, o) in opts.iter().enumerate() {
         durable.set_admit_options(format!("series-{s}"), *o).unwrap();
     }
@@ -974,14 +1008,14 @@ fn stats_counters_obey_the_crash_recovery_contract() {
 
     // recovery replays the WAL from the checkpoint, re-firing the alarms
     // between `mid` and the crash point; continue to the end
-    let mut recovered = DurableFleet::open(dcfg).unwrap();
-    let resume = recovered.engine().batches();
+    let mut recovered = FleetEngine::open(dcfg).unwrap();
+    let resume = recovered.batches();
     assert_eq!(resume, crash_at, "synchronous WAL ingest loses no batch");
     for t in resume..total {
         let out = recovered.ingest(batch(&streams, t)).unwrap();
         assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "post-recovery");
     }
-    let got = recovered.engine().stats().unwrap();
+    let got = recovered.stats().unwrap();
 
     // lifetime counters carried across the crash
     assert_eq!(got.points, ref_end.points);
