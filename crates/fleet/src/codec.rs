@@ -1,17 +1,14 @@
-//! Versioned binary codec for [`FleetSnapshot`] and [`FleetDelta`].
+//! Versioned binary codec for [`FleetSnapshot`].
 //!
-//! Layout: magic `b"OSSTLFLT"`, `u16` version, `u8` kind (0 = full image,
-//! 1 = incremental delta), then the fields in a fixed order. All integers
+//! Layout: magic `b"OSSTLFLT"`, `u16` version, `u8` kind (always 0, the
+//! full engine image), then the fields in a fixed order. All integers
 //! are little-endian; `f64` round-trips via [`f64::to_bits`], so restored
 //! values are **bit-identical** — the basis of the snapshot determinism
 //! guarantee. The format is self-contained: per-series detector configs
 //! are encoded with each series, so a snapshot survives engine-level
-//! config changes between writer and reader.
-//!
-//! A delta additionally carries the batch seq of the image it chains
-//! onto (`prev_batches`) and a tombstone list of keys removed since then;
-//! folding it onto that image ([`FleetDelta::fold_into`]) reproduces the
-//! full snapshot bit-exactly.
+//! config changes between writer and reader. The kind byte is what
+//! earlier builds used to tell full images from incremental deltas (kind
+//! 1); deltas are no longer written, and a kind-1 image is refused.
 //!
 //! Version policy: writers emit the current version, readers accept the
 //! current and the previous one, and anything else is
@@ -28,7 +25,7 @@
 
 use crate::backend::{BackendSelect, BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy};
-use crate::engine::{CarriedTotals, FleetDelta, FleetSnapshot};
+use crate::engine::{CarriedTotals, FleetSnapshot};
 use crate::error::CodecError;
 use crate::series::{ForecastSnapshot, PhaseSnapshot, QuarantineCause};
 use crate::shard::SeriesSnapshot;
@@ -46,7 +43,6 @@ const MAGIC: &[u8; 8] = b"OSSTLFLT";
 // v12: v11 with 10 band cells, not 32, in each steady solver's `L` window.
 pub(crate) const VERSION: u16 = 12;
 const KIND_FULL: u8 = 0;
-const KIND_DELTA: u8 = 1;
 
 /// Serializes a snapshot to the versioned binary format.
 pub fn encode(snapshot: &FleetSnapshot) -> Vec<u8> {
@@ -65,28 +61,6 @@ pub fn encode(snapshot: &FleetSnapshot) -> Vec<u8> {
     w.buf
 }
 
-/// Serializes an incremental delta to the versioned binary format.
-pub fn encode_delta(delta: &FleetDelta) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.bytes(MAGIC);
-    w.u16(VERSION);
-    w.u8(KIND_DELTA);
-    encode_config(&mut w, &delta.config);
-    w.u64(delta.prev_batches);
-    w.u64(delta.clock);
-    w.u64(delta.batches);
-    encode_totals(&mut w, &delta.totals);
-    w.u64(delta.series.len() as u64);
-    for s in &delta.series {
-        encode_series(&mut w, s);
-    }
-    w.u64(delta.tombstones.len() as u64);
-    for key in &delta.tombstones {
-        w.string(key.as_str());
-    }
-    w.buf
-}
-
 /// Reads the `u16` version and accepts only the current and the previous
 /// one.
 fn decode_version(r: &mut Reader<'_>) -> Result<(), CodecError> {
@@ -97,23 +71,16 @@ fn decode_version(r: &mut Reader<'_>) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Checks magic, version, and kind; leaves the reader after the kind byte.
-fn decode_header(r: &mut Reader<'_>, want_kind: u8) -> Result<(), CodecError> {
-    if r.take(8)? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    decode_version(r)?;
-    let kind = r.u8()?;
-    if kind != want_kind {
-        return Err(CodecError::Invalid("snapshot kind (full vs delta)"));
-    }
-    Ok(())
-}
-
 /// Deserializes [`encode`] output (current or previous version).
 pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
-    decode_header(&mut r, KIND_FULL)?;
+    if r.take(8)? != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    decode_version(&mut r)?;
+    if r.u8()? != KIND_FULL {
+        return Err(CodecError::Invalid("snapshot kind (only full images are read)"));
+    }
     let config = decode_config(&mut r)?;
     let clock = r.u64()?;
     let batches = r.u64()?;
@@ -127,31 +94,6 @@ pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
         return Err(CodecError::Invalid("trailing bytes after snapshot"));
     }
     Ok(FleetSnapshot { config, clock, batches, totals, series })
-}
-
-/// Deserializes [`encode_delta`] output (current or previous version).
-pub fn decode_delta(bytes: &[u8]) -> Result<FleetDelta, CodecError> {
-    let mut r = Reader { data: bytes, pos: 0 };
-    decode_header(&mut r, KIND_DELTA)?;
-    let config = decode_config(&mut r)?;
-    let prev_batches = r.u64()?;
-    let clock = r.u64()?;
-    let batches = r.u64()?;
-    let totals = decode_totals(&mut r)?;
-    let n = r.u64()? as usize;
-    let mut series = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        series.push(decode_series(&mut r)?);
-    }
-    let n_dead = r.u64()? as usize;
-    let mut tombstones = Vec::with_capacity(n_dead.min(1 << 20));
-    for _ in 0..n_dead {
-        tombstones.push(SeriesKey::new(r.string()?));
-    }
-    if r.pos != r.data.len() {
-        return Err(CodecError::Invalid("trailing bytes after delta"));
-    }
-    Ok(FleetDelta { config, prev_batches, clock, batches, totals, series, tombstones })
 }
 
 /// Serializes one series for the cold tier: `u16` codec version, then the
@@ -173,20 +115,6 @@ pub(crate) fn decode_series_blob(bytes: &[u8]) -> Result<SeriesSnapshot, CodecEr
         return Err(CodecError::Invalid("trailing bytes after series blob"));
     }
     Ok(s)
-}
-
-/// Reads just the chain header of a delta image — `(prev_batches,
-/// batches)` — without decoding the series body. WAL-segment compaction
-/// uses this to decide which on-disk deltas keep a recovery path alive
-/// for each retained base snapshot.
-pub(crate) fn decode_delta_chain(bytes: &[u8]) -> Result<(u64, u64), CodecError> {
-    let mut r = Reader { data: bytes, pos: 0 };
-    decode_header(&mut r, KIND_DELTA)?;
-    let _config = decode_config(&mut r)?;
-    let prev_batches = r.u64()?;
-    let _clock = r.u64()?;
-    let batches = r.u64()?;
-    Ok((prev_batches, batches))
 }
 
 fn encode_totals(w: &mut Writer, t: &CarriedTotals) {
@@ -1113,61 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrip_and_fold_reproduce_the_full_image() {
-        let base = sample_snapshot();
-        // the delta updates "warm", removes "dead", and adds "new"
-        let updated = SeriesSnapshot {
-            key: SeriesKey::new("warm"),
-            last_seen: 90,
-            phase: PhaseSnapshot::Warming {
-                values: vec![4.0, 5.0],
-                period: Some(24),
-                last_attempt: 5,
-                overrides: AdmitOptions::default(),
-            },
-        };
-        let added = SeriesSnapshot {
-            key: SeriesKey::new("new"),
-            last_seen: 91,
-            phase: PhaseSnapshot::Rejected,
-        };
-        let delta = FleetDelta {
-            config: base.config.clone(),
-            prev_batches: base.batches,
-            clock: 120,
-            batches: 9,
-            totals: CarriedTotals {
-                evicted: 2,
-                admitted: 3,
-                points: 400,
-                anomalies: 5,
-                ..CarriedTotals::default()
-            },
-            series: vec![added.clone(), updated.clone()],
-            tombstones: vec![SeriesKey::new("dead")],
-        };
-        let bytes = encode_delta(&delta);
-        let back = decode_delta(&bytes).unwrap();
-        assert_eq!(back, delta);
-        // a delta must never decode as a full snapshot (and vice versa)
-        assert!(decode(&bytes).is_err());
-        assert!(decode_delta(&encode(&base)).is_err());
-        // folding reproduces the expected full image
-        let mut folded = base.clone();
-        back.fold_into(&mut folded).unwrap();
-        assert_eq!(folded.batches, 9);
-        assert_eq!(folded.clock, 120);
-        assert_eq!(folded.totals.points, 400);
-        let keys: Vec<&str> = folded.series.iter().map(|s| s.key.as_str()).collect();
-        assert_eq!(keys, ["new", "warm"], "tombstone removed, upserts sorted by key");
-        assert_eq!(folded.series[1], updated);
-        // a delta that does not chain onto the base is rejected
-        let mut wrong = sample_snapshot();
-        wrong.batches = 42;
-        assert!(decode_delta(&bytes).unwrap().fold_into(&mut wrong).is_err());
-    }
-
-    #[test]
     fn roundtrip_preserves_everything() {
         let snap = sample_snapshot();
         let bytes = encode(&snap);
@@ -1633,23 +1506,6 @@ mod tests {
         }
     }
 
-    /// The delta chain-header parser reads `(prev_batches, batches)`
-    /// without touching the series body, and refuses full images.
-    #[test]
-    fn delta_chain_header_parses_without_the_body() {
-        let delta = FleetDelta {
-            config: FleetConfig::fixed_period(24),
-            prev_batches: 90,
-            clock: 300,
-            batches: 130,
-            totals: CarriedTotals::default(),
-            series: vec![],
-            tombstones: vec![SeriesKey::new("gone")],
-        };
-        assert_eq!(decode_delta_chain(&encode_delta(&delta)).unwrap(), (90, 130));
-        assert!(decode_delta_chain(&encode(&sample_snapshot())).is_err());
-    }
-
     /// Live backend state — every variant — round-trips bit-identically,
     /// and a crafted image smuggling degenerate backend state (a
     /// non-finite trend prev, a retired state tag) fails to decode with a
@@ -1795,6 +1651,14 @@ mod tests {
             image[8..10].copy_from_slice(&old.to_le_bytes());
             assert_eq!(decode(&image), Err(CodecError::UnsupportedVersion(old)));
         }
+        // the kind byte follows the version; a kind-1 image (an
+        // incremental delta an earlier build wrote) is refused
+        let mut delta = bytes.clone();
+        delta[10] = 1;
+        assert_eq!(
+            decode(&delta),
+            Err(CodecError::Invalid("snapshot kind (only full images are read)"))
+        );
         // the engine's backend selection closes the config, before its
         // score config and the one-byte `spill_after: None`; the retired
         // DAMP (1) and three-channel ensemble (3) tags are refused

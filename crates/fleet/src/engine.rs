@@ -68,59 +68,6 @@ pub struct FleetSnapshot {
     pub series: Vec<SeriesSnapshot>,
 }
 
-/// An incremental engine image: only the series whose state changed since
-/// the previous snapshot collection, plus the keys removed since then.
-/// Folding it onto that previous image ([`FleetDelta::fold_into`]) yields
-/// exactly the [`FleetSnapshot`] a full collection at `batches` would have
-/// produced. Produced by [`FleetEngine::snapshot_delta`]; persisted and
-/// chained by a durable engine ([`crate::persist`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetDelta {
-    /// Engine configuration at collection time.
-    pub config: FleetConfig,
-    /// Batch seq of the image this delta chains onto.
-    pub prev_batches: u64,
-    /// Engine clock at collection time.
-    pub clock: u64,
-    /// Batch seq of this delta (the image it reconstructs).
-    pub batches: u64,
-    /// Lifetime counters at collection time.
-    pub totals: CarriedTotals,
-    /// Series dirty since `prev_batches`, sorted by key.
-    pub series: Vec<SeriesSnapshot>,
-    /// Keys removed (TTL-evicted) since `prev_batches`, sorted, deduped.
-    pub tombstones: Vec<SeriesKey>,
-}
-
-impl FleetDelta {
-    /// Folds this delta onto `base` (the image at `prev_batches`):
-    /// tombstones are removed, dirty series upserted, clocks and counters
-    /// replaced. The result is bit-identical to a full snapshot taken at
-    /// `self.batches`.
-    pub fn fold_into(self, base: &mut FleetSnapshot) -> Result<(), FleetError> {
-        if base.batches != self.prev_batches {
-            return Err(FleetError::Recovery(format!(
-                "delta at seq {} chains onto seq {}, but the base is at seq {}",
-                self.batches, self.prev_batches, base.batches
-            )));
-        }
-        let mut merged: std::collections::BTreeMap<SeriesKey, SeriesSnapshot> =
-            std::mem::take(&mut base.series).into_iter().map(|s| (s.key.clone(), s)).collect();
-        for key in &self.tombstones {
-            merged.remove(key);
-        }
-        for s in self.series {
-            merged.insert(s.key.clone(), s);
-        }
-        base.series = merged.into_values().collect();
-        base.config = self.config;
-        base.clock = self.clock;
-        base.batches = self.batches;
-        base.totals = self.totals;
-        Ok(())
-    }
-}
-
 /// A shard request channel: unbounded, or bounded when
 /// [`FleetConfig::queue_capacity`] is set (the blocking half of the
 /// backpressure story — the rejecting half is the engine-side depth check
@@ -203,10 +150,6 @@ pub struct FleetEngine {
     /// Lifetime totals kept engine-side; durability bumps its own.
     pub(crate) carried: CarriedTotals,
     pending: VecDeque<PendingBatch>,
-    /// Batch seq of the last snapshot collection (full or delta) — the
-    /// image the next [`FleetEngine::snapshot_delta`] chains onto; `None`
-    /// once a respawn emptied a shard of it.
-    last_collect: Option<u64>,
     /// The WAL, snapshot writer and degrade policy of an engine built by
     /// [`FleetEngine::create`]/[`FleetEngine::open`]; `None` on a plain
     /// one. [`FleetEngine::submit`] appends every batch to its WAL.
@@ -278,13 +221,12 @@ impl FleetEngine {
                 key: s.key,
                 state,
                 last_seen: s.last_seen,
-                dirty_seq: 0,
             });
         }
         for state in &mut states {
-            // the restored image is the dirty baseline: the first delta
-            // after a restore covers exactly what changed since it
-            state.set_snapshot_baseline(snapshot.batches);
+            // reads answer as of the restored image until the next
+            // sub-batch lands
+            state.applied_seq = snapshot.batches;
         }
         Self::spawn(config, states, snapshot.clock, snapshot.batches, snapshot.totals)
     }
@@ -312,7 +254,6 @@ impl FleetEngine {
             batches,
             carried,
             pending: VecDeque::new(),
-            last_collect: Some(batches),
             durability: None,
             spare_bufs: Vec::new(),
             buf_rx,
@@ -427,9 +368,7 @@ impl FleetEngine {
 
     /// Replaces a dead shard worker with a fresh one holding an empty
     /// registry and the shard's reopened cold file: hot series re-warm,
-    /// spilled ones rehydrate. The shard's slice of the last collected
-    /// image is gone, so [`FleetEngine::snapshot_delta`] fails until a
-    /// full [`FleetEngine::snapshot`] starts a new chain.
+    /// spilled ones rehydrate.
     fn respawn_shard(&mut self, shard: usize) -> Result<(), FleetError> {
         let mut state = ShardState::new(shard, Arc::clone(&self.config));
         // the empty registry is the shard's state as of every batch so far
@@ -449,7 +388,6 @@ impl FleetEngine {
         if let Some(h) = handle {
             let _ = h.join();
         }
-        self.last_collect = None;
         self.carried.shard_restarts += 1;
         Ok(())
     }
@@ -736,10 +674,7 @@ impl FleetEngine {
         let key = key.into();
         let shard = key.shard_of(self.shard_count());
         let (tx, rx) = channel();
-        // `batches + 1` marks the entry dirty for the *next* delta even if
-        // a snapshot collection already ran at the current seq
-        let msg =
-            ShardMsg::Admit { key, opts, now: self.clock, seq: self.batches + 1, reply: tx };
+        let msg = ShardMsg::Admit { key, opts, now: self.clock, reply: tx };
         let admitted = self.send_or_respawn(shard, msg).and_then(|()| {
             rx.recv().unwrap_or(Err(FleetError::ShardDown))?;
             self.write_checkpoint()
@@ -963,75 +898,32 @@ impl FleetEngine {
         Ok(stats)
     }
 
-    /// Collects series + counters from every shard (`delta`: only series
-    /// dirty since the last collection, plus tombstones). Any collection
-    /// advances the shards' dirty baseline to the current batch seq.
-    fn collect(
-        &mut self,
-        delta: bool,
-    ) -> Result<(Vec<SeriesSnapshot>, Vec<SeriesKey>, CarriedTotals), FleetError> {
+    /// Serializes the complete engine state. The engine stays usable; the
+    /// snapshot is a consistent point-in-time image because the engine's
+    /// `&mut` API means no ingest can be interleaved with the collection.
+    pub fn snapshot(&mut self) -> Result<FleetSnapshot, FleetError> {
         let (tx, rx) = channel();
         for shard in 0..self.shard_count() {
-            self.send_or_respawn(
-                shard,
-                ShardMsg::Snapshot { delta, upto: self.batches, reply: tx.clone() },
-            )?;
+            self.send_or_respawn(shard, ShardMsg::Snapshot { reply: tx.clone() })?;
         }
         drop(tx);
         let mut series: Vec<SeriesSnapshot> = Vec::new();
-        let mut tombstones: Vec<SeriesKey> = Vec::new();
         let mut totals = self.carried;
         for _ in 0..self.shard_count() {
-            let (part, dead, stats) = rx.recv().map_err(|_| FleetError::ShardDown)?;
+            let (part, stats) = rx.recv().map_err(|_| FleetError::ShardDown)?;
             series.extend(part);
-            tombstones.extend(dead);
             totals.evicted += stats.evicted;
             totals.admitted += stats.admitted;
             totals.points += stats.points;
             totals.anomalies += stats.anomalies;
         }
         series.sort_by(|a, b| a.key.cmp(&b.key));
-        tombstones.sort();
-        Ok((series, tombstones, totals))
-    }
-
-    /// Serializes the complete engine state. The engine stays usable; the
-    /// snapshot is a consistent point-in-time image because the engine's
-    /// `&mut` API means no ingest can be interleaved with the collection.
-    ///
-    /// Also resets the incremental-snapshot baseline: the next
-    /// [`FleetEngine::snapshot_delta`] will chain onto this image.
-    pub fn snapshot(&mut self) -> Result<FleetSnapshot, FleetError> {
-        let (series, _, totals) = self.collect(false)?;
-        self.last_collect = Some(self.batches);
         Ok(FleetSnapshot {
             config: (*self.config).clone(),
             clock: self.clock,
             batches: self.batches,
             totals,
             series,
-        })
-    }
-
-    /// Serializes only what changed since the previous collection (full or
-    /// delta): dirty series plus tombstones of evicted ones. With a mostly
-    /// idle fleet this is a small fraction of a full snapshot — the basis
-    /// of a durable engine's incremental snapshot files. Fails with
-    /// [`FleetError::Recovery`] after a respawn: no delta can chain onto
-    /// an image a shard lost.
-    pub fn snapshot_delta(&mut self) -> Result<FleetDelta, FleetError> {
-        let respawned = || FleetError::Recovery("shard respawned: take a full snapshot".into());
-        let prev = self.last_collect.ok_or_else(respawned)?;
-        let (series, tombstones, totals) = self.collect(true)?;
-        self.last_collect = Some(self.batches);
-        Ok(FleetDelta {
-            config: (*self.config).clone(),
-            prev_batches: prev,
-            clock: self.clock,
-            batches: self.batches,
-            totals,
-            series,
-            tombstones,
         })
     }
 

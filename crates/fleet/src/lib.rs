@@ -73,9 +73,9 @@
 //!   rejects the batch with a typed error ([`QueuePolicy`]).
 //! - **Durability.** An engine built by [`FleetEngine::create`] keeps a
 //!   write-ahead log of raw batches ([`wal`]), written by the engine
-//!   thread, and periodic background snapshots to disk ([`persist`]);
-//!   after a crash, [`FleetEngine::open`] restores the latest valid
-//!   snapshot and replays the WAL tail — including torn-tail truncation —
+//!   thread, and periodic background snapshots to disk, each a full
+//!   engine image ([`persist`]); after a crash, [`FleetEngine::open`]
+//!   restores the latest valid snapshot and replays the WAL tail — including torn-tail truncation —
 //!   back to a bit-identical engine. Durability is a setting of the one
 //!   engine type, so every surface gets it, [`NetServer`] included.
 //!
@@ -141,7 +141,7 @@ pub use backend::{BackendSelect, BackendSnapshot, SeriesBackend};
 pub use batch::ShardBatch;
 pub use cold_tier::ColdStore;
 pub use config::{AdmitOptions, FleetConfig, ForecastOptions, PeriodPolicy, QueuePolicy};
-pub use engine::{CarriedTotals, FleetDelta, FleetEngine, FleetSnapshot, SeqForecast};
+pub use engine::{CarriedTotals, FleetEngine, FleetSnapshot, SeqForecast};
 pub use error::{CodecError, FleetError};
 pub use net::{NetClient, NetError, NetMessage, NetServer};
 pub use persist::{DurabilityConfig, DurabilityPolicy, DurableFleet};

@@ -1,5 +1,4 @@
-//! Durable persistence: snapshot-to-disk (full bases + incremental
-//! deltas), WAL lifecycle, crash recovery.
+//! Durable persistence: snapshot-to-disk, WAL lifecycle, crash recovery.
 //!
 //! Durability is a setting of the engine, not a wrapper around it: an
 //! engine built by [`FleetEngine::create`] or [`FleetEngine::open`] owns a
@@ -9,49 +8,45 @@
 //!
 //! ```text
 //! dir/
-//!   snap-00000000000000000000.fsnap    full engine image at batch seq 0
-//!   delta-00000000000000004096.fdelta  dirty series since seq 0
-//!   delta-00000000000000008192.fdelta  dirty series since seq 4096
-//!   snap-00000000000000065536.fsnap    periodic full-base rewrite
-//!   wal-00000000000000065536.flog      log of batches 65537…
+//!   snap-00000000000000004096.fsnap    full engine image at batch seq 4096
+//!   snap-00000000000000008192.fsnap    the newest image
+//!   wal-00000000000000004096.flog      log of batches 4097…8192
+//!   wal-00000000000000008192.flog      log of batches 8193…
 //!   cold/cold-0000.fcold               per-shard cold tier (spill_after)
 //! ```
 //!
 //! Every ingested batch is appended to the WAL as one record by the engine
 //! thread *before* any shard applies it ([`crate::wal`]). Every
-//! [`DurabilityConfig::snapshot_every`] batches the engine state is
-//! collected (fast, in-memory) and handed to a background writer thread
-//! that encodes it, writes a temp file, fsyncs, and atomically renames it
-//! into place — ingest never waits on snapshot I/O. The cadence normally
-//! collects an **incremental delta** — only the series dirty since the
-//! previous image, plus tombstones of evicted ones — so a mostly idle
-//! fleet writes a small fraction of its state per interval; every
-//! [`DurabilityConfig::max_delta_chain`] deltas (and on every forced
-//! [`FleetEngine::checkpoint`]) a full base is rewritten, bounding both
-//! chain length and recovery fan-in. When an image is confirmed durable,
-//! WAL segments it covers and bases/deltas beyond
-//! [`DurabilityConfig::keep_snapshots`] are deleted — and a kept segment
-//! whose whole batch range is already re-derivable from the
-//! snapshot/delta chain of every surviving base below it is compacted
-//! away, so the WAL footprint tracks the un-imaged tail instead of the
-//! retention window.
+//! [`DurabilityConfig::snapshot_every`] batches (and on every forced
+//! [`FleetEngine::checkpoint`]) the engine state is collected (fast,
+//! in-memory) and handed to a background writer thread that encodes it,
+//! writes a temp file, fsyncs, and atomically renames it into place —
+//! ingest never waits on snapshot I/O. Every image is a full base:
+//! OneShotSTL keeps O(1) state per series and idle series leave memory
+//! for the cold tier, so an image scales with the active set. When an
+//! image is confirmed durable, the two newest bases are kept, and older
+//! bases and the WAL segments below the oldest kept one are deleted.
 //!
 //! ## Recovery
 //!
 //! [`FleetEngine::open`] walks the directory newest-base-first, skipping
-//! bases that fail CRC/decode (torn writes, version mismatches), then
-//! folds the chain of deltas anchored at the chosen base (each delta
-//! names the image it chains onto; the walk stops at the first gap or
-//! corrupt link — the WAL covers whatever the chain cannot). The folded
-//! image restores an engine, then the WAL records after it are replayed
-//! in seq order through the normal ingest path, up to the first missing
-//! seq (a torn or corrupt record ends what its segment holds); the
-//! on-disk logs are truncated to that point so the durable state is
-//! always a *prefix* of the ingest history. Because folding is exact and
-//! replay reuses the ingest path byte-for-byte, the recovered engine is
-//! **bit-identical** to an uninterrupted engine fed the same prefix — the
-//! disk-level extension of the in-memory guarantee pinned by
+//! bases that fail CRC/decode (torn writes, version mismatches). The
+//! chosen base restores an engine, then the WAL records after it are
+//! replayed in seq order through the normal ingest path, up to the first
+//! missing seq (a torn or corrupt record ends what its segment holds);
+//! the on-disk logs are truncated to that point so the durable state is
+//! always a *prefix* of the ingest history. Because replay reuses the
+//! ingest path byte-for-byte, the recovered engine is **bit-identical**
+//! to an uninterrupted engine fed the same prefix — the disk-level
+//! extension of the in-memory guarantee pinned by
 //! `tests/fleet_snapshot.rs`.
+//!
+//! Earlier builds also wrote incremental delta files
+//! (`delta-<seq>.fdelta`) whose WAL segments may already be compacted
+//! away. `open` deletes a delta file at or below the chosen base (the base
+//! covers it) and refuses a newer one with [`FleetError::Recovery`] naming
+//! the file: close such a directory with the build that wrote it, which
+//! leaves a full base at the tip.
 //!
 //! ## What survives a crash
 //!
@@ -106,7 +101,7 @@
 
 use crate::codec;
 use crate::config::FleetConfig;
-use crate::engine::{FleetDelta, FleetEngine, FleetSnapshot};
+use crate::engine::{FleetEngine, FleetSnapshot};
 use crate::error::FleetError;
 use crate::fault;
 use crate::types::{Record, ScoredPoint};
@@ -118,6 +113,10 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Full bases kept on disk; the older one is the fallback when the newest
+/// fails to load.
+const KEEP_BASES: usize = 2;
 
 /// What a WAL or snapshot I/O failure does to a durable engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -150,15 +149,6 @@ pub struct DurabilityConfig {
     /// bound WAL growth and recovery time; between them, recovery cost is
     /// one WAL replay of at most this many batches.
     pub snapshot_every: u64,
-    /// How many durable **full** snapshots to retain (≥ 1). Older bases —
-    /// the deltas chained below them, and the WAL segments only they
-    /// need — are deleted once a newer image is confirmed on disk.
-    pub keep_snapshots: usize,
-    /// How many consecutive incremental deltas may chain onto a base
-    /// before the cadence rewrites a full base (0 disables deltas: every
-    /// cadence snapshot is full). Bounds both recovery fan-in and the
-    /// disk an unprunable chain pins.
-    pub max_delta_chain: usize,
     /// What a WAL or snapshot I/O failure does: fail fast
     /// ([`DurabilityPolicy::CrashStop`], the default) or keep serving
     /// un-durably while retrying ([`DurabilityPolicy::Degrade`]).
@@ -172,8 +162,7 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Defaults: fsync every batch, snapshot every 4096 batches, keep the
-    /// last 2 full snapshots, rewrite a full base every 16 deltas,
+    /// Defaults: fsync every batch, snapshot every 4096 batches,
     /// crash-stop on I/O errors (retry backoff 50 ms doubling to 5 s when
     /// switched to [`DurabilityPolicy::Degrade`]).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
@@ -181,8 +170,6 @@ impl DurabilityConfig {
             dir: dir.into(),
             fsync_every: 1,
             snapshot_every: 4096,
-            keep_snapshots: 2,
-            max_delta_chain: 16,
             policy: DurabilityPolicy::CrashStop,
             wal_retry_backoff: Duration::from_millis(50),
             wal_retry_cap: Duration::from_secs(5),
@@ -196,9 +183,6 @@ impl DurabilityConfig {
         if self.snapshot_every == 0 {
             return Err(FleetError::Config("snapshot_every must be >= 1".into()));
         }
-        if self.keep_snapshots == 0 {
-            return Err(FleetError::Config("keep_snapshots must be >= 1".into()));
-        }
         if self.wal_retry_cap < self.wal_retry_backoff {
             return Err(FleetError::Config(
                 "wal_retry_cap must be >= wal_retry_backoff".into(),
@@ -206,12 +190,6 @@ impl DurabilityConfig {
         }
         Ok(())
     }
-}
-
-/// What a snapshot job writes: a full base or an incremental delta.
-enum SnapshotPayload {
-    Full(FleetSnapshot),
-    Delta(FleetDelta),
 }
 
 /// A snapshot handed to the background writer thread. `id` is a
@@ -222,14 +200,13 @@ enum SnapshotPayload {
 struct SnapshotJob {
     id: u64,
     seq: u64,
-    payload: SnapshotPayload,
+    snapshot: FleetSnapshot,
 }
 
 /// The durability of an engine built by [`FleetEngine::create`] or
 /// [`FleetEngine::open`]: the WAL, the background snapshot writer, the
-/// snapshot cadence and chain bookkeeping, and the degrade state. The
-/// engine holds it as `FleetEngine::durability`; see the module docs for
-/// the lifecycle.
+/// snapshot cadence, and the degrade state. The engine holds it as
+/// `FleetEngine::durability`; see the module docs for the lifecycle.
 pub(crate) struct Durability {
     dcfg: DurabilityConfig,
     /// Every submitted batch is encoded and appended here (by
@@ -238,13 +215,10 @@ pub(crate) struct Durability {
     job_tx: Option<Sender<SnapshotJob>>,
     done_rx: Receiver<(u64, u64, Result<(), String>)>,
     writer: Option<JoinHandle<()>>,
-    /// Batch seq of the newest *triggered* snapshot (cadence anchor; also
-    /// the image the next delta chains onto).
+    /// Batch seq of the newest *triggered* snapshot (cadence anchor).
     last_snapshot: u64,
     /// Batch seq of the newest snapshot *confirmed* on disk.
     durable_snapshot: u64,
-    /// Consecutive deltas since the last full base was triggered.
-    chain_len: usize,
     /// Id handed to the next snapshot job.
     next_job: u64,
     /// Highest job id acknowledged by the writer.
@@ -269,7 +243,6 @@ impl Durability {
         dcfg: DurabilityConfig,
         wal_start: u64,
         snapshot_seq: u64,
-        chain_len: usize,
     ) -> Result<Box<Self>, FleetError> {
         let wal = Wal::create(&dcfg.dir, wal_start, dcfg.fsync_every).map_err(io_err)?;
         let (job_tx, job_rx) = channel::<SnapshotJob>();
@@ -287,7 +260,6 @@ impl Durability {
             writer: Some(writer),
             last_snapshot: snapshot_seq,
             durable_snapshot: snapshot_seq,
-            chain_len,
             next_job: 1,
             acked_job: 0,
             degraded: None,
@@ -364,95 +336,23 @@ impl Durability {
         self.writer.take().map(JoinHandle::join).is_some()
     }
 
-    /// Deletes full bases beyond `keep_snapshots`, the deltas chained at
-    /// or below the oldest base kept, and WAL segments older than it —
-    /// then compacts the survivors: a kept segment whose whole batch
-    /// range is durable *and* re-derivable from the snapshot/delta chain
-    /// of every kept base at or below it can serve no recovery, so its
-    /// files are dropped too. Only runs after a durable ack, so the
-    /// newest image always survives.
+    /// Deletes bases beyond [`KEEP_BASES`] and the WAL segments below
+    /// the oldest base kept: no recovery can start before it. Only runs
+    /// after a durable ack, so the newest image always survives.
     fn prune(&self) -> Result<(), FleetError> {
         let listing = scan_dir(&self.dcfg.dir)?;
-        let keep_from = {
-            let seqs: Vec<u64> = listing.snapshots.iter().map(|(s, _)| *s).collect();
-            let kept = seqs.len().saturating_sub(self.dcfg.keep_snapshots);
-            seqs.get(kept).copied().unwrap_or(0)
-        };
+        let kept = listing.snapshots.len().saturating_sub(KEEP_BASES);
+        let keep_from = listing.snapshots.get(kept).map_or(0, |(seq, _)| *seq);
         for (seq, path) in &listing.snapshots {
             if *seq < keep_from {
                 let _ = fs::remove_file(path);
             }
         }
-        for (seq, path) in &listing.deltas {
-            // a delta at the kept base's seq (or below) is superseded by
-            // that base; newer ones may chain from any kept base
-            if *seq <= keep_from {
-                let _ = fs::remove_file(path);
-            }
-        }
-        let mut kept_segments: Vec<(u64, &Vec<PathBuf>)> = Vec::new();
         for (start, files) in &listing.segments {
             if *start < keep_from {
                 for path in files {
                     let _ = fs::remove_file(path);
                 }
-            } else {
-                kept_segments.push((*start, files));
-            }
-        }
-
-        // Segment compaction. A segment starting at `s` holds the batches
-        // in `(s, s_next]`, where `s_next` is the next rotation. Recovery
-        // anchors at some kept base `b` and folds its delta chain to
-        // `reach(b)` before touching the WAL, so the segment is dead iff
-        // for *every* kept base `b ≤ s` (any of them is a fallback anchor
-        // if newer images turn out corrupt) the chain already reaches
-        // `s_next` — and the range is confirmed durable. The newest
-        // segment is the live one and never a candidate.
-        let bases: Vec<u64> =
-            listing.snapshots.iter().map(|(s, _)| *s).filter(|s| *s >= keep_from).collect();
-        if bases.is_empty() || kept_segments.len() < 2 {
-            return Ok(());
-        }
-        // delta links of the kept chain: image seq → the image chained on
-        // it (header-only decode; a corrupt delta just contributes no
-        // link, which conservatively keeps segments)
-        let mut links: BTreeMap<u64, u64> = BTreeMap::new();
-        for (seq, path) in &listing.deltas {
-            if *seq <= keep_from {
-                continue;
-            }
-            let Ok(raw) = load_blob_file(path) else { continue };
-            if let Ok((prev, batches)) = codec::decode_delta_chain(&raw[12..]) {
-                if batches == *seq && prev < batches {
-                    links.insert(prev, batches);
-                }
-            }
-        }
-        // `prev < batches` above makes every link strictly increasing, so
-        // this walk terminates
-        let reach = |b: u64| {
-            let mut r = b;
-            while let Some(next) = links.get(&r) {
-                r = *next;
-            }
-            r
-        };
-        for w in kept_segments.windows(2) {
-            let (start, files) = (w[0].0, w[0].1);
-            let next_start = w[1].0;
-            if next_start > self.durable_snapshot {
-                continue;
-            }
-            let mut anchors = bases.iter().copied().filter(|b| *b <= start).peekable();
-            if anchors.peek().is_none() {
-                continue;
-            }
-            if anchors.any(|b| reach(b) < next_start) {
-                continue; // some fallback anchor still needs this tail
-            }
-            for path in files {
-                let _ = fs::remove_file(path);
             }
         }
         Ok(())
@@ -483,9 +383,8 @@ impl FleetEngine {
             || !existing.deltas.is_empty()
             || !existing.segments.is_empty()
         {
-            // deltas count too: a stale delta from a previous fleet life
-            // could chain onto the new fleet's base (prev_batches can
-            // collide across lives) and corrupt a later recovery silently
+            // delta files count too: the next `open` would refuse a stale
+            // one above the new fleet's base
             return Err(FleetError::Recovery(format!(
                 "{} already contains fleet files; use FleetEngine::open",
                 dcfg.dir.display()
@@ -495,14 +394,15 @@ impl FleetEngine {
         attach_cold_tier(&mut engine, &dcfg)?;
         let base = engine.snapshot()?;
         write_snapshot_file(&dcfg.dir, 0, &base).map_err(io_err)?;
-        engine.durability = Some(Durability::start(dcfg, 0, 0, 0)?);
+        engine.durability = Some(Durability::start(dcfg, 0, 0)?);
         Ok(engine)
     }
 
     /// Recovers a durable engine from `dcfg.dir`: newest valid base
-    /// snapshot + delta-chain folding + WAL tail replay + torn-tail
-    /// truncation. The recovered engine's [`FleetEngine::batches`] is the
-    /// number of batches that survived.
+    /// snapshot + WAL tail replay + torn-tail truncation. The recovered
+    /// engine's [`FleetEngine::batches`] is the number of batches that
+    /// survived. A delta file an earlier build wrote above that base fails
+    /// the call with [`FleetError::Recovery`] (see the module docs).
     pub fn open(dcfg: DurabilityConfig) -> Result<Self, FleetError> {
         dcfg.validate()?;
         // writes a previous life's crash interrupted before their rename
@@ -520,42 +420,25 @@ impl FleetEngine {
                 _ => continue,
             }
         }
-        let Some(mut base) = base else {
+        let Some(base) = base else {
             return Err(FleetError::Recovery(format!(
                 "no valid snapshot in {}",
                 dcfg.dir.display()
             )));
         };
-        // the chosen base anchors garbage collection: segments before it
-        // serve no possible recovery, but segments *between* it and the
-        // folded chain tip stay — they are the fallback if a delta file
-        // ever goes bad
-        let anchor_seq = base.batches;
-        // fold the delta chain anchored at the chosen base: each delta
-        // names its predecessor image; walk forward until the chain gaps
-        // (a missing/corrupt/unchained delta — the WAL replay below covers
-        // whatever the chain cannot)
-        let mut by_prev: BTreeMap<u64, FleetDelta> = BTreeMap::new();
-        for (seq, path) in &listing.deltas {
-            if *seq <= base.batches {
-                continue; // superseded by the base itself
-            }
-            if let Ok(delta) = load_delta_file(path) {
-                if delta.batches == *seq && delta.prev_batches < delta.batches {
-                    // on a (corruption-induced) prev collision the higher
-                    // seq wins: ascending iteration makes that the last
-                    // insert, and a wrong pick only shortens the chain —
-                    // WAL replay restores the difference
-                    by_prev.insert(delta.prev_batches, delta);
-                }
-            }
-        }
-        let mut chain_len = 0usize;
-        while let Some(delta) = by_prev.remove(&base.batches) {
-            delta.fold_into(&mut base)?;
-            chain_len += 1;
-        }
         let base_seq = base.batches;
+        // a delta above the base may hold batches whose WAL segments its
+        // writer already compacted away: refusing beats dropping them
+        if let Some((_, path)) = listing.deltas.iter().find(|(seq, _)| *seq > base_seq) {
+            return Err(FleetError::Recovery(format!(
+                "{}: incremental delta newer than the base at seq {base_seq}; \
+                 close the directory with the build that wrote it",
+                path.display()
+            )));
+        }
+        for (_, path) in &listing.deltas {
+            let _ = fs::remove_file(path);
+        }
         let mut engine = FleetEngine::restore(base)?;
         // re-attach the cold tier *before* WAL replay: replayed batches
         // must spill and rehydrate through the same on-disk store the
@@ -563,12 +446,12 @@ impl FleetEngine {
         // prefix rule for series that crossed the hot/cold boundary
         attach_cold_tier(&mut engine, &dcfg)?;
 
-        // read every segment at or after the anchor base; stale pre-base
-        // segments are garbage a crash kept alive
+        // read every segment at or after the base; stale pre-base segments
+        // are garbage a crash kept alive
         let mut read_segments: Vec<(PathBuf, WalSegment)> = Vec::new();
         for (start, files) in &listing.segments {
             for path in files {
-                if *start < anchor_seq {
+                if *start < base_seq {
                     let _ = fs::remove_file(path);
                     continue;
                 }
@@ -598,7 +481,7 @@ impl FleetEngine {
         'replay: for (_, seg) in &mut read_segments {
             for frame in &mut seg.frames {
                 if frame.seq < next {
-                    continue; // covered by the folded image
+                    continue; // covered by the base
                 }
                 if frame.seq > next {
                     break 'replay;
@@ -636,7 +519,7 @@ impl FleetEngine {
             }
         }
 
-        engine.durability = Some(Durability::start(dcfg, recovered, base_seq, chain_len)?);
+        engine.durability = Some(Durability::start(dcfg, recovered, base_seq)?);
         Ok(engine)
     }
 
@@ -837,28 +720,14 @@ impl FleetEngine {
     /// queues the disk write on the background thread. Returns the id of
     /// the job that will write it (or of the last job, when not `force`
     /// and no batch arrived since the previous trigger).
-    ///
-    /// The cadence normally collects an incremental delta (dirty series
-    /// only, chained onto the previous image); a forced checkpoint, or a
-    /// chain reaching [`DurabilityConfig::max_delta_chain`], collects a
-    /// full base instead.
     fn trigger_snapshot(&mut self, force: bool) -> Result<u64, FleetError> {
         let seq = self.batches();
         let d = self.durable()?;
         if seq == d.last_snapshot && !force {
             return Ok(d.next_job - 1); // nothing new since the last trigger
         }
-        let (max_chain, anchor) = (d.dcfg.max_delta_chain, d.last_snapshot);
-        let full = force || max_chain == 0 || d.chain_len >= max_chain;
-        let payload = if full {
-            SnapshotPayload::Full(self.snapshot()?)
-        } else {
-            let delta = self.snapshot_delta()?;
-            debug_assert_eq!(delta.prev_batches, anchor, "delta chain anchor");
-            SnapshotPayload::Delta(delta)
-        };
+        let snapshot = self.snapshot()?;
         let d = self.durable()?;
-        d.chain_len = if full { 0 } else { d.chain_len + 1 };
         // rotate after collecting: batches ingested while the image is
         // being written land in segments the image does not cover (a no-op
         // re-rotation when forced at an unchanged seq)
@@ -866,7 +735,7 @@ impl FleetEngine {
         d.last_snapshot = seq;
         let id = d.next_job;
         d.next_job += 1;
-        let job = SnapshotJob { id, seq, payload };
+        let job = SnapshotJob { id, seq, snapshot };
         if d.job_tx.as_ref().is_none_or(|tx| tx.send(job).is_err()) {
             return Err(FleetError::Io("snapshot writer thread stopped".into()));
         }
@@ -921,12 +790,8 @@ fn run_writer(
     jobs: Receiver<SnapshotJob>,
     done: Sender<(u64, u64, Result<(), String>)>,
 ) {
-    while let Ok(SnapshotJob { id, seq, payload }) = jobs.recv() {
-        let result = match &payload {
-            SnapshotPayload::Full(snapshot) => write_snapshot_file(&dir, seq, snapshot),
-            SnapshotPayload::Delta(delta) => write_delta_file(&dir, seq, delta),
-        }
-        .map_err(|e| e.to_string());
+    while let Ok(SnapshotJob { id, seq, snapshot }) = jobs.recv() {
+        let result = write_snapshot_file(&dir, seq, &snapshot).map_err(|e| e.to_string());
         if done.send((id, seq, result)).is_err() {
             break;
         }
@@ -945,13 +810,9 @@ pub fn parse_snapshot_name(name: &str) -> Option<u64> {
     name.strip_prefix("snap-")?.strip_suffix(".fsnap")?.parse().ok()
 }
 
-/// Delta file name for batch seq — zero-padded like snapshots.
-pub fn delta_file_name(seq: u64) -> String {
-    format!("delta-{seq:020}.fdelta")
-}
-
-/// Parses a [`delta_file_name`] back into its seq; `None` for other files.
-pub fn parse_delta_name(name: &str) -> Option<u64> {
+/// Parses the name of a delta file an earlier build wrote
+/// (`delta-<seq>.fdelta`) into its seq; `None` for other files.
+fn parse_delta_name(name: &str) -> Option<u64> {
     name.strip_prefix("delta-")?.strip_suffix(".fdelta")?.parse().ok()
 }
 
@@ -983,12 +844,6 @@ fn write_snapshot_file(dir: &Path, seq: u64, snapshot: &FleetSnapshot) -> std::i
     write_blob_file(dir, &format!(".snap-{seq:020}.tmp"), &name, &codec::encode(snapshot))
 }
 
-/// Writes an incremental delta durably (see [`write_blob_file`]).
-fn write_delta_file(dir: &Path, seq: u64, delta: &FleetDelta) -> std::io::Result<()> {
-    let name = delta_file_name(seq);
-    write_blob_file(dir, &format!(".snap-{seq:020}d.tmp"), &name, &codec::encode_delta(delta))
-}
-
 /// Reads and CRC-verifies a `[u64 len · u32 crc32 · bytes]` blob file,
 /// returning the whole buffer (payload starts at offset 12 — no copy).
 fn load_blob_file(path: &Path) -> Result<Vec<u8>, String> {
@@ -1014,16 +869,11 @@ fn load_snapshot_file(path: &Path) -> Result<FleetSnapshot, String> {
     codec::decode(&load_blob_file(path)?[12..]).map_err(|e| e.to_string())
 }
 
-/// Reads and verifies a delta file written by [`write_delta_file`].
-fn load_delta_file(path: &Path) -> Result<FleetDelta, String> {
-    codec::decode_delta(&load_blob_file(path)?[12..]).map_err(|e| e.to_string())
-}
-
 /// What a durability directory currently holds, numerically sorted.
 struct DirListing {
     /// `(seq, path)` per full snapshot file, ascending.
     snapshots: Vec<(u64, PathBuf)>,
-    /// `(seq, path)` per delta file, ascending.
+    /// `(seq, path)` per delta file an earlier build wrote, ascending.
     deltas: Vec<(u64, PathBuf)>,
     /// `start_seq → paths` of the WAL segments, ascending (a v1 segment
     /// and the current one may share a `start_seq`).
@@ -1103,7 +953,6 @@ mod tests {
         assert!(ok.validate().is_ok());
         assert!(DurabilityConfig { fsync_every: 0, ..ok.clone() }.validate().is_err());
         assert!(DurabilityConfig { snapshot_every: 0, ..ok.clone() }.validate().is_err());
-        assert!(DurabilityConfig { keep_snapshots: 0, ..ok.clone() }.validate().is_err());
         assert!(
             DurabilityConfig { wal_retry_cap: Duration::ZERO, ..ok }.validate().is_err(),
             "cap below the base backoff is rejected"

@@ -38,9 +38,6 @@ pub struct SeriesEntry {
     pub state: SeriesState,
     /// Largest record `t` seen for this series (TTL clock).
     pub last_seen: u64,
-    /// Engine batch seq of the last mutation (incremental-snapshot dirty
-    /// marker; 0 = untouched since restore).
-    pub dirty_seq: u64,
 }
 
 /// Vacant-bucket marker in [`KeyIndex`] (a real arena can never reach
@@ -316,8 +313,8 @@ pub enum ShardMsg {
         /// `FleetConfig::max_clock_step`) — a future-dated record must not
         /// make its series immune to TTL eviction.
         batch: ShardBatch,
-        /// Engine batch sequence number (dirty-marker for incremental
-        /// snapshots).
+        /// Engine batch sequence number (stamps the read lane's "as of"
+        /// answers).
         seq: u64,
         /// Reply channel (`shard index`, batch) — the index lets the
         /// engine tell which shards answered when another one dies.
@@ -334,8 +331,6 @@ pub enum ShardMsg {
         opts: AdmitOptions,
         /// Liveness clock for a newly created entry (engine clock).
         now: u64,
-        /// Dirty-marker batch seq for incremental snapshots.
-        seq: u64,
         /// Reply channel.
         reply: Sender<Result<(), FleetError>>,
     },
@@ -349,18 +344,9 @@ pub enum ShardMsg {
     },
     /// Serialize registry entries (sorted by key for stable output),
     /// together with the shard's counters — one round-trip serves both.
-    /// Every collection (full or delta) advances the shard's dirty
-    /// tracking: entries touched after `upto` belong to the *next* delta.
     Snapshot {
-        /// Collect only series dirty since the last collection (plus the
-        /// tombstones of series removed since then), instead of the full
-        /// registry.
-        delta: bool,
-        /// Engine batch seq of this collection (the new dirty baseline).
-        upto: u64,
-        /// Reply channel: `(series, tombstones, stats)`; tombstones are
-        /// empty for a full collection.
-        reply: Sender<(Vec<SeriesSnapshot>, Vec<SeriesKey>, ShardStats)>,
+        /// Reply channel: `(series, stats)`.
+        reply: Sender<(Vec<SeriesSnapshot>, ShardStats)>,
     },
     /// Run the idle sweep at clock `now`: evict series idle beyond `ttl`
     /// (hot and cold-resident) and spill series idle beyond `spill_after`
@@ -443,18 +429,10 @@ pub struct ShardState {
     /// Reusable `(slot, position)` buffer for slot-sorted batch
     /// processing.
     order: Vec<(u32, u32)>,
-    /// Batch seq of the last snapshot collection (dirty baseline).
-    pub snapshot_seq: u64,
     /// Seq of the last ingest sub-batch applied (or of the image a
     /// restore loaded). Forecast replies carry it; the engine turns it
     /// into their "as of" stamp.
     pub applied_seq: u64,
-    /// Keys evicted since the last snapshot collection (delta tombstones).
-    /// Only tracked once a first collection happened, so an engine that
-    /// never snapshots never accumulates them.
-    pub removed: Vec<SeriesKey>,
-    /// Whether a snapshot collection has happened (tombstone tracking on).
-    track_deltas: bool,
     /// The shard's cold tier (`None` until
     /// [`crate::FleetEngine::attach_cold_dir`] installs one).
     pub cold: Option<ColdStore>,
@@ -484,10 +462,7 @@ impl ShardState {
             config,
             scratch: UpdateScratch::default(),
             order: Vec::new(),
-            snapshot_seq: 0,
             applied_seq: 0,
-            removed: Vec::new(),
-            track_deltas: false,
             cold: None,
             evicted: 0,
             admitted: 0,
@@ -499,30 +474,14 @@ impl ShardState {
         }
     }
 
-    /// Restore support: pretend a collection at `seq` already happened, so
-    /// the first delta after a restore covers exactly what changed since
-    /// the restored image. The registry then holds the image at `seq`, so
-    /// reads answer as of `seq` until the next sub-batch lands.
-    pub fn set_snapshot_baseline(&mut self, seq: u64) {
-        self.snapshot_seq = seq;
-        self.applied_seq = seq;
-        self.track_deltas = true;
-    }
-
     /// Resolves a record's registry slot from the key's stable hash (the
     /// router's hash column), admitting an unknown key (the only point
     /// where a key is cloned on the ingest path).
-    fn resolve_slot_hashed(
-        &mut self,
-        hash: u64,
-        key: &SeriesKey,
-        liveness_t: u64,
-        seq: u64,
-    ) -> u32 {
+    fn resolve_slot_hashed(&mut self, hash: u64, key: &SeriesKey, liveness_t: u64) -> u32 {
         if let Some(slot) = self.registry.slot_of_hashed(hash, key) {
             return slot;
         }
-        if let Some(slot) = self.rehydrate_hashed(hash, key, seq) {
+        if let Some(slot) = self.rehydrate_hashed(hash, key) {
             return slot;
         }
         self.registry.insert_hashed(
@@ -531,7 +490,6 @@ impl ShardState {
                 key: key.clone(),
                 state: SeriesState::new(&self.config),
                 last_seen: liveness_t,
-                dirty_seq: seq,
             },
         )
     }
@@ -541,7 +499,7 @@ impl ShardState {
     /// clock — bit-identical to a series that never spilled. `None` when
     /// the key is not cold (the normal admission path takes over) or the
     /// blob is unreadable (counted in `cold_errors`; the series re-warms).
-    fn rehydrate_hashed(&mut self, hash: u64, key: &SeriesKey, seq: u64) -> Option<u32> {
+    fn rehydrate_hashed(&mut self, hash: u64, key: &SeriesKey) -> Option<u32> {
         if !self.cold.as_ref().is_some_and(|c| c.is_fresh(key)) {
             return None;
         }
@@ -562,14 +520,12 @@ impl ShardState {
             return None;
         };
         self.rehydrations += 1;
-        Some(self.registry.insert_hashed(
-            hash,
-            SeriesEntry { key: key.clone(), state, last_seen, dirty_seq: seq },
-        ))
+        let entry = SeriesEntry { key: key.clone(), state, last_seen };
+        Some(self.registry.insert_hashed(hash, entry))
     }
 
     /// Processes one record against an already-resolved slot.
-    fn step_entry(&mut self, slot: u32, value: f64, liveness_t: u64, seq: u64) -> PointOutput {
+    fn step_entry(&mut self, slot: u32, value: f64, liveness_t: u64) -> PointOutput {
         self.points += 1;
         let Some(entry) = self.registry.entry_mut(slot) else {
             // a vanished slot is an internal inconsistency; dropping the
@@ -577,7 +533,6 @@ impl ShardState {
             return PointOutput::Quarantined;
         };
         entry.last_seen = entry.last_seen.max(liveness_t);
-        entry.dirty_seq = seq;
         // per-series blast radius: a panicking update quarantines this
         // series instead of unwinding the worker and sinking the shard
         let SeriesEntry { key, state, .. } = entry;
@@ -640,9 +595,7 @@ impl ShardState {
                 {
                     s
                 }
-                _ => {
-                    self.resolve_slot_hashed(batch.hash[i], &batch.keys[i], batch.live[i], seq)
-                }
+                _ => self.resolve_slot_hashed(batch.hash[i], &batch.keys[i], batch.live[i]),
             };
             prev = Some(slot);
             order.push((slot, i as u32));
@@ -658,7 +611,7 @@ impl ShardState {
         batch.outputs.resize(n, PointOutput::Rejected);
         for &(slot, i) in &order {
             let i = i as usize;
-            batch.outputs[i] = self.step_entry(slot, batch.values[i], batch.live[i], seq);
+            batch.outputs[i] = self.step_entry(slot, batch.values[i], batch.live[i]);
         }
         self.order = order;
         self.applied_seq = seq;
@@ -677,7 +630,6 @@ impl ShardState {
         key: &SeriesKey,
         opts: AdmitOptions,
         now: u64,
-        seq: u64,
     ) -> Result<(), FleetError> {
         match self.registry.slot_of(key) {
             Some(slot) => {
@@ -692,7 +644,6 @@ impl ShardState {
                         // the create branch: a just-re-tuned series must
                         // not be swept by the next TTL pass
                         entry.last_seen = entry.last_seen.max(now);
-                        entry.dirty_seq = seq;
                         Ok(())
                     }
                     SeriesState::Quarantined { .. } => {
@@ -700,7 +651,6 @@ impl ShardState {
                         // the series again from an empty warm-up buffer
                         entry.state = SeriesState::with_overrides(&config, opts);
                         entry.last_seen = entry.last_seen.max(now);
-                        entry.dirty_seq = seq;
                         Ok(())
                     }
                     _ => Err(FleetError::AlreadyAdmitted { key: key.clone() }),
@@ -711,7 +661,6 @@ impl ShardState {
                     key: key.clone(),
                     state: SeriesState::with_overrides(&self.config, opts),
                     last_seen: now,
-                    dirty_seq: seq,
                 });
                 Ok(())
             }
@@ -722,9 +671,9 @@ impl ShardState {
     /// with a cold store attached — cold-resident ones, whose records are
     /// tombstoned so a reopen cannot resurrect them), and spills hot
     /// entries idle beyond `spill_after` to the cold tier. Returns how
-    /// many series were evicted; spilled keys become tombstones of the
-    /// next delta snapshot (their state lives in the cold file now), and
-    /// a spill failure leaves the series hot for the next sweep.
+    /// many series were evicted (a spilled series' state lives in the
+    /// cold file, so it leaves the next snapshot); a spill failure leaves
+    /// the series hot for the next sweep.
     pub fn evict_idle(
         &mut self,
         now: u64,
@@ -738,9 +687,6 @@ impl ShardState {
             let idle = now.saturating_sub(e.last_seen);
             if ttl.is_some_and(|ttl| idle > ttl) {
                 let Some(entry) = self.registry.remove_slot(slot) else { continue };
-                if self.track_deltas {
-                    self.removed.push(entry.key.clone());
-                }
                 // the file may still hold this key (a stale record from a
                 // past spill); a reopen would resurrect ancient state
                 if let Some(cold) = &mut self.cold {
@@ -766,9 +712,6 @@ impl ShardState {
                 Ok(()) => {
                     cold_io = true;
                     self.registry.remove_slot(slot);
-                    if self.track_deltas {
-                        self.removed.push(snap.key);
-                    }
                     self.spills += 1;
                 }
                 // degraded: the series stays hot; retried next sweep
@@ -799,19 +742,11 @@ impl ShardState {
         evicted
     }
 
-    /// Serializes the registry (`delta`: only entries dirty since the last
-    /// collection), sorted by key (stable snapshot bytes), plus the
-    /// tombstones of the interval. Advances the dirty baseline to `upto`.
-    pub fn snapshot(
-        &mut self,
-        delta: bool,
-        upto: u64,
-    ) -> (Vec<SeriesSnapshot>, Vec<SeriesKey>) {
-        let since = self.snapshot_seq;
+    /// Serializes the registry, sorted by key (stable snapshot bytes).
+    pub fn snapshot(&self) -> Vec<SeriesSnapshot> {
         let mut out: Vec<SeriesSnapshot> = self
             .registry
             .iter()
-            .filter(|e| !delta || e.dirty_seq > since)
             .map(|e| SeriesSnapshot {
                 key: e.key.clone(),
                 last_seen: e.last_seen,
@@ -819,16 +754,7 @@ impl ShardState {
             })
             .collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
-        let mut tombstones = std::mem::take(&mut self.removed);
-        if delta {
-            tombstones.sort();
-            tombstones.dedup();
-        } else {
-            tombstones.clear();
-        }
-        self.snapshot_seq = upto;
-        self.track_deltas = true;
-        (out, tombstones)
+        out
     }
 
     /// Multi-horizon forecast for one series: `ŷ(t+1) .. ŷ(t+horizon)`.
@@ -957,15 +883,14 @@ pub fn run_worker(
                     let _ = buf_return.send(b);
                 }
             }
-            ShardMsg::Admit { key, opts, now, seq, reply } => {
-                let _ = reply.send(state.set_admit_options(&key, opts, now, seq));
+            ShardMsg::Admit { key, opts, now, reply } => {
+                let _ = reply.send(state.set_admit_options(&key, opts, now));
             }
             ShardMsg::Stall { release } => {
                 let _ = release.recv();
             }
-            ShardMsg::Snapshot { delta, upto, reply } => {
-                let (series, tombstones) = state.snapshot(delta, upto);
-                let _ = reply.send((series, tombstones, state.stats()));
+            ShardMsg::Snapshot { reply } => {
+                let _ = reply.send((state.snapshot(), state.stats()));
             }
             ShardMsg::EvictIdle { now, ttl, spill_after, reply } => {
                 let _ = reply.send(state.evict_idle(now, ttl, spill_after));
@@ -1080,12 +1005,7 @@ mod registry_tests {
     use super::*;
 
     fn entry(key: &str) -> SeriesEntry {
-        SeriesEntry {
-            key: SeriesKey::new(key),
-            state: SeriesState::Rejected,
-            last_seen: 0,
-            dirty_seq: 0,
-        }
+        SeriesEntry { key: SeriesKey::new(key), state: SeriesState::Rejected, last_seen: 0 }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Append-only write-ahead log of raw ingested batches.
 //!
 //! Durability in the fleet is two-tier: periodic snapshots capture the
-//! engine state ([`crate::codec`] — full bases plus incremental deltas),
-//! and between snapshots every ingested batch is first appended to the
-//! WAL. Crash recovery ([`crate::persist`]) loads the newest valid
-//! snapshot chain and replays the WAL tail through the normal ingest path,
+//! whole engine state ([`crate::codec`]), and between snapshots every
+//! ingested batch is first appended to the WAL. Crash recovery
+//! ([`crate::persist`]) loads the newest valid snapshot and replays the WAL tail through the normal ingest path,
 //! which makes the recovered state **bit-identical** to an uninterrupted
 //! run over the same durable prefix.
 //!

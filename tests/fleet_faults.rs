@@ -100,13 +100,9 @@ fn fault_matrix_recovers_a_bit_identical_prefix() {
     for ((op, nth), pipelined) in cases.into_iter().flat_map(|c| [(c, false), (c, true)]) {
         let ctx = format!("{op:?} #{nth} pipelined={pipelined}");
         let dir = test_dir(&format!("matrix-{op:?}-{nth}-{pipelined}").to_lowercase());
-        // a short snapshot cadence with full-base rewrites every 2 deltas
-        // routes the fault through the snapshot path as well as the WAL
-        let dcfg = DurabilityConfig {
-            snapshot_every: 8,
-            max_delta_chain: 2,
-            ..DurabilityConfig::new(&dir)
-        };
+        // a short snapshot cadence routes the fault through the snapshot
+        // path as well as the WAL
+        let dcfg = DurabilityConfig { snapshot_every: 8, ..DurabilityConfig::new(&dir) };
         let guard = fault::inject(&dir, fault::fail_nth(op, nth));
         let fed = match FleetEngine::create(config(2), dcfg.clone()) {
             // the fault killed bootstrap before anything durable existed:
@@ -363,8 +359,7 @@ fn degrade_recovery_that_cannot_open_leaves_the_fleet_poisoned() {
 
 /// A worker killed on a plain engine (no WAL) respawns with an empty
 /// registry, so its series re-warm instead of resuming — even when a
-/// snapshot was collected before the kill. The respawn breaks the delta
-/// chain: `snapshot_delta` refuses until a full snapshot starts a new one.
+/// snapshot was collected before the kill.
 #[test]
 fn respawn_rewarms_series_even_after_a_snapshot() {
     let n_series = 4;
@@ -397,14 +392,9 @@ fn respawn_rewarms_series_even_after_a_snapshot() {
     );
     let stats = engine.stats().unwrap();
     assert_eq!(stats.shard_restarts, 1, "{stats:?}");
-    assert!(
-        matches!(engine.snapshot_delta(), Err(FleetError::Recovery(_))),
-        "no delta can chain across a respawn"
-    );
     // the restart counter rides snapshots like any lifetime total
     let restored = FleetEngine::restore_bytes(&engine.snapshot_bytes().unwrap()).unwrap();
     assert_eq!(restored.stats().unwrap().shard_restarts, 1);
-    assert!(engine.snapshot_delta().is_ok(), "a full snapshot starts a new chain");
 }
 
 /// Under the default crash-stop policy a dead worker stays dead: the

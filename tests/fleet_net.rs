@@ -359,8 +359,9 @@ fn loopback_refuses_an_unanswerable_forecast_and_keeps_serving() {
 const CRASH_CHILD_DIR: &str = "FLEET_NET_CRASH_CHILD_DIR";
 
 fn crash_dcfg(dir: &std::path::Path) -> DurabilityConfig {
-    // a short cadence, so the kill lands with deltas and a WAL tail on disk
-    DurabilityConfig { snapshot_every: 16, max_delta_chain: 2, ..DurabilityConfig::new(dir) }
+    // a short cadence, so the kill lands with several bases and a WAL tail
+    // on disk
+    DurabilityConfig { snapshot_every: 16, ..DurabilityConfig::new(dir) }
 }
 
 /// Kills and reaps the child on every exit path of the parent.

@@ -376,141 +376,6 @@ fn reject_policy_sheds_load_with_typed_error() {
     assert_eq!(out.len(), 4);
 }
 
-/// Incremental snapshots: with ~1% of the fleet dirty per interval, the
-/// bytes written per snapshot interval must shrink by at least 10× vs. a
-/// full snapshot — the headline claim of the delta-chain design.
-#[test]
-fn incremental_snapshots_shrink_writes_10x_with_1pct_dirty() {
-    let n_series = 200;
-    let streams = build_streams(n_series);
-    let dir = test_dir("delta-shrink");
-    let dcfg = DurabilityConfig {
-        snapshot_every: 10,
-        max_delta_chain: 1_000, // keep the cadence on deltas for this test
-        ..DurabilityConfig::new(&dir)
-    };
-    let cfg = FleetConfig { shards: 3, period: PeriodPolicy::Fixed(24), ..Default::default() };
-    let mut fleet = FleetEngine::create(cfg, dcfg).unwrap();
-    // warm the whole fleet live
-    for t in 0..80u64 {
-        fleet.ingest(batch(&streams, t)).unwrap();
-    }
-    assert_eq!(fleet.stats().unwrap().live, n_series);
-    // full base at the current seq (forced checkpoint → full snapshot)
-    fleet.checkpoint().unwrap();
-    let base_seq = fleet.durable_snapshot();
-    // one snapshot interval touching only 1% of the series
-    let dirty: Vec<usize> = vec![7, 113];
-    for t in 80..90u64 {
-        let small: Vec<Record> = dirty
-            .iter()
-            .map(|&s| Record::new(format!("series-{s}"), t, streams[s][t as usize]))
-            .collect();
-        fleet.ingest(small).unwrap();
-    }
-    drop(fleet); // queued snapshot jobs complete before the writer joins
-
-    let mut base_size = None;
-    let mut delta_size = None;
-    for entry in fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let name = path.file_name().unwrap().to_str().unwrap().to_string();
-        let len = fs::metadata(&path).unwrap().len();
-        if let Some(seq) = oneshotstl_suite::fleet::persist::parse_snapshot_name(&name) {
-            if seq == base_seq {
-                base_size = Some(len);
-            }
-        } else if let Some(seq) = oneshotstl_suite::fleet::persist::parse_delta_name(&name) {
-            if seq > base_seq {
-                delta_size = Some(delta_size.unwrap_or(0).max(len));
-            }
-        }
-    }
-    let base_size = base_size.expect("forced full base on disk");
-    let delta_size = delta_size.expect("cadence delta on disk");
-    assert!(
-        delta_size * 10 <= base_size,
-        "1%-dirty delta must be ≥10× smaller: delta {delta_size} B vs base {base_size} B"
-    );
-
-    // and recovery through base + delta is intact
-    let recovered = FleetEngine::open(DurabilityConfig {
-        snapshot_every: 10,
-        max_delta_chain: 1_000,
-        ..DurabilityConfig::new(&dir)
-    })
-    .unwrap();
-    assert_eq!(recovered.batches(), 90);
-    assert_eq!(recovered.stats().unwrap().live, n_series);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// Crash recovery through a chain of base + incremental deltas + WAL tail
-/// must stay bit-identical to an uninterrupted engine — including when the
-/// newest delta is corrupt (the chain walk stops and WAL replay covers the
-/// difference).
-#[test]
-fn delta_chain_crash_recovery_is_bit_identical() {
-    let n_series = 12;
-    let total = 150u64;
-    let crash_at = 130u64;
-    let streams = build_streams(n_series);
-    let dir = test_dir("delta-chain");
-    let dcfg = DurabilityConfig {
-        snapshot_every: 20,
-        max_delta_chain: 3, // base(0) d20 d40 d60 base(80) d100 d120 …
-        ..DurabilityConfig::new(&dir)
-    };
-
-    let mut reference = FleetEngine::new(config()).unwrap();
-    let mut ref_outputs = Vec::new();
-    for t in 0..total {
-        ref_outputs.push(reference.ingest(batch(&streams, t)).unwrap());
-    }
-
-    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
-    for t in 0..crash_at {
-        let out = durable.ingest(batch(&streams, t)).unwrap();
-        assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "pre-crash");
-    }
-    drop(durable); // crash: no checkpoint, no clean shutdown
-
-    // deltas must actually exist on disk (the cadence used them)
-    let n_deltas = fs::read_dir(&dir)
-        .unwrap()
-        .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "fdelta"))
-        .count();
-    assert!(n_deltas >= 2, "expected a delta chain on disk, found {n_deltas}");
-
-    let mut recovered = FleetEngine::open(dcfg.clone()).unwrap();
-    assert_eq!(recovered.batches(), crash_at, "nothing acked may be lost");
-    for t in crash_at..total {
-        let out = recovered.ingest(batch(&streams, t)).unwrap();
-        assert_outputs_bit_identical(&out, &ref_outputs[t as usize], "post-recovery");
-    }
-    drop(recovered);
-
-    // corrupt the newest delta: recovery must fall back to the shorter
-    // chain + WAL replay and still reach the same state
-    let newest_delta = fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "fdelta"))
-        .max();
-    if let Some(path) = newest_delta {
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        let mut recovered2 = FleetEngine::open(dcfg).unwrap();
-        assert_eq!(recovered2.batches(), total);
-        let out = recovered2.ingest(batch(&streams, total)).unwrap();
-        let expected = reference.ingest(batch(&streams, total)).unwrap();
-        assert_outputs_bit_identical(&out, &expected, "after corrupt-delta fallback");
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
 /// A durably acked batch costs exactly **one** WAL fsync no matter how
 /// many shards it touches (the engine thread logs the whole batch as one
 /// record), and `fsync_every = k` costs one fsync per k batches.
@@ -631,6 +496,55 @@ fn v1_wal_segments_upgrade_when_empty_and_refuse_when_holding_records() {
         other => panic!("a v1 segment with records must fail recovery, got {other:?}"),
     }
     assert!(v1.exists(), "the refused segment is left for the operator");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Upgrading a directory an earlier build wrote with incremental delta
+/// files: a delta at or below the base `open` picks is covered by it and
+/// deleted, and the fleet resumes bit-identically; a delta above the base
+/// may hold batches whose WAL segments were already compacted away, so
+/// `open` fails naming the file instead of silently dropping them.
+#[test]
+fn delta_files_are_deleted_when_covered_and_refused_when_newer_than_the_base() {
+    let streams = build_streams(4);
+    let dir = test_dir("delta-upgrade");
+    let dcfg = DurabilityConfig::new(&dir);
+    let mut reference = FleetEngine::new(config()).unwrap();
+    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
+    for t in 0..30u64 {
+        reference.ingest(batch(&streams, t)).unwrap();
+        durable.ingest(batch(&streams, t)).unwrap();
+    }
+    durable.close().unwrap(); // full base at seq 30
+
+    // only the name is read: `open` never decodes a delta
+    let plant = |seq: u64| {
+        let path = dir.join(format!("delta-{seq:020}.fdelta"));
+        fs::write(&path, b"an incremental delta from an earlier build").unwrap();
+        path
+    };
+
+    let covered = [plant(20), plant(30)];
+    let mut reopened = FleetEngine::open(dcfg.clone()).unwrap();
+    assert_eq!(reopened.batches(), 30);
+    for path in &covered {
+        assert!(!path.exists(), "{} is covered by the base and deleted", path.display());
+    }
+    for t in 30..35u64 {
+        let out = reopened.ingest(batch(&streams, t)).unwrap();
+        let expected = reference.ingest(batch(&streams, t)).unwrap();
+        assert_outputs_bit_identical(&out, &expected, "after deleting covered deltas");
+    }
+    reopened.close().unwrap(); // full base at seq 35
+
+    let newer = plant(40);
+    match FleetEngine::open(dcfg).err() {
+        Some(FleetError::Recovery(msg)) => {
+            assert!(msg.contains(newer.file_name().unwrap().to_str().unwrap()), "{msg}");
+        }
+        other => panic!("a delta newer than the base must fail recovery, got {other:?}"),
+    }
+    assert!(newer.exists(), "the refused delta is left for the operator");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -861,21 +775,17 @@ fn cold_tier_crash_recovery_is_bit_identical() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// WAL-segment compaction: a segment whose batches are re-derivable from
-/// the durable snapshot/delta chain of every surviving base below it is
-/// dropped by prune — and what survives is exactly what the *worst-case*
-/// fallback anchor still needs, pinned by deleting the newest base and
-/// recovering through the chain + the kept tail.
+/// WAL-segment compaction: prune keeps the two newest bases and drops
+/// every segment below the older one — and what survives is exactly what
+/// that fallback base still needs, pinned by deleting the newest base and
+/// recovering through the older one + the kept tail.
 #[test]
 fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
     let n_series = 8;
     let streams = build_streams(n_series);
     let dir = test_dir("wal-compact");
-    let dcfg = DurabilityConfig {
-        snapshot_every: 20,
-        max_delta_chain: 100, // cadence stays on deltas: base 0 + d20 d40 …
-        ..DurabilityConfig::new(&dir)
-    };
+    // full bases at 0/20/40/60/80 from the cadence
+    let dcfg = DurabilityConfig { snapshot_every: 20, ..DurabilityConfig::new(&dir) };
 
     let mut reference = FleetEngine::new(config()).unwrap();
     let mut ref_outputs = Vec::new();
@@ -891,9 +801,9 @@ fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
     durable.checkpoint().unwrap();
     drop(durable);
 
-    // segments at 0/20/40/60 are covered by the delta chain reaching 80
-    // from the fallback base 0 and are gone; (80,90] survives because the
-    // chain from base 0 only reaches 80, and wal-90 is the live segment
+    // bases 80 and 90 are kept, so segments at 0/20/40/60 are gone;
+    // (80,90] survives as the fallback base's tail, and wal-90 is the live
+    // segment
     let mut starts: Vec<u64> = fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
@@ -905,8 +815,8 @@ fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
     starts.dedup();
     assert_eq!(starts, vec![80, 90], "covered segments compacted, needed tail kept");
 
-    // destroy the newest full base: recovery must fall back to base 0,
-    // fold the delta chain to 80, and replay (80, 90] from the kept tail
+    // destroy the newest full base: recovery must fall back to base 80
+    // and replay (80, 90] from the kept tail
     let newest = fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -917,7 +827,7 @@ fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
     fs::remove_file(&newest).unwrap();
 
     let mut recovered = FleetEngine::open(dcfg).unwrap();
-    assert_eq!(recovered.batches(), 90, "chain + kept tail reach the end");
+    assert_eq!(recovered.batches(), 90, "base 80 + kept tail reach the end");
     for t in 90..110u64 {
         let out = recovered.ingest(batch(&streams, t)).unwrap();
         let expected = reference.ingest(batch(&streams, t)).unwrap();
