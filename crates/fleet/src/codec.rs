@@ -29,7 +29,7 @@ use crate::engine::{CarriedTotals, FleetSnapshot};
 use crate::error::CodecError;
 use crate::series::{ForecastSnapshot, PhaseSnapshot, QuarantineCause};
 use crate::shard::SeriesSnapshot;
-use crate::types::SeriesKey;
+use crate::types::{Record, SeriesKey};
 use crate::{FleetConfig, PeriodPolicy};
 use oneshotstl::oneshot::InitMethod;
 use oneshotstl::online_doolittle::BAND;
@@ -806,16 +806,17 @@ fn decode_scorer(r: &mut Reader<'_>) -> Result<ResidualScorerState, CodecError> 
     Ok(ResidualScorerState { config, nsigma, s_pos, s_neg, hold })
 }
 
-/// Little-endian byte sink. Shared with the WAL record format
-/// ([`crate::wal`]), so both on-disk layouts follow one set of
-/// conventions: LE integers, bit-pattern `f64`s, `u32`-length strings.
+/// Little-endian byte sink. Shared with every framed payload
+/// ([`crate::frame`]: WAL records, cold records, wire messages), so all
+/// the crate's byte layouts follow one set of conventions: LE integers,
+/// bit-pattern `f64`s, `u32`-length strings.
 #[derive(Default)]
 pub(crate) struct Writer {
     pub(crate) buf: Vec<u8>,
 }
 
 impl Writer {
-    fn bytes(&mut self, b: &[u8]) {
+    pub(crate) fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
     pub(crate) fn u8(&mut self, v: u8) {
@@ -877,22 +878,28 @@ impl Writer {
             self.f64(x);
         }
     }
+    /// A record list, the body of a WAL record and of a wire
+    /// `IngestBatch`: `u32 count · count × { u64 t · f64 value · string
+    /// key }`.
+    pub(crate) fn records(&mut self, records: &[Record]) {
+        self.u32(records.len() as u32);
+        for r in records {
+            self.u64(r.t);
+            self.f64(r.value);
+            self.string(r.key.as_str());
+        }
+    }
 }
 
-/// Little-endian byte source with bounds checking (the [`Writer`]'s dual;
-/// also shared with [`crate::wal`]).
+/// Little-endian byte source with bounds checking (the [`Writer`]'s dual,
+/// shared the same way).
 pub(crate) struct Reader<'a> {
     pub(crate) data: &'a [u8],
     pub(crate) pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// Bytes left to read — lets a decoder sanity-check a declared element
-    /// count against the space it would need before allocating for it.
-    pub(crate) fn remaining(&self) -> usize {
-        self.data.len().saturating_sub(self.pos)
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         // a crafted length can push `pos + n` past usize::MAX
         let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
         let out = self.data.get(self.pos..end).ok_or(CodecError::Truncated)?;
@@ -960,6 +967,29 @@ impl<'a> Reader<'a> {
             .chunks_exact(8)
             .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
             .collect())
+    }
+    /// Reads a `u32` element count and rejects it up front when the bytes
+    /// left could not hold that many elements of at least `min_size` bytes
+    /// each, so a hostile count cannot drive a huge allocation before the
+    /// parse fails.
+    pub(crate) fn count(&mut self, min_size: usize) -> Result<usize, CodecError> {
+        let n = self.u32()? as usize;
+        if n > self.data.len().saturating_sub(self.pos) / min_size.max(1) {
+            return Err(CodecError::Invalid("element count"));
+        }
+        Ok(n)
+    }
+    /// A [`Writer::records`] list.
+    pub(crate) fn records(&mut self) -> Result<Vec<Record>, CodecError> {
+        // u64 t + f64 value + u32 key length
+        let n = self.count(20)?;
+        let mut records = Vec::with_capacity(n);
+        for _ in 0..n {
+            let t = self.u64()?;
+            let value = self.f64()?;
+            records.push(Record { key: SeriesKey::new(self.string()?), t, value });
+        }
+        Ok(records)
     }
 }
 

@@ -13,15 +13,18 @@
 //! One file per shard, `cold-{shard:04}.fcold`:
 //!
 //! ```text
-//! [8B magic "OSTLCOLD"] [u16 version] [u32 shard]
-//! record*: [u32 len] [u32 crc32(payload)] [payload]
-//! payload: [u8 kind] [u64 last_seen] [u32 key_len] [key bytes] [blob…]
+//! header   magic b"OSTLCOLD" · u16 version · u32 shard
+//! record*  u32 payload_len · u32 crc32(payload) · payload   (crate::frame)
+//! payload  u8 kind · u64 last_seen · string key · blob
 //! ```
 //!
-//! `kind` 0 is a *put* (blob follows), 1 a *tombstone* (no blob). The
-//! in-memory index replays the file on open with last-record-wins
-//! semantics and truncates a torn tail at the first record that fails its
-//! length or CRC check — the same prefix rule the WAL uses.
+//! Each record is one [`crate::frame`], and the fields follow the snapshot
+//! codec conventions (little-endian integers, `u32`-length strings).
+//! `kind` 0 is a *put* (the blob fills the rest of the payload), 1 a
+//! *tombstone* (no blob). The in-memory index replays the file on open
+//! with last-record-wins semantics and truncates a torn tail at the first
+//! record that fails its length or CRC check — the same prefix rule the
+//! WAL uses.
 //!
 //! ## Index semantics
 //!
@@ -47,9 +50,11 @@
 //! `Err` (the shard degrades: the series stays hot, or re-warms) instead
 //! of panicking a worker.
 
+use crate::codec::{Reader, Writer};
+use crate::error::CodecError;
 use crate::fault;
+use crate::frame;
 use crate::types::SeriesKey;
-use crate::wal::crc32;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom};
@@ -61,8 +66,6 @@ const MAGIC: &[u8; 8] = b"OSTLCOLD";
 const FORMAT_VERSION: u16 = 1;
 /// Header bytes: magic + version + shard index.
 const HEADER_LEN: u64 = 8 + 2 + 4;
-/// Frame overhead bytes: length + CRC.
-const FRAME_OVERHEAD: u64 = 8;
 /// Record kind: key → blob mapping.
 const KIND_PUT: u8 = 0;
 /// Record kind: key removed.
@@ -142,11 +145,7 @@ impl ColdStore {
             dirty: false,
         };
         if fresh {
-            let mut header = Vec::with_capacity(HEADER_LEN as usize);
-            header.extend_from_slice(MAGIC);
-            header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            header.extend_from_slice(&(shard as u32).to_le_bytes());
-            fault::write_all(&mut store.file, &store.path, &header)?;
+            fault::write_all(&mut store.file, &store.path, &header(shard))?;
             store.dirty = true;
             return Ok(store);
         }
@@ -167,17 +166,15 @@ impl ColdStore {
             ));
         }
         file.read_exact(&mut header)?;
-        if &header[..8] != MAGIC {
+        let Ok((version, shard)) = parse_header(&header) else {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "cold file magic mismatch"));
-        }
-        let version = u16::from_le_bytes([header[8], header[9]]);
+        };
         if version != FORMAT_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("cold file version {version} (expected {FORMAT_VERSION})"),
             ));
         }
-        let shard = u32::from_le_bytes([header[10], header[11], header[12], header[13]]);
         if shard as usize != self.shard {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -185,23 +182,22 @@ impl ColdStore {
             ));
         }
         let mut pos = HEADER_LEN;
-        let mut payload = Vec::new();
+        let mut frame = Vec::new();
         loop {
-            let mut frame_header = [0u8; FRAME_OVERHEAD as usize];
-            if pos + FRAME_OVERHEAD > file_len || file.read_exact(&mut frame_header).is_err() {
+            frame.resize(frame::HEADER, 0);
+            if pos + frame::HEADER as u64 > file_len || file.read_exact(&mut frame).is_err() {
                 break;
             }
-            let len = u32::from_le_bytes(frame_header[..4].try_into().unwrap()) as u64;
-            let crc = u32::from_le_bytes(frame_header[4..].try_into().unwrap());
-            if pos + FRAME_OVERHEAD + len > file_len {
+            let frame_len = (frame::HEADER + frame::payload_len(&frame)) as u64;
+            if pos + frame_len > file_len {
                 break; // torn final record
             }
-            payload.resize(len as usize, 0);
-            if file.read_exact(&mut payload).is_err() || crc32(&payload) != crc {
+            frame.resize(frame_len as usize, 0);
+            if file.read_exact(&mut frame[frame::HEADER..]).is_err() {
                 break;
             }
-            let Some((kind, last_seen, key)) = parse_payload(&payload) else { break };
-            let frame_len = FRAME_OVERHEAD + len;
+            let Ok((kind, last_seen, key, _)) = parse_frame(&frame) else { break };
+            let key = SeriesKey::new(key);
             match kind {
                 KIND_PUT => {
                     self.supersede(&key);
@@ -323,26 +319,16 @@ impl ColdStore {
         frame_len: u64,
         key: &SeriesKey,
     ) -> io::Result<Vec<u8>> {
-        let corrupt = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         self.file.seek(SeekFrom::Start(offset))?;
         let mut frame = vec![0u8; frame_len as usize];
         self.file.read_exact(&mut frame)?;
-        let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as u64;
-        let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-        if FRAME_OVERHEAD + len != frame_len {
-            return Err(corrupt("cold record length mismatch"));
+        let corrupt =
+            |e| io::Error::new(io::ErrorKind::InvalidData, format!("cold record: {e}"));
+        let (kind, _, recorded_key, blob) = parse_frame(&frame).map_err(corrupt)?;
+        if kind != KIND_PUT || recorded_key != key.as_str() {
+            return Err(corrupt(CodecError::Invalid("does not match its index entry")));
         }
-        let payload = &frame[FRAME_OVERHEAD as usize..];
-        if crc32(payload) != crc {
-            return Err(corrupt("cold record CRC mismatch"));
-        }
-        let (kind, _, recorded_key) =
-            parse_payload(payload).ok_or_else(|| corrupt("cold record payload malformed"))?;
-        if kind != KIND_PUT || recorded_key != *key {
-            return Err(corrupt("cold record does not match its index entry"));
-        }
-        let blob_at = 1 + 8 + 4 + recorded_key.as_str().len();
-        Ok(payload[blob_at..].to_vec())
+        Ok(blob.to_vec())
     }
 
     /// Flushes appended records to stable storage (no-op when clean).
@@ -400,11 +386,7 @@ impl ColdStore {
         entries: &[(SeriesKey, ColdEntry)],
     ) -> io::Result<()> {
         let mut out = fault::create_file(tmp)?;
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&(self.shard as u32).to_le_bytes());
-        fault::write_all(&mut out, tmp, &header)?;
+        fault::write_all(&mut out, tmp, &header(self.shard))?;
         let mut new_index: HashMap<SeriesKey, ColdEntry> = HashMap::new();
         let mut pos = HEADER_LEN;
         let mut frame = Vec::new();
@@ -430,41 +412,52 @@ impl ColdStore {
     }
 }
 
+/// The cold-file header of `shard`.
+fn header(shard: usize) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.bytes(MAGIC);
+    w.u16(FORMAT_VERSION);
+    w.u32(shard as u32);
+    w.buf
+}
+
+/// Reads a [`header`] back as `(version, shard)`.
+fn parse_header(bytes: &[u8]) -> Result<(u16, u32), CodecError> {
+    let mut r = Reader { data: bytes, pos: 0 };
+    if r.take(8)? != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    Ok((r.u16()?, r.u32()?))
+}
+
 /// Builds one framed record.
 fn encode_frame(kind: u8, last_seen: u64, key: &SeriesKey, blob: &[u8]) -> Vec<u8> {
-    let key_bytes = key.as_str().as_bytes();
-    let payload_len = 1 + 8 + 4 + key_bytes.len() + blob.len();
-    let mut frame = Vec::with_capacity(FRAME_OVERHEAD as usize + payload_len);
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.extend_from_slice(&[0u8; 4]); // crc placeholder
-    frame.push(kind);
-    frame.extend_from_slice(&last_seen.to_le_bytes());
-    frame.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
-    frame.extend_from_slice(key_bytes);
-    frame.extend_from_slice(blob);
-    let crc = crc32(&frame[FRAME_OVERHEAD as usize..]);
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    // kind + last_seen + key length, then the key and the blob
+    let mut frame = Vec::with_capacity(frame::HEADER + 13 + key.as_str().len() + blob.len());
+    frame::write(&mut frame, |w| {
+        w.u8(kind);
+        w.u64(last_seen);
+        w.string(key.as_str());
+        w.bytes(blob);
+    });
     frame
 }
 
-/// Parses a record payload's fixed prefix: `(kind, last_seen, key)`.
-/// `None` on any structural violation (treated as corruption).
-fn parse_payload(payload: &[u8]) -> Option<(u8, u64, SeriesKey)> {
-    if payload.len() < 1 + 8 + 4 {
-        return None;
+/// Checks one whole frame and parses its payload into `(kind, last_seen,
+/// key, blob)`; an error on any structural violation (corruption).
+fn parse_frame(frame: &[u8]) -> Result<(u8, u64, &str, &[u8]), CodecError> {
+    let payload = match frame::cut(frame, usize::MAX)? {
+        Some((payload, used)) if used == frame.len() => payload,
+        _ => return Err(CodecError::Invalid("frame length")),
+    };
+    let mut r = Reader { data: payload, pos: 0 };
+    let (kind, last_seen, key) = (r.u8()?, r.u64()?, r.string()?);
+    let blob = &payload[r.pos..];
+    match kind {
+        KIND_PUT => Ok((kind, last_seen, key, blob)),
+        KIND_TOMBSTONE if blob.is_empty() => Ok((kind, last_seen, key, blob)),
+        _ => Err(CodecError::Invalid("cold record kind")),
     }
-    let kind = payload[0];
-    if kind != KIND_PUT && kind != KIND_TOMBSTONE {
-        return None;
-    }
-    let last_seen = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-    let key_len = u32::from_le_bytes(payload[9..13].try_into().unwrap()) as usize;
-    let rest = &payload[13..];
-    if key_len > rest.len() || (kind == KIND_TOMBSTONE && key_len != rest.len()) {
-        return None;
-    }
-    let key = std::str::from_utf8(&rest[..key_len]).ok()?;
-    Some((kind, last_seen, SeriesKey::new(key)))
 }
 
 #[cfg(test)]

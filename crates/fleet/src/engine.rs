@@ -156,15 +156,10 @@ pub struct FleetEngine {
     pub(crate) durability: Option<Box<Durability>>,
     /// Recycled columnar routing batches, reused across
     /// [`FleetEngine::submit`] calls instead of reallocating per batch.
-    /// Batches normally come back on the ingest reply itself
-    /// ([`FleetEngine::next_batch`] empties them into here); the return
-    /// channel below covers abandoned batches.
+    /// Batches come back on the ingest reply itself
+    /// ([`FleetEngine::next_batch`] empties them into here); one whose
+    /// reply nobody collects is dropped.
     spare_bufs: Vec<ShardBatch>,
-    /// Workers hand back batches whose reply receiver was dropped.
-    buf_rx: Receiver<ShardBatch>,
-    /// The sending half handed to each worker (kept so a respawned worker
-    /// can return batches too).
-    buf_tx: Sender<ShardBatch>,
     /// Reassembly buffer reused across [`FleetEngine::next_batch`] calls.
     assembly: Vec<Option<ScoredPoint>>,
     /// Cold-tier directory, once attached — respawned workers reopen
@@ -242,10 +237,9 @@ impl FleetEngine {
         batches: u64,
         carried: CarriedTotals,
     ) -> Result<Self, FleetError> {
-        let (buf_tx, buf_rx) = channel::<ShardBatch>();
         let workers = states
             .into_iter()
-            .map(|state| Self::start_worker(&config, state, buf_tx.clone()))
+            .map(|state| Self::start_worker(&config, state))
             .collect::<Result<_, _>>()?;
         Ok(FleetEngine {
             config,
@@ -256,8 +250,6 @@ impl FleetEngine {
             pending: VecDeque::new(),
             durability: None,
             spare_bufs: Vec::new(),
-            buf_rx,
-            buf_tx,
             assembly: Vec::new(),
             cold_dir: None,
         })
@@ -265,11 +257,7 @@ impl FleetEngine {
 
     /// Starts one worker thread on `state`, with a request queue of the
     /// configured flavor and an unbounded read lane.
-    fn start_worker(
-        config: &FleetConfig,
-        state: ShardState,
-        buf_tx: Sender<ShardBatch>,
-    ) -> Result<Worker, FleetError> {
+    fn start_worker(config: &FleetConfig, state: ShardState) -> Result<Worker, FleetError> {
         let (queue, rx) = match config.queue_capacity {
             None => {
                 let (tx, rx) = channel::<ShardMsg>();
@@ -285,7 +273,7 @@ impl FleetEngine {
         let worker_depth = Arc::clone(&depth);
         let handle = std::thread::Builder::new()
             .name(format!("fleet-shard-{}", state.index))
-            .spawn(move || run_worker(state, rx, lane_rx, worker_depth, buf_tx))
+            .spawn(move || run_worker(state, rx, lane_rx, worker_depth))
             .map_err(|_| FleetError::Internal("spawning a shard worker thread"))?;
         Ok(Worker { queue, lane, depth, handle: Some(handle) })
     }
@@ -378,7 +366,7 @@ impl FleetEngine {
             // hot-only (cold series re-warm) rather than failing the heal
             state.cold = crate::cold_tier::ColdStore::open(dir, shard).ok();
         }
-        let worker = Self::start_worker(&self.config, state, self.buf_tx.clone())?;
+        let worker = Self::start_worker(&self.config, state)?;
         let Worker { queue, lane, handle, .. } =
             std::mem::replace(&mut self.workers[shard], worker);
         // drop the old inboxes before joining: if the old worker is somehow
@@ -428,16 +416,6 @@ impl FleetEngine {
         }
     }
 
-    /// Hands out a routing batch from the spare pool, first sweeping in
-    /// any batches workers returned out of band (allocation-free once the
-    /// pipeline is primed).
-    fn route_buf(&mut self) -> ShardBatch {
-        while let Ok(buf) = self.buf_rx.try_recv() {
-            self.spare_bufs.push(buf);
-        }
-        self.spare_bufs.pop().unwrap_or_default()
-    }
-
     /// Submits a batch without waiting for its outputs (pipelined ingest):
     /// shard workers start on this batch while the caller prepares the
     /// next one. Collect outputs in submission order with
@@ -484,7 +462,9 @@ impl FleetEngine {
         }
         // route on a scratch clock: a rejected batch must leave no trace
         let mut clock = self.clock;
-        let mut routed: Vec<ShardBatch> = (0..shards).map(|_| self.route_buf()).collect();
+        // from the spare pool: allocation-free once the pipeline is primed
+        let mut routed: Vec<ShardBatch> =
+            (0..shards).map(|_| self.spare_bufs.pop().unwrap_or_default()).collect();
         for (idx, rec) in batch.into_iter().enumerate() {
             // a bounded clock step contains timestamp poisoning (see
             // `FleetConfig::max_clock_step`); the record keeps its raw `t`

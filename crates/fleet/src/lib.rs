@@ -77,7 +77,9 @@
 //!   engine image ([`persist`]); after a crash, [`FleetEngine::open`]
 //!   restores the latest valid snapshot and replays the WAL tail — including torn-tail truncation —
 //!   back to a bit-identical engine. Durability is a setting of the one
-//!   engine type, so every surface gets it, [`NetServer`] included.
+//!   engine type, so every surface gets it, [`NetServer`] included. WAL
+//!   records, cold-tier records and wire messages are one length + CRC32
+//!   frame, written and checked by one module ([`frame`]).
 //!
 //! ## Quick start
 //!
@@ -130,6 +132,7 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod fault;
+pub mod frame;
 pub mod net;
 pub mod persist;
 pub mod series;

@@ -1,11 +1,12 @@
 //! Binary TCP ingest frontend.
 //!
 //! Exposes a running [`FleetEngine`] over a socket so producers in other
-//! processes (or other hosts) can feed it without linking the crate. The
-//! wire format deliberately reuses the WAL record shape — length-prefixed
-//! CRC32-checked frames of little-endian fields — so both untrusted byte
-//! boundaries of the crate (disk and network) share one set of framing
-//! conventions and one checksum ([`crate::wal::crc32`]).
+//! processes (or other hosts) can feed it without linking the crate. Every
+//! message is one [`crate::frame`], the length-prefixed CRC32-checked frame
+//! the WAL and the cold tier write too, so the untrusted byte boundaries of
+//! the crate (disk and network) share one frame writer, one frame reader
+//! and one checksum. An `IngestBatch` body is the WAL's record list,
+//! written and read by the same code.
 //!
 //! ## Protocol
 //!
@@ -15,7 +16,7 @@
 //! either direction, is one frame:
 //!
 //! ```text
-//! u32 payload_len · u32 crc32(payload) · payload
+//! u32 payload_len · u32 crc32(payload) · payload   (crate::frame)
 //! payload = u8 message type · body (see NetMessage)
 //! ```
 //!
@@ -62,8 +63,8 @@ use crate::codec::{decode_admit_options, encode_admit_options, Reader, Writer};
 use crate::config::AdmitOptions;
 use crate::engine::FleetEngine;
 use crate::error::{CodecError, FleetError};
+use crate::frame;
 use crate::types::{FleetStats, PointOutput, Record, ScoredPoint, SeriesKey, ShardStats};
-use crate::wal::crc32;
 use tskit::series::DecompPoint;
 
 /// Magic bytes opening the connection hello (and nothing else — frames
@@ -156,39 +157,32 @@ const T_ERROR: u8 = 134;
 
 /// The 10-byte connection hello: [`NET_MAGIC`] then [`NET_VERSION`].
 pub fn hello_bytes() -> [u8; 10] {
-    let mut h = [0u8; 10];
-    h[..8].copy_from_slice(&NET_MAGIC);
-    h[8..].copy_from_slice(&NET_VERSION.to_le_bytes());
-    h
+    let mut w = Writer::default();
+    w.bytes(&NET_MAGIC);
+    w.u16(NET_VERSION);
+    w.buf.try_into().expect("magic + version is 10 bytes")
 }
 
 /// Validates a peer's hello: wrong magic is [`CodecError::BadMagic`], a
 /// version this build does not speak is
 /// [`CodecError::UnsupportedVersion`].
 pub fn check_hello(bytes: &[u8; 10]) -> Result<(), CodecError> {
-    if bytes[..8] != NET_MAGIC {
+    let mut r = Reader { data: bytes, pos: 0 };
+    if r.take(8)? != NET_MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let v = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
+    let v = r.u16()?;
     if v != NET_VERSION {
         return Err(CodecError::UnsupportedVersion(v));
     }
     Ok(())
 }
 
-/// Encodes one message as a complete frame appended to `buf` (which is
-/// cleared first — the out-param shape lets a connection reuse one
-/// allocation across frames, like the WAL's record encoder).
+/// Encodes one message as a complete frame in `buf` (which is cleared
+/// first — the out-param shape lets a connection reuse one allocation
+/// across frames, like the WAL's record encoder).
 pub fn encode_frame_into(buf: &mut Vec<u8>, msg: &NetMessage) {
-    let mut w = Writer { buf: std::mem::take(buf) };
-    w.buf.clear();
-    w.buf.extend_from_slice(&[0u8; 8]); // len + crc, backfilled below
-    encode_body(&mut w, msg);
-    let payload_len = (w.buf.len() - 8) as u32;
-    let crc = crc32(&w.buf[8..]);
-    w.buf[..4].copy_from_slice(&payload_len.to_le_bytes());
-    w.buf[4..8].copy_from_slice(&crc.to_le_bytes());
-    *buf = w.buf;
+    frame::write(buf, |w| encode_body(w, msg));
 }
 
 /// Encodes one message as a complete frame.
@@ -207,27 +201,13 @@ pub fn encode_frame(msg: &NetMessage) -> Vec<u8> {
 /// mismatch, an unknown message type, or a payload whose body does not
 /// exactly fill its declared length.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(NetMessage, usize)>, CodecError> {
-    if buf.len() < 8 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(CodecError::Invalid("frame length"));
-    }
-    let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    if buf.len() < 8 + len {
-        return Ok(None);
-    }
-    let payload = &buf[8..8 + len];
-    if crc32(payload) != crc {
-        return Err(CodecError::Invalid("frame checksum"));
-    }
+    let Some((payload, used)) = frame::cut(buf, MAX_FRAME)? else { return Ok(None) };
     let mut r = Reader { data: payload, pos: 0 };
     let msg = decode_body(&mut r)?;
     if r.pos != payload.len() {
         return Err(CodecError::Invalid("frame payload length"));
     }
-    Ok(Some((msg, 8 + len)))
+    Ok(Some((msg, used)))
 }
 
 /// Strict single-frame decode: `buf` must hold exactly one complete
@@ -249,12 +229,7 @@ fn encode_body(w: &mut Writer, msg: &NetMessage) {
     match msg {
         NetMessage::IngestBatch(records) => {
             w.u8(T_INGEST);
-            w.u32(records.len() as u32);
-            for rec in records {
-                w.u64(rec.t);
-                w.f64(rec.value);
-                w.string(rec.key.as_str());
-            }
+            w.records(records);
         }
         NetMessage::Forecast { keys, horizon } => {
             w.u8(T_FORECAST);
@@ -312,35 +287,12 @@ fn encode_body(w: &mut Writer, msg: &NetMessage) {
     }
 }
 
-/// Reads a declared element count and rejects it up front when the
-/// remaining payload could not possibly hold that many elements of at
-/// least `min_size` bytes — so a hostile count cannot drive a huge
-/// allocation before the parse fails.
-fn checked_count(r: &mut Reader<'_>, min_size: usize) -> Result<usize, CodecError> {
-    let n = r.u32()? as usize;
-    if n > r.remaining() / min_size.max(1) {
-        return Err(CodecError::Invalid("element count"));
-    }
-    Ok(n)
-}
-
 fn decode_body(r: &mut Reader<'_>) -> Result<NetMessage, CodecError> {
     match r.u8()? {
-        T_INGEST => {
-            // u64 t + f64 value + u32 key length
-            let n = checked_count(r, 20)?;
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                let t = r.u64()?;
-                let value = r.f64()?;
-                let key = SeriesKey::new(r.string()?);
-                records.push(Record { key, t, value });
-            }
-            Ok(NetMessage::IngestBatch(records))
-        }
+        T_INGEST => Ok(NetMessage::IngestBatch(r.records()?)),
         T_FORECAST => {
             let horizon = r.u32()?;
-            let n = checked_count(r, 4)?;
+            let n = r.count(4)?;
             let mut keys = Vec::with_capacity(n);
             for _ in 0..n {
                 keys.push(SeriesKey::new(r.string()?));
@@ -355,7 +307,7 @@ fn decode_body(r: &mut Reader<'_>) -> Result<NetMessage, CodecError> {
         }
         T_SCORED => {
             // u64 t + f64 value + u32 key length + u8 output tag
-            let n = checked_count(r, 21)?;
+            let n = r.count(21)?;
             let mut points = Vec::with_capacity(n);
             for _ in 0..n {
                 let t = r.u64()?;
@@ -367,13 +319,13 @@ fn decode_body(r: &mut Reader<'_>) -> Result<NetMessage, CodecError> {
             Ok(NetMessage::Scored(points))
         }
         T_FORECAST_R => {
-            let n = checked_count(r, 1)?;
+            let n = r.count(1)?;
             let mut slots = Vec::with_capacity(n);
             for _ in 0..n {
                 slots.push(match r.u8()? {
                     0 => None,
                     1 => {
-                        let m = checked_count(r, 8)?;
+                        let m = r.count(8)?;
                         let mut fc = Vec::with_capacity(m);
                         for _ in 0..m {
                             fc.push(r.f64()?);
@@ -519,7 +471,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<FleetStats, CodecError> {
         shards: Vec::new(),
     };
     // u32 shard + 19 × u64
-    let n = checked_count(r, 156)?;
+    let n = r.count(156)?;
     s.shards.reserve(n);
     for _ in 0..n {
         s.shards.push(ShardStats {
@@ -1098,6 +1050,7 @@ impl NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::crc32;
 
     fn roundtrip(msg: NetMessage) {
         let frame = encode_frame(&msg);

@@ -30,8 +30,10 @@
 //! ## Recovery
 //!
 //! [`FleetEngine::open`] walks the directory newest-base-first, skipping
-//! bases that fail CRC/decode (torn writes, version mismatches). The
-//! chosen base restores an engine, then the WAL records after it are
+//! bases that fail CRC/decode (torn writes, version mismatches), and once
+//! the engine is recovered deletes the bases it skipped: the WAL kept from
+//! the loaded base covers them, and prune must never count one as a kept
+//! base. The chosen base restores an engine, then the WAL records after it are
 //! replayed in seq order through the normal ingest path, up to the first
 //! missing seq (a torn or corrupt record ends what its segment holds);
 //! the on-disk logs are truncated to that point so the durable state is
@@ -104,8 +106,9 @@ use crate::config::FleetConfig;
 use crate::engine::{FleetEngine, FleetSnapshot};
 use crate::error::FleetError;
 use crate::fault;
+use crate::frame::crc32;
 use crate::types::{Record, ScoredPoint};
-use crate::wal::{self, crc32, Wal, WalSegment};
+use crate::wal::{self, Wal, WalSegment};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind, Read as _};
@@ -518,6 +521,12 @@ impl FleetEngine {
                 fault::sync_data(&file, path).map_err(io_err)?;
             }
         }
+        // a base newer than the loaded one failed to load, and the WAL kept
+        // from the loaded base covers it; left on disk, prune would count
+        // it as one of the bases it keeps and delete the loaded one
+        for (_, path) in listing.snapshots.iter().filter(|(seq, _)| *seq > base_seq) {
+            let _ = fs::remove_file(path);
+        }
 
         engine.durability = Some(Durability::start(dcfg, recovered, base_seq)?);
         Ok(engine)
@@ -816,37 +825,26 @@ fn parse_delta_name(name: &str) -> Option<u64> {
     name.strip_prefix("delta-")?.strip_suffix(".fdelta")?.parse().ok()
 }
 
-/// Writes `bytes` durably under `name`: `[u64 len · u32 crc32 · bytes]`
-/// to a temp file, fsync, atomic rename, directory fsync.
-fn write_blob_file(
-    dir: &Path,
-    tmp_name: &str,
-    name: &str,
-    bytes: &[u8],
-) -> std::io::Result<()> {
-    let tmp = dir.join(tmp_name);
-    let path = dir.join(name);
+/// Writes a full base snapshot durably: `[u64 len · u32 crc32 · codec
+/// bytes]` to a temp file, fsync, atomic rename, directory fsync.
+fn write_snapshot_file(dir: &Path, seq: u64, snapshot: &FleetSnapshot) -> std::io::Result<()> {
+    let bytes = codec::encode(snapshot);
+    let tmp = dir.join(format!(".snap-{seq:020}.tmp"));
     let mut f = fault::create_file(&tmp)?;
     fault::write_all(&mut f, &tmp, &(bytes.len() as u64).to_le_bytes())?;
-    fault::write_all(&mut f, &tmp, &crc32(bytes).to_le_bytes())?;
-    fault::write_all(&mut f, &tmp, bytes)?;
+    fault::write_all(&mut f, &tmp, &crc32(&bytes).to_le_bytes())?;
+    fault::write_all(&mut f, &tmp, &bytes)?;
     fault::sync_all(&f, &tmp)?;
     drop(f);
-    fault::rename(&tmp, &path)?;
+    fault::rename(&tmp, &dir.join(snapshot_file_name(seq)))?;
     // make the rename itself durable
     fault::sync_dir(dir)?;
     Ok(())
 }
 
-/// Writes a full base snapshot durably (see [`write_blob_file`]).
-fn write_snapshot_file(dir: &Path, seq: u64, snapshot: &FleetSnapshot) -> std::io::Result<()> {
-    let name = snapshot_file_name(seq);
-    write_blob_file(dir, &format!(".snap-{seq:020}.tmp"), &name, &codec::encode(snapshot))
-}
-
-/// Reads and CRC-verifies a `[u64 len · u32 crc32 · bytes]` blob file,
-/// returning the whole buffer (payload starts at offset 12 — no copy).
-fn load_blob_file(path: &Path) -> Result<Vec<u8>, String> {
+/// Reads, CRC-verifies and decodes a snapshot file written by
+/// [`write_snapshot_file`].
+fn load_snapshot_file(path: &Path) -> Result<FleetSnapshot, String> {
     let mut raw = Vec::new();
     File::open(path).and_then(|mut f| f.read_to_end(&mut raw)).map_err(|e| e.to_string())?;
     if raw.len() < 12 {
@@ -861,12 +859,7 @@ fn load_blob_file(path: &Path) -> Result<Vec<u8>, String> {
     if crc32(bytes) != crc {
         return Err("snapshot file CRC mismatch".into());
     }
-    Ok(raw)
-}
-
-/// Reads and verifies a snapshot file written by [`write_snapshot_file`].
-fn load_snapshot_file(path: &Path) -> Result<FleetSnapshot, String> {
-    codec::decode(&load_blob_file(path)?[12..]).map_err(|e| e.to_string())
+    codec::decode(bytes).map_err(|e| e.to_string())
 }
 
 /// What a durability directory currently holds, numerically sorted.

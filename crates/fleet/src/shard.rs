@@ -861,7 +861,6 @@ pub fn run_worker(
     rx: Receiver<ShardMsg>,
     lane: Receiver<ReadMsg>,
     queue_depth: Arc<AtomicUsize>,
-    buf_return: Sender<ShardBatch>,
 ) {
     while let Ok(msg) = rx.recv() {
         queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -872,16 +871,9 @@ pub fn run_worker(
             ShardMsg::Ingest { mut batch, seq, reply } => {
                 state.ingest_batch(&mut batch, seq);
                 // the filled batch rides back on the reply; the engine
-                // moves keys and outputs out and recycles the buffers. An
-                // abandoned batch (dropped receiver) is handed back
-                // through the return channel instead, so its buffers
-                // rejoin the pool rather than being dropped.
-                if let Err(std::sync::mpsc::SendError((_, mut b))) =
-                    reply.send((state.index, batch))
-                {
-                    b.clear();
-                    let _ = buf_return.send(b);
-                }
+                // moves keys and outputs out and recycles the buffers (an
+                // abandoned batch, whose receiver is gone, is dropped)
+                let _ = reply.send((state.index, batch));
             }
             ShardMsg::Admit { key, opts, now, reply } => {
                 let _ = reply.send(state.set_admit_options(&key, opts, now));

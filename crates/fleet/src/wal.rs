@@ -23,15 +23,18 @@
 //! One file per generation, named `wal-<start_seq>.flog` where `start_seq`
 //! is the engine batch sequence the segment starts *after* (segments
 //! rotate when a snapshot is triggered, so segment `start_seq = S` holds
-//! batches `S+1, S+2, …`). Layout follows the snapshot codec conventions —
-//! little-endian integers, bit-pattern `f64`s, `u32`-length-prefixed
-//! strings:
+//! batches `S+1, S+2, …`). Each record is one [`crate::frame`], and the
+//! fields follow the snapshot codec conventions — little-endian integers,
+//! bit-pattern `f64`s, `u32`-length-prefixed strings:
 //!
 //! ```text
 //! header   magic b"OSTLWLOG" · u16 version · u64 start_seq
-//! record*  u32 payload_len · u32 crc32(payload) · payload
+//! record*  u32 payload_len · u32 crc32(payload) · payload   (crate::frame)
 //! payload  u64 seq · u32 count · count × { u64 t · f64 value · string key }
 //! ```
+//!
+//! The record list after `seq` is the body of a wire `IngestBatch` too
+//! ([`crate::net`]), read and written by the same code.
 //!
 //! `seq` is the engine-wide batch sequence number and the records are the
 //! caller's batch in order, each with its raw (unclamped) `t`: replay
@@ -53,8 +56,10 @@
 //! returned `Ok` for.
 
 use crate::codec::{Reader, Writer};
+use crate::error::CodecError;
 use crate::fault;
-use crate::types::{Record, SeriesKey};
+use crate::frame;
+use crate::types::Record;
 use std::fs::File;
 use std::io::{ErrorKind, Read as _};
 use std::path::{Path, PathBuf};
@@ -70,7 +75,7 @@ pub(crate) const HEADER_LEN: u64 = 8 + 2 + 8;
 const V1_HEADER_LEN: usize = 8 + 2 + 4 + 8;
 /// Upper bound on a single record payload — anything larger is treated as
 /// corruption rather than an allocation request.
-const MAX_PAYLOAD: u32 = 1 << 30;
+const MAX_PAYLOAD: usize = 1 << 30;
 
 /// One logged batch as read back from disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,20 +88,13 @@ pub struct WalFrame {
 }
 
 impl WalFrame {
-    fn decode_payload(bytes: &[u8]) -> Option<WalFrame> {
+    fn decode_payload(bytes: &[u8]) -> Result<WalFrame, CodecError> {
         let mut r = Reader { data: bytes, pos: 0 };
-        let seq = r.u64().ok()?;
-        let count = r.u32().ok()? as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            let t = r.u64().ok()?;
-            let value = r.f64().ok()?;
-            records.push(Record { key: SeriesKey::new(r.string().ok()?), t, value });
-        }
+        let frame = WalFrame { seq: r.u64()?, records: r.records()? };
         if r.pos != bytes.len() {
-            return None;
+            return Err(CodecError::Invalid("WAL record payload length"));
         }
-        Some(WalFrame { seq, records })
+        Ok(frame)
     }
 }
 
@@ -116,7 +114,7 @@ pub struct Wal {
     /// First I/O error; once set, every operation fails with it (a
     /// half-durable log must not accept more appends).
     poisoned: Option<String>,
-    /// The record [`Wal::append`] writes, as laid out by [`Wal::encode`];
+    /// The frame [`Wal::append`] writes, as laid out by [`Wal::encode`];
     /// its capacity is reused across batches.
     record: Vec<u8>,
 }
@@ -145,25 +143,14 @@ impl Wal {
         })
     }
 
-    /// Lays out batch `seq` as one record (`u32 len · u32 crc · payload`)
-    /// for the next [`Wal::append`]. Separate from the write so the caller
-    /// can encode a batch before it gives the records away.
+    /// Lays out batch `seq` as one record (a [`crate::frame`]) for the
+    /// next [`Wal::append`]. Separate from the write so the caller can
+    /// encode a batch before it gives the records away.
     pub fn encode(&mut self, seq: u64, records: &[Record]) {
-        let mut w = Writer { buf: std::mem::take(&mut self.record) };
-        w.buf.clear();
-        w.buf.extend_from_slice(&[0u8; 8]); // len + crc, backfilled below
-        w.u64(seq);
-        w.u32(records.len() as u32);
-        for r in records {
-            w.u64(r.t);
-            w.f64(r.value);
-            w.string(r.key.as_str());
-        }
-        let payload_len = (w.buf.len() - 8) as u32;
-        let crc = crc32(&w.buf[8..]);
-        w.buf[..4].copy_from_slice(&payload_len.to_le_bytes());
-        w.buf[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.record = w.buf;
+        frame::write(&mut self.record, |w| {
+            w.u64(seq);
+            w.records(records);
+        });
     }
 
     /// Appends the record last laid out by [`Wal::encode`], fsyncing when
@@ -242,7 +229,7 @@ fn create_segment(dir: &Path, start_seq: u64) -> std::io::Result<(File, PathBuf)
     let path = dir.join(segment_file_name(start_seq));
     let mut file = fault::create_file(&path)?;
     let mut w = Writer::default();
-    w.buf.extend_from_slice(WAL_MAGIC);
+    w.bytes(WAL_MAGIC);
     w.u16(WAL_VERSION);
     w.u64(start_seq);
     fault::write_all(&mut file, &path, &w.buf)?;
@@ -292,13 +279,14 @@ pub fn read_segment(path: &Path) -> std::io::Result<Option<WalSegment>> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
     let bad_header = || std::io::Error::new(ErrorKind::InvalidData, "not a fleet WAL segment");
-    if bytes.len() < HEADER_LEN as usize || &bytes[..8] != WAL_MAGIC {
+    let mut r = Reader { data: &bytes, pos: 0 };
+    if bytes.len() < HEADER_LEN as usize || r.take(8).ok() != Some(WAL_MAGIC.as_slice()) {
         return Err(bad_header());
     }
-    match u16::from_le_bytes(bytes[8..10].try_into().unwrap()) {
-        WAL_VERSION => {}
-        1 if bytes.len() == V1_HEADER_LEN => return Ok(None),
-        1 if bytes.len() > V1_HEADER_LEN => {
+    match r.u16() {
+        Ok(WAL_VERSION) => {}
+        Ok(1) if bytes.len() == V1_HEADER_LEN => return Ok(None),
+        Ok(1) if bytes.len() > V1_HEADER_LEN => {
             return Err(std::io::Error::new(
                 ErrorKind::Unsupported,
                 "version 1 WAL segment holds records this build does not replay",
@@ -306,68 +294,25 @@ pub fn read_segment(path: &Path) -> std::io::Result<Option<WalSegment>> {
         }
         _ => return Err(bad_header()),
     }
-    let start_seq = u64::from_le_bytes(bytes[10..18].try_into().unwrap());
+    let start_seq = r.u64().map_err(|_| bad_header())?;
     let mut frames = Vec::new();
     let mut frame_ends = Vec::new();
-    let mut pos = HEADER_LEN as usize;
-    let mut torn = false;
-    while pos < bytes.len() {
-        if pos + 8 > bytes.len() {
-            torn = true;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let end = pos + 8 + len as usize;
-        if len > MAX_PAYLOAD || end > bytes.len() {
-            torn = true;
-            break;
-        }
-        let payload = &bytes[pos + 8..end];
-        if crc32(payload) != crc {
-            torn = true;
-            break;
-        }
-        let Some(frame) = WalFrame::decode_payload(payload) else {
-            torn = true;
-            break;
-        };
+    let mut pos = r.pos;
+    // an incomplete, corrupt or unparseable record ends the segment
+    while let Ok(Some((payload, used))) = frame::cut(&bytes[pos..], MAX_PAYLOAD) {
+        let Ok(frame) = WalFrame::decode_payload(payload) else { break };
+        pos += used;
         frames.push(frame);
-        frame_ends.push(end as u64);
-        pos = end;
+        frame_ends.push(pos as u64);
     }
+    let torn = pos < bytes.len();
     Ok(Some(WalSegment { start_seq, frames, frame_ends, torn }))
-}
-
-/// CRC-32 (IEEE 802.3, the zlib polynomial) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: [u32; 256] = crc32_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::crc32;
     use std::fs;
 
     fn tmp_dir(name: &str) -> PathBuf {

@@ -157,3 +157,131 @@ proptest! {
         let _ = codec::decode(&bytes);
     }
 }
+
+/// Lowercase hex of `bytes`, so a pin mismatch prints a readable diff.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The records every frame pin carries: a non-ASCII key, a NaN with a
+/// non-default payload, `-0.0`, `+inf` and the extreme event times.
+fn pin_records() -> Vec<Record> {
+    vec![
+        Record::new("héllo/ключ", 7, f64::from_bits(0x7FF8_0000_DEAD_BEEF)),
+        Record::new("a", u64::MAX, -0.0),
+        Record::new("∞/b", 0, f64::INFINITY),
+    ]
+}
+
+/// The same records' bits, for comparisons that NaN would defeat.
+fn record_bits(records: &[Record]) -> Vec<(String, u64, u64)> {
+    records.iter().map(|r| (r.key.as_str().to_string(), r.t, r.value.to_bits())).collect()
+}
+
+/// A WAL segment (a 3-record batch and an empty one), a cold file (two
+/// puts and a tombstone) and two wire frames (`IngestBatch`, and `Scored`
+/// with every `PointOutput` variant) must keep the exact bytes recorded
+/// from the build before the frame codec was shared. Each fixture must also
+/// read back to its inputs, so the readers are pinned as well as the
+/// writers.
+#[test]
+fn wal_cold_and_wire_frames_match_the_previous_build_byte_for_byte() {
+    use oneshotstl_suite::fleet::cold_tier::cold_file_name;
+    use oneshotstl_suite::fleet::net::{decode_frame_exact, encode_frame, NetMessage};
+    use oneshotstl_suite::fleet::wal::{read_segment, segment_file_name, Wal};
+    use oneshotstl_suite::fleet::{ColdStore, PointOutput, ScoredPoint, SeriesKey};
+    use oneshotstl_suite::tskit::DecompPoint;
+
+    let dir = std::env::temp_dir().join(format!("fleet-frame-pins-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let records = pin_records();
+
+    // WAL: segment after batch 41, holding batch 42 (3 records) and 43
+    // (empty)
+    let mut wal = Wal::create(&dir, 41, 1).unwrap();
+    wal.encode(42, &records);
+    wal.append().unwrap();
+    wal.encode(43, &[]);
+    wal.append().unwrap();
+    drop(wal);
+    let wal_path = dir.join(segment_file_name(41));
+    assert_eq!(hex(&std::fs::read(&wal_path).unwrap()), WAL_PIN, "WAL segment bytes");
+    let seg = read_segment(&wal_path).unwrap().expect("a current-version segment");
+    assert_eq!((seg.start_seq, seg.torn, seg.frames.len()), (41, false, 2));
+    assert_eq!((seg.frames[0].seq, seg.frames[1].seq), (42, 43));
+    assert_eq!(record_bits(&seg.frames[0].records), record_bits(&records));
+    assert!(seg.frames[1].records.is_empty());
+
+    // cold tier: shard 3, two puts and a tombstone for the first key
+    let (gone, kept) = (SeriesKey::new("héllo/ключ"), SeriesKey::new("∞/b"));
+    let mut store = ColdStore::open(&dir, 3).unwrap();
+    store.put(&gone, 99, &[1, 2, 3, 0xFF]).unwrap();
+    store.put(&kept, u64::MAX, &[0xAB; 5]).unwrap();
+    assert!(store.tombstone(&gone).unwrap());
+    store.sync().unwrap();
+    drop(store);
+    let cold_path = dir.join(cold_file_name(3));
+    assert_eq!(hex(&std::fs::read(&cold_path).unwrap()), COLD_PIN, "cold file bytes");
+    let mut store = ColdStore::open(&dir, 3).unwrap();
+    assert_eq!(store.resident(), 1);
+    assert!(!store.has_entry(&gone));
+    assert_eq!(store.take_blob(&kept).unwrap(), (u64::MAX, vec![0xAB; 5]));
+    drop(store);
+
+    // wire: an ingest request and a reply with every output variant
+    let point = DecompPoint { trend: f64::NEG_INFINITY, seasonal: -0.0, residual: f64::NAN };
+    let outputs = [
+        PointOutput::Warming { buffered: 3, needed: Some(72) },
+        PointOutput::Scored {
+            point,
+            score: f64::from_bits(0xFFF0_0000_0000_0001),
+            is_anomaly: true,
+        },
+        PointOutput::Rejected,
+        PointOutput::Quarantined,
+    ];
+    let scored = records
+        .iter()
+        .cycle()
+        .zip(outputs)
+        .map(|(r, output)| ScoredPoint { key: r.key.clone(), t: r.t, value: r.value, output })
+        .collect();
+    for (msg, pin) in [
+        (NetMessage::IngestBatch(records.clone()), INGEST_PIN),
+        (NetMessage::Scored(scored), SCORED_PIN),
+    ] {
+        let frame = encode_frame(&msg);
+        assert_eq!(hex(&frame), pin, "wire frame bytes");
+        // NaN defeats `PartialEq`: the decoded message must re-encode to
+        // the same bytes instead
+        let decoded = decode_frame_exact(&frame).unwrap();
+        assert_eq!(hex(&encode_frame(&decoded)), pin, "wire frame read back");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const WAL_PIN: &str = concat!(
+    "4f53544c574c4f47020029000000000000005d0000000eb582d12a00000000000000030000000700",
+    "000000000000efbeadde0000f87f0f00000068c3a96c6c6f2fd0bad0bbd18ed187ffffffffffffff",
+    "ff000000000000008001000000610000000000000000000000000000f07f05000000e2889e2f620c",
+    "00000099b976122b0000000000000000000000",
+);
+const COLD_PIN: &str = concat!(
+    "4f53544c434f4c4401000300000020000000d5bc18cb0063000000000000000f00000068c3a96c6c",
+    "6f2fd0bad0bbd18ed187010203ff1700000038972fd500ffffffffffffffff05000000e2889e2f62",
+    "ababababab1c00000016b278060100000000000000000f00000068c3a96c6c6f2fd0bad0bbd18ed1",
+    "87",
+);
+const INGEST_PIN: &str = concat!(
+    "56000000a693e9a601030000000700000000000000efbeadde0000f87f0f00000068c3a96c6c6f2f",
+    "d0bad0bbd18ed187ffffffffffffffff000000000000008001000000610000000000000000000000",
+    "000000f07f05000000e2889e2f62",
+);
+const SCORED_PIN: &str = concat!(
+    "af000000f2ada86880040000000700000000000000efbeadde0000f87f0f00000068c3a96c6c6f2f",
+    "d0bad0bbd18ed187000300000000000000014800000000000000ffffffffffffffff000000000000",
+    "0080010000006101000000000000f0ff0000000000000080000000000000f87f010000000000f0ff",
+    "010000000000000000000000000000f07f05000000e2889e2f62020700000000000000efbeadde00",
+    "00f87f0f00000068c3a96c6c6f2fd0bad0bbd18ed18703",
+);

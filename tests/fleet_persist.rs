@@ -237,7 +237,7 @@ fn snapshot_version_mismatch_falls_back_to_older_snapshot() {
     let mut bytes = fs::read(&newest).unwrap();
     // layout: u64 len | u32 crc | codec bytes (magic[8] then u16 version)
     bytes[12 + 8] = 0xEE;
-    let crc = oneshotstl_suite::fleet::wal::crc32(&bytes[12..]);
+    let crc = oneshotstl_suite::fleet::frame::crc32(&bytes[12..]);
     bytes[8..12].copy_from_slice(&crc.to_le_bytes());
     fs::write(&newest, &bytes).unwrap();
 
@@ -486,7 +486,7 @@ fn v1_wal_segments_upgrade_when_empty_and_refuse_when_holding_records() {
     payload.extend_from_slice(&8u32.to_le_bytes());
     payload.extend_from_slice(b"series-0");
     let mut record = (payload.len() as u32).to_le_bytes().to_vec();
-    record.extend_from_slice(&oneshotstl_suite::fleet::wal::crc32(&payload).to_le_bytes());
+    record.extend_from_slice(&oneshotstl_suite::fleet::frame::crc32(&payload).to_le_bytes());
     record.extend_from_slice(&payload);
     let v1 = write_v1(35, &record);
     match FleetEngine::open(dcfg).err() {
@@ -832,6 +832,56 @@ fn covered_wal_segments_are_compacted_and_fallback_still_recovers() {
         let out = recovered.ingest(batch(&streams, t)).unwrap();
         let expected = reference.ingest(batch(&streams, t)).unwrap();
         assert_outputs_bit_identical(&out, &expected, "after fallback recovery");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A base that fails to load must not count as one of the two bases prune
+/// keeps. Bases 80 and 90 with 90 corrupted: `open` falls back to 80, and
+/// the next checkpoint at 100 must leave base 80 and its WAL tail on disk,
+/// so a corrupt 100 still falls back to 80 and replays to 100.
+#[test]
+fn a_base_that_fails_to_load_is_never_kept_over_a_valid_one() {
+    use oneshotstl_suite::fleet::persist::snapshot_file_name;
+
+    let streams = build_streams(8);
+    let dir = test_dir("unloadable-base");
+    let dcfg = DurabilityConfig { snapshot_every: 20, ..DurabilityConfig::new(&dir) };
+    let corrupt = |seq: u64| {
+        let path = dir.join(snapshot_file_name(seq));
+        let mut bytes = fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xFF; // the file CRC no longer matches
+        fs::write(&path, &bytes).unwrap();
+    };
+
+    let mut reference = FleetEngine::new(config()).unwrap();
+    for t in 0..100u64 {
+        reference.ingest(batch(&streams, t)).unwrap();
+    }
+
+    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
+    for t in 0..90u64 {
+        durable.ingest(batch(&streams, t)).unwrap();
+    }
+    durable.checkpoint().unwrap(); // bases 80 and 90
+    drop(durable);
+    corrupt(90);
+
+    let mut reopened = FleetEngine::open(dcfg.clone()).unwrap();
+    assert_eq!(reopened.batches(), 90, "base 80 + its WAL tail");
+    for t in 90..100u64 {
+        reopened.ingest(batch(&streams, t)).unwrap();
+    }
+    reopened.checkpoint().unwrap(); // base 100; prune runs
+    drop(reopened);
+    corrupt(100);
+
+    let mut recovered = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(recovered.batches(), 100, "base 80 survived the prune at 100");
+    for t in 100..120u64 {
+        let out = recovered.ingest(batch(&streams, t)).unwrap();
+        let expected = reference.ingest(batch(&streams, t)).unwrap();
+        assert_outputs_bit_identical(&out, &expected, "after two unloadable bases");
     }
     let _ = fs::remove_dir_all(&dir);
 }
