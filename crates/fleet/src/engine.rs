@@ -108,7 +108,8 @@ impl ShardSender {
 struct Worker {
     /// Ingest/control queue, handled in order.
     queue: ShardSender,
-    /// Read lane: forecasts and stats, answered between sub-batches.
+    /// Read lane: forecasts and stats, answered between sub-batches and
+    /// every [`crate::shard::POLL_ROWS`] rows inside one.
     lane: Sender<ReadMsg>,
     /// Messages sent on `queue` that the worker has not dequeued yet.
     depth: Arc<AtomicUsize>,
@@ -406,6 +407,13 @@ impl FleetEngine {
     /// Whether shard `shard`'s worker thread has exited (or was stopped).
     fn worker_dead(&self, shard: usize) -> bool {
         self.workers[shard].handle.as_ref().is_none_or(|h| h.is_finished())
+    }
+
+    /// Whether every shard worker is running: false once a dead worker was
+    /// neither respawned (plain engine) nor recovered from disk (durable
+    /// engine), i.e. the engine is poisoned until [`FleetEngine::open`].
+    pub(crate) fn shards_alive(&self) -> bool {
+        (0..self.shard_count()).all(|s| !self.worker_dead(s))
     }
 
     /// Empties routed batches back into the spare pool.
@@ -753,9 +761,12 @@ impl FleetEngine {
     /// works fleet-wide regardless of per-series configuration.
     ///
     /// Reads do not queue behind ingest: each shard answers at its next
-    /// sub-batch boundary. A forecast therefore reflects every batch whose
-    /// [`FleetEngine::next_batch`] has returned, and possibly some later
-    /// submitted ones; [`FleetEngine::forecast_as_of`] says exactly which.
+    /// sub-batch boundary or at the next poll of the sweep in progress
+    /// (every [`crate::shard::POLL_ROWS`] rows). A forecast therefore
+    /// reflects every batch whose [`FleetEngine::next_batch`] has
+    /// returned, and possibly some later submitted ones — for a read
+    /// answered mid-sweep, only for the series the sweep has passed;
+    /// [`FleetEngine::forecast_as_of`] says exactly which, key by key.
     /// A zero `horizon`, or a request whose answer could not fit one wire
     /// frame (`keys × horizon × 8` bytes over [`MAX_FRAME`]), fails with
     /// [`FleetError::InvalidForecast`] before any shard is asked.
@@ -768,10 +779,13 @@ impl FleetEngine {
     }
 
     /// [`FleetEngine::forecast`] with each slot stamped by the batch seq
-    /// `S` it is "as of": the answering shard's state is exactly the state
-    /// it would hold had the engine run batches `1..=S` one at a time and
-    /// no later one. `S` is the same for every key on one shard and lies
-    /// between the last collected batch and [`FleetEngine::batches`].
+    /// `S` it is "as of": the series' state is exactly the state it would
+    /// hold had the engine run batches `1..=S` one at a time and no later
+    /// one. `S` lies between the last collected batch and
+    /// [`FleetEngine::batches`]. A shard answering inside a sweep stamps
+    /// the series it has stepped for that sub-batch with the sub-batch's
+    /// seq and the rest with the seq before it, so one shard's keys can
+    /// carry two stamps.
     pub fn forecast_as_of(
         &self,
         keys: &[SeriesKey],
@@ -798,9 +812,19 @@ impl FleetEngine {
         drop(tx);
         let mut out = vec![(0, None); keys.len()];
         for _ in 0..in_flight {
-            let (shard, applied, slots) = rx.recv().map_err(|_| FleetError::ShardDown)?;
-            let seq = self.as_of(shard, applied);
-            for (idx, fc) in slots {
+            let (shard, slots) = rx.recv().map_err(|_| FleetError::ShardDown)?;
+            // a reply carries at most two distinct applied seqs (one
+            // mid-sweep, one otherwise): map each through `as_of` once
+            let mut stamps: Vec<(u64, u64)> = Vec::with_capacity(2);
+            for (idx, applied, fc) in slots {
+                let seq = match stamps.iter().find(|&&(a, _)| a == applied) {
+                    Some(&(_, seq)) => seq,
+                    None => {
+                        let seq = self.as_of(shard, applied);
+                        stamps.push((applied, seq));
+                        seq
+                    }
+                };
                 out[idx] = (seq, fc);
             }
         }
@@ -829,10 +853,11 @@ impl FleetEngine {
     }
 
     /// Aggregate + per-shard statistics. Like [`FleetEngine::forecast`],
-    /// this read is answered at each shard's next sub-batch boundary: the
-    /// counters reflect every collected batch and possibly later submitted
-    /// ones, and [`ShardStats::queue_depth`] is the backlog still queued
-    /// when the shard answered.
+    /// this read is answered at each shard's next sub-batch boundary or
+    /// sweep poll: the counters reflect every collected batch and possibly
+    /// later submitted ones — answered mid-sweep, they count the rows
+    /// stepped so far — and [`ShardStats::queue_depth`] is the backlog
+    /// still queued when the shard answered.
     pub fn stats(&self) -> Result<FleetStats, FleetError> {
         let (tx, rx) = channel();
         for shard in 0..self.shard_count() {

@@ -31,6 +31,14 @@
 //! [`crate::QueuePolicy::Reject`] surfaces as a typed
 //! [`NetMessage::Backpressure`] reply rather than a torn connection.
 //!
+//! A dead shard worker answers the batches it took down with
+//! [`NetMessage::Error`] frames, one per batch, and the server keeps
+//! serving once the engine is usable again: a plain engine respawns the
+//! worker, and a durable one under [`crate::DurabilityPolicy::Degrade`]
+//! recovers from disk in place. Its recovered `points` count in
+//! [`NetMessage::Stats`] tells the client where to resume. Only a
+//! poisoned engine (`CrashStop`, or a failed recovery) stops the server.
+//!
 //! Frame decoding never trusts the peer: length caps before allocation,
 //! CRC before parsing, and typed [`CodecError`]s for truncated, corrupt,
 //! or trailing bytes (property-tested alongside the snapshot codec).
@@ -716,9 +724,9 @@ fn accept_loop(listener: TcpListener, mut engine: FleetEngine, stop: &AtomicBool
         match listener.accept() {
             Ok((stream, _)) => {
                 if serve_conn(&mut engine, stream, stop).is_err() {
-                    // the engine is poisoned (a dead shard could not be
-                    // respawned): stop serving rather than answer every
-                    // future request with errors
+                    // the engine is poisoned (a dead shard was neither
+                    // respawned nor recovered from disk): stop serving
+                    // rather than answer every future request with errors
                     break;
                 }
             }
@@ -786,6 +794,10 @@ fn conn_loop(
     io: &mut FrameIo,
     stop: &AtomicBool,
 ) -> Result<(), FleetError> {
+    // ingest replies the client is still owed, one per accepted batch; an
+    // engine that recovers in place drops its in-flight batches, so its
+    // own count can fall below this one
+    let mut owed = 0;
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
@@ -798,12 +810,12 @@ fn conn_loop(
             }
             Ok(Some(msg)) => msg,
             Ok(None) => {
-                if engine.in_flight() > 0 {
+                if owed > 0 {
                     // replies are owed: only read more if bytes are
                     // already on the wire, otherwise flush
                     match io.fill_nonblocking() {
                         Ok(Fill::Data) => {}
-                        Ok(Fill::WouldBlock) => flush_replies(engine, io),
+                        Ok(Fill::WouldBlock) => flush_replies(engine, io, &mut owed),
                         Ok(Fill::Eof) | Err(_) => return Ok(()),
                     }
                 } else {
@@ -818,33 +830,38 @@ fn conn_loop(
         };
         match msg {
             NetMessage::IngestBatch(records) => {
-                if engine.in_flight() >= SERVER_WINDOW {
-                    send_one_reply(engine, io);
+                if owed >= SERVER_WINDOW {
+                    send_one_reply(engine, io, &mut owed);
                 }
                 match engine.submit(records) {
-                    Ok(()) => {}
+                    Ok(()) => owed += 1,
                     Err(FleetError::Backpressure { shard }) => {
                         // nothing was applied or logged; free the queues
                         // so the client's resubmit has room, then surface
                         // the typed rejection as this batch's reply
-                        flush_replies(engine, io);
+                        flush_replies(engine, io, &mut owed);
                         if io.send(&NetMessage::Backpressure { shard: shard as u32 }).is_err() {
                             return Ok(());
                         }
                     }
-                    Err(e @ (FleetError::ShardDown | FleetError::Internal(_))) => {
-                        let _ = io.send(&NetMessage::Error(e.to_string()));
-                        return Err(e);
-                    }
                     Err(e) => {
+                        // the batches before this one are answered first,
+                        // so every reply stays in submission order
+                        flush_replies(engine, io, &mut owed);
                         if io.send(&NetMessage::Error(e.to_string())).is_err() {
                             return Ok(());
+                        }
+                        // a dead shard that was neither respawned nor
+                        // recovered from disk (`DurabilityPolicy::Degrade`)
+                        // poisons the engine; otherwise keep serving
+                        if !engine.shards_alive() {
+                            return Err(e);
                         }
                     }
                 }
             }
             NetMessage::Forecast { keys, horizon } => {
-                flush_replies(engine, io);
+                flush_replies(engine, io, &mut owed);
                 let reply = match engine.forecast(&keys, horizon as usize) {
                     Ok(slots) => NetMessage::ForecastReply(slots),
                     Err(e) => NetMessage::Error(e.to_string()),
@@ -854,7 +871,7 @@ fn conn_loop(
                 }
             }
             NetMessage::Stats => {
-                flush_replies(engine, io);
+                flush_replies(engine, io, &mut owed);
                 let reply = match engine.stats() {
                     Ok(stats) => NetMessage::StatsReply(stats),
                     Err(e) => NetMessage::Error(e.to_string()),
@@ -864,7 +881,7 @@ fn conn_loop(
                 }
             }
             NetMessage::SetAdmitOptions { key, opts } => {
-                flush_replies(engine, io);
+                flush_replies(engine, io, &mut owed);
                 let reply = match engine.set_admit_options(key, opts) {
                     Ok(()) => NetMessage::Done,
                     Err(e) => NetMessage::Error(e.to_string()),
@@ -882,22 +899,26 @@ fn conn_loop(
     }
 }
 
-/// Answers the oldest in-flight batch with its `Scored` frame (or a
-/// per-batch `Error` if its shards failed — the engine respawns a dead
-/// shard, whose series re-warm, the connection stays up, and a truly
-/// poisoned engine surfaces on the next submit).
-fn send_one_reply(engine: &mut FleetEngine, io: &mut FrameIo) {
+/// Answers the oldest batch the client is owed with its `Scored` frame,
+/// or with a per-batch `Error` if its shards failed. A plain engine
+/// respawns a dead shard, whose series re-warm; a durable one under
+/// `DurabilityPolicy::Degrade` recovers from disk in place and drops the
+/// rest of its in-flight batches, which get an `Error` each. Either way
+/// the connection stays up, and a truly poisoned engine surfaces on the
+/// next submit.
+fn send_one_reply(engine: &mut FleetEngine, io: &mut FrameIo, owed: &mut usize) {
     let reply = match engine.next_batch() {
         Ok(Some(points)) => NetMessage::Scored(points),
-        Ok(None) => return,
+        Ok(None) => NetMessage::Error(FleetError::ShardDown.to_string()),
         Err(e) => NetMessage::Error(e.to_string()),
     };
+    *owed -= 1;
     let _ = io.send(&reply);
 }
 
-fn flush_replies(engine: &mut FleetEngine, io: &mut FrameIo) {
-    while engine.in_flight() > 0 {
-        send_one_reply(engine, io);
+fn flush_replies(engine: &mut FleetEngine, io: &mut FrameIo, owed: &mut usize) {
+    while *owed > 0 {
+        send_one_reply(engine, io, owed);
     }
 }
 

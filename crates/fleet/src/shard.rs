@@ -6,14 +6,17 @@
 //!
 //! Each worker has two inboxes: the FIFO ingest/control queue
 //! ([`ShardMsg`]) and an unbounded read lane ([`ReadMsg`]). The worker
-//! drains the lane before it handles each dequeued message, so a read is
-//! answered at the next sub-batch boundary instead of waiting behind every
-//! queued batch.
+//! drains the lane before it handles each dequeued message, and the ingest
+//! sweep polls it again every [`POLL_ROWS`] rows, so a read waits for a few
+//! hundred records at most, not for the sub-batch in progress or the
+//! backlog queued behind it.
 //!
 //! The ingest sweep ([`ShardState::ingest_batch`]) steps one record at a
 //! time on the single scalar update path, each under its own
 //! `catch_unwind`, so a panicking or faulting series quarantines itself
-//! alone.
+//! alone. It polls only at a slot boundary, so a read answered mid-sweep
+//! sees every series either with all of its rows in the sub-batch stepped
+//! or with none, and stamps each key with the seq its series reflects.
 
 use crate::batch::ShardBatch;
 use crate::cold_tier::ColdStore;
@@ -28,6 +31,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
+
+/// Rows the ingest sweep steps between two polls of the read lane: after
+/// this many, [`ShardState::ingest_batch`] polls at the next slot boundary.
+pub const POLL_ROWS: usize = 256;
 
 /// One registry entry: the series state machine plus its liveness clock.
 #[derive(Debug)]
@@ -216,11 +223,6 @@ impl Registry {
         self.index.find(hash, key, &self.slots)
     }
 
-    /// Shared access by key (cold paths: forecast).
-    pub fn get(&self, key: &SeriesKey) -> Option<&SeriesEntry> {
-        self.slot_of(key).and_then(|s| self.entry(s))
-    }
-
     /// The entry at `slot` (`None` when the slot is out of range or
     /// vacant — callers treat that as a recoverable inconsistency, not a
     /// panic; the slot arena is reachable from decoded snapshots).
@@ -383,17 +385,21 @@ pub enum ShardMsg {
     Shutdown,
 }
 
-/// One shard's answer to a [`ReadMsg::Forecast`]: its shard index, the
-/// seq of the last ingest sub-batch it had applied when it answered, and
-/// one `(position in the caller's key list, forecast)` entry per item
-/// (`None` for a series that is unknown or not live).
-pub type ForecastReply = (usize, u64, Vec<(usize, Option<Vec<f64>>)>);
+/// One shard's answer to a [`ReadMsg::Forecast`]: its shard index and one
+/// `(position in the caller's key list, applied seq, forecast)` entry per
+/// item. The applied seq is that of the last ingest sub-batch whose rows
+/// for the item's series were all stepped when the shard answered (see
+/// [`ShardState::seq_of`]); the forecast is `None` for a series that is
+/// unknown or not live.
+pub type ForecastReply = (usize, Vec<(usize, u64, Option<Vec<f64>>)>);
 
 /// Read-only requests. They travel on the worker's read lane, never on its
 /// ingest/control queue: the worker drains the lane before it handles each
-/// dequeued [`ShardMsg`], so a read waits for at most the sub-batch in
-/// progress, not for the whole backlog. The engine follows each read with
-/// a [`ShardMsg::Poll`] so an idle worker wakes up to answer it.
+/// dequeued [`ShardMsg`] and at every poll of an ingest sweep (every
+/// [`POLL_ROWS`] rows, at a slot boundary), so a read waits for at most a
+/// few hundred records, not for the whole backlog. The engine follows
+/// each read with a [`ShardMsg::Poll`] so an idle worker wakes up to
+/// answer it.
 pub enum ReadMsg {
     /// Forecast `1..=horizon` steps ahead for a batch of series on this
     /// shard (see [`crate::FleetEngine::forecast_as_of`]).
@@ -406,7 +412,8 @@ pub enum ReadMsg {
         reply: Sender<ForecastReply>,
     },
     /// Report registry/queue statistics; `queue_depth` is the backlog
-    /// still queued when the read was answered.
+    /// still queued when the read was answered. Answered mid-sweep, the
+    /// counters include the rows stepped so far.
     Stats {
         /// Reply channel.
         reply: Sender<ShardStats>,
@@ -430,9 +437,13 @@ pub struct ShardState {
     /// processing.
     order: Vec<(u32, u32)>,
     /// Seq of the last ingest sub-batch applied (or of the image a
-    /// restore loaded). Forecast replies carry it; the engine turns it
-    /// into their "as of" stamp.
+    /// restore loaded). Forecast replies carry it, or the seq of the sweep
+    /// in progress ([`ShardState::seq_of`]); the engine turns it into
+    /// their "as of" stamp.
     pub applied_seq: u64,
+    /// The sweep in progress at a read-lane poll: its seq and the first
+    /// slot it has not stepped yet. `None` between sub-batches.
+    cursor: Option<(u64, u32)>,
     /// The shard's cold tier (`None` until
     /// [`crate::FleetEngine::attach_cold_dir`] installs one).
     pub cold: Option<ColdStore>,
@@ -463,6 +474,7 @@ impl ShardState {
             scratch: UpdateScratch::default(),
             order: Vec::new(),
             applied_seq: 0,
+            cursor: None,
             cold: None,
             evicted: 0,
             admitted: 0,
@@ -582,7 +594,18 @@ impl ShardState {
     /// `idx` column, so reply order is free. Slot order is admission
     /// order, so the per-series state is walked monotonically through the
     /// heap — the cache/TLB win described on [`Registry`].
-    pub fn ingest_batch(&mut self, batch: &mut ShardBatch, seq: u64) {
+    ///
+    /// Once [`POLL_ROWS`] rows have been stepped since the last poll, the
+    /// sweep calls `poll` at the next slot boundary, with the cursor set so
+    /// that [`ShardState::seq_of`] stamps each series by whether its rows
+    /// are done. The worker's `poll` answers the read lane; other callers
+    /// pass a no-op. Outputs do not depend on it.
+    pub fn ingest_batch(
+        &mut self,
+        batch: &mut ShardBatch,
+        seq: u64,
+        mut poll: impl FnMut(&ShardState),
+    ) {
         let n = batch.len();
         let mut order = std::mem::take(&mut self.order);
         order.clear();
@@ -609,12 +632,35 @@ impl ShardState {
         batch.outputs.clear();
         // placeholder verdict; the sweep below writes every row exactly once
         batch.outputs.resize(n, PointOutput::Rejected);
-        for &(slot, i) in &order {
+        let mut since_poll = 0;
+        for (j, &(slot, i)) in order.iter().enumerate() {
+            // a slot boundary: every slot below `slot` has all its rows in
+            // this sub-batch stepped, and no slot from `slot` on has any
+            if since_poll >= POLL_ROWS && slot != order[j - 1].0 {
+                self.cursor = Some((seq, slot));
+                poll(self);
+                since_poll = 0;
+            }
             let i = i as usize;
             batch.outputs[i] = self.step_entry(slot, batch.values[i], batch.live[i]);
+            since_poll += 1;
         }
+        self.cursor = None;
         self.order = order;
         self.applied_seq = seq;
+    }
+
+    /// The seq of the last ingest sub-batch whose rows for the series at
+    /// `slot` are all stepped: [`ShardState::applied_seq`] between
+    /// sub-batches, and at a poll inside a sweep the sweep's seq for a slot
+    /// below its cursor (done, or absent from the sub-batch) and
+    /// `applied_seq` for the rest (not started). An unknown series
+    /// (`None`) gets `applied_seq`.
+    pub fn seq_of(&self, slot: Option<u32>) -> u64 {
+        match (self.cursor, slot) {
+            (Some((seq, cursor)), Some(slot)) if slot < cursor => seq,
+            _ => self.applied_seq,
+        }
     }
 
     /// Registers or replaces per-series admission overrides. An unknown
@@ -757,13 +803,13 @@ impl ShardState {
         out
     }
 
-    /// Multi-horizon forecast for one series: `ŷ(t+1) .. ŷ(t+horizon)`.
-    /// `None` when the series is unknown, warming, or rejected. A series
-    /// with a forecast head uses its damped-trend rule
-    /// (`forecast_into` — the zero-allocation fill); one without (head
-    /// disabled) keeps the plain seasonal carry-forward.
-    pub fn forecast_series(&self, key: &SeriesKey, horizon: usize) -> Option<Vec<f64>> {
-        let entry = self.registry.get(key)?;
+    /// Multi-horizon forecast for the series at `slot`:
+    /// `ŷ(t+1) .. ŷ(t+horizon)`. `None` when the slot is vacant or the
+    /// series is warming or rejected. A series with a forecast head uses
+    /// its damped-trend rule (`forecast_into` — the zero-allocation fill);
+    /// one without (head disabled) keeps the plain seasonal carry-forward.
+    pub fn forecast_slot(&self, slot: u32, horizon: usize) -> Option<Vec<f64>> {
+        let entry = self.registry.entry(slot)?;
         match &entry.state {
             SeriesState::Live(live) if live.detector.decomposer.is_initialized() => {
                 let mut out = vec![0.0; horizon];
@@ -826,15 +872,20 @@ impl ShardState {
     }
 }
 
-/// Answers one read-lane request against the current registry.
+/// Answers one read-lane request against the current registry — between
+/// sub-batches, or at a poll inside a sweep.
 fn serve_read(state: &ShardState, read: ReadMsg, queue_depth: &AtomicUsize) {
     match read {
         ReadMsg::Forecast { items, horizon, reply } => {
             let out = items
                 .into_iter()
-                .map(|(idx, key)| (idx, state.forecast_series(&key, horizon)))
+                .map(|(idx, key)| {
+                    let slot = state.registry.slot_of(&key);
+                    let fc = slot.and_then(|s| state.forecast_slot(s, horizon));
+                    (idx, state.seq_of(slot), fc)
+                })
                 .collect();
-            let _ = reply.send((state.index, state.applied_seq, out));
+            let _ = reply.send((state.index, out));
         }
         ReadMsg::Stats { reply } => {
             let mut s = state.stats();
@@ -847,7 +898,9 @@ fn serve_read(state: &ShardState, read: ReadMsg, queue_depth: &AtomicUsize) {
 
 /// The worker loop: drains messages until `Shutdown` or channel close,
 /// answering every pending read-lane request before it handles each
-/// dequeued message — reads land between sub-batches, never inside one.
+/// dequeued message and at every poll of an ingest sweep (see
+/// [`ShardState::ingest_batch`]). A read answered inside a sweep stamps
+/// each key with the seq its series reflects ([`ShardState::seq_of`]).
 ///
 /// `queue_depth` counts requests the engine has sent on `rx` that this
 /// worker has not dequeued yet — i.e. channel occupancy, the same quantity
@@ -869,7 +922,11 @@ pub fn run_worker(
         }
         match msg {
             ShardMsg::Ingest { mut batch, seq, reply } => {
-                state.ingest_batch(&mut batch, seq);
+                state.ingest_batch(&mut batch, seq, |state| {
+                    while let Ok(read) = lane.try_recv() {
+                        serve_read(state, read, &queue_depth);
+                    }
+                });
                 // the filled batch rides back on the reply; the engine
                 // moves keys and outputs out and recycles the buffers (an
                 // abandoned batch, whose receiver is gone, is dropped)
@@ -934,7 +991,7 @@ mod sweep_tests {
             let hash = key.stable_hash();
             batch.push(k as u32, Record { key, t: step, value }, hash, step);
         }
-        shard.ingest_batch(&mut batch, step + 1);
+        shard.ingest_batch(&mut batch, step + 1, |_| {});
         batch.outputs
     }
 
@@ -984,11 +1041,112 @@ mod sweep_tests {
             }
             let stats = faulty.stats();
             assert_eq!((stats.live, stats.quarantined), (KEYS - 1, 1));
-            let entry = faulty.registry.get(&key(VICTIM)).expect("the series stays registered");
+            let slot =
+                faulty.registry.slot_of(&key(VICTIM)).expect("the series stays registered");
+            let entry = faulty.registry.entry(slot).expect("its slot is occupied");
             assert!(
                 matches!(entry.state, SeriesState::Quarantined { cause: c, .. } if c == cause)
             );
         }
+    }
+
+    /// A forecast queued on the lane before a sweep of 3 × `POLL_ROWS`
+    /// rows is answered at the sweep's first poll. Each key is stamped
+    /// with the sweep's seq when its slot lies below the cursor and with
+    /// the prior `applied_seq` otherwise, and each forecast is
+    /// bit-identical to a twin shard stepped up to that seq. The polls
+    /// change no output.
+    #[test]
+    fn a_read_is_answered_mid_sweep_and_stamped_per_key() {
+        const SERIES: usize = 48;
+        /// Rows per series in one sub-batch: 48 × 16 = 3 × `POLL_ROWS`.
+        const ROWS: usize = 16;
+        const H: usize = 24;
+        let key = |k: usize| SeriesKey::new(format!("sweep-poll/{k}"));
+        // sub-batch `b`: `ROWS` ticks, every series once per tick
+        let batch = |b: u64| {
+            let mut batch = ShardBatch::default();
+            for r in 0..ROWS {
+                let t = b * ROWS as u64 + r as u64;
+                for k in 0..SERIES {
+                    let phase = (t as usize + 5 * k) as f64 / 24.0;
+                    let wobble = ((t * 7 + k as u64 * 13) % 11) as f64 / 50.0;
+                    let value = 2.0 + (2.0 * std::f64::consts::PI * phase).sin() + wobble;
+                    let key = key(k);
+                    let hash = key.stable_hash();
+                    batch.push((r * SERIES + k) as u32, Record { key, t, value }, hash, t);
+                }
+            }
+            batch
+        };
+        let forecasts = |s: &ShardState| -> Vec<Vec<u64>> {
+            (0..SERIES)
+                .map(|k| {
+                    let slot = s.registry.slot_of(&key(k)).expect("registered");
+                    let fc = s.forecast_slot(slot, H).expect("a live series forecasts");
+                    fc.into_iter().map(f64::to_bits).collect()
+                })
+                .collect()
+        };
+        let config = Arc::new(FleetConfig::fixed_period(24));
+        // past admission and the solvers' 4-point warm-up
+        let warm = (config.init_len(24) + 8).div_ceil(ROWS) as u64;
+        let mut shard = ShardState::new(0, Arc::clone(&config));
+        let mut twin = ShardState::new(0, Arc::clone(&config));
+        for b in 1..=warm {
+            shard.ingest_batch(&mut batch(b), b, |_| {});
+            twin.ingest_batch(&mut batch(b), b, |_| {});
+        }
+        let before = forecasts(&twin);
+        let seq = warm + 1;
+        let mut want = batch(seq);
+        twin.ingest_batch(&mut want, seq, |_| {});
+        let after = forecasts(&twin);
+
+        let (lane, lane_rx) = std::sync::mpsc::channel();
+        let (reply, replies) = std::sync::mpsc::channel();
+        let items = (0..SERIES).map(|k| (k, key(k))).collect();
+        lane.send(ReadMsg::Forecast { items, horizon: H, reply }).unwrap();
+        let depth = AtomicUsize::new(0);
+        // (cursor, reads answered) at each poll
+        let mut polls = Vec::new();
+        let mut got = batch(seq);
+        shard.ingest_batch(&mut got, seq, |s| {
+            let mut answered = 0;
+            while let Ok(read) = lane_rx.try_recv() {
+                serve_read(s, read, &depth);
+                answered += 1;
+            }
+            polls.push((s.cursor, answered));
+        });
+        assert_eq!(got.outputs, want.outputs, "polling changes no output");
+        assert_eq!(shard.cursor, None, "no cursor between sub-batches");
+        assert_eq!(shard.seq_of(Some(0)), seq);
+
+        // 256 rows are 16 whole series: the first poll lands on slot 16
+        let cursor = POLL_ROWS.div_ceil(ROWS) as u32;
+        assert_eq!(polls.first(), Some(&(Some((seq, cursor)), 1)), "polls {polls:?}");
+        assert!(polls.len() >= 2 && polls[1..].iter().all(|&(_, n)| n == 0), "{polls:?}");
+
+        let (index, slots) = replies.try_recv().expect("answered during the sweep");
+        assert_eq!((index, slots.len()), (0, SERIES));
+        let (mut done, mut pending) = (0, 0);
+        for (k, applied, fc) in slots {
+            let slot = shard.registry.slot_of(&key(k)).expect("registered");
+            let fc: Vec<u64> =
+                fc.expect("a live series forecasts").into_iter().map(f64::to_bits).collect();
+            if slot < cursor {
+                assert_eq!(applied, seq, "series {k} in slot {slot} is stepped");
+                assert_eq!(fc, after[k], "series {k} as of seq {seq}");
+                done += 1;
+            } else {
+                assert_eq!(applied, warm, "series {k} in slot {slot} is not stepped yet");
+                assert_eq!(fc, before[k], "series {k} as of seq {warm}");
+                pending += 1;
+            }
+        }
+        assert_eq!((done, pending), (cursor as usize, SERIES - cursor as usize));
+        assert!((0..SERIES).all(|k| before[k] != after[k]), "the sweep moves every forecast");
     }
 }
 

@@ -216,8 +216,9 @@ pub struct ShardStats {
     pub quarantined: usize,
     /// Messages still queued on the shard's ingest/control channel when
     /// this read was answered — the backlog behind the sub-batch boundary
-    /// the read landed on. It can include wake-up nudges of reads in
-    /// flight, this one's among them.
+    /// or sweep poll the read landed on (a sub-batch in progress is
+    /// dequeued, so it does not count). It can include wake-up nudges of
+    /// reads in flight, this one's among them.
     pub queue_depth: usize,
     /// Series evicted by TTL (lifetime).
     pub evicted: u64,

@@ -19,13 +19,15 @@
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use oneshotstl_suite::fleet::net::{
     check_hello, decode_frame, decode_frame_exact, encode_frame, hello_bytes, MAX_FRAME,
 };
 use oneshotstl_suite::fleet::{
-    AdmitOptions, CodecError, DurabilityConfig, FleetConfig, FleetEngine, NetClient, NetError,
-    NetMessage, NetServer, PeriodPolicy, Record, ScoredPoint, SeriesKey,
+    AdmitOptions, CodecError, DurabilityConfig, DurabilityPolicy, FleetConfig, FleetEngine,
+    NetClient, NetError, NetMessage, NetServer, PeriodPolicy, Record, ScoredPoint, SeriesKey,
 };
 use oneshotstl_suite::tskit::DecompPoint;
 use proptest::prelude::*;
@@ -448,6 +450,85 @@ fn wire_sigkill_recovers_a_bit_identical_score_stream() {
     server.shutdown();
     let reopened = FleetEngine::open(crash_dcfg(&dir)).unwrap();
     assert_eq!((reopened.batches(), reopened.durable_snapshot()), (total, total));
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under `DurabilityPolicy::Degrade` a shard worker killed mid-stream is
+/// recovered from disk in place, and the server keeps serving the same
+/// connection: each batch the dead worker took down is answered with an
+/// `Error` frame, `stats` reports the recovered position, and every score
+/// from there on is bit-identical to an uninterrupted in-process engine.
+#[test]
+fn wire_resumes_after_a_degrade_recovery_bit_identically() {
+    let (n_series, killed_at, total) = (6, 40u64, 90u64);
+    let dir = std::env::temp_dir().join(format!("fleet-net-degrade-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dcfg =
+        DurabilityConfig { policy: DurabilityPolicy::Degrade, ..DurabilityConfig::new(&dir) };
+    let mut local = FleetEngine::new(test_config(2)).unwrap();
+    let want: Vec<Vec<ScoredPoint>> =
+        (0..total).map(|t| local.ingest(stream_batch(t, n_series)).unwrap()).collect();
+
+    let mut engine = FleetEngine::create(test_config(2), dcfg.clone()).unwrap();
+    for t in 0..killed_at {
+        assert_eq!(engine.ingest(stream_batch(t, n_series)).unwrap(), want[t as usize]);
+    }
+    // park shard 0 with its crash queued behind the park: the batches the
+    // client sends next queue behind the crash and die with the worker
+    let park = engine.stall_shard(0).unwrap();
+    while engine.queue_depth(0) > 0 {
+        thread::yield_now();
+    }
+    engine.crash_shard(0).unwrap();
+    let depth = engine.queue_depth_probe(0);
+    let server = NetServer::serve("127.0.0.1:0", engine).expect("serve");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    assert!(client.submit(stream_batch(killed_at, n_series)).unwrap().is_none());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while depth() < 2 {
+        assert!(Instant::now() < deadline, "the batch never reached the parked shard");
+        thread::yield_now();
+    }
+    // logged and queued behind the crash; a second batch follows it
+    assert!(client.submit(stream_batch(killed_at + 1, n_series)).unwrap().is_none());
+    drop(park);
+
+    match client.drain() {
+        Err(NetError::Remote(msg)) => assert!(msg.contains("shard worker"), "{msg}"),
+        other => panic!("the batch behind the crash: expected a remote error, got {other:?}"),
+    }
+    // the second batch died too, or reached the recovered engine
+    let second = client.drain().map(|points| points.expect("the second batch is owed"));
+    if let Err(NetError::Remote(msg)) = &second {
+        assert!(msg.contains("shard worker"), "{msg}");
+    }
+    let stats = client.stats().expect("the server keeps serving");
+    assert_eq!(stats.shard_restarts, 1, "the recovery is counted: {stats:?}");
+    assert_eq!(stats.points % n_series as u64, 0);
+    let resume = stats.points / n_series as u64;
+    // every logged batch was replayed; a batch that reached the recovered
+    // engine was applied there
+    match second {
+        Ok(points) => {
+            assert_eq!(points, want[killed_at as usize + 1], "served after the recovery");
+            assert_eq!(resume, killed_at + 2);
+        }
+        Err(NetError::Remote(_)) => {
+            assert!((killed_at + 1..=killed_at + 2).contains(&resume), "resume {resume}")
+        }
+        Err(e) => panic!("unexpected error: {e}"),
+    }
+    for t in resume..total {
+        let got = client.ingest(stream_batch(t, n_series)).unwrap();
+        assert_eq!(got, want[t as usize], "batch {t} diverged after the recovery");
+    }
+    assert!(want[resume as usize..].iter().flatten().any(ScoredPoint::is_anomaly));
+    drop(client);
+    // shutting the server down closes the recovered engine durably
+    server.shutdown();
+    let reopened = FleetEngine::open(dcfg).unwrap();
+    assert_eq!(reopened.batches(), total);
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,21 +1,25 @@
 //! The shard read lane: `forecast`/`stats` are answered between ingest
-//! sub-batches instead of FIFO behind them, and every forecast slot is
-//! stamped with the batch seq its shard's state reflects.
+//! sub-batches, and at polls inside one, instead of FIFO behind them, and
+//! every forecast slot is stamped with the batch seq its series' state
+//! reflects.
 //!
 //! 1. **Pinned seq.** A forecast taken with batches still in flight is
 //!    bit-identical to a standalone detector replayed up to exactly the
 //!    seq the engine stamped on it, and that seq lies between the last
-//!    collected and the last submitted batch.
+//!    collected and the last submitted batch. A forecast answered inside
+//!    a sweep carries two stamps on one shard, each exact for its keys.
 //! 2. **Liveness.** A read wakes an idle worker; it neither waits for
 //!    room on a full bounded queue nor leaves queue depth behind; and a
 //!    read on a dead shard fails with `ShardDown` instead of hanging.
 
 use oneshotstl_suite::core::{OneShotStl, StdAnomalyDetector};
 use oneshotstl_suite::fleet::engine::StallGuard;
+use oneshotstl_suite::fleet::fault::{self, FaultHook, FaultOp};
+use oneshotstl_suite::fleet::shard::POLL_ROWS;
 use oneshotstl_suite::fleet::{
     FleetConfig, FleetEngine, FleetError, PeriodPolicy, QueuePolicy, Record, SeriesKey,
 };
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -43,25 +47,33 @@ fn config(shards: usize) -> FleetConfig {
 /// the seq of the batch that carried it.
 struct Feed {
     t: u64,
+    keys: Vec<SeriesKey>,
     history: Vec<Vec<(u64, f64)>>,
 }
 
 impl Feed {
+    /// The `N_SERIES` series `key(0..N_SERIES)`.
     fn new() -> Self {
-        Feed { t: 0, history: vec![Vec::new(); N_SERIES] }
+        Self::with_keys((0..N_SERIES).map(key).collect())
+    }
+
+    /// One series per key; series `s` is `keys[s]`.
+    fn with_keys(keys: Vec<SeriesKey>) -> Self {
+        let history = vec![Vec::new(); keys.len()];
+        Feed { t: 0, keys, history }
     }
 
     /// The next batch (engine seq `seq`): one point for every series that
-    /// `member` selects.
+    /// `member` selects, in series order.
     fn batch(&mut self, seq: u64, member: impl Fn(usize) -> bool) -> Vec<Record> {
         let t = self.t;
         self.t += 1;
-        (0..N_SERIES)
+        (0..self.keys.len())
             .filter(|&s| member(s))
             .map(|s| {
                 let v = value(s, t);
                 self.history[s].push((seq, v));
-                Record::new(key(s), t, v)
+                Record::new(self.keys[s].clone(), t, v)
             })
             .collect()
     }
@@ -246,6 +258,82 @@ fn pinned_seq_forecast_matches_a_replay_up_to_that_seq() {
     for (s, (at, fc)) in engine.forecast_as_of(&keys, PERIOD).unwrap().iter().enumerate() {
         assert_eq!(*at, submitted, "series {s}");
         assert_bits(fc.as_ref(), &feed.replay(&cfg, s, *at, PERIOD), &format!("series {s}"));
+    }
+}
+
+/// A forecast issued while a shard is parked inside a sweep is answered at
+/// the sweep's next poll: the series the sweep has passed carry the
+/// sub-batch's seq, the rest the seq before it, and every slot is
+/// bit-identical to a replay at its own stamp. The shard is parked by a
+/// blocking `SeriesStep` hook on a series in the middle of the slot order
+/// (hooks are process-wide, so the keys carry a prefix no other test
+/// uses); the hook is released once the read's nudge shows in the
+/// shard's queue depth, i.e. once the read is on the lane.
+#[test]
+fn a_forecast_inside_a_sweep_is_stamped_per_key() {
+    // more than two polls' worth of series, all on the one shard; the
+    // first batch admits them in series order, so slot = series
+    let n = 2 * POLL_ROWS + 64;
+    let parked_series = POLL_ROWS + POLL_ROWS / 2;
+    let keys: Vec<SeriesKey> =
+        (0..n).map(|s| SeriesKey::new(format!("lane-sweep/{s}"))).collect();
+    let cfg = config(1);
+    let mut feed = Feed::with_keys(keys.clone());
+    let mut engine = FleetEngine::new(cfg.clone()).unwrap();
+    for seq in 1..=WARM {
+        engine.ingest(feed.batch(seq, |_| true)).unwrap();
+    }
+
+    // the hook reports each time it parks the worker, then blocks until
+    // `release` is dropped
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let (parked_tx, release_rx) = (Mutex::new(parked_tx), Mutex::new(release_rx));
+    let hook: FaultHook = Arc::new(move |op, _| {
+        if op == FaultOp::SeriesStep {
+            let _ = parked_tx.lock().unwrap().send(());
+            let _ = release_rx.lock().unwrap().recv();
+        }
+        None
+    });
+    let _guard = fault::inject(keys[parked_series].as_str(), hook);
+    let seq = WARM + 1;
+    engine.submit(feed.batch(seq, |_| true)).unwrap();
+    parked.recv_timeout(Duration::from_secs(10)).expect("the sweep reaches the hooked series");
+
+    let probe = engine.queue_depth_probe(0);
+    let before = probe();
+    let asked = keys.clone();
+    let reader = thread::spawn(move || {
+        let out = engine.forecast_as_of(&asked, PERIOD);
+        (engine, out)
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while probe() == before && Instant::now() < deadline {
+        thread::yield_now();
+    }
+    let reached = probe() != before;
+    drop(release);
+    let (mut engine, got) = reader.join().unwrap();
+    assert!(reached, "the read never reached the lane");
+    let got = got.unwrap();
+
+    let stamps: Vec<u64> = got.iter().map(|(at, _)| *at).collect();
+    assert!(stamps.contains(&seq) && stamps.contains(&WARM), "both stamps on the shard");
+    assert!(stamps.iter().all(|&at| at == seq || at == WARM), "{stamps:?}");
+    // answered at a slot boundary: the sweep's seq on a prefix of the slot
+    // order, the hooked series (stepped before the answer) included
+    assert!(stamps.windows(2).all(|w| w[0] >= w[1]), "stamps by slot: {stamps:?}");
+    assert_eq!(stamps[parked_series], seq);
+    for (s, (at, fc)) in got.iter().enumerate() {
+        let want = feed.replay(&cfg, s, *at, PERIOD);
+        assert_bits(fc.as_ref(), &want, &format!("series {s} as of seq {at}"));
+    }
+
+    engine.next_batch().unwrap().unwrap();
+    for (s, (at, fc)) in engine.forecast_as_of(&keys, PERIOD).unwrap().iter().enumerate() {
+        assert_eq!(*at, seq, "series {s}");
+        assert_bits(fc.as_ref(), &feed.replay(&cfg, s, seq, PERIOD), &format!("series {s}"));
     }
 }
 
