@@ -1,17 +1,23 @@
 //! Fleet scale: millions of series per node via the cold tier.
 //!
-//! Protocol: series arrive in *waves*. Each wave admits a fresh slice of
-//! the keyspace (fixed period 8, so a series is live after 24 points),
-//! then the idle sweep runs and every previous wave — idle beyond
-//! [`FleetConfig::spill_after`] — spills to the on-disk cold store. The
+//! Protocol: a durable engine ([`FleetEngine::create`] on a temp
+//! directory, the only kind with a cold tier) takes series in *waves*.
+//! Each wave admits a fresh slice of the keyspace (fixed period 8, so a
+//! series is live after 24 points), then the idle sweep runs and every
+//! previous wave — idle beyond [`FleetConfig::spill_after`] — spills to
+//! the on-disk cold store under `<dir>/cold`. The
 //! hot set therefore stays one wave wide while the admitted total climbs
 //! to the target, which is how one node holds a million series: resident
 //! memory and snapshot size track the *hot* set, the cold tier holds the
 //! rest at its on-disk footprint.
 //!
 //! Per wave the run records admitted/hot/cold counts and resident memory
-//! (`VmRSS`); periodically it also snapshots the hot set and times a full
-//! restore. At the end a probe series that spilled in wave 0 is touched
+//! (`VmRSS`); every `measure_every` waves it also snapshots the hot set and
+//! times a full restore, and the engine's own cadence snapshot lands on
+//! those same waves. The RSS growth per cold series between consecutive
+//! snapshot-free waves is the steady cost of one cold series
+//! (`cold_bytes_per_series`), free of the snapshot/restore transient. At
+//! the end a probe series that spilled in wave 0 is touched
 //! again: its point must rehydrate through the normal shard path and
 //! score **bit-identically** to a twin engine that kept the series hot
 //! the whole time — the cold tier is invisible to detector semantics.
@@ -23,7 +29,7 @@
 
 use benchkit::{fmt_duration, write_bench_json, Cli, Experiment};
 use fleet::series::PhaseSnapshot;
-use fleet::{FleetConfig, FleetEngine, PeriodPolicy, Record, SeriesKey};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, PeriodPolicy, Record, SeriesKey};
 use oneshotstl::online_doolittle::SolverState;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -86,10 +92,29 @@ fn rss_mib() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
+/// RSS growth per newly cold series over pairs of consecutive waves that
+/// took no snapshot. Snapshot waves are left out because the image, the
+/// restore and the allocator's retention of both move RSS independently
+/// of the cold count; so are the first two waves, over which the heap
+/// grows to hold two waves of hot state (107 → 129 → 174 MiB in the 1M
+/// run). What remains is the marginal cost of a cold series: its index
+/// entry, plus any index-table doubling that lands between two
+/// snapshot-free waves.
+fn cold_bytes_per_series(rows: &[WaveRow]) -> f64 {
+    let (mut mib, mut cold) = (0.0, 0usize);
+    let free = |w: &&[WaveRow]| w[0].snapshot.is_none() && w[1].snapshot.is_none();
+    for w in rows[2..].windows(2).filter(free) {
+        mib += w[1].rss_mib - w[0].rss_mib;
+        cold += w[1].cold - w[0].cold;
+    }
+    assert!(cold > 0, "no pair of snapshot-free waves to price a cold series on");
+    mib * (1 << 20) as f64 / cold as f64
+}
+
 fn main() {
     let quick = Cli::parse().quick;
     let (wave_series, waves, measure_every) =
-        if quick { (6_000usize, 4u64, 1u64) } else { (25_000usize, 40u64, 8u64) };
+        if quick { (6_000usize, 6u64, 3u64) } else { (25_000usize, 40u64, 8u64) };
     let target = wave_series * waves as usize;
 
     let config = FleetConfig {
@@ -104,14 +129,22 @@ fn main() {
     let wave_rounds = (config.init_len(PERIOD) + 4) as u64;
     assert!(wave_rounds > SPILL_AFTER, "waves must outlast the spill threshold");
 
-    let cold_dir =
-        std::env::temp_dir().join(format!("fleet_scale_cold_{}", std::process::id()));
-    let mut engine = FleetEngine::new(config.clone()).expect("engine config");
-    engine.attach_cold_dir(&cold_dir).expect("cold tier");
+    // the engine's cadence snapshot lands on the last batch of every
+    // measured wave; the WAL is fsynced every 64 batches, as this run
+    // prices memory, not the flush
+    let dir = std::env::temp_dir().join(format!("fleet_scale_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let batches_per_wave = wave_rounds * wave_series.div_ceil(BATCH) as u64;
+    let dcfg = DurabilityConfig {
+        fsync_every: 64,
+        snapshot_every: batches_per_wave * measure_every,
+        ..DurabilityConfig::new(&dir)
+    };
+    let mut engine = FleetEngine::create(config.clone(), dcfg).expect("durable engine");
 
     // the probe's twin keeps series 0 hot forever (same config — including
-    // the spill threshold, so sweep cadence matches — but no cold store
-    // attached, which makes the spill branch a no-op)
+    // the spill threshold, so sweep cadence matches — but a plain engine,
+    // which has no cold tier, so the spill branch is a no-op)
     let mut twin = FleetEngine::new(FleetConfig { shards: 1, ..config.clone() }).expect("twin");
 
     eprintln!(
@@ -199,13 +232,14 @@ fn main() {
     assert!(post.rehydrations >= 1, "probe rehydrated from the cold tier");
     assert_eq!(post.cold_errors, 0, "no degraded cold-tier operations");
 
+    let cold_bytes = cold_bytes_per_series(&rows);
     let last = rows.last().expect("at least one wave");
     let (snap_mib, restore_s) = last.snapshot.expect("final wave measures the snapshot");
     assert_eq!(last.admitted, target as u64, "full target admitted");
     assert!(restore_s < 1.0, "hot-set restore took {restore_s:.2}s (must be < 1s)");
     eprintln!(
         "[fleet_scale] {} series in {} — final hot {}, cold {}, rss {:.0} MiB, \
-         {bytes_exact:.0} B/series exact",
+         {bytes_exact:.0} B/series exact, {cold_bytes:.0} B per cold series",
         last.admitted,
         fmt_duration(t_total.elapsed()),
         post.live,
@@ -224,6 +258,7 @@ fn main() {
     let _ = writeln!(scale, "    \"spills\": {},", post.spills);
     let _ = writeln!(scale, "    \"rehydrations\": {},", post.rehydrations);
     let _ = writeln!(scale, "    \"bytes_per_series_exact\": {bytes_exact:.1},");
+    let _ = writeln!(scale, "    \"cold_bytes_per_series\": {cold_bytes:.1},");
     let _ = writeln!(
         scale,
         "    \"final\": {{\"hot\": {}, \"cold_resident\": {}, \"rss_mib\": {:.1}, \
@@ -270,12 +305,12 @@ fn main() {
     );
     report.para(&format!(
         "{target} series admitted; hot-set snapshot {snap_mib:.1} MiB restored in \
-         {restore_s:.2}s; {bytes_exact:.0} B/series exact; \
-         probe rehydration bit-identical to an always-hot twin"
+         {restore_s:.2}s; {bytes_exact:.0} B/series exact; {cold_bytes:.0} B of RSS per \
+         cold series; probe rehydration bit-identical to an always-hot twin"
     ));
     report.finish();
 
     drop(engine);
-    let _ = std::fs::remove_dir_all(&cold_dir);
+    let _ = std::fs::remove_dir_all(&dir);
     println!("[fleet_scale] OK");
 }

@@ -5,13 +5,15 @@
 //! [`crate::codec`]) and appended to this shard's cold file, and the hot
 //! entry leaves the registry arena. The next point for that key
 //! *rehydrates* it through the normal shard admission path, bit-identical
-//! to a series that never left memory. A spilled series' state leaves
-//! memory, but its entry in the in-memory index does not: ~115 B per cold
-//! series, measured on a snapshot-free spill run. Resident memory
-//! therefore tracks the active set *plus* total cold cardinality:
-//! `BENCH_fleet.json` grows from 106.9 MiB with no series cold to
-//! 396.8 MiB with 975k cold (~310 B per cold series, the index included),
-//! at a constant 25k active series. ROADMAP item 13 shrinks the index.
+//! to a series that never left memory. The cold tier exists on a durable
+//! engine only ([`crate::FleetEngine::create`]/[`crate::FleetEngine::open`]
+//! with `spill_after` set), which opens each shard's store under
+//! `<dir>/cold` before that shard's worker starts.
+//!
+//! A spilled series keeps only its index entry in memory: 24 B in the
+//! arena plus 21–43 B of table (16 B buckets at 37.5–75% load). Between
+//! snapshot-free waves `BENCH_fleet.json` (1M series, 25k hot) measures
+//! 27.5 B of RSS per cold series (the run's table doublings fell elsewhere).
 //!
 //! ## File format
 //!
@@ -32,6 +34,14 @@
 //! WAL uses.
 //!
 //! ## Index semantics
+//!
+//! The index holds no key: the fleet's one open-addressed key index (the
+//! shard registry's too) maps a key's stable hash to an id in a flat
+//! arena of `{offset, last_seen, frame_len, stale}` entries. Only a hash
+//! hit reads the file, to confirm the key from the frame at `offset`; on
+//! a mismatch (two keys under one 64-bit hash) the probe continues. TTL
+//! expiry reads each expired key from the file to write its tombstone.
+//! Ids are stable: compaction rewrites the offsets in place.
 //!
 //! The index mirrors the **file's** logical content exactly (every key
 //! whose last record is a put), because crash recovery re-scans the file
@@ -59,8 +69,9 @@ use crate::codec::{Reader, Writer};
 use crate::error::CodecError;
 use crate::fault;
 use crate::frame;
+use crate::key_index::KeyIndex;
 use crate::types::SeriesKey;
-use std::collections::HashMap;
+use std::fmt::Display;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -79,16 +90,17 @@ const KIND_TOMBSTONE: u8 = 1;
 /// costs; tiny files are not worth it).
 const COMPACT_MIN_DEAD: u64 = 4096;
 
-/// One indexed record: where the key's current put frame lives.
+/// One indexed record: where a key's current put frame lives. The key
+/// itself stays in the file ([`ColdStore::key_at`]).
 #[derive(Debug, Clone, Copy)]
 struct ColdEntry {
     /// Frame start offset (the `u32 len` field).
     offset: u64,
-    /// Whole frame length (overhead + payload).
-    frame_len: u64,
     /// `last_seen` stored in the record (TTL expiry without decoding the
     /// blob).
     last_seen: u64,
+    /// Whole frame length (overhead + payload).
+    frame_len: u32,
     /// The key was rehydrated and is hot again; the record is kept only
     /// for crash-replay determinism (see the module docs).
     stale: bool,
@@ -99,7 +111,7 @@ pub fn cold_file_name(shard: usize) -> String {
     format!("cold-{shard:04}.fcold")
 }
 
-/// One shard's cold store: an append file plus the in-memory key index.
+/// One shard's cold store: an append file plus the in-memory index.
 pub struct ColdStore {
     dir: PathBuf,
     path: PathBuf,
@@ -107,7 +119,13 @@ pub struct ColdStore {
     file: File,
     /// Append position (logical end of the file).
     end: u64,
-    index: HashMap<SeriesKey, ColdEntry>,
+    /// Stable hash → id in `entries`; each hit is confirmed against the
+    /// key in the file.
+    index: KeyIndex,
+    /// Indexed records by id; `None` marks a freed id awaiting reuse.
+    entries: Vec<Option<ColdEntry>>,
+    /// Freed ids available for reuse.
+    free: Vec<u32>,
     /// Indexed entries currently flagged stale.
     stale: usize,
     /// Frame bytes reachable from the index.
@@ -119,10 +137,11 @@ pub struct ColdStore {
 }
 
 impl ColdStore {
-    /// Opens (or creates) the cold store for `shard` under `dir`,
-    /// rebuilding the index by scanning the file. A torn tail is truncated
-    /// at the first incomplete or CRC-failing record.
+    /// Opens (or creates) the cold store for `shard` under `dir` (created
+    /// if missing), rebuilding the index by scanning the file. A torn tail
+    /// is truncated at the first incomplete or CRC-failing record.
     pub fn open(dir: &Path, shard: usize) -> io::Result<Self> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(cold_file_name(shard));
         let exists = path.exists();
         if !exists {
@@ -130,7 +149,7 @@ impl ColdStore {
             // durability file; the handle is reopened below in append mode
             drop(fault::create_file(&path)?);
         }
-        let mut file = OpenOptions::new().read(true).append(true).open(&path)?;
+        let file = OpenOptions::new().read(true).append(true).open(&path)?;
         // a crash between create and the header write leaves a short stub;
         // re-initialize it instead of rejecting the store
         let fresh = file.metadata()?.len() < HEADER_LEN;
@@ -143,7 +162,9 @@ impl ColdStore {
             shard,
             file,
             end: HEADER_LEN,
-            index: HashMap::new(),
+            index: KeyIndex::default(),
+            entries: Vec::new(),
+            free: Vec::new(),
             stale: 0,
             live_bytes: 0,
             dead_bytes: 0,
@@ -154,37 +175,29 @@ impl ColdStore {
             store.dirty = true;
             return Ok(store);
         }
-        file = store.file.try_clone()?;
-        store.scan(&mut file)?;
+        store.scan()?;
         Ok(store)
     }
 
     /// Replays the file into the index; truncates a torn tail.
-    fn scan(&mut self, file: &mut File) -> io::Result<()> {
-        file.seek(SeekFrom::Start(0))?;
+    fn scan(&mut self) -> io::Result<()> {
+        // an own handle: confirming a key seeks `self.file`, and a cloned
+        // handle would share that cursor
+        let mut file = File::open(&self.path)?;
         let file_len = file.metadata()?.len();
         let mut header = [0u8; HEADER_LEN as usize];
         if file_len < HEADER_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "cold file shorter than its header",
-            ));
+            return Err(invalid("shorter than its header"));
         }
         file.read_exact(&mut header)?;
         let Ok((version, shard)) = parse_header(&header) else {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "cold file magic mismatch"));
+            return Err(invalid("magic mismatch"));
         };
         if version != FORMAT_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("cold file version {version} (expected {FORMAT_VERSION})"),
-            ));
+            return Err(invalid(format!("version {version} (expected {FORMAT_VERSION})")));
         }
         if shard as usize != self.shard {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("cold file belongs to shard {shard}, not {}", self.shard),
-            ));
+            return Err(invalid(format!("belongs to shard {shard}, not {}", self.shard)));
         }
         let mut pos = HEADER_LEN;
         let mut frame = Vec::new();
@@ -193,31 +206,29 @@ impl ColdStore {
             if pos + frame::HEADER as u64 > file_len || file.read_exact(&mut frame).is_err() {
                 break;
             }
-            let frame_len = (frame::HEADER + frame::payload_len(&frame)) as u64;
-            if pos + frame_len > file_len {
+            let len = frame::HEADER + frame::payload_len(&frame);
+            let Ok(frame_len) = u32::try_from(len) else { break };
+            if pos + len as u64 > file_len {
                 break; // torn final record
             }
-            frame.resize(frame_len as usize, 0);
+            frame.resize(len, 0);
             if file.read_exact(&mut frame[frame::HEADER..]).is_err() {
                 break;
             }
             let Ok((kind, last_seen, key, _)) = parse_frame(&frame) else { break };
             let key = SeriesKey::new(key);
-            match kind {
-                KIND_PUT => {
-                    self.supersede(&key);
-                    self.index.insert(
-                        key,
-                        ColdEntry { offset: pos, frame_len, last_seen, stale: false },
-                    );
-                    self.live_bytes += frame_len;
+            let hash = key.stable_hash();
+            let id = self.lookup(hash, &key)?;
+            let entry = ColdEntry { offset: pos, last_seen, frame_len, stale: false };
+            if kind == KIND_PUT {
+                self.set(hash, id, entry);
+            } else {
+                if let Some(id) = id {
+                    self.remove(hash, id);
                 }
-                _ => {
-                    self.supersede(&key);
-                    self.dead_bytes += frame_len; // the tombstone itself
-                }
+                self.dead_bytes += u64::from(frame_len); // the tombstone itself
             }
-            pos += frame_len;
+            pos += u64::from(frame_len);
         }
         self.end = pos;
         if file_len > pos {
@@ -228,14 +239,81 @@ impl ColdStore {
         Ok(())
     }
 
-    /// Moves `key`'s current entry (if any) to the dead set.
-    fn supersede(&mut self, key: &SeriesKey) {
-        if let Some(old) = self.index.remove(key) {
-            self.live_bytes -= old.frame_len;
-            self.dead_bytes += old.frame_len;
-            if old.stale {
-                self.stale -= 1;
+    /// The id of `key`'s entry (fresh or stale), if indexed. Each hash hit
+    /// is confirmed by reading the key back from the file; a failed read
+    /// fails the lookup, since it can rule the entry neither in nor out.
+    fn lookup(&self, hash: u64, key: &SeriesKey) -> io::Result<Option<u32>> {
+        let mut failed = None;
+        let id = self.index.find(hash, |id| {
+            match self.entries.get(id as usize).copied().flatten().map(|e| self.key_at(&e)) {
+                Some(Ok(recorded)) => recorded == key.as_str(),
+                Some(Err(e)) => {
+                    failed.get_or_insert(e);
+                    false
+                }
+                None => false,
             }
+        });
+        match (id, failed) {
+            (None, Some(e)) => Err(e),
+            (id, _) => Ok(id),
+        }
+    }
+
+    /// Reads `entry`'s whole frame back from the file.
+    fn frame_at(&self, entry: &ColdEntry) -> io::Result<Vec<u8>> {
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(entry.offset))?;
+        let mut frame = vec![0u8; entry.frame_len as usize];
+        file.read_exact(&mut frame)?;
+        Ok(frame)
+    }
+
+    /// The key recorded in `entry`'s frame (CRC-checked).
+    fn key_at(&self, entry: &ColdEntry) -> io::Result<String> {
+        let frame = self.frame_at(entry)?;
+        Ok(parse_frame(&frame).map_err(invalid)?.2.to_owned())
+    }
+
+    /// Points the key hashing to `hash` at the put frame `entry`: replaces
+    /// its entry `id` ([`ColdStore::lookup`]; the old frame turns dead) or
+    /// registers a new id.
+    fn set(&mut self, hash: u64, id: Option<u32>, entry: ColdEntry) {
+        self.live_bytes += u64::from(entry.frame_len);
+        if let Some(id) = id {
+            self.retire(id);
+            self.entries[id as usize] = Some(entry);
+            return;
+        }
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.entries[id as usize] = Some(entry);
+                id
+            }
+            None => {
+                self.entries.push(Some(entry));
+                (self.entries.len() - 1) as u32
+            }
+        };
+        self.index.insert(hash, id);
+    }
+
+    /// Empties entry `id`, moving its frame to the dead set.
+    fn retire(&mut self, id: u32) -> Option<ColdEntry> {
+        let old = self.entries.get_mut(id as usize)?.take()?;
+        self.live_bytes -= u64::from(old.frame_len);
+        self.dead_bytes += u64::from(old.frame_len);
+        if old.stale {
+            self.stale -= 1;
+        }
+        Some(old)
+    }
+
+    /// Retires entry `id` (registered under `hash`) and frees the id.
+    fn remove(&mut self, hash: u64, id: u32) {
+        if self.retire(id).is_some() {
+            self.index.remove(hash, id);
+            self.free.push(id);
         }
     }
 
@@ -248,32 +326,19 @@ impl ColdStore {
     /// the eviction path must tombstone either kind, or a reopen would
     /// resurrect it.
     pub fn has_entry(&self, key: &SeriesKey) -> bool {
-        self.index.contains_key(key)
-    }
-
-    /// True when `key` is genuinely cold (indexed and not stale) — the
-    /// rehydration trigger.
-    pub fn is_fresh(&self, key: &SeriesKey) -> bool {
-        self.index.get(key).is_some_and(|e| !e.stale)
+        self.lookup(key.stable_hash(), key).is_ok_and(|id| id.is_some())
     }
 
     /// Appends a put record for `key`. On success the key is fresh in the
     /// index; on error the file may hold a torn record (the open-scan
     /// prefix rule discards it) and the index is unchanged.
     pub fn put(&mut self, key: &SeriesKey, last_seen: u64, blob: &[u8]) -> io::Result<()> {
-        let frame = encode_frame(KIND_PUT, last_seen, key, blob);
+        let hash = key.stable_hash();
+        let id = self.lookup(hash, key)?;
+        let frame = encode_frame(KIND_PUT, last_seen, key.as_str(), blob);
+        let frame_len = u32::try_from(frame.len()).map_err(|_| invalid("record too long"))?;
         fault::write_all(&mut self.file, &self.path, &frame)?;
-        self.supersede(key);
-        self.index.insert(
-            key.clone(),
-            ColdEntry {
-                offset: self.end,
-                frame_len: frame.len() as u64,
-                last_seen,
-                stale: false,
-            },
-        );
-        self.live_bytes += frame.len() as u64;
+        self.set(hash, id, ColdEntry { offset: self.end, last_seen, frame_len, stale: false });
         self.end += frame.len() as u64;
         self.dirty = true;
         Ok(())
@@ -282,12 +347,13 @@ impl ColdStore {
     /// Appends a tombstone for `key` if the file holds a record for it
     /// (fresh or stale). Returns whether a tombstone was written.
     pub fn tombstone(&mut self, key: &SeriesKey) -> io::Result<bool> {
-        if !self.index.contains_key(key) {
+        let hash = key.stable_hash();
+        let Some(id) = self.lookup(hash, key)? else {
             return Ok(false);
-        }
-        let frame = encode_frame(KIND_TOMBSTONE, 0, key, &[]);
+        };
+        let frame = encode_frame(KIND_TOMBSTONE, 0, key.as_str(), &[]);
         fault::write_all(&mut self.file, &self.path, &frame)?;
-        self.supersede(key);
+        self.remove(hash, id);
         self.dead_bytes += frame.len() as u64;
         self.end += frame.len() as u64;
         self.dirty = true;
@@ -295,45 +361,36 @@ impl ColdStore {
     }
 
     /// Reads the blob of a fresh `key` and flags the entry stale (the
-    /// caller is rehydrating it into the registry). On a corrupt record
-    /// the entry is dropped from the index and the error returned — the
-    /// caller re-warms the series.
+    /// caller is rehydrating it into the registry): one index probe. The
+    /// error is [`io::ErrorKind::NotFound`] when the key is not cold (absent,
+    /// or stale — it is hot). On a corrupt record the entry is dropped
+    /// from the index and the error returned — the caller re-warms the
+    /// series.
     pub fn take_blob(&mut self, key: &SeriesKey) -> io::Result<(u64, Vec<u8>)> {
-        let entry = *self.index.get(key).filter(|e| !e.stale).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, "key is not cold-resident")
-        })?;
-        match self.read_put_frame(entry.offset, entry.frame_len, key) {
+        let hash = key.stable_hash();
+        let found = self.lookup(hash, key)?;
+        let Some((id, entry)) =
+            found.and_then(|id| Some((id, self.entries[id as usize].filter(|e| !e.stale)?)))
+        else {
+            return Err(io::Error::new(io::ErrorKind::NotFound, "key is not cold-resident"));
+        };
+        let blob = self.frame_at(&entry).and_then(|frame| match parse_frame(&frame) {
+            Ok((KIND_PUT, _, recorded, blob)) if recorded == key.as_str() => Ok(blob.to_vec()),
+            Ok(_) => Err(invalid("cold record does not match its index entry")),
+            Err(e) => Err(invalid(e)),
+        });
+        match blob {
             Ok(blob) => {
-                let e = self.index.get_mut(key).expect("entry checked above");
-                e.stale = true;
+                self.entries[id as usize] = Some(ColdEntry { stale: true, ..entry });
                 self.stale += 1;
                 Ok((entry.last_seen, blob))
             }
             Err(e) => {
                 // unreadable: keeping it would fail every future attempt
-                self.supersede(key);
+                self.remove(hash, id);
                 Err(e)
             }
         }
-    }
-
-    /// Reads and CRC-verifies one put frame, returning its blob bytes.
-    fn read_put_frame(
-        &mut self,
-        offset: u64,
-        frame_len: u64,
-        key: &SeriesKey,
-    ) -> io::Result<Vec<u8>> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        let mut frame = vec![0u8; frame_len as usize];
-        self.file.read_exact(&mut frame)?;
-        let corrupt =
-            |e| io::Error::new(io::ErrorKind::InvalidData, format!("cold record: {e}"));
-        let (kind, _, recorded_key, blob) = parse_frame(&frame).map_err(corrupt)?;
-        if kind != KIND_PUT || recorded_key != key.as_str() {
-            return Err(corrupt(CodecError::Invalid("does not match its index entry")));
-        }
-        Ok(blob.to_vec())
     }
 
     /// Flushes appended records to stable storage (no-op when clean).
@@ -346,14 +403,15 @@ impl ColdStore {
     }
 
     /// Tombstones fresh entries idle beyond `ttl` at clock `now` — the
-    /// cold half of TTL eviction. Returns how many expired.
+    /// cold half of TTL eviction — in key order, reading each key from the
+    /// file. Returns how many expired.
     pub fn expire_idle(&mut self, now: u64, ttl: u64) -> io::Result<usize> {
-        let mut expired: Vec<SeriesKey> = self
-            .index
-            .iter()
-            .filter(|(_, e)| !e.stale && now.saturating_sub(e.last_seen) > ttl)
-            .map(|(k, _)| k.clone())
-            .collect();
+        let mut expired = Vec::new();
+        for e in self.entries.iter().flatten() {
+            if !e.stale && now.saturating_sub(e.last_seen) > ttl {
+                expired.push(SeriesKey::new(self.key_at(e)?));
+            }
+        }
         expired.sort();
         let n = expired.len();
         for key in expired {
@@ -372,49 +430,54 @@ impl ColdStore {
             return Ok(false);
         }
         // stream entries in file order (sequential reads of the old file)
-        let mut entries: Vec<(SeriesKey, ColdEntry)> =
-            self.index.iter().map(|(k, e)| (k.clone(), *e)).collect();
-        entries.sort_by_key(|(_, e)| e.offset);
+        let mut moves: Vec<(u64, u32)> = (self.entries.iter().enumerate())
+            .filter_map(|(id, e)| Some((e.as_ref()?.offset, id as u32)))
+            .collect();
+        moves.sort_unstable();
         let tmp = self.dir.join(format!(".{}.tmp", cold_file_name(self.shard)));
-        let result = self.compact_into(&tmp, &entries);
+        let result = self.compact_into(&tmp, &mut moves);
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
         result.map(|()| true)
     }
 
-    /// The fallible body of [`ColdStore::maybe_compact`]: state is only
-    /// mutated after the rename landed.
-    fn compact_into(
-        &mut self,
-        tmp: &Path,
-        entries: &[(SeriesKey, ColdEntry)],
-    ) -> io::Result<()> {
+    /// The fallible body of [`ColdStore::maybe_compact`]: `moves` holds
+    /// each live `(offset, id)` in file order, and each offset becomes the
+    /// frame's offset in the new file. The index is only touched after the
+    /// rename landed, and then only its offsets: ids are stable.
+    fn compact_into(&mut self, tmp: &Path, moves: &mut [(u64, u32)]) -> io::Result<()> {
         let mut out = fault::create_file(tmp)?;
         fault::write_all(&mut out, tmp, &header(self.shard))?;
-        let mut new_index: HashMap<SeriesKey, ColdEntry> = HashMap::new();
         let mut pos = HEADER_LEN;
-        let mut frame = Vec::new();
-        for (key, entry) in entries {
-            self.file.seek(SeekFrom::Start(entry.offset))?;
-            frame.resize(entry.frame_len as usize, 0);
-            self.file.read_exact(&mut frame)?;
-            fault::write_all(&mut out, tmp, &frame)?;
-            new_index.insert(key.clone(), ColdEntry { offset: pos, ..*entry });
-            pos += entry.frame_len;
+        for (offset, id) in moves.iter_mut() {
+            let Some(entry) = self.entries[*id as usize] else { continue };
+            fault::write_all(&mut out, tmp, &self.frame_at(&entry)?)?;
+            *offset = pos;
+            pos += u64::from(entry.frame_len);
         }
         fault::sync_all(&out, tmp)?;
         drop(out);
         fault::rename(tmp, &self.path)?;
         fault::sync_dir(&self.dir)?;
         self.file = OpenOptions::new().read(true).append(true).open(&self.path)?;
-        self.index = new_index;
+        for &(offset, id) in moves.iter() {
+            if let Some(entry) = &mut self.entries[id as usize] {
+                entry.offset = offset;
+            }
+        }
         self.live_bytes = pos - HEADER_LEN;
         self.dead_bytes = 0;
         self.end = pos;
         self.dirty = false;
         Ok(())
     }
+}
+
+/// An [`io::ErrorKind::InvalidData`] error: the file is not what the
+/// format promises.
+fn invalid(what: impl Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("cold file: {what}"))
 }
 
 /// The cold-file header of `shard`.
@@ -436,13 +499,13 @@ fn parse_header(bytes: &[u8]) -> Result<(u16, u32), CodecError> {
 }
 
 /// Builds one framed record.
-fn encode_frame(kind: u8, last_seen: u64, key: &SeriesKey, blob: &[u8]) -> Vec<u8> {
+fn encode_frame(kind: u8, last_seen: u64, key: &str, blob: &[u8]) -> Vec<u8> {
     // kind + last_seen + key length, then the key and the blob
-    let mut frame = Vec::with_capacity(frame::HEADER + 13 + key.as_str().len() + blob.len());
+    let mut frame = Vec::with_capacity(frame::HEADER + 13 + key.len() + blob.len());
     frame::write(&mut frame, |w| {
         w.u8(kind);
         w.u64(last_seen);
-        w.string(key.as_str());
+        w.string(key);
         w.bytes(blob);
     });
     frame
@@ -496,7 +559,7 @@ mod tests {
         let (seen, blob) = store.take_blob(&key(2)).unwrap();
         assert_eq!((seen, blob.as_slice()), (900, b"blob-2-v2".as_slice()));
         assert_eq!(store.resident(), 3, "a taken key is stale, not resident");
-        assert!(store.has_entry(&key(2)) && !store.is_fresh(&key(2)));
+        assert!(store.has_entry(&key(2)), "a stale key keeps its record");
         assert!(
             store.take_blob(&key(2)).is_err(),
             "a stale key cannot be taken again (it is hot)"
@@ -509,6 +572,33 @@ mod tests {
         assert!(!reopened.has_entry(&key(4)), "tombstone survived reopen");
         let (seen, blob) = reopened.take_blob(&key(2)).unwrap();
         assert_eq!((seen, blob.as_slice()), (900, b"blob-2-v2".as_slice()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_is_at_most_24_bytes() {
+        // a cold series costs one arena entry plus one index bucket
+        assert!(std::mem::size_of::<Option<ColdEntry>>() <= 24);
+    }
+
+    #[test]
+    fn a_hash_hit_is_confirmed_from_the_file() {
+        let dir = test_dir("confirm");
+        let mut store = ColdStore::open(&dir, 0).unwrap();
+        let (a, b) = (key(0), key(1));
+        // ids 0 and 1
+        store.put(&b, 1, b"blob-b").unwrap();
+        store.put(&a, 2, b"blob-a").unwrap();
+        // force a collision: b's id moves under a's hash, ahead of a's own
+        // id in the probe chain, so a lookup of `a` meets `b` first
+        let (ha, hb) = (a.stable_hash(), b.stable_hash());
+        store.index.remove(hb, 0);
+        store.index.remove(ha, 1);
+        store.index.insert(ha, 0);
+        store.index.insert(ha, 1);
+        assert_eq!(store.lookup(ha, &a).unwrap(), Some(1), "the mismatch continues the probe");
+        assert_eq!(store.lookup(ha, &b).unwrap(), Some(0));
+        assert_eq!(store.take_blob(&a).unwrap(), (2, b"blob-a".to_vec()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -544,7 +634,8 @@ mod tests {
         store.put(&key(0), 10, b"old").unwrap();
         store.put(&key(1), 90, b"recent").unwrap();
         assert_eq!(store.expire_idle(100, 50).unwrap(), 1);
-        assert!(!store.has_entry(&key(0)) && store.is_fresh(&key(1)));
+        assert!(!store.has_entry(&key(0)) && store.has_entry(&key(1)));
+        assert_eq!(store.resident(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -564,7 +655,8 @@ mod tests {
         let after = std::fs::metadata(dir.join(cold_file_name(7))).unwrap().len();
         assert!(after < before / 2, "rewrite shed the dead bytes ({before} -> {after})");
         assert_eq!(store.resident(), 3);
-        assert!(store.has_entry(&key(3)) && !store.is_fresh(&key(3)));
+        assert!(store.has_entry(&key(3)), "the stale entry survives");
+        assert!(store.take_blob(&key(3)).is_err_and(|e| e.kind() == io::ErrorKind::NotFound));
         let (seen, blob) = store.take_blob(&key(0)).unwrap();
         assert_eq!((seen, blob), (3, big.clone()));
         assert!(!store.maybe_compact().unwrap(), "nothing dead after a rewrite");

@@ -308,8 +308,9 @@ pub struct FleetConfig {
     /// backend state through snapshots (codec v7) and crash recovery.
     pub backend: BackendSelect,
     /// Spill series idle for more than this many clock ticks to the
-    /// on-disk cold tier (when one is attached; see
-    /// [`crate::FleetEngine::attach_cold_dir`]). Distinct from [`ttl`]:
+    /// on-disk cold tier. The cold tier exists on a durable engine only
+    /// ([`crate::FleetEngine::create`]/[`crate::FleetEngine::open`], under
+    /// `<dir>/cold`); a plain engine spills nothing. Distinct from [`ttl`]:
     /// a spilled series is *not* gone — its next point rehydrates it
     /// bit-identically through the normal shard path — whereas TTL
     /// eviction forgets it entirely. When both are set, `spill_after`

@@ -12,6 +12,7 @@
 //!   submitter or rejects the batch ([`crate::QueuePolicy`]).
 
 use crate::batch::ShardBatch;
+use crate::cold_tier::ColdStore;
 use crate::config::{AdmitOptions, FleetConfig, QueuePolicy};
 use crate::error::FleetError;
 use crate::net::MAX_FRAME;
@@ -66,6 +67,14 @@ pub struct FleetSnapshot {
     pub totals: CarriedTotals,
     /// Every series, sorted by key.
     pub series: Vec<SeriesSnapshot>,
+}
+
+impl FleetSnapshot {
+    /// The image of an engine that has ingested nothing.
+    pub(crate) fn empty(config: FleetConfig) -> Self {
+        let totals = CarriedTotals::default();
+        FleetSnapshot { config, clock: 0, batches: 0, totals, series: Vec::new() }
+    }
 }
 
 /// A shard request channel: unbounded, or bounded when
@@ -163,19 +172,12 @@ pub struct FleetEngine {
     spare_bufs: Vec<ShardBatch>,
     /// Reassembly buffer reused across [`FleetEngine::next_batch`] calls.
     assembly: Vec<Option<ScoredPoint>>,
-    /// Cold-tier directory, once attached — respawned workers reopen
-    /// their shard's cold file from here.
-    cold_dir: Option<std::path::PathBuf>,
 }
 
 impl FleetEngine {
     /// Starts an empty engine: spawns `config.shards` worker threads.
     pub fn new(config: FleetConfig) -> Result<Self, FleetError> {
-        config.validate().map_err(FleetError::Config)?;
-        let config = Arc::new(config);
-        let states =
-            (0..config.shards).map(|i| ShardState::new(i, Arc::clone(&config))).collect();
-        Self::spawn(config, states, 0, 0, CarriedTotals::default())
+        Self::restore(FleetSnapshot::empty(config))
     }
 
     /// Rebuilds an engine from a snapshot. The restored engine's scoring
@@ -184,8 +186,7 @@ impl FleetEngine {
     /// deterministically, so a different count would also be correct —
     /// use [`FleetEngine::restore_with_shards`] to override.
     pub fn restore(snapshot: FleetSnapshot) -> Result<Self, FleetError> {
-        let shards = snapshot.config.shards;
-        Self::restore_with_shards(snapshot, shards)
+        Self::restore_with_cold(snapshot, None)
     }
 
     /// [`FleetEngine::restore`] with an explicit shard count (scale a
@@ -195,6 +196,16 @@ impl FleetEngine {
         shards: usize,
     ) -> Result<Self, FleetError> {
         snapshot.config.shards = shards;
+        Self::restore_with_cold(snapshot, None)
+    }
+
+    /// [`FleetEngine::restore`] whose shards open their cold stores under
+    /// `cold` before their workers start (a durable engine's `<dir>/cold`).
+    pub(crate) fn restore_with_cold(
+        snapshot: FleetSnapshot,
+        cold: Option<&std::path::Path>,
+    ) -> Result<Self, FleetError> {
+        let shards = snapshot.config.shards;
         snapshot.config.validate().map_err(FleetError::Config)?;
         let config = Arc::new(snapshot.config);
         let mut states: Vec<ShardState> =
@@ -223,6 +234,10 @@ impl FleetEngine {
             // reads answer as of the restored image until the next
             // sub-batch lands
             state.applied_seq = snapshot.batches;
+            let store = cold.map(|dir| ColdStore::open(dir, state.index)).transpose();
+            state.cold = store.map_err(|e| {
+                FleetError::Io(format!("cold store on shard {}: {e}", state.index))
+            })?;
         }
         Self::spawn(config, states, snapshot.clock, snapshot.batches, snapshot.totals)
     }
@@ -252,7 +267,6 @@ impl FleetEngine {
             durability: None,
             spare_bufs: Vec::new(),
             assembly: Vec::new(),
-            cold_dir: None,
         })
     }
 
@@ -355,18 +369,13 @@ impl FleetEngine {
         self.send(shard, msg)
     }
 
-    /// Replaces a dead shard worker with a fresh one holding an empty
-    /// registry and the shard's reopened cold file: hot series re-warm,
-    /// spilled ones rehydrate.
+    /// Replaces a dead shard worker of a plain engine with a fresh one
+    /// holding an empty registry: its series re-warm. (A plain engine has
+    /// no cold tier; a durable one recovers from disk instead.)
     fn respawn_shard(&mut self, shard: usize) -> Result<(), FleetError> {
         let mut state = ShardState::new(shard, Arc::clone(&self.config));
         // the empty registry is the shard's state as of every batch so far
         state.applied_seq = self.batches;
-        if let Some(dir) = &self.cold_dir {
-            // an unreadable cold file degrades the respawned shard to
-            // hot-only (cold series re-warm) rather than failing the heal
-            state.cold = crate::cold_tier::ColdStore::open(dir, shard).ok();
-        }
         let worker = Self::start_worker(&self.config, state)?;
         let Worker { queue, lane, handle, .. } =
             std::mem::replace(&mut self.workers[shard], worker);
@@ -672,9 +681,9 @@ impl FleetEngine {
 
     /// Runs the idle sweep at clock `now`: evicts series whose `last_seen`
     /// is more than the configured TTL behind it (hot and cold-resident
-    /// alike), and — with [`FleetConfig::spill_after`] set and a cold tier
-    /// attached ([`FleetEngine::attach_cold_dir`]) — spills series idle
-    /// beyond that threshold to disk. Returns how many series were
+    /// alike), and — on a durable engine with [`FleetConfig::spill_after`]
+    /// set, the only kind with a cold tier — spills series idle beyond
+    /// that threshold to disk. Returns how many series were
     /// evicted (spills preserve state and are counted in
     /// [`crate::FleetStats::spills`] instead). No-op with neither a TTL
     /// nor a spill threshold configured. A durable engine that evicted
@@ -697,8 +706,7 @@ impl FleetEngine {
     /// [`FleetEngine::evict_idle`] without the checkpoint: the TTL sweep
     /// inside [`FleetEngine::submit`], which WAL replay reproduces.
     fn sweep_idle(&mut self, now: u64) -> Result<usize, FleetError> {
-        let (ttl, spill_after) = (self.config.ttl, self.config.spill_after);
-        if ttl.is_none() && spill_after.is_none() {
+        if self.config.ttl.is_none() && self.config.spill_after.is_none() {
             return Ok(0);
         }
         let now = match self.config.max_clock_step {
@@ -707,10 +715,7 @@ impl FleetEngine {
         };
         let (tx, rx) = channel();
         for shard in 0..self.shard_count() {
-            self.send_or_respawn(
-                shard,
-                ShardMsg::EvictIdle { now, ttl, spill_after, reply: tx.clone() },
-            )?;
+            self.send_or_respawn(shard, ShardMsg::EvictIdle { now, reply: tx.clone() })?;
         }
         drop(tx);
         let mut total = 0;
@@ -718,35 +723,6 @@ impl FleetEngine {
             total += rx.recv().map_err(|_| FleetError::ShardDown)?;
         }
         Ok(total)
-    }
-
-    /// Installs the cold tier: every shard opens (or reopens) its cold
-    /// file under `dir`, and subsequent idle sweeps spill series idle
-    /// beyond [`FleetConfig::spill_after`] there. Respawned workers reopen
-    /// the same files. A durable engine attaches this automatically
-    /// (under `<dir>/cold`) when `spill_after` is set;
-    /// attach it before the first ingest so recovery replay observes the
-    /// same cold state the original run did.
-    pub fn attach_cold_dir(
-        &mut self,
-        dir: impl Into<std::path::PathBuf>,
-    ) -> Result<(), FleetError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| FleetError::Io(format!("creating {}: {e}", dir.display())))?;
-        let (tx, rx) = channel();
-        for shard in 0..self.shard_count() {
-            self.send_or_respawn(
-                shard,
-                ShardMsg::ColdCtl { dir: dir.clone(), reply: tx.clone() },
-            )?;
-        }
-        drop(tx);
-        for _ in 0..self.shard_count() {
-            rx.recv().map_err(|_| FleetError::ShardDown)?.map_err(FleetError::Io)?;
-        }
-        self.cold_dir = Some(dir);
-        Ok(())
     }
 
     /// Forecasts `1..=horizon` steps ahead for a batch of series, fanning

@@ -60,8 +60,8 @@
 //!   scoring stream **bit-identically**.
 //! - **Lifecycle.** Per-series last-seen clocks; series idle beyond
 //!   `config.ttl` are evicted (amortized sweep during ingest, or explicit
-//!   [`FleetEngine::evict_idle`]). With [`FleetConfig::spill_after`] set
-//!   and a cold tier attached ([`FleetEngine::attach_cold_dir`]), idle
+//!   [`FleetEngine::evict_idle`]). On a durable engine
+//!   ([`FleetEngine::create`]) with [`FleetConfig::spill_after`] set, idle
 //!   series instead *spill* to an on-disk cold store ([`cold_tier`]) and
 //!   drop out of the hot registry — their next point rehydrates them
 //!   through the normal shard path, bit-identically. [`FleetEngine::stats`]
@@ -133,6 +133,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod frame;
+mod key_index;
 pub mod net;
 pub mod persist;
 pub mod series;

@@ -393,8 +393,9 @@ impl FleetEngine {
                 dcfg.dir.display()
             )));
         }
-        let mut engine = FleetEngine::new(config)?;
-        attach_cold_tier(&mut engine, &dcfg)?;
+        let cold = config.spill_after.map(|_| dcfg.dir.join("cold"));
+        let mut engine =
+            FleetEngine::restore_with_cold(FleetSnapshot::empty(config), cold.as_deref())?;
         let base = engine.snapshot()?;
         write_snapshot_file(&dcfg.dir, 0, &base).map_err(io_err)?;
         engine.durability = Some(Durability::start(dcfg, 0, 0)?);
@@ -442,12 +443,12 @@ impl FleetEngine {
         for (_, path) in &listing.deltas {
             let _ = fs::remove_file(path);
         }
-        let mut engine = FleetEngine::restore(base)?;
-        // re-attach the cold tier *before* WAL replay: replayed batches
-        // must spill and rehydrate through the same on-disk store the
-        // uninterrupted engine used, or recovery would diverge from the
+        // the cold tier opens with the engine, *before* WAL replay: replayed
+        // batches must spill and rehydrate through the same on-disk store
+        // the uninterrupted engine used, or recovery would diverge from the
         // prefix rule for series that crossed the hot/cold boundary
-        attach_cold_tier(&mut engine, &dcfg)?;
+        let cold = base.config.spill_after.map(|_| dcfg.dir.join("cold"));
+        let mut engine = FleetEngine::restore_with_cold(base, cold.as_deref())?;
 
         // read every segment at or after the base; stale pre-base segments
         // are garbage a crash kept alive
@@ -907,20 +908,6 @@ fn remove_stale_tmp(dir: &Path) -> Result<(), FleetError> {
                 let _ = fs::remove_file(entry.path());
             }
         }
-    }
-    Ok(())
-}
-
-/// Attaches the on-disk cold tier under `dir/cold` when the fleet config
-/// opts into spilling. No-op otherwise: a fleet without
-/// [`crate::FleetConfig::spill_after`] keeps every series hot and writes
-/// no cold files.
-fn attach_cold_tier(
-    engine: &mut FleetEngine,
-    dcfg: &DurabilityConfig,
-) -> Result<(), FleetError> {
-    if engine.config().spill_after.is_some() {
-        engine.attach_cold_dir(dcfg.dir.join("cold"))?;
     }
     Ok(())
 }

@@ -23,11 +23,13 @@ use crate::cold_tier::ColdStore;
 use crate::config::{AdmitOptions, FleetConfig};
 use crate::error::FleetError;
 use crate::fault::{self, FaultOp};
+use crate::key_index::KeyIndex;
 use crate::series::{PhaseSnapshot, QuarantineCause, SeriesState, StepOutcome};
 use crate::types::{PointOutput, SeriesKey, ShardStats};
 use oneshotstl::{IncrementalSolver, UpdateScratch};
+use std::io::ErrorKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -47,137 +49,9 @@ pub struct SeriesEntry {
     pub last_seen: u64,
 }
 
-/// Vacant-bucket marker in [`KeyIndex`] (a real arena can never reach
-/// 2³² − 1 slots before exhausting memory).
-const EMPTY_BUCKET: u32 = u32::MAX;
-
-/// Open-addressed index from a series' stable hash to its arena slot:
-/// linear probing over a power-of-two table at ≤ 75% load, with
-/// backward-shift deletion (no tombstones, so probe chains never rot).
-///
-/// The point is **hash reuse** on the hot path: the engine's router
-/// already computes each record's FNV-1a [`SeriesKey::stable_hash`] once
-/// per batch to pick its shard, and that value rides along in the
-/// [`ShardBatch`] columns — so the worker's resolution pass indexes
-/// straight off it instead of re-hashing the key bytes through the std
-/// `HashMap`'s SipHash. Equality is confirmed against the arena entry,
-/// which is an `Arc` pointer check when the caller's key aliases the
-/// admitted one (the common case for a stable producer set).
-#[derive(Default)]
-struct KeyIndex {
-    /// `(stable_hash, slot)` buckets; a slot of [`EMPTY_BUCKET`] marks a
-    /// vacant bucket. Length is always zero or a power of two.
-    buckets: Vec<(u64, u32)>,
-    /// Occupied bucket count.
-    len: usize,
-}
-
-impl KeyIndex {
-    /// The slot registered under `hash`, confirmed by key equality against
-    /// the arena (distinct keys can share a 64-bit hash).
-    fn find(&self, hash: u64, key: &SeriesKey, slots: &[Option<SeriesEntry>]) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.buckets.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let (h, s) = self.buckets[i];
-            if s == EMPTY_BUCKET {
-                return None;
-            }
-            if h == hash {
-                if let Some(e) = slots.get(s as usize).and_then(|e| e.as_ref()) {
-                    if e.key == *key {
-                        return Some(s);
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Registers `hash → slot` (the caller guarantees the key is absent).
-    fn insert(&mut self, hash: u64, slot: u32) {
-        debug_assert_ne!(slot, EMPTY_BUCKET);
-        self.reserve(1);
-        self.insert_raw(hash, slot);
-        self.len += 1;
-    }
-
-    /// Grows the table until `extra` more entries fit under the 75% load
-    /// bound.
-    fn reserve(&mut self, extra: usize) {
-        while (self.len + extra) * 4 > self.buckets.len() * 3 {
-            self.grow();
-        }
-    }
-
-    /// Places an entry in the first vacant bucket of its probe chain
-    /// (capacity is guaranteed by the caller).
-    fn insert_raw(&mut self, hash: u64, slot: u32) {
-        let mask = self.buckets.len() - 1;
-        let mut i = (hash as usize) & mask;
-        while self.buckets[i].1 != EMPTY_BUCKET {
-            i = (i + 1) & mask;
-        }
-        self.buckets[i] = (hash, slot);
-    }
-
-    /// Doubles the table and re-seats every entry (hashes are stored, so
-    /// no key access is needed).
-    fn grow(&mut self) {
-        let new_cap = (self.buckets.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.buckets, vec![(0, EMPTY_BUCKET); new_cap]);
-        for (h, s) in old {
-            if s != EMPTY_BUCKET {
-                self.insert_raw(h, s);
-            }
-        }
-    }
-
-    /// Unregisters the bucket holding `slot` (probed from `hash`), then
-    /// backward-shifts the rest of the cluster so every survivor stays
-    /// reachable from its home bucket without tombstones.
-    fn remove(&mut self, hash: u64, slot: u32) {
-        if self.len == 0 {
-            return;
-        }
-        let mask = self.buckets.len() - 1;
-        let mut hole = (hash as usize) & mask;
-        loop {
-            let (_, s) = self.buckets[hole];
-            if s == EMPTY_BUCKET {
-                return; // not present: tolerated inconsistency, not a panic
-            }
-            if s == slot {
-                break;
-            }
-            hole = (hole + 1) & mask;
-        }
-        self.len -= 1;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let (h, s) = self.buckets[j];
-            if s == EMPTY_BUCKET {
-                break;
-            }
-            // an entry may fill the hole iff the hole lies on its probe
-            // path: dist(home → hole) < dist(home → j), cyclically
-            let home = (h as usize) & mask;
-            if (hole.wrapping_sub(home) & mask) < (j.wrapping_sub(home) & mask) {
-                self.buckets[hole] = self.buckets[j];
-                hole = j;
-            }
-        }
-        self.buckets[hole] = (0, EMPTY_BUCKET);
-    }
-}
-
 /// Slot-arena series registry: entries live in a contiguous `slots` arena
-/// in admission order, with a compact `KeyIndex` from stable hash to
-/// slot.
+/// in admission order, with the fleet's open-addressed `KeyIndex` from
+/// stable hash to slot.
 ///
 /// The layout is the fleet's main cache lever. At 100k+ series the
 /// per-series state (a few KiB each) dwarfs every cache level, so what
@@ -186,7 +60,7 @@ impl KeyIndex {
 /// (slots are admission-ordered, and each entry's buffers were allocated
 /// at admission), which turns TLB-miss-bound random access into
 /// prefetch-friendly streaming — measured ~20× cheaper per point at the
-/// 100k tier. The index itself stays a few MiB (12 bytes per bucket),
+/// 100k tier. The index itself stays a few MiB (16 bytes per bucket),
 /// i.e. cache-resident, and looking up a known series hashes nothing and
 /// clones no key when the caller supplies the precomputed hash.
 #[derive(Default)]
@@ -203,12 +77,12 @@ pub struct Registry {
 impl Registry {
     /// Number of registered series.
     pub fn len(&self) -> usize {
-        self.index.len
+        self.index.len()
     }
 
     /// True when no series is registered.
     pub fn is_empty(&self) -> bool {
-        self.index.len == 0
+        self.index.len() == 0
     }
 
     /// The slot of `key`, if registered (cold paths; hashes the key).
@@ -220,7 +94,9 @@ impl Registry {
     /// already computed — the ingest path, where the router's hash rides
     /// along in the batch columns.
     pub fn slot_of_hashed(&self, hash: u64, key: &SeriesKey) -> Option<u32> {
-        self.index.find(hash, key, &self.slots)
+        // equality is an `Arc` pointer check when the caller's key aliases
+        // the admitted one (the common case for a stable producer set)
+        self.index.find(hash, |s| self.entry(s).is_some_and(|e| e.key == *key))
     }
 
     /// The entry at `slot` (`None` when the slot is out of range or
@@ -274,11 +150,6 @@ impl Registry {
         self.index.remove(entry.key.stable_hash(), slot);
         self.free.push(slot);
         Some(entry)
-    }
-
-    /// Occupied slot indices, ascending.
-    pub fn occupied(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots.iter().enumerate().filter(|(_, e)| e.is_some()).map(|(i, _)| i as u32)
     }
 
     /// All entries, slot (admission) order.
@@ -350,27 +221,13 @@ pub enum ShardMsg {
         /// Reply channel: `(series, stats)`.
         reply: Sender<(Vec<SeriesSnapshot>, ShardStats)>,
     },
-    /// Run the idle sweep at clock `now`: evict series idle beyond `ttl`
-    /// (hot and cold-resident) and spill series idle beyond `spill_after`
-    /// to the cold tier. Reply with the evicted count.
+    /// Run the idle sweep ([`ShardState::evict_idle`]) at clock `now`.
+    /// Reply with the evicted count.
     EvictIdle {
         /// Current engine clock.
         now: u64,
-        /// Eviction threshold (`None`: nothing is forgotten).
-        ttl: Option<u64>,
-        /// Spill threshold (`None`, or no cold store attached: nothing
-        /// leaves memory).
-        spill_after: Option<u64>,
         /// Reply channel.
         reply: Sender<usize>,
-    },
-    /// Open (or reopen) this shard's cold store under `dir`; reply with
-    /// the outcome. See [`crate::FleetEngine::attach_cold_dir`].
-    ColdCtl {
-        /// Directory holding the per-shard cold files.
-        dir: PathBuf,
-        /// Reply channel.
-        reply: Sender<Result<(), String>>,
     },
     /// Wake-up nudge for the read lane: carries nothing, and handling it
     /// is a no-op — dequeuing it is what makes an idle worker drain its
@@ -444,8 +301,9 @@ pub struct ShardState {
     /// The sweep in progress at a read-lane poll: its seq and the first
     /// slot it has not stepped yet. `None` between sub-batches.
     cursor: Option<(u64, u32)>,
-    /// The shard's cold tier (`None` until
-    /// [`crate::FleetEngine::attach_cold_dir`] installs one).
+    /// The shard's cold tier: opened before the worker starts on a durable
+    /// engine with [`FleetConfig::spill_after`] set (under `<dir>/cold`),
+    /// `None` on every other engine.
     pub cold: Option<ColdStore>,
     /// Lifetime counters.
     pub evicted: u64,
@@ -512,21 +370,18 @@ impl ShardState {
     /// the key is not cold (the normal admission path takes over) or the
     /// blob is unreadable (counted in `cold_errors`; the series re-warms).
     fn rehydrate_hashed(&mut self, hash: u64, key: &SeriesKey) -> Option<u32> {
-        if !self.cold.as_ref().is_some_and(|c| c.is_fresh(key)) {
-            return None;
-        }
-        let restored =
-            self.cold.as_mut().expect("cold store checked above").take_blob(key).ok().and_then(
-                |(_, blob)| {
-                    let snap = crate::codec::decode_series_blob(&blob).ok()?;
-                    // a blob recorded under the wrong key is corruption
-                    if snap.key != *key {
-                        return None;
-                    }
-                    let state = SeriesState::from_snapshot(snap.phase, &self.config).ok()?;
-                    Some((snap.last_seen, state))
-                },
-            );
+        let restored = match self.cold.as_mut()?.take_blob(key) {
+            Err(e) if e.kind() == ErrorKind::NotFound => return None,
+            taken => taken.ok().and_then(|(_, blob)| {
+                let snap = crate::codec::decode_series_blob(&blob).ok()?;
+                // a blob recorded under the wrong key is corruption
+                if snap.key != *key {
+                    return None;
+                }
+                let state = SeriesState::from_snapshot(snap.phase, &self.config).ok()?;
+                Some((snap.last_seen, state))
+            }),
+        };
         let Some((last_seen, state)) = restored else {
             self.cold_errors += 1;
             return None;
@@ -713,19 +568,15 @@ impl ShardState {
         }
     }
 
-    /// The idle sweep: evicts entries idle beyond `ttl` (hot ones, and —
-    /// with a cold store attached — cold-resident ones, whose records are
-    /// tombstoned so a reopen cannot resurrect them), and spills hot
-    /// entries idle beyond `spill_after` to the cold tier. Returns how
-    /// many series were evicted (a spilled series' state lives in the
-    /// cold file, so it leaves the next snapshot); a spill failure leaves
-    /// the series hot for the next sweep.
-    pub fn evict_idle(
-        &mut self,
-        now: u64,
-        ttl: Option<u64>,
-        spill_after: Option<u64>,
-    ) -> usize {
+    /// The idle sweep at clock `now`: evicts entries idle beyond the
+    /// configured `ttl` (hot ones, and — with a cold store — cold-resident
+    /// ones, whose records are tombstoned so a reopen cannot resurrect
+    /// them), and, with a cold store, spills hot entries idle beyond
+    /// `spill_after` to it. Returns how many series were evicted (a
+    /// spilled series' state lives in the cold file, so it leaves the next
+    /// snapshot); a spill failure leaves the series hot for the next sweep.
+    pub fn evict_idle(&mut self, now: u64) -> usize {
+        let (ttl, spill_after) = (self.config.ttl, self.config.spill_after);
         let mut evicted = 0usize;
         let mut cold_io = false;
         for slot in 0..self.registry.slots.len() as u32 {
@@ -744,16 +595,14 @@ impl ShardState {
                 evicted += 1;
                 continue;
             }
-            if spill_after.is_none_or(|after| idle <= after) || self.cold.is_none() {
-                continue;
-            }
+            let spill = spill_after.is_some_and(|after| idle > after);
+            let Some(cold) = self.cold.as_mut().filter(|_| spill) else { continue };
             let snap = SeriesSnapshot {
                 key: e.key.clone(),
                 last_seen: e.last_seen,
                 phase: e.state.to_snapshot(),
             };
             let blob = crate::codec::encode_series_blob(&snap);
-            let cold = self.cold.as_mut().expect("cold store checked above");
             match cold.put(&snap.key, snap.last_seen, &blob) {
                 Ok(()) => {
                     cold_io = true;
@@ -764,23 +613,21 @@ impl ShardState {
                 Err(_) => self.cold_errors += 1,
             }
         }
-        // the cold half of TTL eviction: entries that aged out on disk
-        if let (Some(ttl), Some(cold)) = (ttl, self.cold.as_mut()) {
-            match cold.expire_idle(now, ttl) {
-                Ok(n) => {
+        if let Some(cold) = self.cold.as_mut() {
+            // the cold half of TTL eviction: entries that aged out on disk
+            match ttl.map(|ttl| cold.expire_idle(now, ttl)) {
+                Some(Ok(n)) => {
                     cold_io |= n > 0;
                     evicted += n;
                 }
-                Err(_) => self.cold_errors += 1,
+                Some(Err(_)) => self.cold_errors += 1,
+                None => {}
             }
-        }
-        if cold_io {
             // one fsync (and at most one compaction) per sweep that wrote
-            let cold = self.cold.as_mut().expect("cold_io implies a store");
-            if cold.sync().is_err() {
+            if cold_io && cold.sync().is_err() {
                 self.cold_errors += 1;
             }
-            if cold.maybe_compact().is_err() {
+            if cold_io && cold.maybe_compact().is_err() {
                 self.cold_errors += 1;
             }
         }
@@ -941,18 +788,8 @@ pub fn run_worker(
             ShardMsg::Snapshot { reply } => {
                 let _ = reply.send((state.snapshot(), state.stats()));
             }
-            ShardMsg::EvictIdle { now, ttl, spill_after, reply } => {
-                let _ = reply.send(state.evict_idle(now, ttl, spill_after));
-            }
-            ShardMsg::ColdCtl { dir, reply } => {
-                let outcome = match ColdStore::open(&dir, state.index) {
-                    Ok(store) => {
-                        state.cold = Some(store);
-                        Ok(())
-                    }
-                    Err(e) => Err(format!("cold store on shard {}: {e}", state.index)),
-                };
-                let _ = reply.send(outcome);
+            ShardMsg::EvictIdle { now, reply } => {
+                let _ = reply.send(state.evict_idle(now));
             }
             ShardMsg::Poll => {}
             ShardMsg::Crash => panic!("injected worker crash (test)"),
@@ -1176,45 +1013,8 @@ mod registry_tests {
         let c = r.insert(entry("c"));
         assert_eq!(c, 0);
         assert_eq!(r.len(), 2);
-        assert_eq!(r.occupied().collect::<Vec<_>>(), vec![0, 1]);
+        let keys: Vec<&str> = r.iter().map(|e| e.key.as_str()).collect();
+        assert_eq!(keys, ["c", "b"], "iteration walks occupied slots in slot order");
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn index_survives_churn() {
-        // enough keys to force several table growths plus long probe
-        // chains, then heavy deletion: backward-shift removal must keep
-        // every survivor reachable from its home bucket
-        let mut r = Registry::default();
-        let keys: Vec<SeriesKey> =
-            (0..500).map(|i| SeriesKey::new(format!("churn/{i}"))).collect();
-        let slots: Vec<u32> = keys.iter().map(|k| r.insert(entry(k.as_str()))).collect();
-        for (k, &s) in keys.iter().zip(&slots) {
-            assert_eq!(r.slot_of(k), Some(s));
-            assert_eq!(r.slot_of_hashed(k.stable_hash(), k), Some(s));
-            assert_eq!(
-                r.slot_of_hashed(k.stable_hash() ^ 1, k),
-                None,
-                "a wrong hash must not resolve"
-            );
-        }
-        for (i, &s) in slots.iter().enumerate() {
-            if i % 3 == 0 {
-                assert!(r.remove_slot(s).is_some());
-            }
-        }
-        for (i, (k, &s)) in keys.iter().zip(&slots).enumerate() {
-            let expect = if i % 3 == 0 { None } else { Some(s) };
-            assert_eq!(r.slot_of(k), expect, "key {i} after churn");
-        }
-        assert_eq!(r.len(), 500 - 167);
-        // re-admission reuses freed slots and the index stays consistent
-        for i in (0..500).step_by(3) {
-            r.insert(entry(keys[i].as_str()));
-        }
-        assert_eq!(r.len(), 500);
-        for k in &keys {
-            assert!(r.slot_of(k).is_some());
-        }
     }
 }
