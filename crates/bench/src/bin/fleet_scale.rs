@@ -92,6 +92,16 @@ fn rss_mib() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
+/// The durable engine's temp directory, deleted when the run ends — after
+/// a failed assert too, since the cold files of a full run take GiBs.
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// RSS growth per newly cold series over pairs of consecutive waves that
 /// took no snapshot. Snapshot waves are left out because the image, the
 /// restore and the allocator's retention of both move RSS independently
@@ -131,14 +141,15 @@ fn main() {
 
     // the engine's cadence snapshot lands on the last batch of every
     // measured wave; the WAL is fsynced every 64 batches, as this run
-    // prices memory, not the flush
-    let dir = std::env::temp_dir().join(format!("fleet_scale_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    // prices memory, not the flush. `dir` is declared before the engine,
+    // so it is dropped — and deleted — after it.
+    let dir = TempDir(std::env::temp_dir().join(format!("fleet_scale_{}", std::process::id())));
+    let _ = std::fs::remove_dir_all(&dir.0);
     let batches_per_wave = wave_rounds * wave_series.div_ceil(BATCH) as u64;
     let dcfg = DurabilityConfig {
         fsync_every: 64,
         snapshot_every: batches_per_wave * measure_every,
-        ..DurabilityConfig::new(&dir)
+        ..DurabilityConfig::new(&dir.0)
     };
     let mut engine = FleetEngine::create(config.clone(), dcfg).expect("durable engine");
 
@@ -310,7 +321,5 @@ fn main() {
     ));
     report.finish();
 
-    drop(engine);
-    let _ = std::fs::remove_dir_all(&dir);
     println!("[fleet_scale] OK");
 }
