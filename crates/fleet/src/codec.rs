@@ -15,24 +15,27 @@
 //! [`CodecError::UnsupportedVersion`]. A previous-version image is
 //! rewritten as the current version by its next snapshot. One decoder
 //! reads both: a new version never reuses a tag or a length, so the only
-//! version-dependent code is the version-window check. v12 stores the 10
-//! band cells of each steady solver's `L` window where v11 stored all 32;
-//! the `u64` length prefix tells the two apart, and a v11 window gives up
-//! its band cells ([`BAND`]). v11 retired the DAMP and three-channel
-//! ensemble backends: their tags (backend select `1`/`3`, backend state
-//! `0`/`2`) are refused as invalid, and the two-channel ensemble took the
-//! fresh tags select `4` / state `3`.
+//! version-dependent code is the version-window check. v13 retired the
+//! forecast error tracker: [`ForecastOptions`] took the fresh tags `2|3`
+//! (disabled | enabled) followed by the damping alone, and a live series'
+//! forecast head the presence tag `2` followed by its damping `φ`. The
+//! v12 layouts (options tags `0|1`, head tag `1` with its pending
+//! forecast and error rings) are still parsed, keeping only the damping;
+//! a v12 input whose error fusion was on is refused, since this build
+//! cannot honour the alarm it asked for. Each steady solver's `L` window
+//! is its 10 band cells ([`oneshotstl::online_doolittle::BAND`]). The
+//! backend tags retired before v12 (select `1`/`3`, state `0`/`2`) stay
+//! refused as invalid.
 
 use crate::backend::{BackendSelect, BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy};
 use crate::engine::{CarriedTotals, FleetSnapshot};
 use crate::error::CodecError;
-use crate::series::{ForecastSnapshot, PhaseSnapshot, QuarantineCause};
+use crate::series::{PhaseSnapshot, QuarantineCause};
 use crate::shard::SeriesSnapshot;
 use crate::types::{Record, SeriesKey};
 use crate::{FleetConfig, PeriodPolicy};
 use oneshotstl::oneshot::InitMethod;
-use oneshotstl::online_doolittle::BAND;
 use oneshotstl::system::Lambdas;
 use oneshotstl::{
     Fusion, IterSnapshot, NSigmaState, OneShotStlConfig, OneShotStlState, ResidualScorerState,
@@ -40,8 +43,9 @@ use oneshotstl::{
 };
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
-// v12: v11 with 10 band cells, not 32, in each steady solver's `L` window.
-pub(crate) const VERSION: u16 = 12;
+// v13: v12 without the forecast error tracker: options and a live head
+// carry the damping alone, under fresh tags.
+pub(crate) const VERSION: u16 = 13;
 const KIND_FULL: u8 = 0;
 
 /// Serializes a snapshot to the versioned binary format.
@@ -285,82 +289,72 @@ fn decode_score_config(r: &mut Reader<'_>) -> Result<ScoreConfig, CodecError> {
     Ok(config)
 }
 
-/// `u8` enabled, `f64` damping, `u32` error window, `u8` fusion flag,
-/// `f64` sMAPE alarm bar.
+/// `u8` tag `2|3` (disabled | enabled), then `f64` damping.
 fn encode_forecast_options(w: &mut Writer, f: &ForecastOptions) {
-    w.u8(f.enabled as u8);
+    w.u8(2 + f.enabled as u8);
     w.f64(f.damping);
-    w.u32(f.error_window);
-    w.u8(f.error_fusion as u8);
-    w.f64(f.smape_alarm);
 }
 
 fn decode_forecast_options(r: &mut Reader<'_>) -> Result<ForecastOptions, CodecError> {
-    let enabled = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(CodecError::Invalid("forecast enabled flag")),
+    let tag = r.u8()?;
+    let options = match tag {
+        2 | 3 => ForecastOptions { enabled: tag == 3, damping: r.f64()? },
+        // v12: enabled flag, damping, then the retired tracker fields
+        0 | 1 => {
+            let damping = r.f64()?;
+            r.take(4)?; // error window
+            match r.u8()? {
+                0 => {}
+                1 => return Err(CodecError::Invalid("forecast error fusion (retired in v13)")),
+                _ => return Err(CodecError::Invalid("forecast fusion flag")),
+            }
+            r.take(8)?; // sMAPE alarm bar
+            ForecastOptions { enabled: tag == 1, damping }
+        }
+        _ => return Err(CodecError::Invalid("forecast options tag")),
     };
-    let damping = r.f64()?;
-    let error_window = r.u32()?;
-    let error_fusion = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(CodecError::Invalid("forecast fusion flag")),
-    };
-    let options =
-        ForecastOptions { enabled, damping, error_window, error_fusion, smape_alarm: r.f64()? };
     // same smuggling stance as the score config: a crafted image must not
-    // restore values the API boundary rejects (φ outside [0, 1], a
-    // zero-capacity error window, a non-positive alarm bar)
+    // restore a damping the API boundary rejects (φ outside [0, 1])
     if options.validate().is_err() {
         return Err(CodecError::Invalid("forecast options"));
     }
     Ok(options)
 }
 
-/// The forecast-head state of a live series — its options, the
-/// pending one-step prediction awaiting its truth, and the rolling error
-/// tracker rings.
-fn encode_forecast_state(w: &mut Writer, f: &ForecastSnapshot) {
-    encode_forecast_options(w, &f.options);
-    w.f64(f.pending);
-    w.u8(f.has_pending as u8);
-    w.vec_f64(&f.tracker.abs);
-    w.vec_f64(&f.tracker.sm);
-    w.u32(f.tracker.head);
-    w.u32(f.tracker.len);
-    w.f64(f.tracker.sum_abs);
-    w.f64(f.tracker.sum_sm);
+/// The forecast head of a live series: `None` as tag `0`, `Some(φ)` as tag
+/// `2` then `f64 φ`.
+fn encode_forecast_head(w: &mut Writer, head: Option<f64>) {
+    match head {
+        None => w.u8(0),
+        Some(phi) => {
+            w.u8(2);
+            w.f64(phi);
+        }
+    }
 }
 
-fn decode_forecast_state(r: &mut Reader<'_>) -> Result<ForecastSnapshot, CodecError> {
-    let options = decode_forecast_options(r)?;
-    let pending = r.f64()?;
-    let has_pending = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(CodecError::Invalid("forecast pending flag")),
+fn decode_forecast_head(r: &mut Reader<'_>) -> Result<Option<f64>, CodecError> {
+    let phi = match r.u8()? {
+        0 => return Ok(None),
+        2 => r.f64()?,
+        // v12: the head's options, then the retired tracker state — the
+        // pending one-step forecast and its flag, the two error rings, the
+        // ring cursor and length, the two running sums; only the damping
+        // is kept
+        1 => {
+            let options = decode_forecast_options(r)?;
+            r.take(8 + 1)?;
+            r.vec_f64()?;
+            r.vec_f64()?;
+            r.take(4 + 4 + 8 + 8)?;
+            options.damping
+        }
+        _ => return Err(CodecError::Invalid("forecast head tag")),
     };
-    // a NaN pending prediction would poison the tracker at the next point
-    if has_pending && !pending.is_finite() {
-        return Err(CodecError::Invalid("forecast pending prediction"));
+    if !(0.0..=1.0).contains(&phi) {
+        return Err(CodecError::Invalid("forecast head damping"));
     }
-    let tracker = forecast::RollingErrorState {
-        abs: r.vec_f64()?,
-        sm: r.vec_f64()?,
-        head: r.u32()?,
-        len: r.u32()?,
-        sum_abs: r.f64()?,
-        sum_sm: r.f64()?,
-    };
-    // the tracker's own validation rejects ragged rings, out-of-range
-    // cursors, negative error terms, and non-finite sums — a NaN sum
-    // would poison every sMAPE read after restore
-    if forecast::RollingError::from_state(tracker.clone()).is_err() {
-        return Err(CodecError::Invalid("forecast tracker state"));
-    }
-    Ok(ForecastSnapshot { options, pending, has_pending, tracker })
+    Ok(Some(phi))
 }
 
 /// The backend state of a live series — `u8` variant tag, then the
@@ -576,13 +570,7 @@ fn encode_series(w: &mut Writer, s: &SeriesSnapshot) {
             w.u8(1);
             encode_decomposer(w, decomposer);
             encode_scorer(w, scorer);
-            match forecast {
-                None => w.u8(0),
-                Some(f) => {
-                    w.u8(1);
-                    encode_forecast_state(w, f);
-                }
-            }
+            encode_forecast_head(w, *forecast);
             match backend {
                 None => w.u8(0),
                 Some(b) => {
@@ -616,11 +604,7 @@ fn decode_series(r: &mut Reader<'_>) -> Result<SeriesSnapshot, CodecError> {
         1 => PhaseSnapshot::Live {
             decomposer: decode_decomposer(r)?,
             scorer: decode_scorer(r)?,
-            forecast: match r.u8()? {
-                0 => None,
-                1 => Some(decode_forecast_state(r)?),
-                _ => return Err(CodecError::Invalid("forecast state tag")),
-            },
+            forecast: decode_forecast_head(r)?,
             backend: match r.u8()? {
                 0 => None,
                 1 => Some(decode_backend_state(r)?),
@@ -731,15 +715,10 @@ fn decode_solver(r: &mut Reader<'_>) -> Result<SolverState, CodecError> {
         }),
         1 => {
             let m = r.u64()?;
-            let lo = match r.u64()? {
-                10 => r.f64_array()?,
-                // v11 carried the whole row-major 8×4 window
-                32 => {
-                    let full: [f64; 32] = r.f64_array()?;
-                    BAND.map(|(row, col)| full[4 * row + col])
-                }
-                _ => return Err(CodecError::Invalid("solver L window length")),
-            };
+            if r.u64()? != 10 {
+                return Err(CodecError::Invalid("solver L window length"));
+            }
+            let lo = r.f64_array()?;
             Ok(SolverState::Steady { m, lo, dd: solver_window(r)?, zo: solver_window(r)? })
         }
         _ => Err(CodecError::Invalid("solver state tag")),
@@ -1005,13 +984,7 @@ mod tests {
             config: FleetConfig {
                 queue_capacity: Some(16),
                 queue_policy: QueuePolicy::Reject,
-                forecast: ForecastOptions {
-                    enabled: true,
-                    damping: 0.9,
-                    error_window: 32,
-                    error_fusion: true,
-                    smape_alarm: 1.25,
-                },
+                forecast: ForecastOptions { enabled: true, damping: 0.9 },
                 backend: BackendSelect::TrendCusum(ScoreConfig {
                     cusum_k: 0.5,
                     cusum_h: 6.0,
@@ -1050,13 +1023,7 @@ mod tests {
                                 hold_decay: 0.5,
                                 fusion: Fusion::Cusum,
                             }),
-                            forecast: Some(ForecastOptions {
-                                enabled: true,
-                                damping: 0.5,
-                                error_window: 16,
-                                error_fusion: false,
-                                smape_alarm: 0.8,
-                            }),
+                            forecast: Some(ForecastOptions { enabled: true, damping: 0.5 }),
                             backend: Some(BackendSelect::TrendCusum(ScoreConfig::default())),
                         },
                     },
@@ -1208,9 +1175,6 @@ mod tests {
         for &v in &y[4 * t..] {
             det.update_scored(v);
         }
-        let mut tracker = forecast::RollingError::new(4);
-        tracker.record(1.5, 1.4);
-        tracker.record(1.6, 1.7);
         let backend =
             SeriesBackend::build(BackendSelect::TrendCusum(ScoreConfig::default()), 5.0)
                 .unwrap();
@@ -1220,12 +1184,7 @@ mod tests {
             phase: PhaseSnapshot::Live {
                 decomposer: det.decomposer.to_state(),
                 scorer: det.scorer().to_state(),
-                forecast: Some(ForecastSnapshot {
-                    options: ForecastOptions::on(),
-                    pending: 1.55,
-                    has_pending: true,
-                    tracker: tracker.to_state(),
-                }),
+                forecast: Some(1.0),
                 backend: Some(backend.to_snapshot()),
             },
         }
@@ -1238,128 +1197,88 @@ mod tests {
             .collect()
     }
 
-    /// [`encode`] of [`sample_snapshot`] by the v11 writer.
-    const V11_SAMPLE_HEX: &str = concat!(
-        "4f5353544c464c540b0000040000000300000000180000000000000000000014400000011000",
-        "0000000000000100000000000059400000000000005940000000000000f03f08000000140000",
-        "00000000000000144000000000000000e03f00bbbdd7d9df7cdb3d0104000000020000000000",
-        "00e03f0000000000001840ae47e17a14aeef3f01cdccccccccccec3f20000000010000000000",
-        "00f43f0202000000000000e03f0000000000001840000000000000d03f006300000000000000",
-        "0700000000000000010000000000000002000000000000002c01000000000000040000000000",
-        "0000060000000000000001000000000000000200000000000000020000000000000004000000",
-        "7761726d2a00000000000000000300000000000000000000000000f03f00000000000004c07d",
-        "12e4252c1c823c0118000000030000000000000001000000000000d03f010000000000001040",
-        "01180000000101070000000101000000000000e83f0000000000002240000000000000e03f01",
-        "01000000000000e03f10000000009a9999999999e93f010202000000000000e03f0000000000",
-        "001840ae47e17a14aeef3f0400000064656164070000000000000002",
-    );
-
-    /// [`encode_series_blob`] of [`sample_live_series`] by the v11 writer:
-    /// what a v11 build left in its cold tier. Its steady solvers carry
-    /// the whole 32-cell `L` window.
-    const V11_LIVE_BLOB_HEX: &str = concat!(
-        "0b00040000006c6976653c000000000000000100000000000059400000000000005940000000",
+    /// [`encode_series_blob`] of [`sample_live_series`] by the v12 writer:
+    /// what a v12 build left in its cold tier. Its forecast head is the
+    /// v12 layout — `ForecastOptions::on()` with a 4-pair error tracker
+    /// holding two pairs — of which this build keeps the damping `1.0`.
+    const V12_LIVE_BLOB_HEX: &str = concat!(
+        "0c00040000006c6976653c000000000000000100000000000059400000000000005940000000",
         "000000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb",
         "3d01040000000c00000000000000600000000000000030000000000000000000000000000000",
         "0c00000000000000a975fb3e06eef53e41479d892a00e03f0909deaea4b6eb3f067ee5fa1c00",
         "f03f41770e65b0b6eb3f88c9ce213400e03f24df0c193890f93e8c2dad719bffdfbf65b7d663",
         "49b6ebbfdde4cc58d0ffefbf47dee14c4cb6ebbf773bc8b7a4ffdfbf52b3a7178549e43f0800",
-        "00000000f03ff50758ed4cb6ebbf2d85ce27a7ffdfbf08000000013000000000000000200000",
-        "0000000000000000000000f03f00000000000000000000000000000000000000000000000063",
-        "d55714ca2b6d3f000000000000f03f00000000000000000000000000000000cb2b1abd38fff4",
-        "bfb2ff491fcf08e53f000000000000f03f000000000000000000000000000000000000000000",
-        "0000001c5704e7872b6d3f000000000000f03fb59ee4df35cad63f831f5ad69dd4c6bf6cf638",
-        "0017fff4bfcb52373dad08e53f00000000000000000000000000000000000000000000000000",
+        "00000000f03ff50758ed4cb6ebbf2d85ce27a7ffdfbf080000000130000000000000000a0000",
+        "0000000000b59ee4df35cad63f831f5ad69dd4c6bf6cf6380017fff4bfcb52373dad08e53f00",
         "00000000000000000000000000000000000000000000000e647b2c02cad63f0377aff369d4c6",
-        "bf00000000000000000000000000000000000000000000000000000000000000000400000000",
-        "0000005ded42b6388d714015d4f51a6af1ff3f4441e087608d7140d47d0c3c6af1ff3f040000",
-        "00000000004c870b8190933140f6fb642df6dad2bf117a4eff91733140c0a80840dffce1bf00",
-        "0000000000f03f000000000000f03f000000000000f03f000000000000f03fdc4aa68fe8fff7",
-        "3fea9d15a5e8fff73f0130000000000000002000000000000000000000000000f03f00000000",
-        "0000000000000000000000000000000000000000cd0b2ae93398fd3d000000000000f03f0000",
-        "0000000000000000000000000000177144c68518f5bfa7f357c68518e53f000000000000f03f",
-        "0000000000000000000000000000000000000000000000001bcbbaf99adcf53d000000000000",
-        "f03f016d4c2e1762d43fd9465f2e1762c4bf6b3b682f2533f5bf22b7762f2533e53f00000000",
+        "bf000000000000000004000000000000005ded42b6388d714015d4f51a6af1ff3f4441e08760",
+        "8d7140d47d0c3c6af1ff3f04000000000000004c870b8190933140f6fb642df6dad2bf117a4e",
+        "ff91733140c0a80840dffce1bf000000000000f03f000000000000f03f000000000000f03f00",
+        "0000000000f03fdc4aa68fe8fff73fea9d15a5e8fff73f0130000000000000000a0000000000",
+        "0000016d4c2e1762d43fd9465f2e1762c4bf6b3b682f2533f5bf22b7762f2533e53f00000000",
+        "0000000000000000000000000000000000000000f6d698ca94ccd43f9b0ca7ca94ccc4bf0000",
+        "0000000000000400000000000000d9d984bcec4ce141cc67e2ffffffff3f382a544a7f6be741",
+        "6523eaffffffff3f0400000000000000af41e01a4bff50405788c47a08b3cdbf043504c554f8",
+        "4b409b6be624a0ffdfbfd646486b77db6e410766ce04e6e257412ed8766e0a365c41e487167a",
+        "0c7c6341737a3c5f3dfff73fa7dae70541fff73f0130000000000000000a00000000000000d2",
+        "be225de3b6e83f9701cb5de3b6d8bf31ef1262cbc0febf88e75c62cbc0ee3f00000000000000",
+        "00000000000000000000000000000000000b71340e9781ed3f9a697b0e9781ddbf0000000000",
+        "0000000400000000000000d607089a03cdb241292326ffffffff3f3b621b5ea89bca41e107b3",
+        "ffffffff3f0400000000000000f3cc58f1ed2d68402e53d6600db3cdbfd90224556ff7664064",
+        "92c1eea0ffdfbf8bcc0c118a3a01413ba9442079870141e905b310089642411900acca72675f",
+        "41c7a5bbe2e6fff73fc7fb5ef5e6fff73f0130000000000000000a0000000000000092823e50",
+        "3094de3f833462503094cebfb4ee0a9ae7b2f6bfa384199ae7b2e63f00000000000000000000",
+        "0000000000000000000000000000a51bf8739ecbda3f745309749ecbcabf0000000000000000",
+        "0400000000000000bfa6f4a2d569db4162a5daffffffff3f6effdee35ee6e8410a70ebffffff",
+        "ff3f0400000000000000ed8aa81296b2444027eb356c08b3cdbf3f9162fdac0a4b40bef42a23",
+        "a0ffdfbfed9aec36f64c6c4120b117a580785b41e58e2ca9f2c36041c3cb6b2726b06a41cc7a",
+        "f0c30100f83f9f04572c0100f83f0130000000000000000a00000000000000a3036099f875dc",
+        "3f5d87549af875ccbf9e7c10bdda03f9bfd84887bdda03e93f00000000000000000000000000",
+        "00000000000000000000005005ccaab507e23f8ca521abb507d2bf0000000000000000040000",
+        "00000000002d39c41936ccad415714edfeffffff3f5f2b811fe8f3ba41c90768ffffffff3f04",
+        "0000000000000011113087af714d405741d0350ab3cdbf03131494863e4e40ea446ca1a0ffdf",
+        "bfb30b66df19b4344126cca7bdc0042b41a0be658b1af6304103ccc7a33e704341aa567b010e",
+        "00f83fc609bc440d00f83f0130000000000000000a00000000000000f19ba74f9565e93fdd99",
+        "e64f9565d9bf87c3e3e77f41fdbf2b8417e87f41ed3f00000000000000000000000000000000",
+        "0000000000000000136d90f3ff82ea3f0653bff3ff82dabf0000000000000000040000000000",
+        "0000fa5e002aa2cdc94153a1b0ffffffff3f369eb6bdf616d241a964c7ffffffff3f04000000",
+        "000000001b7b0c72c6195b403ef8c24809b3cdbff57958f600185e4016d0427ca0ffdfbfc6dd",
+        "98469b4424412b54a33173b325411b3b22087b365a411caaaa06fe2e63414c833690f9fff73f",
+        "7bfd3142f9fff73f0130000000000000000a0000000000000002bc366aa4e1ec3fa2ba446aa4",
+        "e1dcbf6db006a74f02f8bf674b38a74f02e83f00000000000000000000000000000000000000",
+        "00000000004845d9829f04e03fa35dfa829f04d0bf0000000000000000040000000000000087",
+        "1cb7758f82f041877ef0ffffffff3f61fcee42dcf9ce4164e2bdffffffff3f04000000000000",
+        "00ccbcd4f97a5660409dd7387b08b3cdbfe4142fa1340a63405d4c25afa0ffdfbf1baadf1737",
+        "ba3341d98d27721e403a4154a9a304c31283419c15ebbed6d85341729b8736eafff73f9cf8eb",
+        "27eafff73f0130000000000000000a0000000000000065da2a42db2be73fe7ef4042db2bd7bf",
+        "dc4d9413c51cfbbf5b18a413c51ceb3f00000000000000000000000000000000000000000000",
+        "00006c0f652e8a39e63f2b01722e8a39d6bf00000000000000000400000000000000197615c4",
+        "aac9e0416880e1ffffffff3f9737bcc6a278eb41c15cedffffffff3f04000000000000009deb",
+        "8e9228134b40ed8b7f6f08b3cdbfa13dbf70c9625240785a3527a0ffdfbf3b0fceac63cb5941",
+        "d4a08ebb52866141b64f61889b1e6f41b2170774f26b7841f5b30962e8fff73f787cf091e8ff",
+        "f73f00000000000014406000000000000000c96f060a9b34323f50914fcd8172443e01020000",
+        "00000000e03f0000000000001840ae47e17a14aeef3f00000000000014406000000000000000",
+        "c96f060a9b34323f50914fcd8172443e00000000000000000000000000000000785c17c257b4",
+        "39400101000000000000f03f4000000000000000000000f83fcdccccccccccf83f0104000000",
+        "00000000a09999999999b93f909999999999b93f000000000000000000000000000000000400",
+        "0000000000009b7b1a61b9a7b13ffd1e7cf0c107af3f00000000000000000000000000000000",
+        "0200000002000000989999999999c93f8d45ac2ccd95c03f010102000000000000e03f000000",
+        "0000001840ae47e17a14aeef3f00000000000014400000000000000000000000000000000000",
         "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "000000000000f6d698ca94ccd43f9b0ca7ca94ccc4bf00000000000000000000000000000000",
-        "000000000000000000000000000000000400000000000000d9d984bcec4ce141cc67e2ffffff",
-        "ff3f382a544a7f6be7416523eaffffffff3f0400000000000000af41e01a4bff50405788c47a",
-        "08b3cdbf043504c554f84b409b6be624a0ffdfbfd646486b77db6e410766ce04e6e257412ed8",
-        "766e0a365c41e487167a0c7c6341737a3c5f3dfff73fa7dae70541fff73f0130000000000000",
-        "002000000000000000000000000000f03f000000000000000000000000000000000000000000",
-        "000000a75c5bd49a3b2b3e000000000000f03f00000000000000000000000000000000644254",
-        "40715bfcbf2f521541715bec3f000000000000f03f0000000000000000000000000000000000",
-        "00000000000000f9b341c0073e133e000000000000f03fd2be225de3b6e83f9701cb5de3b6d8",
-        "bf31ef1262cbc0febf88e75c62cbc0ee3f000000000000000000000000000000000000000000",
-        "0000000000000000000000000000000000000000000000000000000b71340e9781ed3f9a697b",
-        "0e9781ddbf000000000000000000000000000000000000000000000000000000000000000004",
-        "00000000000000d607089a03cdb241292326ffffffff3f3b621b5ea89bca41e107b3ffffffff",
-        "3f0400000000000000f3cc58f1ed2d68402e53d6600db3cdbfd90224556ff766406492c1eea0",
-        "ffdfbf8bcc0c118a3a01413ba9442079870141e905b310089642411900acca72675f41c7a5bb",
-        "e2e6fff73fc7fb5ef5e6fff73f0130000000000000002000000000000000000000000000f03f",
-        "0000000000000000000000000000000000000000000000005c576efb4ead023e000000000000",
-        "f03f000000000000000000000000000000009936f30f0ca5f7bf64d00e100ca5e73f00000000",
-        "0000f03f0000000000000000000000000000000000000000000000007f4a78c0f58ff43d0000",
-        "00000000f03f92823e503094de3f833462503094cebfb4ee0a9ae7b2f6bfa384199ae7b2e63f",
-        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "00000000000000000000a51bf8739ecbda3f745309749ecbcabf000000000000000000000000",
-        "00000000000000000000000000000000000000000400000000000000bfa6f4a2d569db4162a5",
-        "daffffffff3f6effdee35ee6e8410a70ebffffffff3f0400000000000000ed8aa81296b24440",
-        "27eb356c08b3cdbf3f9162fdac0a4b40bef42a23a0ffdfbfed9aec36f64c6c4120b117a58078",
-        "5b41e58e2ca9f2c36041c3cb6b2726b06a41cc7af0c30100f83f9f04572c0100f83f01300000",
-        "00000000002000000000000000000000000000f03f0000000000000000000000000000000000",
-        "0000000000000037ab238bba2e313e000000000000f03f000000000000000000000000000000",
-        "00135a90fb7d1df7bfd4f056fc7d1de73f000000000000f03f00000000000000000000000000",
-        "0000000000000000000000434e8ce206ff223e000000000000f03fa3036099f875dc3f5d8754",
-        "9af875ccbf9e7c10bdda03f9bfd84887bdda03e93f0000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000000000000000000000005005ccaab507e2",
-        "3f8ca521abb507d2bf0000000000000000000000000000000000000000000000000000000000",
-        "00000004000000000000002d39c41936ccad415714edfeffffff3f5f2b811fe8f3ba41c90768",
-        "ffffffff3f040000000000000011113087af714d405741d0350ab3cdbf03131494863e4e40ea",
-        "446ca1a0ffdfbfb30b66df19b4344126cca7bdc0042b41a0be658b1af6304103ccc7a33e7043",
-        "41aa567b010e00f83fc609bc440d00f83f013000000000000000200000000000000000000000",
-        "0000f03f000000000000000000000000000000000000000000000000a9e3c148abd7133e0000",
-        "00000000f03f00000000000000000000000000000000b0063e91cab2fcbffc348591cab2ec3f",
-        "000000000000f03f0000000000000000000000000000000000000000000000003f479b50ab4d",
-        "0c3e000000000000f03ff19ba74f9565e93fdd99e64f9565d9bf87c3e3e77f41fdbf2b8417e8",
-        "7f41ed3f00000000000000000000000000000000000000000000000000000000000000000000",
-        "0000000000000000000000000000136d90f3ff82ea3f0653bff3ff82dabf0000000000000000",
-        "0000000000000000000000000000000000000000000000000400000000000000fa5e002aa2cd",
-        "c94153a1b0ffffffff3f369eb6bdf616d241a964c7ffffffff3f04000000000000001b7b0c72",
-        "c6195b403ef8c24809b3cdbff57958f600185e4016d0427ca0ffdfbfc6dd98469b4424412b54",
-        "a33173b325411b3b22087b365a411caaaa06fe2e63414c833690f9fff73f7bfd3142f9fff73f",
-        "0130000000000000002000000000000000000000000000f03f00000000000000000000000000",
-        "0000000000000000000000fdd42a03f202ef3d000000000000f03f0000000000000000000000",
-        "00000000008b4dcb2fd270febf970dda2fd270ee3f000000000000f03f000000000000000000",
-        "000000000000000000000000000000ea98a1116787103e000000000000f03f02bc366aa4e1ec",
-        "3fa2ba446aa4e1dcbf6db006a74f02f8bf674b38a74f02e83f00000000000000000000000000",
-        "00000000000000000000000000000000000000000000000000000000000000000000004845d9",
-        "829f04e03fa35dfa829f04d0bf00000000000000000000000000000000000000000000000000",
-        "000000000000000400000000000000871cb7758f82f041877ef0ffffffff3f61fcee42dcf9ce",
-        "4164e2bdffffffff3f0400000000000000ccbcd4f97a5660409dd7387b08b3cdbfe4142fa134",
-        "0a63405d4c25afa0ffdfbf1baadf1737ba3341d98d27721e403a4154a9a304c31283419c15eb",
-        "bed6d85341729b8736eafff73f9cf8eb27eafff73f0130000000000000002000000000000000",
-        "000000000000f03f0000000000000000000000000000000000000000000000006cc4e19d977f",
-        "fe3d000000000000f03f00000000000000000000000000000000ebd0b69ced95fbbf781bd19c",
-        "ed95eb3f000000000000f03f000000000000000000000000000000000000000000000000a437",
-        "e4d73ea3f23d000000000000f03f65da2a42db2be73fe7ef4042db2bd7bfdc4d9413c51cfbbf",
-        "5b18a413c51ceb3f000000000000000000000000000000000000000000000000000000000000",
-        "0000000000000000000000000000000000006c0f652e8a39e63f2b01722e8a39d6bf00000000",
-        "0000000000000000000000000000000000000000000000000000000004000000000000001976",
-        "15c4aac9e0416880e1ffffffff3f9737bcc6a278eb41c15cedffffffff3f0400000000000000",
-        "9deb8e9228134b40ed8b7f6f08b3cdbfa13dbf70c9625240785a3527a0ffdfbf3b0fceac63cb",
-        "5941d4a08ebb52866141b64f61889b1e6f41b2170774f26b7841f5b30962e8fff73f787cf091",
-        "e8fff73f00000000000014406000000000000000c96f060a9b34323f50914fcd8172443e0102",
-        "000000000000e03f0000000000001840ae47e17a14aeef3f0000000000001440600000000000",
-        "0000c96f060a9b34323f50914fcd8172443e00000000000000000000000000000000785c17c2",
-        "57b439400101000000000000f03f4000000000000000000000f83fcdccccccccccf83f010400",
-        "000000000000a09999999999b93f909999999999b93f00000000000000000000000000000000",
-        "04000000000000009b7b1a61b9a7b13ffd1e7cf0c107af3f0000000000000000000000000000",
-        "00000200000002000000989999999999c93f8d45ac2ccd95c03f010102000000000000e03f00",
-        "00000000001840ae47e17a14aeef3f0000000000001440000000000000000000000000000000",
-        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "0000000010000000",
+        "000010000000",
     );
+
+    /// The v12 encoding of `ForecastOptions::on()`: tag `1` (enabled),
+    /// damping `1.0`, error window 64, fusion `0`, sMAPE alarm bar 1.5.
+    fn v12_options_on() -> Vec<u8> {
+        let mut w = Writer::default();
+        w.u8(1);
+        w.f64(1.0);
+        w.u32(64);
+        w.u8(0);
+        w.f64(1.5);
+        w.buf
+    }
 
     /// A series blob whose decomposer carries the wrong number of IRLS
     /// iteration states still decodes (the codec reads any count), but the
@@ -1388,7 +1307,7 @@ mod tests {
     }
 
     /// Cold-tier series blobs round-trip bit-identically, a blob spilled
-    /// by the previous (v11) build rehydrates to the same series and
+    /// by the previous (v12) build rehydrates to the same series and
     /// rewrites as this build's encoding of it, and corrupted blobs are
     /// rejected with typed errors.
     #[test]
@@ -1410,79 +1329,39 @@ mod tests {
             Err(CodecError::UnsupportedVersion(_))
         ));
 
-        let v11 = unhex(V11_LIVE_BLOB_HEX);
-        assert_eq!(u16::from_le_bytes([v11[0], v11[1]]), 11);
-        let back = decode_series_blob(&v11).unwrap();
+        let v12 = unhex(V12_LIVE_BLOB_HEX);
+        assert_eq!(u16::from_le_bytes([v12[0], v12[1]]), 12);
+        let back = decode_series_blob(&v12).unwrap();
         assert_eq!(back, sample_live_series());
-        let v12 = encode_series_blob(&back);
-        assert_eq!(v12, encode_series_blob(&sample_live_series()));
-        // 8 steady solvers, each 22 L cells smaller
-        assert_eq!(v11.len() - v12.len(), 8 * 22 * 8);
+        let v13 = encode_series_blob(&back);
+        assert_eq!(v13, encode_series_blob(&sample_live_series()));
+        // the v12 head (tag, 22-byte options, pending forecast and flag,
+        // two 4-pair rings, cursors and sums) becomes a tag and φ
+        assert_eq!(v12.len() - v13.len(), (1 + 22 + 9 + 2 * 40 + 24) - (1 + 8));
     }
 
-    /// A v11 image decodes to what its writer held and rewrites as this
-    /// build's encoding of the same state.
+    /// A v12 cold blob whose forecast head has error fusion on is refused:
+    /// this build cannot raise the drift alarm it asked for.
     #[test]
-    fn v11_snapshots_decode_and_rewrite_as_v12() {
-        let v11 = unhex(V11_SAMPLE_HEX);
-        assert_eq!(u16::from_le_bytes([v11[8], v11[9]]), 11);
-        let back = decode(&v11).expect("the previous version stays readable");
-        assert_eq!(back, sample_snapshot());
-        let v12 = encode(&back);
-        assert_eq!(u16::from_le_bytes([v12[8], v12[9]]), VERSION);
-        assert_eq!(v12, encode(&sample_snapshot()));
-        assert_eq!(decode(&v12).unwrap(), back);
+    fn v12_blob_asking_for_the_drift_alarm_is_refused() {
+        let v12 = unhex(V12_LIVE_BLOB_HEX);
+        let options = v12_options_on();
+        let at = v12.windows(options.len()).position(|w| w == options).unwrap();
+        // tag, damping and error window, then the fusion flag
+        let mut fused = v12.clone();
+        fused[at + 1 + 8 + 4] = 1;
+        assert_eq!(
+            decode_series_blob(&fused),
+            Err(CodecError::Invalid("forecast error fusion (retired in v13)"))
+        );
+        let mut v11 = v12;
+        v11[..2].copy_from_slice(&11u16.to_le_bytes());
+        assert_eq!(decode_series_blob(&v11), Err(CodecError::UnsupportedVersion(11)));
     }
 
-    /// The 22 cells of a v11 steady solver's `L` window outside [`BAND`]
-    /// are never read: overwritten with garbage, the blob decodes to the
-    /// same state and the restored model continues bit-identically.
-    #[test]
-    fn v11_dead_window_cells_are_ignored() {
-        let v11 = unhex(V11_LIVE_BLOB_HEX);
-        let intact = decode_series_blob(&v11).unwrap();
-        let PhaseSnapshot::Live { decomposer, .. } = &intact.phase else {
-            unreachable!("the sample series is live");
-        };
-        // each steady solver: tag 1, its step count m, a 32-cell window
-        let mut head = vec![1u8];
-        head.extend_from_slice(&decomposer.m.to_le_bytes());
-        head.extend_from_slice(&32u64.to_le_bytes());
-        let mut doctored = v11.clone();
-        let mut found = 0;
-        for at in 0..v11.len() - head.len() {
-            if v11[at..at + head.len()] != head[..] {
-                continue;
-            }
-            found += 1;
-            let cells = at + head.len();
-            for cell in (0..32).filter(|&i| !BAND.contains(&(i / 4, i % 4))) {
-                let garbage = f64::from_bits(0x7FF4_0000_DEAD_0000 + cell as u64);
-                doctored[cells + 8 * cell..cells + 8 * cell + 8]
-                    .copy_from_slice(&garbage.to_le_bytes());
-            }
-        }
-        assert_eq!(found, decomposer.iters.len(), "one window per IRLS iteration");
-        assert_ne!(doctored, v11);
-        let back = decode_series_blob(&doctored).unwrap();
-        assert_eq!(back, intact);
-
-        let PhaseSnapshot::Live { decomposer: garbled, .. } = back.phase else {
-            unreachable!("the sample series is live");
-        };
-        let mut a = oneshotstl::OneShotStl::from_state(decomposer.clone()).unwrap();
-        let mut b = oneshotstl::OneShotStl::from_state(garbled).unwrap();
-        for i in 0..48 {
-            let y = 1.5 + (i as f64 * 0.5).sin() + if i == 20 { 3.0 } else { 0.0 };
-            let (pa, pb) = (a.update(y), b.update(y));
-            assert_eq!(pa.trend.to_bits(), pb.trend.to_bits(), "i={i}");
-            assert_eq!(pa.seasonal.to_bits(), pb.seasonal.to_bits(), "i={i}");
-            assert_eq!(pa.residual.to_bits(), pb.residual.to_bits(), "i={i}");
-        }
-    }
-
-    /// A steady solver's `L` window is 10 cells (v12) or 32 (v11), and its
-    /// `D` and `z` windows 4 each; any other length is invalid.
+    /// A steady solver's `L` window is 10 cells, and its `D` and `z`
+    /// windows 4 each; any other length (the 32-cell window v11 wrote
+    /// among them) is invalid.
     #[test]
     fn malformed_solver_windows_are_rejected() {
         let image = |lo: usize, dd: usize| {
@@ -1496,8 +1375,7 @@ mod tests {
         };
         let read = |bytes: &[u8]| decode_solver(&mut Reader { data: bytes, pos: 0 });
         assert!(matches!(read(&image(10, 4)), Ok(SolverState::Steady { m: 9, .. })));
-        assert!(read(&image(32, 4)).is_ok());
-        for lo in [0, 9, 11, 31, 33] {
+        for lo in [0, 9, 11, 31, 32, 33] {
             assert_eq!(read(&image(lo, 4)), Err(CodecError::Invalid("solver L window length")));
         }
         for dd in [3, 5] {
@@ -1609,59 +1487,49 @@ mod tests {
         }
     }
 
-    /// A crafted v6 image smuggling degenerate forecast state — a NaN
-    /// pending prediction, NaN tracker sums, ragged rings — must fail to
-    /// decode, not poison every sMAPE read after restore.
+    /// A forecast head decodes from the v13 tag `2` and from the v12 tag
+    /// `1` alike; a crafted image carrying a damping outside `[0, 1]`, or an
+    /// unknown head or options tag, fails to decode with a typed error.
     #[test]
     fn degenerate_decoded_forecast_state_is_rejected() {
-        let t = 12usize;
-        let y: Vec<f64> = (0..6 * t)
-            .map(|i| 1.0 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
-            .collect();
-        let mut det = oneshotstl::StdAnomalyDetector::new(
-            oneshotstl::OneShotStl::new(OneShotStlConfig::default()),
-            5.0,
-        );
-        det.init(&y[..4 * t], t).unwrap();
-        let make = |mutate: &dyn Fn(&mut ForecastSnapshot)| {
-            let mut tracker = forecast::RollingError::new(8);
-            tracker.record(1.0, 1.1);
-            tracker.record(2.0, 1.9);
-            let mut fc = ForecastSnapshot {
-                options: ForecastOptions::on(),
-                pending: 1.5,
-                has_pending: true,
-                tracker: tracker.to_state(),
-            };
-            mutate(&mut fc);
-            let mut snap = sample_snapshot();
-            snap.series.push(SeriesSnapshot {
-                key: SeriesKey::new("live"),
-                last_seen: 50,
-                phase: PhaseSnapshot::Live {
-                    decomposer: det.decomposer.to_state(),
-                    scorer: det.scorer().to_state(),
-                    forecast: Some(fc),
-                    backend: None,
-                },
-            });
-            encode(&snap)
+        let read = |bytes: &[u8]| decode_forecast_head(&mut Reader { data: bytes, pos: 0 });
+        let head = |phi: f64| {
+            let mut w = Writer::default();
+            encode_forecast_head(&mut w, Some(phi));
+            w.buf
         };
-        // intact state decodes…
-        decode(&make(&|_| {})).expect("valid forecast state decodes");
-        // …corrupted state does not
-        assert!(decode(&make(&|f| f.pending = f64::NAN)).is_err(), "NaN pending");
-        assert!(decode(&make(&|f| f.tracker.sum_abs = f64::NAN)).is_err(), "NaN sum");
-        assert!(decode(&make(&|f| f.tracker.abs[0] = -1.0)).is_err(), "negative term");
-        assert!(
-            decode(&make(&|f| {
-                f.tracker.sm.pop();
-            }))
-            .is_err(),
-            "ragged rings"
-        );
-        assert!(decode(&make(&|f| f.tracker.head = 99)).is_err(), "cursor out of range");
-        assert!(decode(&make(&|f| f.options.damping = 1.5)).is_err(), "bad damping");
+        assert_eq!(read(&head(0.9)), Ok(Some(0.9)));
+        assert_eq!(read(&[0]), Ok(None));
+        let mut v12 = vec![1];
+        v12.extend(v12_options_on());
+        let mut w = Writer::default();
+        w.f64(1.25); // pending forecast
+        w.u8(1);
+        w.vec_f64(&[0.1, 0.2]);
+        w.vec_f64(&[0.01, 0.02]);
+        w.u32(0);
+        w.u32(2);
+        w.f64(0.3);
+        w.f64(0.03);
+        v12.extend(w.buf);
+        assert_eq!(read(&v12), Ok(Some(1.0)));
+        // a hostile ring length fails before any allocation
+        let ring = 1 + 22 + 9;
+        v12[ring..ring + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(read(&v12), Err(CodecError::Truncated));
+
+        for phi in [f64::NAN, -0.1, 1.5] {
+            assert_eq!(read(&head(phi)), Err(CodecError::Invalid("forecast head damping")));
+        }
+        assert_eq!(read(&[3]), Err(CodecError::Invalid("forecast head tag")));
+        let options =
+            |bytes: &[u8]| decode_forecast_options(&mut Reader { data: bytes, pos: 0 });
+        let mut bad = vec![4];
+        bad.extend(1.0f64.to_le_bytes());
+        assert_eq!(options(&bad), Err(CodecError::Invalid("forecast options tag")));
+        bad[0] = 3;
+        bad[1..].copy_from_slice(&1.5f64.to_le_bytes());
+        assert_eq!(options(&bad), Err(CodecError::Invalid("forecast options")));
     }
 
     #[test]
@@ -1676,7 +1544,7 @@ mod tests {
         wrong_version[8] = 0xEE;
         assert!(matches!(decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
         // only the current and the previous version are read
-        for old in [9u16, 10] {
+        for old in [10u16, 11] {
             let mut image = bytes.clone();
             image[8..10].copy_from_slice(&old.to_le_bytes());
             assert_eq!(decode(&image), Err(CodecError::UnsupportedVersion(old)));

@@ -38,50 +38,31 @@ impl PeriodPolicy {
 
 /// Per-series multi-horizon forecasting (paper §5): the damped-trend
 /// STD→TSF rule `ŷ(t+h) = τ(t) + slope·Σφ^j + v[(t+Δ+h) mod T]` evaluated
-/// on each live detector's decomposition, plus an O(1) rolling
-/// forecast-error tracker feeding quality stats and (optionally) the
-/// anomaly verdict.
+/// on each live detector's decomposition.
 ///
-/// Disabled by default: a fleet that never forecasts carries no per-series
-/// forecast state and its scoring stream is untouched. With `enabled`,
-/// every series admitted from then on maintains a pending one-step
-/// forecast and a windowed MAE/sMAPE tracker
-/// (`forecast::RollingError`) — both persisted by snapshot codec v6 and
-/// restored bit-identically.
+/// Disabled by default. With `enabled`, every series admitted from then on
+/// carries a forecast head, and the head is its damping `φ`: `τ`, the
+/// seasonal buffer and the trend slope already live in (and snapshot with)
+/// the decomposer, so the head adds no per-point work and one `f64` of
+/// state. A series without a head answers forecasts with the plain
+/// seasonal carry-forward.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForecastOptions {
-    /// Attach a forecast head (and error tracker) to series at admission.
+    /// Attach a forecast head to series at admission.
     pub enabled: bool,
     /// Damping factor `φ ∈ [0, 1]` of the trend extrapolation: `1.0` is
     /// the paper's linear `slope·h`, `0.0` pure carry-forward.
     pub damping: f64,
-    /// Window `W ≥ 1` of the rolling forecast-error tracker (pairs of
-    /// one-step forecast vs realized value).
-    pub error_window: u32,
-    /// Fuse the tracker into the anomaly verdict: a full window whose
-    /// rolling sMAPE exceeds [`ForecastOptions::smape_alarm`] flags the
-    /// point anomalous (model-drift signal), on top of the residual
-    /// scorer's verdict.
-    pub error_fusion: bool,
-    /// Rolling-sMAPE alarm bar for `error_fusion`, in `(0, 2]` (sMAPE is
-    /// bounded by 2).
-    pub smape_alarm: f64,
 }
 
 impl Default for ForecastOptions {
     fn default() -> Self {
-        ForecastOptions {
-            enabled: false,
-            damping: 1.0,
-            error_window: 64,
-            error_fusion: false,
-            smape_alarm: 1.5,
-        }
+        ForecastOptions { enabled: false, damping: 1.0 }
     }
 }
 
 impl ForecastOptions {
-    /// Forecasting on with the default damping/tracker parameters.
+    /// Forecasting on with the default damping.
     pub fn on() -> Self {
         ForecastOptions { enabled: true, ..Default::default() }
     }
@@ -90,16 +71,6 @@ impl ForecastOptions {
     pub fn validate(&self) -> Result<(), String> {
         if !((0.0..=1.0).contains(&self.damping) && self.damping.is_finite()) {
             return Err(format!("forecast damping must be in [0, 1], got {}", self.damping));
-        }
-        if self.error_window == 0 {
-            return Err("forecast error_window must be >= 1".into());
-        }
-        if !(self.smape_alarm.is_finite() && self.smape_alarm > 0.0 && self.smape_alarm <= 2.0)
-        {
-            return Err(format!(
-                "forecast smape_alarm must be in (0, 2], got {}",
-                self.smape_alarm
-            ));
         }
         Ok(())
     }
@@ -134,7 +105,7 @@ pub struct AdmitOptions {
     /// [`oneshotstl::score`]) for the task-level verdict.
     pub score: Option<ScoreConfig>,
     /// Forecasting override: enable/disable or re-tune the forecast head
-    /// and error tracker for this series (see [`ForecastOptions`]).
+    /// for this series (see [`ForecastOptions`]).
     pub forecast: Option<ForecastOptions>,
     /// Detection-backend override: run the trend-innovation CUSUM alone
     /// or as an ensemble with the fused residual scorer for this series
@@ -298,9 +269,9 @@ pub struct FleetConfig {
     /// (persistence-aware CUSUM fusion; [`ScoreConfig::off`] reproduces
     /// the pre-v5 instantaneous z-score pipeline bit-identically).
     pub score: ScoreConfig,
-    /// Per-series forecasting (§5 damped-trend rule + rolling error
-    /// tracker). Disabled by default; series admitted while enabled carry
-    /// forecast state through snapshots and crash recovery.
+    /// Per-series forecasting (the §5 damped-trend rule). Disabled by
+    /// default; series admitted while enabled carry their head's damping
+    /// through snapshots and crash recovery.
     pub forecast: ForecastOptions,
     /// Detection backend for admitted series ([`BackendSelect::Fused`]
     /// by default — the plain fused-scorer pipeline with no extra
@@ -504,11 +475,8 @@ mod tests {
         cfg.forecast.damping = f64::NAN;
         assert!(cfg.validate().is_err());
         // …and per-series overrides
-        for bad in [
-            ForecastOptions { error_window: 0, ..ForecastOptions::on() },
-            ForecastOptions { smape_alarm: 0.0, ..ForecastOptions::on() },
-            ForecastOptions { smape_alarm: 2.5, ..ForecastOptions::on() },
-        ] {
+        for damping in [-0.1, 1.5, f64::INFINITY] {
+            let bad = ForecastOptions { damping, ..ForecastOptions::on() };
             let opts = AdmitOptions { forecast: Some(bad), ..Default::default() };
             assert!(opts.validate().is_err(), "{bad:?} must be rejected");
         }

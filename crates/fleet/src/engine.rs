@@ -868,7 +868,6 @@ impl FleetEngine {
             stats.shift_trials += s.shift_trials;
             stats.z_alarms += s.z_alarms;
             stats.cusum_alarms += s.cusum_alarms;
-            stats.forecast_alarms += s.forecast_alarms;
             stats.trend_alarms += s.trend_alarms;
             stats.cold_resident += s.cold_resident;
             stats.spills += s.spills;

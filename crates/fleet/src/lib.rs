@@ -47,12 +47,10 @@
 //! - **Forecasting.** With [`ForecastOptions`] enabled (engine-wide via
 //!   [`FleetConfig::forecast`] or per series), a live series answers
 //!   [`FleetEngine::forecast`] with the paper's §5 damped-trend
-//!   recurrence `ŷ(t+h) = τ(t) + slope·Σφⁱ + v[(t+Δ+h) mod T]` and keeps
-//!   an `O(1)` rolling one-step forecast-error tracker (windowed
-//!   MAE/sMAPE) — a per-series quality gauge that can also fuse into the
-//!   anomaly verdict as a model-drift alarm
-//!   ([`ForecastOptions::error_fusion`]). Series without a head still
-//!   answer forecasts via the carry-forward `predict`.
+//!   recurrence `ŷ(t+h) = τ(t) + slope·Σφⁱ + v[(t+Δ+h) mod T]`. Every
+//!   term of it is decomposer state, so the head is one number, its
+//!   damping `φ`, and costs nothing per point. Series without a head
+//!   still answer forecasts via the carry-forward `predict`.
 //! - **Snapshot/restore.** [`FleetEngine::snapshot_bytes`] serializes every
 //!   series (via `to_state`/`from_state` hooks on `OneShotStl`,
 //!   `ResidualScorer`) with a versioned codec ([`codec`]) that
@@ -149,6 +147,6 @@ pub use engine::{CarriedTotals, FleetEngine, FleetSnapshot, SeqForecast};
 pub use error::{CodecError, FleetError};
 pub use net::{NetClient, NetError, NetMessage, NetServer};
 pub use persist::{DurabilityConfig, DurabilityPolicy, DurableFleet};
-pub use series::{ForecastSnapshot, QuarantineCause};
+pub use series::QuarantineCause;
 pub use shard::SeriesSnapshot;
 pub use types::{FleetStats, PointOutput, Record, ScoredPoint, SeriesKey, ShardStats};

@@ -65,7 +65,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::codec::{decode_admit_options, encode_admit_options, Reader, Writer};
 use crate::config::AdmitOptions;
@@ -79,8 +79,10 @@ use tskit::series::DecompPoint;
 /// themselves are unmarked, the hello authenticates the stream).
 pub const NET_MAGIC: [u8; 8] = *b"OSTLFNET";
 
-/// Wire protocol version, bumped on any frame-format change.
-pub const NET_VERSION: u16 = 2;
+/// Wire protocol version, bumped on any frame-format change. v3: the
+/// [`NetMessage::SetAdmitOptions`] body carries [`crate::ForecastOptions`]
+/// without the retired error-tracker fields (snapshot codec v13).
+pub const NET_VERSION: u16 = 3;
 
 /// Upper bound on a frame's payload length (64 MiB). A length prefix
 /// beyond this is rejected before any allocation happens — the first
@@ -90,6 +92,13 @@ pub const MAX_FRAME: usize = 1 << 26;
 /// How many ingest batches the server keeps in flight per connection
 /// before it stops reading and flushes replies.
 const SERVER_WINDOW: usize = 8;
+
+/// How long [`NetClient`] waits for a reply before it gives up on the
+/// server with [`NetError::Io`]: generous, since a reply can wait behind
+/// a shard recovering from disk, but finite, so a silent server fails the
+/// call instead of hanging it. Unit tests wait a fraction of a second.
+const REPLY_TIMEOUT: Duration =
+    if cfg!(test) { Duration::from_millis(300) } else { Duration::from_secs(60) };
 
 /// How many ingest batches [`NetClient::submit`] pipelines before it
 /// blocks on a reply. Kept below the server's window so the two sides
@@ -938,11 +947,13 @@ pub struct NetClient {
 }
 
 impl NetClient {
-    /// Connects and performs the protocol hello.
+    /// Connects and performs the protocol hello. Every read from the
+    /// server, the hello's included, gives up after a fixed bound.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         stream.set_write_timeout(Some(Duration::from_secs(10)))?;
+        stream.set_read_timeout(Some(REPLY_TIMEOUT))?;
         let mut io = FrameIo::new(stream);
         io.stream.write_all(&hello_bytes())?;
         let mut hello = [0u8; 10];
@@ -1055,13 +1066,21 @@ impl NetClient {
         }
     }
 
+    /// The next reply frame, or [`NetError::Io`] once it is
+    /// [`REPLY_TIMEOUT`] overdue. A timed-out read blocks for the whole
+    /// bound, so only an interrupted read retries before the deadline.
     fn recv_reply(&mut self) -> Result<NetMessage, NetError> {
+        let deadline = Instant::now() + REPLY_TIMEOUT;
         loop {
             if let Some(msg) = self.io.try_parse()? {
                 return Ok(msg);
             }
             match self.io.fill()? {
-                Fill::Data | Fill::WouldBlock => {}
+                Fill::Data => {}
+                Fill::WouldBlock if Instant::now() < deadline => {}
+                Fill::WouldBlock => {
+                    return Err(NetError::Io(format!("no reply within {REPLY_TIMEOUT:?}")))
+                }
                 Fill::Eof => return Err(NetError::Io("server closed the connection".into())),
             }
         }
@@ -1171,6 +1190,97 @@ mod tests {
         bad_version[8] = 0xEE;
         bad_version[9] = 0xBE;
         assert_eq!(check_hello(&bad_version), Err(CodecError::UnsupportedVersion(0xBEEE)));
+    }
+
+    /// A v2 peer is refused: its `SetAdmitOptions` body is a layout this
+    /// build no longer writes. The server closes the connection without
+    /// echoing its hello.
+    #[test]
+    fn a_v2_hello_is_refused() {
+        let mut v2 = hello_bytes();
+        v2[8..].copy_from_slice(&2u16.to_le_bytes());
+        assert_eq!(check_hello(&v2), Err(CodecError::UnsupportedVersion(2)));
+
+        let engine = FleetEngine::new(crate::FleetConfig::fixed_period(24)).unwrap();
+        let server = NetServer::serve("127.0.0.1:0", engine).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(&v2).unwrap();
+        let mut reply = Vec::new();
+        stream.read_to_end(&mut reply).expect("the server closes the connection");
+        assert!(reply.is_empty(), "a refused hello gets no echo: {reply:?}");
+        server.shutdown();
+    }
+
+    /// A client whose server echoes the hello and then never answers
+    /// fails the call with [`NetError::Io`] once the reply is
+    /// [`REPLY_TIMEOUT`] overdue, instead of blocking forever.
+    #[test]
+    fn a_silent_server_times_the_reply_out() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut hello = [0u8; 10];
+            conn.read_exact(&mut hello).unwrap();
+            conn.write_all(&hello).unwrap();
+            // read the request, answer nothing, hold the socket open
+            // until the client hangs up
+            let mut sink = Vec::new();
+            let _ = conn.read_to_end(&mut sink);
+        });
+        let mut client = NetClient::connect(addr).unwrap();
+        let started = Instant::now();
+        match client.stats() {
+            Err(NetError::Io(msg)) => assert!(msg.contains("no reply"), "{msg}"),
+            other => panic!("a silent server must time the call out, got {other:?}"),
+        }
+        let waited = started.elapsed();
+        assert!(waited >= REPLY_TIMEOUT, "gave up early: {waited:?}");
+        assert!(waited < REPLY_TIMEOUT * 10, "waited {waited:?}");
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    /// A v12-layout admit-options body whose forecast override has error
+    /// fusion on is refused with a typed error, never applied without its
+    /// alarm.
+    #[test]
+    fn an_admit_options_frame_asking_for_the_drift_alarm_is_refused() {
+        let mut frame = Vec::new();
+        crate::frame::write(&mut frame, |w| {
+            w.u8(T_ADMIT);
+            w.string("tenant/series");
+            // λ, nsigma, period, shift search, score: all inherited
+            for _ in 0..5 {
+                w.u8(0);
+            }
+            // forecast override in the v12 layout: enabled, φ, error
+            // window, fusion on, sMAPE alarm bar
+            w.u8(1);
+            w.u8(1);
+            w.f64(0.9);
+            w.u32(64);
+            w.u8(1);
+            w.f64(1.5);
+            w.u8(0); // backend inherited
+        });
+        assert_eq!(
+            decode_frame(&frame),
+            Err(CodecError::Invalid("forecast error fusion (retired in v13)"))
+        );
+        // the same body with fusion off decodes to the damping alone
+        let at = frame.len() - 1 - 8 - 1;
+        frame[at] = 0;
+        let mut fixed = Vec::new();
+        crate::frame::write(&mut fixed, |w| w.bytes(&frame[crate::frame::HEADER..]));
+        match decode_frame_exact(&fixed).unwrap() {
+            NetMessage::SetAdmitOptions { opts, .. } => assert_eq!(
+                opts.forecast,
+                Some(crate::ForecastOptions { enabled: true, damping: 0.9 })
+            ),
+            other => panic!("wrong message: {other:?}"),
+        }
     }
 
     #[test]

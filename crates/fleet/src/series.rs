@@ -9,9 +9,8 @@
 //! snapshot path.
 
 use crate::backend::{BackendSnapshot, SeriesBackend};
-use crate::config::{AdmitOptions, FleetConfig, ForecastOptions, PeriodPolicy};
+use crate::config::{AdmitOptions, FleetConfig, PeriodPolicy};
 use crate::types::PointOutput;
-use forecast::{RollingError, RollingErrorState};
 use oneshotstl::{
     IncrementalSolver, OneShotStl, OneShotStlState, ResidualScorer, ResidualScorerState,
     StdAnomalyDetector, UpdateScratch,
@@ -81,127 +80,15 @@ pub struct LiveSeries {
     /// The scoring pipeline: OneShotSTL + persistence-aware residual
     /// scorer (NSigma z-score fused with CUSUM; see `oneshotstl::score`).
     pub detector: StdAnomalyDetector<OneShotStl>,
-    /// The forecast head + rolling error tracker (`None` when the series
-    /// admitted with forecasting disabled — the common case, costing
-    /// nothing on the scoring path).
-    pub forecast: Option<ForecastState>,
+    /// The forecast head, which is its damping `φ` (`None` when the
+    /// series admitted with forecasting disabled — the common case). The
+    /// head reads the decomposer's state when asked and does no per-point
+    /// work.
+    pub forecast: Option<f64>,
     /// The detection backend running on top of (or instead of) the fused
     /// scorer's verdict (`None` under [`crate::BackendSelect::Fused`] —
     /// the common case, costing nothing on the scoring path).
     pub backend: Option<SeriesBackend>,
-}
-
-/// Per-series forecast state: the §5 damped-trend head's bookkeeping plus
-/// the rolling forecast-error tracker.
-///
-/// The head itself is stateless beyond the decomposer — `τ`, the seasonal
-/// buffer, and the trend slope all live in (and snapshot with) the
-/// `OneShotStl` state — so the only dynamic state here is the pending
-/// one-step forecast awaiting its realized value, and the error ring.
-/// Everything is `O(1)` per point and allocation-free after admission.
-#[derive(Debug)]
-pub struct ForecastState {
-    options: ForecastOptions,
-    /// The one-step-ahead forecast issued at the previous point, scored
-    /// against the next arriving value.
-    pending: f64,
-    /// Whether `pending` holds a forecast (false only before the first
-    /// post-admission point).
-    has_pending: bool,
-    /// Rolling MAE/sMAPE over the last `error_window` one-step forecasts.
-    tracker: RollingError,
-    /// Lifetime count of error-fusion alarms. Diagnostics only — not
-    /// serialized; resets to 0 on snapshot restore (like the decomposer's
-    /// shift-search counters).
-    alarms: u64,
-}
-
-impl ForecastState {
-    /// Fresh forecast state under validated options.
-    pub fn new(options: ForecastOptions) -> Self {
-        ForecastState {
-            options,
-            pending: 0.0,
-            has_pending: false,
-            tracker: RollingError::new(options.error_window.max(1) as usize),
-            alarms: 0,
-        }
-    }
-
-    /// The options the series admitted under.
-    pub fn options(&self) -> &ForecastOptions {
-        &self.options
-    }
-
-    /// Rolling `(MAE, sMAPE)` over the error window.
-    pub fn rolling_error(&self) -> (f64, f64) {
-        (self.tracker.mae(), self.tracker.smape())
-    }
-
-    /// Pairs currently in the error window.
-    pub fn tracked(&self) -> usize {
-        self.tracker.len()
-    }
-
-    /// Lifetime error-fusion alarms (diagnostics; reset on restore).
-    pub fn alarms(&self) -> u64 {
-        self.alarms
-    }
-
-    /// Scores the realized `value` against the pending one-step forecast,
-    /// then issues the next one from the just-updated decomposer. Returns
-    /// whether the error tracker flags the point (model drift): only with
-    /// `error_fusion` on, a full window, and rolling sMAPE above the bar.
-    pub fn observe(&mut self, value: f64, decomposer: &OneShotStl) -> bool {
-        let mut flagged = false;
-        if self.has_pending && value.is_finite() {
-            self.tracker.record(value, self.pending);
-            flagged = self.options.error_fusion
-                && self.tracker.is_full()
-                && self.tracker.smape() > self.options.smape_alarm;
-            self.alarms += flagged as u64;
-        }
-        self.pending = decomposer.forecast_damped(1, self.options.damping);
-        self.has_pending = true;
-        flagged
-    }
-
-    /// Extracts the plain-data snapshot.
-    pub fn to_snapshot(&self) -> ForecastSnapshot {
-        ForecastSnapshot {
-            options: self.options,
-            pending: self.pending,
-            has_pending: self.has_pending,
-            tracker: self.tracker.to_state(),
-        }
-    }
-
-    /// Rebuilds forecast state from its snapshot (alarm counter resets).
-    pub fn from_snapshot(snap: ForecastSnapshot) -> Result<Self, tskit::error::TsError> {
-        let tracker = RollingError::from_state(snap.tracker).map_err(|msg| {
-            tskit::error::TsError::InvalidParam { name: "ForecastSnapshot", msg }
-        })?;
-        Ok(ForecastState {
-            options: snap.options,
-            pending: snap.pending,
-            has_pending: snap.has_pending,
-            tracker,
-            alarms: 0,
-        })
-    }
-}
-
-/// Plain-data snapshot of one series' forecast state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForecastSnapshot {
-    /// The options the series admitted under.
-    pub options: ForecastOptions,
-    /// The pending one-step forecast.
-    pub pending: f64,
-    /// Whether `pending` holds a forecast.
-    pub has_pending: bool,
-    /// The rolling error tracker's ring + running sums.
-    pub tracker: RollingErrorState,
 }
 
 /// What processing one point did to a series.
@@ -349,16 +236,10 @@ impl SeriesState {
                 // backend dispatch: the selected backend's verdict
                 // *replaces* the fused scorer's (an Ensemble backend
                 // folds the fused verdict back in as one of its channels)
-                let (score, mut is_anomaly) = match &mut live.backend {
+                let (score, is_anomaly) = match &mut live.backend {
                     Some(b) => b.observe(&point, &verdict),
                     None => (verdict.score, verdict.is_anomaly),
                 };
-                // forecast head: score the realized value against the
-                // pending one-step forecast, issue the next one, and
-                // (optionally) fuse a model-drift alarm into the verdict
-                if let Some(f) = &mut live.forecast {
-                    is_anomaly |= f.observe(value, &live.detector.decomposer);
-                }
                 StepOutcome::Output(PointOutput::Scored { point, score, is_anomaly })
             }
             SeriesState::Warming(w) => {
@@ -443,7 +324,7 @@ impl SeriesState {
         match detector.init(&w.values, period) {
             Ok(()) => {
                 let fopts = w.overrides.task_forecast(config);
-                let forecast = fopts.enabled.then(|| ForecastState::new(fopts));
+                let forecast = fopts.enabled.then_some(fopts.damping);
                 let backend = SeriesBackend::build(
                     w.overrides.task_backend(config),
                     w.overrides.task_nsigma(config),
@@ -481,9 +362,9 @@ pub enum PhaseSnapshot {
         decomposer: OneShotStlState,
         /// The task-level residual scorer state.
         scorer: ResidualScorerState,
-        /// Forecast head + error tracker state (`None` when the series
-        /// was admitted with forecasting off).
-        forecast: Option<ForecastSnapshot>,
+        /// The forecast head's damping `φ` (`None` when the series was
+        /// admitted with forecasting off).
+        forecast: Option<f64>,
         /// Detection-backend state (`None` for the fused scorer).
         backend: Option<BackendSnapshot>,
     },
@@ -512,7 +393,7 @@ impl SeriesState {
             SeriesState::Live(live) => PhaseSnapshot::Live {
                 decomposer: live.detector.decomposer.to_state(),
                 scorer: live.detector.scorer().to_state(),
-                forecast: live.forecast.as_ref().map(ForecastState::to_snapshot),
+                forecast: live.forecast,
                 backend: live.backend.as_ref().map(SeriesBackend::to_snapshot),
             },
             SeriesState::Rejected => PhaseSnapshot::Rejected,
@@ -551,7 +432,7 @@ impl SeriesState {
                         OneShotStl::from_state(decomposer)?,
                         ResidualScorer::from_state(scorer),
                     ),
-                    forecast: forecast.map(ForecastState::from_snapshot).transpose()?,
+                    forecast,
                     backend: backend.map(SeriesBackend::from_snapshot).transpose().map_err(
                         |msg| tskit::error::TsError::InvalidParam {
                             name: "BackendSnapshot",
@@ -571,6 +452,7 @@ impl SeriesState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ForecastOptions;
 
     fn seasonal(n: usize, t: usize) -> Vec<f64> {
         (0..n).map(|i| 2.0 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()).collect()
@@ -729,79 +611,33 @@ mod tests {
         assert!(matches!(s, SeriesState::Rejected));
     }
 
+    /// The head attached at promotion is the damping `φ` the series
+    /// admitted under; a per-series override can switch it off.
     #[test]
-    fn forecast_enabled_series_tracks_one_step_error() {
+    fn forecast_enabled_series_carries_its_damping() {
         let mut cfg = FleetConfig::fixed_period(24);
-        cfg.forecast = ForecastOptions { error_window: 16, ..ForecastOptions::on() };
-        let y = seasonal(400, 24);
+        cfg.forecast = ForecastOptions { damping: 0.9, ..ForecastOptions::on() };
+        let off =
+            AdmitOptions { forecast: Some(ForecastOptions::default()), ..Default::default() };
         let mut scr = SharedScratch::default();
-        let mut s = SeriesState::new(&cfg);
-        for &v in &y {
-            s.step(v, &cfg, &mut scr);
+        let mut headed = SeriesState::new(&cfg);
+        let mut plain = SeriesState::with_overrides(&cfg, off);
+        for &v in &seasonal(100, 24) {
+            headed.step(v, &cfg, &mut scr);
+            plain.step(v, &cfg, &mut scr);
         }
-        let SeriesState::Live(live) = &s else { panic!("series must be live") };
-        let f = live.forecast.as_ref().expect("forecast state attached at promotion");
-        assert!(f.tracked() > 0, "tracker records one-step errors");
-        let (mae, smape) = f.rolling_error();
-        // a clean seasonal stream forecasts well: tiny one-step error
-        assert!(mae < 0.05, "one-step MAE {mae}");
-        assert!(smape < 0.1, "one-step sMAPE {smape}");
-        assert_eq!(f.alarms(), 0, "no fusion alarms without error_fusion");
-    }
-
-    #[test]
-    fn error_fusion_flags_a_persistently_mispredicted_series() {
-        let mut cfg = FleetConfig::fixed_period(24);
-        cfg.forecast = ForecastOptions {
-            error_window: 12,
-            error_fusion: true,
-            smape_alarm: 0.5,
-            ..ForecastOptions::on()
+        let head = |s: &SeriesState| match s {
+            SeriesState::Live(live) => live.forecast,
+            _ => panic!("series must be live"),
         };
-        // raise the z-bar so only the forecast-error path can flag: CUSUM
-        // fusion is off by default in ScoreConfig::off
-        cfg.nsigma = 1e6;
-        cfg.score = oneshotstl::ScoreConfig::off();
-        // deterministic noise keeps σ away from machine epsilon, so even
-        // the +500 jump stays far below the 1e6 z-bar
-        let y: Vec<f64> = seasonal(400, 24)
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v + 0.1 * ((i * 7919 % 13) as f64 / 13.0 - 0.5))
-            .collect();
-        let mut scr = SharedScratch::default();
-        let mut s = SeriesState::new(&cfg);
-        for &v in &y[..300] {
-            s.step(v, &cfg, &mut scr);
-        }
-        // regime break: the value flips ±500 every step — a one-time
-        // level shift would be re-anchored away within a point, but an
-        // alternation is persistently unpredictable, so rolling sMAPE
-        // climbs over the bar and stays there
-        let mut flagged = 0;
-        for i in 0..60 {
-            let v = y[300 + i] + if i % 2 == 0 { 500.0 } else { -500.0 };
-            if let StepOutcome::Output(PointOutput::Scored { is_anomaly: true, .. }) =
-                s.step(v, &cfg, &mut scr)
-            {
-                flagged += 1;
-            }
-        }
-        assert!(flagged > 0, "persistent misprediction must raise drift alarms");
-        let SeriesState::Live(live) = &s else { panic!("series must be live") };
-        assert_eq!(live.forecast.as_ref().unwrap().alarms(), flagged as u64);
+        assert_eq!(head(&headed), Some(0.9));
+        assert_eq!(head(&plain), None, "the override disables the head");
     }
 
     #[test]
     fn forecast_state_snapshot_roundtrip_continues_bit_identically() {
         let mut cfg = FleetConfig::fixed_period(16);
-        cfg.forecast = ForecastOptions {
-            damping: 0.9,
-            error_window: 8,
-            error_fusion: true,
-            smape_alarm: 1.9,
-            ..ForecastOptions::on()
-        };
+        cfg.forecast = ForecastOptions { damping: 0.9, ..ForecastOptions::on() };
         let y = seasonal(400, 16);
         let mut scr = SharedScratch::default();
         let mut a = SeriesState::new(&cfg);
@@ -810,39 +646,19 @@ mod tests {
         }
         let mut b = SeriesState::from_snapshot(a.to_snapshot(), &cfg).unwrap();
         for &v in &y[200..] {
-            let (ra, rb) = (a.step(v, &cfg, &mut scr), b.step(v, &cfg, &mut scr));
-            match (ra, rb) {
+            match (a.step(v, &cfg, &mut scr), b.step(v, &cfg, &mut scr)) {
                 (StepOutcome::Output(oa), StepOutcome::Output(ob)) => assert_eq!(oa, ob),
                 _ => panic!("phases diverged"),
             }
             let (SeriesState::Live(la), SeriesState::Live(lb)) = (&a, &b) else {
                 panic!("both series must be live")
             };
-            let (fa, fb) = (la.forecast.as_ref().unwrap(), lb.forecast.as_ref().unwrap());
-            let ((ma, sa), (mb, sb)) = (fa.rolling_error(), fb.rolling_error());
-            assert_eq!(ma.to_bits(), mb.to_bits(), "rolling MAE bit-identical");
-            assert_eq!(sa.to_bits(), sb.to_bits(), "rolling sMAPE bit-identical");
+            assert_eq!(lb.forecast, Some(0.9), "the head survives the snapshot");
+            let (mut fa, mut fb) = ([0.0; 16], [0.0; 16]);
+            la.detector.decomposer.forecast_into(0.9, &mut fa);
+            lb.detector.decomposer.forecast_into(0.9, &mut fb);
+            assert_eq!(fa.map(f64::to_bits), fb.map(f64::to_bits), "forecasts bit-identical");
         }
-    }
-
-    #[test]
-    fn corrupt_forecast_snapshot_is_rejected() {
-        let mut cfg = FleetConfig::fixed_period(16);
-        cfg.forecast = ForecastOptions::on();
-        let y = seasonal(200, 16);
-        let mut scr = SharedScratch::default();
-        let mut s = SeriesState::new(&cfg);
-        for &v in &y {
-            s.step(v, &cfg, &mut scr);
-        }
-        let PhaseSnapshot::Live { decomposer, scorer, forecast, backend } = s.to_snapshot()
-        else {
-            panic!("series must be live")
-        };
-        let mut bad = forecast.expect("forecast state present");
-        bad.tracker.sum_abs = f64::NAN;
-        let snap = PhaseSnapshot::Live { decomposer, scorer, forecast: Some(bad), backend };
-        assert!(SeriesState::from_snapshot(snap, &cfg).is_err());
     }
 
     #[test]

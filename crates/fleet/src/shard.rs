@@ -660,10 +660,10 @@ impl ShardState {
         match &entry.state {
             SeriesState::Live(live) if live.detector.decomposer.is_initialized() => {
                 let mut out = vec![0.0; horizon];
-                match &live.forecast {
-                    Some(f) => {
-                        live.detector.decomposer.forecast_into(f.options().damping, &mut out)
-                    }
+                match live.forecast {
+                    Some(phi) => live.detector.decomposer.forecast_into(phi, &mut out),
+                    // not `forecast_into(0.0)`: its `+ slope·0` can turn a
+                    // -0.0 answer into +0.0
                     None => {
                         for (i, o) in out.iter_mut().enumerate() {
                             *o = live.detector.decomposer.predict(i + 1);
@@ -677,9 +677,9 @@ impl ShardState {
     }
 
     /// Registry/queue statistics (queue depth filled in by the worker).
-    /// The diagnostic counters (shift searches, scorer alarms, forecast
-    /// alarms) are summed over live series on demand — they live inside
-    /// the per-series state and reset on snapshot restore.
+    /// The diagnostic counters (shift searches, scorer alarms) are summed
+    /// over live series on demand — they live inside the per-series state
+    /// and reset on snapshot restore.
     pub fn stats(&self) -> ShardStats {
         let mut s = ShardStats {
             shard: self.index,
@@ -703,9 +703,6 @@ impl ShardState {
                     let (z, cusum) = live.detector.scorer().alarm_counts();
                     s.z_alarms += z;
                     s.cusum_alarms += cusum;
-                    if let Some(f) = &live.forecast {
-                        s.forecast_alarms += f.alarms();
-                    }
                     if let Some(b) = &live.backend {
                         s.trend_alarms += b.trend_alarms();
                     }
@@ -837,6 +834,14 @@ mod sweep_tests {
             panic!("expected a scored point, got {out:?}");
         };
         [point.trend, point.seasonal, point.residual, *score].map(f64::to_bits)
+    }
+
+    /// The registry's record of a series stays small: a live series'
+    /// forecast head is an `Option<f64>` (16 B) inline, not a tracker.
+    #[test]
+    fn a_series_entry_fits_its_budget() {
+        let size = std::mem::size_of::<SeriesEntry>();
+        assert!(size <= 672, "SeriesEntry is {size} B");
     }
 
     /// A `SeriesStep` fault — an error or a panic — for one series

@@ -166,8 +166,9 @@ pub struct FleetStats {
     /// CUSUM-side alarms across live scorers (same caveat; 0 with fusion
     /// off).
     pub cusum_alarms: u64,
-    /// Forecast error-fusion (model-drift) alarms across live series
-    /// (same caveat; 0 without forecasting).
+    /// Always 0: forecast heads raise no alarms. The field stays so the
+    /// stats wire layout keeps its shape; it goes with the benchmark probe
+    /// that still reads it.
     pub forecast_alarms: u64,
     /// Trend-innovation-CUSUM-backend alarms (z + CUSUM channels) across
     /// live series (same caveat; 0 without a trend or ensemble backend).
@@ -237,7 +238,7 @@ pub struct ShardStats {
     pub z_alarms: u64,
     /// CUSUM alarms across this shard's live scorers.
     pub cusum_alarms: u64,
-    /// Forecast error-fusion alarms across this shard's live series.
+    /// Always 0 (see [`FleetStats::forecast_alarms`]).
     pub forecast_alarms: u64,
     /// Trend-CUSUM-backend alarms across this shard's live series.
     pub trend_alarms: u64,

@@ -13,8 +13,7 @@ use tskit::error::Result;
 /// Incremental (streaming) MAE/sMAPE accumulator: feed `(truth, pred)`
 /// pairs one at a time, read pooled errors at any point. This is the
 /// exact accumulation the rolling-origin evaluators below pool over all
-/// origins — extracted so hosts (e.g. the fleet's per-series forecast
-/// error tracker) can run it online without materializing slices.
+/// origins, usable online without materializing slices.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ErrorAcc {
     abs_err: f64,
@@ -28,19 +27,12 @@ impl ErrorAcc {
         Self::default()
     }
 
-    /// The absolute error and sMAPE term of one `(truth, pred)` pair —
-    /// `sMAPE = 2|y−ŷ| / max(|y|+|ŷ|, 1e-12)`, pooled by every consumer
-    /// of this module, so one definition serves them all.
-    pub fn terms(truth: f64, pred: f64) -> (f64, f64) {
-        let abs = (truth - pred).abs();
-        (abs, 2.0 * abs / (truth.abs() + pred.abs()).max(1e-12))
-    }
-
-    /// Absorbs one `(truth, pred)` pair.
+    /// Absorbs one `(truth, pred)` pair: its absolute error and its sMAPE
+    /// term `2|y−ŷ| / max(|y|+|ŷ|, 1e-12)`.
     pub fn record(&mut self, truth: f64, pred: f64) {
-        let (abs, smape) = Self::terms(truth, pred);
+        let abs = (truth - pred).abs();
         self.abs_err += abs;
-        self.smape_sum += smape;
+        self.smape_sum += 2.0 * abs / (truth.abs() + pred.abs()).max(1e-12);
         self.count += 1;
     }
 
@@ -66,159 +58,6 @@ impl ErrorAcc {
     pub fn count(&self) -> u64 {
         self.count
     }
-}
-
-/// O(1) *windowed* MAE/sMAPE over the last `W` `(truth, pred)` pairs:
-/// a ring buffer of per-pair error terms with running sums — each
-/// [`RollingError::record`] is one subtract + one add per metric, no
-/// allocation after construction. This is the fleet's per-series rolling
-/// forecast-error tracker; see [`RollingErrorState`] for persistence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RollingError {
-    /// Per-pair absolute errors, ring-indexed by `head`.
-    abs: Vec<f64>,
-    /// Per-pair sMAPE terms, same ring positions.
-    sm: Vec<f64>,
-    /// Next write position.
-    head: u32,
-    /// Pairs currently in the window (`≤ abs.len()`).
-    len: u32,
-    /// Running sum of `abs` (kept incrementally — deterministic, so a
-    /// snapshot-restored tracker continues bit-identically).
-    sum_abs: f64,
-    /// Running sum of `sm`.
-    sum_sm: f64,
-}
-
-impl RollingError {
-    /// A tracker over the last `window ≥ 1` pairs.
-    pub fn new(window: usize) -> Self {
-        assert!(window >= 1, "rolling error window must be >= 1");
-        RollingError {
-            abs: vec![0.0; window],
-            sm: vec![0.0; window],
-            head: 0,
-            len: 0,
-            sum_abs: 0.0,
-            sum_sm: 0.0,
-        }
-    }
-
-    /// Absorbs one `(truth, pred)` pair, evicting the oldest once full.
-    pub fn record(&mut self, truth: f64, pred: f64) {
-        let (abs, smape) = ErrorAcc::terms(truth, pred);
-        let i = self.head as usize;
-        self.sum_abs += abs - self.abs[i];
-        self.sum_sm += smape - self.sm[i];
-        self.abs[i] = abs;
-        self.sm[i] = smape;
-        self.head = (self.head + 1) % self.abs.len() as u32;
-        self.len = (self.len + 1).min(self.abs.len() as u32);
-    }
-
-    /// Mean absolute error over the window (0 before any pair).
-    pub fn mae(&self) -> f64 {
-        if self.len > 0 {
-            self.sum_abs / self.len as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Symmetric MAPE over the window (0 before any pair).
-    pub fn smape(&self) -> f64 {
-        if self.len > 0 {
-            self.sum_sm / self.len as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Pairs currently in the window.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether no pair has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The configured window size `W`.
-    pub fn window(&self) -> usize {
-        self.abs.len()
-    }
-
-    /// Whether the window has filled at least once.
-    pub fn is_full(&self) -> bool {
-        self.len as usize == self.abs.len()
-    }
-
-    /// Extracts a plain-data snapshot (raw ring + running sums, so a
-    /// restored tracker is bit-identical — recomputing the sums in a
-    /// different order would not be).
-    pub fn to_state(&self) -> RollingErrorState {
-        RollingErrorState {
-            abs: self.abs.clone(),
-            sm: self.sm.clone(),
-            head: self.head,
-            len: self.len,
-            sum_abs: self.sum_abs,
-            sum_sm: self.sum_sm,
-        }
-    }
-
-    /// Rebuilds a tracker from [`RollingError::to_state`] output,
-    /// rejecting structurally invalid state with a message.
-    pub fn from_state(state: RollingErrorState) -> std::result::Result<Self, String> {
-        let window = state.abs.len();
-        if window == 0 {
-            return Err("rolling error window must be >= 1".into());
-        }
-        if state.sm.len() != window {
-            return Err("rolling error rings disagree on window size".into());
-        }
-        if state.head as usize >= window || state.len as usize > window {
-            return Err("rolling error ring indices out of range".into());
-        }
-        for v in state.abs.iter().chain(&state.sm) {
-            if !(v.is_finite() && *v >= 0.0) {
-                return Err(format!("rolling error entries must be finite and >= 0, got {v}"));
-            }
-        }
-        if !(state.sum_abs.is_finite()
-            && state.sum_abs >= 0.0
-            && state.sum_sm.is_finite()
-            && state.sum_sm >= 0.0)
-        {
-            return Err("rolling error sums must be finite and >= 0".into());
-        }
-        Ok(RollingError {
-            abs: state.abs,
-            sm: state.sm,
-            head: state.head,
-            len: state.len,
-            sum_abs: state.sum_abs,
-            sum_sm: state.sum_sm,
-        })
-    }
-}
-
-/// Plain-data snapshot of a [`RollingError`] (see `fleet::codec`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RollingErrorState {
-    /// Per-pair absolute errors (length = window).
-    pub abs: Vec<f64>,
-    /// Per-pair sMAPE terms (length = window).
-    pub sm: Vec<f64>,
-    /// Next write position.
-    pub head: u32,
-    /// Pairs currently in the window.
-    pub len: u32,
-    /// Running sum of `abs`.
-    pub sum_abs: f64,
-    /// Running sum of `sm`.
-    pub sum_sm: f64,
 }
 
 /// Outcome of one (method, horizon) evaluation.
@@ -400,67 +239,5 @@ mod tests {
         assert_eq!(acc.smape().to_bits(), smape.to_bits());
         assert_eq!(acc.count(), 4);
         assert_eq!(ErrorAcc::new().mae(), 0.0);
-    }
-
-    /// The O(1) rolling tracker agrees with a brute-force recomputation
-    /// over the last W pairs at every step, including across wrap-around.
-    #[test]
-    fn rolling_error_matches_brute_force_window() {
-        let w = 5;
-        let mut roll = RollingError::new(w);
-        let mut history: Vec<(f64, f64)> = Vec::new();
-        for i in 0..40 {
-            let truth = (i as f64 * 0.7).sin() * 3.0;
-            let pred = truth + ((i % 7) as f64 - 3.0) * 0.1;
-            roll.record(truth, pred);
-            history.push((truth, pred));
-            let tail = &history[history.len().saturating_sub(w)..];
-            let mut brute = ErrorAcc::new();
-            for &(t, p) in tail {
-                brute.record(t, p);
-            }
-            assert_eq!(roll.len(), tail.len());
-            assert!((roll.mae() - brute.mae()).abs() < 1e-12, "mae diverged at {i}");
-            assert!((roll.smape() - brute.smape()).abs() < 1e-12, "smape diverged at {i}");
-        }
-        assert!(roll.is_full());
-    }
-
-    /// Rolling tracker state round-trips bit-identically and keeps
-    /// recording; invalid states are rejected with a message.
-    #[test]
-    fn rolling_error_state_roundtrip_and_validation() {
-        let mut a = RollingError::new(4);
-        for i in 0..11 {
-            a.record(i as f64, i as f64 * 1.1);
-        }
-        let mut b = RollingError::from_state(a.to_state()).unwrap();
-        assert_eq!(a, b);
-        for i in 0..9 {
-            a.record(2.0 * i as f64, 1.0);
-            b.record(2.0 * i as f64, 1.0);
-            assert_eq!(a.mae().to_bits(), b.mae().to_bits());
-            assert_eq!(a.smape().to_bits(), b.smape().to_bits());
-        }
-
-        let good = a.to_state();
-        let empty = RollingErrorState { abs: vec![], sm: vec![], ..good.clone() };
-        assert!(RollingError::from_state(empty).is_err());
-        let ragged = RollingErrorState { sm: vec![0.0; 3], ..good.clone() };
-        assert!(RollingError::from_state(ragged).is_err());
-        let bad_head = RollingErrorState { head: 4, ..good.clone() };
-        assert!(RollingError::from_state(bad_head).is_err());
-        let bad_len = RollingErrorState { len: 5, ..good.clone() };
-        assert!(RollingError::from_state(bad_len).is_err());
-        let neg = RollingErrorState { abs: vec![-1.0; 4], ..good.clone() };
-        assert!(RollingError::from_state(neg).is_err());
-        let nan_sum = RollingErrorState { sum_abs: f64::NAN, ..good };
-        assert!(RollingError::from_state(nan_sum).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be >= 1")]
-    fn rolling_error_rejects_zero_window() {
-        let _ = RollingError::new(0);
     }
 }

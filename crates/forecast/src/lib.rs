@@ -16,8 +16,7 @@
 //!   batch models fitted on decomposition residuals, plugged into
 //!   `oneshotstl::ForecastHead`.
 //! - [`eval`]: rolling-origin evaluation over the Informer-style splits,
-//!   plus the streaming [`ErrorAcc`] / [`RollingError`] accumulators the
-//!   fleet reuses for per-series forecast-error tracking.
+//!   plus the streaming [`ErrorAcc`] accumulator.
 
 pub mod arima;
 pub mod ets;
@@ -30,9 +29,7 @@ pub mod traits;
 
 pub use arima::AutoArima;
 pub use ets::{HoltWinters, Ses};
-pub use eval::{
-    evaluate_forecaster, evaluate_online, ErrorAcc, EvalReport, RollingError, RollingErrorState,
-};
+pub use eval::{evaluate_forecaster, evaluate_online, ErrorAcc, EvalReport};
 pub use heads::{HeadedStl, ResidualHead, StlForecaster};
 pub use naive::{Drift, Naive, SeasonalNaive};
 pub use std_forecast::StdOnlineForecaster;

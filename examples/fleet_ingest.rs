@@ -28,8 +28,7 @@ fn main() {
         shards: 4,
         period: PeriodPolicy::Fixed(24),
         ttl: Some(10_000),
-        // every series gets a slightly damped forecast head and an O(1)
-        // rolling one-step forecast-error tracker
+        // every series gets a slightly damped forecast head
         forecast: ForecastOptions { damping: 0.95, ..ForecastOptions::on() },
         ..Default::default()
     })
@@ -99,9 +98,8 @@ fn main() {
         );
     }
     println!(
-        "diagnostics: {} shift searches ({} candidates tried), {} z alarms, \
-         {} forecast drift alarms",
-        stats.shift_searches, stats.shift_trials, stats.z_alarms, stats.forecast_alarms
+        "diagnostics: {} shift searches ({} candidates tried), {} z alarms, {} CUSUM alarms",
+        stats.shift_searches, stats.shift_trials, stats.z_alarms, stats.cusum_alarms
     );
 
     // Inject an anomaly into one series and watch its score spike.

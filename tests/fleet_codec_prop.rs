@@ -18,8 +18,8 @@ use std::sync::OnceLock;
 
 use oneshotstl_suite::core::ScoreConfig;
 use oneshotstl_suite::fleet::{
-    codec, AdmitOptions, BackendSelect, CodecError, FleetConfig, FleetEngine, PeriodPolicy,
-    Record,
+    codec, AdmitOptions, BackendSelect, CodecError, FleetConfig, FleetEngine, ForecastOptions,
+    PeriodPolicy, Record,
 };
 use proptest::prelude::*;
 
@@ -40,8 +40,9 @@ fn backend_menu() -> Vec<Option<BackendSelect>> {
 }
 
 /// Builds an engine with `n_series` deterministic seasonal streams, one
-/// backend selection per series rotated through [`backend_menu`], runs it
-/// for `len` points, and returns its snapshot bytes.
+/// backend selection per series rotated through [`backend_menu`] and a
+/// forecast head on every other series, runs it for `len` points, and
+/// returns its snapshot bytes.
 fn snapshot_of(shards: usize, n_series: usize, len: u64, phase: f64, amp: f64) -> Vec<u8> {
     let mut engine = FleetEngine::new(FleetConfig {
         shards,
@@ -51,13 +52,14 @@ fn snapshot_of(shards: usize, n_series: usize, len: u64, phase: f64, amp: f64) -
     .unwrap();
     let menu = backend_menu();
     for s in 0..n_series {
-        if let Some(backend) = menu[s % menu.len()] {
-            engine
-                .set_admit_options(
-                    format!("series-{s}"),
-                    AdmitOptions { backend: Some(backend), ..Default::default() },
-                )
-                .unwrap();
+        let forecast = (s % 2 == 1).then(|| ForecastOptions {
+            damping: 0.1 * (s % 10) as f64,
+            ..ForecastOptions::on()
+        });
+        let opts =
+            AdmitOptions { backend: menu[s % menu.len()], forecast, ..Default::default() };
+        if !opts.is_default() {
+            engine.set_admit_options(format!("series-{s}"), opts).unwrap();
         }
     }
     for t in 0..len {
@@ -75,9 +77,9 @@ fn snapshot_of(shards: usize, n_series: usize, len: u64, phase: f64, amp: f64) -
     engine.snapshot_bytes().unwrap()
 }
 
-/// One fixed snapshot covering every backend kind, shared by the
-/// truncation/corruption properties (building a fleet per case would
-/// dominate their runtime for no extra coverage).
+/// One fixed snapshot covering every backend kind and forecast heads,
+/// shared by the truncation/corruption properties (building a fleet per
+/// case would dominate their runtime for no extra coverage).
 fn canonical_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| snapshot_of(2, 6, 90, 0.3, 2.0))

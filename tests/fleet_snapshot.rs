@@ -362,8 +362,8 @@ fn admit_options_survive_snapshot_and_shape_admission() {
             hold_decay: 0.95,
             fusion: Fusion::Cusum,
         }),
-        // a forecast-head override rides the same snapshot path (codec v6)
-        forecast: Some(ForecastOptions { error_window: 32, ..ForecastOptions::on() }),
+        // a forecast-head override rides the same snapshot path
+        forecast: Some(ForecastOptions { damping: 0.8, ..ForecastOptions::on() }),
         // and so does a detection-backend override (codec v7)
         backend: Some(BackendSelect::Ensemble(ScoreConfig::default())),
     };
@@ -458,12 +458,11 @@ fn replacing_overrides_keeps_live_and_restored_warmups_in_lockstep() {
     );
 }
 
-/// Codec v6 carries each live series' forecast head: the pending one-step
-/// prediction awaiting its truth and the rolling error tracker rings. A
-/// snapshot taken while trackers are charged must continue bit-identically
-/// on both channels — the scoring stream (error fusion folds tracker state
-/// into verdicts) and the forecasts themselves — and a later snapshot of
-/// the restored engine must be byte-identical to the uninterrupted one's.
+/// The codec carries each live series' forecast head, its damping `φ`. A
+/// snapshot of a forecasting fleet must continue bit-identically on both
+/// channels — the scoring stream and the forecasts themselves — and a
+/// later snapshot of the restored engine must be byte-identical to the
+/// uninterrupted one's.
 #[test]
 fn forecast_state_survives_snapshot_bit_identically() {
     use oneshotstl_suite::fleet::ForecastOptions;
@@ -473,13 +472,7 @@ fn forecast_state_survives_snapshot_bit_identically() {
     let tail = 80u64;
     let streams = build_streams(n_series);
     let cfg = || FleetConfig {
-        forecast: ForecastOptions {
-            enabled: true,
-            damping: 0.9,
-            error_window: 24,
-            error_fusion: true,
-            smape_alarm: 1.5,
-        },
+        forecast: ForecastOptions { enabled: true, damping: 0.9 },
         ..config()
     };
     let keys: Vec<SeriesKey> =
@@ -499,7 +492,7 @@ fn forecast_state_survives_snapshot_bit_identically() {
     drop(first); // "crash"
     let mut restored = FleetEngine::restore_bytes(&bytes).unwrap();
 
-    // the pending prediction survived: forecasts agree before any new point
+    // the heads survived: forecasts agree before any new point
     let fa = full.forecast(&keys, 48).unwrap();
     let fb = restored.forecast(&keys, 48).unwrap();
     for (s, (a, b)) in fa.iter().zip(&fb).enumerate() {
@@ -524,15 +517,14 @@ fn forecast_state_survives_snapshot_bit_identically() {
     }
 
     // the strongest form: a later snapshot of the restored engine is
-    // byte-identical to the uninterrupted engine's (tracker rings, ring
-    // cursors, alarm-independent state — everything)
+    // byte-identical to the uninterrupted engine's
     assert_eq!(full.snapshot_bytes().unwrap(), restored.snapshot_bytes().unwrap());
 }
 
 /// The stats-counter snapshot contract. Lifetime counters (`points`,
 /// `anomalies`, `admitted`, `evicted`) carry across a snapshot/restore;
 /// the diagnostic counters (`shift_searches`, `shift_trials`, `z_alarms`,
-/// `cusum_alarms`, `forecast_alarms`, and the backend's `trend_alarms`)
+/// `cusum_alarms`, and the backend's `trend_alarms`)
 /// are documented as *not serialized* — they reset on
 /// restore and then accumulate in lockstep with the reference: because
 /// the continuation is bit-identical, the restored engine's diagnostic
@@ -575,7 +567,7 @@ fn stats_counters_obey_the_snapshot_contract() {
             backend: Some(BackendSelect::TrendCusum(Default::default())),
             ..Default::default()
         },
-        // series-3: forecast head (forecast_alarms)
+        // series-3: forecast head
         AdmitOptions { forecast: Some(ForecastOptions::on()), ..Default::default() },
     ];
 
@@ -628,9 +620,9 @@ fn stats_counters_obey_the_snapshot_contract() {
     assert_eq!(got.shift_trials, ref_end.shift_trials - ref_mid.shift_trials);
     assert_eq!(got.z_alarms, ref_end.z_alarms - ref_mid.z_alarms);
     assert_eq!(got.cusum_alarms, ref_end.cusum_alarms - ref_mid.cusum_alarms);
-    assert_eq!(got.forecast_alarms, ref_end.forecast_alarms - ref_mid.forecast_alarms);
     assert_eq!(got.trend_alarms, ref_end.trend_alarms - ref_mid.trend_alarms);
     assert!(got.trend_alarms > 0, "no post-snapshot trend alarms to track: {got:?}");
+    assert_eq!((got.forecast_alarms, ref_end.forecast_alarms), (0, 0), "heads raise no alarms");
 
     // the health counters are lifetime counters: carried across the
     // snapshot (zero on a healthy run; nonzero carry is pinned by
@@ -672,173 +664,202 @@ fn huge_finite_values_keep_the_snapshot_restorable() {
     }
 }
 
+/// A fleet image written by the v12 writer (the previous codec version),
+/// not re-encoded by this build's writer: `FleetConfig { shards: 2,
+/// forecast: φ 0.9, ..fixed_period(12) }`, "warm" registered with a
+/// forecast override (φ 0.5) and fed 20 points, and "live" fed the 120
+/// points `1.5 + sin(2πi/12)`, `i = t` — admitted at the 36th, its
+/// forecast head carrying a full 64-pair error ring.
+const V12_BLOB_HEX: &str = concat!(
+    "4f5353544c464c540c00000200000003000000000c0000000000000000000014400000000000",
+    "000000000059400000000000005940000000000000f03f080000001400000000000000000014",
+    "4000000000000000e03f00bbbdd7d9df7cdb3d010400000002000000000000e03f0000000000",
+    "001840ae47e17a14aeef3f01cdccccccccccec3f4000000000000000000000f83f0000770000",
+    "00000000008c00000000000000000000000000000001000000000000008c0000000000000006",
+    "0000000000000000000000000000000000000000000000000000000000000002000000000000",
+    "00040000006c6976657700000000000000010000000000005940000000000000594000000000",
+    "0000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb3d",
+    "01040000000c000000000000007800000000000000540000000000000000000000000000000c",
+    "00000000000000cd2641a48082083f012b32be6100e03fcc2b072bdfb6eb3fac9c88f43200f0",
+    "3f4fb738e4dfb6eb3f132f15bd6400e03fae1abfec261b093f3ab9a97537ffdfbf08c6f7c116",
+    "b6ebbf1c94dd419dffefbfe00f77fa18b6ebbf0a241f773cffdfbf50b3a7178549e43fd6ffff",
+    "ffffffef3fe004961318b6ebbfd0ad32fb3affdfbf080000000154000000000000000a000000",
+    "00000000d32ebe79b0c8d63fb2e3520c17d3c6bf3b80636d3afef4bfe9763eb7cf07e53f0000",
+    "00000000000000000000000000000000000000000000a5460729b0c8d63fd13952bb16d3c6bf",
+    "000000000000000004000000000000004158a5af648e7140ecf62c146bf1ff3fd733d7ed648e",
+    "71402f9f60146bf1ff3f0400000000000000808a2bb6d9a4314078510eca42ded2bff6b34618",
+    "918231404f22790f44fee1bf000000000000f03f000000000000f03f000000000000f03f0000",
+    "00000000f03fa01a8f3bcffff73f730d0133cffff73f0154000000000000000a000000000000",
+    "009e416927cd33e73fd5347027cd33d7bfc13a9693127bf9bfc10b9f93127be93f0000000000",
+    "00000000000000000000000000000000000000efd52f3225f6e23f7b65363225f6d2bf000000",
+    "0000000000040000000000000059547c8a20b5fa41296af6ffffffff3f03c80656081ff7418c",
+    "edf4ffffffff3f0400000000000000c3943ec6e92c664089fda7134ab2cdbf1de5da0bd0be67",
+    "403c2af01b3affdfbf45146f42dcf9644176563531a6ec6d4188b14b157fc98841ed6259c359",
+    "8981413db902407ffff73f850d221580fff73f0154000000000000000a00000000000000fb63",
+    "6aeb332ee73f26c1c2eb332ed7bfd6fbefa3502cf8bf08a690a4502ce83f0000000000000000",
+    "0000000000000000000000000000000009faeb1ea258e03fe79e581fa258d0bf000000000000",
+    "00000400000000000000487a4c4802cac0411d0486ffffffff3f922063972a42b34174502bff",
+    "ffffff3f04000000000000004e49469a26be66402b7214944cb2cdbf79f7f4980824684044a4",
+    "df7c3cffdfbf3c72ccd86fd21b41a10db0af103823413546f08664224f41b21d60102b2f3941",
+    "8b0dd9f1d2fff73fe8ec75e4d2fff73f0154000000000000000a00000000000000cae1196876",
+    "cfdb3f32c42a6876cfcbbfde331e722172f5bf066627722172e53f0000000000000000000000",
+    "0000000000000000000000000040e832d985c8d53f743f3cd985c8c5bf000000000000000004",
+    "00000000000000f413e7568c5aea416e92ecffffffff3f1037542723a8f2414947f2ffffffff",
+    "3f040000000000000095e2fd013f7c5f40818ffa2a4ab2cdbf59f9f97998015d40d331f3133a",
+    "ffdfbfcd2e0a226c37774177912b976a1f6341836745e2f7506d417e920b8e994170411ddf3e",
+    "48e8fff73fd7941230e8fff73f0154000000000000000a0000000000000077935b25260fe63f",
+    "71f67b25260fd6bf7acac3d3e568f4bf0d8f0bd4e568e43f0000000000000000000000000000",
+    "0000000000000000000003cd091f98a3d13f6dd3471f98a3c1bf000000000000000004000000",
+    "0000000059bf3e42bccbd541c004d1ffffffff3f4914071e6033c2410d7a8fffffffff3f0400",
+    "000000000000dc1c3f1649df6440fb0dabd34ab2cdbfd4598311de0d6640c36f46313bffdfbf",
+    "0e03aa1571b53341d04a21003f2e55411d49c7e25f3b6341b5ef90e9f3ae39412169931fcfff",
+    "f73fdc397e22cffff73f0154000000000000000a00000000000000b2200cf74538e23f7dfe1f",
+    "f74538d2bfde77165d5acff5bfd2f6245d5acfe53f0000000000000000000000000000000000",
+    "00000000000000274bd28d693dd73f69bde18d693dc7bf000000000000000004000000000000",
+    "004de50aee0659dd41ab1bddffffffff3fad47ee72ac12e84137bbeaffffffff3f0400000000",
+    "000000324bc83fc41d57408a8756434ab2cdbff4cf9dba837d5c40323ff2203affdfbfb388fe",
+    "c5c1096e41445a55c740f0854199cf7a76706365416907dd74cb60664107231f37c9fff73f1a",
+    "da033ec9fff73f0154000000000000000a00000000000000cf961a920a09ef3f1f811c920a09",
+    "dfbf38c4ff9b382bf7bfab720e9c382be73f0000000000000000000000000000000000000000",
+    "00000000b1a21e90e2acdc3f67ce3090e2acccbf00000000000000000400000000000000fb6e",
+    "ff92423420427306feffffffff3fd2fb9840ea3fe941f6b8ebffffffff3f0400000000000000",
+    "e95eddd04d2057406eac39e449b2cdbf9a4c0e5974e2624006dbf02a3affdfbfcb240af39845",
+    "60419eb9620585917241d3ffafe5b31db44109e8a24832f66c41a84dccd7cafff73f193e4538",
+    "cafff73f0154000000000000000a000000000000005235da09acf2c33f8b05e609acf2b3bff4",
+    "49f795be38f1bf6b362196be38e13f0000000000000000000000000000000000000000000000",
+    "0028f9f987ea8bb33f7c8e2988ea8ba3bf000000000000000004000000000000004d2f82a877",
+    "04eb419e0cedffffffff3f49d579fa504aca41bd19b2ffffffff3f0400000000000000faf61e",
+    "e85a546740c9570b4d4ab2cdbfd7f32ace89965640c6900c693affdfbfc718a137a6c44941d6",
+    "38b3f001ad2941da41fb39c58e5541c1c7c1892d8e244117e77f7ccffff73f7ce6c27ccffff7",
+    "3f000000000000144078000000000000004ea6481bd6ab423f6a54ed76b0835f3e0102000000",
+    "000000e03f0000000000001840ae47e17a14aeef3f000000000000144078000000000000004e",
+    "a6481bd6ab423f6a54ed76b0835f3e00000000000000000000000000000000c5a7e440a3e631",
+    "400101cdccccccccccec3f4000000000000000000000f83f3f7b00820000f83f014000000000",
+    "0000000000c0ff990c913e0000a05d8df4b13e000048188979b73e0000004e39b1be3e0000fc",
+    "d8b409c33e0000b82c31b8c43e00000cea13d3c83e00008061c781cb3e0000a0125792cc3e00",
+    "00002208d7b03e0000409ca068a13e000000c062da503e000080652f4b943e0000002e576692",
+    "3e000000bca211a43e0000206bb55aa93e000058b86d20b03e000048859cabb43e0000901900",
+    "49b63e00002153b00ee83e00805c295807ef3e008022ac6a16f23e00809f699211f43e0000f0",
+    "41b4baf53e0000a3ca07c1f63e000000cbf55af73e0000b2f6df02f93e000064309c01ed3e00",
+    "008802aabae03e00009029c82acf3e000000e20bb2913e000050dc3b52c43e00009493da3dd3",
+    "3e000006309291da3e0000d323f176e03e0000ee60e339e33e00002c76dea6e53e00007c3a30",
+    "b9e73e0000d4204cf2e83e0000a865446ddf3e0000106f60deda3e000000900d61b53e0000c0",
+    "349b42ae3e0000c074b02ea43e0000cc4fded2be3e00008408e9bcc73e00000cf758f2cf3e00",
+    "0038a9cc32d03e00008077a57bd43e00002075962fd73e0000c09af9efd93e0000c02b01b4ce",
+    "3e000060fcd495c83e000040cc0955c13e000050aad35dbe3e000060ce8cdda63e0000007873",
+    "7f8c3e0000803ac1689a3e0000a0f3d9b2b33e0000d0f35866bf3e000060accbb1be3e000020",
+    "51af00c53e000020951baada3e0000e0c4cb87c33e40000000000000003dd1ea119a0c813eaf",
+    "681e0cbdf0a73e3337d02b8a79b73ef9950657ce34c83ea9d8deadb709d33ea7dd1be54a57d0",
+    "3e99014e5216d3c83e80b1f23b8656c23e9e70cbaa5892bc3e806e962a3a789c3e83251c639a",
+    "da8b3e98597957e57d3c3e53a8c24b2f4b843ee83df3627488883e26abb020a311a43e2116dd",
+    "4610ffb33e0ae369bc6e20c03e02578db85b4dc03e32a03f21ff48b63eaf6cbfa63ff9f23e36",
+    "2cb63f7607ff3ecdb1976ce387fc3ee70ea8ff9e11f43edd318b75fdf8ec3ea26ea1e10fc1e6",
+    "3e1765e81a09bee33e5e17ed834602e43e1afbe28bd884d83e8a91cdd2a7bad03e40f8fa6b2e",
+    "c7c43e3cd3dbba0bb2913e3521ae5be106d03e744c8b5ce03de33e49caecba41f4e43e95b529",
+    "60f576e03e007788a389a2d93ef427c71fe2a6d53e7960add6ac0dd43e7550499706f5d33e4d",
+    "1ae234a690ca3ece89239d5ddeca3e09ae869f6681ac3e8499d44f9a42ae3edb998abeaed5af",
+    "3e963ee605e2d2ce3e5b5ef6feb7b8d23e7077a3f35cf2cf3e957118b41299c53ea7b40d1ba7",
+    "7bc43ecde544df5a99c33e6e2aa433f9bfc43e503a5a700df4b93e073e28ced395b83e85ab4e",
+    "050c1cb73e951b40ddd15dbe3e39f6ccff8b08b23ea9ea7b12737f9c3e7e8e87750ad4a43e6a",
+    "aea4b5dab2b33e8f78f9d2e6eeb43e12d5e997ccb1ae3e66894844e9c0b13e28b7bca4e454c5",
+    "3e5f4db4a05282b03e130000004000000000c02bab4e4c363f1c0629bed92c323f0004000000",
+    "7761726d1300000000000000001400000000000000000000000000fc3f00000000000002402a",
+    "1316ba9eed044000000000000006402b1316ba9eed04400000000000000240010000000000fc",
+    "3f010000000000f43f58b3a7178549ec3f000000000000e83f56b3a7178549ec3ffeffffffff",
+    "fff33ffffffffffffffb3f00000000000002402a1316ba9eed044000000000000006402c1316",
+    "ba9eed04400000000000000240020000000000fc3f040000000000f43f010c00000000000000",
+    "0000000000000000000101000000000000e03f1000000000000000000000e83f00",
+);
+
+fn v12_blob() -> Vec<u8> {
+    let bytes: Vec<u8> = (0..V12_BLOB_HEX.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&V12_BLOB_HEX[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 12);
+    bytes
+}
+
+/// The v12 layout of a `ForecastOptions` block: enabled tag `1`, damping,
+/// error window, fusion flag, sMAPE alarm bar. Returns where the blocks
+/// with these values sit in `bytes`.
+fn v12_forecast_options_at(bytes: &[u8], damping: f64, window: u32, alarm: f64) -> Vec<usize> {
+    let mut block = vec![1u8];
+    block.extend(damping.to_le_bytes());
+    block.extend(window.to_le_bytes());
+    block.push(0);
+    block.extend(alarm.to_le_bytes());
+    (0..bytes.len()).filter(|&at| bytes[at..].starts_with(&block)).collect()
+}
+
 /// Codec read-compatibility with the previous version, pinned at the
-/// *integration* level with a byte blob written by the v11 writer (not
-/// re-encoded by this build's writer): a v11 fleet snapshot — a live
-/// series, a quarantined tombstone, the seven lifetime counters — must
-/// restore through the public API and continue scoring bit-identically
-/// to an uninterrupted detector fed the same stream. If the decoder's
-/// previous-version reads drift, this blob is the tripwire no unit-level
-/// round-trip can replace.
+/// *integration* level with [`V12_BLOB_HEX`]: the image must restore
+/// through the public API, answer forecasts from its heads' dampings, and
+/// continue scoring bit-identically to a detector rebuilt from the same
+/// stream; it re-snapshots as the current version without the error
+/// tracker. If the decoder's previous-version reads drift, this blob is
+/// the tripwire no unit-level round-trip can replace.
 #[test]
-fn pinned_v11_snapshot_blob_restores_and_continues_bit_identically() {
+fn pinned_v12_snapshot_blob_restores_and_continues_bit_identically() {
     use oneshotstl_suite::core::{
         OneShotStl, OneShotStlConfig, ScoreConfig, StdAnomalyDetector,
     };
+    use oneshotstl_suite::fleet::{codec, ForecastOptions};
 
-    // generated by the v11 writer: config fixed_period(12), clock 95,
-    // batches 96, totals {1,2,300,4,5,6,7}, series "live" (t=12 sine, 96
-    // points through init+update) and "q" (quarantined, cause Panic, 11
-    // dropped)
-    const V11_BLOB_HEX: &str = concat!(
-        "4f5353544c464c540b00000400000003000000000c0000000000000000000014400000000000",
-        "000000000059400000000000005940000000000000f03f080000001400000000000000000014",
-        "4000000000000000e03f00bbbdd7d9df7cdb3d010400000002000000000000e03f0000000000",
-        "001840ae47e17a14aeef3f00000000000000f03f4000000000000000000000f83f00005f0000",
-        "00000000006000000000000000010000000000000002000000000000002c0100000000000004",
-        "0000000000000005000000000000000600000000000000070000000000000002000000000000",
-        "00040000006c6976655f00000000000000010000000000005940000000000000594000000000",
-        "0000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb3d",
-        "01040000000c000000000000006000000000000000300000000000000000000000000000000c",
-        "00000000000000a975fb3e06eef53e41479d892a00e03f0909deaea4b6eb3f067ee5fa1c00f0",
-        "3f41770e65b0b6eb3f88c9ce213400e03f24df0c193890f93e8c2dad719bffdfbf65b7d66349",
-        "b6ebbfdde4cc58d0ffefbf47dee14c4cb6ebbf773bc8b7a4ffdfbf52b3a7178549e43f080000",
-        "000000f03ff50758ed4cb6ebbf2d85ce27a7ffdfbf0800000001300000000000000020000000",
-        "00000000000000000000f03f00000000000000000000000000000000000000000000000063d5",
-        "5714ca2b6d3f000000000000f03f00000000000000000000000000000000cb2b1abd38fff4bf",
-        "b2ff491fcf08e53f000000000000f03f00000000000000000000000000000000000000000000",
-        "00001c5704e7872b6d3f000000000000f03fb59ee4df35cad63f831f5ad69dd4c6bf6cf63800",
-        "17fff4bfcb52373dad08e53f0000000000000000000000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000000e647b2c02cad63f0377aff369d4c6bf",
-        "0000000000000000000000000000000000000000000000000000000000000000040000000000",
-        "00005ded42b6388d714015d4f51a6af1ff3f4441e087608d7140d47d0c3c6af1ff3f04000000",
-        "000000004c870b8190933140f6fb642df6dad2bf117a4eff91733140c0a80840dffce1bf0000",
-        "00000000f03f000000000000f03f000000000000f03f000000000000f03fdc4aa68fe8fff73f",
-        "ea9d15a5e8fff73f0130000000000000002000000000000000000000000000f03f0000000000",
-        "00000000000000000000000000000000000000cd0b2ae93398fd3d000000000000f03f000000",
-        "00000000000000000000000000177144c68518f5bfa7f357c68518e53f000000000000f03f00",
-        "00000000000000000000000000000000000000000000001bcbbaf99adcf53d000000000000f0",
-        "3f016d4c2e1762d43fd9465f2e1762c4bf6b3b682f2533f5bf22b7762f2533e53f0000000000",
-        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "0000000000f6d698ca94ccd43f9b0ca7ca94ccc4bf0000000000000000000000000000000000",
-        "0000000000000000000000000000000400000000000000d9d984bcec4ce141cc67e2ffffffff",
-        "3f382a544a7f6be7416523eaffffffff3f0400000000000000af41e01a4bff50405788c47a08",
-        "b3cdbf043504c554f84b409b6be624a0ffdfbfd646486b77db6e410766ce04e6e257412ed876",
-        "6e0a365c41e487167a0c7c6341737a3c5f3dfff73fa7dae70541fff73f013000000000000000",
-        "2000000000000000000000000000f03f00000000000000000000000000000000000000000000",
-        "0000a75c5bd49a3b2b3e000000000000f03f0000000000000000000000000000000064425440",
-        "715bfcbf2f521541715bec3f000000000000f03f000000000000000000000000000000000000",
-        "000000000000f9b341c0073e133e000000000000f03fd2be225de3b6e83f9701cb5de3b6d8bf",
-        "31ef1262cbc0febf88e75c62cbc0ee3f00000000000000000000000000000000000000000000",
-        "00000000000000000000000000000000000000000000000000000b71340e9781ed3f9a697b0e",
-        "9781ddbf00000000000000000000000000000000000000000000000000000000000000000400",
-        "000000000000d607089a03cdb241292326ffffffff3f3b621b5ea89bca41e107b3ffffffff3f",
-        "0400000000000000f3cc58f1ed2d68402e53d6600db3cdbfd90224556ff766406492c1eea0ff",
-        "dfbf8bcc0c118a3a01413ba9442079870141e905b310089642411900acca72675f41c7a5bbe2",
-        "e6fff73fc7fb5ef5e6fff73f0130000000000000002000000000000000000000000000f03f00",
-        "00000000000000000000000000000000000000000000005c576efb4ead023e000000000000f0",
-        "3f000000000000000000000000000000009936f30f0ca5f7bf64d00e100ca5e73f0000000000",
-        "00f03f0000000000000000000000000000000000000000000000007f4a78c0f58ff43d000000",
-        "000000f03f92823e503094de3f833462503094cebfb4ee0a9ae7b2f6bfa384199ae7b2e63f00",
-        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "000000000000000000a51bf8739ecbda3f745309749ecbcabf00000000000000000000000000",
-        "000000000000000000000000000000000000000400000000000000bfa6f4a2d569db4162a5da",
-        "ffffffff3f6effdee35ee6e8410a70ebffffffff3f0400000000000000ed8aa81296b2444027",
-        "eb356c08b3cdbf3f9162fdac0a4b40bef42a23a0ffdfbfed9aec36f64c6c4120b117a580785b",
-        "41e58e2ca9f2c36041c3cb6b2726b06a41cc7af0c30100f83f9f04572c0100f83f0130000000",
-        "000000002000000000000000000000000000f03f000000000000000000000000000000000000",
-        "00000000000037ab238bba2e313e000000000000f03f00000000000000000000000000000000",
-        "135a90fb7d1df7bfd4f056fc7d1de73f000000000000f03f0000000000000000000000000000",
-        "00000000000000000000434e8ce206ff223e000000000000f03fa3036099f875dc3f5d87549a",
-        "f875ccbf9e7c10bdda03f9bfd84887bdda03e93f000000000000000000000000000000000000",
-        "0000000000000000000000000000000000000000000000000000000000005005ccaab507e23f",
-        "8ca521abb507d2bf000000000000000000000000000000000000000000000000000000000000",
-        "000004000000000000002d39c41936ccad415714edfeffffff3f5f2b811fe8f3ba41c90768ff",
-        "ffffff3f040000000000000011113087af714d405741d0350ab3cdbf03131494863e4e40ea44",
-        "6ca1a0ffdfbfb30b66df19b4344126cca7bdc0042b41a0be658b1af6304103ccc7a33e704341",
-        "aa567b010e00f83fc609bc440d00f83f01300000000000000020000000000000000000000000",
-        "00f03f000000000000000000000000000000000000000000000000a9e3c148abd7133e000000",
-        "000000f03f00000000000000000000000000000000b0063e91cab2fcbffc348591cab2ec3f00",
-        "0000000000f03f0000000000000000000000000000000000000000000000003f479b50ab4d0c",
-        "3e000000000000f03ff19ba74f9565e93fdd99e64f9565d9bf87c3e3e77f41fdbf2b8417e87f",
-        "41ed3f0000000000000000000000000000000000000000000000000000000000000000000000",
-        "00000000000000000000000000136d90f3ff82ea3f0653bff3ff82dabf000000000000000000",
-        "00000000000000000000000000000000000000000000000400000000000000fa5e002aa2cdc9",
-        "4153a1b0ffffffff3f369eb6bdf616d241a964c7ffffffff3f04000000000000001b7b0c72c6",
-        "195b403ef8c24809b3cdbff57958f600185e4016d0427ca0ffdfbfc6dd98469b4424412b54a3",
-        "3173b325411b3b22087b365a411caaaa06fe2e63414c833690f9fff73f7bfd3142f9fff73f01",
-        "30000000000000002000000000000000000000000000f03f0000000000000000000000000000",
-        "00000000000000000000fdd42a03f202ef3d000000000000f03f000000000000000000000000",
-        "000000008b4dcb2fd270febf970dda2fd270ee3f000000000000f03f00000000000000000000",
-        "0000000000000000000000000000ea98a1116787103e000000000000f03f02bc366aa4e1ec3f",
-        "a2ba446aa4e1dcbf6db006a74f02f8bf674b38a74f02e83f0000000000000000000000000000",
-        "000000000000000000000000000000000000000000000000000000000000000000004845d982",
-        "9f04e03fa35dfa829f04d0bf0000000000000000000000000000000000000000000000000000",
-        "0000000000000400000000000000871cb7758f82f041877ef0ffffffff3f61fcee42dcf9ce41",
-        "64e2bdffffffff3f0400000000000000ccbcd4f97a5660409dd7387b08b3cdbfe4142fa1340a",
-        "63405d4c25afa0ffdfbf1baadf1737ba3341d98d27721e403a4154a9a304c31283419c15ebbe",
-        "d6d85341729b8736eafff73f9cf8eb27eafff73f013000000000000000200000000000000000",
-        "0000000000f03f0000000000000000000000000000000000000000000000006cc4e19d977ffe",
-        "3d000000000000f03f00000000000000000000000000000000ebd0b69ced95fbbf781bd19ced",
-        "95eb3f000000000000f03f000000000000000000000000000000000000000000000000a437e4",
-        "d73ea3f23d000000000000f03f65da2a42db2be73fe7ef4042db2bd7bfdc4d9413c51cfbbf5b",
-        "18a413c51ceb3f00000000000000000000000000000000000000000000000000000000000000",
-        "00000000000000000000000000000000006c0f652e8a39e63f2b01722e8a39d6bf0000000000",
-        "0000000000000000000000000000000000000000000000000000000400000000000000197615",
-        "c4aac9e0416880e1ffffffff3f9737bcc6a278eb41c15cedffffffff3f04000000000000009d",
-        "eb8e9228134b40ed8b7f6f08b3cdbfa13dbf70c9625240785a3527a0ffdfbf3b0fceac63cb59",
-        "41d4a08ebb52866141b64f61889b1e6f41b2170774f26b7841f5b30962e8fff73f787cf091e8",
-        "fff73f00000000000014406000000000000000c96f060a9b34323f50914fcd8172443e010200",
-        "0000000000e03f0000000000001840ae47e17a14aeef3f000000000000144060000000000000",
-        "00c96f060a9b34323f50914fcd8172443e00000000000000000000000000000000785c17c257",
-        "b4394000000100000071050000000000000003010b00000000000000",
-    );
-    let bytes: Vec<u8> = (0..V11_BLOB_HEX.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&V11_BLOB_HEX[i..i + 2], 16).unwrap())
-        .collect();
-    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 11);
-
-    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v11 blob must decode");
+    let bytes = v12_blob();
+    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v12 blob must decode");
     // upgrade-on-rewrite: re-snapshotted at once, the image is this
-    // build's encoding of the decoded state, 22 L-window cells smaller in
-    // each of the live series' 8 steady solvers
+    // build's encoding of the decoded state. The engine's and the warming
+    // override's options shrink from 22 bytes to 9, and the live head
+    // from its options, pending forecast and two 64-pair rings to a tag
+    // and φ.
     let rewritten = restored.snapshot_bytes().unwrap();
-    let decoded = oneshotstl_suite::fleet::codec::decode(&bytes).unwrap();
-    assert_eq!(rewritten, oneshotstl_suite::fleet::codec::encode(&decoded));
-    assert_eq!(bytes.len() - rewritten.len(), 8 * 22 * 8);
+    assert_eq!(u16::from_le_bytes([rewritten[8], rewritten[9]]), 13, "rewritten as v13");
+    let decoded = codec::decode(&bytes).unwrap();
+    assert_eq!(rewritten, codec::encode(&decoded));
+    assert_eq!(decoded.config.forecast, ForecastOptions { enabled: true, damping: 0.9 });
+    let v12_head = 1 + 22 + 9 + 2 * (8 + 64 * 8) + 24;
+    assert_eq!(bytes.len() - rewritten.len(), 2 * (22 - 9) + v12_head - 9);
     let stats = restored.stats().unwrap();
-    assert_eq!(stats.live, 1);
-    assert_eq!(stats.quarantined, 1);
-    assert_eq!((stats.evicted, stats.admitted), (1, 2), "v11 lifetime counters carried");
-    assert_eq!((stats.points, stats.anomalies), (300, 4));
-    assert_eq!(stats.wal_retries, 5, "v11 health counters carried");
-    assert_eq!(stats.shard_restarts, 6);
-    assert_eq!(stats.undurable_batches, 7);
-    assert_eq!(stats.cold_resident, 0, "the pinned image carries no cold state");
-    assert_eq!((stats.spills, stats.rehydrations, stats.cold_errors), (0, 0, 0));
+    assert_eq!((stats.live, stats.warming), (1, 1));
+    assert_eq!((stats.admitted, stats.points), (1, 140), "v12 lifetime counters carried");
 
-    // rebuild the blob's detector through the public API and continue the
-    // twin streams: the v11-restored engine must track it bit for bit
+    // rebuild the live series' detector through the public API
     let t = 12usize;
-    let y: Vec<f64> = (0..8 * t)
-        .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
-        .collect();
-    let mut twin = StdAnomalyDetector::with_score(
-        OneShotStl::new(OneShotStlConfig::default()),
-        5.0,
-        ScoreConfig::default(),
-    );
-    twin.init(&y[..4 * t], t).unwrap();
-    for &v in &y[4 * t..] {
-        twin.update_scored(v);
-    }
-    for i in 0..3 * t {
-        let x = 1.5
-            + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()
-            + if i == t { 4.0 } else { 0.0 };
+    let y = |i: usize| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin();
+    let twin_of = |values: &[f64]| {
+        let mut twin = StdAnomalyDetector::with_score(
+            OneShotStl::new(OneShotStlConfig::default()),
+            5.0,
+            ScoreConfig::default(),
+        );
+        twin.init(&values[..3 * t], t).unwrap();
+        for &v in &values[3 * t..] {
+            twin.update_scored(v);
+        }
+        twin
+    };
+    let forecast_bits = |twin: &StdAnomalyDetector<OneShotStl>, phi: f64| {
+        let mut out = vec![0.0; 2 * t];
+        twin.decomposer.forecast_into(phi, &mut out);
+        out.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+    };
+    let answer_bits = |engine: &FleetEngine, key: &str| {
+        let fc = engine.forecast_one(&SeriesKey::new(key), 2 * t).unwrap();
+        fc.expect("a live series forecasts").into_iter().map(f64::to_bits).collect::<Vec<_>>()
+    };
+    let mut live: Vec<f64> = (0..120).map(y).collect();
+    let mut twin = twin_of(&live);
+    // the restored head is φ = 0.9: the answer is `forecast_into(0.9)`
+    assert_eq!(answer_bits(&restored, "live"), forecast_bits(&twin, 0.9));
+
+    // continue the twin streams: the v12-restored engine tracks the twin
+    // bit for bit, forecasts included
+    for i in 120..156 {
+        let x = y(i) + if i == 132 { 4.0 } else { 0.0 };
+        live.push(x);
         let (pt, vt) = twin.update_scored(x);
-        let out = restored.ingest_one("live", 96 + i as u64, x).unwrap();
+        let out = restored.ingest_one("live", i as u64, x).unwrap();
         match &out.output {
             PointOutput::Scored { point, score, is_anomaly } => {
                 assert_eq!(point.residual.to_bits(), pt.residual.to_bits(), "i={i}");
@@ -849,17 +870,52 @@ fn pinned_v11_snapshot_blob_restores_and_continues_bit_identically() {
             }
             other => panic!("live series must score, got {other:?} at i={i}"),
         }
+        assert_eq!(answer_bits(&restored, "live"), forecast_bits(&twin, 0.9), "i={i}");
     }
 
-    // the v11-restored engine re-snapshots as v12 and the copy continues
-    // in lockstep with the original
-    let v12_bytes = restored.snapshot_bytes().unwrap();
-    assert_eq!(u16::from_le_bytes([v12_bytes[8], v12_bytes[9]]), 12, "rewritten as v12");
-    let mut upgraded = FleetEngine::restore_bytes(&v12_bytes).unwrap();
-    for i in 0..t {
-        let x = 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin();
-        let a = restored.ingest_one("live", 200 + i as u64, x).unwrap();
-        let b = upgraded.ingest_one("live", 200 + i as u64, x).unwrap();
-        assert_eq!(a.output, b.output, "v12 rewrite diverged at i={i}");
+    // the warming series admits with its override's head, φ = 0.5
+    let warm: Vec<f64> = (0..3 * t).map(|i| y(i) + 0.25).collect();
+    for (i, &v) in warm.iter().enumerate().skip(20) {
+        restored.ingest_one("warm", i as u64, v).unwrap();
     }
+    assert_eq!(answer_bits(&restored, "warm"), forecast_bits(&twin_of(&warm), 0.5));
+
+    // the v12-restored engine re-snapshots as v13 and the copy continues
+    // in lockstep with the original
+    let mut upgraded = FleetEngine::restore_bytes(&restored.snapshot_bytes().unwrap()).unwrap();
+    for i in 156..156 + t {
+        let a = restored.ingest_one("live", i as u64, y(i)).unwrap();
+        let b = upgraded.ingest_one("live", i as u64, y(i)).unwrap();
+        assert_eq!(a.output, b.output, "v13 rewrite diverged at i={i}");
+    }
+    assert_eq!(answer_bits(&restored, "live"), answer_bits(&upgraded, "live"));
+}
+
+/// A v12 image whose error fusion is on — engine-wide, in a warming
+/// series' override, or in a live series' head — is refused with a typed
+/// error: this build cannot raise the drift alarm it asked for, and
+/// restoring it without one would silently change its verdicts. An image
+/// two versions old is refused outright.
+#[test]
+fn v12_images_asking_for_the_drift_alarm_and_v11_images_are_refused() {
+    use oneshotstl_suite::fleet::{codec, CodecError};
+
+    let bytes = v12_blob();
+    let engine_and_live = v12_forecast_options_at(&bytes, 0.9, 64, 1.5);
+    let warm_override = v12_forecast_options_at(&bytes, 0.5, 16, 0.75);
+    assert_eq!((engine_and_live.len(), warm_override.len()), (2, 1));
+    for at in engine_and_live.into_iter().chain(warm_override) {
+        let mut fused = bytes.clone();
+        // tag, damping and error window, then the fusion flag
+        fused[at + 1 + 8 + 4] = 1;
+        assert_eq!(
+            codec::decode(&fused),
+            Err(CodecError::Invalid("forecast error fusion (retired in v13)")),
+            "fusion flag at byte {at}"
+        );
+        assert!(FleetEngine::restore_bytes(&fused).is_err());
+    }
+    let mut v11 = bytes;
+    v11[8..10].copy_from_slice(&11u16.to_le_bytes());
+    assert_eq!(codec::decode(&v11), Err(CodecError::UnsupportedVersion(11)));
 }
