@@ -12,9 +12,8 @@
 //! - full IRLS trials per flagged point (the cost the pruning bounds),
 //! - wall time per update.
 //!
-//! A second sweep compares `iters: 4` vs `iters: 8` (accuracy vs
-//! per-series state footprint — ROADMAP's "shrink per-series state" open
-//! question).
+//! A second sweep compares `iters` 4, 6 (the fleet default) and 8 (the
+//! paper's) for accuracy, per-series state footprint and update cost.
 //!
 //! Modes: the default run emits `BENCH_shift_ablation.json` plus a
 //! markdown report under `target/experiments/`; `--quick`/`--smoke` writes
@@ -180,7 +179,7 @@ fn main() {
         rows.push(row);
     }
 
-    // ── sweep 2: iters 4 vs 8 (accuracy vs footprint) ───────────────────
+    // ── sweep 2: iters 4, 6, 8 (accuracy vs footprint) ──────────────────
     struct ItersRow {
         iters: usize,
         mae: f64,
@@ -188,7 +187,7 @@ fn main() {
         ns_per_update: f64,
     }
     let mut iters_rows: Vec<ItersRow> = Vec::new();
-    for iters in [4usize, 8] {
+    for iters in [4usize, 6, 8] {
         let mut mae = 0.0;
         let mut ns = 0.0;
         let mut bytes = 0usize;

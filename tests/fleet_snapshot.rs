@@ -891,6 +891,110 @@ fn pinned_v12_snapshot_blob_restores_and_continues_bit_identically() {
     assert_eq!(answer_bits(&restored, "live"), answer_bits(&upgraded, "live"));
 }
 
+/// An image written by an engine running the paper's 8 IRLS iterations
+/// — every image recorded before the fleet default moved to 6 — restores
+/// at 8. Its config and every series carry their detector config, so its
+/// series continue bit-identically to an 8-iteration twin, and a key
+/// first seen after the restore is admitted at 8 as well. Only engines
+/// built by `new`/`create` take the fleet default.
+#[test]
+fn an_image_written_at_eight_irls_iterations_restores_and_admits_at_eight() {
+    use oneshotstl_suite::core::{
+        OneShotStl, OneShotStlConfig, ScoreConfig, StdAnomalyDetector,
+    };
+
+    let t = 12usize;
+    let init_len = 3 * t;
+    let paper = OneShotStlConfig::default();
+    assert_eq!(paper.iters, 8);
+    let y = |k: usize, i: usize| {
+        let noise = ((i * 7919 + k * 104_729) % 97) as f64 / 97.0 - 0.5;
+        let spike = if i % 29 == 17 { 3.0 } else { 0.0 };
+        1.0 + 0.5 * k as f64
+            + 0.01 * i as f64
+            + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()
+            + 0.3 * noise
+            + spike
+    };
+    let twin_at = |iters: usize, values: &[f64]| {
+        let mut twin = StdAnomalyDetector::with_score(
+            OneShotStl::new(OneShotStlConfig { iters, ..OneShotStlConfig::default() }),
+            5.0,
+            ScoreConfig::default(),
+        );
+        twin.init(&values[..init_len], t).unwrap();
+        for &v in &values[init_len..] {
+            twin.update_scored(v);
+        }
+        twin
+    };
+    // (residual, trend, seasonal, score) bits of one scored point
+    let bits = |out: &PointOutput| match out {
+        PointOutput::Scored { point, score, .. } => [
+            point.residual.to_bits(),
+            point.trend.to_bits(),
+            point.seasonal.to_bits(),
+            score.to_bits(),
+        ],
+        other => panic!("a live series must score, got {other:?}"),
+    };
+
+    let config = FleetConfig {
+        shards: 2,
+        period: PeriodPolicy::Fixed(t),
+        detector: paper.clone(),
+        ..Default::default()
+    };
+    let keys = ["a", "b", "c"];
+    let warm = 60usize;
+    let mut engine = FleetEngine::new(config).unwrap();
+    for i in 0..warm {
+        for (k, key) in keys.iter().enumerate() {
+            engine.ingest_one(*key, i as u64, y(k, i)).unwrap();
+        }
+    }
+    let bytes = engine.snapshot_bytes().unwrap();
+    drop(engine);
+    let mut restored = FleetEngine::restore_bytes(&bytes).unwrap();
+    assert_eq!(restored.config().detector, paper, "the image's detector config is kept");
+
+    // the restored series continue in lockstep with 8-iteration twins; a
+    // 6-iteration twin departs from them, so the check tells 8 from 6
+    let mut twins: Vec<_> = (0..keys.len())
+        .map(|k| twin_at(8, &(0..warm).map(|i| y(k, i)).collect::<Vec<_>>()))
+        .collect();
+    let mut six: Vec<_> = (0..keys.len())
+        .map(|k| twin_at(6, &(0..warm).map(|i| y(k, i)).collect::<Vec<_>>()))
+        .collect();
+    let mut departed = false;
+    for i in warm..warm + 2 * t {
+        for (k, key) in keys.iter().enumerate() {
+            let out = restored.ingest_one(*key, i as u64, y(k, i)).unwrap();
+            let (pt, v) = twins[k].update_scored(y(k, i));
+            let want = [pt.residual, pt.trend, pt.seasonal, v.score].map(f64::to_bits);
+            assert_eq!(bits(&out.output), want, "restored {key} diverged at i={i}");
+            let (p6, v6) = six[k].update_scored(y(k, i));
+            departed |=
+                [p6.residual, p6.trend, p6.seasonal, v6.score].map(f64::to_bits) != want;
+        }
+    }
+    assert!(departed, "6 and 8 iterations must be told apart");
+
+    // a key first seen after the restore is admitted at the image's 8
+    let late: Vec<f64> = (0..init_len + 2 * t).map(|i| y(7, i)).collect();
+    let mut twin = twin_at(8, &late[..init_len]);
+    for (i, &v) in late.iter().enumerate() {
+        let out = restored.ingest_one("late", (warm + 2 * t + i) as u64, v).unwrap();
+        if i < init_len {
+            assert!(!matches!(out.output, PointOutput::Scored { .. }), "warming at i={i}");
+            continue;
+        }
+        let (pt, vt) = twin.update_scored(v);
+        let want = [pt.residual, pt.trend, pt.seasonal, vt.score].map(f64::to_bits);
+        assert_eq!(bits(&out.output), want, "late key diverged at i={i}");
+    }
+}
+
 /// A v12 image whose error fusion is on — engine-wide, in a warming
 /// series' override, or in a live series' head — is refused with a typed
 /// error: this build cannot raise the drift alarm it asked for, and
