@@ -31,6 +31,9 @@
 //! on h = 1 sMAPE over the seasonal family, or when, on the trended
 //! family, the STL forecast at the fleet's IRLS iteration count is more
 //! than 2% worse in MAE than at the paper's `I = 8`, at any horizon.
+//! `--smoke` shrinks the seasonal family and the fleet, never the trended
+//! family: at 4 series × 12 cycles, 5 iterations read +1.9% and passed,
+//! while the full 12 × 24 reads +4.2–4.6%.
 //!
 //! The STL models decompose with the fleet's iteration count
 //! (`FleetConfig::default().detector.iters`); the `STL+trend(I=8)` row is
@@ -254,13 +257,15 @@ fn main() {
     let cli = Cli::parse();
     let quick = cli.quick;
 
-    let (n_series, len) = if quick { (4, 12 * PERIOD) } else { (12, 24 * PERIOD) };
+    let full = (12, 24 * PERIOD);
+    let (n_series, len) = if quick { (4, 12 * PERIOD) } else { full };
     let train_len = 6 * PERIOD;
     let tsf_lambdas = Lambdas { lambda1: 1.0, lambda2: 100.0, anchor: 1.0 };
 
     eprintln!("[forecast_bench] streaming multi-horizon evaluation (T = {PERIOD})...");
     let seasonal = family(n_series, len, 0.0, 42);
-    let trended = family(n_series, len, 0.05, 1042);
+    // the IRLS gate's 2% bar needs the full trended family (module docs)
+    let trended = family(full.0, full.1, 0.05, 1042);
     let seasonal_rows = run_family("seasonal", &seasonal, train_len, Lambdas::default());
     let trended_rows = run_family("trended", &trended, train_len, tsf_lambdas);
 

@@ -44,6 +44,7 @@ use crate::online_doolittle::IncrementalSolver;
 use crate::system::{Lambdas, TailData};
 use decomp::traits::{BatchDecomposer, OnlineDecomposer};
 use decomp::{Stl, StlConfig};
+use std::sync::Arc;
 use tskit::error::{Result, TsError};
 use tskit::series::{DecompPoint, Decomposition};
 
@@ -236,7 +237,8 @@ struct TrialOut {
 /// candidate-offset scratch of the pruned search. Allocated once; the
 /// steady-state `update` path — including every §3.4 shift search, pruned
 /// or exhaustive — performs **zero heap allocations** (pinned by
-/// `tests/zero_alloc.rs`).
+/// `tests/zero_alloc.rs`). A model holds none inline: it borrows an
+/// [`UpdateScratch`], or boxes its own on its first plain `update`.
 #[derive(Debug, Clone, Default)]
 struct TrialBufs<S: TailSolver> {
     base: Vec<IterState<S>>,
@@ -255,12 +257,13 @@ struct TrialBufs<S: TailSolver> {
 
 /// Shareable trial scratch for [`OnlineJointStl::update_with_scratch`].
 ///
-/// A model's plain [`OnlineDecomposer::update`] uses an internal scratch,
-/// which is ideal for a single hot stream. A host multiplexing *many*
-/// models on one thread (the `fleet` shard worker) should instead own one
-/// `UpdateScratch` per thread and pass it to every model's
-/// `update_with_scratch`: the scratch stays hot in cache across series and
-/// per-model scratch memory drops to zero. Buffers are sized lazily on
+/// A model's plain [`OnlineDecomposer::update`] boxes a scratch of its own
+/// on first use, which is ideal for a single hot stream. A host
+/// multiplexing *many* models on one thread (the `fleet` shard worker)
+/// should instead own one `UpdateScratch` per thread and pass it to every
+/// model's `update_with_scratch`: the scratch stays hot in cache across
+/// series, and a model that never runs a plain `update` holds no scratch
+/// at all (an 8-byte empty `Option<Box<…>>`). Buffers are sized lazily on
 /// first use and resized automatically if models disagree on `iters`.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateScratch<S: TailSolver>(TrialBufs<S>);
@@ -269,8 +272,9 @@ pub struct UpdateScratch<S: TailSolver>(TrialBufs<S>);
 /// [`OneShotStl`] alias for the paper's `O(1)` algorithm.
 #[derive(Debug, Clone)]
 pub struct OnlineJointStl<S: TailSolver> {
-    /// Configuration (λ, I, H, n, policies).
-    pub config: OneShotStlConfig,
+    /// Configuration (λ, I, H, n, policies), behind an `Arc` so that many
+    /// models tuned alike (a fleet shard's series) point at one copy.
+    pub config: Arc<OneShotStlConfig>,
     period: usize,
     /// Global time index of the next arriving point.
     t: u64,
@@ -289,8 +293,10 @@ pub struct OnlineJointStl<S: TailSolver> {
     /// the previous cycle and letting the trend/seasonal split drift.
     u_hist: [f64; 2],
     iters: Vec<IterState<S>>,
-    /// Reusable trial buffers (never serialized; rebuilt lazily).
-    scratch: TrialBufs<S>,
+    /// The plain `update`'s trial buffers, boxed on its first call (never
+    /// serialized; `None` for a model stepped only through
+    /// [`Self::update_with_scratch`]).
+    scratch: Option<Box<TrialBufs<S>>>,
     nsigma: NSigma,
     initialized: bool,
     /// Lifetime count of §3.4 shift searches run (flagged points).
@@ -307,8 +313,8 @@ pub type OneShotStl = OnlineJointStl<IncrementalSolver>;
 
 impl OneShotStl {
     /// Creates a OneShotSTL instance (call [`OnlineDecomposer::init`]
-    /// before updating).
-    pub fn new(config: OneShotStlConfig) -> Self {
+    /// before updating). Pass an `Arc` to share one config among models.
+    pub fn new(config: impl Into<Arc<OneShotStlConfig>>) -> Self {
         OnlineJointStl::with_solver(config)
     }
 
@@ -323,7 +329,7 @@ impl OneShotStl {
     /// bit-identical to continuing the original.
     pub fn to_state(&self) -> OneShotStlState {
         OneShotStlState {
-            config: self.config.clone(),
+            config: OneShotStlConfig::clone(&self.config),
             period: self.period as u64,
             t: self.t,
             m: self.m as u64,
@@ -396,7 +402,7 @@ impl OneShotStl {
             });
         }
         Ok(OnlineJointStl {
-            config: state.config,
+            config: Arc::new(state.config),
             period,
             t: state.t,
             m: state.m as usize,
@@ -405,7 +411,7 @@ impl OneShotStl {
             y_hist: state.y_hist,
             u_hist: state.u_hist,
             iters,
-            scratch: TrialBufs::default(),
+            scratch: None,
             nsigma: NSigma::from_state(state.nsigma),
             initialized: state.initialized,
             searches: 0,
@@ -500,9 +506,9 @@ impl<S: TailSolver> Default for OnlineJointStl<S> {
 impl<S: TailSolver> OnlineJointStl<S> {
     /// Generic constructor used by both the `O(1)` and the reference
     /// instantiation.
-    pub fn with_solver(config: OneShotStlConfig) -> Self {
+    pub fn with_solver(config: impl Into<Arc<OneShotStlConfig>>) -> Self {
         OnlineJointStl {
-            config,
+            config: config.into(),
             period: 0,
             t: 0,
             m: 0,
@@ -511,7 +517,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
             y_hist: [0.0; 2],
             u_hist: [0.0; 2],
             iters: Vec::new(),
-            scratch: TrialBufs::default(),
+            scratch: None,
             nsigma: NSigma::new(5.0),
             initialized: false,
             searches: 0,
@@ -651,7 +657,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
             }
         }
         self.size_trial_buf(out);
-        let eps = self.config.eps;
+        let OneShotStlConfig { eps, lambdas, .. } = *self.config;
         let mut p_fresh = 1.0;
         let mut q_fresh = 1.0;
         let mut tau = 0.0;
@@ -659,7 +665,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
         for (src, dst) in self.iters.iter().zip(out.iter_mut()) {
             let p3 = [src.pw_hist[0], src.pw_hist[1], p_fresh];
             let q3 = [src.qw_hist[0], src.qw_hist[1], q_fresh];
-            let tail = TailData { m: m_new, y3, u3, p3, q3, lambdas: self.config.lambdas };
+            let tail = TailData { m: m_new, y3, u3, p3, q3, lambdas };
             let (t_i, s_i) = src.solver.step_from(&tail, &mut dst.solver);
             let next_p = 1.0 / (2.0 * (t_i - src.tau_hist[1]).abs().max(eps));
             let next_q =
@@ -930,11 +936,11 @@ impl<S: TailSolver> OnlineDecomposer for OnlineJointStl<S> {
     fn update(&mut self, y: f64) -> DecompPoint {
         assert!(self.initialized, "OneShotSTL::update called before init");
         let y = self.impute(y);
-        // move the trial buffers out so trials can borrow committed state;
-        // `mem::take` leaves empty Vecs behind (no allocation)
-        let mut bufs = std::mem::take(&mut self.scratch);
+        // move the trial buffers out so trials can borrow committed state
+        // (a pointer move; only the first call allocates the box)
+        let mut bufs = self.scratch.take().unwrap_or_default();
         let point = self.update_with(y, &mut bufs);
-        self.scratch = bufs;
+        self.scratch = Some(bufs);
         point
     }
 }

@@ -297,4 +297,51 @@ mod tests {
         let f = StdForecaster::new(OneShotStl::default_paper());
         f.predict(1);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        /// The decomposer's shift trigger and the scorer each keep an
+        /// NSigma over the same residual stream. Both are seeded from the
+        /// initialization residuals and absorb every later residual under
+        /// the same rule (a non-finite one, or one whose square overflows,
+        /// is skipped by both), so their `count`/`sum`/`sum_sq` stay
+        /// bit-equal at every step, under the fused scorer and under
+        /// `ScoreConfig::off()`. The streams carry spikes (one of them
+        /// large enough to overflow the sum of squares), NaN and ±∞.
+        #[test]
+        fn prop_trigger_and_scorer_nsigma_stay_bit_equal(seed in 0u64..100_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = [7usize, 12, 24][rng.gen_range(0..3)];
+            let iters = [6usize, 8][rng.gen_range(0..2)];
+            let n = 4 * t + 1_200;
+            let huge_at = rng.gen_range(4 * t..n);
+            let y: Vec<f64> = (0..n)
+                .map(|i| {
+                    let v = 1.0
+                        + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()
+                        + 0.05 * rng.gen_range(-1.0..1.0);
+                    match rng.gen_range(0..200) {
+                        // the init window stays clean (`init` rejects NaN)
+                        _ if i < 4 * t => v,
+                        _ if i == huge_at => 1e160,
+                        0..=3 => v + rng.gen_range(-50.0..50.0),
+                        4 => f64::NAN,
+                        5 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2)],
+                        _ => v,
+                    }
+                })
+                .collect();
+            let sums = |s: crate::nsigma::NSigmaState| (s.count, s.sum.to_bits(), s.sum_sq.to_bits());
+            for score in [ScoreConfig::default(), ScoreConfig::off()] {
+                let config = OneShotStlConfig { iters, ..Default::default() };
+                let mut det = StdAnomalyDetector::with_score(OneShotStl::new(config), 5.0, score);
+                det.init(&y[..4 * t], t).unwrap();
+                for (i, &v) in y[4 * t..].iter().enumerate() {
+                    det.update_scored(v);
+                    let trigger = sums(det.decomposer.to_state().nsigma);
+                    proptest::prop_assert_eq!(trigger, sums(det.nsigma().to_state()), "step {}", i);
+                }
+            }
+        }
+    }
 }

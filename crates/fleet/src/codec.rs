@@ -1288,9 +1288,12 @@ mod tests {
     #[test]
     fn wrong_irls_iteration_count_fails_the_restore() {
         let config = FleetConfig::fixed_period(12);
+        let shared = crate::series::Shared::new(&config);
         let live = sample_live_series();
         let intact = decode_series_blob(&encode_series_blob(&live)).unwrap();
-        assert!(crate::series::SeriesState::from_snapshot(intact.phase, &config).is_ok());
+        let restore =
+            |phase| crate::series::SeriesState::from_snapshot(phase, &config, &shared);
+        assert!(restore(intact.phase).is_ok());
         for keep in [0, 3] {
             let mut doctored = live.clone();
             let PhaseSnapshot::Live { decomposer, .. } = &mut doctored.phase else {
@@ -1299,10 +1302,7 @@ mod tests {
             decomposer.iters.truncate(keep);
             let back = decode_series_blob(&encode_series_blob(&doctored))
                 .expect("the codec reads any iteration count");
-            assert!(
-                crate::series::SeriesState::from_snapshot(back.phase, &config).is_err(),
-                "{keep} iteration states restored"
-            );
+            assert!(restore(back.phase).is_err(), "{keep} iteration states restored");
         }
     }
 

@@ -221,7 +221,7 @@ impl FleetEngine {
         }
         for s in snapshot.series {
             let shard = s.key.shard_of(shards);
-            let state = SeriesState::from_snapshot(s.phase, &config)?;
+            let state = SeriesState::from_snapshot(s.phase, &config, &states[shard].shared)?;
             // series arrive sorted by key, so each shard's arena is
             // admitted — and its buffers allocated — in key order
             states[shard].registry.insert(SeriesEntry {

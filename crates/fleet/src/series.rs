@@ -11,22 +11,63 @@
 use crate::backend::{BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, FleetConfig, PeriodPolicy};
 use crate::types::PointOutput;
+use oneshotstl::system::Lambdas;
 use oneshotstl::{
-    IncrementalSolver, OneShotStl, OneShotStlState, ResidualScorer, ResidualScorerState,
-    StdAnomalyDetector, UpdateScratch,
+    IncrementalSolver, OneShotStl, OneShotStlConfig, OneShotStlState, ResidualScorer,
+    ResidualScorerState, StdAnomalyDetector, UpdateScratch,
 };
+use std::sync::Arc;
 use tskit::period::detect_period;
 
-/// The trial scratch every live series on a shard shares (see
-/// [`oneshotstl::UpdateScratch`]): one hot buffer per worker thread
-/// instead of ~3 KiB of cold scratch per series.
-pub type SharedScratch = UpdateScratch<IncrementalSolver>;
+/// What the series of one shard share instead of each holding a copy.
+#[derive(Debug)]
+pub struct Shared {
+    /// The trial scratch of every live update (see
+    /// [`oneshotstl::UpdateScratch`]): one hot buffer per worker thread,
+    /// none in any series.
+    pub scratch: UpdateScratch<IncrementalSolver>,
+    /// The engine's [`FleetConfig::detector`]. Every series whose
+    /// detector config equals it holds this `Arc`, not a copy.
+    pub detector: Arc<OneShotStlConfig>,
+}
+
+impl Shared {
+    /// An empty scratch and `config`'s detector config.
+    pub fn new(config: &FleetConfig) -> Self {
+        Shared {
+            scratch: UpdateScratch::default(),
+            detector: Arc::new(config.detector.clone()),
+        }
+    }
+}
+
+/// Whether two detector configs are equal bit for bit. `==` would also
+/// match `0.0` with `-0.0`, and a series must keep the exact config it
+/// was admitted or imaged with.
+fn same_config(a: &OneShotStlConfig, b: &OneShotStlConfig) -> bool {
+    // exhaustive, so a new config field cannot be left out of the check
+    let fields = |c: &OneShotStlConfig| {
+        let OneShotStlConfig {
+            lambdas: Lambdas { lambda1, lambda2, anchor },
+            iters,
+            shift_window,
+            nsigma,
+            shift_policy,
+            shift_search,
+            shift_accept_ratio,
+            init,
+            eps,
+        } = *c;
+        let floats = [lambda1, lambda2, anchor, nsigma, shift_accept_ratio, eps];
+        (floats.map(f64::to_bits), iters, shift_window, shift_policy, shift_search, init)
+    };
+    fields(a) == fields(b)
+}
 
 /// One registered series: either buffering toward admission or live.
-// the Live variant dominates the size on purpose: almost every registry
-// entry is live at steady state, so boxing would only add a pointer chase
-// to the hot scoring path
-#[allow(clippy::large_enum_variant)]
+// the Live variant (312 B) sets the size on purpose: almost every registry
+// entry is live at steady state, so boxing it would only add a pointer
+// chase to the hot scoring path
 #[derive(Debug)]
 pub enum SeriesState {
     /// Accumulating raw points until `init_len = k·T` arrive.
@@ -87,8 +128,9 @@ pub struct LiveSeries {
     pub forecast: Option<f64>,
     /// The detection backend running on top of (or instead of) the fused
     /// scorer's verdict (`None` under [`crate::BackendSelect::Fused`] —
-    /// the common case, costing nothing on the scoring path).
-    pub backend: Option<SeriesBackend>,
+    /// the common case, costing nothing on the scoring path and 8 bytes
+    /// in the entry).
+    pub backend: Option<Box<SeriesBackend>>,
 }
 
 /// What processing one point did to a series.
@@ -202,13 +244,13 @@ impl SeriesState {
         SeriesState::Warming(Warmup::with_overrides(config, overrides))
     }
 
-    /// Processes one arriving value. `scratch` is the caller's (typically
-    /// per-shard) trial scratch for live-series updates.
+    /// Processes one arriving value. `shared` is the caller's (typically
+    /// per-shard) trial scratch and shared detector config.
     pub fn step(
         &mut self,
         value: f64,
         config: &FleetConfig,
-        scratch: &mut SharedScratch,
+        shared: &mut Shared,
     ) -> StepOutcome {
         match self {
             SeriesState::Rejected => StepOutcome::Output(PointOutput::Rejected),
@@ -218,7 +260,8 @@ impl SeriesState {
             }
             SeriesState::Live(live) => {
                 // the detector's own NSigma owns the threshold rule
-                let (point, verdict) = live.detector.update_scored_with(value, scratch);
+                let (point, verdict) =
+                    live.detector.update_scored_with(value, &mut shared.scratch);
                 // a non-finite decomposition means the detector state is
                 // numerically wrecked (warm-up imputes non-finite inputs,
                 // so this is state corruption, not a bad input): quarantine
@@ -263,7 +306,7 @@ impl SeriesState {
                 let buffered = w.values.len();
                 if let Some(t) = w.period {
                     if buffered >= config.init_len(t) {
-                        return self.promote(t, config);
+                        return self.promote(t, config, shared);
                     }
                     // period known: keep buffering toward init_len even
                     // past the cap (growth stays bounded by
@@ -276,7 +319,7 @@ impl SeriesState {
                     }
                     if let Some(t) = w.period {
                         if buffered >= config.init_len(t) {
-                            return self.promote(t, config);
+                            return self.promote(t, config, shared);
                         }
                         return StepOutcome::Output(PointOutput::Warming {
                             buffered,
@@ -292,7 +335,7 @@ impl SeriesState {
                         // points for it are buffered (cap can be below k·T
                         // for a custom max_warmup)
                         Some(t) if buffered >= config.init_len(t) => {
-                            return self.promote(t, config);
+                            return self.promote(t, config, shared);
                         }
                         Some(_) => {}
                         None => {
@@ -308,16 +351,23 @@ impl SeriesState {
 
     /// Promotes a warming series: initializes a detector on the whole
     /// buffer. On a (rare) init failure the series is tomb-stoned.
-    fn promote(&mut self, period: usize, config: &FleetConfig) -> StepOutcome {
+    fn promote(&mut self, period: usize, config: &FleetConfig, shared: &Shared) -> StepOutcome {
         let SeriesState::Warming(w) = self else {
             unreachable!("promote called on a non-warming series");
         };
         let buffered = w.values.len();
         // per-series overrides are baked into the detector here: from this
         // point on the tuning lives inside the live state (and its
-        // snapshots), not in the fleet config
+        // snapshots), not in the fleet config; without a detector override
+        // that tuning is the shared config itself
+        let own = w.overrides.detector_config(config);
+        let tuning = if same_config(&own, &shared.detector) {
+            Arc::clone(&shared.detector)
+        } else {
+            Arc::new(own)
+        };
         let mut detector = StdAnomalyDetector::with_score(
-            OneShotStl::new(w.overrides.detector_config(config)),
+            OneShotStl::new(tuning),
             w.overrides.task_nsigma(config),
             w.overrides.task_score(config),
         );
@@ -328,7 +378,8 @@ impl SeriesState {
                 let backend = SeriesBackend::build(
                     w.overrides.task_backend(config),
                     w.overrides.task_nsigma(config),
-                );
+                )
+                .map(Box::new);
                 *self = SeriesState::Live(LiveSeries { detector, forecast, backend });
                 StepOutcome::Promoted(PointOutput::Warming { buffered, needed: Some(buffered) })
             }
@@ -394,7 +445,7 @@ impl SeriesState {
                 decomposer: live.detector.decomposer.to_state(),
                 scorer: live.detector.scorer().to_state(),
                 forecast: live.forecast,
-                backend: live.backend.as_ref().map(SeriesBackend::to_snapshot),
+                backend: live.backend.as_deref().map(SeriesBackend::to_snapshot),
             },
             SeriesState::Rejected => PhaseSnapshot::Rejected,
             SeriesState::Quarantined { cause, dropped } => {
@@ -403,10 +454,12 @@ impl SeriesState {
         }
     }
 
-    /// Rebuilds a series from its snapshot.
+    /// Rebuilds a series from its snapshot. A live series whose detector
+    /// config equals `shared.detector` bit for bit holds that `Arc`.
     pub fn from_snapshot(
         snapshot: PhaseSnapshot,
         config: &FleetConfig,
+        shared: &Shared,
     ) -> Result<Self, tskit::error::TsError> {
         Ok(match snapshot {
             PhaseSnapshot::Warming { values, period, last_attempt, overrides } => {
@@ -427,18 +480,24 @@ impl SeriesState {
                         msg: "live series with uninitialized decomposer".into(),
                     });
                 }
+                let mut decomposer = OneShotStl::from_state(decomposer)?;
+                if same_config(&decomposer.config, &shared.detector) {
+                    decomposer.config = Arc::clone(&shared.detector);
+                }
                 SeriesState::Live(LiveSeries {
                     detector: StdAnomalyDetector::from_parts(
-                        OneShotStl::from_state(decomposer)?,
+                        decomposer,
                         ResidualScorer::from_state(scorer),
                     ),
                     forecast,
-                    backend: backend.map(SeriesBackend::from_snapshot).transpose().map_err(
-                        |msg| tskit::error::TsError::InvalidParam {
+                    backend: backend
+                        .map(SeriesBackend::from_snapshot)
+                        .transpose()
+                        .map_err(|msg| tskit::error::TsError::InvalidParam {
                             name: "BackendSnapshot",
                             msg,
-                        },
-                    )?,
+                        })?
+                        .map(Box::new),
                 })
             }
             PhaseSnapshot::Rejected => SeriesState::Rejected,
@@ -465,7 +524,7 @@ mod tests {
         let cfg = FleetConfig::fixed_period(24);
         let need = cfg.init_len(24);
         let y = seasonal(need + 10, 24);
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut s = SeriesState::new(&cfg);
         // a leading NaN (nothing to impute from) is dropped, not buffered
         match s.step(f64::NAN, &cfg, &mut scr) {
@@ -496,7 +555,7 @@ mod tests {
             ..Default::default()
         };
         let y = seasonal(400, 48);
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut s = SeriesState::new(&cfg);
         let mut promoted = None;
         for (i, &v) in y.iter().enumerate() {
@@ -527,14 +586,14 @@ mod tests {
             forecast: None,
             backend: None,
         };
-        assert!(SeriesState::from_snapshot(snap, &cfg).is_err());
+        assert!(SeriesState::from_snapshot(snap, &cfg, &Shared::new(&cfg)).is_err());
     }
 
     #[test]
     fn fixed_period_series_admits_at_init_len() {
         let cfg = FleetConfig::fixed_period(24);
         let need = cfg.init_len(24);
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut s = SeriesState::new(&cfg);
         let y = seasonal(need + 10, 24);
         for (i, &v) in y.iter().enumerate() {
@@ -566,7 +625,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut s = SeriesState::new(&cfg);
         let y = seasonal(400, 24);
         let mut promoted_at = None;
@@ -597,7 +656,7 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(9);
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut s = SeriesState::new(&cfg);
         let mut rejected = false;
         for _ in 0..200 {
@@ -619,7 +678,7 @@ mod tests {
         cfg.forecast = ForecastOptions { damping: 0.9, ..ForecastOptions::on() };
         let off =
             AdmitOptions { forecast: Some(ForecastOptions::default()), ..Default::default() };
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut headed = SeriesState::new(&cfg);
         let mut plain = SeriesState::with_overrides(&cfg, off);
         for &v in &seasonal(100, 24) {
@@ -639,12 +698,12 @@ mod tests {
         let mut cfg = FleetConfig::fixed_period(16);
         cfg.forecast = ForecastOptions { damping: 0.9, ..ForecastOptions::on() };
         let y = seasonal(400, 16);
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut a = SeriesState::new(&cfg);
         for &v in &y[..200] {
             a.step(v, &cfg, &mut scr);
         }
-        let mut b = SeriesState::from_snapshot(a.to_snapshot(), &cfg).unwrap();
+        let mut b = SeriesState::from_snapshot(a.to_snapshot(), &cfg, &scr).unwrap();
         for &v in &y[200..] {
             match (a.step(v, &cfg, &mut scr), b.step(v, &cfg, &mut scr)) {
                 (StepOutcome::Output(oa), StepOutcome::Output(ob)) => assert_eq!(oa, ob),
@@ -665,13 +724,13 @@ mod tests {
     fn snapshot_roundtrip_continues_bit_identically() {
         let cfg = FleetConfig::fixed_period(16);
         let y = seasonal(400, 16);
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut a = SeriesState::new(&cfg);
         for &v in &y[..200] {
             a.step(v, &cfg, &mut scr);
         }
         let snap = a.to_snapshot();
-        let mut b = SeriesState::from_snapshot(snap, &cfg).unwrap();
+        let mut b = SeriesState::from_snapshot(snap, &cfg, &scr).unwrap();
         for &v in &y[200..] {
             let (ra, rb) = (a.step(v, &cfg, &mut scr), b.step(v, &cfg, &mut scr));
             match (ra, rb) {
@@ -696,12 +755,12 @@ mod tests {
             ..Default::default()
         };
         let y = seasonal(400, 24);
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut a = SeriesState::new(&cfg);
         for &v in &y[..40] {
             a.step(v, &cfg, &mut scr);
         }
-        let mut b = SeriesState::from_snapshot(a.to_snapshot(), &cfg).unwrap();
+        let mut b = SeriesState::from_snapshot(a.to_snapshot(), &cfg, &scr).unwrap();
         let mut admitted = (None, None);
         for (i, &v) in y[40..].iter().enumerate() {
             if let StepOutcome::Promoted(_) = a.step(v, &cfg, &mut scr) {
@@ -718,7 +777,7 @@ mod tests {
     #[test]
     fn quarantined_series_drops_counts_and_roundtrips() {
         let cfg = FleetConfig::fixed_period(8);
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut s = SeriesState::Quarantined { cause: QuarantineCause::Panic, dropped: 0 };
         for i in 1..=5u64 {
             match s.step(1.0, &cfg, &mut scr) {
@@ -727,7 +786,7 @@ mod tests {
             }
             assert!(matches!(s, SeriesState::Quarantined { dropped, .. } if dropped == i));
         }
-        let mut r = SeriesState::from_snapshot(s.to_snapshot(), &cfg).unwrap();
+        let mut r = SeriesState::from_snapshot(s.to_snapshot(), &cfg, &scr).unwrap();
         assert!(matches!(
             r,
             SeriesState::Quarantined { cause: QuarantineCause::Panic, dropped: 5 }
@@ -743,7 +802,7 @@ mod tests {
         // step: the series must move to Quarantined, not emit NaN forever
         let cfg = FleetConfig::fixed_period(16);
         let y = seasonal(200, 16);
-        let mut scr = SharedScratch::default();
+        let mut scr = Shared::new(&cfg);
         let mut s = SeriesState::new(&cfg);
         for &v in &y {
             s.step(v, &cfg, &mut scr);

@@ -24,9 +24,9 @@ use crate::config::{AdmitOptions, FleetConfig};
 use crate::error::FleetError;
 use crate::fault::{self, FaultOp};
 use crate::key_index::KeyIndex;
-use crate::series::{PhaseSnapshot, QuarantineCause, SeriesState, StepOutcome};
+use crate::series::{PhaseSnapshot, QuarantineCause, SeriesState, Shared, StepOutcome};
 use crate::types::{PointOutput, SeriesKey, ShardStats};
-use oneshotstl::{IncrementalSolver, UpdateScratch};
+use oneshotstl::UpdateScratch;
 use std::io::ErrorKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -54,13 +54,22 @@ pub struct SeriesEntry {
 /// stable hash to slot.
 ///
 /// The layout is the fleet's main cache lever. At 100k+ series the
-/// per-series state (a few KiB each) dwarfs every cache level, so what
-/// matters is the *order* the hot path walks it: processing a batch in
-/// ascending slot order makes the state walk the heap monotonically
-/// (slots are admission-ordered, and each entry's buffers were allocated
-/// at admission), which turns TLB-miss-bound random access into
-/// prefetch-friendly streaming — measured ~20× cheaper per point at the
-/// 100k tier. The index itself stays a few MiB (16 bytes per bucket),
+/// per-series state (~1.8 KiB each at `T = 24`: a 336 B entry, 1248 B of
+/// IRLS iteration states and the `T`-slot seasonal buffer) dwarfs every
+/// cache level, so what matters is the *order* the hot path walks it:
+/// processing a batch in ascending slot order walks the arena forward,
+/// and with it the heap blocks, which turns TLB-miss-bound random access
+/// into prefetch-friendly streaming — measured ~20× cheaper per point at
+/// the 100k tier. The arena is admission-ordered, and a series' seasonal
+/// buffer stays where admission (or restore, in key order) put it. Its
+/// iteration-state block does not stay: `OnlineJointStl::commit` swaps
+/// the series' `Vec` with the shard scratch's, so after a sweep each
+/// stepped series holds the block the stepped series before it held (the
+/// first one gets the last one's from the sweep before, and a series
+/// whose shift search adopted an offset takes one of the scratch's other
+/// two). The blocks rotate one series forward per sweep, so the walk
+/// stays monotonic but for that one wrap. The index itself stays a few
+/// MiB (16 bytes per bucket),
 /// i.e. cache-resident, and looking up a known series hashes nothing and
 /// clones no key when the caller supplies the precomputed hash.
 #[derive(Default)]
@@ -286,10 +295,10 @@ pub struct ShardState {
     pub registry: Registry,
     /// Engine configuration (shared, immutable).
     pub config: Arc<FleetConfig>,
-    /// One trial scratch shared by every series on this shard: the hot
-    /// buffers stay in cache across series and per-series scratch memory
-    /// is zero (see `oneshotstl::UpdateScratch`).
-    pub scratch: UpdateScratch<IncrementalSolver>,
+    /// What every series on this shard shares: one trial scratch, whose
+    /// hot buffers stay in cache across series (see
+    /// `oneshotstl::UpdateScratch`), and one detector config.
+    pub shared: Shared,
     /// Reusable `(slot, position)` buffer for slot-sorted batch
     /// processing.
     order: Vec<(u32, u32)>,
@@ -328,8 +337,8 @@ impl ShardState {
         ShardState {
             index,
             registry: Registry::default(),
+            shared: Shared::new(&config),
             config,
-            scratch: UpdateScratch::default(),
             order: Vec::new(),
             applied_seq: 0,
             cursor: None,
@@ -378,7 +387,8 @@ impl ShardState {
                 if snap.key != *key {
                     return None;
                 }
-                let state = SeriesState::from_snapshot(snap.phase, &self.config).ok()?;
+                let state =
+                    SeriesState::from_snapshot(snap.phase, &self.config, &self.shared).ok()?;
                 Some((snap.last_seen, state))
             }),
         };
@@ -404,14 +414,14 @@ impl ShardState {
         // series instead of unwinding the worker and sinking the shard
         let SeriesEntry { key, state, .. } = entry;
         let config = &self.config;
-        let scratch = &mut self.scratch;
+        let shared = &mut self.shared;
         let stepped = catch_unwind(AssertUnwindSafe(|| {
             // the injectable stand-in for "this series' update went bad"
             // (its sibling failure mode — a panic — is injected by a hook
             // that panics instead of returning an error)
             fault::check(FaultOp::SeriesStep, Path::new(key.as_str()))
                 .map_err(|_| QuarantineCause::NonFinite)?;
-            Ok(state.step(value, config, scratch))
+            Ok(state.step(value, config, shared))
         }));
         let outcome = match stepped {
             Ok(Ok(outcome)) => outcome,
@@ -422,7 +432,7 @@ impl ShardState {
             Err(_) => {
                 *state = SeriesState::Quarantined { cause: QuarantineCause::Panic, dropped: 1 };
                 // the shared trial scratch may be torn mid-update
-                self.scratch = UpdateScratch::default();
+                self.shared.scratch = UpdateScratch::default();
                 return PointOutput::Quarantined;
             }
         };
@@ -836,12 +846,95 @@ mod sweep_tests {
         [point.trend, point.seasonal, point.residual, *score].map(f64::to_bits)
     }
 
-    /// The registry's record of a series stays small: a live series'
-    /// forecast head is an `Option<f64>` (16 B) inline, not a tracker.
+    /// The registry's record of a series stays small: a live series holds
+    /// no trial scratch and points at its detector config, and its
+    /// forecast head (`Option<f64>`) and backend (`Option<Box<…>>`) are
+    /// 16 and 8 B inline.
     #[test]
     fn a_series_entry_fits_its_budget() {
         let size = std::mem::size_of::<SeriesEntry>();
-        assert!(size <= 672, "SeriesEntry is {size} B");
+        assert!(size <= 400, "SeriesEntry is {size} B");
+    }
+
+    /// Counts the heap blocks freed on each thread, for the footprint
+    /// test below. Per thread, because libtest runs the other tests of
+    /// this binary on threads of their own.
+    struct CountingAlloc;
+
+    thread_local! {
+        static FREES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            std::alloc::System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            FREES.with(|c| c.set(c.get() + 1));
+            std::alloc::System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    /// Heap blocks `state` owns: the blocks freed when it is dropped.
+    fn heap_blocks(state: SeriesState) -> u64 {
+        let before = FREES.with(|c| c.get());
+        drop(state);
+        FREES.with(|c| c.get()) - before
+    }
+
+    /// A live series on the default detector config owns exactly two heap
+    /// blocks, its IRLS iteration states and its seasonal buffer, and
+    /// points at the shard's shared config instead of a copy: after
+    /// admission and after a restore. A series whose override changes the
+    /// detector config owns that config, a third block; one whose override
+    /// resolves to the shared config shares it.
+    #[test]
+    fn a_live_series_owns_two_heap_blocks_and_the_shared_config() {
+        let config = Arc::new(FleetConfig::fixed_period(24));
+        let mut shard = ShardState::new(0, Arc::clone(&config));
+        let key = |k: usize| SeriesKey::new(format!("footprint/{k}"));
+        let same = AdmitOptions { nsigma: Some(config.detector.nsigma), ..Default::default() };
+        let tuned = AdmitOptions { lambda: Some(7.0), ..Default::default() };
+        shard.set_admit_options(&key(1), same, 0).unwrap();
+        shard.set_admit_options(&key(2), tuned, 0).unwrap();
+        // past admission and the solvers' 4-point warm-up (a warm-up solver
+        // keeps four history vectors)
+        for t in 0..config.init_len(24) as u64 + 8 {
+            let mut batch = ShardBatch::default();
+            for k in 0..3 {
+                let value =
+                    2.0 + (2.0 * std::f64::consts::PI * (t as f64 + k as f64) / 24.0).sin();
+                let key = key(k);
+                let hash = key.stable_hash();
+                batch.push(k as u32, Record { key, t, value }, hash, t);
+            }
+            shard.ingest_batch(&mut batch, t + 1, |_| {});
+        }
+        assert_eq!(shard.stats().live, 3);
+        let shared = Arc::clone(&shard.shared.detector);
+        let check = |k: usize, state: SeriesState, how: &str| {
+            let SeriesState::Live(live) = &state else {
+                panic!("series {k} {how} is not live")
+            };
+            let own = k == 2;
+            assert_eq!(
+                Arc::ptr_eq(&live.detector.decomposer.config, &shared),
+                !own,
+                "series {k} {how}: config pointer"
+            );
+            assert_eq!(heap_blocks(state), 2 + own as u64, "series {k} {how}: heap blocks");
+        };
+        for snap in shard.snapshot() {
+            let k: usize = snap.key.as_str()["footprint/".len()..].parse().unwrap();
+            let restored = SeriesState::from_snapshot(snap.phase, &config, &shard.shared);
+            check(k, restored.unwrap(), "restored");
+            let slot = shard.registry.slot_of(&snap.key).unwrap();
+            let entry = shard.registry.remove_slot(slot).unwrap();
+            check(k, entry.state, "admitted");
+        }
     }
 
     /// A `SeriesStep` fault — an error or a panic — for one series
