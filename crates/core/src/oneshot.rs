@@ -38,6 +38,12 @@
 //!
 //!    How an accepted offset persists is governed by [`ShiftPolicy`].
 //! 3. Write the seasonal buffer: `v[(t + Δ) mod T] = s_t`.
+//!
+//! A host stepping many independent models can update two at once
+//! ([`OnlineJointStl::update_pair_with_scratch`]): step 1's Δt = 0 trials
+//! of both models run in lock step through the lane-generic step kernel,
+//! so their serial IRLS chains overlap, and steps 2–3 then run per model.
+//! The outputs are bit-identical to two one-model updates.
 
 use crate::nsigma::NSigma;
 use crate::online_doolittle::IncrementalSolver;
@@ -68,6 +74,20 @@ pub trait TailSolver: Clone + Default {
         dst.clone_from(self);
         dst.step(tail)
     }
+
+    /// [`TailSolver::step_from`] for `L` independent solvers: lane `q`
+    /// steps `src[q]` on `tails[q]` into `dst[q]`, bit-identically to a
+    /// one-lane call. The default steps the lanes one at a time; a solver
+    /// with a lane-generic kernel overrides it to keep every lane's
+    /// dependency chain in flight together.
+    #[inline(always)]
+    fn step_lanes<const L: usize>(
+        src: [&Self; L],
+        tails: &[TailData; L],
+        mut dst: [&mut Self; L],
+    ) -> [(f64, f64); L] {
+        std::array::from_fn(|q| src[q].step_from(&tails[q], dst[q]))
+    }
 }
 
 impl TailSolver for IncrementalSolver {
@@ -80,6 +100,15 @@ impl TailSolver for IncrementalSolver {
     #[inline(always)]
     fn step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
         IncrementalSolver::step_from(self, tail, dst)
+    }
+
+    #[inline(always)]
+    fn step_lanes<const L: usize>(
+        src: [&Self; L],
+        tails: &[TailData; L],
+        dst: [&mut Self; L],
+    ) -> [(f64, f64); L] {
+        IncrementalSolver::step_lanes(src, tails, dst)
     }
 }
 
@@ -206,6 +235,31 @@ impl Default for OneShotStlConfig {
     }
 }
 
+impl OneShotStlConfig {
+    /// Whether two configs are equal bit for bit. `==` would also match
+    /// `0.0` with `-0.0`, and a model must keep the exact config it was
+    /// built or imaged with.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        // exhaustive, so a new config field cannot be left out of the check
+        let fields = |c: &Self| {
+            let OneShotStlConfig {
+                lambdas: Lambdas { lambda1, lambda2, anchor },
+                iters,
+                shift_window,
+                nsigma,
+                shift_policy,
+                shift_search,
+                shift_accept_ratio,
+                init,
+                eps,
+            } = *c;
+            let floats = [lambda1, lambda2, anchor, nsigma, shift_accept_ratio, eps];
+            (floats.map(f64::to_bits), iters, shift_window, shift_policy, shift_search, init)
+        };
+        fields(self) == fields(other)
+    }
+}
+
 /// Per-IRLS-iteration state (Algorithm 5 keeps one weight vector per
 /// iteration; only the trailing two entries are ever read again).
 #[derive(Debug, Clone)]
@@ -229,9 +283,10 @@ struct TrialOut {
     u_new: f64,
 }
 
-/// Reusable trial buffers: `base` holds the Δt = 0 baseline trial's
-/// successor iteration states (kept intact through the whole search, so a
-/// rejected shift needs no recompute), `best` the winning candidate's,
+/// Reusable trial buffers: `base[q]` holds lane `q`'s Δt = 0 baseline
+/// trial's successor iteration states (kept intact through the whole
+/// search, so a rejected shift needs no recompute; a one-model update uses
+/// lane 0, a paired update both), `best` the winning candidate's,
 /// and `trial` is the scratch a candidate runs in before it is (maybe)
 /// swapped into `best`. `proxy` and `cand` are the stage-1 scoring and
 /// candidate-offset scratch of the pruned search. Allocated once; the
@@ -241,7 +296,7 @@ struct TrialOut {
 /// [`UpdateScratch`], or boxes its own on its first plain `update`.
 #[derive(Debug, Clone, Default)]
 struct TrialBufs<S: TailSolver> {
-    base: Vec<IterState<S>>,
+    base: [Vec<IterState<S>>; 2],
     best: Vec<IterState<S>>,
     trial: Vec<IterState<S>>,
     /// `(|r̂(Δt)|, Δt)` proxy scores, one per non-zero offset.
@@ -261,10 +316,12 @@ struct TrialBufs<S: TailSolver> {
 /// on first use, which is ideal for a single hot stream. A host
 /// multiplexing *many* models on one thread (the `fleet` shard worker)
 /// should instead own one `UpdateScratch` per thread and pass it to every
-/// model's `update_with_scratch`: the scratch stays hot in cache across
-/// series, and a model that never runs a plain `update` holds no scratch
-/// at all (an 8-byte empty `Option<Box<…>>`). Buffers are sized lazily on
-/// first use and resized automatically if models disagree on `iters`.
+/// model's `update_with_scratch` (or to two models' paired
+/// [`OnlineJointStl::update_pair_with_scratch`], which uses a second
+/// baseline buffer): the scratch stays hot in cache across series, and a
+/// model that never runs a plain `update` holds no scratch at all (an
+/// 8-byte empty `Option<Box<…>>`). Buffers are sized lazily on first use
+/// and resized automatically if models disagree on `iters`.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateScratch<S: TailSolver>(TrialBufs<S>);
 
@@ -354,6 +411,21 @@ impl OneShotStl {
 
     /// Rebuilds a model from [`OneShotStl::to_state`] output.
     pub fn from_state(state: OneShotStlState) -> Result<Self> {
+        Self::restore(state, None)
+    }
+
+    /// [`OneShotStl::from_state`] that points at `shared` instead of
+    /// allocating a copy of the state's config when the two are equal bit
+    /// for bit ([`OneShotStlConfig::bit_eq`]): a host restoring many
+    /// models tuned alike allocates nothing for their configs.
+    pub fn from_state_sharing(
+        state: OneShotStlState,
+        shared: &Arc<OneShotStlConfig>,
+    ) -> Result<Self> {
+        Self::restore(state, Some(shared))
+    }
+
+    fn restore(state: OneShotStlState, shared: Option<&Arc<OneShotStlConfig>>) -> Result<Self> {
         let period = state.period as usize;
         if state.initialized && (period < 2 || state.v.len() != period) {
             return Err(TsError::InvalidParam {
@@ -401,8 +473,12 @@ impl OneShotStl {
                 tau_hist: snap.tau_hist,
             });
         }
+        let config = match shared {
+            Some(shared) if shared.bit_eq(&state.config) => Arc::clone(shared),
+            _ => Arc::new(state.config),
+        };
         Ok(OnlineJointStl {
-            config: Arc::new(state.config),
+            config,
             period,
             t: state.t,
             m: state.m as usize,
@@ -636,52 +712,103 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// shift, without committing any state. The committed `self.iters` are
     /// only read; the successor iteration states are written into `out`
     /// (resized on first use, then reused — no allocation in steady state).
+    #[inline(always)]
     fn run_trial_into(&self, y_new: f64, shift: i64, out: &mut Vec<IterState<S>>) -> TrialOut {
-        let m_new = self.m + 1;
-        let k = m_new.min(3);
-        let mut y3 = [0.0; 3];
-        let mut u3 = [0.0; 3];
-        // the newest point reads the (pre-write) seasonal buffer — one
-        // cycle ago at its phase; previous points keep their frozen anchors
-        let u_new = self.v[self.slot(self.t, shift)];
-        // times covered: m_new-k .. m_new-1; newest last (slot 2)
-        for j in m_new - k..m_new {
-            let s = 3 - (m_new - j);
-            if j + 1 == m_new {
-                y3[s] = y_new;
-                u3[s] = u_new;
-            } else {
-                // histories hold times m-2 (index 0) and m-1 (index 1)
-                y3[s] = self.y_hist[2 - (m_new - 1 - j)];
-                u3[s] = self.u_hist[2 - (m_new - 1 - j)];
+        let [trial] = Self::run_trials([self], [y_new], [shift], [out]);
+        trial
+    }
+
+    /// [`Self::run_trial_into`] for `L` models in lock step, which must run
+    /// the same number of IRLS iterations: lane `q` is model `q`'s trial of
+    /// `ys[q]` under `shifts[q]` into `outs[q]`. Each iteration steps every
+    /// lane's solver through one [`TailSolver::step_lanes`] call, so the
+    /// lanes' serial chains (six Doolittle columns, then the Eq. 4–5
+    /// weights the next iteration reads) overlap; every lane computes
+    /// exactly the one-lane operations with its own λ and ε. The scalar
+    /// trial is `L = 1`.
+    #[inline(always)]
+    fn run_trials<const L: usize>(
+        models: [&Self; L],
+        ys: [f64; L],
+        shifts: [i64; L],
+        mut outs: [&mut Vec<IterState<S>>; L],
+    ) -> [TrialOut; L] {
+        let mut y3 = [[0.0; 3]; L];
+        let mut u3 = [[0.0; 3]; L];
+        let mut u_new = [0.0; L];
+        for q in 0..L {
+            let model = models[q];
+            let m_new = model.m + 1;
+            let k = m_new.min(3);
+            // the newest point reads the (pre-write) seasonal buffer — one
+            // cycle ago at its phase; previous points keep their frozen
+            // anchors
+            u_new[q] = model.v[model.slot(model.t, shifts[q])];
+            // times covered: m_new-k .. m_new-1; newest last (slot 2)
+            for j in m_new - k..m_new {
+                let s = 3 - (m_new - j);
+                if j + 1 == m_new {
+                    y3[q][s] = ys[q];
+                    u3[q][s] = u_new[q];
+                } else {
+                    // histories hold times m-2 (index 0) and m-1 (index 1)
+                    y3[q][s] = model.y_hist[2 - (m_new - 1 - j)];
+                    u3[q][s] = model.u_hist[2 - (m_new - 1 - j)];
+                }
             }
         }
-        self.size_trial_buf(out);
-        let OneShotStlConfig { eps, lambdas, .. } = *self.config;
-        let mut p_fresh = 1.0;
-        let mut q_fresh = 1.0;
-        let mut tau = 0.0;
-        let mut s_out = 0.0;
-        for (src, dst) in self.iters.iter().zip(out.iter_mut()) {
-            let p3 = [src.pw_hist[0], src.pw_hist[1], p_fresh];
-            let q3 = [src.qw_hist[0], src.qw_hist[1], q_fresh];
-            let tail = TailData { m: m_new, y3, u3, p3, q3, lambdas };
-            let (t_i, s_i) = src.solver.step_from(&tail, &mut dst.solver);
-            let next_p = 1.0 / (2.0 * (t_i - src.tau_hist[1]).abs().max(eps));
-            let next_q =
-                1.0 / (2.0 * (t_i - 2.0 * src.tau_hist[1] + src.tau_hist[0]).abs().max(eps));
-            dst.pw_hist = [src.pw_hist[1], p_fresh];
-            dst.qw_hist = [src.qw_hist[1], q_fresh];
-            dst.tau_hist = [src.tau_hist[1], t_i];
-            p_fresh = next_p;
-            q_fresh = next_q;
-            tau = t_i;
-            s_out = s_i;
+        let n = models[0].iters.len();
+        for (model, out) in models.iter().zip(outs.iter_mut()) {
+            model.size_trial_buf(out);
         }
-        TrialOut {
-            point: DecompPoint { trend: tau, seasonal: s_out, residual: y_new - tau - s_out },
-            u_new,
+        let srcs = models.map(|model| &model.iters[..n]);
+        let mut outs = outs.map(|out| &mut out[..n]);
+        let config = models.map(|model| (model.config.eps, model.config.lambdas));
+        let mut p_fresh = [1.0; L];
+        let mut q_fresh = [1.0; L];
+        let mut tau = [0.0; L];
+        let mut s_out = [0.0; L];
+        for i in 0..n {
+            let tails: [TailData; L] = std::array::from_fn(|q| {
+                let src = &srcs[q][i];
+                TailData {
+                    m: models[q].m + 1,
+                    y3: y3[q],
+                    u3: u3[q],
+                    p3: [src.pw_hist[0], src.pw_hist[1], p_fresh[q]],
+                    q3: [src.qw_hist[0], src.qw_hist[1], q_fresh[q]],
+                    lambdas: config[q].1,
+                }
+            });
+            let mut dsts = outs.each_mut().map(|out| &mut out[i]);
+            let solved = S::step_lanes(
+                std::array::from_fn(|q| &srcs[q][i].solver),
+                &tails,
+                dsts.each_mut().map(|dst| &mut dst.solver),
+            );
+            for q in 0..L {
+                let dst = &mut *dsts[q];
+                let (src, (t_i, s_i), eps) = (&srcs[q][i], solved[q], config[q].0);
+                let next_p = 1.0 / (2.0 * (t_i - src.tau_hist[1]).abs().max(eps));
+                let next_q = 1.0
+                    / (2.0 * (t_i - 2.0 * src.tau_hist[1] + src.tau_hist[0]).abs().max(eps));
+                dst.pw_hist = [src.pw_hist[1], p_fresh[q]];
+                dst.qw_hist = [src.qw_hist[1], q_fresh[q]];
+                dst.tau_hist = [src.tau_hist[1], t_i];
+                p_fresh[q] = next_p;
+                q_fresh[q] = next_q;
+                tau[q] = t_i;
+                s_out[q] = s_i;
+            }
         }
+        std::array::from_fn(|q| TrialOut {
+            point: DecompPoint {
+                trend: tau[q],
+                seasonal: s_out[q],
+                residual: ys[q] - tau[q] - s_out[q],
+            },
+            u_new: u_new[q],
+        })
     }
 
     /// Commits a trial whose successor iteration states live in `accepted`:
@@ -795,34 +922,56 @@ impl<S: TailSolver> OnlineJointStl<S> {
     }
 
     /// The body of [`OnlineDecomposer::update`], with the trial buffers
-    /// moved out of `self` so trials can borrow the committed state.
+    /// moved out of `self` so trials can borrow the committed state: the
+    /// Δt = 0 baseline trial into lane 0's base buffer, then
+    /// [`Self::finish_update`].
     fn update_with(&mut self, y: f64, bufs: &mut TrialBufs<S>) -> DecompPoint {
-        let h = self.config.shift_window as i64;
-        if h > 0 {
-            // pre-size every search buffer during plain updates, so a
-            // flagged point allocates nothing no matter how late it comes:
-            // the stage-1 scratch by capacity, and the candidate trial
-            // buffers by cloning the iteration states once up front (the
-            // best/trial swap below leaves the loser empty otherwise, and
-            // `run_trial_into`'s lazy sizing would then allocate *inside*
-            // the search)
-            let want = 2 * h as usize;
-            if bufs.proxy.capacity() < want {
-                bufs.proxy.reserve(want);
-            }
-            if bufs.proxy_r.capacity() < want + 1 {
-                bufs.proxy_r.reserve(want + 1);
-            }
-            if bufs.cand.capacity() < want {
-                bufs.cand.reserve(want);
-            }
-            self.size_trial_buf(&mut bufs.best);
-            self.size_trial_buf(&mut bufs.trial);
+        self.size_search_bufs(bufs);
+        let base = self.run_trial_into(y, self.shift, &mut bufs.base[0]);
+        self.finish_update(y, base, 0, bufs)
+    }
+
+    /// Pre-sizes every search buffer before an update's baseline trial,
+    /// so a flagged point allocates nothing no matter how late it comes:
+    /// the stage-1 scratch by capacity, and the candidate trial buffers by
+    /// cloning the iteration states once up front (the best/trial swap in
+    /// [`Self::finish_update`] leaves the loser empty otherwise, and
+    /// `run_trial_into`'s lazy sizing would then allocate *inside* the
+    /// search). A no-op without a shift search, and after the first call.
+    fn size_search_bufs(&self, bufs: &mut TrialBufs<S>) {
+        let h = self.config.shift_window;
+        if h == 0 {
+            return;
         }
-        let base = self.run_trial_into(y, self.shift, &mut bufs.base);
+        let want = 2 * h;
+        if bufs.proxy.capacity() < want {
+            bufs.proxy.reserve(want);
+        }
+        if bufs.proxy_r.capacity() < want + 1 {
+            bufs.proxy_r.reserve(want + 1);
+        }
+        if bufs.cand.capacity() < want {
+            bufs.cand.reserve(want);
+        }
+        self.size_trial_buf(&mut bufs.best);
+        self.size_trial_buf(&mut bufs.trial);
+    }
+
+    /// The rest of an update once its Δt = 0 baseline trial `base` has run
+    /// into `bufs.base[lane]`: the NSigma verdict, the §3.4 shift search
+    /// on a flagged point (scalar trials from this model's own baseline),
+    /// and the commit.
+    fn finish_update(
+        &mut self,
+        y: f64,
+        base: TrialOut,
+        lane: usize,
+        bufs: &mut TrialBufs<S>,
+    ) -> DecompPoint {
+        let h = self.config.shift_window as i64;
         let verdict = self.nsigma.score_only(base.point.residual);
         if !verdict.is_anomaly || h == 0 {
-            return self.commit(y, self.shift, base, &mut bufs.base);
+            return self.commit(y, self.shift, base, &mut bufs.base[lane]);
         }
         // §3.4, two stages: pick candidate offsets Δt from E = [−H, H]
         // (all of them, or the top-k by proxy residual), run a full trial
@@ -855,8 +1004,42 @@ impl<S: TailSolver> OnlineJointStl<S> {
             best_shift = self.shift;
             best_is_base = true;
         }
-        let accepted = if best_is_base { &mut bufs.base } else { &mut bufs.best };
+        let accepted = if best_is_base { &mut bufs.base[lane] } else { &mut bufs.best };
         self.commit(y, best_shift, best, accepted)
+    }
+
+    /// [`Self::update_with_scratch`] for two independent models at once:
+    /// `pair[q]` takes `ys[q]`, and the outputs are bit-identical to
+    /// updating `pair[0]` and then `pair[1]` one at a time.
+    ///
+    /// The two Δt = 0 baseline trials run in lock step through the
+    /// lane-generic kernel ([`TailSolver::step_lanes`]), so the two serial
+    /// IRLS chains are in flight together; then each model finishes on its
+    /// own (verdict, a §3.4 search from its own lane's baseline when
+    /// flagged, commit). The pair falls back to two one-model updates when
+    /// either model's solvers are still in warm-up (its first 4 online
+    /// points) or the two run different IRLS iteration counts. λ, ε and H
+    /// may differ between the lanes.
+    pub fn update_pair_with_scratch(
+        pair: [&mut Self; 2],
+        ys: [f64; 2],
+        scratch: &mut UpdateScratch<S>,
+    ) -> [DecompPoint; 2] {
+        let [a, b] = pair;
+        assert!(a.initialized && b.initialized, "OneShotSTL::update called before init");
+        let ys = [a.impute(ys[0]), b.impute(ys[1])];
+        let bufs = &mut scratch.0;
+        // a solver leaves warm-up at its 4th step, and every IRLS
+        // iteration steps its solver once per online point
+        if a.m < 4 || b.m < 4 || a.iters.len() != b.iters.len() {
+            return [a.update_with(ys[0], bufs), b.update_with(ys[1], bufs)];
+        }
+        a.size_search_bufs(bufs);
+        b.size_search_bufs(bufs);
+        let [base_a, base_b] = &mut bufs.base;
+        let [trial_a, trial_b] =
+            Self::run_trials([&*a, &*b], ys, [a.shift, b.shift], [base_a, base_b]);
+        [a.finish_update(ys[0], trial_a, 0, bufs), b.finish_update(ys[1], trial_b, 1, bufs)]
     }
 }
 
@@ -1238,6 +1421,97 @@ mod tests {
             }
             // the spikes must have driven the §3.4 search on some model
             proptest::prop_assert!(shared.iter().any(|m| m.shift_search_stats().0 > 0));
+        }
+
+        /// Two models stepped as one pair through
+        /// [`OnlineJointStl::update_pair_with_scratch`] are their scalar
+        /// twins on plain `update`, bit for bit: every output bit and the
+        /// search stats after every step, and the full state at the end.
+        /// The lanes differ in period, λ, ε, shift policy and pruning, and
+        /// in some cases lane 1 runs no shift search (`H = 0`); most cases
+        /// share the IRLS count (the paired kernel) and the rest do not
+        /// (two scalar updates). Lane 1 enters the pair up to 5 points
+        /// after its init, so lanes in solver warm-up meet steady ones.
+        /// The streams carry spikes that flag one lane, NaNs, ±∞ and a
+        /// lasting phase shift, and one step spikes both lanes, so both
+        /// lanes of one pair run a shift search.
+        #[test]
+        fn paired_updates_match_scalar_twins_bit_for_bit(seed in 0u64..100_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cases = [series_case(&mut rng, false), series_case(&mut rng, false)];
+            if rng.gen_range(0..4) > 0 {
+                cases[1].0.iters = cases[0].0.iters;
+            }
+            cases[1].0.eps = [1e-10, 1e-6][rng.gen_range(0..2)];
+            if rng.gen_range(0..4) == 0 {
+                cases[1].0.shift_window = 0;
+            }
+            for (cfg, t, y) in &mut cases {
+                // a small λ lets the trend swallow a spike unflagged
+                let lambda = [100.0, 1000.0][rng.gen_range(0..2)];
+                cfg.lambdas = Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 };
+                for v in &mut y[4 * *t..] {
+                    if rng.gen_range(0..50) == 0 {
+                        *v = [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2)];
+                    }
+                }
+            }
+            let lag = rng.gen_range(0..6);
+            let mut paired = Vec::new();
+            let mut twins = Vec::new();
+            let mut cursor = [0usize; 2];
+            for (q, (cfg, t, y)) in cases.iter().enumerate() {
+                let mut m = OneShotStl::new(cfg.clone());
+                m.init(&y[..4 * t], *t).unwrap();
+                let mut twin = m.clone();
+                cursor[q] = 4 * t + if q == 1 { lag } else { 0 };
+                for &v in &y[4 * t..cursor[q]] {
+                    m.update(v);
+                    twin.update(v);
+                }
+                paired.push(m);
+                twins.push(twin);
+            }
+            let steps = (0..2).map(|q| cases[q].2.len() - cursor[q]).min().unwrap();
+            let both_at = rng.gen_range(10..steps);
+            let mut scratch = UpdateScratch::default();
+            let mut both_searched = false;
+            for step in 0..steps {
+                let ys: [f64; 2] = std::array::from_fn(|q| {
+                    let y = cases[q].2[cursor[q] + step];
+                    match step == both_at {
+                        // far above the ±40 spikes, which inflate σ
+                        true if y.is_finite() => y + 1e3,
+                        true => 1e3,
+                        false => y,
+                    }
+                });
+                let searches = |m: &OneShotStl| m.shift_search_stats().0;
+                let before = [searches(&paired[0]), searches(&paired[1])];
+                let [a, b] = &mut paired[..] else { unreachable!("two lanes") };
+                let got = OneShotStl::update_pair_with_scratch([a, b], ys, &mut scratch);
+                for q in 0..2 {
+                    let want = twins[q].update(ys[q]);
+                    for (g, w) in [
+                        (got[q].trend, want.trend),
+                        (got[q].seasonal, want.seasonal),
+                        (got[q].residual, want.residual),
+                    ] {
+                        proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "lane {} step {}", q, step);
+                    }
+                    proptest::prop_assert_eq!(
+                        paired[q].shift_search_stats(),
+                        twins[q].shift_search_stats()
+                    );
+                }
+                both_searched |= (0..2).all(|q| searches(&paired[q]) > before[q]);
+            }
+            for q in 0..2 {
+                proptest::prop_assert!(paired[q].to_state() == twins[q].to_state(), "lane {}", q);
+            }
+            if cases.iter().all(|(cfg, _, _)| cfg.shift_window > 0) {
+                proptest::prop_assert!(both_searched, "one pair must search on both lanes");
+            }
         }
     }
 }

@@ -30,12 +30,15 @@
 //! The steady step is one straight-line kernel (`Window::step`): every
 //! index in it is a constant, so its 10×10 working triangle lives in
 //! registers and on the stack, and it inlines into the IRLS loop of
-//! [`IncrementalSolver::step_from`].
+//! [`IncrementalSolver::step_from`]. The kernel is written once, generic
+//! over a lane width `L`: [`IncrementalSolver::step_lanes`] steps `L`
+//! independent windows through one call, each lane running exactly the
+//! scalar operations, and the scalar step is `L = 1`.
 
 // index recurrences here mirror the published algorithms; iterator
 // rewrites obscure the maths
 #![allow(clippy::needless_range_loop)]
-use crate::system::{assemble_block_steady, assemble_full, SystemData, TailBlock, TailData};
+use crate::system::{assemble_block_steady, assemble_full, LaneBlock, SystemData, TailData};
 use tskit::error::TsError;
 
 /// The `(row, col)` cells of the `8×4` `L` window that the next step
@@ -225,7 +228,12 @@ impl IncrementalSolver {
             }
             IncrementalSolver::Steady(w) => {
                 let prev = *w;
-                prev.step(w, &assemble_block_steady(tail))
+                let [out] = Window::step(
+                    [&prev],
+                    [w],
+                    &assemble_block_steady(std::array::from_ref(tail)),
+                );
+                out
             }
         }
     }
@@ -240,21 +248,46 @@ impl IncrementalSolver {
     /// and the window stay in registers instead of passing through memory.
     #[inline(always)]
     pub fn step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
-        let IncrementalSolver::Steady(w) = self else {
-            return self.warmup_step_from(tail, dst);
-        };
-        // the kernel overwrites the whole window; a stale Warmup variant
-        // is dropped here once
-        if let IncrementalSolver::Warmup { .. } = dst {
-            *dst = IncrementalSolver::Steady(Window::EMPTY);
-        }
-        let IncrementalSolver::Steady(next) = dst else {
-            unreachable!("replaced above");
-        };
-        w.step(next, &assemble_block_steady(tail))
+        let [out] = Self::step_lanes([self], std::array::from_ref(tail), [dst]);
+        out
     }
 
-    /// The warm-up arm of [`IncrementalSolver::step_from`], out of line:
+    /// [`IncrementalSolver::step_from`] for `L` independent solvers in lock
+    /// step: lane `q` steps `src[q]` on `tails[q]` into `dst[q]`. When every
+    /// lane is in the steady state, one kernel call steps them all, so
+    /// their dependency chains are in flight together; each lane computes
+    /// exactly the operations of a one-lane step (no fused multiply-add,
+    /// no reassociation), so the outputs are bit-identical to stepping the
+    /// lanes one at a time. A lane still in warm-up sends every lane
+    /// through the out-of-line warm-up arm, one at a time.
+    #[inline(always)]
+    pub fn step_lanes<const L: usize>(
+        src: [&Self; L],
+        tails: &[TailData; L],
+        mut dst: [&mut Self; L],
+    ) -> [(f64, f64); L] {
+        let windows = src.map(|s| match s {
+            IncrementalSolver::Steady(w) => Some(w),
+            IncrementalSolver::Warmup { .. } => None,
+        });
+        if windows.iter().any(Option::is_none) {
+            return std::array::from_fn(|q| src[q].warmup_step_from(&tails[q], dst[q]));
+        }
+        let next = dst.map(|d| {
+            // the kernel overwrites the whole window; a stale Warmup
+            // variant is dropped here once
+            if let IncrementalSolver::Warmup { .. } = d {
+                *d = IncrementalSolver::Steady(Window::EMPTY);
+            }
+            match d {
+                IncrementalSolver::Steady(w) => w,
+                IncrementalSolver::Warmup { .. } => unreachable!("replaced above"),
+            }
+        });
+        Window::step(windows.map(Option::unwrap), next, &assemble_block_steady(tails))
+    }
+
+    /// The warm-up arm of [`IncrementalSolver::step_lanes`], out of line:
     /// warm-up lasts 4 points per iteration, so cloning the tiny histories
     /// there is fine.
     #[cold]
@@ -280,76 +313,96 @@ impl Window {
     /// A placeholder the step kernel overwrites whole.
     const EMPTY: Window = Window { m: 0, lo: [0.0; 10], dd: [0.0; 4], zo: [0.0; 4] };
 
-    /// One `O(1)` factorization + solve step (Algorithm 4) from `self`
-    /// into `dst`. `block` is the trailing 6×6 system block for the new
-    /// step.
+    /// One `O(1)` factorization + solve step (Algorithm 4) for `L`
+    /// independent windows, from `src[q]` into `dst[q]`; `block` holds each
+    /// lane's trailing 6×6 system block for the new step. Every cell of the
+    /// working triangle is an `[f64; L]` and every operation runs once per
+    /// lane in the scalar order, so lane `q` is bit-identical to the
+    /// one-lane step of window `q`. The scalar path is `L = 1`.
     #[inline(always)]
-    fn step(&self, dst: &mut Window, block: &TailBlock) -> (f64, f64) {
-        debug_assert_eq!(block.dim, 6, "steady state requires full 6x6 blocks");
+    fn step<const L: usize>(
+        src: [&Window; L],
+        dst: [&mut Window; L],
+        block: &LaneBlock<L>,
+    ) -> [(f64, f64); L] {
         // local window covers global unknowns 2M-10 .. 2M-1 (M = new count);
         // the previous state's band lies in locals 4..8 (rows) x 0..4
         // (cols). Every index below is a constant (the loops are
         // unrolled), so the working triangle lives in registers and on the
         // stack: its structurally-zero cells fold away instead of being
         // stored.
-        let mut l = [0.0f64; 100];
-        let mut d = [0.0f64; 10];
-        let mut z = [0.0f64; 10];
+        let mut l = [[0.0f64; L]; 100];
+        let mut d = [[0.0f64; L]; 10];
+        let mut z = [[0.0f64; L]; 10];
         unroll!(i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
             let (r, c) = BAND[i];
-            l[10 * r + c] = self.lo[i];
+            for q in 0..L {
+                l[10 * r + c][q] = src[q].lo[i];
+            }
         });
         unroll!(i in [0, 1, 2, 3] {
-            d[i] = self.dd[i];
-            z[i] = self.zo[i];
+            for q in 0..L {
+                d[i][q] = src[q].dd[i];
+                z[i][q] = src[q].zo[i];
+            }
         });
         // recompute columns local 4..10 = global 2M-6 .. 2M-1, one
         // const-indexed column at a time so every loop below unrolls into
         // straight-line code
-        column::<4>(&mut l, &mut d, &mut z, block);
-        column::<5>(&mut l, &mut d, &mut z, block);
-        column::<6>(&mut l, &mut d, &mut z, block);
-        column::<7>(&mut l, &mut d, &mut z, block);
-        column::<8>(&mut l, &mut d, &mut z, block);
-        column::<9>(&mut l, &mut d, &mut z, block);
-        // exact first two backward-substitution steps: the newest τ, s
-        let x9 = z[9] / d[9];
-        let x8 = z[8] / d[8] - l[9 * 10 + 8] * x9;
-        // slide the window by one time point (two unknowns)
-        dst.m = self.m + 1;
-        unroll!(i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
-            let (r, c) = BAND[i];
-            dst.lo[i] = l[10 * (r + 2) + c + 2];
-        });
-        unroll!(i in [0, 1, 2, 3] {
-            dst.dd[i] = d[i + 2];
-            dst.zo[i] = z[i + 2];
-        });
-        (x8, x9)
+        column::<4, L>(&mut l, &mut d, &mut z, block);
+        column::<5, L>(&mut l, &mut d, &mut z, block);
+        column::<6, L>(&mut l, &mut d, &mut z, block);
+        column::<7, L>(&mut l, &mut d, &mut z, block);
+        column::<8, L>(&mut l, &mut d, &mut z, block);
+        column::<9, L>(&mut l, &mut d, &mut z, block);
+        let mut out = [(0.0, 0.0); L];
+        for q in 0..L {
+            let w = &mut *dst[q];
+            // exact first two backward-substitution steps: the newest τ, s
+            let x9 = z[9][q] / d[9][q];
+            let x8 = z[8][q] / d[8][q] - l[9 * 10 + 8][q] * x9;
+            // slide the window by one time point (two unknowns)
+            w.m = src[q].m + 1;
+            unroll!(i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
+                let (r, c) = BAND[i];
+                w.lo[i] = l[10 * (r + 2) + c + 2][q];
+            });
+            unroll!(i in [0, 1, 2, 3] {
+                w.dd[i] = d[i + 2][q];
+                w.zo[i] = z[i + 2][q];
+            });
+            out[q] = (x8, x9);
+        }
+        out
     }
 }
 
-/// Column `K` (local index) of the step kernel: the pivot `D_KK`, the
-/// forward-substituted `z_K`, and `L`'s column below the diagonal.
+/// Column `K` (local index) of the step kernel, for every lane: the pivot
+/// `D_KK`, the forward-substituted `z_K`, and `L`'s column below the
+/// diagonal.
 #[inline(always)]
-fn column<const K: usize>(
-    l: &mut [f64; 100],
-    d: &mut [f64; 10],
-    z: &mut [f64; 10],
-    block: &TailBlock,
+fn column<const K: usize, const L: usize>(
+    l: &mut [[f64; L]; 100],
+    d: &mut [[f64; L]; 10],
+    z: &mut [[f64; L]; 10],
+    block: &LaneBlock<L>,
 ) {
     let k = K;
-    l[10 * k + k] = 1.0;
+    l[10 * k + k] = [1.0; L];
     // D_kk = A*[k-4][k-4] - Σ_{i=k-4}^{k-1} D_i L_ki²
     let mut dk = block.a[k - 4][k - 4];
     unroll!(i in [k - 4, k - 3, k - 2, k - 1] {
-        dk -= d[i] * l[10 * k + i] * l[10 * k + i];
+        for q in 0..L {
+            dk[q] -= d[i][q] * l[10 * k + i][q] * l[10 * k + i][q];
+        }
     });
     d[k] = dk;
     // forward substitution for the recomputed index
     let mut zk = block.b[k - 4];
     unroll!(i in [k - 4, k - 3, k - 2, k - 1] {
-        zk -= l[10 * k + i] * z[i];
+        for q in 0..L {
+            zk[q] -= l[10 * k + i][q] * z[i][q];
+        }
     });
     z[k] = zk;
     // column k of L below the diagonal (band: j ≤ k+4, so j ≤ 9 bounds
@@ -359,10 +412,14 @@ fn column<const K: usize>(
             let mut s = block.a[j - 4][k - 4];
             unroll!(i in [j - 4, j - 3, j - 2, j - 1] {
                 if i < k {
-                    s -= l[10 * j + i] * d[i] * l[10 * k + i];
+                    for q in 0..L {
+                        s[q] -= l[10 * j + i][q] * d[i][q] * l[10 * k + i][q];
+                    }
                 }
             });
-            l[10 * j + k] = s / dk;
+            for q in 0..L {
+                l[10 * j + k][q] = s[q] / dk[q];
+            }
         }
     });
 }

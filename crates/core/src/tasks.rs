@@ -93,6 +93,26 @@ impl<S: crate::oneshot::TailSolver> StdAnomalyDetector<crate::oneshot::OnlineJoi
         let v = self.scorer.update(p.residual);
         (p, v)
     }
+
+    /// [`Self::update_scored_with`] for two detectors at once: their
+    /// decomposers step as one pair
+    /// ([`crate::oneshot::OnlineJointStl::update_pair_with_scratch`]), then
+    /// each scorer takes its own residual. Output is bit-identical to
+    /// `pair[0].update_scored_with(ys[0])` followed by
+    /// `pair[1].update_scored_with(ys[1])`.
+    pub fn update_scored_pair_with(
+        pair: [&mut Self; 2],
+        ys: [f64; 2],
+        scratch: &mut crate::UpdateScratch<S>,
+    ) -> [(DecompPoint, ScoreVerdict); 2] {
+        let [a, b] = pair;
+        let [pa, pb] = crate::oneshot::OnlineJointStl::update_pair_with_scratch(
+            [&mut a.decomposer, &mut b.decomposer],
+            ys,
+            scratch,
+        );
+        [(pa, a.scorer.update(pa.residual)), (pb, b.scorer.update(pb.residual))]
+    }
 }
 
 /// §4 (2): STD → TSF. Buffers the latest trend and one period of seasonal

@@ -7,9 +7,11 @@
 //! `2H + 1` retry trials), and updates that impute non-finite input.
 //! A second test extends the guarantee to the fused residual-scoring
 //! path (CUSUM + peak-hold on top of the decomposition), a third to
-//! the trend-innovation CUSUM backend (`TrendCusum`), and a fourth to
+//! the trend-innovation CUSUM backend (`TrendCusum`), a fourth to
 //! several models stepped through one shared `UpdateScratch`
-//! (`OneShotStl::update_with_scratch`, the fleet shard's path).
+//! (`OneShotStl::update_with_scratch`, the fleet shard's one-row path),
+//! and a fifth to models stepped two at a time through it
+//! (`OneShotStl::update_pair_with_scratch`, the shard's paired sweep).
 //!
 //! The counting global allocator below makes the claim a hard test rather
 //! than a code-review property. CI runs this test file explicitly
@@ -358,4 +360,151 @@ fn grouped_update_performs_zero_heap_allocations() {
         }
         assert_eq!(allocs() - before, 0, "[{label}] post-excursion round allocated");
     }
+}
+
+/// Models stepped two at a time through one `UpdateScratch`
+/// (`OneShotStl::update_pair_with_scratch`, the fleet shard's paired
+/// sweep) keep the guarantee: after the first rounds size the shared
+/// scratch and its second baseline buffer, nothing allocates — including
+/// a pair whose second lane takes its *first* flag long after warm-up, a
+/// pair flagged on both lanes at once (two searches from two lane
+/// baselines), a lane with non-finite input, and a searching lane paired
+/// with one that runs no search.
+#[test]
+fn paired_update_performs_zero_heap_allocations() {
+    for (search, label) in [
+        (ShiftSearchConfig::default(), "pruned"),
+        (ShiftSearchConfig::exhaustive(), "exhaustive"),
+    ] {
+        let t = 48usize;
+        let mut state = 0x9a1d_u64;
+        let mut noise = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        let ys: Vec<Vec<f64>> = (0..MODELS)
+            .map(|q| {
+                (0..4 * t + 600)
+                    .map(|i| {
+                        2.0 + (2.0 * std::f64::consts::PI * (i + 7 * q) as f64 / t as f64).sin()
+                            + 0.1 * noise()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut models: Vec<OneShotStl> = ys
+            .iter()
+            .map(|y| {
+                let mut m = OneShotStl::new(OneShotStlConfig {
+                    shift_search: search,
+                    ..Default::default()
+                });
+                m.init(&y[..4 * t], t).unwrap();
+                m
+            })
+            .collect();
+        let mut scratch = UpdateScratch::default();
+        // one round: models (0, 1), (2, 3), … step as pairs at `at`
+        let mut round = |models: &mut Vec<OneShotStl>, at: usize, bump: [f64; MODELS]| {
+            for (p, pair) in models.chunks_exact_mut(2).enumerate() {
+                let [a, b] = pair else { unreachable!("chunks of two") };
+                let ys = [ys[2 * p][at] + bump[2 * p], ys[2 * p + 1][at] + bump[2 * p + 1]];
+                std::hint::black_box(OneShotStl::update_pair_with_scratch(
+                    [a, b],
+                    ys,
+                    &mut scratch,
+                ));
+            }
+        };
+        // warm-up: the solvers leave their 4-point warm-up (the pairs fall
+        // back to one-model updates until then) and the first paired
+        // rounds size the shared scratch
+        for i in 0..16 {
+            round(&mut models, 4 * t + i, [0.0; MODELS]);
+        }
+
+        // 1) plain steady-state rounds
+        let before = allocs();
+        for i in 16..500 {
+            round(&mut models, 4 * t + i, [0.0; MODELS]);
+        }
+        assert_eq!(allocs() - before, 0, "[{label}] steady-state paired round allocated");
+        let searches = |models: &[OneShotStl]| -> Vec<u64> {
+            models.iter().map(|m| m.shift_search_stats().0).collect()
+        };
+        assert_eq!(
+            searches(&models),
+            [0; MODELS],
+            "[{label}] the noisy warm-up must stay calm"
+        );
+
+        // 2) a late first flag on the second lane of the last pair, then
+        //    flags on both lanes of the first pair
+        let before = allocs();
+        let mut spike = [0.0; MODELS];
+        spike[MODELS - 1] = 50.0;
+        round(&mut models, 4 * t + 500, spike);
+        spike = [0.0; MODELS];
+        spike[0] = 500.0;
+        spike[1] = 500.0;
+        round(&mut models, 4 * t + 501, spike);
+        assert_eq!(allocs() - before, 0, "[{label}] flagged paired round allocated");
+        let mut want = vec![0; MODELS];
+        want[0] = 1;
+        want[1] = 1;
+        want[MODELS - 1] = 1;
+        assert_eq!(searches(&models), want, "[{label}] the spikes must have run the search");
+
+        // 3) non-finite input on one lane: the imputation path
+        let before = allocs();
+        let mut nan = [0.0; MODELS];
+        nan[1] = f64::NAN;
+        round(&mut models, 4 * t + 502, nan);
+        assert_eq!(allocs() - before, 0, "[{label}] imputing paired round allocated");
+
+        // 4) and the streams continue allocation-free
+        let before = allocs();
+        for i in 503..600 {
+            round(&mut models, 4 * t + i, [0.0; MODELS]);
+        }
+        assert_eq!(allocs() - before, 0, "[{label}] post-excursion paired round allocated");
+    }
+
+    // a pair whose first lane runs no shift search, moved past warm-up
+    // (whose one-model fallback sizes everything) onto a fresh scratch:
+    // the paired updates must size the second lane's search buffers, so
+    // its late first flag allocates nothing either
+    let t = 48usize;
+    let y: Vec<f64> = (0..4 * t + 300)
+        .map(|i| 2.0 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
+        .collect();
+    let mut pair: Vec<OneShotStl> = [0, 20]
+        .map(|shift_window| {
+            let mut m =
+                OneShotStl::new(OneShotStlConfig { shift_window, ..Default::default() });
+            m.init(&y[..4 * t], t).unwrap();
+            m
+        })
+        .into();
+    let step = |pair: &mut Vec<OneShotStl>, scratch: &mut UpdateScratch<_>, at: usize, bump| {
+        let [a, b] = &mut pair[..] else { unreachable!("two lanes") };
+        let ys = [y[at], y[at] + bump];
+        std::hint::black_box(OneShotStl::update_pair_with_scratch([a, b], ys, scratch));
+    };
+    let mut scratch = UpdateScratch::default();
+    for i in 0..16 {
+        step(&mut pair, &mut scratch, 4 * t + i, 0.0);
+    }
+    let mut scratch = UpdateScratch::default();
+    for i in 16..20 {
+        step(&mut pair, &mut scratch, 4 * t + i, 0.0);
+    }
+    let searches = pair[1].shift_search_stats().0;
+    let before = allocs();
+    for i in 20..250 {
+        step(&mut pair, &mut scratch, 4 * t + i, 0.0);
+    }
+    step(&mut pair, &mut scratch, 4 * t + 250, 50.0);
+    assert_eq!(allocs() - before, 0, "a late flag on the searching lane allocated");
+    assert!(pair[1].shift_search_stats().0 > searches, "the spike must have run the search");
 }

@@ -11,13 +11,13 @@
 use crate::backend::{BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, FleetConfig, PeriodPolicy};
 use crate::types::PointOutput;
-use oneshotstl::system::Lambdas;
 use oneshotstl::{
     IncrementalSolver, OneShotStl, OneShotStlConfig, OneShotStlState, ResidualScorer,
-    ResidualScorerState, StdAnomalyDetector, UpdateScratch,
+    ResidualScorerState, ScoreVerdict, StdAnomalyDetector, UpdateScratch,
 };
 use std::sync::Arc;
 use tskit::period::detect_period;
+use tskit::series::DecompPoint;
 
 /// What the series of one shard share instead of each holding a copy.
 #[derive(Debug)]
@@ -39,29 +39,6 @@ impl Shared {
             detector: Arc::new(config.detector.clone()),
         }
     }
-}
-
-/// Whether two detector configs are equal bit for bit. `==` would also
-/// match `0.0` with `-0.0`, and a series must keep the exact config it
-/// was admitted or imaged with.
-fn same_config(a: &OneShotStlConfig, b: &OneShotStlConfig) -> bool {
-    // exhaustive, so a new config field cannot be left out of the check
-    let fields = |c: &OneShotStlConfig| {
-        let OneShotStlConfig {
-            lambdas: Lambdas { lambda1, lambda2, anchor },
-            iters,
-            shift_window,
-            nsigma,
-            shift_policy,
-            shift_search,
-            shift_accept_ratio,
-            init,
-            eps,
-        } = *c;
-        let floats = [lambda1, lambda2, anchor, nsigma, shift_accept_ratio, eps];
-        (floats.map(f64::to_bits), iters, shift_window, shift_policy, shift_search, init)
-    };
-    fields(a) == fields(b)
 }
 
 /// One registered series: either buffering toward admission or live.
@@ -262,28 +239,7 @@ impl SeriesState {
                 // the detector's own NSigma owns the threshold rule
                 let (point, verdict) =
                     live.detector.update_scored_with(value, &mut shared.scratch);
-                // a non-finite decomposition means the detector state is
-                // numerically wrecked (warm-up imputes non-finite inputs,
-                // so this is state corruption, not a bad input): quarantine
-                // the series instead of letting every later score be NaN
-                if !point.trend.is_finite()
-                    || !point.seasonal.is_finite()
-                    || !point.residual.is_finite()
-                {
-                    *self = SeriesState::Quarantined {
-                        cause: QuarantineCause::NonFinite,
-                        dropped: 1,
-                    };
-                    return StepOutcome::Output(PointOutput::Quarantined);
-                }
-                // backend dispatch: the selected backend's verdict
-                // *replaces* the fused scorer's (an Ensemble backend
-                // folds the fused verdict back in as one of its channels)
-                let (score, is_anomaly) = match &mut live.backend {
-                    Some(b) => b.observe(&point, &verdict),
-                    None => (verdict.score, verdict.is_anomaly),
-                };
-                StepOutcome::Output(PointOutput::Scored { point, score, is_anomaly })
+                self.finish_live(point, verdict)
             }
             SeriesState::Warming(w) => {
                 // impute non-finite values with the last buffered one (or
@@ -349,6 +305,56 @@ impl SeriesState {
         }
     }
 
+    /// Processes one arriving value for each of two live series as one
+    /// pair: their decomposers step through one paired kernel call
+    /// ([`StdAnomalyDetector::update_scored_pair_with`]), then each series
+    /// finishes on its own (non-finite quarantine, backend dispatch).
+    /// Outcomes are those of [`SeriesState::step`] on each series in turn,
+    /// bit for bit. `None`, with nothing stepped, when either series is
+    /// not live.
+    pub fn step_pair(
+        [a, b]: [&mut SeriesState; 2],
+        values: [f64; 2],
+        shared: &mut Shared,
+    ) -> Option<[StepOutcome; 2]> {
+        let (SeriesState::Live(la), SeriesState::Live(lb)) = (&mut *a, &mut *b) else {
+            return None;
+        };
+        let [(pa, va), (pb, vb)] = StdAnomalyDetector::update_scored_pair_with(
+            [&mut la.detector, &mut lb.detector],
+            values,
+            &mut shared.scratch,
+        );
+        Some([a.finish_live(pa, va), b.finish_live(pb, vb)])
+    }
+
+    /// The tail of a live update once the detector has stepped.
+    fn finish_live(&mut self, point: DecompPoint, verdict: ScoreVerdict) -> StepOutcome {
+        // a non-finite decomposition means the detector state is
+        // numerically wrecked (warm-up imputes non-finite inputs, so this
+        // is state corruption, not a bad input): quarantine the series
+        // instead of letting every later score be NaN
+        if !point.trend.is_finite()
+            || !point.seasonal.is_finite()
+            || !point.residual.is_finite()
+        {
+            *self = SeriesState::Quarantined { cause: QuarantineCause::NonFinite, dropped: 1 };
+            return StepOutcome::Output(PointOutput::Quarantined);
+        }
+        // backend dispatch: the selected backend's verdict *replaces* the
+        // fused scorer's (an Ensemble backend folds the fused verdict back
+        // in as one of its channels)
+        let backend = match self {
+            SeriesState::Live(live) => live.backend.as_deref_mut(),
+            _ => None,
+        };
+        let (score, is_anomaly) = match backend {
+            Some(b) => b.observe(&point, &verdict),
+            None => (verdict.score, verdict.is_anomaly),
+        };
+        StepOutcome::Output(PointOutput::Scored { point, score, is_anomaly })
+    }
+
     /// Promotes a warming series: initializes a detector on the whole
     /// buffer. On a (rare) init failure the series is tomb-stoned.
     fn promote(&mut self, period: usize, config: &FleetConfig, shared: &Shared) -> StepOutcome {
@@ -361,7 +367,7 @@ impl SeriesState {
         // snapshots), not in the fleet config; without a detector override
         // that tuning is the shared config itself
         let own = w.overrides.detector_config(config);
-        let tuning = if same_config(&own, &shared.detector) {
+        let tuning = if own.bit_eq(&shared.detector) {
             Arc::clone(&shared.detector)
         } else {
             Arc::new(own)
@@ -480,10 +486,7 @@ impl SeriesState {
                         msg: "live series with uninitialized decomposer".into(),
                     });
                 }
-                let mut decomposer = OneShotStl::from_state(decomposer)?;
-                if same_config(&decomposer.config, &shared.detector) {
-                    decomposer.config = Arc::clone(&shared.detector);
-                }
+                let decomposer = OneShotStl::from_state_sharing(decomposer, &shared.detector)?;
                 SeriesState::Live(LiveSeries {
                     detector: StdAnomalyDetector::from_parts(
                         decomposer,

@@ -11,12 +11,17 @@
 //! hundred records at most, not for the sub-batch in progress or the
 //! backlog queued behind it.
 //!
-//! The ingest sweep ([`ShardState::ingest_batch`]) steps one record at a
-//! time on the single scalar update path, each under its own
-//! `catch_unwind`, so a panicking or faulting series quarantines itself
-//! alone. It polls only at a slot boundary, so a read answered mid-sweep
-//! sees every series either with all of its rows in the sub-batch stepped
-//! or with none, and stamps each key with the seq its series reflects.
+//! The ingest sweep ([`ShardState::ingest_batch`]) steps two consecutive
+//! rows of two distinct live series as one pair (one paired IRLS kernel
+//! call for both; see `oneshotstl::OneShotStl::update_pair_with_scratch`)
+//! and every other row on its own. The fault seam runs per series before
+//! the kernel, and each step runs under a `catch_unwind`, so a faulting or
+//! panicking series quarantines itself alone (a panic inside a pair's
+//! shared kernel quarantines both of its series). The sweep polls only at
+//! a slot boundary, exactly where a one-row sweep would, so a read
+//! answered mid-sweep sees every series either with all of its rows in
+//! the sub-batch stepped or with none, and stamps each key with the seq
+//! its series reflects.
 
 use crate::batch::ShardBatch;
 use crate::cold_tier::ColdStore;
@@ -63,13 +68,15 @@ pub struct SeriesEntry {
 /// the 100k tier. The arena is admission-ordered, and a series' seasonal
 /// buffer stays where admission (or restore, in key order) put it. Its
 /// iteration-state block does not stay: `OnlineJointStl::commit` swaps
-/// the series' `Vec` with the shard scratch's, so after a sweep each
-/// stepped series holds the block the stepped series before it held (the
-/// first one gets the last one's from the sweep before, and a series
-/// whose shift search adopted an offset takes one of the scratch's other
-/// two). The blocks rotate one series forward per sweep, so the walk
-/// stays monotonic but for that one wrap. The index itself stays a few
-/// MiB (16 bytes per bucket),
+/// the series' `Vec` with one of the shard scratch's baseline buffers.
+/// A series stepped alone swaps with the first; the two series of a
+/// paired step swap lane by lane, the first with the first buffer and the
+/// second with the second (a series whose shift search adopted an offset
+/// takes the scratch's `best` block instead). So after a sweep each
+/// stepped series holds the block that the last series before it on the
+/// same buffer held, and the blocks rotate forward along the sweep, which
+/// keeps the walk monotonic but for a wrap per buffer. The index itself
+/// stays a few MiB (16 bytes per bucket),
 /// i.e. cache-resident, and looking up a known series hashes nothing and
 /// clones no key when the caller supplies the precomputed hash.
 #[derive(Default)]
@@ -118,6 +125,13 @@ impl Registry {
     /// Mutable access to the entry at `slot`, if occupied.
     pub fn entry_mut(&mut self, slot: u32) -> Option<&mut SeriesEntry> {
         self.slots.get_mut(slot as usize).and_then(|e| e.as_mut())
+    }
+
+    /// Mutable access to the entries at two distinct slots, if both are
+    /// occupied (the paired sweep).
+    pub fn pair_mut(&mut self, a: u32, b: u32) -> Option<[&mut SeriesEntry; 2]> {
+        let [ea, eb] = self.slots.get_disjoint_mut([a as usize, b as usize]).ok()?;
+        Some([ea.as_mut()?, eb.as_mut()?])
     }
 
     /// Reserves room for `n` more entries in the arena and the index, so
@@ -410,32 +424,56 @@ impl ShardState {
             return PointOutput::Quarantined;
         };
         entry.last_seen = entry.last_seen.max(liveness_t);
-        // per-series blast radius: a panicking update quarantines this
-        // series instead of unwinding the worker and sinking the shard
-        let SeriesEntry { key, state, .. } = entry;
-        let config = &self.config;
-        let shared = &mut self.shared;
-        let stepped = catch_unwind(AssertUnwindSafe(|| {
-            // the injectable stand-in for "this series' update went bad"
-            // (its sibling failure mode — a panic — is injected by a hook
-            // that panics instead of returning an error)
-            fault::check(FaultOp::SeriesStep, Path::new(key.as_str()))
-                .map_err(|_| QuarantineCause::NonFinite)?;
-            Ok(state.step(value, config, shared))
-        }));
-        let outcome = match stepped {
-            Ok(Ok(outcome)) => outcome,
-            Ok(Err(cause)) => {
-                *state = SeriesState::Quarantined { cause, dropped: 1 };
-                return PointOutput::Quarantined;
+        let stepped = series_seam(&entry.key)
+            .and_then(|()| step_one(&mut entry.state, value, &self.config, &mut self.shared));
+        let outcome = settle(&mut entry.state, stepped, &mut self.shared);
+        self.tally(outcome)
+    }
+
+    /// Processes one record for each of two distinct series in one paired
+    /// decomposition ([`SeriesState::step_pair`]), with outputs, states and
+    /// counters bit-identical to two [`ShardState::step_entry`] calls in
+    /// row order. The fault seam runs per series before the kernel: a
+    /// series that faults quarantines alone, and its partner steps on the
+    /// single-row path. `None`, with nothing touched, unless both slots
+    /// hold live series.
+    fn step_pair(&mut self, rows: [(u32, f64, u64); 2]) -> Option<[PointOutput; 2]> {
+        let [(sa, va, ta), (sb, vb, tb)] = rows;
+        let [a, b] = self.registry.pair_mut(sa, sb)?;
+        if !matches!((&a.state, &b.state), (SeriesState::Live(_), SeriesState::Live(_))) {
+            return None;
+        }
+        self.points += 2;
+        a.last_seen = a.last_seen.max(ta);
+        b.last_seen = b.last_seen.max(tb);
+        let (config, shared) = (&self.config, &mut self.shared);
+        let stepped = match [series_seam(&a.key), series_seam(&b.key)] {
+            [Ok(()), Ok(())] => {
+                let pair = [&mut a.state, &mut b.state];
+                match catch_unwind(AssertUnwindSafe(|| {
+                    SeriesState::step_pair(pair, [va, vb], shared)
+                })) {
+                    Ok(Some([oa, ob])) => [Ok(oa), Ok(ob)],
+                    Ok(None) => unreachable!("both series are live"),
+                    // the pair's kernel is shared, so a panic inside it
+                    // cannot be pinned on one of the two
+                    Err(_) => [Err(QuarantineCause::Panic), Err(QuarantineCause::Panic)],
+                }
             }
-            Err(_) => {
-                *state = SeriesState::Quarantined { cause: QuarantineCause::Panic, dropped: 1 };
-                // the shared trial scratch may be torn mid-update
-                self.shared.scratch = UpdateScratch::default();
-                return PointOutput::Quarantined;
-            }
+            [ca, cb] => [
+                ca.and_then(|()| step_one(&mut a.state, va, config, shared)),
+                cb.and_then(|()| step_one(&mut b.state, vb, config, shared)),
+            ],
         };
+        let [oa, ob] = stepped;
+        let oa = settle(&mut a.state, oa, &mut self.shared);
+        let ob = settle(&mut b.state, ob, &mut self.shared);
+        Some([self.tally(oa), self.tally(ob)])
+    }
+
+    /// Counts a stepped record's promotion and anomaly, and returns its
+    /// output.
+    fn tally(&mut self, outcome: StepOutcome) -> PointOutput {
         let output = match outcome {
             StepOutcome::Promoted(out) => {
                 self.admitted += 1;
@@ -458,7 +496,11 @@ impl ShardState {
     /// sort breaks ties by row); the engine reassembles outputs by the
     /// `idx` column, so reply order is free. Slot order is admission
     /// order, so the per-series state is walked monotonically through the
-    /// heap — the cache/TLB win described on [`Registry`].
+    /// heap — the cache/TLB win described on [`Registry`]. A row and the
+    /// next one step together (`ShardState::step_pair`) when they belong
+    /// to two distinct live series: one IRLS chain alone leaves the core
+    /// waiting on its divides, two independent ones overlap. Outputs are
+    /// those of stepping every row alone.
     ///
     /// Once [`POLL_ROWS`] rows have been stepped since the last poll, the
     /// sweep calls `poll` at the next slot boundary, with the cursor set so
@@ -498,7 +540,9 @@ impl ShardState {
         // placeholder verdict; the sweep below writes every row exactly once
         batch.outputs.resize(n, PointOutput::Rejected);
         let mut since_poll = 0;
-        for (j, &(slot, i)) in order.iter().enumerate() {
+        let mut j = 0;
+        while j < n {
+            let (slot, i) = order[j];
             // a slot boundary: every slot below `slot` has all its rows in
             // this sub-batch stepped, and no slot from `slot` on has any
             if since_poll >= POLL_ROWS && slot != order[j - 1].0 {
@@ -507,7 +551,26 @@ impl ShardState {
                 since_poll = 0;
             }
             let i = i as usize;
+            // pair this row with the next one when that one is another
+            // series' (so it starts a slot) and no poll falls due before
+            // it: the polls land where a one-row sweep puts them
+            if since_poll + 1 < POLL_ROWS {
+                if let Some(&(next, k)) = order.get(j + 1).filter(|&&(s, _)| s != slot) {
+                    let k = k as usize;
+                    let rows = [
+                        (slot, batch.values[i], batch.live[i]),
+                        (next, batch.values[k], batch.live[k]),
+                    ];
+                    if let Some([a, b]) = self.step_pair(rows) {
+                        (batch.outputs[i], batch.outputs[k]) = (a, b);
+                        j += 2;
+                        since_poll += 2;
+                        continue;
+                    }
+                }
+            }
             batch.outputs[i] = self.step_entry(slot, batch.values[i], batch.live[i]);
+            j += 1;
             since_poll += 1;
         }
         self.cursor = None;
@@ -726,6 +789,47 @@ impl ShardState {
     }
 }
 
+/// The [`FaultOp::SeriesStep`] seam for one series, under its own
+/// `catch_unwind`: an injected error or panic is the series' quarantine
+/// cause.
+fn series_seam(key: &SeriesKey) -> Result<(), QuarantineCause> {
+    match catch_unwind(|| fault::check(FaultOp::SeriesStep, Path::new(key.as_str()))) {
+        Ok(Ok(())) => Ok(()),
+        Ok(Err(_)) => Err(QuarantineCause::NonFinite),
+        Err(_) => Err(QuarantineCause::Panic),
+    }
+}
+
+/// [`SeriesState::step`] under its own `catch_unwind`, so a panicking
+/// update quarantines its series instead of unwinding the worker and
+/// sinking the shard.
+fn step_one(
+    state: &mut SeriesState,
+    value: f64,
+    config: &FleetConfig,
+    shared: &mut Shared,
+) -> Result<StepOutcome, QuarantineCause> {
+    catch_unwind(AssertUnwindSafe(|| state.step(value, config, shared)))
+        .map_err(|_| QuarantineCause::Panic)
+}
+
+/// A stepped record's outcome, or its series' quarantine: the state
+/// becomes `Quarantined`, and after a panic the shared trial scratch,
+/// which may be torn mid-update, is reset.
+fn settle(
+    state: &mut SeriesState,
+    stepped: Result<StepOutcome, QuarantineCause>,
+    shared: &mut Shared,
+) -> StepOutcome {
+    stepped.unwrap_or_else(|cause| {
+        *state = SeriesState::Quarantined { cause, dropped: 1 };
+        if cause == QuarantineCause::Panic {
+            shared.scratch = UpdateScratch::default();
+        }
+        StepOutcome::Output(PointOutput::Quarantined)
+    })
+}
+
 /// Answers one read-lane request against the current registry — between
 /// sub-batches, or at a poll inside a sweep.
 fn serve_read(state: &ShardState, read: ReadMsg, queue_depth: &AtomicUsize) {
@@ -750,6 +854,21 @@ fn serve_read(state: &ShardState, read: ReadMsg, queue_depth: &AtomicUsize) {
     }
 }
 
+/// Answers every read queued on the lane. Each reader blocks on its
+/// reply, and on a host whose cores the shards keep busy, a woken reader
+/// would wait for a shard's scheduler slice to end before it runs: after
+/// answering, the worker yields its CPU once, so the reader runs at once.
+fn drain_reads(state: &ShardState, lane: &Receiver<ReadMsg>, queue_depth: &AtomicUsize) {
+    let mut served = false;
+    while let Ok(read) = lane.try_recv() {
+        serve_read(state, read, queue_depth);
+        served = true;
+    }
+    if served {
+        std::thread::yield_now();
+    }
+}
+
 /// The worker loop: drains messages until `Shutdown` or channel close,
 /// answering every pending read-lane request before it handles each
 /// dequeued message and at every poll of an ingest sweep (see
@@ -771,15 +890,11 @@ pub fn run_worker(
 ) {
     while let Ok(msg) = rx.recv() {
         queue_depth.fetch_sub(1, Ordering::Relaxed);
-        while let Ok(read) = lane.try_recv() {
-            serve_read(&state, read, &queue_depth);
-        }
+        drain_reads(&state, &lane, &queue_depth);
         match msg {
             ShardMsg::Ingest { mut batch, seq, reply } => {
                 state.ingest_batch(&mut batch, seq, |state| {
-                    while let Ok(read) = lane.try_recv() {
-                        serve_read(state, read, &queue_depth);
-                    }
+                    drain_reads(state, &lane, &queue_depth)
                 });
                 // the filled batch rides back on the reply; the engine
                 // moves keys and outputs out and recycles the buffers (an
@@ -856,17 +971,19 @@ mod sweep_tests {
         assert!(size <= 400, "SeriesEntry is {size} B");
     }
 
-    /// Counts the heap blocks freed on each thread, for the footprint
-    /// test below. Per thread, because libtest runs the other tests of
-    /// this binary on threads of their own.
+    /// Counts the heap blocks allocated and freed on each thread, for the
+    /// footprint tests below. Per thread, because libtest runs the other
+    /// tests of this binary on threads of their own.
     struct CountingAlloc;
 
     thread_local! {
+        static ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
         static FREES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            ALLOCS.with(|c| c.set(c.get() + 1));
             std::alloc::System.alloc(layout)
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
@@ -935,6 +1052,191 @@ mod sweep_tests {
             let entry = shard.registry.remove_slot(slot).unwrap();
             check(k, entry.state, "admitted");
         }
+    }
+
+    /// Restoring a live series on the shard's detector config allocates
+    /// its two owned blocks (the IRLS iteration states and the seasonal
+    /// buffer arrive inside the snapshot, so only the iteration-state
+    /// `Vec` is new) and nothing for the config: the restore points at
+    /// the shard's shared config instead of allocating a copy and
+    /// dropping it.
+    #[test]
+    fn restoring_a_live_series_allocates_nothing_for_a_shared_config() {
+        let config = Arc::new(FleetConfig::fixed_period(24));
+        let mut shard = ShardState::new(0, Arc::clone(&config));
+        let key = SeriesKey::new("restore-allocs/0");
+        for t in 0..config.init_len(24) as u64 + 8 {
+            let mut batch = ShardBatch::default();
+            let value = 2.0 + (2.0 * std::f64::consts::PI * t as f64 / 24.0).sin();
+            let hash = key.stable_hash();
+            batch.push(0, Record { key: key.clone(), t, value }, hash, t);
+            shard.ingest_batch(&mut batch, t + 1, |_| {});
+        }
+        let [snap] = <[SeriesSnapshot; 1]>::try_from(shard.snapshot()).expect("one series");
+        let before = ALLOCS.with(|c| c.get());
+        let restored = SeriesState::from_snapshot(snap.phase, &config, &shard.shared).unwrap();
+        let allocs = ALLOCS.with(|c| c.get()) - before;
+        let SeriesState::Live(live) = &restored else { panic!("the series restores live") };
+        assert!(Arc::ptr_eq(&live.detector.decomposer.config, &shard.shared.detector));
+        assert_eq!(allocs, 1, "blocks allocated by one restore");
+    }
+
+    /// One faulting series in each pair of the paired sweep: with four
+    /// series stepped once per batch, slots (0, 1) and (2, 3) pair up, the
+    /// series in slot 1 has a `SeriesStep` hook that errors and the one
+    /// in slot 2 a hook that panics. Each quarantines alone, with its own
+    /// cause, and its healthy partner keeps scoring bit-identically to a
+    /// shard that saw no fault.
+    #[test]
+    fn a_faulting_series_in_a_pair_quarantines_only_itself() {
+        let key = |k: usize| SeriesKey::new(format!("pair-blast/{k}"));
+        let ingest = |shard: &mut ShardState, step: u64| -> Vec<PointOutput> {
+            let mut batch = ShardBatch::default();
+            for k in 0..KEYS {
+                let phase = (step as usize + 5 * k) as f64 / 24.0;
+                let wobble = ((step * 3 + k as u64 * 17) % 13) as f64 / 40.0;
+                let value = 2.0 + (2.0 * std::f64::consts::PI * phase).sin() + wobble;
+                let key = key(k);
+                let hash = key.stable_hash();
+                batch.push(k as u32, Record { key, t: step, value }, hash, step);
+            }
+            shard.ingest_batch(&mut batch, step + 1, |_| {});
+            batch.outputs
+        };
+        let config = Arc::new(FleetConfig::fixed_period(24));
+        // past admission and the solvers' 4-point warm-up
+        let warm = config.init_len(24) as u64 + 8;
+        let mut faulty = ShardState::new(0, Arc::clone(&config));
+        let mut clean = ShardState::new(0, Arc::clone(&config));
+        for step in 0..warm {
+            ingest(&mut faulty, step);
+            ingest(&mut clean, step);
+        }
+        assert_eq!(faulty.stats().live, KEYS);
+        let (fails, panics) = (1, 2);
+        let fail: fault::FaultHook = StdArc::new(|op, _| {
+            (op == FaultOp::SeriesStep).then(|| std::io::Error::other("injected series fault"))
+        });
+        let panic: fault::FaultHook = StdArc::new(|op, _| {
+            assert!(op != FaultOp::SeriesStep, "injected series panic");
+            None
+        });
+        let _fail = fault::inject(key(fails).as_str(), fail);
+        let _panic = fault::inject(key(panics).as_str(), panic);
+        for step in warm..warm + 40 {
+            let got = ingest(&mut faulty, step);
+            let want = ingest(&mut clean, step);
+            for k in 0..KEYS {
+                if k == fails || k == panics {
+                    assert_eq!(got[k], PointOutput::Quarantined, "series {k} step {step}");
+                } else {
+                    assert_eq!(bits(&got[k]), bits(&want[k]), "series {k} step {step}");
+                }
+            }
+        }
+        let stats = faulty.stats();
+        assert_eq!((stats.live, stats.quarantined), (KEYS - 2, 2));
+        assert_eq!(stats.points, clean.stats().points);
+        for (k, cause) in
+            [(fails, QuarantineCause::NonFinite), (panics, QuarantineCause::Panic)]
+        {
+            let slot = faulty.registry.slot_of(&key(k)).expect("the series stays registered");
+            let entry = faulty.registry.entry(slot).expect("its slot is occupied");
+            assert!(
+                matches!(entry.state, SeriesState::Quarantined { cause: c, .. } if c == cause),
+                "series {k}: {:?}",
+                entry.state
+            );
+        }
+    }
+
+    /// The paired sweep is the one-row sweep, bit for bit: a sub-batch
+    /// holding repeated keys (runs of one series' rows, and one series'
+    /// rows split by another's), live series, warming series (one of
+    /// which is admitted inside the sub-batch) and an odd number of live
+    /// rows yields the outputs and counters of a twin shard fed every row
+    /// as a batch of its own, where nothing can pair.
+    #[test]
+    fn a_mixed_sub_batch_matches_stepping_every_row_alone() {
+        let key = |k: usize| SeriesKey::new(format!("pair-mix/{k}"));
+        let value = |k: usize, t: u64| {
+            let phase = (t as usize + 7 * k) as f64 / 24.0;
+            let spike = if (t + k as u64).is_multiple_of(37) { 30.0 } else { 0.0 };
+            2.0 + (2.0 * std::f64::consts::PI * phase).sin()
+                + ((t * 5 + k as u64) % 9) as f64 / 30.0
+                + spike
+        };
+        let config = Arc::new(FleetConfig::fixed_period(24));
+        let init = config.init_len(24) as u64;
+        let mut paired = ShardState::new(0, Arc::clone(&config));
+        let mut alone = ShardState::new(0, Arc::clone(&config));
+        // (series, rows per tick): series 0–4 go live first; 5 joins late
+        // and admits inside a sub-batch below; 6 is still warming
+        let mut clock = [0u64; 8];
+        let mut rows = |keys: &[usize]| -> Vec<(usize, u64, f64)> {
+            keys.iter()
+                .map(|&k| {
+                    let t = clock[k];
+                    clock[k] += 1;
+                    (k, t, value(k, t))
+                })
+                .collect()
+        };
+        let feed = |paired: &mut ShardState,
+                    alone: &mut ShardState,
+                    seq: u64,
+                    rows: &[(usize, u64, f64)]| {
+            let mut batch = ShardBatch::default();
+            for (i, &(k, t, v)) in rows.iter().enumerate() {
+                let key = key(k);
+                let hash = key.stable_hash();
+                batch.push(i as u32, Record { key, t, value: v }, hash, t);
+            }
+            paired.ingest_batch(&mut batch, seq, |_| {});
+            let mut want = Vec::new();
+            for &(k, t, v) in rows {
+                let mut one = ShardBatch::default();
+                let key = key(k);
+                let hash = key.stable_hash();
+                one.push(0, Record { key, t, value: v }, hash, t);
+                alone.ingest_batch(&mut one, seq, |_| {});
+                want.push(one.outputs.pop().expect("one output"));
+            }
+            for (i, (got, want)) in batch.outputs.iter().zip(&want).enumerate() {
+                match (got, want) {
+                    (PointOutput::Scored { .. }, PointOutput::Scored { .. }) => {
+                        assert_eq!(bits(got), bits(want), "seq {seq} row {i}")
+                    }
+                    _ => assert_eq!(got, want, "seq {seq} row {i}"),
+                }
+            }
+        };
+        let mut seq = 0;
+        for _ in 0..init + 8 {
+            seq += 1;
+            let tick = rows(&[0, 1, 2, 3, 4]);
+            feed(&mut paired, &mut alone, seq, &tick);
+        }
+        for _ in 0..init - 3 {
+            seq += 1;
+            let tick = rows(&[5]);
+            feed(&mut paired, &mut alone, seq, &tick);
+        }
+        assert_eq!(paired.stats().live, 5);
+        for _ in 0..12 {
+            seq += 1;
+            // series 5 admits at its third row here and then goes live; 6
+            // warms; 2 has a run of three rows and 0's rows sit apart
+            let tick = rows(&[0, 2, 2, 5, 1, 5, 6, 2, 3, 5, 4, 0, 6]);
+            feed(&mut paired, &mut alone, seq, &tick);
+        }
+        let (p, a) = (paired.stats(), alone.stats());
+        assert_eq!((p.live, p.warming), (6, 1));
+        assert_eq!(
+            (p.points, p.admitted, p.anomalies, p.shift_searches, p.shift_trials),
+            (a.points, a.admitted, a.anomalies, a.shift_searches, a.shift_trials)
+        );
+        assert!(p.shift_searches > 0, "the spikes must drive the shift search");
     }
 
     /// A `SeriesStep` fault — an error or a panic — for one series
