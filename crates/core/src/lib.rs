@@ -64,7 +64,7 @@ pub use oneshot::{
 pub use online_doolittle::{IncrementalSolver, SolverState};
 pub use reference::ModifiedJointStlRef;
 pub use score::{
-    Fusion, ResidualScorer, ResidualScorerState, ScoreConfig, ScoreVerdict, TrendCusum,
-    TrendCusumState,
+    CusumScorer, Fusion, ResidualScorer, ResidualScorerState, ScoreConfig, ScoreVerdict,
+    TrendCusum, TrendCusumState,
 };
 pub use tasks::{StdAnomalyDetector, StdForecaster};

@@ -686,10 +686,11 @@ impl<S: TailSolver> OnlineJointStl<S> {
         &self.v
     }
 
-    /// The NSigma score of the most recent residual *without* updating
-    /// state; useful for monitoring.
-    pub fn score_residual(&self, r: f64) -> f64 {
-        self.nsigma.score_only(r).score
+    /// The running residual statistics behind the §3.4 shift trigger
+    /// (seeded from the initialization residuals, absorbing every
+    /// committed residual).
+    pub(crate) fn residual_stats(&self) -> &NSigma {
+        &self.nsigma
     }
 
     #[inline]
@@ -848,14 +849,31 @@ impl<S: TailSolver> OnlineJointStl<S> {
         }
     }
 
-    /// [`OnlineDecomposer::update`] with caller-provided trial scratch
-    /// (see [`UpdateScratch`] for when that wins). Output is bit-identical
-    /// to the plain `update`.
+    /// [`OnlineDecomposer::update`] that also returns the committed
+    /// residual's signed z-score `(r − μ) / σ` ([`NSigma::zscore`]) against
+    /// the shift trigger's running statistics as they stood before the
+    /// update absorbed it: the z the §3.4 trigger tested (recomputed only
+    /// when the search adopted an offset), and the z that
+    /// [`crate::StdAnomalyDetector`] scores.
+    pub fn update_z(&mut self, y: f64) -> (DecompPoint, f64) {
+        assert!(self.initialized, "OneShotSTL::update called before init");
+        let y = self.impute(y);
+        // move the trial buffers out so trials can borrow committed state
+        // (a pointer move; only the first call allocates the box)
+        let mut bufs = self.scratch.take().unwrap_or_default();
+        let out = self.update_with(y, &mut bufs);
+        self.scratch = Some(bufs);
+        out
+    }
+
+    /// [`Self::update_z`] with caller-provided trial scratch (see
+    /// [`UpdateScratch`] for when that wins). Output is bit-identical to
+    /// the plain `update`.
     pub fn update_with_scratch(
         &mut self,
         y: f64,
         scratch: &mut UpdateScratch<S>,
-    ) -> DecompPoint {
+    ) -> (DecompPoint, f64) {
         assert!(self.initialized, "OneShotSTL::update called before init");
         let y = self.impute(y);
         self.update_with(y, &mut scratch.0)
@@ -925,7 +943,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// moved out of `self` so trials can borrow the committed state: the
     /// Δt = 0 baseline trial into lane 0's base buffer, then
     /// [`Self::finish_update`].
-    fn update_with(&mut self, y: f64, bufs: &mut TrialBufs<S>) -> DecompPoint {
+    fn update_with(&mut self, y: f64, bufs: &mut TrialBufs<S>) -> (DecompPoint, f64) {
         self.size_search_bufs(bufs);
         let base = self.run_trial_into(y, self.shift, &mut bufs.base[0]);
         self.finish_update(y, base, 0, bufs)
@@ -960,18 +978,20 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// The rest of an update once its Δt = 0 baseline trial `base` has run
     /// into `bufs.base[lane]`: the NSigma verdict, the §3.4 shift search
     /// on a flagged point (scalar trials from this model's own baseline),
-    /// and the commit.
+    /// and the commit. Returns the committed point and its z-score (see
+    /// [`Self::update_z`]).
     fn finish_update(
         &mut self,
         y: f64,
         base: TrialOut,
         lane: usize,
         bufs: &mut TrialBufs<S>,
-    ) -> DecompPoint {
+    ) -> (DecompPoint, f64) {
         let h = self.config.shift_window as i64;
-        let verdict = self.nsigma.score_only(base.point.residual);
-        if !verdict.is_anomaly || h == 0 {
-            return self.commit(y, self.shift, base, &mut bufs.base[lane]);
+        let z = self.nsigma.zscore(base.point.residual);
+        let flagged = z.abs() > self.nsigma.n;
+        if !flagged || h == 0 {
+            return (self.commit(y, self.shift, base, &mut bufs.base[lane]), z);
         }
         // §3.4, two stages: pick candidate offsets Δt from E = [−H, H]
         // (all of them, or the top-k by proxy residual), run a full trial
@@ -1004,8 +1024,12 @@ impl<S: TailSolver> OnlineJointStl<S> {
             best_shift = self.shift;
             best_is_base = true;
         }
-        let accepted = if best_is_base { &mut bufs.base[lane] } else { &mut bufs.best };
-        self.commit(y, best_shift, best, accepted)
+        if best_is_base {
+            (self.commit(y, best_shift, best, &mut bufs.base[lane]), z)
+        } else {
+            let z = self.nsigma.zscore(best.point.residual);
+            (self.commit(y, best_shift, best, &mut bufs.best), z)
+        }
     }
 
     /// [`Self::update_with_scratch`] for two independent models at once:
@@ -1024,7 +1048,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
         pair: [&mut Self; 2],
         ys: [f64; 2],
         scratch: &mut UpdateScratch<S>,
-    ) -> [DecompPoint; 2] {
+    ) -> [(DecompPoint, f64); 2] {
         let [a, b] = pair;
         assert!(a.initialized && b.initialized, "OneShotSTL::update called before init");
         let ys = [a.impute(ys[0]), b.impute(ys[1])];
@@ -1117,14 +1141,7 @@ impl<S: TailSolver> OnlineDecomposer for OnlineJointStl<S> {
     }
 
     fn update(&mut self, y: f64) -> DecompPoint {
-        assert!(self.initialized, "OneShotSTL::update called before init");
-        let y = self.impute(y);
-        // move the trial buffers out so trials can borrow committed state
-        // (a pointer move; only the first call allocates the box)
-        let mut bufs = self.scratch.take().unwrap_or_default();
-        let point = self.update_with(y, &mut bufs);
-        self.scratch = Some(bufs);
-        point
+        self.update_z(y).0
     }
 }
 
@@ -1403,12 +1420,13 @@ mod tests {
             for step in 0..steps {
                 for q in 0..MODELS {
                     let y = cases[q].2[cursor[q] + step];
-                    let got = shared[q].update_with_scratch(y, &mut scratch);
-                    let want = plain[q].update(y);
+                    let (got, got_z) = shared[q].update_with_scratch(y, &mut scratch);
+                    let (want, want_z) = plain[q].update_z(y);
                     for (g, w) in [
                         (got.trend, want.trend),
                         (got.seasonal, want.seasonal),
                         (got.residual, want.residual),
+                        (got_z, want_z),
                     ] {
                         proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "model {} step {}", q, step);
                     }
@@ -1491,11 +1509,12 @@ mod tests {
                 let [a, b] = &mut paired[..] else { unreachable!("two lanes") };
                 let got = OneShotStl::update_pair_with_scratch([a, b], ys, &mut scratch);
                 for q in 0..2 {
-                    let want = twins[q].update(ys[q]);
+                    let ((got, got_z), (want, want_z)) = (got[q], twins[q].update_z(ys[q]));
                     for (g, w) in [
-                        (got[q].trend, want.trend),
-                        (got[q].seasonal, want.seasonal),
-                        (got[q].residual, want.residual),
+                        (got.trend, want.trend),
+                        (got.seasonal, want.seasonal),
+                        (got.residual, want.residual),
+                        (got_z, want_z),
                     ] {
                         proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "lane {} step {}", q, step);
                     }

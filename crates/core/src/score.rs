@@ -50,7 +50,7 @@
 use crate::nsigma::{NSigma, NSigmaState};
 
 /// The peak-hold latches at most this many multiples of the z bar `n`
-/// (see the clamp note in [`ResidualScorer::update`]): deep enough that
+/// (see the clamp note in [`CusumScorer::update`]): deep enough that
 /// held anomalies keep out-ranking everything normal, bounded so a
 /// degenerate zero-variance sentinel decays in `ln(8)/(1−γ)` ≈ 200
 /// points at the default γ instead of ~35 000.
@@ -148,12 +148,16 @@ pub struct ScoreVerdict {
     pub is_anomaly: bool,
 }
 
-/// Streaming persistence-aware residual scorer. See the [module
-/// docs](self).
+/// The CUSUM, peak-hold, bar and alarm counters of a
+/// [`ResidualScorer`], fed a residual and its z-score computed elsewhere.
+/// [`crate::StdAnomalyDetector`] runs one on the z its decomposer's
+/// shift-trigger NSigma already computes, so a live detector keeps one
+/// set of running residual sums.
 #[derive(Debug, Clone)]
-pub struct ResidualScorer {
+pub struct CusumScorer {
     config: ScoreConfig,
-    nsigma: NSigma,
+    /// Threshold `n` of the z bar.
+    n: f64,
     /// Upper CUSUM accumulator `S⁺`.
     s_pos: f64,
     /// Lower CUSUM accumulator `S⁻`.
@@ -168,12 +172,12 @@ pub struct ResidualScorer {
     cusum_alarms: u64,
 }
 
-impl ResidualScorer {
-    /// Creates a scorer with NSigma threshold `n` and CUSUM config.
+impl CusumScorer {
+    /// Creates a scorer with z bar `n` and CUSUM config.
     pub fn new(n: f64, config: ScoreConfig) -> Self {
-        ResidualScorer {
+        CusumScorer {
             config,
-            nsigma: NSigma::new(n),
+            n,
             s_pos: 0.0,
             s_neg: 0.0,
             hold: 0.0,
@@ -192,45 +196,22 @@ impl ResidualScorer {
         (self.z_alarms, self.cusum_alarms)
     }
 
-    /// The scoring configuration.
-    pub fn config(&self) -> &ScoreConfig {
-        &self.config
-    }
-
-    /// Read-only view of the underlying residual statistics.
-    pub fn nsigma(&self) -> &NSigma {
-        &self.nsigma
-    }
-
-    /// Current CUSUM accumulators `(S⁺, S⁻)`.
-    pub fn cusum_state(&self) -> (f64, f64) {
-        (self.s_pos, self.s_neg)
-    }
-
-    /// Seeds the residual statistics from an initialization window
-    /// (mirrors [`NSigma::seed`]; the CUSUM accumulators and peak-hold
-    /// stay at zero — the initialization window is presumed clean).
-    pub fn seed(&mut self, residuals: &[f64]) {
-        self.nsigma.seed(residuals);
-    }
-
-    /// Scores one residual and absorbs it into the running statistics.
+    /// Scores residual `r` whose signed z-score against the residual
+    /// history is `zs` ([`NSigma::zscore`]).
     ///
-    /// [`Fusion::Off`] takes the exact legacy path: `NSigma::update`,
-    /// untouched CUSUM/hold state — bit-identical scores to the pre-v5
-    /// pipeline. The fused modes guard non-finite residuals (state
-    /// unchanged, non-anomalous verdict carrying the current held score)
-    /// instead of letting a NaN poison the running sums forever.
-    pub fn update(&mut self, r: f64) -> ScoreVerdict {
+    /// [`Fusion::Off`] takes the legacy path: `|zs|` against the bar,
+    /// untouched CUSUM/hold state — bit-identical scores to plain
+    /// [`NSigma::update`]. The fused modes guard non-finite residuals
+    /// (state unchanged, non-anomalous verdict carrying the current held
+    /// score); the caller must not absorb such a residual into its
+    /// sums either ([`NSigma::absorb`] already skips it).
+    pub fn update(&mut self, r: f64, zs: f64) -> ScoreVerdict {
+        let n = self.n;
+        let z = zs.abs();
+        let z_alarm = z > n;
         if self.config.fusion == Fusion::Off {
-            let v = self.nsigma.update(r);
-            self.z_alarms += v.is_anomaly as u64;
-            return ScoreVerdict {
-                score: v.score,
-                z: v.score,
-                cusum: 0.0,
-                is_anomaly: v.is_anomaly,
-            };
+            self.z_alarms += z_alarm as u64;
+            return ScoreVerdict { score: z, z, cusum: 0.0, is_anomaly: z_alarm };
         }
         if !r.is_finite() {
             return ScoreVerdict {
@@ -240,8 +221,6 @@ impl ResidualScorer {
                 is_anomaly: false,
             };
         }
-        let zs = self.nsigma.zscore(r);
-        let z = zs.abs();
         let ScoreConfig { cusum_k: k, cusum_h: h, hold_decay, fusion } = self.config;
         // the 2h clamp bounds both the reported statistic and the state a
         // single extreme point can park in the accumulators
@@ -255,9 +234,6 @@ impl ResidualScorer {
             self.s_pos = 0.0;
             self.s_neg = 0.0;
         }
-        self.nsigma.absorb(r);
-        let n = self.nsigma.n;
-        let z_alarm = z > n;
         self.z_alarms += z_alarm as u64;
         self.cusum_alarms += cusum_alarm as u64;
         // rescale the CUSUM statistic into z units (its bar h maps onto
@@ -279,6 +255,80 @@ impl ResidualScorer {
         ScoreVerdict { score: self.hold.max(instant), z, cusum, is_anomaly }
     }
 
+    /// The [`ResidualScorer`] snapshot of this scorer over the residual
+    /// statistics `sums` (whose own bar is not used: the snapshot carries
+    /// this scorer's `n`).
+    pub fn to_state(&self, sums: &NSigma) -> ResidualScorerState {
+        ResidualScorerState {
+            config: self.config,
+            nsigma: NSigmaState { n: self.n, ..sums.to_state() },
+            s_pos: self.s_pos,
+            s_neg: self.s_neg,
+            hold: self.hold,
+        }
+    }
+
+    /// The CUSUM part of a [`ResidualScorer::to_state`] snapshot (its bar,
+    /// config, accumulators and hold; not its running sums).
+    pub fn from_state(state: &ResidualScorerState) -> Self {
+        CusumScorer {
+            config: state.config,
+            n: state.nsigma.n,
+            s_pos: state.s_pos,
+            s_neg: state.s_neg,
+            hold: state.hold,
+            z_alarms: 0,
+            cusum_alarms: 0,
+        }
+    }
+}
+
+/// Streaming persistence-aware residual scorer: running residual
+/// statistics plus a [`CusumScorer`] fed their z-scores. See the [module
+/// docs](self).
+#[derive(Debug, Clone)]
+pub struct ResidualScorer {
+    nsigma: NSigma,
+    cusum: CusumScorer,
+}
+
+impl ResidualScorer {
+    /// Creates a scorer with NSigma threshold `n` and CUSUM config.
+    pub fn new(n: f64, config: ScoreConfig) -> Self {
+        ResidualScorer { nsigma: NSigma::new(n), cusum: CusumScorer::new(n, config) }
+    }
+
+    /// Lifetime `(z alarms, CUSUM alarms)`; see
+    /// [`CusumScorer::alarm_counts`].
+    pub fn alarm_counts(&self) -> (u64, u64) {
+        self.cusum.alarm_counts()
+    }
+
+    /// Read-only view of the underlying residual statistics.
+    pub fn nsigma(&self) -> &NSigma {
+        &self.nsigma
+    }
+
+    /// Current CUSUM accumulators `(S⁺, S⁻)`.
+    pub fn cusum_state(&self) -> (f64, f64) {
+        (self.cusum.s_pos, self.cusum.s_neg)
+    }
+
+    /// Seeds the residual statistics from an initialization window
+    /// (mirrors [`NSigma::seed`]; the CUSUM accumulators and peak-hold
+    /// stay at zero — the initialization window is presumed clean).
+    pub fn seed(&mut self, residuals: &[f64]) {
+        self.nsigma.seed(residuals);
+    }
+
+    /// Scores one residual against the running statistics, then absorbs
+    /// it (score-then-absorb, Algorithm 6); see [`CusumScorer::update`].
+    pub fn update(&mut self, r: f64) -> ScoreVerdict {
+        let v = self.cusum.update(r, self.nsigma.zscore(r));
+        self.nsigma.absorb(r);
+        v
+    }
+
     /// Absorbs one value into the running statistics **without scoring
     /// it** (and without touching the CUSUM accumulators or the hold).
     /// Warm-up absorption for wrappers like [`TrendCusum`], whose first
@@ -293,26 +343,15 @@ impl ResidualScorer {
     /// Extracts a plain-data snapshot for serialization (see
     /// `fleet::codec`).
     pub fn to_state(&self) -> ResidualScorerState {
-        ResidualScorerState {
-            config: self.config,
-            nsigma: self.nsigma.to_state(),
-            s_pos: self.s_pos,
-            s_neg: self.s_neg,
-            hold: self.hold,
-        }
+        self.cusum.to_state(&self.nsigma)
     }
 
     /// Rebuilds a scorer from [`ResidualScorer::to_state`] output; the
     /// stream continues bit-identically.
     pub fn from_state(state: ResidualScorerState) -> Self {
         ResidualScorer {
-            config: state.config,
+            cusum: CusumScorer::from_state(&state),
             nsigma: NSigma::from_state(state.nsigma),
-            s_pos: state.s_pos,
-            s_neg: state.s_neg,
-            hold: state.hold,
-            z_alarms: 0,
-            cusum_alarms: 0,
         }
     }
 }

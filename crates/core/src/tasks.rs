@@ -1,59 +1,68 @@
 //! Downstream task adapters (paper §4): turning any online STD method into
 //! a univariate anomaly detector or forecaster.
 
-use crate::nsigma::NSigma;
-use crate::score::{ResidualScorer, ScoreConfig, ScoreVerdict};
+use crate::oneshot::{OnlineJointStl, TailSolver, UpdateScratch};
+use crate::score::{CusumScorer, ResidualScorerState, ScoreConfig, ScoreVerdict};
 use decomp::traits::OnlineDecomposer;
 use tskit::error::Result;
 use tskit::ring::RingBuffer;
 use tskit::series::DecompPoint;
 
-/// §4 (1): STD → TSAD. Wraps an online decomposer and scores each point
-/// with the persistence-aware [`ResidualScorer`] (instantaneous NSigma
-/// z-score fused with a two-sided CUSUM; see [`crate::score`]) on the
-/// decomposed residual.
+/// §4 (1): STD → TSAD. Wraps OneShotSTL and scores each point with the
+/// persistence-aware scorer of [`crate::score`] (instantaneous NSigma
+/// z-score fused with a two-sided CUSUM) on the decomposed residual.
+///
+/// The z-score is the one the decomposer's §3.4 shift trigger computes
+/// ([`OnlineJointStl::update_z`]): one set of running sums, two bars (the
+/// decomposer's `config.nsigma`, the detector's `n`), so the detector
+/// keeps only a [`CusumScorer`]. Verdicts are bit-identical to
+/// `OneShotStl::update` followed by a [`crate::ResidualScorer`] seeded
+/// from the initialization residuals, which is also how to score any
+/// other decomposer.
 #[derive(Debug, Clone)]
 pub struct StdAnomalyDetector<D> {
     /// The wrapped online decomposer.
     pub decomposer: D,
-    scorer: ResidualScorer,
+    scorer: CusumScorer,
 }
 
-impl<D: OnlineDecomposer> StdAnomalyDetector<D> {
+impl<S: TailSolver> StdAnomalyDetector<OnlineJointStl<S>> {
     /// Wraps `decomposer`, flagging residuals beyond `n` sigma or past
     /// the CUSUM bar, with the default fused [`ScoreConfig`].
-    pub fn new(decomposer: D, n: f64) -> Self {
+    pub fn new(decomposer: OnlineJointStl<S>, n: f64) -> Self {
         Self::with_score(decomposer, n, ScoreConfig::default())
     }
 
     /// Wraps `decomposer` with an explicit scoring configuration
     /// ([`ScoreConfig::off`] reproduces the paper's plain-NSigma path
     /// bit-identically).
-    pub fn with_score(decomposer: D, n: f64, score: ScoreConfig) -> Self {
-        StdAnomalyDetector { decomposer, scorer: ResidualScorer::new(n, score) }
+    pub fn with_score(decomposer: OnlineJointStl<S>, n: f64, score: ScoreConfig) -> Self {
+        StdAnomalyDetector { decomposer, scorer: CusumScorer::new(n, score) }
     }
 
-    /// Read-only view of the residual scorer.
-    pub fn scorer(&self) -> &ResidualScorer {
+    /// Read-only view of the CUSUM part of the scorer (its alarm
+    /// counters).
+    pub fn scorer(&self) -> &CusumScorer {
         &self.scorer
     }
 
-    /// Read-only view of the residual scoring statistics.
-    pub fn nsigma(&self) -> &NSigma {
-        self.scorer.nsigma()
+    /// The scorer's snapshot: the [`CusumScorer`] state over the
+    /// decomposer's running residual sums, under this detector's bar.
+    pub fn scorer_state(&self) -> ResidualScorerState {
+        self.scorer.to_state(self.decomposer.residual_stats())
     }
 
     /// Reassembles a detector from a decomposer and a scorer (snapshot
-    /// restore; see `fleet::codec`).
-    pub fn from_parts(decomposer: D, scorer: ResidualScorer) -> Self {
+    /// restore; see `fleet::codec`, which refuses a snapshot whose scorer
+    /// sums differ from the decomposer's).
+    pub fn from_parts(decomposer: OnlineJointStl<S>, scorer: CusumScorer) -> Self {
         StdAnomalyDetector { decomposer, scorer }
     }
 
-    /// Initializes the decomposer on a prefix; residuals of the prefix seed
-    /// the scorer's statistics.
+    /// Initializes the decomposer on a prefix; its residuals seed the
+    /// running statistics the score shares with the shift trigger.
     pub fn init(&mut self, y: &[f64], period: usize) -> Result<()> {
-        let d = self.decomposer.init(y, period)?;
-        self.scorer.seed(&d.residual);
+        self.decomposer.init(y, period)?;
         Ok(())
     }
 
@@ -67,51 +76,47 @@ impl<D: OnlineDecomposer> StdAnomalyDetector<D> {
     /// threshold decision), so callers don't re-implement the fusion
     /// rule.
     pub fn update_scored(&mut self, y: f64) -> (DecompPoint, ScoreVerdict) {
-        let p = self.decomposer.update(y);
-        let v = self.scorer.update(p.residual);
-        (p, v)
+        let (p, z) = self.decomposer.update_z(y);
+        (p, self.scorer.update(p.residual, z))
     }
 
     /// Scores a whole test stream (after [`Self::init`]).
     pub fn score_stream(&mut self, ys: &[f64]) -> Vec<f64> {
         ys.iter().map(|&y| self.update(y).1).collect()
     }
-}
 
-impl<S: crate::oneshot::TailSolver> StdAnomalyDetector<crate::oneshot::OnlineJointStl<S>> {
     /// [`Self::update_scored`] with caller-provided trial scratch: a host
     /// multiplexing many detectors on one thread (the fleet shard worker)
-    /// shares one hot [`crate::UpdateScratch`] across all of them instead
-    /// of growing one per model. Output is bit-identical to
+    /// shares one hot [`UpdateScratch`] across all of them instead of
+    /// growing one per model. Output is bit-identical to
     /// [`Self::update_scored`].
     pub fn update_scored_with(
         &mut self,
         y: f64,
-        scratch: &mut crate::UpdateScratch<S>,
+        scratch: &mut UpdateScratch<S>,
     ) -> (DecompPoint, ScoreVerdict) {
-        let p = self.decomposer.update_with_scratch(y, scratch);
-        let v = self.scorer.update(p.residual);
-        (p, v)
+        let (p, z) = self.decomposer.update_with_scratch(y, scratch);
+        (p, self.scorer.update(p.residual, z))
     }
 
     /// [`Self::update_scored_with`] for two detectors at once: their
     /// decomposers step as one pair
-    /// ([`crate::oneshot::OnlineJointStl::update_pair_with_scratch`]), then
-    /// each scorer takes its own residual. Output is bit-identical to
+    /// ([`OnlineJointStl::update_pair_with_scratch`]), then each scorer
+    /// takes its own residual. Output is bit-identical to
     /// `pair[0].update_scored_with(ys[0])` followed by
     /// `pair[1].update_scored_with(ys[1])`.
     pub fn update_scored_pair_with(
         pair: [&mut Self; 2],
         ys: [f64; 2],
-        scratch: &mut crate::UpdateScratch<S>,
+        scratch: &mut UpdateScratch<S>,
     ) -> [(DecompPoint, ScoreVerdict); 2] {
         let [a, b] = pair;
-        let [pa, pb] = crate::oneshot::OnlineJointStl::update_pair_with_scratch(
+        let [(pa, za), (pb, zb)] = OnlineJointStl::update_pair_with_scratch(
             [&mut a.decomposer, &mut b.decomposer],
             ys,
             scratch,
         );
-        [(pa, a.scorer.update(pa.residual)), (pb, b.scorer.update(pb.residual))]
+        [(pa, a.scorer.update(pa.residual, za)), (pb, b.scorer.update(pb.residual, zb))]
     }
 }
 
@@ -205,6 +210,7 @@ impl MeanForecaster {
 mod tests {
     use super::*;
     use crate::oneshot::{OneShotStl, OneShotStlConfig};
+    use crate::score::{Fusion, ResidualScorer};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -318,48 +324,100 @@ mod tests {
         f.predict(1);
     }
 
+    /// A spiky stream after a clean `4·t` init window: ±50 spikes, one
+    /// 1e160 spike (its square overflows the running sum of squares), NaN
+    /// and ±∞.
+    fn spiky(rng: &mut StdRng, t: usize, n: usize) -> Vec<f64> {
+        let huge_at = rng.gen_range(4 * t..n);
+        let phase = rng.gen_range(0..t);
+        (0..n)
+            .map(|i| {
+                let v = 1.0
+                    + (2.0 * std::f64::consts::PI * (i + phase) as f64 / t as f64).sin()
+                    + 0.05 * rng.gen_range(-1.0..1.0);
+                match rng.gen_range(0..200) {
+                    // the init window stays clean (`init` rejects NaN)
+                    _ if i < 4 * t => v,
+                    _ if i == huge_at => 1e160,
+                    0..=3 => v + rng.gen_range(-50.0..50.0),
+                    4 => f64::NAN,
+                    5 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2)],
+                    _ => v,
+                }
+            })
+            .collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-        /// The decomposer's shift trigger and the scorer each keep an
-        /// NSigma over the same residual stream. Both are seeded from the
-        /// initialization residuals and absorb every later residual under
-        /// the same rule (a non-finite one, or one whose square overflows,
-        /// is skipped by both), so their `count`/`sum`/`sum_sq` stay
-        /// bit-equal at every step, under the fused scorer and under
-        /// `ScoreConfig::off()`. The streams carry spikes (one of them
-        /// large enough to overflow the sum of squares), NaN and ±∞.
+        /// The detector scores from its decomposer's shift-trigger NSigma
+        /// (one set of running sums, two bars). Its plain, scratch and
+        /// paired updates must match the reference pipeline of two
+        /// statistics, `OneShotStl::update` followed by a standalone
+        /// `ResidualScorer` seeded from the init residuals, bit for bit:
+        /// components, score, z, CUSUM and verdict at every step, and the
+        /// scorer snapshot and alarm counts at the end. Streams carry
+        /// spikes (enough to run the shift search), NaN, ±∞ and a 1e160
+        /// spike, under every fusion, at I = 6 and 8, with the task bar
+        /// `n` equal to or below the trigger's.
         #[test]
-        fn prop_trigger_and_scorer_nsigma_stay_bit_equal(seed in 0u64..100_000) {
+        fn prop_detector_matches_decomposer_plus_standalone_scorer(seed in 0u64..100_000) {
             let mut rng = StdRng::seed_from_u64(seed);
             let t = [7usize, 12, 24][rng.gen_range(0..3)];
             let iters = [6usize, 8][rng.gen_range(0..2)];
-            let n = 4 * t + 1_200;
-            let huge_at = rng.gen_range(4 * t..n);
-            let y: Vec<f64> = (0..n)
-                .map(|i| {
-                    let v = 1.0
-                        + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()
-                        + 0.05 * rng.gen_range(-1.0..1.0);
-                    match rng.gen_range(0..200) {
-                        // the init window stays clean (`init` rejects NaN)
-                        _ if i < 4 * t => v,
-                        _ if i == huge_at => 1e160,
-                        0..=3 => v + rng.gen_range(-50.0..50.0),
-                        4 => f64::NAN,
-                        5 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2)],
-                        _ => v,
-                    }
-                })
-                .collect();
-            let sums = |s: crate::nsigma::NSigmaState| (s.count, s.sum.to_bits(), s.sum_sq.to_bits());
-            for score in [ScoreConfig::default(), ScoreConfig::off()] {
+            let n = [3.0, 5.0][rng.gen_range(0..2)];
+            let len = 4 * t + 1_200;
+            let ys = [spiky(&mut rng, t, len), spiky(&mut rng, t, len)];
+            let bits = |p: DecompPoint, v: ScoreVerdict| {
+                let f = [p.trend, p.seasonal, p.residual, v.score, v.z, v.cusum];
+                (f.map(f64::to_bits), v.is_anomaly)
+            };
+            for fusion in [Fusion::Max, Fusion::Cusum, Fusion::Off] {
+                let score = ScoreConfig { fusion, ..Default::default() };
                 let config = OneShotStlConfig { iters, ..Default::default() };
-                let mut det = StdAnomalyDetector::with_score(OneShotStl::new(config), 5.0, score);
-                det.init(&y[..4 * t], t).unwrap();
-                for (i, &v) in y[4 * t..].iter().enumerate() {
-                    det.update_scored(v);
-                    let trigger = sums(det.decomposer.to_state().nsigma);
-                    proptest::prop_assert_eq!(trigger, sums(det.nsigma().to_state()), "step {}", i);
+                let detector = || {
+                    StdAnomalyDetector::with_score(OneShotStl::new(config.clone()), n, score)
+                };
+                let (mut plain, mut with) = (detector(), detector());
+                let mut pair = [detector(), detector()];
+                let mut refs = [0, 1].map(|_| {
+                    (OneShotStl::new(config.clone()), ResidualScorer::new(n, score))
+                });
+                for q in 0..2 {
+                    let (m, scorer) = &mut refs[q];
+                    scorer.seed(&m.init(&ys[q][..4 * t], t).unwrap().residual);
+                    pair[q].init(&ys[q][..4 * t], t).unwrap();
+                }
+                plain.init(&ys[0][..4 * t], t).unwrap();
+                with.init(&ys[0][..4 * t], t).unwrap();
+                let mut scratch = UpdateScratch::default();
+                for (i, (&y0, &y1)) in ys[0].iter().zip(&ys[1]).enumerate().skip(4 * t) {
+                    let [r0, r1] = &mut refs;
+                    let want = [(y0, r0), (y1, r1)].map(|(y, (m, scorer))| {
+                        let p = m.update(y);
+                        bits(p, scorer.update(p.residual))
+                    });
+                    let (p, v) = plain.update_scored(y0);
+                    proptest::prop_assert_eq!(bits(p, v), want[0], "plain, step {}", i);
+                    let (p, v) = with.update_scored_with(y0, &mut scratch);
+                    proptest::prop_assert_eq!(bits(p, v), want[0], "scratch, step {}", i);
+                    let [a, b] = &mut pair;
+                    let got =
+                        StdAnomalyDetector::update_scored_pair_with([a, b], [y0, y1], &mut scratch);
+                    for q in 0..2 {
+                        let (p, v) = got[q];
+                        proptest::prop_assert_eq!(bits(p, v), want[q], "pair lane {}, step {}", q, i);
+                    }
+                }
+                for (det, q) in [(&plain, 0), (&with, 0), (&pair[0], 0), (&pair[1], 1)] {
+                    let scorer = &refs[q].1;
+                    let (got, want) = (det.scorer_state(), scorer.to_state());
+                    let sums = |s: &ResidualScorerState| {
+                        (s.nsigma.count, s.nsigma.sum.to_bits(), s.nsigma.sum_sq.to_bits())
+                    };
+                    proptest::prop_assert_eq!(sums(&got), sums(&want));
+                    proptest::prop_assert_eq!(got, want);
+                    proptest::prop_assert_eq!(det.scorer().alarm_counts(), scorer.alarm_counts());
                 }
             }
         }

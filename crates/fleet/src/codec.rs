@@ -601,16 +601,27 @@ fn decode_series(r: &mut Reader<'_>) -> Result<SeriesSnapshot, CodecError> {
             last_attempt: r.u64()? as usize,
             overrides: decode_admit_options(r)?,
         },
-        1 => PhaseSnapshot::Live {
-            decomposer: decode_decomposer(r)?,
-            scorer: decode_scorer(r)?,
-            forecast: decode_forecast_head(r)?,
-            backend: match r.u8()? {
-                0 => None,
-                1 => Some(decode_backend_state(r)?),
-                _ => return Err(CodecError::Invalid("backend presence tag")),
-            },
-        },
+        1 => {
+            let decomposer = decode_decomposer(r)?;
+            let scorer = decode_scorer(r)?;
+            // a live detector scores from its decomposer's running sums,
+            // so the scorer's encoded copy must be them, bit for bit (every
+            // writer since v11 kept the two equal)
+            let sums = |s: &NSigmaState| (s.count, s.sum.to_bits(), s.sum_sq.to_bits());
+            if sums(&scorer.nsigma) != sums(&decomposer.nsigma) {
+                return Err(CodecError::Invalid("nsigma twin"));
+            }
+            PhaseSnapshot::Live {
+                decomposer,
+                scorer,
+                forecast: decode_forecast_head(r)?,
+                backend: match r.u8()? {
+                    0 => None,
+                    1 => Some(decode_backend_state(r)?),
+                    _ => return Err(CodecError::Invalid("backend presence tag")),
+                },
+            }
+        }
         2 => PhaseSnapshot::Rejected,
         3 => PhaseSnapshot::Quarantined {
             cause: match r.u8()? {
@@ -1076,8 +1087,10 @@ mod tests {
 
     /// A crafted image smuggling degenerate scorer *dynamic state* must
     /// fail to decode: NaN accumulators would silently disable one CUSUM
-    /// side forever (`f64::max(NaN, x)` returns `x`), and a NaN bar or
-    /// non-finite statistics would stop the series from ever alarming.
+    /// side forever (`f64::max(NaN, x)` returns `x`), a NaN bar or
+    /// non-finite statistics would stop the series from ever alarming,
+    /// and running sums that are not the decomposer's have no place in a
+    /// detector that keeps one set.
     #[test]
     fn degenerate_decoded_scorer_state_is_rejected() {
         let t = 12usize;
@@ -1091,7 +1104,7 @@ mod tests {
         det.init(&y[..4 * t], t).unwrap();
         let make = |mutate: &dyn Fn(&mut ResidualScorerState)| {
             let mut snap = sample_snapshot();
-            let mut scorer = det.scorer().to_state();
+            let mut scorer = det.scorer_state();
             mutate(&mut scorer);
             snap.series.push(SeriesSnapshot {
                 key: SeriesKey::new("live"),
@@ -1137,6 +1150,17 @@ mod tests {
         assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "NaN sum");
         let bad = make(&|s| s.nsigma.sum_sq = f64::INFINITY);
         assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "infinite sum_sq");
+        // …nor finite sums that are not the decomposer's own, off by one
+        // count or one ulp
+        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
+        for flip in [
+            &|s: &mut ResidualScorerState| s.nsigma.count += 1,
+            &|s: &mut ResidualScorerState| s.nsigma.sum = ulp(s.nsigma.sum),
+            &|s: &mut ResidualScorerState| s.nsigma.sum_sq = ulp(s.nsigma.sum_sq),
+        ] as [&dyn Fn(&mut ResidualScorerState); 3]
+        {
+            assert_eq!(decode(&make(flip)), Err(CodecError::Invalid("nsigma twin")));
+        }
     }
 
     /// A crafted image carrying override values the API boundary rejects
@@ -1183,7 +1207,7 @@ mod tests {
             last_seen: 60,
             phase: PhaseSnapshot::Live {
                 decomposer: det.decomposer.to_state(),
-                scorer: det.scorer().to_state(),
+                scorer: det.scorer_state(),
                 forecast: Some(1.0),
                 backend: Some(backend.to_snapshot()),
             },
@@ -1436,7 +1460,7 @@ mod tests {
                 last_seen: 60,
                 phase: PhaseSnapshot::Live {
                     decomposer: det.decomposer.to_state(),
-                    scorer: det.scorer().to_state(),
+                    scorer: det.scorer_state(),
                     forecast: None,
                     backend: Some(bs),
                 },

@@ -52,8 +52,8 @@
 //!   damping `φ`, and costs nothing per point. Series without a head
 //!   still answer forecasts via the carry-forward `predict`.
 //! - **Snapshot/restore.** [`FleetEngine::snapshot_bytes`] serializes every
-//!   series (via `to_state`/`from_state` hooks on `OneShotStl`,
-//!   `ResidualScorer`) with a versioned codec ([`codec`]) that
+//!   series (via `to_state`/`from_state` hooks on `OneShotStl` and the
+//!   detector's scorer) with a versioned codec ([`codec`]) that
 //!   round-trips `f64`s by bit pattern: a restored engine continues the
 //!   scoring stream **bit-identically**.
 //! - **Lifecycle.** Per-series last-seen clocks; series idle beyond

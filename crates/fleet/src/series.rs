@@ -12,7 +12,7 @@ use crate::backend::{BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, FleetConfig, PeriodPolicy};
 use crate::types::PointOutput;
 use oneshotstl::{
-    IncrementalSolver, OneShotStl, OneShotStlConfig, OneShotStlState, ResidualScorer,
+    CusumScorer, IncrementalSolver, OneShotStl, OneShotStlConfig, OneShotStlState,
     ResidualScorerState, ScoreVerdict, StdAnomalyDetector, UpdateScratch,
 };
 use std::sync::Arc;
@@ -42,7 +42,7 @@ impl Shared {
 }
 
 /// One registered series: either buffering toward admission or live.
-// the Live variant (312 B) sets the size on purpose: almost every registry
+// the Live variant (288 B) sets the size on purpose: almost every registry
 // entry is live at steady state, so boxing it would only add a pointer
 // chase to the hot scoring path
 #[derive(Debug)]
@@ -417,7 +417,9 @@ pub enum PhaseSnapshot {
     Live {
         /// The OneShotSTL decomposer state.
         decomposer: OneShotStlState,
-        /// The task-level residual scorer state.
+        /// The task-level residual scorer state: its CUSUM part and bar
+        /// over the decomposer's running sums (the codec refuses other
+        /// sums; the detector keeps only the decomposer's).
         scorer: ResidualScorerState,
         /// The forecast head's damping `φ` (`None` when the series was
         /// admitted with forecasting off).
@@ -449,7 +451,7 @@ impl SeriesState {
             },
             SeriesState::Live(live) => PhaseSnapshot::Live {
                 decomposer: live.detector.decomposer.to_state(),
-                scorer: live.detector.scorer().to_state(),
+                scorer: live.detector.scorer_state(),
                 forecast: live.forecast,
                 backend: live.backend.as_deref().map(SeriesBackend::to_snapshot),
             },
@@ -490,7 +492,7 @@ impl SeriesState {
                 SeriesState::Live(LiveSeries {
                     detector: StdAnomalyDetector::from_parts(
                         decomposer,
-                        ResidualScorer::from_state(scorer),
+                        CusumScorer::from_state(&scorer),
                     ),
                     forecast,
                     backend: backend
@@ -582,7 +584,7 @@ mod tests {
         // shard worker on the first update
         let cfg = FleetConfig::fixed_period(8);
         let never_inited = OneShotStl::new(cfg.detector.clone()).to_state();
-        let scorer = ResidualScorer::new(cfg.nsigma, cfg.score).to_state();
+        let scorer = oneshotstl::ResidualScorer::new(cfg.nsigma, cfg.score).to_state();
         let snap = PhaseSnapshot::Live {
             decomposer: never_inited,
             scorer,

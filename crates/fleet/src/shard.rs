@@ -7,9 +7,10 @@
 //! Each worker has two inboxes: the FIFO ingest/control queue
 //! ([`ShardMsg`]) and an unbounded read lane ([`ReadMsg`]). The worker
 //! drains the lane before it handles each dequeued message, and the ingest
-//! sweep polls it again every [`POLL_ROWS`] rows, so a read waits for a few
-//! hundred records at most, not for the sub-batch in progress or the
-//! backlog queued behind it.
+//! sweep polls it again every [`POLL_ROWS`] rows and after each series it
+//! admits, so a read waits for a few hundred records or one admission at
+//! most, not for the sub-batch in progress or the backlog queued behind
+//! it.
 //!
 //! The ingest sweep ([`ShardState::ingest_batch`]) steps two consecutive
 //! rows of two distinct live series as one pair (one paired IRLS kernel
@@ -59,8 +60,10 @@ pub struct SeriesEntry {
 /// stable hash to slot.
 ///
 /// The layout is the fleet's main cache lever. At 100k+ series the
-/// per-series state (~1.8 KiB each at `T = 24`: a 336 B entry, 1248 B of
-/// IRLS iteration states and the `T`-slot seasonal buffer) dwarfs every
+/// per-series state (~1.8 KiB each at `T = 24`: a 312 B entry whose live
+/// detector keeps one set of running residual sums for the shift trigger
+/// and the score, 1248 B of IRLS iteration states and the `T`-slot
+/// seasonal buffer) dwarfs every
 /// cache level, so what matters is the *order* the hot path walks it:
 /// processing a batch in ascending slot order walks the arena forward,
 /// and with it the heap blocks, which turns TLB-miss-bound random access
@@ -276,8 +279,9 @@ pub type ForecastReply = (usize, Vec<(usize, u64, Option<Vec<f64>>)>);
 /// Read-only requests. They travel on the worker's read lane, never on its
 /// ingest/control queue: the worker drains the lane before it handles each
 /// dequeued [`ShardMsg`] and at every poll of an ingest sweep (every
-/// [`POLL_ROWS`] rows, at a slot boundary), so a read waits for at most a
-/// few hundred records, not for the whole backlog. The engine follows
+/// [`POLL_ROWS`] rows and after each admission, at a slot boundary), so a
+/// read waits for at most a few hundred records or one admission, not for
+/// the whole backlog. The engine follows
 /// each read with a [`ShardMsg::Poll`] so an idle worker wakes up to
 /// answer it.
 pub enum ReadMsg {
@@ -502,8 +506,10 @@ impl ShardState {
     /// waiting on its divides, two independent ones overlap. Outputs are
     /// those of stepping every row alone.
     ///
-    /// Once [`POLL_ROWS`] rows have been stepped since the last poll, the
-    /// sweep calls `poll` at the next slot boundary, with the cursor set so
+    /// Once [`POLL_ROWS`] rows have been stepped since the last poll, or
+    /// once a row has promoted its series (whose initialization takes as
+    /// long as hundreds of live rows), the sweep calls `poll` at the next
+    /// slot boundary, with the cursor set so
     /// that [`ShardState::seq_of`] stamps each series by whether its rows
     /// are done. The worker's `poll` answers the read lane; other callers
     /// pass a no-op. Outputs do not depend on it.
@@ -569,9 +575,12 @@ impl ShardState {
                     }
                 }
             }
+            let admitted = self.admitted;
             batch.outputs[i] = self.step_entry(slot, batch.values[i], batch.live[i]);
             j += 1;
-            since_poll += 1;
+            // a promoting row ran the series' initialization, as long as
+            // hundreds of live rows: poll at the next slot boundary
+            since_poll = if self.admitted > admitted { POLL_ROWS } else { since_poll + 1 };
         }
         self.cursor = None;
         self.order = order;
@@ -968,7 +977,7 @@ mod sweep_tests {
     #[test]
     fn a_series_entry_fits_its_budget() {
         let size = std::mem::size_of::<SeriesEntry>();
-        assert!(size <= 400, "SeriesEntry is {size} B");
+        assert!(size <= 312, "SeriesEntry is {size} B");
     }
 
     /// Counts the heap blocks allocated and freed on each thread, for the
@@ -1384,6 +1393,51 @@ mod sweep_tests {
         }
         assert_eq!((done, pending), (cursor as usize, SERIES - cursor as usize));
         assert!((0..SERIES).all(|k| before[k] != after[k]), "the sweep moves every forecast");
+    }
+
+    /// A row that promotes a series runs its initialization, as long as
+    /// hundreds of live rows, so the sweep polls at the slot boundary
+    /// after each promotion: a sub-batch of 96 rows (far below
+    /// `POLL_ROWS`) in which each of six warming series admits at its
+    /// sixth row polls once at the start of every later series, with the
+    /// admissions so far counted, and its outputs equal a twin's whose
+    /// sweep polls nothing.
+    #[test]
+    fn a_sweep_polls_at_the_slot_boundary_after_each_promotion() {
+        const SERIES: usize = 6;
+        const ROWS: usize = 16;
+        let key = |k: usize| SeriesKey::new(format!("sweep-admit/{k}"));
+        // ticks `from..to`, every series once per tick
+        let batch = |from: usize, to: usize| {
+            let mut batch = ShardBatch::default();
+            for t in from..to {
+                for k in 0..SERIES {
+                    let phase = (t + 5 * k) as f64 / 24.0;
+                    let value = 2.0 + (2.0 * std::f64::consts::PI * phase).sin();
+                    let key = key(k);
+                    let hash = key.stable_hash();
+                    let row = ((t - from) * SERIES + k) as u32;
+                    batch.push(row, Record { key, t: t as u64, value }, hash, t as u64);
+                }
+            }
+            batch
+        };
+        let config = Arc::new(FleetConfig::fixed_period(24));
+        let warm = config.init_len(24) - 6;
+        let mut shard = ShardState::new(0, Arc::clone(&config));
+        let mut twin = ShardState::new(0, Arc::clone(&config));
+        shard.ingest_batch(&mut batch(0, warm), 1, |_| {});
+        twin.ingest_batch(&mut batch(0, warm), 1, |_| {});
+        assert_eq!(shard.stats().warming, SERIES);
+        let mut want = batch(warm, warm + ROWS);
+        twin.ingest_batch(&mut want, 2, |_| {});
+        let mut got = batch(warm, warm + ROWS);
+        let mut polls = Vec::new();
+        shard.ingest_batch(&mut got, 2, |s| polls.push((s.cursor, s.admitted)));
+        assert_eq!(got.outputs, want.outputs, "polling changes no output");
+        let after_each: Vec<_> = (1..SERIES).map(|k| (Some((2, k as u32)), k as u64)).collect();
+        assert_eq!(polls, after_each);
+        assert_eq!(shard.stats().live, SERIES);
     }
 }
 
