@@ -46,6 +46,7 @@
 pub mod doolittle;
 pub mod forecast;
 pub mod jointstl;
+mod lanes;
 pub mod nsigma;
 pub mod oneshot;
 pub mod online_doolittle;

@@ -41,9 +41,10 @@
 //!
 //! A host stepping many independent models can update two at once
 //! ([`OnlineJointStl::update_pair_with_scratch`]): step 1's Δt = 0 trials
-//! of both models run in lock step through the lane-generic step kernel,
-//! so their serial IRLS chains overlap, and steps 2–3 then run per model.
-//! The outputs are bit-identical to two one-model updates.
+//! of both models run in lock step through the two-lane step kernel (one
+//! model per lane), so their serial IRLS chains overlap, and steps 2–3
+//! then run per model. The outputs are bit-identical to two one-model
+//! updates.
 
 use crate::nsigma::NSigma;
 use crate::online_doolittle::IncrementalSolver;
@@ -78,7 +79,7 @@ pub trait TailSolver: Clone + Default {
     /// [`TailSolver::step_from`] for `L` independent solvers: lane `q`
     /// steps `src[q]` on `tails[q]` into `dst[q]`, bit-identically to a
     /// one-lane call. The default steps the lanes one at a time; a solver
-    /// with a lane-generic kernel overrides it to keep every lane's
+    /// with a multi-lane kernel overrides it to keep every lane's
     /// dependency chain in flight together.
     #[inline(always)]
     fn step_lanes<const L: usize>(
@@ -769,18 +770,21 @@ impl<S: TailSolver> OnlineJointStl<S> {
         let mut q_fresh = [1.0; L];
         let mut tau = [0.0; L];
         let mut s_out = [0.0; L];
+        // the iterations differ only in their trend weights
+        let mut tails: [TailData; L] = std::array::from_fn(|q| TailData {
+            m: models[q].m + 1,
+            y3: y3[q],
+            u3: u3[q],
+            p3: [0.0; 3],
+            q3: [0.0; 3],
+            lambdas: config[q].1,
+        });
         for i in 0..n {
-            let tails: [TailData; L] = std::array::from_fn(|q| {
+            for q in 0..L {
                 let src = &srcs[q][i];
-                TailData {
-                    m: models[q].m + 1,
-                    y3: y3[q],
-                    u3: u3[q],
-                    p3: [src.pw_hist[0], src.pw_hist[1], p_fresh[q]],
-                    q3: [src.qw_hist[0], src.qw_hist[1], q_fresh[q]],
-                    lambdas: config[q].1,
-                }
-            });
+                tails[q].p3 = [src.pw_hist[0], src.pw_hist[1], p_fresh[q]];
+                tails[q].q3 = [src.qw_hist[0], src.qw_hist[1], q_fresh[q]];
+            }
             let mut dsts = outs.each_mut().map(|out| &mut out[i]);
             let solved = S::step_lanes(
                 std::array::from_fn(|q| &srcs[q][i].solver),
@@ -1037,7 +1041,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// updating `pair[0]` and then `pair[1]` one at a time.
     ///
     /// The two Δt = 0 baseline trials run in lock step through the
-    /// lane-generic kernel ([`TailSolver::step_lanes`]), so the two serial
+    /// two-lane kernel ([`TailSolver::step_lanes`]), so the two serial
     /// IRLS chains are in flight together; then each model finishes on its
     /// own (verdict, a §3.4 search from its own lane's baseline when
     /// flagged, commit). The pair falls back to two one-model updates when

@@ -30,15 +30,17 @@
 //! The steady step is one straight-line kernel (`Window::step`): every
 //! index in it is a constant, so its 10×10 working triangle lives in
 //! registers and on the stack, and it inlines into the IRLS loop of
-//! [`IncrementalSolver::step_from`]. The kernel is written once, generic
-//! over a lane width `L`: [`IncrementalSolver::step_lanes`] steps `L`
-//! independent windows through one call, each lane running exactly the
-//! scalar operations, and the scalar step is `L = 1`.
+//! [`IncrementalSolver::step_from`]. The kernel is written once, over a
+//! two-lane value type ([`crate::lanes`]): [`IncrementalSolver::step_lanes`]
+//! steps two independent windows through one call, one per lane, each
+//! lane running exactly the scalar operations in the scalar order, and a
+//! one-window step runs its window in both lanes and keeps lane 0.
 
 // index recurrences here mirror the published algorithms; iterator
 // rewrites obscure the maths
 #![allow(clippy::needless_range_loop)]
-use crate::system::{assemble_block_steady, assemble_full, LaneBlock, SystemData, TailData};
+use crate::lanes::{F64x2, Native};
+use crate::system::{assemble_block_steady, assemble_full, PairBlock, SystemData, TailData};
 use tskit::error::TsError;
 
 /// The `(row, col)` cells of the `8×4` `L` window that the next step
@@ -228,11 +230,8 @@ impl IncrementalSolver {
             }
             IncrementalSolver::Steady(w) => {
                 let prev = *w;
-                let [out] = Window::step(
-                    [&prev],
-                    [w],
-                    &assemble_block_steady(std::array::from_ref(tail)),
-                );
+                let [(next, out), _] = Window::step::<Native>([&prev, &prev], [tail, tail]);
+                *w = next;
                 out
             }
         }
@@ -252,39 +251,43 @@ impl IncrementalSolver {
         out
     }
 
-    /// [`IncrementalSolver::step_from`] for `L` independent solvers in lock
-    /// step: lane `q` steps `src[q]` on `tails[q]` into `dst[q]`. When every
-    /// lane is in the steady state, one kernel call steps them all, so
-    /// their dependency chains are in flight together; each lane computes
-    /// exactly the operations of a one-lane step (no fused multiply-add,
-    /// no reassociation), so the outputs are bit-identical to stepping the
-    /// lanes one at a time. A lane still in warm-up sends every lane
-    /// through the out-of-line warm-up arm, one at a time.
+    /// [`IncrementalSolver::step_from`] for `L ≤ 2` independent solvers in
+    /// lock step: lane `q` steps `src[q]` on `tails[q]` into `dst[q]`. When
+    /// every lane is in the steady state, one kernel call steps them all,
+    /// so their dependency chains are in flight together; each lane
+    /// computes exactly the operations of a one-lane step (no fused
+    /// multiply-add, no reassociation), so the outputs are bit-identical
+    /// to stepping the lanes one at a time. The kernel always runs two
+    /// lanes: with `L = 1` its second lane repeats the first, and that
+    /// result is dropped. A lane still in warm-up sends every lane through
+    /// the out-of-line warm-up arm, one at a time.
     #[inline(always)]
     pub fn step_lanes<const L: usize>(
         src: [&Self; L],
         tails: &[TailData; L],
         mut dst: [&mut Self; L],
     ) -> [(f64, f64); L] {
-        let windows = src.map(|s| match s {
-            IncrementalSolver::Steady(w) => Some(w),
-            IncrementalSolver::Warmup { .. } => None,
-        });
-        if windows.iter().any(Option::is_none) {
+        const { assert!(L == 1 || L == 2, "the step kernel has two lanes") };
+        // with L ≤ 2, lanes 0 and L − 1 are all the lanes
+        let (IncrementalSolver::Steady(first), IncrementalSolver::Steady(last)) =
+            (src[0], src[L - 1])
+        else {
             return std::array::from_fn(|q| src[q].warmup_step_from(&tails[q], dst[q]));
-        }
-        let next = dst.map(|d| {
+        };
+        let stepped = Window::step::<Native>([first, last], [&tails[0], &tails[L - 1]]);
+        let mut out = [(0.0, 0.0); L];
+        for q in 0..L {
             // the kernel overwrites the whole window; a stale Warmup
             // variant is dropped here once
-            if let IncrementalSolver::Warmup { .. } = d {
-                *d = IncrementalSolver::Steady(Window::EMPTY);
+            if let IncrementalSolver::Warmup { .. } = dst[q] {
+                *dst[q] = IncrementalSolver::Steady(Window::EMPTY);
             }
-            match d {
-                IncrementalSolver::Steady(w) => w,
-                IncrementalSolver::Warmup { .. } => unreachable!("replaced above"),
-            }
-        });
-        Window::step(windows.map(Option::unwrap), next, &assemble_block_steady(tails))
+            let IncrementalSolver::Steady(w) = &mut *dst[q] else {
+                unreachable!("replaced above")
+            };
+            (*w, out[q]) = stepped[q];
+        }
+        out
     }
 
     /// The warm-up arm of [`IncrementalSolver::step_lanes`], out of line:
@@ -313,96 +316,82 @@ impl Window {
     /// A placeholder the step kernel overwrites whole.
     const EMPTY: Window = Window { m: 0, lo: [0.0; 10], dd: [0.0; 4], zo: [0.0; 4] };
 
-    /// One `O(1)` factorization + solve step (Algorithm 4) for `L`
-    /// independent windows, from `src[q]` into `dst[q]`; `block` holds each
-    /// lane's trailing 6×6 system block for the new step. Every cell of the
-    /// working triangle is an `[f64; L]` and every operation runs once per
-    /// lane in the scalar order, so lane `q` is bit-identical to the
-    /// one-lane step of window `q`. The scalar path is `L = 1`.
+    /// One `O(1)` factorization + solve step (Algorithm 4) for two
+    /// independent windows, one per lane of `V`: lane `q` steps `src[q]` on
+    /// `tails[q]` and returns its successor window and `(τ, s)`. Every
+    /// cell of the working triangle holds both lanes and every operation
+    /// runs once per lane in the scalar order, so each lane is
+    /// bit-identical to a one-window step.
     #[inline(always)]
-    fn step<const L: usize>(
-        src: [&Window; L],
-        dst: [&mut Window; L],
-        block: &LaneBlock<L>,
-    ) -> [(f64, f64); L] {
+    fn step<V: F64x2>(src: [&Window; 2], tails: [&TailData; 2]) -> [(Window, (f64, f64)); 2] {
+        let block = assemble_block_steady::<V>(tails);
         // local window covers global unknowns 2M-10 .. 2M-1 (M = new count);
         // the previous state's band lies in locals 4..8 (rows) x 0..4
         // (cols). Every index below is a constant (the loops are
         // unrolled), so the working triangle lives in registers and on the
         // stack: its structurally-zero cells fold away instead of being
         // stored.
-        let mut l = [[0.0f64; L]; 100];
-        let mut d = [[0.0f64; L]; 10];
-        let mut z = [[0.0f64; L]; 10];
+        let mut l = [V::splat(0.0); 100];
+        let mut d = [V::splat(0.0); 10];
+        let mut z = [V::splat(0.0); 10];
         unroll!(i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
             let (r, c) = BAND[i];
-            for q in 0..L {
-                l[10 * r + c][q] = src[q].lo[i];
-            }
+            l[10 * r + c] = V::new(src[0].lo[i], src[1].lo[i]);
         });
         unroll!(i in [0, 1, 2, 3] {
-            for q in 0..L {
-                d[i][q] = src[q].dd[i];
-                z[i][q] = src[q].zo[i];
-            }
+            d[i] = V::new(src[0].dd[i], src[1].dd[i]);
+            z[i] = V::new(src[0].zo[i], src[1].zo[i]);
         });
         // recompute columns local 4..10 = global 2M-6 .. 2M-1, one
         // const-indexed column at a time so every loop below unrolls into
         // straight-line code
-        column::<4, L>(&mut l, &mut d, &mut z, block);
-        column::<5, L>(&mut l, &mut d, &mut z, block);
-        column::<6, L>(&mut l, &mut d, &mut z, block);
-        column::<7, L>(&mut l, &mut d, &mut z, block);
-        column::<8, L>(&mut l, &mut d, &mut z, block);
-        column::<9, L>(&mut l, &mut d, &mut z, block);
-        let mut out = [(0.0, 0.0); L];
-        for q in 0..L {
-            let w = &mut *dst[q];
-            // exact first two backward-substitution steps: the newest τ, s
-            let x9 = z[9][q] / d[9][q];
-            let x8 = z[8][q] / d[8][q] - l[9 * 10 + 8][q] * x9;
-            // slide the window by one time point (two unknowns)
-            w.m = src[q].m + 1;
-            unroll!(i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
-                let (r, c) = BAND[i];
-                w.lo[i] = l[10 * (r + 2) + c + 2][q];
-            });
-            unroll!(i in [0, 1, 2, 3] {
-                w.dd[i] = d[i + 2][q];
-                w.zo[i] = z[i + 2][q];
-            });
-            out[q] = (x8, x9);
-        }
-        out
+        column::<4, V>(&mut l, &mut d, &mut z, &block);
+        column::<5, V>(&mut l, &mut d, &mut z, &block);
+        column::<6, V>(&mut l, &mut d, &mut z, &block);
+        column::<7, V>(&mut l, &mut d, &mut z, &block);
+        column::<8, V>(&mut l, &mut d, &mut z, &block);
+        column::<9, V>(&mut l, &mut d, &mut z, &block);
+        // exact first two backward-substitution steps: the newest τ, s
+        let x9 = z[9] / d[9];
+        let x8 = z[8] / d[8] - l[9 * 10 + 8] * x9;
+        // slide the window by one time point (two unknowns)
+        let mut next = [Window::EMPTY; 2];
+        unroll!(i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
+            let (r, c) = BAND[i];
+            [next[0].lo[i], next[1].lo[i]] = l[10 * (r + 2) + c + 2].lanes();
+        });
+        unroll!(i in [0, 1, 2, 3] {
+            [next[0].dd[i], next[1].dd[i]] = d[i + 2].lanes();
+            [next[0].zo[i], next[1].zo[i]] = z[i + 2].lanes();
+        });
+        let ([x8a, x8b], [x9a, x9b]) = (x8.lanes(), x9.lanes());
+        next[0].m = src[0].m + 1;
+        next[1].m = src[1].m + 1;
+        [(next[0], (x8a, x9a)), (next[1], (x8b, x9b))]
     }
 }
 
-/// Column `K` (local index) of the step kernel, for every lane: the pivot
+/// Column `K` (local index) of the step kernel, for both lanes: the pivot
 /// `D_KK`, the forward-substituted `z_K`, and `L`'s column below the
-/// diagonal.
+/// diagonal (its unit diagonal is never read).
 #[inline(always)]
-fn column<const K: usize, const L: usize>(
-    l: &mut [[f64; L]; 100],
-    d: &mut [[f64; L]; 10],
-    z: &mut [[f64; L]; 10],
-    block: &LaneBlock<L>,
+fn column<const K: usize, V: F64x2>(
+    l: &mut [V; 100],
+    d: &mut [V; 10],
+    z: &mut [V; 10],
+    block: &PairBlock<V>,
 ) {
     let k = K;
-    l[10 * k + k] = [1.0; L];
     // D_kk = A*[k-4][k-4] - Σ_{i=k-4}^{k-1} D_i L_ki²
     let mut dk = block.a[k - 4][k - 4];
     unroll!(i in [k - 4, k - 3, k - 2, k - 1] {
-        for q in 0..L {
-            dk[q] -= d[i][q] * l[10 * k + i][q] * l[10 * k + i][q];
-        }
+        dk = dk - d[i] * l[10 * k + i] * l[10 * k + i];
     });
     d[k] = dk;
     // forward substitution for the recomputed index
     let mut zk = block.b[k - 4];
     unroll!(i in [k - 4, k - 3, k - 2, k - 1] {
-        for q in 0..L {
-            zk[q] -= l[10 * k + i][q] * z[i][q];
-        }
+        zk = zk - l[10 * k + i] * z[i];
     });
     z[k] = zk;
     // column k of L below the diagonal (band: j ≤ k+4, so j ≤ 9 bounds
@@ -412,14 +401,10 @@ fn column<const K: usize, const L: usize>(
             let mut s = block.a[j - 4][k - 4];
             unroll!(i in [j - 4, j - 3, j - 2, j - 1] {
                 if i < k {
-                    for q in 0..L {
-                        s[q] -= l[10 * j + i][q] * d[i][q] * l[10 * k + i][q];
-                    }
+                    s = s - l[10 * j + i] * d[i] * l[10 * k + i];
                 }
             });
-            for q in 0..L {
-                l[10 * j + k][q] = s[q] / dk[q];
-            }
+            l[10 * j + k] = s / dk;
         }
     });
 }
@@ -579,5 +564,146 @@ mod tests {
         // guarantee of O(1) memory; this test pins the size: the step
         // count plus 10 band cells, D and z
         assert_eq!(std::mem::size_of::<Window>(), 19 * 8);
+    }
+
+    /// The one-lane step kernel on plain `f64`, kept as the bit-level
+    /// reference of the two-lane kernel: the block from the loop path of
+    /// [`crate::system::assemble_block`], then the same operations in the
+    /// same order as `Window::step` and `column`.
+    fn reference_step(src: &Window, tail: &TailData) -> (Window, (f64, f64)) {
+        let block = crate::system::assemble_block(tail);
+        assert_eq!(block.dim, 6, "steady steps only");
+        let mut l = [0.0f64; 100];
+        let mut d = [0.0f64; 10];
+        let mut z = [0.0f64; 10];
+        for (i, &(r, c)) in BAND.iter().enumerate() {
+            l[10 * r + c] = src.lo[i];
+        }
+        d[..4].copy_from_slice(&src.dd);
+        z[..4].copy_from_slice(&src.zo);
+        for k in 4..10 {
+            let mut dk = block.a[k - 4][k - 4];
+            for i in k - 4..k {
+                dk -= d[i] * l[10 * k + i] * l[10 * k + i];
+            }
+            d[k] = dk;
+            let mut zk = block.b[k - 4];
+            for i in k - 4..k {
+                zk -= l[10 * k + i] * z[i];
+            }
+            z[k] = zk;
+            for j in k + 1..=(k + 4).min(9) {
+                let mut s = block.a[j - 4][k - 4];
+                for i in j - 4..k {
+                    s -= l[10 * j + i] * d[i] * l[10 * k + i];
+                }
+                l[10 * j + k] = s / dk;
+            }
+        }
+        let x9 = z[9] / d[9];
+        let x8 = z[8] / d[8] - l[9 * 10 + 8] * x9;
+        let next = Window {
+            m: src.m + 1,
+            lo: BAND.map(|(r, c)| l[10 * (r + 2) + c + 2]),
+            dd: [d[2], d[3], d[4], d[5]],
+            zo: [z[2], z[3], z[4], z[5]],
+        };
+        (next, (x8, x9))
+    }
+
+    /// Cells that stress the kernel's IEEE behaviour: signed zeros,
+    /// infinities, NaN, subnormals and values near the exponent range.
+    const SPECIAL: [f64; 13] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        5e-324,
+        -2.5e-310,
+        f64::MIN_POSITIVE,
+        1e300,
+        -1e300,
+        1e-300,
+        -1e-300,
+        1.0,
+    ];
+
+    /// One lane's input: a steady window and the tail of its next step.
+    /// Every cell is finite and moderate except up to three taken from
+    /// [`SPECIAL`], so most cases keep finite outputs next to the ones the
+    /// special cells poison.
+    fn random_lane(rng: &mut StdRng) -> (Window, TailData) {
+        // 18 window cells, 12 tail cells, 3 λs
+        let mut cells = [0.0f64; 33];
+        for (i, c) in cells.iter_mut().enumerate() {
+            *c = match i {
+                10..=13 | 30..=32 => rng.gen_range(0.05..50.0),
+                24..=29 => rng.gen_range(0.0..4.0),
+                _ => rng.gen_range(-4.0..4.0),
+            };
+        }
+        for _ in 0..rng.gen_range(0..4usize) {
+            cells[rng.gen_range(0..33usize)] = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+        }
+        let take = |at: usize| -> [f64; 3] { [cells[at], cells[at + 1], cells[at + 2]] };
+        let window = Window {
+            m: rng.gen_range(4..1_000_000usize),
+            lo: std::array::from_fn(|i| cells[i]),
+            dd: std::array::from_fn(|i| cells[10 + i]),
+            zo: std::array::from_fn(|i| cells[14 + i]),
+        };
+        let tail = TailData {
+            m: window.m + 1,
+            y3: take(18),
+            u3: take(21),
+            p3: take(24),
+            q3: take(27),
+            lambdas: Lambdas { lambda1: cells[30], lambda2: cells[31], anchor: cells[32] },
+        };
+        (window, tail)
+    }
+
+    /// Every bit of a stepped window and its `(τ, s)`, except that every
+    /// NaN reads as one NaN. IEEE 754 leaves the sign and payload of a NaN
+    /// result unspecified, and so does LLVM: x86 returns the first NaN
+    /// operand, and the compiler may commute `a + b` or rewrite
+    /// `0 + (−w)` as `0 − w`, so a NaN's sign bit can differ between two
+    /// compilations of the same operations. Every other value, signed
+    /// zeros and infinities included, compares by its bits.
+    fn bits(w: &Window, out: (f64, f64)) -> Vec<u64> {
+        let cells = w.lo.iter().chain(&w.dd).chain(&w.zo).chain([&out.0, &out.1]);
+        let bits = |v: &f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+        std::iter::once(w.m as u64).chain(cells.map(bits)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        /// Both lanes of the two-lane kernel are the one-lane reference
+        /// kernel, bit for bit (a NaN as any NaN, see [`bits`]), in
+        /// `(τ, s)` and in the successor window:
+        /// the lanes get different windows and tails, and cells include
+        /// ±0, ±∞, NaN, subnormals and 1e±300. The one-window step (the
+        /// window copied into both lanes) matches it too. On `x86_64` the
+        /// portable `[f64; 2]` lane type runs through the same kernel.
+        #[test]
+        fn vector_kernel_matches_the_scalar_reference_bit_for_bit(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (wa, ta) = random_lane(&mut rng);
+            let (wb, tb) = random_lane(&mut rng);
+            let want = [reference_step(&wa, &ta), reference_step(&wb, &tb)];
+            let want = want.map(|(w, out)| bits(&w, out));
+            let native = Window::step::<Native>([&wa, &wb], [&ta, &tb]);
+            proptest::prop_assert_eq!(native.map(|(w, out)| bits(&w, out)), want.clone());
+            #[cfg(target_arch = "x86_64")]
+            {
+                let portable = Window::step::<crate::lanes::Portable>([&wa, &wb], [&ta, &tb]);
+                proptest::prop_assert_eq!(portable.map(|(w, out)| bits(&w, out)), want.clone());
+            }
+            let mut dst = IncrementalSolver::new();
+            let out = IncrementalSolver::Steady(wa).step_from(&ta, &mut dst);
+            let IncrementalSolver::Steady(next) = dst else { panic!("a steady step") };
+            proptest::prop_assert_eq!(bits(&next, out), want[0].clone());
+        }
     }
 }

@@ -11,13 +11,16 @@
 //!   Algorithm-2 reference solver and by the warm-up steps of the `O(1)`
 //!   path), and
 //! - [`assemble_block`] builds only the trailing block `A*` / `b*` that
-//!   changes when a new point arrives (paper Fig. 2, red box) — the input
-//!   of [`crate::online_doolittle`].
+//!   changes when a new point arrives (paper Fig. 2, red box), as loops
+//!   over the tail points. The steady steps of [`crate::online_doolittle`]
+//!   run its straight-line two-lane form, `assemble_block_steady`.
 //!
 //! A unit test asserts that the block equals the corresponding sub-matrix
 //! of the full assembly for random weights, which is the structural claim
-//! of the paper's Fig. 2.
+//! of the paper's Fig. 2, and that both lanes of the straight-line form
+//! equal the loop form bit for bit.
 
+use crate::lanes::F64x2;
 use tskit::linalg::SymBanded;
 
 /// Half-bandwidth of the online system (fixed by the model).
@@ -138,12 +141,6 @@ pub struct TailData {
 pub fn assemble_block(t: &TailData) -> TailBlock {
     let m = t.m;
     assert!(m >= 1, "assemble_block: need at least one point");
-    if m >= 5 {
-        // the straight-line specialization the `O(1)` path runs from step
-        // 5 on, as one lane
-        let LaneBlock { a, b } = assemble_block_steady(std::array::from_ref(t));
-        return TailBlock { dim: 6, a: a.map(|row| row.map(|[v]| v)), b: b.map(|[v]| v) };
-    }
     let k = m.min(3); // time points in the block
     let t0 = m - k; // first (0-based) time index covered
     let dim = 2 * k;
@@ -201,83 +198,68 @@ pub fn assemble_block(t: &TailData) -> TailBlock {
     TailBlock { dim, a, b }
 }
 
-/// The steady-state tail blocks of `L` independent systems, lane by lane:
-/// `a[i][j][q]` and `b[i][q]` are lane `q`'s [`TailBlock`] entries.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneBlock<const L: usize> {
+/// The steady-state tail blocks of two independent systems, one per lane
+/// of each entry: `a[i][j]` and `b[i]` hold both lanes' [`TailBlock`]
+/// entries.
+#[derive(Clone, Copy)]
+pub(crate) struct PairBlock<V> {
     /// Dense symmetric `6 × 6` blocks.
-    pub a: [[[f64; L]; 6]; 6],
+    pub a: [[V; 6]; 6],
     /// Right-hand sides.
-    pub b: [[f64; L]; 6],
+    pub b: [V; 6],
 }
 
-/// [`assemble_block`] specialized to the steady state (`M ≥ 5`), for `L`
-/// systems at once (one lane per [`TailData`]; the scalar path is
-/// `L = 1`): with the first covered time `t0 = M − 3 ≥ 2`, both difference
-/// loops span all three tail points, so the whole assembly is branch-free
-/// straight-line code. Every `+=` below replays the generic loops in their
-/// exact execution order, per lane — the accumulation into each entry is
-/// bit-identical to the loop path (pinned by `block_matches_full_submatrix`
-/// for `m = 5..12` and by the `GOLDEN_*` fixtures end-to-end).
+/// [`assemble_block`] specialized to the steady state (`M ≥ 5`), for two
+/// systems at once (lane `q` from `lanes[q]`; a caller with one system
+/// passes it twice): with the first covered time `t0 = M − 3 ≥ 2`, both
+/// difference loops span all three tail points, so the whole assembly is
+/// branch-free straight-line code. Each entry accumulates in the loop
+/// path's exact order, including the `0 + (−w)` that starts an
+/// off-diagonal entry (it turns a `−0.0` weight into `+0.0`), so each lane
+/// is bit-identical to [`assemble_block`] (pinned by
+/// `block_matches_full_submatrix` for `m = 5..12` and by the `GOLDEN_*`
+/// fixtures end-to-end).
 #[inline(always)]
-pub(crate) fn assemble_block_steady<const L: usize>(lanes: &[TailData; L]) -> LaneBlock<L> {
-    let mut a = [[[0.0; L]; 6]; 6];
-    let mut b = [[0.0; L]; 6];
-    for q in 0..L {
-        let t = &lanes[q];
-        let anchor = t.lambdas.anchor;
-        // C1ᵀC1 + anchor·C2ᵀC2 per point (r = 0, 1, 2)
-        a[0][0][q] += 1.0;
-        a[1][1][q] += 1.0 + anchor;
-        a[0][1][q] += 1.0;
-        a[1][0][q] += 1.0;
-        b[0][q] = t.y3[0];
-        b[1][q] = t.y3[0] + anchor * t.u3[0];
-        a[2][2][q] += 1.0;
-        a[3][3][q] += 1.0 + anchor;
-        a[2][3][q] += 1.0;
-        a[3][2][q] += 1.0;
-        b[2][q] = t.y3[1];
-        b[3][q] = t.y3[1] + anchor * t.u3[1];
-        a[4][4][q] += 1.0;
-        a[5][5][q] += 1.0 + anchor;
-        a[4][5][q] += 1.0;
-        a[5][4][q] += 1.0;
-        b[4][q] = t.y3[2];
-        b[5][q] = t.y3[2] + anchor * t.u3[2];
-        // first differences, j = t0, t0+1, t0+2
-        let w0 = t.lambdas.lambda1 * t.p3[0];
-        let w1 = t.lambdas.lambda1 * t.p3[1];
-        let w2 = t.lambdas.lambda1 * t.p3[2];
-        a[0][0][q] += w0;
-        a[2][2][q] += w1;
-        a[0][0][q] += w1;
-        a[0][2][q] += -w1;
-        a[2][0][q] += -w1;
-        a[4][4][q] += w2;
-        a[2][2][q] += w2;
-        a[2][4][q] += -w2;
-        a[4][2][q] += -w2;
-        // second differences, j = t0, t0+1, t0+2
-        let q0 = t.lambdas.lambda2 * t.q3[0];
-        let q1 = t.lambdas.lambda2 * t.q3[1];
-        let q2 = t.lambdas.lambda2 * t.q3[2];
-        a[0][0][q] += q0;
-        a[2][2][q] += q1;
-        a[0][0][q] += 4.0 * q1;
-        a[0][2][q] += -2.0 * q1;
-        a[2][0][q] += -2.0 * q1;
-        a[4][4][q] += q2;
-        a[2][2][q] += 4.0 * q2;
-        a[2][4][q] += -2.0 * q2;
-        a[4][2][q] += -2.0 * q2;
-        a[0][0][q] += q2;
-        a[0][4][q] += q2;
-        a[4][0][q] += q2;
-        a[0][2][q] += -2.0 * q2;
-        a[2][0][q] += -2.0 * q2;
+pub(crate) fn assemble_block_steady<V: F64x2>(lanes: [&TailData; 2]) -> PairBlock<V> {
+    let [t, u] = lanes;
+    // one field of both lanes' tail data
+    macro_rules! pair {
+        ($($field:tt)*) => { V::new(t.$($field)*, u.$($field)*) };
     }
-    LaneBlock { a, b }
+    let zero = V::splat(0.0);
+    let one = V::splat(1.0);
+    let anchor = pair!(lambdas.anchor);
+    // first- and second-difference weights, j = t0, t0+1, t0+2
+    let w0 = pair!(lambdas.lambda1) * pair!(p3[0]);
+    let w1 = pair!(lambdas.lambda1) * pair!(p3[1]);
+    let w2 = pair!(lambdas.lambda1) * pair!(p3[2]);
+    let q0 = pair!(lambdas.lambda2) * pair!(q3[0]);
+    let q1 = pair!(lambdas.lambda2) * pair!(q3[1]);
+    let q2 = pair!(lambdas.lambda2) * pair!(q3[2]);
+    let (four, minus_two) = (V::splat(4.0), V::splat(-2.0));
+    // C1ᵀC1 + anchor·C2ᵀC2 per point (r = 0, 1, 2), then the differences
+    let a00 = one + w0 + w1 + q0 + four * q1 + q2;
+    let a22 = one + w1 + w2 + q1 + four * q2;
+    let a44 = one + w2 + q2;
+    let a_ss = one + anchor;
+    let a02 = zero + -w1 + minus_two * q1 + minus_two * q2;
+    let a24 = zero + -w2 + minus_two * q2;
+    let a04 = zero + q2;
+    let b = [0, 1, 2].map(|r| {
+        let y = pair!(y3[r]);
+        [y, y + anchor * pair!(u3[r])]
+    });
+    PairBlock {
+        a: [
+            [a00, one, a02, zero, a04, zero],
+            [one, a_ss, zero, zero, zero, zero],
+            [a02, zero, a22, one, a24, zero],
+            [zero, zero, one, a_ss, zero, zero],
+            [a04, zero, a24, zero, a44, one],
+            [zero, zero, zero, zero, one, a_ss],
+        ],
+        b: [b[0][0], b[0][1], b[1][0], b[1][1], b[2][0], b[2][1]],
+    }
 }
 
 #[cfg(test)]
@@ -336,26 +318,55 @@ mod tests {
         assert!(changed, "adding a point must alter the trailing 4x4 block");
     }
 
+    /// The tail data of the last `min(m, 3)` points of one system.
+    fn tail_of(m: usize, seed: u64, lambdas: Lambdas) -> TailData {
+        let (y, u, pw, qw) = random_data(m, seed);
+        let k = m.min(3);
+        let mut t =
+            TailData { m, y3: [0.0; 3], u3: [0.0; 3], p3: [0.0; 3], q3: [0.0; 3], lambdas };
+        for j in m - k..m {
+            let s = 3 - (m - j);
+            t.y3[s] = y[j];
+            t.u3[s] = u[j];
+            t.p3[s] = pw[j];
+            t.q3[s] = qw[j];
+        }
+        t
+    }
+
+    /// Lane `q` of the two-lane steady block equals the loop path's block
+    /// of `tails[q]`, bit for bit.
+    fn assert_lanes_match_loop_path<V: F64x2>(tails: [&TailData; 2]) {
+        let pair = assemble_block_steady::<V>(tails);
+        for (q, t) in tails.into_iter().enumerate() {
+            let block = assemble_block(t);
+            let m = t.m;
+            for i in 0..6 {
+                for j in 0..6 {
+                    let got = pair.a[i][j].lanes()[q];
+                    assert_eq!(
+                        got.to_bits(),
+                        block.a[i][j].to_bits(),
+                        "m={m} lane {q}: steady a({i},{j}) = {got:e} vs loop {:e}",
+                        block.a[i][j]
+                    );
+                }
+                let got = pair.b[i].lanes()[q];
+                assert_eq!(got.to_bits(), block.b[i].to_bits(), "m={m} lane {q}: b({i})");
+            }
+        }
+    }
+
     #[test]
     fn block_matches_full_submatrix() {
         for m in 1..=12usize {
-            let (y, u, pw, qw) = random_data(m, 100 + m as u64);
             let l = Lambdas { lambda1: 0.7, lambda2: 3.0, anchor: 1.0 };
+            let (y, u, pw, qw) = random_data(m, 100 + m as u64);
             let data = SystemData { y: &y, u: &u, pw: &pw, qw: &qw, lambdas: l };
             let (a, b) = assemble_full(&data);
+            let tail = tail_of(m, 100 + m as u64, l);
+            let block = assemble_block(&tail);
             let k = m.min(3);
-            let mut y3 = [0.0; 3];
-            let mut u3 = [0.0; 3];
-            let mut p3 = [0.0; 3];
-            let mut q3 = [0.0; 3];
-            for j in m - k..m {
-                let s = 3 - (m - j);
-                y3[s] = y[j];
-                u3[s] = u[j];
-                p3[s] = pw[j];
-                q3[s] = qw[j];
-            }
-            let block = assemble_block(&TailData { m, y3, u3, p3, q3, lambdas: l });
             assert_eq!(block.dim, 2 * k);
             let base = 2 * (m - k);
             for i in 0..block.dim {
@@ -369,6 +380,29 @@ mod tests {
                 }
                 assert!((block.b[i] - b[base + i]).abs() < 1e-12, "m={m}: b mismatch at {i}");
             }
+            if m >= 5 {
+                // the straight-line steady block, both lanes pinned to the
+                // loop path; lane 1 has its own data and λs, so a lane
+                // that reads the other lane's input fails
+                let other = tail_of(
+                    m,
+                    200 + m as u64,
+                    Lambdas { lambda1: 2.5, lambda2: 0.3, anchor: 4.0 },
+                );
+                assert_lanes_match_loop_path::<crate::lanes::Native>([&tail, &other]);
+                #[cfg(target_arch = "x86_64")]
+                assert_lanes_match_loop_path::<crate::lanes::Portable>([&tail, &other]);
+            }
+        }
+        // zero weights: each off-diagonal entry starts from `0 +`, which
+        // turns a `−0.0` term into `+0.0`; a block that drops the leading
+        // zero flips that sign (`−w` of a `+0.0` weight, or a `−0.0`
+        // weight itself)
+        let tail = tail_of(7, 1, Lambdas::default());
+        let zero = TailData { p3: [0.0; 3], q3: [0.0; 3], ..tail_of(7, 2, Lambdas::default()) };
+        let neg_zero = TailData { p3: [-0.0; 3], q3: [-0.0; 3], ..zero };
+        for lanes in [[&tail, &zero], [&neg_zero, &tail], [&zero, &neg_zero]] {
+            assert_lanes_match_loop_path::<crate::lanes::Native>(lanes);
         }
     }
 
