@@ -65,7 +65,7 @@ pub use oneshot::{
 pub use online_doolittle::{IncrementalSolver, SolverState};
 pub use reference::ModifiedJointStlRef;
 pub use score::{
-    CusumScorer, Fusion, ResidualScorer, ResidualScorerState, ScoreConfig, ScoreVerdict,
-    TrendCusum, TrendCusumState,
+    CusumScorer, CusumState, Fusion, ResidualScorer, ResidualScorerState, ScoreConfig,
+    ScoreVerdict, TrendCusum, TrendCusumState,
 };
 pub use tasks::{StdAnomalyDetector, StdForecaster};

@@ -521,8 +521,9 @@ impl OneShotStl {
             .iter()
             .map(|st| {
                 let solver = match &st.solver {
-                    // steady: tag + step count + 10 L band cells + D + z
-                    IncrementalSolver::Steady(_) => 9 + vec_f64(10) + 2 * vec_f64(4),
+                    // steady: tag + step count + 10 L band cells + D[4] + z[4],
+                    // fixed-length windows written bare
+                    IncrementalSolver::Steady(_) => 9 + 8 * 10 + 8 * (4 + 4),
                     // warmup: tag + four vectors of one value per step
                     IncrementalSolver::Warmup { .. } => 1 + 4 * vec_f64(st.solver.len()),
                 };
@@ -685,13 +686,6 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// `(t + Δ) mod T`).
     pub fn seasonal_buffer(&self) -> &[f64] {
         &self.v
-    }
-
-    /// The running residual statistics behind the §3.4 shift trigger
-    /// (seeded from the initialization residuals, absorbing every
-    /// committed residual).
-    pub(crate) fn residual_stats(&self) -> &NSigma {
-        &self.nsigma
     }
 
     #[inline]

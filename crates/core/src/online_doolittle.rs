@@ -31,7 +31,7 @@
 //! index in it is a constant, so its 10×10 working triangle lives in
 //! registers and on the stack, and it inlines into the IRLS loop of
 //! [`IncrementalSolver::step_from`]. The kernel is written once, over a
-//! two-lane value type ([`crate::lanes`]): [`IncrementalSolver::step_lanes`]
+//! two-lane value type (`crate::lanes`): [`IncrementalSolver::step_lanes`]
 //! steps two independent windows through one call, one per lane, each
 //! lane running exactly the scalar operations in the scalar order, and a
 //! one-window step runs its window in both lanes and keeps lane 0.

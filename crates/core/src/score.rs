@@ -255,32 +255,34 @@ impl CusumScorer {
         ScoreVerdict { score: self.hold.max(instant), z, cusum, is_anomaly }
     }
 
-    /// The [`ResidualScorer`] snapshot of this scorer over the residual
-    /// statistics `sums` (whose own bar is not used: the snapshot carries
-    /// this scorer's `n`).
-    pub fn to_state(&self, sums: &NSigma) -> ResidualScorerState {
-        ResidualScorerState {
-            config: self.config,
-            nsigma: NSigmaState { n: self.n, ..sums.to_state() },
-            s_pos: self.s_pos,
-            s_neg: self.s_neg,
-            hold: self.hold,
-        }
+    /// Extracts a plain-data snapshot (everything but the diagnostic
+    /// alarm counters).
+    pub fn to_state(&self) -> CusumState {
+        let CusumScorer { config, n, s_pos, s_neg, hold, .. } = *self;
+        CusumState { config, n, s_pos, s_neg, hold }
     }
 
-    /// The CUSUM part of a [`ResidualScorer::to_state`] snapshot (its bar,
-    /// config, accumulators and hold; not its running sums).
-    pub fn from_state(state: &ResidualScorerState) -> Self {
-        CusumScorer {
-            config: state.config,
-            n: state.nsigma.n,
-            s_pos: state.s_pos,
-            s_neg: state.s_neg,
-            hold: state.hold,
-            z_alarms: 0,
-            cusum_alarms: 0,
-        }
+    /// Rebuilds a scorer from [`CusumScorer::to_state`] output; the
+    /// stream continues bit-identically.
+    pub fn from_state(state: CusumState) -> Self {
+        let CusumState { config, n, s_pos, s_neg, hold } = state;
+        CusumScorer { config, n, s_pos, s_neg, hold, z_alarms: 0, cusum_alarms: 0 }
     }
+}
+
+/// Plain-data snapshot of a [`CusumScorer`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CusumState {
+    /// Scoring configuration.
+    pub config: ScoreConfig,
+    /// Threshold `n` of the z bar.
+    pub n: f64,
+    /// Upper CUSUM accumulator.
+    pub s_pos: f64,
+    /// Lower CUSUM accumulator.
+    pub s_neg: f64,
+    /// Peak-hold of the fused statistic.
+    pub hold: f64,
 }
 
 /// Streaming persistence-aware residual scorer: running residual
@@ -343,32 +345,27 @@ impl ResidualScorer {
     /// Extracts a plain-data snapshot for serialization (see
     /// `fleet::codec`).
     pub fn to_state(&self) -> ResidualScorerState {
-        self.cusum.to_state(&self.nsigma)
+        ResidualScorerState { nsigma: self.nsigma.to_state(), cusum: self.cusum.to_state() }
     }
 
     /// Rebuilds a scorer from [`ResidualScorer::to_state`] output; the
     /// stream continues bit-identically.
     pub fn from_state(state: ResidualScorerState) -> Self {
         ResidualScorer {
-            cusum: CusumScorer::from_state(&state),
             nsigma: NSigma::from_state(state.nsigma),
+            cusum: CusumScorer::from_state(state.cusum),
         }
     }
 }
 
-/// Plain-data snapshot of a [`ResidualScorer`].
+/// Plain-data snapshot of a [`ResidualScorer`]: its running residual
+/// statistics and its CUSUM part, under one bar `n`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResidualScorerState {
-    /// Scoring configuration.
-    pub config: ScoreConfig,
     /// Running residual statistics.
     pub nsigma: NSigmaState,
-    /// Upper CUSUM accumulator.
-    pub s_pos: f64,
-    /// Lower CUSUM accumulator.
-    pub s_neg: f64,
-    /// Peak-hold of the fused statistic.
-    pub hold: f64,
+    /// Configuration, bar, accumulators and peak-hold.
+    pub cusum: CusumState,
 }
 
 /// How many first innovations a [`TrendCusum`] absorbs silently before
@@ -709,7 +706,7 @@ mod tests {
             assert_eq!(v.is_anomaly, p.is_anomaly);
         }
         assert_eq!(s.cusum_state(), (0.0, 0.0));
-        assert_eq!(s.to_state().hold, 0.0);
+        assert_eq!(s.to_state().cusum.hold, 0.0);
     }
 
     /// The spike path survives fusion: a single extreme point still ranks

@@ -2,7 +2,7 @@
 //! a univariate anomaly detector or forecaster.
 
 use crate::oneshot::{OnlineJointStl, TailSolver, UpdateScratch};
-use crate::score::{CusumScorer, ResidualScorerState, ScoreConfig, ScoreVerdict};
+use crate::score::{CusumScorer, ScoreConfig, ScoreVerdict};
 use decomp::traits::OnlineDecomposer;
 use tskit::error::Result;
 use tskit::ring::RingBuffer;
@@ -46,15 +46,8 @@ impl<S: TailSolver> StdAnomalyDetector<OnlineJointStl<S>> {
         &self.scorer
     }
 
-    /// The scorer's snapshot: the [`CusumScorer`] state over the
-    /// decomposer's running residual sums, under this detector's bar.
-    pub fn scorer_state(&self) -> ResidualScorerState {
-        self.scorer.to_state(self.decomposer.residual_stats())
-    }
-
     /// Reassembles a detector from a decomposer and a scorer (snapshot
-    /// restore; see `fleet::codec`, which refuses a snapshot whose scorer
-    /// sums differ from the decomposer's).
+    /// restore; the running residual sums are the decomposer's).
     pub fn from_parts(decomposer: OnlineJointStl<S>, scorer: CusumScorer) -> Self {
         StdAnomalyDetector { decomposer, scorer }
     }
@@ -411,12 +404,13 @@ mod tests {
                 }
                 for (det, q) in [(&plain, 0), (&with, 0), (&pair[0], 0), (&pair[1], 1)] {
                     let scorer = &refs[q].1;
-                    let (got, want) = (det.scorer_state(), scorer.to_state());
-                    let sums = |s: &ResidualScorerState| {
-                        (s.nsigma.count, s.nsigma.sum.to_bits(), s.nsigma.sum_sq.to_bits())
+                    let want = scorer.to_state();
+                    let got = det.decomposer.to_state().nsigma;
+                    let sums = |s: &crate::NSigmaState| {
+                        (s.count, s.sum.to_bits(), s.sum_sq.to_bits())
                     };
-                    proptest::prop_assert_eq!(sums(&got), sums(&want));
-                    proptest::prop_assert_eq!(got, want);
+                    proptest::prop_assert_eq!(sums(&got), sums(&want.nsigma));
+                    proptest::prop_assert_eq!(det.scorer().to_state(), want.cusum);
                     proptest::prop_assert_eq!(det.scorer().alarm_counts(), scorer.alarm_counts());
                 }
             }

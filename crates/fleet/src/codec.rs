@@ -15,17 +15,19 @@
 //! [`CodecError::UnsupportedVersion`]. A previous-version image is
 //! rewritten as the current version by its next snapshot. One decoder
 //! reads both: a new version never reuses a tag or a length, so the only
-//! version-dependent code is the version-window check. v13 retired the
-//! forecast error tracker: [`ForecastOptions`] took the fresh tags `2|3`
-//! (disabled | enabled) followed by the damping alone, and a live series'
-//! forecast head the presence tag `2` followed by its damping `φ`. The
-//! v12 layouts (options tags `0|1`, head tag `1` with its pending
-//! forecast and error rings) are still parsed, keeping only the damping;
-//! a v12 input whose error fusion was on is refused, since this build
-//! cannot honour the alarm it asked for. Each steady solver's `L` window
-//! is its 10 band cells ([`oneshotstl::online_doolittle::BAND`]). The
-//! backend tags retired before v12 (select `1`/`3`, state `0`/`2`) stay
-//! refused as invalid.
+//! version-dependent code is the version-window check. v14 writes each
+//! value of a live series once: the series takes the fresh phase tag `4`
+//! and carries its scorer's CUSUM part alone (config, bar, accumulators,
+//! hold), since the running residual sums are its decomposer's; and a
+//! steady solver takes the fresh tag `2` and writes its fixed-length
+//! windows (the 10 `L` band cells of [`oneshotstl::online_doolittle::BAND`],
+//! `D[4]`, `z[4]`) without length prefixes. The v13 layouts (live tag `1`
+//! with the full residual scorer state, whose sums must equal the
+//! decomposer's bit for bit; solver tag `1` with its checked length
+//! prefixes) are still read. The forecast options and a live head keep
+//! the v13 tags `2|3` and `2`; the v12 tags before them, and the backend
+//! tags retired before v12 (select `1`/`3`, state `0`/`2`), are refused
+//! as invalid.
 
 use crate::backend::{BackendSelect, BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy};
@@ -38,14 +40,14 @@ use crate::{FleetConfig, PeriodPolicy};
 use oneshotstl::oneshot::InitMethod;
 use oneshotstl::system::Lambdas;
 use oneshotstl::{
-    Fusion, IterSnapshot, NSigmaState, OneShotStlConfig, OneShotStlState, ResidualScorerState,
-    ScoreConfig, ShiftPolicy, ShiftPrune, ShiftSearchConfig, SolverState,
+    CusumState, Fusion, IterSnapshot, NSigmaState, OneShotStlConfig, OneShotStlState,
+    ResidualScorerState, ScoreConfig, ShiftPolicy, ShiftPrune, ShiftSearchConfig, SolverState,
 };
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
-// v13: v12 without the forecast error tracker: options and a live head
-// carry the damping alone, under fresh tags.
-pub(crate) const VERSION: u16 = 13;
+// v14: v13 with each value of a live series written once: no second copy
+// of the residual sums, no length prefixes on fixed-length solver windows.
+pub(crate) const VERSION: u16 = 14;
 const KIND_FULL: u8 = 0;
 
 /// Serializes a snapshot to the versioned binary format.
@@ -296,23 +298,12 @@ fn encode_forecast_options(w: &mut Writer, f: &ForecastOptions) {
 }
 
 fn decode_forecast_options(r: &mut Reader<'_>) -> Result<ForecastOptions, CodecError> {
-    let tag = r.u8()?;
-    let options = match tag {
-        2 | 3 => ForecastOptions { enabled: tag == 3, damping: r.f64()? },
-        // v12: enabled flag, damping, then the retired tracker fields
-        0 | 1 => {
-            let damping = r.f64()?;
-            r.take(4)?; // error window
-            match r.u8()? {
-                0 => {}
-                1 => return Err(CodecError::Invalid("forecast error fusion (retired in v13)")),
-                _ => return Err(CodecError::Invalid("forecast fusion flag")),
-            }
-            r.take(8)?; // sMAPE alarm bar
-            ForecastOptions { enabled: tag == 1, damping }
-        }
+    let enabled = match r.u8()? {
+        2 => false,
+        3 => true,
         _ => return Err(CodecError::Invalid("forecast options tag")),
     };
+    let options = ForecastOptions { enabled, damping: r.f64()? };
     // same smuggling stance as the score config: a crafted image must not
     // restore a damping the API boundary rejects (φ outside [0, 1])
     if options.validate().is_err() {
@@ -337,18 +328,6 @@ fn decode_forecast_head(r: &mut Reader<'_>) -> Result<Option<f64>, CodecError> {
     let phi = match r.u8()? {
         0 => return Ok(None),
         2 => r.f64()?,
-        // v12: the head's options, then the retired tracker state — the
-        // pending one-step forecast and its flag, the two error rings, the
-        // ring cursor and length, the two running sums; only the damping
-        // is kept
-        1 => {
-            let options = decode_forecast_options(r)?;
-            r.take(8 + 1)?;
-            r.vec_f64()?;
-            r.vec_f64()?;
-            r.take(4 + 4 + 8 + 8)?;
-            options.damping
-        }
         _ => return Err(CodecError::Invalid("forecast head tag")),
     };
     if !(0.0..=1.0).contains(&phi) {
@@ -567,9 +546,9 @@ fn encode_series(w: &mut Writer, s: &SeriesSnapshot) {
             encode_admit_options(w, overrides);
         }
         PhaseSnapshot::Live { decomposer, scorer, forecast, backend } => {
-            w.u8(1);
+            w.u8(4);
             encode_decomposer(w, decomposer);
-            encode_scorer(w, scorer);
+            encode_cusum(w, scorer);
             encode_forecast_head(w, *forecast);
             match backend {
                 None => w.u8(0),
@@ -601,16 +580,22 @@ fn decode_series(r: &mut Reader<'_>) -> Result<SeriesSnapshot, CodecError> {
             last_attempt: r.u64()? as usize,
             overrides: decode_admit_options(r)?,
         },
-        1 => {
+        tag @ (1 | 4) => {
             let decomposer = decode_decomposer(r)?;
-            let scorer = decode_scorer(r)?;
-            // a live detector scores from its decomposer's running sums,
-            // so the scorer's encoded copy must be them, bit for bit (every
-            // writer since v11 kept the two equal)
-            let sums = |s: &NSigmaState| (s.count, s.sum.to_bits(), s.sum_sq.to_bits());
-            if sums(&scorer.nsigma) != sums(&decomposer.nsigma) {
-                return Err(CodecError::Invalid("nsigma twin"));
-            }
+            let scorer = if tag == 4 {
+                decode_cusum(r)?
+            } else {
+                // v13 wrote the full residual scorer state; a live detector
+                // scores from its decomposer's running sums, so the copy
+                // must be them, bit for bit (every writer since v11 kept
+                // the two equal)
+                let ResidualScorerState { nsigma, cusum } = decode_scorer(r)?;
+                let sums = |s: &NSigmaState| (s.count, s.sum.to_bits(), s.sum_sq.to_bits());
+                if sums(&nsigma) != sums(&decomposer.nsigma) {
+                    return Err(CodecError::Invalid("nsigma twin"));
+                }
+                cusum
+            };
             PhaseSnapshot::Live {
                 decomposer,
                 scorer,
@@ -707,11 +692,11 @@ fn encode_solver(w: &mut Writer, s: &SolverState) {
             w.vec_f64(qw);
         }
         SolverState::Steady { m, lo, dd, zo } => {
-            w.u8(1);
+            w.u8(2);
             w.u64(*m);
-            w.vec_f64(lo);
-            w.vec_f64(dd);
-            w.vec_f64(zo);
+            for &v in lo.iter().chain(dd).chain(zo) {
+                w.f64(v);
+            }
         }
     }
 }
@@ -724,24 +709,15 @@ fn decode_solver(r: &mut Reader<'_>) -> Result<SolverState, CodecError> {
             pw: r.vec_f64()?,
             qw: r.vec_f64()?,
         }),
-        1 => {
+        // v13 (tag 1) prefixes each window with its length
+        tag @ (1 | 2) => {
+            let v13 = tag == 1;
             let m = r.u64()?;
-            if r.u64()? != 10 {
-                return Err(CodecError::Invalid("solver L window length"));
-            }
-            let lo = r.f64_array()?;
-            Ok(SolverState::Steady { m, lo, dd: solver_window(r)?, zo: solver_window(r)? })
+            let lo = r.window(v13)?;
+            Ok(SolverState::Steady { m, lo, dd: r.window(v13)?, zo: r.window(v13)? })
         }
         _ => Err(CodecError::Invalid("solver state tag")),
     }
-}
-
-/// A length-prefixed `D` or `z` window of a steady solver: exactly 4 values.
-fn solver_window(r: &mut Reader<'_>) -> Result<[f64; 4], CodecError> {
-    if r.u64()? != 4 {
-        return Err(CodecError::Invalid("solver window length"));
-    }
-    r.f64_array()
 }
 
 fn encode_nsigma(w: &mut Writer, s: &NSigmaState) {
@@ -765,35 +741,59 @@ fn decode_nsigma(r: &mut Reader<'_>) -> Result<NSigmaState, CodecError> {
     Ok(s)
 }
 
-/// The full task-level residual scorer of a live series.
-fn encode_scorer(w: &mut Writer, s: &ResidualScorerState) {
+/// The scorer of a live series: its CUSUM part alone, since the running
+/// residual sums are its decomposer's.
+fn encode_cusum(w: &mut Writer, s: &CusumState) {
     encode_score_config(w, &s.config);
-    encode_nsigma(w, &s.nsigma);
+    w.f64(s.n);
     w.f64(s.s_pos);
     w.f64(s.s_neg);
     w.f64(s.hold);
 }
 
+fn decode_cusum(r: &mut Reader<'_>) -> Result<CusumState, CodecError> {
+    let config = decode_score_config(r)?;
+    let n = r.f64()?;
+    checked_cusum(CusumState { config, n, s_pos: r.f64()?, s_neg: r.f64()?, hold: r.f64()? })
+}
+
+/// A residual scorer with sums of its own: the trend CUSUM's (v13 also
+/// wrote a live series' scorer this way).
+fn encode_scorer(w: &mut Writer, s: &ResidualScorerState) {
+    encode_score_config(w, &s.cusum.config);
+    encode_nsigma(w, &s.nsigma);
+    w.f64(s.cusum.s_pos);
+    w.f64(s.cusum.s_neg);
+    w.f64(s.cusum.hold);
+}
+
 fn decode_scorer(r: &mut Reader<'_>) -> Result<ResidualScorerState, CodecError> {
     let config = decode_score_config(r)?;
     let nsigma = decode_nsigma(r)?;
-    let s_pos = r.f64()?;
-    let s_neg = r.f64()?;
-    let hold = r.f64()?;
-    // mirror the config-level smuggling checks for the dynamic state:
-    // a NaN accumulator would silently disable one CUSUM side forever
-    // (f64::max(NaN, x) returns x), and no writer can produce values
-    // outside the update loop's clamp ranges
-    let bar = 2.0 * config.cusum_h;
-    for s in [s_pos, s_neg] {
-        if !(s.is_finite() && (0.0..=bar).contains(&s)) {
+    let n = nsigma.n;
+    let cusum = CusumState { config, n, s_pos: r.f64()?, s_neg: r.f64()?, hold: r.f64()? };
+    Ok(ResidualScorerState { nsigma, cusum: checked_cusum(cusum)? })
+}
+
+/// Mirrors the config-level smuggling checks for the dynamic state: a
+/// NaN bar never alarms (`z > NaN` is false), a NaN accumulator would
+/// silently disable one CUSUM side forever (`f64::max(NaN, x)` returns
+/// `x`), and no writer can produce values outside the update loop's
+/// clamp ranges.
+fn checked_cusum(s: CusumState) -> Result<CusumState, CodecError> {
+    if !(s.n.is_finite() && s.n > 0.0) {
+        return Err(CodecError::Invalid("nsigma bar"));
+    }
+    let bar = 2.0 * s.config.cusum_h;
+    for acc in [s.s_pos, s.s_neg] {
+        if !(acc.is_finite() && (0.0..=bar).contains(&acc)) {
             return Err(CodecError::Invalid("scorer accumulator"));
         }
     }
-    if !(hold.is_finite() && hold >= 0.0) {
+    if !(s.hold.is_finite() && s.hold >= 0.0) {
         return Err(CodecError::Invalid("scorer hold"));
     }
-    Ok(ResidualScorerState { config, nsigma, s_pos, s_neg, hold })
+    Ok(s)
 }
 
 /// Little-endian byte sink. Shared with every framed payload
@@ -942,8 +942,12 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::Invalid("utf-8 string"))
     }
-    /// `N` bare `f64`s (the caller has read and checked any length).
-    fn f64_array<const N: usize>(&mut self) -> Result<[f64; N], CodecError> {
+    /// A steady solver window: `N` bare `f64`s, after a `u64` length that
+    /// must be `N` when `prefixed` (v13).
+    fn window<const N: usize>(&mut self, prefixed: bool) -> Result<[f64; N], CodecError> {
+        if prefixed && self.u64()? != N as u64 {
+            return Err(CodecError::Invalid("solver window length"));
+        }
         let mut out = [0.0; N];
         for v in &mut out {
             *v = self.f64()?;
@@ -1087,10 +1091,10 @@ mod tests {
 
     /// A crafted image smuggling degenerate scorer *dynamic state* must
     /// fail to decode: NaN accumulators would silently disable one CUSUM
-    /// side forever (`f64::max(NaN, x)` returns `x`), a NaN bar or
-    /// non-finite statistics would stop the series from ever alarming,
-    /// and running sums that are not the decomposer's have no place in a
-    /// detector that keeps one set.
+    /// side forever (`f64::max(NaN, x)` returns `x`), and a NaN bar or
+    /// non-finite running sums would stop the series from ever alarming.
+    /// A v13 live series, which wrote the sums twice, must carry the
+    /// decomposer's own in its scorer copy.
     #[test]
     fn degenerate_decoded_scorer_state_is_rejected() {
         let t = 12usize;
@@ -1102,15 +1106,16 @@ mod tests {
             5.0,
         );
         det.init(&y[..4 * t], t).unwrap();
-        let make = |mutate: &dyn Fn(&mut ResidualScorerState)| {
+        let make = |mutate: &dyn Fn(&mut CusumState, &mut NSigmaState)| {
             let mut snap = sample_snapshot();
-            let mut scorer = det.scorer_state();
-            mutate(&mut scorer);
+            let mut scorer = det.scorer().to_state();
+            let mut decomposer = det.decomposer.to_state();
+            mutate(&mut scorer, &mut decomposer.nsigma);
             snap.series.push(SeriesSnapshot {
                 key: SeriesKey::new("live"),
                 last_seen: 50,
                 phase: PhaseSnapshot::Live {
-                    decomposer: det.decomposer.to_state(),
+                    decomposer,
                     scorer,
                     forecast: None,
                     backend: None,
@@ -1119,7 +1124,7 @@ mod tests {
             encode(&snap)
         };
         // in-range state decodes…
-        decode(&make(&|s| {
+        decode(&make(&|s, _| {
             s.s_pos = 1.0;
             s.hold = 3.0;
         }))
@@ -1133,7 +1138,7 @@ mod tests {
             (0.0, 0.0, f64::NAN),
             (0.0, 0.0, -2.0),
         ] {
-            let bad = make(&|s| {
+            let bad = make(&|s, _| {
                 (s.s_pos, s.s_neg, s.hold) = (sp, sn, hold);
             });
             assert!(
@@ -1141,25 +1146,37 @@ mod tests {
                 "scorer state ({sp}, {sn}, {hold}) must be rejected"
             );
         }
-        // …nor do a NaN or negative bar and non-finite statistics
+        // …nor do a NaN or negative bar and non-finite sums
         for n in [f64::NAN, -1.0] {
-            let bad = make(&|s| s.nsigma.n = n);
+            let bad = make(&|s, _| s.n = n);
             assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma bar")), "n = {n}");
         }
-        let bad = make(&|s| s.nsigma.sum = f64::NAN);
+        let bad = make(&|_, sums| sums.sum = f64::NAN);
         assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "NaN sum");
-        let bad = make(&|s| s.nsigma.sum_sq = f64::INFINITY);
+        let bad = make(&|_, sums| sums.sum_sq = f64::INFINITY);
         assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "infinite sum_sq");
-        // …nor finite sums that are not the decomposer's own, off by one
-        // count or one ulp
-        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
-        for flip in [
-            &|s: &mut ResidualScorerState| s.nsigma.count += 1,
-            &|s: &mut ResidualScorerState| s.nsigma.sum = ulp(s.nsigma.sum),
-            &|s: &mut ResidualScorerState| s.nsigma.sum_sq = ulp(s.nsigma.sum_sq),
-        ] as [&dyn Fn(&mut ResidualScorerState); 3]
-        {
-            assert_eq!(decode(&make(flip)), Err(CodecError::Invalid("nsigma twin")));
+
+        // a v13 live series holds its `count`, `sum`, `sum_sq` twice, the
+        // decomposer's first; a copy off by one count or one ulp is refused
+        let v13 = unhex(V13_LIVE_BLOB_HEX);
+        let PhaseSnapshot::Live { decomposer, .. } = sample_live_series().phase else {
+            unreachable!("the sample series is live");
+        };
+        let mut w = Writer::default();
+        w.u64(decomposer.nsigma.count);
+        w.f64(decomposer.nsigma.sum);
+        w.f64(decomposer.nsigma.sum_sq);
+        let at: Vec<usize> = (0..v13.len()).filter(|&i| v13[i..].starts_with(&w.buf)).collect();
+        assert_eq!(at.len(), 2, "the decomposer's sums and the scorer's copy");
+        let bump = |bytes: &mut [u8], at: usize| {
+            let v = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) + 1;
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        };
+        // count + 1, then sum and sum_sq + 1 ulp
+        for field in 0..3 {
+            let mut flipped = v13.clone();
+            bump(&mut flipped, at[1] + 8 * field);
+            assert_eq!(decode_series_blob(&flipped), Err(CodecError::Invalid("nsigma twin")));
         }
     }
 
@@ -1184,15 +1201,16 @@ mod tests {
     }
 
     /// A live series with real state in every optional layer: a period-12
-    /// sine through initialization and four periods of scored updates, a
-    /// forecast head, and a trend-CUSUM backend.
+    /// sine through initialization and four periods of scored updates at
+    /// the fleet's I = 6 IRLS iterations, a forecast head, and a
+    /// trend-CUSUM backend.
     fn sample_live_series() -> SeriesSnapshot {
         let t = 12usize;
         let y: Vec<f64> = (0..8 * t)
             .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
             .collect();
         let mut det = oneshotstl::StdAnomalyDetector::new(
-            oneshotstl::OneShotStl::new(OneShotStlConfig::default()),
+            oneshotstl::OneShotStl::new(FleetConfig::default().detector),
             5.0,
         );
         det.init(&y[..4 * t], t).unwrap();
@@ -1207,7 +1225,7 @@ mod tests {
             last_seen: 60,
             phase: PhaseSnapshot::Live {
                 decomposer: det.decomposer.to_state(),
-                scorer: det.scorer_state(),
+                scorer: det.scorer().to_state(),
                 forecast: Some(1.0),
                 backend: Some(backend.to_snapshot()),
             },
@@ -1221,93 +1239,65 @@ mod tests {
             .collect()
     }
 
-    /// [`encode_series_blob`] of [`sample_live_series`] by the v12 writer:
-    /// what a v12 build left in its cold tier. Its forecast head is the
-    /// v12 layout — `ForecastOptions::on()` with a 4-pair error tracker
-    /// holding two pairs — of which this build keeps the damping `1.0`.
-    const V12_LIVE_BLOB_HEX: &str = concat!(
-        "0c00040000006c6976653c000000000000000100000000000059400000000000005940000000",
-        "000000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb",
+    /// [`encode_series_blob`] of [`sample_live_series`] by the v13 writer:
+    /// what a v13 build left in its cold tier. Its scorer carries the
+    /// decomposer's running sums a second time, and each of its six steady
+    /// solvers prefixes its windows with their lengths.
+    const V13_LIVE_BLOB_HEX: &str = concat!(
+        "0d00040000006c6976653c000000000000000100000000000059400000000000005940000000",
+        "000000f03f0600000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb",
         "3d01040000000c00000000000000600000000000000030000000000000000000000000000000",
-        "0c00000000000000a975fb3e06eef53e41479d892a00e03f0909deaea4b6eb3f067ee5fa1c00",
-        "f03f41770e65b0b6eb3f88c9ce213400e03f24df0c193890f93e8c2dad719bffdfbf65b7d663",
-        "49b6ebbfdde4cc58d0ffefbf47dee14c4cb6ebbf773bc8b7a4ffdfbf52b3a7178549e43f0800",
-        "00000000f03ff50758ed4cb6ebbf2d85ce27a7ffdfbf080000000130000000000000000a0000",
+        "0c0000000000000005472d54c5e3ffbe84ee526b82ffdf3f95afb7d73cb6eb3f459ba1edb2ff",
+        "ef3f9234caff2db6eb3f50ac3b306affdf3fed401fb1495602bf3d2d04014800e0bf535da6c1",
+        "c1b6ebbf23843fed2200f0bf68330edbbfb6ebbff3af94264400e0bf52b3a7178549e43f0800",
+        "00000000f03f0633b794bdb6ebbff006f1314100e0bf060000000130000000000000000a0000",
         "0000000000b59ee4df35cad63f831f5ad69dd4c6bf6cf6380017fff4bfcb52373dad08e53f00",
         "00000000000000000000000000000000000000000000000e647b2c02cad63f0377aff369d4c6",
         "bf000000000000000004000000000000005ded42b6388d714015d4f51a6af1ff3f4441e08760",
-        "8d7140d47d0c3c6af1ff3f04000000000000004c870b8190933140f6fb642df6dad2bf117a4e",
-        "ff91733140c0a80840dffce1bf000000000000f03f000000000000f03f000000000000f03f00",
-        "0000000000f03fdc4aa68fe8fff73fea9d15a5e8fff73f0130000000000000000a0000000000",
-        "0000016d4c2e1762d43fd9465f2e1762c4bf6b3b682f2533f5bf22b7762f2533e53f00000000",
-        "0000000000000000000000000000000000000000f6d698ca94ccd43f9b0ca7ca94ccc4bf0000",
-        "0000000000000400000000000000d9d984bcec4ce141cc67e2ffffffff3f382a544a7f6be741",
-        "6523eaffffffff3f0400000000000000af41e01a4bff50405788c47a08b3cdbf043504c554f8",
-        "4b409b6be624a0ffdfbfd646486b77db6e410766ce04e6e257412ed8766e0a365c41e487167a",
-        "0c7c6341737a3c5f3dfff73fa7dae70541fff73f0130000000000000000a00000000000000d2",
-        "be225de3b6e83f9701cb5de3b6d8bf31ef1262cbc0febf88e75c62cbc0ee3f00000000000000",
-        "00000000000000000000000000000000000b71340e9781ed3f9a697b0e9781ddbf0000000000",
-        "0000000400000000000000d607089a03cdb241292326ffffffff3f3b621b5ea89bca41e107b3",
-        "ffffffff3f0400000000000000f3cc58f1ed2d68402e53d6600db3cdbfd90224556ff7664064",
-        "92c1eea0ffdfbf8bcc0c118a3a01413ba9442079870141e905b310089642411900acca72675f",
-        "41c7a5bbe2e6fff73fc7fb5ef5e6fff73f0130000000000000000a0000000000000092823e50",
-        "3094de3f833462503094cebfb4ee0a9ae7b2f6bfa384199ae7b2e63f00000000000000000000",
-        "0000000000000000000000000000a51bf8739ecbda3f745309749ecbcabf0000000000000000",
-        "0400000000000000bfa6f4a2d569db4162a5daffffffff3f6effdee35ee6e8410a70ebffffff",
-        "ff3f0400000000000000ed8aa81296b2444027eb356c08b3cdbf3f9162fdac0a4b40bef42a23",
-        "a0ffdfbfed9aec36f64c6c4120b117a580785b41e58e2ca9f2c36041c3cb6b2726b06a41cc7a",
-        "f0c30100f83f9f04572c0100f83f0130000000000000000a00000000000000a3036099f875dc",
-        "3f5d87549af875ccbf9e7c10bdda03f9bfd84887bdda03e93f00000000000000000000000000",
-        "00000000000000000000005005ccaab507e23f8ca521abb507d2bf0000000000000000040000",
-        "00000000002d39c41936ccad415714edfeffffff3f5f2b811fe8f3ba41c90768ffffffff3f04",
-        "0000000000000011113087af714d405741d0350ab3cdbf03131494863e4e40ea446ca1a0ffdf",
-        "bfb30b66df19b4344126cca7bdc0042b41a0be658b1af6304103ccc7a33e704341aa567b010e",
-        "00f83fc609bc440d00f83f0130000000000000000a00000000000000f19ba74f9565e93fdd99",
-        "e64f9565d9bf87c3e3e77f41fdbf2b8417e87f41ed3f00000000000000000000000000000000",
-        "0000000000000000136d90f3ff82ea3f0653bff3ff82dabf0000000000000000040000000000",
-        "0000fa5e002aa2cdc94153a1b0ffffffff3f369eb6bdf616d241a964c7ffffffff3f04000000",
-        "000000001b7b0c72c6195b403ef8c24809b3cdbff57958f600185e4016d0427ca0ffdfbfc6dd",
-        "98469b4424412b54a33173b325411b3b22087b365a411caaaa06fe2e63414c833690f9fff73f",
-        "7bfd3142f9fff73f0130000000000000000a0000000000000002bc366aa4e1ec3fa2ba446aa4",
-        "e1dcbf6db006a74f02f8bf674b38a74f02e83f00000000000000000000000000000000000000",
-        "00000000004845d9829f04e03fa35dfa829f04d0bf0000000000000000040000000000000087",
-        "1cb7758f82f041877ef0ffffffff3f61fcee42dcf9ce4164e2bdffffffff3f04000000000000",
-        "00ccbcd4f97a5660409dd7387b08b3cdbfe4142fa1340a63405d4c25afa0ffdfbf1baadf1737",
-        "ba3341d98d27721e403a4154a9a304c31283419c15ebbed6d85341729b8736eafff73f9cf8eb",
-        "27eafff73f0130000000000000000a0000000000000065da2a42db2be73fe7ef4042db2bd7bf",
-        "dc4d9413c51cfbbf5b18a413c51ceb3f00000000000000000000000000000000000000000000",
-        "00006c0f652e8a39e63f2b01722e8a39d6bf00000000000000000400000000000000197615c4",
-        "aac9e0416880e1ffffffff3f9737bcc6a278eb41c15cedffffffff3f04000000000000009deb",
-        "8e9228134b40ed8b7f6f08b3cdbfa13dbf70c9625240785a3527a0ffdfbf3b0fceac63cb5941",
-        "d4a08ebb52866141b64f61889b1e6f41b2170774f26b7841f5b30962e8fff73f787cf091e8ff",
-        "f73f00000000000014406000000000000000c96f060a9b34323f50914fcd8172443e01020000",
-        "00000000e03f0000000000001840ae47e17a14aeef3f00000000000014406000000000000000",
-        "c96f060a9b34323f50914fcd8172443e00000000000000000000000000000000785c17c257b4",
-        "39400101000000000000f03f4000000000000000000000f83fcdccccccccccf83f0104000000",
-        "00000000a09999999999b93f909999999999b93f000000000000000000000000000000000400",
-        "0000000000009b7b1a61b9a7b13ffd1e7cf0c107af3f00000000000000000000000000000000",
-        "0200000002000000989999999999c93f8d45ac2ccd95c03f010102000000000000e03f000000",
-        "0000001840ae47e17a14aeef3f00000000000014400000000000000000000000000000000000",
-        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "000010000000",
+        "8d7140d47d0c3c6af1ff3f0400000000000000385fb56ab693314091a2f7baf2dbd2bfc37cb0",
+        "4eb8733140d22784ea57fde1bf000000000000f03f000000000000f03f000000000000f03f00",
+        "0000000000f03f2c3571521f00f83fc10df0681f00f83f0130000000000000000a0000000000",
+        "00001cbcda9cb59ee33f7860fe9cb59ed3bfb064d7e87337f9bfdfaffbe87337e93f00000000",
+        "0000000000000000000000000000000000000000f32f42e7e76ee23fc2b75ce7e76ed2bf0000",
+        "00000000000004000000000000008e20d415799dd1413fdec5ffffffff3f808b8c16c03bd641",
+        "73f1d1ffffffff3f0400000000000000ba1acc4cbe445640e0b207b1f0b4cdbf01029de3d63b",
+        "56404f2adf754400e0bff8969b7953de4a419f2e0eec96c25641689177cc0da65b41822d6c5d",
+        "b16460412e2016d166fff73fa2a62ba86afff73f0130000000000000000a00000000000000ca",
+        "aec82fe9eaeb3fbce15730e9eadbbf08c334edc5aafcbf4a630ceec5aaec3f00000000000000",
+        "0000000000000000000000000000000000be39dcb08c55e93f49c89ab18c55d9bf0000000000",
+        "0000000400000000000000ea9d750358f4b8416edc5bffffffff3f52155e1d7204b141014e0f",
+        "ffffffff3f0400000000000000d51b7ee6ec7163405635232df3b4cdbfd8eb23870f426540dd",
+        "6faa954500e0bfec247529e76eff4059061cb079aa0041d9225df4e4dd4b4119dc3dccad3e41",
+        "4107a3326f1000f83ff28677bf1000f83f0130000000000000000a0000000000000055812edd",
+        "10cbe83fe3d549dd10cbd8bfd6f6e2cb5bf4f9bf96090fcc5bf4e93f00000000000000000000",
+        "0000000000000000000000000000bac671beb7e8e33f6f9593beb7e8d3bf0000000000000000",
+        "0400000000000000d32e32e88807dd41b7b9dcffffffff3f559d7b4d3bd8d24136a9c9ffffff",
+        "ff3f04000000000000008a9b112a00586040a188589ff0b4cdbfa253ec2d9af460405f8a748f",
+        "4400e0bf97560045d60a35417dbfae06a18339412484a5a211ca6c4183a74ac4ab035e413eab",
+        "ca1e2b00f83f101ee0cc2a00f83f0130000000000000000a000000000000000469dd73a641d1",
+        "3f29e4fa73a641c1bff21b4ca62e58fcbfd74a6ca62e58ec3f00000000000000000000000000",
+        "0000000000000000000000f2d38a575db0e83f49dca6575db0d8bf0000000000000000040000",
+        "0000000000245122061dbbd241bd54c9ffffffff3faa99d7e3e02edc418caadbffffffff3f04",
+        "00000000000000df9dc04ba2ed5440c0683b9ef0b4cdbf706f50f23a6d4c40676f02664400e0",
+        "bf4cdb6316d9293c4143453bab4b003941023ad5afbadb4941e0416e811ad56b416ce4c8fb38",
+        "00f83f036e835c3800f83f0130000000000000000a000000000000009b99fc3c3917d43fff16",
+        "483d3917c4bfb3a88ad971c7f9bf8132e7d971c7e93f00000000000000000000000000000000",
+        "00000000000000001f3f9fd4e38ee33f3074e5d4e38ed3bf0000000000000000040000000000",
+        "0000a03971686808c141ffc287ffffffff3f3d69795b36d4c14174218dffffffff3f04000000",
+        "00000000ff1e1164358b5040f8a2dd07f1b4cdbf1c7f9e23b2874b40d17948874400e0bf9fef",
+        "b327adb5304163f9392195b729413d8d94324c603b416fccb3b668e54b418d73869c2300f83f",
+        "842c9c8d2300f83f00000000000014406000000000000000d1041c8f64453abf03dc6fb19524",
+        "4e3e0102000000000000e03f0000000000001840ae47e17a14aeef3f00000000000014406000",
+        "000000000000d1041c8f64453abf03dc6fb195244e3e00000000000000000000000000000000",
+        "785c17c257b4394002000000000000f03f010102000000000000e03f0000000000001840ae47",
+        "e17a14aeef3f0000000000001440000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000010000000",
     );
-
-    /// The v12 encoding of `ForecastOptions::on()`: tag `1` (enabled),
-    /// damping `1.0`, error window 64, fusion `0`, sMAPE alarm bar 1.5.
-    fn v12_options_on() -> Vec<u8> {
-        let mut w = Writer::default();
-        w.u8(1);
-        w.f64(1.0);
-        w.u32(64);
-        w.u8(0);
-        w.f64(1.5);
-        w.buf
-    }
 
     /// A series blob whose decomposer carries the wrong number of IRLS
     /// iteration states still decodes (the codec reads any count), but the
     /// restore refuses it: with no states every point would decompose as
-    /// trend 0, seasonal 0, residual = y, and with 3 of 8 the model would
+    /// trend 0, seasonal 0, residual = y, and with 3 of 6 the model would
     /// silently run fewer reweightings than its config says.
     #[test]
     fn wrong_irls_iteration_count_fails_the_restore() {
@@ -1331,7 +1321,7 @@ mod tests {
     }
 
     /// Cold-tier series blobs round-trip bit-identically, a blob spilled
-    /// by the previous (v12) build rehydrates to the same series and
+    /// by the previous (v13) build rehydrates to the same series and
     /// rewrites as this build's encoding of it, and corrupted blobs are
     /// rejected with typed errors.
     #[test]
@@ -1353,39 +1343,32 @@ mod tests {
             Err(CodecError::UnsupportedVersion(_))
         ));
 
-        let v12 = unhex(V12_LIVE_BLOB_HEX);
-        assert_eq!(u16::from_le_bytes([v12[0], v12[1]]), 12);
-        let back = decode_series_blob(&v12).unwrap();
+        let v13 = unhex(V13_LIVE_BLOB_HEX);
+        assert_eq!(u16::from_le_bytes([v13[0], v13[1]]), 13);
+        let back = decode_series_blob(&v13).unwrap();
         assert_eq!(back, sample_live_series());
-        let v13 = encode_series_blob(&back);
-        assert_eq!(v13, encode_series_blob(&sample_live_series()));
-        // the v12 head (tag, 22-byte options, pending forecast and flag,
-        // two 4-pair rings, cursors and sums) becomes a tag and φ
-        assert_eq!(v12.len() - v13.len(), (1 + 22 + 9 + 2 * 40 + 24) - (1 + 8));
+        let v14 = encode_series_blob(&back);
+        assert_eq!(v14, encode_series_blob(&sample_live_series()));
+        // the scorer's copy of count, sum and sum_sq, and three u64 window
+        // lengths per steady solver at I = 6
+        assert_eq!(v13.len() - v14.len(), 24 + 6 * 24);
     }
 
-    /// A v12 cold blob whose forecast head has error fusion on is refused:
-    /// this build cannot raise the drift alarm it asked for.
+    /// A blob two versions old or older is refused outright, whatever its
+    /// body holds.
     #[test]
-    fn v12_blob_asking_for_the_drift_alarm_is_refused() {
-        let v12 = unhex(V12_LIVE_BLOB_HEX);
-        let options = v12_options_on();
-        let at = v12.windows(options.len()).position(|w| w == options).unwrap();
-        // tag, damping and error window, then the fusion flag
-        let mut fused = v12.clone();
-        fused[at + 1 + 8 + 4] = 1;
-        assert_eq!(
-            decode_series_blob(&fused),
-            Err(CodecError::Invalid("forecast error fusion (retired in v13)"))
-        );
-        let mut v11 = v12;
-        v11[..2].copy_from_slice(&11u16.to_le_bytes());
-        assert_eq!(decode_series_blob(&v11), Err(CodecError::UnsupportedVersion(11)));
+    fn blobs_older_than_v13_are_refused() {
+        let mut old = unhex(V13_LIVE_BLOB_HEX);
+        for version in [12u16, 11] {
+            old[..2].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(decode_series_blob(&old), Err(CodecError::UnsupportedVersion(version)));
+        }
     }
 
-    /// A steady solver's `L` window is 10 cells, and its `D` and `z`
-    /// windows 4 each; any other length (the 32-cell window v11 wrote
-    /// among them) is invalid.
+    /// A steady solver's windows are 10 `L` cells, then 4 `D` and 4 `z`
+    /// values: v14 (tag `2`) writes them bare, and a v13 (tag `1`) window
+    /// of any other length (the 32-cell `L` window v11 wrote among them)
+    /// is invalid.
     #[test]
     fn malformed_solver_windows_are_rejected() {
         let image = |lo: usize, dd: usize| {
@@ -1398,9 +1381,14 @@ mod tests {
             w.buf
         };
         let read = |bytes: &[u8]| decode_solver(&mut Reader { data: bytes, pos: 0 });
-        assert!(matches!(read(&image(10, 4)), Ok(SolverState::Steady { m: 9, .. })));
+        let v13 = read(&image(10, 4)).unwrap();
+        assert!(matches!(v13, SolverState::Steady { m: 9, .. }));
+        let mut w = Writer::default();
+        encode_solver(&mut w, &v13);
+        assert_eq!(w.buf.len(), 9 + 8 * (10 + 4 + 4), "v14 windows carry no lengths");
+        assert_eq!(read(&w.buf), Ok(v13));
         for lo in [0, 9, 11, 31, 32, 33] {
-            assert_eq!(read(&image(lo, 4)), Err(CodecError::Invalid("solver L window length")));
+            assert_eq!(read(&image(lo, 4)), Err(CodecError::Invalid("solver window length")));
         }
         for dd in [3, 5] {
             assert_eq!(read(&image(10, dd)), Err(CodecError::Invalid("solver window length")));
@@ -1460,7 +1448,7 @@ mod tests {
                 last_seen: 60,
                 phase: PhaseSnapshot::Live {
                     decomposer: det.decomposer.to_state(),
-                    scorer: det.scorer_state(),
+                    scorer: det.scorer().to_state(),
                     forecast: None,
                     backend: Some(bs),
                 },
@@ -1511,9 +1499,10 @@ mod tests {
         }
     }
 
-    /// A forecast head decodes from the v13 tag `2` and from the v12 tag
-    /// `1` alike; a crafted image carrying a damping outside `[0, 1]`, or an
-    /// unknown head or options tag, fails to decode with a typed error.
+    /// A forecast head decodes from its tag `2`; a crafted image carrying
+    /// a damping outside `[0, 1]`, an unknown head or options tag, or the
+    /// v12 layouts (head tag `1`, options tags `0|1`), fails to decode
+    /// with a typed error.
     #[test]
     fn degenerate_decoded_forecast_state_is_rejected() {
         let read = |bytes: &[u8]| decode_forecast_head(&mut Reader { data: bytes, pos: 0 });
@@ -1524,33 +1513,22 @@ mod tests {
         };
         assert_eq!(read(&head(0.9)), Ok(Some(0.9)));
         assert_eq!(read(&[0]), Ok(None));
-        let mut v12 = vec![1];
-        v12.extend(v12_options_on());
-        let mut w = Writer::default();
-        w.f64(1.25); // pending forecast
-        w.u8(1);
-        w.vec_f64(&[0.1, 0.2]);
-        w.vec_f64(&[0.01, 0.02]);
-        w.u32(0);
-        w.u32(2);
-        w.f64(0.3);
-        w.f64(0.03);
-        v12.extend(w.buf);
-        assert_eq!(read(&v12), Ok(Some(1.0)));
-        // a hostile ring length fails before any allocation
-        let ring = 1 + 22 + 9;
-        v12[ring..ring + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(read(&v12), Err(CodecError::Truncated));
-
         for phi in [f64::NAN, -0.1, 1.5] {
             assert_eq!(read(&head(phi)), Err(CodecError::Invalid("forecast head damping")));
         }
-        assert_eq!(read(&[3]), Err(CodecError::Invalid("forecast head tag")));
+        for tag in [1, 3] {
+            let mut bad = head(0.9);
+            bad[0] = tag;
+            assert_eq!(read(&bad), Err(CodecError::Invalid("forecast head tag")));
+        }
         let options =
             |bytes: &[u8]| decode_forecast_options(&mut Reader { data: bytes, pos: 0 });
         let mut bad = vec![4];
         bad.extend(1.0f64.to_le_bytes());
-        assert_eq!(options(&bad), Err(CodecError::Invalid("forecast options tag")));
+        for tag in [0, 1, 4] {
+            bad[0] = tag;
+            assert_eq!(options(&bad), Err(CodecError::Invalid("forecast options tag")));
+        }
         bad[0] = 3;
         bad[1..].copy_from_slice(&1.5f64.to_le_bytes());
         assert_eq!(options(&bad), Err(CodecError::Invalid("forecast options")));
@@ -1568,7 +1546,7 @@ mod tests {
         wrong_version[8] = 0xEE;
         assert!(matches!(decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
         // only the current and the previous version are read
-        for old in [10u16, 11] {
+        for old in [10u16, 11, 12] {
             let mut image = bytes.clone();
             image[8..10].copy_from_slice(&old.to_le_bytes());
             assert_eq!(decode(&image), Err(CodecError::UnsupportedVersion(old)));
@@ -1600,9 +1578,24 @@ mod tests {
         let at = huge.windows(4).position(|w| w == b"warm").unwrap() + 4 + 8 + 1;
         huge[at..at + 8].copy_from_slice(&0x1FFF_FFFF_FFFF_FFFFu64.to_le_bytes());
         assert_eq!(decode(&huge), Err(CodecError::Truncated));
-        // every truncation point fails cleanly
+        // every truncation point fails cleanly: of the image, of a v14
+        // live series and of a v14 steady solver
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} should not decode");
+        }
+        let live = encode_series_blob(&sample_live_series());
+        for cut in 0..live.len() {
+            assert!(decode_series_blob(&live[..cut]).is_err(), "live series cut at {cut}");
+        }
+        let PhaseSnapshot::Live { decomposer, .. } = sample_live_series().phase else {
+            unreachable!("the sample series is live");
+        };
+        let mut solver = Writer::default();
+        encode_solver(&mut solver, &decomposer.iters[0].solver);
+        assert_eq!(solver.buf[0], 2, "a steady solver");
+        for cut in 0..solver.buf.len() {
+            let read = decode_solver(&mut Reader { data: &solver.buf[..cut], pos: 0 });
+            assert_eq!(read, Err(CodecError::Truncated), "solver cut at {cut}");
         }
         let mut trailing = bytes.clone();
         trailing.push(0);

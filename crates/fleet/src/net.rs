@@ -81,7 +81,9 @@ pub const NET_MAGIC: [u8; 8] = *b"OSTLFNET";
 
 /// Wire protocol version, bumped on any frame-format change. v3: the
 /// [`NetMessage::SetAdmitOptions`] body carries [`crate::ForecastOptions`]
-/// without the retired error-tracker fields (snapshot codec v13).
+/// without the retired error-tracker fields (the layout of snapshot codec
+/// v13, unchanged in v14, whose changes are to live series state only; a
+/// v12-layout override is refused).
 pub const NET_VERSION: u16 = 3;
 
 /// Upper bound on a frame's payload length (64 MiB). A length prefix
@@ -1242,39 +1244,43 @@ mod tests {
         peer.join().unwrap();
     }
 
-    /// A v12-layout admit-options body whose forecast override has error
-    /// fusion on is refused with a typed error, never applied without its
-    /// alarm.
+    /// An admit-options body whose forecast override is in the v12 layout
+    /// (with or without the drift alarm's error fusion) is refused with a
+    /// typed error, never applied without its alarm: no v3 writer emits
+    /// that layout. The v3 layout, the tag and φ, decodes.
     #[test]
     fn an_admit_options_frame_asking_for_the_drift_alarm_is_refused() {
-        let mut frame = Vec::new();
-        crate::frame::write(&mut frame, |w| {
-            w.u8(T_ADMIT);
-            w.string("tenant/series");
-            // λ, nsigma, period, shift search, score: all inherited
-            for _ in 0..5 {
-                w.u8(0);
-            }
-            // forecast override in the v12 layout: enabled, φ, error
-            // window, fusion on, sMAPE alarm bar
-            w.u8(1);
-            w.u8(1);
-            w.f64(0.9);
-            w.u32(64);
-            w.u8(1);
-            w.f64(1.5);
-            w.u8(0); // backend inherited
-        });
-        assert_eq!(
-            decode_frame(&frame),
-            Err(CodecError::Invalid("forecast error fusion (retired in v13)"))
-        );
-        // the same body with fusion off decodes to the damping alone
-        let at = frame.len() - 1 - 8 - 1;
-        frame[at] = 0;
-        let mut fixed = Vec::new();
-        crate::frame::write(&mut fixed, |w| w.bytes(&frame[crate::frame::HEADER..]));
-        match decode_frame_exact(&fixed).unwrap() {
+        let body = |forecast: &[u8]| {
+            let mut frame = Vec::new();
+            crate::frame::write(&mut frame, |w| {
+                w.u8(T_ADMIT);
+                w.string("tenant/series");
+                // λ, nsigma, period, shift search, score: all inherited
+                for _ in 0..5 {
+                    w.u8(0);
+                }
+                w.u8(1);
+                w.bytes(forecast);
+                w.u8(0); // backend inherited
+            });
+            frame
+        };
+        // the v12 layout: enabled, φ, error window, fusion flag, sMAPE bar
+        for fusion in [1, 0] {
+            let mut v12 = vec![1];
+            v12.extend(0.9f64.to_le_bytes());
+            v12.extend(64u32.to_le_bytes());
+            v12.push(fusion);
+            v12.extend(1.5f64.to_le_bytes());
+            assert_eq!(
+                decode_frame(&body(&v12)),
+                Err(CodecError::Invalid("forecast options tag")),
+                "fusion {fusion}"
+            );
+        }
+        let mut v3 = vec![3];
+        v3.extend(0.9f64.to_le_bytes());
+        match decode_frame_exact(&body(&v3)).unwrap() {
             NetMessage::SetAdmitOptions { opts, .. } => assert_eq!(
                 opts.forecast,
                 Some(crate::ForecastOptions { enabled: true, damping: 0.9 })

@@ -12,8 +12,8 @@ use crate::backend::{BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, FleetConfig, PeriodPolicy};
 use crate::types::PointOutput;
 use oneshotstl::{
-    CusumScorer, IncrementalSolver, OneShotStl, OneShotStlConfig, OneShotStlState,
-    ResidualScorerState, ScoreVerdict, StdAnomalyDetector, UpdateScratch,
+    CusumScorer, CusumState, IncrementalSolver, OneShotStl, OneShotStlConfig, OneShotStlState,
+    ScoreVerdict, StdAnomalyDetector, UpdateScratch,
 };
 use std::sync::Arc;
 use tskit::period::detect_period;
@@ -417,10 +417,9 @@ pub enum PhaseSnapshot {
     Live {
         /// The OneShotSTL decomposer state.
         decomposer: OneShotStlState,
-        /// The task-level residual scorer state: its CUSUM part and bar
-        /// over the decomposer's running sums (the codec refuses other
-        /// sums; the detector keeps only the decomposer's).
-        scorer: ResidualScorerState,
+        /// The CUSUM part of the task-level scorer; its running residual
+        /// sums are the decomposer's.
+        scorer: CusumState,
         /// The forecast head's damping `φ` (`None` when the series was
         /// admitted with forecasting off).
         forecast: Option<f64>,
@@ -451,7 +450,7 @@ impl SeriesState {
             },
             SeriesState::Live(live) => PhaseSnapshot::Live {
                 decomposer: live.detector.decomposer.to_state(),
-                scorer: live.detector.scorer_state(),
+                scorer: live.detector.scorer().to_state(),
                 forecast: live.forecast,
                 backend: live.backend.as_deref().map(SeriesBackend::to_snapshot),
             },
@@ -492,7 +491,7 @@ impl SeriesState {
                 SeriesState::Live(LiveSeries {
                     detector: StdAnomalyDetector::from_parts(
                         decomposer,
-                        CusumScorer::from_state(&scorer),
+                        CusumScorer::from_state(scorer),
                     ),
                     forecast,
                     backend: backend
@@ -584,7 +583,7 @@ mod tests {
         // shard worker on the first update
         let cfg = FleetConfig::fixed_period(8);
         let never_inited = OneShotStl::new(cfg.detector.clone()).to_state();
-        let scorer = oneshotstl::ResidualScorer::new(cfg.nsigma, cfg.score).to_state();
+        let scorer = CusumScorer::new(cfg.nsigma, cfg.score).to_state();
         let snap = PhaseSnapshot::Live {
             decomposer: never_inited,
             scorer,

@@ -664,172 +664,116 @@ fn huge_finite_values_keep_the_snapshot_restorable() {
     }
 }
 
-/// A fleet image written by the v12 writer (the previous codec version),
+/// A fleet image written by the v13 writer (the previous codec version),
 /// not re-encoded by this build's writer: `FleetConfig { shards: 2,
-/// forecast: φ 0.9, ..fixed_period(12) }`, "warm" registered with a
-/// forecast override (φ 0.5) and fed 20 points, and "live" fed the 120
-/// points `1.5 + sin(2πi/12)`, `i = t` — admitted at the 36th, its
-/// forecast head carrying a full 64-pair error ring.
-const V12_BLOB_HEX: &str = concat!(
-    "4f5353544c464c540c00000200000003000000000c0000000000000000000014400000000000",
-    "000000000059400000000000005940000000000000f03f080000001400000000000000000014",
+/// forecast: φ 0.9, ..fixed_period(12) }` (the fleet's I = 6 IRLS
+/// iterations), "warm" registered with a forecast override (φ 0.5) and
+/// fed 20 points, and "live" fed the 120 points `1.5 + sin(2πi/12)`,
+/// `i = t` — admitted at the 36th, its forecast head φ 0.9.
+const V13_BLOB_HEX: &str = concat!(
+    "4f5353544c464c540d00000200000003000000000c0000000000000000000014400000000000",
+    "000000000059400000000000005940000000000000f03f060000001400000000000000000014",
     "4000000000000000e03f00bbbdd7d9df7cdb3d010400000002000000000000e03f0000000000",
-    "001840ae47e17a14aeef3f01cdccccccccccec3f4000000000000000000000f83f0000770000",
-    "00000000008c00000000000000000000000000000001000000000000008c0000000000000006",
-    "0000000000000000000000000000000000000000000000000000000000000002000000000000",
-    "00040000006c6976657700000000000000010000000000005940000000000000594000000000",
-    "0000f03f0800000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb3d",
-    "01040000000c000000000000007800000000000000540000000000000000000000000000000c",
-    "00000000000000cd2641a48082083f012b32be6100e03fcc2b072bdfb6eb3fac9c88f43200f0",
-    "3f4fb738e4dfb6eb3f132f15bd6400e03fae1abfec261b093f3ab9a97537ffdfbf08c6f7c116",
-    "b6ebbf1c94dd419dffefbfe00f77fa18b6ebbf0a241f773cffdfbf50b3a7178549e43fd6ffff",
-    "ffffffef3fe004961318b6ebbfd0ad32fb3affdfbf080000000154000000000000000a000000",
-    "00000000d32ebe79b0c8d63fb2e3520c17d3c6bf3b80636d3afef4bfe9763eb7cf07e53f0000",
-    "00000000000000000000000000000000000000000000a5460729b0c8d63fd13952bb16d3c6bf",
-    "000000000000000004000000000000004158a5af648e7140ecf62c146bf1ff3fd733d7ed648e",
-    "71402f9f60146bf1ff3f0400000000000000808a2bb6d9a4314078510eca42ded2bff6b34618",
-    "918231404f22790f44fee1bf000000000000f03f000000000000f03f000000000000f03f0000",
-    "00000000f03fa01a8f3bcffff73f730d0133cffff73f0154000000000000000a000000000000",
-    "009e416927cd33e73fd5347027cd33d7bfc13a9693127bf9bfc10b9f93127be93f0000000000",
-    "00000000000000000000000000000000000000efd52f3225f6e23f7b65363225f6d2bf000000",
-    "0000000000040000000000000059547c8a20b5fa41296af6ffffffff3f03c80656081ff7418c",
-    "edf4ffffffff3f0400000000000000c3943ec6e92c664089fda7134ab2cdbf1de5da0bd0be67",
-    "403c2af01b3affdfbf45146f42dcf9644176563531a6ec6d4188b14b157fc98841ed6259c359",
-    "8981413db902407ffff73f850d221580fff73f0154000000000000000a00000000000000fb63",
-    "6aeb332ee73f26c1c2eb332ed7bfd6fbefa3502cf8bf08a690a4502ce83f0000000000000000",
-    "0000000000000000000000000000000009faeb1ea258e03fe79e581fa258d0bf000000000000",
-    "00000400000000000000487a4c4802cac0411d0486ffffffff3f922063972a42b34174502bff",
-    "ffffff3f04000000000000004e49469a26be66402b7214944cb2cdbf79f7f4980824684044a4",
-    "df7c3cffdfbf3c72ccd86fd21b41a10db0af103823413546f08664224f41b21d60102b2f3941",
-    "8b0dd9f1d2fff73fe8ec75e4d2fff73f0154000000000000000a00000000000000cae1196876",
-    "cfdb3f32c42a6876cfcbbfde331e722172f5bf066627722172e53f0000000000000000000000",
-    "0000000000000000000000000040e832d985c8d53f743f3cd985c8c5bf000000000000000004",
-    "00000000000000f413e7568c5aea416e92ecffffffff3f1037542723a8f2414947f2ffffffff",
-    "3f040000000000000095e2fd013f7c5f40818ffa2a4ab2cdbf59f9f97998015d40d331f3133a",
-    "ffdfbfcd2e0a226c37774177912b976a1f6341836745e2f7506d417e920b8e994170411ddf3e",
-    "48e8fff73fd7941230e8fff73f0154000000000000000a0000000000000077935b25260fe63f",
-    "71f67b25260fd6bf7acac3d3e568f4bf0d8f0bd4e568e43f0000000000000000000000000000",
-    "0000000000000000000003cd091f98a3d13f6dd3471f98a3c1bf000000000000000004000000",
-    "0000000059bf3e42bccbd541c004d1ffffffff3f4914071e6033c2410d7a8fffffffff3f0400",
-    "000000000000dc1c3f1649df6440fb0dabd34ab2cdbfd4598311de0d6640c36f46313bffdfbf",
-    "0e03aa1571b53341d04a21003f2e55411d49c7e25f3b6341b5ef90e9f3ae39412169931fcfff",
-    "f73fdc397e22cffff73f0154000000000000000a00000000000000b2200cf74538e23f7dfe1f",
-    "f74538d2bfde77165d5acff5bfd2f6245d5acfe53f0000000000000000000000000000000000",
-    "00000000000000274bd28d693dd73f69bde18d693dc7bf000000000000000004000000000000",
-    "004de50aee0659dd41ab1bddffffffff3fad47ee72ac12e84137bbeaffffffff3f0400000000",
-    "000000324bc83fc41d57408a8756434ab2cdbff4cf9dba837d5c40323ff2203affdfbfb388fe",
-    "c5c1096e41445a55c740f0854199cf7a76706365416907dd74cb60664107231f37c9fff73f1a",
-    "da033ec9fff73f0154000000000000000a00000000000000cf961a920a09ef3f1f811c920a09",
-    "dfbf38c4ff9b382bf7bfab720e9c382be73f0000000000000000000000000000000000000000",
-    "00000000b1a21e90e2acdc3f67ce3090e2acccbf00000000000000000400000000000000fb6e",
-    "ff92423420427306feffffffff3fd2fb9840ea3fe941f6b8ebffffffff3f0400000000000000",
-    "e95eddd04d2057406eac39e449b2cdbf9a4c0e5974e2624006dbf02a3affdfbfcb240af39845",
-    "60419eb9620585917241d3ffafe5b31db44109e8a24832f66c41a84dccd7cafff73f193e4538",
-    "cafff73f0154000000000000000a000000000000005235da09acf2c33f8b05e609acf2b3bff4",
-    "49f795be38f1bf6b362196be38e13f0000000000000000000000000000000000000000000000",
-    "0028f9f987ea8bb33f7c8e2988ea8ba3bf000000000000000004000000000000004d2f82a877",
-    "04eb419e0cedffffffff3f49d579fa504aca41bd19b2ffffffff3f0400000000000000faf61e",
-    "e85a546740c9570b4d4ab2cdbfd7f32ace89965640c6900c693affdfbfc718a137a6c44941d6",
-    "38b3f001ad2941da41fb39c58e5541c1c7c1892d8e244117e77f7ccffff73f7ce6c27ccffff7",
-    "3f000000000000144078000000000000004ea6481bd6ab423f6a54ed76b0835f3e0102000000",
-    "000000e03f0000000000001840ae47e17a14aeef3f000000000000144078000000000000004e",
-    "a6481bd6ab423f6a54ed76b0835f3e00000000000000000000000000000000c5a7e440a3e631",
-    "400101cdccccccccccec3f4000000000000000000000f83f3f7b00820000f83f014000000000",
-    "0000000000c0ff990c913e0000a05d8df4b13e000048188979b73e0000004e39b1be3e0000fc",
-    "d8b409c33e0000b82c31b8c43e00000cea13d3c83e00008061c781cb3e0000a0125792cc3e00",
-    "00002208d7b03e0000409ca068a13e000000c062da503e000080652f4b943e0000002e576692",
-    "3e000000bca211a43e0000206bb55aa93e000058b86d20b03e000048859cabb43e0000901900",
-    "49b63e00002153b00ee83e00805c295807ef3e008022ac6a16f23e00809f699211f43e0000f0",
-    "41b4baf53e0000a3ca07c1f63e000000cbf55af73e0000b2f6df02f93e000064309c01ed3e00",
-    "008802aabae03e00009029c82acf3e000000e20bb2913e000050dc3b52c43e00009493da3dd3",
-    "3e000006309291da3e0000d323f176e03e0000ee60e339e33e00002c76dea6e53e00007c3a30",
-    "b9e73e0000d4204cf2e83e0000a865446ddf3e0000106f60deda3e000000900d61b53e0000c0",
-    "349b42ae3e0000c074b02ea43e0000cc4fded2be3e00008408e9bcc73e00000cf758f2cf3e00",
-    "0038a9cc32d03e00008077a57bd43e00002075962fd73e0000c09af9efd93e0000c02b01b4ce",
-    "3e000060fcd495c83e000040cc0955c13e000050aad35dbe3e000060ce8cdda63e0000007873",
-    "7f8c3e0000803ac1689a3e0000a0f3d9b2b33e0000d0f35866bf3e000060accbb1be3e000020",
-    "51af00c53e000020951baada3e0000e0c4cb87c33e40000000000000003dd1ea119a0c813eaf",
-    "681e0cbdf0a73e3337d02b8a79b73ef9950657ce34c83ea9d8deadb709d33ea7dd1be54a57d0",
-    "3e99014e5216d3c83e80b1f23b8656c23e9e70cbaa5892bc3e806e962a3a789c3e83251c639a",
-    "da8b3e98597957e57d3c3e53a8c24b2f4b843ee83df3627488883e26abb020a311a43e2116dd",
-    "4610ffb33e0ae369bc6e20c03e02578db85b4dc03e32a03f21ff48b63eaf6cbfa63ff9f23e36",
-    "2cb63f7607ff3ecdb1976ce387fc3ee70ea8ff9e11f43edd318b75fdf8ec3ea26ea1e10fc1e6",
-    "3e1765e81a09bee33e5e17ed834602e43e1afbe28bd884d83e8a91cdd2a7bad03e40f8fa6b2e",
-    "c7c43e3cd3dbba0bb2913e3521ae5be106d03e744c8b5ce03de33e49caecba41f4e43e95b529",
-    "60f576e03e007788a389a2d93ef427c71fe2a6d53e7960add6ac0dd43e7550499706f5d33e4d",
-    "1ae234a690ca3ece89239d5ddeca3e09ae869f6681ac3e8499d44f9a42ae3edb998abeaed5af",
-    "3e963ee605e2d2ce3e5b5ef6feb7b8d23e7077a3f35cf2cf3e957118b41299c53ea7b40d1ba7",
-    "7bc43ecde544df5a99c33e6e2aa433f9bfc43e503a5a700df4b93e073e28ced395b83e85ab4e",
-    "050c1cb73e951b40ddd15dbe3e39f6ccff8b08b23ea9ea7b12737f9c3e7e8e87750ad4a43e6a",
-    "aea4b5dab2b33e8f78f9d2e6eeb43e12d5e997ccb1ae3e66894844e9c0b13e28b7bca4e454c5",
-    "3e5f4db4a05282b03e130000004000000000c02bab4e4c363f1c0629bed92c323f0004000000",
-    "7761726d1300000000000000001400000000000000000000000000fc3f00000000000002402a",
-    "1316ba9eed044000000000000006402b1316ba9eed04400000000000000240010000000000fc",
-    "3f010000000000f43f58b3a7178549ec3f000000000000e83f56b3a7178549ec3ffeffffffff",
-    "fff33ffffffffffffffb3f00000000000002402a1316ba9eed044000000000000006402c1316",
-    "ba9eed04400000000000000240020000000000fc3f040000000000f43f010c00000000000000",
-    "0000000000000000000101000000000000e03f1000000000000000000000e83f00",
+    "001840ae47e17a14aeef3f03cdccccccccccec3f000077000000000000008c00000000000000",
+    "000000000000000001000000000000008c000000000000000600000000000000000000000000",
+    "0000000000000000000000000000000000000200000000000000040000006c69766577000000",
+    "000000000100000000000059400000000000005940000000000000f03f060000001400000000",
+    "0000000000144000000000000000e03f00bbbdd7d9df7cdb3d01040000000c00000000000000",
+    "7800000000000000540000000000000000000000000000000c00000000000000d96dcf857025",
+    "103fa7fa75fa8000e03fb0817c9cfbb6eb3f3b788a2f4200f03f7b388ca6feb6eb3f44ab5f8e",
+    "8300e03f501c315f3e65103f49b02d36fafedfbff8cf1923f8b5ebbfe5f3167479ffefbf15a0",
+    "8dc7f4b5ebbf6997f239f4fedfbf50b3a7178549e43fd6ffffffffffef3f64a60009f9b5ebbf",
+    "de360a1bfdfedfbf060000000154000000000000000a00000000000000d32ebe79b0c8d63fb2",
+    "e3520c17d3c6bf3b80636d3afef4bfe9763eb7cf07e53f000000000000000000000000000000",
+    "000000000000000000a5460729b0c8d63fd13952bb16d3c6bf00000000000000000400000000",
+    "0000004158a5af648e7140ecf62c146bf1ff3fd733d7ed648e71402f9f60146bf1ff3f040000",
+    "0000000000d969e161cea4314072d88dd500ded2bf9afbaac585823140b0e2ab3a23fee1bf00",
+    "0000000000f03f000000000000f03f000000000000f03f000000000000f03f9489b14dbffff7",
+    "3fb21a304dbffff73f0154000000000000000a000000000000002b08cc8eed6ede3ff68ddb8e",
+    "ed6ecebf78e13a738e41f7bf97b341738e41e73f000000000000000000000000000000000000",
+    "000000000000ebcf71da3906dd3f22537ada3906cdbf00000000000000000400000000000000",
+    "11cb0d67865eef41a4adefffffffff3fcb46a36cd446fb415d9df6ffffffff3f040000000000",
+    "0000e9496e0103fc63401397a870cbb1cdbf81c45e01752a61404dba06fafafedfbf4c242060",
+    "8f257c41d8454f7c4ba5af41caf531d6e81773416d7e1c22e0aa7f4192ee21ef70fff73fb113",
+    "544071fff73f0154000000000000000a00000000000000c8135ce80cb1e93f707c9be80cb1d9",
+    "bff75a05d027bcf4bfefb2a8d027bce43f000000000000000000000000000000000000000000",
+    "00000041552086a1f0d23f3b89b586a1f0c2bf000000000000000004000000000000004e2b04",
+    "585feec9418805b1ffffffff3f7e4f933b993fb04105ea03ffffffff3f0400000000000000bc",
+    "c775b4a7cd68408573d808cdb1cdbf1d913b49b4946b404047fb4afefedfbf7eb5cdd3838b20",
+    "41feca239413393941262cb96804a65a412c191dab9c9e2841ad81e190c6fff73f5f857e7ac6",
+    "fff73f0154000000000000000a00000000000000cb83af012939d63f8fb1c6012939c6bf50df",
+    "bc652d74f6bf4eafcd652d74e63f000000000000000000000000000000000000000000000000",
+    "28ac1ab5b5d0d93f7b002eb5b5d0c9bf000000000000000004000000000000004a39209d4dae",
+    "de41c99fdeffffffff3fed5aa422655ee5412d0ae8ffffffff3f04000000000000009fe69b86",
+    "181165403ad7e4cecbb1cdbf840826b0d0f35d405efbbd12fbfedfbff2c6c618a7bc67418a6f",
+    "ff2deade5641fb235b8eef455b41fd5ff222ca10664171905ec3dafff73f6f0af070dafff73f",
+    "0154000000000000000a00000000000000f39ae0204167e93f72fc0b214167d9bf41b1cb82a1",
+    "f7fbbfdf65f782a1f7eb3f000000000000000000000000000000000000000000000000c821df",
+    "2843efe73f1489042943efd7bf000000000000000004000000000000001b0764c724bdd241a9",
+    "5ac9ffffffff3f752d93ac167ad44111fecdffffffff3f0400000000000000cb6ccbfb340657",
+    "40d4cd62bccbb1cdbf6bbcad8f6ace60401e79f14efbfedfbf388305dd7e723541b307e8e344",
+    "d838411000fad3890a6341f5686813b29a6341285a0e41c2fff73f0f0a543cc2fff73f015400",
+    "0000000000000a00000000000000f642e63dc438d33f58beee3dc438c3bf3c9776b98f8bf5bf",
+    "394588b98f8be53f00000000000000000000000000000000000000000000000045fb75043f2e",
+    "d63fc12e88043f2ec6bf000000000000000004000000000000001ae271982921f24120e1f1ff",
+    "ffffff3fe0f4b0f78e7fe341c4bde5ffffffff3f04000000000000007df212370ba664404d96",
+    "0168cbb1cdbfb39000394eb95b40d1336313fbfedfbf9fd4dd48b0385a41edf02712f1127b41",
+    "1ad4c92ce6e06b41d0db83e8a34c61418b26e1cebafff73fe8bd36d6bafff73f000000000000",
+    "144078000000000000000ec38373a6a7483ff8d0b79381ad6b3e0102000000000000e03f0000",
+    "000000001840ae47e17a14aeef3f000000000000144078000000000000000ec38373a6a7483f",
+    "f8d0b79381ad6b3e00000000000000000000000000000000c5a7e440a3e6314002cdcccccccc",
+    "ccec3f00040000007761726d1300000000000000001400000000000000000000000000fc3f00",
+    "000000000002402a1316ba9eed044000000000000006402b1316ba9eed044000000000000002",
+    "40010000000000fc3f010000000000f43f58b3a7178549ec3f000000000000e83f56b3a71785",
+    "49ec3ffefffffffffff33ffffffffffffffb3f00000000000002402a1316ba9eed0440000000",
+    "00000006402c1316ba9eed04400000000000000240020000000000fc3f040000000000f43f01",
+    "0c000000000000000000000000000000000103000000000000e03f00",
 );
 
-fn v12_blob() -> Vec<u8> {
-    let bytes: Vec<u8> = (0..V12_BLOB_HEX.len())
+fn v13_blob() -> Vec<u8> {
+    let bytes: Vec<u8> = (0..V13_BLOB_HEX.len())
         .step_by(2)
-        .map(|i| u8::from_str_radix(&V12_BLOB_HEX[i..i + 2], 16).unwrap())
+        .map(|i| u8::from_str_radix(&V13_BLOB_HEX[i..i + 2], 16).unwrap())
         .collect();
-    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 12);
+    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 13);
     bytes
 }
 
-/// The v12 layout of a `ForecastOptions` block: enabled tag `1`, damping,
-/// error window, fusion flag, sMAPE alarm bar. Returns where the blocks
-/// with these values sit in `bytes`.
-fn v12_forecast_options_at(bytes: &[u8], damping: f64, window: u32, alarm: f64) -> Vec<usize> {
-    let mut block = vec![1u8];
-    block.extend(damping.to_le_bytes());
-    block.extend(window.to_le_bytes());
-    block.push(0);
-    block.extend(alarm.to_le_bytes());
-    (0..bytes.len()).filter(|&at| bytes[at..].starts_with(&block)).collect()
-}
-
 /// Codec read-compatibility with the previous version, pinned at the
-/// *integration* level with [`V12_BLOB_HEX`]: the image must restore
+/// *integration* level with [`V13_BLOB_HEX`]: the image must restore
 /// through the public API, answer forecasts from its heads' dampings, and
 /// continue scoring bit-identically to a detector rebuilt from the same
-/// stream; it re-snapshots as the current version without the error
-/// tracker. If the decoder's previous-version reads drift, this blob is
-/// the tripwire no unit-level round-trip can replace.
+/// stream; it re-snapshots as the current version, its live series
+/// without the second copy of the residual sums. If the decoder's
+/// previous-version reads drift, this blob is the tripwire no unit-level
+/// round-trip can replace.
 #[test]
-fn pinned_v12_snapshot_blob_restores_and_continues_bit_identically() {
-    use oneshotstl_suite::core::{
-        OneShotStl, OneShotStlConfig, ScoreConfig, StdAnomalyDetector,
-    };
+fn pinned_v13_snapshot_blob_restores_and_continues_bit_identically() {
+    use oneshotstl_suite::core::{OneShotStl, ScoreConfig, StdAnomalyDetector};
     use oneshotstl_suite::fleet::{codec, ForecastOptions};
 
-    let bytes = v12_blob();
-    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v12 blob must decode");
+    let bytes = v13_blob();
+    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v13 blob must decode");
     // upgrade-on-rewrite: re-snapshotted at once, the image is this
-    // build's encoding of the decoded state. The engine's and the warming
-    // override's options shrink from 22 bytes to 9, and the live head
-    // from its options, pending forecast and two 64-pair rings to a tag
-    // and φ.
+    // build's encoding of the decoded state. The live series drops its
+    // scorer's copy of count, sum and sum_sq (24 bytes) and the three u64
+    // window lengths of each of its six steady solvers (6 × 24 bytes).
     let rewritten = restored.snapshot_bytes().unwrap();
-    assert_eq!(u16::from_le_bytes([rewritten[8], rewritten[9]]), 13, "rewritten as v13");
+    assert_eq!(u16::from_le_bytes([rewritten[8], rewritten[9]]), 14, "rewritten as v14");
     let decoded = codec::decode(&bytes).unwrap();
     assert_eq!(rewritten, codec::encode(&decoded));
     assert_eq!(decoded.config.forecast, ForecastOptions { enabled: true, damping: 0.9 });
-    let v12_head = 1 + 22 + 9 + 2 * (8 + 64 * 8) + 24;
-    assert_eq!(bytes.len() - rewritten.len(), 2 * (22 - 9) + v12_head - 9);
+    assert_eq!(bytes.len() - rewritten.len(), 24 + 6 * 24);
     let stats = restored.stats().unwrap();
     assert_eq!((stats.live, stats.warming), (1, 1));
-    assert_eq!((stats.admitted, stats.points), (1, 140), "v12 lifetime counters carried");
+    assert_eq!((stats.admitted, stats.points), (1, 140), "v13 lifetime counters carried");
 
     // rebuild the live series' detector through the public API
     let t = 12usize;
     let y = |i: usize| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin();
     let twin_of = |values: &[f64]| {
         let mut twin = StdAnomalyDetector::with_score(
-            OneShotStl::new(OneShotStlConfig::default()),
+            OneShotStl::new(FleetConfig::default().detector),
             5.0,
             ScoreConfig::default(),
         );
@@ -853,7 +797,7 @@ fn pinned_v12_snapshot_blob_restores_and_continues_bit_identically() {
     // the restored head is φ = 0.9: the answer is `forecast_into(0.9)`
     assert_eq!(answer_bits(&restored, "live"), forecast_bits(&twin, 0.9));
 
-    // continue the twin streams: the v12-restored engine tracks the twin
+    // continue the twin streams: the v13-restored engine tracks the twin
     // bit for bit, forecasts included
     for i in 120..156 {
         let x = y(i) + if i == 132 { 4.0 } else { 0.0 };
@@ -880,13 +824,13 @@ fn pinned_v12_snapshot_blob_restores_and_continues_bit_identically() {
     }
     assert_eq!(answer_bits(&restored, "warm"), forecast_bits(&twin_of(&warm), 0.5));
 
-    // the v12-restored engine re-snapshots as v13 and the copy continues
+    // the v13-restored engine re-snapshots as v14 and the copy continues
     // in lockstep with the original
     let mut upgraded = FleetEngine::restore_bytes(&restored.snapshot_bytes().unwrap()).unwrap();
     for i in 156..156 + t {
         let a = restored.ingest_one("live", i as u64, y(i)).unwrap();
         let b = upgraded.ingest_one("live", i as u64, y(i)).unwrap();
-        assert_eq!(a.output, b.output, "v13 rewrite diverged at i={i}");
+        assert_eq!(a.output, b.output, "v14 rewrite diverged at i={i}");
     }
     assert_eq!(answer_bits(&restored, "live"), answer_bits(&upgraded, "live"));
 }
@@ -995,31 +939,16 @@ fn an_image_written_at_eight_irls_iterations_restores_and_admits_at_eight() {
     }
 }
 
-/// A v12 image whose error fusion is on — engine-wide, in a warming
-/// series' override, or in a live series' head — is refused with a typed
-/// error: this build cannot raise the drift alarm it asked for, and
-/// restoring it without one would silently change its verdicts. An image
-/// two versions old is refused outright.
+/// An image two versions old or older is refused outright with a typed
+/// error, whatever its body holds.
 #[test]
-fn v12_images_asking_for_the_drift_alarm_and_v11_images_are_refused() {
+fn images_older_than_v13_are_refused() {
     use oneshotstl_suite::fleet::{codec, CodecError};
 
-    let bytes = v12_blob();
-    let engine_and_live = v12_forecast_options_at(&bytes, 0.9, 64, 1.5);
-    let warm_override = v12_forecast_options_at(&bytes, 0.5, 16, 0.75);
-    assert_eq!((engine_and_live.len(), warm_override.len()), (2, 1));
-    for at in engine_and_live.into_iter().chain(warm_override) {
-        let mut fused = bytes.clone();
-        // tag, damping and error window, then the fusion flag
-        fused[at + 1 + 8 + 4] = 1;
-        assert_eq!(
-            codec::decode(&fused),
-            Err(CodecError::Invalid("forecast error fusion (retired in v13)")),
-            "fusion flag at byte {at}"
-        );
-        assert!(FleetEngine::restore_bytes(&fused).is_err());
+    let mut old = v13_blob();
+    for version in [12u16, 11] {
+        old[8..10].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(codec::decode(&old), Err(CodecError::UnsupportedVersion(version)));
+        assert!(FleetEngine::restore_bytes(&old).is_err());
     }
-    let mut v11 = bytes;
-    v11[8..10].copy_from_slice(&11u16.to_le_bytes());
-    assert_eq!(codec::decode(&v11), Err(CodecError::UnsupportedVersion(11)));
 }
