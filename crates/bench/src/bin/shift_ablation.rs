@@ -10,7 +10,10 @@
 //! - decomposition MAE against the known clean signal, and the MAE gap
 //!   vs the exhaustive (`prune: Off`) search,
 //! - full IRLS trials per flagged point (the cost the pruning bounds),
-//! - wall time per update.
+//! - wall time per update, the best of [`REPS`] passes over the fixtures,
+//!   interleaved with every other row's passes (one pass takes a fraction
+//!   of a second, so a single timing follows the host's speed of the
+//!   moment).
 //!
 //! A second sweep compares `iters` 4, 6 (the fleet default) and 8 (the
 //! paper's) for accuracy, per-series state footprint and update cost.
@@ -29,6 +32,9 @@ use std::time::Instant;
 
 const PERIOD: usize = 50;
 const INIT_CYCLES: usize = 4;
+/// Timed passes per policy and per `iters` row; each row reports its
+/// fastest pass. The other columns are deterministic, equal in every pass.
+const REPS: usize = 5;
 
 /// Deterministic noise in [-1, 1): splitmix-style hash of (seed, i), so
 /// every policy sees the identical stream.
@@ -108,6 +114,43 @@ fn run(values: &[f64], clean: &[f64], cfg: OneShotStlConfig) -> RunOut {
     }
 }
 
+/// One pass of every fixture under `cfg`: the MAE and time per update
+/// averaged over the fixtures, their summed searches and trials, and the
+/// last model's state bytes.
+fn pass(streams: &[(Vec<f64>, Vec<f64>)], cfg: &OneShotStlConfig) -> RunOut {
+    let mut sum =
+        RunOut { mae: 0.0, searches: 0, trials: 0, ns_per_update: 0.0, state_bytes: 0 };
+    for (values, clean) in streams {
+        let out = run(values, clean, cfg.clone());
+        sum.mae += out.mae;
+        sum.searches += out.searches;
+        sum.trials += out.trials;
+        sum.ns_per_update += out.ns_per_update;
+        sum.state_bytes = out.state_bytes;
+    }
+    let n = streams.len() as f64;
+    RunOut { mae: sum.mae / n, ns_per_update: sum.ns_per_update / n, ..sum }
+}
+
+/// Each config's [`pass`], run [`REPS`] times in interleaved rounds (every
+/// config once per round), keeping each config's fastest pass: a row's
+/// passes spread over the whole run, so a speed phase of the host touches
+/// every row alike. The deterministic columns must agree between passes.
+fn best_passes(streams: &[(Vec<f64>, Vec<f64>)], cfgs: &[OneShotStlConfig]) -> Vec<RunOut> {
+    let key = |r: &RunOut| (r.mae.to_bits(), r.searches, r.trials, r.state_bytes);
+    let mut best: Vec<RunOut> = cfgs.iter().map(|cfg| pass(streams, cfg)).collect();
+    for _ in 1..REPS {
+        for (best, cfg) in best.iter_mut().zip(cfgs) {
+            let next = pass(streams, cfg);
+            assert_eq!(key(&next), key(best), "a repeated pass changed a deterministic column");
+            if next.ns_per_update < best.ns_per_update {
+                *best = next;
+            }
+        }
+    }
+    best
+}
+
 struct PolicyRow {
     label: String,
     k: Option<usize>,
@@ -141,26 +184,21 @@ fn main() {
                     .map(|&k| (format!("TopK({k})"), Some(k), ShiftSearchConfig::top_k(k))),
             )
             .collect();
+    // ── sweep 2: iters 4, 6, 8 (accuracy vs footprint) ──────────────────
+    let iters_sweep = [4usize, 6, 8];
+    // both sweeps' configs, timed in one interleaved set of rounds
+    let cfgs: Vec<OneShotStlConfig> = policies
+        .iter()
+        .map(|(_, _, search)| OneShotStlConfig { shift_search: *search, ..Default::default() })
+        .chain(
+            iters_sweep.iter().map(|&iters| OneShotStlConfig { iters, ..Default::default() }),
+        )
+        .collect();
+    let mut runs = best_passes(&streams, &cfgs).into_iter();
     let mut rows: Vec<PolicyRow> = Vec::new();
     let mut full_mae = 0.0;
-    for (label, k, search) in &policies {
-        let mut mae = 0.0;
-        let mut searches = 0u64;
-        let mut trials = 0u64;
-        let mut ns = 0.0;
-        for (values, clean) in &streams {
-            let out = run(
-                values,
-                clean,
-                OneShotStlConfig { shift_search: *search, ..Default::default() },
-            );
-            mae += out.mae;
-            searches += out.searches;
-            trials += out.trials;
-            ns += out.ns_per_update;
-        }
-        mae /= streams.len() as f64;
-        ns /= streams.len() as f64;
+    for ((label, k, _), run) in policies.iter().zip(runs.by_ref()) {
+        let RunOut { mae, searches, trials, ns_per_update: ns, .. } = run;
         if k.is_none() {
             full_mae = mae;
         }
@@ -179,7 +217,6 @@ fn main() {
         rows.push(row);
     }
 
-    // ── sweep 2: iters 4, 6, 8 (accuracy vs footprint) ──────────────────
     struct ItersRow {
         iters: usize,
         mae: f64,
@@ -187,18 +224,8 @@ fn main() {
         ns_per_update: f64,
     }
     let mut iters_rows: Vec<ItersRow> = Vec::new();
-    for iters in [4usize, 6, 8] {
-        let mut mae = 0.0;
-        let mut ns = 0.0;
-        let mut bytes = 0usize;
-        for (values, clean) in &streams {
-            let out = run(values, clean, OneShotStlConfig { iters, ..Default::default() });
-            mae += out.mae;
-            ns += out.ns_per_update;
-            bytes = out.state_bytes;
-        }
-        mae /= streams.len() as f64;
-        ns /= streams.len() as f64;
+    for (&iters, run) in iters_sweep.iter().zip(runs) {
+        let RunOut { mae, ns_per_update: ns, state_bytes: bytes, .. } = run;
         eprintln!(
             "[shift_ablation] iters={iters}: mae {mae:.5}, {bytes} B/series state, \
              {ns:.0} ns/update"
@@ -302,7 +329,7 @@ fn main() {
     report.para(&format!(
         "{} fixtures × {n} points, period {PERIOD}, shift window H = {h} \
          (full search = {} trials/flagged). MAE is |τ̂+ŝ − clean| from the \
-         first phase shift onward.",
+         first phase shift onward; ns/update is the fastest of {REPS} passes.",
         streams.len(),
         2 * h + 1
     ));

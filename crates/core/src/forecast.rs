@@ -181,6 +181,65 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// The one-pass fills are the per-horizon calls, bit for bit:
+        /// `forecast_into(φ, out)` against `forecast_damped(h, φ)` and
+        /// `predict_into(out)` against `predict(h)` for every `h` up to
+        /// three periods, on periods 2..=24 whose cumulative shift Δ is
+        /// set anywhere in ±3 periods (so the seasonal walk starts at any
+        /// slot and wraps up to three times), φ ∈ {0, 0.5, 0.98, 1}. In a
+        /// quarter of the cases the trend and the whole seasonal buffer
+        /// are `-0.0` under a positive slope: there `predict(h)` is
+        /// `-0.0`, which `predict_into` keeps and `forecast_into(0.0)`
+        /// does not.
+        #[test]
+        fn prop_one_pass_fills_match_per_horizon_calls(seed in 0u64..100_000) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let period = rng.gen_range(2..=24usize);
+            let y: Vec<f64> = trended_seasonal(4 * period + rng.gen_range(0..40), period)
+                .into_iter()
+                .map(|v| v + 0.1 * rng.gen_range(-1.0..1.0))
+                .collect();
+            let mut m = OneShotStl::new(OneShotStlConfig::default());
+            m.init(&y[..4 * period], period).unwrap();
+            for &v in &y[4 * period..] {
+                m.update(v);
+            }
+            let mut state = m.to_state();
+            let span = 3 * period as i64;
+            state.shift = rng.gen_range(-span..=span);
+            let negative_zero = rng.gen_range(0..4) == 0;
+            if negative_zero {
+                let last = state.iters.last_mut().expect("initialized");
+                last.tau_hist = [-1.0, -0.0];
+                state.v.fill(-0.0);
+            }
+            let m = OneShotStl::from_state(state).unwrap();
+            let h = 3 * period;
+            let mut out = vec![f64::NAN; h];
+            m.predict_into(&mut out);
+            for (i, o) in out.iter().enumerate() {
+                proptest::prop_assert_eq!(o.to_bits(), m.predict(i + 1).to_bits(), "predict h={}", i + 1);
+            }
+            if negative_zero {
+                proptest::prop_assert!(out.iter().all(|o| o.to_bits() == (-0.0f64).to_bits()));
+                let mut damped = vec![f64::NAN; h];
+                m.forecast_into(0.0, &mut damped);
+                proptest::prop_assert!(damped.iter().all(|o| o.to_bits() == 0.0f64.to_bits()));
+            }
+            for phi in [0.0, 0.5, 0.98, 1.0] {
+                m.forecast_into(phi, &mut out);
+                for (i, o) in out.iter().enumerate() {
+                    let want = m.forecast_damped(i + 1, phi);
+                    proptest::prop_assert_eq!(o.to_bits(), want.to_bits(), "h={} phi={}", i + 1, phi);
+                }
+            }
+        }
+    }
+
     #[test]
     fn trend_head_reproduces_the_damped_recurrence() {
         let period = 12;

@@ -675,11 +675,31 @@ impl<S: TailSolver> OnlineJointStl<S> {
         let mut pow = 1.0;
         // same association as `predict(h) + slope * damp_sum(phi, h)`, so
         // the fill is bit-identical to the single-horizon calls
-        for (i, o) in out.iter_mut().enumerate() {
+        for (o, v) in out.iter_mut().zip(self.seasonal_ahead()) {
             pow *= phi;
             weight += pow;
-            *o = (tau + self.v[self.slot(self.t + i as u64, self.shift)]) + slope * weight;
+            *o = (tau + v) + slope * weight;
         }
+    }
+
+    /// Fills `out[i]` with [`Self::predict`]`(i + 1)`, the plain
+    /// carry-forward, in one pass with no heap allocation. Not
+    /// `forecast_into(0.0, out)`: its `+ slope·0` turns a `-0.0` answer
+    /// into `+0.0`.
+    pub fn predict_into(&self, out: &mut [f64]) {
+        assert!(self.initialized, "OneShotSTL::predict_into called before init");
+        let tau = self.last_trend();
+        for (o, v) in out.iter_mut().zip(self.seasonal_ahead()) {
+            *o = tau + v;
+        }
+    }
+
+    /// The seasonal buffer from horizon 1 on, `v[(t + Δ + i) mod T]` for
+    /// `i = 0, 1, …`: one index that wraps at the period, not a
+    /// `rem_euclid` per horizon.
+    fn seasonal_ahead(&self) -> impl Iterator<Item = f64> + '_ {
+        let (before, from) = self.v.split_at(self.slot(self.t, self.shift));
+        from.iter().chain(before).copied().cycle()
     }
 
     /// Read-only view of the seasonal buffer `v` (indexed by

@@ -19,11 +19,12 @@ use crate::net::MAX_FRAME;
 use crate::persist::Durability;
 use crate::series::SeriesState;
 use crate::shard::{
-    run_worker, BatchReply, ReadMsg, SeriesEntry, SeriesSnapshot, ShardMsg, ShardState,
+    run_worker, BatchReply, ReadLane, ReadMsg, SeriesEntry, SeriesSnapshot, ShardMsg,
+    ShardState,
 };
 use crate::types::{FleetStats, Record, ScoredPoint, SeriesKey, ShardStats};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -117,9 +118,11 @@ impl ShardSender {
 struct Worker {
     /// Ingest/control queue, handled in order.
     queue: ShardSender,
-    /// Read lane: forecasts and stats, answered between sub-batches and
-    /// every [`crate::shard::POLL_ROWS`] rows inside one.
+    /// Read lane: forecasts and stats, answered between sub-batches and,
+    /// inside one, at the first slot boundary after `reads_raised` is set.
     lane: Sender<ReadMsg>,
+    /// Raised after each read sent on `lane` ([`ReadLane`]).
+    reads_raised: Arc<AtomicBool>,
     /// Messages sent on `queue` that the worker has not dequeued yet.
     depth: Arc<AtomicUsize>,
     /// The worker thread (`None` once joined by
@@ -285,12 +288,13 @@ impl FleetEngine {
         };
         let (lane, lane_rx) = channel::<ReadMsg>();
         let depth = Arc::new(AtomicUsize::new(0));
-        let worker_depth = Arc::clone(&depth);
+        let reads_raised = Arc::new(AtomicBool::new(false));
+        let worker_lane = ReadLane::new(lane_rx, Arc::clone(&reads_raised), Arc::clone(&depth));
         let handle = std::thread::Builder::new()
             .name(format!("fleet-shard-{}", state.index))
-            .spawn(move || run_worker(state, rx, lane_rx, worker_depth))
+            .spawn(move || run_worker(state, rx, worker_lane))
             .map_err(|_| FleetError::Internal("spawning a shard worker thread"))?;
-        Ok(Worker { queue, lane, depth, handle: Some(handle) })
+        Ok(Worker { queue, lane, reads_raised, depth, handle: Some(handle) })
     }
 
     /// The engine configuration.
@@ -327,14 +331,18 @@ impl FleetEngine {
         w.queue.send(msg).map_err(|_| FleetError::ShardDown)
     }
 
-    /// Puts a read on shard `shard`'s lane, then nudges the worker with a
-    /// [`ShardMsg::Poll`] so an idle one wakes up to answer it. The nudge
-    /// never waits for queue room: a full bounded queue means the worker
-    /// still has messages to dequeue, and it drains the lane before it
-    /// handles the next one.
+    /// Puts a read on shard `shard`'s lane and raises the lane's flag, so
+    /// a sweep in progress answers it at its next slot boundary, then
+    /// nudges the worker with a [`ShardMsg::Poll`] so an idle one wakes up
+    /// to answer it. The nudge never waits for queue room: a full bounded
+    /// queue means the worker still has messages to dequeue, and it drains
+    /// the lane before it handles the next one.
     fn send_read(&self, shard: usize, read: ReadMsg) -> Result<(), FleetError> {
         let w = &self.workers[shard];
         w.lane.send(read).map_err(|_| FleetError::ShardDown)?;
+        // after the send: the worker's Acquire swap that reads `true`
+        // then sees the read in the lane
+        w.reads_raised.store(true, Ordering::Release);
         // counted before the send: the worker decrements on dequeue.
         // Release pairs with the Acquire load in `queue_depth_probe`: a
         // probe that sees this count also sees the read in the lane.
@@ -737,8 +745,8 @@ impl FleetEngine {
     /// works fleet-wide regardless of per-series configuration.
     ///
     /// Reads do not queue behind ingest: each shard answers at its next
-    /// sub-batch boundary or at the next poll of the sweep in progress
-    /// (every [`crate::shard::POLL_ROWS`] rows). A forecast therefore
+    /// sub-batch boundary or, inside the sweep in progress, as soon as the
+    /// series it is stepping (or the pair) is done. A forecast therefore
     /// reflects every batch whose [`FleetEngine::next_batch`] has
     /// returned, and possibly some later submitted ones — for a read
     /// answered mid-sweep, only for the series the sweep has passed;
@@ -772,9 +780,12 @@ impl FleetEngine {
             return Err(FleetError::InvalidForecast { keys: keys.len(), horizon });
         }
         let shards = self.shard_count();
-        let mut routed: Vec<Vec<(usize, SeriesKey)>> = vec![Vec::new(); shards];
+        let mut routed: Vec<Vec<(usize, u64, SeriesKey)>> = vec![Vec::new(); shards];
         for (idx, key) in keys.iter().enumerate() {
-            routed[key.shard_of(shards)].push((idx, key.clone()));
+            // one hash per key: it picks the shard here and the registry
+            // bucket on the worker (the reduction of `SeriesKey::shard_of`)
+            let hash = key.stable_hash();
+            routed[(hash % shards as u64) as usize].push((idx, hash, key.clone()));
         }
         let (tx, rx) = channel();
         let mut in_flight = 0usize;
@@ -788,11 +799,13 @@ impl FleetEngine {
         drop(tx);
         let mut out = vec![(0, None); keys.len()];
         for _ in 0..in_flight {
-            let (shard, slots) = rx.recv().map_err(|_| FleetError::ShardDown)?;
+            let (shard, slots, values) = rx.recv().map_err(|_| FleetError::ShardDown)?;
             // a reply carries at most two distinct applied seqs (one
             // mid-sweep, one otherwise): map each through `as_of` once
             let mut stamps: Vec<(u64, u64)> = Vec::with_capacity(2);
-            for (idx, applied, fc) in slots {
+            for ((idx, applied, live), fc) in
+                slots.into_iter().zip(values.chunks_exact(horizon))
+            {
                 let seq = match stamps.iter().find(|&&(a, _)| a == applied) {
                     Some(&(_, seq)) => seq,
                     None => {
@@ -801,7 +814,7 @@ impl FleetEngine {
                         seq
                     }
                 };
-                out[idx] = (seq, fc);
+                out[idx] = (seq, live.then(|| fc.to_vec()));
             }
         }
         Ok(out)
@@ -829,11 +842,12 @@ impl FleetEngine {
     }
 
     /// Aggregate + per-shard statistics. Like [`FleetEngine::forecast`],
-    /// this read is answered at each shard's next sub-batch boundary or
-    /// sweep poll: the counters reflect every collected batch and possibly
-    /// later submitted ones — answered mid-sweep, they count the rows
-    /// stepped so far — and [`ShardStats::queue_depth`] is the backlog
-    /// still queued when the shard answered.
+    /// this read is answered at each shard's next sub-batch boundary or,
+    /// inside a sweep, at its next slot boundary: the counters reflect
+    /// every collected batch and possibly later submitted ones — answered
+    /// mid-sweep, they count the rows stepped so far — and
+    /// [`ShardStats::queue_depth`] is the backlog still queued when the
+    /// shard answered.
     pub fn stats(&self) -> Result<FleetStats, FleetError> {
         let (tx, rx) = channel();
         for shard in 0..self.shard_count() {

@@ -5,12 +5,13 @@
 //! whole batch before it routes a sub-batch here ([`crate::wal`]).
 //!
 //! Each worker has two inboxes: the FIFO ingest/control queue
-//! ([`ShardMsg`]) and an unbounded read lane ([`ReadMsg`]). The worker
-//! drains the lane before it handles each dequeued message, and the ingest
-//! sweep polls it again every [`POLL_ROWS`] rows and after each series it
-//! admits, so a read waits for a few hundred records or one admission at
-//! most, not for the sub-batch in progress or the backlog queued behind
-//! it.
+//! ([`ShardMsg`]) and an unbounded read lane ([`ReadLane`]). The engine
+//! raises the lane's flag after each read it sends. The worker drains the
+//! lane before it handles each dequeued message, and the ingest sweep
+//! drains it at the next series boundary after the flag is raised, so a
+//! read waits for the rest of one series' rows (of two when it lands in a
+//! pair that straddles a boundary), not for the sub-batch in progress or
+//! the backlog queued behind it.
 //!
 //! The ingest sweep ([`ShardState::ingest_batch`]) steps two consecutive
 //! rows of two distinct live series as one pair (one paired IRLS kernel
@@ -18,11 +19,10 @@
 //! and every other row on its own. The fault seam runs per series before
 //! the kernel, and each step runs under a `catch_unwind`, so a faulting or
 //! panicking series quarantines itself alone (a panic inside a pair's
-//! shared kernel quarantines both of its series). The sweep polls only at
-//! a slot boundary, exactly where a one-row sweep would, so a read
-//! answered mid-sweep sees every series either with all of its rows in
-//! the sub-batch stepped or with none, and stamps each key with the seq
-//! its series reflects.
+//! shared kernel quarantines both of its series). The sweep answers reads
+//! only at a slot boundary, so a read answered mid-sweep sees every series
+//! either with all of its rows in the sub-batch stepped or with none, and
+//! stamps each key with the seq its series reflects.
 
 use crate::batch::ShardBatch;
 use crate::cold_tier::ColdStore;
@@ -36,13 +36,9 @@ use oneshotstl::UpdateScratch;
 use std::io::ErrorKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-
-/// Rows the ingest sweep steps between two polls of the read lane: after
-/// this many, [`ShardState::ingest_batch`] polls at the next slot boundary.
-pub const POLL_ROWS: usize = 256;
 
 /// One registry entry: the series state machine plus its liveness clock.
 #[derive(Debug)]
@@ -268,28 +264,30 @@ pub enum ShardMsg {
     Shutdown,
 }
 
-/// One shard's answer to a [`ReadMsg::Forecast`]: its shard index and one
-/// `(position in the caller's key list, applied seq, forecast)` entry per
-/// item. The applied seq is that of the last ingest sub-batch whose rows
-/// for the item's series were all stepped when the shard answered (see
-/// [`ShardState::seq_of`]); the forecast is `None` for a series that is
-/// unknown or not live.
-pub type ForecastReply = (usize, Vec<(usize, u64, Option<Vec<f64>>)>);
+/// One shard's answer to a [`ReadMsg::Forecast`]: its shard index, one
+/// `(position in the caller's key list, applied seq, live)` entry per
+/// item, and one flat buffer holding `horizon` forecast values per item,
+/// in item order. The applied seq is that of the last ingest sub-batch
+/// whose rows for the item's series were all stepped when the shard
+/// answered (see [`ShardState::seq_of`]); `live` is false for a series
+/// that is unknown or not live, whose values are zeros.
+pub type ForecastReply = (usize, Vec<(usize, u64, bool)>, Vec<f64>);
 
 /// Read-only requests. They travel on the worker's read lane, never on its
 /// ingest/control queue: the worker drains the lane before it handles each
-/// dequeued [`ShardMsg`] and at every poll of an ingest sweep (every
-/// [`POLL_ROWS`] rows and after each admission, at a slot boundary), so a
-/// read waits for at most a few hundred records or one admission, not for
-/// the whole backlog. The engine follows
-/// each read with a [`ShardMsg::Poll`] so an idle worker wakes up to
-/// answer it.
+/// dequeued [`ShardMsg`], and an ingest sweep drains it at the next slot
+/// boundary after the engine raises the lane's flag (see
+/// [`ShardState::ingest_batch`]), so a read waits for the rest of one or
+/// two series' rows, not for the whole backlog. The engine follows each read with a [`ShardMsg::Poll`] so an
+/// idle worker wakes up to answer it.
 pub enum ReadMsg {
     /// Forecast `1..=horizon` steps ahead for a batch of series on this
     /// shard (see [`crate::FleetEngine::forecast_as_of`]).
     Forecast {
-        /// `(position in the caller's key list, series)` pairs.
-        items: Vec<(usize, SeriesKey)>,
+        /// `(position in the caller's key list, the key's
+        /// [`SeriesKey::stable_hash`], series)` triples: the router's hash
+        /// rides along, so the shard does not hash the key again.
+        items: Vec<(usize, u64, SeriesKey)>,
         /// Steps ahead (`1..=horizon`).
         horizon: usize,
         /// Reply channel.
@@ -302,6 +300,58 @@ pub enum ReadMsg {
         /// Reply channel.
         reply: Sender<ShardStats>,
     },
+}
+
+/// A worker's end of its read lane: the [`ReadMsg`] receiver, the flag
+/// the engine raises after each read it sends, and the worker's queue
+/// depth gauge (for [`ShardStats::queue_depth`]).
+///
+/// The engine sends a read, then stores `true` with `Release`. An ingest
+/// sweep does one `Relaxed` load of the flag per row, and only at a slot
+/// start where it reads `true` clears the flag (`swap` with `Acquire`,
+/// which makes the sent read visible) and drains the lane. The worker's
+/// dequeue path clears it the same way before its drain. Clearing before
+/// draining loses no wake-up: a read that lands during the drain either
+/// is drained with it or raises the flag again for the next slot start.
+pub struct ReadLane {
+    rx: Receiver<ReadMsg>,
+    raised: Arc<AtomicBool>,
+    queue_depth: Arc<AtomicUsize>,
+}
+
+impl ReadLane {
+    /// The lane over `rx`, raised through `raised`, reporting
+    /// `queue_depth` in its stats answers.
+    pub(crate) fn new(
+        rx: Receiver<ReadMsg>,
+        raised: Arc<AtomicBool>,
+        queue_depth: Arc<AtomicUsize>,
+    ) -> Self {
+        ReadLane { rx, raised, queue_depth }
+    }
+
+    /// Whether a read was sent since the last drain (one `Relaxed` load:
+    /// the sweep's per-row check).
+    fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::Relaxed)
+    }
+
+    /// Clears the flag, then answers every read queued on the lane. Each
+    /// reader blocks on its reply, and on a host whose cores the shards
+    /// keep busy, a woken reader would wait for a shard's scheduler slice
+    /// to end before it runs: after answering, the worker yields its CPU
+    /// once, so the reader runs at once.
+    fn drain(&self, state: &ShardState) {
+        self.raised.swap(false, Ordering::Acquire);
+        let mut served = false;
+        while let Ok(read) = self.rx.try_recv() {
+            serve_read(state, read, &self.queue_depth);
+            served = true;
+        }
+        if served {
+            std::thread::yield_now();
+        }
+    }
 }
 
 /// A shard's registry plus lifetime counters. Owned by the worker thread;
@@ -325,7 +375,7 @@ pub struct ShardState {
     /// in progress ([`ShardState::seq_of`]); the engine turns it into
     /// their "as of" stamp.
     pub applied_seq: u64,
-    /// The sweep in progress at a read-lane poll: its seq and the first
+    /// The sweep in progress at a read-lane drain: its seq and the first
     /// slot it has not stepped yet. `None` between sub-batches.
     cursor: Option<(u64, u32)>,
     /// The shard's cold tier: opened before the worker starts on a durable
@@ -506,19 +556,15 @@ impl ShardState {
     /// waiting on its divides, two independent ones overlap. Outputs are
     /// those of stepping every row alone.
     ///
-    /// Once [`POLL_ROWS`] rows have been stepped since the last poll, or
-    /// once a row has promoted its series (whose initialization takes as
-    /// long as hundreds of live rows), the sweep calls `poll` at the next
-    /// slot boundary, with the cursor set so
-    /// that [`ShardState::seq_of`] stamps each series by whether its rows
-    /// are done. The worker's `poll` answers the read lane; other callers
-    /// pass a no-op. Outputs do not depend on it.
-    pub fn ingest_batch(
-        &mut self,
-        batch: &mut ShardBatch,
-        seq: u64,
-        mut poll: impl FnMut(&ShardState),
-    ) {
+    /// Each row checks `lane`'s flag ([`ReadLane`]). While it is raised,
+    /// the sweep pairs no row with the next slot's first row, and at the
+    /// next slot start it sets the cursor, so that [`ShardState::seq_of`]
+    /// stamps each series by whether its rows are done, and drains the
+    /// lane. A read therefore waits for the rest of one series' rows, and
+    /// for the rest of the next one's when it lands inside a pair that
+    /// straddles a slot start. The worker passes its lane; other callers
+    /// pass `None`. Outputs do not depend on it.
+    pub fn ingest_batch(&mut self, batch: &mut ShardBatch, seq: u64, lane: Option<&ReadLane>) {
         let n = batch.len();
         let mut order = std::mem::take(&mut self.order);
         order.clear();
@@ -545,42 +591,35 @@ impl ShardState {
         batch.outputs.clear();
         // placeholder verdict; the sweep below writes every row exactly once
         batch.outputs.resize(n, PointOutput::Rejected);
-        let mut since_poll = 0;
         let mut j = 0;
         while j < n {
             let (slot, i) = order[j];
-            // a slot boundary: every slot below `slot` has all its rows in
+            let mut raised = lane.is_some_and(ReadLane::is_raised);
+            // at a slot start every slot below `slot` has all its rows in
             // this sub-batch stepped, and no slot from `slot` on has any
-            if since_poll >= POLL_ROWS && slot != order[j - 1].0 {
+            if let Some(lane) = lane.filter(|_| raised && (j == 0 || slot != order[j - 1].0)) {
                 self.cursor = Some((seq, slot));
-                poll(self);
-                since_poll = 0;
+                lane.drain(self);
+                raised = false;
             }
             let i = i as usize;
             // pair this row with the next one when that one is another
-            // series' (so it starts a slot) and no poll falls due before
-            // it: the polls land where a one-row sweep puts them
-            if since_poll + 1 < POLL_ROWS {
-                if let Some(&(next, k)) = order.get(j + 1).filter(|&&(s, _)| s != slot) {
-                    let k = k as usize;
-                    let rows = [
-                        (slot, batch.values[i], batch.live[i]),
-                        (next, batch.values[k], batch.live[k]),
-                    ];
-                    if let Some([a, b]) = self.step_pair(rows) {
-                        (batch.outputs[i], batch.outputs[k]) = (a, b);
-                        j += 2;
-                        since_poll += 2;
-                        continue;
-                    }
+            // series' (so it starts a slot), unless a read is waiting: the
+            // pair would straddle the slot start the read waits for
+            if let Some(&(next, k)) = order.get(j + 1).filter(|&&(s, _)| s != slot && !raised) {
+                let k = k as usize;
+                let rows = [
+                    (slot, batch.values[i], batch.live[i]),
+                    (next, batch.values[k], batch.live[k]),
+                ];
+                if let Some([a, b]) = self.step_pair(rows) {
+                    (batch.outputs[i], batch.outputs[k]) = (a, b);
+                    j += 2;
+                    continue;
                 }
             }
-            let admitted = self.admitted;
             batch.outputs[i] = self.step_entry(slot, batch.values[i], batch.live[i]);
             j += 1;
-            // a promoting row ran the series' initialization, as long as
-            // hundreds of live rows: poll at the next slot boundary
-            since_poll = if self.admitted > admitted { POLL_ROWS } else { since_poll + 1 };
         }
         self.cursor = None;
         self.order = order;
@@ -589,7 +628,7 @@ impl ShardState {
 
     /// The seq of the last ingest sub-batch whose rows for the series at
     /// `slot` are all stepped: [`ShardState::applied_seq`] between
-    /// sub-batches, and at a poll inside a sweep the sweep's seq for a slot
+    /// sub-batches, and at a drain inside a sweep the sweep's seq for a slot
     /// below its cursor (done, or absent from the sub-batch) and
     /// `applied_seq` for the rest (not started). An unknown series
     /// (`None`) gets `applied_seq`.
@@ -732,29 +771,26 @@ impl ShardState {
         out
     }
 
-    /// Multi-horizon forecast for the series at `slot`:
-    /// `ŷ(t+1) .. ŷ(t+horizon)`. `None` when the slot is vacant or the
-    /// series is warming or rejected. A series with a forecast head uses
-    /// its damped-trend rule (`forecast_into` — the zero-allocation fill);
-    /// one without (head disabled) keeps the plain seasonal carry-forward.
-    pub fn forecast_slot(&self, slot: u32, horizon: usize) -> Option<Vec<f64>> {
-        let entry = self.registry.entry(slot)?;
+    /// Fills `out` with the multi-horizon forecast of the series at
+    /// `slot`, `ŷ(t+1) .. ŷ(t+out.len())`, and returns true; returns false,
+    /// with `out` untouched, when the slot is vacant or the series is
+    /// warming or rejected. A series with a forecast head uses its
+    /// damped-trend rule (`forecast_into`); one without (head disabled)
+    /// keeps the plain seasonal carry-forward (`predict_into`, not
+    /// `forecast_into(0.0)`, whose `+ slope·0` can turn a -0.0 answer into
+    /// +0.0). Neither fill allocates.
+    pub fn forecast_slot(&self, slot: u32, out: &mut [f64]) -> bool {
+        let Some(entry) = self.registry.entry(slot) else { return false };
         match &entry.state {
             SeriesState::Live(live) if live.detector.decomposer.is_initialized() => {
-                let mut out = vec![0.0; horizon];
+                let decomposer = &live.detector.decomposer;
                 match live.forecast {
-                    Some(phi) => live.detector.decomposer.forecast_into(phi, &mut out),
-                    // not `forecast_into(0.0)`: its `+ slope·0` can turn a
-                    // -0.0 answer into +0.0
-                    None => {
-                        for (i, o) in out.iter_mut().enumerate() {
-                            *o = live.detector.decomposer.predict(i + 1);
-                        }
-                    }
+                    Some(phi) => decomposer.forecast_into(phi, out),
+                    None => decomposer.predict_into(out),
                 }
-                Some(out)
+                true
             }
-            _ => None,
+            _ => false,
         }
     }
 
@@ -840,19 +876,22 @@ fn settle(
 }
 
 /// Answers one read-lane request against the current registry — between
-/// sub-batches, or at a poll inside a sweep.
+/// sub-batches, or at a drain inside a sweep. A forecast allocates its two
+/// reply buffers and nothing per key.
 fn serve_read(state: &ShardState, read: ReadMsg, queue_depth: &AtomicUsize) {
     match read {
         ReadMsg::Forecast { items, horizon, reply } => {
-            let out = items
+            let mut values = vec![0.0; items.len() * horizon];
+            let slots = items
                 .into_iter()
-                .map(|(idx, key)| {
-                    let slot = state.registry.slot_of(&key);
-                    let fc = slot.and_then(|s| state.forecast_slot(s, horizon));
-                    (idx, state.seq_of(slot), fc)
+                .zip(values.chunks_exact_mut(horizon))
+                .map(|((idx, hash, key), out)| {
+                    let slot = state.registry.slot_of_hashed(hash, &key);
+                    let live = slot.is_some_and(|s| state.forecast_slot(s, out));
+                    (idx, state.seq_of(slot), live)
                 })
                 .collect();
-            let _ = reply.send((state.index, out));
+            let _ = reply.send((state.index, slots, values));
         }
         ReadMsg::Stats { reply } => {
             let mut s = state.stats();
@@ -863,48 +902,27 @@ fn serve_read(state: &ShardState, read: ReadMsg, queue_depth: &AtomicUsize) {
     }
 }
 
-/// Answers every read queued on the lane. Each reader blocks on its
-/// reply, and on a host whose cores the shards keep busy, a woken reader
-/// would wait for a shard's scheduler slice to end before it runs: after
-/// answering, the worker yields its CPU once, so the reader runs at once.
-fn drain_reads(state: &ShardState, lane: &Receiver<ReadMsg>, queue_depth: &AtomicUsize) {
-    let mut served = false;
-    while let Ok(read) = lane.try_recv() {
-        serve_read(state, read, queue_depth);
-        served = true;
-    }
-    if served {
-        std::thread::yield_now();
-    }
-}
-
 /// The worker loop: drains messages until `Shutdown` or channel close,
 /// answering every pending read-lane request before it handles each
-/// dequeued message and at every poll of an ingest sweep (see
-/// [`ShardState::ingest_batch`]). A read answered inside a sweep stamps
-/// each key with the seq its series reflects ([`ShardState::seq_of`]).
+/// dequeued message and, inside an ingest sweep, at the next slot start
+/// after a read is sent (see [`ShardState::ingest_batch`]). A read
+/// answered inside a sweep stamps each key with the seq its series
+/// reflects ([`ShardState::seq_of`]).
 ///
-/// `queue_depth` counts requests the engine has sent on `rx` that this
-/// worker has not dequeued yet — i.e. channel occupancy, the same quantity
-/// a bounded queue caps. It is decremented on dequeue (not on completion)
-/// so that a synchronous caller who has already received a reply never
-/// observes a stale nonzero depth; the engine samples it for
-/// [`ShardStats::queue_depth`] and for the [`crate::QueuePolicy::Reject`]
-/// admission check.
-pub fn run_worker(
-    mut state: ShardState,
-    rx: Receiver<ShardMsg>,
-    lane: Receiver<ReadMsg>,
-    queue_depth: Arc<AtomicUsize>,
-) {
+/// The lane's queue depth gauge counts requests the engine has sent on
+/// `rx` that this worker has not dequeued yet — i.e. channel occupancy,
+/// the same quantity a bounded queue caps. It is decremented on dequeue
+/// (not on completion) so that a synchronous caller who has already
+/// received a reply never observes a stale nonzero depth; the engine
+/// samples it for [`ShardStats::queue_depth`] and for the
+/// [`crate::QueuePolicy::Reject`] admission check.
+pub fn run_worker(mut state: ShardState, rx: Receiver<ShardMsg>, lane: ReadLane) {
     while let Ok(msg) = rx.recv() {
-        queue_depth.fetch_sub(1, Ordering::Relaxed);
-        drain_reads(&state, &lane, &queue_depth);
+        lane.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        lane.drain(&state);
         match msg {
             ShardMsg::Ingest { mut batch, seq, reply } => {
-                state.ingest_batch(&mut batch, seq, |state| {
-                    drain_reads(state, &lane, &queue_depth)
-                });
+                state.ingest_batch(&mut batch, seq, Some(&lane));
                 // the filled batch rides back on the reply; the engine
                 // moves keys and outputs out and recycles the buffers (an
                 // abandoned batch, whose receiver is gone, is dropped)
@@ -959,7 +977,7 @@ mod sweep_tests {
             let hash = key.stable_hash();
             batch.push(k as u32, Record { key, t: step, value }, hash, step);
         }
-        shard.ingest_batch(&mut batch, step + 1, |_| {});
+        shard.ingest_batch(&mut batch, step + 1, None);
         batch.outputs
     }
 
@@ -1037,7 +1055,7 @@ mod sweep_tests {
                 let hash = key.stable_hash();
                 batch.push(k as u32, Record { key, t, value }, hash, t);
             }
-            shard.ingest_batch(&mut batch, t + 1, |_| {});
+            shard.ingest_batch(&mut batch, t + 1, None);
         }
         assert_eq!(shard.stats().live, 3);
         let shared = Arc::clone(&shard.shared.detector);
@@ -1079,7 +1097,7 @@ mod sweep_tests {
             let value = 2.0 + (2.0 * std::f64::consts::PI * t as f64 / 24.0).sin();
             let hash = key.stable_hash();
             batch.push(0, Record { key: key.clone(), t, value }, hash, t);
-            shard.ingest_batch(&mut batch, t + 1, |_| {});
+            shard.ingest_batch(&mut batch, t + 1, None);
         }
         let [snap] = <[SeriesSnapshot; 1]>::try_from(shard.snapshot()).expect("one series");
         let before = ALLOCS.with(|c| c.get());
@@ -1109,7 +1127,7 @@ mod sweep_tests {
                 let hash = key.stable_hash();
                 batch.push(k as u32, Record { key, t: step, value }, hash, step);
             }
-            shard.ingest_batch(&mut batch, step + 1, |_| {});
+            shard.ingest_batch(&mut batch, step + 1, None);
             batch.outputs
         };
         let config = Arc::new(FleetConfig::fixed_period(24));
@@ -1201,14 +1219,14 @@ mod sweep_tests {
                 let hash = key.stable_hash();
                 batch.push(i as u32, Record { key, t, value: v }, hash, t);
             }
-            paired.ingest_batch(&mut batch, seq, |_| {});
+            paired.ingest_batch(&mut batch, seq, None);
             let mut want = Vec::new();
             for &(k, t, v) in rows {
                 let mut one = ShardBatch::default();
                 let key = key(k);
                 let hash = key.stable_hash();
                 one.push(0, Record { key, t, value: v }, hash, t);
-                alone.ingest_batch(&mut one, seq, |_| {});
+                alone.ingest_batch(&mut one, seq, None);
                 want.push(one.outputs.pop().expect("one output"));
             }
             for (i, (got, want)) in batch.outputs.iter().zip(&want).enumerate() {
@@ -1296,148 +1314,174 @@ mod sweep_tests {
         }
     }
 
-    /// A forecast queued on the lane before a sweep of 3 × `POLL_ROWS`
-    /// rows is answered at the sweep's first poll. Each key is stamped
-    /// with the sweep's seq when its slot lies below the cursor and with
-    /// the prior `applied_seq` otherwise, and each forecast is
-    /// bit-identical to a twin shard stepped up to that seq. The polls
-    /// change no output.
+    /// A read raised while the sweep steps a known row is answered at the
+    /// next slot start: the next slot, or the slot after it when that row
+    /// is paired with the first row of the next slot. The read is sent and
+    /// its lane flag raised from a `SeriesStep` hook on the raising series
+    /// at its `n`-th row, i.e. from inside the sweep. Each key is stamped with the sweep's seq when its slot lies
+    /// below the cursor and with the prior `applied_seq` otherwise, and
+    /// each forecast is bit-identical to a twin shard stepped up to that
+    /// seq. The drain changes no output.
     #[test]
     fn a_read_is_answered_mid_sweep_and_stamped_per_key() {
         const SERIES: usize = 48;
-        /// Rows per series in one sub-batch: 48 × 16 = 3 × `POLL_ROWS`.
-        const ROWS: usize = 16;
         const H: usize = 24;
-        let key = |k: usize| SeriesKey::new(format!("sweep-poll/{k}"));
-        // sub-batch `b`: `ROWS` ticks, every series once per tick
-        let batch = |b: u64| {
-            let mut batch = ShardBatch::default();
-            for r in 0..ROWS {
-                let t = b * ROWS as u64 + r as u64;
-                for k in 0..SERIES {
-                    let phase = (t as usize + 5 * k) as f64 / 24.0;
-                    let wobble = ((t * 7 + k as u64 * 13) % 11) as f64 / 50.0;
-                    let value = 2.0 + (2.0 * std::f64::consts::PI * phase).sin() + wobble;
-                    let key = key(k);
-                    let hash = key.stable_hash();
-                    batch.push((r * SERIES + k) as u32, Record { key, t, value }, hash, t);
+        // (rows per series in the sub-batch, raising series, its raising
+        // row, cursor). One row per series: rows pair as (0, 1), (2, 3), …,
+        // so a read raised in series 21, lane 1 of its pair, is answered
+        // at the next slot, and one raised in series 20 waits for its
+        // partner, 21. Sixteen rows per series: a series' last row pairs
+        // with the next series' first while no read waits, so a read
+        // raised at series 20's first row is answered at slot 21, and one
+        // raised at its last row waits for the rest of series 21.
+        for (case, (rows, raiser, nth, cursor)) in
+            [(1, 21, 1, 22), (1, 20, 1, 22), (16, 20, 1, 21), (16, 20, 16, 22)]
+                .into_iter()
+                .enumerate()
+        {
+            let key = |k: usize| SeriesKey::new(format!("sweep-read/{case}/{k}"));
+            // sub-batch `b`: `rows` ticks, every series once per tick
+            let batch = |b: u64| {
+                let mut batch = ShardBatch::default();
+                for r in 0..rows {
+                    let t = b * rows as u64 + r as u64;
+                    for k in 0..SERIES {
+                        let phase = (t as usize + 5 * k) as f64 / 24.0;
+                        let wobble = ((t * 7 + k as u64 * 13) % 11) as f64 / 50.0;
+                        let value = 2.0 + (2.0 * std::f64::consts::PI * phase).sin() + wobble;
+                        let key = key(k);
+                        let hash = key.stable_hash();
+                        batch.push((r * SERIES + k) as u32, Record { key, t, value }, hash, t);
+                    }
+                }
+                batch
+            };
+            let forecasts = |s: &ShardState| -> Vec<Vec<u64>> {
+                (0..SERIES)
+                    .map(|k| {
+                        let slot = s.registry.slot_of(&key(k)).expect("registered");
+                        let mut fc = vec![0.0; H];
+                        assert!(s.forecast_slot(slot, &mut fc), "a live series forecasts");
+                        fc.into_iter().map(f64::to_bits).collect()
+                    })
+                    .collect()
+            };
+            let config = Arc::new(FleetConfig::fixed_period(24));
+            // past admission and the solvers' 4-point warm-up
+            let warm = (config.init_len(24) + 8).div_ceil(rows) as u64;
+            let mut shard = ShardState::new(0, Arc::clone(&config));
+            let mut twin = ShardState::new(0, Arc::clone(&config));
+            for b in 1..=warm {
+                shard.ingest_batch(&mut batch(b), b, None);
+                twin.ingest_batch(&mut batch(b), b, None);
+            }
+            let before = forecasts(&twin);
+            let seq = warm + 1;
+            let mut want = batch(seq);
+            twin.ingest_batch(&mut want, seq, None);
+            let after = forecasts(&twin);
+
+            let (lane_tx, lane_rx) = std::sync::mpsc::channel();
+            let (reply, replies) = std::sync::mpsc::channel();
+            let raised = StdArc::new(AtomicBool::new(false));
+            let lane = ReadLane::new(lane_rx, StdArc::clone(&raised), Default::default());
+            let items = (0..SERIES).map(|k| (k, key(k).stable_hash(), key(k))).collect();
+            let read = ReadMsg::Forecast { items, horizon: H, reply };
+            let pending = std::sync::Mutex::new((0, Some((lane_tx, read))));
+            let raise: fault::FaultHook = StdArc::new(move |op, _| {
+                let mut pending = pending.lock().unwrap();
+                pending.0 += (op == FaultOp::SeriesStep) as usize;
+                if pending.0 == nth {
+                    if let Some((lane_tx, read)) = pending.1.take() {
+                        lane_tx.send(read).unwrap();
+                        raised.store(true, Ordering::Release);
+                    }
+                }
+                None
+            });
+            let guard = fault::inject(key(raiser).as_str(), raise);
+            let mut got = batch(seq);
+            shard.ingest_batch(&mut got, seq, Some(&lane));
+            drop(guard);
+            assert_eq!(got.outputs, want.outputs, "case {case}: the drain changes no output");
+            assert_eq!(shard.cursor, None, "no cursor between sub-batches");
+            assert_eq!(shard.seq_of(Some(0)), seq);
+
+            let (index, slots, values) = replies.try_recv().expect("answered during the sweep");
+            assert!(replies.try_recv().is_err(), "one reply");
+            assert_eq!((index, slots.len(), values.len()), (0, SERIES, SERIES * H));
+            let mut done = 0;
+            for ((k, applied, live), fc) in slots.into_iter().zip(values.chunks_exact(H)) {
+                let slot = shard.registry.slot_of(&key(k)).expect("registered");
+                assert!(live, "series {k} is live");
+                let fc: Vec<u64> = fc.iter().map(|v| v.to_bits()).collect();
+                if slot < cursor {
+                    assert_eq!(
+                        applied, seq,
+                        "case {case}: series {k} in slot {slot} is stepped"
+                    );
+                    assert_eq!(fc, after[k], "case {case}: series {k} as of seq {seq}");
+                    done += 1;
+                } else {
+                    assert_eq!(applied, warm, "case {case}: series {k} in slot {slot} is not");
+                    assert_eq!(fc, before[k], "case {case}: series {k} as of seq {warm}");
                 }
             }
-            batch
-        };
-        let forecasts = |s: &ShardState| -> Vec<Vec<u64>> {
-            (0..SERIES)
-                .map(|k| {
-                    let slot = s.registry.slot_of(&key(k)).expect("registered");
-                    let fc = s.forecast_slot(slot, H).expect("a live series forecasts");
-                    fc.into_iter().map(f64::to_bits).collect()
-                })
-                .collect()
-        };
-        let config = Arc::new(FleetConfig::fixed_period(24));
-        // past admission and the solvers' 4-point warm-up
-        let warm = (config.init_len(24) + 8).div_ceil(ROWS) as u64;
-        let mut shard = ShardState::new(0, Arc::clone(&config));
-        let mut twin = ShardState::new(0, Arc::clone(&config));
-        for b in 1..=warm {
-            shard.ingest_batch(&mut batch(b), b, |_| {});
-            twin.ingest_batch(&mut batch(b), b, |_| {});
+            assert_eq!(done, cursor as usize, "case {case}: answered at slot {cursor}");
+            assert!(
+                (0..SERIES).all(|k| before[k] != after[k]),
+                "the sweep moves every forecast"
+            );
         }
-        let before = forecasts(&twin);
-        let seq = warm + 1;
-        let mut want = batch(seq);
-        twin.ingest_batch(&mut want, seq, |_| {});
-        let after = forecasts(&twin);
-
-        let (lane, lane_rx) = std::sync::mpsc::channel();
-        let (reply, replies) = std::sync::mpsc::channel();
-        let items = (0..SERIES).map(|k| (k, key(k))).collect();
-        lane.send(ReadMsg::Forecast { items, horizon: H, reply }).unwrap();
-        let depth = AtomicUsize::new(0);
-        // (cursor, reads answered) at each poll
-        let mut polls = Vec::new();
-        let mut got = batch(seq);
-        shard.ingest_batch(&mut got, seq, |s| {
-            let mut answered = 0;
-            while let Ok(read) = lane_rx.try_recv() {
-                serve_read(s, read, &depth);
-                answered += 1;
-            }
-            polls.push((s.cursor, answered));
-        });
-        assert_eq!(got.outputs, want.outputs, "polling changes no output");
-        assert_eq!(shard.cursor, None, "no cursor between sub-batches");
-        assert_eq!(shard.seq_of(Some(0)), seq);
-
-        // 256 rows are 16 whole series: the first poll lands on slot 16
-        let cursor = POLL_ROWS.div_ceil(ROWS) as u32;
-        assert_eq!(polls.first(), Some(&(Some((seq, cursor)), 1)), "polls {polls:?}");
-        assert!(polls.len() >= 2 && polls[1..].iter().all(|&(_, n)| n == 0), "{polls:?}");
-
-        let (index, slots) = replies.try_recv().expect("answered during the sweep");
-        assert_eq!((index, slots.len()), (0, SERIES));
-        let (mut done, mut pending) = (0, 0);
-        for (k, applied, fc) in slots {
-            let slot = shard.registry.slot_of(&key(k)).expect("registered");
-            let fc: Vec<u64> =
-                fc.expect("a live series forecasts").into_iter().map(f64::to_bits).collect();
-            if slot < cursor {
-                assert_eq!(applied, seq, "series {k} in slot {slot} is stepped");
-                assert_eq!(fc, after[k], "series {k} as of seq {seq}");
-                done += 1;
-            } else {
-                assert_eq!(applied, warm, "series {k} in slot {slot} is not stepped yet");
-                assert_eq!(fc, before[k], "series {k} as of seq {warm}");
-                pending += 1;
-            }
-        }
-        assert_eq!((done, pending), (cursor as usize, SERIES - cursor as usize));
-        assert!((0..SERIES).all(|k| before[k] != after[k]), "the sweep moves every forecast");
     }
 
-    /// A row that promotes a series runs its initialization, as long as
-    /// hundreds of live rows, so the sweep polls at the slot boundary
-    /// after each promotion: a sub-batch of 96 rows (far below
-    /// `POLL_ROWS`) in which each of six warming series admits at its
-    /// sixth row polls once at the start of every later series, with the
-    /// admissions so far counted, and its outputs equal a twin's whose
-    /// sweep polls nothing.
+    /// Serving a forecast allocates its reply buffers and nothing per key:
+    /// the blocks a shard allocates to answer k ∈ {1, 64, 512} keys (live
+    /// series and unknown keys alike) are the same number for every k, and
+    /// the flat reply holds each live series' forecast.
     #[test]
-    fn a_sweep_polls_at_the_slot_boundary_after_each_promotion() {
-        const SERIES: usize = 6;
-        const ROWS: usize = 16;
-        let key = |k: usize| SeriesKey::new(format!("sweep-admit/{k}"));
-        // ticks `from..to`, every series once per tick
-        let batch = |from: usize, to: usize| {
-            let mut batch = ShardBatch::default();
-            for t in from..to {
-                for k in 0..SERIES {
-                    let phase = (t + 5 * k) as f64 / 24.0;
-                    let value = 2.0 + (2.0 * std::f64::consts::PI * phase).sin();
-                    let key = key(k);
-                    let hash = key.stable_hash();
-                    let row = ((t - from) * SERIES + k) as u32;
-                    batch.push(row, Record { key, t: t as u64, value }, hash, t as u64);
-                }
-            }
-            batch
-        };
-        let config = Arc::new(FleetConfig::fixed_period(24));
-        let warm = config.init_len(24) - 6;
+    fn serving_a_forecast_allocates_no_block_per_key() {
+        const SERIES: usize = 256;
+        const H: usize = 24;
+        let key = |k: usize| SeriesKey::new(format!("serve-allocs/{k}"));
+        let config = Arc::new(FleetConfig::fixed_period(H));
         let mut shard = ShardState::new(0, Arc::clone(&config));
-        let mut twin = ShardState::new(0, Arc::clone(&config));
-        shard.ingest_batch(&mut batch(0, warm), 1, |_| {});
-        twin.ingest_batch(&mut batch(0, warm), 1, |_| {});
-        assert_eq!(shard.stats().warming, SERIES);
-        let mut want = batch(warm, warm + ROWS);
-        twin.ingest_batch(&mut want, 2, |_| {});
-        let mut got = batch(warm, warm + ROWS);
-        let mut polls = Vec::new();
-        shard.ingest_batch(&mut got, 2, |s| polls.push((s.cursor, s.admitted)));
-        assert_eq!(got.outputs, want.outputs, "polling changes no output");
-        let after_each: Vec<_> = (1..SERIES).map(|k| (Some((2, k as u32)), k as u64)).collect();
-        assert_eq!(polls, after_each);
+        // past admission and the solvers' 4-point warm-up
+        for t in 0..config.init_len(H) as u64 + 8 {
+            let mut batch = ShardBatch::default();
+            for k in 0..SERIES {
+                let value =
+                    2.0 + (2.0 * std::f64::consts::PI * (t + k as u64) as f64 / 24.0).sin();
+                let key = key(k);
+                let hash = key.stable_hash();
+                batch.push(k as u32, Record { key, t, value }, hash, t);
+            }
+            shard.ingest_batch(&mut batch, t + 1, None);
+        }
         assert_eq!(shard.stats().live, SERIES);
+        let depth = AtomicUsize::new(0);
+        let mut blocks = Vec::new();
+        for k in [1, 64, 512] {
+            // keys `SERIES..` are unknown to the shard
+            let items: Vec<_> = (0..k).map(|i| (i, key(i).stable_hash(), key(i))).collect();
+            let (reply, replies) = std::sync::mpsc::channel();
+            let read = ReadMsg::Forecast { items, horizon: H, reply };
+            let before = ALLOCS.with(|c| c.get());
+            serve_read(&shard, read, &depth);
+            blocks.push(ALLOCS.with(|c| c.get()) - before);
+            let (_, slots, values) = replies.recv().unwrap();
+            assert_eq!((slots.len(), values.len()), (k, k * H));
+            for ((i, _, live), fc) in slots.into_iter().zip(values.chunks_exact(H)) {
+                assert_eq!(live, i < SERIES, "key {i}");
+                let mut want = vec![0.0; H];
+                if let Some(slot) = shard.registry.slot_of(&key(i)) {
+                    assert!(shard.forecast_slot(slot, &mut want));
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(fc), bits(&want), "key {i}");
+            }
+        }
+        assert!(blocks.iter().all(|&b| b == blocks[0]), "blocks per serve: {blocks:?}");
     }
 }
 

@@ -1,5 +1,6 @@
 //! The shard read lane: `forecast`/`stats` are answered between ingest
-//! sub-batches, and at polls inside one, instead of FIFO behind them, and
+//! sub-batches, and at slot boundaries inside one, instead of FIFO behind
+//! them, and
 //! every forecast slot is stamped with the batch seq its series' state
 //! reflects.
 //!
@@ -15,7 +16,6 @@
 use oneshotstl_suite::core::{OneShotStl, StdAnomalyDetector};
 use oneshotstl_suite::fleet::engine::StallGuard;
 use oneshotstl_suite::fleet::fault::{self, FaultHook, FaultOp};
-use oneshotstl_suite::fleet::shard::POLL_ROWS;
 use oneshotstl_suite::fleet::{
     FleetConfig, FleetEngine, FleetError, PeriodPolicy, QueuePolicy, Record, SeriesKey,
 };
@@ -262,21 +262,23 @@ fn pinned_seq_forecast_matches_a_replay_up_to_that_seq() {
 }
 
 /// A forecast issued while a shard is parked inside a sweep is answered at
-/// the sweep's next poll: the series the sweep has passed carry the
-/// sub-batch's seq, the rest the seq before it, and every slot is
+/// the sweep's next slot boundary: the series the sweep has passed carry
+/// the sub-batch's seq, the rest the seq before it, and every slot is
 /// bit-identical to a replay at its own stamp. The shard is parked by a
 /// blocking `SeriesStep` hook on a series in the middle of the slot order
 /// (hooks are process-wide, so the keys carry a prefix no other test
 /// uses); the hook is released once the read's nudge shows in the
-/// shard's queue depth, i.e. once the read is on the lane.
+/// shard's queue depth, i.e. once the read is on the lane and its flag is
+/// raised.
 #[test]
 fn a_forecast_inside_a_sweep_is_stamped_per_key() {
-    // more than two polls' worth of series, all on the one shard; the
-    // first batch admits them in series order, so slot = series
-    let n = 2 * POLL_ROWS + 64;
-    let parked_series = POLL_ROWS + POLL_ROWS / 2;
+    // series, all on the one shard; the first batch admits them in series
+    // order, so slot = series
+    const SERIES: usize = 576;
+    // even, so the parked series is the first of a pair with the next one
+    const PARKED: usize = 384;
     let keys: Vec<SeriesKey> =
-        (0..n).map(|s| SeriesKey::new(format!("lane-sweep/{s}"))).collect();
+        (0..SERIES).map(|s| SeriesKey::new(format!("lane-sweep/{s}"))).collect();
     let cfg = config(1);
     let mut feed = Feed::with_keys(keys.clone());
     let mut engine = FleetEngine::new(cfg.clone()).unwrap();
@@ -296,7 +298,7 @@ fn a_forecast_inside_a_sweep_is_stamped_per_key() {
         }
         None
     });
-    let _guard = fault::inject(keys[parked_series].as_str(), hook);
+    let _guard = fault::inject(keys[PARKED].as_str(), hook);
     let seq = WARM + 1;
     engine.submit(feed.batch(seq, |_| true)).unwrap();
     parked.recv_timeout(Duration::from_secs(10)).expect("the sweep reaches the hooked series");
@@ -319,12 +321,11 @@ fn a_forecast_inside_a_sweep_is_stamped_per_key() {
     let got = got.unwrap();
 
     let stamps: Vec<u64> = got.iter().map(|(at, _)| *at).collect();
-    assert!(stamps.contains(&seq) && stamps.contains(&WARM), "both stamps on the shard");
-    assert!(stamps.iter().all(|&at| at == seq || at == WARM), "{stamps:?}");
-    // answered at a slot boundary: the sweep's seq on a prefix of the slot
-    // order, the hooked series (stepped before the answer) included
-    assert!(stamps.windows(2).all(|w| w[0] >= w[1]), "stamps by slot: {stamps:?}");
-    assert_eq!(stamps[parked_series], seq);
+    // answered at the first slot boundary after the parked series' pair:
+    // the sweep's seq on the slots before it, the prior seq from it on
+    let boundary = PARKED + 2;
+    assert!(stamps[..boundary].iter().all(|&at| at == seq), "stamps by slot: {stamps:?}");
+    assert!(stamps[boundary..].iter().all(|&at| at == WARM), "stamps by slot: {stamps:?}");
     for (s, (at, fc)) in got.iter().enumerate() {
         let want = feed.replay(&cfg, s, *at, PERIOD);
         assert_bits(fc.as_ref(), &want, &format!("series {s} as of seq {at}"));
