@@ -41,10 +41,10 @@
 
 use benchkit::{write_bench_json, Cli, Experiment};
 use fleet::{FleetConfig, FleetEngine, ForecastOptions, PeriodPolicy, Record, SeriesKey};
-use forecast::heads::StlForecaster;
 use forecast::naive::{Naive, SeasonalNaive};
 use forecast::traits::{Forecaster, OnlineForecaster};
 use forecast::ErrorAcc;
+use forecast::StlForecaster;
 use oneshotstl::system::Lambdas;
 use oneshotstl::{OneShotStl, OneShotStlConfig};
 use rand::rngs::StdRng;

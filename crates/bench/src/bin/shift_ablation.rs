@@ -8,7 +8,7 @@
 //! per policy:
 //!
 //! - decomposition MAE against the known clean signal, and the MAE gap
-//!   vs the exhaustive (`prune: Off`) search,
+//!   vs the exhaustive (`ShiftPrune::Off`) search,
 //! - full IRLS trials per flagged point (the cost the pruning bounds),
 //! - wall time per update, the best of [`REPS`] passes over the fixtures,
 //!   interleaved with every other row's passes (one pass takes a fraction
@@ -26,7 +26,7 @@
 
 use benchkit::{write_bench_json, Cli, Experiment};
 use decomp::traits::OnlineDecomposer;
-use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftSearchConfig, DEFAULT_SHIFT_TOP_K};
+use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftPrune, DEFAULT_SHIFT_TOP_K};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -177,12 +177,9 @@ fn main() {
         if quick { vec![1, DEFAULT_SHIFT_TOP_K, 16] } else { vec![1, 2, 4, 8, 16] };
 
     // ── sweep 1: pruning policy ─────────────────────────────────────────
-    let policies: Vec<(String, Option<usize>, ShiftSearchConfig)> =
-        std::iter::once(("full (Off)".to_string(), None, ShiftSearchConfig::exhaustive()))
-            .chain(
-                ks.iter()
-                    .map(|&k| (format!("TopK({k})"), Some(k), ShiftSearchConfig::top_k(k))),
-            )
+    let policies: Vec<(String, Option<usize>, ShiftPrune)> =
+        std::iter::once(("full (Off)".to_string(), None, ShiftPrune::Off))
+            .chain(ks.iter().map(|&k| (format!("TopK({k})"), Some(k), ShiftPrune::TopK(k))))
             .collect();
     // ── sweep 2: iters 4, 6, 8 (accuracy vs footprint) ──────────────────
     let iters_sweep = [4usize, 6, 8];

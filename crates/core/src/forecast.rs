@@ -3,92 +3,25 @@
 //! OneShotSTL's STD→TSF rule forecasts
 //!
 //! ```text
-//! ŷ(t+h) = τ(t) + slope·h + v[(t+Δ+h) mod T]
+//! ŷ(t+h) = τ(t) + slope·Σ_{j=1..h} φ^j + v[(t+Δ+h) mod T]
 //! ```
 //!
-//! — the newest trend level, a linear (optionally damped) extrapolation
-//! of its one-step slope, and the seasonal buffer looked up under the
-//! cumulative §3.4 phase shift Δ. The recurrence itself lives on
-//! [`crate::OneShotStl`] ([`forecast`](crate::oneshot::OnlineJointStl::forecast),
-//! [`forecast_damped`](crate::oneshot::OnlineJointStl::forecast_damped),
-//! [`forecast_into`](crate::oneshot::OnlineJointStl::forecast_into) —
-//! the last one fills a caller-owned buffer with **zero** heap
-//! allocations, the fleet's steady-state path).
+//! — the newest trend level, a damped extrapolation of its one-step
+//! slope (`φ = 1` is the paper's linear `slope·h`, `φ = 0` plain
+//! carry-forward), and the seasonal buffer looked up under the cumulative
+//! §3.4 phase shift Δ. The recurrence lives on [`crate::OneShotStl`]:
+//! [`forecast_damped`](crate::oneshot::OnlineJointStl::forecast_damped)
+//! answers one horizon, and
+//! [`forecast_into`](crate::oneshot::OnlineJointStl::forecast_into) fills
+//! a caller-owned buffer in one pass with **zero** heap allocations (the
+//! fleet's steady-state path); [`predict`](crate::oneshot::OnlineJointStl::predict)
+//! and [`predict_into`](crate::oneshot::OnlineJointStl::predict_into) are
+//! the slope-free carry-forward `τ(t) + v[·]`.
 //!
-//! This module adds the pluggable layer on top: a [`ForecastHead`]
-//! refines the base carry-forward forecast `τ(t) + v[·]` per horizon,
-//! observing each decomposed point as it streams by. [`TrendHead`] is the
-//! built-in head implementing the damped slope term above; the `forecast`
-//! crate adapts its ARIMA/ETS/Theta models into residual heads through
-//! the same trait.
-
-use tskit::series::DecompPoint;
-
-/// A pluggable forecast refinement over decomposed components.
-///
-/// The host decomposes the stream, feeds every decomposed point to
-/// [`ForecastHead::observe`], and asks the head to refine the base
-/// carry-forward forecast `τ(t) + v[(t+Δ+h) mod T]` per horizon. Heads
-/// compose additively on the decomposition: a *trend* head extrapolates
-/// the level ([`TrendHead`]), a *residual* head forecasts the remainder
-/// the decomposition left behind (see the `forecast` crate's adapters).
-pub trait ForecastHead {
-    /// Display name of the head.
-    fn name(&self) -> &'static str;
-
-    /// Absorbs one decomposed point. Called once per arriving value, in
-    /// order; built-in heads are O(1) and allocation-free here.
-    fn observe(&mut self, point: &DecompPoint);
-
-    /// Refines the base forecast `base = τ(t) + v[(t+Δ+h) mod T]` for
-    /// horizon `h ≥ 1` (relative to the newest observed point).
-    fn predict(&self, base: f64, h: usize) -> f64;
-}
-
-/// Damped-trend head: adds `slope · Σ_{j=1..h} φ^j` to the base forecast,
-/// where `slope` is the one-step trend difference of the observed stream.
-///
-/// `φ = 1` gives the paper's linear `slope·h`; `φ = 0` is a no-op
-/// (carry-forward); values in between bound the extrapolation of a noisy
-/// local slope. Its entire state is two `f64`s.
-#[derive(Debug, Clone, Copy)]
-pub struct TrendHead {
-    phi: f64,
-    last_trend: f64,
-    slope: f64,
-    seen: bool,
-}
-
-impl TrendHead {
-    /// A head with damping factor `φ ∈ [0, 1]`.
-    pub fn new(phi: f64) -> Self {
-        assert!((0.0..=1.0).contains(&phi) && phi.is_finite(), "damping must be in [0, 1]");
-        TrendHead { phi, last_trend: 0.0, slope: 0.0, seen: false }
-    }
-
-    /// The current one-step slope estimate.
-    pub fn slope(&self) -> f64 {
-        self.slope
-    }
-}
-
-impl ForecastHead for TrendHead {
-    fn name(&self) -> &'static str {
-        "trend"
-    }
-
-    fn observe(&mut self, point: &DecompPoint) {
-        if self.seen {
-            self.slope = point.trend - self.last_trend;
-        }
-        self.last_trend = point.trend;
-        self.seen = true;
-    }
-
-    fn predict(&self, base: f64, h: usize) -> f64 {
-        base + self.slope * damp_sum(self.phi, h)
-    }
-}
+//! The fleet's live series and the `forecast` crate's `StlForecaster`
+//! both answer through these methods, so there is one forecast rule. This
+//! module holds its damped-trend weight, [`damp_sum`], and the tests that
+//! pin the one-pass fills to the per-horizon calls bit for bit.
 
 /// `Σ_{j=1..h} φ^j` — the damped-trend weight of horizon `h` (`h` for
 /// `φ = 1`, `0` for `φ = 0`).
@@ -238,31 +171,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trend_head_reproduces_the_damped_recurrence() {
-        let period = 12;
-        let y = trended_seasonal(300, period);
-        let mut m = OneShotStl::new(OneShotStlConfig::default());
-        let mut head = TrendHead::new(0.8);
-        m.init(&y[..4 * period], period).unwrap();
-        for &v in &y[4 * period..] {
-            let p = m.update(v);
-            head.observe(&p);
-        }
-        // the head's slope equals the model's (both are one-step trend
-        // differences of the same committed stream)
-        assert_eq!(head.slope().to_bits(), m.trend_slope().to_bits());
-        for h in 1..=period {
-            let refined = head.predict(m.predict(h), h);
-            assert_eq!(refined.to_bits(), m.forecast_damped(h, 0.8).to_bits(), "h={h}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "damping must be in [0, 1]")]
-    fn trend_head_rejects_bad_phi() {
-        let _ = TrendHead::new(1.5);
     }
 }

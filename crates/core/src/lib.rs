@@ -13,7 +13,7 @@
 //! | OneShotSTL (Algorithm 5) + seasonality-shift handling (§3.4) | [`oneshot`] |
 //! | Streaming NSigma (Algorithm 6) | [`nsigma`] |
 //! | Persistence-aware residual scoring (CUSUM fusion) | [`score`] |
-//! | Multi-horizon STD→TSF forecast rule (§5) + forecast heads | [`forecast`](mod@forecast) |
+//! | Multi-horizon STD→TSF forecast rule (§5) | [`forecast`](mod@forecast) |
 //! | TSAD / TSF task adapters (§4) | [`tasks`] |
 //!
 //! ## Quick start
@@ -55,12 +55,12 @@ pub mod score;
 pub mod system;
 pub mod tasks;
 
-pub use forecast::{damp_sum, ForecastHead, TrendHead};
+pub use forecast::damp_sum;
 pub use jointstl::{JointStl, JointStlConfig};
 pub use nsigma::{NSigma, NSigmaState};
 pub use oneshot::{
     IterSnapshot, OneShotStl, OneShotStlConfig, OneShotStlState, ShiftPolicy, ShiftPrune,
-    ShiftSearchConfig, UpdateScratch, DEFAULT_SHIFT_TOP_K,
+    UpdateScratch, DEFAULT_SHIFT_TOP_K,
 };
 pub use online_doolittle::{IncrementalSolver, SolverState};
 pub use reference::ModifiedJointStlRef;

@@ -30,11 +30,11 @@
 //!      `r̂(Δt) = y − τ_{t−1} − v[(t + Δ + Δt) mod T]` (two reads and a
 //!      subtraction per offset — no linear algebra), and
 //!    - *stage 2* re-runs step 1 (a full IRLS trial, ~40× a plain update)
-//!      only for the offsets [`ShiftSearchConfig`] lets through: all of
-//!      them under [`ShiftPrune::Off`], the `k` best proxy scores under
-//!      [`ShiftPrune::TopK`]. `Δt = 0` is the mandatory baseline either
-//!      way, and the result with the smallest `|r_t|` wins (subject to
-//!      [`OneShotStlConfig::shift_accept_ratio`]).
+//!      only for the offsets [`OneShotStlConfig::shift_search`] lets
+//!      through: all of them under [`ShiftPrune::Off`], the `k` best proxy
+//!      scores under [`ShiftPrune::TopK`]. `Δt = 0` is the mandatory
+//!      baseline either way, and the result with the smallest `|r_t|` wins
+//!      (subject to [`OneShotStlConfig::shift_accept_ratio`]).
 //!
 //!    How an accepted offset persists is governed by [`ShiftPolicy`].
 //! 3. Write the seasonal buffer: `v[(t + Δ) mod T] = s_t`.
@@ -151,28 +151,9 @@ pub enum ShiftPrune {
 /// to at most 5 (see `docs/ARCHITECTURE.md`, "Shift search").
 pub const DEFAULT_SHIFT_TOP_K: usize = 4;
 
-/// Configuration of the §3.4 seasonality-shift search pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShiftSearchConfig {
-    /// Stage-1 pruning policy.
-    pub prune: ShiftPrune,
-}
-
-impl Default for ShiftSearchConfig {
+impl Default for ShiftPrune {
     fn default() -> Self {
-        ShiftSearchConfig { prune: ShiftPrune::TopK(DEFAULT_SHIFT_TOP_K) }
-    }
-}
-
-impl ShiftSearchConfig {
-    /// The exhaustive (pre-pruning, bit-identical) search.
-    pub fn exhaustive() -> Self {
-        ShiftSearchConfig { prune: ShiftPrune::Off }
-    }
-
-    /// Prune to the `k` best proxy candidates.
-    pub fn top_k(k: usize) -> Self {
-        ShiftSearchConfig { prune: ShiftPrune::TopK(k) }
+        ShiftPrune::TopK(DEFAULT_SHIFT_TOP_K)
     }
 }
 
@@ -206,8 +187,8 @@ pub struct OneShotStlConfig {
     pub nsigma: f64,
     /// Shift persistence policy.
     pub shift_policy: ShiftPolicy,
-    /// §3.4 shift-search pipeline configuration (candidate pruning).
-    pub shift_search: ShiftSearchConfig,
+    /// §3.4 shift-search stage-1 candidate pruning.
+    pub shift_search: ShiftPrune,
     /// A non-zero Δt is accepted only when its |r_t| is below this fraction
     /// of the Δt = 0 residual. A genuine phase shift shrinks the residual
     /// by an order of magnitude, easily clearing the bar; a trend jump
@@ -228,7 +209,7 @@ impl Default for OneShotStlConfig {
             shift_window: 20,
             nsigma: 5.0,
             shift_policy: ShiftPolicy::Cumulative,
-            shift_search: ShiftSearchConfig::default(),
+            shift_search: ShiftPrune::default(),
             shift_accept_ratio: 0.5,
             init: InitMethod::Stl,
             eps: 1e-10,
@@ -504,7 +485,7 @@ impl OneShotStl {
     /// planning for per-node fleets keys off this number.
     pub fn state_bytes(&self) -> usize {
         // shift search: tag, plus a u32 k for TopK
-        let search = match self.config.shift_search.prune {
+        let search = match self.config.shift_search {
             ShiftPrune::Off => 1,
             ShiftPrune::TopK(_) => 5,
         };
@@ -916,7 +897,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
         cand: &mut Vec<i64>,
     ) {
         cand.clear();
-        match self.config.shift_search.prune {
+        match self.config.shift_search {
             ShiftPrune::Off => cand.extend((-h..=h).filter(|&dt| dt != 0)),
             ShiftPrune::TopK(k) => {
                 proxy.clear();
@@ -1369,9 +1350,9 @@ mod tests {
                 ShiftPolicy::Transient
             },
             shift_search: if rng.gen_range(0..2) == 0 {
-                ShiftSearchConfig::default()
+                ShiftPrune::default()
             } else {
-                ShiftSearchConfig::exhaustive()
+                ShiftPrune::Off
             },
             ..Default::default()
         };

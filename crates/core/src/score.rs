@@ -39,9 +39,7 @@
 //! (`z > n ∨ C > h`), so alarm counts do not smear across the hold tail.
 //!
 //! With [`Fusion::Off`] the scorer is **bit-identical** to the plain
-//! NSigma path (the CUSUM accumulators and the hold are never touched) —
-//! that is what v4 fleet snapshots decode as, so restored v4 streams
-//! continue exactly as the v4 writer would have continued.
+//! NSigma path (the CUSUM accumulators and the hold are never touched).
 //!
 //! Everything is `O(1)` state and allocation-free in steady state: three
 //! `f64` accumulators on top of NSigma's three running sums. Defaults
@@ -60,8 +58,8 @@ const HOLD_INPUT_CAP: f64 = 8.0;
 /// emitted score (higher = more anomalous).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fusion {
-    /// Instantaneous z-score only — the pre-v5 pipeline, bit-identical to
-    /// plain [`NSigma`] scoring (CUSUM and peak-hold state never move).
+    /// Instantaneous z-score only, bit-identical to plain [`NSigma`]
+    /// scoring (CUSUM and peak-hold state never move).
     Off,
     /// CUSUM statistic only (rescaled to z units by `n / h` so thresholds
     /// stay comparable), peak-held. Mostly useful in ablations.
@@ -105,7 +103,7 @@ impl Default for ScoreConfig {
 }
 
 impl ScoreConfig {
-    /// The pre-v5 behavior: instantaneous z-score only.
+    /// Instantaneous z-score only: the paper's plain-NSigma scoring.
     pub fn off() -> Self {
         ScoreConfig { fusion: Fusion::Off, ..Default::default() }
     }
@@ -690,8 +688,7 @@ mod tests {
     }
 
     /// `Fusion::Off` is bit-identical to plain NSigma and never touches
-    /// the CUSUM accumulators or the hold — the v4-snapshot
-    /// compatibility contract.
+    /// the CUSUM accumulators or the hold.
     #[test]
     fn fusion_off_matches_plain_nsigma_bitwise() {
         let mut s = ResidualScorer::new(5.0, ScoreConfig::off());

@@ -5,7 +5,6 @@ use crate::oneshot::{OnlineJointStl, TailSolver, UpdateScratch};
 use crate::score::{CusumScorer, ScoreConfig, ScoreVerdict};
 use decomp::traits::OnlineDecomposer;
 use tskit::error::Result;
-use tskit::ring::RingBuffer;
 use tskit::series::DecompPoint;
 
 /// §4 (1): STD → TSAD. Wraps OneShotSTL and scores each point with the
@@ -170,35 +169,6 @@ impl<D: OnlineDecomposer> StdForecaster<D> {
     }
 }
 
-/// A trailing-window z-score forecaster used as a trivial sanity baseline
-/// (predicts the running mean). Useful for tests and as a floor in the
-/// evaluation harness.
-#[derive(Debug, Clone)]
-pub struct MeanForecaster {
-    window: RingBuffer,
-}
-
-impl MeanForecaster {
-    /// Creates a mean forecaster with the given window capacity.
-    pub fn new(window: usize) -> Self {
-        MeanForecaster { window: RingBuffer::new(window.max(1)) }
-    }
-
-    /// Observes one value.
-    pub fn observe(&mut self, y: f64) {
-        self.window.push(y);
-    }
-
-    /// Predicts any horizon with the window mean.
-    pub fn predict(&self) -> f64 {
-        if self.window.is_empty() {
-            0.0
-        } else {
-            self.window.iter().sum::<f64>() / self.window.len() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,18 +246,18 @@ mod tests {
         let split = 800;
         let mut f = StdForecaster::new(OneShotStl::new(OneShotStlConfig::default()));
         f.init(&y[..4 * t], t).unwrap();
-        let mut mean_f = MeanForecaster::new(2 * t);
         for &v in &y[4 * t..split] {
             f.observe(v);
-            mean_f.observe(v);
         }
+        // the baseline predicts every horizon with the trailing 2-period mean
+        let mean = tskit::stats::mean(&y[split - 2 * t..split]);
         // forecast the next 2 periods
         let horizon = 2 * t;
         let preds = f.predict_horizon(horizon);
         let truth = &y[split..split + horizon];
         let std_err = tskit::stats::mae(&preds, truth);
         let mean_err: f64 =
-            truth.iter().map(|v| (v - mean_f.predict()).abs()).sum::<f64>() / horizon as f64;
+            truth.iter().map(|v| (v - mean).abs()).sum::<f64>() / horizon as f64;
         assert!(
             std_err < 0.5 * mean_err,
             "seasonal forecaster ({std_err}) should easily beat mean ({mean_err})"

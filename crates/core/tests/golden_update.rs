@@ -19,7 +19,7 @@
 //! `cargo test -p oneshotstl --release --test golden_update -- --ignored --nocapture`
 
 use decomp::traits::OnlineDecomposer;
-use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftSearchConfig};
+use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftPrune};
 
 const PERIOD: usize = 50;
 const INIT: usize = 4 * PERIOD;
@@ -62,7 +62,7 @@ fn golden_stream() -> Vec<f64> {
 
 /// FNV-1a over the concatenated bit patterns of every online output
 /// (trend, seasonal, residual per update, in stream order).
-fn run_fingerprint(shift_search: ShiftSearchConfig) -> (u64, Vec<(usize, [u64; 3])>, i64) {
+fn run_fingerprint(shift_search: ShiftPrune) -> (u64, Vec<(usize, [u64; 3])>, i64) {
     let y = golden_stream();
     let mut m = OneShotStl::new(OneShotStlConfig { shift_search, ..Default::default() });
     m.init(&y[..INIT], PERIOD).unwrap();
@@ -110,7 +110,7 @@ const GOLDEN_SPOTS: &[(usize, [u64; 3])] = &[
 ];
 
 fn check(
-    search: ShiftSearchConfig,
+    search: ShiftPrune,
     golden_hash: u64,
     golden_shift: i64,
     golden_spots: &[(usize, [u64; 3])],
@@ -133,7 +133,7 @@ fn check(
     assert_eq!(hash, golden_hash, "bit-level fingerprint of the online stream changed");
 }
 
-/// The exhaustive search (`prune: Off`) must stay bit-identical to the
+/// The exhaustive search (`ShiftPrune::Off`) must stay bit-identical to the
 /// original pre-refactor single-loop implementation: the fixture
 /// constants predate both the scratch-buffer and the two-stage-pipeline
 /// refactors.
@@ -165,14 +165,14 @@ const PRUNED_SPOTS: &[(usize, [u64; 3])] = &[
 
 #[test]
 fn exhaustive_online_update_stream_is_bit_identical_to_golden() {
-    check(ShiftSearchConfig::exhaustive(), GOLDEN_HASH, GOLDEN_SHIFT, GOLDEN_SPOTS);
+    check(ShiftPrune::Off, GOLDEN_HASH, GOLDEN_SHIFT, GOLDEN_SPOTS);
 }
 
 /// The default pruned search has its own fixture: behavior-changing by
 /// design (vs the exhaustive path), but its numerics must not drift.
 #[test]
 fn pruned_online_update_stream_is_bit_identical_to_golden() {
-    check(ShiftSearchConfig::default(), PRUNED_HASH, PRUNED_SHIFT, PRUNED_SPOTS);
+    check(ShiftPrune::default(), PRUNED_HASH, PRUNED_SHIFT, PRUNED_SPOTS);
 }
 
 /// On this stream the default pruning must agree with the exhaustive
@@ -186,9 +186,7 @@ fn pruned_search_accepts_the_same_genuine_shift() {
 #[test]
 #[ignore = "fixture regeneration helper, not a test"]
 fn regenerate_fixture() {
-    for (name, search) in
-        [("GOLDEN", ShiftSearchConfig::exhaustive()), ("PRUNED", ShiftSearchConfig::default())]
-    {
+    for (name, search) in [("GOLDEN", ShiftPrune::Off), ("PRUNED", ShiftPrune::default())] {
         let (hash, spots, shift) = run_fingerprint(search);
         println!("const {name}_HASH: u64 = {hash:#018x};");
         println!("const {name}_SHIFT: i64 = {shift};");

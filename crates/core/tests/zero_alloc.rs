@@ -19,7 +19,7 @@
 //! regression guard cannot be skipped silently.
 
 use decomp::traits::OnlineDecomposer;
-use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftSearchConfig, UpdateScratch};
+use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftPrune, UpdateScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 
 /// Counts every allocation request routed to the system allocator,
@@ -61,7 +61,7 @@ fn allocs() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
-fn assert_zero_alloc_stream(search: ShiftSearchConfig, label: &str) {
+fn assert_zero_alloc_stream(search: ShiftPrune, label: &str) {
     let t = 48usize;
     let n = 4 * t + 2_000;
     // everything the stream needs is allocated up front
@@ -113,7 +113,7 @@ fn assert_zero_alloc_stream(search: ShiftSearchConfig, label: &str) {
 /// after it (a winning candidate's buffer swap must not leave an
 /// unsized buffer behind). Both flagged updates must allocate nothing:
 /// every search buffer is pre-sized on plain updates.
-fn assert_zero_alloc_late_flags(search: ShiftSearchConfig, label: &str) {
+fn assert_zero_alloc_late_flags(search: ShiftPrune, label: &str) {
     let t = 48usize;
     let mut state = 0x5eed_u64;
     let mut noise = move || {
@@ -147,10 +147,10 @@ fn assert_zero_alloc_late_flags(search: ShiftSearchConfig, label: &str) {
 /// harness background threads.
 #[test]
 fn steady_state_update_performs_zero_heap_allocations() {
-    assert_zero_alloc_stream(ShiftSearchConfig::default(), "pruned TopK (default)");
-    assert_zero_alloc_stream(ShiftSearchConfig::exhaustive(), "exhaustive Off");
-    assert_zero_alloc_late_flags(ShiftSearchConfig::default(), "late flags, pruned");
-    assert_zero_alloc_late_flags(ShiftSearchConfig::exhaustive(), "late flags, exhaustive");
+    assert_zero_alloc_stream(ShiftPrune::default(), "pruned TopK (default)");
+    assert_zero_alloc_stream(ShiftPrune::Off, "exhaustive Off");
+    assert_zero_alloc_late_flags(ShiftPrune::default(), "late flags, pruned");
+    assert_zero_alloc_late_flags(ShiftPrune::Off, "late flags, exhaustive");
 }
 
 /// The fused residual-scoring path (`StdAnomalyDetector` →
@@ -269,10 +269,8 @@ const MODELS: usize = 4;
 /// back to back, and a model with non-finite input.
 #[test]
 fn grouped_update_performs_zero_heap_allocations() {
-    for (search, label) in [
-        (ShiftSearchConfig::default(), "pruned"),
-        (ShiftSearchConfig::exhaustive(), "exhaustive"),
-    ] {
+    for (search, label) in [(ShiftPrune::default(), "pruned"), (ShiftPrune::Off, "exhaustive")]
+    {
         let t = 48usize;
         let mut state = 0x1a7e_u64;
         let mut noise = move || {
@@ -372,10 +370,8 @@ fn grouped_update_performs_zero_heap_allocations() {
 /// with one that runs no search.
 #[test]
 fn paired_update_performs_zero_heap_allocations() {
-    for (search, label) in [
-        (ShiftSearchConfig::default(), "pruned"),
-        (ShiftSearchConfig::exhaustive(), "exhaustive"),
-    ] {
+    for (search, label) in [(ShiftPrune::default(), "pruned"), (ShiftPrune::Off, "exhaustive")]
+    {
         let t = 48usize;
         let mut state = 0x9a1d_u64;
         let mut noise = move || {

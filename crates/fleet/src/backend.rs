@@ -10,8 +10,7 @@
 //! every other admission-time override:
 //!
 //! - [`BackendSelect::Fused`] (default): no extra detector — the fused
-//!   scorer's verdict is the series verdict, bit-identical to every
-//!   pre-v7 fleet.
+//!   scorer's verdict is the series verdict.
 //! - [`BackendSelect::TrendCusum`]: the trend-innovation CUSUM
 //!   ([`oneshotstl::TrendCusum`]) over the trend channel — catches level
 //!   shifts the adaptive trend absorbs before the residual ever sees
@@ -32,7 +31,7 @@ use tskit::series::DecompPoint;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BackendSelect {
     /// No extra detector: the fused residual scorer's verdict is the
-    /// series verdict (the pre-v7 pipeline, bit-identical).
+    /// series verdict.
     #[default]
     Fused,
     /// Trend-innovation CUSUM over the trend channel, with its own

@@ -41,7 +41,7 @@ use oneshotstl::oneshot::InitMethod;
 use oneshotstl::system::Lambdas;
 use oneshotstl::{
     CusumState, Fusion, IterSnapshot, NSigmaState, OneShotStlConfig, OneShotStlState,
-    ResidualScorerState, ScoreConfig, ShiftPolicy, ShiftPrune, ShiftSearchConfig, SolverState,
+    ResidualScorerState, ScoreConfig, ShiftPolicy, ShiftPrune, SolverState,
 };
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
@@ -400,12 +400,12 @@ fn encode_detector_config(w: &mut Writer, c: &OneShotStlConfig) {
         InitMethod::JointStl => 1,
     });
     w.f64(c.eps);
-    encode_shift_search(w, &c.shift_search);
+    encode_shift_search(w, c.shift_search);
 }
 
 /// `u8` tag (0 = Off, 1 = TopK) then the `u32` k for TopK.
-fn encode_shift_search(w: &mut Writer, s: &ShiftSearchConfig) {
-    match s.prune {
+fn encode_shift_search(w: &mut Writer, s: ShiftPrune) {
+    match s {
         ShiftPrune::Off => w.u8(0),
         ShiftPrune::TopK(k) => {
             w.u8(1);
@@ -414,9 +414,9 @@ fn encode_shift_search(w: &mut Writer, s: &ShiftSearchConfig) {
     }
 }
 
-fn decode_shift_search(r: &mut Reader<'_>) -> Result<ShiftSearchConfig, CodecError> {
+fn decode_shift_search(r: &mut Reader<'_>) -> Result<ShiftPrune, CodecError> {
     Ok(match r.u8()? {
-        0 => ShiftSearchConfig::exhaustive(),
+        0 => ShiftPrune::Off,
         1 => {
             let k = r.u32()? as usize;
             // no fleet writer can produce TopK(0) (both the engine config
@@ -427,7 +427,7 @@ fn decode_shift_search(r: &mut Reader<'_>) -> Result<ShiftSearchConfig, CodecErr
             if k == 0 {
                 return Err(CodecError::Invalid("shift search TopK(0)"));
             }
-            ShiftSearchConfig::top_k(k)
+            ShiftPrune::TopK(k)
         }
         _ => return Err(CodecError::Invalid("shift search prune tag")),
     })
@@ -470,7 +470,7 @@ pub(crate) fn encode_admit_options(w: &mut Writer, o: &AdmitOptions) {
     w.opt_f64(o.lambda);
     w.opt_f64(o.nsigma);
     w.opt_u32(o.period.map(|v| v as u32));
-    match &o.shift_search {
+    match o.shift_search {
         None => w.u8(0),
         Some(ss) => {
             w.u8(1);
@@ -1031,7 +1031,7 @@ mod tests {
                             lambda: Some(0.25),
                             nsigma: Some(4.0),
                             period: Some(24),
-                            shift_search: Some(ShiftSearchConfig::top_k(7)),
+                            shift_search: Some(ShiftPrune::TopK(7)),
                             score: Some(ScoreConfig {
                                 cusum_k: 0.75,
                                 cusum_h: 9.0,
@@ -1189,7 +1189,7 @@ mod tests {
         let PhaseSnapshot::Warming { overrides, .. } = &mut snap.series[0].phase else {
             unreachable!("sample series 0 is warming");
         };
-        overrides.shift_search = Some(ShiftSearchConfig::top_k(0));
+        overrides.shift_search = Some(ShiftPrune::TopK(0));
         assert_eq!(decode(&encode(&snap)), Err(CodecError::Invalid("shift search TopK(0)")));
         // a non-finite λ is caught by the options-level validation
         let mut snap = sample_snapshot();
@@ -1410,9 +1410,9 @@ mod tests {
             w.buf.len()
         };
         for (search, points) in [
-            (ShiftSearchConfig::default(), 2),
-            (ShiftSearchConfig::default(), 4 * t),
-            (ShiftSearchConfig::exhaustive(), 4 * t),
+            (ShiftPrune::default(), 2),
+            (ShiftPrune::default(), 4 * t),
+            (ShiftPrune::Off, 4 * t),
         ] {
             let cfg = OneShotStlConfig { shift_search: search, ..OneShotStlConfig::default() };
             let mut m = oneshotstl::OneShotStl::new(cfg);

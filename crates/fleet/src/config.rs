@@ -1,7 +1,7 @@
 //! Engine configuration, including per-series admission-time overrides.
 
 use crate::backend::BackendSelect;
-use oneshotstl::{OneShotStlConfig, ScoreConfig, ShiftPrune, ShiftSearchConfig};
+use oneshotstl::{OneShotStlConfig, ScoreConfig, ShiftPrune};
 
 /// How the seasonal period of an incoming series is determined.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,8 +85,8 @@ impl ForecastOptions {
 /// **baked into the detector at promotion** — a live series' tuning
 /// travels inside its detector state from then on (and through snapshots,
 /// which encode per-series detector configs). Overrides registered on a
-/// still-warming series are themselves persisted by snapshot codec v4, so
-/// a restore mid-warm-up admits with the same tuning. TTL eviction
+/// still-warming series are themselves persisted by snapshots, so a
+/// restore mid-warm-up admits with the same tuning. TTL eviction
 /// removes the series entirely, overrides included.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AdmitOptions {
@@ -99,8 +99,8 @@ pub struct AdmitOptions {
     /// Declared seasonal period for this series, overriding the engine's
     /// [`PeriodPolicy`] (skips ACF detection entirely).
     pub period: Option<usize>,
-    /// §3.4 shift-search pipeline override (pruning policy).
-    pub shift_search: Option<ShiftSearchConfig>,
+    /// §3.4 shift-search override (stage-1 candidate pruning).
+    pub shift_search: Option<ShiftPrune>,
     /// Residual scoring override (CUSUM fusion; see
     /// [`oneshotstl::score`]) for the task-level verdict.
     pub score: Option<ScoreConfig>,
@@ -175,7 +175,7 @@ impl AdmitOptions {
             }
         }
         if let Some(ss) = self.shift_search {
-            validate_shift_search(&ss)?;
+            validate_shift_search(ss)?;
         }
         if let Some(sc) = self.score {
             sc.validate()?;
@@ -195,8 +195,8 @@ impl AdmitOptions {
 /// but never adopts a genuine shift. Reject it at the fleet boundary; a
 /// caller who wants the search off should set the detector's
 /// `shift_window` to 0 and skip it wholesale.
-fn validate_shift_search(ss: &ShiftSearchConfig) -> Result<(), String> {
-    if ss.prune == ShiftPrune::TopK(0) {
+fn validate_shift_search(ss: ShiftPrune) -> Result<(), String> {
+    if ss == ShiftPrune::TopK(0) {
         return Err(
             "shift_search TopK(0) never adopts a shift; use shift_window: 0 to disable \
              the search instead"
@@ -274,8 +274,8 @@ pub struct FleetConfig {
     /// cold tier, so a series admitted under another `iters` keeps it.
     pub detector: OneShotStlConfig,
     /// Residual scoring configuration for the task-level verdict
-    /// (persistence-aware CUSUM fusion; [`ScoreConfig::off`] reproduces
-    /// the pre-v5 instantaneous z-score pipeline bit-identically).
+    /// (persistence-aware CUSUM fusion; [`ScoreConfig::off`] is the
+    /// paper's plain instantaneous z-score, bit-identically).
     pub score: ScoreConfig,
     /// Per-series forecasting (the §5 damped-trend rule). Disabled by
     /// default; series admitted while enabled carry their head's damping
@@ -284,7 +284,7 @@ pub struct FleetConfig {
     /// Detection backend for admitted series ([`BackendSelect::Fused`]
     /// by default — the plain fused-scorer pipeline with no extra
     /// state). Series admitted under another selection carry their
-    /// backend state through snapshots (codec v7) and crash recovery.
+    /// backend state through snapshots and crash recovery.
     pub backend: BackendSelect,
     /// Spill series idle for more than this many clock ticks to the
     /// on-disk cold tier. The cold tier exists on a durable engine only
@@ -392,7 +392,7 @@ impl FleetConfig {
                 ));
             }
         }
-        validate_shift_search(&self.detector.shift_search)?;
+        validate_shift_search(self.detector.shift_search)?;
         self.score.validate()?;
         self.forecast.validate()?;
         self.backend.validate()?;
@@ -533,18 +533,13 @@ mod tests {
     fn degenerate_top_k_zero_is_rejected() {
         // engine-wide detector config…
         let mut cfg = FleetConfig::default();
-        cfg.detector.shift_search = ShiftSearchConfig::top_k(0);
+        cfg.detector.shift_search = ShiftPrune::TopK(0);
         assert!(cfg.validate().is_err());
         // …and per-series overrides
-        let opts = AdmitOptions {
-            shift_search: Some(ShiftSearchConfig::top_k(0)),
-            ..Default::default()
-        };
+        let opts =
+            AdmitOptions { shift_search: Some(ShiftPrune::TopK(0)), ..Default::default() };
         assert!(opts.validate().is_err());
-        let ok = AdmitOptions {
-            shift_search: Some(ShiftSearchConfig::top_k(1)),
-            ..Default::default()
-        };
+        let ok = AdmitOptions { shift_search: Some(ShiftPrune::TopK(1)), ..Default::default() };
         assert_eq!(ok.validate(), Ok(()));
     }
 }

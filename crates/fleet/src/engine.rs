@@ -780,7 +780,15 @@ impl FleetEngine {
             return Err(FleetError::InvalidForecast { keys: keys.len(), horizon });
         }
         let shards = self.shard_count();
-        let mut routed: Vec<Vec<(usize, u64, SeriesKey)>> = vec![Vec::new(); shards];
+        // each shard's list is allocated once, for its even share of the
+        // keys plus a quarter, which a uniform hash almost never exceeds (a
+        // skewed read still grows it). Counting the keys per shard first
+        // would size it exactly, but the second pass cost more than the
+        // regrowth it saves
+        let share = keys.len() / shards;
+        let cap = keys.len().min(share + share / 4 + 8);
+        let mut routed: Vec<Vec<(usize, u64, SeriesKey)>> =
+            (0..shards).map(|_| Vec::with_capacity(cap)).collect();
         for (idx, key) in keys.iter().enumerate() {
             // one hash per key: it picks the shard here and the registry
             // bucket on the worker (the reduction of `SeriesKey::shard_of`)

@@ -10,18 +10,15 @@
 //! - [`theta`]: the Theta method (deseasonalized SES + drift).
 //! - [`arima`]: AutoARIMA-lite — differencing-order selection, seasonal
 //!   differencing, Hannan–Rissanen ARMA fitting, AICc order search.
-//! - [`std_forecast`]: the paper's §4 STD forecasters (OneShotSTL /
-//!   OnlineSTL + seasonal buffer extrapolation).
-//! - [`heads`]: the §5 damped-trend STD→TSF rule and residual heads —
-//!   batch models fitted on decomposition residuals, plugged into
-//!   `oneshotstl::ForecastHead`.
+//! - [`std_forecast`]: the STD adapters — the §4 carry-forward over any
+//!   online decomposer (OneShotSTL / OnlineSTL + seasonal buffer), and
+//!   the §5 damped-trend rule on OneShotSTL ([`StlForecaster`]).
 //! - [`eval`]: rolling-origin evaluation over the Informer-style splits,
 //!   plus the streaming [`ErrorAcc`] accumulator.
 
 pub mod arima;
 pub mod ets;
 pub mod eval;
-pub mod heads;
 pub mod naive;
 pub mod std_forecast;
 pub mod theta;
@@ -30,8 +27,7 @@ pub mod traits;
 pub use arima::AutoArima;
 pub use ets::{HoltWinters, Ses};
 pub use eval::{evaluate_forecaster, evaluate_online, ErrorAcc, EvalReport};
-pub use heads::{HeadedStl, ResidualHead, StlForecaster};
 pub use naive::{Drift, Naive, SeasonalNaive};
-pub use std_forecast::StdOnlineForecaster;
+pub use std_forecast::{StdOnlineForecaster, StlForecaster};
 pub use theta::Theta;
 pub use traits::{Forecaster, OnlineForecaster};

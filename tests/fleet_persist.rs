@@ -555,7 +555,7 @@ fn delta_files_are_deleted_when_covered_and_refused_when_newer_than_the_base() {
 /// re-runs the admission with the same tuning.
 #[test]
 fn admit_options_survive_crash_recovery_bit_identically() {
-    use oneshotstl_suite::core::{Fusion, ScoreConfig, ShiftSearchConfig};
+    use oneshotstl_suite::core::{Fusion, ScoreConfig, ShiftPrune};
     use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect, ForecastOptions};
 
     let total = 140u64;
@@ -572,7 +572,7 @@ fn admit_options_survive_crash_recovery_bit_identically() {
         lambda: Some(0.5),
         nsigma: Some(3.5),
         period: Some(12),
-        shift_search: Some(ShiftSearchConfig::exhaustive()),
+        shift_search: Some(ShiftPrune::Off),
         // a per-series scoring override rides the same checkpoint path:
         // recovery must bring the CUSUM config back in force too
         score: Some(ScoreConfig {

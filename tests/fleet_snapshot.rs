@@ -338,7 +338,7 @@ fn detect_admission_and_noise_rejection() {
 /// series at snapshot time.
 #[test]
 fn admit_options_survive_snapshot_and_shape_admission() {
-    use oneshotstl_suite::core::{Fusion, ScoreConfig, ShiftSearchConfig};
+    use oneshotstl_suite::core::{Fusion, ScoreConfig, ShiftPrune};
     use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect, ForecastOptions};
 
     let n_ticks = 160u64;
@@ -355,7 +355,7 @@ fn admit_options_survive_snapshot_and_shape_admission() {
         lambda: Some(0.5),
         nsigma: Some(3.5),
         period: Some(12),
-        shift_search: Some(ShiftSearchConfig::exhaustive()),
+        shift_search: Some(ShiftPrune::Off),
         score: Some(ScoreConfig {
             cusum_k: 0.4,
             cusum_h: 5.0,
