@@ -34,7 +34,7 @@ impl Damp {
     /// Scores the subsequence of `x` *ending* at index `end` (inclusive)
     /// against all earlier subsequences, abandoning once a distance below
     /// `bsf` is found. Returns the (possibly lower-bounded) discord score.
-    fn backward_score(x: &[f64], m: usize, end: usize, bsf: f64) -> f64 {
+    pub(crate) fn backward_score(x: &[f64], m: usize, end: usize, bsf: f64) -> f64 {
         let start = end + 1 - m;
         let query = &x[start..=end];
         let mut best = f64::INFINITY;

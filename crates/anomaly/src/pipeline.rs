@@ -163,56 +163,17 @@ impl<M: TsadMethod> TsadMethod for PrefilterDamp<M> {
                 continue;
             }
             let end = offset + i;
-            if end + 1 < 2 * m || end + 1 < m {
+            if end + 1 < 2 * m {
                 continue;
             }
-            let d = DampBackward::score(&x, m, end, bsf);
+            // a subsequence with no earlier window to compare against
+            // scores 0
+            let d = Damp::backward_score(&x, m, end, bsf);
+            let d = if d.is_finite() { d } else { 0.0 };
             out[i] = d;
             bsf = bsf.max(d);
         }
         out
-    }
-}
-
-/// Internal access to DAMP's backward search for the hybrid.
-struct DampBackward;
-
-impl DampBackward {
-    fn score(x: &[f64], m: usize, end: usize, bsf: f64) -> f64 {
-        // re-implemented thin wrapper over the same backward doubling
-        // search DAMP uses (kept in sync by the shared tests)
-        use crate::mass::mass;
-        if end + 1 < m {
-            return 0.0;
-        }
-        let start = end + 1 - m;
-        let query = &x[start..=end];
-        let mut best = f64::INFINITY;
-        let mut hi = start;
-        let mut chunk = 2 * m;
-        while hi > 0 {
-            let lo = hi.saturating_sub(chunk);
-            let seg_end = (hi + m - 1).min(start + m - 1);
-            if seg_end > lo + m {
-                let dp = mass(query, &x[lo..seg_end]);
-                let valid = dp.len().min(hi - lo);
-                for &d in &dp[..valid] {
-                    if d < best {
-                        best = d;
-                    }
-                }
-                if best < bsf {
-                    return best;
-                }
-            }
-            hi = lo;
-            chunk *= 2;
-        }
-        if best.is_finite() {
-            best
-        } else {
-            0.0
-        }
     }
 }
 

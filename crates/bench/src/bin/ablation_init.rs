@@ -28,7 +28,7 @@ fn main() {
         let split = 4 * t;
         for (label, init) in [("STL", InitMethod::Stl), ("JointSTL", InitMethod::JointStl)] {
             let cfg = OneShotStlConfig {
-                lambdas: Lambdas { lambda1: 100.0, lambda2: 100.0, anchor: 1.0 },
+                lambdas: Lambdas { lambda1: 100.0, lambda2: 100.0 },
                 init,
                 ..Default::default()
             };

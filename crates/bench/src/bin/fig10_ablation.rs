@@ -3,8 +3,9 @@
 
 use benchkit::methods::oneshotstl_with;
 use benchkit::{fmt3, Cli, Experiment};
-use forecast::{evaluate_online, StdOnlineForecaster};
+use forecast::evaluate_online;
 use neural::windows::Scaler;
+use oneshotstl::StdForecaster;
 use tskit::synth::tsf_dataset;
 
 fn main() {
@@ -28,8 +29,7 @@ fn main() {
             let mut row = vec![name.to_string(), h.to_string()];
             for &iters in &[1usize, 8] {
                 let init_end = (4 * ds.period).min(ds.train_end / 2).max(2 * ds.period + 2);
-                let mut f =
-                    StdOnlineForecaster::new("OneShotSTL", oneshotstl_with(100.0, iters, 20));
+                let mut f = StdForecaster::new(oneshotstl_with(100.0, iters, 20));
                 match evaluate_online(&mut f, &z, ds.period, init_end, ds.val_end, h, h) {
                     Ok(r) => {
                         row.push(fmt3(r.mae));

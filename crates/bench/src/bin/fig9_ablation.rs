@@ -3,8 +3,9 @@
 
 use benchkit::methods::oneshotstl_with;
 use benchkit::{fmt3, Cli, Experiment};
-use forecast::{evaluate_online, StdOnlineForecaster};
+use forecast::evaluate_online;
 use neural::windows::Scaler;
+use oneshotstl::StdForecaster;
 use tskit::synth::tsf_dataset;
 
 fn main() {
@@ -30,8 +31,7 @@ fn main() {
                 let horizon = 96usize;
                 let period = ds.period + dt;
                 let init_end = (4 * period).min(ds.train_end / 2).max(2 * period + 2);
-                let mut f =
-                    StdOnlineForecaster::new("OneShotSTL", oneshotstl_with(100.0, 8, h));
+                let mut f = StdForecaster::new(oneshotstl_with(100.0, 8, h));
                 match evaluate_online(
                     &mut f, &z, period, init_end, ds.val_end, horizon, horizon,
                 ) {

@@ -260,7 +260,7 @@ fn main() {
     let full = (12, 24 * PERIOD);
     let (n_series, len) = if quick { (4, 12 * PERIOD) } else { full };
     let train_len = 6 * PERIOD;
-    let tsf_lambdas = Lambdas { lambda1: 1.0, lambda2: 100.0, anchor: 1.0 };
+    let tsf_lambdas = Lambdas { lambda1: 1.0, lambda2: 100.0 };
 
     eprintln!("[forecast_bench] streaming multi-horizon evaluation (T = {PERIOD})...");
     let seasonal = family(n_series, len, 0.0, 42);

@@ -10,9 +10,10 @@ use benchkit::{fmt3, fmt_duration, Cli, Experiment};
 use decomp::OnlineStl;
 use forecast::{
     evaluate_forecaster, evaluate_online, AutoArima, Forecaster, HoltWinters, SeasonalNaive,
-    StdOnlineForecaster, Theta,
+    Theta,
 };
 use neural::windows::Scaler;
+use oneshotstl::StdForecaster;
 use std::time::Duration;
 use tskit::synth::tsf_suite;
 
@@ -97,12 +98,12 @@ fn main() {
                     }
                 };
             {
-                let mut f = StdOnlineForecaster::new("OnlineSTL", OnlineStl::new());
+                let mut f = StdForecaster::new(OnlineStl::new());
                 let r = evaluate_online(&mut f, &z, ds.period, init_end, ds.val_end, h, stride);
                 run_online(6, &mut row, &mut maes, r);
             }
             {
-                let mut f = StdOnlineForecaster::new("OneShotSTL", oneshotstl_tuned(100.0));
+                let mut f = StdForecaster::new(oneshotstl_tuned(100.0));
                 let r = evaluate_online(&mut f, &z, ds.period, init_end, ds.val_end, h, stride);
                 run_online(7, &mut row, &mut maes, r);
             }

@@ -92,7 +92,7 @@ fn prepare_family(
         for s in &fam.series {
             let period = find_length(s.train());
             let cfg = OneShotStlConfig {
-                lambdas: Lambdas { lambda1: 10.0, lambda2: 10.0, anchor: 1.0 },
+                lambdas: Lambdas { lambda1: 10.0, lambda2: 10.0 },
                 iters: FleetConfig::default().detector.iters,
                 shift_window,
                 ..Default::default()

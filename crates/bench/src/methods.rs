@@ -31,7 +31,7 @@ pub fn tune_lambda(train: &[f64], period: usize) -> f64 {
     let mut best = (LAMBDA_GRID[0], f64::INFINITY);
     for &lambda in &LAMBDA_GRID {
         let cfg = OneShotStlConfig {
-            lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
+            lambdas: Lambdas { lambda1: lambda, lambda2: lambda },
             shift_window: 0,
             ..Default::default()
         };
@@ -51,7 +51,7 @@ pub fn tune_lambda(train: &[f64], period: usize) -> f64 {
 /// OneShotSTL with tuned λ and the paper's defaults (I = 8, H = 20, n = 5).
 pub fn oneshotstl_tuned(lambda: f64) -> OneShotStl {
     OneShotStl::new(OneShotStlConfig {
-        lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
+        lambdas: Lambdas { lambda1: lambda, lambda2: lambda },
         ..Default::default()
     })
 }
@@ -59,7 +59,7 @@ pub fn oneshotstl_tuned(lambda: f64) -> OneShotStl {
 /// OneShotSTL with explicit period-misspecification ablation parameters.
 pub fn oneshotstl_with(lambda: f64, iters: usize, shift_window: usize) -> OneShotStl {
     OneShotStl::new(OneShotStlConfig {
-        lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
+        lambdas: Lambdas { lambda1: lambda, lambda2: lambda },
         iters,
         shift_window,
         ..Default::default()

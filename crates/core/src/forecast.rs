@@ -72,7 +72,7 @@ mod tests {
         // slope term extrapolates — the default tied λ = 100 parks the
         // level in the seasonal buffer instead, which lags by a period
         let cfg = OneShotStlConfig {
-            lambdas: Lambdas { lambda1: 1.0, lambda2: 100.0, anchor: 1.0 },
+            lambdas: Lambdas { lambda1: 1.0, lambda2: 100.0 },
             ..Default::default()
         };
         let mut m = OneShotStl::new(cfg);

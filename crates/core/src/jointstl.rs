@@ -79,7 +79,7 @@ impl JointStl {
     pub fn with_lambda(lambda: f64) -> Self {
         JointStl {
             config: JointStlConfig {
-                lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
+                lambdas: Lambdas { lambda1: lambda, lambda2: lambda },
                 ..Default::default()
             },
         }

@@ -59,8 +59,8 @@ pub use forecast::damp_sum;
 pub use jointstl::{JointStl, JointStlConfig};
 pub use nsigma::{NSigma, NSigmaState};
 pub use oneshot::{
-    IterSnapshot, OneShotStl, OneShotStlConfig, OneShotStlState, ShiftPolicy, ShiftPrune,
-    UpdateScratch, DEFAULT_SHIFT_TOP_K,
+    IterSnapshot, OneShotStl, OneShotStlConfig, OneShotStlState, ShiftPrune, UpdateScratch,
+    DEFAULT_SHIFT_TOP_K,
 };
 pub use online_doolittle::{IncrementalSolver, SolverState};
 pub use reference::ModifiedJointStlRef;

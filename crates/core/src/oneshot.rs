@@ -34,9 +34,11 @@
 //!      through: all of them under [`ShiftPrune::Off`], the `k` best proxy
 //!      scores under [`ShiftPrune::TopK`]. `Δt = 0` is the mandatory
 //!      baseline either way, and the result with the smallest `|r_t|` wins
-//!      (subject to [`OneShotStlConfig::shift_accept_ratio`]).
+//!      (when it clears the fixed acceptance ratio, `SHIFT_ACCEPT_RATIO`).
 //!
-//!    How an accepted offset persists is governed by [`ShiftPolicy`].
+//!    An accepted offset persists: it becomes the model's cumulative
+//!    phase offset `Δ`, so the buffer index follows the drifted phase
+//!    (the lasting shift of paper Fig. 3).
 //! 3. Write the seasonal buffer: `v[(t + Δ) mod T] = s_t`.
 //!
 //! A host stepping many independent models can update two at once
@@ -64,30 +66,21 @@ pub trait TailSolver: Clone + Default {
     /// Processes the next point (`tail.m` must advance by one each call).
     fn step(&mut self, tail: &TailData) -> (f64, f64);
 
-    /// Runs one step *from* `self`'s state without mutating it, writing the
-    /// successor state into `dst` (whose prior contents are arbitrary stale
-    /// scratch). This is the hot-path variant of [`TailSolver::step`]: the
-    /// update loop keeps the committed state immutable while a trial runs,
-    /// so a rejected trial costs nothing to roll back. Implementations
-    /// whose steady state is plain-old-data should override this to avoid
-    /// heap allocation entirely.
-    fn step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
-        dst.clone_from(self);
-        dst.step(tail)
-    }
-
-    /// [`TailSolver::step_from`] for `L` independent solvers: lane `q`
-    /// steps `src[q]` on `tails[q]` into `dst[q]`, bit-identically to a
-    /// one-lane call. The default steps the lanes one at a time; a solver
-    /// with a multi-lane kernel overrides it to keep every lane's
-    /// dependency chain in flight together.
+    /// [`TailSolver::step`] for `L` independent solvers, without mutating
+    /// them: lane `q` steps from `src[q]` on `tails[q]` into `dst[q]`
+    /// (stale scratch), so a rejected trial costs nothing to roll back.
+    /// The default clones and steps the lanes one at a time; a solver with
+    /// a plain-old-data, multi-lane kernel overrides it, bit-identically.
     #[inline(always)]
     fn step_lanes<const L: usize>(
         src: [&Self; L],
         tails: &[TailData; L],
         mut dst: [&mut Self; L],
     ) -> [(f64, f64); L] {
-        std::array::from_fn(|q| src[q].step_from(&tails[q], dst[q]))
+        std::array::from_fn(|q| {
+            dst[q].clone_from(src[q]);
+            dst[q].step(&tails[q])
+        })
     }
 }
 
@@ -96,11 +89,6 @@ impl TailSolver for IncrementalSolver {
 
     fn step(&mut self, tail: &TailData) -> (f64, f64) {
         IncrementalSolver::step(self, tail)
-    }
-
-    #[inline(always)]
-    fn step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
-        IncrementalSolver::step_from(self, tail, dst)
     }
 
     #[inline(always)]
@@ -113,17 +101,13 @@ impl TailSolver for IncrementalSolver {
     }
 }
 
-/// How an accepted seasonality-shift offset affects subsequent points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShiftPolicy {
-    /// The accepted `Δt` is added to a persistent cumulative offset — the
-    /// buffer index permanently follows the drifted phase (default; models
-    /// the lasting shift of paper Fig. 3).
-    #[default]
-    Cumulative,
-    /// The accepted `Δt` applies to the current point only.
-    Transient,
-}
+/// A non-zero Δt is accepted only when its |r_t| is below this fraction
+/// of the Δt = 0 residual: a genuine phase shift shrinks the residual by
+/// an order of magnitude, a trend jump (which no offset can fix) does not.
+const SHIFT_ACCEPT_RATIO: f64 = 0.5;
+
+/// The IRLS clamp ε of the Eq. 4–5 weights `1 / (2·max(|x|, ε))`.
+const EPS: f64 = 1e-10;
 
 /// Stage-1 candidate pruning of the §3.4 shift search (see the module
 /// docs for the two-stage pipeline).
@@ -185,20 +169,10 @@ pub struct OneShotStlConfig {
     pub shift_window: usize,
     /// NSigma threshold `n` for the shift trigger (paper default 5).
     pub nsigma: f64,
-    /// Shift persistence policy.
-    pub shift_policy: ShiftPolicy,
     /// §3.4 shift-search stage-1 candidate pruning.
     pub shift_search: ShiftPrune,
-    /// A non-zero Δt is accepted only when its |r_t| is below this fraction
-    /// of the Δt = 0 residual. A genuine phase shift shrinks the residual
-    /// by an order of magnitude, easily clearing the bar; a trend jump
-    /// (which no phase offset can fix) does not — without this guard the
-    /// shift search would latch onto spurious offsets at trend changes.
-    pub shift_accept_ratio: f64,
     /// Offline initialization method.
     pub init: InitMethod,
-    /// IRLS clamp ε.
-    pub eps: f64,
 }
 
 impl Default for OneShotStlConfig {
@@ -208,11 +182,8 @@ impl Default for OneShotStlConfig {
             iters: 8,
             shift_window: 20,
             nsigma: 5.0,
-            shift_policy: ShiftPolicy::Cumulative,
             shift_search: ShiftPrune::default(),
-            shift_accept_ratio: 0.5,
             init: InitMethod::Stl,
-            eps: 1e-10,
         }
     }
 }
@@ -225,18 +196,15 @@ impl OneShotStlConfig {
         // exhaustive, so a new config field cannot be left out of the check
         let fields = |c: &Self| {
             let OneShotStlConfig {
-                lambdas: Lambdas { lambda1, lambda2, anchor },
+                lambdas: Lambdas { lambda1, lambda2 },
                 iters,
                 shift_window,
                 nsigma,
-                shift_policy,
                 shift_search,
-                shift_accept_ratio,
                 init,
-                eps,
             } = *c;
-            let floats = [lambda1, lambda2, anchor, nsigma, shift_accept_ratio, eps];
-            (floats.map(f64::to_bits), iters, shift_window, shift_policy, shift_search, init)
+            let floats = [lambda1, lambda2, nsigma];
+            (floats.map(f64::to_bits), iters, shift_window, shift_search, init)
         };
         fields(self) == fields(other)
     }
@@ -683,12 +651,6 @@ impl<S: TailSolver> OnlineJointStl<S> {
         from.iter().chain(before).copied().cycle()
     }
 
-    /// Read-only view of the seasonal buffer `v` (indexed by
-    /// `(t + Δ) mod T`).
-    pub fn seasonal_buffer(&self) -> &[f64] {
-        &self.v
-    }
-
     #[inline]
     fn slot(&self, t: u64, shift: i64) -> usize {
         let period = self.period as i64;
@@ -721,7 +683,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// lane's solver through one [`TailSolver::step_lanes`] call, so the
     /// lanes' serial chains (six Doolittle columns, then the Eq. 4–5
     /// weights the next iteration reads) overlap; every lane computes
-    /// exactly the one-lane operations with its own λ and ε. The scalar
+    /// exactly the one-lane operations with its own λ. The scalar
     /// trial is `L = 1`.
     #[inline(always)]
     fn run_trials<const L: usize>(
@@ -760,7 +722,6 @@ impl<S: TailSolver> OnlineJointStl<S> {
         }
         let srcs = models.map(|model| &model.iters[..n]);
         let mut outs = outs.map(|out| &mut out[..n]);
-        let config = models.map(|model| (model.config.eps, model.config.lambdas));
         let mut p_fresh = [1.0; L];
         let mut q_fresh = [1.0; L];
         let mut tau = [0.0; L];
@@ -772,7 +733,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
             u3: u3[q],
             p3: [0.0; 3],
             q3: [0.0; 3],
-            lambdas: config[q].1,
+            lambdas: models[q].config.lambdas,
         });
         for i in 0..n {
             for q in 0..L {
@@ -788,10 +749,10 @@ impl<S: TailSolver> OnlineJointStl<S> {
             );
             for q in 0..L {
                 let dst = &mut *dsts[q];
-                let (src, (t_i, s_i), eps) = (&srcs[q][i], solved[q], config[q].0);
-                let next_p = 1.0 / (2.0 * (t_i - src.tau_hist[1]).abs().max(eps));
+                let (src, (t_i, s_i)) = (&srcs[q][i], solved[q]);
+                let next_p = 1.0 / (2.0 * (t_i - src.tau_hist[1]).abs().max(EPS));
                 let next_q = 1.0
-                    / (2.0 * (t_i - 2.0 * src.tau_hist[1] + src.tau_hist[0]).abs().max(eps));
+                    / (2.0 * (t_i - 2.0 * src.tau_hist[1] + src.tau_hist[0]).abs().max(EPS));
                 dst.pw_hist = [src.pw_hist[1], p_fresh[q]];
                 dst.qw_hist = [src.qw_hist[1], q_fresh[q]];
                 dst.tau_hist = [src.tau_hist[1], t_i];
@@ -822,10 +783,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
         accepted: &mut Vec<IterState<S>>,
     ) -> DecompPoint {
         std::mem::swap(&mut self.iters, accepted);
-        match self.config.shift_policy {
-            ShiftPolicy::Cumulative => self.shift = shift_used,
-            ShiftPolicy::Transient => {}
-        }
+        self.shift = shift_used;
         let slot = self.slot(self.t, shift_used);
         self.v[slot] = trial.point.seasonal;
         self.y_hist = [self.y_hist[1], y_new];
@@ -996,7 +954,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
         // (all of them, or the top-k by proxy residual), run a full trial
         // per candidate, keep the smallest |r_t| — but only adopt a
         // non-zero offset when it actually explains the anomaly (see
-        // `shift_accept_ratio`)
+        // `SHIFT_ACCEPT_RATIO`)
         self.select_candidates(y, h, &mut bufs.proxy, &mut bufs.proxy_r, &mut bufs.cand);
         self.searches += 1;
         self.search_trials += 1 + bufs.cand.len() as u64;
@@ -1015,7 +973,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
             }
         }
         if best_shift != self.shift
-            && best.point.residual.abs() > self.config.shift_accept_ratio * base_resid
+            && best.point.residual.abs() > SHIFT_ACCEPT_RATIO * base_resid
         {
             // not convincingly better than staying in phase: reject (the
             // baseline's successor states are still intact in `base`)
@@ -1041,8 +999,8 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// own (verdict, a §3.4 search from its own lane's baseline when
     /// flagged, commit). The pair falls back to two one-model updates when
     /// either model's solvers are still in warm-up (its first 4 online
-    /// points) or the two run different IRLS iteration counts. λ, ε and H
-    /// may differ between the lanes.
+    /// points) or the two run different IRLS iteration counts. λ and H may
+    /// differ between the lanes.
     pub fn update_pair_with_scratch(
         pair: [&mut Self; 2],
         ys: [f64; 2],
@@ -1218,7 +1176,7 @@ mod tests {
             *v += 4.0;
         }
         let cfg = OneShotStlConfig {
-            lambdas: Lambdas { lambda1: 1.0, lambda2: 1.0, anchor: 1.0 },
+            lambdas: Lambdas { lambda1: 1.0, lambda2: 1.0 },
             ..Default::default()
         };
         let mut m = OneShotStl::new(cfg);
@@ -1335,20 +1293,15 @@ mod tests {
 
     /// One model and its stream for the shared-scratch property. `rng`
     /// picks the model's config from the menu a shard's series may mix:
-    /// λ, the IRLS iteration count, pruned or exhaustive search, shift
-    /// policy, and a disabled search (only where `may_disable` allows it).
+    /// λ, the IRLS iteration count, pruned or exhaustive search, and a
+    /// disabled search (only where `may_disable` allows it).
     fn series_case(rng: &mut StdRng, may_disable: bool) -> (OneShotStlConfig, usize, Vec<f64>) {
         let t = [7usize, 12, 24][rng.gen_range(0..3)];
         let lambda = [1.0, 10.0, 100.0, 1000.0][rng.gen_range(0..4)];
         let cfg = OneShotStlConfig {
-            lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
+            lambdas: Lambdas { lambda1: lambda, lambda2: lambda },
             iters: [4, 8][rng.gen_range(0..2)],
             shift_window: if may_disable && rng.gen_range(0..2) == 0 { 0 } else { 20 },
-            shift_policy: if rng.gen_range(0..2) == 0 {
-                ShiftPolicy::Cumulative
-            } else {
-                ShiftPolicy::Transient
-            },
             shift_search: if rng.gen_range(0..2) == 0 {
                 ShiftPrune::default()
             } else {
@@ -1444,7 +1397,7 @@ mod tests {
         /// [`OnlineJointStl::update_pair_with_scratch`] are their scalar
         /// twins on plain `update`, bit for bit: every output bit and the
         /// search stats after every step, and the full state at the end.
-        /// The lanes differ in period, λ, ε, shift policy and pruning, and
+        /// The lanes differ in period, λ and pruning, and
         /// in some cases lane 1 runs no shift search (`H = 0`); most cases
         /// share the IRLS count (the paired kernel) and the rest do not
         /// (two scalar updates). Lane 1 enters the pair up to 5 points
@@ -1459,14 +1412,13 @@ mod tests {
             if rng.gen_range(0..4) > 0 {
                 cases[1].0.iters = cases[0].0.iters;
             }
-            cases[1].0.eps = [1e-10, 1e-6][rng.gen_range(0..2)];
             if rng.gen_range(0..4) == 0 {
                 cases[1].0.shift_window = 0;
             }
             for (cfg, t, y) in &mut cases {
                 // a small λ lets the trend swallow a spike unflagged
                 let lambda = [100.0, 1000.0][rng.gen_range(0..2)];
-                cfg.lambdas = Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 };
+                cfg.lambdas = Lambdas { lambda1: lambda, lambda2: lambda };
                 for v in &mut y[4 * *t..] {
                     if rng.gen_range(0..50) == 0 {
                         *v = [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2)];

@@ -29,9 +29,9 @@
 //!
 //! The steady step is one straight-line kernel (`Window::step`): every
 //! index in it is a constant, so its 10×10 working triangle lives in
-//! registers and on the stack, and it inlines into the IRLS loop of
-//! [`IncrementalSolver::step_from`]. The kernel is written once, over a
-//! two-lane value type (`crate::lanes`): [`IncrementalSolver::step_lanes`]
+//! registers and on the stack, and it inlines through
+//! [`IncrementalSolver::step_lanes`] into the IRLS trial loop. The kernel
+//! is written once, over a two-lane value type (`crate::lanes`): it
 //! steps two independent windows through one call, one per lane, each
 //! lane running exactly the scalar operations in the scalar order, and a
 //! one-window step runs its window in both lanes and keeps lane 0.
@@ -237,30 +237,21 @@ impl IncrementalSolver {
         }
     }
 
-    /// [`IncrementalSolver::step`] without mutating `self`: the successor
-    /// state is written into `dst` (whose prior contents are arbitrary
-    /// scratch). In the steady state the window is plain-old-data, so this
-    /// is the `O(1)` factorization step from one window into the other —
-    /// **no heap allocation** — which is what makes a rejected trial in the
-    /// seasonality-shift search free to roll back. The steady arm inlines
-    /// into its caller's IRLS loop down through the kernel, so the block
-    /// and the window stay in registers instead of passing through memory.
-    #[inline(always)]
-    pub fn step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
-        let [out] = Self::step_lanes([self], std::array::from_ref(tail), [dst]);
-        out
-    }
-
-    /// [`IncrementalSolver::step_from`] for `L ≤ 2` independent solvers in
-    /// lock step: lane `q` steps `src[q]` on `tails[q]` into `dst[q]`. When
-    /// every lane is in the steady state, one kernel call steps them all,
-    /// so their dependency chains are in flight together; each lane
-    /// computes exactly the operations of a one-lane step (no fused
-    /// multiply-add, no reassociation), so the outputs are bit-identical
-    /// to stepping the lanes one at a time. The kernel always runs two
-    /// lanes: with `L = 1` its second lane repeats the first, and that
-    /// result is dropped. A lane still in warm-up sends every lane through
-    /// the out-of-line warm-up arm, one at a time.
+    /// [`IncrementalSolver::step`] without mutating the sources, for `L ≤ 2`
+    /// solvers in lock step: lane `q` steps `src[q]` on `tails[q]` into
+    /// `dst[q]` (whose prior contents are arbitrary scratch). A steady
+    /// window is plain-old-data, so this is the `O(1)` factorization step
+    /// from one window into another — **no heap allocation** — which makes
+    /// a rejected shift-search trial free to roll back. The steady arm
+    /// inlines into the caller's IRLS loop down through the kernel, so the
+    /// block and the window stay in registers. When every lane is steady,
+    /// one kernel call steps them all, so their dependency chains are in
+    /// flight together; each lane computes exactly the operations of a
+    /// one-lane step (no fused multiply-add, no reassociation), so the
+    /// outputs are bit-identical to stepping the lanes one at a time. The
+    /// kernel always runs two lanes: with `L = 1` its second lane repeats
+    /// the first, and that result is dropped. A lane still in warm-up sends
+    /// every lane through the out-of-line warm-up arm, one at a time.
     #[inline(always)]
     pub fn step_lanes<const L: usize>(
         src: [&Self; L],
@@ -486,7 +477,7 @@ mod tests {
     fn incremental_matches_full_solve_exactly() {
         for seed in 0..5u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let lambdas = Lambdas { lambda1: 1.0, lambda2: 10.0, anchor: 1.0 };
+            let lambdas = Lambdas { lambda1: 1.0, lambda2: 10.0 };
             let mut inc = IncrementalSolver::new();
             let mut full = FullSolver { y: vec![], u: vec![], pw: vec![], qw: vec![], lambdas };
             let mut hist = Vec::new();
@@ -506,7 +497,7 @@ mod tests {
     fn weights_changing_over_time_are_honoured() {
         // IRLS appends a different weight each step; the solver must pick up
         // refreshed p/q for the 3 trailing times.
-        let lambdas = Lambdas { lambda1: 5.0, lambda2: 1.0, anchor: 1.0 };
+        let lambdas = Lambdas { lambda1: 5.0, lambda2: 1.0 };
         let mut inc = IncrementalSolver::new();
         let mut full = FullSolver { y: vec![], u: vec![], pw: vec![], qw: vec![], lambdas };
         let mut hist: Vec<[f64; 4]> = Vec::new();
@@ -634,17 +625,17 @@ mod tests {
     /// [`SPECIAL`], so most cases keep finite outputs next to the ones the
     /// special cells poison.
     fn random_lane(rng: &mut StdRng) -> (Window, TailData) {
-        // 18 window cells, 12 tail cells, 3 λs
-        let mut cells = [0.0f64; 33];
+        // 18 window cells, 12 tail cells, 2 λs
+        let mut cells = [0.0f64; 32];
         for (i, c) in cells.iter_mut().enumerate() {
             *c = match i {
-                10..=13 | 30..=32 => rng.gen_range(0.05..50.0),
+                10..=13 | 30..=31 => rng.gen_range(0.05..50.0),
                 24..=29 => rng.gen_range(0.0..4.0),
                 _ => rng.gen_range(-4.0..4.0),
             };
         }
         for _ in 0..rng.gen_range(0..4usize) {
-            cells[rng.gen_range(0..33usize)] = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+            cells[rng.gen_range(0..32usize)] = SPECIAL[rng.gen_range(0..SPECIAL.len())];
         }
         let take = |at: usize| -> [f64; 3] { [cells[at], cells[at + 1], cells[at + 2]] };
         let window = Window {
@@ -659,7 +650,7 @@ mod tests {
             u3: take(21),
             p3: take(24),
             q3: take(27),
-            lambdas: Lambdas { lambda1: cells[30], lambda2: cells[31], anchor: cells[32] },
+            lambdas: Lambdas { lambda1: cells[30], lambda2: cells[31] },
         };
         (window, tail)
     }
@@ -701,7 +692,11 @@ mod tests {
                 proptest::prop_assert_eq!(portable.map(|(w, out)| bits(&w, out)), want.clone());
             }
             let mut dst = IncrementalSolver::new();
-            let out = IncrementalSolver::Steady(wa).step_from(&ta, &mut dst);
+            let [out] = IncrementalSolver::step_lanes(
+                [&IncrementalSolver::Steady(wa)],
+                &[ta],
+                [&mut dst],
+            );
             let IncrementalSolver::Steady(next) = dst else { panic!("a steady step") };
             proptest::prop_assert_eq!(bits(&next, out), want[0].clone());
         }

@@ -72,7 +72,7 @@ impl ModifiedJointStlRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oneshot::{OneShotStl, OneShotStlConfig, ShiftPolicy};
+    use crate::oneshot::{OneShotStl, OneShotStlConfig};
     use crate::system::Lambdas;
     use decomp::OnlineDecomposer;
     use proptest::prelude::*;
@@ -131,22 +131,17 @@ mod tests {
         let y = stream(250, t, 0.03, Some(120), 2);
         let cfg = OneShotStlConfig {
             shift_window: 5,
-            lambdas: Lambdas { lambda1: 1.0, lambda2: 10.0, anchor: 1.0 },
+            lambdas: Lambdas { lambda1: 1.0, lambda2: 10.0 },
             ..Default::default()
         };
         assert_equivalent(&y, t, 3 * t, cfg);
     }
 
     #[test]
-    fn equivalent_with_transient_policy_and_one_iteration() {
+    fn equivalent_with_one_iteration() {
         let t = 12;
         let y = stream(180, t, 0.1, Some(100), 3);
-        let cfg = OneShotStlConfig {
-            iters: 1,
-            shift_policy: ShiftPolicy::Transient,
-            shift_window: 3,
-            ..Default::default()
-        };
+        let cfg = OneShotStlConfig { iters: 1, shift_window: 3, ..Default::default() };
         assert_equivalent(&y, t, 3 * t, cfg);
     }
 
@@ -162,7 +157,7 @@ mod tests {
             let t = 10;
             let y = stream(140, t, noise, None, seed);
             let cfg = OneShotStlConfig {
-                lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
+                lambdas: Lambdas { lambda1: lambda, lambda2: lambda },
                 iters,
                 shift_window: 0,
                 ..Default::default()

@@ -26,25 +26,21 @@ use tskit::linalg::SymBanded;
 /// Half-bandwidth of the online system (fixed by the model).
 pub const BANDWIDTH: usize = 4;
 
-/// λ hyper-parameters of the trend regularizers (Eq. 2/7).
+/// λ hyper-parameters of the trend regularizers (Eq. 2/7). The seasonal
+/// anchor term `(s_j − v_{j mod T})²` has Eq. 7's fixed weight 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lambdas {
     /// Weight of `|τ_t − τ_{t−1}|`.
     pub lambda1: f64,
     /// Weight of `|τ_t − 2τ_{t−1} + τ_{t−2}|`.
     pub lambda2: f64,
-    /// Weight of the seasonal anchor term `(s_j − v_{j mod T})²`
-    /// (1 in Eq. 7; larger values pin the seasonal component harder to the
-    /// previous cycle, which suppresses trend/seasonal drift on streams
-    /// with trend regime changes).
-    pub anchor: f64,
 }
 
 impl Default for Lambdas {
     fn default() -> Self {
         // the paper ties λ1 = λ2 = λ and tunes λ on a log grid (§5.1.4);
         // 100 is a robust middle of that grid for unit-scale data
-        Lambdas { lambda1: 100.0, lambda2: 100.0, anchor: 1.0 }
+        Lambdas { lambda1: 100.0, lambda2: 100.0 }
     }
 }
 
@@ -80,14 +76,12 @@ pub fn assemble_full(data: &SystemData<'_>) -> (SymBanded, Vec<f64>) {
     let mut a = SymBanded::zeros(n, BANDWIDTH);
     let mut b = vec![0.0; n];
     for j in 0..m {
-        // C1ᵀC1: (τ_j + s_j − y_j)²
+        // C1ᵀC1: (τ_j + s_j − y_j)², plus C2ᵀC2: (s_j − u_j)²
         a.add(2 * j, 2 * j, 1.0);
-        a.add(2 * j + 1, 2 * j + 1, 1.0);
+        a.add(2 * j + 1, 2 * j + 1, 2.0);
         a.add(2 * j, 2 * j + 1, 1.0);
-        // C2ᵀC2: anchor·(s_j − u_j)²
-        a.add(2 * j + 1, 2 * j + 1, data.lambdas.anchor);
         b[2 * j] = data.y[j];
-        b[2 * j + 1] = data.y[j] + data.lambdas.anchor * data.u[j];
+        b[2 * j + 1] = data.y[j] + data.u[j];
     }
     for j in 1..m {
         let w = data.lambdas.lambda1 * data.pw[j];
@@ -159,10 +153,10 @@ pub fn assemble_block(t: &TailData) -> TailBlock {
         let j = t0 + r;
         let s = slot(j);
         add(2 * r, 2 * r, 1.0);
-        add(2 * r + 1, 2 * r + 1, 1.0 + t.lambdas.anchor); // C1 + anchor·C2
+        add(2 * r + 1, 2 * r + 1, 2.0); // C1 + C2
         add(2 * r, 2 * r + 1, 1.0);
         b[2 * r] = t.y3[s];
-        b[2 * r + 1] = t.y3[s] + t.lambdas.anchor * t.u3[s];
+        b[2 * r + 1] = t.y3[s] + t.u3[s];
     }
     // first differences with j in the block (j >= 1)
     for j in t0.max(1)..m {
@@ -228,7 +222,6 @@ pub(crate) fn assemble_block_steady<V: F64x2>(lanes: [&TailData; 2]) -> PairBloc
     }
     let zero = V::splat(0.0);
     let one = V::splat(1.0);
-    let anchor = pair!(lambdas.anchor);
     // first- and second-difference weights, j = t0, t0+1, t0+2
     let w0 = pair!(lambdas.lambda1) * pair!(p3[0]);
     let w1 = pair!(lambdas.lambda1) * pair!(p3[1]);
@@ -237,17 +230,17 @@ pub(crate) fn assemble_block_steady<V: F64x2>(lanes: [&TailData; 2]) -> PairBloc
     let q1 = pair!(lambdas.lambda2) * pair!(q3[1]);
     let q2 = pair!(lambdas.lambda2) * pair!(q3[2]);
     let (four, minus_two) = (V::splat(4.0), V::splat(-2.0));
-    // C1ᵀC1 + anchor·C2ᵀC2 per point (r = 0, 1, 2), then the differences
+    // C1ᵀC1 + C2ᵀC2 per point (r = 0, 1, 2), then the differences
     let a00 = one + w0 + w1 + q0 + four * q1 + q2;
     let a22 = one + w1 + w2 + q1 + four * q2;
     let a44 = one + w2 + q2;
-    let a_ss = one + anchor;
+    let a_ss = V::splat(2.0);
     let a02 = zero + -w1 + minus_two * q1 + minus_two * q2;
     let a24 = zero + -w2 + minus_two * q2;
     let a04 = zero + q2;
     let b = [0, 1, 2].map(|r| {
         let y = pair!(y3[r]);
-        [y, y + anchor * pair!(u3[r])]
+        [y, y + pair!(u3[r])]
     });
     PairBlock {
         a: [
@@ -293,7 +286,7 @@ mod tests {
     fn figure2_property_top_left_submatrix_is_stable() {
         // A_t and A_{t+1} share their top-left 2(M-2) x 2(M-2) part.
         let (y, u, pw, qw) = random_data(9, 2);
-        let l = Lambdas { lambda1: 1.0, lambda2: 1.0, anchor: 1.0 };
+        let l = Lambdas { lambda1: 1.0, lambda2: 1.0 };
         let d8 = SystemData { y: &y[..8], u: &u[..8], pw: &pw[..8], qw: &qw[..8], lambdas: l };
         let d9 = SystemData { y: &y[..9], u: &u[..9], pw: &pw[..9], qw: &qw[..9], lambdas: l };
         let (a8, b8) = assemble_full(&d8);
@@ -360,7 +353,7 @@ mod tests {
     #[test]
     fn block_matches_full_submatrix() {
         for m in 1..=12usize {
-            let l = Lambdas { lambda1: 0.7, lambda2: 3.0, anchor: 1.0 };
+            let l = Lambdas { lambda1: 0.7, lambda2: 3.0 };
             let (y, u, pw, qw) = random_data(m, 100 + m as u64);
             let data = SystemData { y: &y, u: &u, pw: &pw, qw: &qw, lambdas: l };
             let (a, b) = assemble_full(&data);
@@ -384,11 +377,7 @@ mod tests {
                 // the straight-line steady block, both lanes pinned to the
                 // loop path; lane 1 has its own data and λs, so a lane
                 // that reads the other lane's input fails
-                let other = tail_of(
-                    m,
-                    200 + m as u64,
-                    Lambdas { lambda1: 2.5, lambda2: 0.3, anchor: 4.0 },
-                );
+                let other = tail_of(m, 200 + m as u64, Lambdas { lambda1: 2.5, lambda2: 0.3 });
                 assert_lanes_match_loop_path::<crate::lanes::Native>([&tail, &other]);
                 #[cfg(target_arch = "x86_64")]
                 assert_lanes_match_loop_path::<crate::lanes::Portable>([&tail, &other]);

@@ -28,6 +28,14 @@
 //! the v13 tags `2|3` and `2`; the v12 tags before them, and the backend
 //! tags retired before v12 (select `1`/`3`, state `0`/`2`), are refused
 //! as invalid.
+//!
+//! Six config values are retired but keep their bytes, so no layout
+//! moves: the engine config's warm-up length in periods (always 3) and
+//! explicit warm-up cap (always `None`), and each detector config's
+//! seasonal anchor weight (1), shift policy (tag 0, cumulative), shift
+//! accept ratio (0.5) and IRLS clamp ε (1e-10). The writer emits those
+//! constants and the reader refuses any other value as invalid: a
+//! restored series must run the config it was imaged with.
 
 use crate::backend::{BackendSelect, BackendSnapshot, SeriesBackend};
 use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy};
@@ -41,7 +49,7 @@ use oneshotstl::oneshot::InitMethod;
 use oneshotstl::system::Lambdas;
 use oneshotstl::{
     CusumState, Fusion, IterSnapshot, NSigmaState, OneShotStlConfig, OneShotStlState,
-    ResidualScorerState, ScoreConfig, ShiftPolicy, ShiftPrune, SolverState,
+    ResidualScorerState, ScoreConfig, ShiftPrune, SolverState,
 };
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
@@ -49,6 +57,14 @@ const MAGIC: &[u8; 8] = b"OSSTLFLT";
 // of the residual sums, no length prefixes on fixed-length solver windows.
 pub(crate) const VERSION: u16 = 14;
 const KIND_FULL: u8 = 0;
+
+// The retired config values' pinned bytes (see the module docs): the
+// constants `FleetConfig` and `OneShotStl` run with, so changing one there
+// changes the format and needs a codec version bump.
+const INIT_CYCLES: u32 = 3;
+const ANCHOR: f64 = 1.0;
+const SHIFT_ACCEPT_RATIO: f64 = 0.5;
+const IRLS_EPS: f64 = 1e-10;
 
 /// Serializes a snapshot to the versioned binary format.
 pub fn encode(snapshot: &FleetSnapshot) -> Vec<u8> {
@@ -147,7 +163,7 @@ fn decode_totals(r: &mut Reader<'_>) -> Result<CarriedTotals, CodecError> {
 
 fn encode_config(w: &mut Writer, c: &FleetConfig) {
     w.u32(c.shards as u32);
-    w.u32(c.init_cycles as u32);
+    w.u32(INIT_CYCLES);
     match &c.period {
         PeriodPolicy::Fixed(t) => {
             w.u8(0);
@@ -161,7 +177,7 @@ fn encode_config(w: &mut Writer, c: &FleetConfig) {
             w.opt_u32(fallback.map(|v| v as u32));
         }
     }
-    w.opt_u32(c.max_warmup.map(|v| v as u32));
+    w.opt_u32(None); // the warm-up cap
     w.f64(c.nsigma);
     w.opt_u64(c.ttl);
     w.opt_u64(c.max_clock_step);
@@ -179,7 +195,9 @@ fn encode_config(w: &mut Writer, c: &FleetConfig) {
 
 fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, CodecError> {
     let shards = r.u32()? as usize;
-    let init_cycles = r.u32()? as usize;
+    if r.u32()? != INIT_CYCLES {
+        return Err(CodecError::Invalid("warm-up cycles != 3"));
+    }
     let period = match r.u8()? {
         0 => PeriodPolicy::Fixed(r.u32()? as usize),
         1 => PeriodPolicy::Detect {
@@ -190,7 +208,9 @@ fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, CodecError> {
         },
         _ => return Err(CodecError::Invalid("period policy tag")),
     };
-    let max_warmup = r.opt_u32()?.map(|v| v as usize);
+    if r.opt_u32()?.is_some() {
+        return Err(CodecError::Invalid("warm-up cap is Some"));
+    }
     let nsigma = r.f64()?;
     let ttl = r.opt_u64()?;
     let max_clock_step = r.opt_u64()?;
@@ -217,9 +237,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, CodecError> {
     }
     Ok(FleetConfig {
         shards,
-        init_cycles,
         period,
-        max_warmup,
         nsigma,
         ttl,
         max_clock_step,
@@ -386,20 +404,17 @@ fn decode_trend_cusum_state(
 fn encode_detector_config(w: &mut Writer, c: &OneShotStlConfig) {
     w.f64(c.lambdas.lambda1);
     w.f64(c.lambdas.lambda2);
-    w.f64(c.lambdas.anchor);
+    w.f64(ANCHOR);
     w.u32(c.iters as u32);
     w.u32(c.shift_window as u32);
     w.f64(c.nsigma);
-    w.u8(match c.shift_policy {
-        ShiftPolicy::Cumulative => 0,
-        ShiftPolicy::Transient => 1,
-    });
-    w.f64(c.shift_accept_ratio);
+    w.u8(0); // cumulative shift policy
+    w.f64(SHIFT_ACCEPT_RATIO);
     w.u8(match c.init {
         InitMethod::Stl => 0,
         InitMethod::JointStl => 1,
     });
-    w.f64(c.eps);
+    w.f64(IRLS_EPS);
     encode_shift_search(w, c.shift_search);
 }
 
@@ -433,35 +448,32 @@ fn decode_shift_search(r: &mut Reader<'_>) -> Result<ShiftPrune, CodecError> {
     })
 }
 
+/// Reads a retired `f64` config value, refusing all but its pinned bits.
+fn pinned_f64(r: &mut Reader<'_>, want: f64, what: &'static str) -> Result<(), CodecError> {
+    if r.f64()?.to_bits() != want.to_bits() {
+        return Err(CodecError::Invalid(what));
+    }
+    Ok(())
+}
+
 fn decode_detector_config(r: &mut Reader<'_>) -> Result<OneShotStlConfig, CodecError> {
-    let lambdas = Lambdas { lambda1: r.f64()?, lambda2: r.f64()?, anchor: r.f64()? };
+    let lambdas = Lambdas { lambda1: r.f64()?, lambda2: r.f64()? };
+    pinned_f64(r, ANCHOR, "seasonal anchor weight != 1")?;
     let iters = r.u32()? as usize;
     let shift_window = r.u32()? as usize;
     let nsigma = r.f64()?;
-    let shift_policy = match r.u8()? {
-        0 => ShiftPolicy::Cumulative,
-        1 => ShiftPolicy::Transient,
-        _ => return Err(CodecError::Invalid("shift policy tag")),
-    };
-    let shift_accept_ratio = r.f64()?;
+    if r.u8()? != 0 {
+        return Err(CodecError::Invalid("shift policy tag (only cumulative, 0, is read)"));
+    }
+    pinned_f64(r, SHIFT_ACCEPT_RATIO, "shift accept ratio != 0.5")?;
     let init = match r.u8()? {
         0 => InitMethod::Stl,
         1 => InitMethod::JointStl,
         _ => return Err(CodecError::Invalid("init method tag")),
     };
-    let eps = r.f64()?;
+    pinned_f64(r, IRLS_EPS, "IRLS eps != 1e-10")?;
     let shift_search = decode_shift_search(r)?;
-    Ok(OneShotStlConfig {
-        lambdas,
-        iters,
-        shift_window,
-        nsigma,
-        shift_policy,
-        shift_search,
-        shift_accept_ratio,
-        init,
-        eps,
-    })
+    Ok(OneShotStlConfig { lambdas, iters, shift_window, nsigma, shift_search, init })
 }
 
 /// Pending per-series admission overrides of a warming series — also the
@@ -1603,5 +1615,42 @@ mod tests {
             decode(&trailing),
             Err(CodecError::Invalid("trailing bytes after snapshot"))
         );
+        // the retired config values keep their bytes and are pinned: the
+        // engine config's warm-up cycles (a u32 after `shards`) and cap
+        // (an option after the 5-byte fixed period) ...
+        assert_eq!((&bytes[15..19], bytes[24]), (&3u32.to_le_bytes()[..], 0));
+        let mut cycles = bytes.clone();
+        cycles[15] = 4;
+        assert_eq!(decode(&cycles), Err(CodecError::Invalid("warm-up cycles != 3")));
+        let capped = [&bytes[..24], &[1, 150, 0, 0, 0], &bytes[25..]].concat();
+        assert_eq!(decode(&capped), Err(CodecError::Invalid("warm-up cap is Some")));
+        // ... and each detector config's anchor weight, shift policy tag,
+        // accept ratio and IRLS clamp, in the image's engine config and in
+        // a cold blob's live decomposer
+        let mut detector = Writer::default();
+        encode_detector_config(&mut detector, &FleetConfig::default().detector);
+        let retired: [(usize, &[u8], &str); 4] = [
+            (16, &2.0f64.to_le_bytes(), "seasonal anchor weight != 1"),
+            (40, &[1], "shift policy tag (only cumulative, 0, is read)"),
+            (41, &0.25f64.to_le_bytes(), "shift accept ratio != 0.5"),
+            (50, &1e-6f64.to_le_bytes(), "IRLS eps != 1e-10"),
+        ];
+        let at = |bytes: &[u8]| {
+            let found = bytes.windows(detector.buf.len()).position(|w| w == detector.buf);
+            found.expect("the default detector config is encoded")
+        };
+        let (in_image, in_blob) = (at(&bytes), at(&live));
+        for (offset, value, what) in retired {
+            let mut image = bytes.clone();
+            image[in_image + offset..][..value.len()].copy_from_slice(value);
+            assert_eq!(decode(&image), Err(CodecError::Invalid(what)), "image: {what}");
+            let mut blob = live.clone();
+            blob[in_blob + offset..][..value.len()].copy_from_slice(value);
+            assert_eq!(
+                decode_series_blob(&blob),
+                Err(CodecError::Invalid(what)),
+                "blob: {what}"
+            );
+        }
     }
 }

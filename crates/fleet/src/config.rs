@@ -91,7 +91,7 @@ impl ForecastOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AdmitOptions {
     /// Trend penalty λ: overrides *both* λ1 and λ2 (the paper ties and
-    /// tunes them together); the anchor weight is untouched.
+    /// tunes them together).
     pub lambda: Option<f64>,
     /// NSigma threshold `n`, applied to both the detector's §3.4
     /// shift-search trigger and the task-level anomaly verdict.
@@ -231,16 +231,9 @@ pub enum QueuePolicy {
 pub struct FleetConfig {
     /// Worker shards (threads). Keys are routed by stable hash.
     pub shards: usize,
-    /// Warm-up length multiplier: a series is admitted once `k·T` points
-    /// are buffered (`T` = its period). Must be ≥ 3 so the OneShotSTL
-    /// initialization window constraint `≥ 2T + 1` always holds.
-    pub init_cycles: usize,
-    /// Period determination policy.
+    /// Period determination policy. It also bounds warm-up buffering:
+    /// see [`FleetConfig::warmup_cap`].
     pub period: PeriodPolicy,
-    /// Hard cap on warm-up buffering per series; reaching it without a
-    /// usable period rejects the series (or admits it with the policy's
-    /// fallback period). `None` derives a cap from the period policy.
-    pub max_warmup: Option<usize>,
     /// NSigma threshold for the per-series anomaly verdict.
     pub nsigma: f64,
     /// Evict series idle for more than this many clock ticks (record `t`
@@ -303,9 +296,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             shards: 4,
-            init_cycles: 3,
             period: PeriodPolicy::detect_default(),
-            max_warmup: None,
             nsigma: 5.0,
             ttl: None,
             max_clock_step: None,
@@ -327,16 +318,16 @@ impl FleetConfig {
         FleetConfig { period: PeriodPolicy::Fixed(period), ..Default::default() }
     }
 
-    /// Admission length for a known period `t`: `max(init_cycles·T, 2T+1)`.
+    /// Admission length for a known period `T`: three cycles, `3·T`,
+    /// which clears OneShotSTL's `≥ 2T + 1` initialization window.
     pub fn init_len(&self, period: usize) -> usize {
-        (self.init_cycles * period).max(2 * period + 1)
+        3 * period
     }
 
-    /// The effective warm-up cap.
+    /// The warm-up cap: [`Self::init_len`] of the longest period the
+    /// policy can admit. Reaching it without a usable period rejects the
+    /// series (or admits it under the policy's fallback period).
     pub fn warmup_cap(&self) -> usize {
-        if let Some(cap) = self.max_warmup {
-            return cap;
-        }
         match &self.period {
             PeriodPolicy::Fixed(t) => self.init_len(*t),
             PeriodPolicy::Detect { max_period, .. } => self.init_len(*max_period),
@@ -348,11 +339,6 @@ impl FleetConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.shards == 0 {
             return Err("shards must be >= 1".into());
-        }
-        if self.init_cycles < 3 {
-            return Err(
-                "init_cycles must be >= 3 (OneShotSTL needs >= 2T+1 init points)".into()
-            );
         }
         match &self.period {
             PeriodPolicy::Fixed(t) if *t < 2 => {
@@ -371,9 +357,6 @@ impl FleetConfig {
                 }
             }
             PeriodPolicy::Fixed(_) => {}
-        }
-        if self.warmup_cap() < 5 {
-            return Err("warm-up cap too small to ever admit a series".into());
         }
         if self.max_clock_step == Some(0) {
             return Err("max_clock_step must be >= 1 (or None)".into());
@@ -427,18 +410,16 @@ mod tests {
 
     #[test]
     fn init_len_honours_oneshotstl_minimum() {
-        let cfg = FleetConfig { init_cycles: 3, ..Default::default() };
+        let cfg = FleetConfig::default();
         assert_eq!(cfg.init_len(24), 72);
-        // tiny periods: 2T+1 dominates k·T only when k·T would be too short
+        // three cycles clear the 2T+1 window even at the smallest period
+        assert!((2..64).all(|t| cfg.init_len(t) > 2 * t));
         assert_eq!(cfg.init_len(2), 6);
-        let cfg4 = FleetConfig { init_cycles: 4, ..Default::default() };
-        assert_eq!(cfg4.init_len(2), 8);
     }
 
     #[test]
     fn invalid_configs_are_caught() {
         assert!(FleetConfig { shards: 0, ..Default::default() }.validate().is_err());
-        assert!(FleetConfig { init_cycles: 2, ..Default::default() }.validate().is_err());
         assert!(FleetConfig::fixed_period(1).validate().is_err());
         let bad_detect = FleetConfig {
             period: PeriodPolicy::Detect {

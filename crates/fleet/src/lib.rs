@@ -24,7 +24,7 @@
 //!   `std::thread` + `mpsc`, no external dependencies. A batch fans out to
 //!   all shards in parallel and reassembles in input order.
 //! - **Warm-up admission.** An unknown key buffers raw points until
-//!   `init_len = init_cycles·T` arrive, where the period `T` is either
+//!   `init_len = 3·T` arrive, where the period `T` is either
 //!   declared ([`PeriodPolicy::Fixed`]) or ACF-detected from the buffer
 //!   ([`PeriodPolicy::Detect`]). The series is then promoted to a live
 //!   `StdAnomalyDetector<OneShotStl>` scoring residuals with the

@@ -47,7 +47,7 @@ impl Shared {
 // chase to the hot scoring path
 #[derive(Debug)]
 pub enum SeriesState {
-    /// Accumulating raw points until `init_len = k·T` arrive.
+    /// Accumulating raw points until `init_len = 3·T` arrive.
     Warming(Warmup),
     /// Admitted: a live detector scores every point.
     Live(LiveSeries),
@@ -269,18 +269,14 @@ impl SeriesState {
                     // init_len(max_period))
                 } else if buffered >= config.warmup_cap() {
                     // cap reached without a period: one forced (back-off
-                    // bypassing) detection attempt before deciding
+                    // bypassing) detection attempt before deciding; a
+                    // detected T is at most max_period, whose init_len is
+                    // the cap, so it admits at once
                     if buffered == config.warmup_cap() {
                         w.force_detect(config);
                     }
                     if let Some(t) = w.period {
-                        if buffered >= config.init_len(t) {
-                            return self.promote(t, config, shared);
-                        }
-                        return StepOutcome::Output(PointOutput::Warming {
-                            buffered,
-                            needed: w.needed(config),
-                        });
+                        return self.promote(t, config, shared);
                     }
                     let fallback = match &config.period {
                         PeriodPolicy::Detect { fallback, .. } => *fallback,
@@ -288,8 +284,8 @@ impl SeriesState {
                     };
                     match fallback {
                         // admit under the fallback period only once enough
-                        // points for it are buffered (cap can be below k·T
-                        // for a custom max_warmup)
+                        // points for it are buffered (a fallback above
+                        // max_period needs more than the cap)
                         Some(t) if buffered >= config.init_len(t) => {
                             return self.promote(t, config, shared);
                         }
@@ -546,21 +542,25 @@ mod tests {
 
     #[test]
     fn detected_period_beyond_cap_keeps_buffering_to_admission() {
-        // the cap only rejects series with *no* usable period: once T is
-        // detected, the series buffers past the cap until init_len(T)
+        // the cap only rejects series with *no* usable period: a known T
+        // above max_period (only an override period can be one) buffers
+        // past the cap until init_len(T)
         let cfg = FleetConfig {
             period: PeriodPolicy::Detect {
                 min_period: 4,
-                max_period: 64,
+                max_period: 16,
                 min_acf: 0.3,
                 fallback: None,
             },
-            max_warmup: Some(100), // < init_len(48) = 144
             ..Default::default()
         };
+        assert!(cfg.warmup_cap() < cfg.init_len(48), "cap 48 < init_len(48) = 144");
         let y = seasonal(400, 48);
         let mut scr = Shared::new(&cfg);
-        let mut s = SeriesState::new(&cfg);
+        let mut s = SeriesState::with_overrides(
+            &cfg,
+            AdmitOptions { period: Some(48), ..Default::default() },
+        );
         let mut promoted = None;
         for (i, &v) in y.iter().enumerate() {
             match s.step(v, &cfg, &mut scr) {
@@ -569,7 +569,7 @@ mod tests {
                     break;
                 }
                 StepOutcome::Output(PointOutput::Rejected) => {
-                    panic!("series with a detected period must not be rejected at the cap")
+                    panic!("series with a known period must not be rejected at the cap")
                 }
                 _ => {}
             }
@@ -656,7 +656,6 @@ mod tests {
                 min_acf: 0.6,
                 fallback: None,
             },
-            max_warmup: Some(120),
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(9);

@@ -167,8 +167,7 @@ pub fn evaluate_forecaster<F: Forecaster + ?Sized>(
 mod tests {
     use super::*;
     use crate::naive::{Naive, SeasonalNaive};
-    use crate::std_forecast::StdOnlineForecaster;
-    use oneshotstl::{OneShotStl, OneShotStlConfig};
+    use oneshotstl::{OneShotStl, OneShotStlConfig, StdForecaster};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -203,10 +202,7 @@ mod tests {
     fn online_eval_runs_oneshotstl() {
         let t = 24;
         let y = seasonal(1000, t, 2);
-        let mut f = StdOnlineForecaster::new(
-            "OneShotSTL",
-            OneShotStl::new(OneShotStlConfig::default()),
-        );
+        let mut f = StdForecaster::new(OneShotStl::new(OneShotStlConfig::default()));
         let r = evaluate_online(&mut f, &y, t, 4 * t, 800, t, t / 2).unwrap();
         assert!(r.mae < 0.2, "OneShotSTL rolling MAE {}", r.mae);
         assert!(r.windows >= 5);

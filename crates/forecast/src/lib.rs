@@ -28,6 +28,6 @@ pub use arima::AutoArima;
 pub use ets::{HoltWinters, Ses};
 pub use eval::{evaluate_forecaster, evaluate_online, ErrorAcc, EvalReport};
 pub use naive::{Drift, Naive, SeasonalNaive};
-pub use std_forecast::{StdOnlineForecaster, StlForecaster};
+pub use std_forecast::StlForecaster;
 pub use theta::Theta;
 pub use traits::{Forecaster, OnlineForecaster};

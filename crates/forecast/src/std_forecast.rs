@@ -1,11 +1,12 @@
 //! STD-based forecasting: wrap an online decomposer and extrapolate its
 //! components. Two adapters, one per rule of the paper:
 //!
-//! - [`StdOnlineForecaster`] — the §4 carry-forward
-//!   `ŷ_{t+i} = τ_{t−1} + v[(t+i) mod T]` over any [`OnlineDecomposer`].
-//!   This is the `OneShotSTL` / `OnlineSTL` entry of Table 5 — its
-//!   striking property is the **~0.3 s total runtime** against hours for
-//!   the deep baselines, with competitive MAE on strongly seasonal data.
+//! - [`StdForecaster`] — the §4 carry-forward
+//!   `ŷ_{t+i} = τ_{t−1} + v[(t+i) mod T]` over any [`OnlineDecomposer`],
+//!   named by its decomposer. This is the `OneShotSTL` / `OnlineSTL`
+//!   entry of Table 5 — its striking property is the **~0.3 s total
+//!   runtime** against hours for the deep baselines, with competitive MAE
+//!   on strongly seasonal data.
 //! - [`StlForecaster`] — `OneShotStl` under the §5 damped-trend rule
 //!   `ŷ(t+h) = τ(t) + slope·Σφ^j + v[(t+Δ+h) mod T]` (the
 //!   `OneShotSTL+trend` rows of the forecast bench), answered by the
@@ -16,34 +17,23 @@ use decomp::traits::OnlineDecomposer;
 use oneshotstl::{OneShotStl, StdForecaster};
 use tskit::error::Result;
 
-/// Adapter turning any [`OnlineDecomposer`] into an [`OnlineForecaster`].
-pub struct StdOnlineForecaster<D: OnlineDecomposer> {
-    inner: StdForecaster<D>,
-    label: String,
-}
-
-impl<D: OnlineDecomposer> StdOnlineForecaster<D> {
-    /// Wraps a decomposer under the given display name.
-    pub fn new(label: impl Into<String>, decomposer: D) -> Self {
-        StdOnlineForecaster { inner: StdForecaster::new(decomposer), label: label.into() }
-    }
-}
-
-impl<D: OnlineDecomposer> OnlineForecaster for StdOnlineForecaster<D> {
+/// The §4 carry-forward over any [`OnlineDecomposer`], named by its
+/// decomposer (`"OneShotSTL"`, `"OnlineSTL"`).
+impl<D: OnlineDecomposer> OnlineForecaster for StdForecaster<D> {
     fn name(&self) -> String {
-        self.label.clone()
+        self.decomposer.name().into()
     }
 
     fn init(&mut self, history: &[f64], period: usize) -> Result<()> {
-        self.inner.init(history, period)
+        StdForecaster::init(self, history, period)
     }
 
     fn observe(&mut self, y: f64) {
-        self.inner.observe(y);
+        StdForecaster::observe(self, y);
     }
 
     fn forecast(&self, horizon: usize) -> Vec<f64> {
-        self.inner.predict_horizon(horizon)
+        self.predict_horizon(horizon)
     }
 }
 
@@ -108,11 +98,9 @@ mod tests {
     fn oneshot_forecaster_tracks_season() {
         let t = 24;
         let y = seasonal(800, t, 1);
-        let mut f = StdOnlineForecaster::new(
-            "OneShotSTL",
-            OneShotStl::new(OneShotStlConfig::default()),
-        );
-        f.init(&y[..4 * t], t).unwrap();
+        let mut f = StdForecaster::new(OneShotStl::new(OneShotStlConfig::default()));
+        assert_eq!(OnlineForecaster::name(&f), "OneShotSTL");
+        OnlineForecaster::init(&mut f, &y[..4 * t], t).unwrap();
         for &v in &y[4 * t..700] {
             f.observe(v);
         }
@@ -126,8 +114,9 @@ mod tests {
     fn onlinestl_forecaster_also_works() {
         let t = 24;
         let y = seasonal(800, t, 2);
-        let mut f = StdOnlineForecaster::new("OnlineSTL", OnlineStl::new());
-        f.init(&y[..4 * t], t).unwrap();
+        let mut f = StdForecaster::new(OnlineStl::new());
+        assert_eq!(OnlineForecaster::name(&f), "OnlineSTL");
+        OnlineForecaster::init(&mut f, &y[..4 * t], t).unwrap();
         for &v in &y[4 * t..700] {
             f.observe(v);
         }

@@ -26,12 +26,6 @@ impl Complex {
     pub fn mul(self, o: Complex) -> Complex {
         Complex::new(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
     }
-
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Complex {
-        Complex::new(self.re, -self.im)
-    }
 }
 
 impl std::ops::Add for Complex {

@@ -47,7 +47,7 @@ fn main() {
             .collect()
     };
 
-    let warmup = 3 * period as u64; // init_cycles · T points per series
+    let warmup = 3 * period as u64; // init_len = 3·T points per series
     for t in 0..warmup {
         client.ingest(batch_at(t)).expect("warm-up batch");
     }

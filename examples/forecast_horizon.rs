@@ -21,8 +21,7 @@ fn main() {
 
     // Stream through train+val, then forecast from the start of the test
     // region.
-    let mut f =
-        StdOnlineForecaster::new("OneShotSTL", OneShotStl::new(OneShotStlConfig::default()));
+    let mut f = StdForecaster::new(OneShotStl::new(OneShotStlConfig::default()));
     let init = 4 * period;
     f.init(&ds.values[..init], period).expect("init ok");
     for &v in &ds.values[init..ds.val_end] {

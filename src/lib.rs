@@ -33,8 +33,8 @@ pub mod prelude {
         BatchDecomposer, OnlineDecomposer, OnlineRobustStl, OnlineStl, RobustStl, Stl, Windowed,
     };
     pub use fleet::{FleetConfig, FleetEngine, PeriodPolicy, Record, ScoredPoint, SeriesKey};
-    pub use forecast::{Forecaster, OnlineForecaster, StdOnlineForecaster};
-    pub use oneshotstl::oneshot::{OneShotStlConfig, ShiftPolicy};
+    pub use forecast::{Forecaster, OnlineForecaster};
+    pub use oneshotstl::oneshot::OneShotStlConfig;
     pub use oneshotstl::system::Lambdas;
     pub use oneshotstl::{
         Fusion, JointStl, ModifiedJointStlRef, NSigma, OneShotStl, ResidualScorer, ScoreConfig,

@@ -431,7 +431,7 @@ fn crash_stop_keeps_a_killed_worker_down() {
 fn poisoned_series_updates_quarantine_and_readmit() {
     let mut engine = FleetEngine::new(config(1)).unwrap();
     let keys = ["q-err", "q-panic", "q-fine"];
-    let warm = 3 * PERIOD as u64; // default init_cycles * fixed period
+    let warm = 3 * PERIOD as u64; // init_len: 3 · the fixed period
     for t in 0..warm + 5 {
         let recs = keys.iter().map(|k| Record::new(*k, t, val(0, t))).collect();
         for p in engine.ingest(recs).unwrap() {

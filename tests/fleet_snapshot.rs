@@ -291,7 +291,6 @@ fn detect_admission_and_noise_rejection() {
             min_acf: 0.6,
             fallback: None,
         },
-        max_warmup: Some(150),
         ..Default::default()
     })
     .unwrap();

@@ -17,7 +17,7 @@ fn oneshotstl_beats_onlinestl_on_abrupt_trend() {
     let t = ds.period;
     let split = 4 * t;
     let cfg = OneShotStlConfig {
-        lambdas: Lambdas { lambda1: 1.0, lambda2: 1.0, anchor: 1.0 },
+        lambdas: Lambdas { lambda1: 1.0, lambda2: 1.0 },
         ..Default::default()
     };
     let mut oneshot = OneShotStl::new(cfg);
@@ -67,7 +67,7 @@ fn tsad_family_vus(name: &str, n_series: usize, seed: u64, score: ScoreConfig) -
     for s in &fam.series {
         let period = find_length(s.train());
         let cfg = OneShotStlConfig {
-            lambdas: Lambdas { lambda1: 10.0, lambda2: 10.0, anchor: 1.0 },
+            lambdas: Lambdas { lambda1: 10.0, lambda2: 10.0 },
             shift_window: 0,
             ..Default::default()
         };
@@ -131,8 +131,7 @@ fn tsf_pipeline_beats_seasonal_naive_on_ettm2() {
     let ds = tsf_dataset("ETTm2", 5);
     let t = ds.period;
     let h = 96;
-    let mut f =
-        StdOnlineForecaster::new("OneShotSTL", OneShotStl::new(OneShotStlConfig::default()));
+    let mut f = StdForecaster::new(OneShotStl::new(OneShotStlConfig::default()));
     f.init(&ds.values[..4 * t], t).unwrap();
     for &v in &ds.values[4 * t..ds.val_end] {
         f.observe(v);
