@@ -28,9 +28,7 @@
 //! `target/experiments/`; the full run admits 1M series.
 
 use benchkit::{fmt_duration, write_bench_json, Cli, Experiment};
-use fleet::series::PhaseSnapshot;
 use fleet::{DurabilityConfig, FleetConfig, FleetEngine, PeriodPolicy, Record, SeriesKey};
-use oneshotstl::online_doolittle::SolverState;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -133,9 +131,9 @@ fn main() {
         spill_after: Some(SPILL_AFTER),
         ..Default::default()
     };
-    // a wave must be live (init_len points) with every IRLS solver past
-    // its warm-up (the 4th live update makes a solver steady), and then
-    // observed idle past the spill threshold by the *next* wave's sweep
+    // a wave must be live (init_len points) and take 4 online points, and
+    // then be observed idle past the spill threshold by the *next* wave's
+    // sweep
     let wave_rounds = (config.init_len(PERIOD) + 4) as u64;
     assert!(wave_rounds > SPILL_AFTER, "waves must outlast the spill threshold");
 
@@ -212,23 +210,11 @@ fn main() {
         rows.push(row);
     }
 
-    // per-series snapshot footprint of the hot set, priced on steady-state
-    // series: every hot solver must hold its constant-size window
+    // per-series snapshot footprint of the hot set: every solver is its
+    // constant-size window from the first point
     let live = engine.stats().expect("stats").live;
     let bytes = engine.snapshot_bytes().expect("snapshot");
     let bytes_exact = bytes.len() as f64 / live as f64;
-    let steady = fleet::codec::decode(&bytes)
-        .expect("decode the final snapshot")
-        .series
-        .iter()
-        .filter(|s| match &s.phase {
-            PhaseSnapshot::Live { decomposer, .. } => {
-                decomposer.iters.iter().all(|i| matches!(i.solver, SolverState::Steady { .. }))
-            }
-            _ => false,
-        })
-        .count();
-    assert_eq!(steady, live, "every hot series' solvers are steady when priced");
 
     // touch the wave-0 probe: it spilled long ago and must rehydrate
     // through the normal shard path, scoring bit-identically to the twin

@@ -1,9 +1,12 @@
 //! Symmetric Doolittle factorization (paper Algorithm 3).
 //!
 //! Factorizes a symmetric matrix as `A = L D Lᵀ` with unit lower-triangular
-//! `L` and diagonal `D`. This dense version exists as the paper's reference
-//! algorithm and as the test oracle for [`crate::online_doolittle`]; the
-//! production paths use the banded variant in [`tskit::linalg`].
+//! `L` and diagonal `D`. This dense version is the paper's reference
+//! algorithm; its tests check it by reconstruction, against a known
+//! solution and against tskit's banded factorization. No other module
+//! calls it: [`crate::online_doolittle`]'s tests take as their oracle a
+//! direct solve of the whole growing system over tskit's banded
+//! `L D Lᵀ` ([`tskit::linalg`]), as [`crate::reference`] does.
 
 // index recurrences here mirror the published algorithms; iterator
 // rewrites obscure the maths

@@ -62,7 +62,7 @@ pub use oneshot::{
     IterSnapshot, OneShotStl, OneShotStlConfig, OneShotStlState, ShiftPrune, UpdateScratch,
     DEFAULT_SHIFT_TOP_K,
 };
-pub use online_doolittle::{IncrementalSolver, SolverState};
+pub use online_doolittle::IncrementalSolver;
 pub use reference::ModifiedJointStlRef;
 pub use score::{
     CusumScorer, CusumState, Fusion, ResidualScorer, ResidualScorerState, ScoreConfig,

@@ -348,7 +348,7 @@ impl OneShotStl {
                 .iters
                 .iter()
                 .map(|st| IterSnapshot {
-                    solver: st.solver.to_state(),
+                    solver: st.solver,
                     pw_hist: st.pw_hist,
                     qw_hist: st.qw_hist,
                     tau_hist: st.tau_hist,
@@ -402,7 +402,7 @@ impl OneShotStl {
         }
         let mut iters = Vec::with_capacity(state.iters.len());
         for snap in state.iters {
-            let solver = IncrementalSolver::from_state(snap.solver)?;
+            let solver = snap.solver;
             // each IRLS iteration steps its solver exactly once per online
             // point; a mismatch means a corrupted snapshot that would
             // panic (`steps must be consecutive`) on the next update
@@ -447,10 +447,10 @@ impl OneShotStl {
 
     /// Encoded size in bytes of [`OneShotStl::to_state`] under the fleet
     /// snapshot codec (`fleet::codec` pins the two equal). Computed from
-    /// the seasonal-buffer length, shift-search policy and solver phase
-    /// without materialising the state, so the cost is constant per call
-    /// (the IRLS iteration count is a small config constant). Capacity
-    /// planning for per-node fleets keys off this number.
+    /// the seasonal-buffer length and shift-search policy without
+    /// materialising the state, so the cost is constant per call (the IRLS
+    /// iteration count is a small config constant). Capacity planning for
+    /// per-node fleets keys off this number.
     pub fn state_bytes(&self) -> usize {
         // shift search: tag, plus a u32 k for TopK
         let search = match self.config.shift_search {
@@ -465,20 +465,10 @@ impl OneShotStl {
         let vec_f64 = |n: usize| 8 + 8 * n;
         let seasonal = vec_f64(self.v.len());
         let hists = 2 * 16;
-        let iters: usize = self
-            .iters
-            .iter()
-            .map(|st| {
-                let solver = match &st.solver {
-                    // steady: tag + step count + 10 L band cells + D[4] + z[4],
-                    // fixed-length windows written bare
-                    IncrementalSolver::Steady(_) => 9 + 8 * 10 + 8 * (4 + 4),
-                    // warmup: tag + four vectors of one value per step
-                    IncrementalSolver::Warmup { .. } => 1 + 4 * vec_f64(st.solver.len()),
-                };
-                solver + 3 * 16
-            })
-            .sum();
+        // per iteration: the solver's tag, step count, 10 L band cells,
+        // D[4] and z[4] (fixed-length windows written bare), then the
+        // pw, qw and tau histories
+        let iters = self.iters.len() * (9 + 8 * (10 + 4 + 4) + 3 * 16);
         let nsigma = 4 * 8;
         config + scalars + seasonal + hists + 4 + iters + nsigma + 1
     }
@@ -515,7 +505,7 @@ pub struct OneShotStlState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterSnapshot {
     /// The `O(1)` solver window.
-    pub solver: crate::online_doolittle::SolverState,
+    pub solver: IncrementalSolver,
     /// First-difference weights at times `m−2, m−1`.
     pub pw_hist: [f64; 2],
     /// Second-difference weights at times `m−2, m−1`.
@@ -998,9 +988,8 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// IRLS chains are in flight together; then each model finishes on its
     /// own (verdict, a §3.4 search from its own lane's baseline when
     /// flagged, commit). The pair falls back to two one-model updates when
-    /// either model's solvers are still in warm-up (its first 4 online
-    /// points) or the two run different IRLS iteration counts. λ and H may
-    /// differ between the lanes.
+    /// the two run different IRLS iteration counts. λ and H may differ
+    /// between the lanes.
     pub fn update_pair_with_scratch(
         pair: [&mut Self; 2],
         ys: [f64; 2],
@@ -1010,9 +999,7 @@ impl<S: TailSolver> OnlineJointStl<S> {
         assert!(a.initialized && b.initialized, "OneShotSTL::update called before init");
         let ys = [a.impute(ys[0]), b.impute(ys[1])];
         let bufs = &mut scratch.0;
-        // a solver leaves warm-up at its 4th step, and every IRLS
-        // iteration steps its solver once per online point
-        if a.m < 4 || b.m < 4 || a.iters.len() != b.iters.len() {
+        if a.iters.len() != b.iters.len() {
             return [a.update_with(ys[0], bufs), b.update_with(ys[1], bufs)];
         }
         a.size_search_bufs(bufs);
@@ -1153,7 +1140,7 @@ mod tests {
         // only the seasonal buffer scales with the period: 8 bytes per slot
         let b48 = build(48).state_bytes();
         assert_eq!(b48 - b24, 8 * 24);
-        // warmup states (tiny per-iteration histories) are strictly smaller
+        // an uninitialized model (no iteration states, no buffer) is smaller
         let fresh = OneShotStl::default_paper();
         assert!(fresh.state_bytes() < b24);
     }
@@ -1344,8 +1331,8 @@ mod tests {
         /// state and in their search stats after every step. The models
         /// differ in IRLS iteration count, so the shared trial buffers are
         /// resized between them, and they start their shared stream at
-        /// different points, so models in solver warm-up mix with steady
-        /// ones.
+        /// different points, so models in their first 4 online points
+        /// (masked solver steps) mix with later ones.
         #[test]
         fn prop_grouped_update_matches_scalar_bit_for_bit(seed in 0u64..100_000) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1401,7 +1388,8 @@ mod tests {
         /// in some cases lane 1 runs no shift search (`H = 0`); most cases
         /// share the IRLS count (the paired kernel) and the rest do not
         /// (two scalar updates). Lane 1 enters the pair up to 5 points
-        /// after its init, so lanes in solver warm-up meet steady ones.
+        /// after its init, so lanes in their first 4 points (masked solver
+        /// steps) meet later ones.
         /// The streams carry spikes that flag one lane, NaNs, ±∞ and a
         /// lasting phase shift, and one step spikes both lanes, so both
         /// lanes of one pair run a shift search.

@@ -21,14 +21,29 @@
 //! starts at the last index, so `x_{2M−1}` (= `s_t`) and `x_{2M−2}` (= `τ_t`)
 //! of the exact solution are available after `O(1)` work. OneShotSTL is
 //! therefore an exact incremental solver for the Algorithm-2 system, not an
-//! approximation of it (verified against [`crate::reference`]).
+//! approximation of it: every step's `(τ_t, s_t)` equals a direct solve
+//! of the whole growing system bit for bit (pinned by
+//! `incremental_matches_full_solve_exactly`).
 //!
-//! The first 4 steps ("warm-up") factorize the still-tiny full system
-//! directly; the window state is extracted at step 4. All work per step is
-//! bounded by fixed 10×10 loops either way: the update is `O(1)`.
+//! ## The first points
 //!
-//! The steady step is one straight-line kernel (`Window::step`): every
-//! index in it is a constant, so its 10×10 working triangle lives in
+//! Every point, the first included, runs the same step. Before the first
+//! online point the window covers unknowns at negative indices that stand
+//! for "no unknowns yet": a fresh solver holds `L` band cells `+0.0`,
+//! `D = 1`, `z = +0.0` and `m = 0`. Until the window holds only real
+//! unknowns (steps 1–4) the step reads its tail with the entries the
+//! system ignores set to `+0.0` (`TailData::masked`: `y`, `u` before
+//! time 0, `pw` before time 1, `qw` before time 2), so each virtual
+//! point's block is the fixed `[[1, 1], [1, 2]]` with a `+0.0` right-hand
+//! side and `+0.0` couplings to every real unknown. The step then
+//! subtracts only `+0.0` terms from real entries, and `x − (+0.0) = x`
+//! exactly, even for `x = −0.0`; real entries of `A` are never `−0.0`,
+//! because they accumulate from `0.0 +`. So the first points cost one
+//! step each and no heap memory, and the solver is plain old data from
+//! its first point on.
+//!
+//! The step is one straight-line kernel (`IncrementalSolver::kernel`):
+//! every index in it is a constant, so its 10×10 working triangle lives in
 //! registers and on the stack, and it inlines through
 //! [`IncrementalSolver::step_lanes`] into the IRLS trial loop. The kernel
 //! is written once, over a two-lane value type (`crate::lanes`): it
@@ -40,256 +55,32 @@
 // rewrites obscure the maths
 #![allow(clippy::needless_range_loop)]
 use crate::lanes::{F64x2, Native};
-use crate::system::{assemble_block_steady, assemble_full, PairBlock, SystemData, TailData};
-use tskit::error::TsError;
+use crate::system::{assemble_block_steady, PairBlock, TailData};
 
 /// The `(row, col)` cells of the `8×4` `L` window that the next step
-/// reads, in the order [`SolverState::Steady`] stores them: rows 4–7 with
+/// reads, in the order [`IncrementalSolver::lo`] stores them: rows 4–7 with
 /// row > col and row − col ≤ 4. The other 22 cells are either unit
 /// diagonal, structurally zero, or never read again.
 pub const BAND: [(usize, usize); 10] =
     [(4, 0), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3)];
 
-/// Plain-data snapshot of an [`IncrementalSolver`] (see `fleet::codec`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SolverState {
-    /// Snapshot of the warm-up phase (`M ≤ 4`): full tiny histories.
-    Warmup {
-        /// Observations so far.
-        y: Vec<f64>,
-        /// Seasonal anchors so far.
-        u: Vec<f64>,
-        /// First-difference weights so far.
-        pw: Vec<f64>,
-        /// Second-difference weights so far.
-        qw: Vec<f64>,
-    },
-    /// Snapshot of the steady phase (`M ≥ 5`): the constant-size window.
-    Steady {
-        /// Points processed so far.
-        m: u64,
-        /// The [`BAND`] cells of the `L` window.
-        lo: [f64; 10],
-        /// `D` window.
-        dd: [f64; 4],
-        /// `z` window.
-        zo: [f64; 4],
-    },
-}
-
-/// Incremental solver for one IRLS iteration's linear system.
+/// Incremental solver for one IRLS iteration's linear system: the `O(1)`
+/// window state (see module docs), plain old data from its first point.
+/// Its fields are the whole state, so the solver is its own snapshot
+/// (see `fleet::codec`): a copy steps bit-identically to the original.
 ///
 /// Feed one [`TailData`] per online point via [`IncrementalSolver::step`];
 /// it returns the exact `(τ_t, s_t)` of the growing system's solution.
-#[derive(Debug, Clone)]
-pub enum IncrementalSolver {
-    /// Steps `M ≤ 4`: keep full (tiny) histories and solve directly.
-    Warmup {
-        /// Observations so far.
-        y: Vec<f64>,
-        /// Seasonal anchors so far.
-        u: Vec<f64>,
-        /// First-difference weights so far.
-        pw: Vec<f64>,
-        /// Second-difference weights so far.
-        qw: Vec<f64>,
-    },
-    /// Steps `M ≥ 5`: constant-size window state.
-    Steady(Window),
-}
-
-/// The `O(1)` window state (see module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct Window {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IncrementalSolver {
     /// Number of online points processed.
-    m: usize,
+    pub m: usize,
     /// The [`BAND`] cells of `L[2M−8 … 2M−1, 2M−8 … 2M−5]`.
-    lo: [f64; 10],
+    pub lo: [f64; 10],
     /// `D[2M−8 … 2M−5]`.
-    dd: [f64; 4],
+    pub dd: [f64; 4],
     /// `z[2M−8 … 2M−5]` where `z = L⁻¹ b`.
-    zo: [f64; 4],
-}
-
-impl Default for IncrementalSolver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IncrementalSolver {
-    /// A fresh solver (no points yet).
-    pub fn new() -> Self {
-        IncrementalSolver::Warmup {
-            y: Vec::with_capacity(5),
-            u: Vec::with_capacity(5),
-            pw: Vec::with_capacity(5),
-            qw: Vec::with_capacity(5),
-        }
-    }
-
-    /// Number of points processed so far.
-    pub fn len(&self) -> usize {
-        match self {
-            IncrementalSolver::Warmup { y, .. } => y.len(),
-            IncrementalSolver::Steady(w) => w.m,
-        }
-    }
-
-    /// True when no points have been processed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Extracts a plain-data snapshot for serialization (see
-    /// `fleet::codec`).
-    pub fn to_state(&self) -> SolverState {
-        match self {
-            IncrementalSolver::Warmup { y, u, pw, qw } => SolverState::Warmup {
-                y: y.clone(),
-                u: u.clone(),
-                pw: pw.clone(),
-                qw: qw.clone(),
-            },
-            IncrementalSolver::Steady(w) => {
-                SolverState::Steady { m: w.m as u64, lo: w.lo, dd: w.dd, zo: w.zo }
-            }
-        }
-    }
-
-    /// Rebuilds a solver from [`IncrementalSolver::to_state`] output. The
-    /// restored solver produces a bit-identical step stream.
-    pub fn from_state(state: SolverState) -> Result<Self, TsError> {
-        match state {
-            SolverState::Warmup { y, u, pw, qw } => {
-                // the warm-up phase holds at most 3 entries: step 4
-                // converts the solver to Steady
-                if y.len() > 3
-                    || u.len() != y.len()
-                    || pw.len() != y.len()
-                    || qw.len() != y.len()
-                {
-                    return Err(TsError::InvalidParam {
-                        name: "SolverState::Warmup",
-                        msg: "inconsistent warm-up history lengths".into(),
-                    });
-                }
-                Ok(IncrementalSolver::Warmup { y, u, pw, qw })
-            }
-            SolverState::Steady { m, lo, dd, zo } => {
-                if m < 4 {
-                    return Err(TsError::InvalidParam {
-                        name: "SolverState::Steady",
-                        msg: "window state before step 4".into(),
-                    });
-                }
-                Ok(IncrementalSolver::Steady(Window { m: m as usize, lo, dd, zo }))
-            }
-        }
-    }
-
-    /// Processes the next point and returns the exact `(τ_t, s_t)` for it.
-    ///
-    /// `tail.m` must equal `self.len() + 1` (the new step count).
-    pub fn step(&mut self, tail: &TailData) -> (f64, f64) {
-        let m = tail.m;
-        assert_eq!(m, self.len() + 1, "steps must be consecutive");
-        match self {
-            IncrementalSolver::Warmup { y, u, pw, qw } => {
-                // append newest, refresh the (up to) two previous tail
-                // entries whose anchors/weights may have been re-read
-                y.push(0.0);
-                u.push(0.0);
-                pw.push(0.0);
-                qw.push(0.0);
-                let k = m.min(3);
-                for j in m - k..m {
-                    let s = 3 - (m - j);
-                    y[j] = tail.y3[s];
-                    u[j] = tail.u3[s];
-                    pw[j] = tail.p3[s];
-                    qw[j] = tail.q3[s];
-                }
-                let data = SystemData { y, u, pw, qw, lambdas: tail.lambdas };
-                let (a, b) = assemble_full(&data);
-                let f = a.ldlt().expect("online system is SPD");
-                let x = f.solve(&b);
-                let (tau, s) = (x[2 * m - 2], x[2 * m - 1]);
-                if m == 4 {
-                    // extract the window state: the band cells of rows
-                    // 0..8, cols 0..4 of L
-                    let z = f.forward(&b);
-                    let lo = BAND.map(|(r, c)| f.l.get(r, c));
-                    let mut dd = [0.0; 4];
-                    let mut zo = [0.0; 4];
-                    dd.copy_from_slice(&f.d[0..4]);
-                    zo.copy_from_slice(&z[0..4]);
-                    *self = IncrementalSolver::Steady(Window { m, lo, dd, zo });
-                }
-                (tau, s)
-            }
-            IncrementalSolver::Steady(w) => {
-                let prev = *w;
-                let [(next, out), _] = Window::step::<Native>([&prev, &prev], [tail, tail]);
-                *w = next;
-                out
-            }
-        }
-    }
-
-    /// [`IncrementalSolver::step`] without mutating the sources, for `L ≤ 2`
-    /// solvers in lock step: lane `q` steps `src[q]` on `tails[q]` into
-    /// `dst[q]` (whose prior contents are arbitrary scratch). A steady
-    /// window is plain-old-data, so this is the `O(1)` factorization step
-    /// from one window into another — **no heap allocation** — which makes
-    /// a rejected shift-search trial free to roll back. The steady arm
-    /// inlines into the caller's IRLS loop down through the kernel, so the
-    /// block and the window stay in registers. When every lane is steady,
-    /// one kernel call steps them all, so their dependency chains are in
-    /// flight together; each lane computes exactly the operations of a
-    /// one-lane step (no fused multiply-add, no reassociation), so the
-    /// outputs are bit-identical to stepping the lanes one at a time. The
-    /// kernel always runs two lanes: with `L = 1` its second lane repeats
-    /// the first, and that result is dropped. A lane still in warm-up sends
-    /// every lane through the out-of-line warm-up arm, one at a time.
-    #[inline(always)]
-    pub fn step_lanes<const L: usize>(
-        src: [&Self; L],
-        tails: &[TailData; L],
-        mut dst: [&mut Self; L],
-    ) -> [(f64, f64); L] {
-        const { assert!(L == 1 || L == 2, "the step kernel has two lanes") };
-        // with L ≤ 2, lanes 0 and L − 1 are all the lanes
-        let (IncrementalSolver::Steady(first), IncrementalSolver::Steady(last)) =
-            (src[0], src[L - 1])
-        else {
-            return std::array::from_fn(|q| src[q].warmup_step_from(&tails[q], dst[q]));
-        };
-        let stepped = Window::step::<Native>([first, last], [&tails[0], &tails[L - 1]]);
-        let mut out = [(0.0, 0.0); L];
-        for q in 0..L {
-            // the kernel overwrites the whole window; a stale Warmup
-            // variant is dropped here once
-            if let IncrementalSolver::Warmup { .. } = dst[q] {
-                *dst[q] = IncrementalSolver::Steady(Window::EMPTY);
-            }
-            let IncrementalSolver::Steady(w) = &mut *dst[q] else {
-                unreachable!("replaced above")
-            };
-            (*w, out[q]) = stepped[q];
-        }
-        out
-    }
-
-    /// The warm-up arm of [`IncrementalSolver::step_lanes`], out of line:
-    /// warm-up lasts 4 points per iteration, so cloning the tiny histories
-    /// there is fine.
-    #[cold]
-    #[inline(never)]
-    fn warmup_step_from(&self, tail: &TailData, dst: &mut Self) -> (f64, f64) {
-        dst.clone_from(self);
-        dst.step(tail)
-    }
+    pub zo: [f64; 4],
 }
 
 /// Expands `$body` once per listed value of `$i`: a loop the compiler
@@ -303,9 +94,85 @@ macro_rules! unroll {
     };
 }
 
-impl Window {
-    /// A placeholder the step kernel overwrites whole.
-    const EMPTY: Window = Window { m: 0, lo: [0.0; 10], dd: [0.0; 4], zo: [0.0; 4] };
+impl Default for IncrementalSolver {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl IncrementalSolver {
+    /// A fresh solver (no points yet): the window of the virtual unknowns
+    /// before the first online point (see module docs).
+    pub const fn new() -> Self {
+        IncrementalSolver { m: 0, lo: [0.0; 10], dd: [1.0; 4], zo: [0.0; 4] }
+    }
+
+    /// Number of points processed so far.
+    pub fn len(&self) -> usize {
+        self.m
+    }
+
+    /// True when no points have been processed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Processes the next point and returns the exact `(τ_t, s_t)` for it.
+    ///
+    /// `tail.m` must equal `self.len() + 1` (the new step count).
+    pub fn step(&mut self, tail: &TailData) -> (f64, f64) {
+        assert_eq!(tail.m, self.len() + 1, "steps must be consecutive");
+        let src = *self;
+        let [out] = Self::step_lanes([&src], std::array::from_ref(tail), [self]);
+        out
+    }
+
+    /// [`IncrementalSolver::step`] without mutating the sources, for `L ≤ 2`
+    /// solvers in lock step: lane `q` steps `src[q]` on `tails[q]` into
+    /// `dst[q]` (whose prior contents are arbitrary scratch). A solver is
+    /// plain old data, so this is the `O(1)` factorization step from one
+    /// window into another — **no heap allocation** — which makes a
+    /// rejected shift-search trial free to roll back. The steady arm
+    /// inlines into the caller's IRLS loop down through the kernel, so the
+    /// block and the window stay in registers. One kernel call steps every
+    /// lane, so their dependency chains are in flight together; each lane
+    /// computes exactly the operations of a one-lane step (no fused
+    /// multiply-add, no reassociation), so the outputs are bit-identical
+    /// to stepping the lanes one at a time. The kernel always runs two
+    /// lanes: with `L = 1` its second lane repeats the first, and that
+    /// result is dropped. While a lane's window still holds virtual
+    /// unknowns (its first 4 points) the lanes step through the
+    /// out-of-line `IncrementalSolver::step_masked` instead.
+    #[inline(always)]
+    pub fn step_lanes<const L: usize>(
+        src: [&Self; L],
+        tails: &[TailData; L],
+        dst: [&mut Self; L],
+    ) -> [(f64, f64); L] {
+        const { assert!(L == 1 || L == 2, "the step kernel has two lanes") };
+        // with L ≤ 2, lanes 0 and L − 1 are all the lanes
+        let (src, tails) = ([src[0], src[L - 1]], [&tails[0], &tails[L - 1]]);
+        let stepped = if src[0].m < 4 || src[1].m < 4 {
+            Self::step_masked(src, tails)
+        } else {
+            Self::kernel::<Native>(src, tails)
+        };
+        let mut out = [(0.0, 0.0); L];
+        for q in 0..L {
+            (*dst[q], out[q]) = stepped[q];
+        }
+        out
+    }
+
+    /// The kernel on `TailData::masked` tails, out of line: a solver
+    /// takes this path for its first 4 points only, and masking a tail of
+    /// step 5 or later changes nothing, so a steady lane may ride along.
+    #[cold]
+    #[inline(never)]
+    fn step_masked(src: [&Self; 2], tails: [&TailData; 2]) -> [(Self, (f64, f64)); 2] {
+        let masked = tails.map(TailData::masked);
+        Self::kernel::<Native>(src, [&masked[0], &masked[1]])
+    }
 
     /// One `O(1)` factorization + solve step (Algorithm 4) for two
     /// independent windows, one per lane of `V`: lane `q` steps `src[q]` on
@@ -314,7 +181,7 @@ impl Window {
     /// runs once per lane in the scalar order, so each lane is
     /// bit-identical to a one-window step.
     #[inline(always)]
-    fn step<V: F64x2>(src: [&Window; 2], tails: [&TailData; 2]) -> [(Window, (f64, f64)); 2] {
+    fn kernel<V: F64x2>(src: [&Self; 2], tails: [&TailData; 2]) -> [(Self, (f64, f64)); 2] {
         let block = assemble_block_steady::<V>(tails);
         // local window covers global unknowns 2M-10 .. 2M-1 (M = new count);
         // the previous state's band lies in locals 4..8 (rows) x 0..4
@@ -346,7 +213,7 @@ impl Window {
         let x9 = z[9] / d[9];
         let x8 = z[8] / d[8] - l[9 * 10 + 8] * x9;
         // slide the window by one time point (two unknowns)
-        let mut next = [Window::EMPTY; 2];
+        let mut next = [Self::new(); 2];
         unroll!(i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
             let (r, c) = BAND[i];
             [next[0].lo[i], next[1].lo[i]] = l[10 * (r + 2) + c + 2].lanes();
@@ -403,11 +270,12 @@ fn column<const K: usize, V: F64x2>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::Lambdas;
+    use crate::system::{assemble_full, Lambdas, SystemData};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Reference: solve the full growing system at every step.
+    /// Reference: factorize and solve the full growing system at every
+    /// step.
     struct FullSolver {
         y: Vec<f64>,
         u: Vec<f64>,
@@ -417,7 +285,13 @@ mod tests {
     }
 
     impl FullSolver {
-        fn step(&mut self, tail: &TailData) -> (f64, f64) {
+        fn new(lambdas: Lambdas) -> Self {
+            FullSolver { y: vec![], u: vec![], pw: vec![], qw: vec![], lambdas }
+        }
+
+        /// The newest `(τ, s)` and, from step 4 on, the window the `O(1)`
+        /// solver must hold after this step, read off the full factors.
+        fn step(&mut self, tail: &TailData) -> ((f64, f64), Option<IncrementalSolver>) {
             let m = tail.m;
             self.y.push(0.0);
             self.u.push(0.0);
@@ -439,8 +313,33 @@ mod tests {
                 lambdas: self.lambdas,
             };
             let (a, b) = assemble_full(&data);
-            let x = a.solve(&b).unwrap();
-            (x[2 * m - 2], x[2 * m - 1])
+            let f = a.ldlt().unwrap();
+            let x = f.solve(&b);
+            let window = (m >= 4).then(|| {
+                let (z, at) = (f.forward(&b), 2 * m - 8);
+                IncrementalSolver {
+                    m,
+                    lo: BAND.map(|(r, c)| f.l.get(at + r, at + c)),
+                    dd: std::array::from_fn(|i| f.d[at + i]),
+                    zo: std::array::from_fn(|i| z[at + i]),
+                }
+            });
+            ((x[2 * m - 2], x[2 * m - 1]), window)
+        }
+    }
+
+    /// The bits of a window's cells.
+    fn state_bits(s: &IncrementalSolver) -> Vec<u64> {
+        let cells = s.lo.iter().chain(&s.dd).chain(&s.zo);
+        std::iter::once(s.m as u64).chain(cells.map(|v| v.to_bits())).collect()
+    }
+
+    /// A value of `lo..hi`, or a signed zero one time in eight.
+    fn value_or_zero(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
+        match rng.gen_range(0..16) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(lo..hi),
         }
     }
 
@@ -451,17 +350,21 @@ mod tests {
         hist: &mut Vec<[f64; 4]>,
     ) -> TailData {
         // keep a rolling record of (y, u, pw, qw) per time so that the
-        // "refreshed tail" semantics stay consistent across steps
+        // "refreshed tail" semantics stay consistent across steps; the
+        // weights the system ignores (pw at time 0, qw at times 0 and 1)
+        // hold garbage
+        let garbage = |rng: &mut StdRng| rng.gen_range(-1e3..1e3);
         hist.push([
-            rng.gen_range(-3.0..3.0),
-            rng.gen_range(-1.0..1.0),
-            rng.gen_range(0.05..4.0),
-            rng.gen_range(0.05..4.0),
+            value_or_zero(rng, -3.0, 3.0),
+            value_or_zero(rng, -1.0, 1.0),
+            if m > 1 { rng.gen_range(0.05..4.0) } else { garbage(rng) },
+            if m > 2 { rng.gen_range(0.05..4.0) } else { garbage(rng) },
         ]);
-        let mut y3 = [0.0; 3];
-        let mut u3 = [0.0; 3];
-        let mut p3 = [0.0; 3];
-        let mut q3 = [0.0; 3];
+        // slots before time 0 are ignored too: garbage
+        let mut y3 = [0.0; 3].map(|_| garbage(rng));
+        let mut u3 = [0.0; 3].map(|_| garbage(rng));
+        let mut p3 = [0.0; 3].map(|_| garbage(rng));
+        let mut q3 = [0.0; 3].map(|_| garbage(rng));
         let k = m.min(3);
         for j in m - k..m {
             let s = 3 - (m - j);
@@ -473,22 +376,33 @@ mod tests {
         TailData { m, y3, u3, p3, q3, lambdas }
     }
 
+    /// The `O(1)` solver equals the full growing-system solve bit for bit,
+    /// in `(τ, s)` from the first point and in its window from step 4,
+    /// with signed-zero inputs and garbage in every slot the system
+    /// ignores, over λ from 0.3 to 1e4.
     #[test]
     fn incremental_matches_full_solve_exactly() {
-        for seed in 0..5u64 {
+        let lambdas = [(1.0, 10.0), (0.3, 0.3), (100.0, 100.0), (1e4, 2.5), (7.0, 1e4)];
+        for seed in 0..40u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let lambdas = Lambdas { lambda1: 1.0, lambda2: 10.0 };
+            let (lambda1, lambda2) = lambdas[seed as usize % lambdas.len()];
+            let lambdas = Lambdas { lambda1, lambda2 };
             let mut inc = IncrementalSolver::new();
-            let mut full = FullSolver { y: vec![], u: vec![], pw: vec![], qw: vec![], lambdas };
+            let mut full = FullSolver::new(lambdas);
             let mut hist = Vec::new();
             for m in 1..=60 {
                 let tail = random_tail(m, &mut rng, lambdas, &mut hist);
                 let (t1, s1) = inc.step(&tail);
-                let (t2, s2) = full.step(&tail);
-                assert!(
-                    (t1 - t2).abs() < 1e-8 && (s1 - s2).abs() < 1e-8,
+                let ((t2, s2), window) = full.step(&tail);
+                assert_eq!(
+                    (t1.to_bits(), s1.to_bits()),
+                    (t2.to_bits(), s2.to_bits()),
                     "seed {seed} step {m}: ({t1},{s1}) vs ({t2},{s2})"
                 );
+                if let Some(window) = window {
+                    let got = state_bits(&inc);
+                    assert_eq!(got, state_bits(&window), "seed {seed} window after step {m}");
+                }
             }
         }
     }
@@ -499,7 +413,7 @@ mod tests {
         // refreshed p/q for the 3 trailing times.
         let lambdas = Lambdas { lambda1: 5.0, lambda2: 1.0 };
         let mut inc = IncrementalSolver::new();
-        let mut full = FullSolver { y: vec![], u: vec![], pw: vec![], qw: vec![], lambdas };
+        let mut full = FullSolver::new(lambdas);
         let mut hist: Vec<[f64; 4]> = Vec::new();
         for m in 1..=40usize {
             hist.push([
@@ -526,9 +440,10 @@ mod tests {
             }
             let tail = TailData { m, y3, u3, p3, q3, lambdas };
             let (t1, s1) = inc.step(&tail);
-            let (t2, s2) = full.step(&tail);
-            assert!(
-                (t1 - t2).abs() < 1e-8 && (s1 - s2).abs() < 1e-8,
+            let ((t2, s2), _) = full.step(&tail);
+            assert_eq!(
+                (t1.to_bits(), s1.to_bits()),
+                (t2.to_bits(), s2.to_bits()),
                 "step {m}: ({t1},{s1}) vs ({t2},{s2})"
             );
         }
@@ -551,17 +466,20 @@ mod tests {
 
     #[test]
     fn state_size_is_constant() {
-        // the steady-state struct is Copy with fixed arrays — compile-time
-        // guarantee of O(1) memory; this test pins the size: the step
-        // count plus 10 band cells, D and z
-        assert_eq!(std::mem::size_of::<Window>(), 19 * 8);
+        // the solver is Copy with fixed arrays from its first point —
+        // compile-time guarantee of O(1) memory; this test pins the size:
+        // the step count plus 10 band cells, D and z
+        assert_eq!(std::mem::size_of::<IncrementalSolver>(), 19 * 8);
     }
 
     /// The one-lane step kernel on plain `f64`, kept as the bit-level
     /// reference of the two-lane kernel: the block from the loop path of
     /// [`crate::system::assemble_block`], then the same operations in the
-    /// same order as `Window::step` and `column`.
-    fn reference_step(src: &Window, tail: &TailData) -> (Window, (f64, f64)) {
+    /// same order as `IncrementalSolver::kernel` and `column`.
+    fn reference_step(
+        src: &IncrementalSolver,
+        tail: &TailData,
+    ) -> (IncrementalSolver, (f64, f64)) {
         let block = crate::system::assemble_block(tail);
         assert_eq!(block.dim, 6, "steady steps only");
         let mut l = [0.0f64; 100];
@@ -593,7 +511,7 @@ mod tests {
         }
         let x9 = z[9] / d[9];
         let x8 = z[8] / d[8] - l[9 * 10 + 8] * x9;
-        let next = Window {
+        let next = IncrementalSolver {
             m: src.m + 1,
             lo: BAND.map(|(r, c)| l[10 * (r + 2) + c + 2]),
             dd: [d[2], d[3], d[4], d[5]],
@@ -624,7 +542,7 @@ mod tests {
     /// Every cell is finite and moderate except up to three taken from
     /// [`SPECIAL`], so most cases keep finite outputs next to the ones the
     /// special cells poison.
-    fn random_lane(rng: &mut StdRng) -> (Window, TailData) {
+    fn random_lane(rng: &mut StdRng) -> (IncrementalSolver, TailData) {
         // 18 window cells, 12 tail cells, 2 λs
         let mut cells = [0.0f64; 32];
         for (i, c) in cells.iter_mut().enumerate() {
@@ -638,7 +556,7 @@ mod tests {
             cells[rng.gen_range(0..32usize)] = SPECIAL[rng.gen_range(0..SPECIAL.len())];
         }
         let take = |at: usize| -> [f64; 3] { [cells[at], cells[at + 1], cells[at + 2]] };
-        let window = Window {
+        let window = IncrementalSolver {
             m: rng.gen_range(4..1_000_000usize),
             lo: std::array::from_fn(|i| cells[i]),
             dd: std::array::from_fn(|i| cells[10 + i]),
@@ -662,7 +580,7 @@ mod tests {
     /// `0 + (−w)` as `0 − w`, so a NaN's sign bit can differ between two
     /// compilations of the same operations. Every other value, signed
     /// zeros and infinities included, compares by its bits.
-    fn bits(w: &Window, out: (f64, f64)) -> Vec<u64> {
+    fn bits(w: &IncrementalSolver, out: (f64, f64)) -> Vec<u64> {
         let cells = w.lo.iter().chain(&w.dd).chain(&w.zo).chain([&out.0, &out.1]);
         let bits = |v: &f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
         std::iter::once(w.m as u64).chain(cells.map(bits)).collect()
@@ -684,20 +602,15 @@ mod tests {
             let (wb, tb) = random_lane(&mut rng);
             let want = [reference_step(&wa, &ta), reference_step(&wb, &tb)];
             let want = want.map(|(w, out)| bits(&w, out));
-            let native = Window::step::<Native>([&wa, &wb], [&ta, &tb]);
+            let native = IncrementalSolver::kernel::<Native>([&wa, &wb], [&ta, &tb]);
             proptest::prop_assert_eq!(native.map(|(w, out)| bits(&w, out)), want.clone());
             #[cfg(target_arch = "x86_64")]
             {
-                let portable = Window::step::<crate::lanes::Portable>([&wa, &wb], [&ta, &tb]);
+                let portable = IncrementalSolver::kernel::<crate::lanes::Portable>([&wa, &wb], [&ta, &tb]);
                 proptest::prop_assert_eq!(portable.map(|(w, out)| bits(&w, out)), want.clone());
             }
-            let mut dst = IncrementalSolver::new();
-            let [out] = IncrementalSolver::step_lanes(
-                [&IncrementalSolver::Steady(wa)],
-                &[ta],
-                [&mut dst],
-            );
-            let IncrementalSolver::Steady(next) = dst else { panic!("a steady step") };
+            let mut next = IncrementalSolver::new();
+            let [out] = IncrementalSolver::step_lanes([&wa], &[ta], [&mut next]);
             proptest::prop_assert_eq!(bits(&next, out), want[0].clone());
         }
     }

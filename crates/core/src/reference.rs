@@ -10,9 +10,9 @@
 //! solved.
 //!
 //! Its purpose is the paper's central claim: the `O(1)` OnlineDoolittle
-//! path must produce **identical** `(τ_t, s_t)` (up to floating-point
-//! noise). The property test below drives both on random and structured
-//! streams and asserts exactly that.
+//! path must produce **identical** `(τ_t, s_t)`, bit for bit. The tests
+//! below drive both on random and structured streams and assert exactly
+//! that.
 
 use crate::oneshot::{OnlineJointStl, TailSolver};
 use crate::system::{assemble_full, SystemData, TailData};
@@ -78,6 +78,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use tskit::series::DecompPoint;
 
     fn stream(n: usize, t: usize, noise: f64, jump: Option<usize>, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -105,15 +106,13 @@ mod tests {
         for (i, &v) in y[split..].iter().enumerate() {
             let pf = fast.update(v);
             let pe = exact.update(v);
-            assert!(
-                (pf.trend - pe.trend).abs() < 1e-7 && (pf.seasonal - pe.seasonal).abs() < 1e-7,
-                "step {i}: O(1) ({}, {}) vs exact ({}, {})",
-                pf.trend,
-                pf.seasonal,
-                pe.trend,
-                pe.seasonal
-            );
+            assert_eq!(bits(&pf), bits(&pe), "step {i}: O(1) {pf:?} vs exact {pe:?}");
         }
+    }
+
+    /// Every bit of a decomposed point.
+    fn bits(p: &DecompPoint) -> [u64; 3] {
+        [p.trend, p.seasonal, p.residual].map(f64::to_bits)
     }
 
     #[test]
@@ -146,7 +145,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn prop_equivalence_on_random_streams(
             seed in 0u64..1000,
@@ -169,8 +168,7 @@ mod tests {
             for &v in &y[3 * t..] {
                 let pf = fast.update(v);
                 let pe = exact.update(v);
-                prop_assert!((pf.trend - pe.trend).abs() < 1e-6);
-                prop_assert!((pf.seasonal - pe.seasonal).abs() < 1e-6);
+                prop_assert_eq!(bits(&pf), bits(&pe));
             }
         }
     }

@@ -7,18 +7,20 @@
 //!
 //! Two assembly routines are provided:
 //!
-//! - [`assemble_full`] builds the whole `2M × 2M` system (used by the
-//!   Algorithm-2 reference solver and by the warm-up steps of the `O(1)`
-//!   path), and
+//! - [`assemble_full`] builds the whole `2M × 2M` system: the Algorithm-2
+//!   reference solver ([`crate::reference::GrowingSolver`]) and the tests
+//!   use it, the `O(1)` path never does, and
 //! - [`assemble_block`] builds only the trailing block `A*` / `b*` that
 //!   changes when a new point arrives (paper Fig. 2, red box), as loops
-//!   over the tail points. The steady steps of [`crate::online_doolittle`]
-//!   run its straight-line two-lane form, `assemble_block_steady`.
+//!   over the tail points. Every step of [`crate::online_doolittle`] runs
+//!   its straight-line two-lane form, `assemble_block_steady`, on the
+//!   first 4 points over a `TailData::masked` tail.
 //!
 //! A unit test asserts that the block equals the corresponding sub-matrix
 //! of the full assembly for random weights, which is the structural claim
-//! of the paper's Fig. 2, and that both lanes of the straight-line form
-//! equal the loop form bit for bit.
+//! of the paper's Fig. 2, that both lanes of the straight-line form equal
+//! the loop form bit for bit, and that on a masked tail its real entries
+//! do too, with `+0.0` couplings to the virtual unknowns.
 
 use crate::lanes::F64x2;
 use tskit::linalg::SymBanded;
@@ -131,6 +133,31 @@ pub struct TailData {
     pub lambdas: Lambdas,
 }
 
+impl TailData {
+    /// This tail with every entry the system ignores set to `+0.0`: `y`
+    /// and `u` before time 0, `pw` before time 1 and `qw` before time 2
+    /// (slot `s` holds time `m − 3 + s`). Nothing is masked from `m = 5`
+    /// on. The step kernel reads the masked slots as virtual unknowns
+    /// decoupled from the real ones (see [`crate::online_doolittle`]).
+    pub(crate) fn masked(&self) -> TailData {
+        let mut t = *self;
+        for s in 0..3 {
+            // time of slot s is m + s − 3
+            let j3 = self.m + s;
+            if j3 < 3 {
+                (t.y3[s], t.u3[s]) = (0.0, 0.0);
+            }
+            if j3 < 4 {
+                t.p3[s] = 0.0;
+            }
+            if j3 < 5 {
+                t.q3[s] = 0.0;
+            }
+        }
+        t
+    }
+}
+
 /// Builds the trailing `A*`, `b*` block (paper Fig. 2) for step `m`.
 pub fn assemble_block(t: &TailData) -> TailBlock {
     let m = t.m;
@@ -212,7 +239,10 @@ pub(crate) struct PairBlock<V> {
 /// off-diagonal entry (it turns a `−0.0` weight into `+0.0`), so each lane
 /// is bit-identical to [`assemble_block`] (pinned by
 /// `block_matches_full_submatrix` for `m = 5..12` and by the `GOLDEN_*`
-/// fixtures end-to-end).
+/// fixtures end-to-end). For `M ≤ 4` it takes a `TailData::masked`
+/// tail: the slots before time 0 become virtual points, and the real
+/// entries still equal [`assemble_block`]'s bit for bit (pinned for
+/// `m = 1..4`).
 #[inline(always)]
 pub(crate) fn assemble_block_steady<V: F64x2>(lanes: [&TailData; 2]) -> PairBlock<V> {
     let [t, u] = lanes;
@@ -350,6 +380,46 @@ mod tests {
         }
     }
 
+    /// At `m ≤ 4` the straight-line block of the `TailData::masked`
+    /// tail (garbage in every ignored slot first) holds the loop path's
+    /// block in its trailing real unknowns bit for bit, and every coupling
+    /// between a real and a virtual unknown is `+0.0`.
+    fn assert_masked_block_matches_loop_path(tail: &TailData) {
+        let m = tail.m;
+        let mut garbage = *tail;
+        let real = |s: usize| m + s >= 3;
+        for s in 0..3 {
+            if !real(s) {
+                (garbage.y3[s], garbage.u3[s]) = (-7.5, 3.25);
+            }
+            if m + s < 4 {
+                garbage.p3[s] = -0.0;
+            }
+            if m + s < 5 {
+                garbage.q3[s] = 11.0;
+            }
+        }
+        let masked = garbage.masked();
+        let pair = assemble_block_steady::<crate::lanes::Native>([&masked, &masked]);
+        let block = assemble_block(tail);
+        // locals 0..6 cover slots 0..3, two unknowns each
+        let virt = 6 - block.dim;
+        for i in 0..6 {
+            for j in 0..6 {
+                let got = pair.a[i][j].lanes()[0];
+                let want = match (i >= virt, j >= virt) {
+                    (true, true) => block.a[i - virt][j - virt],
+                    (false, false) => continue,
+                    _ => 0.0,
+                };
+                assert_eq!(got.to_bits(), want.to_bits(), "m={m}: a({i},{j}) = {got:e}");
+            }
+            let want = if i >= virt { block.b[i - virt] } else { 0.0 };
+            let got = pair.b[i].lanes()[0];
+            assert_eq!(got.to_bits(), want.to_bits(), "m={m}: b({i}) = {got:e}");
+        }
+    }
+
     #[test]
     fn block_matches_full_submatrix() {
         for m in 1..=12usize {
@@ -381,6 +451,8 @@ mod tests {
                 assert_lanes_match_loop_path::<crate::lanes::Native>([&tail, &other]);
                 #[cfg(target_arch = "x86_64")]
                 assert_lanes_match_loop_path::<crate::lanes::Portable>([&tail, &other]);
+            } else {
+                assert_masked_block_matches_loop_path(&tail);
             }
         }
         // zero weights: each off-diagonal entry starts from `0 +`, which

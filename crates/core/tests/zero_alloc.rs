@@ -10,8 +10,10 @@
 //! the trend-innovation CUSUM backend (`TrendCusum`), a fourth to
 //! several models stepped through one shared `UpdateScratch`
 //! (`OneShotStl::update_with_scratch`, the fleet shard's one-row path),
-//! and a fifth to models stepped two at a time through it
-//! (`OneShotStl::update_pair_with_scratch`, the shard's paired sweep).
+//! a fifth to models stepped two at a time through it
+//! (`OneShotStl::update_pair_with_scratch`, the shard's paired sweep), and
+//! a sixth to the first updates of a model initialized after that
+//! scratch is sized (a fleet admission round).
 //!
 //! The counting global allocator below makes the claim a hard test rather
 //! than a code-review property. CI runs this test file explicitly
@@ -73,8 +75,7 @@ fn assert_zero_alloc_stream(search: ShiftPrune, label: &str) {
     m.init(&y[..4 * t], t).unwrap();
     // warm-up: the first updates size the scratch buffers (the noise-free
     // stream false-alarms early, sizing the trial *and* stage-1 proxy
-    // buffers) and walk the solvers through their 4-step warm-up into the
-    // POD steady state
+    // buffers)
     for &v in &y[4 * t..4 * t + 16] {
         std::hint::black_box(m.update(v));
     }
@@ -306,8 +307,7 @@ fn grouped_update_performs_zero_heap_allocations() {
                 std::hint::black_box(m.update_with_scratch(ys[q][at] + bump[q], &mut scratch));
             }
         };
-        // warm-up: the solvers leave their 4-point warm-up and the first
-        // rounds size the shared scratch
+        // warm-up: the first rounds size the shared scratch
         for i in 0..16 {
             round(&mut models, 4 * t + i, [0.0; MODELS]);
         }
@@ -412,9 +412,7 @@ fn paired_update_performs_zero_heap_allocations() {
                 ));
             }
         };
-        // warm-up: the solvers leave their 4-point warm-up (the pairs fall
-        // back to one-model updates until then) and the first paired
-        // rounds size the shared scratch
+        // warm-up: the first paired rounds size the shared scratch
         for i in 0..16 {
             round(&mut models, 4 * t + i, [0.0; MODELS]);
         }
@@ -466,10 +464,10 @@ fn paired_update_performs_zero_heap_allocations() {
         assert_eq!(allocs() - before, 0, "[{label}] post-excursion paired round allocated");
     }
 
-    // a pair whose first lane runs no shift search, moved past warm-up
-    // (whose one-model fallback sizes everything) onto a fresh scratch:
-    // the paired updates must size the second lane's search buffers, so
-    // its late first flag allocates nothing either
+    // a pair whose first lane runs no shift search, moved after 16
+    // points onto a fresh scratch: the paired updates must size the
+    // second lane's search buffers, so its late first flag allocates
+    // nothing either
     let t = 48usize;
     let y: Vec<f64> = (0..4 * t + 300)
         .map(|i| 2.0 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
@@ -503,4 +501,70 @@ fn paired_update_performs_zero_heap_allocations() {
     step(&mut pair, &mut scratch, 4 * t + 250, 50.0);
     assert_eq!(allocs() - before, 0, "a late flag on the searching lane allocated");
     assert!(pair[1].shift_search_stats().0 > searches, "the spike must have run the search");
+}
+
+/// A model initialized after the shared `UpdateScratch` is sized takes
+/// its first 16 updates allocation-free, alone (`update_with_scratch`)
+/// and paired (`update_pair_with_scratch`, with another new model and
+/// with an older one): its solvers are plain old data from the first
+/// point, so the trial buffers the scratch holds take its iteration
+/// states without a heap block. A fleet shard's admission round starts
+/// every new series this way.
+#[test]
+fn first_updates_after_init_perform_zero_heap_allocations() {
+    let t = 48usize;
+    let n = 4 * t + 32;
+    let ys: Vec<Vec<f64>> = (0..MODELS)
+        .map(|q| {
+            (0..n)
+                .map(|i| {
+                    2.0 + (2.0 * std::f64::consts::PI * (i + 5 * q) as f64 / t as f64).sin()
+                })
+                .collect()
+        })
+        .collect();
+    let init = |q: usize| {
+        let mut m = OneShotStl::new(OneShotStlConfig::default());
+        m.init(&ys[q][..4 * t], t).unwrap();
+        m
+    };
+    // older models size the scratch, alone and paired
+    let mut scratch = UpdateScratch::default();
+    let [mut a, mut b] = [init(0), init(1)];
+    for i in 0..16 {
+        let at = 4 * t + i;
+        std::hint::black_box(a.update_with_scratch(ys[0][at], &mut scratch));
+        let ys = [ys[0][at], ys[1][at]];
+        std::hint::black_box(OneShotStl::update_pair_with_scratch(
+            [&mut a, &mut b],
+            ys,
+            &mut scratch,
+        ));
+    }
+    // new models: their init allocates, their first updates do not
+    let [mut alone, mut c, mut d] = [init(1), init(2), init(3)];
+    let before = allocs();
+    for i in 0..16 {
+        let at = 4 * t + i;
+        std::hint::black_box(alone.update_with_scratch(ys[1][at], &mut scratch));
+        let pair = [&mut c, &mut d];
+        std::hint::black_box(OneShotStl::update_pair_with_scratch(
+            pair,
+            [ys[2][at], ys[3][at]],
+            &mut scratch,
+        ));
+    }
+    assert_eq!(allocs() - before, 0, "a new model's first updates allocated");
+    // a new model paired with an older one
+    let mut e = init(3);
+    let before = allocs();
+    for i in 0..16 {
+        let ys = [ys[0][4 * t + 16 + i], ys[3][4 * t + i]];
+        std::hint::black_box(OneShotStl::update_pair_with_scratch(
+            [&mut a, &mut e],
+            ys,
+            &mut scratch,
+        ));
+    }
+    assert_eq!(allocs() - before, 0, "a new model paired with an older one allocated");
 }

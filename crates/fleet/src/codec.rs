@@ -15,19 +15,19 @@
 //! [`CodecError::UnsupportedVersion`]. A previous-version image is
 //! rewritten as the current version by its next snapshot. One decoder
 //! reads both: a new version never reuses a tag or a length, so the only
-//! version-dependent code is the version-window check. v14 writes each
-//! value of a live series once: the series takes the fresh phase tag `4`
-//! and carries its scorer's CUSUM part alone (config, bar, accumulators,
-//! hold), since the running residual sums are its decomposer's; and a
-//! steady solver takes the fresh tag `2` and writes its fixed-length
-//! windows (the 10 `L` band cells of [`oneshotstl::online_doolittle::BAND`],
-//! `D[4]`, `z[4]`) without length prefixes. The v13 layouts (live tag `1`
-//! with the full residual scorer state, whose sums must equal the
-//! decomposer's bit for bit; solver tag `1` with its checked length
-//! prefixes) are still read. The forecast options and a live head keep
-//! the v13 tags `2|3` and `2`; the v12 tags before them, and the backend
-//! tags retired before v12 (select `1`/`3`, state `0`/`2`), are refused
-//! as invalid.
+//! version-dependent code is the version-window check. A live series
+//! (phase tag `4`) carries its scorer's CUSUM part alone (config, bar,
+//! accumulators, hold), since the running residual sums are its
+//! decomposer's. Every IRLS solver is one window (tag `2`): its step
+//! count and the fixed-length cells (the 10 `L` band cells of
+//! [`oneshotstl::online_doolittle::BAND`], `D[4]`, `z[4]`) without length
+//! prefixes. v15 writes that window from a solver's first point; v14
+//! wrote the ≤ 3 points a solver had seen as four short histories
+//! instead (tag `0`), which the reader replays through the step kernel
+//! under the decomposer's λ into the same window, bit for bit. The v13
+//! tags (live `1`, solver `1`) are refused as invalid, as are the v12
+//! forecast tags and the backend tags retired before v12 (select `1`/`3`,
+//! state `0`/`2`).
 //!
 //! Six config values are retired but keep their bytes, so no layout
 //! moves: the engine config's warm-up length in periods (always 3) and
@@ -46,16 +46,15 @@ use crate::shard::SeriesSnapshot;
 use crate::types::{Record, SeriesKey};
 use crate::{FleetConfig, PeriodPolicy};
 use oneshotstl::oneshot::InitMethod;
-use oneshotstl::system::Lambdas;
+use oneshotstl::system::{Lambdas, TailData};
 use oneshotstl::{
-    CusumState, Fusion, IterSnapshot, NSigmaState, OneShotStlConfig, OneShotStlState,
-    ResidualScorerState, ScoreConfig, ShiftPrune, SolverState,
+    CusumState, Fusion, IncrementalSolver, IterSnapshot, NSigmaState, OneShotStlConfig,
+    OneShotStlState, ResidualScorerState, ScoreConfig, ShiftPrune,
 };
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
-// v14: v13 with each value of a live series written once: no second copy
-// of the residual sums, no length prefixes on fixed-length solver windows.
-pub(crate) const VERSION: u16 = 14;
+// v15: v14 with every solver written as its window, from the first point.
+pub(crate) const VERSION: u16 = 15;
 const KIND_FULL: u8 = 0;
 
 // The retired config values' pinned bytes (see the module docs): the
@@ -592,33 +591,16 @@ fn decode_series(r: &mut Reader<'_>) -> Result<SeriesSnapshot, CodecError> {
             last_attempt: r.u64()? as usize,
             overrides: decode_admit_options(r)?,
         },
-        tag @ (1 | 4) => {
-            let decomposer = decode_decomposer(r)?;
-            let scorer = if tag == 4 {
-                decode_cusum(r)?
-            } else {
-                // v13 wrote the full residual scorer state; a live detector
-                // scores from its decomposer's running sums, so the copy
-                // must be them, bit for bit (every writer since v11 kept
-                // the two equal)
-                let ResidualScorerState { nsigma, cusum } = decode_scorer(r)?;
-                let sums = |s: &NSigmaState| (s.count, s.sum.to_bits(), s.sum_sq.to_bits());
-                if sums(&nsigma) != sums(&decomposer.nsigma) {
-                    return Err(CodecError::Invalid("nsigma twin"));
-                }
-                cusum
-            };
-            PhaseSnapshot::Live {
-                decomposer,
-                scorer,
-                forecast: decode_forecast_head(r)?,
-                backend: match r.u8()? {
-                    0 => None,
-                    1 => Some(decode_backend_state(r)?),
-                    _ => return Err(CodecError::Invalid("backend presence tag")),
-                },
-            }
-        }
+        4 => PhaseSnapshot::Live {
+            decomposer: decode_decomposer(r)?,
+            scorer: decode_cusum(r)?,
+            forecast: decode_forecast_head(r)?,
+            backend: match r.u8()? {
+                0 => None,
+                1 => Some(decode_backend_state(r)?),
+                _ => return Err(CodecError::Invalid("backend presence tag")),
+            },
+        },
         2 => PhaseSnapshot::Rejected,
         3 => PhaseSnapshot::Quarantined {
             cause: match r.u8()? {
@@ -665,7 +647,7 @@ fn decode_decomposer(r: &mut Reader<'_>) -> Result<OneShotStlState, CodecError> 
     let n_iters = r.u32()? as usize;
     let mut iters = Vec::with_capacity(n_iters.min(1 << 10));
     for _ in 0..n_iters {
-        let solver = decode_solver(r)?;
+        let solver = decode_solver(r, config.lambdas)?;
         iters.push(IterSnapshot {
             solver,
             pw_hist: r.f64_pair()?,
@@ -694,42 +676,56 @@ fn decode_decomposer(r: &mut Reader<'_>) -> Result<OneShotStlState, CodecError> 
     })
 }
 
-fn encode_solver(w: &mut Writer, s: &SolverState) {
-    match s {
-        SolverState::Warmup { y, u, pw, qw } => {
-            w.u8(0);
-            w.vec_f64(y);
-            w.vec_f64(u);
-            w.vec_f64(pw);
-            w.vec_f64(qw);
-        }
-        SolverState::Steady { m, lo, dd, zo } => {
-            w.u8(2);
-            w.u64(*m);
-            for &v in lo.iter().chain(dd).chain(zo) {
-                w.f64(v);
-            }
-        }
+fn encode_solver(w: &mut Writer, s: &IncrementalSolver) {
+    w.u8(2);
+    w.u64(s.m as u64);
+    for &v in s.lo.iter().chain(&s.dd).chain(&s.zo) {
+        w.f64(v);
     }
 }
 
-fn decode_solver(r: &mut Reader<'_>) -> Result<SolverState, CodecError> {
+/// A solver window (tag `2`), or a v14 solver's first points (tag `0`)
+/// replayed under the decomposer's λ (see the module docs).
+fn decode_solver(
+    r: &mut Reader<'_>,
+    lambdas: Lambdas,
+) -> Result<IncrementalSolver, CodecError> {
     match r.u8()? {
-        0 => Ok(SolverState::Warmup {
-            y: r.vec_f64()?,
-            u: r.vec_f64()?,
-            pw: r.vec_f64()?,
-            qw: r.vec_f64()?,
+        0 => replay_first_points(r, lambdas),
+        2 => Ok(IncrementalSolver {
+            m: r.u64()? as usize,
+            lo: r.window()?,
+            dd: r.window()?,
+            zo: r.window()?,
         }),
-        // v13 (tag 1) prefixes each window with its length
-        tag @ (1 | 2) => {
-            let v13 = tag == 1;
-            let m = r.u64()?;
-            let lo = r.window(v13)?;
-            Ok(SolverState::Steady { m, lo, dd: r.window(v13)?, zo: r.window(v13)? })
-        }
         _ => Err(CodecError::Invalid("solver state tag")),
     }
+}
+
+/// A v14 solver in its first points: the `y`, `u`, `pw` and `qw` of the
+/// ≤ 3 points it had seen, each the value its last step read. Stepped
+/// from a fresh solver, point by point, they give the window this build
+/// holds after the same points: up to step 3 a step's block covers every
+/// real unknown, so each window depends on its own step's tail alone.
+fn replay_first_points(
+    r: &mut Reader<'_>,
+    lambdas: Lambdas,
+) -> Result<IncrementalSolver, CodecError> {
+    let [y, u, pw, qw] = [r.vec_f64()?, r.vec_f64()?, r.vec_f64()?, r.vec_f64()?];
+    let m = y.len();
+    if m > 3 || [&u, &pw, &qw].iter().any(|h| h.len() != m) {
+        return Err(CodecError::Invalid("v14 warm-up solver histories"));
+    }
+    let mut solver = IncrementalSolver::new();
+    for step in 1..=m {
+        // slot s holds time s + step − 3, newest last
+        let tail = |h: &[f64]| {
+            std::array::from_fn(|s| (s + step).checked_sub(3).map_or(0.0, |j| h[j]))
+        };
+        let (y3, u3, p3, q3) = (tail(&y), tail(&u), tail(&pw), tail(&qw));
+        solver.step(&TailData { m: step, y3, u3, p3, q3, lambdas });
+    }
+    Ok(solver)
 }
 
 fn encode_nsigma(w: &mut Writer, s: &NSigmaState) {
@@ -769,8 +765,7 @@ fn decode_cusum(r: &mut Reader<'_>) -> Result<CusumState, CodecError> {
     checked_cusum(CusumState { config, n, s_pos: r.f64()?, s_neg: r.f64()?, hold: r.f64()? })
 }
 
-/// A residual scorer with sums of its own: the trend CUSUM's (v13 also
-/// wrote a live series' scorer this way).
+/// A residual scorer with sums of its own: the trend CUSUM's.
 fn encode_scorer(w: &mut Writer, s: &ResidualScorerState) {
     encode_score_config(w, &s.cusum.config);
     encode_nsigma(w, &s.nsigma);
@@ -954,12 +949,8 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::Invalid("utf-8 string"))
     }
-    /// A steady solver window: `N` bare `f64`s, after a `u64` length that
-    /// must be `N` when `prefixed` (v13).
-    fn window<const N: usize>(&mut self, prefixed: bool) -> Result<[f64; N], CodecError> {
-        if prefixed && self.u64()? != N as u64 {
-            return Err(CodecError::Invalid("solver window length"));
-        }
+    /// A solver window: `N` bare `f64`s.
+    fn window<const N: usize>(&mut self) -> Result<[f64; N], CodecError> {
         let mut out = [0.0; N];
         for v in &mut out {
             *v = self.f64()?;
@@ -1105,8 +1096,6 @@ mod tests {
     /// fail to decode: NaN accumulators would silently disable one CUSUM
     /// side forever (`f64::max(NaN, x)` returns `x`), and a NaN bar or
     /// non-finite running sums would stop the series from ever alarming.
-    /// A v13 live series, which wrote the sums twice, must carry the
-    /// decomposer's own in its scorer copy.
     #[test]
     fn degenerate_decoded_scorer_state_is_rejected() {
         let t = 12usize;
@@ -1167,29 +1156,6 @@ mod tests {
         assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "NaN sum");
         let bad = make(&|_, sums| sums.sum_sq = f64::INFINITY);
         assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "infinite sum_sq");
-
-        // a v13 live series holds its `count`, `sum`, `sum_sq` twice, the
-        // decomposer's first; a copy off by one count or one ulp is refused
-        let v13 = unhex(V13_LIVE_BLOB_HEX);
-        let PhaseSnapshot::Live { decomposer, .. } = sample_live_series().phase else {
-            unreachable!("the sample series is live");
-        };
-        let mut w = Writer::default();
-        w.u64(decomposer.nsigma.count);
-        w.f64(decomposer.nsigma.sum);
-        w.f64(decomposer.nsigma.sum_sq);
-        let at: Vec<usize> = (0..v13.len()).filter(|&i| v13[i..].starts_with(&w.buf)).collect();
-        assert_eq!(at.len(), 2, "the decomposer's sums and the scorer's copy");
-        let bump = |bytes: &mut [u8], at: usize| {
-            let v = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) + 1;
-            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        };
-        // count + 1, then sum and sum_sq + 1 ulp
-        for field in 0..3 {
-            let mut flipped = v13.clone();
-            bump(&mut flipped, at[1] + 8 * field);
-            assert_eq!(decode_series_blob(&flipped), Err(CodecError::Invalid("nsigma twin")));
-        }
     }
 
     /// A crafted image carrying override values the API boundary rejects
@@ -1251,59 +1217,53 @@ mod tests {
             .collect()
     }
 
-    /// [`encode_series_blob`] of [`sample_live_series`] by the v13 writer:
-    /// what a v13 build left in its cold tier. Its scorer carries the
-    /// decomposer's running sums a second time, and each of its six steady
-    /// solvers prefixes its windows with their lengths.
-    const V13_LIVE_BLOB_HEX: &str = concat!(
-        "0d00040000006c6976653c000000000000000100000000000059400000000000005940000000",
+    /// [`encode_series_blob`] of [`sample_live_series`] by the v14 writer:
+    /// what a v14 build left in its cold tier.
+    const V14_LIVE_BLOB_HEX: &str = concat!(
+        "0e00040000006c6976653c000000000000000400000000000059400000000000005940000000",
         "000000f03f0600000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb",
         "3d01040000000c00000000000000600000000000000030000000000000000000000000000000",
         "0c0000000000000005472d54c5e3ffbe84ee526b82ffdf3f95afb7d73cb6eb3f459ba1edb2ff",
         "ef3f9234caff2db6eb3f50ac3b306affdf3fed401fb1495602bf3d2d04014800e0bf535da6c1",
         "c1b6ebbf23843fed2200f0bf68330edbbfb6ebbff3af94264400e0bf52b3a7178549e43f0800",
-        "00000000f03f0633b794bdb6ebbff006f1314100e0bf060000000130000000000000000a0000",
-        "0000000000b59ee4df35cad63f831f5ad69dd4c6bf6cf6380017fff4bfcb52373dad08e53f00",
-        "00000000000000000000000000000000000000000000000e647b2c02cad63f0377aff369d4c6",
-        "bf000000000000000004000000000000005ded42b6388d714015d4f51a6af1ff3f4441e08760",
-        "8d7140d47d0c3c6af1ff3f0400000000000000385fb56ab693314091a2f7baf2dbd2bfc37cb0",
-        "4eb8733140d22784ea57fde1bf000000000000f03f000000000000f03f000000000000f03f00",
-        "0000000000f03f2c3571521f00f83fc10df0681f00f83f0130000000000000000a0000000000",
-        "00001cbcda9cb59ee33f7860fe9cb59ed3bfb064d7e87337f9bfdfaffbe87337e93f00000000",
-        "0000000000000000000000000000000000000000f32f42e7e76ee23fc2b75ce7e76ed2bf0000",
-        "00000000000004000000000000008e20d415799dd1413fdec5ffffffff3f808b8c16c03bd641",
-        "73f1d1ffffffff3f0400000000000000ba1acc4cbe445640e0b207b1f0b4cdbf01029de3d63b",
-        "56404f2adf754400e0bff8969b7953de4a419f2e0eec96c25641689177cc0da65b41822d6c5d",
-        "b16460412e2016d166fff73fa2a62ba86afff73f0130000000000000000a00000000000000ca",
-        "aec82fe9eaeb3fbce15730e9eadbbf08c334edc5aafcbf4a630ceec5aaec3f00000000000000",
-        "0000000000000000000000000000000000be39dcb08c55e93f49c89ab18c55d9bf0000000000",
-        "0000000400000000000000ea9d750358f4b8416edc5bffffffff3f52155e1d7204b141014e0f",
-        "ffffffff3f0400000000000000d51b7ee6ec7163405635232df3b4cdbfd8eb23870f426540dd",
-        "6faa954500e0bfec247529e76eff4059061cb079aa0041d9225df4e4dd4b4119dc3dccad3e41",
-        "4107a3326f1000f83ff28677bf1000f83f0130000000000000000a0000000000000055812edd",
-        "10cbe83fe3d549dd10cbd8bfd6f6e2cb5bf4f9bf96090fcc5bf4e93f00000000000000000000",
-        "0000000000000000000000000000bac671beb7e8e33f6f9593beb7e8d3bf0000000000000000",
-        "0400000000000000d32e32e88807dd41b7b9dcffffffff3f559d7b4d3bd8d24136a9c9ffffff",
-        "ff3f04000000000000008a9b112a00586040a188589ff0b4cdbfa253ec2d9af460405f8a748f",
-        "4400e0bf97560045d60a35417dbfae06a18339412484a5a211ca6c4183a74ac4ab035e413eab",
-        "ca1e2b00f83f101ee0cc2a00f83f0130000000000000000a000000000000000469dd73a641d1",
-        "3f29e4fa73a641c1bff21b4ca62e58fcbfd74a6ca62e58ec3f00000000000000000000000000",
-        "0000000000000000000000f2d38a575db0e83f49dca6575db0d8bf0000000000000000040000",
-        "0000000000245122061dbbd241bd54c9ffffffff3faa99d7e3e02edc418caadbffffffff3f04",
-        "00000000000000df9dc04ba2ed5440c0683b9ef0b4cdbf706f50f23a6d4c40676f02664400e0",
-        "bf4cdb6316d9293c4143453bab4b003941023ad5afbadb4941e0416e811ad56b416ce4c8fb38",
-        "00f83f036e835c3800f83f0130000000000000000a000000000000009b99fc3c3917d43fff16",
-        "483d3917c4bfb3a88ad971c7f9bf8132e7d971c7e93f00000000000000000000000000000000",
-        "00000000000000001f3f9fd4e38ee33f3074e5d4e38ed3bf0000000000000000040000000000",
-        "0000a03971686808c141ffc287ffffffff3f3d69795b36d4c14174218dffffffff3f04000000",
-        "00000000ff1e1164358b5040f8a2dd07f1b4cdbf1c7f9e23b2874b40d17948874400e0bf9fef",
-        "b327adb5304163f9392195b729413d8d94324c603b416fccb3b668e54b418d73869c2300f83f",
-        "842c9c8d2300f83f00000000000014406000000000000000d1041c8f64453abf03dc6fb19524",
-        "4e3e0102000000000000e03f0000000000001840ae47e17a14aeef3f00000000000014406000",
-        "000000000000d1041c8f64453abf03dc6fb195244e3e00000000000000000000000000000000",
-        "785c17c257b4394002000000000000f03f010102000000000000e03f0000000000001840ae47",
-        "e17a14aeef3f0000000000001440000000000000000000000000000000000000000000000000",
-        "00000000000000000000000000000000000000000000000000000000000000000010000000",
+        "00000000f03f0633b794bdb6ebbff006f1314100e0bf06000000023000000000000000b59ee4",
+        "df35cad63f831f5ad69dd4c6bf6cf6380017fff4bfcb52373dad08e53f000000000000000000",
+        "0000000000000000000000000000000e647b2c02cad63f0377aff369d4c6bf00000000000000",
+        "005ded42b6388d714015d4f51a6af1ff3f4441e087608d7140d47d0c3c6af1ff3f385fb56ab6",
+        "93314091a2f7baf2dbd2bfc37cb04eb8733140d22784ea57fde1bf000000000000f03f000000",
+        "000000f03f000000000000f03f000000000000f03f2c3571521f00f83fc10df0681f00f83f02",
+        "30000000000000001cbcda9cb59ee33f7860fe9cb59ed3bfb064d7e87337f9bfdfaffbe87337",
+        "e93f000000000000000000000000000000000000000000000000f32f42e7e76ee23fc2b75ce7",
+        "e76ed2bf00000000000000008e20d415799dd1413fdec5ffffffff3f808b8c16c03bd64173f1",
+        "d1ffffffff3fba1acc4cbe445640e0b207b1f0b4cdbf01029de3d63b56404f2adf754400e0bf",
+        "f8969b7953de4a419f2e0eec96c25641689177cc0da65b41822d6c5db16460412e2016d166ff",
+        "f73fa2a62ba86afff73f023000000000000000caaec82fe9eaeb3fbce15730e9eadbbf08c334",
+        "edc5aafcbf4a630ceec5aaec3f000000000000000000000000000000000000000000000000be",
+        "39dcb08c55e93f49c89ab18c55d9bf0000000000000000ea9d750358f4b8416edc5bffffffff",
+        "3f52155e1d7204b141014e0fffffffff3fd51b7ee6ec7163405635232df3b4cdbfd8eb23870f",
+        "426540dd6faa954500e0bfec247529e76eff4059061cb079aa0041d9225df4e4dd4b4119dc3d",
+        "ccad3e414107a3326f1000f83ff28677bf1000f83f02300000000000000055812edd10cbe83f",
+        "e3d549dd10cbd8bfd6f6e2cb5bf4f9bf96090fcc5bf4e93f0000000000000000000000000000",
+        "00000000000000000000bac671beb7e8e33f6f9593beb7e8d3bf0000000000000000d32e32e8",
+        "8807dd41b7b9dcffffffff3f559d7b4d3bd8d24136a9c9ffffffff3f8a9b112a00586040a188",
+        "589ff0b4cdbfa253ec2d9af460405f8a748f4400e0bf97560045d60a35417dbfae06a1833941",
+        "2484a5a211ca6c4183a74ac4ab035e413eabca1e2b00f83f101ee0cc2a00f83f023000000000",
+        "0000000469dd73a641d13f29e4fa73a641c1bff21b4ca62e58fcbfd74a6ca62e58ec3f000000",
+        "000000000000000000000000000000000000000000f2d38a575db0e83f49dca6575db0d8bf00",
+        "00000000000000245122061dbbd241bd54c9ffffffff3faa99d7e3e02edc418caadbffffffff",
+        "3fdf9dc04ba2ed5440c0683b9ef0b4cdbf706f50f23a6d4c40676f02664400e0bf4cdb6316d9",
+        "293c4143453bab4b003941023ad5afbadb4941e0416e811ad56b416ce4c8fb3800f83f036e83",
+        "5c3800f83f0230000000000000009b99fc3c3917d43fff16483d3917c4bfb3a88ad971c7f9bf",
+        "8132e7d971c7e93f0000000000000000000000000000000000000000000000001f3f9fd4e38e",
+        "e33f3074e5d4e38ed3bf0000000000000000a03971686808c141ffc287ffffffff3f3d69795b",
+        "36d4c14174218dffffffff3fff1e1164358b5040f8a2dd07f1b4cdbf1c7f9e23b2874b40d179",
+        "48874400e0bf9fefb327adb5304163f9392195b729413d8d94324c603b416fccb3b668e54b41",
+        "8d73869c2300f83f842c9c8d2300f83f00000000000014406000000000000000d1041c8f6445",
+        "3abf03dc6fb195244e3e0102000000000000e03f0000000000001840ae47e17a14aeef3f0000",
+        "00000000144000000000000000000000000000000000785c17c257b4394002000000000000f0",
+        "3f010102000000000000e03f0000000000001840ae47e17a14aeef3f00000000000014400000",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000000010000000",
     );
 
     /// A series blob whose decomposer carries the wrong number of IRLS
@@ -1333,7 +1293,7 @@ mod tests {
     }
 
     /// Cold-tier series blobs round-trip bit-identically, a blob spilled
-    /// by the previous (v13) build rehydrates to the same series and
+    /// by the previous (v14) build rehydrates to the same series and
     /// rewrites as this build's encoding of it, and corrupted blobs are
     /// rejected with typed errors.
     #[test]
@@ -1355,61 +1315,81 @@ mod tests {
             Err(CodecError::UnsupportedVersion(_))
         ));
 
-        let v13 = unhex(V13_LIVE_BLOB_HEX);
-        assert_eq!(u16::from_le_bytes([v13[0], v13[1]]), 13);
-        let back = decode_series_blob(&v13).unwrap();
+        let v14 = unhex(V14_LIVE_BLOB_HEX);
+        assert_eq!(u16::from_le_bytes([v14[0], v14[1]]), 14);
+        let back = decode_series_blob(&v14).unwrap();
         assert_eq!(back, sample_live_series());
-        let v14 = encode_series_blob(&back);
-        assert_eq!(v14, encode_series_blob(&sample_live_series()));
-        // the scorer's copy of count, sum and sum_sq, and three u64 window
-        // lengths per steady solver at I = 6
-        assert_eq!(v13.len() - v14.len(), 24 + 6 * 24);
+        // a steady series' bytes did not move: only the version differs
+        let v15 = encode_series_blob(&back);
+        assert_eq!(u16::from_le_bytes([v15[0], v15[1]]), 15);
+        assert_eq!(v14[2..], v15[2..]);
     }
 
     /// A blob two versions old or older is refused outright, whatever its
     /// body holds.
     #[test]
-    fn blobs_older_than_v13_are_refused() {
-        let mut old = unhex(V13_LIVE_BLOB_HEX);
-        for version in [12u16, 11] {
+    fn blobs_older_than_v14_are_refused() {
+        let mut old = unhex(V14_LIVE_BLOB_HEX);
+        for version in [13u16, 12] {
             old[..2].copy_from_slice(&version.to_le_bytes());
             assert_eq!(decode_series_blob(&old), Err(CodecError::UnsupportedVersion(version)));
         }
     }
 
-    /// A steady solver's windows are 10 `L` cells, then 4 `D` and 4 `z`
-    /// values: v14 (tag `2`) writes them bare, and a v13 (tag `1`) window
-    /// of any other length (the 32-cell `L` window v11 wrote among them)
-    /// is invalid.
+    /// A solver is one window (tag `2`, any step count): its step count,
+    /// then 10 `L` cells, 4 `D` and 4 `z` values, bare. A v14 solver in
+    /// its first points (tag `0`) holds four histories of one length,
+    /// at most 3, and reads as the window its points step a fresh solver
+    /// into; other lengths, and the v13 length-prefixed layout (tag `1`),
+    /// are invalid.
     #[test]
     fn malformed_solver_windows_are_rejected() {
-        let image = |lo: usize, dd: usize| {
+        let lambdas = Lambdas { lambda1: 3.0, lambda2: 0.5 };
+        let read = |bytes: &[u8]| decode_solver(&mut Reader { data: bytes, pos: 0 }, lambdas);
+        let mut solver = IncrementalSolver::new();
+        for m in 0..6u64 {
             let mut w = Writer::default();
-            w.u8(1);
-            w.u64(9);
-            w.vec_f64(&vec![0.5; lo]);
-            w.vec_f64(&vec![1.0; dd]);
-            w.vec_f64(&[0.25; 4]);
+            encode_solver(&mut w, &solver);
+            assert_eq!(w.buf.len(), 9 + 8 * (10 + 4 + 4), "windows carry no lengths");
+            assert_eq!(read(&w.buf), Ok(solver), "a window after {m} points");
+            let tail = TailData {
+                m: m as usize + 1,
+                y3: [0.5, -1.0, 2.0],
+                u3: [0.25; 3],
+                p3: [1.5; 3],
+                q3: [0.75; 3],
+                lambdas,
+            };
+            solver.step(&tail);
+        }
+        let histories = |lens: [usize; 4]| {
+            let mut w = Writer::default();
+            w.u8(0);
+            for n in lens {
+                w.vec_f64(&vec![0.5; n]);
+            }
             w.buf
         };
-        let read = |bytes: &[u8]| decode_solver(&mut Reader { data: bytes, pos: 0 });
-        let v13 = read(&image(10, 4)).unwrap();
-        assert!(matches!(v13, SolverState::Steady { m: 9, .. }));
-        let mut w = Writer::default();
-        encode_solver(&mut w, &v13);
-        assert_eq!(w.buf.len(), 9 + 8 * (10 + 4 + 4), "v14 windows carry no lengths");
-        assert_eq!(read(&w.buf), Ok(v13));
-        for lo in [0, 9, 11, 31, 32, 33] {
-            assert_eq!(read(&image(lo, 4)), Err(CodecError::Invalid("solver window length")));
+        for n in 0..=3 {
+            assert_eq!(read(&histories([n; 4])).unwrap().m, n, "{n} points");
         }
-        for dd in [3, 5] {
-            assert_eq!(read(&image(10, dd)), Err(CodecError::Invalid("solver window length")));
+        for lens in [[4; 4], [2, 2, 1, 2], [1, 0, 1, 1], [3, 3, 3, 4]] {
+            let want = Err(CodecError::Invalid("v14 warm-up solver histories"));
+            assert_eq!(read(&histories(lens)), want, "{lens:?}");
         }
+        let mut v13 = Writer::default();
+        v13.u8(1);
+        v13.u64(9);
+        for n in [10, 4, 4] {
+            v13.vec_f64(&vec![0.5; n]);
+        }
+        assert_eq!(read(&v13.buf), Err(CodecError::Invalid("solver state tag")));
     }
 
     /// [`OneShotStl::state_bytes`] is the exact encoded size of the
-    /// decomposer state: in warm-up, and in the steady phase under either
-    /// shift-search policy.
+    /// decomposer state: after its first 2 points, when each solver is
+    /// already the window it stays, and later under either shift-search
+    /// policy.
     #[test]
     fn state_bytes_matches_the_encoded_decomposer() {
         let t = 24usize;
@@ -1432,8 +1412,11 @@ mod tests {
             for &v in &y[4 * t..4 * t + points] {
                 m.update(v);
             }
-            let steady = matches!(m.to_state().iters[0].solver, SolverState::Steady { .. });
-            assert_eq!(steady, points > 3, "{search:?} after {points} points");
+            for it in &m.to_state().iters {
+                let mut w = Writer::default();
+                encode_solver(&mut w, &it.solver);
+                assert_eq!((w.buf[0], it.solver.m), (2, points), "a window");
+            }
             assert_eq!(m.state_bytes(), encoded(&m), "{search:?} after {points} points");
         }
     }
@@ -1558,7 +1541,7 @@ mod tests {
         wrong_version[8] = 0xEE;
         assert!(matches!(decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
         // only the current and the previous version are read
-        for old in [10u16, 11, 12] {
+        for old in [11u16, 12, 13] {
             let mut image = bytes.clone();
             image[8..10].copy_from_slice(&old.to_le_bytes());
             assert_eq!(decode(&image), Err(CodecError::UnsupportedVersion(old)));
@@ -1590,8 +1573,8 @@ mod tests {
         let at = huge.windows(4).position(|w| w == b"warm").unwrap() + 4 + 8 + 1;
         huge[at..at + 8].copy_from_slice(&0x1FFF_FFFF_FFFF_FFFFu64.to_le_bytes());
         assert_eq!(decode(&huge), Err(CodecError::Truncated));
-        // every truncation point fails cleanly: of the image, of a v14
-        // live series and of a v14 steady solver
+        // every truncation point fails cleanly: of the image, of a live
+        // series and of a solver window
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} should not decode");
         }
@@ -1604,9 +1587,10 @@ mod tests {
         };
         let mut solver = Writer::default();
         encode_solver(&mut solver, &decomposer.iters[0].solver);
-        assert_eq!(solver.buf[0], 2, "a steady solver");
+        assert_eq!(solver.buf[0], 2, "a solver window");
         for cut in 0..solver.buf.len() {
-            let read = decode_solver(&mut Reader { data: &solver.buf[..cut], pos: 0 });
+            let data = &solver.buf[..cut];
+            let read = decode_solver(&mut Reader { data, pos: 0 }, Lambdas::default());
             assert_eq!(read, Err(CodecError::Truncated), "solver cut at {cut}");
         }
         let mut trailing = bytes.clone();

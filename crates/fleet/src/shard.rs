@@ -1032,52 +1032,62 @@ mod sweep_tests {
     /// A live series on the default detector config owns exactly two heap
     /// blocks, its IRLS iteration states and its seasonal buffer, and
     /// points at the shard's shared config instead of a copy: after
-    /// admission and after a restore. A series whose override changes the
+    /// admission and after a restore, right at promotion and after each
+    /// of its first 4 online points. A series whose override changes the
     /// detector config owns that config, a third block; one whose override
     /// resolves to the shared config shares it.
     #[test]
     fn a_live_series_owns_two_heap_blocks_and_the_shared_config() {
         let config = Arc::new(FleetConfig::fixed_period(24));
-        let mut shard = ShardState::new(0, Arc::clone(&config));
         let key = |k: usize| SeriesKey::new(format!("footprint/{k}"));
         let same = AdmitOptions { nsigma: Some(config.detector.nsigma), ..Default::default() };
         let tuned = AdmitOptions { lambda: Some(7.0), ..Default::default() };
-        shard.set_admit_options(&key(1), same, 0).unwrap();
-        shard.set_admit_options(&key(2), tuned, 0).unwrap();
-        // past admission and the solvers' 4-point warm-up (a warm-up solver
-        // keeps four history vectors)
-        for t in 0..config.init_len(24) as u64 + 8 {
-            let mut batch = ShardBatch::default();
-            for k in 0..3 {
-                let value =
-                    2.0 + (2.0 * std::f64::consts::PI * (t as f64 + k as f64) / 24.0).sin();
-                let key = key(k);
-                let hash = key.stable_hash();
-                batch.push(k as u32, Record { key, t, value }, hash, t);
+        for online in 0..=4 {
+            let mut shard = ShardState::new(0, Arc::clone(&config));
+            shard.set_admit_options(&key(1), same, 0).unwrap();
+            shard.set_admit_options(&key(2), tuned, 0).unwrap();
+            for t in 0..(config.init_len(24) + online) as u64 {
+                let mut batch = ShardBatch::default();
+                for k in 0..3 {
+                    let value =
+                        2.0 + (2.0 * std::f64::consts::PI * (t as f64 + k as f64) / 24.0).sin();
+                    let key = key(k);
+                    let hash = key.stable_hash();
+                    batch.push(k as u32, Record { key, t, value }, hash, t);
+                }
+                shard.ingest_batch(&mut batch, t + 1, None);
             }
-            shard.ingest_batch(&mut batch, t + 1, None);
-        }
-        assert_eq!(shard.stats().live, 3);
-        let shared = Arc::clone(&shard.shared.detector);
-        let check = |k: usize, state: SeriesState, how: &str| {
-            let SeriesState::Live(live) = &state else {
-                panic!("series {k} {how} is not live")
+            assert_eq!(shard.stats().live, 3);
+            let shared = Arc::clone(&shard.shared.detector);
+            let check = |k: usize, state: SeriesState, how: &str| {
+                let SeriesState::Live(live) = &state else {
+                    panic!("series {k} {how} is not live")
+                };
+                let own = k == 2;
+                assert_eq!(
+                    Arc::ptr_eq(&live.detector.decomposer.config, &shared),
+                    !own,
+                    "series {k} {how}: config pointer"
+                );
+                let blocks = heap_blocks(state);
+                assert_eq!(
+                    blocks,
+                    2 + own as u64,
+                    "series {k} {how}, {online} points: heap blocks"
+                );
             };
-            let own = k == 2;
-            assert_eq!(
-                Arc::ptr_eq(&live.detector.decomposer.config, &shared),
-                !own,
-                "series {k} {how}: config pointer"
-            );
-            assert_eq!(heap_blocks(state), 2 + own as u64, "series {k} {how}: heap blocks");
-        };
-        for snap in shard.snapshot() {
-            let k: usize = snap.key.as_str()["footprint/".len()..].parse().unwrap();
-            let restored = SeriesState::from_snapshot(snap.phase, &config, &shard.shared);
-            check(k, restored.unwrap(), "restored");
-            let slot = shard.registry.slot_of(&snap.key).unwrap();
-            let entry = shard.registry.remove_slot(slot).unwrap();
-            check(k, entry.state, "admitted");
+            for snap in shard.snapshot() {
+                let k: usize = snap.key.as_str()["footprint/".len()..].parse().unwrap();
+                let PhaseSnapshot::Live { decomposer, .. } = &snap.phase else {
+                    panic!("series {k} is not live")
+                };
+                assert_eq!(decomposer.m, online as u64, "series {k}: online points");
+                let restored = SeriesState::from_snapshot(snap.phase, &config, &shard.shared);
+                check(k, restored.unwrap(), "restored");
+                let slot = shard.registry.slot_of(&snap.key).unwrap();
+                let entry = shard.registry.remove_slot(slot).unwrap();
+                check(k, entry.state, "admitted");
+            }
         }
     }
 
@@ -1131,7 +1141,7 @@ mod sweep_tests {
             batch.outputs
         };
         let config = Arc::new(FleetConfig::fixed_period(24));
-        // past admission and the solvers' 4-point warm-up
+        // 8 points past admission
         let warm = config.init_len(24) as u64 + 8;
         let mut faulty = ShardState::new(0, Arc::clone(&config));
         let mut clean = ShardState::new(0, Arc::clone(&config));
@@ -1272,7 +1282,7 @@ mod sweep_tests {
     #[test]
     fn a_faulting_series_quarantines_only_itself() {
         let config = Arc::new(FleetConfig::fixed_period(24));
-        // past admission and the solvers' 4-point warm-up
+        // 8 points past admission
         let warm = config.init_len(24) as u64 + 8;
         let fail: fault::FaultHook = StdArc::new(|op, _| {
             (op == FaultOp::SeriesStep).then(|| std::io::Error::other("injected series fault"))
@@ -1367,7 +1377,7 @@ mod sweep_tests {
                     .collect()
             };
             let config = Arc::new(FleetConfig::fixed_period(24));
-            // past admission and the solvers' 4-point warm-up
+            // 8 points past admission
             let warm = (config.init_len(24) + 8).div_ceil(rows) as u64;
             let mut shard = ShardState::new(0, Arc::clone(&config));
             let mut twin = ShardState::new(0, Arc::clone(&config));
@@ -1446,7 +1456,7 @@ mod sweep_tests {
         let key = |k: usize| SeriesKey::new(format!("serve-allocs/{k}"));
         let config = Arc::new(FleetConfig::fixed_period(H));
         let mut shard = ShardState::new(0, Arc::clone(&config));
-        // past admission and the solvers' 4-point warm-up
+        // 8 points past admission
         for t in 0..config.init_len(H) as u64 + 8 {
             let mut batch = ShardBatch::default();
             for k in 0..SERIES {

@@ -663,116 +663,192 @@ fn huge_finite_values_keep_the_snapshot_restorable() {
     }
 }
 
-/// A fleet image written by the v13 writer (the previous codec version),
+/// A fleet image written by the v14 writer (the previous codec version),
 /// not re-encoded by this build's writer: `FleetConfig { shards: 2,
 /// forecast: φ 0.9, ..fixed_period(12) }` (the fleet's I = 6 IRLS
 /// iterations), "warm" registered with a forecast override (φ 0.5) and
-/// fed 20 points, and "live" fed the 120 points `1.5 + sin(2πi/12)`,
-/// `i = t` — admitted at the 36th, its forecast head φ 0.9.
-const V13_BLOB_HEX: &str = concat!(
-    "4f5353544c464c540d00000200000003000000000c0000000000000000000014400000000000",
+/// fed 20 points, "live" fed the 120 points `1.5 + sin(2πi/12)`, `i = t`
+/// — admitted at the 36th, its forecast head φ 0.9 — and "young" and
+/// "young3", each registered with a λ override (7) and fed the first 38
+/// and 39 points of `0.5·(1.5 + sin(2π(i + 3)/12)) − 1`, so their six
+/// solvers are 2 and 3 points past admission, in v14's warm-up layout
+/// (tag 0). Only the 3-point solvers hold real unknowns in their window
+/// (a window after `m` points reaches column `2m − 5`), so "young3" is
+/// the series whose replay reads its histories and its λ.
+const V14_BLOB_HEX: &str = concat!(
+    "4f5353544c464c540e00000200000003000000000c0000000000000000000014400000000000",
     "000000000059400000000000005940000000000000f03f060000001400000000000000000014",
     "4000000000000000e03f00bbbdd7d9df7cdb3d010400000002000000000000e03f0000000000",
-    "001840ae47e17a14aeef3f03cdccccccccccec3f000077000000000000008c00000000000000",
-    "000000000000000001000000000000008c000000000000000600000000000000000000000000",
-    "0000000000000000000000000000000000000200000000000000040000006c69766577000000",
-    "000000000100000000000059400000000000005940000000000000f03f060000001400000000",
+    "001840ae47e17a14aeef3f03cdccccccccccec3f00007700000000000000d900000000000000",
+    "00000000000000000300000000000000d9000000000000000900000000000000000000000000",
+    "0000000000000000000000000000000000000400000000000000040000006c69766577000000",
+    "000000000400000000000059400000000000005940000000000000f03f060000001400000000",
     "0000000000144000000000000000e03f00bbbdd7d9df7cdb3d01040000000c00000000000000",
     "7800000000000000540000000000000000000000000000000c00000000000000d96dcf857025",
     "103fa7fa75fa8000e03fb0817c9cfbb6eb3f3b788a2f4200f03f7b388ca6feb6eb3f44ab5f8e",
     "8300e03f501c315f3e65103f49b02d36fafedfbff8cf1923f8b5ebbfe5f3167479ffefbf15a0",
     "8dc7f4b5ebbf6997f239f4fedfbf50b3a7178549e43fd6ffffffffffef3f64a60009f9b5ebbf",
-    "de360a1bfdfedfbf060000000154000000000000000a00000000000000d32ebe79b0c8d63fb2",
-    "e3520c17d3c6bf3b80636d3afef4bfe9763eb7cf07e53f000000000000000000000000000000",
-    "000000000000000000a5460729b0c8d63fd13952bb16d3c6bf00000000000000000400000000",
-    "0000004158a5af648e7140ecf62c146bf1ff3fd733d7ed648e71402f9f60146bf1ff3f040000",
-    "0000000000d969e161cea4314072d88dd500ded2bf9afbaac585823140b0e2ab3a23fee1bf00",
-    "0000000000f03f000000000000f03f000000000000f03f000000000000f03f9489b14dbffff7",
-    "3fb21a304dbffff73f0154000000000000000a000000000000002b08cc8eed6ede3ff68ddb8e",
-    "ed6ecebf78e13a738e41f7bf97b341738e41e73f000000000000000000000000000000000000",
-    "000000000000ebcf71da3906dd3f22537ada3906cdbf00000000000000000400000000000000",
-    "11cb0d67865eef41a4adefffffffff3fcb46a36cd446fb415d9df6ffffffff3f040000000000",
-    "0000e9496e0103fc63401397a870cbb1cdbf81c45e01752a61404dba06fafafedfbf4c242060",
-    "8f257c41d8454f7c4ba5af41caf531d6e81773416d7e1c22e0aa7f4192ee21ef70fff73fb113",
-    "544071fff73f0154000000000000000a00000000000000c8135ce80cb1e93f707c9be80cb1d9",
-    "bff75a05d027bcf4bfefb2a8d027bce43f000000000000000000000000000000000000000000",
-    "00000041552086a1f0d23f3b89b586a1f0c2bf000000000000000004000000000000004e2b04",
-    "585feec9418805b1ffffffff3f7e4f933b993fb04105ea03ffffffff3f0400000000000000bc",
-    "c775b4a7cd68408573d808cdb1cdbf1d913b49b4946b404047fb4afefedfbf7eb5cdd3838b20",
-    "41feca239413393941262cb96804a65a412c191dab9c9e2841ad81e190c6fff73f5f857e7ac6",
-    "fff73f0154000000000000000a00000000000000cb83af012939d63f8fb1c6012939c6bf50df",
-    "bc652d74f6bf4eafcd652d74e63f000000000000000000000000000000000000000000000000",
-    "28ac1ab5b5d0d93f7b002eb5b5d0c9bf000000000000000004000000000000004a39209d4dae",
-    "de41c99fdeffffffff3fed5aa422655ee5412d0ae8ffffffff3f04000000000000009fe69b86",
-    "181165403ad7e4cecbb1cdbf840826b0d0f35d405efbbd12fbfedfbff2c6c618a7bc67418a6f",
-    "ff2deade5641fb235b8eef455b41fd5ff222ca10664171905ec3dafff73f6f0af070dafff73f",
-    "0154000000000000000a00000000000000f39ae0204167e93f72fc0b214167d9bf41b1cb82a1",
-    "f7fbbfdf65f782a1f7eb3f000000000000000000000000000000000000000000000000c821df",
-    "2843efe73f1489042943efd7bf000000000000000004000000000000001b0764c724bdd241a9",
-    "5ac9ffffffff3f752d93ac167ad44111fecdffffffff3f0400000000000000cb6ccbfb340657",
-    "40d4cd62bccbb1cdbf6bbcad8f6ace60401e79f14efbfedfbf388305dd7e723541b307e8e344",
-    "d838411000fad3890a6341f5686813b29a6341285a0e41c2fff73f0f0a543cc2fff73f015400",
-    "0000000000000a00000000000000f642e63dc438d33f58beee3dc438c3bf3c9776b98f8bf5bf",
-    "394588b98f8be53f00000000000000000000000000000000000000000000000045fb75043f2e",
-    "d63fc12e88043f2ec6bf000000000000000004000000000000001ae271982921f24120e1f1ff",
-    "ffffff3fe0f4b0f78e7fe341c4bde5ffffffff3f04000000000000007df212370ba664404d96",
-    "0168cbb1cdbfb39000394eb95b40d1336313fbfedfbf9fd4dd48b0385a41edf02712f1127b41",
-    "1ad4c92ce6e06b41d0db83e8a34c61418b26e1cebafff73fe8bd36d6bafff73f000000000000",
-    "144078000000000000000ec38373a6a7483ff8d0b79381ad6b3e0102000000000000e03f0000",
-    "000000001840ae47e17a14aeef3f000000000000144078000000000000000ec38373a6a7483f",
-    "f8d0b79381ad6b3e00000000000000000000000000000000c5a7e440a3e6314002cdcccccccc",
-    "ccec3f00040000007761726d1300000000000000001400000000000000000000000000fc3f00",
-    "000000000002402a1316ba9eed044000000000000006402b1316ba9eed044000000000000002",
-    "40010000000000fc3f010000000000f43f58b3a7178549ec3f000000000000e83f56b3a71785",
-    "49ec3ffefffffffffff33ffffffffffffffb3f00000000000002402a1316ba9eed0440000000",
-    "00000006402c1316ba9eed04400000000000000240020000000000fc3f040000000000f43f01",
-    "0c000000000000000000000000000000000103000000000000e03f00",
+    "de360a1bfdfedfbf06000000025400000000000000d32ebe79b0c8d63fb2e3520c17d3c6bf3b",
+    "80636d3afef4bfe9763eb7cf07e53f0000000000000000000000000000000000000000000000",
+    "00a5460729b0c8d63fd13952bb16d3c6bf00000000000000004158a5af648e7140ecf62c146b",
+    "f1ff3fd733d7ed648e71402f9f60146bf1ff3fd969e161cea4314072d88dd500ded2bf9afbaa",
+    "c585823140b0e2ab3a23fee1bf000000000000f03f000000000000f03f000000000000f03f00",
+    "0000000000f03f9489b14dbffff73fb21a304dbffff73f0254000000000000002b08cc8eed6e",
+    "de3ff68ddb8eed6ecebf78e13a738e41f7bf97b341738e41e73f000000000000000000000000",
+    "000000000000000000000000ebcf71da3906dd3f22537ada3906cdbf000000000000000011cb",
+    "0d67865eef41a4adefffffffff3fcb46a36cd446fb415d9df6ffffffff3fe9496e0103fc6340",
+    "1397a870cbb1cdbf81c45e01752a61404dba06fafafedfbf4c2420608f257c41d8454f7c4ba5",
+    "af41caf531d6e81773416d7e1c22e0aa7f4192ee21ef70fff73fb113544071fff73f02540000",
+    "0000000000c8135ce80cb1e93f707c9be80cb1d9bff75a05d027bcf4bfefb2a8d027bce43f00",
+    "000000000000000000000000000000000000000000000041552086a1f0d23f3b89b586a1f0c2",
+    "bf00000000000000004e2b04585feec9418805b1ffffffff3f7e4f933b993fb04105ea03ffff",
+    "ffff3fbcc775b4a7cd68408573d808cdb1cdbf1d913b49b4946b404047fb4afefedfbf7eb5cd",
+    "d3838b2041feca239413393941262cb96804a65a412c191dab9c9e2841ad81e190c6fff73f5f",
+    "857e7ac6fff73f025400000000000000cb83af012939d63f8fb1c6012939c6bf50dfbc652d74",
+    "f6bf4eafcd652d74e63f00000000000000000000000000000000000000000000000028ac1ab5",
+    "b5d0d93f7b002eb5b5d0c9bf00000000000000004a39209d4daede41c99fdeffffffff3fed5a",
+    "a422655ee5412d0ae8ffffffff3f9fe69b86181165403ad7e4cecbb1cdbf840826b0d0f35d40",
+    "5efbbd12fbfedfbff2c6c618a7bc67418a6fff2deade5641fb235b8eef455b41fd5ff222ca10",
+    "664171905ec3dafff73f6f0af070dafff73f025400000000000000f39ae0204167e93f72fc0b",
+    "214167d9bf41b1cb82a1f7fbbfdf65f782a1f7eb3f0000000000000000000000000000000000",
+    "00000000000000c821df2843efe73f1489042943efd7bf00000000000000001b0764c724bdd2",
+    "41a95ac9ffffffff3f752d93ac167ad44111fecdffffffff3fcb6ccbfb34065740d4cd62bccb",
+    "b1cdbf6bbcad8f6ace60401e79f14efbfedfbf388305dd7e723541b307e8e344d838411000fa",
+    "d3890a6341f5686813b29a6341285a0e41c2fff73f0f0a543cc2fff73f025400000000000000",
+    "f642e63dc438d33f58beee3dc438c3bf3c9776b98f8bf5bf394588b98f8be53f000000000000",
+    "00000000000000000000000000000000000045fb75043f2ed63fc12e88043f2ec6bf00000000",
+    "000000001ae271982921f24120e1f1ffffffff3fe0f4b0f78e7fe341c4bde5ffffffff3f7df2",
+    "12370ba664404d960168cbb1cdbfb39000394eb95b40d1336313fbfedfbf9fd4dd48b0385a41",
+    "edf02712f1127b411ad4c92ce6e06b41d0db83e8a34c61418b26e1cebafff73fe8bd36d6baff",
+    "f73f000000000000144078000000000000000ec38373a6a7483ff8d0b79381ad6b3e01020000",
+    "00000000e03f0000000000001840ae47e17a14aeef3f00000000000014400000000000000000",
+    "0000000000000000c5a7e440a3e6314002cdccccccccccec3f00040000007761726d13000000",
+    "00000000001400000000000000000000000000fc3f00000000000002402a1316ba9eed044000",
+    "000000000006402b1316ba9eed04400000000000000240010000000000fc3f010000000000f4",
+    "3f58b3a7178549ec3f000000000000e83f56b3a7178549ec3ffefffffffffff33fffffffffff",
+    "fffb3f00000000000002402a1316ba9eed044000000000000006402c1316ba9eed0440000000",
+    "0000000240020000000000fc3f040000000000f43f010c000000000000000000000000000000",
+    "000103000000000000e03f0005000000796f756e677700000000000000040000000000001c40",
+    "0000000000001c40000000000000f03f06000000140000000000000000001440000000000000",
+    "00e03f00bbbdd7d9df7cdb3d01040000000c0000000000000026000000000000000200000000",
+    "00000000000000000000000c0000000000000048ffffffffffdf3fe75057e87ab6db3fd8ffff",
+    "ffffffcf3fc060a60dac25f03c20ffffffffffcfbf234c58e87ab6dbbf7cffffffffffdfbf3f",
+    "4c58e87ab6dbbf9cffffffffffcfbf00a6c9dbd726d8bc38ffffffffffcf3ff24b58e87ab6db",
+    "3f000000000000d03f5099b0d0f56cc73f48ffffffffffdf3f4f4c58e87ab6db3f0600000000",
+    "0200000000000000000000000000d03f5099b0d0f56cc73f020000000000000048ffffffffff",
+    "df3f4f4c58e87ab6db3f0200000000000000000000000000f03f000000000000f03f02000000",
+    "00000000000000000000f03f000000000000f03f000000000000f03f000000000000f03f0000",
+    "00000000f03f000000000000f03f90feffffffffcfbff3feffffffffcfbf0002000000000000",
+    "00000000000000d03f5099b0d0f56cc73f020000000000000048ffffffffffdf3f4f4c58e87a",
+    "b6db3f0200000000000000000000205fa0f241000000205fa0f2410200000000000000000000",
+    "205fa0f241000000205fa0f241000000205fa0f241000000205fa0f241000000205fa0f24100",
+    "0000205fa0f24190feffffffffcfbfab11fcffffffcfbf000200000000000000000000000000",
+    "d03f5099b0d0f56cc73f020000000000000048ffffffffffdf3f4f4c58e87ab6db3f02000000",
+    "00000000000000205fa0f241000000205fa0f2410200000000000000000000205fa0f2410000",
+    "00205fa0f241000000205fa0f241000000205fa0f241000000205fa0f241000000205fa0f241",
+    "90feffffffffcfbfab11fcffffffcfbf000200000000000000000000000000d03f5099b0d0f5",
+    "6cc73f020000000000000048ffffffffffdf3f4f4c58e87ab6db3f0200000000000000000000",
+    "205fa0f241000000205fa0f2410200000000000000000000205fa0f241000000205fa0f24100",
+    "0000205fa0f241000000205fa0f241000000205fa0f241000000205fa0f24190feffffffffcf",
+    "bfab11fcffffffcfbf000200000000000000000000000000d03f5099b0d0f56cc73f02000000",
+    "0000000048ffffffffffdf3f4f4c58e87ab6db3f0200000000000000000000205fa0f2410000",
+    "00205fa0f2410200000000000000000000205fa0f241000000205fa0f241000000205fa0f241",
+    "000000205fa0f241000000205fa0f241000000205fa0f24190feffffffffcfbfab11fcffffff",
+    "cfbf000200000000000000000000000000d03f5099b0d0f56cc73f020000000000000048ffff",
+    "ffffffdf3f4f4c58e87ab6db3f0200000000000000000000205fa0f241000000205fa0f24102",
+    "00000000000000000000205fa0f241000000205fa0f241000000205fa0f241000000205fa0f2",
+    "41000000205fa0f241000000205fa0f24190feffffffffcfbfab11fcffffffcfbf0000000000",
+    "0014402600000000000000fc0691f8b4b694bdf46e8adc09f72e3b0102000000000000e03f00",
+    "00000000001840ae47e17a14aeef3f0000000000001440000000000000000000000000000000",
+    "00000000000000444002cdccccccccccec3f0006000000796f756e6733770000000000000004",
+    "0000000000001c400000000000001c40000000000000f03f0600000014000000000000000000",
+    "144000000000000000e03f00bbbdd7d9df7cdb3d01040000000c000000000000002700000000",
+    "000000030000000000000000000000000000000c0000000000000048ffffffffffdf3fe75057",
+    "e87ab6db3f9b29fdffffffcf3fc060a60dac25f03c20ffffffffffcfbf234c58e87ab6dbbf7c",
+    "ffffffffffdfbf3f4c58e87ab6dbbf9cffffffffffcfbf00a6c9dbd726d8bc38ffffffffffcf",
+    "3ff24b58e87ab6db3f5099b0d0f56cc73f000000000000e03c4f4c58e87ab6db3fd8ffffffff",
+    "ffcf3f06000000000300000000000000000000000000d03f5099b0d0f56cc73f000000000000",
+    "e03c030000000000000048ffffffffffdf3f4f4c58e87ab6db3fd8ffffffffffcf3f03000000",
+    "00000000000000000000f03f000000000000f03f000000000000f03f03000000000000000000",
+    "00000000f03f000000000000f03f000000000000f03f000000000000f03f000000000000f03f",
+    "000000000000f03f000000000000f03ff3feffffffffcfbf24ffffffffffcfbf000300000000",
+    "000000000000000000d03f5099b0d0f56cc73f000000000000e03c030000000000000048ffff",
+    "ffffffdf3f4f4c58e87ab6db3fd8ffffffffffcf3f0300000000000000000000205fa0f24100",
+    "0000205fa0f241000000205fa0f2410300000000000000000000205fa0f241000000205fa0f2",
+    "41000000205fa0f241000000205fa0f241000000205fa0f241000000205fa0f241000000205f",
+    "a0f241ab11fcffffffcfbf1c53faffffffcfbf000300000000000000000000000000d03f5099",
+    "b0d0f56cc73f000000000000e03c030000000000000048ffffffffffdf3f4f4c58e87ab6db3f",
+    "d8ffffffffffcf3f0300000000000000000000205fa0f241000000205fa0f241000000205fa0",
+    "f2410300000000000000000000205fa0f241000000205fa0f241000000205fa0f24100000020",
+    "5fa0f241000000205fa0f241000000205fa0f241000000205fa0f241ab11fcffffffcfbf1c53",
+    "faffffffcfbf000300000000000000000000000000d03f5099b0d0f56cc73f000000000000e0",
+    "3c030000000000000048ffffffffffdf3f4f4c58e87ab6db3fd8ffffffffffcf3f0300000000",
+    "000000000000205fa0f241000000205fa0f241000000205fa0f2410300000000000000000000",
+    "205fa0f241000000205fa0f241000000205fa0f241000000205fa0f241000000205fa0f24100",
+    "0000205fa0f241000000205fa0f241ab11fcffffffcfbf1c53faffffffcfbf00030000000000",
+    "0000000000000000d03f5099b0d0f56cc73f000000000000e03c030000000000000048ffffff",
+    "ffffdf3f4f4c58e87ab6db3fd8ffffffffffcf3f0300000000000000000000205fa0f2410000",
+    "00205fa0f241000000205fa0f2410300000000000000000000205fa0f241000000205fa0f241",
+    "000000205fa0f241000000205fa0f241000000205fa0f241000000205fa0f241000000205fa0",
+    "f241ab11fcffffffcfbf1c53faffffffcfbf000300000000000000000000000000d03f5099b0",
+    "d0f56cc73f000000000000e03c030000000000000048ffffffffffdf3f4f4c58e87ab6db3fd8",
+    "ffffffffffcf3f0300000000000000000000205fa0f241000000205fa0f241000000205fa0f2",
+    "410300000000000000000000205fa0f241000000205fa0f241000000205fa0f241000000205f",
+    "a0f241000000205fa0f241000000205fa0f241000000205fa0f241ab11fcffffffcfbf1c53fa",
+    "ffffffcfbf000000000000144027000000000000007e83487c56b4a5bdbd9b243e55d6473b01",
+    "02000000000000e03f0000000000001840ae47e17a14aeef3f00000000000014400000000000",
+    "0000000000000000000000000000000000444002cdccccccccccec3f00",
 );
 
-fn v13_blob() -> Vec<u8> {
-    let bytes: Vec<u8> = (0..V13_BLOB_HEX.len())
+fn v14_blob() -> Vec<u8> {
+    let bytes: Vec<u8> = (0..V14_BLOB_HEX.len())
         .step_by(2)
-        .map(|i| u8::from_str_radix(&V13_BLOB_HEX[i..i + 2], 16).unwrap())
+        .map(|i| u8::from_str_radix(&V14_BLOB_HEX[i..i + 2], 16).unwrap())
         .collect();
-    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 13);
+    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 14);
     bytes
 }
 
 /// Codec read-compatibility with the previous version, pinned at the
-/// *integration* level with [`V13_BLOB_HEX`]: the image must restore
+/// *integration* level with [`V14_BLOB_HEX`]: the image must restore
 /// through the public API, answer forecasts from its heads' dampings, and
 /// continue scoring bit-identically to a detector rebuilt from the same
-/// stream; it re-snapshots as the current version, its live series
-/// without the second copy of the residual sums. If the decoder's
-/// previous-version reads drift, this blob is the tripwire no unit-level
-/// round-trip can replace.
+/// stream — the series imaged 2 points into its online phase included,
+/// whose v14 solver histories are replayed through the step kernel; it
+/// re-snapshots as the current version, every solver as its window. If
+/// the decoder's previous-version reads drift, this blob is the tripwire
+/// no unit-level round-trip can replace.
 #[test]
-fn pinned_v13_snapshot_blob_restores_and_continues_bit_identically() {
-    use oneshotstl_suite::core::{OneShotStl, ScoreConfig, StdAnomalyDetector};
+fn pinned_v14_snapshot_blob_restores_and_continues_bit_identically() {
+    use oneshotstl_suite::core::system::Lambdas;
+    use oneshotstl_suite::core::{OneShotStl, ScoreConfig, ScoreVerdict, StdAnomalyDetector};
     use oneshotstl_suite::fleet::{codec, ForecastOptions};
+    use oneshotstl_suite::tskit::series::DecompPoint;
 
-    let bytes = v13_blob();
-    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v13 blob must decode");
+    let bytes = v14_blob();
+    let mut restored = FleetEngine::restore_bytes(&bytes).expect("v14 blob must decode");
     // upgrade-on-rewrite: re-snapshotted at once, the image is this
-    // build's encoding of the decoded state. The live series drops its
-    // scorer's copy of count, sum and sum_sq (24 bytes) and the three u64
-    // window lengths of each of its six steady solvers (6 × 24 bytes).
+    // build's encoding of the decoded state. Each of the young series'
+    // six solvers is a 153-byte window instead of four histories of 2 or
+    // 3 values (97 or 129 bytes); nothing else moves.
     let rewritten = restored.snapshot_bytes().unwrap();
-    assert_eq!(u16::from_le_bytes([rewritten[8], rewritten[9]]), 14, "rewritten as v14");
+    assert_eq!(u16::from_le_bytes([rewritten[8], rewritten[9]]), 15, "rewritten as v15");
     let decoded = codec::decode(&bytes).unwrap();
     assert_eq!(rewritten, codec::encode(&decoded));
     assert_eq!(decoded.config.forecast, ForecastOptions { enabled: true, damping: 0.9 });
-    assert_eq!(bytes.len() - rewritten.len(), 24 + 6 * 24);
+    assert_eq!(rewritten.len() - bytes.len(), 6 * (153 - 97) + 6 * (153 - 129));
     let stats = restored.stats().unwrap();
-    assert_eq!((stats.live, stats.warming), (1, 1));
-    assert_eq!((stats.admitted, stats.points), (1, 140), "v13 lifetime counters carried");
+    assert_eq!((stats.live, stats.warming), (3, 1));
+    assert_eq!((stats.admitted, stats.points), (3, 217), "v14 lifetime counters carried");
 
-    // rebuild the live series' detector through the public API
+    // rebuild the live series' detectors through the public API
     let t = 12usize;
     let y = |i: usize| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin();
-    let twin_of = |values: &[f64]| {
+    let twin_at = |lambda: f64, values: &[f64]| {
+        let mut detector = FleetConfig::default().detector;
+        detector.lambdas = Lambdas { lambda1: lambda, lambda2: lambda };
         let mut twin = StdAnomalyDetector::with_score(
-            OneShotStl::new(FleetConfig::default().detector),
+            OneShotStl::new(detector),
             5.0,
             ScoreConfig::default(),
         );
@@ -782,6 +858,8 @@ fn pinned_v13_snapshot_blob_restores_and_continues_bit_identically() {
         }
         twin
     };
+    let twin_of =
+        |values: &[f64]| twin_at(FleetConfig::default().detector.lambdas.lambda1, values);
     let forecast_bits = |twin: &StdAnomalyDetector<OneShotStl>, phi: f64| {
         let mut out = vec![0.0; 2 * t];
         twin.decomposer.forecast_into(phi, &mut out);
@@ -795,25 +873,44 @@ fn pinned_v13_snapshot_blob_restores_and_continues_bit_identically() {
     let mut twin = twin_of(&live);
     // the restored head is φ = 0.9: the answer is `forecast_into(0.9)`
     assert_eq!(answer_bits(&restored, "live"), forecast_bits(&twin, 0.9));
+    // the young series' replayed solvers run their own λ
+    let young_at = |i: usize| 0.5 * y(i + 3) - 1.0;
+    let mut young: Vec<_> = [("young", 2), ("young3", 3)]
+        .map(|(key, online)| {
+            let seen: Vec<f64> = (0..3 * t + online).map(young_at).collect();
+            (key, seen.len(), twin_at(7.0, &seen))
+        })
+        .into();
+    for (key, _, twin) in &young {
+        assert_eq!(answer_bits(&restored, key), forecast_bits(twin, 0.9), "{key}");
+    }
 
-    // continue the twin streams: the v13-restored engine tracks the twin
+    // continue the twin streams: the v14-restored engine tracks the twins
     // bit for bit, forecasts included
+    let check = |out: &PointOutput, pt: &DecompPoint, vt: &ScoreVerdict, i: usize| {
+        let PointOutput::Scored { point, score, is_anomaly } = out else {
+            panic!("a live series must score, got {out:?} at i={i}")
+        };
+        let got = [point.residual, point.trend, point.seasonal, *score].map(f64::to_bits);
+        let want = [pt.residual, pt.trend, pt.seasonal, vt.score].map(f64::to_bits);
+        assert_eq!(got, want, "i={i}");
+        assert_eq!(*is_anomaly, vt.is_anomaly, "i={i}");
+    };
     for i in 120..156 {
         let x = y(i) + if i == 132 { 4.0 } else { 0.0 };
         live.push(x);
         let (pt, vt) = twin.update_scored(x);
         let out = restored.ingest_one("live", i as u64, x).unwrap();
-        match &out.output {
-            PointOutput::Scored { point, score, is_anomaly } => {
-                assert_eq!(point.residual.to_bits(), pt.residual.to_bits(), "i={i}");
-                assert_eq!(point.trend.to_bits(), pt.trend.to_bits(), "i={i}");
-                assert_eq!(point.seasonal.to_bits(), pt.seasonal.to_bits(), "i={i}");
-                assert_eq!(score.to_bits(), vt.score.to_bits(), "i={i}");
-                assert_eq!(*is_anomaly, vt.is_anomaly, "i={i}");
-            }
-            other => panic!("live series must score, got {other:?} at i={i}"),
-        }
+        check(&out.output, &pt, &vt, i);
         assert_eq!(answer_bits(&restored, "live"), forecast_bits(&twin, 0.9), "i={i}");
+    }
+    for (key, seen, twin) in &mut young {
+        for i in *seen..*seen + 2 * t {
+            let (pt, vt) = twin.update_scored(young_at(i));
+            let out = restored.ingest_one(*key, i as u64, young_at(i)).unwrap();
+            check(&out.output, &pt, &vt, i);
+            assert_eq!(answer_bits(&restored, key), forecast_bits(twin, 0.9), "{key} i={i}");
+        }
     }
 
     // the warming series admits with its override's head, φ = 0.5
@@ -823,13 +920,15 @@ fn pinned_v13_snapshot_blob_restores_and_continues_bit_identically() {
     }
     assert_eq!(answer_bits(&restored, "warm"), forecast_bits(&twin_of(&warm), 0.5));
 
-    // the v13-restored engine re-snapshots as v14 and the copy continues
+    // the v14-restored engine re-snapshots as v15 and the copy continues
     // in lockstep with the original
     let mut upgraded = FleetEngine::restore_bytes(&restored.snapshot_bytes().unwrap()).unwrap();
     for i in 156..156 + t {
-        let a = restored.ingest_one("live", i as u64, y(i)).unwrap();
-        let b = upgraded.ingest_one("live", i as u64, y(i)).unwrap();
-        assert_eq!(a.output, b.output, "v14 rewrite diverged at i={i}");
+        for key in ["live", "young", "young3"] {
+            let a = restored.ingest_one(key, i as u64, y(i)).unwrap();
+            let b = upgraded.ingest_one(key, i as u64, y(i)).unwrap();
+            assert_eq!(a.output, b.output, "v15 rewrite of {key} diverged at i={i}");
+        }
     }
     assert_eq!(answer_bits(&restored, "live"), answer_bits(&upgraded, "live"));
 }
@@ -941,11 +1040,11 @@ fn an_image_written_at_eight_irls_iterations_restores_and_admits_at_eight() {
 /// An image two versions old or older is refused outright with a typed
 /// error, whatever its body holds.
 #[test]
-fn images_older_than_v13_are_refused() {
+fn images_older_than_v14_are_refused() {
     use oneshotstl_suite::fleet::{codec, CodecError};
 
-    let mut old = v13_blob();
-    for version in [12u16, 11] {
+    let mut old = v14_blob();
+    for version in [13u16, 12] {
         old[8..10].copy_from_slice(&version.to_le_bytes());
         assert_eq!(codec::decode(&old), Err(CodecError::UnsupportedVersion(version)));
         assert!(FleetEngine::restore_bytes(&old).is_err());
