@@ -141,16 +141,14 @@ mod tests {
             for &v in &y[4 * period..] {
                 m.update(v);
             }
-            let mut state = m.to_state();
             let span = 3 * period as i64;
-            state.shift = rng.gen_range(-span..=span);
+            m.shift = rng.gen_range(-span..=span);
             let negative_zero = rng.gen_range(0..4) == 0;
             if negative_zero {
-                let last = state.iters.last_mut().expect("initialized");
+                let last = m.iters.last_mut().expect("initialized");
                 last.tau_hist = [-1.0, -0.0];
-                state.v.fill(-0.0);
+                m.v.fill(-0.0);
             }
-            let m = OneShotStl::from_state(state).unwrap();
             let h = 3 * period;
             let mut out = vec![f64::NAN; h];
             m.predict_into(&mut out);

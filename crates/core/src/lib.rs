@@ -57,15 +57,13 @@ pub mod tasks;
 
 pub use forecast::damp_sum;
 pub use jointstl::{JointStl, JointStlConfig};
-pub use nsigma::{NSigma, NSigmaState};
+pub use nsigma::NSigma;
 pub use oneshot::{
-    IterSnapshot, OneShotStl, OneShotStlConfig, OneShotStlState, ShiftPrune, UpdateScratch,
-    DEFAULT_SHIFT_TOP_K,
+    IterState, OneShotStl, OneShotStlConfig, ShiftPrune, UpdateScratch, DEFAULT_SHIFT_TOP_K,
 };
 pub use online_doolittle::IncrementalSolver;
 pub use reference::ModifiedJointStlRef;
 pub use score::{
-    CusumScorer, CusumState, Fusion, ResidualScorer, ResidualScorerState, ScoreConfig,
-    ScoreVerdict, TrendCusum, TrendCusumState,
+    CusumScorer, Fusion, ResidualScorer, ScoreConfig, ScoreVerdict, TrendCusum, TREND_WARMUP,
 };
 pub use tasks::{StdAnomalyDetector, StdForecaster};

@@ -11,9 +11,12 @@
 pub struct NSigma {
     /// Threshold `n`: values scoring above it are flagged (paper default 5).
     pub n: f64,
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
+    /// Number of absorbed values.
+    pub count: u64,
+    /// Running sum.
+    pub sum: f64,
+    /// Running sum of squares.
+    pub sum_sq: f64,
 }
 
 /// One scoring step's outcome.
@@ -111,31 +114,6 @@ impl NSigma {
             self.absorb(x);
         }
     }
-
-    /// Extracts a plain-data snapshot for serialization (see
-    /// `fleet::codec`).
-    pub fn to_state(&self) -> NSigmaState {
-        NSigmaState { n: self.n, count: self.count, sum: self.sum, sum_sq: self.sum_sq }
-    }
-
-    /// Rebuilds a detector from [`NSigma::to_state`] output; the running
-    /// statistics are restored bit-identically.
-    pub fn from_state(state: NSigmaState) -> Self {
-        NSigma { n: state.n, count: state.count, sum: state.sum, sum_sq: state.sum_sq }
-    }
-}
-
-/// Plain-data snapshot of an [`NSigma`] detector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NSigmaState {
-    /// Threshold `n`.
-    pub n: f64,
-    /// Number of absorbed values.
-    pub count: u64,
-    /// Running sum.
-    pub sum: f64,
-    /// Running sum of squares.
-    pub sum_sq: f64,
 }
 
 #[cfg(test)]
@@ -189,11 +167,12 @@ mod tests {
     fn overflowing_values_are_not_absorbed() {
         let mut d = NSigma::new(3.0);
         d.seed(&[0.0, 0.1, -0.1]);
-        let before = d.to_state();
+        let sums = |d: &NSigma| (d.count, d.sum.to_bits(), d.sum_sq.to_bits());
+        let before = sums(&d);
         for x in [1e160, -1e300, f64::MAX, f64::INFINITY, f64::NAN] {
             d.absorb(x);
         }
-        assert_eq!(d.to_state(), before);
+        assert_eq!(sums(&d), before);
         assert!(d.update(1.0).is_anomaly, "the detector can still alarm");
     }
 

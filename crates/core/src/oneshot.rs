@@ -213,14 +213,15 @@ impl OneShotStlConfig {
 /// Per-IRLS-iteration state (Algorithm 5 keeps one weight vector per
 /// iteration; only the trailing two entries are ever read again).
 #[derive(Debug, Clone)]
-struct IterState<S> {
-    solver: S,
+pub struct IterState<S> {
+    /// The iteration's solver (for [`OneShotStl`], the `O(1)` window).
+    pub solver: S,
     /// `pw` at times `m−2, m−1` (weight of the diff `(j−1, j)`).
-    pw_hist: [f64; 2],
+    pub pw_hist: [f64; 2],
     /// `qw` at times `m−2, m−1`.
-    qw_hist: [f64; 2],
+    pub qw_hist: [f64; 2],
     /// This iteration's trend output at times `m−2, m−1` (Eq. 4–5 inputs).
-    tau_hist: [f64; 2],
+    pub tau_hist: [f64; 2],
 }
 
 /// The outcome of running all IRLS iterations for one candidate shift.
@@ -277,35 +278,45 @@ pub struct UpdateScratch<S: TailSolver>(TrialBufs<S>);
 
 /// The shared online-JointSTL shell (see module docs). Use the
 /// [`OneShotStl`] alias for the paper's `O(1)` algorithm.
+///
+/// The `pub` fields are the model's whole state: the fleet codec writes
+/// them as they are and builds a decoded model with
+/// [`OneShotStl::new`] plus field assignments, then [`OneShotStl::check`]
+/// tells a consistent state from a corrupted one. The trial scratch and
+/// the diagnostic counters stay private and are never serialized.
 #[derive(Debug, Clone)]
 pub struct OnlineJointStl<S: TailSolver> {
     /// Configuration (λ, I, H, n, policies), behind an `Arc` so that many
     /// models tuned alike (a fleet shard's series) point at one copy.
     pub config: Arc<OneShotStlConfig>,
-    period: usize,
+    /// Seasonal period `T` (0 before init).
+    pub period: usize,
     /// Global time index of the next arriving point.
-    t: u64,
+    pub t: u64,
     /// Number of online points processed.
-    m: usize,
+    pub m: usize,
     /// Cumulative phase offset Δ.
-    shift: i64,
+    pub shift: i64,
     /// Seasonal buffer `v ∈ R^T`.
-    v: Vec<f64>,
+    pub v: Vec<f64>,
     /// Last two observed values (times `m−2`, `m−1`).
-    y_hist: [f64; 2],
+    pub y_hist: [f64; 2],
     /// Seasonal anchors of the last two points, **frozen at arrival**:
     /// `u_j = v[(t_j + Δ) mod T]` read before `v` is overwritten at that
     /// phase. Re-reading them later would return the point's own seasonal
     /// estimate (written at its step), silently un-anchoring the tail from
     /// the previous cycle and letting the trend/seasonal split drift.
-    u_hist: [f64; 2],
-    iters: Vec<IterState<S>>,
+    pub u_hist: [f64; 2],
+    /// One state per IRLS iteration (`max(I, 1)` once initialized).
+    pub iters: Vec<IterState<S>>,
     /// The plain `update`'s trial buffers, boxed on its first call (never
     /// serialized; `None` for a model stepped only through
     /// [`Self::update_with_scratch`]).
     scratch: Option<Box<TrialBufs<S>>>,
-    nsigma: NSigma,
-    initialized: bool,
+    /// Residual NSigma statistics (the §3.4 shift-search trigger).
+    pub nsigma: NSigma,
+    /// Whether `init` has run.
+    pub initialized: bool,
     /// Lifetime count of §3.4 shift searches run (flagged points).
     searches: u64,
     /// Lifetime count of full IRLS trials run *by those searches*,
@@ -330,123 +341,49 @@ impl OneShotStl {
         Self::new(OneShotStlConfig::default())
     }
 
-    /// Extracts a plain-data snapshot of the full online state (see
-    /// `fleet::codec`). Restoring it with [`OneShotStl::from_state`] yields
-    /// a model whose subsequent [`OnlineDecomposer::update`] stream is
-    /// bit-identical to continuing the original.
-    pub fn to_state(&self) -> OneShotStlState {
-        OneShotStlState {
-            config: OneShotStlConfig::clone(&self.config),
-            period: self.period as u64,
-            t: self.t,
-            m: self.m as u64,
-            shift: self.shift,
-            v: self.v.clone(),
-            y_hist: self.y_hist,
-            u_hist: self.u_hist,
-            iters: self
-                .iters
-                .iter()
-                .map(|st| IterSnapshot {
-                    solver: st.solver,
-                    pw_hist: st.pw_hist,
-                    qw_hist: st.qw_hist,
-                    tau_hist: st.tau_hist,
-                })
-                .collect(),
-            nsigma: self.nsigma.to_state(),
-            initialized: self.initialized,
-        }
-    }
-
-    /// Rebuilds a model from [`OneShotStl::to_state`] output.
-    pub fn from_state(state: OneShotStlState) -> Result<Self> {
-        Self::restore(state, None)
-    }
-
-    /// [`OneShotStl::from_state`] that points at `shared` instead of
-    /// allocating a copy of the state's config when the two are equal bit
-    /// for bit ([`OneShotStlConfig::bit_eq`]): a host restoring many
-    /// models tuned alike allocates nothing for their configs.
-    pub fn from_state_sharing(
-        state: OneShotStlState,
-        shared: &Arc<OneShotStlConfig>,
-    ) -> Result<Self> {
-        Self::restore(state, Some(shared))
-    }
-
-    fn restore(state: OneShotStlState, shared: Option<&Arc<OneShotStlConfig>>) -> Result<Self> {
-        let period = state.period as usize;
-        if state.initialized && (period < 2 || state.v.len() != period) {
+    /// Checks what a decoded model must satisfy before it is stepped: an
+    /// initialized model holds a seasonal buffer of one period and one
+    /// state per IRLS iteration, and every solver has taken one step per
+    /// online point. A model that fails would decompose every point with
+    /// the wrong number of reweightings (none at all: trend 0, seasonal 0,
+    /// residual = y) or panic (`steps must be consecutive`) on its next
+    /// update.
+    pub fn check(&self) -> Result<()> {
+        let (period, buffer) = (self.period, self.v.len());
+        if self.initialized && (period < 2 || buffer != period) {
             return Err(TsError::InvalidParam {
-                name: "OneShotStlState",
+                name: "OneShotStl",
                 msg: format!(
                     "initialized state needs a seasonal buffer of one period \
-                     (period {period}, buffer {})",
-                    state.v.len()
+                     (period {period}, buffer {buffer})"
                 ),
             });
         }
-        // `init` builds one state per IRLS iteration; any other count would
-        // decompose every point with the wrong number of reweightings (none
-        // at all: trend 0, seasonal 0, residual = y)
-        let want_iters = state.config.iters.max(1);
-        if state.initialized && state.iters.len() != want_iters {
+        let want_iters = self.config.iters.max(1);
+        if self.initialized && self.iters.len() != want_iters {
             return Err(TsError::InvalidParam {
-                name: "OneShotStlState.iters",
+                name: "OneShotStl.iters",
                 msg: format!(
                     "initialized state has {} IRLS iteration states, its config needs {want_iters}",
-                    state.iters.len()
+                    self.iters.len()
                 ),
             });
         }
-        let mut iters = Vec::with_capacity(state.iters.len());
-        for snap in state.iters {
-            let solver = snap.solver;
-            // each IRLS iteration steps its solver exactly once per online
-            // point; a mismatch means a corrupted snapshot that would
-            // panic (`steps must be consecutive`) on the next update
-            if solver.len() as u64 != state.m {
-                return Err(TsError::InvalidParam {
-                    name: "OneShotStlState.iters",
-                    msg: format!(
-                        "solver has {} steps but the model processed {} points",
-                        solver.len(),
-                        state.m
-                    ),
-                });
-            }
-            iters.push(IterState {
-                solver,
-                pw_hist: snap.pw_hist,
-                qw_hist: snap.qw_hist,
-                tau_hist: snap.tau_hist,
+        if let Some(st) = self.iters.iter().find(|st| st.solver.len() != self.m) {
+            return Err(TsError::InvalidParam {
+                name: "OneShotStl.iters",
+                msg: format!(
+                    "solver has {} steps but the model processed {} points",
+                    st.solver.len(),
+                    self.m
+                ),
             });
         }
-        let config = match shared {
-            Some(shared) if shared.bit_eq(&state.config) => Arc::clone(shared),
-            _ => Arc::new(state.config),
-        };
-        Ok(OnlineJointStl {
-            config,
-            period,
-            t: state.t,
-            m: state.m as usize,
-            shift: state.shift,
-            v: state.v,
-            y_hist: state.y_hist,
-            u_hist: state.u_hist,
-            iters,
-            scratch: None,
-            nsigma: NSigma::from_state(state.nsigma),
-            initialized: state.initialized,
-            searches: 0,
-            search_trials: 0,
-        })
+        Ok(())
     }
 
-    /// Encoded size in bytes of [`OneShotStl::to_state`] under the fleet
-    /// snapshot codec (`fleet::codec` pins the two equal). Computed from
+    /// Encoded size in bytes of the model under the fleet snapshot codec
+    /// (`fleet::codec` pins the two equal). Computed from
     /// the seasonal-buffer length and shift-search policy without
     /// materialising the state, so the cost is constant per call (the IRLS
     /// iteration count is a small config constant). Capacity planning for
@@ -472,46 +409,6 @@ impl OneShotStl {
         let nsigma = 4 * 8;
         config + scalars + seasonal + hists + 4 + iters + nsigma + 1
     }
-}
-
-/// Plain-data snapshot of a [`OneShotStl`] (see [`OneShotStl::to_state`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OneShotStlState {
-    /// Model configuration.
-    pub config: OneShotStlConfig,
-    /// Seasonal period `T`.
-    pub period: u64,
-    /// Global time index of the next arriving point.
-    pub t: u64,
-    /// Number of online points processed.
-    pub m: u64,
-    /// Cumulative phase offset Δ.
-    pub shift: i64,
-    /// Seasonal buffer `v`.
-    pub v: Vec<f64>,
-    /// Last two observed values.
-    pub y_hist: [f64; 2],
-    /// Frozen seasonal anchors of the last two points.
-    pub u_hist: [f64; 2],
-    /// Per-IRLS-iteration solver and weight state.
-    pub iters: Vec<IterSnapshot>,
-    /// Residual NSigma statistics (shift-search trigger).
-    pub nsigma: crate::nsigma::NSigmaState,
-    /// Whether `init` has run.
-    pub initialized: bool,
-}
-
-/// Plain-data snapshot of one IRLS iteration's state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IterSnapshot {
-    /// The `O(1)` solver window.
-    pub solver: IncrementalSolver,
-    /// First-difference weights at times `m−2, m−1`.
-    pub pw_hist: [f64; 2],
-    /// Second-difference weights at times `m−2, m−1`.
-    pub qw_hist: [f64; 2],
-    /// Trend outputs at times `m−2, m−1`.
-    pub tau_hist: [f64; 2],
 }
 
 impl<S: TailSolver> Default for OnlineJointStl<S> {
@@ -556,8 +453,9 @@ impl<S: TailSolver> OnlineJointStl<S> {
     /// how many updates were flagged and how many full trials (including
     /// each search's Δt = 0 baseline) those searches ran. With
     /// [`ShiftPrune::TopK`]`(k)`, `trials ≤ searches · (k + 1)` — the
-    /// bound the pruning exists to enforce. Diagnostics only; resets on
-    /// snapshot restore.
+    /// bound the pruning exists to enforce. Diagnostics only: never
+    /// serialized, so a model decoded from bytes starts them at zero (a
+    /// clone copies them).
     pub fn shift_search_stats(&self) -> (u64, u64) {
         (self.searches, self.search_trials)
     }
@@ -1247,12 +1145,12 @@ mod tests {
         OneShotStl::default_paper().update(1.0);
     }
 
-    /// An initialized state must carry exactly one IRLS iteration state
+    /// An initialized model must carry exactly one IRLS iteration state
     /// per configured iteration: with none, every point would decompose
     /// as trend 0, seasonal 0, residual = y; with too few, the model would
     /// silently run fewer reweightings than its config says.
     #[test]
-    fn from_state_rejects_a_wrong_iteration_count() {
+    fn check_rejects_a_wrong_iteration_count() {
         let t = 12;
         let y = seasonal(8 * t, t, 0.05, 9);
         let mut m = OneShotStl::default_paper();
@@ -1260,22 +1158,36 @@ mod tests {
         for &v in &y[4 * t..] {
             m.update(v);
         }
-        let state = m.to_state();
-        assert_eq!(state.iters.len(), 8);
-        assert!(OneShotStl::from_state(state.clone()).is_ok());
+        assert_eq!(m.iters.len(), 8);
+        assert!(m.check().is_ok());
         for keep in [0, 3] {
-            let mut bad = state.clone();
+            let mut bad = m.clone();
             bad.iters.truncate(keep);
-            let err = OneShotStl::from_state(bad).expect_err("wrong iteration count restored");
+            let err = bad.check().expect_err("wrong iteration count passed");
             assert!(
-                matches!(err, TsError::InvalidParam { name: "OneShotStlState.iters", .. }),
+                matches!(err, TsError::InvalidParam { name: "OneShotStl.iters", .. }),
                 "{keep} states: {err:?}"
             );
         }
-        // an uninitialized model holds no iteration states and restores
-        let fresh = OneShotStl::default_paper().to_state();
+        // an uninitialized model holds no iteration states and passes
+        let fresh = OneShotStl::default_paper();
         assert!(fresh.iters.is_empty());
-        assert!(OneShotStl::from_state(fresh).is_ok());
+        assert!(fresh.check().is_ok());
+    }
+
+    /// Every field the fleet codec serializes, bit for bit.
+    fn state_bits(m: &OneShotStl) -> Vec<u64> {
+        let mut out = vec![m.period as u64, m.t, m.m as u64, m.shift as u64];
+        let mut floats = [&m.v[..], &m.y_hist, &m.u_hist].concat();
+        for it in &m.iters {
+            out.push(it.solver.m as u64);
+            floats.extend(it.solver.lo.iter().chain(&it.solver.dd).chain(&it.solver.zo));
+            floats.extend(it.pw_hist.iter().chain(&it.qw_hist).chain(&it.tau_hist));
+        }
+        floats.extend([m.nsigma.n, m.nsigma.sum, m.nsigma.sum_sq]);
+        out.extend([m.nsigma.count, m.initialized as u64]);
+        out.extend(floats.iter().map(|x| x.to_bits()));
+        out
     }
 
     /// One model and its stream for the shared-scratch property. `rng`
@@ -1369,7 +1281,8 @@ mod tests {
                     ] {
                         proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "model {} step {}", q, step);
                     }
-                    proptest::prop_assert!(shared[q].to_state() == plain[q].to_state());
+                    proptest::prop_assert!(shared[q].config.bit_eq(&plain[q].config));
+                    proptest::prop_assert_eq!(state_bits(&shared[q]), state_bits(&plain[q]));
                     proptest::prop_assert_eq!(
                         shared[q].shift_search_stats(),
                         plain[q].shift_search_stats()
@@ -1465,7 +1378,7 @@ mod tests {
                 both_searched |= (0..2).all(|q| searches(&paired[q]) > before[q]);
             }
             for q in 0..2 {
-                proptest::prop_assert!(paired[q].to_state() == twins[q].to_state(), "lane {}", q);
+                proptest::prop_assert_eq!(state_bits(&paired[q]), state_bits(&twins[q]), "lane {}", q);
             }
             if cases.iter().all(|(cfg, _, _)| cfg.shift_window > 0) {
                 proptest::prop_assert!(both_searched, "one pair must search on both lanes");

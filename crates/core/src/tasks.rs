@@ -22,7 +22,9 @@ use tskit::series::DecompPoint;
 pub struct StdAnomalyDetector<D> {
     /// The wrapped online decomposer.
     pub decomposer: D,
-    scorer: CusumScorer,
+    /// The CUSUM part of the scorer; the running residual sums are the
+    /// decomposer's.
+    pub scorer: CusumScorer,
 }
 
 impl<S: TailSolver> StdAnomalyDetector<OnlineJointStl<S>> {
@@ -37,18 +39,6 @@ impl<S: TailSolver> StdAnomalyDetector<OnlineJointStl<S>> {
     /// bit-identically).
     pub fn with_score(decomposer: OnlineJointStl<S>, n: f64, score: ScoreConfig) -> Self {
         StdAnomalyDetector { decomposer, scorer: CusumScorer::new(n, score) }
-    }
-
-    /// Read-only view of the CUSUM part of the scorer (its alarm
-    /// counters).
-    pub fn scorer(&self) -> &CusumScorer {
-        &self.scorer
-    }
-
-    /// Reassembles a detector from a decomposer and a scorer (snapshot
-    /// restore; the running residual sums are the decomposer's).
-    pub fn from_parts(decomposer: OnlineJointStl<S>, scorer: CusumScorer) -> Self {
-        StdAnomalyDetector { decomposer, scorer }
     }
 
     /// Initializes the decomposer on a prefix; its residuals seed the
@@ -373,15 +363,14 @@ mod tests {
                     }
                 }
                 for (det, q) in [(&plain, 0), (&with, 0), (&pair[0], 0), (&pair[1], 1)] {
-                    let scorer = &refs[q].1;
-                    let want = scorer.to_state();
-                    let got = det.decomposer.to_state().nsigma;
-                    let sums = |s: &crate::NSigmaState| {
-                        (s.count, s.sum.to_bits(), s.sum_sq.to_bits())
+                    let want = &refs[q].1;
+                    let sums = |s: &crate::NSigma| (s.count, s.sum.to_bits(), s.sum_sq.to_bits());
+                    proptest::prop_assert_eq!(sums(&det.decomposer.nsigma), sums(&want.nsigma));
+                    let cusum = |s: &CusumScorer| {
+                        (s.config, [s.n, s.s_pos, s.s_neg, s.hold].map(f64::to_bits))
                     };
-                    proptest::prop_assert_eq!(sums(&got), sums(&want.nsigma));
-                    proptest::prop_assert_eq!(det.scorer().to_state(), want.cusum);
-                    proptest::prop_assert_eq!(det.scorer().alarm_counts(), scorer.alarm_counts());
+                    proptest::prop_assert_eq!(cusum(&det.scorer), cusum(&want.cusum));
+                    proptest::prop_assert_eq!(det.scorer.alarm_counts(), want.alarm_counts());
                 }
             }
         }

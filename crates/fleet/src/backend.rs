@@ -20,11 +20,11 @@
 //!   keeps its full sensitivity.
 //!
 //! [`SeriesBackend`] is the closed enum the shard dispatches and the
-//! codec serializes: `observe` is allocation-free in steady state
-//! (pinned by `crates/fleet/tests/zero_alloc.rs`), and its plain-data
-//! snapshot restores **bit-identically** (including WAL crash recovery).
+//! codec serializes as it is: `observe` is allocation-free in steady
+//! state (pinned by `crates/fleet/tests/zero_alloc.rs`), and a decoded
+//! backend continues **bit-identically** (including WAL crash recovery).
 
-use oneshotstl::{ScoreConfig, ScoreVerdict, TrendCusum, TrendCusumState};
+use oneshotstl::{ScoreConfig, ScoreVerdict, TrendCusum};
 use tskit::series::DecompPoint;
 
 /// Which detection backend a series runs (see the [module docs](self)).
@@ -99,47 +99,13 @@ impl SeriesBackend {
     }
 
     /// Lifetime trend-channel alarms, z and CUSUM side together
-    /// (diagnostics — reset on snapshot restore, like every other
-    /// diagnostic counter).
+    /// (diagnostics, never serialized, like every other diagnostic
+    /// counter).
     pub fn trend_alarms(&self) -> u64 {
         let (SeriesBackend::TrendCusum(t) | SeriesBackend::Ensemble(t)) = self;
         let (z, c) = t.alarm_counts();
         z + c
     }
-
-    /// Extracts a plain-data snapshot for serialization.
-    pub fn to_snapshot(&self) -> BackendSnapshot {
-        match self {
-            SeriesBackend::TrendCusum(t) => BackendSnapshot::TrendCusum(t.to_state()),
-            SeriesBackend::Ensemble(t) => BackendSnapshot::Ensemble(t.to_state()),
-        }
-    }
-
-    /// Rebuilds from [`SeriesBackend::to_snapshot`] output, validating
-    /// the trend state (snapshots cross a serialization boundary); the
-    /// stream continues bit-identically.
-    pub fn from_snapshot(snap: BackendSnapshot) -> Result<Self, String> {
-        let (BackendSnapshot::TrendCusum(s) | BackendSnapshot::Ensemble(s)) = &snap;
-        if s.has_prev && !s.prev.is_finite() {
-            return Err(format!("trend CUSUM prev must be finite, got {}", s.prev));
-        }
-        Ok(match snap {
-            BackendSnapshot::TrendCusum(s) => {
-                SeriesBackend::TrendCusum(TrendCusum::from_state(s))
-            }
-            BackendSnapshot::Ensemble(s) => SeriesBackend::Ensemble(TrendCusum::from_state(s)),
-        })
-    }
-}
-
-/// Plain-data snapshot of a [`SeriesBackend`]. The trend state's inner
-/// scorer is range-checked by the codec's shared scorer decoder.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BackendSnapshot {
-    /// Trend-CUSUM backend state.
-    TrendCusum(TrendCusumState),
-    /// Ensemble state: its trend-CUSUM channel.
-    Ensemble(TrendCusumState),
 }
 
 #[cfg(test)]
@@ -160,9 +126,11 @@ mod tests {
         assert!(BackendSelect::Ensemble(bad).validate().is_err());
     }
 
-    /// Backend snapshots restore bit-identically, for every variant.
+    /// A backend through the codec continues bit-identically, for every
+    /// variant.
     #[test]
     fn snapshot_roundtrip_is_bit_identical() {
+        use crate::codec::{decode_backend_state, encode_backend_state, Reader, Writer};
         let selects = [
             BackendSelect::TrendCusum(ScoreConfig::default()),
             BackendSelect::Ensemble(ScoreConfig::default()),
@@ -174,8 +142,12 @@ mod tests {
             for i in 0..200 {
                 a.observe(&point(trend(i)), &fused);
             }
-            let mut b = SeriesBackend::from_snapshot(a.to_snapshot()).unwrap();
-            assert_eq!(a.to_snapshot(), b.to_snapshot());
+            let mut w = Writer::default();
+            encode_backend_state(&mut w, &a);
+            let mut b = decode_backend_state(&mut Reader { data: &w.buf, pos: 0 }).unwrap();
+            let mut again = Writer::default();
+            encode_backend_state(&mut again, &b);
+            assert_eq!(w.buf, again.buf);
             for i in 200..300 {
                 let p = point(trend(i) + if i == 250 { 3.0 } else { 0.0 });
                 let (va, vb) = (a.observe(&p, &fused), b.observe(&p, &fused));
@@ -185,17 +157,19 @@ mod tests {
         }
     }
 
-    /// Degenerate snapshots are rejected with a message, never panic.
+    /// Degenerate decoded state is rejected with a typed error, never
+    /// restored.
     #[test]
     fn degenerate_snapshots_are_rejected() {
-        let b = SeriesBackend::build(BackendSelect::Ensemble(ScoreConfig::default()), 5.0);
-        let BackendSnapshot::Ensemble(mut bad) = b.unwrap().to_snapshot() else {
-            unreachable!()
-        };
-        bad.has_prev = true;
-        bad.prev = f64::INFINITY;
-        assert!(SeriesBackend::from_snapshot(BackendSnapshot::TrendCusum(bad.clone())).is_err());
-        assert!(SeriesBackend::from_snapshot(BackendSnapshot::Ensemble(bad)).is_err());
+        use crate::codec::{decode_backend_state, encode_backend_state, Reader, Writer};
+        for select in [BackendSelect::TrendCusum, BackendSelect::Ensemble] {
+            let mut b = SeriesBackend::build(select(ScoreConfig::default()), 5.0).unwrap();
+            let (SeriesBackend::TrendCusum(t) | SeriesBackend::Ensemble(t)) = &mut b;
+            (t.has_prev, t.prev) = (true, f64::INFINITY);
+            let mut w = Writer::default();
+            encode_backend_state(&mut w, &b);
+            assert!(decode_backend_state(&mut Reader { data: &w.buf, pos: 0 }).is_err());
+        }
     }
 
     /// The ensemble takes the larger score and ORs the verdicts; the

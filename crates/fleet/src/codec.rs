@@ -1,5 +1,15 @@
 //! Versioned binary codec for [`FleetSnapshot`].
 //!
+//! The codec reads and writes the live types themselves — a
+//! [`SeriesState`] with its `OneShotStl`, `CusumScorer` and
+//! [`SeriesBackend`]: the encoder walks their fields in place, so encoding
+//! copies no state, and the decoder builds each value with its `new(…)`
+//! and assigns the fields. It also refuses the byte-level values
+//! no writer produces (non-finite sums, accumulators outside their clamp,
+//! a non-finite trend `prev`, a trend warm-up budget above
+//! [`TREND_WARMUP`], degenerate configs); the structural checks between
+//! fields live in [`SeriesState::check`], which every restore runs.
+//!
 //! Layout: magic `b"OSSTLFLT"`, `u16` version, `u8` kind (always 0, the
 //! full engine image), then the fields in a fixed order. All integers
 //! are little-endian; `f64` round-trips via [`f64::to_bits`], so restored
@@ -37,20 +47,23 @@
 //! constants and the reader refuses any other value as invalid: a
 //! restored series must run the config it was imaged with.
 
-use crate::backend::{BackendSelect, BackendSnapshot, SeriesBackend};
+use crate::backend::{BackendSelect, SeriesBackend};
 use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy};
 use crate::engine::{CarriedTotals, FleetSnapshot};
 use crate::error::CodecError;
-use crate::series::{PhaseSnapshot, QuarantineCause};
-use crate::shard::SeriesSnapshot;
+use crate::series::{
+    declared_period, share_or_own, LiveSeries, QuarantineCause, SeriesState, Warmup,
+};
+use crate::shard::SeriesEntry;
 use crate::types::{Record, SeriesKey};
 use crate::{FleetConfig, PeriodPolicy};
 use oneshotstl::oneshot::InitMethod;
 use oneshotstl::system::{Lambdas, TailData};
 use oneshotstl::{
-    CusumState, Fusion, IncrementalSolver, IterSnapshot, NSigmaState, OneShotStlConfig,
-    OneShotStlState, ResidualScorerState, ScoreConfig, ShiftPrune,
+    CusumScorer, Fusion, IncrementalSolver, IterState, NSigma, OneShotStl, OneShotStlConfig,
+    ResidualScorer, ScoreConfig, ShiftPrune, StdAnomalyDetector, TrendCusum, TREND_WARMUP,
 };
+use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
 // v15: v14 with every solver written as its window, from the first point.
@@ -92,7 +105,9 @@ fn decode_version(r: &mut Reader<'_>) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Deserializes [`encode`] output (current or previous version).
+/// Deserializes [`encode`] output (current or previous version). Every
+/// live series tuned like the image's engine config shares one `Arc` of
+/// its detector config; a restore re-homes it on its shard's.
 pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
     if r.take(8)? != MAGIC {
@@ -108,8 +123,9 @@ pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
     let totals = decode_totals(&mut r)?;
     let n = r.u64()? as usize;
     let mut series = Vec::with_capacity(n.min(1 << 20));
+    let detector = Arc::new(config.detector.clone());
     for _ in 0..n {
-        series.push(decode_series(&mut r)?);
+        series.push(decode_series(&mut r, &config, &detector)?);
     }
     if r.pos != r.data.len() {
         return Err(CodecError::Invalid("trailing bytes after snapshot"));
@@ -119,7 +135,7 @@ pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
 
 /// Serializes one series for the cold tier: `u16` codec version, then the
 /// standard series encoding.
-pub(crate) fn encode_series_blob(s: &SeriesSnapshot) -> Vec<u8> {
+pub(crate) fn encode_series_blob(s: &SeriesEntry) -> Vec<u8> {
     let mut w = Writer::default();
     w.u16(VERSION);
     encode_series(&mut w, s);
@@ -127,11 +143,17 @@ pub(crate) fn encode_series_blob(s: &SeriesSnapshot) -> Vec<u8> {
 }
 
 /// Deserializes [`encode_series_blob`] output (current or previous
-/// version, so a cold store written by the previous build stays readable).
-pub(crate) fn decode_series_blob(bytes: &[u8]) -> Result<SeriesSnapshot, CodecError> {
+/// version, so a cold store written by the previous build stays readable)
+/// into the series a shard under `config` holds: a live series tuned like
+/// `detector` shares it.
+pub(crate) fn decode_series_blob(
+    bytes: &[u8],
+    config: &FleetConfig,
+    detector: &Arc<OneShotStlConfig>,
+) -> Result<SeriesEntry, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
     decode_version(&mut r)?;
-    let s = decode_series(&mut r)?;
+    let s = decode_series(&mut r, config, detector)?;
     if r.pos != r.data.len() {
         return Err(CodecError::Invalid("trailing bytes after series blob"));
     }
@@ -356,48 +378,45 @@ fn decode_forecast_head(r: &mut Reader<'_>) -> Result<Option<f64>, CodecError> {
 /// The backend state of a live series — `u8` variant tag, then the
 /// trend-CUSUM state. Tags `0` and `2` (the DAMP and three-channel
 /// ensemble states before v11) are retired, never reused.
-fn encode_backend_state(w: &mut Writer, s: &BackendSnapshot) {
-    let (tag, trend) = match s {
-        BackendSnapshot::TrendCusum(t) => (1, t),
-        BackendSnapshot::Ensemble(t) => (3, t),
+pub(crate) fn encode_backend_state(w: &mut Writer, b: &SeriesBackend) {
+    let (tag, t) = match b {
+        SeriesBackend::TrendCusum(t) => (1, t),
+        SeriesBackend::Ensemble(t) => (3, t),
     };
     w.u8(tag);
-    encode_trend_cusum_state(w, trend);
+    encode_scorer(w, &t.scorer);
+    w.f64(t.prev);
+    w.u8(t.has_prev as u8);
+    w.u32(t.warmup_left);
 }
 
-fn decode_backend_state(r: &mut Reader<'_>) -> Result<BackendSnapshot, CodecError> {
-    let snap = match r.u8()? {
-        1 => BackendSnapshot::TrendCusum(decode_trend_cusum_state(r)?),
-        3 => BackendSnapshot::Ensemble(decode_trend_cusum_state(r)?),
+pub(crate) fn decode_backend_state(r: &mut Reader<'_>) -> Result<SeriesBackend, CodecError> {
+    let wrap = match r.u8()? {
+        1 => SeriesBackend::TrendCusum,
+        3 => SeriesBackend::Ensemble,
         _ => return Err(CodecError::Invalid("backend state tag")),
     };
-    // the restore path's own validation is the single home of the range
-    // checks — running it here keeps a crafted image from smuggling state
-    // the API boundary rejects, without duplicating the rules
-    if SeriesBackend::from_snapshot(snap.clone()).is_err() {
-        return Err(CodecError::Invalid("backend state"));
-    }
-    Ok(snap)
-}
-
-fn encode_trend_cusum_state(w: &mut Writer, s: &oneshotstl::TrendCusumState) {
-    encode_scorer(w, &s.scorer);
-    w.f64(s.prev);
-    w.u8(s.has_prev as u8);
-    w.u32(s.warmup_left);
-}
-
-fn decode_trend_cusum_state(
-    r: &mut Reader<'_>,
-) -> Result<oneshotstl::TrendCusumState, CodecError> {
     let scorer = decode_scorer(r)?;
-    let prev = r.f64()?;
-    let has_prev = match r.u8()? {
+    let mut t = TrendCusum::new(scorer.cusum.n, scorer.cusum.config);
+    t.scorer = scorer;
+    t.prev = r.f64()?;
+    t.has_prev = match r.u8()? {
         0 => false,
         1 => true,
         _ => return Err(CodecError::Invalid("trend CUSUM prev flag")),
     };
-    Ok(oneshotstl::TrendCusumState { scorer, prev, has_prev, warmup_left: r.u32()? })
+    t.warmup_left = r.u32()?;
+    // the next innovation differences against `prev`: a non-finite one
+    // would poison the trend channel's sums for good
+    if t.has_prev && !t.prev.is_finite() {
+        return Err(CodecError::Invalid("backend state"));
+    }
+    // no writer exceeds the initial budget; a larger one would silence
+    // the trend channel for up to ~4.3e9 points
+    if t.warmup_left > TREND_WARMUP {
+        return Err(CodecError::Invalid("trend CUSUM warm-up budget"));
+    }
+    Ok(wrap(t))
 }
 
 fn encode_detector_config(w: &mut Writer, c: &OneShotStlConfig) {
@@ -545,23 +564,23 @@ pub(crate) fn decode_admit_options(r: &mut Reader<'_>) -> Result<AdmitOptions, C
     Ok(opts)
 }
 
-fn encode_series(w: &mut Writer, s: &SeriesSnapshot) {
+fn encode_series(w: &mut Writer, s: &SeriesEntry) {
     w.string(s.key.as_str());
     w.u64(s.last_seen);
-    match &s.phase {
-        PhaseSnapshot::Warming { values, period, last_attempt, overrides } => {
+    match &s.state {
+        SeriesState::Warming(warm) => {
             w.u8(0);
-            w.vec_f64(values);
-            w.opt_u32(period.map(|v| v as u32));
-            w.u64(*last_attempt as u64);
-            encode_admit_options(w, overrides);
+            w.vec_f64(&warm.values);
+            w.opt_u32(warm.period.map(|v| v as u32));
+            w.u64(warm.last_attempt as u64);
+            encode_admit_options(w, &warm.overrides);
         }
-        PhaseSnapshot::Live { decomposer, scorer, forecast, backend } => {
+        SeriesState::Live(live) => {
             w.u8(4);
-            encode_decomposer(w, decomposer);
-            encode_cusum(w, scorer);
-            encode_forecast_head(w, *forecast);
-            match backend {
+            encode_decomposer(w, &live.detector.decomposer);
+            encode_cusum(w, &live.detector.scorer);
+            encode_forecast_head(w, live.forecast);
+            match &live.backend {
                 None => w.u8(0),
                 Some(b) => {
                     w.u8(1);
@@ -569,8 +588,8 @@ fn encode_series(w: &mut Writer, s: &SeriesSnapshot) {
                 }
             }
         }
-        PhaseSnapshot::Rejected => w.u8(2),
-        PhaseSnapshot::Quarantined { cause, dropped } => {
+        SeriesState::Rejected => w.u8(2),
+        SeriesState::Quarantined { cause, dropped } => {
             w.u8(3);
             w.u8(match cause {
                 QuarantineCause::NonFinite => 0,
@@ -581,28 +600,39 @@ fn encode_series(w: &mut Writer, s: &SeriesSnapshot) {
     }
 }
 
-fn decode_series(r: &mut Reader<'_>) -> Result<SeriesSnapshot, CodecError> {
+/// A series as a shard under `config` holds it. A warm-up's period is
+/// re-derived by the one rule a live warm-up follows ([`declared_period`]:
+/// an override, then a declared period, wins over the decoded one).
+fn decode_series(
+    r: &mut Reader<'_>,
+    config: &FleetConfig,
+    detector: &Arc<OneShotStlConfig>,
+) -> Result<SeriesEntry, CodecError> {
     let key = SeriesKey::new(r.string()?);
     let last_seen = r.u64()?;
-    let phase = match r.u8()? {
-        0 => PhaseSnapshot::Warming {
-            values: r.vec_f64()?,
-            period: r.opt_u32()?.map(|v| v as usize),
-            last_attempt: r.u64()? as usize,
-            overrides: decode_admit_options(r)?,
-        },
-        4 => PhaseSnapshot::Live {
-            decomposer: decode_decomposer(r)?,
-            scorer: decode_cusum(r)?,
+    let state = match r.u8()? {
+        0 => {
+            let values = r.vec_f64()?;
+            let period = r.opt_u32()?.map(|v| v as usize);
+            let last_attempt = r.u64()? as usize;
+            let overrides = decode_admit_options(r)?;
+            let period = declared_period(config, overrides).or(period);
+            SeriesState::Warming(Warmup { values, period, last_attempt, overrides })
+        }
+        4 => SeriesState::Live(LiveSeries {
+            detector: StdAnomalyDetector {
+                decomposer: decode_decomposer(r, detector)?,
+                scorer: decode_cusum(r)?,
+            },
             forecast: decode_forecast_head(r)?,
             backend: match r.u8()? {
                 0 => None,
-                1 => Some(decode_backend_state(r)?),
+                1 => Some(Box::new(decode_backend_state(r)?)),
                 _ => return Err(CodecError::Invalid("backend presence tag")),
             },
-        },
-        2 => PhaseSnapshot::Rejected,
-        3 => PhaseSnapshot::Quarantined {
+        }),
+        2 => SeriesState::Rejected,
+        3 => SeriesState::Quarantined {
             cause: match r.u8()? {
                 0 => QuarantineCause::NonFinite,
                 1 => QuarantineCause::Panic,
@@ -612,68 +642,63 @@ fn decode_series(r: &mut Reader<'_>) -> Result<SeriesSnapshot, CodecError> {
         },
         _ => return Err(CodecError::Invalid("series phase tag")),
     };
-    Ok(SeriesSnapshot { key, last_seen, phase })
+    Ok(SeriesEntry { key, state, last_seen })
 }
 
-fn encode_decomposer(w: &mut Writer, s: &OneShotStlState) {
-    encode_detector_config(w, &s.config);
-    w.u64(s.period);
-    w.u64(s.t);
-    w.u64(s.m);
-    w.i64(s.shift);
-    w.vec_f64(&s.v);
-    w.f64_pair(s.y_hist);
-    w.f64_pair(s.u_hist);
-    w.u32(s.iters.len() as u32);
-    for it in &s.iters {
+fn encode_decomposer(w: &mut Writer, m: &OneShotStl) {
+    encode_detector_config(w, &m.config);
+    w.u64(m.period as u64);
+    w.u64(m.t);
+    w.u64(m.m as u64);
+    w.i64(m.shift);
+    w.vec_f64(&m.v);
+    w.f64_pair(m.y_hist);
+    w.f64_pair(m.u_hist);
+    w.u32(m.iters.len() as u32);
+    for it in &m.iters {
         encode_solver(w, &it.solver);
         w.f64_pair(it.pw_hist);
         w.f64_pair(it.qw_hist);
         w.f64_pair(it.tau_hist);
     }
-    encode_nsigma(w, &s.nsigma);
-    w.u8(s.initialized as u8);
+    encode_nsigma(w, &m.nsigma);
+    w.u8(m.initialized as u8);
 }
 
-fn decode_decomposer(r: &mut Reader<'_>) -> Result<OneShotStlState, CodecError> {
+/// A decomposer whose config, when equal to `shared` bit for bit, is
+/// `shared` itself. Reads any IRLS iteration count and step counts:
+/// [`OneShotStl::check`] judges them.
+fn decode_decomposer(
+    r: &mut Reader<'_>,
+    shared: &Arc<OneShotStlConfig>,
+) -> Result<OneShotStl, CodecError> {
     let config = decode_detector_config(r)?;
-    let period = r.u64()?;
-    let t = r.u64()?;
-    let m = r.u64()?;
-    let shift = r.i64()?;
-    let v = r.vec_f64()?;
-    let y_hist = r.f64_pair()?;
-    let u_hist = r.f64_pair()?;
+    let lambdas = config.lambdas;
+    let mut m = OneShotStl::new(share_or_own(shared, config));
+    m.period = r.u64()? as usize;
+    m.t = r.u64()?;
+    m.m = r.u64()? as usize;
+    m.shift = r.i64()?;
+    m.v = r.vec_f64()?;
+    m.y_hist = r.f64_pair()?;
+    m.u_hist = r.f64_pair()?;
     let n_iters = r.u32()? as usize;
-    let mut iters = Vec::with_capacity(n_iters.min(1 << 10));
+    m.iters = Vec::with_capacity(n_iters.min(1 << 10));
     for _ in 0..n_iters {
-        let solver = decode_solver(r, config.lambdas)?;
-        iters.push(IterSnapshot {
-            solver,
+        m.iters.push(IterState {
+            solver: decode_solver(r, lambdas)?,
             pw_hist: r.f64_pair()?,
             qw_hist: r.f64_pair()?,
             tau_hist: r.f64_pair()?,
         });
     }
-    let nsigma = decode_nsigma(r)?;
-    let initialized = match r.u8()? {
+    m.nsigma = decode_nsigma(r)?;
+    m.initialized = match r.u8()? {
         0 => false,
         1 => true,
         _ => return Err(CodecError::Invalid("initialized flag")),
     };
-    Ok(OneShotStlState {
-        config,
-        period,
-        t,
-        m,
-        shift,
-        v,
-        y_hist,
-        u_hist,
-        iters,
-        nsigma,
-        initialized,
-    })
+    Ok(m)
 }
 
 fn encode_solver(w: &mut Writer, s: &IncrementalSolver) {
@@ -728,7 +753,7 @@ fn replay_first_points(
     Ok(solver)
 }
 
-fn encode_nsigma(w: &mut Writer, s: &NSigmaState) {
+fn encode_nsigma(w: &mut Writer, s: &NSigma) {
     w.f64(s.n);
     w.u64(s.count);
     w.f64(s.sum);
@@ -736,8 +761,9 @@ fn encode_nsigma(w: &mut Writer, s: &NSigmaState) {
 }
 
 /// Shared by the decomposer, the residual scorer, and the trend CUSUM.
-fn decode_nsigma(r: &mut Reader<'_>) -> Result<NSigmaState, CodecError> {
-    let s = NSigmaState { n: r.f64()?, count: r.u64()?, sum: r.f64()?, sum_sq: r.f64()? };
+fn decode_nsigma(r: &mut Reader<'_>) -> Result<NSigma, CodecError> {
+    let mut s = NSigma::new(r.f64()?);
+    (s.count, s.sum, s.sum_sq) = (r.u64()?, r.f64()?, r.f64()?);
     // a NaN bar never alarms (`z > NaN` is false), and a non-finite sum
     // poisons every later z-score: the series would silently go quiet
     if !(s.n.is_finite() && s.n > 0.0) {
@@ -751,7 +777,7 @@ fn decode_nsigma(r: &mut Reader<'_>) -> Result<NSigmaState, CodecError> {
 
 /// The scorer of a live series: its CUSUM part alone, since the running
 /// residual sums are its decomposer's.
-fn encode_cusum(w: &mut Writer, s: &CusumState) {
+fn encode_cusum(w: &mut Writer, s: &CusumScorer) {
     encode_score_config(w, &s.config);
     w.f64(s.n);
     w.f64(s.s_pos);
@@ -759,14 +785,14 @@ fn encode_cusum(w: &mut Writer, s: &CusumState) {
     w.f64(s.hold);
 }
 
-fn decode_cusum(r: &mut Reader<'_>) -> Result<CusumState, CodecError> {
+fn decode_cusum(r: &mut Reader<'_>) -> Result<CusumScorer, CodecError> {
     let config = decode_score_config(r)?;
-    let n = r.f64()?;
-    checked_cusum(CusumState { config, n, s_pos: r.f64()?, s_neg: r.f64()?, hold: r.f64()? })
+    let s = CusumScorer::new(r.f64()?, config);
+    checked_cusum(r, s)
 }
 
 /// A residual scorer with sums of its own: the trend CUSUM's.
-fn encode_scorer(w: &mut Writer, s: &ResidualScorerState) {
+fn encode_scorer(w: &mut Writer, s: &ResidualScorer) {
     encode_score_config(w, &s.cusum.config);
     encode_nsigma(w, &s.nsigma);
     w.f64(s.cusum.s_pos);
@@ -774,20 +800,20 @@ fn encode_scorer(w: &mut Writer, s: &ResidualScorerState) {
     w.f64(s.cusum.hold);
 }
 
-fn decode_scorer(r: &mut Reader<'_>) -> Result<ResidualScorerState, CodecError> {
+fn decode_scorer(r: &mut Reader<'_>) -> Result<ResidualScorer, CodecError> {
     let config = decode_score_config(r)?;
     let nsigma = decode_nsigma(r)?;
-    let n = nsigma.n;
-    let cusum = CusumState { config, n, s_pos: r.f64()?, s_neg: r.f64()?, hold: r.f64()? };
-    Ok(ResidualScorerState { nsigma, cusum: checked_cusum(cusum)? })
+    let cusum = checked_cusum(r, CusumScorer::new(nsigma.n, config))?;
+    Ok(ResidualScorer { nsigma, cusum })
 }
 
-/// Mirrors the config-level smuggling checks for the dynamic state: a
-/// NaN bar never alarms (`z > NaN` is false), a NaN accumulator would
-/// silently disable one CUSUM side forever (`f64::max(NaN, x)` returns
-/// `x`), and no writer can produce values outside the update loop's
-/// clamp ranges.
-fn checked_cusum(s: CusumState) -> Result<CusumState, CodecError> {
+/// Reads the accumulators and hold of `s`, mirroring the config-level
+/// smuggling checks for the dynamic state: a NaN bar never alarms
+/// (`z > NaN` is false), a NaN accumulator would silently disable one
+/// CUSUM side forever (`f64::max(NaN, x)` returns `x`), and no writer can
+/// produce values outside the update loop's clamp ranges.
+fn checked_cusum(r: &mut Reader<'_>, mut s: CusumScorer) -> Result<CusumScorer, CodecError> {
+    (s.s_pos, s.s_neg, s.hold) = (r.f64()?, r.f64()?, r.f64()?);
     if !(s.n.is_finite() && s.n > 0.0) {
         return Err(CodecError::Invalid("nsigma bar"));
     }
@@ -995,6 +1021,19 @@ mod tests {
     use super::*;
     use decomp::traits::OnlineDecomposer;
 
+    /// [`decode_series_blob`] on a shard of the default engine config.
+    fn read_blob(bytes: &[u8]) -> Result<SeriesEntry, CodecError> {
+        let config = FleetConfig::default();
+        decode_series_blob(bytes, &config, &Arc::new(config.detector.clone()))
+    }
+
+    /// A live series running `det`, with no forecast head or backend.
+    fn live_entry(det: oneshotstl::StdAnomalyDetector<oneshotstl::OneShotStl>) -> SeriesEntry {
+        let state =
+            SeriesState::Live(LiveSeries { detector: det, forecast: None, backend: None });
+        SeriesEntry { key: SeriesKey::new("live"), state, last_seen: 60 }
+    }
+
     fn sample_snapshot() -> FleetSnapshot {
         // a value with a messy bit pattern to catch any lossy encode
         let messy = std::f64::consts::PI * 1e-17;
@@ -1023,10 +1062,10 @@ mod tests {
                 undurable_batches: 2,
             },
             series: vec![
-                SeriesSnapshot {
+                SeriesEntry {
                     key: SeriesKey::new("warm"),
                     last_seen: 42,
-                    phase: PhaseSnapshot::Warming {
+                    state: SeriesState::Warming(Warmup {
                         values: vec![1.0, -2.5, messy],
                         period: Some(24),
                         last_attempt: 3,
@@ -1044,12 +1083,12 @@ mod tests {
                             forecast: Some(ForecastOptions { enabled: true, damping: 0.5 }),
                             backend: Some(BackendSelect::TrendCusum(ScoreConfig::default())),
                         },
-                    },
+                    }),
                 },
-                SeriesSnapshot {
+                SeriesEntry {
                     key: SeriesKey::new("dead"),
                     last_seen: 7,
-                    phase: PhaseSnapshot::Rejected,
+                    state: SeriesState::Rejected,
                 },
             ],
         }
@@ -1066,25 +1105,12 @@ mod tests {
         assert_eq!(back.totals, snap.totals);
         assert_eq!(back.series.len(), 2);
         assert_eq!(back.series[0].key, snap.series[0].key);
-        match (&back.series[0].phase, &snap.series[0].phase) {
-            (
-                PhaseSnapshot::Warming {
-                    values: a,
-                    period: pa,
-                    last_attempt: la,
-                    overrides: oa,
-                },
-                PhaseSnapshot::Warming {
-                    values: b,
-                    period: pb,
-                    last_attempt: lb,
-                    overrides: ob,
-                },
-            ) => {
-                assert_eq!((pa, la), (pb, lb));
-                assert_eq!(oa, ob, "per-series overrides must round-trip");
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
+        match (&back.series[0].state, &snap.series[0].state) {
+            (SeriesState::Warming(a), SeriesState::Warming(b)) => {
+                assert_eq!((a.period, a.last_attempt), (b.period, b.last_attempt));
+                assert_eq!(a.overrides, b.overrides, "per-series overrides must round-trip");
+                assert_eq!(a.values.len(), b.values.len());
+                for (x, y) in a.values.iter().zip(&b.values) {
                     assert_eq!(x.to_bits(), y.to_bits(), "bit-identical floats");
                 }
             }
@@ -1107,21 +1133,11 @@ mod tests {
             5.0,
         );
         det.init(&y[..4 * t], t).unwrap();
-        let make = |mutate: &dyn Fn(&mut CusumState, &mut NSigmaState)| {
+        let make = |mutate: &dyn Fn(&mut CusumScorer, &mut NSigma)| {
             let mut snap = sample_snapshot();
-            let mut scorer = det.scorer().to_state();
-            let mut decomposer = det.decomposer.to_state();
-            mutate(&mut scorer, &mut decomposer.nsigma);
-            snap.series.push(SeriesSnapshot {
-                key: SeriesKey::new("live"),
-                last_seen: 50,
-                phase: PhaseSnapshot::Live {
-                    decomposer,
-                    scorer,
-                    forecast: None,
-                    backend: None,
-                },
-            });
+            let mut det = det.clone();
+            mutate(&mut det.scorer, &mut det.decomposer.nsigma);
+            snap.series.push(live_entry(det));
             encode(&snap)
         };
         // in-range state decodes…
@@ -1150,12 +1166,16 @@ mod tests {
         // …nor do a NaN or negative bar and non-finite sums
         for n in [f64::NAN, -1.0] {
             let bad = make(&|s, _| s.n = n);
-            assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma bar")), "n = {n}");
+            assert_eq!(decode(&bad).err(), Some(CodecError::Invalid("nsigma bar")), "n = {n}");
         }
         let bad = make(&|_, sums| sums.sum = f64::NAN);
-        assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "NaN sum");
+        assert_eq!(decode(&bad).err(), Some(CodecError::Invalid("nsigma sums")), "NaN sum");
         let bad = make(&|_, sums| sums.sum_sq = f64::INFINITY);
-        assert_eq!(decode(&bad), Err(CodecError::Invalid("nsigma sums")), "infinite sum_sq");
+        assert_eq!(
+            decode(&bad).err(),
+            Some(CodecError::Invalid("nsigma sums")),
+            "infinite sum_sq"
+        );
     }
 
     /// A crafted image carrying override values the API boundary rejects
@@ -1164,25 +1184,28 @@ mod tests {
     #[test]
     fn degenerate_decoded_admit_options_are_rejected() {
         let mut snap = sample_snapshot();
-        let PhaseSnapshot::Warming { overrides, .. } = &mut snap.series[0].phase else {
+        let SeriesState::Warming(w) = &mut snap.series[0].state else {
             unreachable!("sample series 0 is warming");
         };
-        overrides.shift_search = Some(ShiftPrune::TopK(0));
-        assert_eq!(decode(&encode(&snap)), Err(CodecError::Invalid("shift search TopK(0)")));
+        w.overrides.shift_search = Some(ShiftPrune::TopK(0));
+        assert_eq!(
+            decode(&encode(&snap)).err(),
+            Some(CodecError::Invalid("shift search TopK(0)"))
+        );
         // a non-finite λ is caught by the options-level validation
         let mut snap = sample_snapshot();
-        let PhaseSnapshot::Warming { overrides, .. } = &mut snap.series[0].phase else {
+        let SeriesState::Warming(w) = &mut snap.series[0].state else {
             unreachable!("sample series 0 is warming");
         };
-        overrides.lambda = Some(f64::NAN);
-        assert_eq!(decode(&encode(&snap)), Err(CodecError::Invalid("admit options")));
+        w.overrides.lambda = Some(f64::NAN);
+        assert_eq!(decode(&encode(&snap)).err(), Some(CodecError::Invalid("admit options")));
     }
 
     /// A live series with real state in every optional layer: a period-12
     /// sine through initialization and four periods of scored updates at
     /// the fleet's I = 6 IRLS iterations, a forecast head, and a
     /// trend-CUSUM backend.
-    fn sample_live_series() -> SeriesSnapshot {
+    fn sample_live_series() -> SeriesEntry {
         let t = 12usize;
         let y: Vec<f64> = (0..8 * t)
             .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
@@ -1198,16 +1221,10 @@ mod tests {
         let backend =
             SeriesBackend::build(BackendSelect::TrendCusum(ScoreConfig::default()), 5.0)
                 .unwrap();
-        SeriesSnapshot {
-            key: SeriesKey::new("live"),
-            last_seen: 60,
-            phase: PhaseSnapshot::Live {
-                decomposer: det.decomposer.to_state(),
-                scorer: det.scorer().to_state(),
-                forecast: Some(1.0),
-                backend: Some(backend.to_snapshot()),
-            },
-        }
+        let mut entry = live_entry(det);
+        let SeriesState::Live(live) = &mut entry.state else { unreachable!() };
+        (live.forecast, live.backend) = (Some(1.0), Some(Box::new(backend)));
+        entry
     }
 
     fn unhex(hex: &str) -> Vec<u8> {
@@ -1273,22 +1290,18 @@ mod tests {
     /// silently run fewer reweightings than its config says.
     #[test]
     fn wrong_irls_iteration_count_fails_the_restore() {
-        let config = FleetConfig::fixed_period(12);
-        let shared = crate::series::Shared::new(&config);
         let live = sample_live_series();
-        let intact = decode_series_blob(&encode_series_blob(&live)).unwrap();
-        let restore =
-            |phase| crate::series::SeriesState::from_snapshot(phase, &config, &shared);
-        assert!(restore(intact.phase).is_ok());
+        let intact = read_blob(&encode_series_blob(&live)).unwrap();
+        assert!(intact.state.check().is_ok());
         for keep in [0, 3] {
             let mut doctored = live.clone();
-            let PhaseSnapshot::Live { decomposer, .. } = &mut doctored.phase else {
+            let SeriesState::Live(l) = &mut doctored.state else {
                 unreachable!("the sample series is live");
             };
-            decomposer.iters.truncate(keep);
-            let back = decode_series_blob(&encode_series_blob(&doctored))
+            l.detector.decomposer.iters.truncate(keep);
+            let back = read_blob(&encode_series_blob(&doctored))
                 .expect("the codec reads any iteration count");
-            assert!(restore(back.phase).is_err(), "{keep} iteration states restored");
+            assert!(back.state.check().is_err(), "{keep} iteration states restored");
         }
     }
 
@@ -1302,23 +1315,20 @@ mod tests {
         snap.series.push(sample_live_series());
         for s in &snap.series {
             let blob = encode_series_blob(s);
-            assert_eq!(&decode_series_blob(&blob).unwrap(), s);
-            assert!(decode_series_blob(&blob[..blob.len() - 1]).is_err(), "truncated blob");
+            assert_eq!(encode_series_blob(&read_blob(&blob).unwrap()), blob);
+            assert!(read_blob(&blob[..blob.len() - 1]).is_err(), "truncated blob");
             let mut trailing = blob.clone();
             trailing.push(0);
-            assert!(decode_series_blob(&trailing).is_err(), "trailing bytes");
+            assert!(read_blob(&trailing).is_err(), "trailing bytes");
         }
         let mut bad_version = encode_series_blob(&snap.series[0]);
         bad_version[0] = 0xEE;
-        assert!(matches!(
-            decode_series_blob(&bad_version),
-            Err(CodecError::UnsupportedVersion(_))
-        ));
+        assert!(matches!(read_blob(&bad_version), Err(CodecError::UnsupportedVersion(_))));
 
         let v14 = unhex(V14_LIVE_BLOB_HEX);
         assert_eq!(u16::from_le_bytes([v14[0], v14[1]]), 14);
-        let back = decode_series_blob(&v14).unwrap();
-        assert_eq!(back, sample_live_series());
+        let back = read_blob(&v14).unwrap();
+        assert_eq!(encode_series_blob(&back), encode_series_blob(&sample_live_series()));
         // a steady series' bytes did not move: only the version differs
         let v15 = encode_series_blob(&back);
         assert_eq!(u16::from_le_bytes([v15[0], v15[1]]), 15);
@@ -1332,7 +1342,7 @@ mod tests {
         let mut old = unhex(V14_LIVE_BLOB_HEX);
         for version in [13u16, 12] {
             old[..2].copy_from_slice(&version.to_le_bytes());
-            assert_eq!(decode_series_blob(&old), Err(CodecError::UnsupportedVersion(version)));
+            assert_eq!(read_blob(&old).err(), Some(CodecError::UnsupportedVersion(version)));
         }
     }
 
@@ -1398,7 +1408,7 @@ mod tests {
             .collect();
         let encoded = |m: &oneshotstl::OneShotStl| {
             let mut w = Writer::default();
-            encode_decomposer(&mut w, &m.to_state());
+            encode_decomposer(&mut w, m);
             w.buf.len()
         };
         for (search, points) in [
@@ -1412,7 +1422,7 @@ mod tests {
             for &v in &y[4 * t..4 * t + points] {
                 m.update(v);
             }
-            for it in &m.to_state().iters {
+            for it in &m.iters {
                 let mut w = Writer::default();
                 encode_solver(&mut w, &it.solver);
                 assert_eq!((w.buf[0], it.solver.m), (2, points), "a window");
@@ -1436,19 +1446,13 @@ mod tests {
             5.0,
         );
         det.init(&y[..4 * t], t).unwrap();
-        let make = |bs: BackendSnapshot| {
+        let make = |b: SeriesBackend| {
             let mut snap = sample_snapshot();
-            snap.series.push(SeriesSnapshot {
-                key: SeriesKey::new("live"),
-                last_seen: 60,
-                phase: PhaseSnapshot::Live {
-                    decomposer: det.decomposer.to_state(),
-                    scorer: det.scorer().to_state(),
-                    forecast: None,
-                    backend: Some(bs),
-                },
-            });
-            (snap.clone(), encode(&snap))
+            let mut entry = live_entry(det.clone());
+            let SeriesState::Live(live) = &mut entry.state else { unreachable!() };
+            live.backend = Some(Box::new(b));
+            snap.series.push(entry);
+            encode(&snap)
         };
         // run real state into each backend variant
         let fused =
@@ -1466,30 +1470,41 @@ mod tests {
                 };
                 b.observe(&p, &fused);
             }
-            let good = b.to_snapshot();
-            let (snap, bytes) = make(good.clone());
-            assert_eq!(decode(&bytes).expect("backend-bearing image decodes"), snap);
+            let bytes = make(b.clone());
+            let back = decode(&bytes).expect("backend-bearing image decodes");
+            assert_eq!(encode(&back), bytes);
 
-            // degenerate state must be rejected, never restored
-            let (BackendSnapshot::TrendCusum(trend) | BackendSnapshot::Ensemble(trend)) = &good;
-            let mut bad = trend.clone();
-            bad.prev = f64::NAN;
-            let bad = match good {
-                BackendSnapshot::TrendCusum(_) => BackendSnapshot::TrendCusum(bad),
-                BackendSnapshot::Ensemble(_) => BackendSnapshot::Ensemble(bad),
+            // degenerate state must be rejected, never restored: a
+            // non-finite prev, and a warm-up budget above the one every
+            // trend CUSUM starts with (u32::MAX would silence the trend
+            // channel for ~4.3e9 points)
+            let with = |mutate: &dyn Fn(&mut TrendCusum)| {
+                let mut bad = b.clone();
+                let (SeriesBackend::TrendCusum(t) | SeriesBackend::Ensemble(t)) = &mut bad;
+                mutate(t);
+                decode(&make(bad)).err()
             };
-            assert_eq!(decode(&make(bad).1), Err(CodecError::Invalid("backend state")));
+            assert_eq!(
+                with(&|t| t.prev = f64::NAN),
+                Some(CodecError::Invalid("backend state"))
+            );
+            assert_eq!(with(&|t| t.warmup_left = TREND_WARMUP), None);
+            for budget in [TREND_WARMUP + 1, u32::MAX] {
+                let want = Some(CodecError::Invalid("trend CUSUM warm-up budget"));
+                assert_eq!(with(&|t| t.warmup_left = budget), want, "budget {budget}");
+            }
 
             // the state tag sits just before the trend state, which closes
             // the image; the retired DAMP (0) and three-channel ensemble
             // (2) tags are refused
             let mut w = Writer::default();
-            encode_trend_cusum_state(&mut w, trend);
-            let at = bytes.len() - w.buf.len() - 1;
+            encode_backend_state(&mut w, &b);
+            let at = bytes.len() - w.buf.len();
             for retired in [0, 2] {
                 let mut old = bytes.clone();
                 old[at] = retired;
-                assert_eq!(decode(&old), Err(CodecError::Invalid("backend state tag")));
+                let want = Some(CodecError::Invalid("backend state tag"));
+                assert_eq!(decode(&old).err(), want);
             }
         }
     }
@@ -1533,10 +1548,10 @@ mod tests {
     fn bad_inputs_are_rejected_not_panicked() {
         let snap = sample_snapshot();
         let bytes = encode(&snap);
-        assert_eq!(decode(b"short"), Err(CodecError::Truncated));
+        assert_eq!(decode(b"short").err(), Some(CodecError::Truncated));
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xFF;
-        assert_eq!(decode(&wrong_magic), Err(CodecError::BadMagic));
+        assert_eq!(decode(&wrong_magic).err(), Some(CodecError::BadMagic));
         let mut wrong_version = bytes.clone();
         wrong_version[8] = 0xEE;
         assert!(matches!(decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
@@ -1544,15 +1559,15 @@ mod tests {
         for old in [11u16, 12, 13] {
             let mut image = bytes.clone();
             image[8..10].copy_from_slice(&old.to_le_bytes());
-            assert_eq!(decode(&image), Err(CodecError::UnsupportedVersion(old)));
+            assert_eq!(decode(&image).err(), Some(CodecError::UnsupportedVersion(old)));
         }
         // the kind byte follows the version; a kind-1 image (an
         // incremental delta an earlier build wrote) is refused
         let mut delta = bytes.clone();
         delta[10] = 1;
         assert_eq!(
-            decode(&delta),
-            Err(CodecError::Invalid("snapshot kind (only full images are read)"))
+            decode(&delta).err(),
+            Some(CodecError::Invalid("snapshot kind (only full images are read)"))
         );
         // the engine's backend selection closes the config, before its
         // score config and the one-byte `spill_after: None`; the retired
@@ -1564,7 +1579,7 @@ mod tests {
         for retired in [1, 3] {
             let mut old = bytes.clone();
             old[at] = retired;
-            assert_eq!(decode(&old), Err(CodecError::Invalid("backend select tag")));
+            assert_eq!(decode(&old).err(), Some(CodecError::Invalid("backend select tag")));
         }
         // a crafted vector length whose byte count fits in usize but whose
         // end offset overflows it: the warming series' `values` length
@@ -1572,7 +1587,7 @@ mod tests {
         let mut huge = bytes.clone();
         let at = huge.windows(4).position(|w| w == b"warm").unwrap() + 4 + 8 + 1;
         huge[at..at + 8].copy_from_slice(&0x1FFF_FFFF_FFFF_FFFFu64.to_le_bytes());
-        assert_eq!(decode(&huge), Err(CodecError::Truncated));
+        assert_eq!(decode(&huge).err(), Some(CodecError::Truncated));
         // every truncation point fails cleanly: of the image, of a live
         // series and of a solver window
         for cut in 0..bytes.len() {
@@ -1580,13 +1595,13 @@ mod tests {
         }
         let live = encode_series_blob(&sample_live_series());
         for cut in 0..live.len() {
-            assert!(decode_series_blob(&live[..cut]).is_err(), "live series cut at {cut}");
+            assert!(read_blob(&live[..cut]).is_err(), "live series cut at {cut}");
         }
-        let PhaseSnapshot::Live { decomposer, .. } = sample_live_series().phase else {
+        let SeriesState::Live(sample) = sample_live_series().state else {
             unreachable!("the sample series is live");
         };
         let mut solver = Writer::default();
-        encode_solver(&mut solver, &decomposer.iters[0].solver);
+        encode_solver(&mut solver, &sample.detector.decomposer.iters[0].solver);
         assert_eq!(solver.buf[0], 2, "a solver window");
         for cut in 0..solver.buf.len() {
             let data = &solver.buf[..cut];
@@ -1596,8 +1611,8 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(
-            decode(&trailing),
-            Err(CodecError::Invalid("trailing bytes after snapshot"))
+            decode(&trailing).err(),
+            Some(CodecError::Invalid("trailing bytes after snapshot"))
         );
         // the retired config values keep their bytes and are pinned: the
         // engine config's warm-up cycles (a u32 after `shards`) and cap
@@ -1605,9 +1620,9 @@ mod tests {
         assert_eq!((&bytes[15..19], bytes[24]), (&3u32.to_le_bytes()[..], 0));
         let mut cycles = bytes.clone();
         cycles[15] = 4;
-        assert_eq!(decode(&cycles), Err(CodecError::Invalid("warm-up cycles != 3")));
+        assert_eq!(decode(&cycles).err(), Some(CodecError::Invalid("warm-up cycles != 3")));
         let capped = [&bytes[..24], &[1, 150, 0, 0, 0], &bytes[25..]].concat();
-        assert_eq!(decode(&capped), Err(CodecError::Invalid("warm-up cap is Some")));
+        assert_eq!(decode(&capped).err(), Some(CodecError::Invalid("warm-up cap is Some")));
         // ... and each detector config's anchor weight, shift policy tag,
         // accept ratio and IRLS clamp, in the image's engine config and in
         // a cold blob's live decomposer
@@ -1627,14 +1642,10 @@ mod tests {
         for (offset, value, what) in retired {
             let mut image = bytes.clone();
             image[in_image + offset..][..value.len()].copy_from_slice(value);
-            assert_eq!(decode(&image), Err(CodecError::Invalid(what)), "image: {what}");
+            assert_eq!(decode(&image).err(), Some(CodecError::Invalid(what)), "image: {what}");
             let mut blob = live.clone();
             blob[in_blob + offset..][..value.len()].copy_from_slice(value);
-            assert_eq!(
-                decode_series_blob(&blob),
-                Err(CodecError::Invalid(what)),
-                "blob: {what}"
-            );
+            assert_eq!(read_blob(&blob).err(), Some(CodecError::Invalid(what)), "blob: {what}");
         }
     }
 }

@@ -17,10 +17,8 @@ use crate::config::{AdmitOptions, FleetConfig, QueuePolicy};
 use crate::error::FleetError;
 use crate::net::MAX_FRAME;
 use crate::persist::Durability;
-use crate::series::SeriesState;
 use crate::shard::{
-    run_worker, BatchReply, ReadLane, ReadMsg, SeriesEntry, SeriesSnapshot, ShardMsg,
-    ShardState,
+    run_worker, BatchReply, ReadLane, ReadMsg, SeriesSnapshot, ShardMsg, ShardState,
 };
 use crate::types::{FleetStats, Record, ScoredPoint, SeriesKey, ShardStats};
 use std::collections::VecDeque;
@@ -54,9 +52,11 @@ pub struct CarriedTotals {
 }
 
 /// A complete, self-contained image of an engine: configuration, clocks,
-/// and every series' state. Produced by [`FleetEngine::snapshot`]; turned
-/// into bytes by [`crate::codec`].
-#[derive(Debug, Clone, PartialEq)]
+/// and every series' state, each a clone of its registry entry. Produced
+/// by [`FleetEngine::snapshot`]; turned into bytes by [`crate::codec`].
+/// No `PartialEq`: the series carry diagnostic counters the bytes leave
+/// out, so two images are equal when their encodings are.
+#[derive(Debug, Clone)]
 pub struct FleetSnapshot {
     /// Engine configuration at snapshot time.
     pub config: FleetConfig,
@@ -185,6 +185,11 @@ impl FleetEngine {
 
     /// Rebuilds an engine from a snapshot. The restored engine's scoring
     /// stream is bit-identical to the snapshotted engine's continuation.
+    /// Each series is checked ([`crate::series::SeriesState::check`]) and
+    /// moved in as it is, holding its shard's detector config when it is
+    /// tuned alike, so restoring a [`FleetEngine::snapshot`] in memory
+    /// also keeps every series' diagnostic counters (shift searches, alarm
+    /// counts), which [`FleetEngine::restore_bytes`] starts at zero.
     /// The shard count comes from the snapshot's config; keys re-route
     /// deterministically, so a different count would also be correct —
     /// use [`FleetEngine::restore_with_shards`] to override.
@@ -222,16 +227,13 @@ impl FleetEngine {
         for (state, n) in states.iter_mut().zip(counts) {
             state.registry.reserve(n);
         }
-        for s in snapshot.series {
-            let shard = s.key.shard_of(shards);
-            let state = SeriesState::from_snapshot(s.phase, &config, &states[shard].shared)?;
+        for mut s in snapshot.series {
+            let shard = &mut states[s.key.shard_of(shards)];
+            s.state.check()?;
+            s.state.rehome(&config, &shard.shared.detector);
             // series arrive sorted by key, so each shard's arena is
-            // admitted — and its buffers allocated — in key order
-            states[shard].registry.insert(SeriesEntry {
-                key: s.key,
-                state,
-                last_seen: s.last_seen,
-            });
+            // admitted in key order
+            shard.registry.insert(s);
         }
         for state in &mut states {
             // reads answer as of the restored image until the next

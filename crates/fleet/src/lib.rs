@@ -52,10 +52,11 @@
 //!   damping `φ`, and costs nothing per point. Series without a head
 //!   still answer forecasts via the carry-forward `predict`.
 //! - **Snapshot/restore.** [`FleetEngine::snapshot_bytes`] serializes every
-//!   series (via `to_state`/`from_state` hooks on `OneShotStl` and the
-//!   detector's scorer) with a versioned codec ([`codec`]) that
-//!   round-trips `f64`s by bit pattern: a restored engine continues the
-//!   scoring stream **bit-identically**.
+//!   series with a versioned codec ([`codec`]) that reads and writes the
+//!   live state types themselves (`OneShotStl`, its scorer, the backend:
+//!   each series is its own snapshot) and round-trips `f64`s by bit
+//!   pattern: a restored engine continues the scoring stream
+//!   **bit-identically**.
 //! - **Lifecycle.** Per-series last-seen clocks; series idle beyond
 //!   `config.ttl` are evicted (amortized sweep during ingest, or explicit
 //!   [`FleetEngine::evict_idle`]). On a durable engine
@@ -139,7 +140,7 @@ pub mod shard;
 pub mod types;
 pub mod wal;
 
-pub use backend::{BackendSelect, BackendSnapshot, SeriesBackend};
+pub use backend::{BackendSelect, SeriesBackend};
 pub use batch::ShardBatch;
 pub use cold_tier::ColdStore;
 pub use config::{AdmitOptions, FleetConfig, ForecastOptions, PeriodPolicy, QueuePolicy};

@@ -43,12 +43,11 @@
 //! extension of the in-memory guarantee pinned by
 //! `tests/fleet_snapshot.rs`.
 //!
-//! Earlier builds also wrote incremental delta files
-//! (`delta-<seq>.fdelta`) whose WAL segments may already be compacted
-//! away. `open` deletes a delta file at or below the chosen base (the base
-//! covers it) and refuses a newer one with [`FleetError::Recovery`] naming
-//! the file: close such a directory with the build that wrote it, which
-//! leaves a full base at the tip.
+//! Only full bases and version 2 WAL segments are read. The incremental
+//! delta files (`delta-<seq>.fdelta`) and version 1 segments of earlier
+//! builds sit only in directories whose bases are older than this build
+//! reads (codec v14), so `open` fails on such a directory with "no valid
+//! snapshot" before it would look at either.
 //!
 //! ## What survives a crash
 //!
@@ -111,7 +110,7 @@ use crate::types::{Record, ScoredPoint};
 use crate::wal::{self, Wal, WalSegment};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{ErrorKind, Read as _};
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -351,11 +350,9 @@ impl Durability {
                 let _ = fs::remove_file(path);
             }
         }
-        for (start, files) in &listing.segments {
+        for (start, path) in &listing.segments {
             if *start < keep_from {
-                for path in files {
-                    let _ = fs::remove_file(path);
-                }
+                let _ = fs::remove_file(path);
             }
         }
         Ok(())
@@ -382,12 +379,7 @@ impl FleetEngine {
         fs::create_dir_all(&dcfg.dir).map_err(io_err)?;
         remove_stale_tmp(&dcfg.dir)?;
         let existing = scan_dir(&dcfg.dir)?;
-        if !existing.snapshots.is_empty()
-            || !existing.deltas.is_empty()
-            || !existing.segments.is_empty()
-        {
-            // delta files count too: the next `open` would refuse a stale
-            // one above the new fleet's base
+        if !existing.snapshots.is_empty() || !existing.segments.is_empty() {
             return Err(FleetError::Recovery(format!(
                 "{} already contains fleet files; use FleetEngine::open",
                 dcfg.dir.display()
@@ -405,8 +397,7 @@ impl FleetEngine {
     /// Recovers a durable engine from `dcfg.dir`: newest valid base
     /// snapshot + WAL tail replay + torn-tail truncation. The recovered
     /// engine's [`FleetEngine::batches`] is the number of batches that
-    /// survived. A delta file an earlier build wrote above that base fails
-    /// the call with [`FleetError::Recovery`] (see the module docs).
+    /// survived.
     pub fn open(dcfg: DurabilityConfig) -> Result<Self, FleetError> {
         dcfg.validate()?;
         // writes a previous life's crash interrupted before their rename
@@ -431,18 +422,6 @@ impl FleetEngine {
             )));
         };
         let base_seq = base.batches;
-        // a delta above the base may hold batches whose WAL segments its
-        // writer already compacted away: refusing beats dropping them
-        if let Some((_, path)) = listing.deltas.iter().find(|(seq, _)| *seq > base_seq) {
-            return Err(FleetError::Recovery(format!(
-                "{}: incremental delta newer than the base at seq {base_seq}; \
-                 close the directory with the build that wrote it",
-                path.display()
-            )));
-        }
-        for (_, path) in &listing.deltas {
-            let _ = fs::remove_file(path);
-        }
         // the cold tier opens with the engine, *before* WAL replay: replayed
         // batches must spill and rehydrate through the same on-disk store
         // the uninterrupted engine used, or recovery would diverge from the
@@ -453,28 +432,15 @@ impl FleetEngine {
         // read every segment at or after the base; stale pre-base segments
         // are garbage a crash kept alive
         let mut read_segments: Vec<(PathBuf, WalSegment)> = Vec::new();
-        for (start, files) in &listing.segments {
-            for path in files {
-                if *start < base_seq {
-                    let _ = fs::remove_file(path);
-                    continue;
-                }
-                match wal::read_segment(path) {
-                    Ok(Some(seg)) => read_segments.push((path.clone(), seg)),
-                    // a header-only v1 segment: what a clean close of the
-                    // previous format leaves
-                    Ok(None) => {
-                        let _ = fs::remove_file(path);
-                    }
-                    // a v1 segment with records: refusing beats dropping
-                    // acknowledged batches silently
-                    Err(e) if e.kind() == ErrorKind::Unsupported => {
-                        return Err(FleetError::Recovery(format!("{}: {e}", path.display())));
-                    }
-                    // a torn or short header contributes nothing; replay
-                    // stops at the first batch it should have covered
-                    Err(_) => {}
-                }
+        for (start, path) in &listing.segments {
+            if *start < base_seq {
+                let _ = fs::remove_file(path);
+                continue;
+            }
+            // a torn or short header contributes nothing; replay stops at
+            // the first batch it should have covered
+            if let Ok(seg) = wal::read_segment(path) {
+                read_segments.push((path.clone(), seg));
             }
         }
 
@@ -820,12 +786,6 @@ pub fn parse_snapshot_name(name: &str) -> Option<u64> {
     name.strip_prefix("snap-")?.strip_suffix(".fsnap")?.parse().ok()
 }
 
-/// Parses the name of a delta file an earlier build wrote
-/// (`delta-<seq>.fdelta`) into its seq; `None` for other files.
-fn parse_delta_name(name: &str) -> Option<u64> {
-    name.strip_prefix("delta-")?.strip_suffix(".fdelta")?.parse().ok()
-}
-
 /// Writes a full base snapshot durably: `[u64 len · u32 crc32 · codec
 /// bytes]` to a temp file, fsync, atomic rename, directory fsync.
 fn write_snapshot_file(dir: &Path, seq: u64, snapshot: &FleetSnapshot) -> std::io::Result<()> {
@@ -867,17 +827,13 @@ fn load_snapshot_file(path: &Path) -> Result<FleetSnapshot, String> {
 struct DirListing {
     /// `(seq, path)` per full snapshot file, ascending.
     snapshots: Vec<(u64, PathBuf)>,
-    /// `(seq, path)` per delta file an earlier build wrote, ascending.
-    deltas: Vec<(u64, PathBuf)>,
-    /// `start_seq → paths` of the WAL segments, ascending (a v1 segment
-    /// and the current one may share a `start_seq`).
-    segments: BTreeMap<u64, Vec<PathBuf>>,
+    /// `start_seq → path` of the WAL segments, ascending.
+    segments: BTreeMap<u64, PathBuf>,
 }
 
 fn scan_dir(dir: &Path) -> Result<DirListing, FleetError> {
     let mut snapshots = Vec::new();
-    let mut deltas = Vec::new();
-    let mut segments: BTreeMap<u64, Vec<PathBuf>> = BTreeMap::new();
+    let mut segments = BTreeMap::new();
     for entry in fs::read_dir(dir).map_err(io_err)? {
         let entry = entry.map_err(io_err)?;
         let name = entry.file_name();
@@ -885,15 +841,12 @@ fn scan_dir(dir: &Path) -> Result<DirListing, FleetError> {
         let path = entry.path();
         if let Some(seq) = parse_snapshot_name(name) {
             snapshots.push((seq, path));
-        } else if let Some(seq) = parse_delta_name(name) {
-            deltas.push((seq, path));
         } else if let Some(start) = wal::parse_segment_name(name) {
-            segments.entry(start).or_default().push(path);
+            segments.insert(start, path);
         }
     }
     snapshots.sort();
-    deltas.sort();
-    Ok(DirListing { snapshots, deltas, segments })
+    Ok(DirListing { snapshots, segments })
 }
 
 /// Deletes snapshot temp files a crash left behind. Only safe while no

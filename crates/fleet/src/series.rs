@@ -5,17 +5,18 @@
 //! durability layer leans on: [`crate::persist`] replays raw WAL points
 //! through this same state machine and reaches the identical phase
 //! (including detection back-off bookkeeping and admission points), and
-//! [`PhaseSnapshot`] captures any mid-phase state bit-exactly for the
-//! snapshot path.
+//! [`crate::codec`] writes any mid-phase state as it is, bit-exactly:
+//! a [`SeriesState`] is its own snapshot.
 
-use crate::backend::{BackendSnapshot, SeriesBackend};
+use crate::backend::SeriesBackend;
 use crate::config::{AdmitOptions, FleetConfig, PeriodPolicy};
 use crate::types::PointOutput;
 use oneshotstl::{
-    CusumScorer, CusumState, IncrementalSolver, OneShotStl, OneShotStlConfig, OneShotStlState,
-    ScoreVerdict, StdAnomalyDetector, UpdateScratch,
+    IncrementalSolver, OneShotStl, OneShotStlConfig, ScoreVerdict, StdAnomalyDetector,
+    UpdateScratch,
 };
 use std::sync::Arc;
+use tskit::error::TsError;
 use tskit::period::detect_period;
 use tskit::series::DecompPoint;
 
@@ -41,11 +42,25 @@ impl Shared {
     }
 }
 
+/// `own` behind an `Arc`: `shared` itself when the two are equal bit for
+/// bit ([`OneShotStlConfig::bit_eq`]), so a series tuned like the engine
+/// allocates nothing for its config, else a new `Arc` of its own.
+pub(crate) fn share_or_own(
+    shared: &Arc<OneShotStlConfig>,
+    own: OneShotStlConfig,
+) -> Arc<OneShotStlConfig> {
+    if own.bit_eq(shared) {
+        Arc::clone(shared)
+    } else {
+        Arc::new(own)
+    }
+}
+
 /// One registered series: either buffering toward admission or live.
 // the Live variant (288 B) sets the size on purpose: almost every registry
 // entry is live at steady state, so boxing it would only add a pointer
 // chase to the hot scoring path
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum SeriesState {
     /// Accumulating raw points until `init_len = 3·T` arrive.
     Warming(Warmup),
@@ -85,15 +100,17 @@ pub struct Warmup {
     pub values: Vec<f64>,
     /// Detected or declared period (`None` until known).
     pub period: Option<usize>,
-    /// Buffer length at the last detection attempt.
-    last_attempt: usize,
+    /// Buffer length at the last detection attempt (restored with the
+    /// buffer, so a decoded series attempts detection at the same buffer
+    /// lengths the uninterrupted one would have).
+    pub last_attempt: usize,
     /// Pending per-series overrides, baked into the detector at
     /// promotion.
     pub overrides: AdmitOptions,
 }
 
 /// A live (admitted) series.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LiveSeries {
     /// The scoring pipeline: OneShotSTL + persistence-aware residual
     /// scorer (NSigma z-score fused with CUSUM; see `oneshotstl::score`).
@@ -138,29 +155,14 @@ impl Warmup {
     /// Replaces the pending override set, recomputing the period
     /// preference: the new override period, else the engine's declared
     /// period; under [`PeriodPolicy::Detect`] a previously known
-    /// (detected or overridden) period is kept. This is the **single**
-    /// home of the rule — [`Warmup::from_snapshot`] derives the same
-    /// order, so a live warm-up and its restored twin can never admit
-    /// under different periods.
+    /// (detected or overridden) period is kept. `declared_period` is the
+    /// **single** home of the rule — the codec's warm-up decoder and a
+    /// restore (`SeriesState::rehome`) derive the same order, so a live
+    /// warm-up and its restored twin can never admit under different
+    /// periods.
     pub fn replace_overrides(&mut self, config: &FleetConfig, opts: AdmitOptions) {
         self.overrides = opts;
         self.period = declared_period(config, opts).or(self.period);
-    }
-
-    /// Rebuilds a warm-up buffer from snapshot data. Detection bookkeeping
-    /// is restored too, so the restored series attempts detection at the
-    /// same buffer lengths the uninterrupted one would have.
-    pub fn from_snapshot(
-        config: &FleetConfig,
-        values: Vec<f64>,
-        period: Option<usize>,
-        last_attempt: usize,
-        overrides: AdmitOptions,
-    ) -> Self {
-        // an override period, then a declared (Fixed) one, wins over a
-        // snapshotted detection result
-        let period = declared_period(config, overrides).or(period);
-        Warmup { values, period, last_attempt, overrides }
     }
 
     /// Points needed for admission, when the period is known.
@@ -202,8 +204,9 @@ impl Warmup {
 
 /// The period a warm-up starts from: the override period, else the
 /// engine's declared ([`PeriodPolicy::Fixed`]) one; `None` under
-/// [`PeriodPolicy::Detect`] without an override.
-fn declared_period(config: &FleetConfig, overrides: AdmitOptions) -> Option<usize> {
+/// [`PeriodPolicy::Detect`] without an override. Both override kinds win
+/// over a detected (or decoded) period.
+pub(crate) fn declared_period(config: &FleetConfig, overrides: AdmitOptions) -> Option<usize> {
     overrides.period.or(match &config.period {
         PeriodPolicy::Fixed(t) => Some(*t),
         PeriodPolicy::Detect { .. } => None,
@@ -362,12 +365,7 @@ impl SeriesState {
         // point on the tuning lives inside the live state (and its
         // snapshots), not in the fleet config; without a detector override
         // that tuning is the shared config itself
-        let own = w.overrides.detector_config(config);
-        let tuning = if own.bit_eq(&shared.detector) {
-            Arc::clone(&shared.detector)
-        } else {
-            Arc::new(own)
-        };
+        let tuning = share_or_own(&shared.detector, w.overrides.detector_config(config));
         let mut detector = StdAnomalyDetector::with_score(
             OneShotStl::new(tuning),
             w.overrides.task_nsigma(config),
@@ -393,128 +391,68 @@ impl SeriesState {
     }
 }
 
-/// Plain-data snapshot of one series (key and clock live in the registry
-/// entry; see [`crate::codec`]).
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum PhaseSnapshot {
-    /// Warm-up buffer contents.
-    Warming {
-        /// Buffered raw values, arrival order.
-        values: Vec<f64>,
-        /// Detected period, when detection has already succeeded.
-        period: Option<usize>,
-        /// Buffer length at the last detection attempt.
-        last_attempt: usize,
-        /// Pending per-series overrides.
-        overrides: AdmitOptions,
-    },
-    /// Live detector state.
-    Live {
-        /// The OneShotSTL decomposer state.
-        decomposer: OneShotStlState,
-        /// The CUSUM part of the task-level scorer; its running residual
-        /// sums are the decomposer's.
-        scorer: CusumState,
-        /// The forecast head's damping `φ` (`None` when the series was
-        /// admitted with forecasting off).
-        forecast: Option<f64>,
-        /// Detection-backend state (`None` for the fused scorer).
-        backend: Option<BackendSnapshot>,
-    },
-    /// Tombstone.
-    Rejected,
-    /// Quarantine marker (the detector state is gone by definition, so
-    /// only the cause and drop count persist).
-    Quarantined {
-        /// What put the series in quarantine.
-        cause: QuarantineCause,
-        /// Points dropped since quarantine.
-        dropped: u64,
-    },
-}
-
 impl SeriesState {
-    /// Extracts the plain-data snapshot of this series.
-    pub fn to_snapshot(&self) -> PhaseSnapshot {
-        match self {
-            SeriesState::Warming(w) => PhaseSnapshot::Warming {
-                values: w.values.clone(),
-                period: w.period,
-                last_attempt: w.last_attempt,
-                overrides: w.overrides,
-            },
-            SeriesState::Live(live) => PhaseSnapshot::Live {
-                decomposer: live.detector.decomposer.to_state(),
-                scorer: live.detector.scorer().to_state(),
-                forecast: live.forecast,
-                backend: live.backend.as_deref().map(SeriesBackend::to_snapshot),
-            },
-            SeriesState::Rejected => PhaseSnapshot::Rejected,
-            SeriesState::Quarantined { cause, dropped } => {
-                PhaseSnapshot::Quarantined { cause: *cause, dropped: *dropped }
-            }
+    /// Checks what a decoded series must satisfy before a shard steps it:
+    /// a live series is initialized (an uninitialized decomposer would
+    /// panic the shard worker on the first update) and its decomposer
+    /// passes [`OneShotStl::check`].
+    pub fn check(&self) -> Result<(), TsError> {
+        let SeriesState::Live(live) = self else { return Ok(()) };
+        if !live.detector.decomposer.is_initialized() {
+            return Err(TsError::InvalidParam {
+                name: "SeriesState::Live",
+                msg: "live series with uninitialized decomposer".into(),
+            });
         }
+        live.detector.decomposer.check()
     }
 
-    /// Rebuilds a series from its snapshot. A live series whose detector
-    /// config equals `shared.detector` bit for bit holds that `Arc`.
-    pub fn from_snapshot(
-        snapshot: PhaseSnapshot,
-        config: &FleetConfig,
-        shared: &Shared,
-    ) -> Result<Self, tskit::error::TsError> {
-        Ok(match snapshot {
-            PhaseSnapshot::Warming { values, period, last_attempt, overrides } => {
-                SeriesState::Warming(Warmup::from_snapshot(
-                    config,
-                    values,
-                    period,
-                    last_attempt,
-                    overrides,
-                ))
+    /// Fits a series moved in by a restore to the shard under `config`
+    /// that takes it, whichever engine it was decoded or cloned from: a
+    /// warm-up re-derives its period by the rule a live one follows (an
+    /// override, then a declared period, wins over the snapshotted one),
+    /// and a live series whose detector config equals `shared` bit for bit
+    /// points at `shared`, dropping its own reference.
+    pub(crate) fn rehome(&mut self, config: &FleetConfig, shared: &Arc<OneShotStlConfig>) {
+        match self {
+            SeriesState::Warming(w) => {
+                w.period = declared_period(config, w.overrides).or(w.period)
             }
-            PhaseSnapshot::Live { decomposer, scorer, forecast, backend } => {
-                // live implies initialized: an uninitialized decomposer
-                // would panic the shard worker on the first update
-                if !decomposer.initialized {
-                    return Err(tskit::error::TsError::InvalidParam {
-                        name: "PhaseSnapshot::Live",
-                        msg: "live series with uninitialized decomposer".into(),
-                    });
+            SeriesState::Live(live) => {
+                let own = &mut live.detector.decomposer.config;
+                if own.bit_eq(shared) {
+                    *own = Arc::clone(shared);
                 }
-                let decomposer = OneShotStl::from_state_sharing(decomposer, &shared.detector)?;
-                SeriesState::Live(LiveSeries {
-                    detector: StdAnomalyDetector::from_parts(
-                        decomposer,
-                        CusumScorer::from_state(scorer),
-                    ),
-                    forecast,
-                    backend: backend
-                        .map(SeriesBackend::from_snapshot)
-                        .transpose()
-                        .map_err(|msg| tskit::error::TsError::InvalidParam {
-                            name: "BackendSnapshot",
-                            msg,
-                        })?
-                        .map(Box::new),
-                })
             }
-            PhaseSnapshot::Rejected => SeriesState::Rejected,
-            PhaseSnapshot::Quarantined { cause, dropped } => {
-                SeriesState::Quarantined { cause, dropped }
-            }
-        })
+            SeriesState::Rejected | SeriesState::Quarantined { .. } => {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_series_blob, encode_series_blob};
     use crate::config::ForecastOptions;
+    use crate::shard::SeriesEntry;
+    use crate::types::SeriesKey;
 
     fn seasonal(n: usize, t: usize) -> Vec<f64> {
         (0..n).map(|i| 2.0 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin()).collect()
+    }
+
+    /// `state` through the codec and back, as a shard spills and
+    /// rehydrates it (unchecked).
+    fn decoded(state: &SeriesState, cfg: &FleetConfig, shared: &Shared) -> SeriesState {
+        let key = SeriesKey::new("series");
+        let blob = encode_series_blob(&SeriesEntry { key, state: state.clone(), last_seen: 0 });
+        decode_series_blob(&blob, cfg, &shared.detector).unwrap().state
+    }
+
+    fn roundtrip(state: &SeriesState, cfg: &FleetConfig, shared: &Shared) -> SeriesState {
+        let back = decoded(state, cfg, shared);
+        back.check().unwrap();
+        back
     }
 
     #[test]
@@ -582,15 +520,16 @@ mod tests {
         // a crafted/corrupted snapshot must fail at restore, not panic a
         // shard worker on the first update
         let cfg = FleetConfig::fixed_period(8);
-        let never_inited = OneShotStl::new(cfg.detector.clone()).to_state();
-        let scorer = CusumScorer::new(cfg.nsigma, cfg.score).to_state();
-        let snap = PhaseSnapshot::Live {
-            decomposer: never_inited,
-            scorer,
+        let never_inited = SeriesState::Live(LiveSeries {
+            detector: StdAnomalyDetector::new(
+                OneShotStl::new(cfg.detector.clone()),
+                cfg.nsigma,
+            ),
             forecast: None,
             backend: None,
-        };
-        assert!(SeriesState::from_snapshot(snap, &cfg, &Shared::new(&cfg)).is_err());
+        });
+        assert!(never_inited.check().is_err());
+        assert!(decoded(&never_inited, &cfg, &Shared::new(&cfg)).check().is_err());
     }
 
     #[test]
@@ -706,7 +645,7 @@ mod tests {
         for &v in &y[..200] {
             a.step(v, &cfg, &mut scr);
         }
-        let mut b = SeriesState::from_snapshot(a.to_snapshot(), &cfg, &scr).unwrap();
+        let mut b = roundtrip(&a, &cfg, &scr);
         for &v in &y[200..] {
             match (a.step(v, &cfg, &mut scr), b.step(v, &cfg, &mut scr)) {
                 (StepOutcome::Output(oa), StepOutcome::Output(ob)) => assert_eq!(oa, ob),
@@ -732,8 +671,7 @@ mod tests {
         for &v in &y[..200] {
             a.step(v, &cfg, &mut scr);
         }
-        let snap = a.to_snapshot();
-        let mut b = SeriesState::from_snapshot(snap, &cfg, &scr).unwrap();
+        let mut b = roundtrip(&a, &cfg, &scr);
         for &v in &y[200..] {
             let (ra, rb) = (a.step(v, &cfg, &mut scr), b.step(v, &cfg, &mut scr));
             match (ra, rb) {
@@ -763,7 +701,7 @@ mod tests {
         for &v in &y[..40] {
             a.step(v, &cfg, &mut scr);
         }
-        let mut b = SeriesState::from_snapshot(a.to_snapshot(), &cfg, &scr).unwrap();
+        let mut b = roundtrip(&a, &cfg, &scr);
         let mut admitted = (None, None);
         for (i, &v) in y[40..].iter().enumerate() {
             if let StepOutcome::Promoted(_) = a.step(v, &cfg, &mut scr) {
@@ -789,7 +727,7 @@ mod tests {
             }
             assert!(matches!(s, SeriesState::Quarantined { dropped, .. } if dropped == i));
         }
-        let mut r = SeriesState::from_snapshot(s.to_snapshot(), &cfg, &scr).unwrap();
+        let mut r = roundtrip(&s, &cfg, &scr);
         assert!(matches!(
             r,
             SeriesState::Quarantined { cause: QuarantineCause::Panic, dropped: 5 }
@@ -811,11 +749,7 @@ mod tests {
             s.step(v, &cfg, &mut scr);
         }
         let SeriesState::Live(live) = &mut s else { panic!("series must be live") };
-        let mut st = live.detector.decomposer.to_state();
-        for v in &mut st.v {
-            *v = f64::NAN;
-        }
-        live.detector.decomposer = OneShotStl::from_state(st).unwrap();
+        live.detector.decomposer.v.fill(f64::NAN);
         match s.step(1.0, &cfg, &mut scr) {
             StepOutcome::Output(PointOutput::Quarantined) => {}
             other => panic!("unexpected outcome: {}", discr(&other)),

@@ -30,7 +30,7 @@ use crate::config::{AdmitOptions, FleetConfig};
 use crate::error::FleetError;
 use crate::fault::{self, FaultOp};
 use crate::key_index::KeyIndex;
-use crate::series::{PhaseSnapshot, QuarantineCause, SeriesState, Shared, StepOutcome};
+use crate::series::{QuarantineCause, SeriesState, Shared, StepOutcome};
 use crate::types::{PointOutput, SeriesKey, ShardStats};
 use oneshotstl::UpdateScratch;
 use std::io::ErrorKind;
@@ -41,7 +41,9 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 /// One registry entry: the series state machine plus its liveness clock.
-#[derive(Debug)]
+/// The codec writes an entry as it is, so an entry is also its own
+/// snapshot ([`SeriesSnapshot`]).
+#[derive(Debug, Clone)]
 pub struct SeriesEntry {
     /// The series key (also indexed in the registry's key map).
     pub key: SeriesKey,
@@ -180,16 +182,9 @@ impl Registry {
     }
 }
 
-/// Snapshot of one registry entry, keyed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesSnapshot {
-    /// The series key.
-    pub key: SeriesKey,
-    /// TTL clock at snapshot time.
-    pub last_seen: u64,
-    /// Phase state.
-    pub phase: PhaseSnapshot,
-}
+/// Snapshot of one registry entry: a clone of the entry, taken by the
+/// shard ([`ShardState::snapshot`]).
+pub type SeriesSnapshot = SeriesEntry;
 
 /// One shard's answer to a [`ShardMsg::Ingest`]: its shard index plus the
 /// same columnar batch with its `outputs` column filled. Returning the
@@ -450,22 +445,21 @@ impl ShardState {
         let restored = match self.cold.as_mut()?.take_blob(key) {
             Err(e) if e.kind() == ErrorKind::NotFound => return None,
             taken => taken.ok().and_then(|(_, blob)| {
-                let snap = crate::codec::decode_series_blob(&blob).ok()?;
+                let entry = crate::codec::decode_series_blob(
+                    &blob,
+                    &self.config,
+                    &self.shared.detector,
+                )
+                .ok()?;
                 // a blob recorded under the wrong key is corruption
-                if snap.key != *key {
-                    return None;
-                }
-                let state =
-                    SeriesState::from_snapshot(snap.phase, &self.config, &self.shared).ok()?;
-                Some((snap.last_seen, state))
+                (entry.key == *key && entry.state.check().is_ok()).then_some(entry)
             }),
         };
-        let Some((last_seen, state)) = restored else {
+        let Some(entry) = restored else {
             self.cold_errors += 1;
             return None;
         };
         self.rehydrations += 1;
-        let entry = SeriesEntry { key: key.clone(), state, last_seen };
         Some(self.registry.insert_hashed(hash, entry))
     }
 
@@ -718,13 +712,9 @@ impl ShardState {
             }
             let spill = spill_after.is_some_and(|after| idle > after);
             let Some(cold) = self.cold.as_mut().filter(|_| spill) else { continue };
-            let snap = SeriesSnapshot {
-                key: e.key.clone(),
-                last_seen: e.last_seen,
-                phase: e.state.to_snapshot(),
-            };
-            let blob = crate::codec::encode_series_blob(&snap);
-            match cold.put(&snap.key, snap.last_seen, &blob) {
+            // the entry is encoded where it lives: a spill copies no state
+            let blob = crate::codec::encode_series_blob(e);
+            match cold.put(&e.key, e.last_seen, &blob) {
                 Ok(()) => {
                     cold_io = true;
                     self.registry.remove_slot(slot);
@@ -756,17 +746,9 @@ impl ShardState {
         evicted
     }
 
-    /// Serializes the registry, sorted by key (stable snapshot bytes).
+    /// Clones the registry, sorted by key (stable snapshot bytes).
     pub fn snapshot(&self) -> Vec<SeriesSnapshot> {
-        let mut out: Vec<SeriesSnapshot> = self
-            .registry
-            .iter()
-            .map(|e| SeriesSnapshot {
-                key: e.key.clone(),
-                last_seen: e.last_seen,
-                phase: e.state.to_snapshot(),
-            })
-            .collect();
+        let mut out: Vec<SeriesSnapshot> = self.registry.iter().cloned().collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out
     }
@@ -797,7 +779,8 @@ impl ShardState {
     /// Registry/queue statistics (queue depth filled in by the worker).
     /// The diagnostic counters (shift searches, scorer alarms) are summed
     /// over live series on demand — they live inside the per-series state
-    /// and reset on snapshot restore.
+    /// and are never serialized: a restore from bytes starts them at zero,
+    /// while an in-memory restore of a snapshot (a clone) carries them.
     pub fn stats(&self) -> ShardStats {
         let mut s = ShardStats {
             shard: self.index,
@@ -818,7 +801,7 @@ impl ShardState {
                     let (searches, trials) = live.detector.decomposer.shift_search_stats();
                     s.shift_searches += searches;
                     s.shift_trials += trials;
-                    let (z, cusum) = live.detector.scorer().alarm_counts();
+                    let (z, cusum) = live.detector.scorer.alarm_counts();
                     s.z_alarms += z;
                     s.cusum_alarms += cusum;
                     if let Some(b) = &live.backend {
@@ -1006,11 +989,18 @@ mod sweep_tests {
     thread_local! {
         static ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
         static FREES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        /// Block sizes to watch for, and how many blocks of those sizes
+        /// were allocated.
+        static WATCH: std::cell::Cell<[usize; 2]> = const { std::cell::Cell::new([0; 2]) };
+        static WATCHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
             ALLOCS.with(|c| c.set(c.get() + 1));
+            if WATCH.with(|w| w.get().contains(&layout.size())) {
+                WATCHED.with(|c| c.set(c.get() + 1));
+            }
             std::alloc::System.alloc(layout)
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
@@ -1076,32 +1066,30 @@ mod sweep_tests {
                     "series {k} {how}, {online} points: heap blocks"
                 );
             };
-            for snap in shard.snapshot() {
-                let k: usize = snap.key.as_str()["footprint/".len()..].parse().unwrap();
-                let PhaseSnapshot::Live { decomposer, .. } = &snap.phase else {
-                    panic!("series {k} is not live")
-                };
-                assert_eq!(decomposer.m, online as u64, "series {k}: online points");
-                let restored = SeriesState::from_snapshot(snap.phase, &config, &shard.shared);
-                check(k, restored.unwrap(), "restored");
-                let slot = shard.registry.slot_of(&snap.key).unwrap();
+            // encode, then drop the clones: a clone of series 2 shares its
+            // own config `Arc` with the registry entry, so counting the
+            // entry's blocks while it lived would miss that block
+            let blobs: Vec<_> =
+                shard.snapshot().iter().map(crate::codec::encode_series_blob).collect();
+            for blob in blobs {
+                let restored =
+                    crate::codec::decode_series_blob(&blob, &config, &shard.shared.detector);
+                let SeriesEntry { key, state, .. } = restored.unwrap();
+                let k: usize = key.as_str()["footprint/".len()..].parse().unwrap();
+                let SeriesState::Live(live) = &state else { panic!("series {k} is not live") };
+                assert_eq!(live.detector.decomposer.m, online, "series {k}: online points");
+                check(k, state, "restored");
+                let slot = shard.registry.slot_of(&key).unwrap();
                 let entry = shard.registry.remove_slot(slot).unwrap();
                 check(k, entry.state, "admitted");
             }
         }
     }
 
-    /// Restoring a live series on the shard's detector config allocates
-    /// its two owned blocks (the IRLS iteration states and the seasonal
-    /// buffer arrive inside the snapshot, so only the iteration-state
-    /// `Vec` is new) and nothing for the config: the restore points at
-    /// the shard's shared config instead of allocating a copy and
-    /// dropping it.
-    #[test]
-    fn restoring_a_live_series_allocates_nothing_for_a_shared_config() {
-        let config = Arc::new(FleetConfig::fixed_period(24));
-        let mut shard = ShardState::new(0, Arc::clone(&config));
-        let key = SeriesKey::new("restore-allocs/0");
+    /// A shard holding one live series on a period-24 fixed config, 8
+    /// points past admission.
+    fn one_live_series(config: &Arc<FleetConfig>, key: &SeriesKey) -> ShardState {
+        let mut shard = ShardState::new(0, Arc::clone(config));
         for t in 0..config.init_len(24) as u64 + 8 {
             let mut batch = ShardBatch::default();
             let value = 2.0 + (2.0 * std::f64::consts::PI * t as f64 / 24.0).sin();
@@ -1109,13 +1097,58 @@ mod sweep_tests {
             batch.push(0, Record { key: key.clone(), t, value }, hash, t);
             shard.ingest_batch(&mut batch, t + 1, None);
         }
-        let [snap] = <[SeriesSnapshot; 1]>::try_from(shard.snapshot()).expect("one series");
+        shard
+    }
+
+    /// Decoding a live series' cold blob on the shard's detector config
+    /// allocates the key and the series' two owned blocks (its IRLS
+    /// iteration states and its seasonal buffer), nothing for the config
+    /// and no second iteration-state block: the decoder builds the live
+    /// series itself and points it at the shard's shared config.
+    #[test]
+    fn restoring_a_live_series_allocates_nothing_for_a_shared_config() {
+        let config = Arc::new(FleetConfig::fixed_period(24));
+        let shard = one_live_series(&config, &SeriesKey::new("restore-allocs/0"));
+        let [entry] = <[SeriesSnapshot; 1]>::try_from(shard.snapshot()).expect("one series");
+        let blob = crate::codec::encode_series_blob(&entry);
         let before = ALLOCS.with(|c| c.get());
-        let restored = SeriesState::from_snapshot(snap.phase, &config, &shard.shared).unwrap();
+        let restored =
+            crate::codec::decode_series_blob(&blob, &config, &shard.shared.detector).unwrap();
         let allocs = ALLOCS.with(|c| c.get()) - before;
-        let SeriesState::Live(live) = &restored else { panic!("the series restores live") };
+        let SeriesState::Live(live) = &restored.state else {
+            panic!("the series restores live")
+        };
         assert!(Arc::ptr_eq(&live.detector.decomposer.config, &shard.shared.detector));
-        assert_eq!(allocs, 1, "blocks allocated by one restore");
+        assert_eq!(allocs, 3, "blocks allocated by one decode: key, iteration states, buffer");
+    }
+
+    /// A spill encodes the registry entry where it lives: no block the
+    /// size of the series' seasonal buffer or of its iteration states is
+    /// allocated, as a copy of the series state would.
+    #[test]
+    fn spilling_a_live_series_copies_no_state() {
+        let dir = std::env::temp_dir().join(format!("spill-allocs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let config =
+            Arc::new(FleetConfig { spill_after: Some(4), ..FleetConfig::fixed_period(24) });
+        let mut shard = one_live_series(&config, &SeriesKey::new("spill-allocs/0"));
+        shard.cold = Some(ColdStore::open(&dir, 0).unwrap());
+        let entry = shard.registry.iter().next().expect("one series");
+        let SeriesState::Live(live) = &entry.state else { panic!("the series is live") };
+        let d = &live.detector.decomposer;
+        let iter_bytes = std::mem::size_of_val(&d.iters[0]);
+        let sizes = [8 * d.v.len(), iter_bytes * d.iters.len()];
+        let now = entry.last_seen + 100;
+        WATCH.with(|w| w.set(sizes));
+        let before = WATCHED.with(|c| c.get());
+        shard.evict_idle(now);
+        let copies = WATCHED.with(|c| c.get()) - before;
+        WATCH.with(|w| w.set([0; 2]));
+        assert_eq!(shard.spills, 1, "the idle series spilled");
+        assert_eq!(copies, 0, "blocks of the series state's sizes allocated by the spill");
+        drop(shard);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One faulting series in each pair of the paired sweep: with four

@@ -155,8 +155,10 @@ pub struct FleetStats {
     /// Scored points flagged anomalous so far (lifetime count).
     pub anomalies: u64,
     /// §3.4 shift searches run by live detectors. Diagnostic: summed over
-    /// the *current* live series, whose counters reset on snapshot
-    /// restore — unlike the lifetime counters above, which carry across.
+    /// the *current* live series, whose counters are not serialized — a
+    /// restore from bytes starts them at zero (an in-memory
+    /// `FleetEngine::restore` of a snapshot keeps them), unlike the
+    /// lifetime counters above, which carry across either way.
     pub shift_searches: u64,
     /// Candidate shifts tried across those searches (same caveat).
     pub shift_trials: u64,
@@ -190,8 +192,8 @@ pub struct FleetStats {
     /// Series currently resident in the cold tier (spilled to disk,
     /// rehydrated on their next point; 0 without a cold store).
     pub cold_resident: usize,
-    /// Series spilled to the cold tier (resets on restore, like the
-    /// diagnostic counters).
+    /// Series spilled to the cold tier (resets on every restore: the
+    /// shard counts it, and no snapshot carries it).
     pub spills: u64,
     /// Cold series rehydrated on their next point (same caveat).
     pub rehydrations: u64,
@@ -229,8 +231,8 @@ pub struct ShardStats {
     pub points: u64,
     /// Anomalies flagged (lifetime).
     pub anomalies: u64,
-    /// Shift searches across this shard's live detectors (resets on
-    /// restore; see [`FleetStats::shift_searches`]).
+    /// Shift searches across this shard's live detectors (not
+    /// serialized; see [`FleetStats::shift_searches`]).
     pub shift_searches: u64,
     /// Candidate shifts tried across those searches.
     pub shift_trials: u64,

@@ -41,9 +41,10 @@
 //! re-derives the engine clock exactly as the original run did. An empty
 //! batch is logged too, because it advances the sweep cadence.
 //!
-//! Version 1 segments (one frame per shard, a shard slot in the header and
-//! the name) are not decoded: [`read_segment`] reports a header-only one
-//! as empty and one holding records as [`std::io::ErrorKind::Unsupported`].
+//! Only version 2 segments are read. Version 1 segments (one frame per
+//! shard, a `-<shard>` slot in the name) were last written by builds that
+//! also wrote codec-v11 images, which this build cannot load, so no
+//! directory it opens holds one.
 //!
 //! ## Torn tails
 //!
@@ -70,9 +71,6 @@ const WAL_VERSION: u16 = 2;
 /// [`crate::persist`]'s torn-tail truncation, which must never cut into a
 /// header.
 pub(crate) const HEADER_LEN: u64 = 8 + 2 + 8;
-/// Header size of a version 1 segment (magic + version + shard +
-/// start_seq).
-const V1_HEADER_LEN: usize = 8 + 2 + 4 + 8;
 /// Upper bound on a single record payload — anything larger is treated as
 /// corruption rather than an allocation request.
 const MAX_PAYLOAD: usize = 1 << 30;
@@ -247,11 +245,9 @@ pub fn segment_file_name(start_seq: u64) -> String {
 }
 
 /// Parses a [`segment_file_name`] back into its `start_seq`; `None` for
-/// non-WAL files. Version 1 names, which carry a trailing `-<shard>` slot,
-/// parse too, so recovery can find and judge them.
+/// other files.
 pub fn parse_segment_name(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("wal-")?.strip_suffix(".flog")?;
-    rest.split_once('-').map_or(rest, |(seq, _shard)| seq).parse().ok()
+    name.strip_prefix("wal-")?.strip_suffix(".flog")?.parse().ok()
 }
 
 /// One segment as read back from disk, torn-tail tolerant.
@@ -271,28 +267,17 @@ pub struct WalSegment {
 
 /// Reads a segment file, stopping cleanly at the first torn or corrupt
 /// record. A valid header with garbage after it is a `torn` segment with
-/// zero frames. `Ok(None)` is a header-only version 1 segment (what a
-/// clean close of the previous format leaves). Errors for I/O failures,
-/// an unreadable header, and — with [`ErrorKind::Unsupported`] — a
-/// version 1 segment that holds records.
-pub fn read_segment(path: &Path) -> std::io::Result<Option<WalSegment>> {
+/// zero frames. Errors for I/O failures and an unreadable header.
+pub fn read_segment(path: &Path) -> std::io::Result<WalSegment> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
     let bad_header = || std::io::Error::new(ErrorKind::InvalidData, "not a fleet WAL segment");
     let mut r = Reader { data: &bytes, pos: 0 };
-    if bytes.len() < HEADER_LEN as usize || r.take(8).ok() != Some(WAL_MAGIC.as_slice()) {
+    if bytes.len() < HEADER_LEN as usize
+        || r.take(8).ok() != Some(WAL_MAGIC.as_slice())
+        || r.u16().ok() != Some(WAL_VERSION)
+    {
         return Err(bad_header());
-    }
-    match r.u16() {
-        Ok(WAL_VERSION) => {}
-        Ok(1) if bytes.len() == V1_HEADER_LEN => return Ok(None),
-        Ok(1) if bytes.len() > V1_HEADER_LEN => {
-            return Err(std::io::Error::new(
-                ErrorKind::Unsupported,
-                "version 1 WAL segment holds records this build does not replay",
-            ))
-        }
-        _ => return Err(bad_header()),
     }
     let start_seq = r.u64().map_err(|_| bad_header())?;
     let mut frames = Vec::new();
@@ -306,7 +291,7 @@ pub fn read_segment(path: &Path) -> std::io::Result<Option<WalSegment>> {
         frame_ends.push(pos as u64);
     }
     let torn = pos < bytes.len();
-    Ok(Some(WalSegment { start_seq, frames, frame_ends, torn }))
+    Ok(WalSegment { start_seq, frames, frame_ends, torn })
 }
 
 #[cfg(test)]
@@ -340,7 +325,7 @@ mod tests {
     }
 
     fn read(path: &Path) -> WalSegment {
-        read_segment(path).unwrap().expect("a current-version segment")
+        read_segment(path).unwrap()
     }
 
     #[test]
@@ -354,7 +339,7 @@ mod tests {
     fn segment_names_roundtrip_and_sort() {
         let name = segment_file_name(42);
         assert_eq!(parse_segment_name(&name), Some(42));
-        assert_eq!(parse_segment_name("wal-00000000000000000042-0003.flog"), Some(42), "v1");
+        assert_eq!(parse_segment_name("wal-00000000000000000042-0003.flog"), None, "v1 name");
         assert_eq!(parse_segment_name("snap-0000.fsnap"), None);
         assert!(segment_file_name(9) < segment_file_name(10), "lexical == numeric");
     }

@@ -425,129 +425,6 @@ fn group_commit_fsyncs_once_per_acked_batch() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Upgrading a directory written by WAL format v1 (one frame per shard):
-/// a header-only v1 segment — what a clean close leaves — is deleted and
-/// the fleet resumes bit-identically, while a v1 segment holding records
-/// fails recovery naming the file instead of silently dropping
-/// acknowledged batches.
-#[test]
-fn v1_wal_segments_upgrade_when_empty_and_refuse_when_holding_records() {
-    let streams = build_streams(4);
-    let dir = test_dir("v1-upgrade");
-    let dcfg = DurabilityConfig::new(&dir);
-    let mut reference = FleetEngine::new(config()).unwrap();
-    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
-    for t in 0..30u64 {
-        reference.ingest(batch(&streams, t)).unwrap();
-        durable.ingest(batch(&streams, t)).unwrap();
-    }
-    durable.close().unwrap();
-
-    // a v1 header (magic · u16 version · u32 shard · u64 start_seq) at
-    // `start`, in place of the current-format segments
-    let write_v1 = |start: u64, record: &[u8]| {
-        for entry in fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|x| x == "flog") {
-                fs::remove_file(path).unwrap();
-            }
-        }
-        let mut bytes = b"OSTLWLOG".to_vec();
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&start.to_le_bytes());
-        assert_eq!(bytes.len(), 22);
-        bytes.extend_from_slice(record);
-        let path = dir.join(format!("wal-{start:020}-0000.flog"));
-        fs::write(&path, &bytes).unwrap();
-        path
-    };
-
-    let v1 = write_v1(30, &[]);
-    let mut reopened = FleetEngine::open(dcfg.clone()).unwrap();
-    assert_eq!(reopened.batches(), 30);
-    assert!(!v1.exists(), "a header-only v1 segment is deleted on open");
-    for t in 30..35u64 {
-        let out = reopened.ingest(batch(&streams, t)).unwrap();
-        let expected = reference.ingest(batch(&streams, t)).unwrap();
-        assert_outputs_bit_identical(&out, &expected, "after the upgrade");
-    }
-    reopened.close().unwrap();
-
-    // one v1 record past the header: u32 len · u32 crc · payload (u64 seq
-    // · u32 batch size · u32 count · u32 idx · u64 t · f64 value · string key)
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&36u64.to_le_bytes());
-    payload.extend_from_slice(&1u32.to_le_bytes());
-    payload.extend_from_slice(&1u32.to_le_bytes());
-    payload.extend_from_slice(&0u32.to_le_bytes());
-    payload.extend_from_slice(&35u64.to_le_bytes());
-    payload.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
-    payload.extend_from_slice(&8u32.to_le_bytes());
-    payload.extend_from_slice(b"series-0");
-    let mut record = (payload.len() as u32).to_le_bytes().to_vec();
-    record.extend_from_slice(&oneshotstl_suite::fleet::frame::crc32(&payload).to_le_bytes());
-    record.extend_from_slice(&payload);
-    let v1 = write_v1(35, &record);
-    match FleetEngine::open(dcfg).err() {
-        Some(FleetError::Recovery(msg)) => {
-            assert!(msg.contains(v1.file_name().unwrap().to_str().unwrap()), "{msg}");
-        }
-        other => panic!("a v1 segment with records must fail recovery, got {other:?}"),
-    }
-    assert!(v1.exists(), "the refused segment is left for the operator");
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// Upgrading a directory an earlier build wrote with incremental delta
-/// files: a delta at or below the base `open` picks is covered by it and
-/// deleted, and the fleet resumes bit-identically; a delta above the base
-/// may hold batches whose WAL segments were already compacted away, so
-/// `open` fails naming the file instead of silently dropping them.
-#[test]
-fn delta_files_are_deleted_when_covered_and_refused_when_newer_than_the_base() {
-    let streams = build_streams(4);
-    let dir = test_dir("delta-upgrade");
-    let dcfg = DurabilityConfig::new(&dir);
-    let mut reference = FleetEngine::new(config()).unwrap();
-    let mut durable = FleetEngine::create(config(), dcfg.clone()).unwrap();
-    for t in 0..30u64 {
-        reference.ingest(batch(&streams, t)).unwrap();
-        durable.ingest(batch(&streams, t)).unwrap();
-    }
-    durable.close().unwrap(); // full base at seq 30
-
-    // only the name is read: `open` never decodes a delta
-    let plant = |seq: u64| {
-        let path = dir.join(format!("delta-{seq:020}.fdelta"));
-        fs::write(&path, b"an incremental delta from an earlier build").unwrap();
-        path
-    };
-
-    let covered = [plant(20), plant(30)];
-    let mut reopened = FleetEngine::open(dcfg.clone()).unwrap();
-    assert_eq!(reopened.batches(), 30);
-    for path in &covered {
-        assert!(!path.exists(), "{} is covered by the base and deleted", path.display());
-    }
-    for t in 30..35u64 {
-        let out = reopened.ingest(batch(&streams, t)).unwrap();
-        let expected = reference.ingest(batch(&streams, t)).unwrap();
-        assert_outputs_bit_identical(&out, &expected, "after deleting covered deltas");
-    }
-    reopened.close().unwrap(); // full base at seq 35
-
-    let newer = plant(40);
-    match FleetEngine::open(dcfg).err() {
-        Some(FleetError::Recovery(msg)) => {
-            assert!(msg.contains(newer.file_name().unwrap().to_str().unwrap()), "{msg}");
-        }
-        other => panic!("a delta newer than the base must fail recovery, got {other:?}"),
-    }
-    assert!(newer.exists(), "the refused delta is left for the operator");
-    let _ = fs::remove_dir_all(&dir);
-}
-
 /// Per-series `AdmitOptions` are not WAL-logged; a durable engine's
 /// registration path checkpoints instead, so a crash after registration —
 /// before *or* after the series admits — recovers bit-identically: the

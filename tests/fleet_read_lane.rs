@@ -228,6 +228,15 @@ fn pinned_seq_forecast_matches_a_replay_up_to_that_seq() {
     while engine.queue_depth(1) > 3 {
         thread::yield_now(); // until the worker is parked on the stall
     }
+    // shard 0 is not parked: wait until it has applied every batch, so the
+    // read below finds it between sweeps (a read that lands inside a sweep
+    // is stamped per key: `a_forecast_inside_a_sweep_is_stamped_per_key`)
+    let shard_0_keys: Vec<SeriesKey> =
+        keys.iter().zip(&shard).filter(|(_, &s)| s == 0).map(|(k, _)| k.clone()).collect();
+    while engine.forecast_as_of(&shard_0_keys, PERIOD).unwrap().iter().any(|r| r.0 != submitted)
+    {
+        thread::yield_now();
+    }
 
     let mut asked = keys.clone();
     asked.push(SeriesKey::new("never-seen"));

@@ -268,9 +268,9 @@ fn corrupted_step_counter_fails_at_restore() {
         engine.ingest(vec![Record::new("series-0", t, streams[0][t as usize])]).unwrap();
     }
     let mut snap = engine.snapshot().unwrap();
-    match &mut snap.series[0].phase {
-        oneshotstl_suite::fleet::series::PhaseSnapshot::Live { decomposer, .. } => {
-            decomposer.m += 1; // bit-flip-style corruption
+    match &mut snap.series[0].state {
+        oneshotstl_suite::fleet::series::SeriesState::Live(live) => {
+            live.detector.decomposer.m += 1; // bit-flip-style corruption
         }
         other => panic!("expected a live series, got {other:?}"),
     }
@@ -457,6 +457,31 @@ fn replacing_overrides_keeps_live_and_restored_warmups_in_lockstep() {
     );
 }
 
+/// A warming series takes its period from the config it is restored
+/// under, as a live warm-up does: an image taken under a declared period
+/// of 24 and restored under one of 12 admits its warm-up at `init_len(12)`,
+/// both from bytes and in memory.
+#[test]
+fn a_restored_warmup_takes_the_declared_period_it_is_restored_under() {
+    use oneshotstl_suite::fleet::codec;
+
+    let mut engine = FleetEngine::new(config()).unwrap(); // Fixed(24)
+    let wave = |t: u64| (2.0 * std::f64::consts::PI * t as f64 / 12.0).sin();
+    for t in 0..10u64 {
+        engine.ingest_one("warm", t, wave(t)).unwrap();
+    }
+    let mut snap = engine.snapshot().unwrap();
+    snap.config.period = PeriodPolicy::Fixed(12);
+    let from_bytes = FleetEngine::restore_bytes(&codec::encode(&snap)).unwrap();
+    for mut restored in [from_bytes, FleetEngine::restore(snap).unwrap()] {
+        let admitted_at = (10..80u64).find(|&t| {
+            let out = restored.ingest_one("warm", t, wave(t)).unwrap();
+            matches!(out.output, PointOutput::Scored { .. })
+        });
+        assert_eq!(admitted_at, Some(36), "the restore's declared period wins");
+    }
+}
+
 /// The codec carries each live series' forecast head, its damping `φ`. A
 /// snapshot of a forecasting fleet must continue bit-identically on both
 /// channels — the scoring stream and the forecasts themselves — and a
@@ -524,14 +549,15 @@ fn forecast_state_survives_snapshot_bit_identically() {
 /// `anomalies`, `admitted`, `evicted`) carry across a snapshot/restore;
 /// the diagnostic counters (`shift_searches`, `shift_trials`, `z_alarms`,
 /// `cusum_alarms`, and the backend's `trend_alarms`)
-/// are documented as *not serialized* — they reset on
-/// restore and then accumulate in lockstep with the reference: because
+/// are documented as *not serialized* — they reset on a restore from
+/// bytes and then accumulate in lockstep with the reference: because
 /// the continuation is bit-identical, the restored engine's diagnostic
 /// counts at the end must equal exactly the alarms the reference fired
-/// *after* the snapshot point.
+/// *after* the snapshot point. An in-memory restore of a snapshot keeps
+/// them.
 #[test]
 fn stats_counters_obey_the_snapshot_contract() {
-    use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect, ForecastOptions};
+    use oneshotstl_suite::fleet::{AdmitOptions, BackendSelect, FleetStats, ForecastOptions};
 
     let n_series = 6;
     let mid = 170u64;
@@ -598,6 +624,12 @@ fn stats_counters_obey_the_snapshot_contract() {
     for t in 0..mid {
         first.ingest(batch(&streams, t)).unwrap();
     }
+    // an in-memory snapshot is a clone of every series, and a restore
+    // moves them in as they are: the diagnostic counters come along
+    let kept = FleetEngine::restore(first.snapshot().unwrap()).unwrap().stats().unwrap();
+    let diag = |s: &FleetStats| (s.shift_searches, s.shift_trials, s.z_alarms, s.cusum_alarms);
+    assert_eq!(diag(&kept), diag(&ref_mid), "an in-memory restore keeps the counters");
+    assert_eq!(kept.trend_alarms, ref_mid.trend_alarms);
     let bytes = first.snapshot_bytes().unwrap();
     drop(first);
     let mut restored = FleetEngine::restore_bytes(&bytes).unwrap();
@@ -1046,7 +1078,7 @@ fn images_older_than_v14_are_refused() {
     let mut old = v14_blob();
     for version in [13u16, 12] {
         old[8..10].copy_from_slice(&version.to_le_bytes());
-        assert_eq!(codec::decode(&old), Err(CodecError::UnsupportedVersion(version)));
+        assert_eq!(codec::decode(&old).err(), Some(CodecError::UnsupportedVersion(version)));
         assert!(FleetEngine::restore_bytes(&old).is_err());
     }
 }
