@@ -8,8 +8,7 @@
 //! |---|---|
 //! | Batch JointSTL model + IRLS (Eq. 2–6, Algorithm 1) | [`jointstl`] |
 //! | Modified JointSTL online system (Eq. 7–8, Algorithm 2) | [`system`], [`reference`](mod@reference) |
-//! | Symmetric Doolittle factorization (Algorithm 3) | [`doolittle`] |
-//! | OnlineDoolittle `O(1)` incremental solve (Algorithm 4) | [`online_doolittle`] |
+//! | Symmetric Doolittle factorization (Algorithm 3) + OnlineDoolittle `O(1)` incremental solve (Algorithm 4) | [`online_doolittle`] |
 //! | OneShotSTL (Algorithm 5) + seasonality-shift handling (§3.4) | [`oneshot`] |
 //! | Streaming NSigma (Algorithm 6) | [`nsigma`] |
 //! | Persistence-aware residual scoring (CUSUM fusion) | [`score`] |
@@ -43,7 +42,6 @@
 //! Algorithm-2 linear system** for the newest point: the `O(1)` algorithm
 //! is an incremental solver, not an approximation of it.
 
-pub mod doolittle;
 pub mod forecast;
 pub mod jointstl;
 mod lanes;

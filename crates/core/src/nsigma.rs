@@ -6,6 +6,13 @@
 //! (b) on decomposed residuals as the STD→TSAD adapter (§4), and (c) as the
 //! trigger for OneShotSTL's seasonality-shift search (§3.4).
 
+use tskit::error::{Result, TsError};
+
+/// The error of a failed value check: `name` says which value.
+pub(crate) fn invalid(name: &'static str, msg: String) -> TsError {
+    TsError::InvalidParam { name, msg }
+}
+
 /// Streaming NSigma detector. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct NSigma {
@@ -33,6 +40,22 @@ impl NSigma {
     /// Creates a detector with threshold `n` (paper default: 5).
     pub fn new(n: f64) -> Self {
         NSigma { n, count: 0, sum: 0.0, sum_sq: 0.0 }
+    }
+
+    /// Checks the values a restored detector must hold: a NaN or
+    /// non-positive bar never alarms (`z > NaN` is false), and a non-finite
+    /// sum poisons every later z-score, so the series would go quiet.
+    pub fn check(&self) -> Result<()> {
+        if !(self.n.is_finite() && self.n > 0.0) {
+            return Err(invalid(
+                "nsigma bar",
+                format!("bar {} is not positive and finite", self.n),
+            ));
+        }
+        if !(self.sum.is_finite() && self.sum_sq.is_finite()) {
+            return Err(invalid("nsigma sums", "non-finite running sums".into()));
+        }
+        Ok(())
     }
 
     /// Number of values absorbed so far.

@@ -52,7 +52,7 @@ use crate::nsigma::NSigma;
 use crate::online_doolittle::IncrementalSolver;
 use crate::system::{Lambdas, TailData};
 use decomp::traits::{BatchDecomposer, OnlineDecomposer};
-use decomp::{Stl, StlConfig};
+use decomp::{Stl, StlConfig, StlPlans};
 use std::sync::Arc;
 use tskit::error::{Result, TsError};
 use tskit::series::{DecompPoint, Decomposition};
@@ -347,8 +347,9 @@ impl OneShotStl {
     /// online point. A model that fails would decompose every point with
     /// the wrong number of reweightings (none at all: trend 0, seasonal 0,
     /// residual = y) or panic (`steps must be consecutive`) on its next
-    /// update.
+    /// update. Its residual statistics pass [`NSigma::check`].
     pub fn check(&self) -> Result<()> {
+        self.nsigma.check()?;
         let (period, buffer) = (self.period, self.v.len());
         if self.initialized && (period < 2 || buffer != period) {
             return Err(TsError::InvalidParam {
@@ -915,6 +916,24 @@ impl<S: TailSolver> OnlineDecomposer for OnlineJointStl<S> {
     }
 
     fn init(&mut self, y: &[f64], period: usize) -> Result<Decomposition> {
+        self.init_with(y, period, &mut StlPlans::default())
+    }
+
+    fn update(&mut self, y: f64) -> DecompPoint {
+        self.update_z(y).0
+    }
+}
+
+impl<S: TailSolver> OnlineJointStl<S> {
+    /// [`OnlineDecomposer::init`] with the STL initialization's LOESS plans
+    /// kept in `plans` ([`Stl::decompose_with`]), so a host admitting many
+    /// series of one period builds them once; bit-identical to `init`.
+    pub fn init_with(
+        &mut self,
+        y: &[f64],
+        period: usize,
+        plans: &mut StlPlans,
+    ) -> Result<Decomposition> {
         if period < 2 {
             return Err(TsError::InvalidParam {
                 name: "period",
@@ -942,7 +961,7 @@ impl<S: TailSolver> OnlineDecomposer for OnlineJointStl<S> {
                     jump: if period > 400 { 10 } else { 1 },
                     ..Default::default()
                 };
-                Stl::with_config(cfg).decompose(y, period)?
+                Stl::with_config(cfg).decompose_with(y, period, plans)?
             }
             InitMethod::JointStl => crate::jointstl::JointStl {
                 config: crate::jointstl::JointStlConfig {
@@ -980,10 +999,6 @@ impl<S: TailSolver> OnlineDecomposer for OnlineJointStl<S> {
         self.nsigma.seed(&d.residual);
         self.initialized = true;
         Ok(d)
-    }
-
-    fn update(&mut self, y: f64) -> DecompPoint {
-        self.update_z(y).0
     }
 }
 

@@ -45,7 +45,8 @@
 //! `f64` accumulators on top of NSigma's three running sums. Defaults
 //! were chosen by the `tsad_ablation` sweep (see `BENCH_tsad.json`).
 
-use crate::nsigma::NSigma;
+use crate::nsigma::{invalid, NSigma};
+use tskit::error::Result as CheckResult;
 
 /// The peak-hold latches at most this many multiples of the z bar `n`
 /// (see the clamp note in [`CusumScorer::update`]): deep enough that
@@ -185,6 +186,33 @@ impl CusumScorer {
         }
     }
 
+    /// Checks the values a restored scorer must hold, as the config-level
+    /// checks do for its config: a NaN bar never alarms, a NaN accumulator
+    /// would disable one CUSUM side for good (`f64::max(NaN, x)` returns
+    /// `x`), and no update leaves an accumulator outside `[0, 2h]` or a
+    /// negative hold.
+    pub fn check(&self) -> CheckResult<()> {
+        if !(self.n.is_finite() && self.n > 0.0) {
+            return Err(invalid(
+                "nsigma bar",
+                format!("bar {} is not positive and finite", self.n),
+            ));
+        }
+        let bar = 2.0 * self.config.cusum_h;
+        for acc in [self.s_pos, self.s_neg] {
+            if !(acc.is_finite() && (0.0..=bar).contains(&acc)) {
+                return Err(invalid("scorer accumulator", format!("{acc} outside [0, {bar}]")));
+            }
+        }
+        if !(self.hold.is_finite() && self.hold >= 0.0) {
+            return Err(invalid(
+                "scorer hold",
+                format!("hold {} is negative or not finite", self.hold),
+            ));
+        }
+        Ok(())
+    }
+
     /// Lifetime `(z alarms, CUSUM alarms)`: how many updates crossed the
     /// instantaneous z bar and how many crossed the CUSUM decision bar
     /// (one point can count in both; under [`Fusion::Off`] only the z
@@ -279,6 +307,13 @@ impl ResidualScorer {
         self.cusum.alarm_counts()
     }
 
+    /// Checks a restored scorer: [`NSigma::check`], then
+    /// [`CusumScorer::check`].
+    pub fn check(&self) -> CheckResult<()> {
+        self.nsigma.check()?;
+        self.cusum.check()
+    }
+
     /// Seeds the residual statistics from an initialization window
     /// (mirrors [`NSigma::seed`]; the CUSUM accumulators and peak-hold
     /// stay at zero — the initialization window is presumed clean).
@@ -352,6 +387,29 @@ impl TrendCusum {
             has_prev: false,
             warmup_left: TREND_WARMUP,
         }
+    }
+
+    /// Checks the values a restored trend CUSUM must hold: its scorer's
+    /// ([`ResidualScorer::check`]), a finite `prev` (the next innovation
+    /// differences against it, and a non-finite one would poison the
+    /// sums for good), and a warm-up budget no larger than the one it
+    /// starts with (`u32::MAX` would silence the channel for ~4.3e9
+    /// points).
+    pub fn check(&self) -> CheckResult<()> {
+        self.scorer.check()?;
+        if self.has_prev && !self.prev.is_finite() {
+            return Err(invalid(
+                "trend CUSUM prev",
+                format!("prev {} is not finite", self.prev),
+            ));
+        }
+        if self.warmup_left > TREND_WARMUP {
+            return Err(invalid(
+                "trend CUSUM warm-up budget",
+                format!("{} above {TREND_WARMUP}", self.warmup_left),
+            ));
+        }
+        Ok(())
     }
 
     /// Lifetime `(z alarms, CUSUM alarms)` over the innovation stream.

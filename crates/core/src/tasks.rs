@@ -4,6 +4,7 @@
 use crate::oneshot::{OnlineJointStl, TailSolver, UpdateScratch};
 use crate::score::{CusumScorer, ScoreConfig, ScoreVerdict};
 use decomp::traits::OnlineDecomposer;
+use decomp::StlPlans;
 use tskit::error::Result;
 use tskit::series::DecompPoint;
 
@@ -44,7 +45,13 @@ impl<S: TailSolver> StdAnomalyDetector<OnlineJointStl<S>> {
     /// Initializes the decomposer on a prefix; its residuals seed the
     /// running statistics the score shares with the shift trigger.
     pub fn init(&mut self, y: &[f64], period: usize) -> Result<()> {
-        self.decomposer.init(y, period)?;
+        self.init_with(y, period, &mut StlPlans::default())
+    }
+
+    /// [`Self::init`] with the STL initialization's LOESS plans kept in
+    /// `plans` ([`OnlineJointStl::init_with`]).
+    pub fn init_with(&mut self, y: &[f64], period: usize, plans: &mut StlPlans) -> Result<()> {
+        self.decomposer.init_with(y, period, plans)?;
         Ok(())
     }
 

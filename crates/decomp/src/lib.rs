@@ -34,6 +34,6 @@ pub use l1trend::{l1_trend_filter, L1TrendConfig};
 pub use online_robust::OnlineRobustStl;
 pub use onlinestl::OnlineStl;
 pub use robuststl::{RobustStl, RobustStlConfig};
-pub use stl::{SeasonalSpan, Stl, StlConfig};
+pub use stl::{SeasonalSpan, Stl, StlConfig, StlPlans};
 pub use traits::{BatchDecomposer, OnlineDecomposer};
 pub use window::Windowed;

@@ -10,10 +10,19 @@
 //!
 //! STL is used both as a baseline (Table 2, Fig. 5–7) and as OneShotSTL's
 //! initialization routine (Algorithm 5, line 1).
+//!
+//! Every pass runs the same two LOESS smoothers (low-pass and trend) over
+//! series of the same length, so [`Stl::decompose_with`] runs them through
+//! two [`LoessPlan`]s: the tri-cube taps of each window and, for the fits
+//! without robustness weights, their eliminated normal equations, computed
+//! once per call, or once per host with [`StlPlans`] kept across calls (a
+//! fleet shard admitting many series of one period). The output is
+//! bit-identical to fitting every point with
+//! [`tskit::loess::loess_point`].
 
 use crate::traits::BatchDecomposer;
 use tskit::error::{check_finite, Result, TsError};
-use tskit::loess::{loess_extended_into, loess_into, LoessConfig};
+use tskit::loess::{loess_extended_into, LoessConfig, LoessPlan};
 use tskit::series::Decomposition;
 use tskit::smooth::valid_moving_average_into;
 use tskit::stats::median;
@@ -83,6 +92,34 @@ impl Stl {
     }
 }
 
+/// The two LOESS plans an STL pass smooths with (low-pass and trend), kept
+/// between [`Stl::decompose_with`] calls: a caller that decomposes many
+/// series of one length and period builds them once. A call with another
+/// length, period or configuration rebuilds them.
+#[derive(Debug, Clone, Default)]
+pub struct StlPlans {
+    lowpass: Option<LoessPlan>,
+    trend: Option<LoessPlan>,
+}
+
+impl StlPlans {
+    /// The plans of `n` values under the low-pass and trend configurations.
+    fn get(
+        &mut self,
+        n: usize,
+        lowpass: LoessConfig,
+        trend: LoessConfig,
+    ) -> (&LoessPlan, &LoessPlan) {
+        fn fresh(slot: &mut Option<LoessPlan>, n: usize, cfg: LoessConfig) -> &LoessPlan {
+            if !slot.as_ref().is_some_and(|plan| plan.is_for(n, &cfg)) {
+                *slot = Some(LoessPlan::new(n, &cfg));
+            }
+            slot.as_ref().expect("just planned")
+        }
+        (fresh(&mut self.lowpass, n, lowpass), fresh(&mut self.trend, n, trend))
+    }
+}
+
 fn next_odd(x: usize) -> usize {
     if x.is_multiple_of(2) {
         x + 1
@@ -92,24 +129,23 @@ fn next_odd(x: usize) -> usize {
 }
 
 /// Bisquare robustness weights from the remainder (Cleveland's `6·median`
-/// scaling).
-fn bisquare_weights(residual: &[f64]) -> Vec<f64> {
-    let abs: Vec<f64> = residual.iter().map(|r| r.abs()).collect();
-    let h = 6.0 * median(&abs);
+/// scaling), written over `abs` (the remainder's magnitudes) into `rho`.
+fn bisquare_weights_into(abs: &[f64], rho: &mut Vec<f64>) {
+    let h = 6.0 * median(abs);
+    rho.clear();
     if h <= f64::EPSILON {
-        return vec![1.0; residual.len()];
+        rho.resize(abs.len(), 1.0);
+        return;
     }
-    abs.iter()
-        .map(|&a| {
-            let u = a / h;
-            if u >= 1.0 {
-                0.0
-            } else {
-                let t = 1.0 - u * u;
-                t * t
-            }
-        })
-        .collect()
+    rho.extend(abs.iter().map(|&a| {
+        let u = a / h;
+        if u >= 1.0 {
+            0.0
+        } else {
+            let t = 1.0 - u * u;
+            t * t
+        }
+    }));
 }
 
 impl BatchDecomposer for Stl {
@@ -118,6 +154,20 @@ impl BatchDecomposer for Stl {
     }
 
     fn decompose(&self, y: &[f64], period: usize) -> Result<Decomposition> {
+        self.decompose_with(y, period, &mut StlPlans::default())
+    }
+}
+
+impl Stl {
+    /// [`BatchDecomposer::decompose`] with the LOESS plans kept in `plans`
+    /// (built on first use, rebuilt when `y.len()`, `period` or the
+    /// configuration change); bit-identical to it.
+    pub fn decompose_with(
+        &self,
+        y: &[f64],
+        period: usize,
+        plans: &mut StlPlans,
+    ) -> Result<Decomposition> {
         let n = y.len();
         if period < 2 {
             return Err(TsError::InvalidParam {
@@ -145,12 +195,18 @@ impl BatchDecomposer for Stl {
         let n_l = next_odd(cfg.lowpass_span.unwrap_or(period));
 
         let scfg = LoessConfig::new(n_s).degree(1);
-        let lcfg = LoessConfig::new(n_l).degree(1).jump(cfg.jump);
-        let tcfg = LoessConfig::new(n_t).degree(1).jump(cfg.jump);
+        // every pass smooths two series of length n with these two spans
+        let (lowpass_plan, trend_plan) = plans.get(
+            n,
+            LoessConfig::new(n_l).degree(1).jump(cfg.jump),
+            LoessConfig::new(n_t).degree(1).jump(cfg.jump),
+        );
 
         let mut seasonal = vec![0.0; n];
         let mut trend = vec![0.0; n];
-        let mut rho: Option<Vec<f64>> = None;
+        // robustness weights (empty until the first outer pass ends) and
+        // the remainder's magnitudes they are computed from
+        let (mut rho, mut abs_residual) = (Vec::new(), Vec::new());
         // work buffers, reused by every inner and outer pass
         let mut detrended = vec![0.0; n];
         let mut deseasonalized = vec![0.0; n];
@@ -164,6 +220,7 @@ impl BatchDecomposer for Stl {
         let (mut sub, mut sub_rho, mut smoothed) = (Vec::new(), Vec::new(), Vec::new());
 
         for outer in 0..=cfg.outer_iters {
+            let weights = (!rho.is_empty()).then_some(&rho[..]);
             for _inner in 0..cfg.inner_iters.max(1) {
                 // 1. detrend
                 for ((d, v), t) in detrended.iter_mut().zip(y).zip(&trend) {
@@ -179,7 +236,7 @@ impl BatchDecomposer for Stl {
                             // weighted mean, replicated over len + 2
                             let (mut num, mut den) = (0.0, 0.0);
                             for i in (phase..n).step_by(period) {
-                                let w = rho.as_ref().map_or(1.0, |r| r[i]);
+                                let w = weights.map_or(1.0, |r| r[i]);
                                 num += w * detrended[i];
                                 den += w;
                             }
@@ -195,7 +252,7 @@ impl BatchDecomposer for Stl {
                         SeasonalSpan::Span(_) => {
                             sub.clear();
                             sub.extend((phase..n).step_by(period).map(|i| detrended[i]));
-                            let sub_w = rho.as_ref().map(|r| {
+                            let sub_w = weights.map(|r| {
                                 sub_rho.clear();
                                 sub_rho.extend((phase..n).step_by(period).map(|i| r[i]));
                                 &sub_rho[..]
@@ -213,7 +270,7 @@ impl BatchDecomposer for Stl {
                 valid_moving_average_into(&ma1, period, &mut ma2); // len n + 2
                 valid_moving_average_into(&ma2, 3, &mut ma3); // len n
                 debug_assert_eq!(ma3.len(), n);
-                loess_into(&ma3, &lcfg, None, &mut lowpass);
+                lowpass_plan.apply(&ma3, None, &mut lowpass);
                 // 4. seasonal
                 for i in 0..n {
                     seasonal[i] = c[i + period] - lowpass[i];
@@ -222,13 +279,13 @@ impl BatchDecomposer for Stl {
                 for ((d, v), s) in deseasonalized.iter_mut().zip(y).zip(&seasonal) {
                     *d = v - s;
                 }
-                loess_into(&deseasonalized, &tcfg, rho.as_deref(), &mut trend);
+                trend_plan.apply(&deseasonalized, weights, &mut trend);
             }
             // outer loop: robustness weights from the remainder
             if outer < cfg.outer_iters {
-                let residual: Vec<f64> =
-                    (0..n).map(|i| y[i] - trend[i] - seasonal[i]).collect();
-                rho = Some(bisquare_weights(&residual));
+                abs_residual.clear();
+                abs_residual.extend((0..n).map(|i| (y[i] - trend[i] - seasonal[i]).abs()));
+                bisquare_weights_into(&abs_residual, &mut rho);
             }
         }
         let residual: Vec<f64> = (0..n).map(|i| y[i] - trend[i] - seasonal[i]).collect();
@@ -239,6 +296,7 @@ impl BatchDecomposer for Stl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tskit::stats::mae;
@@ -256,6 +314,44 @@ mod tests {
         let y: Vec<f64> =
             (0..n).map(|i| trend[i] + season[i] + noise * rng.gen_range(-1.0..1.0)).collect();
         (y, trend, season)
+    }
+
+    fn assert_same_bits(got: &Decomposition, want: &Decomposition) {
+        for (g, w) in [
+            (&got.trend, &want.trend),
+            (&got.seasonal, &want.seasonal),
+            (&got.residual, &want.residual),
+        ] {
+            let g: Vec<u64> = g.iter().map(|v| v.to_bits()).collect();
+            let w: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(g, w);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+
+        /// Plans kept across calls of other lengths, periods and
+        /// configurations decompose bit for bit as fresh ones do.
+        #[test]
+        fn kept_plans_decompose_like_fresh_ones(
+            seed in 0u64..1000,
+            period in 2usize..30,
+            cycles in 2usize..6,
+            periodic in 0usize..2,
+            outer in 0usize..3,
+        ) {
+            let mut plans = StlPlans::default();
+            let seasonal = if periodic == 1 { SeasonalSpan::Periodic } else { SeasonalSpan::Span(7) };
+            let cfg = StlConfig { seasonal, outer_iters: outer, ..Default::default() };
+            let stl = Stl::with_config(cfg);
+            for (n, t) in [(cycles * period + 1, period), (3 * period, period), (40, 4)] {
+                let (y, _, _) = seasonal_signal(n, t, 0.3, seed);
+                let fresh = stl.decompose(&y, t).unwrap();
+                assert_same_bits(&stl.decompose_with(&y, t, &mut plans).unwrap(), &fresh);
+                assert_same_bits(&stl.decompose_with(&y, t, &mut plans).unwrap(), &fresh);
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! backend continues **bit-identically** (including WAL crash recovery).
 
 use oneshotstl::{ScoreConfig, ScoreVerdict, TrendCusum};
+use tskit::error::TsError;
 use tskit::series::DecompPoint;
 
 /// Which detection backend a series runs (see the [module docs](self)).
@@ -66,6 +67,12 @@ pub enum SeriesBackend {
 }
 
 impl SeriesBackend {
+    /// Checks a restored backend: its trend CUSUM's [`TrendCusum::check`].
+    pub fn check(&self) -> Result<(), TsError> {
+        let (SeriesBackend::TrendCusum(t) | SeriesBackend::Ensemble(t)) = self;
+        t.check()
+    }
+
     /// Builds the backend a promoting series selected, or `None` for
     /// [`BackendSelect::Fused`]. `n` is the task NSigma bar (already
     /// per-series resolved).

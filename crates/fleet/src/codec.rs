@@ -4,11 +4,15 @@
 //! [`SeriesState`] with its `OneShotStl`, `CusumScorer` and
 //! [`SeriesBackend`]: the encoder walks their fields in place, so encoding
 //! copies no state, and the decoder builds each value with its `new(…)`
-//! and assigns the fields. It also refuses the byte-level values
-//! no writer produces (non-finite sums, accumulators outside their clamp,
-//! a non-finite trend `prev`, a trend warm-up budget above
-//! [`TREND_WARMUP`], degenerate configs); the structural checks between
-//! fields live in [`SeriesState::check`], which every restore runs.
+//! and assigns the fields. It refuses the values no writer produces as it
+//! reads each part: degenerate configs here, and the state checks of the
+//! live types themselves ([`oneshotstl::NSigma::check`],
+//! [`CusumScorer::check`], [`TrendCusum::check`]: non-finite sums,
+//! accumulators outside their clamp, a non-finite trend `prev`, a trend
+//! warm-up budget above [`oneshotstl::TREND_WARMUP`]). The same checks and
+//! the structural ones between fields run again in [`SeriesState::check`],
+//! which every restore and rehydration runs, so an in-memory snapshot is
+//! held to what its bytes would be.
 //!
 //! Layout: magic `b"OSSTLFLT"`, `u16` version, `u8` kind (always 0, the
 //! full engine image), then the fields in a fixed order. All integers
@@ -61,9 +65,10 @@ use oneshotstl::oneshot::InitMethod;
 use oneshotstl::system::{Lambdas, TailData};
 use oneshotstl::{
     CusumScorer, Fusion, IncrementalSolver, IterState, NSigma, OneShotStl, OneShotStlConfig,
-    ResidualScorer, ScoreConfig, ShiftPrune, StdAnomalyDetector, TrendCusum, TREND_WARMUP,
+    ResidualScorer, ScoreConfig, ShiftPrune, StdAnomalyDetector, TrendCusum,
 };
 use std::sync::Arc;
+use tskit::error::TsError;
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
 // v15: v14 with every solver written as its window, from the first point.
@@ -406,16 +411,7 @@ pub(crate) fn decode_backend_state(r: &mut Reader<'_>) -> Result<SeriesBackend, 
         _ => return Err(CodecError::Invalid("trend CUSUM prev flag")),
     };
     t.warmup_left = r.u32()?;
-    // the next innovation differences against `prev`: a non-finite one
-    // would poison the trend channel's sums for good
-    if t.has_prev && !t.prev.is_finite() {
-        return Err(CodecError::Invalid("backend state"));
-    }
-    // no writer exceeds the initial budget; a larger one would silence
-    // the trend channel for up to ~4.3e9 points
-    if t.warmup_left > TREND_WARMUP {
-        return Err(CodecError::Invalid("trend CUSUM warm-up budget"));
-    }
+    t.check().map_err(refused)?;
     Ok(wrap(t))
 }
 
@@ -764,14 +760,7 @@ fn encode_nsigma(w: &mut Writer, s: &NSigma) {
 fn decode_nsigma(r: &mut Reader<'_>) -> Result<NSigma, CodecError> {
     let mut s = NSigma::new(r.f64()?);
     (s.count, s.sum, s.sum_sq) = (r.u64()?, r.f64()?, r.f64()?);
-    // a NaN bar never alarms (`z > NaN` is false), and a non-finite sum
-    // poisons every later z-score: the series would silently go quiet
-    if !(s.n.is_finite() && s.n > 0.0) {
-        return Err(CodecError::Invalid("nsigma bar"));
-    }
-    if !(s.sum.is_finite() && s.sum_sq.is_finite()) {
-        return Err(CodecError::Invalid("nsigma sums"));
-    }
+    s.check().map_err(refused)?;
     Ok(s)
 }
 
@@ -807,26 +796,20 @@ fn decode_scorer(r: &mut Reader<'_>) -> Result<ResidualScorer, CodecError> {
     Ok(ResidualScorer { nsigma, cusum })
 }
 
-/// Reads the accumulators and hold of `s`, mirroring the config-level
-/// smuggling checks for the dynamic state: a NaN bar never alarms
-/// (`z > NaN` is false), a NaN accumulator would silently disable one
-/// CUSUM side forever (`f64::max(NaN, x)` returns `x`), and no writer can
-/// produce values outside the update loop's clamp ranges.
+/// Reads the accumulators and hold of `s` and runs [`CusumScorer::check`].
 fn checked_cusum(r: &mut Reader<'_>, mut s: CusumScorer) -> Result<CusumScorer, CodecError> {
     (s.s_pos, s.s_neg, s.hold) = (r.f64()?, r.f64()?, r.f64()?);
-    if !(s.n.is_finite() && s.n > 0.0) {
-        return Err(CodecError::Invalid("nsigma bar"));
-    }
-    let bar = 2.0 * s.config.cusum_h;
-    for acc in [s.s_pos, s.s_neg] {
-        if !(acc.is_finite() && (0.0..=bar).contains(&acc)) {
-            return Err(CodecError::Invalid("scorer accumulator"));
-        }
-    }
-    if !(s.hold.is_finite() && s.hold >= 0.0) {
-        return Err(CodecError::Invalid("scorer hold"));
-    }
+    s.check().map_err(refused)?;
     Ok(s)
+}
+
+/// A failed value check ([`SeriesState::check`] and the per-type checks
+/// it runs) as a decode error named after the refused value.
+fn refused(e: TsError) -> CodecError {
+    match e {
+        TsError::InvalidParam { name, .. } => CodecError::Invalid(name),
+        _ => CodecError::Invalid("series state"),
+    }
 }
 
 /// Little-endian byte sink. Shared with every framed payload
@@ -1020,6 +1003,7 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use decomp::traits::OnlineDecomposer;
+    use oneshotstl::TREND_WARMUP;
 
     /// [`decode_series_blob`] on a shard of the default engine config.
     fn read_blob(bytes: &[u8]) -> Result<SeriesEntry, CodecError> {
@@ -1486,7 +1470,7 @@ mod tests {
             };
             assert_eq!(
                 with(&|t| t.prev = f64::NAN),
-                Some(CodecError::Invalid("backend state"))
+                Some(CodecError::Invalid("trend CUSUM prev"))
             );
             assert_eq!(with(&|t| t.warmup_left = TREND_WARMUP), None);
             for budget in [TREND_WARMUP + 1, u32::MAX] {

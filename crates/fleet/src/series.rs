@@ -11,6 +11,7 @@
 use crate::backend::SeriesBackend;
 use crate::config::{AdmitOptions, FleetConfig, PeriodPolicy};
 use crate::types::PointOutput;
+use decomp::StlPlans;
 use oneshotstl::{
     IncrementalSolver, OneShotStl, OneShotStlConfig, ScoreVerdict, StdAnomalyDetector,
     UpdateScratch,
@@ -30,6 +31,10 @@ pub struct Shared {
     /// The engine's [`FleetConfig::detector`]. Every series whose
     /// detector config equals it holds this `Arc`, not a copy.
     pub detector: Arc<OneShotStlConfig>,
+    /// The LOESS plans of every admission's STL initialization, built at
+    /// the first admission and kept while the window length and period
+    /// stay the same.
+    pub plans: StlPlans,
 }
 
 impl Shared {
@@ -38,6 +43,7 @@ impl Shared {
         Shared {
             scratch: UpdateScratch::default(),
             detector: Arc::new(config.detector.clone()),
+            plans: StlPlans::default(),
         }
     }
 }
@@ -356,7 +362,12 @@ impl SeriesState {
 
     /// Promotes a warming series: initializes a detector on the whole
     /// buffer. On a (rare) init failure the series is tomb-stoned.
-    fn promote(&mut self, period: usize, config: &FleetConfig, shared: &Shared) -> StepOutcome {
+    fn promote(
+        &mut self,
+        period: usize,
+        config: &FleetConfig,
+        shared: &mut Shared,
+    ) -> StepOutcome {
         let SeriesState::Warming(w) = self else {
             unreachable!("promote called on a non-warming series");
         };
@@ -371,7 +382,7 @@ impl SeriesState {
             w.overrides.task_nsigma(config),
             w.overrides.task_score(config),
         );
-        match detector.init(&w.values, period) {
+        match detector.init_with(&w.values, period, &mut shared.plans) {
             Ok(()) => {
                 let fopts = w.overrides.task_forecast(config);
                 let forecast = fopts.enabled.then_some(fopts.damping);
@@ -392,10 +403,13 @@ impl SeriesState {
 }
 
 impl SeriesState {
-    /// Checks what a decoded series must satisfy before a shard steps it:
-    /// a live series is initialized (an uninitialized decomposer would
-    /// panic the shard worker on the first update) and its decomposer
-    /// passes [`OneShotStl::check`].
+    /// Checks what a series must satisfy before a shard steps it, whether
+    /// decoded, rehydrated or restored from an in-memory snapshot: a live
+    /// series is initialized (an uninitialized decomposer would panic the
+    /// shard worker on the first update), its decomposer passes
+    /// [`OneShotStl::check`], its scorer [`oneshotstl::CusumScorer::check`]
+    /// and its backend [`SeriesBackend::check`]. The codec runs the same
+    /// value checks as it reads each part.
     pub fn check(&self) -> Result<(), TsError> {
         let SeriesState::Live(live) = self else { return Ok(()) };
         if !live.detector.decomposer.is_initialized() {
@@ -404,7 +418,9 @@ impl SeriesState {
                 msg: "live series with uninitialized decomposer".into(),
             });
         }
-        live.detector.decomposer.check()
+        live.detector.decomposer.check()?;
+        live.detector.scorer.check()?;
+        live.backend.as_deref().map_or(Ok(()), SeriesBackend::check)
     }
 
     /// Fits a series moved in by a restore to the shard under `config`

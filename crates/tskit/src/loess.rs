@@ -10,6 +10,13 @@
 //! floating-point operations, in the same order, as the generic dense
 //! least-squares path ([`crate::dense::weighted_lstsq`] + `Mat::solve`),
 //! so the results are bit-identical to it (a property test pins this).
+//!
+//! [`loess_point`] recomputes every tap's tri-cube weight on every call. A
+//! [`LoessPlan`] does that once per series length and span: it caches the
+//! taps of each window shape and, for fits without robustness weights, the
+//! eliminated normal equations, so smoothing many series of one length (an
+//! STL pass smooths two per inner loop) costs a dot product per output. Its
+//! fits stay bit-identical to [`loess_point`], which remains the reference.
 
 // index recurrences here mirror the published algorithms; iterator
 // rewrites obscure the maths
@@ -27,7 +34,7 @@ pub fn tricube(u: f64) -> f64 {
 }
 
 /// LOESS configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoessConfig {
     /// Neighbourhood size `q` (number of points in each local fit). Values
     /// larger than the series are clamped.
@@ -72,7 +79,20 @@ pub fn loess_point(
     if n == 1 {
         return y[0];
     }
-    let q = cfg.span.min(n).max(2);
+    let (lo, hi, dmax) = window_bounds(n, x_eval, cfg.span);
+    let window = Window { y, x_eval, lo, hi, dmax, robustness };
+    match cfg.degree {
+        0 => window.fit::<1>(),
+        1 => window.fit::<2>(),
+        _ => window.fit::<3>(),
+    }
+}
+
+/// The fit window around `x_eval` in a series of `n ≥ 2` values: the
+/// `q = min(span, n)` nearest positions `lo..hi` and the tri-cube distance
+/// denominator `dmax`.
+fn window_bounds(n: usize, x_eval: f64, span: usize) -> (usize, usize, f64) {
+    let q = span.min(n).max(2);
     // window of the q nearest integer positions to x_eval
     let center = x_eval.round().clamp(0.0, (n - 1) as f64) as usize;
     let mut lo = center.saturating_sub(q / 2);
@@ -96,15 +116,10 @@ pub fn loess_point(
     }
     // STL convention: for spans larger than the data, inflate the distance
     // denominator so weights stay positive across the window.
-    if cfg.span > n {
-        dmax += ((cfg.span - n) / 2) as f64;
+    if span > n {
+        dmax += ((span - n) / 2) as f64;
     }
-    let window = Window { y, x_eval, lo, hi, dmax, robustness };
-    match cfg.degree {
-        0 => window.fit::<1>(),
-        1 => window.fit::<2>(),
-        _ => window.fit::<3>(),
-    }
+    (lo, hi, dmax)
 }
 
 /// One local fit: the `q` nearest positions `lo..hi` around `x_eval`.
@@ -280,6 +295,290 @@ pub fn loess_extended_into(
     out[n + 1] = loess_point(y, n as f64, cfg, robustness);
 }
 
+/// A precomputed smoother: [`loess_into`] of every series of one length under
+/// one [`LoessConfig`], bit for bit, with the per-fit work that depends only
+/// on the span and the output's position done once.
+///
+/// A degree-1, jump-1 plan (STL's low-pass and trend smoothers) holds, per
+/// output, its window and its nonzero tri-cube taps as `(w, w·dx)`. Interior
+/// outputs share one window offset and `dmax`, so they share one tap row; a
+/// plan holds at most `q + 1` distinct rows. Each row also holds the
+/// eliminated 2×2 normal equations of a fit without robustness weights
+/// (pivot choice, multiplier, the three matrix cells), so such a fit is two
+/// dot products over the data and a back substitution. A fit with
+/// robustness weights multiplies the cached tri-cube by `r[j]` and
+/// accumulates and solves like [`loess_point`]. Degenerate fits (all weights
+/// vanished, or a pivot below 1e-300) run [`loess_point`] itself. Any other
+/// configuration runs [`loess_into`].
+///
+/// Every fit performs the same floating-point operations in the same order
+/// as [`loess_point`], so the outputs are bit-identical to it (a property
+/// test pins this) as long as the robustness weights are finite: a tap whose
+/// tri-cube weight is zero is not stored, where [`loess_point`] would
+/// multiply it by `r[j]` (`0 · ∞` is not zero).
+#[derive(Debug, Clone)]
+pub struct LoessPlan {
+    cfg: LoessConfig,
+    /// Output count `n`.
+    len: usize,
+    /// Per output: its index into `rows` (empty unless the plan is degree 1,
+    /// jump 1).
+    fit_rows: Vec<u32>,
+    rows: Vec<TapRow>,
+    /// Every row's taps, row after row.
+    taps: Vec<Tap>,
+}
+
+/// One nonzero tri-cube tap: its weight and weight × distance.
+#[derive(Debug, Clone, Copy)]
+struct Tap {
+    w: f64,
+    wdx: f64,
+}
+
+/// The taps of one window shape, at distances `first, first + 1, …` from
+/// the output (`first ≤ 0`, so the centre tap is `taps[start - first]`).
+#[derive(Debug, Clone, Copy)]
+struct TapRow {
+    start: u32,
+    len: u32,
+    first: i32,
+    /// The eliminated unweighted system; `None` sends every fit of the row
+    /// to [`loess_point`].
+    solve: Option<Eliminated>,
+}
+
+/// [`solve_intercept`]`::<2>` of a fit's normal-equation matrix up to the
+/// right-hand side: the row swap, the multiplier and the eliminated cells.
+#[derive(Debug, Clone, Copy)]
+struct Eliminated {
+    swap: bool,
+    f: f64,
+    a00: f64,
+    a01: f64,
+    a11: f64,
+}
+
+impl Eliminated {
+    /// Gaussian elimination with partial pivoting of the ridged 2×2 matrix
+    /// `[[a00, a01], [a01, a11]]`, exactly as [`solve_intercept`] runs it;
+    /// `None` on a pivot below 1e-300.
+    fn new(a00: f64, a01: f64, a11: f64) -> Option<Self> {
+        let mut a = [[a00, a01], [a01, a11]];
+        let swap = a[1][0].abs() > a[0][0].abs();
+        if swap {
+            a.swap(0, 1);
+        }
+        if a[0][0].abs() < 1e-300 {
+            return None;
+        }
+        let f = a[1][0] / a[0][0];
+        if f != 0.0 {
+            a[1][1] -= f * a[0][1];
+        }
+        if a[1][1].abs() < 1e-300 {
+            return None;
+        }
+        Some(Eliminated { swap, f, a00: a[0][0], a01: a[0][1], a11: a[1][1] })
+    }
+
+    /// The intercept for the right-hand side `(atb0, atb1)`.
+    #[inline]
+    fn intercept(&self, atb0: f64, atb1: f64) -> f64 {
+        let (x0, mut x1) = if self.swap { (atb1, atb0) } else { (atb0, atb1) };
+        if self.f != 0.0 {
+            x1 -= self.f * x0;
+        }
+        let x1 = x1 / self.a11;
+        (x0 - self.a01 * x1) / self.a00
+    }
+}
+
+impl LoessPlan {
+    /// Plans the smoothing of `n` values under `cfg`.
+    pub fn new(n: usize, cfg: &LoessConfig) -> Self {
+        let mut plan = LoessPlan {
+            cfg: cfg.clone(),
+            len: n,
+            fit_rows: Vec::new(),
+            rows: Vec::new(),
+            taps: Vec::new(),
+        };
+        if cfg.degree != 1 || cfg.jump > 1 || n < 2 {
+            return plan;
+        }
+        // at most q + 1 distinct rows of at most q taps each
+        let q = cfg.span.min(n).max(2);
+        plan.fit_rows.reserve_exact(n);
+        plan.rows.reserve_exact((q + 1).min(n));
+        plan.taps.reserve_exact((q + 1).min(n) * q);
+        // the window (offset, dmax) of the last row, and its tri-cube
+        // weights by distance
+        let (mut shape, mut tab) = (None, Vec::with_capacity(q + 1));
+        for i in 0..n {
+            // `window_bounds` at an integer position: the nearest q never
+            // need widening, and every distance is an integer
+            let lo = i.saturating_sub(q / 2).min(n - q);
+            let mut dmax = (i - lo).max(lo + q - 1 - i) as f64;
+            if cfg.span > n {
+                dmax += ((cfg.span - n) / 2) as f64;
+            }
+            debug_assert_eq!(window_bounds(n, i as f64, cfg.span), (lo, lo + q, dmax));
+            let offset = lo as isize - i as isize;
+            if shape != Some((offset, dmax.to_bits())) {
+                shape = Some((offset, dmax.to_bits()));
+                plan.push_row(offset, q, dmax, &mut tab);
+            }
+            plan.fit_rows.push((plan.rows.len() - 1) as u32);
+        }
+        plan
+    }
+
+    /// Appends the row of a window of `q` positions starting `lo` away from
+    /// its output, with tri-cube denominator `dmax`; `tab` is scratch.
+    fn push_row(&mut self, lo: isize, q: usize, dmax: f64, tab: &mut Vec<f64>) {
+        // as `Window::weight`, once per distance |dx| = |j − x|
+        let far = lo.unsigned_abs().max((lo + q as isize - 1).unsigned_abs());
+        tab.clear();
+        tab.extend((0..=far).map(|d| tricube(d as f64 / dmax)));
+        // the taps are the positions of nonzero weight, contiguous around the
+        // centre since the tri-cube falls with the distance
+        let end = lo + q as isize;
+        let live = |dx: isize| tab[dx.unsigned_abs()] != 0.0;
+        let first = (lo..=0).find(|&dx| live(dx)).expect("the centre tap has weight 1");
+        let last = (1..end).find(|&dx| !live(dx)).unwrap_or(end);
+        let start = self.taps.len();
+        self.taps.extend((first..last).map(|dx| {
+            let w = tab[dx.unsigned_abs()];
+            Tap { w, wdx: w * dx as f64 }
+        }));
+        let len = self.taps.len() - start;
+        // `Window::fit::<2>`'s accumulation of A = Σ w (1, dx)ᵀ(1, dx)
+        let (mut a00, mut a01, mut a11) = (0.0, 0.0, 0.0);
+        for (t, dx) in self.taps[start..].iter().zip(first..) {
+            a00 += t.w;
+            a01 += t.wdx;
+            if dx != 0 {
+                a11 += t.wdx * dx as f64;
+            }
+        }
+        // `wsum` equals `a00` before the ridge: both add every tap weight in order
+        let solve =
+            if a00 <= 1e-300 { None } else { Eliminated::new(a00 + 1e-12, a01, a11 + 1e-12) };
+        self.rows.push(TapRow {
+            start: start as u32,
+            len: len as u32,
+            first: first as i32,
+            solve,
+        });
+    }
+
+    /// Whether this is the plan of `n` values under `cfg`.
+    pub fn is_for(&self, n: usize, cfg: &LoessConfig) -> bool {
+        self.len == n && self.cfg == *cfg
+    }
+
+    /// Smooths `y` into `out`; bit-identical to [`loess_into`] with this
+    /// plan's configuration for finite robustness weights.
+    ///
+    /// # Panics
+    /// Panics if `y` or `out` does not hold the planned number of values.
+    pub fn apply(&self, y: &[f64], robustness: Option<&[f64]>, out: &mut [f64]) {
+        assert_eq!(y.len(), self.len, "LoessPlan::apply: input length mismatch");
+        assert_eq!(out.len(), self.len, "LoessPlan::apply: output length mismatch");
+        if self.fit_rows.is_empty() {
+            loess_into(y, &self.cfg, robustness, out);
+            return;
+        }
+        for (i, (o, &r)) in out.iter_mut().zip(&self.fit_rows).enumerate() {
+            let row = &self.rows[r as usize];
+            let lo = (i as isize + row.first as isize) as usize;
+            let taps = &self.taps[row.start as usize..][..row.len as usize];
+            let ys = &y[lo..lo + taps.len()];
+            let fit = match (robustness, &row.solve) {
+                (None, Some(solve)) => {
+                    Some(Self::fit_unweighted(taps, ys, -row.first as usize, solve))
+                }
+                (Some(r), Some(_)) => {
+                    Self::fit_weighted(taps, ys, &r[lo..lo + taps.len()], -row.first as usize)
+                }
+                (_, None) => None,
+            };
+            *o = fit.unwrap_or_else(|| loess_point(y, i as f64, &self.cfg, robustness));
+        }
+    }
+
+    /// `Window::fit::<2>` without robustness weights: `Aᵀb` as two dot
+    /// products in tap order (the centre tap adds nothing to the second),
+    /// then the row's eliminated system.
+    #[inline]
+    fn fit_unweighted(taps: &[Tap], ys: &[f64], centre: usize, solve: &Eliminated) -> f64 {
+        let (mut atb0, mut atb1) = (0.0, 0.0);
+        for (t, &v) in taps[..centre].iter().zip(&ys[..centre]) {
+            atb0 += t.w * v;
+            atb1 += t.wdx * v;
+        }
+        atb0 += taps[centre].w * ys[centre];
+        for (t, &v) in taps[centre + 1..].iter().zip(&ys[centre + 1..]) {
+            atb0 += t.w * v;
+            atb1 += t.wdx * v;
+        }
+        solve.intercept(atb0, atb1)
+    }
+
+    /// `Window::fit::<2>` with robustness weights `r` over the same taps;
+    /// `None` where it falls back to a mean.
+    #[inline]
+    fn fit_weighted(taps: &[Tap], ys: &[f64], r: &[f64], centre: usize) -> Option<f64> {
+        let mut sums = WeightedSums::default();
+        sums.side(&taps[..centre], &ys[..centre], &r[..centre], -(centre as f64));
+        // the centre tap (dx = 0) adds to Σ w and Σ w·y only
+        let w = taps[centre].w * r[centre];
+        if w != 0.0 {
+            sums.atb[0] += w * ys[centre];
+            sums.ata[0][0] += w;
+        }
+        let right = centre + 1..;
+        sums.side(&taps[right.clone()], &ys[right.clone()], &r[right], 1.0);
+        let WeightedSums { mut ata, atb } = sums;
+        // `wsum` equals `ata[0][0]` here: zero weights add nothing to it
+        if ata[0][0] <= 1e-300 {
+            return None;
+        }
+        ata[0][0] += 1e-12;
+        ata[1][1] += 1e-12;
+        ata[1][0] = ata[0][1];
+        solve_intercept::<2>(ata, atb)
+    }
+}
+
+/// The normal equations of one robustness-weighted degree-1 fit, summed in
+/// tap order.
+#[derive(Default)]
+struct WeightedSums {
+    ata: [[f64; 3]; 3],
+    atb: [f64; 3],
+}
+
+impl WeightedSums {
+    /// Adds the taps on one side of the centre, the first at distance `dx`.
+    #[inline(always)]
+    fn side(&mut self, taps: &[Tap], ys: &[f64], r: &[f64], mut dx: f64) {
+        for ((t, &v), &rk) in taps.iter().zip(ys).zip(r) {
+            let w = t.w * rk;
+            if w != 0.0 {
+                let wdx = w * dx;
+                self.atb[0] += w * v;
+                self.ata[0][0] += w;
+                self.ata[0][1] += wdx;
+                self.atb[1] += wdx * v;
+                self.ata[1][1] += wdx * dx;
+            }
+            dx += 1.0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,6 +749,86 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// A degree-1, jump-1 plan reproduces [`loess_point`] at every
+        /// output, bit for bit: spans below and above `n` (which inflate
+        /// `dmax`), no robustness weights, random ones, negative ones (row
+        /// swaps), a zeroed block wider than the span (the window-mean
+        /// fallback) and a zeroed block around one huge weight (a zero
+        /// pivot, the weighted-mean fallback). About half the cases carry
+        /// an infinite value, which shows any tap touched with a zero
+        /// weight.
+        #[test]
+        fn plan_matches_loess_point_bit_for_bit(
+            y in prop::collection::vec(-1e3f64..1e3, 3..200),
+            span_pick in 0usize..1000,
+            rob_mode in 0usize..6,
+            rob in prop::collection::vec(0.0f64..1.0, 200..201),
+            block in 0usize..200,
+            spike in 0usize..400,
+        ) {
+            let mut y = y;
+            let n = y.len();
+            if spike < n {
+                y[spike] = f64::INFINITY;
+            }
+            let span = 2 + span_pick % (n + 19);
+            let q = span.min(n);
+            let (b0, b1) = (block % n, (block % n + q + 2).min(n));
+            let rob: Vec<f64> = match rob_mode {
+                0 => Vec::new(),
+                1 => rob[..n].to_vec(),
+                2 => rob[..n].iter().map(|&r| 2.0 * r - 1.0).collect(),
+                3 => (0..n).map(|j| if (b0..b1).contains(&j) { 0.0 } else { rob[j] }).collect(),
+                4 => (0..n)
+                    .map(|j| match j {
+                        _ if j == b0 => 1e6,
+                        _ if (b0.saturating_sub(q)..b1).contains(&j) => 0.0,
+                        _ => rob[j],
+                    })
+                    .collect(),
+                _ => vec![0.0; n],
+            };
+            let robustness = (rob_mode > 0).then_some(&rob[..]);
+            let cfg = LoessConfig::new(span);
+            let plan = LoessPlan::new(n, &cfg);
+            let mut got = vec![0.0; n];
+            plan.apply(&y, robustness, &mut got);
+            let want: Vec<f64> =
+                (0..n).map(|i| loess_point(&y, i as f64, &cfg, robustness)).collect();
+            assert_same_bits(&got, &want, &format!("n={n} span={span} rob_mode={rob_mode}"));
+        }
+
+        /// A plan of any other configuration is [`loess_into`].
+        #[test]
+        fn plan_of_another_config_is_loess_into(
+            y in prop::collection::vec(-1e3f64..1e3, 1..48),
+            span in 2usize..64,
+            degree in 0usize..3,
+            jump in 1usize..7,
+        ) {
+            let cfg = LoessConfig { span, degree, jump };
+            let mut got = vec![0.0; y.len()];
+            LoessPlan::new(y.len(), &cfg).apply(&y, None, &mut got);
+            assert_same_bits(&got, &loess(&y, &cfg, None), "plan");
+        }
+    }
+
+    /// Interior outputs share one tap row: a plan holds at most `q + 1`.
+    #[test]
+    fn plan_rows_are_shared() {
+        for (n, span) in [(72, 25), (72, 37), (200, 7), (10, 30)] {
+            let plan = LoessPlan::new(n, &LoessConfig::new(span));
+            assert!(
+                plan.rows.len() <= span.min(n) + 1,
+                "n={n} span={span}: {}",
+                plan.rows.len()
+            );
+        }
+    }
+
     /// A singular system takes the weighted-mean fallback on both paths. A
     /// weight of 1e6 absorbs the 1e-12 ridge, so the one live design row
     /// `(1, 1)` leaves an exactly zero second pivot.
@@ -462,6 +841,36 @@ mod tests {
         let got = loess_point(&y, 0.0, &cfg, Some(&rob));
         assert_eq!(got.to_bits(), want.to_bits(), "{got:e} != {want:e}");
         assert_eq!(got, 5.0);
+        let mut planned = [0.0; 2];
+        LoessPlan::new(2, &cfg).apply(&y, Some(&rob), &mut planned);
+        assert_eq!(planned[0].to_bits(), got.to_bits());
+    }
+
+    /// A symmetric window has a zero multiplier, which elimination skips:
+    /// an infinite centre value then leaves the slope finite, and the
+    /// intercept is `+∞` in a plan as in [`loess_point`], not NaN.
+    #[test]
+    fn zero_multiplier_is_skipped() {
+        let y = [1.0, 2.0, f64::INFINITY, 4.0, 5.0];
+        let cfg = LoessConfig::new(3);
+        let mut planned = [0.0; 5];
+        LoessPlan::new(5, &cfg).apply(&y, None, &mut planned);
+        let want = loess_point(&y, 2.0, &cfg, None);
+        assert_eq!(want, f64::INFINITY);
+        assert_eq!(planned[2].to_bits(), want.to_bits());
+    }
+
+    /// A window whose robustness weights are all zero takes the unweighted
+    /// window-mean fallback, in a plan as in [`loess_point`].
+    #[test]
+    fn zeroed_window_falls_back_to_the_window_mean() {
+        let y: Vec<f64> = (0..9).map(|i| (i * i) as f64).collect();
+        let cfg = LoessConfig::new(3);
+        let rob = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0];
+        let mut planned = [0.0; 9];
+        LoessPlan::new(9, &cfg).apply(&y, Some(&rob), &mut planned);
+        assert_eq!(planned[4], (9.0 + 16.0 + 25.0) / 3.0);
+        assert_eq!(planned[4].to_bits(), loess_point(&y, 4.0, &cfg, Some(&rob)).to_bits());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! [`loess_point`] fit — degrees 0, 1 and 2, with and without robustness
 //! weights, inside and just outside the data — performs **zero heap
 //! allocations**, and so does smoothing into caller-provided buffers
-//! ([`loess_into`], [`loess_extended_into`]). Every series admission runs
-//! hundreds of these fits in its STL initialization.
+//! ([`loess_into`], [`loess_extended_into`]) or through a prebuilt
+//! [`LoessPlan`]. Every series admission runs hundreds of these fits in its
+//! STL initialization.
 //!
 //! The counting global allocator below makes the claim a hard test rather
 //! than a code-review property. CI runs this test file explicitly
@@ -11,7 +12,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use tskit::loess::{loess_extended_into, loess_into, loess_point, LoessConfig};
+use tskit::loess::{loess_extended_into, loess_into, loess_point, LoessConfig, LoessPlan};
 
 /// Counts allocation requests per thread (the test harness's own threads
 /// may allocate at any moment; the code under test runs on the test
@@ -86,6 +87,36 @@ fn smoothing_into_buffers_is_allocation_free() {
         loess_extended_into(&y, &cfg, None, &mut ext);
         black_box((&out, &ext));
     }
+    let n = allocs() - before;
+    assert_eq!(n, 0, "{n} allocations");
+}
+
+#[test]
+fn plan_apply_is_allocation_free() {
+    let (y, mut rob) = inputs();
+    let mut out = vec![0.0; y.len()];
+    // STL's low-pass and trend spans at T = 24, a span above n, and a
+    // configuration the plan hands to `loess_into`
+    let plans: Vec<LoessPlan> = [
+        LoessConfig::new(25),
+        LoessConfig::new(37),
+        LoessConfig::new(101),
+        LoessConfig::new(25).jump(8),
+    ]
+    .iter()
+    .map(|cfg| LoessPlan::new(y.len(), cfg))
+    .collect();
+    let before = allocs();
+    for plan in &plans {
+        plan.apply(&y, None, &mut out);
+        black_box(&out);
+        plan.apply(&y, Some(&rob), &mut out);
+        black_box(&out);
+    }
+    // a zeroed window sends fits to the mean fallbacks
+    rob[20..40].fill(0.0);
+    plans[0].apply(&y, Some(&rob), &mut out);
+    black_box(&out);
     let n = allocs() - before;
     assert_eq!(n, 0, "{n} allocations");
 }

@@ -1,8 +1,11 @@
 //! Fleet engine integration: multi-series ingest through warm-up admission,
 //! snapshot mid-stream, restore, and bit-identical continuation.
 
+use oneshotstl_suite::core::ScoreConfig;
+use oneshotstl_suite::fleet::series::{LiveSeries, SeriesState};
 use oneshotstl_suite::fleet::{
-    FleetConfig, FleetEngine, PeriodPolicy, PointOutput, Record, SeriesKey,
+    codec, BackendSelect, FleetConfig, FleetEngine, PeriodPolicy, PointOutput, Record,
+    SeriesBackend, SeriesKey,
 };
 use oneshotstl_suite::tskit::synth::{gaussian_noise, inject, AnomalyKind, SeasonTemplate};
 use rand::rngs::StdRng;
@@ -275,6 +278,48 @@ fn corrupted_step_counter_fails_at_restore() {
         other => panic!("expected a live series, got {other:?}"),
     }
     assert!(FleetEngine::restore(snap).is_err());
+}
+
+/// A snapshot edited in memory is held to the value checks its bytes
+/// would be: a trend CUSUM whose `prev` is NaN, or a residual CUSUM
+/// accumulator past its `2h` clamp, is refused by `restore` exactly as
+/// `restore_bytes` refuses the same state encoded.
+#[test]
+fn restore_refuses_the_values_the_codec_refuses() {
+    let streams = build_streams(1);
+    let mut engine = FleetEngine::new(FleetConfig {
+        backend: BackendSelect::TrendCusum(ScoreConfig::default()),
+        ..config()
+    })
+    .unwrap();
+    for t in 0..100 {
+        engine.ingest(vec![Record::new("series-0", t, streams[0][t as usize])]).unwrap();
+    }
+    let intact = engine.snapshot().unwrap();
+    assert!(FleetEngine::restore_bytes(&codec::encode(&intact)).is_ok());
+    let edits: [&dyn Fn(&mut LiveSeries); 2] = [
+        &|live| {
+            let Some(SeriesBackend::TrendCusum(t)) = live.backend.as_deref_mut() else {
+                panic!("expected a trend-CUSUM backend");
+            };
+            assert!(t.has_prev, "the trend CUSUM has seen the stream");
+            t.prev = f64::NAN;
+        },
+        &|live| {
+            let cusum = &mut live.detector.scorer;
+            cusum.s_pos = 2.0 * cusum.config.cusum_h + 1.0;
+        },
+    ];
+    for (i, edit) in edits.iter().enumerate() {
+        let mut snap = intact.clone();
+        let SeriesState::Live(live) = &mut snap.series[0].state else {
+            panic!("expected a live series");
+        };
+        edit(live);
+        let bytes = codec::encode(&snap);
+        assert!(FleetEngine::restore_bytes(&bytes).is_err(), "edit {i}: bytes restored");
+        assert!(FleetEngine::restore(snap).is_err(), "edit {i}: snapshot restored");
+    }
 }
 
 /// Period detection admits an undeclared-period series; white noise hits
