@@ -12,30 +12,3 @@ pub trait TsadMethod {
     /// matrix-profile methods).
     fn score(&mut self, train: &[f64], test: &[f64], period: usize) -> Vec<f64>;
 }
-
-/// Normalizes scores to `[0, 1]` (used when combining detectors).
-pub fn normalize_scores(scores: &[f64]) -> Vec<f64> {
-    let lo = tskit::stats::min(scores);
-    let hi = tskit::stats::max(scores);
-    if !lo.is_finite() || !hi.is_finite() || hi - lo < 1e-12 {
-        return vec![0.0; scores.len()];
-    }
-    scores.iter().map(|s| (s - lo) / (hi - lo)).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn normalize_maps_to_unit_interval() {
-        let n = normalize_scores(&[2.0, 4.0, 3.0]);
-        assert_eq!(n, vec![0.0, 1.0, 0.5]);
-    }
-
-    #[test]
-    fn normalize_handles_constant_input() {
-        assert_eq!(normalize_scores(&[5.0, 5.0]), vec![0.0, 0.0]);
-        assert!(normalize_scores(&[]).is_empty());
-    }
-}

@@ -1,9 +1,7 @@
 //! Configured method constructors shared by the experiment binaries,
 //! including the paper's λ-tuning procedure (§5.1.4).
 
-use decomp::{
-    BatchDecomposer, OnlineDecomposer, OnlineRobustStl, OnlineStl, RobustStl, Stl, Windowed,
-};
+use decomp::{BatchDecomposer, OnlineDecomposer, Stl};
 use oneshotstl::oneshot::OneShotStlConfig;
 use oneshotstl::system::Lambdas;
 use oneshotstl::OneShotStl;
@@ -66,16 +64,6 @@ pub fn oneshotstl_with(lambda: f64, iters: usize, shift_window: usize) -> OneSho
     })
 }
 
-/// The online STD baselines of Table 2 / Fig. 7, boxed for uniform driving.
-pub fn online_std_baselines() -> Vec<Box<dyn OnlineDecomposer>> {
-    vec![
-        Box::new(Windowed::new(Stl::new(), "Window-STL", 4)),
-        Box::new(OnlineStl::new()),
-        Box::new(Windowed::new(RobustStl::new(), "Window-RobustSTL", 4)),
-        Box::new(OnlineRobustStl::new()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,14 +82,5 @@ mod tests {
             .collect();
         let lambda = tune_lambda(&y, t);
         assert!(LAMBDA_GRID.contains(&lambda), "tuned λ = {lambda}");
-    }
-
-    #[test]
-    fn baseline_set_has_four_methods() {
-        let methods = online_std_baselines();
-        assert_eq!(methods.len(), 4);
-        let names: Vec<&str> = methods.iter().map(|m| m.name()).collect();
-        assert!(names.contains(&"OnlineSTL"));
-        assert!(names.contains(&"Window-RobustSTL"));
     }
 }

@@ -395,8 +395,8 @@ impl OneShotStl {
             ShiftPrune::Off => 1,
             ShiftPrune::TopK(_) => 5,
         };
-        // config block: 6 × f64 + 2 × u32 + policy/init tags + shift search
-        let config = 6 * 8 + 2 * 4 + 2 + search;
+        // config block: 3 × f64 + 2 × u32 + init tag + shift search
+        let config = 3 * 8 + 2 * 4 + 1 + search;
         // period, t, m, shift
         let scalars = 4 * 8;
         // u64-length-prefixed f64 vector

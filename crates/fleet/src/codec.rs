@@ -14,42 +14,40 @@
 //! which every restore and rehydration runs, so an in-memory snapshot is
 //! held to what its bytes would be.
 //!
-//! Layout: magic `b"OSSTLFLT"`, `u16` version, `u8` kind (always 0, the
-//! full engine image), then the fields in a fixed order. All integers
-//! are little-endian; `f64` round-trips via [`f64::to_bits`], so restored
-//! values are **bit-identical** — the basis of the snapshot determinism
-//! guarantee. The format is self-contained: per-series detector configs
-//! are encoded with each series, so a snapshot survives engine-level
-//! config changes between writer and reader. The kind byte is what
-//! earlier builds used to tell full images from incremental deltas (kind
-//! 1); deltas are no longer written, and a kind-1 image is refused.
+//! Layout: magic `b"OSSTLFLT"`, `u16` version, then the engine image's
+//! fields in a fixed order. All integers are little-endian; `f64`
+//! round-trips via [`f64::to_bits`], so restored values are
+//! **bit-identical** — the basis of the snapshot determinism guarantee.
+//! The format is self-contained: per-series detector configs are encoded
+//! with each series, so a snapshot survives engine-level config changes
+//! between writer and reader.
 //!
-//! Version policy: writers emit the current version, readers accept the
-//! current and the previous one, and anything else is
-//! [`CodecError::UnsupportedVersion`]. A previous-version image is
-//! rewritten as the current version by its next snapshot. One decoder
-//! reads both: a new version never reuses a tag or a length, so the only
-//! version-dependent code is the version-window check. A live series
-//! (phase tag `4`) carries its scorer's CUSUM part alone (config, bar,
-//! accumulators, hold), since the running residual sums are its
-//! decomposer's. Every IRLS solver is one window (tag `2`): its step
+//! Version policy: writers emit the current version (v16), readers accept
+//! the current and the previous one (v15), and anything else is
+//! [`CodecError::UnsupportedVersion`]. A previous-version image or cold
+//! blob is rewritten as the current version by its next snapshot or
+//! spill. One decoder reads both: a new version never reuses a tag, and
+//! every read only the previous version needs sits behind one flag taken
+//! from the version (`v15`), so the next version deletes them as a unit.
+//! A live series (phase tag `4`) carries its scorer's CUSUM part alone
+//! (config, bar, accumulators, hold), since the running residual sums are
+//! its decomposer's. Every IRLS solver is one window (tag `2`): its step
 //! count and the fixed-length cells (the 10 `L` band cells of
 //! [`oneshotstl::online_doolittle::BAND`], `D[4]`, `z[4]`) without length
-//! prefixes. v15 writes that window from a solver's first point; v14
-//! wrote the ≤ 3 points a solver had seen as four short histories
-//! instead (tag `0`), which the reader replays through the step kernel
-//! under the decomposer's λ into the same window, bit for bit. The v13
-//! tags (live `1`, solver `1`) are refused as invalid, as are the v12
-//! forecast tags and the backend tags retired before v12 (select `1`/`3`,
-//! state `0`/`2`).
+//! prefixes. The tags of older layouts are refused as invalid: v14's
+//! solver histories (tag `0`), the v13 tags (live `1`, solver `1`), the
+//! v12 forecast tags and the backend tags retired before v12 (select
+//! `1`/`3`, state `0`/`2`).
 //!
-//! Six config values are retired but keep their bytes, so no layout
-//! moves: the engine config's warm-up length in periods (always 3) and
-//! explicit warm-up cap (always `None`), and each detector config's
-//! seasonal anchor weight (1), shift policy (tag 0, cumulative), shift
-//! accept ratio (0.5) and IRLS clamp ε (1e-10). The writer emits those
-//! constants and the reader refuses any other value as invalid: a
-//! restored series must run the config it was imaged with.
+//! What v16 dropped, the `v15` flag reads and checks: a kind byte after
+//! the version (always 0, the full engine image; earlier builds wrote
+//! incremental deltas as kind 1, which is refused), and six retired
+//! config values pinned to the one value the engine runs with — the
+//! engine config's warm-up length in periods (3) and explicit warm-up cap
+//! (`None`), and each detector config's seasonal anchor weight (1), shift
+//! policy (tag 0, cumulative), shift accept ratio (0.5) and IRLS clamp ε
+//! (1e-10). Any other value is refused as invalid: a restored series must
+//! run the config it was imaged with.
 
 use crate::backend::{BackendSelect, SeriesBackend};
 use crate::config::{AdmitOptions, ForecastOptions, QueuePolicy};
@@ -62,7 +60,7 @@ use crate::shard::SeriesEntry;
 use crate::types::{Record, SeriesKey};
 use crate::{FleetConfig, PeriodPolicy};
 use oneshotstl::oneshot::InitMethod;
-use oneshotstl::system::{Lambdas, TailData};
+use oneshotstl::system::Lambdas;
 use oneshotstl::{
     CusumScorer, Fusion, IncrementalSolver, IterState, NSigma, OneShotStl, OneShotStlConfig,
     ResidualScorer, ScoreConfig, ShiftPrune, StdAnomalyDetector, TrendCusum,
@@ -71,13 +69,11 @@ use std::sync::Arc;
 use tskit::error::TsError;
 
 const MAGIC: &[u8; 8] = b"OSSTLFLT";
-// v15: v14 with every solver written as its window, from the first point.
-pub(crate) const VERSION: u16 = 15;
-const KIND_FULL: u8 = 0;
+// v16: v15 without the kind byte and the six retired config values.
+pub(crate) const VERSION: u16 = 16;
 
-// The retired config values' pinned bytes (see the module docs): the
-// constants `FleetConfig` and `OneShotStl` run with, so changing one there
-// changes the format and needs a codec version bump.
+// The retired config values a v15 image pins (see the module docs): the
+// constants `FleetConfig` and `OneShotStl` run with.
 const INIT_CYCLES: u32 = 3;
 const ANCHOR: f64 = 1.0;
 const SHIFT_ACCEPT_RATIO: f64 = 0.5;
@@ -88,7 +84,6 @@ pub fn encode(snapshot: &FleetSnapshot) -> Vec<u8> {
     let mut w = Writer::default();
     w.bytes(MAGIC);
     w.u16(VERSION);
-    w.u8(KIND_FULL);
     encode_config(&mut w, &snapshot.config);
     w.u64(snapshot.clock);
     w.u64(snapshot.batches);
@@ -101,13 +96,13 @@ pub fn encode(snapshot: &FleetSnapshot) -> Vec<u8> {
 }
 
 /// Reads the `u16` version and accepts only the current and the previous
-/// one.
-fn decode_version(r: &mut Reader<'_>) -> Result<(), CodecError> {
+/// one, which it returns.
+fn decode_version(r: &mut Reader<'_>) -> Result<u16, CodecError> {
     let version = r.u16()?;
     if !(VERSION - 1..=VERSION).contains(&version) {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    Ok(())
+    Ok(version)
 }
 
 /// Deserializes [`encode`] output (current or previous version). Every
@@ -118,11 +113,11 @@ pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
     if r.take(8)? != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    decode_version(&mut r)?;
-    if r.u8()? != KIND_FULL {
+    let v15 = decode_version(&mut r)? == 15;
+    if v15 && r.u8()? != 0 {
         return Err(CodecError::Invalid("snapshot kind (only full images are read)"));
     }
-    let config = decode_config(&mut r)?;
+    let config = decode_config(&mut r, v15)?;
     let clock = r.u64()?;
     let batches = r.u64()?;
     let totals = decode_totals(&mut r)?;
@@ -130,7 +125,7 @@ pub fn decode(bytes: &[u8]) -> Result<FleetSnapshot, CodecError> {
     let mut series = Vec::with_capacity(n.min(1 << 20));
     let detector = Arc::new(config.detector.clone());
     for _ in 0..n {
-        series.push(decode_series(&mut r, &config, &detector)?);
+        series.push(decode_series(&mut r, &config, &detector, v15)?);
     }
     if r.pos != r.data.len() {
         return Err(CodecError::Invalid("trailing bytes after snapshot"));
@@ -157,8 +152,8 @@ pub(crate) fn decode_series_blob(
     detector: &Arc<OneShotStlConfig>,
 ) -> Result<SeriesEntry, CodecError> {
     let mut r = Reader { data: bytes, pos: 0 };
-    decode_version(&mut r)?;
-    let s = decode_series(&mut r, config, detector)?;
+    let v15 = decode_version(&mut r)? == 15;
+    let s = decode_series(&mut r, config, detector, v15)?;
     if r.pos != r.data.len() {
         return Err(CodecError::Invalid("trailing bytes after series blob"));
     }
@@ -189,7 +184,6 @@ fn decode_totals(r: &mut Reader<'_>) -> Result<CarriedTotals, CodecError> {
 
 fn encode_config(w: &mut Writer, c: &FleetConfig) {
     w.u32(c.shards as u32);
-    w.u32(INIT_CYCLES);
     match &c.period {
         PeriodPolicy::Fixed(t) => {
             w.u8(0);
@@ -203,7 +197,6 @@ fn encode_config(w: &mut Writer, c: &FleetConfig) {
             w.opt_u32(fallback.map(|v| v as u32));
         }
     }
-    w.opt_u32(None); // the warm-up cap
     w.f64(c.nsigma);
     w.opt_u64(c.ttl);
     w.opt_u64(c.max_clock_step);
@@ -219,9 +212,9 @@ fn encode_config(w: &mut Writer, c: &FleetConfig) {
     w.opt_u64(c.spill_after);
 }
 
-fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, CodecError> {
+fn decode_config(r: &mut Reader<'_>, v15: bool) -> Result<FleetConfig, CodecError> {
     let shards = r.u32()? as usize;
-    if r.u32()? != INIT_CYCLES {
+    if v15 && r.u32()? != INIT_CYCLES {
         return Err(CodecError::Invalid("warm-up cycles != 3"));
     }
     let period = match r.u8()? {
@@ -234,7 +227,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, CodecError> {
         },
         _ => return Err(CodecError::Invalid("period policy tag")),
     };
-    if r.opt_u32()?.is_some() {
+    if v15 && r.opt_u32()?.is_some() {
         return Err(CodecError::Invalid("warm-up cap is Some"));
     }
     let nsigma = r.f64()?;
@@ -246,7 +239,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, CodecError> {
         1 => QueuePolicy::Reject,
         _ => return Err(CodecError::Invalid("queue policy tag")),
     };
-    let detector = decode_detector_config(r)?;
+    let detector = decode_detector_config(r, v15)?;
     let score = decode_score_config(r)?;
     let forecast = decode_forecast_options(r)?;
     let backend = decode_backend_select(r)?;
@@ -418,17 +411,13 @@ pub(crate) fn decode_backend_state(r: &mut Reader<'_>) -> Result<SeriesBackend, 
 fn encode_detector_config(w: &mut Writer, c: &OneShotStlConfig) {
     w.f64(c.lambdas.lambda1);
     w.f64(c.lambdas.lambda2);
-    w.f64(ANCHOR);
     w.u32(c.iters as u32);
     w.u32(c.shift_window as u32);
     w.f64(c.nsigma);
-    w.u8(0); // cumulative shift policy
-    w.f64(SHIFT_ACCEPT_RATIO);
     w.u8(match c.init {
         InitMethod::Stl => 0,
         InitMethod::JointStl => 1,
     });
-    w.f64(IRLS_EPS);
     encode_shift_search(w, c.shift_search);
 }
 
@@ -462,7 +451,8 @@ fn decode_shift_search(r: &mut Reader<'_>) -> Result<ShiftPrune, CodecError> {
     })
 }
 
-/// Reads a retired `f64` config value, refusing all but its pinned bits.
+/// Reads a retired v15 `f64` config value, refusing all but its pinned
+/// bits.
 fn pinned_f64(r: &mut Reader<'_>, want: f64, what: &'static str) -> Result<(), CodecError> {
     if r.f64()?.to_bits() != want.to_bits() {
         return Err(CodecError::Invalid(what));
@@ -470,22 +460,31 @@ fn pinned_f64(r: &mut Reader<'_>, want: f64, what: &'static str) -> Result<(), C
     Ok(())
 }
 
-fn decode_detector_config(r: &mut Reader<'_>) -> Result<OneShotStlConfig, CodecError> {
+fn decode_detector_config(
+    r: &mut Reader<'_>,
+    v15: bool,
+) -> Result<OneShotStlConfig, CodecError> {
     let lambdas = Lambdas { lambda1: r.f64()?, lambda2: r.f64()? };
-    pinned_f64(r, ANCHOR, "seasonal anchor weight != 1")?;
+    if v15 {
+        pinned_f64(r, ANCHOR, "seasonal anchor weight != 1")?;
+    }
     let iters = r.u32()? as usize;
     let shift_window = r.u32()? as usize;
     let nsigma = r.f64()?;
-    if r.u8()? != 0 {
-        return Err(CodecError::Invalid("shift policy tag (only cumulative, 0, is read)"));
+    if v15 {
+        if r.u8()? != 0 {
+            return Err(CodecError::Invalid("shift policy tag (only cumulative, 0, is read)"));
+        }
+        pinned_f64(r, SHIFT_ACCEPT_RATIO, "shift accept ratio != 0.5")?;
     }
-    pinned_f64(r, SHIFT_ACCEPT_RATIO, "shift accept ratio != 0.5")?;
     let init = match r.u8()? {
         0 => InitMethod::Stl,
         1 => InitMethod::JointStl,
         _ => return Err(CodecError::Invalid("init method tag")),
     };
-    pinned_f64(r, IRLS_EPS, "IRLS eps != 1e-10")?;
+    if v15 {
+        pinned_f64(r, IRLS_EPS, "IRLS eps != 1e-10")?;
+    }
     let shift_search = decode_shift_search(r)?;
     Ok(OneShotStlConfig { lambdas, iters, shift_window, nsigma, shift_search, init })
 }
@@ -603,6 +602,7 @@ fn decode_series(
     r: &mut Reader<'_>,
     config: &FleetConfig,
     detector: &Arc<OneShotStlConfig>,
+    v15: bool,
 ) -> Result<SeriesEntry, CodecError> {
     let key = SeriesKey::new(r.string()?);
     let last_seen = r.u64()?;
@@ -617,7 +617,7 @@ fn decode_series(
         }
         4 => SeriesState::Live(LiveSeries {
             detector: StdAnomalyDetector {
-                decomposer: decode_decomposer(r, detector)?,
+                decomposer: decode_decomposer(r, detector, v15)?,
                 scorer: decode_cusum(r)?,
             },
             forecast: decode_forecast_head(r)?,
@@ -667,9 +667,9 @@ fn encode_decomposer(w: &mut Writer, m: &OneShotStl) {
 fn decode_decomposer(
     r: &mut Reader<'_>,
     shared: &Arc<OneShotStlConfig>,
+    v15: bool,
 ) -> Result<OneShotStl, CodecError> {
-    let config = decode_detector_config(r)?;
-    let lambdas = config.lambdas;
+    let config = decode_detector_config(r, v15)?;
     let mut m = OneShotStl::new(share_or_own(shared, config));
     m.period = r.u64()? as usize;
     m.t = r.u64()?;
@@ -682,7 +682,7 @@ fn decode_decomposer(
     m.iters = Vec::with_capacity(n_iters.min(1 << 10));
     for _ in 0..n_iters {
         m.iters.push(IterState {
-            solver: decode_solver(r, lambdas)?,
+            solver: decode_solver(r)?,
             pw_hist: r.f64_pair()?,
             qw_hist: r.f64_pair()?,
             tau_hist: r.f64_pair()?,
@@ -705,48 +705,17 @@ fn encode_solver(w: &mut Writer, s: &IncrementalSolver) {
     }
 }
 
-/// A solver window (tag `2`), or a v14 solver's first points (tag `0`)
-/// replayed under the decomposer's λ (see the module docs).
-fn decode_solver(
-    r: &mut Reader<'_>,
-    lambdas: Lambdas,
-) -> Result<IncrementalSolver, CodecError> {
-    match r.u8()? {
-        0 => replay_first_points(r, lambdas),
-        2 => Ok(IncrementalSolver {
-            m: r.u64()? as usize,
-            lo: r.window()?,
-            dd: r.window()?,
-            zo: r.window()?,
-        }),
-        _ => Err(CodecError::Invalid("solver state tag")),
+/// A solver window (tag `2`; see the module docs).
+fn decode_solver(r: &mut Reader<'_>) -> Result<IncrementalSolver, CodecError> {
+    if r.u8()? != 2 {
+        return Err(CodecError::Invalid("solver state tag"));
     }
-}
-
-/// A v14 solver in its first points: the `y`, `u`, `pw` and `qw` of the
-/// ≤ 3 points it had seen, each the value its last step read. Stepped
-/// from a fresh solver, point by point, they give the window this build
-/// holds after the same points: up to step 3 a step's block covers every
-/// real unknown, so each window depends on its own step's tail alone.
-fn replay_first_points(
-    r: &mut Reader<'_>,
-    lambdas: Lambdas,
-) -> Result<IncrementalSolver, CodecError> {
-    let [y, u, pw, qw] = [r.vec_f64()?, r.vec_f64()?, r.vec_f64()?, r.vec_f64()?];
-    let m = y.len();
-    if m > 3 || [&u, &pw, &qw].iter().any(|h| h.len() != m) {
-        return Err(CodecError::Invalid("v14 warm-up solver histories"));
-    }
-    let mut solver = IncrementalSolver::new();
-    for step in 1..=m {
-        // slot s holds time s + step − 3, newest last
-        let tail = |h: &[f64]| {
-            std::array::from_fn(|s| (s + step).checked_sub(3).map_or(0.0, |j| h[j]))
-        };
-        let (y3, u3, p3, q3) = (tail(&y), tail(&u), tail(&pw), tail(&qw));
-        solver.step(&TailData { m: step, y3, u3, p3, q3, lambdas });
-    }
-    Ok(solver)
+    Ok(IncrementalSolver {
+        m: r.u64()? as usize,
+        lo: r.window()?,
+        dd: r.window()?,
+        zo: r.window()?,
+    })
 }
 
 fn encode_nsigma(w: &mut Writer, s: &NSigma) {
@@ -1003,6 +972,7 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use decomp::traits::OnlineDecomposer;
+    use oneshotstl::system::TailData;
     use oneshotstl::TREND_WARMUP;
 
     /// [`decode_series_blob`] on a shard of the default engine config.
@@ -1211,17 +1181,37 @@ mod tests {
         entry
     }
 
+    /// Bytes from hex digits; whitespace between them is skipped.
     fn unhex(hex: &str) -> Vec<u8> {
-        (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
             .collect()
     }
 
-    /// [`encode_series_blob`] of [`sample_live_series`] by the v14 writer:
-    /// what a v14 build left in its cold tier.
-    const V14_LIVE_BLOB_HEX: &str = concat!(
-        "0e00040000006c6976653c000000000000000400000000000059400000000000005940000000",
+    /// A fleet image by the v15 writer, shared with the integration pin
+    /// `pinned_v15_snapshot_blob_restores_and_continues_bit_identically`
+    /// (see there for its state).
+    fn v15_image() -> Vec<u8> {
+        let bytes = unhex(include_str!("../testdata/v15_image.hex"));
+        assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 15);
+        bytes
+    }
+
+    /// Where a v15 detector config of the default λ starts in `bytes`:
+    /// its two λ values, then the retired anchor weight.
+    fn v15_detector_at(bytes: &[u8]) -> usize {
+        let l = FleetConfig::default().detector.lambdas;
+        let head = [l.lambda1, l.lambda2, ANCHOR].map(f64::to_le_bytes).concat();
+        let found = bytes.windows(head.len()).position(|w| w == head);
+        found.expect("a v15 detector config of the default λ")
+    }
+
+    /// [`encode_series_blob`] of [`sample_live_series`] by the v15 writer:
+    /// what a v15 build left in its cold tier.
+    const V15_LIVE_BLOB_HEX: &str = concat!(
+        "0f00040000006c6976653c000000000000000400000000000059400000000000005940000000",
         "000000f03f0600000014000000000000000000144000000000000000e03f00bbbdd7d9df7cdb",
         "3d01040000000c00000000000000600000000000000030000000000000000000000000000000",
         "0c0000000000000005472d54c5e3ffbe84ee526b82ffdf3f95afb7d73cb6eb3f459ba1edb2ff",
@@ -1290,9 +1280,10 @@ mod tests {
     }
 
     /// Cold-tier series blobs round-trip bit-identically, a blob spilled
-    /// by the previous (v14) build rehydrates to the same series and
-    /// rewrites as this build's encoding of it, and corrupted blobs are
-    /// rejected with typed errors.
+    /// by the previous (v15) build rehydrates to the same series and
+    /// rewrites as this build's encoding of it, 25 retired bytes shorter,
+    /// and corrupted blobs and blobs two versions old or older are refused
+    /// with typed errors.
     #[test]
     fn series_blob_roundtrips_exactly() {
         let mut snap = sample_snapshot();
@@ -1309,37 +1300,38 @@ mod tests {
         bad_version[0] = 0xEE;
         assert!(matches!(read_blob(&bad_version), Err(CodecError::UnsupportedVersion(_))));
 
-        let v14 = unhex(V14_LIVE_BLOB_HEX);
-        assert_eq!(u16::from_le_bytes([v14[0], v14[1]]), 14);
-        let back = read_blob(&v14).unwrap();
-        assert_eq!(encode_series_blob(&back), encode_series_blob(&sample_live_series()));
-        // a steady series' bytes did not move: only the version differs
-        let v15 = encode_series_blob(&back);
+        let v15 = unhex(V15_LIVE_BLOB_HEX);
         assert_eq!(u16::from_le_bytes([v15[0], v15[1]]), 15);
-        assert_eq!(v14[2..], v15[2..]);
-    }
-
-    /// A blob two versions old or older is refused outright, whatever its
-    /// body holds.
-    #[test]
-    fn blobs_older_than_v14_are_refused() {
-        let mut old = unhex(V14_LIVE_BLOB_HEX);
-        for version in [13u16, 12] {
+        let back = read_blob(&v15).unwrap();
+        let v16 = encode_series_blob(&back);
+        assert_eq!(v16, encode_series_blob(&sample_live_series()));
+        assert_eq!(u16::from_le_bytes([v16[0], v16[1]]), 16);
+        // the rewrite is the v15 body without its decomposer's 25 retired
+        // bytes: the anchor weight, the shift policy tag with the accept
+        // ratio, and the IRLS clamp, as (offset, length) from the config
+        let at = v15_detector_at(&v15);
+        let retired = |i: usize| {
+            [(16, 8), (40, 9), (50, 8)].iter().any(|&(o, n)| (at + o..at + o + n).contains(&i))
+        };
+        let kept: Vec<u8> = (2..v15.len()).filter(|&i| !retired(i)).map(|i| v15[i]).collect();
+        assert_eq!(v16[2..], kept[..]);
+        assert_eq!(v15.len() - v16.len(), 25);
+        // a blob two versions old or older is refused, whatever its body
+        let mut old = v15;
+        for version in [14u16, 13] {
             old[..2].copy_from_slice(&version.to_le_bytes());
             assert_eq!(read_blob(&old).err(), Some(CodecError::UnsupportedVersion(version)));
         }
     }
 
     /// A solver is one window (tag `2`, any step count): its step count,
-    /// then 10 `L` cells, 4 `D` and 4 `z` values, bare. A v14 solver in
-    /// its first points (tag `0`) holds four histories of one length,
-    /// at most 3, and reads as the window its points step a fresh solver
-    /// into; other lengths, and the v13 length-prefixed layout (tag `1`),
+    /// then 10 `L` cells, 4 `D` and 4 `z` values, bare. v14's first-point
+    /// histories (tag `0`) and the v13 length-prefixed layout (tag `1`)
     /// are invalid.
     #[test]
     fn malformed_solver_windows_are_rejected() {
         let lambdas = Lambdas { lambda1: 3.0, lambda2: 0.5 };
-        let read = |bytes: &[u8]| decode_solver(&mut Reader { data: bytes, pos: 0 }, lambdas);
+        let read = |bytes: &[u8]| decode_solver(&mut Reader { data: bytes, pos: 0 });
         let mut solver = IncrementalSolver::new();
         for m in 0..6u64 {
             let mut w = Writer::default();
@@ -1356,28 +1348,17 @@ mod tests {
             };
             solver.step(&tail);
         }
-        let histories = |lens: [usize; 4]| {
-            let mut w = Writer::default();
-            w.u8(0);
-            for n in lens {
-                w.vec_f64(&vec![0.5; n]);
+        // a retired layout is refused by its tag, whatever follows it
+        for tag in [0, 1] {
+            let mut old = Writer::default();
+            old.u8(tag);
+            old.u64(9);
+            for n in [10, 4, 4] {
+                old.vec_f64(&vec![0.5; n]);
             }
-            w.buf
-        };
-        for n in 0..=3 {
-            assert_eq!(read(&histories([n; 4])).unwrap().m, n, "{n} points");
+            let want = Err(CodecError::Invalid("solver state tag"));
+            assert_eq!(read(&old.buf), want, "tag {tag}");
         }
-        for lens in [[4; 4], [2, 2, 1, 2], [1, 0, 1, 1], [3, 3, 3, 4]] {
-            let want = Err(CodecError::Invalid("v14 warm-up solver histories"));
-            assert_eq!(read(&histories(lens)), want, "{lens:?}");
-        }
-        let mut v13 = Writer::default();
-        v13.u8(1);
-        v13.u64(9);
-        for n in [10, 4, 4] {
-            v13.vec_f64(&vec![0.5; n]);
-        }
-        assert_eq!(read(&v13.buf), Err(CodecError::Invalid("solver state tag")));
     }
 
     /// [`OneShotStl::state_bytes`] is the exact encoded size of the
@@ -1540,25 +1521,17 @@ mod tests {
         wrong_version[8] = 0xEE;
         assert!(matches!(decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
         // only the current and the previous version are read
-        for old in [11u16, 12, 13] {
+        for old in [12u16, 13, 14, VERSION + 1] {
             let mut image = bytes.clone();
             image[8..10].copy_from_slice(&old.to_le_bytes());
             assert_eq!(decode(&image).err(), Some(CodecError::UnsupportedVersion(old)));
         }
-        // the kind byte follows the version; a kind-1 image (an
-        // incremental delta an earlier build wrote) is refused
-        let mut delta = bytes.clone();
-        delta[10] = 1;
-        assert_eq!(
-            decode(&delta).err(),
-            Some(CodecError::Invalid("snapshot kind (only full images are read)"))
-        );
         // the engine's backend selection closes the config, before its
         // score config and the one-byte `spill_after: None`; the retired
         // DAMP (1) and three-channel ensemble (3) tags are refused
         let mut config = Writer::default();
         encode_config(&mut config, &snap.config);
-        let at = 8 + 2 + 1 + config.buf.len() - 1 - (1 + 3 * 8) - 1;
+        let at = 8 + 2 + config.buf.len() - 1 - (1 + 3 * 8) - 1;
         assert_eq!(bytes[at], 2, "trend-CUSUM select tag");
         for retired in [1, 3] {
             let mut old = bytes.clone();
@@ -1589,7 +1562,7 @@ mod tests {
         assert_eq!(solver.buf[0], 2, "a solver window");
         for cut in 0..solver.buf.len() {
             let data = &solver.buf[..cut];
-            let read = decode_solver(&mut Reader { data, pos: 0 }, Lambdas::default());
+            let read = decode_solver(&mut Reader { data, pos: 0 });
             assert_eq!(read, Err(CodecError::Truncated), "solver cut at {cut}");
         }
         let mut trailing = bytes.clone();
@@ -1598,38 +1571,44 @@ mod tests {
             decode(&trailing).err(),
             Some(CodecError::Invalid("trailing bytes after snapshot"))
         );
-        // the retired config values keep their bytes and are pinned: the
-        // engine config's warm-up cycles (a u32 after `shards`) and cap
+        // a v15 image's kind byte follows the version; a kind-1 image (an
+        // incremental delta an earlier build wrote) is refused
+        let v15 = v15_image();
+        decode(&v15).expect("the v15 image decodes");
+        let mut delta = v15.clone();
+        delta[10] = 1;
+        assert_eq!(
+            decode(&delta).err(),
+            Some(CodecError::Invalid("snapshot kind (only full images are read)"))
+        );
+        // the retired config values a v15 image and blob hold are pinned:
+        // the engine config's warm-up cycles (a u32 after `shards`) and cap
         // (an option after the 5-byte fixed period) ...
-        assert_eq!((&bytes[15..19], bytes[24]), (&3u32.to_le_bytes()[..], 0));
-        let mut cycles = bytes.clone();
+        assert_eq!((&v15[15..19], v15[24]), (&3u32.to_le_bytes()[..], 0));
+        let mut cycles = v15.clone();
         cycles[15] = 4;
         assert_eq!(decode(&cycles).err(), Some(CodecError::Invalid("warm-up cycles != 3")));
-        let capped = [&bytes[..24], &[1, 150, 0, 0, 0], &bytes[25..]].concat();
+        let capped = [&v15[..24], &[1, 150, 0, 0, 0], &v15[25..]].concat();
         assert_eq!(decode(&capped).err(), Some(CodecError::Invalid("warm-up cap is Some")));
         // ... and each detector config's anchor weight, shift policy tag,
         // accept ratio and IRLS clamp, in the image's engine config and in
         // a cold blob's live decomposer
-        let mut detector = Writer::default();
-        encode_detector_config(&mut detector, &FleetConfig::default().detector);
+        let blob = unhex(V15_LIVE_BLOB_HEX);
+        read_blob(&blob).expect("the v15 blob decodes");
         let retired: [(usize, &[u8], &str); 4] = [
             (16, &2.0f64.to_le_bytes(), "seasonal anchor weight != 1"),
             (40, &[1], "shift policy tag (only cumulative, 0, is read)"),
             (41, &0.25f64.to_le_bytes(), "shift accept ratio != 0.5"),
             (50, &1e-6f64.to_le_bytes(), "IRLS eps != 1e-10"),
         ];
-        let at = |bytes: &[u8]| {
-            let found = bytes.windows(detector.buf.len()).position(|w| w == detector.buf);
-            found.expect("the default detector config is encoded")
-        };
-        let (in_image, in_blob) = (at(&bytes), at(&live));
+        let (in_image, in_blob) = (v15_detector_at(&v15), v15_detector_at(&blob));
         for (offset, value, what) in retired {
-            let mut image = bytes.clone();
+            let mut image = v15.clone();
             image[in_image + offset..][..value.len()].copy_from_slice(value);
             assert_eq!(decode(&image).err(), Some(CodecError::Invalid(what)), "image: {what}");
-            let mut blob = live.clone();
-            blob[in_blob + offset..][..value.len()].copy_from_slice(value);
-            assert_eq!(read_blob(&blob).err(), Some(CodecError::Invalid(what)), "blob: {what}");
+            let mut bad = blob.clone();
+            bad[in_blob + offset..][..value.len()].copy_from_slice(value);
+            assert_eq!(read_blob(&bad).err(), Some(CodecError::Invalid(what)), "blob: {what}");
         }
     }
 }

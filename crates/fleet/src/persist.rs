@@ -46,7 +46,7 @@
 //! Only full bases and version 2 WAL segments are read. The incremental
 //! delta files (`delta-<seq>.fdelta`) and version 1 segments of earlier
 //! builds sit only in directories whose bases are older than this build
-//! reads (codec v14), so `open` fails on such a directory with "no valid
+//! reads (codec v15), so `open` fails on such a directory with "no valid
 //! snapshot" before it would look at either.
 //!
 //! ## What survives a crash

@@ -92,17 +92,6 @@ impl DeepArLite {
         self.model = Some((mlp, scaler));
     }
 
-    /// One-step predictive distribution `(μ, σ)` in the original scale.
-    pub fn predict_dist(&self, recent: &[f64], t: usize) -> (f64, f64) {
-        let (mlp, scaler) = self.model.as_ref().expect("fit() before predict");
-        assert_eq!(recent.len(), self.window);
-        let z = scaler.transform(recent);
-        let out = mlp.forward(&self.features(&z, t));
-        let mu = scaler.unscale(out[0]);
-        let sigma = out[1].clamp(-6.0, 4.0).exp() * scaler.std;
-        (mu, sigma)
-    }
-
     /// Autoregressive mean forecast of `horizon` values; `t` is the time
     /// index of the first forecast point.
     pub fn predict(&self, recent: &[f64], t: usize, horizon: usize) -> Vec<f64> {
@@ -134,18 +123,6 @@ mod tests {
         (0..n)
             .map(|i| 5.0 + 2.0 * (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
             .collect()
-    }
-
-    #[test]
-    fn one_step_distribution_is_calibrated() {
-        let t = 12;
-        let y = seasonal(600, t);
-        let mut m = DeepArLite::new(t, t, 1);
-        m.epochs = 15;
-        m.fit(&y[..500]);
-        let (mu, sigma) = m.predict_dist(&y[500 - t..500], 500);
-        assert!((mu - y[500]).abs() < 0.4, "mean off: {mu} vs {}", y[500]);
-        assert!(sigma > 0.0 && sigma < 1.5, "sigma {sigma}");
     }
 
     #[test]

@@ -40,30 +40,6 @@ pub fn write_csv_rows(path: &Path, headers: &[&str], rows: &[Vec<String>]) -> Re
     Ok(())
 }
 
-/// Reads a simple CSV of floats (header row skipped) into columns.
-pub fn read_csv_columns(path: &Path) -> Result<(Vec<String>, Vec<Vec<f64>>)> {
-    let text = fs::read_to_string(path)?;
-    let mut lines = text.lines();
-    let headers: Vec<String> = match lines.next() {
-        Some(h) => h.split(',').map(|s| s.trim().to_string()).collect(),
-        None => return Ok((Vec::new(), Vec::new())),
-    };
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); headers.len()];
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        for (i, cell) in line.split(',').enumerate() {
-            if i < columns.len() {
-                if let Ok(v) = cell.trim().parse::<f64>() {
-                    columns[i].push(v);
-                }
-            }
-        }
-    }
-    Ok((headers, columns))
-}
-
 /// Renders a markdown table.
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut s = String::new();
@@ -102,10 +78,9 @@ mod tests {
         let path = dir.join("cols.csv");
         write_csv_columns(&path, &["a", "b"], &[vec![1.0, 2.0, 3.0], vec![4.5, 5.5, 6.5]])
             .unwrap();
-        let (headers, cols) = read_csv_columns(&path).unwrap();
-        assert_eq!(headers, vec!["a", "b"]);
-        assert_eq!(cols[0], vec![1.0, 2.0, 3.0]);
-        assert_eq!(cols[1], vec![4.5, 5.5, 6.5]);
+        // the header row, then one row per index, each value as it prints
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text, "a,b\n1,4.5\n2,5.5\n3,6.5\n");
         fs::remove_dir_all(dir).ok();
     }
 

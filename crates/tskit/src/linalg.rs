@@ -110,11 +110,6 @@ impl SymBanded {
         y
     }
 
-    /// Converts to a dense row-major matrix (tests / debugging only).
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        (0..self.n).map(|i| (0..self.n).map(|j| self.get(i, j)).collect()).collect()
-    }
-
     /// LDLᵀ factorization (symmetric Doolittle). Returns the factors; the
     /// unit lower-triangular `L` shares this band layout (its stored
     /// diagonal entries are all 1).
@@ -402,9 +397,8 @@ mod tests {
         let a = spd_banded(9, 2, 3);
         let x: Vec<f64> = (0..9).map(|i| i as f64 - 4.0).collect();
         let y = a.matvec(&x);
-        let dense = a.to_dense();
         for i in 0..9 {
-            let yi: f64 = (0..9).map(|j| dense[i][j] * x[j]).sum();
+            let yi: f64 = (0..9).map(|j| a.get(i, j) * x[j]).sum();
             assert!((y[i] - yi).abs() < 1e-10);
         }
     }

@@ -72,16 +72,6 @@ pub fn detect_period(
     best.map(|(lag, _)| lag)
 }
 
-/// Like [`detect_period`] but falls back to `default` when detection fails.
-pub fn detect_period_or(
-    data: &[f64],
-    min_period: usize,
-    max_period: usize,
-    default: usize,
-) -> usize {
-    detect_period(data, min_period, max_period, 0.1).unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,7 +125,6 @@ mod tests {
         let x: Vec<f64> = (0..2000).map(|_| white(&mut st)).collect();
         // pure white noise: no strong periodic local max
         assert_eq!(detect_period(&x, 10, 500, 0.5), None);
-        assert_eq!(detect_period_or(&x, 10, 500, 99), 99);
     }
 
     #[test]

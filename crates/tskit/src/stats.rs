@@ -72,16 +72,6 @@ pub fn median(x: &[f64]) -> f64 {
     quantile(x, 0.5)
 }
 
-/// Median absolute deviation (unscaled).
-pub fn mad(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    let m = median(x);
-    let dev: Vec<f64> = x.iter().map(|v| (v - m).abs()).collect();
-    median(&dev)
-}
-
 /// Mean absolute error between two equal-length slices.
 ///
 /// # Panics
@@ -146,14 +136,6 @@ pub fn diff(x: &[f64]) -> Vec<f64> {
         return Vec::new();
     }
     x.windows(2).map(|w| w[1] - w[0]).collect()
-}
-
-/// Lag-`k` seasonal differences `x[i+k] - x[i]`.
-pub fn seasonal_diff(x: &[f64], k: usize) -> Vec<f64> {
-    if x.len() <= k || k == 0 {
-        return Vec::new();
-    }
-    (0..x.len() - k).map(|i| x[i + k] - x[i]).collect()
 }
 
 /// Strength of seasonality in `[0, 1]` following Hyndman's FPP definition:
@@ -252,7 +234,6 @@ mod tests {
         assert!((quantile(&x, 0.0) - 1.0).abs() < 1e-12);
         assert!((quantile(&x, 1.0) - 3.0).abs() < 1e-12);
         assert!((quantile(&x, 0.25) - 1.5).abs() < 1e-12);
-        assert!((mad(&[1.0, 1.0, 4.0]) - 0.0).abs() < 1e-12);
     }
 
     #[test]
@@ -287,10 +268,8 @@ mod tests {
     }
 
     #[test]
-    fn diff_and_seasonal_diff() {
+    fn first_differences() {
         assert_eq!(diff(&[1.0, 3.0, 6.0]), vec![2.0, 3.0]);
-        assert_eq!(seasonal_diff(&[1.0, 2.0, 3.0, 4.0], 2), vec![2.0, 2.0]);
-        assert!(seasonal_diff(&[1.0], 2).is_empty());
         assert!(diff(&[1.0]).is_empty());
     }
 
